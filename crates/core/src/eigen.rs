@@ -32,41 +32,16 @@ pub fn lowest_eigenpairs<S: Scalar>(op: &Operator<S>, k: usize) -> (Vec<f64>, Ve
     (res.eigenvalues, res.eigenvectors.unwrap())
 }
 
-/// The `k` lowest eigenvalues under an explicit memory budget: the solver
-/// holds at most `budget` Krylov-state vectors (thick-restart Lanczos;
-/// see [`ls_eigen::restart`]). `budget` must be at least `2k + 3`.
-pub fn lowest_eigenvalues_bounded<S: Scalar>(
-    op: &Operator<S>,
-    k: usize,
-    budget: usize,
-) -> Vec<f64> {
-    assert!(budget >= 2 * k + 3, "budget {budget} too small for k = {k} (need 2k + 3)");
-    let res = thick_restart_lanczos(
-        op,
-        &RestartOptions { extra: budget - k, ..RestartOptions::new(k) },
-    );
-    res.eigenvalues
-}
-
 /// Full-control memory-bounded solve (checkpointing, custom tolerance,
 /// Ritz vectors) — the facade over
-/// [`ls_eigen::thick_restart_lanczos`] for [`Operator`]s.
+/// [`ls_eigen::thick_restart_lanczos`] for [`Operator`]s. The
+/// reduced-precision modes of real sectors (`LS_PRECISION`) go through
+/// `ls_eigen::eigensolve_precision(op, opts, Precision::from_env())`.
 pub fn eigensolve_restarted<S: Scalar>(
     op: &Operator<S>,
     opts: &RestartOptions,
 ) -> LanczosResult<S> {
     thick_restart_lanczos(op, opts)
-}
-
-/// Precision-routed memory-bounded solve for real sectors: honors
-/// `LS_PRECISION` (`f64` default, `f32` = half-memory Krylov storage at
-/// f32 accuracy, `mixed` = f32 storage plus one f64 Rayleigh–Ritz
-/// refinement; see [`ls_eigen::precision`]). Eigenvectors come back
-/// widened to f64 in every mode. Complex sectors have no reduced-width
-/// path (Jordan–Wigner phases and momentum characters keep full width);
-/// they use [`eigensolve_restarted`] directly.
-pub fn eigensolve_env(op: &Operator<f64>, opts: &RestartOptions) -> LanczosResult<f64> {
-    ls_eigen::eigensolve_precision(op, opts, ls_eigen::Precision::from_env())
 }
 
 #[cfg(test)]

@@ -43,10 +43,7 @@ pub mod matvec;
 pub mod observables;
 pub mod operator;
 
-pub use eigen::{
-    eigensolve_env, eigensolve_restarted, ground_state, ground_state_energy,
-    lowest_eigenvalues, lowest_eigenvalues_bounded,
-};
+pub use eigen::{eigensolve_restarted, ground_state, ground_state_energy, lowest_eigenvalues};
 pub use matvec::{MatvecScratchPool, MatvecStrategy};
 pub use observables::{expectation, structure_factor, sz_correlations};
 pub use operator::Operator;
@@ -54,8 +51,7 @@ pub use operator::Operator;
 /// One-stop imports for typical use.
 pub mod prelude {
     pub use crate::eigen::{
-        eigensolve_env, eigensolve_restarted, ground_state, ground_state_energy,
-        lowest_eigenvalues, lowest_eigenvalues_bounded,
+        eigensolve_restarted, ground_state, ground_state_energy, lowest_eigenvalues,
     };
     pub use crate::matvec::MatvecStrategy;
     pub use crate::observables::{expectation, structure_factor, sz_correlations};

@@ -118,7 +118,7 @@ pub fn expectation_dist<S: Scalar>(
     let symop = SymmetrizedOperator::<S>::new(&averaged, sector)?;
     let mut o_psi = ls_runtime::DistVec::<S>::zeros(&psi.lens());
     ls_dist::matvec_pc(cluster, &symop, basis, psi, &mut o_psi, ls_dist::PcOptions::default());
-    Ok(ls_dist::blas::dot(psi, &o_psi))
+    Ok(ls_eigen::KrylovVec::dot(psi, &o_psi))
 }
 
 /// Static structure factor `S(q) = Σ_r e^{-iqr} C(r)` on the allowed

@@ -26,14 +26,14 @@
 //!   Krylov vector is ever gathered, and one producer/consumer engine's
 //!   buffers are reused across the repeated matrix-vector products;
 //! * [`dynamics`] — distributed time evolution (`exp(-itH)`, `exp(-τH)`)
-//!   and spectral-function coefficients on the same in-place pipeline;
-//! * [`blas`] — level-1 operations on distributed vectors, including the
-//!   fused blocked-CGS2 kernels (`multi_dot`, `multi_axpy`,
-//!   `multi_axpy_norm_sqr`, `axpy_norm_sqr`) the Krylov recurrence runs
-//!   on.
+//!   and spectral-function coefficients on the same in-place pipeline.
+//!
+//! Level-1 operations on distributed vectors are the
+//! [`ls_eigen::KrylovVec`] methods of `DistVec` (`x.dot(&y)`,
+//! `DistVec::multi_axpy_norm_sqr(..)`, ...); there is no separate
+//! distributed BLAS module.
 
 pub mod basis;
-pub mod blas;
 pub mod convert;
 pub mod distribution;
 pub mod dynamics;

@@ -141,7 +141,7 @@ impl<S: Scalar> PcEngine<S> {
     /// crossing the cluster barrier. The per-locale partials (each a
     /// deterministic [`ls_eigen::op::par_dot`]) are then combined in
     /// locale order, making the value bit-identical to `apply` followed
-    /// by [`crate::blas::dot`] at any thread count.
+    /// by [`ls_eigen::KrylovVec::dot`] at any thread count.
     pub fn apply_dot(
         &self,
         cluster: &Cluster,
@@ -177,7 +177,7 @@ impl<S: Scalar> PcEngine<S> {
                 *p = S::from_reals(r);
             }
         }
-        // The locale-ordered sum of the partials (exactly `blas::dot`'s
+        // The locale-ordered sum of the partials (exactly `KrylovVec::dot`'s
         // combination order, identical on both backends).
         let mut acc = S::ZERO;
         for p in partials {

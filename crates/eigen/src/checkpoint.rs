@@ -37,7 +37,7 @@
 //! Writes go to `<path>.tmp` first and are renamed into place, so a kill
 //! mid-write never corrupts the previous checkpoint.
 
-use crate::vector::{KrylovOp, KrylovVec};
+use crate::vector::{get_scalar, put_scalar, KrylovOp, KrylovVec};
 use bytes::{Buf, BufMut};
 use ls_kernels::Scalar;
 use std::fmt;
@@ -258,18 +258,9 @@ fn encode_checkpoint<V: KrylovVec>(state: &CheckpointStateRef<'_, V>) -> Vec<u8>
     }
     for v in state.basis {
         debug_assert_eq!(v.layout(), layout, "checkpointed vectors must share one layout");
-        v.visit(&mut |x| {
-            let reals = x.to_reals();
-            for lane in reals.iter().take(lanes) {
-                if width == 4 {
-                    // f32 storage: `visit` yields the widened value, so
-                    // narrowing back is exact and round-trips bitwise.
-                    buf.put_u32_le((*lane as f32).to_bits());
-                } else {
-                    buf.put_f64_le(*lane);
-                }
-            }
-        });
+        // f32 storage: `visit` yields the widened value, so narrowing
+        // back is exact and round-trips bitwise.
+        v.visit(&mut |x| put_scalar(&mut buf, x, V::SCALAR_WIDTH));
     }
     let checksum = fnv1a64(&buf);
     buf.put_u64_le(checksum);
@@ -647,18 +638,8 @@ pub fn load_checkpoint<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
     let mut basis = Vec::with_capacity(nvecs);
     for _ in 0..nvecs {
         let mut v = op.new_vec();
-        v.fill_with(&mut |_i| {
-            let mut reals = [0.0f64; 2];
-            for lane in reals.iter_mut().take(lanes) {
-                *lane = if width == 4 {
-                    // f32 lanes widen exactly (also the widening resume).
-                    f32::from_bits(r.buf.get_u32_le()) as f64
-                } else {
-                    r.buf.get_f64_le()
-                };
-            }
-            V::Scalar::from_reals(reals)
-        });
+        // f32 lanes widen exactly (also the widening resume).
+        v.fill_with(&mut |_i| get_scalar(&mut r.buf, width));
         basis.push(v);
     }
 
@@ -722,22 +703,25 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A distributed operator of the given layout, in any lane.
+    struct DistZero(Vec<usize>);
+
+    impl<L: ls_kernels::Lane> KrylovOp<DistVec<L>> for DistZero {
+        fn dim(&self) -> usize {
+            self.0.iter().sum()
+        }
+        fn new_vec(&self) -> DistVec<L> {
+            DistVec::zeros(&self.0)
+        }
+        fn apply(&self, _x: &DistVec<L>, _y: &mut DistVec<L>) {}
+    }
+
     #[test]
     fn wrong_storage_kind_rejected() {
         let path = tmp("kind");
         let dim = 16;
         save_checkpoint(&path, &sample_state(dim)).unwrap();
         // A distributed operator with the same total dimension.
-        struct DistZero(Vec<usize>);
-        impl KrylovOp<DistVec<f64>> for DistZero {
-            fn dim(&self) -> usize {
-                self.0.iter().sum()
-            }
-            fn new_vec(&self) -> DistVec<f64> {
-                DistVec::zeros(&self.0)
-            }
-            fn apply(&self, _x: &DistVec<f64>, _y: &mut DistVec<f64>) {}
-        }
         let op = DistZero(vec![8, 8]);
         match load_checkpoint::<DistVec<f64>, _>(&path, &op) {
             Err(CheckpointError::WrongStorageKind { found: 1, expected: 2 }) => {}
@@ -746,8 +730,21 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    fn sample_state_f32(dim: usize) -> CheckpointState<crate::precision::F32Vec> {
-        let st = sample_state(dim);
+    /// [`sample_state`] re-stored in another vector type, element by
+    /// element through `fill_with` (which narrows for f32 lanes).
+    fn restore<V: KrylovVec<Scalar = f64>>(
+        zero: &V,
+        st: CheckpointState<Vec<f64>>,
+    ) -> CheckpointState<V> {
+        let basis = st
+            .basis
+            .iter()
+            .map(|dense| {
+                let mut v = zero.clone();
+                v.fill_with(&mut |i| dense[i]);
+                v
+            })
+            .collect();
         CheckpointState {
             k: st.k,
             budget: st.budget,
@@ -757,13 +754,17 @@ mod tests {
             retained: st.retained,
             diag: st.diag,
             border: st.border,
-            basis: st.basis.iter().map(|v| crate::precision::F32Vec::narrow_from(v)).collect(),
+            basis,
         }
+    }
+
+    fn sample_state_f32(dim: usize) -> CheckpointState<Vec<f32>> {
+        restore(&vec![0.0f32; dim], sample_state(dim))
     }
 
     #[test]
     fn f32_checkpoint_roundtrips_bitwise_and_widens_to_f64() {
-        use crate::precision::{F32Vec, MixedOp};
+        use crate::precision::{widen, MixedOp};
         let path = tmp("f32_roundtrip");
         let dim = 61;
         let st = sample_state_f32(dim);
@@ -772,31 +773,72 @@ mod tests {
 
         // Same-precision resume: bit-exact.
         let op32 = MixedOp::new(&dense);
-        let back = load_checkpoint::<F32Vec, _>(&path, &op32).unwrap();
+        let back = load_checkpoint::<Vec<f32>, _>(&path, &op32).unwrap();
         assert_eq!(back.basis, st.basis);
         assert_eq!(back.diag, st.diag);
 
         // Widening resume (f32 file, f64 solve): explicit and lossless.
         let wide = load_checkpoint::<Vec<f64>, _>(&path, &dense).unwrap();
         for (w, n) in wide.basis.iter().zip(&st.basis) {
-            assert_eq!(w, &n.widen(), "widened lanes must be the exact f32 values");
+            assert_eq!(w, &widen(n), "widened lanes must be the exact f32 values");
         }
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn narrowing_resume_is_a_typed_precision_error() {
-        use crate::precision::{F32Vec, MixedOp};
+        use crate::precision::MixedOp;
         let path = tmp("narrowing");
         let dim = 32;
         save_checkpoint(&path, &sample_state(dim)).unwrap(); // f64 file
         let dense = DenseOp::new(dim, vec![0.0; dim * dim]);
         let op32 = MixedOp::new(&dense);
-        match load_checkpoint::<F32Vec, _>(&path, &op32) {
+        match load_checkpoint::<Vec<f32>, _>(&path, &op32) {
             Err(CheckpointError::PrecisionMismatch { found: 8, expected: 4 }) => {}
             other => panic!("expected PrecisionMismatch, got {other:?}"),
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn distributed_f32_checkpoint_is_kind_4_and_follows_the_precision_rules() {
+        let lens = vec![11usize, 0, 23, 7];
+        let op = DistZero(lens.clone());
+        let dim: usize = lens.iter().sum();
+
+        let path = tmp("dist_f32");
+        let st = restore(&DistVec::<f32>::zeros(&lens), sample_state(dim));
+        save_checkpoint(&path, &st).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes[8..12], 4u32.to_le_bytes(), "storage kind");
+        assert_eq!(bytes[16..20], 4u32.to_le_bytes(), "lane width");
+
+        // Same storage: bit-exact. Widening into the f64 distribution:
+        // every element is the exact f32 value.
+        let back = load_checkpoint::<DistVec<f32>, _>(&path, &op).unwrap();
+        assert_eq!(back.basis, st.basis);
+        let wide = load_checkpoint::<DistVec<f64>, _>(&path, &op).unwrap();
+        for (w, n) in wide.basis.iter().zip(&st.basis) {
+            assert_eq!(w.lens(), lens);
+            assert_eq!(w.concat(), crate::precision::widen(&n.concat()));
+        }
+        // ... but not into dense f64 storage.
+        let dense = DenseOp::new(dim, vec![0.0; dim * dim]);
+        match load_checkpoint::<Vec<f64>, _>(&path, &dense) {
+            Err(CheckpointError::WrongStorageKind { found: 4, expected: 1 }) => {}
+            other => panic!("expected WrongStorageKind, got {other:?}"),
+        }
+
+        // An f64 distributed file must not be truncated into f32 lanes.
+        let path64 = tmp("dist_f64_into_f32");
+        save_checkpoint(&path64, &restore(&DistVec::<f64>::zeros(&lens), sample_state(dim)))
+            .unwrap();
+        match load_checkpoint::<DistVec<f32>, _>(&path64, &op) {
+            Err(CheckpointError::PrecisionMismatch { found: 8, expected: 4 }) => {}
+            other => panic!("expected PrecisionMismatch, got {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&path64).ok();
     }
 
     #[test]

@@ -9,18 +9,21 @@
 //!
 //! This crate provides:
 //! * [`vector`] — the Krylov storage abstraction: [`KrylovVec`] (fused
-//!   deterministic BLAS-1 over any vector representation, implemented for
-//!   `Vec<S>` and the locale-partitioned `ls_runtime::DistVec<S>`) and
-//!   [`KrylovOp`] (the matrix-free operator over that storage, with a
-//!   blanket implementation turning every [`LinearOp`] into a
-//!   `KrylovOp<Vec<S>>`);
+//!   deterministic BLAS-1 over any vector representation, implemented
+//!   once for `Vec<L>` and once for the locale-partitioned
+//!   `ls_runtime::DistVec<L>`, `L` any stored element type —
+//!   [`ls_kernels::Lane`]: `f64`, `Complex64`, or `f32` computed on in
+//!   `f64`) and [`KrylovOp`] (the matrix-free operator over that
+//!   storage, with a blanket implementation turning every [`LinearOp`]
+//!   into a `KrylovOp<Vec<S>>`);
 //! * [`LinearOp`] — the slice-based matrix-free operator interface,
 //!   including the fused matvec+dot epilogue hook
 //!   ([`LinearOp::apply_dot`]);
-//! * [`op`] — the BLAS-1 layer: serial helpers plus the **parallel
-//!   deterministic kernels** (`par_dot`, `par_norm_sqr`, blocked
-//!   multi-vector `par_multi_dot`/`par_multi_axpy`, fused axpy+norm)
-//!   whose reductions are bit-identical at any `LS_NUM_THREADS`;
+//! * [`op`] — the BLAS-1 layer, written once over the lane: serial
+//!   helpers plus the **parallel deterministic kernels** (`par_dot`,
+//!   `par_norm_sqr`, blocked multi-vector `par_multi_dot`/`par_multi_axpy`,
+//!   fused axpy+norm) whose reductions are bit-identical at any
+//!   `LS_NUM_THREADS`;
 //! * [`lanczos::lanczos_smallest_in`] — Lanczos with full (blocked CGS2)
 //!   reorthogonalization and Ritz-residual convergence control, written
 //!   once against the vector abstraction and running entirely on the
@@ -34,6 +37,10 @@
 //!   the uninterrupted solve. [`lanczos_smallest_in`] routes here
 //!   automatically when `max_iter` exceeds the
 //!   [`LanczosOptions::max_retained`] budget;
+//! * [`precision`] — the reduced-precision modes of a real-sector solve
+//!   (`LS_PRECISION`): [`eigensolve_precision`] runs the same solver on
+//!   `Vec<f32>` through [`MixedOp`], and `mixed` adds one f64
+//!   Rayleigh–Ritz refinement ([`refine_in_f64`]);
 //! * [`checkpoint`] — the versioned, checksummed on-disk format behind
 //!   that resume contract ([`save_checkpoint`] / [`load_checkpoint`],
 //!   typed [`CheckpointError`]s for truncated, corrupt or mismatched
@@ -77,10 +84,7 @@ pub use lanczos::{
     lanczos_smallest, lanczos_smallest_in, LanczosOptions, LanczosResult, LanczosResultIn,
 };
 pub use op::{DenseOp, LinearOp};
-pub use precision::{
-    eigensolve_precision, refine_in_f64, thick_restart_lanczos_f32, DistF32Vec, F32Vec,
-    MixedOp, Precision,
-};
+pub use precision::{eigensolve_precision, refine_in_f64, MixedOp, Precision};
 pub use restart::{
     thick_restart_lanczos, thick_restart_lanczos_in, CheckpointPolicy, RestartOptions,
 };

@@ -1,20 +1,27 @@
 //! The matrix-free operator interface and the BLAS-1 layer of the
 //! eigensolvers.
 //!
-//! Two tiers of vector kernels live here:
+//! Every vector kernel here is written once, over a [`Lane`] — the
+//! stored element type plus the type its arithmetic runs in. `f64` and
+//! `Complex64` are their own accumulators; `f32` storage accumulates in
+//! `f64` and narrows once per stored element. Two tiers:
 //!
-//! * the original serial helpers ([`dot`], [`norm`], [`axpy`], [`scale`])
-//!   — linear accumulation order, used by the dense references and
-//!   anywhere a plain loop is the right tool;
+//! * the serial helpers ([`dot`], [`norm`], [`axpy`], [`scale`]) — the
+//!   lane's loop over the whole slice, linear accumulation order, used by
+//!   the dense references and anywhere a plain loop is the right tool;
 //! * the **parallel deterministic** kernels ([`par_dot`],
-//!   [`par_norm_sqr`], [`par_axpy`], [`par_scale`], and the fused
-//!   [`par_axpy_norm_sqr`]) that the Lanczos pipeline runs on. Reductions
-//!   are computed as per-block partials over a *fixed* partition
-//!   ([`REDUCE_BLOCK`], independent of the thread count) combined in a
-//!   fixed pairwise tree ([`pairwise_sum`]) — the result is bit-identical
-//!   for `LS_NUM_THREADS = 1, 2, …, N`, only the wall time changes.
+//!   [`par_norm_sqr`], [`par_axpy`], [`par_scale`], [`par_axpy_norm_sqr`]
+//!   and the blocked multi-vector [`par_multi_dot`] / [`par_multi_axpy`] /
+//!   [`par_multi_axpy_norm_sqr`]) that the Lanczos pipeline runs on. Each
+//!   is the lane's block loop handed to one of two private drivers — a
+//!   blocked reduce and a blocked update(+reduce) — which own the *fixed*
+//!   partition ([`REDUCE_BLOCK`], independent of the thread count), the
+//!   inline-or-pool decision ([`MIN_PAR_BLOCKS`]) and the fixed pairwise
+//!   tree ([`pairwise_sum`]) over the per-block partials. The result is
+//!   bit-identical for `LS_NUM_THREADS = 1, 2, …, N`, only the wall time
+//!   changes.
 
-use ls_kernels::Scalar;
+use ls_kernels::{Lane, Scalar};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -98,43 +105,39 @@ impl<S: Scalar> LinearOp<S> for DenseOp<S> {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Serial tier: one block, linear order
+// ---------------------------------------------------------------------------
+
 /// Hermitian inner product `⟨a, b⟩ = Σ conj(a_i) b_i`.
 #[inline]
-pub fn dot<S: Scalar>(a: &[S], b: &[S]) -> S {
+pub fn dot<L: Lane>(a: &[L], b: &[L]) -> L::Acc {
     debug_assert_eq!(a.len(), b.len());
-    let mut acc = S::ZERO;
-    for (x, y) in a.iter().zip(b) {
-        acc += x.conj() * *y;
-    }
-    acc
+    L::dot(a, b)
 }
 
 /// Squared 2-norm (always real).
 #[inline]
-pub fn norm_sqr<S: Scalar>(a: &[S]) -> f64 {
-    a.iter().map(|x| x.abs_sqr()).sum()
+pub fn norm_sqr<L: Lane>(a: &[L]) -> f64 {
+    L::norm_sqr(a)
 }
 
 /// 2-norm.
 #[inline]
-pub fn norm<S: Scalar>(a: &[S]) -> f64 {
+pub fn norm<L: Lane>(a: &[L]) -> f64 {
     norm_sqr(a).sqrt()
 }
 
 /// `y += alpha * x`.
 #[inline]
-pub fn axpy<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) {
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * *xi;
-    }
+pub fn axpy<L: Lane>(alpha: L::Acc, x: &[L], y: &mut [L]) {
+    L::axpy(alpha, x, y);
 }
 
 /// `x *= alpha` (real scale).
 #[inline]
-pub fn scale<S: Scalar>(x: &mut [S], alpha: f64) {
-    for xi in x.iter_mut() {
-        *xi = xi.scale_re(alpha);
-    }
+pub fn scale<L: Lane>(x: &mut [L], alpha: f64) {
+    L::scale(x, alpha);
 }
 
 // ---------------------------------------------------------------------------
@@ -148,12 +151,11 @@ pub fn scale<S: Scalar>(x: &mut [S], alpha: f64) {
 /// leaving enough blocks for dynamic load balancing on large sectors.
 pub const REDUCE_BLOCK: usize = 8192;
 
-/// Below this many blocks a kernel computes its partials inline instead
+/// Below this many blocks a kernel computes its blocks inline instead
 /// of dispatching to the pool — a wake-up costs more than a few blocks
 /// of streaming arithmetic. The partial layout and combination tree are
 /// the same either way, so the result is bit-identical to the parallel
-/// path (the dispatch decision is invisible in the output). Public so
-/// the f32-storage kernels of [`crate::precision`] share the threshold.
+/// path (the dispatch decision is invisible in the output).
 pub const MIN_PAR_BLOCKS: usize = 8;
 
 /// Sums `parts` in a fixed pairwise (balanced binary) tree. The tree
@@ -196,82 +198,104 @@ pub fn store_partial<S: Scalar>(lanes: &[AtomicU64], slot: usize, value: S) {
     }
 }
 
-/// Parallel Hermitian inner product, bit-deterministic across thread
-/// counts: per-block partials (linear within a [`REDUCE_BLOCK`]) combined
-/// with [`pairwise_sum`].
-pub fn par_dot<S: Scalar>(a: &[S], b: &[S]) -> S {
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len();
-    let n_blocks = n.div_ceil(REDUCE_BLOCK);
-    if n_blocks <= 1 {
-        return dot(a, b);
+/// The blocked *reduce* driver: `m` sums over the index range `0..n`,
+/// sweeping it once. `block(lo, hi, sink)` computes every sum restricted
+/// to one [`REDUCE_BLOCK`] block and hands them to `sink(b, partial)`;
+/// the driver owns the partition, the inline/pool decision and the
+/// per-sum [`pairwise_sum`] tree over the block partials.
+fn blocked_reduce<A: Scalar>(
+    n: usize,
+    m: usize,
+    block: impl Fn(usize, usize, &mut dyn FnMut(usize, A)) + Sync,
+) -> Vec<A> {
+    if m == 0 {
+        return Vec::new();
     }
-    let mut partials = vec![S::ZERO; n_blocks];
+    let n_blocks = n.div_ceil(REDUCE_BLOCK).max(1);
+    let bounds = |k: usize| (k * REDUCE_BLOCK, ((k + 1) * REDUCE_BLOCK).min(n));
+    // partials[b * n_blocks + k] = sum `b` restricted to block `k`.
+    let mut partials = vec![A::ZERO; m * n_blocks];
     if n_blocks < MIN_PAR_BLOCKS {
-        for (bi, p) in partials.iter_mut().enumerate() {
-            let lo = bi * REDUCE_BLOCK;
-            let hi = (lo + REDUCE_BLOCK).min(n);
-            *p = dot(&a[lo..hi], &b[lo..hi]);
+        for k in 0..n_blocks {
+            let (lo, hi) = bounds(k);
+            block(lo, hi, &mut |b, p| partials[b * n_blocks + k] = p);
         }
     } else {
         let lanes = atomic_lanes(&mut partials);
-        (0..n_blocks).into_par_iter().for_each(|bi| {
-            let lo = bi * REDUCE_BLOCK;
-            let hi = (lo + REDUCE_BLOCK).min(n);
-            store_partial(lanes, bi, dot(&a[lo..hi], &b[lo..hi]));
+        (0..n_blocks).into_par_iter().for_each(|k| {
+            let (lo, hi) = bounds(k);
+            block(lo, hi, &mut |b, p| store_partial(lanes, b * n_blocks + k, p));
+        });
+    }
+    partials.chunks_exact(n_blocks).map(pairwise_sum).collect()
+}
+
+/// The blocked *update(+reduce)* driver: `block(base, wb)` updates one
+/// [`REDUCE_BLOCK`] block of `w` in place (`base` is its offset) and
+/// returns that block's contribution to a real sum — `0.0` from the
+/// kernels that only update. Same partition, inline/pool decision and
+/// [`pairwise_sum`] tree as [`blocked_reduce`].
+fn blocked_update<L: Lane>(w: &mut [L], block: impl Fn(usize, &mut [L]) -> f64 + Sync) -> f64 {
+    let n = w.len();
+    let n_blocks = n.div_ceil(REDUCE_BLOCK).max(1);
+    let mut partials = vec![0.0f64; n_blocks];
+    if n_blocks < MIN_PAR_BLOCKS {
+        for (k, p) in partials.iter_mut().enumerate() {
+            let lo = k * REDUCE_BLOCK;
+            *p = block(lo, &mut w[lo..(lo + REDUCE_BLOCK).min(n)]);
+        }
+    } else {
+        let lanes = atomic_lanes(&mut partials);
+        w.par_chunks_mut(REDUCE_BLOCK).enumerate().for_each(|(k, wb)| {
+            store_partial(lanes, k, block(k * REDUCE_BLOCK, wb));
         });
     }
     pairwise_sum(&partials)
+}
+
+/// Parallel Hermitian inner product, bit-deterministic across thread
+/// counts: per-block partials (one [`Lane::dot`] per [`REDUCE_BLOCK`])
+/// combined with [`pairwise_sum`].
+pub fn par_dot<L: Lane>(a: &[L], b: &[L]) -> L::Acc {
+    assert_eq!(a.len(), b.len(), "dot of vectors of different lengths");
+    blocked_reduce(a.len(), 1, |lo, hi, sink| sink(0, L::dot(&a[lo..hi], &b[lo..hi])))[0]
 }
 
 /// Parallel squared 2-norm, bit-deterministic across thread counts.
-pub fn par_norm_sqr<S: Scalar>(a: &[S]) -> f64 {
-    let n = a.len();
-    let n_blocks = n.div_ceil(REDUCE_BLOCK);
-    if n_blocks <= 1 {
-        return norm_sqr(a);
-    }
-    let mut partials = vec![0.0f64; n_blocks];
-    if n_blocks < MIN_PAR_BLOCKS {
-        for (bi, p) in partials.iter_mut().enumerate() {
-            let lo = bi * REDUCE_BLOCK;
-            let hi = (lo + REDUCE_BLOCK).min(n);
-            *p = norm_sqr(&a[lo..hi]);
-        }
-    } else {
-        let lanes = atomic_lanes(&mut partials);
-        (0..n_blocks).into_par_iter().for_each(|bi| {
-            let lo = bi * REDUCE_BLOCK;
-            let hi = (lo + REDUCE_BLOCK).min(n);
-            store_partial(lanes, bi, norm_sqr(&a[lo..hi]));
-        });
-    }
-    pairwise_sum(&partials)
+pub fn par_norm_sqr<L: Lane>(a: &[L]) -> f64 {
+    blocked_reduce(a.len(), 1, |lo, hi, sink| sink(0, L::norm_sqr(&a[lo..hi])))[0]
 }
 
 /// Parallel 2-norm (deterministic, see [`par_norm_sqr`]).
-pub fn par_norm<S: Scalar>(a: &[S]) -> f64 {
+pub fn par_norm<L: Lane>(a: &[L]) -> f64 {
     par_norm_sqr(a).sqrt()
 }
 
 /// Parallel `y += alpha * x`. Element-wise, so trivially deterministic.
-pub fn par_axpy<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) {
-    debug_assert_eq!(x.len(), y.len());
-    if y.len() < MIN_PAR_BLOCKS * REDUCE_BLOCK {
-        return axpy(alpha, x, y);
-    }
-    y.par_chunks_mut(REDUCE_BLOCK).enumerate().for_each(|(bi, yb)| {
-        let base = bi * REDUCE_BLOCK;
-        axpy(alpha, &x[base..base + yb.len()], yb);
+pub fn par_axpy<L: Lane>(alpha: L::Acc, x: &[L], y: &mut [L]) {
+    assert_eq!(x.len(), y.len(), "axpy of vectors of different lengths");
+    blocked_update(y, |base, yb| {
+        L::axpy(alpha, &x[base..base + yb.len()], yb);
+        0.0
     });
 }
 
 /// Parallel `x *= alpha` (real scale).
-pub fn par_scale<S: Scalar>(x: &mut [S], alpha: f64) {
-    if x.len() < MIN_PAR_BLOCKS * REDUCE_BLOCK {
-        return scale(x, alpha);
-    }
-    x.par_chunks_mut(REDUCE_BLOCK).for_each(|xb| scale(xb, alpha));
+pub fn par_scale<L: Lane>(x: &mut [L], alpha: f64) {
+    blocked_update(x, |_, xb| {
+        L::scale(xb, alpha);
+        0.0
+    });
+}
+
+/// Fused `y += alpha * x; return ‖y‖²` in one parallel sweep — the
+/// axpy+norm epilogue of a Lanczos iteration (the final
+/// reorthogonalization update and the β that follows it), saving one full
+/// read pass over the Krylov vector. Bit-identical to [`par_axpy`]
+/// followed by [`par_norm_sqr`], at any thread count.
+pub fn par_axpy_norm_sqr<L: Lane>(alpha: L::Acc, x: &[L], y: &mut [L]) -> f64 {
+    assert_eq!(x.len(), y.len(), "axpy of vectors of different lengths");
+    blocked_update(y, |base, yb| L::axpy_norm_sqr(alpha, &x[base..base + yb.len()], yb))
 }
 
 /// Blocked multi-vector inner products: `out[b] = ⟨vs[b], w⟩` for every
@@ -282,128 +306,39 @@ pub fn par_scale<S: Scalar>(x: &mut [S], alpha: f64) {
 /// cache-hot across all `m` dot products. Deterministic: per-vector
 /// partials over the fixed [`REDUCE_BLOCK`] partition, combined with
 /// [`pairwise_sum`].
-pub fn par_multi_dot<S: Scalar, V: AsRef<[S]> + Sync>(vs: &[V], w: &[S]) -> Vec<S> {
-    let m = vs.len();
-    if m == 0 {
-        return Vec::new();
-    }
-    let n = w.len();
-    let n_blocks = n.div_ceil(REDUCE_BLOCK).max(1);
-    // partials[b * n_blocks + k] = ⟨vs[b], w⟩ restricted to block k.
-    let mut partials = vec![S::ZERO; m * n_blocks];
-    let fill = |k: usize, partials_k: &mut dyn FnMut(usize, S)| {
-        let lo = k * REDUCE_BLOCK;
-        let hi = (lo + REDUCE_BLOCK).min(n);
+pub fn par_multi_dot<L: Lane, V: AsRef<[L]> + Sync>(vs: &[V], w: &[L]) -> Vec<L::Acc> {
+    blocked_reduce(w.len(), vs.len(), |lo, hi, sink| {
         for (b, v) in vs.iter().enumerate() {
-            partials_k(b, dot(&v.as_ref()[lo..hi], &w[lo..hi]));
+            sink(b, L::dot(&v.as_ref()[lo..hi], &w[lo..hi]));
         }
-    };
-    if n_blocks < MIN_PAR_BLOCKS {
-        for k in 0..n_blocks {
-            fill(k, &mut |b, p| partials[b * n_blocks + k] = p);
-        }
-    } else {
-        let lanes = atomic_lanes(&mut partials);
-        (0..n_blocks).into_par_iter().for_each(|k| {
-            fill(k, &mut |b, p| store_partial(lanes, b * n_blocks + k, p));
-        });
-    }
-    (0..m).map(|b| pairwise_sum(&partials[b * n_blocks..(b + 1) * n_blocks])).collect()
+    })
 }
 
 /// Blocked multi-vector update: `w += Σ_b coeffs[b] · vs[b]`, sweeping
 /// `w` exactly once (the update half of blocked reorthogonalization and
 /// of Ritz-vector assembly). Per element the additions run in ascending
 /// `b` order — independent of how chunks are claimed, so deterministic.
-pub fn par_multi_axpy<S: Scalar, V: AsRef<[S]> + Sync>(coeffs: &[S], vs: &[V], w: &mut [S]) {
-    debug_assert_eq!(coeffs.len(), vs.len());
-    if vs.is_empty() {
-        return;
-    }
-    let update = |base: usize, wb: &mut [S]| {
-        for (b, v) in vs.iter().enumerate() {
-            axpy(coeffs[b], &v.as_ref()[base..base + wb.len()], wb);
-        }
-    };
-    if w.len() < MIN_PAR_BLOCKS * REDUCE_BLOCK {
-        let len = w.len();
-        let mut lo = 0usize;
-        while lo < len {
-            let hi = (lo + REDUCE_BLOCK).min(len);
-            update(lo, &mut w[lo..hi]);
-            lo = hi;
-        }
-    } else {
-        w.par_chunks_mut(REDUCE_BLOCK).enumerate().for_each(|(k, wb)| {
-            update(k * REDUCE_BLOCK, wb);
-        });
-    }
+pub fn par_multi_axpy<L: Lane, V: AsRef<[L]> + Sync>(coeffs: &[L::Acc], vs: &[V], w: &mut [L]) {
+    assert_eq!(coeffs.len(), vs.len(), "one coefficient per vector");
+    blocked_update(w, |base, wb| {
+        L::multi_axpy(coeffs, vs, base, wb);
+        0.0
+    });
 }
 
 /// [`par_multi_axpy`] fused with `‖w‖²` of the result — the final
 /// reorthogonalization pass and the β norm in one sweep over `w`.
 /// Bit-identical to [`par_multi_axpy`] followed by [`par_norm_sqr`].
-pub fn par_multi_axpy_norm_sqr<S: Scalar, V: AsRef<[S]> + Sync>(
-    coeffs: &[S],
+pub fn par_multi_axpy_norm_sqr<L: Lane, V: AsRef<[L]> + Sync>(
+    coeffs: &[L::Acc],
     vs: &[V],
-    w: &mut [S],
+    w: &mut [L],
 ) -> f64 {
-    debug_assert_eq!(coeffs.len(), vs.len());
-    let n = w.len();
-    let n_blocks = n.div_ceil(REDUCE_BLOCK).max(1);
-    let update = |base: usize, wb: &mut [S]| -> f64 {
-        for (b, v) in vs.iter().enumerate() {
-            axpy(coeffs[b], &v.as_ref()[base..base + wb.len()], wb);
-        }
-        norm_sqr(wb)
-    };
-    let mut partials = vec![0.0f64; n_blocks];
-    if n_blocks < MIN_PAR_BLOCKS {
-        for (k, p) in partials.iter_mut().enumerate() {
-            let lo = k * REDUCE_BLOCK;
-            let hi = (lo + REDUCE_BLOCK).min(n);
-            *p = update(lo, &mut w[lo..hi]);
-        }
-    } else {
-        let lanes = atomic_lanes(&mut partials);
-        w.par_chunks_mut(REDUCE_BLOCK).enumerate().for_each(|(k, wb)| {
-            store_partial(lanes, k, update(k * REDUCE_BLOCK, wb));
-        });
-    }
-    pairwise_sum(&partials)
-}
-
-/// Fused `y += alpha * x; return ‖y‖²` in one parallel sweep — the
-/// axpy+norm epilogue of a Lanczos iteration (the final
-/// reorthogonalization update and the β that follows it), saving one full
-/// read pass over the Krylov vector. Bit-identical to [`par_axpy`]
-/// followed by [`par_norm_sqr`], at any thread count.
-pub fn par_axpy_norm_sqr<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) -> f64 {
-    debug_assert_eq!(x.len(), y.len());
-    let n = y.len();
-    let n_blocks = n.div_ceil(REDUCE_BLOCK);
-    if n_blocks <= 1 {
-        axpy(alpha, x, y);
-        return norm_sqr(y);
-    }
-    let mut partials = vec![0.0f64; n_blocks];
-    if n_blocks < MIN_PAR_BLOCKS {
-        for (bi, p) in partials.iter_mut().enumerate() {
-            let lo = bi * REDUCE_BLOCK;
-            let hi = (lo + REDUCE_BLOCK).min(n);
-            axpy(alpha, &x[lo..hi], &mut y[lo..hi]);
-            *p = norm_sqr(&y[lo..hi]);
-        }
-    } else {
-        let lanes = atomic_lanes(&mut partials);
-        y.par_chunks_mut(REDUCE_BLOCK).enumerate().for_each(|(bi, yb)| {
-            let base = bi * REDUCE_BLOCK;
-            let xb = &x[base..base + yb.len()];
-            axpy(alpha, xb, yb);
-            store_partial(lanes, bi, norm_sqr(yb));
-        });
-    }
-    pairwise_sum(&partials)
+    assert_eq!(coeffs.len(), vs.len(), "one coefficient per vector");
+    blocked_update(w, |base, wb| {
+        L::multi_axpy(coeffs, vs, base, wb);
+        L::norm_sqr(wb)
+    })
 }
 
 #[cfg(test)]

@@ -3,17 +3,21 @@
 //! The thick-restart solver is bandwidth-bound on its Krylov state (the
 //! paper's central measurement), so halving the bytes per stored lane
 //! halves the traffic of every BLAS-1 sweep and every reorthogonalization
-//! pass. This module provides the storage for that trade:
+//! pass. The storage for that trade is not a type of its own: the
+//! solvers run on any [`KrylovVec`], and `Vec<f32>` / `DistVec<f32>` are
+//! the same two implementations as their f64 counterparts, instantiated
+//! at the `f32` [`ls_kernels::Lane`] — elements *stored* in f32, **all
+//! arithmetic in f64**: every product widens both operands, every
+//! reduction accumulates f64 partials over the same fixed
+//! [`op::REDUCE_BLOCK`] partition and [`op::pairwise_sum`] tree, and only
+//! the final store narrows. Results are therefore bit-identical across
+//! thread counts and `LS_SIMD` levels, exactly like f64 storage — the
+//! *mode* changes results (f32 rounding on store), never the machine
+//! shape. Checkpoints of such a solve carry 4-byte lanes (storage kinds
+//! 3 and 4), and a distributed vector's allgather frames are 4 bytes per
+//! lane too. What this module adds on top:
 //!
-//! * [`F32Vec`] — a dense [`KrylovVec`] that *stores* f32 lanes but
-//!   performs **all arithmetic in f64**: every product widens both
-//!   operands, every reduction accumulates f64 partials over the same
-//!   fixed [`op::REDUCE_BLOCK`] partition and [`op::pairwise_sum`] tree
-//!   as the f64 kernels, and only the final store narrows. Results are
-//!   therefore bit-identical across thread counts and `LS_SIMD` levels,
-//!   exactly like the f64 storages — the *mode* changes results (f32
-//!   rounding on store), never the machine shape.
-//! * [`MixedOp`] — adapts any f64 [`LinearOp`] to `KrylovOp<F32Vec>` by
+//! * [`MixedOp`] — adapts any f64 [`LinearOp`] to `KrylovOp<Vec<f32>>` by
 //!   widening the input vector, applying in f64, and narrowing the
 //!   output.
 //! * [`refine_in_f64`] — one step of iterative refinement: a
@@ -22,24 +26,22 @@
 //!   carry an `O(‖r‖²)` eigenvalue error, which is what lets an f32
 //!   subspace (residuals ~1e-6·‖H‖) deliver eigenvalues at f64 solver
 //!   tolerance (~1e-12·‖H‖).
+//! * [`eigensolve_precision`] — the routing entry for real (f64)
+//!   operators, selected by a [`Precision`]; `LS_PRECISION` reaches it
+//!   as `eigensolve_precision(op, opts, Precision::from_env())`:
 //!
-//! The mode is selected by `LS_PRECISION`:
+//!   * `f64` (default) — the ordinary double-precision solve;
+//!   * `f32` — f32 storage end to end, eigenvalues at f32 accuracy;
+//!   * `mixed` — f32 storage for the Krylov loop plus one f64 refinement
+//!     pass at the end.
 //!
-//! * `f64` (default) — the ordinary double-precision solve;
-//! * `f32` — f32 storage end to end, eigenvalues at f32 accuracy;
-//! * `mixed` — f32 storage for the Krylov loop plus one f64 refinement
-//!   pass at the end.
-//!
-//! Complex sectors ignore the knob (Jordan–Wigner phases and momentum
-//! characters keep full width); [`eigensolve_precision`] is the routing
-//! entry for real (f64) operators.
+//! Complex sectors have no reduced-width path (Jordan–Wigner phases and
+//! momentum characters keep full width).
 
 use crate::lanczos::LanczosResultIn;
 use crate::op::{self, LinearOp};
 use crate::restart::{thick_restart_lanczos_in, RestartOptions};
 use crate::vector::{KrylovOp, KrylovVec};
-use ls_kernels::simd;
-use rayon::prelude::*;
 use std::cell::RefCell;
 use std::sync::OnceLock;
 
@@ -72,438 +74,12 @@ impl Precision {
     }
 }
 
-/// A dense Krylov vector stored in f32, computed on in f64.
-///
-/// `Scalar = f64`: the solver-facing value type never changes, so the
-/// three-term recurrence, CGS2 coefficients and checkpoint counters are
-/// all full-width — only the per-element storage narrows.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct F32Vec(pub Vec<f32>);
-
-impl F32Vec {
-    pub fn zeros(n: usize) -> Self {
-        F32Vec(vec![0.0f32; n])
-    }
-
-    /// Widens into an existing f64 buffer (resizing it).
-    pub fn widen_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.0.iter().map(|&x| x as f64));
-    }
-
-    /// Widened copy.
-    pub fn widen(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.widen_into(&mut out);
-        out
-    }
-
-    /// Narrows an f64 slice (one rounding per element).
-    pub fn narrow_from(xs: &[f64]) -> Self {
-        F32Vec(xs.iter().map(|&x| x as f32).collect())
-    }
+/// Widened copy of an f32-stored vector (exact).
+pub(crate) fn widen(v: &[f32]) -> Vec<f64> {
+    v.iter().map(|&x| x as f64).collect()
 }
 
-// --- deterministic parallel kernels over f32 storage -----------------------
-//
-// Same structure as the f64 kernels in `op`: f64 partials on the fixed
-// REDUCE_BLOCK partition, inline below MIN_PAR_BLOCKS, pairwise tree on
-// top. The per-block kernels are the `ls_kernels::simd` f32 kernels,
-// whose scalar and AVX2 paths share one reduction shape.
-
-fn par_dot_f32(a: &[f32], b: &[f32]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len();
-    let n_blocks = n.div_ceil(op::REDUCE_BLOCK);
-    if n_blocks <= 1 {
-        return simd::dot_f32(a, b);
-    }
-    let mut partials = vec![0.0f64; n_blocks];
-    if n_blocks < op::MIN_PAR_BLOCKS {
-        for (bi, p) in partials.iter_mut().enumerate() {
-            let lo = bi * op::REDUCE_BLOCK;
-            let hi = (lo + op::REDUCE_BLOCK).min(n);
-            *p = simd::dot_f32(&a[lo..hi], &b[lo..hi]);
-        }
-    } else {
-        let lanes = op::atomic_lanes(&mut partials);
-        (0..n_blocks).into_par_iter().for_each(|bi| {
-            let lo = bi * op::REDUCE_BLOCK;
-            let hi = (lo + op::REDUCE_BLOCK).min(n);
-            op::store_partial(lanes, bi, simd::dot_f32(&a[lo..hi], &b[lo..hi]));
-        });
-    }
-    op::pairwise_sum(&partials)
-}
-
-fn par_axpy_f32(alpha: f64, x: &[f32], y: &mut [f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    if y.len() < op::MIN_PAR_BLOCKS * op::REDUCE_BLOCK {
-        return simd::axpy_f32(alpha, x, y);
-    }
-    y.par_chunks_mut(op::REDUCE_BLOCK).enumerate().for_each(|(bi, yb)| {
-        let base = bi * op::REDUCE_BLOCK;
-        simd::axpy_f32(alpha, &x[base..base + yb.len()], yb);
-    });
-}
-
-fn par_scale_f32(y: &mut [f32], alpha: f64) {
-    if y.len() < op::MIN_PAR_BLOCKS * op::REDUCE_BLOCK {
-        return simd::scale_f32(y, alpha);
-    }
-    y.par_chunks_mut(op::REDUCE_BLOCK).for_each(|yb| simd::scale_f32(yb, alpha));
-}
-
-fn par_axpy_norm_sqr_f32(alpha: f64, x: &[f32], y: &mut [f32]) -> f64 {
-    debug_assert_eq!(x.len(), y.len());
-    let n = y.len();
-    let n_blocks = n.div_ceil(op::REDUCE_BLOCK);
-    if n_blocks <= 1 {
-        return simd::axpy_norm_sqr_f32(alpha, x, y);
-    }
-    let mut partials = vec![0.0f64; n_blocks];
-    if n_blocks < op::MIN_PAR_BLOCKS {
-        for (bi, p) in partials.iter_mut().enumerate() {
-            let lo = bi * op::REDUCE_BLOCK;
-            let hi = (lo + op::REDUCE_BLOCK).min(n);
-            *p = simd::axpy_norm_sqr_f32(alpha, &x[lo..hi], &mut y[lo..hi]);
-        }
-        return op::pairwise_sum(&partials);
-    }
-    {
-        let lanes = op::atomic_lanes(&mut partials);
-        y.par_chunks_mut(op::REDUCE_BLOCK).enumerate().for_each(|(bi, yb)| {
-            let base = bi * op::REDUCE_BLOCK;
-            let xb = &x[base..base + yb.len()];
-            op::store_partial(lanes, bi, simd::axpy_norm_sqr_f32(alpha, xb, yb));
-        });
-    }
-    op::pairwise_sum(&partials)
-}
-
-/// Per element (ascending `b` additions in f64, one narrowing store):
-/// `w[i] = f32(f64(w[i]) + Σ_b coeffs[b]·f64(vs[b][i]))`.
-fn multi_axpy_block_f32(coeffs: &[f64], vs: &[&[f32]], base: usize, wb: &mut [f32]) {
-    for (i, w) in wb.iter_mut().enumerate() {
-        let mut acc = *w as f64;
-        for (c, v) in coeffs.iter().zip(vs) {
-            acc += c * v[base + i] as f64;
-        }
-        *w = acc as f32;
-    }
-}
-
-fn par_multi_dot_f32(vs: &[&[f32]], w: &[f32]) -> Vec<f64> {
-    let m = vs.len();
-    if m == 0 {
-        return Vec::new();
-    }
-    let n = w.len();
-    let n_blocks = n.div_ceil(op::REDUCE_BLOCK).max(1);
-    let mut partials = vec![0.0f64; m * n_blocks];
-    let fill = |k: usize, sink: &mut dyn FnMut(usize, f64)| {
-        let lo = k * op::REDUCE_BLOCK;
-        let hi = (lo + op::REDUCE_BLOCK).min(n);
-        for (b, v) in vs.iter().enumerate() {
-            sink(b, simd::dot_f32(&v[lo..hi], &w[lo..hi]));
-        }
-    };
-    if n_blocks < op::MIN_PAR_BLOCKS {
-        for k in 0..n_blocks {
-            fill(k, &mut |b, p| partials[b * n_blocks + k] = p);
-        }
-    } else {
-        let lanes = op::atomic_lanes(&mut partials);
-        (0..n_blocks).into_par_iter().for_each(|k| {
-            fill(k, &mut |b, p| op::store_partial(lanes, b * n_blocks + k, p));
-        });
-    }
-    (0..m).map(|b| op::pairwise_sum(&partials[b * n_blocks..(b + 1) * n_blocks])).collect()
-}
-
-fn par_multi_axpy_f32(coeffs: &[f64], vs: &[&[f32]], w: &mut [f32]) {
-    debug_assert_eq!(coeffs.len(), vs.len());
-    if w.len() < op::MIN_PAR_BLOCKS * op::REDUCE_BLOCK {
-        return multi_axpy_block_f32(coeffs, vs, 0, w);
-    }
-    w.par_chunks_mut(op::REDUCE_BLOCK).enumerate().for_each(|(bi, wb)| {
-        multi_axpy_block_f32(coeffs, vs, bi * op::REDUCE_BLOCK, wb);
-    });
-}
-
-fn par_multi_axpy_norm_sqr_f32(coeffs: &[f64], vs: &[&[f32]], w: &mut [f32]) -> f64 {
-    debug_assert_eq!(coeffs.len(), vs.len());
-    let n = w.len();
-    let n_blocks = n.div_ceil(op::REDUCE_BLOCK).max(1);
-    let mut partials = vec![0.0f64; n_blocks];
-    let update = |bi: usize, wb: &mut [f32]| -> f64 {
-        multi_axpy_block_f32(coeffs, vs, bi * op::REDUCE_BLOCK, wb);
-        simd::norm_sqr_f32(wb)
-    };
-    if n_blocks < op::MIN_PAR_BLOCKS {
-        for (bi, p) in partials.iter_mut().enumerate() {
-            let lo = bi * op::REDUCE_BLOCK;
-            let hi = (lo + op::REDUCE_BLOCK).min(n);
-            *p = update(bi, &mut w[lo..hi]);
-        }
-        return op::pairwise_sum(&partials);
-    }
-    {
-        let lanes = op::atomic_lanes(&mut partials);
-        w.par_chunks_mut(op::REDUCE_BLOCK).enumerate().for_each(|(bi, wb)| {
-            op::store_partial(lanes, bi, update(bi, wb));
-        });
-    }
-    op::pairwise_sum(&partials)
-}
-
-impl KrylovVec for F32Vec {
-    type Scalar = f64;
-
-    const STORAGE_KIND: u32 = 3;
-    const SCALAR_WIDTH: u32 = 4;
-
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn layout(&self) -> Vec<usize> {
-        vec![self.0.len()]
-    }
-
-    fn visit(&self, f: &mut dyn FnMut(f64)) {
-        for &x in &self.0 {
-            f(x as f64);
-        }
-    }
-
-    fn fill_with(&mut self, f: &mut dyn FnMut(usize) -> f64) {
-        for (i, x) in self.0.iter_mut().enumerate() {
-            *x = f(i) as f32;
-        }
-    }
-
-    fn dot(&self, other: &Self) -> f64 {
-        par_dot_f32(&self.0, &other.0)
-    }
-
-    fn norm_sqr(&self) -> f64 {
-        par_dot_f32(&self.0, &self.0)
-    }
-
-    fn axpy(&mut self, alpha: f64, x: &Self) {
-        par_axpy_f32(alpha, &x.0, &mut self.0);
-    }
-
-    fn scale(&mut self, alpha: f64) {
-        par_scale_f32(&mut self.0, alpha);
-    }
-
-    fn axpy_norm_sqr(&mut self, alpha: f64, x: &Self) -> f64 {
-        par_axpy_norm_sqr_f32(alpha, &x.0, &mut self.0)
-    }
-
-    fn multi_dot(vs: &[Self], w: &Self) -> Vec<f64> {
-        let refs: Vec<&[f32]> = vs.iter().map(|v| v.0.as_slice()).collect();
-        par_multi_dot_f32(&refs, &w.0)
-    }
-
-    fn multi_axpy(coeffs: &[f64], vs: &[Self], w: &mut Self) {
-        let parts: Vec<&[f32]> = vs.iter().map(|v| v.0.as_slice()).collect();
-        par_multi_axpy_f32(coeffs, &parts, &mut w.0);
-    }
-
-    fn multi_axpy_norm_sqr(coeffs: &[f64], vs: &[Self], w: &mut Self) -> f64 {
-        let parts: Vec<&[f32]> = vs.iter().map(|v| v.0.as_slice()).collect();
-        par_multi_axpy_norm_sqr_f32(coeffs, &parts, &mut w.0)
-    }
-}
-
-/// The distributed f32 storage: locale-partitioned like `DistVec<f64>`,
-/// stored in f32, computed on in f64. Under the multiprocess transport
-/// every primitive runs on this rank's part and combines f64 partials
-/// through the rank-ordered allreduce, and [`KrylovVec::visit`]
-/// allgathers **4-byte** wire frames — the halved vector traffic that
-/// motivates the mode also shows up on the wire and in checkpoints.
-///
-/// A newtype over [`ls_runtime::DistVec<f32>`] (f32 is not a
-/// [`ls_kernels::Scalar`], but coherence cannot see that next to the
-/// blanket `DistVec<S: Scalar>` impl); it derefs to the inner vector, so
-/// the partition API carries over unchanged.
-#[derive(Clone, Debug)]
-pub struct DistF32Vec(pub ls_runtime::DistVec<f32>);
-
-impl DistF32Vec {
-    /// Zero vector with the given per-locale part lengths.
-    pub fn zeros(lens: &[usize]) -> Self {
-        DistF32Vec(ls_runtime::DistVec::zeros(lens))
-    }
-}
-
-impl std::ops::Deref for DistF32Vec {
-    type Target = ls_runtime::DistVec<f32>;
-
-    fn deref(&self) -> &Self::Target {
-        &self.0
-    }
-}
-
-impl std::ops::DerefMut for DistF32Vec {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        &mut self.0
-    }
-}
-
-impl KrylovVec for DistF32Vec {
-    type Scalar = f64;
-
-    const STORAGE_KIND: u32 = 4;
-    const SCALAR_WIDTH: u32 = 4;
-
-    fn len(&self) -> usize {
-        self.total_len()
-    }
-
-    fn layout(&self) -> Vec<usize> {
-        self.lens()
-    }
-
-    fn visit(&self, f: &mut dyn FnMut(f64)) {
-        if let Some(mp) = ls_runtime::transport::active() {
-            use bytes::{Buf, BufMut};
-            let own = self.part(mp.rank());
-            let mut payload = Vec::with_capacity(own.len() * 4);
-            for &x in own {
-                payload.put_u32_le(x.to_bits());
-            }
-            for contribution in mp.allgather(&payload) {
-                let mut r: &[u8] = &contribution;
-                while r.remaining() > 0 {
-                    f(f32::from_bits(r.get_u32_le()) as f64);
-                }
-            }
-            return;
-        }
-        self.for_each(|&x| f(x as f64));
-    }
-
-    fn fill_with(&mut self, f: &mut dyn FnMut(usize) -> f64) {
-        let mut i = 0usize;
-        for part in self.parts_mut() {
-            for x in part.iter_mut() {
-                *x = f(i) as f32;
-                i += 1;
-            }
-        }
-    }
-
-    fn dot(&self, other: &Self) -> f64 {
-        debug_assert_eq!(self.lens(), other.lens(), "distributed dot of mismatched layouts");
-        if let Some(mp) = ls_runtime::transport::active() {
-            let me = mp.rank();
-            let partial = par_dot_f32(self.part(me), other.part(me));
-            return mp.allreduce_lanes(&[partial])[0];
-        }
-        let mut acc = 0.0f64;
-        for (pa, pb) in self.parts().iter().zip(other.parts()) {
-            acc += par_dot_f32(pa, pb);
-        }
-        acc
-    }
-
-    fn norm_sqr(&self) -> f64 {
-        if let Some(mp) = ls_runtime::transport::active() {
-            let partial = par_dot_f32(self.part(mp.rank()), self.part(mp.rank()));
-            return mp.allreduce_lanes(&[partial])[0];
-        }
-        self.parts().iter().map(|p| par_dot_f32(p, p)).sum()
-    }
-
-    fn axpy(&mut self, alpha: f64, x: &Self) {
-        debug_assert_eq!(self.lens(), x.lens(), "distributed axpy of mismatched layouts");
-        if let Some(mp) = ls_runtime::transport::active() {
-            let me = mp.rank();
-            par_axpy_f32(alpha, x.part(me), self.part_mut(me));
-            return;
-        }
-        for (py, px) in self.parts_mut().iter_mut().zip(x.parts()) {
-            par_axpy_f32(alpha, px, py);
-        }
-    }
-
-    fn scale(&mut self, alpha: f64) {
-        if let Some(mp) = ls_runtime::transport::active() {
-            par_scale_f32(self.part_mut(mp.rank()), alpha);
-            return;
-        }
-        for part in self.parts_mut() {
-            par_scale_f32(part, alpha);
-        }
-    }
-
-    fn axpy_norm_sqr(&mut self, alpha: f64, x: &Self) -> f64 {
-        debug_assert_eq!(self.lens(), x.lens(), "distributed axpy of mismatched layouts");
-        if let Some(mp) = ls_runtime::transport::active() {
-            let me = mp.rank();
-            let partial = par_axpy_norm_sqr_f32(alpha, x.part(me), self.part_mut(me));
-            return mp.allreduce_lanes(&[partial])[0];
-        }
-        let mut acc = 0.0f64;
-        for (py, px) in self.parts_mut().iter_mut().zip(x.parts()) {
-            acc += par_axpy_norm_sqr_f32(alpha, px, py);
-        }
-        acc
-    }
-
-    fn multi_dot(vs: &[Self], w: &Self) -> Vec<f64> {
-        if let Some(mp) = ls_runtime::transport::active() {
-            let me = mp.rank();
-            let parts: Vec<&[f32]> = vs.iter().map(|v| v.part(me)).collect();
-            let partials = par_multi_dot_f32(&parts, w.part(me));
-            return mp.allreduce_lanes(&partials);
-        }
-        let mut out = vec![0.0f64; vs.len()];
-        for (l, wp) in w.parts().iter().enumerate() {
-            let parts: Vec<&[f32]> = vs.iter().map(|v| v.part(l)).collect();
-            for (acc, partial) in out.iter_mut().zip(par_multi_dot_f32(&parts, wp)) {
-                *acc += partial;
-            }
-        }
-        out
-    }
-
-    fn multi_axpy(coeffs: &[f64], vs: &[Self], w: &mut Self) {
-        debug_assert_eq!(coeffs.len(), vs.len());
-        if let Some(mp) = ls_runtime::transport::active() {
-            let me = mp.rank();
-            let parts: Vec<&[f32]> = vs.iter().map(|v| v.part(me)).collect();
-            par_multi_axpy_f32(coeffs, &parts, w.part_mut(me));
-            return;
-        }
-        for (l, wp) in w.parts_mut().iter_mut().enumerate() {
-            let parts: Vec<&[f32]> = vs.iter().map(|v| v.part(l)).collect();
-            par_multi_axpy_f32(coeffs, &parts, wp);
-        }
-    }
-
-    fn multi_axpy_norm_sqr(coeffs: &[f64], vs: &[Self], w: &mut Self) -> f64 {
-        debug_assert_eq!(coeffs.len(), vs.len());
-        if let Some(mp) = ls_runtime::transport::active() {
-            let me = mp.rank();
-            let parts: Vec<&[f32]> = vs.iter().map(|v| v.part(me)).collect();
-            let partial = par_multi_axpy_norm_sqr_f32(coeffs, &parts, w.part_mut(me));
-            return mp.allreduce_lanes(&[partial])[0];
-        }
-        let mut acc = 0.0f64;
-        for (l, wp) in w.parts_mut().iter_mut().enumerate() {
-            let parts: Vec<&[f32]> = vs.iter().map(|v| v.part(l)).collect();
-            acc += par_multi_axpy_norm_sqr_f32(coeffs, &parts, wp);
-        }
-        acc
-    }
-}
-
-/// Adapts an f64 [`LinearOp`] to `KrylovOp<F32Vec>`: widen the input,
+/// Adapts an f64 [`LinearOp`] to `KrylovOp<Vec<f32>>`: widen the input,
 /// apply in full f64, narrow the output. The matvec itself never runs in
 /// reduced precision — only the Krylov *state* between matvecs is f32.
 pub struct MixedOp<'a, Op: LinearOp<f64> + ?Sized> {
@@ -517,26 +93,27 @@ impl<'a, Op: LinearOp<f64> + ?Sized> MixedOp<'a, Op> {
     }
 }
 
-impl<Op: LinearOp<f64> + ?Sized> KrylovOp<F32Vec> for MixedOp<'_, Op> {
+impl<Op: LinearOp<f64> + ?Sized> KrylovOp<Vec<f32>> for MixedOp<'_, Op> {
     fn dim(&self) -> usize {
         self.inner.dim()
     }
 
-    fn new_vec(&self) -> F32Vec {
-        F32Vec::zeros(self.inner.dim())
+    fn new_vec(&self) -> Vec<f32> {
+        vec![0.0f32; self.inner.dim()]
     }
 
-    fn apply(&self, x: &F32Vec, y: &mut F32Vec) {
+    fn apply(&self, x: &Vec<f32>, y: &mut Vec<f32>) {
         let (xw, yw) = &mut *self.scratch.borrow_mut();
-        x.widen_into(xw);
+        xw.clear();
+        xw.extend(x.iter().map(|&v| v as f64));
         yw.clear();
         yw.resize(xw.len(), 0.0);
         self.inner.apply(xw, yw);
-        y.0.clear();
-        y.0.extend(yw.iter().map(|&v| v as f32));
+        y.clear();
+        y.extend(yw.iter().map(|&v| v as f32));
     }
 
-    fn apply_dot(&self, x: &F32Vec, y: &mut F32Vec) -> f64 {
+    fn apply_dot(&self, x: &Vec<f32>, y: &mut Vec<f32>) -> f64 {
         // The fused dot must be the dot of the *stored* (narrowed) `y`,
         // or the Lanczos α would disagree with what a recomputation from
         // storage yields and a checkpoint resume could diverge.
@@ -547,15 +124,6 @@ impl<Op: LinearOp<f64> + ?Sized> KrylovOp<F32Vec> for MixedOp<'_, Op> {
     fn is_hermitian(&self) -> bool {
         self.inner.is_hermitian()
     }
-}
-
-/// Thick-restart Lanczos with f32 Krylov storage over an f64 operator.
-/// Checkpoints written by this solve carry `SCALAR_WIDTH = 4`.
-pub fn thick_restart_lanczos_f32<Op: LinearOp<f64> + ?Sized>(
-    op: &Op,
-    opts: &RestartOptions,
-) -> LanczosResultIn<F32Vec> {
-    thick_restart_lanczos_in(&MixedOp::new(op), opts)
 }
 
 /// One step of iterative refinement: Rayleigh–Ritz in full f64 on the
@@ -569,11 +137,11 @@ pub fn thick_restart_lanczos_f32<Op: LinearOp<f64> + ?Sized>(
 /// matvecs.
 pub fn refine_in_f64<Op: LinearOp<f64> + ?Sized>(
     op: &Op,
-    basis32: &[F32Vec],
+    basis32: &[Vec<f32>],
 ) -> (Vec<f64>, Vec<Vec<f64>>, Vec<f64>) {
     let k = basis32.len();
     assert!(k >= 1, "refinement needs at least one Ritz vector");
-    let mut basis: Vec<Vec<f64>> = basis32.iter().map(|v| v.widen()).collect();
+    let mut basis: Vec<Vec<f64>> = basis32.iter().map(|v| widen(v)).collect();
     // Orthonormalize the widened basis (CGS2: two projection passes).
     for i in 0..k {
         for _pass in 0..2 {
@@ -627,9 +195,10 @@ pub fn refine_in_f64<Op: LinearOp<f64> + ?Sized>(
     (vals, vecs, residuals)
 }
 
-/// Precision-routed thick-restart eigensolve for real (f64) operators:
-/// the entry the f64 pipeline calls when `LS_PRECISION` may be set.
-/// Eigenvectors come back widened to f64 in every mode.
+/// Precision-routed thick-restart eigensolve for real (f64) operators.
+/// The reduced modes run the solver on `Vec<f32>` through [`MixedOp`]
+/// (their checkpoints carry 4-byte lanes); eigenvectors come back
+/// widened to f64 in every mode.
 pub fn eigensolve_precision<Op: LinearOp<f64> + ?Sized>(
     op: &Op,
     opts: &RestartOptions,
@@ -638,10 +207,10 @@ pub fn eigensolve_precision<Op: LinearOp<f64> + ?Sized>(
     match precision {
         Precision::F64 => thick_restart_lanczos_in::<Vec<f64>, Op>(op, opts),
         Precision::F32 => {
-            let r = thick_restart_lanczos_f32(op, opts);
+            let r = thick_restart_lanczos_in(&MixedOp::new(op), opts);
             LanczosResultIn {
                 eigenvalues: r.eigenvalues,
-                eigenvectors: r.eigenvectors.map(|vs| vs.iter().map(F32Vec::widen).collect()),
+                eigenvectors: r.eigenvectors.map(|vs| vs.iter().map(|v| widen(v)).collect()),
                 iterations: r.iterations,
                 residuals: r.residuals,
                 converged: r.converged,
@@ -653,7 +222,7 @@ pub fn eigensolve_precision<Op: LinearOp<f64> + ?Sized>(
             // The f32 pass must return its Ritz basis for refinement.
             let mut inner = opts.clone();
             inner.want_vectors = true;
-            let r = thick_restart_lanczos_f32(op, &inner);
+            let r = thick_restart_lanczos_in(&MixedOp::new(op), &inner);
             let basis32 = r.eigenvectors.expect("want_vectors was set");
             let (vals, vecs, residuals) = refine_in_f64(op, &basis32);
             LanczosResultIn {
@@ -690,50 +259,6 @@ mod tests {
             }
         }
         DenseOp::new(n, a)
-    }
-
-    #[test]
-    fn f32_vec_kernels_match_f64_to_storage_precision() {
-        let n = 3 * op::REDUCE_BLOCK + 41;
-        let xs: Vec<f64> = (0..n).map(|i| ((i % 97) as f64 - 48.0) * 1e-3).collect();
-        let ys: Vec<f64> = (0..n).map(|i| ((i % 89) as f64 - 44.0) * 2e-3).collect();
-        let fx = F32Vec::narrow_from(&xs);
-        let mut fy = F32Vec::narrow_from(&ys);
-        let tol = 1e-6 * n as f64;
-        assert!((fx.dot(&fy) - op::par_dot(&xs, &ys)).abs() <= tol);
-        assert!((fx.norm_sqr() - op::par_norm_sqr(&xs)).abs() <= tol);
-        let fused = fy.axpy_norm_sqr(0.31, &fx);
-        assert!((fused - fy.norm_sqr()).abs() <= 1e-12 * n as f64, "fused = stored norm");
-        let mut wide = fy.widen();
-        op::par_scale(&mut wide, 0.5);
-        fy.scale(0.5);
-        for (a, b) in fy.0.iter().zip(&wide) {
-            assert_eq!(*a, *b as f32, "scale narrows the f64 result");
-        }
-    }
-
-    #[test]
-    fn f32_multi_kernels_are_deterministic_and_fused() {
-        let n = 2 * op::REDUCE_BLOCK + 17;
-        let vs: Vec<F32Vec> = (0..4)
-            .map(|k| {
-                F32Vec::narrow_from(
-                    &(0..n)
-                        .map(|i| ((i * (k + 2) % 83) as f64 - 41.0) * 1e-3)
-                        .collect::<Vec<_>>(),
-                )
-            })
-            .collect();
-        let w0 = F32Vec::narrow_from(
-            &(0..n).map(|i| ((i % 71) as f64 - 35.0) * 1e-3).collect::<Vec<_>>(),
-        );
-        let coeffs = F32Vec::multi_dot(&vs, &w0);
-        let mut w1 = w0.clone();
-        F32Vec::multi_axpy(&coeffs, &vs, &mut w1);
-        let mut w2 = w0.clone();
-        let fused = F32Vec::multi_axpy_norm_sqr(&coeffs, &vs, &mut w2);
-        assert_eq!(w1, w2, "fused update matches plain update");
-        assert_eq!(fused.to_bits(), w1.norm_sqr().to_bits(), "fused norm is stored norm");
     }
 
     #[test]

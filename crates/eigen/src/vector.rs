@@ -7,10 +7,10 @@
 //! primitives — fused, deterministic, in place — so the recurrences are
 //! written once and run on any storage:
 //!
-//! * **`Vec<S>`** — shared-memory vectors on the parallel deterministic
+//! * **`Vec<L>`** — shared-memory vectors on the parallel deterministic
 //!   kernels of [`crate::op`] (per-block partials over the fixed
 //!   [`crate::op::REDUCE_BLOCK`] partition, pairwise reduction trees);
-//! * **`ls_runtime::DistVec<S>`** — locale-partitioned vectors. Each
+//! * **`ls_runtime::DistVec<L>`** — locale-partitioned vectors. Each
 //!   primitive runs the same shared-memory kernel *per part* and reduces
 //!   the per-locale partials in locale order (the `allreduce` of a real
 //!   cluster). Nothing is ever gathered: the Krylov recurrence operates
@@ -18,13 +18,20 @@
 //!   claim — Krylov state stays distributed, only matrix elements cross
 //!   locale boundaries.
 //!
+//! Both are generic over the stored element `L:` [`Lane`]: `f64` and
+//! `Complex64` store what they compute in, and `f32` stores 4-byte lanes
+//! while the solver still sees `Scalar = f64` (the reduced-precision
+//! modes of [`crate::precision`]). The checkpoint storage-kind and width
+//! tags follow from the lane.
+//!
 //! [`KrylovOp`] is the operator side: the matrix-vector product over a
 //! given vector type, plus the allocation hook the solvers use for their
 //! workspace ([`KrylovOp::new_vec`]) and the fused matvec+dot epilogue
 //! ([`KrylovOp::apply_dot`]). Every [`LinearOp`] automatically is a
 //! `KrylovOp<Vec<S>>`, so existing slice-based operators need no changes;
 //! the distributed backend implements `KrylovOp<DistVec<S>>` directly on
-//! the producer/consumer engine.
+//! the producer/consumer engine, and [`crate::precision::MixedOp`] is the
+//! `KrylovOp<Vec<f32>>` over any f64 operator.
 //!
 //! # Determinism
 //!
@@ -36,9 +43,11 @@
 //! tolerance, not bitwise, exactly like a real machine.
 
 use crate::op::{self, LinearOp};
-use ls_kernels::Scalar;
+use bytes::{Buf, BufMut};
+use ls_kernels::{Lane, Scalar};
 use ls_runtime::transport::{self, MpRuntime};
 use ls_runtime::DistVec;
+use std::borrow::Borrow;
 
 /// Rank-ordered sum of per-rank scalar partials (multiprocess). Lane-wise
 /// addition in rank order is bit-identical to the in-process backend's
@@ -59,6 +68,29 @@ fn allreduce_scalars<S: Scalar>(mp: &MpRuntime, partials: &[S]) -> Vec<S> {
         .collect()
 }
 
+/// Appends `x` as `S::N_REALS` little-endian real lanes of `width` bytes
+/// each (8: exact f64; 4: f32, exact when `x` was widened from f32
+/// storage) — the element encoding of checkpoints and of the
+/// multiprocess allgather.
+pub(crate) fn put_scalar<S: Scalar>(buf: &mut Vec<u8>, x: S, width: u32) {
+    for &lane in &x.to_reals()[..S::N_REALS] {
+        if width == 4 {
+            buf.put_u32_le((lane as f32).to_bits());
+        } else {
+            buf.put_f64_le(lane);
+        }
+    }
+}
+
+/// Reads back one [`put_scalar`] element; f32 lanes widen exactly.
+pub(crate) fn get_scalar<S: Scalar>(r: &mut &[u8], width: u32) -> S {
+    let mut reals = [0.0f64; 2];
+    for lane in reals.iter_mut().take(S::N_REALS) {
+        *lane = if width == 4 { f32::from_bits(r.get_u32_le()) as f64 } else { r.get_f64_le() };
+    }
+    S::from_reals(reals)
+}
+
 /// A vector a Krylov solver can iterate on: fused, deterministic BLAS-1
 /// plus an element-order fill hook.
 ///
@@ -67,21 +99,23 @@ fn allreduce_scalars<S: Scalar>(mp: &MpRuntime, partials: &[S]) -> Vec<S> {
 /// the target vector once for the whole basis instead of once per basis
 /// vector, and the solvers' performance rests on them.
 pub trait KrylovVec: Clone {
+    /// The type the solver computes in: coefficients, inner products and
+    /// the values [`KrylovVec::visit`] / [`KrylovVec::fill_with`]
+    /// exchange. The *stored* element may be narrower (f32 storage has
+    /// `Scalar = f64`).
     type Scalar: Scalar;
 
     /// Storage-kind tag written into checkpoint files so a resume cannot
     /// silently reinterpret one storage's bytes as another's
-    /// (see [`crate::checkpoint`]). Dense `Vec<S>` is 1, distributed
-    /// `DistVec<S>` is 2; the f32 storages of [`crate::precision`] are
-    /// 3 (dense) and 4 (distributed).
+    /// (see [`crate::checkpoint`]): dense 1, distributed 2, and 3 / 4
+    /// for the same two in 4-byte lanes.
     const STORAGE_KIND: u32;
 
-    /// Bytes per stored scalar lane: 8 for f64-backed storage (the
-    /// default), 4 for the f32 storages of the mixed-precision mode.
-    /// Checkpoints (format v2) record it so a resume can widen an f32
-    /// checkpoint into an f64 solve explicitly — and reject the lossy
-    /// direction with a typed error instead of truncating lanes.
-    const SCALAR_WIDTH: u32 = 8;
+    /// Bytes per stored scalar lane ([`Lane::WIDTH`]): 8, or 4 for f32
+    /// storage. Checkpoints (format v2) record it so a resume can widen
+    /// an f32 checkpoint into an f64 solve explicitly — and reject the
+    /// lossy direction with a typed error instead of truncating lanes.
+    const SCALAR_WIDTH: u32;
 
     /// Global number of elements (summed over parts for distributed
     /// storage).
@@ -139,32 +173,43 @@ pub trait KrylovVec: Clone {
     fn multi_axpy_norm_sqr(coeffs: &[Self::Scalar], vs: &[Self], w: &mut Self) -> f64;
 }
 
-impl<S: Scalar> KrylovVec for Vec<S> {
-    type Scalar = S;
+/// Checkpoint storage kind of a vector stored in lanes of `L`: the
+/// 8-byte kinds are `base`, their 4-byte counterparts `base + 2`.
+const fn storage_kind<L: Lane>(base: u32) -> u32 {
+    if L::WIDTH == 4 {
+        base + 2
+    } else {
+        base
+    }
+}
 
-    const STORAGE_KIND: u32 = 1;
+impl<L: Lane> KrylovVec for Vec<L> {
+    type Scalar = L::Acc;
+
+    const STORAGE_KIND: u32 = storage_kind::<L>(1);
+    const SCALAR_WIDTH: u32 = L::WIDTH;
 
     fn len(&self) -> usize {
-        <[S]>::len(self)
+        <[L]>::len(self)
     }
 
     fn layout(&self) -> Vec<usize> {
-        vec![<[S]>::len(self)]
+        vec![<[L]>::len(self)]
     }
 
-    fn visit(&self, f: &mut dyn FnMut(S)) {
+    fn visit(&self, f: &mut dyn FnMut(L::Acc)) {
         for &x in self.iter() {
-            f(x);
+            f(x.widen());
         }
     }
 
-    fn fill_with(&mut self, f: &mut dyn FnMut(usize) -> S) {
+    fn fill_with(&mut self, f: &mut dyn FnMut(usize) -> L::Acc) {
         for (i, x) in self.iter_mut().enumerate() {
-            *x = f(i);
+            *x = L::narrow(f(i));
         }
     }
 
-    fn dot(&self, other: &Self) -> S {
+    fn dot(&self, other: &Self) -> L::Acc {
         op::par_dot(self, other)
     }
 
@@ -172,7 +217,7 @@ impl<S: Scalar> KrylovVec for Vec<S> {
         op::par_norm_sqr(self)
     }
 
-    fn axpy(&mut self, alpha: S, x: &Self) {
+    fn axpy(&mut self, alpha: L::Acc, x: &Self) {
         op::par_axpy(alpha, x, self);
     }
 
@@ -180,37 +225,78 @@ impl<S: Scalar> KrylovVec for Vec<S> {
         op::par_scale(self, alpha);
     }
 
-    fn axpy_norm_sqr(&mut self, alpha: S, x: &Self) -> f64 {
+    fn axpy_norm_sqr(&mut self, alpha: L::Acc, x: &Self) -> f64 {
         op::par_axpy_norm_sqr(alpha, x, self)
     }
 
-    fn multi_dot(vs: &[Self], w: &Self) -> Vec<S> {
+    fn multi_dot(vs: &[Self], w: &Self) -> Vec<L::Acc> {
         op::par_multi_dot(vs, w)
     }
 
-    fn multi_axpy(coeffs: &[S], vs: &[Self], w: &mut Self) {
+    fn multi_axpy(coeffs: &[L::Acc], vs: &[Self], w: &mut Self) {
         op::par_multi_axpy(coeffs, vs, w);
     }
 
-    fn multi_axpy_norm_sqr(coeffs: &[S], vs: &[Self], w: &mut Self) -> f64 {
+    fn multi_axpy_norm_sqr(coeffs: &[L::Acc], vs: &[Self], w: &mut Self) -> f64 {
         op::par_multi_axpy_norm_sqr(coeffs, vs, w)
     }
 }
 
-/// The distributed implementation: every primitive is the shared-memory
-/// kernel applied per locale part, with scalar partials combined in
-/// locale order. No part ever leaves its locale.
+/// The one place a distributed primitive decides which parts this
+/// process computes: `kernel(w, l)` runs the shared-memory kernel on part
+/// `l` and returns its `m` scalar partials (`m = 0` for a pure update).
+/// In process, every part runs in locale order and the partials add up
+/// in that order. Under the multiprocess transport only this rank's
+/// (authoritative) part runs and the partials go through the
+/// rank-ordered allreduce — bit-identical to the in-process sum; an
+/// update issues no collective.
 ///
-/// Under the multiprocess transport each rank runs the kernels on its own
-/// (authoritative) part only and combines partials through a rank-ordered
-/// allreduce — bit-identical to the in-process locale-ordered sum. The
-/// replica's remote parts are left untouched by the update primitives;
-/// only [`KrylovVec::visit`] re-assembles the global vector (allgather in
-/// rank order), which is what checkpointing consumes.
-impl<S: Scalar> KrylovVec for DistVec<S> {
-    type Scalar = S;
+/// Every vector in `others` must have `w`'s layout. That is asserted
+/// here, in every build profile: zipping parts of different lengths
+/// would otherwise return a plausible number.
+fn per_part<'a, L: Lane, A: Scalar, W: Borrow<DistVec<L>>>(
+    mut w: W,
+    others: impl IntoIterator<Item = &'a DistVec<L>>,
+    m: usize,
+    mut kernel: impl FnMut(&mut W, usize) -> Vec<A>,
+) -> Vec<A> {
+    let layout = w.borrow().parts();
+    for other in others {
+        assert!(
+            layout.iter().map(Vec::len).eq(other.parts().iter().map(Vec::len)),
+            "distributed BLAS-1 on mismatched layouts"
+        );
+    }
+    if let Some(mp) = transport::active() {
+        let partials = kernel(&mut w, mp.rank());
+        return if m == 0 { partials } else { allreduce_scalars(mp, &partials) };
+    }
+    let mut out = vec![A::ZERO; m];
+    for l in 0..w.borrow().n_locales() {
+        for (acc, partial) in out.iter_mut().zip(kernel(&mut w, l)) {
+            *acc += partial;
+        }
+    }
+    out
+}
 
-    const STORAGE_KIND: u32 = 2;
+/// Part `l` of every vector in `vs`.
+fn parts_of<L>(vs: &[DistVec<L>], l: usize) -> Vec<&[L]> {
+    vs.iter().map(|v| v.part(l)).collect()
+}
+
+/// The distributed implementation: every primitive is the shared-memory
+/// kernel applied per locale part (`per_part`). No part ever leaves
+/// its locale. Under the multiprocess transport the replica's remote
+/// parts are left untouched by the update primitives; only
+/// [`KrylovVec::visit`] re-assembles the global vector (allgather in
+/// rank order, elements at the stored width), which is what
+/// checkpointing consumes.
+impl<L: Lane> KrylovVec for DistVec<L> {
+    type Scalar = L::Acc;
+
+    const STORAGE_KIND: u32 = storage_kind::<L>(2);
+    const SCALAR_WIDTH: u32 = L::WIDTH;
 
     fn len(&self) -> usize {
         self.total_len()
@@ -220,150 +306,84 @@ impl<S: Scalar> KrylovVec for DistVec<S> {
         self.lens()
     }
 
-    fn visit(&self, f: &mut dyn FnMut(S)) {
+    fn visit(&self, f: &mut dyn FnMut(L::Acc)) {
         if let Some(mp) = transport::active() {
             // Allgather this rank's authoritative part and emit all parts
             // in rank (= global) order: every rank streams the identical
             // canonical vector, so checkpoints written from it agree.
-            use bytes::{Buf, BufMut};
             let own = self.part(mp.rank());
-            let mut payload = Vec::with_capacity(own.len() * 8 * S::N_REALS);
+            let elem_bytes = L::Acc::N_REALS * L::WIDTH as usize;
+            let mut payload = Vec::with_capacity(own.len() * elem_bytes);
             for x in own {
-                for &lane in &x.to_reals()[..S::N_REALS] {
-                    payload.put_f64_le(lane);
-                }
+                put_scalar(&mut payload, x.widen(), L::WIDTH);
             }
             for contribution in mp.allgather(&payload) {
                 let mut r: &[u8] = &contribution;
                 while r.remaining() > 0 {
-                    let mut lanes = [0.0f64; 2];
-                    for slot in lanes.iter_mut().take(S::N_REALS) {
-                        *slot = r.get_f64_le();
-                    }
-                    f(S::from_reals(lanes));
+                    f(get_scalar(&mut r, L::WIDTH));
                 }
             }
             return;
         }
-        self.for_each(|&x| f(x));
+        self.for_each(|&x| f(x.widen()));
     }
 
-    fn fill_with(&mut self, f: &mut dyn FnMut(usize) -> S) {
+    fn fill_with(&mut self, f: &mut dyn FnMut(usize) -> L::Acc) {
         // Multiprocess included: every rank fills the full replica — the
         // stream is deterministic, so all ranks agree and each rank's own
         // part comes out authoritative.
         let mut i = 0usize;
         for part in self.parts_mut() {
             for x in part.iter_mut() {
-                *x = f(i);
+                *x = L::narrow(f(i));
                 i += 1;
             }
         }
     }
 
-    fn dot(&self, other: &Self) -> S {
-        debug_assert_eq!(self.lens(), other.lens(), "distributed dot of mismatched layouts");
-        if let Some(mp) = transport::active() {
-            let me = mp.rank();
-            let partial = op::par_dot(self.part(me), other.part(me));
-            return allreduce_scalars(mp, &[partial])[0];
-        }
-        let mut acc = S::ZERO;
-        for (pa, pb) in self.parts().iter().zip(other.parts()) {
-            acc += op::par_dot(pa, pb);
-        }
-        acc
+    fn dot(&self, other: &Self) -> L::Acc {
+        per_part(self, Some(other), 1, |a, l| vec![op::par_dot(a.part(l), other.part(l))])[0]
     }
 
     fn norm_sqr(&self) -> f64 {
-        if let Some(mp) = transport::active() {
-            let partial = op::par_norm_sqr(self.part(mp.rank()));
-            return mp.allreduce_lanes(&[partial])[0];
-        }
-        self.parts().iter().map(|p| op::par_norm_sqr(p)).sum()
+        per_part(self, None, 1, |a, l| vec![op::par_norm_sqr(a.part(l))])[0]
     }
 
-    fn axpy(&mut self, alpha: S, x: &Self) {
-        debug_assert_eq!(self.lens(), x.lens(), "distributed axpy of mismatched layouts");
-        if let Some(mp) = transport::active() {
-            let me = mp.rank();
-            op::par_axpy(alpha, x.part(me), self.part_mut(me));
-            return;
-        }
-        for (py, px) in self.parts_mut().iter_mut().zip(x.parts()) {
-            op::par_axpy(alpha, px, py);
-        }
+    fn axpy(&mut self, alpha: L::Acc, x: &Self) {
+        per_part(self, Some(x), 0, |y, l| -> Vec<f64> {
+            op::par_axpy(alpha, x.part(l), y.part_mut(l));
+            Vec::new()
+        });
     }
 
     fn scale(&mut self, alpha: f64) {
-        if let Some(mp) = transport::active() {
-            op::par_scale(self.part_mut(mp.rank()), alpha);
-            return;
-        }
-        for part in self.parts_mut() {
-            op::par_scale(part, alpha);
-        }
+        per_part(self, None, 0, |y, l| -> Vec<f64> {
+            op::par_scale(y.part_mut(l), alpha);
+            Vec::new()
+        });
     }
 
-    fn axpy_norm_sqr(&mut self, alpha: S, x: &Self) -> f64 {
-        debug_assert_eq!(self.lens(), x.lens(), "distributed axpy of mismatched layouts");
-        if let Some(mp) = transport::active() {
-            let me = mp.rank();
-            let partial = op::par_axpy_norm_sqr(alpha, x.part(me), self.part_mut(me));
-            return mp.allreduce_lanes(&[partial])[0];
-        }
-        let mut acc = 0.0f64;
-        for (py, px) in self.parts_mut().iter_mut().zip(x.parts()) {
-            acc += op::par_axpy_norm_sqr(alpha, px, py);
-        }
-        acc
+    fn axpy_norm_sqr(&mut self, alpha: L::Acc, x: &Self) -> f64 {
+        per_part(self, Some(x), 1, |y, l| {
+            vec![op::par_axpy_norm_sqr(alpha, x.part(l), y.part_mut(l))]
+        })[0]
     }
 
-    fn multi_dot(vs: &[Self], w: &Self) -> Vec<S> {
-        if let Some(mp) = transport::active() {
-            let me = mp.rank();
-            let parts: Vec<&[S]> = vs.iter().map(|v| v.part(me)).collect();
-            let partials = op::par_multi_dot(&parts, w.part(me));
-            return allreduce_scalars(mp, &partials);
-        }
-        let mut out = vec![S::ZERO; vs.len()];
-        for (l, wp) in w.parts().iter().enumerate() {
-            let parts: Vec<&[S]> = vs.iter().map(|v| v.part(l)).collect();
-            for (acc, partial) in out.iter_mut().zip(op::par_multi_dot(&parts, wp)) {
-                *acc += partial;
-            }
-        }
-        out
+    fn multi_dot(vs: &[Self], w: &Self) -> Vec<L::Acc> {
+        per_part(w, vs, vs.len(), |w, l| op::par_multi_dot(&parts_of(vs, l), w.part(l)))
     }
 
-    fn multi_axpy(coeffs: &[S], vs: &[Self], w: &mut Self) {
-        debug_assert_eq!(coeffs.len(), vs.len());
-        if let Some(mp) = transport::active() {
-            let me = mp.rank();
-            let parts: Vec<&[S]> = vs.iter().map(|v| v.part(me)).collect();
-            op::par_multi_axpy(coeffs, &parts, w.part_mut(me));
-            return;
-        }
-        for (l, wp) in w.parts_mut().iter_mut().enumerate() {
-            let parts: Vec<&[S]> = vs.iter().map(|v| v.part(l)).collect();
-            op::par_multi_axpy(coeffs, &parts, wp);
-        }
+    fn multi_axpy(coeffs: &[L::Acc], vs: &[Self], w: &mut Self) {
+        per_part(w, vs, 0, |w, l| -> Vec<f64> {
+            op::par_multi_axpy(coeffs, &parts_of(vs, l), w.part_mut(l));
+            Vec::new()
+        });
     }
 
-    fn multi_axpy_norm_sqr(coeffs: &[S], vs: &[Self], w: &mut Self) -> f64 {
-        debug_assert_eq!(coeffs.len(), vs.len());
-        if let Some(mp) = transport::active() {
-            let me = mp.rank();
-            let parts: Vec<&[S]> = vs.iter().map(|v| v.part(me)).collect();
-            let partial = op::par_multi_axpy_norm_sqr(coeffs, &parts, w.part_mut(me));
-            return mp.allreduce_lanes(&[partial])[0];
-        }
-        let mut acc = 0.0f64;
-        for (l, wp) in w.parts_mut().iter_mut().enumerate() {
-            let parts: Vec<&[S]> = vs.iter().map(|v| v.part(l)).collect();
-            acc += op::par_multi_axpy_norm_sqr(coeffs, &parts, wp);
-        }
-        acc
+    fn multi_axpy_norm_sqr(coeffs: &[L::Acc], vs: &[Self], w: &mut Self) -> f64 {
+        per_part(w, vs, 1, |w, l| {
+            vec![op::par_multi_axpy_norm_sqr(coeffs, &parts_of(vs, l), w.part_mut(l))]
+        })[0]
     }
 }
 
@@ -445,7 +465,7 @@ mod tests {
     }
 
     /// Splits a dense vector into parts of the given lengths.
-    fn split(v: &[f64], lens: &[usize]) -> DistVec<f64> {
+    fn split<T: Clone>(v: &[T], lens: &[usize]) -> DistVec<T> {
         let mut parts = Vec::new();
         let mut lo = 0usize;
         for &len in lens {
@@ -514,6 +534,126 @@ mod tests {
         let fused = DistVec::multi_axpy_norm_sqr(&coeffs, &dvs, &mut out2);
         assert_eq!(out2.concat(), out_ref, "fused multi-axpy update");
         assert!((fused - op::norm_sqr(&out_ref)).abs() <= 1e-10 * n as f64, "fused norm");
+    }
+
+    fn ramp32(n: usize, modulus: usize, scale: f64) -> Vec<f32> {
+        (0..n).map(|i| (((i % modulus) as f64 - 44.0) * scale) as f32).collect()
+    }
+
+    #[test]
+    fn f32_vec_kernels_match_f64_to_storage_precision() {
+        let n = 3 * op::REDUCE_BLOCK + 41;
+        let xs: Vec<f64> = (0..n).map(|i| ((i % 97) as f64 - 48.0) * 1e-3).collect();
+        let ys: Vec<f64> = (0..n).map(|i| ((i % 89) as f64 - 44.0) * 2e-3).collect();
+        let fx: Vec<f32> = xs.iter().map(|&x| x as f32).collect();
+        let mut fy: Vec<f32> = ys.iter().map(|&y| y as f32).collect();
+        let tol = 1e-6 * n as f64;
+        assert!((fx.dot(&fy) - op::par_dot(&xs, &ys)).abs() <= tol);
+        assert!((fx.norm_sqr() - op::par_norm_sqr(&xs)).abs() <= tol);
+        let fused = fy.axpy_norm_sqr(0.31, &fx);
+        assert!((fused - fy.norm_sqr()).abs() <= 1e-12 * n as f64, "fused = stored norm");
+        let mut wide: Vec<f64> = fy.iter().map(|&y| y as f64).collect();
+        op::par_scale(&mut wide, 0.5);
+        fy.scale(0.5);
+        for (a, b) in fy.iter().zip(&wide) {
+            assert_eq!(*a, *b as f32, "scale narrows the f64 result");
+        }
+    }
+
+    #[test]
+    fn f32_multi_kernels_are_deterministic_and_fused() {
+        let n = 2 * op::REDUCE_BLOCK + 17;
+        let vs: Vec<Vec<f32>> = (0..4).map(|k| ramp32(n, 83 - k, 1e-3)).collect();
+        let w0 = ramp32(n, 71, 1e-3);
+        let coeffs = Vec::multi_dot(&vs, &w0);
+        let mut w1 = w0.clone();
+        Vec::multi_axpy(&coeffs, &vs, &mut w1);
+        let mut w2 = w0.clone();
+        let fused = Vec::multi_axpy_norm_sqr(&coeffs, &vs, &mut w2);
+        assert_eq!(w1, w2, "fused update matches plain update");
+        assert_eq!(fused.to_bits(), w1.norm_sqr().to_bits(), "fused norm is stored norm");
+    }
+
+    /// Every primitive once, on fixed coefficients: the returned scalars,
+    /// and every updated vector in global element order.
+    fn run_all<V: KrylovVec<Scalar = f64>>(x: &V, y: &V, vs: &[V]) -> (Vec<f64>, Vec<f64>) {
+        let coeffs: Vec<f64> = (0..vs.len()).map(|b| 0.3 - 0.2 * b as f64).collect();
+        let mut scalars = vec![x.dot(y), x.norm_sqr()];
+        let mut elems = Vec::new();
+        let mut keep = |v: &V| v.visit(&mut |e| elems.push(e));
+
+        let mut u = y.clone();
+        u.axpy(0.37, x);
+        u.scale(0.73);
+        keep(&u);
+        let mut u = y.clone();
+        scalars.push(u.axpy_norm_sqr(-0.11, x));
+        keep(&u);
+        scalars.extend(V::multi_dot(vs, y));
+        let mut w = y.clone();
+        V::multi_axpy(&coeffs, vs, &mut w);
+        keep(&w);
+        let mut w = y.clone();
+        scalars.push(V::multi_axpy_norm_sqr(&coeffs, vs, &mut w));
+        keep(&w);
+        (scalars, elems)
+    }
+
+    #[test]
+    fn dist_f32_agrees_with_dense_f32() {
+        let n = op::MIN_PAR_BLOCKS * op::REDUCE_BLOCK + 137;
+        let x = ramp32(n, 89, 1e-3);
+        let y = ramp32(n, 97, -7e-4);
+        let vs: Vec<Vec<f32>> = (0..3).map(|k| ramp32(n, 83 - k, 2e-3)).collect();
+        let dense = run_all(&x, &y, &vs);
+        let on = |lens: &[usize]| {
+            let dvs: Vec<DistVec<f32>> = vs.iter().map(|v| split(v, lens)).collect();
+            run_all(&split(&x, lens), &split(&y, lens), &dvs)
+        };
+
+        // One part: the same kernels on the same blocks, bit for bit.
+        let one = on(&[n]);
+        let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&one.0), bits(&dense.0), "one part: reductions");
+        assert_eq!(bits(&one.1), bits(&dense.1), "one part: updates");
+
+        // Four parts (one empty): the element-wise updates do not see
+        // the partition; the reductions regroup their f64 partials.
+        let four = on(&[op::REDUCE_BLOCK + 1, 0, n - op::REDUCE_BLOCK - 501, 500]);
+        assert_eq!(bits(&four.1), bits(&dense.1), "four parts: updates");
+        for (a, b) in four.0.iter().zip(&dense.0) {
+            assert!((a - b).abs() <= 1e-6 * n as f64, "four parts: {a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn dist_fused_kernels_match_split_pairs_bitwise() {
+        let lens = [3usize, 0, 4];
+        let mk = |seed: f64| {
+            let v: Vec<f64> = (0..7).map(|i| (i as f64 * seed).sin()).collect();
+            split(&v, &lens)
+        };
+        let x = mk(0.7);
+        let y0 = mk(-1.3);
+        let vs = [mk(0.31), mk(0.57)];
+
+        let mut y1 = y0.clone();
+        let fused = y1.axpy_norm_sqr(0.37, &x);
+        let mut y2 = y0.clone();
+        y2.axpy(0.37, &x);
+        assert_eq!(y1, y2);
+        assert_eq!(fused.to_bits(), y2.norm_sqr().to_bits());
+
+        let coeffs = DistVec::multi_dot(&vs, &x);
+        for (b, v) in vs.iter().enumerate() {
+            assert_eq!(coeffs[b].to_bits(), KrylovVec::dot(v, &x).to_bits(), "lane {b}");
+        }
+        let mut w1 = y0.clone();
+        let fused = DistVec::multi_axpy_norm_sqr(&coeffs, &vs, &mut w1);
+        let mut w2 = y0.clone();
+        DistVec::multi_axpy(&coeffs, &vs, &mut w2);
+        assert_eq!(w1, w2);
+        assert_eq!(fused.to_bits(), w2.norm_sqr().to_bits());
     }
 
     #[test]

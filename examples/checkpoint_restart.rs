@@ -181,8 +181,8 @@ fn main() {
 
 /// The reduced-precision variant (`LS_PRECISION=f32|mixed`): the same
 /// cycle-by-cycle kill-and-resume protocol, but the Krylov state is
-/// stored in f32 ([`exact_diag::eigen::F32Vec`] via
-/// [`exact_diag::eigen::MixedOp`]) and checkpoints carry 4-byte lanes.
+/// stored in f32 (`Vec<f32>` via [`exact_diag::eigen::MixedOp`]) and
+/// checkpoints carry 4-byte lanes.
 /// Resume stays bit-identical *within the mode*; `mixed` additionally
 /// runs one f64 Rayleigh–Ritz refinement over the converged Ritz basis
 /// before reporting eigenvalues.
@@ -199,9 +199,7 @@ fn run_reduced(
     verify: bool,
     max_cycles: usize,
 ) {
-    use exact_diag::eigen::{
-        refine_in_f64, thick_restart_lanczos_in, F32Vec, MixedOp, Precision,
-    };
+    use exact_diag::eigen::{refine_in_f64, thick_restart_lanczos_in, MixedOp, Precision};
 
     let mixed = MixedOp::new(op);
     // The mixed mode refines over the converged Ritz basis, so the f32
@@ -216,7 +214,7 @@ fn run_reduced(
     let policy = CheckpointPolicy { keep, ..CheckpointPolicy::new(path.to_path_buf()) };
 
     let start = if path.exists() {
-        match exact_diag::core::io::load_latest_checkpoint::<F32Vec, _>(path, &mixed) {
+        match exact_diag::core::io::load_latest_checkpoint::<Vec<f32>, _>(path, &mixed) {
             Ok(st) => st.restarts + 1,
             Err(e) => panic!("cannot resume from {ckpt}: {e}"),
         }
@@ -251,7 +249,7 @@ fn run_reduced(
 
     // Refinement is deterministic over a deterministic basis, so the
     // refined eigenvalues inherit the resume contract bit for bit.
-    let finish = |res: &exact_diag::eigen::LanczosResultIn<F32Vec>| -> Vec<f64> {
+    let finish = |res: &exact_diag::eigen::LanczosResultIn<Vec<f32>>| -> Vec<f64> {
         match precision {
             Precision::Mixed => {
                 let basis = res.eigenvectors.as_ref().expect("want_vectors was set");

@@ -159,7 +159,7 @@ fn main() {
     // Rayleigh quotient of the cooled state through one more product.
     let mut h_cooled = DistVec::<f64>::zeros(&basis.states().lens());
     matvec_pc(&cluster, &op, &basis, &cooled, &mut h_cooled, PcOptions::default());
-    let e_cooled = exact_diag::dist::blas::dot(&cooled, &h_cooled);
+    let e_cooled = exact_diag::eigen::KrylovVec::dot(&cooled, &h_cooled);
     say!(
         "imaginary time τ=4.0 : ⟨H⟩ = {:.9} (E0 = {:.9}, {:.1} ms, state stayed distributed)",
         e_cooled,

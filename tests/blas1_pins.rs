@@ -16,7 +16,7 @@
 //! process-global.
 
 use exact_diag::eigen::op::{MIN_PAR_BLOCKS, REDUCE_BLOCK};
-use exact_diag::eigen::{F32Vec, KrylovVec};
+use exact_diag::eigen::KrylovVec;
 use exact_diag::kernels::{hash64_01, Complex64, Scalar};
 use exact_diag::runtime::DistVec;
 
@@ -143,7 +143,7 @@ fn all_digests() -> Vec<(&'static str, usize, u64)> {
     for (li, &n) in lengths().iter().enumerate() {
         out.push(("f64", li, digest_primitives(&vec![0.0f64; n])));
         out.push(("c64", li, digest_primitives(&vec![Complex64::ZERO; n])));
-        out.push(("f32", li, digest_primitives(&F32Vec::zeros(n))));
+        out.push(("f32", li, digest_primitives(&vec![0.0f32; n])));
     }
     // One part below a block, one empty, one on the pool path, one short.
     let lens = [REDUCE_BLOCK + 1, 0, MIN_PAR_BLOCKS * REDUCE_BLOCK + 17, 500];

@@ -258,6 +258,19 @@ fn degenerate_layouts_enumerate_multiply_and_solve() {
     }
 }
 
+/// Two distributed vectors of equal total length but different part
+/// lengths must not be zipped part by part into a plausible number: the
+/// layout check is a hard assertion, so this passes in release builds
+/// too (it was a `debug_assert!` once, and `--release` returned a value).
+#[test]
+#[should_panic(expected = "mismatched layouts")]
+fn dist_blas_rejects_mismatched_layouts_in_every_profile() {
+    use exact_diag::eigen::KrylovVec;
+    let a = DistVec::from_parts(vec![vec![1.0f64; 3], vec![1.0; 2]]);
+    let b = DistVec::from_parts(vec![vec![1.0f64; 2], vec![1.0; 3]]);
+    let _ = a.dot(&b);
+}
+
 /// The distributed BLAS-1 layer (the kernels the in-place Krylov
 /// recurrence runs on) is bit-identical across thread counts: per-part
 /// reductions use thread-independent block partials, and parts combine
@@ -265,7 +278,7 @@ fn degenerate_layouts_enumerate_multiply_and_solve() {
 /// test so the global override is never mutated concurrently.
 #[test]
 fn dist_blas_bit_exact_across_thread_counts() {
-    use exact_diag::dist::blas;
+    use exact_diag::eigen::KrylovVec;
     let lens = [40_000usize, 0, 25_000, 1];
     let mk = |seed: u64| {
         let mut k = 0u64;
@@ -288,13 +301,13 @@ fn dist_blas_bit_exact_across_thread_counts() {
     let vs = [mk(31), mk(47), mk(59)];
     let run = |threads: usize| {
         let prev = rayon::set_thread_limit(threads);
-        let d = blas::dot(&x, &y);
-        let n = blas::norm_sqr(&x);
-        let coeffs = blas::multi_dot(&vs, &y);
+        let d = x.dot(&y);
+        let n = x.norm_sqr();
+        let coeffs = DistVec::multi_dot(&vs, &y);
         let mut w = y.clone();
-        let fused = blas::multi_axpy_norm_sqr(&coeffs, &vs, &mut w);
+        let fused = DistVec::multi_axpy_norm_sqr(&coeffs, &vs, &mut w);
         let mut z = y.clone();
-        let an = blas::axpy_norm_sqr(-0.37, &x, &mut z);
+        let an = z.axpy_norm_sqr(-0.37, &x);
         rayon::set_thread_limit(prev);
         (
             d.to_bits(),
