@@ -371,45 +371,13 @@ impl<S: Scalar> SymmetrizedOperator<S> {
     }
 
     /// The U(1) fused fast path: generation *and ranking* of a block in
-    /// one pass. Valid only for a trivial group over the full fixed-weight
-    /// basis (the combinadic-ranking precondition): there the basis index
-    /// of a state *is* its combinadic rank, the rank of the block's `k`-th
-    /// row is simply `first_rank + k`, and each destination rank follows
-    /// by [`BinomialTable::rank_xor`] — O(flipped span) instead of
-    /// O(weight) per matrix element, with no lookup structure touched at
-    /// all. Emits `(src, dest rank, amplitude)` in the same (state,
-    /// channel) order as [`Self::apply_off_diag_block`]; destination ranks
-    /// are always valid.
-    pub fn apply_off_diag_block_u1_ranked(
-        &self,
-        states: &[u64],
-        first_rank: u64,
-        table: &BinomialTable,
-        src: &mut Vec<u32>,
-        idx: &mut Vec<u32>,
-        amps: &mut Vec<S>,
-    ) {
-        debug_assert!(self.trivial_group, "fused ranking requires the trivial group");
-        debug_assert!(!self.has_signs, "fused ranking requires sign-free channels");
-        src.clear();
-        idx.clear();
-        amps.clear();
-        for (k, &alpha) in states.iter().enumerate() {
-            let rank_alpha = first_rank + k as u64;
-            debug_assert_eq!(table.rank(alpha), rank_alpha);
-            for ch in &self.channels {
-                if alpha & ch.sites == ch.in_pat {
-                    let dest = table.rank_xor(alpha, ch.flip, rank_alpha);
-                    src.push(k as u32);
-                    idx.push(dest as u32);
-                    amps.push(ch.coeff);
-                }
-            }
-        }
-    }
-
-    /// Channel-outer variant of [`Self::apply_off_diag_block_u1_ranked`]
-    /// for the gather (pull) formulation.
+    /// one channel-outer pass. Valid only for a trivial group over the
+    /// full fixed-weight basis (the combinadic-ranking precondition):
+    /// there the basis index of a state *is* its combinadic rank, the rank
+    /// of the block's `k`-th row is simply `first_rank + k`, and each
+    /// destination rank follows by [`BinomialTable::rank_xor`] — O(flipped
+    /// span) instead of O(weight) per matrix element, with no lookup
+    /// structure touched at all. Destination ranks are always valid.
     ///
     /// For each channel, firing rows are first collected with a
     /// *branchless* compaction sweep (the data-dependent fire/no-fire
@@ -424,8 +392,6 @@ impl<S: Scalar> SymmetrizedOperator<S> {
     /// Emission order is (channel, state); each output element still
     /// receives its contributions in ascending channel order — exactly the
     /// scalar pull accumulation order, so gather results stay bit-exact.
-    /// Not suitable for the push formulation, whose serial reference
-    /// requires (state, channel) order per *destination*.
     pub fn apply_off_diag_block_u1_ranked_channels(
         &self,
         states: &[u64],

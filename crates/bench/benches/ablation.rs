@@ -40,7 +40,8 @@ fn bench_ranking(c: &mut Criterion) {
     g.finish();
 }
 
-/// Shared-memory matvec: scalar vs batched strategies on a U(1) sector.
+/// Shared-memory matvec: scalar gather vs the batched engine on a U(1)
+/// sector.
 fn bench_matvec_strategies(c: &mut Criterion) {
     use ls_basis::SymmetrizedOperator;
     use ls_core::matvec;
@@ -64,12 +65,6 @@ fn bench_matvec_strategies(c: &mut Criterion) {
     });
     g.bench_function("pull_batched", |b| {
         b.iter(|| matvec::apply_batched_pull_pooled(&op, &basis, black_box(&x), &mut y, &pool))
-    });
-    g.bench_function("push_atomic", |b| {
-        b.iter(|| matvec::apply_push_pooled(&op, &basis, black_box(&x), &mut y, &pool))
-    });
-    g.bench_function("push_batched", |b| {
-        b.iter(|| matvec::apply_batched_push_pooled(&op, &basis, black_box(&x), &mut y, &pool))
     });
     g.finish();
 }
@@ -154,7 +149,8 @@ fn bench_diagonal(c: &mut Criterion) {
     g.finish();
 }
 
-/// Batched vs per-row destination handling in the matvec inner loop.
+/// Batched vs per-pair destination handling: the producer/consumer
+/// pipeline across staging-buffer capacities.
 fn bench_batched_rows(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_batched_rows");
     g.sample_size(10);
@@ -163,8 +159,18 @@ fn bench_batched_rows(c: &mut Criterion) {
     for batch in [1usize, 16, 256, 4096] {
         g.bench_function(format!("batch_{batch}"), |b| {
             b.iter(|| {
-                ls_dist::matvec::matvec_batched(
-                    &s.cluster, &s.op, &s.basis, &s.x, &mut y, batch,
+                ls_dist::matvec_pc(
+                    &s.cluster,
+                    &s.op,
+                    &s.basis,
+                    &s.x,
+                    &mut y,
+                    ls_dist::PcOptions {
+                        producers: 1,
+                        consumers: 1,
+                        capacity: batch,
+                        ..Default::default()
+                    },
                 )
             })
         });

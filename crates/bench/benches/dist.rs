@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use ls_basis::SectorSpec;
 use ls_bench::SmallScale;
 use ls_dist::convert::{hashed_masks, to_block};
-use ls_dist::matvec::{matvec_batched, matvec_pc, PcOptions};
+use ls_dist::matvec::{matvec_pc, PcOptions};
 use ls_dist::{block_to_hashed, enumerate_dist, hashed_to_block};
 use ls_runtime::{Cluster, ClusterSpec, DistVec};
 
@@ -64,9 +64,6 @@ fn bench_matvec_variants(c: &mut Criterion) {
                 },
             )
         })
-    });
-    g.bench_function("batched", |b| {
-        b.iter(|| matvec_batched(&s.cluster, &s.op, &s.basis, &s.x, &mut y, 256))
     });
     g.bench_function("alltoall_baseline", |b| {
         b.iter(|| ls_baseline::matvec_alltoall(&s.cluster, &s.op, &s.basis, &s.x, &mut y))

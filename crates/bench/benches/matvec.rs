@@ -3,7 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ls_basis::{SectorSpec, SpinBasis, SymmetrizedOperator};
-use ls_core::matvec::{apply_pull, apply_push, apply_serial};
+use ls_core::matvec::{apply_pull, apply_serial};
 use ls_expr::builders::heisenberg;
 use ls_symmetry::lattice;
 
@@ -53,9 +53,6 @@ fn bench_strategies(c: &mut Criterion) {
     g.bench_function("serial", |b| b.iter(|| apply_serial(&op, &basis, black_box(&x), &mut y)));
     g.bench_function("pull_parallel", |b| {
         b.iter(|| apply_pull(&op, &basis, black_box(&x), &mut y))
-    });
-    g.bench_function("push_atomic", |b| {
-        b.iter(|| apply_push(&op, &basis, black_box(&x), &mut y))
     });
     g.finish();
 }

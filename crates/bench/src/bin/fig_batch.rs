@@ -1,10 +1,10 @@
 //! Batched vs scalar matrix-vector products: the ablation behind the
-//! batched engine (`MatvecStrategy::BatchedPull` / `BatchedPush`).
+//! batched engine (`MatvecStrategy::BatchedPull`).
 //!
-//! Times every shared-memory strategy against every applicable
-//! `RankingKind` on a U(1) sector (and a fully symmetrized sector for the
-//! `state_info_batch` path), verifies agreement against the serial
-//! reference while doing so, and emits the measurements as
+//! Times the serial oracle, the scalar gather and the engine against every
+//! applicable `RankingKind` on a U(1) sector (and a fully symmetrized
+//! sector for the `state_info_batch` path), verifies agreement against the
+//! serial reference while doing so, and emits the measurements as
 //! `BENCH_matvec.json` so the repository's performance trajectory is
 //! recorded run over run.
 //!
@@ -15,23 +15,27 @@
 
 use ls_basis::basis::RankingKind;
 use ls_basis::{SectorSpec, SpinBasis, SymmetrizedOperator};
-use ls_core::matvec::{
-    apply_batched_pull_pooled, apply_batched_push_pooled, apply_pull_pooled, apply_push_pooled,
-    apply_serial_pooled,
-};
-use ls_core::{MatvecScratchPool, MatvecStrategy};
+use ls_core::matvec::{apply_batched_pull_pooled, apply_pull_pooled, apply_serial_pooled};
+use ls_core::MatvecScratchPool;
 use ls_symmetry::lattice::{chain_bonds, chain_group};
 
-const STRATEGIES: [MatvecStrategy; 5] = [
-    MatvecStrategy::Serial,
-    MatvecStrategy::PullParallel,
-    MatvecStrategy::PushAtomic,
-    MatvecStrategy::BatchedPull,
-    MatvecStrategy::BatchedPush,
+type Product =
+    fn(&SymmetrizedOperator<f64>, &SpinBasis, &[f64], &mut [f64], &MatvecScratchPool<f64>);
+
+const SERIAL: &str = "Serial";
+const SCALAR_PULL: &str = "ScalarPull";
+const BATCHED_PULL: &str = "BatchedPull";
+
+/// The timed products, by the name their JSON rows carry. `ScalarPull` is
+/// the engine's scalar twin, called directly — it is not a strategy.
+const PRODUCTS: [(&str, Product); 3] = [
+    (SERIAL, apply_serial_pooled),
+    (SCALAR_PULL, apply_pull_pooled),
+    (BATCHED_PULL, apply_batched_pull_pooled),
 ];
 
 struct Measurement {
-    strategy: MatvecStrategy,
+    strategy: &'static str,
     ranking: RankingKind,
     seconds: f64,
 }
@@ -52,7 +56,7 @@ struct SectorReport {
 
 impl SectorReport {
     /// Median seconds of `strategy` at the sector's default ranking.
-    fn default_time(&self, strategy: MatvecStrategy) -> f64 {
+    fn default_time(&self, strategy: &str) -> f64 {
         self.results
             .iter()
             .find(|m| m.strategy == strategy && m.ranking == self.default_ranking)
@@ -71,7 +75,7 @@ impl SectorReport {
             .iter()
             .map(|m| {
                 format!(
-                    "      {{\"strategy\": \"{:?}\", \"ranking\": \"{:?}\", \
+                    "      {{\"strategy\": \"{}\", \"ranking\": \"{:?}\", \
                      \"seconds\": {:.9}, \"gbps\": {:.4}, \"roofline_frac\": {:.4}}}",
                     m.strategy,
                     m.ranking,
@@ -129,36 +133,20 @@ fn run_sector(
     // Interleaved rounds: one sample of every (ranking, strategy) pair
     // per round, so slow machine-load drift biases no strategy; the
     // per-pair median is reported.
-    let mut samples = vec![vec![Vec::with_capacity(reps); STRATEGIES.len()]; rankings.len()];
+    let mut samples = vec![vec![Vec::with_capacity(reps); PRODUCTS.len()]; rankings.len()];
     for round in 0..reps.max(1) {
         for (ri, &ranking) in rankings.iter().enumerate() {
             basis.set_ranking(ranking);
-            for (si, &strategy) in STRATEGIES.iter().enumerate() {
+            for (si, &(strategy, product)) in PRODUCTS.iter().enumerate() {
                 let t = std::time::Instant::now();
-                match strategy {
-                    MatvecStrategy::Serial => {
-                        apply_serial_pooled(&op, &basis, &x, &mut y, &pool)
-                    }
-                    MatvecStrategy::PullParallel => {
-                        apply_pull_pooled(&op, &basis, &x, &mut y, &pool)
-                    }
-                    MatvecStrategy::PushAtomic => {
-                        apply_push_pooled(&op, &basis, &x, &mut y, &pool)
-                    }
-                    MatvecStrategy::BatchedPull => {
-                        apply_batched_pull_pooled(&op, &basis, &x, &mut y, &pool)
-                    }
-                    MatvecStrategy::BatchedPush => {
-                        apply_batched_push_pooled(&op, &basis, &x, &mut y, &pool)
-                    }
-                }
+                product(&op, &basis, &x, &mut y, &pool);
                 samples[ri][si].push(t.elapsed().as_secs_f64());
                 if round == 0 {
                     // Every configuration doubles as a correctness check.
                     for i in 0..dim {
                         assert!(
                             (y[i] - y_ref[i]).abs() < 1e-10,
-                            "{strategy:?}/{ranking:?} disagrees with serial at {i}"
+                            "{strategy}/{ranking:?} disagrees with serial at {i}"
                         );
                     }
                 }
@@ -167,7 +155,7 @@ fn run_sector(
     }
     let mut results = Vec::new();
     for (ri, &ranking) in rankings.iter().enumerate() {
-        for (si, &strategy) in STRATEGIES.iter().enumerate() {
+        for (si, &(strategy, _)) in PRODUCTS.iter().enumerate() {
             let times = &mut samples[ri][si];
             times.sort_by(f64::total_cmp);
             results.push(Measurement { strategy, ranking, seconds: times[times.len() / 2] });
@@ -194,10 +182,10 @@ fn print_report(r: &SectorReport, reps: usize, stream_gbps: f64) {
         .iter()
         .map(|m| {
             vec![
-                format!("{:?}", m.strategy),
+                m.strategy.to_string(),
                 format!("{:?}", m.ranking),
                 ls_bench::fmt_secs(m.seconds),
-                format!("{:.2}×", r.default_time(MatvecStrategy::Serial) / m.seconds),
+                format!("{:.2}×", r.default_time(SERIAL) / m.seconds),
                 format!("{:.1}", r.gbps(m.seconds)),
                 format!("{:.0}%", 100.0 * r.gbps(m.seconds) / stream_gbps),
             ]
@@ -266,13 +254,9 @@ fn main() {
     );
     print_report(&symmetrized, reps, stream_gbps);
 
-    let speedup_pull = u1.default_time(MatvecStrategy::PullParallel)
-        / u1.default_time(MatvecStrategy::BatchedPull);
-    let speedup_push = u1.default_time(MatvecStrategy::PushAtomic)
-        / u1.default_time(MatvecStrategy::BatchedPush);
+    let speedup_pull = u1.default_time(SCALAR_PULL) / u1.default_time(BATCHED_PULL);
     println!("\nU(1) speedups at the default ranking ({:?}):", u1.default_ranking);
-    println!("  BatchedPull vs PullParallel: {speedup_pull:.2}×");
-    println!("  BatchedPush vs PushAtomic:   {speedup_push:.2}×");
+    println!("  BatchedPull vs ScalarPull: {speedup_pull:.2}×");
 
     // SIMD vs forced-scalar A/B on the U(1) BatchedPull product (the
     // dispatch is bit-exact, so the outputs agree; only speed differs).
@@ -319,7 +303,6 @@ fn main() {
         "{{\n  \"bench\": \"matvec\",\n  \"threads\": {threads},\n  \"reps\": {reps},\n  \
          \"stream_gbps\": {stream_gbps:.4},\n  \"simd_level\": \"{simd_level}\",\n\
          {},\n{},\n  \"speedup_batched_pull_vs_pull\": {speedup_pull:.4},\n  \
-         \"speedup_batched_push_vs_push\": {speedup_push:.4},\n  \
          \"simd_speedup_batched_pull\": {simd_speedup_pull:.4}\n}}\n",
         u1.to_json(stream_gbps),
         symmetrized.to_json(stream_gbps)

@@ -16,8 +16,8 @@
 //!   pool existed.
 //!
 //! While measuring, the binary asserts the determinism contract: the
-//! batched push product stays bit-exact against `Serial`, and the batched
-//! pull product is bit-identical across every (threads, mode) cell.
+//! batched pull product is bit-identical across every (threads, mode)
+//! cell.
 //!
 //! ```sh
 //! cargo run --release -p ls-bench --bin fig_scaling -- \
@@ -31,8 +31,7 @@
 //! cores.
 
 use ls_basis::{SectorSpec, SpinBasis, SymmetrizedOperator};
-use ls_core::matvec::{apply_batched_push_pooled, apply_serial_pooled};
-use ls_core::{MatvecScratchPool, Operator};
+use ls_core::Operator;
 use ls_eigen::op::{axpy, dot, norm, scale};
 use ls_eigen::{lanczos_smallest, LanczosOptions, LinearOp};
 use rayon::ExecutionMode;
@@ -160,11 +159,8 @@ fn main() {
     let x: Vec<f64> = (0..dim)
         .map(|i| (ls_kernels::hash64_01(i as u64) >> 11) as f64 * 1e-16 - 0.4)
         .collect();
-    // Bit-exactness references, computed once at one thread.
+    // Bit-exactness reference, computed once at one thread.
     let prev_limit = rayon::set_thread_limit(1);
-    let pool_scratch = MatvecScratchPool::new();
-    let mut y_serial = vec![0.0f64; dim];
-    apply_serial_pooled(&symop, &basis, &x, &mut y_serial, &pool_scratch);
     let mut y_ref = vec![0.0f64; dim];
     op.apply(&x, &mut y_ref);
     let pull_ref: Vec<u64> = y_ref.iter().map(|v| v.to_bits()).collect();
@@ -197,23 +193,14 @@ fn main() {
             op.apply(&x, &mut y);
             matvec_samples[ci].push(t.elapsed().as_secs_f64());
             if round == 0 {
-                // Bit-exactness checks double as correctness coverage:
-                // the default pull product against the 1-thread
-                // reference, and batched push against serial.
+                // The bit-exactness check doubles as correctness
+                // coverage: the default pull product against the
+                // 1-thread reference.
                 for (i, &v) in y.iter().enumerate() {
                     assert_eq!(
                         v.to_bits(),
                         pull_ref[i],
                         "batched pull diverged at {i} (threads {threads}, {label})"
-                    );
-                }
-                let mut y_push = vec![0.0f64; dim];
-                apply_batched_push_pooled(&symop, &basis, &x, &mut y_push, &pool_scratch);
-                for (i, (&a, &b)) in y_push.iter().zip(&y_serial).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "batched push diverged at {i} (threads {threads}, {label})"
                     );
                 }
             }

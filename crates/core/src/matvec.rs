@@ -1,31 +1,27 @@
-//! Shared-memory parallel matrix-vector products.
+//! Shared-memory matrix-vector products: one parallel engine and one
+//! serial oracle (see [`MatvecStrategy`]; `benches/ablation.rs` and the
+//! `fig_batch` binary time them).
 //!
-//! Five strategies (see [`MatvecStrategy`]; `benches/ablation.rs` and the
-//! `fig_batch` binary compare them):
-//!
-//! * **batched pull** (default) — the batched engine in gather form: rows
-//!   are processed in blocks, off-diagonal generation runs through
+//! * **batched pull** (the engine, default) — gather form: rows are
+//!   processed in blocks, off-diagonal generation runs through
 //!   [`SymmetrizedOperator::apply_off_diag_block`] (one
 //!   group-element-outer `state_info` pass per block), ranking through the
 //!   interleaved [`SpinBasis::index_of_batch`] kernels, and the gathered
 //!   reads of `x` are software-prefetched from the ranked index block.
-//! * **batched push** — the batched engine in scatter form: emissions are
-//!   `(dest_index, amplitude, src_index)` triples, radix-partitioned by
-//!   destination block and merged in a sequential per-block sweep — the
-//!   per-lane atomic-CAS loop of the scatter formulation disappears
-//!   entirely. Source chunks are processed in bounded waves so the staging
-//!   memory never exceeds a few blocks' worth of triples.
-//! * **pull** — scalar gather: each output element walks its row one
-//!   element at a time. Race-free, rayon over output chunks.
-//! * **push** — scalar scatter with atomic f64 adds (the formulation the
-//!   distributed producer/consumer pipeline uses).
-//! * **serial** — single-threaded scalar reference (push order).
+//!   Row generation yields the column `H[·, β]`; gathering reads it as
+//!   the row `H[β, ·]` by conjugation, so it needs a Hermitian operator.
+//! * **serial** — single-threaded scalar scatter: the reference every
+//!   other product is tested against, and the only one that runs on
+//!   non-Hermitian input ([`crate::Operator`] picks it there).
 //!
-//! Determinism: the batched strategies perform the identical
-//! floating-point operations in the identical order as their scalar
-//! references — `BatchedPull` is bit-exact against `PullParallel`, and
-//! `BatchedPush` is bit-exact against `Serial` (the proptests in
-//! `tests/batched_strategies.rs` pin this). Results are also bit-exact
+//! [`apply_pull_pooled`] is the engine's scalar twin — each output element
+//! walks its row one element at a time. It is not a selectable strategy:
+//! the engine falls back to it once ranks no longer fit 32 bits, and the
+//! tests use it as the engine's bit-exact reference.
+//!
+//! Determinism: the engine performs the identical floating-point
+//! operations in the identical order as the scalar gather (the proptests
+//! in `tests/batched_strategies.rs` pin this). Results are also bit-exact
 //! across *thread counts*: chunk partitions come from the
 //! thread-independent [`chunk::par_chunk`] heuristic, per-element
 //! accumulation order is fixed, and the fused matvec+dot epilogue
@@ -33,9 +29,9 @@
 //! a fixed pairwise tree (`tests/pool_determinism.rs` pins this against
 //! `LS_NUM_THREADS`).
 //!
-//! All strategies run on the persistent pool (`compat/rayon`: parked
-//! workers, dynamic chunk claiming) and draw their temporaries from a
-//! [`MatvecScratchPool`], which keys scratch on the pool's worker index —
+//! The parallel products run on the persistent pool (`compat/rayon`:
+//! parked workers, dynamic chunk claiming) and draw their temporaries from
+//! a [`MatvecScratchPool`], which keys scratch on the pool's worker index —
 //! per *worker*, not per call. [`crate::Operator`] keeps one pool for its
 //! lifetime, so the hundreds of products of a Lanczos run reuse the same
 //! staging memory.
@@ -45,10 +41,9 @@ use ls_eigen::op::pairwise_sum;
 use ls_kernels::chunk;
 use ls_kernels::combinadics::BinomialTable;
 use ls_kernels::search::NOT_FOUND;
-use ls_kernels::sort::BlockPartitioner;
 use ls_kernels::Scalar;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Which shared-memory implementation [`crate::Operator`] uses.
@@ -58,19 +53,12 @@ pub enum MatvecStrategy {
     /// ranking, prefetched reads.
     #[default]
     BatchedPull,
-    /// Batched scatter formulation: destination-partitioned triples merged
-    /// without atomics.
-    BatchedPush,
-    /// Scalar gather formulation, rayon-parallel.
-    PullParallel,
-    /// Scalar scatter formulation with atomic accumulation.
-    PushAtomic,
     /// Single-threaded scalar reference.
     Serial,
 }
 
-/// Number of rows a batched strategy processes per block (the shared
-/// workspace constant — see [`chunk::BATCH_ROWS`]).
+/// Number of rows the batched engine processes per block (see
+/// [`chunk::BATCH_ROWS`]).
 const BATCH_BLOCK: usize = chunk::BATCH_ROWS;
 
 /// Lookahead distance (in emissions) for software prefetch of the
@@ -113,25 +101,9 @@ pub struct MatvecScratch<S: Scalar> {
     fired: Vec<u32>,
     /// Per-channel `(coefficient, end offset)` segments of the fused pull.
     segs: Vec<(S, u32)>,
-    /// Push emission assembly: destination indices, amplitudes, sources.
-    dest: Vec<u32>,
-    amp: Vec<S>,
-    src: Vec<u32>,
-    /// Radix partitioner state for the push path.
-    part: BlockPartitioner,
 }
 
-/// One source chunk's partitioned emissions, ready for the merge sweep.
-#[derive(Default)]
-pub struct ChunkEmissions<S: Scalar> {
-    dest: Vec<u32>,
-    amp: Vec<S>,
-    src: Vec<u32>,
-    /// Destination-block offsets (`n_blocks + 1` entries).
-    offsets: Vec<u32>,
-}
-
-/// A pool of [`MatvecScratch`] / [`ChunkEmissions`] buffers shared by the
+/// A pool of [`MatvecScratch`] buffers shared by the
 /// workers of (possibly repeated) matvec calls. [`crate::Operator`] owns
 /// one pool per operator, so Lanczos' hundreds of `apply` calls on the
 /// same operator allocate staging memory exactly once.
@@ -147,7 +119,6 @@ pub struct ChunkEmissions<S: Scalar> {
 pub struct MatvecScratchPool<S: Scalar> {
     worker: Vec<Mutex<MatvecScratch<S>>>,
     floating: Mutex<Vec<MatvecScratch<S>>>,
-    emissions: Mutex<Vec<ChunkEmissions<S>>>,
     /// Memoized per-state diagonal, keyed on the (operator, basis)
     /// identity: the diagonal depends on neither `x` nor the strategy, so
     /// the hundreds of products of a Lanczos run compute it once.
@@ -215,7 +186,6 @@ impl<S: Scalar> MatvecScratchPool<S> {
         Self {
             worker: (0..rayon::max_workers()).map(|_| Mutex::new(Default::default())).collect(),
             floating: Mutex::new(Vec::new()),
-            emissions: Mutex::new(Vec::new()),
             diag: Mutex::new(None),
         }
     }
@@ -258,17 +228,9 @@ impl<S: Scalar> MatvecScratchPool<S> {
             }
         }
     }
-
-    fn take_emissions(&self) -> ChunkEmissions<S> {
-        self.emissions.lock().unwrap().pop().unwrap_or_default()
-    }
-
-    fn put_emissions(&self, e: ChunkEmissions<S>) {
-        self.emissions.lock().unwrap().push(e);
-    }
 }
 
-/// Output-chunk size for the parallel strategies — the centralized,
+/// Output-chunk size for the parallel sweeps — the centralized,
 /// thread-count-independent heuristic (see [`chunk::par_chunk`]): the
 /// partition shape depends only on `dim`, so the fused matvec+dot
 /// partials keep the same reduction tree at any thread count, and the
@@ -298,7 +260,7 @@ fn fused_u1_table<'b, S: Scalar>(
 }
 
 // ---------------------------------------------------------------------------
-// Scalar strategies
+// Scalar products
 // ---------------------------------------------------------------------------
 
 /// Pull: `y[β] = diag(β)·x[β] + Σ conj(amp)·x[rank(rep)]`.
@@ -343,74 +305,8 @@ pub fn apply_pull_pooled<S: Scalar>(
     });
 }
 
-/// Push: `y[rank(rep)] += amp·x[α]` with atomic adds.
-pub fn apply_push<S: Scalar>(
-    op: &SymmetrizedOperator<S>,
-    basis: &SpinBasis,
-    x: &[S],
-    y: &mut [S],
-) {
-    apply_push_pooled(op, basis, x, y, &MatvecScratchPool::new());
-}
-
-/// [`apply_push`] drawing its temporaries from `pool`.
-pub fn apply_push_pooled<S: Scalar>(
-    op: &SymmetrizedOperator<S>,
-    basis: &SpinBasis,
-    x: &[S],
-    y: &mut [S],
-    pool: &MatvecScratchPool<S>,
-) {
-    let dim = basis.dim();
-    assert_eq!(x.len(), dim);
-    assert_eq!(y.len(), dim);
-    y.fill(S::ZERO);
-    // View y as atomic f64 lanes (same layout trick as the runtime's
-    // accumulation window).
-    let lanes = y.len() * S::N_REALS;
-    let y_atomic: &[AtomicU64] =
-        unsafe { std::slice::from_raw_parts(y.as_mut_ptr() as *const AtomicU64, lanes) };
-    let add = |index: usize, val: S| {
-        let reals = val.to_reals();
-        for lane in 0..S::N_REALS {
-            if reals[lane] == 0.0 {
-                continue;
-            }
-            let cell = &y_atomic[index * S::N_REALS + lane];
-            let mut cur = cell.load(Ordering::Relaxed);
-            loop {
-                let new = (f64::from_bits(cur) + reals[lane]).to_bits();
-                match cell.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed)
-                {
-                    Ok(_) => break,
-                    Err(actual) => cur = actual,
-                }
-            }
-        }
-    };
-    let chunk = par_chunk(dim);
-    let n_chunks = dim.div_ceil(chunk);
-    (0..n_chunks).into_par_iter().for_each(|c| {
-        let mut sc = pool.worker_scratch();
-        let lo = c * chunk;
-        let hi = ((c + 1) * chunk).min(dim);
-        for (j, &xj) in x.iter().enumerate().take(hi).skip(lo) {
-            let alpha = basis.state(j);
-            let d = op.diagonal(alpha);
-            if d != S::ZERO {
-                add(j, d * xj);
-            }
-            sc.row.clear();
-            op.apply_off_diag(alpha, basis.orbit_sizes()[j], &mut sc.row);
-            for &(rep, amp) in &sc.row {
-                let i = basis.index_of_present(rep);
-                add(i, amp * xj);
-            }
-        }
-    });
-}
-
-/// Serial reference (push formulation, no atomics).
+/// Serial reference, scatter form: `y[rank(rep)] += amp·x[α]`. Runs on
+/// any operator, Hermitian or not.
 pub fn apply_serial<S: Scalar>(
     op: &SymmetrizedOperator<S>,
     basis: &SpinBasis,
@@ -646,197 +542,6 @@ fn accumulate_pull<S: Scalar>(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Batched push
-// ---------------------------------------------------------------------------
-
-/// Batched scatter: emissions are assembled as `(dest, amp, src)` triples
-/// in serial row order, radix-partitioned by destination block, and merged
-/// block-by-block in a sequential sweep — no atomics anywhere. Source
-/// chunks are produced in bounded waves to cap the staging memory.
-/// Bit-exact against [`apply_serial`].
-pub fn apply_batched_push<S: Scalar>(
-    op: &SymmetrizedOperator<S>,
-    basis: &SpinBasis,
-    x: &[S],
-    y: &mut [S],
-) {
-    apply_batched_push_pooled(op, basis, x, y, &MatvecScratchPool::new());
-}
-
-/// [`apply_batched_push`] drawing its temporaries from `pool`.
-pub fn apply_batched_push_pooled<S: Scalar>(
-    op: &SymmetrizedOperator<S>,
-    basis: &SpinBasis,
-    x: &[S],
-    y: &mut [S],
-    pool: &MatvecScratchPool<S>,
-) {
-    let dim = basis.dim();
-    assert_eq!(x.len(), dim);
-    assert_eq!(y.len(), dim);
-    // The emission triples hold destination ranks in 32 bits; beyond that
-    // the serial reference — the batched path's bit-exact twin — takes
-    // over instead of losing the sector entirely.
-    if dim >= u32::MAX as usize {
-        return apply_serial_pooled(op, basis, x, y, pool);
-    }
-    y.fill(S::ZERO);
-    if dim == 0 {
-        return;
-    }
-    let threads = rayon::current_num_threads();
-    // Destination blocks: power-of-two size so the partition key is a
-    // shift, sized for a few blocks per thread (centralized heuristic —
-    // the partition affects staging layout only, never summation order).
-    let block_size = chunk::dest_block_size(dim, threads);
-    let block_bits = block_size.trailing_zeros();
-    let n_blocks = dim.div_ceil(block_size);
-    // Source chunks, produced in waves of a few chunks per thread so the
-    // triple staging stays bounded regardless of `dim`.
-    let rows_per_chunk = chunk::rows_per_chunk(dim, threads);
-    let n_chunks = dim.div_ceil(rows_per_chunk);
-    let wave = (threads * 2).max(4);
-    let fused = fused_u1_table(op, basis);
-    let diag_all = pool.cached_diagonal(op, basis);
-    let mut c0 = 0usize;
-    while c0 < n_chunks {
-        let c1 = (c0 + wave).min(n_chunks);
-        // Wave phase 1: produce, partition by destination block.
-        let produced: Vec<ChunkEmissions<S>> = (c0..c1)
-            .into_par_iter()
-            .map(|c| {
-                let mut sc = pool.worker_scratch();
-                let mut em = pool.take_emissions();
-                let lo = c * rows_per_chunk;
-                let hi = ((c + 1) * rows_per_chunk).min(dim);
-                produce_chunk(
-                    op, basis, &diag_all, fused, lo, hi, block_bits, n_blocks, &mut sc, &mut em,
-                );
-                em
-            })
-            .collect();
-        // Wave phase 2: merge — each destination block is owned by one
-        // task and swept sequentially, chunks in ascending source order.
-        y.par_chunks_mut(block_size).enumerate().for_each(|(b, yb)| {
-            let block_base = b * block_size;
-            for em in &produced {
-                let lo = em.offsets[b] as usize;
-                let hi = em.offsets[b + 1] as usize;
-                merge_block(
-                    yb,
-                    block_base,
-                    x,
-                    &em.dest[lo..hi],
-                    &em.amp[lo..hi],
-                    &em.src[lo..hi],
-                );
-            }
-        });
-        for em in produced {
-            pool.put_emissions(em);
-        }
-        c0 = c1;
-    }
-}
-
-/// Generates rows `lo..hi` and leaves their destination-partitioned
-/// triples in `em`. Emissions are assembled in the serial order — per row
-/// the diagonal first, then the off-diagonal channels — and the partition
-/// is stable, so the later merge reproduces the serial accumulation order
-/// exactly.
-#[allow(clippy::too_many_arguments)] // internal worker of apply_batched_push
-fn produce_chunk<S: Scalar>(
-    op: &SymmetrizedOperator<S>,
-    basis: &SpinBasis,
-    diag_all: &[S],
-    fused: Option<&BinomialTable>,
-    lo: usize,
-    hi: usize,
-    block_bits: u32,
-    n_blocks: usize,
-    sc: &mut MatvecScratch<S>,
-    em: &mut ChunkEmissions<S>,
-) {
-    let states_all = basis.states();
-    let orbits_all = basis.orbit_sizes();
-    let trusted = fused.is_some();
-    sc.dest.clear();
-    sc.amp.clear();
-    sc.src.clear();
-    let mut b0 = lo;
-    while b0 < hi {
-        let b1 = (b0 + BATCH_BLOCK).min(hi);
-        let states = &states_all[b0..b1];
-        match fused {
-            Some(table) => op.apply_off_diag_block_u1_ranked(
-                states,
-                b0 as u64,
-                table,
-                &mut sc.gen.src,
-                &mut sc.idx,
-                &mut sc.gen.amps,
-            ),
-            None => {
-                op.apply_off_diag_block(states, &orbits_all[b0..b1], &mut sc.gen);
-                basis.index_of_batch(&sc.gen.reps, &mut sc.idx);
-            }
-        }
-        // Row-interleaved assembly: `gen.src` is non-decreasing, so one
-        // forward cursor splices each row's emissions after its diagonal.
-        let mut t = 0usize;
-        for k in 0..(b1 - b0) {
-            let j = (b0 + k) as u32;
-            sc.dest.push(j);
-            sc.amp.push(diag_all[b0 + k]);
-            sc.src.push(j);
-            while t < sc.idx.len() && sc.gen.src[t] as usize == k {
-                let i = sc.idx[t];
-                if !trusted && i == NOT_FOUND {
-                    let sector = basis.sector();
-                    missing_state(sc.gen.reps[t], sector.encoding(), sector.n_sites());
-                }
-                sc.dest.push(i);
-                sc.amp.push(sc.gen.amps[t]);
-                sc.src.push(j);
-                t += 1;
-            }
-        }
-        debug_assert_eq!(t, sc.idx.len());
-        b0 = b1;
-    }
-    let offsets = sc.part.partition(
-        block_bits,
-        n_blocks,
-        &sc.dest,
-        &sc.amp,
-        &sc.src,
-        &mut em.dest,
-        &mut em.amp,
-        &mut em.src,
-    );
-    em.offsets.clear();
-    em.offsets.extend_from_slice(offsets);
-}
-
-/// The merge sweep for one destination block: `y[dest] += amp · x[src]`,
-/// the exact expression (and order) of the serial reference. Within a
-/// block slice `src` is ascending, so the `x` reads walk forward — cache
-/// friendly without any prefetch hints.
-#[inline]
-fn merge_block<S: Scalar>(
-    yb: &mut [S],
-    block_base: usize,
-    x: &[S],
-    dest: &[u32],
-    amp: &[S],
-    src: &[u32],
-) {
-    for t in 0..dest.len() {
-        yb[dest[t] as usize - block_base] += amp[t] * x[src[t] as usize];
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -866,20 +571,13 @@ mod tests {
         let mut y1 = vec![0.0; basis.dim()];
         let mut y2 = vec![0.0; basis.dim()];
         let mut y3 = vec![0.0; basis.dim()];
-        let mut y4 = vec![0.0; basis.dim()];
-        let mut y5 = vec![0.0; basis.dim()];
         apply_pull(&op, &basis, &x, &mut y1);
-        apply_push(&op, &basis, &x, &mut y2);
-        apply_serial(&op, &basis, &x, &mut y3);
-        apply_batched_pull(&op, &basis, &x, &mut y4);
-        apply_batched_push(&op, &basis, &x, &mut y5);
+        apply_serial(&op, &basis, &x, &mut y2);
+        apply_batched_pull(&op, &basis, &x, &mut y3);
         for i in 0..basis.dim() {
-            assert!((y1[i] - y3[i]).abs() < 1e-11);
-            assert!((y2[i] - y3[i]).abs() < 1e-11);
-            // The batched engines are bit-exact twins of their scalar
-            // references.
-            assert_eq!(y4[i], y1[i], "batched pull vs pull at {i}");
-            assert_eq!(y5[i], y3[i], "batched push vs serial at {i}");
+            assert!((y1[i] - y2[i]).abs() < 1e-11);
+            // The engine is the bit-exact twin of the scalar gather.
+            assert_eq!(y3[i], y1[i], "batched pull vs pull at {i}");
         }
     }
 
@@ -899,23 +597,17 @@ mod tests {
         let mut y1 = vec![Complex64::ZERO; basis.dim()];
         let mut y2 = vec![Complex64::ZERO; basis.dim()];
         let mut y3 = vec![Complex64::ZERO; basis.dim()];
-        let mut y4 = vec![Complex64::ZERO; basis.dim()];
-        let mut y5 = vec![Complex64::ZERO; basis.dim()];
         apply_pull(&op, &basis, &x, &mut y1);
-        apply_push(&op, &basis, &x, &mut y2);
-        apply_serial(&op, &basis, &x, &mut y3);
-        apply_batched_pull(&op, &basis, &x, &mut y4);
-        apply_batched_push(&op, &basis, &x, &mut y5);
+        apply_serial(&op, &basis, &x, &mut y2);
+        apply_batched_pull(&op, &basis, &x, &mut y3);
         for i in 0..basis.dim() {
-            assert!(y1[i].approx_eq(y3[i], 1e-11), "{:?} vs {:?}", y1[i], y3[i]);
-            assert!(y2[i].approx_eq(y3[i], 1e-11));
-            assert_eq!(y4[i], y1[i], "batched pull vs pull at {i}");
-            assert_eq!(y5[i], y3[i], "batched push vs serial at {i}");
+            assert!(y1[i].approx_eq(y2[i], 1e-11), "{:?} vs {:?}", y1[i], y2[i]);
+            assert_eq!(y3[i], y1[i], "batched pull vs pull at {i}");
         }
     }
 
     #[test]
-    fn batched_push_handles_tiny_and_odd_dims() {
+    fn engine_handles_tiny_and_odd_dims() {
         // Dimensions around the block/chunk boundaries, U(1)-only sector.
         for (n, w) in [(4u32, 2u32), (9, 4), (13, 6)] {
             let sector = SectorSpec::with_weight(n, w).unwrap();
@@ -926,12 +618,9 @@ mod tests {
             let x = random_vec(basis.dim(), n as u64);
             let mut y_ref = vec![0.0; basis.dim()];
             let mut y_pull = vec![0.0; basis.dim()];
-            let mut y_push = vec![0.0; basis.dim()];
             apply_serial(&op, &basis, &x, &mut y_ref);
             apply_batched_pull(&op, &basis, &x, &mut y_pull);
-            apply_batched_push(&op, &basis, &x, &mut y_push);
             for i in 0..basis.dim() {
-                assert_eq!(y_push[i], y_ref[i], "n={n} i={i}");
                 assert!((y_pull[i] - y_ref[i]).abs() < 1e-12, "n={n} i={i}");
             }
         }
@@ -971,15 +660,16 @@ mod tests {
         let pool = MatvecScratchPool::new();
         let mut first = vec![0.0; basis.dim()];
         apply_batched_pull_pooled(&op, &basis, &x, &mut first, &pool);
+        let mut serial_fresh = vec![0.0; basis.dim()];
+        apply_serial(&op, &basis, &x, &mut serial_fresh);
         for _ in 0..3 {
             let mut again = vec![0.0; basis.dim()];
             apply_batched_pull_pooled(&op, &basis, &x, &mut again, &pool);
             assert_eq!(first, again);
-            let mut push = vec![0.0; basis.dim()];
-            apply_batched_push_pooled(&op, &basis, &x, &mut push, &pool);
+            // The oracle shares the pool without disturbing it.
             let mut serial = vec![0.0; basis.dim()];
             apply_serial_pooled(&op, &basis, &x, &mut serial, &pool);
-            assert_eq!(push, serial);
+            assert_eq!(serial, serial_fresh);
         }
     }
 }

@@ -60,14 +60,24 @@ impl<S: Scalar> Operator<S> {
         &self.symop
     }
 
-    /// Selects the shared-memory matvec implementation (ablation hook).
+    /// Selects the product `apply` runs — the oracle hook: tests and
+    /// benches pick [`MatvecStrategy::Serial`] to get the reference.
+    /// Nothing needs selecting to get a correct product (see
+    /// [`Self::strategy`]).
     pub fn with_strategy(mut self, strategy: MatvecStrategy) -> Self {
         self.strategy = strategy;
         self
     }
 
+    /// The product `apply` runs. The batched engine gathers, which needs a
+    /// Hermitian operator, so a non-Hermitian one takes the serial scatter
+    /// whatever was selected.
     pub fn strategy(&self) -> MatvecStrategy {
-        self.strategy
+        if self.symop.is_hermitian() {
+            self.strategy
+        } else {
+            MatvecStrategy::Serial
+        }
     }
 
     /// The number of stored Hamiltonian terms (diagnostics).
@@ -83,18 +93,9 @@ impl<S: Scalar> LinearOp<S> for Operator<S> {
 
     fn apply(&self, x: &[S], y: &mut [S]) {
         let pool = &*self.scratch;
-        match self.strategy {
+        match self.strategy() {
             MatvecStrategy::BatchedPull => {
                 matvec::apply_batched_pull_pooled(&self.symop, &self.basis, x, y, pool)
-            }
-            MatvecStrategy::BatchedPush => {
-                matvec::apply_batched_push_pooled(&self.symop, &self.basis, x, y, pool)
-            }
-            MatvecStrategy::PullParallel => {
-                matvec::apply_pull_pooled(&self.symop, &self.basis, x, y, pool)
-            }
-            MatvecStrategy::PushAtomic => {
-                matvec::apply_push_pooled(&self.symop, &self.basis, x, y, pool)
             }
             MatvecStrategy::Serial => {
                 matvec::apply_serial_pooled(&self.symop, &self.basis, x, y, pool)
@@ -102,13 +103,13 @@ impl<S: Scalar> LinearOp<S> for Operator<S> {
         }
     }
 
-    /// The fused matvec+dot epilogue: for the default batched pull
-    /// strategy the inner product is accumulated chunk-by-chunk while the
-    /// product's output is still cache-resident (one full sweep over the
-    /// Krylov vectors saved per Lanczos iteration). Other strategies fall
-    /// back to the product followed by the deterministic parallel dot.
+    /// The fused matvec+dot epilogue: the engine accumulates the inner
+    /// product chunk-by-chunk while the product's output is still
+    /// cache-resident (one full sweep over the Krylov vectors saved per
+    /// Lanczos iteration). The serial oracle falls back to the product
+    /// followed by the deterministic parallel dot.
     fn apply_dot(&self, x: &[S], y: &mut [S]) -> S {
-        match self.strategy {
+        match self.strategy() {
             MatvecStrategy::BatchedPull => matvec::apply_batched_pull_dot_pooled(
                 &self.symop,
                 &self.basis,
@@ -116,7 +117,7 @@ impl<S: Scalar> LinearOp<S> for Operator<S> {
                 y,
                 &self.scratch,
             ),
-            _ => {
+            MatvecStrategy::Serial => {
                 self.apply(x, y);
                 ls_eigen::op::par_dot(x, y)
             }
@@ -146,19 +147,60 @@ mod tests {
         let x = vec![1.0; basis.dim()];
         let mut y = vec![0.0; basis.dim()];
         op.apply(&x, &mut y);
-        // H acting on the uniform vector: row sums; compare strategies.
+        // H acting on the uniform vector: row sums; engine vs oracle.
         assert_eq!(op.strategy(), MatvecStrategy::BatchedPull);
-        for strategy in [
-            MatvecStrategy::BatchedPush,
-            MatvecStrategy::PullParallel,
-            MatvecStrategy::PushAtomic,
-            MatvecStrategy::Serial,
-        ] {
-            let mut y2 = vec![0.0; basis.dim()];
-            op.clone().with_strategy(strategy).apply(&x, &mut y2);
-            for i in 0..basis.dim() {
-                assert!((y[i] - y2[i]).abs() < 1e-12, "{strategy:?} at {i}");
+        let mut y2 = vec![0.0; basis.dim()];
+        op.clone().with_strategy(MatvecStrategy::Serial).apply(&x, &mut y2);
+        for i in 0..basis.dim() {
+            assert!((y[i] - y2[i]).abs() < 1e-12, "at {i}");
+        }
+    }
+
+    /// A valid non-Hermitian, charge-conserving operator: the default
+    /// product must be the dense sector matrix's, not a panic from the
+    /// gather engine's Hermitian precondition.
+    #[test]
+    fn non_hermitian_default_apply_matches_dense() {
+        use ls_expr::ast::{annihilate, create, sminus, splus};
+        let cases = [
+            (splus(0) * sminus(1), SectorSpec::with_weight(6, 3).unwrap()),
+            // One-directional hop between two up-spin orbitals.
+            (create(0) * annihilate(1), SectorSpec::spinful_fermions(3, 2, 1).unwrap()),
+        ];
+        for (expr, sector) in cases {
+            let (basis, op) = Operator::<f64>::from_expr(&expr, sector).unwrap();
+            assert!(!op.is_hermitian());
+            let dim = basis.dim();
+            let x: Vec<f64> = (0..dim).map(|i| (i as f64 * 0.37).sin() + 0.1).collect();
+            let mut y = vec![0.0; dim];
+            op.apply(&x, &mut y);
+            let mut y_dot = vec![0.0; dim];
+            let xy = op.apply_dot(&x, &mut y_dot);
+            assert_eq!(op.strategy(), MatvecStrategy::Serial);
+
+            let dense = op.symmetrized().to_dense(&basis);
+            let expect: Vec<f64> =
+                dense.iter().map(|row| row.iter().zip(&x).map(|(h, v)| h * v).sum()).collect();
+            assert!(expect.iter().any(|&v| v != 0.0), "degenerate case");
+            for i in 0..dim {
+                assert!((y[i] - expect[i]).abs() < 1e-12, "apply at {i}");
+                assert!((y_dot[i] - expect[i]).abs() < 1e-12, "apply_dot at {i}");
             }
+            let xy_expect: f64 = x.iter().zip(&expect).map(|(a, b)| a * b).sum();
+            assert!((xy - xy_expect).abs() < 1e-12);
+
+            // Called directly, the engine still refuses non-Hermitian input.
+            let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut y = vec![0.0; dim];
+                matvec::apply_batched_pull_pooled(
+                    op.symmetrized(),
+                    &basis,
+                    &x,
+                    &mut y,
+                    &MatvecScratchPool::new(),
+                )
+            }));
+            assert!(refused.is_err());
         }
     }
 

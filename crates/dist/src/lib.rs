@@ -14,12 +14,11 @@
 //!   Figs. 2–3); the roundtrip is bit-exact;
 //! * [`distribution`] — load-balance diagnostics comparing the hashed
 //!   scheme against naive contiguous range partitioning;
-//! * [`matvec`] — three distributed matrix-vector products: per-element
-//!   remote atomics ([`matvec::matvec_naive`]), bulk batched transfers
-//!   ([`matvec::matvec_batched`]) and the producer/consumer pipeline of
-//!   Sec. 5.3 ([`matvec::matvec_pc`] / [`matvec::pc::PcEngine`]) that
-//!   overlaps row generation with communication through reusable buffer
-//!   channels;
+//! * [`matvec`] — the distributed matrix-vector product: the
+//!   producer/consumer pipeline of Sec. 5.3 ([`matvec::matvec_pc`] /
+//!   [`matvec::pc::PcEngine`]) that overlaps row generation with
+//!   communication through reusable buffer channels, plus its oracle, one
+//!   remote atomic per matrix element ([`matvec::matvec_naive`]);
 //! * [`eigensolve`] — distributed Lanczos running **in place on
 //!   [`ls_runtime::DistVec`]** through [`ls_eigen`]'s generic Krylov
 //!   solver ([`eigensolve::DistOp`] implements `KrylovOp<DistVec>`): no
@@ -50,4 +49,4 @@ pub use eigensolve::{
     dist_lanczos_smallest, dist_thick_restart_lanczos, DistLanczosOptions, DistLanczosResult,
     DistOp, DistRestartOptions,
 };
-pub use matvec::{matvec_batched, matvec_naive, matvec_pc, PcOptions};
+pub use matvec::{matvec_naive, matvec_pc, PcOptions};

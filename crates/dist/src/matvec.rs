@@ -1,19 +1,19 @@
 //! Distributed matrix-vector products `y = H x` over the hashed basis
 //! distribution (paper Sec. 5.3).
 //!
-//! Three formulations, all push-style (each locale scatters contributions
-//! generated from its own rows):
+//! One product and one oracle, both push-style (each locale scatters
+//! contributions generated from its own rows):
 //!
-//! * [`matvec_naive`] — every off-locale contribution is one remote atomic
-//!   update. Maximal communication granularity; the baseline the paper's
-//!   buffering strategies improve on.
-//! * [`matvec_batched`] — contributions are staged per destination and
-//!   shipped in bulk batches ("computing multiple rows at once"), then
-//!   accumulated on behalf of the destination.
-//! * [`matvec_pc`] — the producer/consumer pipeline of Sec. 5.3 (see
-//!   [`pc`]): producers stream `(state, coefficient)` pairs through
-//!   fixed-capacity buffer channels while consumers concurrently rank and
-//!   accumulate, overlapping generation with communication.
+//! * [`matvec_pc`] — the product: the producer/consumer pipeline of
+//!   Sec. 5.3 (see [`pc`]). Producers stream `(state, coefficient)` pairs
+//!   through fixed-capacity buffer channels while consumers concurrently
+//!   rank and accumulate, overlapping generation with communication.
+//!   [`PcOptions::capacity`] is the batch size; batching *without* overlap
+//!   is `ls_baseline::matvec_alltoall`.
+//! * [`matvec_naive`] — the oracle: every off-locale contribution is one
+//!   remote atomic update. Maximal communication granularity; the baseline
+//!   the paper's buffering improves on and the reference the `ls-dist` and
+//!   `ls-baseline` tests compare against.
 //!
 //! Plus one pull-style baseline, [`matvec_gather`] (see [`gather`]):
 //! every locale replicates `x` through one-sided window reads and fills
@@ -21,7 +21,7 @@
 //! buffered formulations beat, kept both as the benchmark yardstick and
 //! as the solve mode that exercises the checksummed window read path.
 //!
-//! Under `LS_INTEGRITY=full` the push formulations additionally carry an
+//! Under `LS_INTEGRITY=full` the pipeline additionally carries an
 //! ABFT checksum vector (`AbftTally`): the sum of contributions
 //! generated for each destination must match the destination's realized
 //! part sum, catching endpoint corruption the wire CRCs cannot.
@@ -48,7 +48,7 @@ pub use pc::{matvec_pc, PcOptions};
 const ABFT_REL_TOL: f64 = 1e-10;
 
 /// Checksum-vector tally for algorithm-based fault tolerance over the
-/// push-style matvec formulations.
+/// producer/consumer matvec.
 ///
 /// `y` is zeroed before a product and only ever *accumulated* into, so
 /// for every destination locale `ℓ` the sum of `y.part(ℓ)` must equal
@@ -190,7 +190,7 @@ fn checksum_mismatch(sre: f64, sim: f64, mass: f64, yre: f64, yim: f64) -> Optio
 
 /// Ranks a shipped batch of `(state, coefficient)` pairs on behalf of
 /// `dest` with the bulk prefix-bucket kernel and accumulates it — the
-/// owner-side half of the batched formulations. `needles`/`idx` are
+/// owner-side half of the pipeline. `needles`/`idx` are
 /// caller-owned scratch reused across batches.
 pub(crate) fn accumulate_batch<S: Scalar>(
     basis: &DistSpinBasis,
@@ -289,88 +289,6 @@ pub fn matvec_naive<S: Scalar>(
     });
 }
 
-/// `y = H x` with per-destination batching: `(state, coefficient)` pairs
-/// are staged locally and shipped `batch` at a time, then accumulated on
-/// behalf of the destination locale.
-pub fn matvec_batched<S: Scalar>(
-    cluster: &Cluster,
-    op: &SymmetrizedOperator<S>,
-    basis: &DistSpinBasis,
-    x: &DistVec<S>,
-    y: &mut DistVec<S>,
-    batch: usize,
-) {
-    assert!(batch >= 1, "batch size must be positive");
-    validate_shapes(cluster, basis, x, y);
-    for part in y.parts_mut() {
-        part.fill(S::ZERO);
-    }
-    let locales = cluster.n_locales();
-    let abft = ls_runtime::IntegrityMode::from_env().full().then(|| AbftTally::new(locales));
-    let win = AtomicAccumWindow::new(y);
-    cluster.run(|ctx| {
-        let me = ctx.locale();
-        let states = basis.states().part(me);
-        let orbits = basis.orbit_sizes().part(me);
-        let x_local = x.part(me);
-        let mut tally = abft.as_ref().map(AbftTally::local);
-        let mut staging: Vec<Vec<(u64, S)>> =
-            (0..locales).map(|_| Vec::with_capacity(batch)).collect();
-        let mut row = Vec::with_capacity(op.max_row_entries());
-        let needles = std::cell::RefCell::new((Vec::new(), Vec::new()));
-
-        let flush = |ctx: &ls_runtime::LocaleCtx<'_>,
-                     dest: usize,
-                     pairs: &mut Vec<(u64, S)>| {
-            if pairs.is_empty() {
-                return;
-            }
-            // The bulk transfer of the batch...
-            ctx.stats().record_put(pairs.len() * std::mem::size_of::<(u64, S)>(), dest != me);
-            // ...after which ranking + accumulation happen on the
-            // destination's data (executed here on its behalf), through
-            // the interleaved bulk kernel.
-            let (needles, idx) = &mut *needles.borrow_mut();
-            accumulate_batch(basis, &win, dest, pairs, needles, idx);
-            pairs.clear();
-        };
-
-        for (j, (&alpha, &orbit)) in states.iter().zip(orbits).enumerate() {
-            let xj = x_local[j];
-            let d = op.diagonal(alpha);
-            if d != S::ZERO {
-                win.fetch_add(me, j, d * xj);
-                if let Some(t) = &mut tally {
-                    AbftTally::note(t, me, d * xj);
-                }
-            }
-            row.clear();
-            op.apply_off_diag(alpha, orbit, &mut row);
-            for &(rep, amp) in &row {
-                let dest = basis.owner(rep);
-                staging[dest].push((rep, amp * xj));
-                if let Some(t) = &mut tally {
-                    AbftTally::note(t, dest, amp * xj);
-                }
-                if staging[dest].len() >= batch {
-                    flush(ctx, dest, &mut staging[dest]);
-                }
-            }
-        }
-        for (dest, pairs) in staging.iter_mut().enumerate() {
-            flush(ctx, dest, pairs);
-        }
-        if let (Some(abft), Some(t)) = (&abft, &tally) {
-            abft.merge(t);
-        }
-        ctx.barrier_wait();
-    });
-    drop(win);
-    if let Some(abft) = &abft {
-        abft.verify(y);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,7 +355,7 @@ mod tests {
     }
 
     #[test]
-    fn naive_and_batched_match_serial() {
+    fn naive_matches_serial() {
         let (sector, op, basis, x, y_ref) = setup(12);
         for locales in [1usize, 3] {
             let cluster = Cluster::new(ClusterSpec::new(locales, 1));
@@ -448,20 +366,12 @@ mod tests {
                     xd.part_mut(l)[i] = x[basis.index_of(s).unwrap()];
                 }
             }
-            for batch in [None, Some(1), Some(7), Some(1024)] {
-                let mut yd = DistVec::<f64>::zeros(&dist.states().lens());
-                match batch {
-                    None => matvec_naive(&cluster, &op, &dist, &xd, &mut yd),
-                    Some(b) => matvec_batched(&cluster, &op, &dist, &xd, &mut yd, b),
-                }
-                for l in 0..locales {
-                    for (i, &s) in dist.states().part(l).iter().enumerate() {
-                        let expect = y_ref[basis.index_of(s).unwrap()];
-                        assert!(
-                            (yd.part(l)[i] - expect).abs() < 1e-11,
-                            "locales={locales} batch={batch:?}"
-                        );
-                    }
+            let mut yd = DistVec::<f64>::zeros(&dist.states().lens());
+            matvec_naive(&cluster, &op, &dist, &xd, &mut yd);
+            for l in 0..locales {
+                for (i, &s) in dist.states().part(l).iter().enumerate() {
+                    let expect = y_ref[basis.index_of(s).unwrap()];
+                    assert!((yd.part(l)[i] - expect).abs() < 1e-11, "locales={locales}");
                 }
             }
         }

@@ -1,8 +1,8 @@
 //! The gather (pull-style) matrix-vector product: every locale replicates
 //! `x` through one-sided RMA reads, then computes its own rows locally.
 //!
-//! This is the communication pattern the push-style formulations
-//! ([`crate::matvec::matvec_pc`] and friends) were built to avoid — each
+//! This is the communication pattern the push-style pipeline
+//! ([`crate::matvec::matvec_pc`]) was built to avoid — each
 //! product moves `O(dim)` bytes per locale instead of `O(matrix
 //! elements that cross a boundary)` — but it earns its keep twice:
 //!

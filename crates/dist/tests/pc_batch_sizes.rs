@@ -38,68 +38,44 @@ fn scatter(basis: &SpinBasis, dist: &DistSpinBasis, dense: &[f64]) -> DistVec<f6
 
 #[test]
 fn pc_pipeline_across_batch_capacities() {
-    let n = 12usize;
-    let kernel = heisenberg(&chain_bonds(n), 1.0).to_kernel(n as u32).unwrap();
-    let group = chain_group(n, 0, Some(0), Some(0)).unwrap();
-    let sector = SectorSpec::new(n as u32, Some(n as u32 / 2), group).unwrap();
-    let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
-    let basis = SpinBasis::build(sector.clone());
-    let x: Vec<f64> = (0..basis.dim()).map(|i| ((i as f64) * 0.73).sin() - 0.2).collect();
-    let y_ref = serial_reference(&op, &basis, &x);
+    // (sites, reflection sector, locale counts, cores per locale)
+    let cases: [(usize, Option<i64>, &[usize], usize); 2] =
+        [(12, Some(0), &[1, 3], 2), (10, None, &[4], 1)];
+    for (n, reflection, locale_counts, cores) in cases {
+        let kernel = heisenberg(&chain_bonds(n), 1.0).to_kernel(n as u32).unwrap();
+        let group = chain_group(n, 0, reflection, Some(0)).unwrap();
+        let sector = SectorSpec::new(n as u32, Some(n as u32 / 2), group).unwrap();
+        let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
+        let basis = SpinBasis::build(sector.clone());
+        let x: Vec<f64> = (0..basis.dim()).map(|i| ((i as f64) * 0.73).sin() - 0.2).collect();
+        let y_ref = serial_reference(&op, &basis, &x);
 
-    for locales in [1usize, 3] {
-        let cluster = Cluster::new(ClusterSpec::new(locales, 2));
-        let dist = enumerate_dist(&cluster, &sector, 2);
-        let xd = scatter(&basis, &dist, &x);
-        for capacity in [1usize, 7, 4096] {
-            for (producers, consumers) in [(1usize, 1usize), (2, 2)] {
-                let mut yd = DistVec::<f64>::zeros(&dist.states().lens());
-                matvec_pc(
-                    &cluster,
-                    &op,
-                    &dist,
-                    &xd,
-                    &mut yd,
-                    PcOptions { producers, consumers, capacity, ..PcOptions::default() },
-                );
-                for l in 0..locales {
-                    for (i, &s) in dist.states().part(l).iter().enumerate() {
-                        let expect = y_ref[basis.index_of(s).unwrap()];
-                        assert!(
-                            (yd.part(l)[i] - expect).abs() < 1e-11,
-                            "locales={locales} capacity={capacity} p={producers} \
-                             c={consumers} state={s:#b}"
-                        );
+        for &locales in locale_counts {
+            let cluster = Cluster::new(ClusterSpec::new(locales, cores));
+            let dist = enumerate_dist(&cluster, &sector, 2);
+            let xd = scatter(&basis, &dist, &x);
+            for capacity in [1usize, 7, 4096] {
+                for (producers, consumers) in [(1usize, 1usize), (2, 2)] {
+                    let mut yd = DistVec::<f64>::zeros(&dist.states().lens());
+                    matvec_pc(
+                        &cluster,
+                        &op,
+                        &dist,
+                        &xd,
+                        &mut yd,
+                        PcOptions { producers, consumers, capacity, ..PcOptions::default() },
+                    );
+                    for l in 0..locales {
+                        for (i, &s) in dist.states().part(l).iter().enumerate() {
+                            let expect = y_ref[basis.index_of(s).unwrap()];
+                            assert!(
+                                (yd.part(l)[i] - expect).abs() < 1e-11,
+                                "n={n} locales={locales} capacity={capacity} p={producers} \
+                                 c={consumers} state={s:#b}"
+                            );
+                        }
                     }
                 }
-            }
-        }
-    }
-}
-
-#[test]
-fn batched_formulation_across_batch_sizes() {
-    // The per-destination staged (non-pipelined) batched matvec with the
-    // same 1 / 7 / 4096 batch sizes.
-    let n = 10usize;
-    let kernel = heisenberg(&chain_bonds(n), 1.0).to_kernel(n as u32).unwrap();
-    let group = chain_group(n, 0, None, Some(0)).unwrap();
-    let sector = SectorSpec::new(n as u32, Some(n as u32 / 2), group).unwrap();
-    let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
-    let basis = SpinBasis::build(sector.clone());
-    let x: Vec<f64> = (0..basis.dim()).map(|i| ((i as f64) * 1.37).cos()).collect();
-    let y_ref = serial_reference(&op, &basis, &x);
-
-    let cluster = Cluster::new(ClusterSpec::new(4, 1));
-    let dist = enumerate_dist(&cluster, &sector, 3);
-    let xd = scatter(&basis, &dist, &x);
-    for batch in [1usize, 7, 4096] {
-        let mut yd = DistVec::<f64>::zeros(&dist.states().lens());
-        ls_dist::matvec::matvec_batched(&cluster, &op, &dist, &xd, &mut yd, batch);
-        for l in 0..4 {
-            for (i, &s) in dist.states().part(l).iter().enumerate() {
-                let expect = y_ref[basis.index_of(s).unwrap()];
-                assert!((yd.part(l)[i] - expect).abs() < 1e-11, "batch={batch}");
             }
         }
     }

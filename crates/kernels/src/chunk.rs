@@ -1,21 +1,16 @@
 //! Centralized chunk-sizing heuristics for the parallel sweeps.
 //!
-//! Every parallel loop in the workspace (shared-memory matvec strategies,
-//! the scatter partitioner, the distributed producer blocks) used to carry
-//! its own copy of the `total / parts, at least min` arithmetic. The
-//! copies live here now, expressed through one tunable helper
-//! ([`chunk_len`]), so a tuning change propagates everywhere at once.
+//! Every parallel loop in the workspace used to carry its own copy of the
+//! `total / parts, at least min` arithmetic. The copies live here now,
+//! expressed through one tunable helper ([`chunk_len`]), so a tuning
+//! change propagates everywhere at once.
 //!
 //! **Determinism contract:** [`par_chunk`] depends only on the problem
 //! size — *not* on the thread count. The persistent pool claims chunks
 //! dynamically (an atomic cursor), so load balancing no longer needs
 //! thread-count-aware splitting; fixing the partition shape is what makes
 //! the fused per-chunk reduction partials (matvec+dot) bit-identical for
-//! any `LS_NUM_THREADS`. Helpers that *are* thread-dependent
-//! ([`dest_block_size`], [`rows_per_chunk`]) only bound staging memory and
-//! task granularity; they never change floating-point summation order
-//! (the scatter merge replays contributions in serial source order
-//! regardless of the partition).
+//! any `LS_NUM_THREADS`.
 
 /// Fixed over-partition factor for thread-independent parallel sweeps:
 /// enough chunks that dynamic claiming balances symmetry-skewed sectors
@@ -27,10 +22,11 @@ pub const PAR_PARTS: usize = 512;
 /// bookkeeping (scratch checkout, cursor claim) is no longer amortized.
 pub const MIN_PAR_ROWS: usize = 64;
 
-/// Rows a batched strategy processes per generation block: large enough
-/// to amortize the per-block group pass and bulk ranking, small enough
-/// that the block's SoA emission arrays stay cache-resident. Shared by
-/// the shared-memory batched strategies and the distributed producers.
+/// Rows the shared-memory batched engine processes per generation block:
+/// large enough to amortize the per-block group pass and bulk ranking,
+/// small enough that the block's SoA emission arrays stay cache-resident.
+/// The distributed producers block on their own, smaller constant
+/// (`GEN_BLOCK` in `ls-dist`'s `matvec/pc.rs`), not on this one.
 pub const BATCH_ROWS: usize = 1024;
 
 /// The one tunable helper: splits `total` items into at most `parts`
@@ -48,21 +44,6 @@ pub fn chunk_len(total: usize, parts: usize, min_len: usize) -> usize {
 #[inline]
 pub fn par_chunk(total: usize) -> usize {
     chunk_len(total, PAR_PARTS, MIN_PAR_ROWS)
-}
-
-/// Destination-block size for the scatter partition: power of two (the
-/// partition key is a shift), sized for a few blocks per thread.
-#[inline]
-pub fn dest_block_size(total: usize, threads: usize) -> usize {
-    chunk_len(total, (threads * 4).max(8), 1).next_power_of_two().max(64)
-}
-
-/// Source rows per staged chunk for wave-produced scatter emissions: a
-/// few chunks per thread, clamped so the triple staging stays bounded
-/// regardless of the sector dimension.
-#[inline]
-pub fn rows_per_chunk(total: usize, threads: usize) -> usize {
-    chunk_len(total, (threads * 4).max(1), 1).clamp(256, 1 << 14)
 }
 
 #[cfg(test)]
@@ -95,31 +76,5 @@ mod tests {
         }
         // Explicitly: no thread-count input exists; same total, same chunk.
         assert_eq!(par_chunk(1 << 20), par_chunk(1 << 20));
-    }
-
-    #[test]
-    fn dest_block_size_is_power_of_two() {
-        for total in [0usize, 1, 1000, 1 << 22] {
-            for threads in [1usize, 2, 16, 128] {
-                let b = dest_block_size(total, threads);
-                assert!(b.is_power_of_two());
-                assert!(b >= 64);
-            }
-        }
-        // Matches the historical inline formula.
-        assert_eq!(
-            dest_block_size(1 << 20, 4),
-            ((1usize << 20).div_ceil(16)).next_power_of_two().max(64)
-        );
-    }
-
-    #[test]
-    fn rows_per_chunk_is_clamped() {
-        for total in [0usize, 10, 100_000, 1 << 30] {
-            for threads in [1usize, 8, 64] {
-                let r = rows_per_chunk(total, threads);
-                assert!((256..=1 << 14).contains(&r));
-            }
-        }
     }
 }

@@ -97,63 +97,6 @@ impl Default for PartitionScratch {
     }
 }
 
-/// Radix partitioner for matvec emissions: groups generated
-/// `(dest_index, amplitude, src_index)` triples by *destination block*
-/// (`dest_index >> block_bits`), so each block of the output vector can be
-/// accumulated by exactly one thread in a sequential sweep — no atomics.
-///
-/// The partition is stable (counting sort), which preserves the
-/// generation order inside every block; the batched push matvec relies on
-/// that for bit-reproducible accumulation. All buffers are caller-owned
-/// and reused across calls.
-#[derive(Clone, Debug, Default)]
-pub struct BlockPartitioner {
-    keys: Vec<u16>,
-    perm: Vec<u32>,
-    offsets: Vec<u32>,
-}
-
-impl BlockPartitioner {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Partitions the parallel arrays `(dest, amp, src)` into
-    /// `num_blocks` destination blocks of `1 << block_bits` indices each,
-    /// writing grouped copies into the `*_out` vectors. Returns the block
-    /// offsets: block `b` occupies output range `offsets[b] ..
-    /// offsets[b + 1]`.
-    #[allow(clippy::too_many_arguments)] // three parallel in/out array pairs
-    pub fn partition<S: Copy + Default>(
-        &mut self,
-        block_bits: u32,
-        num_blocks: usize,
-        dest: &[u32],
-        amp: &[S],
-        src: &[u32],
-        dest_out: &mut Vec<u32>,
-        amp_out: &mut Vec<S>,
-        src_out: &mut Vec<u32>,
-    ) -> &[u32] {
-        debug_assert_eq!(dest.len(), amp.len());
-        debug_assert_eq!(dest.len(), src.len());
-        assert!(num_blocks <= u16::MAX as usize + 1, "too many destination blocks");
-        self.keys.clear();
-        self.keys.extend(dest.iter().map(|&d| {
-            debug_assert!(
-                ((d >> block_bits) as usize) < num_blocks,
-                "destination index {d} exceeds the block range"
-            );
-            (d >> block_bits) as u16
-        }));
-        counting_sort_perm(&self.keys, num_blocks, &mut self.perm, &mut self.offsets);
-        apply_perm(&self.perm, dest, dest_out);
-        apply_perm(&self.perm, amp, amp_out);
-        apply_perm(&self.perm, src, src_out);
-        &self.offsets
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,30 +127,6 @@ mod tests {
         // Coefficients travel with their states:
         assert_eq!(c_out[0], 0.5);
         assert_eq!(c_out[5], 0.0);
-    }
-
-    #[test]
-    fn block_partitioner_groups_and_is_stable() {
-        // Destination indices over 4 blocks of 8 (block_bits = 3).
-        let dest: Vec<u32> = vec![25, 3, 9, 26, 1, 14, 8, 31, 0];
-        let amp: Vec<f64> = (0..dest.len()).map(|i| i as f64 + 0.25).collect();
-        let src: Vec<u32> = (100..100 + dest.len() as u32).collect();
-        let mut p = BlockPartitioner::new();
-        let (mut d, mut a, mut s) = (Vec::new(), Vec::new(), Vec::new());
-        let offsets = p.partition(3, 4, &dest, &amp, &src, &mut d, &mut a, &mut s).to_vec();
-        assert_eq!(offsets, vec![0, 3, 6, 6, 9]);
-        // Block 0 (< 8) keeps generation order; payloads travel along.
-        assert_eq!(&d[0..3], &[3, 1, 0]);
-        assert_eq!(&s[0..3], &[101, 104, 108]);
-        assert_eq!(a[0], 1.25);
-        // Block 1 (8..16):
-        assert_eq!(&d[3..6], &[9, 14, 8]);
-        // Block 3 (24..32):
-        assert_eq!(&d[6..9], &[25, 26, 31]);
-        // Reuse with an empty input.
-        let offsets = p.partition(3, 4, &[], &[] as &[f64], &[], &mut d, &mut a, &mut s);
-        assert_eq!(offsets, &[0, 0, 0, 0, 0]);
-        assert!(d.is_empty() && a.is_empty() && s.is_empty());
     }
 
     #[test]

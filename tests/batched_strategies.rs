@@ -1,17 +1,17 @@
 //! Property tests pinning the batched matvec engine to its scalar
-//! references, bit for bit.
+//! reference, bit for bit.
 //!
-//! The batched strategies are engineered to perform the identical
-//! floating-point operations in the identical order as their references:
-//! `BatchedPush` replays the `Serial` (push-order) accumulation through
-//! destination-partitioned merges, and `BatchedPull` replays the scalar
-//! pull accumulation (per output element: diagonal, then channels in
+//! The engine is built to perform the identical floating-point
+//! operations in the identical order as the scalar gather
+//! (`apply_pull_pooled`; per output element: diagonal, then channels in
 //! ascending order). These tests therefore assert *equality*, not
-//! tolerance — any reordering regression fails immediately.
+//! tolerance — any reordering regression fails immediately — on every
+//! sector family the engine has a distinct path for, and agreement with
+//! the `Serial` oracle to rounding.
 
 use exact_diag::basis::{SectorSpec, SpinBasis, SymmetrizedOperator};
 use exact_diag::core::matvec::{
-    apply_batched_pull, apply_batched_push, apply_pull, apply_serial,
+    apply_batched_pull_pooled, apply_pull_pooled, apply_serial_pooled, MatvecScratchPool,
 };
 use exact_diag::prelude::*;
 use proptest::prelude::*;
@@ -25,71 +25,84 @@ fn random_vec(dim: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
+/// Engine ≡ scalar gather bit for bit, engine ≈ `Serial` to 1e-10, for
+/// `expr` compiled against `sector`'s local Hilbert space.
+fn check_engine<S: Scalar>(expr: &Expr, sector: SectorSpec, seed: u64) -> Result<(), String> {
+    let hilbert = LocalHilbert::from_encoding(sector.encoding());
+    let kernel = expr.to_kernel_in(&hilbert, sector.n_sites()).unwrap();
+    let op = SymmetrizedOperator::<S>::new(&kernel, &sector).unwrap();
+    let basis = SpinBasis::build(sector);
+    let dim = basis.dim();
+    let x: Vec<S> = random_vec(dim, seed)
+        .into_iter()
+        .zip(random_vec(dim, !seed))
+        .map(|(re, im)| S::from_reals([re, im]))
+        .collect();
+
+    let pool = MatvecScratchPool::new();
+    let mut y_serial = vec![S::ZERO; dim];
+    let mut y_pull = vec![S::ZERO; dim];
+    let mut y_engine = vec![S::ZERO; dim];
+    apply_serial_pooled(&op, &basis, &x, &mut y_serial, &pool);
+    apply_pull_pooled(&op, &basis, &x, &mut y_pull, &pool);
+    apply_batched_pull_pooled(&op, &basis, &x, &mut y_engine, &pool);
+
+    for i in 0..dim {
+        prop_assert_eq!(y_engine[i], y_pull[i], "engine vs scalar gather at {}", i);
+        prop_assert!(
+            y_engine[i].approx_eq(y_serial[i], 1e-10),
+            "engine vs serial at {}: {:?} vs {:?}",
+            i,
+            y_engine[i],
+            y_serial[i]
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// Random XXZ couplings, random sectors with and without symmetries:
-    /// the batched strategies are bit-exact twins of their references and
-    /// agree with `Serial` to rounding.
+    /// Random couplings on every sector family the engine has a distinct
+    /// path for — with and without symmetries, real and complex
+    /// characters, spin-1/2, spinful fermions and spin-1: the engine is the
+    /// bit-exact twin of the scalar gather and agrees with `Serial` to
+    /// rounding.
     #[test]
     fn batched_strategies_bitexact(
         jxy in 0.1f64..3.0,
         delta in -2.0f64..2.0,
         n_choice in 0usize..3,
-        sym_choice in 0usize..4,
         seed in any::<u64>(),
     ) {
         let n = [8usize, 10, 12][n_choice];
-        let sector = match sym_choice {
-            // U(1)-only: combinadic ranking, the differential-ranking
-            // fused path.
-            0 => SectorSpec::with_weight(n as u32, n as u32 / 2).unwrap(),
-            // Translation (k = 0).
-            1 => SectorSpec::new(
-                n as u32,
-                Some(n as u32 / 2),
-                chain_group(n, 0, None, None).unwrap(),
-            )
-            .unwrap(),
-            // Full chain symmetry: translation + reflection + spin flip.
-            2 => SectorSpec::new(
-                n as u32,
-                Some(n as u32 / 2),
-                chain_group(n, 0, Some(0), Some(0)).unwrap(),
-            )
-            .unwrap(),
-            // k = π (real characters, non-trivial phases).
-            _ => SectorSpec::new(
-                n as u32,
-                Some(n as u32 / 2),
-                chain_group(n, n as i64 / 2, None, None).unwrap(),
-            )
-            .unwrap(),
+        let spin_half = xxz(&chain_bonds(n), jxy, delta);
+        let chain = |momentum, reflection, inversion| {
+            let group = chain_group(n, momentum, reflection, inversion).unwrap();
+            SectorSpec::new(n as u32, Some(n as u32 / 2), group).unwrap()
         };
-        let kernel = xxz(&chain_bonds(n), jxy, delta).to_kernel(n as u32).unwrap();
-        let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
-        let basis = SpinBasis::build(sector);
-        let x = random_vec(basis.dim(), seed);
+        // U(1)-only: combinadic ranking, the differential-ranking fused
+        // path.
+        let u1 = SectorSpec::with_weight(n as u32, n as u32 / 2).unwrap();
+        check_engine::<f64>(&spin_half, u1, seed)?;
+        // Translation (k = 0).
+        check_engine::<f64>(&spin_half, chain(0, None, None), seed)?;
+        // Full chain symmetry: translation + reflection + spin flip.
+        check_engine::<f64>(&spin_half, chain(0, Some(0), Some(0)), seed)?;
+        // k = π (real characters, non-trivial phases).
+        check_engine::<f64>(&spin_half, chain(n as i64 / 2, None, None), seed)?;
+        // k = 2π/n (complex characters).
+        check_engine::<Complex64>(&spin_half, chain(1, None, None), seed)?;
 
-        let mut y_serial = vec![0.0; basis.dim()];
-        let mut y_pull = vec![0.0; basis.dim()];
-        let mut y_bpull = vec![0.0; basis.dim()];
-        let mut y_bpush = vec![0.0; basis.dim()];
-        apply_serial(&op, &basis, &x, &mut y_serial);
-        apply_pull(&op, &basis, &x, &mut y_pull);
-        apply_batched_pull(&op, &basis, &x, &mut y_bpull);
-        apply_batched_push(&op, &basis, &x, &mut y_bpush);
-
-        for i in 0..basis.dim() {
-            // Bit-exact twins.
-            prop_assert_eq!(y_bpush[i], y_serial[i], "batched push vs serial at {}", i);
-            prop_assert_eq!(y_bpull[i], y_pull[i], "batched pull vs pull at {}", i);
-            // Cross-formulation agreement to rounding.
-            prop_assert!(
-                (y_bpull[i] - y_serial[i]).abs() < 1e-10,
-                "pull vs serial at {}: {} vs {}", i, y_bpull[i], y_serial[i]
-            );
-        }
+        let sites = [4usize, 6, 7][n_choice];
+        // Spinful fermions: Jordan-Wigner signs keep the U(1)-only sector
+        // off the fused path; prefix-bucket ranking.
+        let filling = sites as u32 / 2;
+        let hubbard = SectorSpec::spinful_fermions(sites as u32, filling, filling).unwrap();
+        check_engine::<f64>(&hubbard_1d(sites, jxy, 2.0 * delta, true), hubbard, seed)?;
+        // Spin-1 (two bits per site), total Sz = 0.
+        let spin_one = SectorSpec::spin_s(sites as u32, 3, Some(sites as u32)).unwrap();
+        check_engine::<f64>(&xxz(&chain_bonds(sites), jxy, delta), spin_one, seed)?;
     }
 
     /// Repeated applies through one `Operator` (its scratch pool warm)
@@ -112,7 +125,7 @@ proptest! {
         let strategy = if strategy_choice == 0 {
             MatvecStrategy::BatchedPull
         } else {
-            MatvecStrategy::BatchedPush
+            MatvecStrategy::Serial
         };
         let op = op.with_strategy(strategy);
         let x = random_vec(basis.dim(), seed);

@@ -8,7 +8,7 @@ use exact_diag::baseline::{matvec_alltoall, StoredMatrix};
 use exact_diag::basis::{SectorSpec, SpinBasis, SymmetrizedOperator};
 use exact_diag::core::matvec::apply_serial;
 use exact_diag::dist::convert::{hashed_masks, to_block};
-use exact_diag::dist::matvec::{matvec_batched, matvec_naive, matvec_pc, PcOptions};
+use exact_diag::dist::matvec::{matvec_naive, matvec_pc, PcOptions};
 use exact_diag::dist::{block_to_hashed, enumerate_dist, hashed_to_block};
 use exact_diag::prelude::*;
 use exact_diag::runtime::{Cluster, ClusterSpec, DistVec};
@@ -73,10 +73,6 @@ fn every_matvec_agrees_with_serial_reference() {
         let mut yd = DistVec::<f64>::zeros(&lens);
         matvec_naive(&cluster, &op, &dist, &xd, &mut yd);
         check(&yd, "naive");
-
-        let mut yd = DistVec::<f64>::zeros(&lens);
-        matvec_batched(&cluster, &op, &dist, &xd, &mut yd, 32);
-        check(&yd, "batched");
 
         let mut yd = DistVec::<f64>::zeros(&lens);
         matvec_pc(

@@ -7,8 +7,6 @@
 //! Why this holds by construction:
 //! * batched pull computes every output element independently, in a fixed
 //!   per-row channel order;
-//! * batched push replays contributions in serial source order during the
-//!   merge sweep, regardless of how chunks were claimed;
 //! * every Lanczos reduction (`par_dot`, `par_norm_sqr`, the fused
 //!   matvec+dot and axpy+norm epilogues) uses per-block partials over a
 //!   thread-independent partition combined in a fixed pairwise tree;
@@ -26,7 +24,7 @@ mod common;
 
 use common::{bits, random_vec, sectors, tmp_path};
 use exact_diag::basis::{SectorSpec, SpinBasis, SymmetrizedOperator};
-use exact_diag::core::matvec::{apply_batched_pull_pooled, apply_batched_push_pooled};
+use exact_diag::core::matvec::apply_batched_pull_pooled;
 use exact_diag::core::MatvecScratchPool;
 use exact_diag::eigen::{thick_restart_lanczos, CheckpointPolicy, RestartOptions};
 use exact_diag::prelude::*;
@@ -46,8 +44,6 @@ fn check_sector(n: usize, sector: SectorSpec, threads: usize) {
         let pool = MatvecScratchPool::new();
         let mut pull = vec![0.0; dim];
         apply_batched_pull_pooled(&op, &basis, &x, &mut pull, &pool);
-        let mut push = vec![0.0; dim];
-        apply_batched_push_pooled(&op, &basis, &x, &mut push, &pool);
 
         // Full 30-step Lanczos ground-state run through the public
         // operator (fused matvec+dot epilogue, parallel BLAS-1, shared
@@ -66,7 +62,6 @@ fn check_sector(n: usize, sector: SectorSpec, threads: usize) {
         rayon::set_thread_limit(prev);
         (
             bits(&pull),
-            bits(&push),
             res.eigenvalues[0].to_bits(),
             bits(&res.eigenvectors.unwrap()[0]),
             res.iterations,
@@ -75,16 +70,15 @@ fn check_sector(n: usize, sector: SectorSpec, threads: usize) {
     let serial = run(1);
     let parallel = run(threads);
     assert_eq!(serial.0, parallel.0, "batched pull diverged (n={n})");
-    assert_eq!(serial.1, parallel.1, "batched push diverged (n={n})");
     assert_eq!(
-        serial.2,
-        parallel.2,
+        serial.1,
+        parallel.1,
         "Lanczos ground-state energy diverged (n={n}): {} vs {}",
-        f64::from_bits(serial.2),
-        f64::from_bits(parallel.2)
+        f64::from_bits(serial.1),
+        f64::from_bits(parallel.1)
     );
-    assert_eq!(serial.3, parallel.3, "Lanczos ground-state vector diverged (n={n})");
-    assert_eq!(serial.4, parallel.4, "Lanczos iteration count diverged (n={n})");
+    assert_eq!(serial.2, parallel.2, "Lanczos ground-state vector diverged (n={n})");
+    assert_eq!(serial.3, parallel.3, "Lanczos iteration count diverged (n={n})");
 }
 
 /// A thick-restart solve that is checkpointed, dropped after two restart

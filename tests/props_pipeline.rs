@@ -3,7 +3,7 @@
 mod common;
 
 use exact_diag::basis::{SectorSpec, SpinBasis, SymmetrizedOperator};
-use exact_diag::core::matvec::{apply_pull, apply_push, apply_serial};
+use exact_diag::core::matvec::{apply_batched_pull, apply_pull, apply_serial};
 use exact_diag::dist::convert::{block_to_hashed, hashed_to_block, to_block};
 use exact_diag::prelude::*;
 use exact_diag::runtime::{Cluster, ClusterSpec};
@@ -12,8 +12,8 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random XXZ couplings in random real sectors: the three
-    /// shared-memory matvec strategies agree on random vectors.
+    /// Random XXZ couplings in random real sectors: the serial oracle, the
+    /// scalar gather and the batched engine agree on random vectors.
     #[test]
     fn matvec_strategies_agree_on_random_xxz(
         jxy in 0.1f64..3.0,
@@ -35,7 +35,7 @@ proptest! {
         let mut y3 = vec![0.0; basis.dim()];
         apply_serial(&op, &basis, &x, &mut y1);
         apply_pull(&op, &basis, &x, &mut y2);
-        apply_push(&op, &basis, &x, &mut y3);
+        apply_batched_pull(&op, &basis, &x, &mut y3);
         for i in 0..basis.dim() {
             prop_assert!((y1[i] - y2[i]).abs() < 1e-10);
             prop_assert!((y1[i] - y3[i]).abs() < 1e-10);
