@@ -1,0 +1,112 @@
+//! Bit pins of the thick-restart trajectory under the repo benchmark's
+//! solver options (`k = 2`, 26-vector budget, `tol = 1e-10`, default
+//! seed): products performed, vector high-water mark and the bits of both
+//! eigenvalues, on one sector per storage and product path the solver
+//! runs on —
+//!
+//! * `f64` on a 16-site U(1) Heisenberg ring (combinadic ranking, fused
+//!   generation),
+//! * `Complex64` on a 14-site momentum sector with complex characters,
+//! * `f64` on an 8-site Hubbard ring with 3 up + 3 down fermions
+//!   (Jordan-Wigner signs, prefix-bucket ranking),
+//! * `DistVec<f64>` on the U(1) ring hashed over 2 in-process locales
+//!   with the deterministic producer/consumer pipeline.
+//!
+//! Every case needs at least one restart, so compression, the arrowhead
+//! solve and the boundary convergence test are all on the pinned path.
+//! The constants were captured before the unrestarted recurrence was
+//! folded into the restart driver; a refactor of the solver must leave
+//! them untouched — any change means a restarted solve took a different
+//! trajectory.
+
+use exact_diag::basis::RankingKind;
+use exact_diag::dist::eigensolve::{dist_thick_restart_lanczos, DistRestartOptions};
+use exact_diag::dist::{enumerate_dist, PcOptions};
+use exact_diag::eigen::{thick_restart_lanczos, LanczosResultIn};
+use exact_diag::kernels::Complex64;
+use exact_diag::prelude::*;
+use exact_diag::runtime::{Cluster, ClusterSpec};
+
+/// The first cycle of a 26-vector budget at `k = 2`.
+const FIRST_CYCLE: usize = 17;
+
+/// `benchmark/src/surface.rs::restart_options`.
+fn bench_options() -> RestartOptions {
+    RestartOptions { k: 2, extra: 24, tol: 1e-10, ..RestartOptions::new(2) }
+}
+
+fn assert_pinned<V>(
+    what: &str,
+    res: &LanczosResultIn<V>,
+    iterations: usize,
+    peak_retained: usize,
+    eigenvalue_bits: [u64; 2],
+) {
+    assert!(res.converged, "{what}: not converged, residuals {:?}", res.residuals);
+    assert!(res.iterations > FIRST_CYCLE, "{what}: no restart was needed");
+    let got: Vec<u64> = res.eigenvalues.iter().map(|e| e.to_bits()).collect();
+    assert_eq!(
+        (res.iterations, res.peak_retained, got.as_slice()),
+        (iterations, peak_retained, &eigenvalue_bits[..]),
+        "{what}: got {} products, peak {}, eigenvalues {:?} = {got:#x?}",
+        res.iterations,
+        res.peak_retained,
+        res.eigenvalues,
+    );
+}
+
+fn u1_ring16() -> (Expr, SectorSpec) {
+    (heisenberg(&chain_bonds(16), 1.0), SectorSpec::with_weight(16, 8).unwrap())
+}
+
+#[test]
+fn u1_ring_f64() {
+    let (expr, sector) = u1_ring16();
+    let (basis, op) = Operator::<f64>::from_expr(&expr, sector).unwrap();
+    assert_eq!(basis.ranking(), RankingKind::Combinadic);
+    assert_eq!(op.strategy(), MatvecStrategy::BatchedPull);
+    let res = thick_restart_lanczos(&op, &bench_options());
+    assert_pinned("u1 ring", &res, 71, 26, [0xc01c91b6231cc1e6, 0xc01b7d098878d487]);
+}
+
+#[test]
+fn momentum_sector_complex64() {
+    let n = 14usize;
+    let group = chain_group(n, 3, None, None).unwrap();
+    let sector = SectorSpec::new(n as u32, Some(7), group).unwrap();
+    let (_, op) =
+        Operator::<Complex64>::from_expr(&heisenberg(&chain_bonds(n), 1.0), sector).unwrap();
+    let res = thick_restart_lanczos(&op, &bench_options());
+    assert_pinned("momentum sector", &res, 62, 26, [0xc01244964f20cdee, 0xc01190b8fd32a050]);
+}
+
+#[test]
+fn hubbard_ring_f64() {
+    let sector = SectorSpec::spinful_fermions(8, 3, 3).unwrap();
+    let (basis, op) =
+        Operator::<f64>::from_expr(&hubbard_1d(8, 1.0, 4.0, true), sector).unwrap();
+    assert_eq!(basis.ranking(), RankingKind::PrefixBuckets);
+    let res = thick_restart_lanczos(&op, &bench_options());
+    assert_pinned("hubbard ring", &res, 107, 26, [0xc01ab05425bf798f, 0xc016e3bbb5c4358e]);
+}
+
+#[test]
+fn u1_ring_distvec_two_locales() {
+    let (expr, sector) = u1_ring16();
+    let kernel = expr.to_kernel(16).unwrap();
+    let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
+    let cluster = Cluster::new(ClusterSpec::new(2, 1));
+    let basis = enumerate_dist(&cluster, &sector, 3);
+    let opts = DistRestartOptions {
+        restart: bench_options(),
+        pc: PcOptions { deterministic: true, ..PcOptions::default() },
+    };
+    let res = dist_thick_restart_lanczos(&cluster, &op, &basis, &opts);
+    assert_pinned(
+        "u1 ring on 2 locales",
+        &res,
+        71,
+        26,
+        [0xc01c91b6231cc1eb, 0xc01b7d098878d4a4],
+    );
+}
