@@ -3,7 +3,7 @@
 //!
 //! Two configurations on the same U(1) sector:
 //!
-//! * **full** — the unrestarted solver (every Krylov vector retained):
+//! * **full** — the recurrence as one cycle (every Krylov vector retained):
 //!   fastest in matvec count, but its memory high-water mark grows with
 //!   the iteration count — `(m + 1) · dim` scalars.
 //! * **thick** — thick-restart Lanczos
@@ -110,7 +110,7 @@ fn main() {
             &LanczosOptions {
                 max_iter: dim.min(1000),
                 tol,
-                max_retained: usize::MAX, // pin the unrestarted path
+                max_retained: usize::MAX, // one cycle, every vector kept
                 ..Default::default()
             },
         );

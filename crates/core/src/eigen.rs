@@ -1,4 +1,8 @@
-//! Convenience eigensolver entry points.
+//! Convenience eigensolver entry points. The first four solve under
+//! `LanczosOptions::default()` (`tol = 1e-10`, at most 128 retained
+//! vectors) and cost the products their convergence takes: a solve that
+//! converges inside its first cycle stops at that step, not at the
+//! cycle's end.
 
 use crate::operator::Operator;
 use ls_eigen::{

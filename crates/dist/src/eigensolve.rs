@@ -2,9 +2,11 @@
 //!
 //! The Krylov recurrence itself is tiny; everything expensive is the
 //! matrix-vector product. [`DistOp`] exposes the producer/consumer
-//! product as an [`ls_eigen::KrylovOp`] over [`DistVec`], so the generic
-//! solver ([`ls_eigen::lanczos_smallest_in`]) runs the whole recurrence
-//! on the locale parts: Krylov vectors are allocated once per solve in
+//! product as an [`ls_eigen::KrylovOp`] over [`DistVec`], so the one
+//! generic recurrence of `ls-eigen` — behind both
+//! [`ls_eigen::lanczos_smallest_in`] and
+//! [`ls_eigen::thick_restart_lanczos_in`], which differ only in how they
+//! plan its cycles — runs on the locale parts: Krylov vectors are allocated once per solve in
 //! the hashed distribution and never gathered, reorthogonalization runs
 //! on the per-part fused BLAS-1 kernels (locale-ordered reductions — the
 //! `allreduce` of a real cluster), and `α_j` falls out of the product
@@ -36,10 +38,10 @@ use std::sync::RwLock;
 #[derive(Clone, Debug, Default)]
 pub struct DistLanczosOptions {
     /// The inner Krylov iteration (tolerance, max iterations, seed,
-    /// retained-basis budget, checkpoint policy, ...). When `max_iter`
-    /// exceeds `max_retained` the distributed solve routes through
-    /// thick-restart Lanczos exactly like the shared-memory one —
-    /// distributed Krylov vectors included.
+    /// retained-basis budget, checkpoint policy, ...), planned exactly
+    /// as for a shared-memory solve: one cycle keeping every (distributed)
+    /// Krylov vector when `max_iter` fits `max_retained`, thick-restart
+    /// cycles cut to that budget when it does not.
     pub lanczos: LanczosOptions,
     /// Producer/consumer pipeline tuning for every matrix-vector product.
     pub pc: PcOptions,

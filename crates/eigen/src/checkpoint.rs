@@ -199,20 +199,24 @@ pub fn save_checkpoint<V: KrylovVec>(
     path: &Path,
     state: &CheckpointState<V>,
 ) -> io::Result<()> {
-    save_checkpoint_ref(
-        path,
-        &CheckpointStateRef {
-            k: state.k,
-            budget: state.budget,
-            restarts: state.restarts,
-            draws: state.draws,
-            breakdowns: state.breakdowns,
-            retained: state.retained,
-            diag: &state.diag,
-            border: &state.border,
-            basis: &state.basis,
-        },
-    )
+    save_checkpoint_ref(path, &state.borrowed())
+}
+
+impl<V> CheckpointState<V> {
+    /// The borrowed view the write paths take.
+    pub(crate) fn borrowed(&self) -> CheckpointStateRef<'_, V> {
+        CheckpointStateRef {
+            k: self.k,
+            budget: self.budget,
+            restarts: self.restarts,
+            draws: self.draws,
+            breakdowns: self.breakdowns,
+            retained: self.retained,
+            diag: &self.diag,
+            border: &self.border,
+            basis: &self.basis,
+        }
+    }
 }
 
 /// Serializes a checkpoint into its on-disk byte image (header, state,

@@ -60,7 +60,7 @@ pub fn max_rollbacks_from_env() -> usize {
 #[derive(Clone, Debug, PartialEq)]
 pub struct SolverHealthError {
     /// Completed restart cycles at the time of detection (0 during the
-    /// first cycle and for the unrestarted solver).
+    /// first cycle, so always 0 on a single-cycle plan).
     pub cycle: usize,
     /// Which invariant failed (`"alpha"`, `"beta"`, `"ritz"`,
     /// `"residual"`, `"orthogonality"`).

@@ -1,39 +1,38 @@
-//! Lanczos with full reorthogonalization, on the parallel fused BLAS-1
-//! pipeline — generic over the Krylov vector storage.
+//! The Lanczos step and the iteration-count front end — generic over the
+//! Krylov vector storage.
 //!
 //! Plain three-term Lanczos loses orthogonality in floating point (ghost
 //! eigenvalues); since our Krylov dimensions are modest (≲ a few hundred)
-//! we keep all basis vectors and reorthogonalize every new vector twice
-//! ("twice is enough", Kahan–Parlett). Memory is `m · dim` scalars, which
-//! is the same trade the real `lattice-symmetries` makes for robustness.
+//! every new vector is reorthogonalized against all retained ones, twice
+//! ("twice is enough", Kahan–Parlett), as *blocked* classical
+//! Gram–Schmidt: `cgs2_beta` sweeps `w` once per pass to take all
+//! coefficients at a go (`multi_dot`) and once to apply them, the second
+//! update fused with the β norm ([`KrylovVec::multi_axpy_norm_sqr`]).
+//! With the fused matvec+dot ([`KrylovOp::apply_dot`]: `α_j` falls out of
+//! the product) that is one Lanczos step. On `Vec<S>` it lowers to the
+//! kernels of [`crate::op`] (bit-identical for any `LS_NUM_THREADS`); on
+//! `DistVec<S>` it runs in place on the locale parts.
 //!
-//! The recurrence is written once, against [`KrylovVec`] /
-//! [`KrylovOp`] ([`lanczos_smallest_in`]): between the matrix-vector
-//! products every vector operation is a fused deterministic primitive —
-//! reorthogonalization is *blocked* CGS2 (`multi_dot` / `multi_axpy`
-//! sweep `w` once per pass for the whole basis, not once per basis
-//! vector), and two fused epilogues trim further sweeps —
-//! [`KrylovOp::apply_dot`] (matvec+dot, `α_j` falls out of the product)
-//! and [`KrylovVec::multi_axpy_norm_sqr`] (the final update + the β
-//! norm). On `Vec<S>` these lower to the kernels of [`crate::op`]
-//! (bit-identical for any `LS_NUM_THREADS`); on `DistVec<S>` they run in
-//! place on the locale parts, so the Krylov state never leaves its locale
-//! ([`lanczos_smallest`] is the slice-based wrapper). The Ritz vectors
-//! are assembled in the same storage — a distributed solve returns
-//! distributed eigenvectors.
+//! The eigen-recurrence built from that step exists once, in
+//! [`crate::restart`]; [`crate::expm`] and [`crate::spectral`] use the
+//! plain `krylov_factorization` here. [`lanczos_smallest_in`] is not a
+//! second loop: it translates an iteration cap and a vector budget
+//! ([`LanczosOptions`]) into that recurrence's plan, and unrestarted
+//! Lanczos is the plan whose single cycle may reach `min(max_iter, dim)`
+//! vectors.
 
-use crate::restart::{thick_restart_lanczos_in, CheckpointPolicy, RestartOptions};
-use crate::tridiag::tridiag_eigh;
+use crate::restart::{run_plan, split_budget, CheckpointPolicy, RestartOptions};
 use crate::vector::{KrylovOp, KrylovVec};
 use crate::LinearOp;
 use ls_kernels::Scalar;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// Options for [`lanczos_smallest`].
 #[derive(Clone, Debug)]
 pub struct LanczosOptions {
-    /// Maximum Krylov dimension.
+    /// Maximum Krylov dimension of a cycle, and the work bound of the
+    /// solve: a restarted plan is granted ~4× as many products.
     pub max_iter: usize,
     /// Convergence threshold on the Ritz residual estimate
     /// `|β_m · y_m[k]|` relative to the spectral scale.
@@ -42,17 +41,18 @@ pub struct LanczosOptions {
     pub seed: u64,
     /// Compute Ritz vectors?
     pub want_vectors: bool,
-    /// Memory budget: the maximum number of Krylov-state vectors (basis
-    /// plus workspace) the solver may hold. When the Krylov dimension
-    /// implied by `max_iter` would exceed it, the solve transparently
-    /// routes through thick-restart Lanczos
-    /// ([`crate::restart::thick_restart_lanczos_in`]) so the retained
-    /// set stays bounded; small problems keep the unrestarted path
-    /// (identical results to previous releases).
+    /// Memory budget: the most Krylov-state vectors (basis, workspace and
+    /// Ritz-assembly scratch) the solve may hold. When
+    /// `min(max_iter, dim) + 1` vectors (`+ k` with `want_vectors`) fit,
+    /// the solve is a single cycle that keeps every Krylov vector;
+    /// otherwise its cycles are cut to the budget and joined by thick
+    /// restarts, as [`crate::restart::thick_restart_lanczos_in`] does with
+    /// `extra = max_retained - k` — so a budget below `2k + 3` that the
+    /// iteration cap does not fit is rejected, not ignored.
     pub max_retained: usize,
-    /// Checkpoint/restart policy, honored on the thick-restart path
-    /// (the unrestarted path converges in one bounded pass and is not
-    /// checkpointed).
+    /// Checkpoint/restart policy. Checkpoints are written at restart
+    /// boundaries, so a solve that fits its budget in a single cycle
+    /// never writes one.
     pub checkpoint: Option<CheckpointPolicy>,
 }
 
@@ -78,8 +78,9 @@ pub struct LanczosResultIn<V> {
     pub eigenvalues: Vec<f64>,
     /// Ritz vectors (if requested), aligned with `eigenvalues`.
     pub eigenvectors: Option<Vec<V>>,
-    /// Matrix-vector products performed (the Krylov dimension for the
-    /// unrestarted solver).
+    /// Matrix-vector products performed by this call: the Krylov
+    /// dimension of a single-cycle solve, the sum over cycles (including
+    /// any replayed after a rollback) of a restarted one.
     pub iterations: usize,
     /// Final residual estimates per returned eigenvalue.
     pub residuals: Vec<f64>,
@@ -89,11 +90,11 @@ pub struct LanczosResultIn<V> {
     /// (basis + workspace + any compression/assembly scratch) — the
     /// solver's memory footprint in units of one state vector.
     pub peak_retained: usize,
-    /// Checkpoint rollbacks performed by the silent-error defense
+    /// Rollbacks performed by the silent-error defense
     /// ([`crate::health`]): cycles that detected corruption (transport
     /// CRC/ABFT or a solver health violation) and were replayed from the
-    /// newest valid checkpoint. 0 on a clean run; the unrestarted solver
-    /// has no rollback path and always reports 0.
+    /// newest valid checkpoint, or from the start when none exists yet —
+    /// on every plan, single-cycle ones included. 0 on a clean run.
     pub rollbacks: u64,
 }
 
@@ -105,8 +106,7 @@ pub type LanczosResult<S> = LanczosResultIn<Vec<S>>;
 /// `V = Vec<S>`.
 ///
 /// # Panics
-/// Panics if `k == 0`, `k > op.dim()` or the operator reports itself
-/// non-Hermitian.
+/// As [`lanczos_smallest_in`].
 pub fn lanczos_smallest<S: Scalar, Op: LinearOp<S> + ?Sized>(
     op: &Op,
     k: usize,
@@ -118,222 +118,52 @@ pub fn lanczos_smallest<S: Scalar, Op: LinearOp<S> + ?Sized>(
 /// Computes the `k` smallest eigenpairs of a Hermitian operator, running
 /// the whole recurrence in place on the operator's vector storage.
 ///
-/// **Memory routing:** when the Krylov dimension implied by
-/// `opts.max_iter` exceeds `opts.max_retained`, the solve goes through
-/// [`thick_restart_lanczos_in`] with a `max_retained`-vector budget —
-/// same result type, bounded memory. Small problems take the classic
-/// unrestarted path below.
+/// A translation, not a solver: `(k, opts)` becomes a plan for the one
+/// recurrence in [`crate::restart`] — a single cycle of up to
+/// `min(max_iter, dim)` vectors if that fits
+/// [`LanczosOptions::max_retained`] (unrestarted Lanczos, stopping the
+/// step its Ritz residuals pass), else the thick-restart plan of a
+/// `max_retained`-vector budget.
 ///
 /// # Panics
-/// Panics if `k == 0`, `k > op.dim()` or the operator reports itself
-/// non-Hermitian.
+/// Panics if `k == 0`, `k > op.dim()`, the operator reports itself
+/// non-Hermitian, or `max_iter` does not fit a `max_retained` below
+/// `2k + 3` (no restart cycle could make progress).
 pub fn lanczos_smallest_in<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
     op: &Op,
     k: usize,
     opts: &LanczosOptions,
 ) -> LanczosResultIn<V> {
-    let m_max = opts.max_iter.min(op.dim());
-    if m_max + 1 > opts.max_retained && opts.max_retained >= 2 * k + 3 {
-        // Preserve `max_iter` as a work bound: restarting re-does some
-        // work per cycle (each compression discards subspace
-        // information), so grant the routed solve ~4× the requested
-        // matvec budget, translated into restart cycles via the
-        // per-cycle chain length.
-        let (keep, m) = crate::restart::split_budget(k, opts.max_retained);
-        let chain = (m - keep).max(1);
-        let max_restarts = (4 * opts.max_iter).div_ceil(chain).max(4);
-        let ropts = RestartOptions {
-            k,
-            extra: opts.max_retained - k,
-            max_restarts,
-            tol: opts.tol,
-            seed: opts.seed,
-            want_vectors: opts.want_vectors,
-            checkpoint: opts.checkpoint.clone(),
-        };
-        return thick_restart_lanczos_in(op, &ropts);
-    }
-    lanczos_plain_in(op, k, opts)
-}
-
-/// The classic unrestarted recurrence (every Krylov vector retained).
-/// [`lanczos_smallest_in`] routes here for small problems; the
-/// thick-restart solver also delegates here when the whole space fits in
-/// its budget.
-pub(crate) fn lanczos_plain_in<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
-    op: &Op,
-    k: usize,
-    opts: &LanczosOptions,
-) -> LanczosResultIn<V> {
     let n = op.dim();
-    assert!(k >= 1, "need at least one eigenpair");
-    assert!(k <= n, "k = {k} exceeds dimension {n}");
-    assert!(op.is_hermitian(), "Lanczos requires a Hermitian operator");
-    let m_max = opts.max_iter.min(n).max(k + 1).min(n);
-
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut v0 = op.new_vec();
-    random_fill(&mut v0, &mut rng);
-    let nrm = v0.norm();
-    v0.scale(1.0 / nrm);
-
-    let mut basis: Vec<V> = vec![v0];
-    let mut alphas: Vec<f64> = Vec::new();
-    let mut betas: Vec<f64> = Vec::new();
-    let mut w = op.new_vec();
-
-    let mut converged = false;
-    let mut breakdowns = 0usize;
-    let mut exact_break = false;
-    let mut peak = 2usize; // basis + workspace
-    let mut last_check: (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
-
-    for j in 0..m_max {
-        // Fused matvec+dot: `w = H v_j` and `α_j = ⟨v_j, w⟩` in one pass
-        // over the freshly written output (no clone of v_j either — the
-        // operator reads the basis vector in place).
-        let alpha = op.apply_dot(&basis[j], &mut w).re();
-        alphas.push(alpha);
-        if !alpha.is_finite() {
-            // Surface the typed health error *before* cgs2 sweeps the
-            // poisoned workspace through the whole basis: a NaN matvec
-            // output must never be mistaken for (non-)convergence.
-            crate::health::raise(crate::health::SolverHealthError {
-                cycle: 0,
-                check: "alpha",
-                detail: format!("diagonal coefficient {j} is {alpha}"),
-            });
-        }
-        // Full reorthogonalization, two *blocked* classical Gram–Schmidt
-        // passes (CGS2 — "twice is enough" is precisely the repeated-CGS
-        // theorem): each pass sweeps `w` once to take all coefficients at
-        // a go (`multi_dot`) and once to apply them, instead of the
-        // 2·m sweeps of the vector-at-a-time loop. The explicit
-        // three-term subtractions (`α v_j`, `β v_{j-1}`) are subsumed by
-        // the first pass — `⟨v_j, w⟩` *is* α and `⟨v_{j-1}, w⟩` is β up
-        // to rounding, so projecting against the whole basis removes them
-        // along with every older component: two more full sweeps saved.
-        // The second pass's update is fused with the β norm (one sweep
-        // fewer again).
-        let beta = cgs2_beta(&basis, &mut w);
-        if !beta.is_finite() {
-            crate::health::raise(crate::health::SolverHealthError {
-                cycle: 0,
-                check: "beta",
-                detail: format!("off-diagonal coefficient {j} is {beta}"),
-            });
-        }
-
-        if beta <= 1e-13 {
-            // Exact invariant subspace: every Ritz pair of the projected
-            // problem is a true eigenpair, but the *multiplicity* of a
-            // degenerate eigenvalue may not be resolved yet — each
-            // invariant block contributes at most one copy. Keep
-            // restarting with fresh random directions (re-orthogonalized
-            // with blocked CGS2 against the whole basis, converged Ritz
-            // directions included) until k values exist AND more than k
-            // independent blocks were explored; only then is every copy
-            // reachable from some block.
-            breakdowns += 1;
-            if alphas.len() >= k && (breakdowns > k || basis.len() >= m_max) {
-                converged = true;
-                exact_break = true;
-                break;
-            }
-            if basis.len() >= m_max {
-                exact_break = true;
-                break;
-            }
-            let mut fresh = op.new_vec();
-            random_fill(&mut fresh, &mut rng);
-            let before = fresh.norm();
-            let nf = cgs2_beta(&basis, &mut fresh);
-            if nf <= 1e-10 * before {
-                // The basis spans the whole space: the projected problem
-                // is exact and complete.
-                converged = alphas.len() >= k;
-                exact_break = true;
-                break;
-            }
-            fresh.scale(1.0 / nf);
-            betas.push(0.0);
-            basis.push(fresh);
-            peak = peak.max(basis.len() + 1);
-            continue;
-        }
-
-        // Convergence test on the projected problem.
-        if alphas.len() >= k {
-            let (vals, vecs) = tridiag_eigh(&alphas, &betas, true);
-            let vecs = vecs.unwrap();
-            let m = alphas.len();
-            let spectral_scale =
-                vals.iter().fold(0.0f64, |acc, v| acc.max(v.abs())).max(1e-300);
-            let residuals: Vec<f64> = (0..k).map(|i| (beta * vecs[i][m - 1]).abs()).collect();
-            let ok = residuals.iter().all(|r| *r <= opts.tol * spectral_scale);
-            last_check = (vals[..k].to_vec(), residuals);
-            if ok {
-                converged = true;
-                break;
-            }
-        }
-
-        if basis.len() == m_max {
-            break;
-        }
-        betas.push(beta);
-        w.scale(1.0 / beta);
-        basis.push(w.clone());
-        peak = peak.max(basis.len() + 1);
-    }
-
-    // Final projected solve (covers the path where the loop ended without
-    // a convergence check).
-    let (vals, tvecs) = tridiag_eigh(&alphas, &betas, true);
-    let tvecs = tvecs.unwrap();
-    let m = alphas.len();
-    let k_eff = k.min(m);
-    let eigenvalues: Vec<f64> = vals[..k_eff].to_vec();
-    let residuals = if last_check.0.len() == k_eff {
-        last_check.1
-    } else if exact_break {
-        // Exact invariant-subspace exit: the Ritz pairs are exact.
-        vec![0.0; k_eff]
+    let cap = opts.max_iter.min(n).max(k + 1).min(n);
+    let assembly = if opts.want_vectors { k } else { 0 };
+    let (chain_cap, keep, max_restarts) = if cap + 1 + assembly <= opts.max_retained {
+        (cap, None, 1)
     } else {
-        vec![f64::NAN; k_eff]
+        // `max_iter` stays a work bound: restarting re-does some work
+        // per cycle (each compression discards subspace information), so
+        // grant ~4× the requested products, counted in cycles of the
+        // chain length a restart leaves room for.
+        let (keep, m) = split_budget(k, opts.max_retained);
+        (m, Some(keep), (4 * opts.max_iter).div_ceil(m - keep).max(4))
     };
-
-    let eigenvectors = if opts.want_vectors {
-        let mut out = Vec::with_capacity(k_eff);
-        for tv in tvecs.iter().take(k_eff) {
-            let mut x = op.new_vec();
-            let coeffs: Vec<V::Scalar> =
-                tv.iter().take(m).map(|&t| V::Scalar::from_re(t)).collect();
-            V::multi_axpy(&coeffs, &basis[..m], &mut x);
-            let nx = x.norm();
-            x.scale(1.0 / nx);
-            out.push(x);
-        }
-        peak = peak.max(basis.len() + 1 + k_eff);
-        Some(out)
-    } else {
-        None
+    let ropts = RestartOptions {
+        k,
+        extra: opts.max_retained.saturating_sub(k),
+        max_restarts,
+        tol: opts.tol,
+        seed: opts.seed,
+        want_vectors: opts.want_vectors,
+        checkpoint: opts.checkpoint.clone(),
     };
-
-    LanczosResultIn {
-        eigenvalues,
-        eigenvectors,
-        iterations: m,
-        residuals,
-        converged,
-        peak_retained: peak,
-        rollbacks: 0,
-    }
+    run_plan(op, &ropts, chain_cap, keep)
 }
 
 /// Two blocked CGS passes orthogonalizing `w` against `basis`, the second
-/// fused with the norm of the result: returns `β = ‖(1 - P)² w‖`.
-/// Shared with the thick-restart solver ([`crate::restart`]).
+/// fused with the norm of the result: returns `β = ‖(1 - P)² w‖`. The
+/// first pass subsumes the explicit three-term subtractions (`⟨v_j, w⟩`
+/// *is* α and `⟨v_{j-1}, w⟩` is β up to rounding), so projecting against
+/// the whole basis removes them along with every older component.
 pub(crate) fn cgs2_beta<V: KrylovVec>(basis: &[V], w: &mut V) -> f64 {
     let mut beta_sqr = f64::NAN;
     for pass in 0..2 {
@@ -398,6 +228,7 @@ mod tests {
     use super::*;
     use crate::jacobi::eigh_real;
     use crate::op::DenseOp;
+    use crate::restart::thick_restart_lanczos;
     use ls_kernels::Complex64;
 
     fn random_symmetric(n: usize, seed: u64) -> Vec<f64> {
@@ -498,6 +329,48 @@ mod tests {
         let res = lanczos_smallest(&op, 3, &LanczosOptions::default());
         assert!((res.eigenvalues[0] - 1.0).abs() < 1e-10);
         assert!((res.eigenvalues[2] - 3.0).abs() < 1e-10);
+        // The restart entry point called directly, default budget, on
+        // spaces smaller than one cycle of it.
+        for n in [1usize, 2, 3, 5] {
+            let a = random_symmetric(n, 3 + n as u64);
+            let (expect, _) = eigh_real(&a, n);
+            let op = DenseOp::new(n, a);
+            for k in [1, n] {
+                let res = thick_restart_lanczos(&op, &RestartOptions::new(k));
+                assert!(res.converged && res.iterations <= n, "n = {n}, k = {k}");
+                for (got, want) in res.eigenvalues.iter().zip(&expect) {
+                    assert!((got - want).abs() < 1e-12, "n = {n}, k = {k}: {got} vs {want}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_unreachable_tolerance_runs_exactly_max_iter_products() {
+        // What the fixed-iteration cells of `fig_scaling` / `fig_dist`
+        // rely on: the cap fits the budget, so the plan is one cycle of
+        // exactly `max_iter` products holding `max_iter + 1` vectors.
+        let op = DenseOp::new(60, random_symmetric(60, 7));
+        let res = lanczos_smallest(
+            &op,
+            1,
+            &LanczosOptions { max_iter: 40, tol: 1e-300, ..Default::default() },
+        );
+        assert!(!res.converged);
+        assert_eq!((res.iterations, res.peak_retained), (40, 41));
+    }
+
+    #[test]
+    #[should_panic(expected = "restart budget too small")]
+    fn a_budget_the_iteration_cap_cannot_fit_is_rejected_not_ignored() {
+        // 200 iterations do not fit 5 vectors, and 5 < 2k + 3 leaves no
+        // room to restart: holding 201 vectors anyway is not an answer.
+        let op = DenseOp::new(300, random_symmetric(300, 7));
+        let _ = lanczos_smallest(
+            &op,
+            2,
+            &LanczosOptions { max_iter: 200, max_retained: 5, ..Default::default() },
+        );
     }
 
     #[test]

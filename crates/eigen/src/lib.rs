@@ -24,19 +24,22 @@
 //!   `par_norm_sqr`, blocked multi-vector `par_multi_dot`/`par_multi_axpy`,
 //!   fused axpy+norm) whose reductions are bit-identical at any
 //!   `LS_NUM_THREADS`;
-//! * [`lanczos::lanczos_smallest_in`] — Lanczos with full (blocked CGS2)
+//! * [`restart`] — the one Lanczos eigen-recurrence: full (blocked CGS2)
 //!   reorthogonalization and Ritz-residual convergence control, written
-//!   once against the vector abstraction and running entirely on the
-//!   parallel fused pipeline ([`lanczos::lanczos_smallest`] is the
-//!   slice-based wrapper); [`expm`] and [`spectral`] reuse the same
-//!   factorization for propagators and spectral functions;
-//! * [`restart::thick_restart_lanczos_in`] — the memory-bounded variant:
-//!   at most `k + extra` retained Krylov vectors via Ritz compression at
-//!   restart boundaries, with optional checkpoint/restart
-//!   ([`restart::CheckpointPolicy`]) whose resume is bit-identical to
-//!   the uninterrupted solve. [`lanczos_smallest_in`] routes here
-//!   automatically when `max_iter` exceeds the
-//!   [`LanczosOptions::max_retained`] budget;
+//!   once against the vector abstraction on the parallel fused pipeline,
+//!   cut into cycles joined by thick restarts (Ritz compression), with
+//!   optional checkpoint/restart ([`restart::CheckpointPolicy`]) whose
+//!   resume is bit-identical to the uninterrupted solve. It has two
+//!   front ends, which only plan its cycles:
+//!   [`restart::thick_restart_lanczos_in`] from a `k + extra` vector
+//!   budget, and [`lanczos::lanczos_smallest_in`] from an iteration cap
+//!   plus [`LanczosOptions::max_retained`] — a single cycle keeping
+//!   every vector (unrestarted Lanczos) when the cap fits the budget,
+//!   the budget's restart cycles when it does not
+//!   ([`lanczos::lanczos_smallest`] is the slice-based wrapper);
+//! * [`lanczos`] also holds the blocked-CGS2 step and the plain Krylov
+//!   factorization that [`expm`] and [`spectral`] reuse for propagators
+//!   and spectral functions;
 //! * [`precision`] — the reduced-precision modes of a real-sector solve
 //!   (`LS_PRECISION`): [`eigensolve_precision`] runs the same solver on
 //!   `Vec<f32>` through [`MixedOp`], and `mixed` adds one f64
@@ -48,10 +51,11 @@
 //! * [`health`] — the solver layer of the silent-error defense:
 //!   [`HealthMonitor`] checks Lanczos invariants (finite coefficients,
 //!   `β ≥ 0`, retained-basis orthonormality, sane residuals) each cycle,
-//!   and the thick-restart driver catches the typed
+//!   and the recurrence catches the typed
 //!   [`SolverHealthError`] (or a transport
 //!   [`ls_runtime::TransportError::Corruption`]) and rolls back to the
-//!   newest valid checkpoint, bounded by `LS_MAX_ROLLBACKS`;
+//!   newest valid checkpoint (or to its start), bounded by
+//!   `LS_MAX_ROLLBACKS`;
 //! * [`tridiag::tridiag_eigh`] — implicit-shift QL for the projected
 //!   tridiagonal problem (no LAPACK available offline, so this is a
 //!   from-scratch implementation);

@@ -195,6 +195,19 @@ pub fn refine_in_f64<Op: LinearOp<f64> + ?Sized>(
     (vals, vecs, residuals)
 }
 
+/// The same result over another vector storage.
+fn map_vectors<V, U>(r: LanczosResultIn<V>, f: impl Fn(&V) -> U) -> LanczosResultIn<U> {
+    LanczosResultIn {
+        eigenvalues: r.eigenvalues,
+        eigenvectors: r.eigenvectors.map(|vs| vs.iter().map(f).collect()),
+        iterations: r.iterations,
+        residuals: r.residuals,
+        converged: r.converged,
+        peak_retained: r.peak_retained,
+        rollbacks: r.rollbacks,
+    }
+}
+
 /// Precision-routed thick-restart eigensolve for real (f64) operators.
 /// The reduced modes run the solver on `Vec<f32>` through [`MixedOp`]
 /// (their checkpoints carry 4-byte lanes); eigenvectors come back
@@ -207,32 +220,20 @@ pub fn eigensolve_precision<Op: LinearOp<f64> + ?Sized>(
     match precision {
         Precision::F64 => thick_restart_lanczos_in::<Vec<f64>, Op>(op, opts),
         Precision::F32 => {
-            let r = thick_restart_lanczos_in(&MixedOp::new(op), opts);
-            LanczosResultIn {
-                eigenvalues: r.eigenvalues,
-                eigenvectors: r.eigenvectors.map(|vs| vs.iter().map(|v| widen(v)).collect()),
-                iterations: r.iterations,
-                residuals: r.residuals,
-                converged: r.converged,
-                peak_retained: r.peak_retained,
-                rollbacks: r.rollbacks,
-            }
+            map_vectors(thick_restart_lanczos_in(&MixedOp::new(op), opts), |v| widen(v))
         }
         Precision::Mixed => {
             // The f32 pass must return its Ritz basis for refinement.
-            let mut inner = opts.clone();
-            inner.want_vectors = true;
-            let r = thick_restart_lanczos_in(&MixedOp::new(op), &inner);
-            let basis32 = r.eigenvectors.expect("want_vectors was set");
+            let inner = RestartOptions { want_vectors: true, ..opts.clone() };
+            let mut r = thick_restart_lanczos_in(&MixedOp::new(op), &inner);
+            let basis32 = r.eigenvectors.take().expect("want_vectors was set");
             let (vals, vecs, residuals) = refine_in_f64(op, &basis32);
             LanczosResultIn {
                 eigenvalues: vals,
                 eigenvectors: opts.want_vectors.then_some(vecs),
                 iterations: r.iterations + basis32.len(),
                 residuals,
-                converged: r.converged,
-                peak_retained: r.peak_retained,
-                rollbacks: r.rollbacks,
+                ..map_vectors(r, |v| widen(v))
             }
         }
     }

@@ -1,35 +1,36 @@
-//! Thick-restart Lanczos: memory-bounded eigensolving with
-//! checkpoint/restart.
+//! The Lanczos eigen-recurrence — one loop, two plans — with thick
+//! restarts, checkpoint/restart and rollback.
 //!
-//! Full-reorthogonalization Lanczos ([`crate::lanczos`]) retains every
-//! Krylov vector, so a long solve on a large sector is memory-bound by
-//! the *solver* (`m · dim` scalars), not the matrix — exactly backwards
-//! for a code whose point is reaching dimensions where memory is the
-//! binding constraint. Thick restart (Wu & Simon; the restarting used by
-//! the Lanczos solvers in XDiag / `lattice-symmetries`) caps the basis:
-//! run a cycle of the ordinary recurrence, diagonalize the projected
-//! matrix, keep only the best `keep` Ritz pairs plus the trailing
-//! residual direction, and continue expanding from there. The retained
-//! set plus workspace never exceeds `k + extra` vectors
-//! ([`RestartOptions`]), so sector size — not iteration count — sets the
-//! memory budget.
+//! Keeping every Krylov vector makes a long solve on a large sector
+//! memory-bound by the *solver* (`m · dim` scalars), not the matrix —
+//! backwards for a code whose point is reaching dimensions where memory
+//! binds. Thick restart (Wu & Simon; what XDiag / `lattice-symmetries`
+//! ship) caps the basis: run a cycle of the recurrence, diagonalize the
+//! projected matrix, keep the best `keep` Ritz pairs plus the trailing
+//! residual direction, and expand again from there. `run_plan` is that
+//! loop, and the only one: [`thick_restart_lanczos_in`] plans cycles cut
+//! to a `k + extra` vector budget ([`RestartOptions`]);
+//! [`crate::lanczos::lanczos_smallest_in`] plans the same cycles, or —
+//! when its iteration cap fits its budget — a single cycle that keeps
+//! every vector, which is unrestarted Lanczos.
 //!
-//! After a restart the projected operator is no longer tridiagonal but
-//! **arrowhead + tridiagonal**: locked Ritz values `θ_i` on the diagonal,
-//! a border `s_i = β·y_i[m-1]` coupling each locked vector to the chain
-//! seed, then the new `α/β` chain. The first cycle solves the projected
-//! problem with the tridiagonal QL of [`crate::tridiag`]; restarted
-//! cycles use the dense Jacobi reference ([`crate::jacobi`]) on the small
-//! `m × m` projected matrix — both `O(m³) ≪` one matrix-vector product.
+//! After a restart the projected operator is **arrowhead + tridiagonal**:
+//! locked Ritz values `θ_i` on the diagonal, a border `s_i = β·y_i[m-1]`
+//! coupling each locked vector to the chain seed, then the new `α/β`
+//! chain. That shape picks the stopping rule, so no option has to: until
+//! something is locked the matrix is tridiagonal and its QL
+//! ([`crate::tridiag`]) is cheap enough to run after every step, so the
+//! cycle ends the step its Ritz residuals pass; an arrowhead needs the
+//! dense Jacobi solve ([`crate::jacobi`]), which restarted cycles run
+//! once, at the boundary where they need it anyway.
 //!
-//! The expansion itself is the same blocked-CGS2 pipeline as the
-//! unrestarted solver (fused [`KrylovOp::apply_dot`],
-//! `multi_dot`/`multi_axpy` sweeps, fused update+norm), written against
-//! [`KrylovVec`]/[`KrylovOp`] — one implementation serves `Vec<S>` and
-//! the locale-partitioned `DistVec<S>`, and a distributed solve stays
-//! distributed.
+//! Each step is the blocked-CGS2 pipeline of [`crate::lanczos`] (fused
+//! [`KrylovOp::apply_dot`], `multi_dot`/`multi_axpy` sweeps, fused
+//! update+norm) against [`KrylovVec`]/[`KrylovOp`] — one implementation
+//! serves `Vec<S>` and the locale-partitioned `DistVec<S>`, and a
+//! distributed solve stays distributed.
 //!
-//! Long cluster runs additionally get **checkpoint/restart**
+//! Long cluster runs get **checkpoint/restart**
 //! ([`CheckpointPolicy`]): at restart boundaries the compressed state
 //! (locked basis + chain seed + projected coefficients + restart/RNG
 //! counters) is written atomically in the versioned, checksummed format
@@ -38,13 +39,11 @@
 //! same Ritz vectors, to the last bit, at any `LS_NUM_THREADS`.
 
 use crate::checkpoint::{
-    load_latest_checkpoint, save_checkpoint_ref, save_checkpoint_rotated, CheckpointStateRef,
+    load_latest_checkpoint, save_checkpoint_ref, save_checkpoint_rotated, CheckpointState,
 };
 use crate::health::{max_rollbacks_from_env, raise, HealthMonitor, SolverHealthError};
 use crate::jacobi::eigh_real;
-use crate::lanczos::{
-    cgs2_beta, lanczos_plain_in, random_fill, LanczosOptions, LanczosResult, LanczosResultIn,
-};
+use crate::lanczos::{cgs2_beta, random_fill, LanczosResult, LanczosResultIn};
 use crate::tridiag::tridiag_eigh;
 use crate::vector::{KrylovOp, KrylovVec};
 use crate::LinearOp;
@@ -53,7 +52,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
 
-/// Exact-breakdown threshold, shared with the unrestarted solver.
+/// Exact-breakdown threshold.
 const BREAKDOWN: f64 = 1e-13;
 
 /// When and where to checkpoint a thick-restart solve.
@@ -142,9 +141,15 @@ impl Default for RestartOptions {
 /// Splits the total vector budget `b = k + extra` into the locked count
 /// per restart (`keep`) and the cycle expansion cap (`m`). Compression
 /// transiently holds `m` old + `keep` new + 1 residual vectors, all of
-/// which must fit in `b`: `m = b - keep - 1`.
+/// which must fit in `b`: `m = b - keep - 1`. Panics if `b < 2k + 3`: no
+/// restart cycle could make progress.
 pub(crate) fn split_budget(k: usize, b: usize) -> (usize, usize) {
-    debug_assert!(b >= 2 * k + 3);
+    assert!(
+        b >= 2 * k + 3,
+        "restart budget too small: k + extra = {b} vectors for k = {k}, but need \
+         extra >= k + 3, i.e. at least {}",
+        2 * k + 3
+    );
     let keep = (k + ((b - k) / 4).max(1)).min((b - 3) / 2).max(k);
     let m = b - keep - 1;
     debug_assert!(m > keep);
@@ -181,20 +186,89 @@ fn projected_dense(diag: &[f64], border: &[f64], offdiag: &[f64], l: usize) -> V
     t
 }
 
-/// Eigen-decomposition of the projected matrix: tridiagonal QL on the
-/// first cycle (`l == 0`), dense Jacobi on the arrowhead thereafter.
-fn projected_eigh(
-    diag: &[f64],
-    border: &[f64],
-    offdiag: &[f64],
-    l: usize,
-) -> (Vec<f64>, Vec<Vec<f64>>) {
-    if l == 0 {
-        let (vals, vecs) = tridiag_eigh(diag, offdiag, true);
+/// Eigen-decomposition of the projected matrix: tridiagonal QL while
+/// nothing is locked, dense Jacobi on the arrowhead thereafter.
+fn projected_eigh<V>(st: &CheckpointState<V>, offdiag: &[f64]) -> (Vec<f64>, Vec<Vec<f64>>) {
+    if st.retained == 0 {
+        let (vals, vecs) = tridiag_eigh(&st.diag, offdiag, true);
         (vals, vecs.unwrap())
     } else {
-        eigh_real(&projected_dense(diag, border, offdiag, l), diag.len())
+        eigh_real(&projected_dense(&st.diag, &st.border, offdiag, st.retained), st.diag.len())
     }
+}
+
+/// Ritz residual estimates `|β·y_i[m-1]|` of the pairs `yvecs` of a
+/// projected solve, and whether all of them pass `tol` relative to the
+/// spectral scale.
+fn ritz_residuals(cvals: &[f64], yvecs: &[Vec<f64>], beta: f64, tol: f64) -> (Vec<f64>, bool) {
+    let scale = cvals.iter().fold(0.0f64, |acc, v| acc.max(v.abs())).max(1e-300);
+    let resid: Vec<f64> = yvecs.iter().map(|y| (beta * y[y.len() - 1]).abs()).collect();
+    let ok = resid.iter().all(|r| *r <= tol * scale);
+    (resid, ok)
+}
+
+/// The Ritz vectors `Σ_j y_i[j]·basis[j]` of a cycle for the pairs
+/// `yvecs`, as the combination comes out (compression locks them
+/// unnormalized).
+fn ritz_vectors<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
+    op: &Op,
+    basis: &[V],
+    yvecs: &[Vec<f64>],
+) -> Vec<V> {
+    let assemble = |yv: &Vec<f64>| {
+        let mut x = op.new_vec();
+        let coeffs: Vec<V::Scalar> = yv.iter().map(|&t| V::Scalar::from_re(t)).collect();
+        V::multi_axpy(&coeffs, basis, &mut x);
+        x
+    };
+    yvecs.iter().map(assemble).collect()
+}
+
+/// The state of a solve that has done nothing yet: no locked pairs, the
+/// normalized first draw as chain seed.
+fn fresh_state<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
+    op: &Op,
+    opts: &RestartOptions,
+) -> CheckpointState<V> {
+    let mut draws = 0;
+    let mut v0 = op.new_vec();
+    draw_random(&mut v0, opts.seed, &mut draws);
+    let nrm = v0.norm();
+    v0.scale(1.0 / nrm);
+    CheckpointState {
+        k: opts.k,
+        budget: opts.k + opts.extra,
+        restarts: 0,
+        draws,
+        breakdowns: 0,
+        retained: 0,
+        diag: Vec::new(),
+        border: Vec::new(),
+        basis: vec![v0],
+    }
+}
+
+/// The newest valid state under `cp`, provided it was written by this
+/// solve: resuming under another `k` or budget could not be
+/// bit-identical.
+fn checkpointed_state<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
+    op: &Op,
+    cp: &CheckpointPolicy,
+    opts: &RestartOptions,
+) -> Result<CheckpointState<V>, String> {
+    let st = load_latest_checkpoint::<V, Op>(&cp.path, op)
+        .map_err(|e| format!("cannot resume from checkpoint {}: {e}", cp.path.display()))?;
+    let (k, budget) = (opts.k, opts.k + opts.extra);
+    if st.k != k || st.budget != budget {
+        return Err(format!(
+            "checkpoint {} was written for k = {}, budget = {} (this solve: k = {k}, budget = \
+             {budget}); resuming under different parameters would not be bit-identical",
+            cp.path.display(),
+            st.k,
+            st.budget,
+        ));
+    }
+    Ok(st)
 }
 
 /// Shared-memory wrapper over [`thick_restart_lanczos_in`] with
@@ -210,10 +284,10 @@ pub fn thick_restart_lanczos<S: Scalar, Op: LinearOp<S> + ?Sized>(
 /// holding at most `k + extra` Krylov-state vectors, restarting the
 /// recurrence through the Ritz compression of the projected matrix.
 ///
-/// The result type is the same [`LanczosResultIn`] the unrestarted
-/// solver returns (Ritz vectors come back in the solver's storage);
-/// `iterations` counts matrix-vector products performed *by this call*
-/// and `peak_retained` reports the realized vector high-water mark.
+/// Ritz vectors come back in the solver's storage; `iterations` counts
+/// matrix-vector products performed *by this call* and `peak_retained`
+/// reports the realized vector high-water mark. An operator smaller than
+/// the budget's cycle exhausts its space in the first one, exactly.
 ///
 /// # Panics
 /// Panics if `k == 0`, `k > op.dim()`, `extra < k + 3`, the operator
@@ -224,91 +298,48 @@ pub fn thick_restart_lanczos_in<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
     op: &Op,
     opts: &RestartOptions,
 ) -> LanczosResultIn<V> {
+    let (keep, m) = split_budget(opts.k, opts.k + opts.extra);
+    run_plan(op, opts, m, Some(keep))
+}
+
+/// The one Lanczos eigen-recurrence of the workspace. `opts` says what is
+/// wanted; the plan says how the cycles are cut: a cycle ends when the
+/// basis holds `chain_cap` vectors (never more than `op.dim()` — an
+/// `(n+1)`-th orthonormal vector does not exist), and an unconverged
+/// cycle restarts from its best `keep_max` Ritz pairs. `keep_max = None`
+/// plans a single cycle: nothing follows it, so it ends without
+/// compressing and `opts.extra` only tags checkpoints.
+pub(crate) fn run_plan<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
+    op: &Op,
+    opts: &RestartOptions,
+    chain_cap: usize,
+    keep_max: Option<usize>,
+) -> LanczosResultIn<V> {
     let n = op.dim();
     let k = opts.k;
     assert!(k >= 1, "need at least one eigenpair");
     assert!(k <= n, "k = {k} exceeds dimension {n}");
     assert!(op.is_hermitian(), "Lanczos requires a Hermitian operator");
-    assert!(
-        opts.extra >= k + 3,
-        "restart budget too small: extra = {} but need extra >= k + 3 = {}",
-        opts.extra,
-        k + 3
-    );
-    let b = k + opts.extra;
-    // Delegate to the unrestarted solver only when its own high-water
-    // mark (n basis vectors + workspace + Ritz assembly) provably fits
-    // the budget — the `≤ k + extra` contract holds on every path.
-    // Slightly larger small problems still run the restart machinery:
-    // the expansion simply exhausts the space and finishes exactly.
-    let assembly = if opts.want_vectors { k } else { 0 };
-    if n + 1 + assembly <= b {
-        let plain = LanczosOptions {
-            max_iter: n,
-            tol: opts.tol,
-            seed: opts.seed,
-            want_vectors: opts.want_vectors,
-            ..Default::default()
-        };
-        return lanczos_plain_in(op, k, &plain);
-    }
-    let (keep_max, m) = split_budget(k, b);
+    let m = chain_cap.min(n);
 
     // ---- state at a restart boundary -----------------------------------
-    // basis = [u_0 .. u_{l-1}, chain seed, chain ...]; diag holds the l
-    // locked Ritz values then the chain alphas; border couples each
-    // locked vector to the chain seed; offdiag is the chain betas.
-    let mut basis: Vec<V> = Vec::with_capacity(m);
-    let mut diag: Vec<f64> = Vec::with_capacity(m);
-    let mut border: Vec<f64> = Vec::new();
-    let mut offdiag: Vec<f64> = Vec::with_capacity(m);
-    let mut l = 0usize;
-    let mut restarts = 0usize;
-    let mut draws = 0u64;
-    let mut breakdowns = 0usize;
-
-    if let Some(cp) = &opts.checkpoint {
-        if cp.resume && cp.path.exists() {
-            let st = match load_latest_checkpoint::<V, Op>(&cp.path, op) {
-                Ok(st) => st,
-                Err(e) => {
-                    panic!("cannot resume from checkpoint {}: {e}", cp.path.display())
-                }
-            };
-            assert!(
-                st.k == k && st.budget == b,
-                "checkpoint {} was written for k = {}, budget = {} (this solve: k = {k}, \
-                 budget = {b}); resuming under different parameters would not be \
-                 bit-identical",
-                cp.path.display(),
-                st.k,
-                st.budget,
-            );
-            l = st.retained;
-            diag = st.diag;
-            border = st.border;
-            basis = st.basis;
-            restarts = st.restarts;
-            draws = st.draws;
-            breakdowns = st.breakdowns as usize;
+    // basis = [u_0 .. u_{l-1}, chain seed, chain ...] with l = retained;
+    // diag holds the l locked Ritz values then the chain alphas; border
+    // couples each locked vector to the chain seed; offdiag is the chain
+    // betas (empty at a boundary, so not part of the checkpointed state).
+    let mut st = match &opts.checkpoint {
+        Some(cp) if cp.resume && cp.path.exists() => {
+            checkpointed_state(op, cp, opts).unwrap_or_else(|e| panic!("{e}"))
         }
-    }
-    if basis.is_empty() {
-        let mut v0 = op.new_vec();
-        draw_random(&mut v0, opts.seed, &mut draws);
-        let nrm = v0.norm();
-        v0.scale(1.0 / nrm);
-        basis.push(v0);
-    }
-
+        _ => fresh_state(op, opts),
+    };
+    let mut offdiag: Vec<f64> = Vec::new();
     let mut w = op.new_vec();
     let mut matvecs = 0usize;
-    let mut peak = basis.len() + 1; // basis + workspace w
+    let mut peak = st.basis.len() + 1; // basis + workspace w
     let mut converged = false;
-    // Current Ritz estimates (from the resumed locked set, if any) so a
-    // run that performs zero new cycles still reports something sane.
-    let mut vals: Vec<f64> = diag.iter().copied().take(k).collect();
-    let mut residuals: Vec<f64> = border.iter().map(|s| s.abs()).take(k).collect();
+    // Ritz values and residual estimates of the cycle the solve ended on.
+    let mut last_cycle: Option<(Vec<f64>, Vec<f64>)> = None;
     let mut eigenvectors: Option<Vec<V>> = None;
 
     // ---- silent-error defense ------------------------------------------
@@ -320,7 +351,7 @@ pub fn thick_restart_lanczos_in<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
     let max_rollbacks = max_rollbacks_from_env() as u64;
     let mut rollbacks = 0u64;
 
-    'outer: while restarts < opts.max_restarts {
+    while st.restarts < opts.max_restarts {
         let cycle_done = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             // ---- expansion: grow the chain to m vectors --------------------
             let mut beta_last = 0.0f64;
@@ -331,42 +362,47 @@ pub fn thick_restart_lanczos_in<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
             // projected values converged.
             let mut forced_restart = false;
             loop {
-                let j = basis.len() - 1;
-                debug_assert_eq!(diag.len(), j, "projected matrix out of step with basis");
-                let alpha = op.apply_dot(&basis[j], &mut w).re();
+                let j = st.basis.len() - 1;
+                debug_assert_eq!(st.diag.len(), j, "projected matrix out of step with basis");
+                // Fused matvec+dot: `w = H v_j` and `α_j = ⟨v_j, w⟩` in one
+                // pass over the freshly written output.
+                let alpha = op.apply_dot(&st.basis[j], &mut w).re();
                 matvecs += 1;
-                diag.push(alpha);
+                st.diag.push(alpha);
                 // Full blocked-CGS2 reorthogonalization against the *whole*
                 // retained set — locked Ritz vectors and chain alike. The
                 // first pass subsumes the explicit `α v_j`, `β v_{j-1}` and
                 // `Σ s_i u_i` subtractions.
-                let beta = cgs2_beta(&basis, &mut w);
-                if let Err(e) = monitor.check_step(restarts, alpha, beta) {
-                    raise(e);
+                let beta = cgs2_beta(&st.basis, &mut w);
+                monitor.check_step(st.restarts, alpha, beta).unwrap_or_else(|e| raise(e));
+                if st.basis.len() == n {
+                    // The basis spans the whole space, so β is rounding: the
+                    // projected problem is exact and complete (β_last = 0).
+                    break;
                 }
                 if beta <= BREAKDOWN {
                     // Exact invariant subspace. Re-seed with a fresh random
                     // direction orthogonalized (CGS2) against every retained
                     // vector — including the locked Ritz vectors — so the
                     // next block explores an unexplored subspace.
-                    breakdowns += 1;
+                    st.breakdowns += 1;
                     let mut fresh = op.new_vec();
-                    draw_random(&mut fresh, opts.seed, &mut draws);
+                    draw_random(&mut fresh, opts.seed, &mut st.draws);
                     let before = fresh.norm();
-                    let nf = cgs2_beta(&basis, &mut fresh);
+                    let nf = cgs2_beta(&st.basis, &mut fresh);
                     if nf <= 1e-10 * before {
                         // The basis spans the reachable space: the projected
                         // problem is exact and complete. Finish on it.
                         break;
                     }
                     fresh.scale(1.0 / nf);
-                    if basis.len() == m {
-                        if breakdowns > k {
+                    if st.basis.len() == m {
+                        if st.breakdowns > k as u64 {
                             // More than k independent invariant blocks have
-                            // been explored (cumulative across cycles, like
-                            // the unrestarted solver's rule): every copy of
-                            // the wanted eigenvalues is reachable from some
-                            // block, so the exact projected values stand.
+                            // been explored (cumulative across cycles):
+                            // every copy of the wanted eigenvalues is
+                            // reachable from some block, so the exact
+                            // projected values stand.
                             break;
                         }
                         // The chain is full but `fresh` just proved an
@@ -375,127 +411,98 @@ pub fn thick_restart_lanczos_in<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
                         // next chain seed (β = 0: decoupled from the locked
                         // set, exactly a random-restart block).
                         w = fresh;
-                        beta_last = 0.0;
                         forced_restart = true;
                         break;
                     }
                     offdiag.push(0.0);
-                    basis.push(fresh);
-                    peak = peak.max(basis.len() + 1);
+                    st.basis.push(fresh);
                     continue;
                 }
-                if basis.len() == m {
+                // Still tridiagonal: test after every step (module docs).
+                let stop = st.basis.len() == m
+                    || (st.retained == 0 && st.diag.len() >= k && {
+                        let (cvals, yvecs) = projected_eigh(&st, &offdiag);
+                        ritz_residuals(&cvals, &yvecs[..k], beta, opts.tol).1
+                    });
+                w.scale(1.0 / beta);
+                if stop {
                     beta_last = beta;
-                    w.scale(1.0 / beta);
                     break; // w is now the normalized residual v_res
                 }
                 offdiag.push(beta);
-                w.scale(1.0 / beta);
-                basis.push(w.clone());
-                peak = peak.max(basis.len() + 1);
+                st.basis.push(w.clone());
             }
 
             // ---- cycle end: projected solve + convergence test -------------
-            let mcur = basis.len();
+            let mcur = st.basis.len();
+            peak = peak.max(mcur + 1);
             assert!(mcur >= k, "Krylov space collapsed below k = {k} (dim {n})");
-            let (cvals, yvecs) = projected_eigh(&diag, &border, &offdiag, l);
-            if let Err(e) = monitor.check_ritz(restarts, &cvals) {
-                raise(e);
-            }
-            let spectral_scale =
-                cvals.iter().fold(0.0f64, |acc, v| acc.max(v.abs())).max(1e-300);
-            let resid: Vec<f64> =
-                (0..k).map(|i| (beta_last * yvecs[i][mcur - 1]).abs()).collect();
-            if let Err(e) = monitor.check_residuals(restarts, &resid) {
-                raise(e);
-            }
-            let ok = !forced_restart && resid.iter().all(|r| *r <= opts.tol * spectral_scale);
-            vals = cvals[..k].to_vec();
-            residuals = resid;
+            let (cvals, yvecs) = projected_eigh(&st, &offdiag);
+            monitor.check_ritz(st.restarts, &cvals).unwrap_or_else(|e| raise(e));
+            let (resid, ok) = ritz_residuals(&cvals, &yvecs[..k], beta_last, opts.tol);
+            monitor.check_residuals(st.restarts, &resid).unwrap_or_else(|e| raise(e));
+            let ok = ok && !forced_restart;
 
-            if ok {
-                // Converged (β_last ≈ 0 without a forced restart means the
-                // reachable space is exhausted — the projected problem is
-                // then exact). Assemble Ritz vectors from the full cycle
-                // basis before anything is compressed away.
-                converged = true;
-                if opts.want_vectors {
-                    let mut out = Vec::with_capacity(k);
-                    for yv in yvecs.iter().take(k) {
-                        let mut x = op.new_vec();
-                        let coeffs: Vec<V::Scalar> =
-                            yv.iter().take(mcur).map(|&t| V::Scalar::from_re(t)).collect();
-                        V::multi_axpy(&coeffs, &basis[..mcur], &mut x);
-                        let nx = x.norm();
-                        x.scale(1.0 / nx);
-                        out.push(x);
+            let keep_max = match keep_max {
+                Some(keep_max) if !ok => keep_max,
+                _ => {
+                    // Converged (β_last ≈ 0 without a forced restart means
+                    // the reachable space is exhausted — the projected
+                    // problem is then exact), or the plan's only cycle is
+                    // over. Assemble Ritz vectors from the full cycle basis.
+                    converged = ok;
+                    last_cycle = Some((cvals[..k].to_vec(), resid));
+                    if opts.want_vectors {
+                        let mut out = ritz_vectors(op, &st.basis, &yvecs[..k]);
+                        for x in &mut out {
+                            let nx = x.norm();
+                            x.scale(1.0 / nx);
+                        }
+                        peak = peak.max(mcur + 1 + k);
+                        eigenvectors = Some(out);
                     }
-                    peak = peak.max(mcur + 1 + k);
-                    eigenvectors = Some(out);
+                    return true;
                 }
-                return true;
-            }
+            };
 
             // ---- thick restart: compress to the best keep Ritz pairs -------
             let keep = keep_max.min(mcur - 2).max(k);
-            let mut new_basis: Vec<V> = Vec::with_capacity(keep + 1);
-            for yv in yvecs.iter().take(keep) {
-                let mut u = op.new_vec();
-                let coeffs: Vec<V::Scalar> =
-                    yv.iter().take(mcur).map(|&t| V::Scalar::from_re(t)).collect();
-                V::multi_axpy(&coeffs, &basis[..mcur], &mut u);
-                new_basis.push(u);
-            }
+            let new_basis = ritz_vectors(op, &st.basis, &yvecs[..keep]);
             peak = peak.max(mcur + keep + 1);
-            let new_border: Vec<f64> =
-                (0..keep).map(|i| beta_last * yvecs[i][mcur - 1]).collect();
-            basis = new_basis; // old cycle basis freed here
-            basis.push(std::mem::replace(&mut w, op.new_vec())); // residual seeds the next chain
-            l = keep;
-            diag = cvals[..keep].to_vec();
-            border = new_border;
+            st.basis = new_basis; // old cycle basis freed here, before w is replaced
+            st.basis.push(std::mem::replace(&mut w, op.new_vec())); // residual seeds the next chain
+            st.retained = keep;
+            st.border = (0..keep).map(|i| beta_last * yvecs[i][mcur - 1]).collect();
+            st.diag = cvals[..keep].to_vec();
             offdiag.clear();
-            restarts += 1;
+            st.restarts += 1;
 
             // Retained-set orthonormality: the compressed basis is the state
             // the *whole rest of the solve* builds on, so drift here (a
             // flipped bit in a locked Ritz vector) would silently poison
             // every later cycle. Checked at the boundary, before it is
             // checkpointed as "good".
-            if let Err(e) = monitor.check_basis(restarts, &basis) {
-                raise(e);
-            }
+            monitor.check_basis(st.restarts, &st.basis).unwrap_or_else(|e| raise(e));
 
             if let Some(cp) = &opts.checkpoint {
-                if restarts.is_multiple_of(cp.every.max(1)) {
+                if st.restarts.is_multiple_of(cp.every.max(1)) {
                     // Borrowed state: no clone of the retained basis, so the
                     // write stays inside the k + extra vector budget.
-                    let st = CheckpointStateRef {
-                        k,
-                        budget: b,
-                        restarts,
-                        draws,
-                        breakdowns: breakdowns as u64,
-                        retained: l,
-                        diag: &diag,
-                        border: &border,
-                        basis: &basis,
-                    };
                     let written = if cp.keep > 1 {
-                        save_checkpoint_rotated(&cp.path, &st, cp.keep)
+                        save_checkpoint_rotated(&cp.path, &st.borrowed(), cp.keep)
                     } else {
-                        save_checkpoint_ref(&cp.path, &st)
+                        save_checkpoint_ref(&cp.path, &st.borrowed())
                     };
-                    if let Err(e) = written {
-                        panic!("failed to write checkpoint {}: {e}", cp.path.display());
-                    }
+                    written.unwrap_or_else(|e| {
+                        panic!("failed to write checkpoint {}: {e}", cp.path.display())
+                    });
                 }
             }
             false
         }));
 
         match cycle_done {
-            Ok(true) => break 'outer,
+            Ok(true) => break,
             Ok(false) => {}
             Err(payload) => {
                 // Only *typed corruption signals* are recoverable: a
@@ -510,68 +517,47 @@ pub fn thick_restart_lanczos_in<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
                 }
                 rollbacks += 1;
                 eprintln!(
-                    "ls-eigen: corruption detected in restart cycle {restarts}; rolling back \
-                     ({rollbacks}/{max_rollbacks})"
+                    "ls-eigen: corruption detected in restart cycle {}; rolling back \
+                     ({rollbacks}/{max_rollbacks})",
+                    st.restarts
                 );
                 // Give the operator a chance to re-synchronize (the
                 // distributed backend drains transport poison and
                 // re-enters a clean communication epoch here) *before*
                 // the replay issues collectives.
                 op.recover();
-                let restored = opts
+                // No checkpoint written yet (or none valid): roll all the
+                // way back to the start. Draws are counter-derived, so the
+                // replayed trajectory is the uninterrupted one, bit for bit.
+                st = opts
                     .checkpoint
                     .as_ref()
                     .filter(|cp| cp.path.exists())
-                    .and_then(|cp| load_latest_checkpoint::<V, Op>(&cp.path, op).ok())
-                    .filter(|st| st.k == k && st.budget == b);
-                match restored {
-                    Some(st) => {
-                        l = st.retained;
-                        diag = st.diag;
-                        border = st.border;
-                        basis = st.basis;
-                        restarts = st.restarts;
-                        draws = st.draws;
-                        breakdowns = st.breakdowns as usize;
-                    }
-                    None => {
-                        // No checkpoint written yet (or none valid): roll
-                        // all the way back to the start. Draws are
-                        // counter-derived, so the replayed trajectory is
-                        // the uninterrupted one, bit for bit.
-                        l = 0;
-                        restarts = 0;
-                        draws = 0;
-                        breakdowns = 0;
-                        diag = Vec::new();
-                        border = Vec::new();
-                        basis = Vec::new();
-                        let mut v0 = op.new_vec();
-                        draw_random(&mut v0, opts.seed, &mut draws);
-                        let nrm = v0.norm();
-                        v0.scale(1.0 / nrm);
-                        basis.push(v0);
-                    }
-                }
+                    .and_then(|cp| checkpointed_state(op, cp, opts).ok())
+                    .unwrap_or_else(|| fresh_state(op, opts));
                 offdiag.clear();
                 w = op.new_vec();
-                vals = diag.iter().copied().take(k).collect();
-                residuals = border.iter().map(|s| s.abs()).take(k).collect();
             }
         }
     }
 
-    if opts.want_vectors && eigenvectors.is_none() && l >= k {
+    if opts.want_vectors && eigenvectors.is_none() && st.retained >= k {
         // Restart budget exhausted before convergence: the locked basis
         // holds the current best Ritz vectors — return them (best
         // effort, aligned with the reported eigenvalue estimates) so
         // `want_vectors` is honored on every exit path that has them.
-        eigenvectors = Some(basis[..k].to_vec());
-        peak = peak.max(basis.len() + 1 + k);
+        eigenvectors = Some(st.basis[..k].to_vec());
+        peak = peak.max(st.basis.len() + 1 + k);
     }
 
+    // Out of cycles, so at a boundary: the locked arrowhead (θ_i, |s_i|) is
+    // the current estimate — of the last compression, or a resumed one.
+    let (eigenvalues, residuals) = last_cycle.unwrap_or_else(|| {
+        let locked = st.diag.iter().zip(&st.border).take(k);
+        locked.map(|(theta, s)| (*theta, s.abs())).unzip()
+    });
     LanczosResultIn {
-        eigenvalues: vals,
+        eigenvalues,
         eigenvectors,
         iterations: matvecs,
         residuals,
@@ -585,7 +571,7 @@ pub fn thick_restart_lanczos_in<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
 mod tests {
     use super::*;
     use crate::jacobi::eigh_real;
-    use crate::lanczos::lanczos_smallest;
+    use crate::lanczos::{lanczos_smallest, LanczosOptions};
     use crate::op::DenseOp;
 
     fn random_symmetric(n: usize, seed: u64) -> Vec<f64> {
@@ -659,15 +645,20 @@ mod tests {
     }
 
     #[test]
-    fn small_problems_fall_back_to_plain_lanczos() {
+    fn a_budget_larger_than_the_space_exhausts_it_and_finishes_exactly() {
+        // Budget 26 on a 12-dim operator: the chain is capped at the
+        // dimension, never at the 17 the budget would allow.
         let n = 12;
         let a = random_symmetric(n, 5);
         let (expect, _) = eigh_real(&a, n);
         let op = DenseOp::new(n, a);
-        let res = thick_restart_lanczos(&op, &RestartOptions::new(2));
+        let res =
+            thick_restart_lanczos(&op, &RestartOptions { tol: 0.0, ..RestartOptions::new(2) });
         assert!(res.converged);
+        assert_eq!((res.iterations, res.peak_retained), (n, n + 1));
+        assert_eq!(res.residuals, [0.0, 0.0]);
         for (got, want) in res.eigenvalues.iter().zip(&expect) {
-            assert!((got - want).abs() < 1e-8);
+            assert!((got - want).abs() < 1e-12, "{got} vs {want}");
         }
     }
 
@@ -879,19 +870,22 @@ mod tests {
 
     #[test]
     fn corruption_before_first_checkpoint_replays_from_the_start() {
-        let n = 150;
-        let a = random_symmetric(n, 77);
-        let base = RestartOptions { extra: 12, tol: 1e-12, ..RestartOptions::new(2) };
-        let clean = thick_restart_lanczos(&DenseOp::new(n, a.clone()), &base);
         // Fire during the very first cycle: no checkpoint exists yet, so
         // the rollback resets to the initial state; counter-derived draws
-        // make the replay bit-identical to the uninterrupted run.
-        let op = NanOnceOp::new(DenseOp::new(n, a.clone()), 3);
-        let res = thick_restart_lanczos(&op, &base);
-        assert!(res.converged);
-        assert_eq!(res.rollbacks, 1);
-        for (c, r) in clean.eigenvalues.iter().zip(&res.eigenvalues) {
-            assert_eq!(c.to_bits(), r.to_bits(), "restarted eigenvalue diverged");
+        // make the replay bit-identical to the uninterrupted run. The
+        // second case is an operator smaller than its budget (25 ≥ n + 1):
+        // the defense covers every plan, not only solves that restart.
+        let tight = RestartOptions { extra: 12, tol: 1e-12, ..RestartOptions::new(2) };
+        for (n, base) in [(150, tight), (20, RestartOptions::new(1))] {
+            let a = random_symmetric(n, 77);
+            let clean = thick_restart_lanczos(&DenseOp::new(n, a.clone()), &base);
+            let op = NanOnceOp::new(DenseOp::new(n, a), 3);
+            let res = thick_restart_lanczos(&op, &base);
+            assert!(res.converged);
+            assert_eq!(res.rollbacks, 1, "n = {n}");
+            for (c, r) in clean.eigenvalues.iter().zip(&res.eigenvalues) {
+                assert_eq!(c.to_bits(), r.to_bits(), "n = {n}: restarted eigenvalue diverged");
+            }
         }
     }
 

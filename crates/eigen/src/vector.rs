@@ -389,7 +389,7 @@ impl<L: Lane> KrylovVec for DistVec<L> {
 
 /// A linear operator over an abstract Krylov vector type.
 ///
-/// This is what the generic solvers ([`crate::lanczos::lanczos_smallest_in`],
+/// This is what the generic solvers ([`crate::restart::thick_restart_lanczos_in`],
 /// [`crate::expm::evolve_real_time_in`], ...) are written against. The
 /// slice-based [`LinearOp`] gets a blanket implementation for
 /// `V = Vec<S>`, so every existing operator works unchanged; distributed

@@ -57,46 +57,6 @@ pub fn apply_perm<T: Copy + Default>(perm: &[u32], src: &[T], dst: &mut Vec<T>) 
     }
 }
 
-/// Convenience: stable-partition `(keys, a, b)` triples by key, in one call.
-/// Returns bucket offsets. Scratch vectors are provided by the caller so
-/// repeated calls do not allocate.
-pub struct PartitionScratch {
-    perm: Vec<u32>,
-    pub offsets: Vec<u32>,
-}
-
-impl PartitionScratch {
-    pub fn new() -> Self {
-        Self { perm: Vec::new(), offsets: Vec::new() }
-    }
-
-    /// Partitions `states` and `coeffs` (parallel arrays) by `keys` into
-    /// `num_buckets` buckets, writing grouped output into `states_out` /
-    /// `coeffs_out`. Returns the bucket-offsets slice.
-    pub fn partition<S: Copy + Default>(
-        &mut self,
-        keys: &[u16],
-        num_buckets: usize,
-        states: &[u64],
-        coeffs: &[S],
-        states_out: &mut Vec<u64>,
-        coeffs_out: &mut Vec<S>,
-    ) -> &[u32] {
-        debug_assert_eq!(keys.len(), states.len());
-        debug_assert_eq!(keys.len(), coeffs.len());
-        counting_sort_perm(keys, num_buckets, &mut self.perm, &mut self.offsets);
-        apply_perm(&self.perm, states, states_out);
-        apply_perm(&self.perm, coeffs, coeffs_out);
-        &self.offsets
-    }
-}
-
-impl Default for PartitionScratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,25 +68,6 @@ mod tests {
         counting_sort_perm(&[], 4, &mut perm, &mut offsets);
         assert!(perm.is_empty());
         assert_eq!(offsets, vec![0, 0, 0, 0, 0]);
-    }
-
-    #[test]
-    fn partitions_and_is_stable() {
-        let keys: Vec<u16> = vec![2, 0, 1, 2, 0, 1, 1, 2];
-        let states: Vec<u64> = (100..108).collect();
-        let coeffs: Vec<f64> = (0..8).map(|i| i as f64 * 0.5).collect();
-        let mut scratch = PartitionScratch::new();
-        let mut s_out = Vec::new();
-        let mut c_out = Vec::new();
-        let offsets = scratch.partition(&keys, 3, &states, &coeffs, &mut s_out, &mut c_out);
-        assert_eq!(offsets, &[0, 2, 5, 8]);
-        // Bucket 0 keeps original order (stability):
-        assert_eq!(&s_out[0..2], &[101, 104]);
-        assert_eq!(&s_out[2..5], &[102, 105, 106]);
-        assert_eq!(&s_out[5..8], &[100, 103, 107]);
-        // Coefficients travel with their states:
-        assert_eq!(c_out[0], 0.5);
-        assert_eq!(c_out[5], 0.0);
     }
 
     #[test]
