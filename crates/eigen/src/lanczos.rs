@@ -119,11 +119,8 @@ pub fn lanczos_smallest<S: Scalar, Op: LinearOp<S> + ?Sized>(
 /// the whole recurrence in place on the operator's vector storage.
 ///
 /// A translation, not a solver: `(k, opts)` becomes a plan for the one
-/// recurrence in [`crate::restart`] — a single cycle of up to
-/// `min(max_iter, dim)` vectors if that fits
-/// [`LanczosOptions::max_retained`] (unrestarted Lanczos, stopping the
-/// step its Ritz residuals pass), else the thick-restart plan of a
-/// `max_retained`-vector budget.
+/// recurrence in [`crate::restart`], a single cycle or restarted ones as
+/// [`LanczosOptions::max_retained`] describes.
 ///
 /// # Panics
 /// Panics if `k == 0`, `k > op.dim()`, the operator reports itself

@@ -22,7 +22,12 @@
 //! ([`crate::tridiag`]) is cheap enough to run after every step, so the
 //! cycle ends the step its Ritz residuals pass; an arrowhead needs the
 //! dense Jacobi solve ([`crate::jacobi`]), which restarted cycles run
-//! once, at the boundary where they need it anyway.
+//! once, at the boundary where they need it anyway. A breakdown — exact
+//! (`β ≤ 1e-13`) or to tolerance (`β` so small that *every* Ritz pair
+//! passes) — also ends the per-step test: vanishing residuals on a
+//! finished block say nothing about copies of a degenerate eigenvalue in
+//! blocks not entered yet, so the chain fills to its cap and the boundary
+//! logic decides (breakdown count above `k`, or a forced restart).
 //!
 //! Each step is the blocked-CGS2 pipeline of [`crate::lanczos`] (fused
 //! [`KrylovOp::apply_dot`], `multi_dot`/`multi_axpy` sweeps, fused
@@ -284,10 +289,8 @@ pub fn thick_restart_lanczos<S: Scalar, Op: LinearOp<S> + ?Sized>(
 /// holding at most `k + extra` Krylov-state vectors, restarting the
 /// recurrence through the Ritz compression of the projected matrix.
 ///
-/// Ritz vectors come back in the solver's storage; `iterations` counts
-/// matrix-vector products performed *by this call* and `peak_retained`
-/// reports the realized vector high-water mark. An operator smaller than
-/// the budget's cycle exhausts its space in the first one, exactly.
+/// Ritz vectors come back in the solver's storage. An operator smaller
+/// than the budget's cycle exhausts its space in the first one, exactly.
 ///
 /// # Panics
 /// Panics if `k == 0`, `k > op.dim()`, `extra < k + 3`, the operator
@@ -355,24 +358,23 @@ pub(crate) fn run_plan<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
         let cycle_done = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             // ---- expansion: grow the chain to m vectors --------------------
             let mut beta_last = 0.0f64;
-            // Set when the chain filled up via a breakdown while an
-            // unexplored invariant subspace provably remains: the cycle must
-            // then compress and restart from that fresh direction instead of
-            // declaring the (exact but possibly multiplicity-deficient)
-            // projected values converged.
+            // Set when the chain filled up via a breakdown while an unexplored
+            // invariant subspace provably remains (see below).
             let mut forced_restart = false;
+            // The per-step test (module docs) runs on an unlocked chain until
+            // its first breakdown, exact or to tolerance; `solved` is the
+            // projected solve it stopped the cycle on.
+            let mut unbroken = st.retained == 0;
+            let mut solved = None;
             loop {
                 let j = st.basis.len() - 1;
                 debug_assert_eq!(st.diag.len(), j, "projected matrix out of step with basis");
-                // Fused matvec+dot: `w = H v_j` and `α_j = ⟨v_j, w⟩` in one
-                // pass over the freshly written output.
+                // Fused matvec+dot: `w = H v_j`, `α_j = ⟨v_j, w⟩` in one pass.
                 let alpha = op.apply_dot(&st.basis[j], &mut w).re();
                 matvecs += 1;
                 st.diag.push(alpha);
                 // Full blocked-CGS2 reorthogonalization against the *whole*
-                // retained set — locked Ritz vectors and chain alike. The
-                // first pass subsumes the explicit `α v_j`, `β v_{j-1}` and
-                // `Σ s_i u_i` subtractions.
+                // retained set — locked Ritz vectors (`Σ s_i u_i`) and chain.
                 let beta = cgs2_beta(&st.basis, &mut w);
                 monitor.check_step(st.restarts, alpha, beta).unwrap_or_else(|e| raise(e));
                 if st.basis.len() == n {
@@ -386,6 +388,7 @@ pub(crate) fn run_plan<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
                     // vector — including the locked Ritz vectors — so the
                     // next block explores an unexplored subspace.
                     st.breakdowns += 1;
+                    unbroken = false;
                     let mut fresh = op.new_vec();
                     draw_random(&mut fresh, opts.seed, &mut st.draws);
                     let before = fresh.norm();
@@ -418,14 +421,16 @@ pub(crate) fn run_plan<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
                     st.basis.push(fresh);
                     continue;
                 }
-                // Still tridiagonal: test after every step (module docs).
-                let stop = st.basis.len() == m
-                    || (st.retained == 0 && st.diag.len() >= k && {
-                        let (cvals, yvecs) = projected_eigh(&st, &offdiag);
-                        ritz_residuals(&cvals, &yvecs[..k], beta, opts.tol).1
-                    });
+                if unbroken && st.diag.len() >= k && st.basis.len() < m {
+                    let s = projected_eigh(&st, &offdiag);
+                    // Every pair passing means β itself is below tolerance: a
+                    // breakdown in all but the threshold, not convergence.
+                    unbroken = !ritz_residuals(&s.0, &s.1, beta, opts.tol).1;
+                    let ok = unbroken && ritz_residuals(&s.0, &s.1[..k], beta, opts.tol).1;
+                    solved = ok.then_some(s);
+                }
                 w.scale(1.0 / beta);
-                if stop {
+                if solved.is_some() || st.basis.len() == m {
                     beta_last = beta;
                     break; // w is now the normalized residual v_res
                 }
@@ -437,7 +442,7 @@ pub(crate) fn run_plan<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
             let mcur = st.basis.len();
             peak = peak.max(mcur + 1);
             assert!(mcur >= k, "Krylov space collapsed below k = {k} (dim {n})");
-            let (cvals, yvecs) = projected_eigh(&st, &offdiag);
+            let (cvals, yvecs) = solved.unwrap_or_else(|| projected_eigh(&st, &offdiag));
             monitor.check_ritz(st.restarts, &cvals).unwrap_or_else(|e| raise(e));
             let (resid, ok) = ritz_residuals(&cvals, &yvecs[..k], beta_last, opts.tol);
             monitor.check_residuals(st.restarts, &resid).unwrap_or_else(|e| raise(e));
@@ -765,6 +770,34 @@ mod tests {
         let copies = res.eigenvalues.iter().filter(|v| (*v + 1.0).abs() < 1e-8).count();
         assert_eq!(copies, 3, "eigenvalues {:?}", res.eigenvalues);
         assert!((res.eigenvalues[3] - 2.0).abs() < 1e-8);
+
+        // k below the number of distinct eigenvalues: diag(i % d) breaks
+        // down after d steps (exactly, or for d = 12 with β ≈ 1e-12, just
+        // above the threshold) with the exact pairs (0, 1) in hand. Their
+        // vanishing residual estimate must not pass for convergence — the
+        // second copy of 0 lives in a block the chain has not entered.
+        for (n, d) in [(200, 10), (400, 12), (200, 6), (100, 10)] {
+            let mut a = vec![0.0f64; n * n];
+            for i in 0..n {
+                a[i * n + i] = (i % d) as f64;
+            }
+            let op = DenseOp::new(n, a);
+            let plans = [
+                thick_restart_lanczos(&op, &RestartOptions::new(2)),
+                lanczos_smallest(&op, 2, &LanczosOptions::default()),
+                lanczos_smallest(
+                    &op,
+                    2,
+                    &LanczosOptions { max_retained: usize::MAX, ..Default::default() },
+                ),
+            ];
+            for res in plans {
+                assert!(res.converged, "n = {n}, d = {d}");
+                for v in &res.eigenvalues {
+                    assert!(v.abs() < 1e-8, "n = {n}, d = {d}: {:?}", res.eigenvalues);
+                }
+            }
+        }
     }
 
     #[test]
