@@ -2,7 +2,8 @@
 
 use crate::enumerate;
 use crate::sector::{BasisError, SectorSpec};
-use ls_kernels::combinadics::BinomialTable;
+use ls_kernels::bits::low_mask;
+use ls_kernels::combinadics::{BinomialTable, LinTables};
 use ls_kernels::search::{PrefixIndex, TrieIndex, NOT_FOUND};
 use ls_kernels::SiteEncoding;
 
@@ -50,11 +51,12 @@ pub fn missing_state(rep: u64, encoding: SiteEncoding, n_sites: u32) -> ! {
 /// How `state -> index` ranking is performed.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum RankingKind {
-    /// Binary search over the sorted representative list.
-    BinarySearch,
-    /// Prefix-bucket index + short binary search (default).
+    /// Prefix-bucket index + short binary search (the default wherever
+    /// no closed form exists).
     PrefixBuckets,
-    /// Closed-form combinadic ranking — only valid for U(1)-only sectors.
+    /// Closed-form ranking (the default wherever it exists): trivial
+    /// group, one-bit codes, and the sector a product of fixed-weight
+    /// species — one for a U(1) spin sector, two for spinful fermions.
     Combinadic,
     /// Radix trie (Wallerberger & Held, the paper's Ref.\ 25): fixed
     /// number of dependent loads, no comparisons; built lazily on first
@@ -69,8 +71,13 @@ pub struct SpinBasis {
     sector: SectorSpec,
     states: Vec<u64>,
     orbit_sizes: Vec<u32>,
-    prefix: PrefixIndex,
+    /// Built with the basis where it is the default ranking, otherwise
+    /// (like the trie) when it is first selected.
+    prefix: Option<PrefixIndex>,
+    /// Single-species sectors only: the table of the fused differential
+    /// matvec, and the ranking of a species too wide for `lin`.
     combinadic: Option<BinomialTable>,
+    lin: Option<LinTables>,
     trie: Option<TrieIndex>,
     ranking: RankingKind,
 }
@@ -93,26 +100,35 @@ impl SpinBasis {
     pub fn from_parts(sector: SectorSpec, states: Vec<u64>, orbit_sizes: Vec<u32>) -> Self {
         debug_assert_eq!(states.len(), orbit_sizes.len());
         debug_assert!(states.windows(2).all(|w| w[0] < w[1]), "states must be sorted");
-        let prefix = PrefixIndex::auto(&states, sector.code_bits());
-        // Combinadic ranking is exact only when every state is its own
-        // orbit (trivial group), the weight is fixed, and the full
-        // fixed-weight range is present — one-bit site codes with no
-        // extra per-species charges.
-        let combinadic = if sector.group().order() == 1
-            && sector.hamming_weight().is_some()
-            && sector.encoding().bits() == 1
-            && sector.charges().is_empty()
-        {
-            Some(BinomialTable::new())
-        } else {
-            None
+        // A closed form is exact only when every state is its own orbit
+        // (trivial group), codes are one bit wide, and `states` is the
+        // full product of the sector's fixed-weight species.
+        let species: Vec<(u64, u32)> = match (sector.charges(), sector.hamming_weight()) {
+            ([], Some(w)) => vec![(low_mask(sector.n_sites()), w)],
+            (charges, _) => charges.iter().map(|c| (c.mask, c.weight)).collect(),
         };
-        let ranking = if combinadic.is_some() {
-            RankingKind::Combinadic
-        } else {
-            RankingKind::PrefixBuckets
+        let binom = (sector.group().order() == 1 && sector.encoding().bits() == 1)
+            .then(BinomialTable::new);
+        let lin = binom
+            .as_ref()
+            .and_then(|b| LinTables::new(b, sector.n_sites(), &species))
+            .filter(|_| sector.dimension() == states.len() as u64);
+        let combinadic =
+            binom.filter(|_| sector.charges().is_empty() && sector.hamming_weight().is_some());
+        let mut basis = Self {
+            sector,
+            states,
+            orbit_sizes,
+            prefix: None,
+            combinadic,
+            lin,
+            trie: None,
+            ranking: RankingKind::Combinadic,
         };
-        Self { sector, states, orbit_sizes, prefix, combinadic, trie: None, ranking }
+        // Falls back to `PrefixBuckets`, building its index, where the
+        // sector has no closed form.
+        basis.set_ranking(RankingKind::Combinadic);
+        basis
     }
 
     pub fn sector(&self) -> &SectorSpec {
@@ -142,25 +158,36 @@ impl SpinBasis {
     #[inline]
     pub fn index_of(&self, rep: u64) -> Option<usize> {
         match self.ranking {
-            RankingKind::Combinadic => {
-                let t = self.combinadic.as_ref().unwrap();
-                let idx = t.rank(rep) as usize;
-                // Combinadic rank is only meaningful for the right weight.
-                if rep.count_ones() == self.sector.hamming_weight().unwrap()
-                    && idx < self.states.len()
-                {
-                    debug_assert_eq!(self.states[idx], rep);
-                    Some(idx)
-                } else {
-                    None
-                }
+            RankingKind::Combinadic => self.closed_form_rank(rep).map(|i| i as usize),
+            RankingKind::PrefixBuckets => {
+                self.prefix.as_ref().expect("built on selection").lookup(&self.states, rep)
             }
-            RankingKind::PrefixBuckets => self.prefix.lookup(&self.states, rep),
-            RankingKind::BinarySearch => self.states.binary_search(&rep).ok(),
-            RankingKind::Trie => {
-                self.trie.as_ref().expect("trie built on selection").lookup(rep)
-            }
+            RankingKind::Trie => self.trie.as_ref().expect("built on selection").lookup(rep),
         }
+    }
+
+    /// The closed-form rank of a member, `None` for anything else: a
+    /// wrong per-species count, a bit at or above `n_sites`.
+    #[inline]
+    fn closed_form_rank(&self, rep: u64) -> Option<u64> {
+        let rank = match &self.lin {
+            Some(lin) => lin.rank(rep)?,
+            None => {
+                // One species wider than the Lin tables reach. Its rank is
+                // only meaningful for the right weight, and a bit above
+                // `n_sites` ranks past the end.
+                let t = self.combinadic.as_ref().expect("closed-form sector");
+                let rank = t.rank(rep);
+                if Some(rep.count_ones()) != self.sector.hamming_weight()
+                    || rank >= self.states.len() as u64
+                {
+                    return None;
+                }
+                rank
+            }
+        };
+        debug_assert_eq!(self.states[rank as usize], rep);
+        Some(rank)
     }
 
     /// Ranking for hot loops where the state is guaranteed to be a member
@@ -184,39 +211,28 @@ impl SpinBasis {
     pub fn index_of_batch(&self, reps: &[u64], out: &mut Vec<u32>) {
         match self.ranking {
             RankingKind::Combinadic => {
-                let t = self.combinadic.as_ref().unwrap();
-                let weight = self.sector.hamming_weight().unwrap();
-                let len = self.states.len();
                 out.clear();
-                out.extend(reps.iter().map(|&rep| {
-                    let idx = t.rank(rep) as usize;
-                    if rep.count_ones() == weight && idx < len {
-                        debug_assert_eq!(self.states[idx], rep);
-                        idx as u32
-                    } else {
-                        NOT_FOUND
-                    }
-                }));
+                out.extend(
+                    reps.iter()
+                        .map(|&rep| self.closed_form_rank(rep).map_or(NOT_FOUND, |i| i as u32)),
+                );
             }
-            RankingKind::PrefixBuckets => self.prefix.lookup_batch(&self.states, reps, out),
-            RankingKind::BinarySearch => {
-                out.clear();
-                out.extend(reps.iter().map(|&rep| {
-                    self.states.binary_search(&rep).map_or(NOT_FOUND, |i| i as u32)
-                }));
-            }
+            RankingKind::PrefixBuckets => self
+                .prefix
+                .as_ref()
+                .expect("built on selection")
+                .lookup_batch(&self.states, reps, out),
             RankingKind::Trie => {
-                self.trie.as_ref().expect("trie built on selection").lookup_batch(reps, out)
+                self.trie.as_ref().expect("built on selection").lookup_batch(reps, out)
             }
         }
     }
 
     /// Forces a particular ranking implementation (ablation benches).
     ///
-    /// A request the sector cannot honour (combinadic ranking off the
-    /// U(1)-only spin-1/2 case) falls back to [`RankingKind::PrefixBuckets`]
-    /// instead of failing; use [`Self::try_set_ranking`] to observe the
-    /// rejection.
+    /// A request the sector cannot honour (closed-form ranking where none
+    /// exists) falls back to [`RankingKind::PrefixBuckets`] instead of
+    /// failing; use [`Self::try_set_ranking`] to observe the rejection.
     pub fn set_ranking(&mut self, kind: RankingKind) {
         let _ = self.try_set_ranking(kind);
     }
@@ -225,14 +241,22 @@ impl SpinBasis {
     /// be honoured. On `Err` the basis is left on the always-valid
     /// [`RankingKind::PrefixBuckets`] ranking.
     pub fn try_set_ranking(&mut self, kind: RankingKind) -> Result<RankingKind, BasisError> {
-        if kind == RankingKind::Combinadic && self.combinadic.is_none() {
-            self.ranking = RankingKind::PrefixBuckets;
+        let refused =
+            kind == RankingKind::Combinadic && self.lin.is_none() && self.combinadic.is_none();
+        self.ranking = if refused { RankingKind::PrefixBuckets } else { kind };
+        let bits = self.sector.code_bits();
+        match self.ranking {
+            RankingKind::PrefixBuckets if self.prefix.is_none() => {
+                self.prefix = Some(PrefixIndex::auto(&self.states, bits));
+            }
+            RankingKind::Trie if self.trie.is_none() => {
+                self.trie = Some(TrieIndex::build(&self.states, bits, 8));
+            }
+            _ => {}
+        }
+        if refused {
             return Err(BasisError::RankingUnavailable { requested: "combinadic" });
         }
-        if kind == RankingKind::Trie && self.trie.is_none() {
-            self.trie = Some(TrieIndex::build(&self.states, self.sector.code_bits(), 8));
-        }
-        self.ranking = kind;
         Ok(kind)
     }
 
@@ -241,15 +265,21 @@ impl SpinBasis {
     }
 
     /// The combinadic ranking table, present exactly when the sector is
-    /// U(1)-only (trivial group, fixed weight) — the precondition of the
-    /// differential-ranking fast path in the batched matvec.
+    /// U(1)-only (trivial group, one fixed-weight species) — the
+    /// precondition of the sign-free differential-ranking fast path in
+    /// the batched matvec, so `None` on multi-species sectors.
     pub fn combinadic_table(&self) -> Option<&BinomialTable> {
         self.combinadic.as_ref()
     }
 
-    /// Memory estimate in bytes (states + orbit sizes + index).
+    /// Memory estimate in bytes (states + orbit sizes + every ranking
+    /// structure built so far).
     pub fn memory_bytes(&self) -> usize {
-        self.states.len() * 8 + self.orbit_sizes.len() * 4 + self.prefix.memory_bytes()
+        self.states.len() * 8
+            + self.orbit_sizes.len() * 4
+            + self.prefix.as_ref().map_or(0, PrefixIndex::memory_bytes)
+            + self.lin.as_ref().map_or(0, LinTables::memory_bytes)
+            + self.trie.as_ref().map_or(0, TrieIndex::memory_bytes)
     }
 }
 
@@ -274,42 +304,41 @@ mod tests {
         assert_eq!(basis.index_of(0b1000_0000_0001), None);
     }
 
-    #[test]
-    fn ranking_kinds_agree() {
-        let mut basis = chain_basis(10);
-        let probes: Vec<u64> = (0..1024).collect();
-        let with_prefix: Vec<Option<usize>> =
-            probes.iter().map(|&p| basis.index_of(p)).collect();
-        basis.set_ranking(RankingKind::BinarySearch);
-        let with_bs: Vec<Option<usize>> = probes.iter().map(|&p| basis.index_of(p)).collect();
-        assert_eq!(with_prefix, with_bs);
-        basis.set_ranking(RankingKind::Trie);
-        let with_trie: Vec<Option<usize>> = probes.iter().map(|&p| basis.index_of(p)).collect();
-        assert_eq!(with_prefix, with_trie);
+    /// Every ranking `basis` offers, scalar and batched, against
+    /// `states.binary_search` on `probes`; leaves the default selected.
+    fn check_all_rankings(basis: &mut SpinBasis, probes: &[u64]) {
+        let default = basis.ranking();
+        let mut out = Vec::new();
+        for kind in [RankingKind::Combinadic, RankingKind::PrefixBuckets, RankingKind::Trie] {
+            if basis.try_set_ranking(kind).is_err() {
+                assert_ne!(default, RankingKind::Combinadic);
+                continue;
+            }
+            basis.index_of_batch(probes, &mut out);
+            assert_eq!(out.len(), probes.len());
+            for (&p, &o) in probes.iter().zip(&out) {
+                let expect = basis.states().binary_search(&p).ok();
+                assert_eq!(basis.index_of(p), expect, "{kind:?} probe={p:#b}");
+                assert_eq!(o, expect.map_or(NOT_FOUND, |i| i as u32), "{kind:?} probe={p:#b}");
+            }
+        }
+        basis.set_ranking(default);
     }
 
     #[test]
     fn batch_ranking_matches_scalar_for_all_kinds() {
-        let mut basis = chain_basis(10);
-        let mut probes: Vec<u64> = basis.states().to_vec();
-        probes.extend(0..1024u64); // mostly absent
-        probes.push(u64::MAX);
-        let mut out = Vec::new();
-        for kind in [RankingKind::PrefixBuckets, RankingKind::BinarySearch, RankingKind::Trie] {
-            basis.set_ranking(kind);
-            basis.index_of_batch(&probes, &mut out);
-            assert_eq!(out.len(), probes.len());
-            for (&p, &o) in probes.iter().zip(&out) {
-                let expect = basis.index_of(p).map_or(NOT_FOUND, |i| i as u32);
-                assert_eq!(o, expect, "{kind:?} probe={p:#b}");
-            }
-        }
-        // Combinadic kind on a U(1)-only basis.
-        let basis = SpinBasis::build(SectorSpec::with_weight(12, 6).unwrap());
-        assert_eq!(basis.ranking(), RankingKind::Combinadic);
-        basis.index_of_batch(&probes, &mut out);
-        for (&p, &o) in probes.iter().zip(&out) {
-            assert_eq!(o, basis.index_of(p).map_or(NOT_FOUND, |i| i as u32));
+        let u1 = SpinBasis::build(SectorSpec::with_weight(12, 6).unwrap());
+        let hubbard = SpinBasis::build(SectorSpec::spinful_fermions(5, 2, 3).unwrap());
+        for (mut basis, default) in [
+            (chain_basis(10), RankingKind::PrefixBuckets),
+            (u1, RankingKind::Combinadic),
+            (hubbard, RankingKind::Combinadic),
+        ] {
+            assert_eq!(basis.ranking(), default);
+            let mut probes: Vec<u64> = basis.states().to_vec();
+            probes.extend(0..1024u64); // mostly absent
+            probes.push(u64::MAX);
+            check_all_rankings(&mut basis, &probes);
         }
     }
 
@@ -340,18 +369,26 @@ mod tests {
         // Wrong-weight probes return None.
         assert_eq!(basis.index_of(0b111), None);
         assert_eq!(basis.index_of(0), None);
+        // A species wider than the Lin tables keeps the combinadic sum.
+        for (n, w) in [(40, 2), (64, 1)] {
+            let mut wide = SpinBasis::build(SectorSpec::with_weight(n, w).unwrap());
+            assert_eq!(wide.ranking(), RankingKind::Combinadic);
+            assert!(wide.lin.is_none() && wide.combinadic_table().is_some());
+            let mut probes = wide.states().to_vec();
+            probes.extend([u64::MAX, 0, 1 << 40 | 1, 1 << 63, 0b111]);
+            check_all_rankings(&mut wide, &probes);
+        }
     }
 
     #[test]
-    fn combinadic_falls_back_outside_u1_only() {
-        // Symmetry-adapted sector: combinadic is impossible; the request
-        // reports the typed error and the basis stays usable on
+    fn combinadic_falls_back_where_no_closed_form_exists() {
+        // Symmetry-adapted sector: a closed form is impossible; the
+        // request reports the typed error and the basis stays usable on
         // PrefixBuckets.
         let mut basis = chain_basis(8);
-        assert_eq!(
-            basis.try_set_ranking(RankingKind::Combinadic),
-            Err(BasisError::RankingUnavailable { requested: "combinadic" })
-        );
+        let refused = basis.try_set_ranking(RankingKind::Combinadic).unwrap_err();
+        assert_eq!(refused, BasisError::RankingUnavailable { requested: "combinadic" });
+        assert!(!refused.to_string().contains("U(1)-only"), "{refused}");
         assert_eq!(basis.ranking(), RankingKind::PrefixBuckets);
         for (i, &s) in basis.states().iter().enumerate() {
             assert_eq!(basis.index_of(s), Some(i));
@@ -359,32 +396,56 @@ mod tests {
         // The infallible setter silently takes the same fallback.
         basis.set_ranking(RankingKind::Combinadic);
         assert_eq!(basis.ranking(), RankingKind::PrefixBuckets);
-        // Charge-constrained fermionic sector: states are not the full
-        // fixed-weight range, so combinadic must also be refused.
-        let mut fermi = SpinBasis::build(SectorSpec::spinful_fermions(3, 1, 1).unwrap());
-        assert_eq!(fermi.ranking(), RankingKind::PrefixBuckets);
-        assert!(fermi.try_set_ranking(RankingKind::Combinadic).is_err());
+        // Multi-bit codes are not a product of fixed-weight species.
+        let mut spin1 = SpinBasis::build(SectorSpec::spin_s(5, 3, Some(5)).unwrap());
+        assert_eq!(spin1.dim() as u64, spin1.sector().dimension());
+        assert_eq!(spin1.ranking(), RankingKind::PrefixBuckets);
+        assert!(spin1.try_set_ranking(RankingKind::Combinadic).is_err());
+        check_all_rankings(&mut spin1, &(0..1 << 10).collect::<Vec<u64>>());
     }
 
     #[test]
-    fn fermion_and_spin_one_bases_rank() {
-        let basis = SpinBasis::build(SectorSpec::spinful_fermions(4, 2, 2).unwrap());
+    fn spinful_fermion_basis_ranks_in_closed_form() {
+        let mut basis = SpinBasis::build(SectorSpec::spinful_fermions(4, 2, 2).unwrap());
         assert_eq!(basis.dim() as u64, basis.sector().dimension());
+        assert_eq!(basis.ranking(), RankingKind::Combinadic);
+        // Jordan-Wigner sector: no table for the sign-free fused matvec.
+        assert!(basis.combinadic_table().is_none());
         for (i, &s) in basis.states().iter().enumerate() {
             assert_eq!(basis.index_of(s), Some(i));
             assert_eq!(basis.index_of_present(s), i);
         }
         // Wrong species count is absent even though total weight matches.
         assert_eq!(basis.index_of(0b0000_1111), None);
+        // No search index is built until a search ranking is selected.
+        let closed_form_bytes = basis.memory_bytes();
+        assert!(closed_form_bytes < basis.dim() * 12 + 1024);
+        basis.set_ranking(RankingKind::PrefixBuckets);
+        assert!(basis.memory_bytes() > closed_form_bytes);
+    }
 
-        let mut spin1 = SpinBasis::build(SectorSpec::spin_s(5, 3, Some(5)).unwrap());
-        assert_eq!(spin1.dim() as u64, spin1.sector().dimension());
-        let probes: Vec<u64> = (0..1 << 10).collect();
-        let expect: Vec<Option<usize>> = probes.iter().map(|&p| spin1.index_of(p)).collect();
-        for kind in [RankingKind::BinarySearch, RankingKind::Trie] {
-            spin1.set_ranking(kind);
-            let got: Vec<Option<usize>> = probes.iter().map(|&p| spin1.index_of(p)).collect();
-            assert_eq!(got, expect, "{kind:?}");
+    #[test]
+    fn closed_form_survives_hostile_words_at_the_edges() {
+        // sites * bits == 64, and species with exactly one configuration.
+        for (n, up, dn, dim) in [(32, 1, 1, 1024), (5, 0, 2, 10), (5, 5, 2, 10)] {
+            let basis = SpinBasis::build(SectorSpec::spinful_fermions(n, up, dn).unwrap());
+            assert_eq!(basis.ranking(), RankingKind::Combinadic, "({n}, {up}, {dn})");
+            assert_eq!(basis.dim(), dim);
+            let mut probes = basis.states().to_vec();
+            // Right total weight, wrong species counts.
+            let (u, d) = if up < n { (up + 1, dn - 1) } else { (up - 1, dn + 1) };
+            let wrong = low_mask(u) | low_mask(d) << n;
+            assert_eq!(wrong.count_ones(), up + dn);
+            assert_eq!(basis.index_of(wrong), None);
+            probes.extend([u64::MAX, 0, wrong]);
+            let mut out = Vec::new();
+            basis.index_of_batch(&probes, &mut out);
+            for (&p, &o) in probes.iter().zip(&out) {
+                let expect = basis.states().binary_search(&p).ok();
+                assert_eq!(basis.index_of(p), expect, "({n}, {up}, {dn}) probe={p:#x}");
+                assert_eq!(o, expect.map_or(NOT_FOUND, |i| i as u32));
+            }
+            assert_eq!(basis.index_of(u64::MAX), None);
         }
     }
 

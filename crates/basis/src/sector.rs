@@ -40,7 +40,8 @@ pub enum BasisError {
     /// popcount, mask outside the site range, or masks overlapping.
     ChargeOutOfRange { mask: u64, weight: u32 },
     /// The requested ranking structure is not available for this sector
-    /// (combinadic ranking needs a U(1)-only spin-1/2 sector).
+    /// (closed-form ranking needs a trivial group and one-bit codes whose
+    /// fixed-weight species tile the word).
     RankingUnavailable { requested: &'static str },
 }
 
@@ -84,7 +85,11 @@ impl std::fmt::Display for BasisError {
                 write!(f, "charge weight {weight} invalid for mask {mask:#x}")
             }
             Self::RankingUnavailable { requested } => {
-                write!(f, "{requested} ranking requires a U(1)-only spin-1/2 sector")
+                write!(
+                    f,
+                    "{requested} ranking requires a trivial-group sector of one-bit codes \
+                     that is a product of fixed-weight species"
+                )
             }
         }
     }

@@ -6,19 +6,14 @@ use ls_basis::{SectorSpec, SpinBasis};
 use ls_kernels::bits::FixedWeightRange;
 use ls_kernels::sort::{apply_perm, counting_sort_perm};
 
-/// Ranking: prefix buckets vs plain binary search vs combinadics, one
-/// lookup at a time vs the interleaved bulk kernels.
+/// Ranking: closed form vs prefix buckets vs trie, one lookup at a time
+/// vs the bulk kernels.
 fn bench_ranking(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_ranking");
     g.sample_size(15);
     let mut basis = SpinBasis::build(SectorSpec::with_weight(24, 12).unwrap());
     let probes: Vec<u64> = (0..basis.dim()).step_by(7).map(|i| basis.state(i)).collect();
-    for kind in [
-        RankingKind::Combinadic,
-        RankingKind::PrefixBuckets,
-        RankingKind::BinarySearch,
-        RankingKind::Trie,
-    ] {
+    for kind in [RankingKind::Combinadic, RankingKind::PrefixBuckets, RankingKind::Trie] {
         basis.set_ranking(kind);
         g.bench_function(format!("{kind:?}"), |b| {
             b.iter(|| {

@@ -2,11 +2,12 @@
 //! batched engine (`MatvecStrategy::BatchedPull`).
 //!
 //! Times the serial oracle, the scalar gather and the engine against every
-//! applicable `RankingKind` on a U(1) sector (and a fully symmetrized
-//! sector for the `state_info_batch` path), verifies agreement against the
-//! serial reference while doing so, and emits the measurements as
-//! `BENCH_matvec.json` so the repository's performance trajectory is
-//! recorded run over run.
+//! applicable `RankingKind` on a U(1) sector, a fully symmetrized sector
+//! (the `state_info_batch` path) and a Hubbard ring (the `product` cell:
+//! closed-form ranking of N↑ × N↓ without the fused path), verifies
+//! agreement against the serial reference while doing so, and emits the
+//! measurements as `BENCH_matvec.json` so the repository's performance
+//! trajectory is recorded run over run.
 //!
 //! ```sh
 //! cargo run --release -p ls-bench --bin fig_batch -- \
@@ -17,6 +18,7 @@ use ls_basis::basis::RankingKind;
 use ls_basis::{SectorSpec, SpinBasis, SymmetrizedOperator};
 use ls_core::matvec::{apply_batched_pull_pooled, apply_pull_pooled, apply_serial_pooled};
 use ls_core::MatvecScratchPool;
+use ls_expr::{Expr, LocalHilbert};
 use ls_symmetry::lattice::{chain_bonds, chain_group};
 
 type Product =
@@ -104,13 +106,13 @@ impl SectorReport {
 
 fn run_sector(
     label: &'static str,
+    expr: &Expr,
     sector: SectorSpec,
     n_sites: usize,
     reps: usize,
 ) -> SectorReport {
-    let kernel = ls_expr::builders::heisenberg(&chain_bonds(n_sites), 1.0)
-        .to_kernel(n_sites as u32)
-        .unwrap();
+    let hilbert = LocalHilbert::from_encoding(sector.encoding());
+    let kernel = expr.to_kernel_in(&hilbert, sector.n_sites()).unwrap();
     let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
     let group_order = sector.group().order();
     let mut basis = SpinBasis::build(sector);
@@ -124,11 +126,10 @@ fn run_sector(
     let pool = MatvecScratchPool::new();
     apply_serial_pooled(&op, &basis, &x, &mut y_ref, &pool);
 
-    let mut rankings = vec![RankingKind::PrefixBuckets, RankingKind::BinarySearch];
-    if group_order == 1 {
+    let mut rankings = vec![RankingKind::PrefixBuckets, RankingKind::Trie];
+    if default_ranking == RankingKind::Combinadic {
         rankings.insert(0, RankingKind::Combinadic);
     }
-    rankings.push(RankingKind::Trie);
 
     // Interleaved rounds: one sample of every (ranking, strategy) pair
     // per round, so slow machine-load drift biases no strategy; the
@@ -233,9 +234,12 @@ fn main() {
         "STREAM triad ceiling: {stream_gbps:.1} GB/s at {threads} threads (SIMD {simd_level})"
     );
 
-    // U(1)-only sector: the trivial-group fast path, all four rankings.
+    let heisenberg = ls_expr::builders::heisenberg(&chain_bonds(sites), 1.0);
+
+    // U(1)-only sector: the trivial-group fast path, all three rankings.
     let u1 = run_sector(
         "u1",
+        &heisenberg,
         SectorSpec::with_weight(sites as u32, weight as u32).unwrap(),
         sites,
         reps,
@@ -248,11 +252,27 @@ fn main() {
     let group = chain_group(sites, 0, Some(0), Some(0)).unwrap();
     let symmetrized = run_sector(
         "symmetrized",
+        &heisenberg,
         SectorSpec::new(sites as u32, Some(weight as u32), group).unwrap(),
         sites,
         reps,
     );
     print_report(&symmetrized, reps, stream_gbps);
+
+    // Product sector: a Hubbard ring (t = 1, U = 4) on `sites / 2 + 1`
+    // physical sites just below half filling, which keeps its dimension
+    // next to the U(1) cell's (14 → 8 sites, 3 + 3). Closed-form ranking,
+    // but Jordan-Wigner signs keep it on generate + rank + gather.
+    let n_phys = sites / 2 + 1;
+    let filling = (n_phys as u32 - 1) / 2;
+    let product = run_sector(
+        "product",
+        &ls_expr::builders::hubbard_1d(n_phys, 1.0, 4.0, true),
+        SectorSpec::spinful_fermions(n_phys as u32, filling, filling).unwrap(),
+        n_phys,
+        reps,
+    );
+    print_report(&product, reps, stream_gbps);
 
     let speedup_pull = u1.default_time(SCALAR_PULL) / u1.default_time(BATCHED_PULL);
     println!("\nU(1) speedups at the default ranking ({:?}):", u1.default_ranking);
@@ -302,10 +322,11 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"matvec\",\n  \"threads\": {threads},\n  \"reps\": {reps},\n  \
          \"stream_gbps\": {stream_gbps:.4},\n  \"simd_level\": \"{simd_level}\",\n\
-         {},\n{},\n  \"speedup_batched_pull_vs_pull\": {speedup_pull:.4},\n  \
+         {},\n{},\n{},\n  \"speedup_batched_pull_vs_pull\": {speedup_pull:.4},\n  \
          \"simd_speedup_batched_pull\": {simd_speedup_pull:.4}\n}}\n",
         u1.to_json(stream_gbps),
-        symmetrized.to_json(stream_gbps)
+        symmetrized.to_json(stream_gbps),
+        product.to_json(stream_gbps)
     );
     std::fs::write(&out_path, &json).expect("write benchmark JSON");
     println!("\nwrote {out_path}");

@@ -9,7 +9,7 @@
 //! sector family the engine has a distinct path for, and agreement with
 //! the `Serial` oracle to rounding.
 
-use exact_diag::basis::{SectorSpec, SpinBasis, SymmetrizedOperator};
+use exact_diag::basis::{RankingKind, SectorSpec, SpinBasis, SymmetrizedOperator};
 use exact_diag::core::matvec::{
     apply_batched_pull_pooled, apply_pull_pooled, apply_serial_pooled, MatvecScratchPool,
 };
@@ -26,12 +26,20 @@ fn random_vec(dim: usize, seed: u64) -> Vec<f64> {
 }
 
 /// Engine ≡ scalar gather bit for bit, engine ≈ `Serial` to 1e-10, for
-/// `expr` compiled against `sector`'s local Hilbert space.
-fn check_engine<S: Scalar>(expr: &Expr, sector: SectorSpec, seed: u64) -> Result<(), String> {
+/// `expr` compiled against `sector`'s local Hilbert space — under the
+/// sector's default ranking (`default`), and the same bits again under
+/// the search rankings.
+fn check_engine<S: Scalar>(
+    expr: &Expr,
+    sector: SectorSpec,
+    default: RankingKind,
+    seed: u64,
+) -> Result<(), String> {
     let hilbert = LocalHilbert::from_encoding(sector.encoding());
     let kernel = expr.to_kernel_in(&hilbert, sector.n_sites()).unwrap();
     let op = SymmetrizedOperator::<S>::new(&kernel, &sector).unwrap();
-    let basis = SpinBasis::build(sector);
+    let mut basis = SpinBasis::build(sector);
+    prop_assert_eq!(basis.ranking(), default);
     let dim = basis.dim();
     let x: Vec<S> = random_vec(dim, seed)
         .into_iter()
@@ -57,6 +65,11 @@ fn check_engine<S: Scalar>(expr: &Expr, sector: SectorSpec, seed: u64) -> Result
             y_serial[i]
         );
     }
+    for kind in [RankingKind::PrefixBuckets, RankingKind::Trie] {
+        basis.set_ranking(kind);
+        apply_batched_pull_pooled(&op, &basis, &x, &mut y_pull, &pool);
+        prop_assert_eq!(&y_pull, &y_engine, "engine under {:?} vs {:?}", kind, default);
+    }
     Ok(())
 }
 
@@ -75,6 +88,7 @@ proptest! {
         n_choice in 0usize..3,
         seed in any::<u64>(),
     ) {
+        use RankingKind::{Combinadic, PrefixBuckets};
         let n = [8usize, 10, 12][n_choice];
         let spin_half = xxz(&chain_bonds(n), jxy, delta);
         let chain = |momentum, reflection, inversion| {
@@ -84,25 +98,29 @@ proptest! {
         // U(1)-only: combinadic ranking, the differential-ranking fused
         // path.
         let u1 = SectorSpec::with_weight(n as u32, n as u32 / 2).unwrap();
-        check_engine::<f64>(&spin_half, u1, seed)?;
+        check_engine::<f64>(&spin_half, u1, Combinadic, seed)?;
         // Translation (k = 0).
-        check_engine::<f64>(&spin_half, chain(0, None, None), seed)?;
+        check_engine::<f64>(&spin_half, chain(0, None, None), PrefixBuckets, seed)?;
         // Full chain symmetry: translation + reflection + spin flip.
-        check_engine::<f64>(&spin_half, chain(0, Some(0), Some(0)), seed)?;
+        check_engine::<f64>(&spin_half, chain(0, Some(0), Some(0)), PrefixBuckets, seed)?;
         // k = π (real characters, non-trivial phases).
-        check_engine::<f64>(&spin_half, chain(n as i64 / 2, None, None), seed)?;
+        check_engine::<f64>(&spin_half, chain(n as i64 / 2, None, None), PrefixBuckets, seed)?;
         // k = 2π/n (complex characters).
-        check_engine::<Complex64>(&spin_half, chain(1, None, None), seed)?;
+        check_engine::<Complex64>(&spin_half, chain(1, None, None), PrefixBuckets, seed)?;
 
         let sites = [4usize, 6, 7][n_choice];
-        // Spinful fermions: Jordan-Wigner signs keep the U(1)-only sector
-        // off the fused path; prefix-bucket ranking.
+        // Spinful fermions: closed-form ranking of the N↑ × N↓ product,
+        // but Jordan-Wigner signs keep the sector off the fused path.
+        // Balanced and unbalanced filling.
+        let hubbard_ring = hubbard_1d(sites, jxy, 2.0 * delta, true);
         let filling = sites as u32 / 2;
-        let hubbard = SectorSpec::spinful_fermions(sites as u32, filling, filling).unwrap();
-        check_engine::<f64>(&hubbard_1d(sites, jxy, 2.0 * delta, true), hubbard, seed)?;
+        for n_down in [filling, filling + 1] {
+            let hubbard = SectorSpec::spinful_fermions(sites as u32, filling, n_down).unwrap();
+            check_engine::<f64>(&hubbard_ring, hubbard, Combinadic, seed)?;
+        }
         // Spin-1 (two bits per site), total Sz = 0.
         let spin_one = SectorSpec::spin_s(sites as u32, 3, Some(sites as u32)).unwrap();
-        check_engine::<f64>(&xxz(&chain_bonds(sites), jxy, delta), spin_one, seed)?;
+        check_engine::<f64>(&xxz(&chain_bonds(sites), jxy, delta), spin_one, PrefixBuckets, seed)?;
     }
 
     /// Repeated applies through one `Operator` (its scratch pool warm)

@@ -85,7 +85,7 @@ fn hubbard_ring_f64() {
     let sector = SectorSpec::spinful_fermions(8, 3, 3).unwrap();
     let (basis, op) =
         Operator::<f64>::from_expr(&hubbard_1d(8, 1.0, 4.0, true), sector).unwrap();
-    assert_eq!(basis.ranking(), RankingKind::PrefixBuckets);
+    assert_eq!(basis.ranking(), RankingKind::Combinadic);
     let res = thick_restart_lanczos(&op, &bench_options());
     assert_pinned("hubbard ring", &res, 107, 26, [0xc01ab05425bf798f, 0xc016e3bbb5c4358e]);
 }
