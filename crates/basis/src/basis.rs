@@ -98,7 +98,7 @@ impl SpinBasis {
     /// Assembles a basis from already-enumerated parts (used by the
     /// distributed layer after gathering).
     pub fn from_parts(sector: SectorSpec, states: Vec<u64>, orbit_sizes: Vec<u32>) -> Self {
-        debug_assert_eq!(states.len(), orbit_sizes.len());
+        assert_eq!(states.len(), orbit_sizes.len(), "one orbit size per state");
         debug_assert!(states.windows(2).all(|w| w[0] < w[1]), "states must be sorted");
         // A closed form is exact only when every state is its own orbit
         // (trivial group), codes are one bit wide, and `states` is the
@@ -302,6 +302,14 @@ mod tests {
         }
         // A non-representative must not be found.
         assert_eq!(basis.index_of(0b1000_0000_0001), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "one orbit size per state")]
+    fn from_parts_rejects_mismatched_lengths() {
+        // Release builds too: the distributed gather feeds this.
+        let sector = SectorSpec::with_weight(4, 2).unwrap();
+        SpinBasis::from_parts(sector, vec![0b0011, 0b0101], vec![1]);
     }
 
     /// Every ranking `basis` offers, scalar and batched, against

@@ -19,7 +19,9 @@
 //! * [`SymmetrizedOperator`] — an [`ls_expr::OperatorKernel`] projected
 //!   into a sector: `getRow` over *representatives*, producing
 //!   `(representative, amplitude)` pairs — exactly the operation the
-//!   distributed matrix-vector product is built on.
+//!   distributed matrix-vector product is built on. Its block form
+//!   resolves emissions differentially (`g(α ⊕ m) = g(α) ⊕ π_g(m)`);
+//!   [`state_info_batch`] is the reference it is tested against.
 
 pub mod basis;
 pub mod enumerate;

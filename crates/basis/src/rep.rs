@@ -56,7 +56,8 @@ pub fn state_info(group: &SymmetryGroup, s: u64) -> StateInfo {
 }
 
 /// SoA results of resolving a *block* of raw bitstrings against a
-/// symmetry group — the batched `state_info` of the matvec engine.
+/// symmetry group — the batched `state_info`, and the oracle of the
+/// differential walk the matvec engines run (`GroupWalk`).
 ///
 /// All vectors are aligned with the input block and are caller-owned
 /// scratch: [`state_info_batch`] clears and refills them, so a reused
@@ -132,6 +133,151 @@ pub fn state_info_batch(group: &SymmetryGroup, states: &[u64], out: &mut StateIn
         debug_assert!(stab >= 1);
         order / stab
     }));
+}
+
+/// Words of orbit images one tile of source rows may occupy (24 KiB): the
+/// tile and the `|G| × masks` table stay cache-resident between the pass
+/// that writes the images and the loop that reads them, and a worker's
+/// image scratch does not grow with the block length (a 1024-row block at
+/// `|G| = 96` would hold 768 KiB). Measured flat from 6 KiB to 768 KiB on
+/// the 24-site chain, so this is a bound, not a tuned value.
+const IMAGE_TILE_WORDS: usize = 3072;
+
+/// The tables of the *differential* group walk, the form of
+/// [`state_info`] the block `getRow` runs.
+///
+/// A group element is a bit permutation plus an optional global flip, so
+/// it is affine over GF(2): `g(α ⊕ m) = g(α) ⊕ π_g(m)`. Every emission of
+/// a source row `α` is `α ⊕ m` for one of the operator's few channel flip
+/// masks `m`, so the Benes networks run once per *row* — and once per
+/// distinct site permutation, since elements that differ by the global
+/// flip share it ([`Self::orbit_images`]) — and the `|G|` images of each
+/// emission are one XOR against the precomputed `|G| × masks` words of
+/// `π_g(m)` ([`Self::resolve`]). [`state_info`] and [`state_info_batch`]
+/// are the oracle: the element order and the update rule are theirs, so
+/// every result is equal bit for bit.
+#[derive(Clone, Debug)]
+pub(crate) struct GroupWalk {
+    order: usize,
+    /// Per element, the earlier element carrying the same site
+    /// permutation (its own index when it is the first: that one runs the
+    /// network) …
+    network: Vec<u32>,
+    /// … and what turns that element's image into this one's: the
+    /// element's own flip mask on a network element, the XOR of the two
+    /// flip masks on a sharing one.
+    xor: Vec<u64>,
+    /// `permuted[mask · |G| + g] = π_g(mask)`.
+    permuted: Vec<u64>,
+    /// Is the element's character 1? (A stabilizing element with any
+    /// other character gives the orbit zero norm.)
+    stabilizer_ok: Vec<bool>,
+    /// `χ(g)*` per element, and in slot `|G|` the phase [`state_info`]
+    /// starts from, for a state that is its own orbit minimum.
+    phase_conj: Vec<Complex64>,
+}
+
+impl GroupWalk {
+    /// Tables for `group` and the distinct channel flip `masks`.
+    pub(crate) fn new(group: &SymmetryGroup, masks: &[u64]) -> Self {
+        let elements = group.elements();
+        let mut first = std::collections::HashMap::new();
+        let mut network = Vec::with_capacity(elements.len());
+        let mut xor = Vec::with_capacity(elements.len());
+        for (g, el) in elements.iter().enumerate() {
+            // `π(0) = 0`, so the image of the empty word is the flip mask.
+            let flip_mask = el.apply(0);
+            let h = *first.entry(el.permutation().as_slice()).or_insert(g);
+            network.push(h as u32);
+            xor.push(if h == g { flip_mask } else { flip_mask ^ elements[h].apply(0) });
+        }
+        let permuted = masks
+            .iter()
+            .flat_map(|&m| elements.iter().map(move |el| el.apply_permutation(m)))
+            .collect();
+        let mut phase_conj: Vec<Complex64> =
+            elements.iter().map(|el| el.phase().conj().to_c64()).collect();
+        phase_conj.push(ls_symmetry::RationalPhase::ZERO.conj().to_c64());
+        Self {
+            order: elements.len(),
+            network,
+            xor,
+            permuted,
+            stabilizer_ok: elements.iter().map(|el| el.phase().is_one()).collect(),
+            phase_conj,
+        }
+    }
+
+    /// Benes networks one source row costs: the distinct site
+    /// permutations of the group.
+    #[cfg(test)]
+    pub(crate) fn n_networks(&self) -> usize {
+        self.network.iter().enumerate().filter(|&(g, &h)| h as usize == g).count()
+    }
+
+    /// Source rows per tile of [`Self::orbit_images`], from `|G|` alone.
+    pub(crate) fn tile_rows(&self) -> usize {
+        (IMAGE_TILE_WORDS / self.order).max(1)
+    }
+
+    /// `images[row · |G| + g] = el_g.apply(states[row])`, group-element-outer
+    /// like [`state_info_batch`]: each compiled network is loaded once
+    /// and applied to the whole tile.
+    pub(crate) fn orbit_images(
+        &self,
+        group: &SymmetryGroup,
+        states: &[u64],
+        images: &mut Vec<u64>,
+    ) {
+        let order = self.order;
+        // Every slot is overwritten below; a tile of the usual length
+        // costs no fill.
+        images.resize(states.len() * order, 0);
+        for (g, el) in group.elements().iter().enumerate() {
+            let (h, xor) = (self.network[g] as usize, self.xor[g]);
+            if h == g {
+                for (row, &alpha) in images.chunks_exact_mut(order).zip(states) {
+                    row[g] = el.apply_permutation(alpha) ^ xor;
+                }
+            } else {
+                for row in images.chunks_exact_mut(order) {
+                    row[g] = row[h] ^ xor;
+                }
+            }
+        }
+    }
+
+    /// [`state_info`] of the emission `raw = α ⊕ masks[mask]`, from the
+    /// `|G|` orbit `images` of its source row `α`.
+    #[inline]
+    pub(crate) fn resolve(&self, images: &[u64], mask: usize, raw: u64) -> StateInfo {
+        let order = self.order;
+        let images = &images[..order];
+        let permuted = &self.permuted[mask * order..][..order];
+        let stabilizer_ok = &self.stabilizer_ok[..order];
+        let mut rep = raw;
+        let mut winner = order;
+        let mut stab = 0u32;
+        let mut valid = true;
+        for g in 0..order {
+            let t = images[g] ^ permuted[g];
+            if t < rep {
+                rep = t;
+                winner = g;
+            } else if t == raw {
+                stab += 1;
+                valid &= stabilizer_ok[g];
+            }
+        }
+        // A state is always stabilized at least by the identity.
+        debug_assert!(stab >= 1);
+        StateInfo {
+            representative: rep,
+            phase: self.phase_conj[winner],
+            orbit_size: order as u32 / stab,
+            valid,
+        }
+    }
 }
 
 /// Is `s` a valid representative? Returns its orbit size if so.

@@ -13,8 +13,18 @@
 //! (zero-norm orbits are skipped). This is the paper's `getRow` for
 //! symmetry-adapted bases, and the inner kernel of every matrix-vector
 //! product in this workspace.
+//!
+//! The scalar [`SymmetrizedOperator::apply_off_diag`] resolves each raw
+//! state with [`state_info`] — `|G|` Benes networks per emission — and is
+//! the reference. The block form the engines run,
+//! [`SymmetrizedOperator::apply_off_diag_block`], uses that a group element
+//! (a bit permutation `π_g`, then an optional global flip) is affine over
+//! GF(2), `g(α ⊕ m) = g(α) ⊕ π_g(m)`: the networks run once per source
+//! *row*, and an emission's `|G|` images are one XOR each against a table
+//! of `|G| × distinct flip masks` words built at construction
+//! (`crate::rep::GroupWalk`).
 
-use crate::rep::{state_info, state_info_batch, StateInfoBatch};
+use crate::rep::{state_info, GroupWalk};
 use crate::sector::{BasisError, SectorSpec};
 use ls_expr::OperatorKernel;
 use ls_kernels::combinadics::BinomialTable;
@@ -35,7 +45,8 @@ pub struct OffDiagBlock<S: Scalar> {
     pub reps: Vec<u64>,
     /// Matrix elements `⟨β̃|H|α̃⟩`.
     pub amps: Vec<S>,
-    info: StateInfoBatch,
+    /// Orbit images of the current tile of source rows (`rows × |G|`).
+    images: Vec<u64>,
 }
 
 impl<S: Scalar> OffDiagBlock<S> {
@@ -85,6 +96,10 @@ pub struct SymmetrizedOperator<S: Scalar> {
     /// multi-bit encodings (empty for spin-1/2 operators).
     patterns: Vec<(S, u64, u64)>,
     channels: Vec<SymChannel<S>>,
+    /// Per channel, the index of its `flip` among the distinct flip masks
+    /// `walk` was built on.
+    channel_mask: Vec<u32>,
+    walk: GroupWalk,
     hermitian: bool,
     trivial_group: bool,
     /// Any channel with a non-zero Jordan-Wigner sign mask? Gates the
@@ -146,21 +161,31 @@ impl<S: Scalar> SymmetrizedOperator<S> {
             patterns.push((c, p.sites, p.pat));
         }
         let mut channels = Vec::with_capacity(kernel.channels().len());
+        let mut masks: Vec<u64> = Vec::new();
+        let mut channel_mask = Vec::with_capacity(kernel.channels().len());
         for ch in kernel.channels() {
             let c = S::from_c64(ch.coeff).ok_or(BasisError::ComplexOperator)?;
+            let flip = ch.flip_mask();
             channels.push(SymChannel {
                 coeff: c,
                 sites: ch.sites,
                 in_pat: ch.in_pat,
-                flip: ch.flip_mask(),
+                flip,
                 sign: ch.sign,
             });
+            let slot = masks.iter().position(|&m| m == flip).unwrap_or_else(|| {
+                masks.push(flip);
+                masks.len() - 1
+            });
+            channel_mask.push(slot as u32);
         }
         Ok(Self {
+            walk: GroupWalk::new(sector.group(), &masks),
             group: sector.group().clone(),
             diag,
             patterns,
             channels,
+            channel_mask,
             hermitian: kernel.is_hermitian(1e-10),
             trivial_group: sector.group().order() == 1,
             has_signs: kernel.has_signs(),
@@ -307,12 +332,16 @@ impl<S: Scalar> SymmetrizedOperator<S> {
     /// emission for a block of representatives (`states` with orbit sizes
     /// `orbits`) into `out`'s SoA arrays.
     ///
-    /// The pipeline is: (1) channel-mask generation of raw states, (2) a
-    /// single [`state_info_batch`] pass over all raw states of the block
-    /// (group-element-outer), (3) amplitude resolution with zero-norm
-    /// emissions compacted away. Emission order and every floating-point
+    /// Under a non-trivial group this is the differential walk
+    /// (`g(α ⊕ m) = g(α) ⊕ π_g(m)`): rows are taken in tiles sized from
+    /// `|G|`; per tile, one group-element-outer pass writes every row's
+    /// `|G|` orbit images (one Benes network per distinct site permutation
+    /// per row), then each firing (row, channel) resolves its emission
+    /// with one XOR per element against the `|G| × distinct masks` table.
+    /// Emission order, the minimization rule and every floating-point
     /// operation match the scalar path, so results are bit-identical to
-    /// calling `apply_off_diag` state by state.
+    /// calling `apply_off_diag` state by state; [`state_info`] and
+    /// [`crate::state_info_batch`] on the raw emissions are the oracle.
     pub fn apply_off_diag_block(
         &self,
         states: &[u64],
@@ -323,6 +352,10 @@ impl<S: Scalar> SymmetrizedOperator<S> {
         out.src.clear();
         out.reps.clear();
         out.amps.clear();
+        if !self.trivial_group {
+            return self.walk_off_diag_block(states, orbits, out);
+        }
+        // Raw states are their own representatives with unit phase.
         if self.has_signs {
             for (k, &alpha) in states.iter().enumerate() {
                 for ch in &self.channels {
@@ -345,29 +378,35 @@ impl<S: Scalar> SymmetrizedOperator<S> {
                 }
             }
         }
-        if self.trivial_group {
-            // Raw states are their own representatives with unit phase.
-            return;
-        }
-        state_info_batch(&self.group, &out.reps, &mut out.info);
-        let info = &out.info;
-        let mut w = 0usize;
-        for r in 0..out.reps.len() {
-            if !info.valid[r] {
-                continue;
+    }
+
+    /// The non-trivial-group half of [`Self::apply_off_diag_block`]; the
+    /// per-emission arithmetic is [`Self::apply_off_diag`]'s, line by line.
+    fn walk_off_diag_block(&self, states: &[u64], orbits: &[u32], out: &mut OffDiagBlock<S>) {
+        let order = self.group.order();
+        let tile = self.walk.tile_rows();
+        for (t, tile_states) in states.chunks(tile).enumerate() {
+            self.walk.orbit_images(&self.group, tile_states, &mut out.images);
+            for (r, (&alpha, images)) in
+                tile_states.iter().zip(out.images.chunks_exact(order)).enumerate()
+            {
+                let k = t * tile + r;
+                for (ch, &mask) in self.channels.iter().zip(&self.channel_mask) {
+                    if alpha & ch.sites == ch.in_pat {
+                        let info = self.walk.resolve(images, mask as usize, alpha ^ ch.flip);
+                        if !info.valid {
+                            continue;
+                        }
+                        let norm = (orbits[k] as f64 / info.orbit_size as f64).sqrt();
+                        let phase = S::from_c64(info.phase)
+                            .expect("real sector guarantees real phases");
+                        out.src.push(k as u32);
+                        out.reps.push(info.representative);
+                        out.amps.push(ch.signed_coeff(alpha) * phase.scale_re(norm));
+                    }
+                }
             }
-            let alpha_orbit = orbits[out.src[r] as usize];
-            let norm = (alpha_orbit as f64 / info.orbit_sizes[r] as f64).sqrt();
-            let phase =
-                S::from_c64(info.phases[r]).expect("real sector guarantees real phases");
-            out.src[w] = out.src[r];
-            out.reps[w] = info.representatives[r];
-            out.amps[w] = out.amps[r] * phase.scale_re(norm);
-            w += 1;
         }
-        out.src.truncate(w);
-        out.reps.truncate(w);
-        out.amps.truncate(w);
     }
 
     /// The U(1) fused fast path: generation *and ranking* of a block in
@@ -401,8 +440,10 @@ impl<S: Scalar> SymmetrizedOperator<S> {
         emit: &mut Vec<u64>,
         segs: &mut Vec<(S, u32)>,
     ) {
-        debug_assert!(self.trivial_group, "fused ranking requires the trivial group");
-        debug_assert!(!self.has_signs, "fused ranking requires sign-free channels");
+        // Hard checks (two flag tests per block): past them a symmetrized
+        // or Jordan-Wigner operator would get plausible wrong ranks.
+        assert!(self.trivial_group, "fused ranking requires the trivial group");
+        assert!(!self.has_signs, "fused ranking requires sign-free channels");
         emit.clear();
         segs.clear();
         fired.clear();
@@ -506,6 +547,7 @@ pub fn sector_matrix_c64(
 mod tests {
     use super::*;
     use crate::basis::SpinBasis;
+    use crate::rep::{state_info_batch, StateInfoBatch};
     use ls_expr::builders::heisenberg;
     use ls_symmetry::lattice;
 
@@ -601,39 +643,191 @@ mod tests {
         check_block_matches_scalar(&op, &basis);
     }
 
-    fn check_block_matches_scalar<S: Scalar>(op: &SymmetrizedOperator<S>, basis: &SpinBasis) {
-        let states = basis.states();
-        let orbits = basis.orbit_sizes();
+    /// `bonds` Heisenberg at fixed weight (or on the full space) under
+    /// `group`, through [`check_block_matches_scalar`]; the basis must
+    /// span at least `min_tiles` tiles of the walk.
+    fn check_heisenberg<S: Scalar>(
+        bonds: &[(usize, usize)],
+        n: usize,
+        weight: Option<u32>,
+        group: SymmetryGroup,
+        min_tiles: usize,
+    ) -> usize {
+        let kernel = heisenberg(bonds, 1.0).to_kernel(n as u32).unwrap();
+        let sector = SectorSpec::new(n as u32, weight, group).unwrap();
+        let basis = SpinBasis::build(sector.clone());
+        let op = SymmetrizedOperator::<S>::new(&kernel, &sector).unwrap();
+        assert!(basis.dim() >= min_tiles * op.walk.tile_rows(), "dim {}", basis.dim());
+        check_block_matches_scalar(&op, &basis)
+    }
+
+    #[test]
+    fn block_generation_matches_scalar_apply_across_tiles() {
+        use ls_symmetry::Generator;
+        let n = 16usize;
+        let chain = lattice::chain_bonds(n);
+        // The benchmark's family: |G| = 64, real characters, flip sharing.
+        let full = lattice::chain_group(n, 0, Some(0), Some(0)).unwrap();
+        assert_eq!(full.order(), 64);
+        check_heisenberg::<f64>(&chain, n, Some(8), full, 3);
+        // k = 1: complex characters and zero-norm orbits (the skip path).
+        let k1 = lattice::chain_group(n, 1, None, None).unwrap();
+        assert!(check_heisenberg::<Complex64>(&chain, n, Some(8), k1, 3) > 0);
+        // J1-J2 ring: more distinct flip masks than bonds of one length.
+        let j1j2 = lattice::triangular_ladder_bonds(n);
+        let group = lattice::chain_group(n, 0, Some(1), Some(1)).unwrap();
+        check_heisenberg::<f64>(&j1j2, n, Some(8), group, 3);
+        // 4 × 4 square lattice, both translations and the C4 rotation:
+        // non-chain permutations, ±i characters at zero momentum.
+        let square = SymmetryGroup::generate(&[
+            Generator::new(lattice::square_translation_x(4, 4), 0),
+            Generator::new(lattice::square_translation_y(4, 4), 0),
+            Generator::new(lattice::square_rotation(4), 1),
+        ])
+        .unwrap();
+        assert_eq!(square.order(), 64);
+        assert!(!square.is_real());
+        check_heisenberg::<Complex64>(&lattice::square_bonds(4, 4), n, Some(8), square, 3);
+    }
+
+    #[test]
+    fn block_generation_matches_scalar_apply_on_odd_group_orders() {
+        // Nothing in the walk may assume |G| is a multiple of 4 or a
+        // power of two. |G| = 6: translations of a 6-ring.
+        let ring6 = lattice::chain_group(6, 0, None, None).unwrap();
+        assert_eq!(ring6.order(), 6);
+        check_heisenberg::<f64>(&lattice::chain_bonds(6), 6, Some(3), ring6.clone(), 0);
+        check_heisenberg::<f64>(&lattice::chain_bonds(6), 6, None, ring6, 0);
+        // |G| = 10: translation × flip of a 5-ring on the full space,
+        // under a transverse-field Ising model — odd-weight flip masks.
+        let ring5 = lattice::chain_group(5, 0, None, Some(0)).unwrap();
+        assert_eq!(ring5.order(), 10);
+        let tfim = ls_expr::builders::ising_zz(&lattice::chain_bonds(5), 1.0)
+            + ls_expr::builders::transverse_field(5, 0.7);
+        let sector = SectorSpec::new(5, None, ring5).unwrap();
+        let basis = SpinBasis::build(sector.clone());
+        let op = SymmetrizedOperator::<f64>::new(&tfim.to_kernel(5).unwrap(), &sector).unwrap();
+        check_block_matches_scalar(&op, &basis);
+    }
+
+    #[test]
+    fn flip_partners_share_one_network() {
+        // The benchmark's 24-site group: 96 elements, 48 site permutations.
+        let n = 24usize;
+        let kernel = heisenberg(&lattice::chain_bonds(n), 1.0).to_kernel(n as u32).unwrap();
+        let group = lattice::chain_group(n, 0, Some(0), Some(0)).unwrap();
+        let sector = SectorSpec::new(n as u32, Some(12), group).unwrap();
+        let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
+        assert_eq!(op.group().order(), 96);
+        assert_eq!(op.walk.n_networks(), 48);
+        assert_eq!(op.walk.tile_rows(), 32);
+        // Without the flip every element runs its own.
+        let group = lattice::chain_group(n, 0, Some(0), None).unwrap();
+        let sector = SectorSpec::new(n as u32, Some(12), group).unwrap();
+        let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
+        assert_eq!(op.walk.n_networks(), 48);
+        assert_eq!(op.group().order(), 48);
+    }
+
+    /// Block generation ≡ scalar `apply_off_diag` ≡ `state_info_batch` run
+    /// on the block's raw emissions, bit for bit, at block lengths on both
+    /// sides of the walk's tile. Returns how many zero-norm emissions one
+    /// sweep over the basis skips.
+    fn check_block_matches_scalar<S: Scalar>(
+        op: &SymmetrizedOperator<S>,
+        basis: &SpinBasis,
+    ) -> usize {
+        let tile = op.walk.tile_rows();
         let mut block = OffDiagBlock::new();
+        let mut info = StateInfoBatch::new();
         let mut diag = vec![S::ZERO; 0];
         let mut row = Vec::new();
-        // Deliberately odd block size to exercise boundaries.
-        let bs = 13usize;
-        let mut b0 = 0usize;
-        while b0 < states.len() {
-            let b1 = (b0 + bs).min(states.len());
-            op.apply_off_diag_block(&states[b0..b1], &orbits[b0..b1], &mut block);
-            diag.resize(b1 - b0, S::ZERO);
-            op.diagonal_block(&states[b0..b1], &mut diag);
-            let mut t = 0usize;
-            for k in 0..(b1 - b0) {
-                // Diagonal: bit-identical to the scalar accumulator.
-                assert_eq!(diag[k], op.diagonal(states[b0 + k]));
-                row.clear();
-                op.apply_off_diag(states[b0 + k], orbits[b0 + k], &mut row);
-                for &(rep, amp) in &row {
-                    assert!(t < block.len(), "batch emitted too few entries");
+        let mut skipped = 0usize;
+        // 13 and 77: deliberately odd, to exercise boundaries.
+        for bs in [1, (tile - 1).max(1), tile, tile + 1, 13, 77, basis.dim()] {
+            skipped = 0;
+            for (states, orbits) in
+                basis.states().chunks(bs).zip(basis.orbit_sizes().chunks(bs))
+            {
+                op.apply_off_diag_block(states, orbits, &mut block);
+                diag.resize(states.len(), S::ZERO);
+                op.diagonal_block(states, &mut diag);
+                let mut t = 0usize;
+                for k in 0..states.len() {
+                    // Diagonal: bit-identical to the scalar accumulator.
+                    assert_eq!(diag[k], op.diagonal(states[k]));
+                    row.clear();
+                    op.apply_off_diag(states[k], orbits[k], &mut row);
+                    for &(rep, amp) in &row {
+                        assert!(t < block.len(), "batch emitted too few entries");
+                        assert_eq!(block.src[t] as usize, k);
+                        assert_eq!(block.reps[t], rep);
+                        // Bit-exact: the batch path performs the identical
+                        // floating-point operations in the same order.
+                        assert_eq!(block.amps[t], amp);
+                        t += 1;
+                    }
+                }
+                assert_eq!(t, block.len(), "batch emitted extra entries");
+
+                // The oracle of the walk: the reference group pass over
+                // the raw states the channels emit.
+                let fired: Vec<(usize, &SymChannel<S>)> = (0..states.len())
+                    .flat_map(|k| op.channels.iter().map(move |ch| (k, ch)))
+                    .filter(|&(k, ch)| states[k] & ch.sites == ch.in_pat)
+                    .collect();
+                let raw: Vec<u64> = fired.iter().map(|&(k, ch)| states[k] ^ ch.flip).collect();
+                state_info_batch(op.group(), &raw, &mut info);
+                let mut t = 0usize;
+                for (r, &(k, ch)) in fired.iter().enumerate() {
+                    if !info.valid[r] {
+                        skipped += 1;
+                        continue;
+                    }
+                    let norm = (orbits[k] as f64 / info.orbit_sizes[r] as f64).sqrt();
+                    let phase = S::from_c64(info.phases[r]).unwrap();
                     assert_eq!(block.src[t] as usize, k);
-                    assert_eq!(block.reps[t], rep);
-                    // Bit-exact: the batch path performs the identical
-                    // floating-point operations in the same order.
-                    assert_eq!(block.amps[t], amp);
+                    assert_eq!(block.reps[t], info.representatives[r]);
+                    assert_eq!(
+                        block.amps[t],
+                        ch.signed_coeff(states[k]) * phase.scale_re(norm)
+                    );
                     t += 1;
                 }
+                assert_eq!(t, block.len(), "oracle and batch disagree on zero-norm orbits");
             }
-            assert_eq!(t, block.len(), "batch emitted extra entries");
-            b0 = b1;
         }
+        skipped
+    }
+
+    #[test]
+    #[should_panic(expected = "fused ranking requires the trivial group")]
+    fn fused_ranking_rejects_a_symmetry_group() {
+        let (kernel, sector, basis) = chain_setup(8, 0, Some(0), Some(0));
+        let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
+        fused_block(&op, basis.states());
+    }
+
+    #[test]
+    #[should_panic(expected = "fused ranking requires sign-free channels")]
+    fn fused_ranking_rejects_jordan_wigner_signs() {
+        let h = ls_expr::LocalHilbert::fermion();
+        let kernel = ls_expr::hubbard_1d(4, 1.0, 4.0, true).to_kernel_in(&h, 8).unwrap();
+        let sector = SectorSpec::spinful_fermions(4, 2, 1).unwrap();
+        let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
+        fused_block(&op, SpinBasis::build(sector).states());
+    }
+
+    fn fused_block(op: &SymmetrizedOperator<f64>, states: &[u64]) {
+        let (mut fired, mut emit, mut segs) = (Vec::new(), Vec::new(), Vec::new());
+        op.apply_off_diag_block_u1_ranked_channels(
+            states,
+            0,
+            &BinomialTable::new(),
+            &mut fired,
+            &mut emit,
+            &mut segs,
+        );
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! its row-generation kernel (`getRow`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ls_basis::{SectorSpec, SpinBasis, SymmetrizedOperator};
+use ls_basis::{OffDiagBlock, SectorSpec, SpinBasis, SymmetrizedOperator};
 use ls_core::matvec::{apply_pull, apply_serial};
 use ls_expr::builders::heisenberg;
+use ls_kernels::chunk::BATCH_ROWS;
 use ls_symmetry::lattice;
 
 fn setup(n: usize) -> (SymmetrizedOperator<f64>, SpinBasis, Vec<f64>) {
@@ -29,6 +30,22 @@ fn bench_row_generation(c: &mut Criterion) {
                 row.clear();
                 op.apply_off_diag(basis.state(j), basis.orbit_sizes()[j], &mut row);
                 acc += row.len();
+            }
+            black_box(acc)
+        })
+    });
+    // The same rows through the block form the engines run (the
+    // differential walk), in the engine's blocks; the cell above is its
+    // reference.
+    g.bench_function("symmetrized_block_20spins", |b| {
+        let rows = basis.dim().min(5_000);
+        let (states, orbits) = (&basis.states()[..rows], &basis.orbit_sizes()[..rows]);
+        let mut block = OffDiagBlock::new();
+        b.iter(|| {
+            let mut acc = 0usize;
+            for (s, o) in states.chunks(BATCH_ROWS).zip(orbits.chunks(BATCH_ROWS)) {
+                op.apply_off_diag_block(s, o, &mut block);
+                acc += block.len();
             }
             black_box(acc)
         })

@@ -3,7 +3,7 @@
 //!
 //! Times the serial oracle, the scalar gather and the engine against every
 //! applicable `RankingKind` on a U(1) sector, a fully symmetrized sector
-//! (the `state_info_batch` path) and a Hubbard ring (the `product` cell:
+//! (the differential group walk of `apply_off_diag_block`) and a Hubbard ring (the `product` cell:
 //! closed-form ranking of N↑ × N↓ without the fused path), verifies
 //! agreement against the serial reference while doing so, and emits the
 //! measurements as `BENCH_matvec.json` so the repository's performance
@@ -247,8 +247,11 @@ fn main() {
     print_report(&u1, reps, stream_gbps);
 
     // Fully symmetrized sector (translation + reflection + spin flip):
-    // exercises `state_info_batch`. The dimension shrinks by ~|G|, so the
-    // same site count stays cheap.
+    // the engine's row generation is the differential group walk
+    // (`g(α ⊕ m) = g(α) ⊕ π_g(m)`, a table of |G| × distinct flip masks
+    // words), the scalar gather's the per-emission `state_info` it is
+    // tested against. The dimension shrinks by ~|G|, so the same site
+    // count stays cheap.
     let group = chain_group(sites, 0, Some(0), Some(0)).unwrap();
     let symmetrized = run_sector(
         "symmetrized",

@@ -4,8 +4,11 @@
 //!
 //! * **batched pull** (the engine, default) — gather form: rows are
 //!   processed in blocks, off-diagonal generation runs through
-//!   [`SymmetrizedOperator::apply_off_diag_block`] (one
-//!   group-element-outer `state_info` pass per block), ranking through the
+//!   [`SymmetrizedOperator::apply_off_diag_block`] (on symmetrized
+//!   sectors the differential group walk, `g(α ⊕ m) = g(α) ⊕ π_g(m)`:
+//!   Benes networks once per source row, one XOR per group element per
+//!   emission against a `|G| × distinct flip masks` table;
+//!   `ls_basis::state_info_batch` is its oracle), ranking through the
 //!   interleaved [`SpinBasis::index_of_batch`] kernels, and the gathered
 //!   reads of `x` are software-prefetched from the ranked index block.
 //!   Row generation yields the column `H[·, β]`; gathering reads it as

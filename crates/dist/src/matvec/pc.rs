@@ -1,7 +1,8 @@
 //! The producer/consumer matrix-vector product (paper Sec. 5.3, Fig. 5).
 //!
 //! Per locale, `producers` tasks stream over the local rows *in blocks*
-//! through the batch kernels (one group pass and one bulk ranking per
+//! through the batch kernels (block row generation — the differential
+//! group walk on symmetrized sectors — and one bulk ranking per
 //! `GEN_BLOCK` rows), generating `(destination state, coefficient)`
 //! pairs that are staged per destination and shipped through
 //! fixed-capacity [`BufferChannel`](ls_runtime::remote::BufferChannel)s — one per (source, destination)
@@ -34,8 +35,10 @@ use ls_runtime::{AtomicAccumWindow, Cluster, DistVec, LocaleCtx};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Rows a producer generates per batch before routing the emissions:
-/// one `state_info` pass and one bulk ranking per block instead of one
-/// per matrix element.
+/// one [`SymmetrizedOperator::apply_off_diag_block`] call (which walks the
+/// group once per source row, `g(α ⊕ m) = g(α) ⊕ π_g(m)`, not once per
+/// matrix element; `ls_basis::state_info_batch` is its oracle) and one
+/// bulk ranking per block.
 const GEN_BLOCK: usize = 512;
 
 /// Tuning knobs of the producer/consumer pipeline.

@@ -23,7 +23,7 @@ pub const PAR_PARTS: usize = 512;
 pub const MIN_PAR_ROWS: usize = 64;
 
 /// Rows the shared-memory batched engine processes per generation block:
-/// large enough to amortize the per-block group pass and bulk ranking,
+/// large enough to amortize the per-block generation and bulk ranking,
 /// small enough that the block's SoA emission arrays stay cache-resident.
 /// The distributed producers block on their own, smaller constant
 /// (`GEN_BLOCK` in `ls-dist`'s `matvec/pc.rs`), not on this one.

@@ -73,6 +73,24 @@ fn check_engine<S: Scalar>(
     Ok(())
 }
 
+/// 16 sites: bases of a few hundred representatives, so one product of
+/// the engine takes the differential group walk over many tiles of source
+/// rows and a partial last one (|G| = 64: 48 rows a tile; |G| = 16: 192).
+#[test]
+fn sixteen_site_products_span_many_tiles() {
+    let n = 16usize;
+    let expr = xxz(&chain_bonds(n), 1.3, 0.7);
+    let chain = |momentum, reflection, inversion| {
+        let group = chain_group(n, momentum, reflection, inversion).unwrap();
+        SectorSpec::new(n as u32, Some(n as u32 / 2), group).unwrap()
+    };
+    let full = chain(0, Some(0), Some(0));
+    check_engine::<f64>(&expr, full, RankingKind::PrefixBuckets, 0x5eed).unwrap();
+    // Complex characters, zero-norm orbits skipped.
+    let k1 = chain(1, None, None);
+    check_engine::<Complex64>(&expr, k1, RankingKind::PrefixBuckets, 0x5eed).unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
