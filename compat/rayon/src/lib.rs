@@ -32,11 +32,9 @@
 //! race-free by construction. Which *thread* runs a chunk is
 //! nondeterministic; everything observable is not.
 //!
-//! Two test/bench hooks fall outside rayon's API: [`set_thread_limit`]
+//! One test/bench hook falls outside rayon's API: [`set_thread_limit`]
 //! caps how many pool threads a call may use (emulating `LS_NUM_THREADS`
-//! without restarting the process), and [`set_execution_mode`] switches
-//! to the legacy spawn-per-call backend so benchmarks can measure what
-//! the pool buys.
+//! without restarting the process).
 
 use std::any::Any;
 use std::ops::Range;
@@ -100,43 +98,6 @@ pub fn current_num_threads() -> usize {
 pub fn set_thread_limit(limit: usize) -> usize {
     let new = if limit == 0 { usize::MAX } else { limit };
     THREAD_LIMIT.swap(new, Ordering::Relaxed)
-}
-
-// ---------------------------------------------------------------------------
-// Execution mode (bench hook)
-// ---------------------------------------------------------------------------
-
-/// Which backend runs parallel calls.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum ExecutionMode {
-    /// The persistent pool (default): parked workers, dynamic chunk
-    /// claiming.
-    Pool,
-    /// The legacy backend this crate used to be: fresh scoped threads per
-    /// call, chunks statically pre-assigned. Kept as the baseline the
-    /// `fig_scaling` benchmark measures the pool against.
-    SpawnPerCall,
-}
-
-static SPAWN_PER_CALL: AtomicBool = AtomicBool::new(false);
-
-/// Switches the backend used by subsequent parallel calls.
-pub fn set_execution_mode(mode: ExecutionMode) -> ExecutionMode {
-    let prev = SPAWN_PER_CALL.swap(mode == ExecutionMode::SpawnPerCall, Ordering::Relaxed);
-    if prev {
-        ExecutionMode::SpawnPerCall
-    } else {
-        ExecutionMode::Pool
-    }
-}
-
-/// The currently selected backend.
-pub fn execution_mode() -> ExecutionMode {
-    if SPAWN_PER_CALL.load(Ordering::Relaxed) {
-        ExecutionMode::SpawnPerCall
-    } else {
-        ExecutionMode::Pool
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -301,9 +262,9 @@ impl CursorJob {
     }
 }
 
-/// Runs `run_chunk(0..n_chunks)`, each chunk exactly once, using the
-/// configured backend. This is the single execution primitive every
-/// combinator in this crate lowers to.
+/// Runs `run_chunk(0..n_chunks)`, each chunk exactly once, on the pool.
+/// This is the single execution primitive every combinator in this crate
+/// lowers to.
 fn run_chunked<F: Fn(usize) + Sync>(n_chunks: usize, run_chunk: F) {
     let threads = current_num_threads();
     // Inline paths: trivial work, a single thread, or a nested call from
@@ -320,10 +281,6 @@ fn run_chunked<F: Fn(usize) + Sync>(n_chunks: usize, run_chunk: F) {
         }
         return;
     }
-    if execution_mode() == ExecutionMode::SpawnPerCall {
-        return run_spawn_per_call(n_chunks, threads, &run_chunk);
-    }
-
     let job = CursorJob {
         cursor: AtomicUsize::new(0),
         n_chunks,
@@ -374,34 +331,6 @@ fn run_chunked<F: Fn(usize) + Sync>(n_chunks: usize, run_chunk: F) {
     if let Some(payload) = payload {
         std::panic::resume_unwind(payload);
     }
-}
-
-/// The legacy backend: fresh scoped threads per call, chunks statically
-/// pre-assigned in contiguous stripes (what this crate did before the
-/// pool existed). Numeric results are identical — only scheduling and
-/// spawn overhead differ — which is what makes it an honest baseline.
-fn run_spawn_per_call<F: Fn(usize) + Sync>(n_chunks: usize, threads: usize, run_chunk: &F) {
-    let parts = threads.min(n_chunks);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(parts - 1);
-        for p in 1..parts {
-            let lo = p * n_chunks / parts;
-            let hi = (p + 1) * n_chunks / parts;
-            handles.push(scope.spawn(move || {
-                for i in lo..hi {
-                    run_chunk(i);
-                }
-            }));
-        }
-        for i in 0..n_chunks / parts {
-            run_chunk(i);
-        }
-        for h in handles {
-            if let Err(payload) = h.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
 }
 
 /// Number of chunks a parallel call over-partitions into: a few chunks
@@ -892,17 +821,6 @@ mod tests {
             String::from_utf8_lossy(&out.stdout),
             String::from_utf8_lossy(&out.stderr)
         );
-    }
-
-    #[test]
-    fn spawn_per_call_mode_matches_pool() {
-        let _guard = limit_lock();
-        let pool: Vec<u64> = (0..999u64).into_par_iter().map(|i| i * i).collect();
-        let prev = set_execution_mode(ExecutionMode::SpawnPerCall);
-        assert_eq!(prev, ExecutionMode::Pool);
-        let spawned: Vec<u64> = (0..999u64).into_par_iter().map(|i| i * i).collect();
-        set_execution_mode(ExecutionMode::Pool);
-        assert_eq!(pool, spawned);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The shared-memory symmetry-adapted basis.
 
 use crate::enumerate;
-use crate::sector::{BasisError, SectorSpec};
+use crate::sector::SectorSpec;
 use ls_kernels::bits::low_mask;
 use ls_kernels::combinadics::{BinomialTable, LinTables};
-use ls_kernels::search::{PrefixIndex, TrieIndex, NOT_FOUND};
+use ls_kernels::search::{PrefixIndex, NOT_FOUND};
 use ls_kernels::SiteEncoding;
 
 /// A generated state that has no rank in the basis — raised when an
@@ -48,38 +48,23 @@ pub fn missing_state(rep: u64, encoding: SiteEncoding, n_sites: u32) -> ! {
     panic!("{}", MissingState { rep, encoding, n_sites });
 }
 
-/// How `state -> index` ranking is performed.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum RankingKind {
-    /// Prefix-bucket index + short binary search (the default wherever
-    /// no closed form exists).
-    PrefixBuckets,
-    /// Closed-form ranking (the default wherever it exists): trivial
-    /// group, one-bit codes, and the sector a product of fixed-weight
-    /// species — one for a U(1) spin sector, two for spinful fermions.
-    Combinadic,
-    /// Radix trie (Wallerberger & Held, the paper's Ref.\ 25): fixed
-    /// number of dependent loads, no comparisons; built lazily on first
-    /// selection.
-    Trie,
-}
-
 /// A fully built symmetry sector basis: the sorted list of representatives
-/// with orbit sizes and a ranking structure.
+/// with orbit sizes and a ranking structure. The basis picks the ranking
+/// itself: a closed form where the sector has one (trivial group, one-bit
+/// codes, the list the whole product of one or two fixed-weight species —
+/// a U(1) spin sector, spinful fermions), the prefix-bucket search of
+/// `lattice-symmetries` everywhere else.
 #[derive(Clone, Debug)]
 pub struct SpinBasis {
     sector: SectorSpec,
     states: Vec<u64>,
     orbit_sizes: Vec<u32>,
-    /// Built with the basis where it is the default ranking, otherwise
-    /// (like the trie) when it is first selected.
+    /// The search ranking; built exactly where no closed form exists.
     prefix: Option<PrefixIndex>,
     /// Single-species sectors only: the table of the fused differential
     /// matvec, and the ranking of a species too wide for `lin`.
     combinadic: Option<BinomialTable>,
     lin: Option<LinTables>,
-    trie: Option<TrieIndex>,
-    ranking: RankingKind,
 }
 
 impl SpinBasis {
@@ -102,33 +87,23 @@ impl SpinBasis {
         debug_assert!(states.windows(2).all(|w| w[0] < w[1]), "states must be sorted");
         // A closed form is exact only when every state is its own orbit
         // (trivial group), codes are one bit wide, and `states` is the
-        // full product of the sector's fixed-weight species.
+        // full product of the sector's fixed-weight species: on a subset
+        // (a loaded or filtered list) a member's position is no longer
+        // its combinadic rank.
         let species: Vec<(u64, u32)> = match (sector.charges(), sector.hamming_weight()) {
             ([], Some(w)) => vec![(low_mask(sector.n_sites()), w)],
             (charges, _) => charges.iter().map(|c| (c.mask, c.weight)).collect(),
         };
-        let binom = (sector.group().order() == 1 && sector.encoding().bits() == 1)
+        let binom = (sector.group().order() == 1
+            && sector.encoding().bits() == 1
+            && sector.dimension() == states.len() as u64)
             .then(BinomialTable::new);
-        let lin = binom
-            .as_ref()
-            .and_then(|b| LinTables::new(b, sector.n_sites(), &species))
-            .filter(|_| sector.dimension() == states.len() as u64);
+        let lin = binom.as_ref().and_then(|b| LinTables::new(b, sector.n_sites(), &species));
         let combinadic =
             binom.filter(|_| sector.charges().is_empty() && sector.hamming_weight().is_some());
-        let mut basis = Self {
-            sector,
-            states,
-            orbit_sizes,
-            prefix: None,
-            combinadic,
-            lin,
-            trie: None,
-            ranking: RankingKind::Combinadic,
-        };
-        // Falls back to `PrefixBuckets`, building its index, where the
-        // sector has no closed form.
-        basis.set_ranking(RankingKind::Combinadic);
-        basis
+        let prefix = (lin.is_none() && combinadic.is_none())
+            .then(|| PrefixIndex::auto(&states, sector.code_bits()));
+        Self { sector, states, orbit_sizes, prefix, combinadic, lin }
     }
 
     pub fn sector(&self) -> &SectorSpec {
@@ -157,12 +132,9 @@ impl SpinBasis {
     /// the basis. This is the paper's `stateToIndex`.
     #[inline]
     pub fn index_of(&self, rep: u64) -> Option<usize> {
-        match self.ranking {
-            RankingKind::Combinadic => self.closed_form_rank(rep).map(|i| i as usize),
-            RankingKind::PrefixBuckets => {
-                self.prefix.as_ref().expect("built on selection").lookup(&self.states, rep)
-            }
-            RankingKind::Trie => self.trie.as_ref().expect("built on selection").lookup(rep),
+        match &self.prefix {
+            Some(prefix) => prefix.lookup(&self.states, rep),
+            None => self.closed_form_rank(rep).map(|i| i as usize),
         }
     }
 
@@ -205,81 +177,45 @@ impl SpinBasis {
     }
 
     /// Batched ranking: resolves a whole block of representatives into
-    /// `out`, one `u32` rank (or [`NOT_FOUND`]) per input. Dispatches to
-    /// the interleaved bulk kernels of the active [`RankingKind`] — this
-    /// is the `stateToIndex` the batched matvec strategies use.
+    /// `out`, one `u32` rank (or [`NOT_FOUND`]) per input — the closed form
+    /// per element, or the interleaved bulk search kernel. This is the
+    /// `stateToIndex` the batched matvec engine uses.
     pub fn index_of_batch(&self, reps: &[u64], out: &mut Vec<u32>) {
-        match self.ranking {
-            RankingKind::Combinadic => {
+        match &self.prefix {
+            Some(prefix) => prefix.lookup_batch(&self.states, reps, out),
+            None => {
                 out.clear();
                 out.extend(
                     reps.iter()
                         .map(|&rep| self.closed_form_rank(rep).map_or(NOT_FOUND, |i| i as u32)),
                 );
             }
-            RankingKind::PrefixBuckets => self
-                .prefix
-                .as_ref()
-                .expect("built on selection")
-                .lookup_batch(&self.states, reps, out),
-            RankingKind::Trie => {
-                self.trie.as_ref().expect("built on selection").lookup_batch(reps, out)
-            }
         }
     }
 
-    /// Forces a particular ranking implementation (ablation benches).
-    ///
-    /// A request the sector cannot honour (closed-form ranking where none
-    /// exists) falls back to [`RankingKind::PrefixBuckets`] instead of
-    /// failing; use [`Self::try_set_ranking`] to observe the rejection.
-    pub fn set_ranking(&mut self, kind: RankingKind) {
-        let _ = self.try_set_ranking(kind);
+    /// Whether ranking is a closed form (no search index exists) rather
+    /// than the prefix-bucket search.
+    pub fn ranks_in_closed_form(&self) -> bool {
+        self.prefix.is_none()
     }
 
-    /// Like [`Self::set_ranking`], but reports whether the request could
-    /// be honoured. On `Err` the basis is left on the always-valid
-    /// [`RankingKind::PrefixBuckets`] ranking.
-    pub fn try_set_ranking(&mut self, kind: RankingKind) -> Result<RankingKind, BasisError> {
-        let refused =
-            kind == RankingKind::Combinadic && self.lin.is_none() && self.combinadic.is_none();
-        self.ranking = if refused { RankingKind::PrefixBuckets } else { kind };
-        let bits = self.sector.code_bits();
-        match self.ranking {
-            RankingKind::PrefixBuckets if self.prefix.is_none() => {
-                self.prefix = Some(PrefixIndex::auto(&self.states, bits));
-            }
-            RankingKind::Trie if self.trie.is_none() => {
-                self.trie = Some(TrieIndex::build(&self.states, bits, 8));
-            }
-            _ => {}
-        }
-        if refused {
-            return Err(BasisError::RankingUnavailable { requested: "combinadic" });
-        }
-        Ok(kind)
-    }
-
-    pub fn ranking(&self) -> RankingKind {
-        self.ranking
-    }
-
-    /// The combinadic ranking table, present exactly when the sector is
-    /// U(1)-only (trivial group, one fixed-weight species) — the
-    /// precondition of the sign-free differential-ranking fast path in
-    /// the batched matvec, so `None` on multi-species sectors.
+    /// The combinadic ranking table, present exactly when the basis is a
+    /// whole U(1)-only sector (trivial group, one fixed-weight species,
+    /// every member listed) — there a state's index *is* its combinadic
+    /// rank, the precondition of the sign-free differential-ranking fast
+    /// path in the batched matvec. `None` on multi-species sectors and on
+    /// partial state lists.
     pub fn combinadic_table(&self) -> Option<&BinomialTable> {
         self.combinadic.as_ref()
     }
 
-    /// Memory estimate in bytes (states + orbit sizes + every ranking
-    /// structure built so far).
+    /// Memory estimate in bytes (states + orbit sizes + the ranking
+    /// structure).
     pub fn memory_bytes(&self) -> usize {
         self.states.len() * 8
             + self.orbit_sizes.len() * 4
             + self.prefix.as_ref().map_or(0, PrefixIndex::memory_bytes)
             + self.lin.as_ref().map_or(0, LinTables::memory_bytes)
-            + self.trie.as_ref().map_or(0, TrieIndex::memory_bytes)
     }
 }
 
@@ -312,42 +248,56 @@ mod tests {
         SpinBasis::from_parts(sector, vec![0b0011, 0b0101], vec![1]);
     }
 
-    /// Every ranking `basis` offers, scalar and batched, against
-    /// `states.binary_search` on `probes`; leaves the default selected.
-    fn check_all_rankings(basis: &mut SpinBasis, probes: &[u64]) {
-        let default = basis.ranking();
-        let mut out = Vec::new();
-        for kind in [RankingKind::Combinadic, RankingKind::PrefixBuckets, RankingKind::Trie] {
-            if basis.try_set_ranking(kind).is_err() {
-                assert_ne!(default, RankingKind::Combinadic);
-                continue;
-            }
-            basis.index_of_batch(probes, &mut out);
-            assert_eq!(out.len(), probes.len());
-            for (&p, &o) in probes.iter().zip(&out) {
-                let expect = basis.states().binary_search(&p).ok();
-                assert_eq!(basis.index_of(p), expect, "{kind:?} probe={p:#b}");
-                assert_eq!(o, expect.map_or(NOT_FOUND, |i| i as u32), "{kind:?} probe={p:#b}");
-            }
+    /// The basis's own ranking, scalar and batched, against
+    /// `states.binary_search` and against prefix buckets built here over
+    /// the same list — where the basis chose a closed form, that is
+    /// "closed form ≡ prefix buckets".
+    fn check_ranking(basis: &SpinBasis, probes: &[u64]) {
+        let states = basis.states();
+        let prefix = PrefixIndex::auto(states, basis.sector().code_bits());
+        let (mut own, mut searched) = (Vec::new(), Vec::new());
+        basis.index_of_batch(probes, &mut own);
+        prefix.lookup_batch(states, probes, &mut searched);
+        assert_eq!(own.len(), probes.len());
+        for (k, &p) in probes.iter().enumerate() {
+            let expect = states.binary_search(&p).ok();
+            assert_eq!(basis.index_of(p), expect, "probe={p:#b}");
+            assert_eq!(prefix.lookup(states, p), expect, "probe={p:#b}");
+            assert_eq!(own[k], expect.map_or(NOT_FOUND, |i| i as u32), "probe={p:#b}");
+            assert_eq!(searched[k], own[k], "probe={p:#b}");
         }
-        basis.set_ranking(default);
     }
 
     #[test]
     fn batch_ranking_matches_scalar_for_all_kinds() {
         let u1 = SpinBasis::build(SectorSpec::with_weight(12, 6).unwrap());
         let hubbard = SpinBasis::build(SectorSpec::spinful_fermions(5, 2, 3).unwrap());
-        for (mut basis, default) in [
-            (chain_basis(10), RankingKind::PrefixBuckets),
-            (u1, RankingKind::Combinadic),
-            (hubbard, RankingKind::Combinadic),
-        ] {
-            assert_eq!(basis.ranking(), default);
+        for (basis, closed_form) in [(chain_basis(10), false), (u1, true), (hubbard, true)] {
+            assert_eq!(basis.ranks_in_closed_form(), closed_form);
             let mut probes: Vec<u64> = basis.states().to_vec();
             probes.extend(0..1024u64); // mostly absent
             probes.push(u64::MAX);
-            check_all_rankings(&mut basis, &probes);
+            check_ranking(&basis, &probes);
         }
+    }
+
+    #[test]
+    fn from_parts_ranks_a_partial_list_by_search() {
+        // Two of the six weight-2 words, and not the first two: neither
+        // member's position is its combinadic rank (0b0110 has rank 2).
+        let sector = SectorSpec::with_weight(4, 2).unwrap();
+        let basis = SpinBasis::from_parts(sector, vec![0b0011, 0b0110], vec![1, 1]);
+        assert!(!basis.ranks_in_closed_form());
+        assert!(basis.combinadic_table().is_none(), "gateway of the fused matvec");
+        assert_eq!(basis.index_of(0b0011), Some(0));
+        assert_eq!(basis.index_of(0b0110), Some(1));
+        assert_eq!(basis.index_of(0b0101), None, "in the sector, not in the list");
+        check_ranking(&basis, &(0..16).collect::<Vec<u64>>());
+        // Same for a partial product of two species.
+        let hubbard = SectorSpec::spinful_fermions(2, 1, 1).unwrap();
+        let basis = SpinBasis::from_parts(hubbard, vec![0b0110, 0b1010], vec![1, 1]);
+        assert!(!basis.ranks_in_closed_form());
+        check_ranking(&basis, &(0..16).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -369,7 +319,7 @@ mod tests {
     #[test]
     fn combinadic_fast_path() {
         let basis = SpinBasis::build(SectorSpec::with_weight(14, 7).unwrap());
-        assert_eq!(basis.ranking(), RankingKind::Combinadic);
+        assert!(basis.ranks_in_closed_form());
         assert_eq!(basis.dim(), 3432);
         for (i, &s) in basis.states().iter().enumerate() {
             assert_eq!(basis.index_of(s), Some(i));
@@ -379,44 +329,41 @@ mod tests {
         assert_eq!(basis.index_of(0), None);
         // A species wider than the Lin tables keeps the combinadic sum.
         for (n, w) in [(40, 2), (64, 1)] {
-            let mut wide = SpinBasis::build(SectorSpec::with_weight(n, w).unwrap());
-            assert_eq!(wide.ranking(), RankingKind::Combinadic);
+            let wide = SpinBasis::build(SectorSpec::with_weight(n, w).unwrap());
+            assert!(wide.ranks_in_closed_form());
             assert!(wide.lin.is_none() && wide.combinadic_table().is_some());
             let mut probes = wide.states().to_vec();
             probes.extend([u64::MAX, 0, 1 << 40 | 1, 1 << 63, 0b111]);
-            check_all_rankings(&mut wide, &probes);
+            check_ranking(&wide, &probes);
         }
     }
 
     #[test]
     fn combinadic_falls_back_where_no_closed_form_exists() {
-        // Symmetry-adapted sector: a closed form is impossible; the
-        // request reports the typed error and the basis stays usable on
-        // PrefixBuckets.
-        let mut basis = chain_basis(8);
-        let refused = basis.try_set_ranking(RankingKind::Combinadic).unwrap_err();
-        assert_eq!(refused, BasisError::RankingUnavailable { requested: "combinadic" });
-        assert!(!refused.to_string().contains("U(1)-only"), "{refused}");
-        assert_eq!(basis.ranking(), RankingKind::PrefixBuckets);
+        // Symmetry-adapted sector: a state's position depends on which
+        // orbits survive, so the basis ranks by prefix buckets.
+        let basis = chain_basis(8);
+        assert!(!basis.ranks_in_closed_form());
+        assert!(basis.combinadic_table().is_none());
         for (i, &s) in basis.states().iter().enumerate() {
             assert_eq!(basis.index_of(s), Some(i));
         }
-        // The infallible setter silently takes the same fallback.
-        basis.set_ranking(RankingKind::Combinadic);
-        assert_eq!(basis.ranking(), RankingKind::PrefixBuckets);
         // Multi-bit codes are not a product of fixed-weight species.
-        let mut spin1 = SpinBasis::build(SectorSpec::spin_s(5, 3, Some(5)).unwrap());
+        let spin1 = SpinBasis::build(SectorSpec::spin_s(5, 3, Some(5)).unwrap());
         assert_eq!(spin1.dim() as u64, spin1.sector().dimension());
-        assert_eq!(spin1.ranking(), RankingKind::PrefixBuckets);
-        assert!(spin1.try_set_ranking(RankingKind::Combinadic).is_err());
-        check_all_rankings(&mut spin1, &(0..1 << 10).collect::<Vec<u64>>());
+        assert!(!spin1.ranks_in_closed_form());
+        check_ranking(&spin1, &(0..1 << 10).collect::<Vec<u64>>());
+        // Neither is the unconstrained trivial-group sector.
+        let full = SpinBasis::build(SectorSpec::full(6));
+        assert!(!full.ranks_in_closed_form());
+        check_ranking(&full, &(0..1 << 7).collect::<Vec<u64>>());
     }
 
     #[test]
     fn spinful_fermion_basis_ranks_in_closed_form() {
-        let mut basis = SpinBasis::build(SectorSpec::spinful_fermions(4, 2, 2).unwrap());
+        let basis = SpinBasis::build(SectorSpec::spinful_fermions(4, 2, 2).unwrap());
         assert_eq!(basis.dim() as u64, basis.sector().dimension());
-        assert_eq!(basis.ranking(), RankingKind::Combinadic);
+        assert!(basis.ranks_in_closed_form());
         // Jordan-Wigner sector: no table for the sign-free fused matvec.
         assert!(basis.combinadic_table().is_none());
         for (i, &s) in basis.states().iter().enumerate() {
@@ -425,11 +372,21 @@ mod tests {
         }
         // Wrong species count is absent even though total weight matches.
         assert_eq!(basis.index_of(0b0000_1111), None);
-        // No search index is built until a search ranking is selected.
-        let closed_form_bytes = basis.memory_bytes();
-        assert!(closed_form_bytes < basis.dim() * 12 + 1024);
-        basis.set_ranking(RankingKind::PrefixBuckets);
-        assert!(basis.memory_bytes() > closed_form_bytes);
+    }
+
+    #[test]
+    fn memory_bytes_counts_the_one_ranking_structure() {
+        // A closed-form sector holds its tables and no search index.
+        let hubbard = SpinBasis::build(SectorSpec::spinful_fermions(4, 2, 2).unwrap());
+        assert!(hubbard.prefix.is_none());
+        let tables = hubbard.lin.as_ref().unwrap().memory_bytes();
+        assert_eq!(hubbard.memory_bytes(), hubbard.dim() * 12 + tables);
+        assert!(tables < 1024);
+        // A search sector: 28 968 states and orbit sizes + 8 193 bucket
+        // starts on the 24-site fully symmetrized ring.
+        let ring = chain_basis(24);
+        assert_eq!(ring.dim(), 28_968);
+        assert_eq!(ring.memory_bytes(), 380_388);
     }
 
     #[test]
@@ -437,7 +394,7 @@ mod tests {
         // sites * bits == 64, and species with exactly one configuration.
         for (n, up, dn, dim) in [(32, 1, 1, 1024), (5, 0, 2, 10), (5, 5, 2, 10)] {
             let basis = SpinBasis::build(SectorSpec::spinful_fermions(n, up, dn).unwrap());
-            assert_eq!(basis.ranking(), RankingKind::Combinadic, "({n}, {up}, {dn})");
+            assert!(basis.ranks_in_closed_form(), "({n}, {up}, {dn})");
             assert_eq!(basis.dim(), dim);
             let mut probes = basis.states().to_vec();
             // Right total weight, wrong species counts.
@@ -446,13 +403,7 @@ mod tests {
             assert_eq!(wrong.count_ones(), up + dn);
             assert_eq!(basis.index_of(wrong), None);
             probes.extend([u64::MAX, 0, wrong]);
-            let mut out = Vec::new();
-            basis.index_of_batch(&probes, &mut out);
-            for (&p, &o) in probes.iter().zip(&out) {
-                let expect = basis.states().binary_search(&p).ok();
-                assert_eq!(basis.index_of(p), expect, "({n}, {up}, {dn}) probe={p:#x}");
-                assert_eq!(o, expect.map_or(NOT_FOUND, |i| i as u32));
-            }
+            check_ranking(&basis, &probes);
             assert_eq!(basis.index_of(u64::MAX), None);
         }
     }

@@ -29,7 +29,7 @@ pub mod rep;
 pub mod sector;
 pub mod symop;
 
-pub use basis::{missing_state, MissingState, RankingKind, SpinBasis};
+pub use basis::{missing_state, MissingState, SpinBasis};
 pub use rep::{state_info, state_info_batch, StateInfo, StateInfoBatch};
 pub use sector::{BasisError, ChargeMask, SectorSpec};
 pub use symop::{OffDiagBlock, SymmetrizedOperator};

@@ -39,10 +39,6 @@ pub enum BasisError {
     /// A charge constraint is malformed: weight above the mask's
     /// popcount, mask outside the site range, or masks overlapping.
     ChargeOutOfRange { mask: u64, weight: u32 },
-    /// The requested ranking structure is not available for this sector
-    /// (closed-form ranking needs a trivial group and one-bit codes whose
-    /// fixed-weight species tile the word).
-    RankingUnavailable { requested: &'static str },
 }
 
 impl std::fmt::Display for BasisError {
@@ -83,13 +79,6 @@ impl std::fmt::Display for BasisError {
             }
             Self::ChargeOutOfRange { mask, weight } => {
                 write!(f, "charge weight {weight} invalid for mask {mask:#x}")
-            }
-            Self::RankingUnavailable { requested } => {
-                write!(
-                    f,
-                    "{requested} ranking requires a trivial-group sector of one-bit codes \
-                     that is a product of fixed-weight species"
-                )
             }
         }
     }

@@ -1,9 +1,10 @@
 //! Property tests of `state -> index` ranking on the sectors that rank in
-//! closed form: every ranking structure is the position in the sorted
-//! state list, for members, near-misses and arbitrary words alike.
+//! closed form: the closed form, and prefix buckets built over the same
+//! list, both give the position in the sorted state list, for members,
+//! near-misses and arbitrary words alike.
 
-use ls_basis::{RankingKind, SectorSpec, SpinBasis};
-use ls_kernels::search::NOT_FOUND;
+use ls_basis::{SectorSpec, SpinBasis};
+use ls_kernels::search::{PrefixIndex, NOT_FOUND};
 use proptest::prelude::*;
 
 /// Members, members with one bit flipped or one particle moved to the
@@ -23,20 +24,21 @@ fn probes(basis: &SpinBasis, words: &[u64]) -> Vec<u64> {
 }
 
 fn check(sector: SectorSpec, words: &[u64]) -> Result<(), String> {
-    let mut basis = SpinBasis::build(sector);
-    prop_assert_eq!(basis.ranking(), RankingKind::Combinadic);
+    let basis = SpinBasis::build(sector);
+    prop_assert!(basis.ranks_in_closed_form());
     prop_assert_eq!(basis.dim() as u64, basis.sector().dimension());
+    let states = basis.states();
+    let prefix = PrefixIndex::auto(states, basis.sector().code_bits());
     let probes = probes(&basis, words);
-    let mut out = Vec::new();
-    for kind in [RankingKind::Combinadic, RankingKind::PrefixBuckets, RankingKind::Trie] {
-        basis.set_ranking(kind);
-        prop_assert_eq!(basis.ranking(), kind);
-        basis.index_of_batch(&probes, &mut out);
-        for (&p, &o) in probes.iter().zip(&out) {
-            let expect = basis.states().binary_search(&p).ok();
-            prop_assert_eq!(basis.index_of(p), expect, "{:?} probe {:#x}", kind, p);
-            prop_assert_eq!(o, expect.map_or(NOT_FOUND, |i| i as u32), "{:?} {:#x}", kind, p);
-        }
+    let (mut own, mut searched) = (Vec::new(), Vec::new());
+    basis.index_of_batch(&probes, &mut own);
+    prefix.lookup_batch(states, &probes, &mut searched);
+    for (k, &p) in probes.iter().enumerate() {
+        let expect = states.binary_search(&p).ok();
+        prop_assert_eq!(basis.index_of(p), expect, "closed form, probe {:#x}", p);
+        prop_assert_eq!(prefix.lookup(states, p), expect, "prefix buckets, probe {:#x}", p);
+        prop_assert_eq!(own[k], expect.map_or(NOT_FOUND, |i| i as u32), "batch {:#x}", p);
+        prop_assert_eq!(searched[k], own[k], "bucket batch {:#x}", p);
     }
     Ok(())
 }

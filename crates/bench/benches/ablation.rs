@@ -1,37 +1,46 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md.
+//! Ablation benchmarks: each group times one design choice of the
+//! library against the alternative it replaced (ranking structures, the
+//! scalar gather, comparison-sort partitioning, conditional diagonal
+//! channels, per-pair staging).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ls_basis::basis::RankingKind;
 use ls_basis::{SectorSpec, SpinBasis};
-use ls_kernels::bits::FixedWeightRange;
+use ls_kernels::bits::{low_mask, FixedWeightRange};
+use ls_kernels::combinadics::{BinomialTable, LinTables};
+use ls_kernels::search::PrefixIndex;
 use ls_kernels::sort::{apply_perm, counting_sort_perm};
 
-/// Ranking: closed form vs prefix buckets vs trie, one lookup at a time
-/// vs the bulk kernels.
+/// Ranking: the two closed forms (Lin tables, the combinadic sum) against
+/// the prefix buckets a search sector gets, over the same U(1) state list
+/// — one lookup at a time and, for the buckets, the bulk kernel.
 fn bench_ranking(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_ranking");
     g.sample_size(15);
-    let mut basis = SpinBasis::build(SectorSpec::with_weight(24, 12).unwrap());
-    let probes: Vec<u64> = (0..basis.dim()).step_by(7).map(|i| basis.state(i)).collect();
-    for kind in [RankingKind::Combinadic, RankingKind::PrefixBuckets, RankingKind::Trie] {
-        basis.set_ranking(kind);
-        g.bench_function(format!("{kind:?}"), |b| {
-            b.iter(|| {
-                let mut acc = 0usize;
-                for &p in &probes {
-                    acc += basis.index_of(black_box(p)).unwrap();
-                }
-                acc
-            })
-        });
-        let mut out = Vec::new();
-        g.bench_function(format!("{kind:?}_batch"), |b| {
-            b.iter(|| {
-                basis.index_of_batch(black_box(&probes), &mut out);
-                out.iter().map(|&i| i as usize).sum::<usize>()
-            })
-        });
-    }
+    let (n, w) = (24u32, 12u32);
+    let basis = SpinBasis::build(SectorSpec::with_weight(n, w).unwrap());
+    let states = basis.states();
+    let probes: Vec<u64> = states.iter().copied().step_by(7).collect();
+    let binom = BinomialTable::new();
+    let lin = LinTables::new(&binom, n, &[(low_mask(n), w)]).unwrap();
+    let prefix = PrefixIndex::auto(states, n);
+    g.bench_function("lin_tables", |b| {
+        b.iter(|| probes.iter().map(|&p| lin.rank(black_box(p)).unwrap()).sum::<u64>())
+    });
+    g.bench_function("combinadic_sum", |b| {
+        b.iter(|| probes.iter().map(|&p| binom.rank(black_box(p))).sum::<u64>())
+    });
+    g.bench_function("prefix_buckets", |b| {
+        b.iter(|| {
+            probes.iter().map(|&p| prefix.lookup(states, black_box(p)).unwrap()).sum::<usize>()
+        })
+    });
+    let mut out = Vec::new();
+    g.bench_function("prefix_buckets_batch", |b| {
+        b.iter(|| {
+            prefix.lookup_batch(states, black_box(&probes), &mut out);
+            out.iter().map(|&i| i as usize).sum::<usize>()
+        })
+    });
     g.finish();
 }
 

@@ -16,8 +16,14 @@
 //! values, where the text/caption states them) plus, where feasible, a
 //! *real* small-scale execution on the simulated cluster whose
 //! instrumented statistics validate the model inputs.
+//!
+//! That is all this crate measures. How fast a solve is, and where its
+//! time goes, is the repo benchmark's question (`benchmark/`,
+//! `BENCHMARK.json`: fixed sectors, a noise model, per-layer metrics);
+//! the criterion cells under `benches/` are ablations — a design choice
+//! against the alternative it replaced, the pipeline against
+//! `ls-baseline`.
 
-use rayon::prelude::*;
 use std::time::Instant;
 
 /// Median wall time of `reps` executions of `f`, in seconds.
@@ -64,62 +70,6 @@ pub fn fmt_secs(s: f64) -> String {
     } else {
         format!("{:.1} µs", s * 1e6)
     }
-}
-
-/// Measured STREAM-style triad ceiling in GB/s at the current pool
-/// width: best of `reps` rounds of `a[i] = b[i] + q·c[i]` over a working
-/// set far beyond the last-level cache, counted as 24 bytes per element
-/// (two reads and one write; no write-allocate accounting, so the
-/// ceiling is deliberately optimistic). This is the roofline the matvec
-/// columns of `fig_batch`/`fig_scaling` are attributed against.
-pub fn stream_triad_gbps(reps: usize) -> f64 {
-    const N: usize = 1 << 23; // 3 × 64 MiB working set
-    const CHUNK: usize = 1 << 16;
-    let b = vec![1.0f64; N];
-    let c = vec![2.0f64; N];
-    let mut a = vec![0.0f64; N];
-    let q = 0.42f64;
-    let mut best = 0.0f64;
-    for _ in 0..reps.max(1) {
-        let t = Instant::now();
-        a.par_chunks_mut(CHUNK).enumerate().for_each(|(k, ab)| {
-            let base = k * CHUNK;
-            for (i, v) in ab.iter_mut().enumerate() {
-                *v = b[base + i] + q * c[base + i];
-            }
-        });
-        std::hint::black_box(&a);
-        best = best.max((N * 24) as f64 / t.elapsed().as_secs_f64() / 1e9);
-    }
-    best
-}
-
-/// Total off-diagonal row entries of a sector (one serial generation
-/// sweep) — the `nnz` input of [`matvec_traffic_bytes`].
-pub fn count_offdiag_entries(
-    op: &ls_basis::SymmetrizedOperator<f64>,
-    basis: &ls_basis::SpinBasis,
-) -> usize {
-    let mut row = Vec::with_capacity(op.max_row_entries());
-    let mut total = 0usize;
-    for j in 0..basis.dim() {
-        row.clear();
-        op.apply_off_diag(basis.state(j), basis.orbit_sizes()[j], &mut row);
-        total += row.len();
-    }
-    total
-}
-
-/// Lower-bound traffic model of one matvec over the sector, in bytes:
-/// per basis state, the state word, the diagonal x read and the y store
-/// (3 × 8 B); per off-diagonal entry, one gathered x read and one
-/// 8-byte coefficient/emission record. Row generation and ranking
-/// lookups are compute, not counted; cache-resident x gathers make the
-/// model a lower bound on DRAM traffic, so `achieved = bytes/seconds`
-/// read against the [`stream_triad_gbps`] ceiling attributes how
-/// bandwidth-bound each kernel actually runs.
-pub fn matvec_traffic_bytes(dim: usize, nnz_offdiag: usize) -> u64 {
-    (dim as u64) * 24 + (nnz_offdiag as u64) * 16
 }
 
 /// A standard small-scale chain problem on the simulated cluster.

@@ -1,6 +1,6 @@
 //! Shared-memory matrix-vector products: one parallel engine and one
-//! serial oracle (see [`MatvecStrategy`]; `benches/ablation.rs` and the
-//! `fig_batch` binary time them).
+//! serial oracle (see [`MatvecStrategy`]; the repo benchmark's
+//! `core.matvec_*` metrics and `benches/ablation.rs` time them).
 //!
 //! * **batched pull** (the engine, default) — gather form: rows are
 //!   processed in blocks, off-diagonal generation runs through
@@ -39,7 +39,7 @@
 //! lifetime, so the hundreds of products of a Lanczos run reuse the same
 //! staging memory.
 
-use ls_basis::{missing_state, OffDiagBlock, RankingKind, SpinBasis, SymmetrizedOperator};
+use ls_basis::{missing_state, OffDiagBlock, SpinBasis, SymmetrizedOperator};
 use ls_eigen::op::pairwise_sum;
 use ls_kernels::chunk;
 use ls_kernels::combinadics::BinomialTable;
@@ -115,10 +115,10 @@ pub struct MatvecScratch<S: Scalar> {
 /// persistent pool worker `i` (keyed on [`rayon::current_worker_index`]),
 /// so a worker gets the same warm buffers chunk after chunk, product
 /// after product, and its slot mutex is uncontended by construction.
-/// Threads that are *not* pool workers (the call's initiating thread, or
-/// the scoped threads of the legacy spawn-per-call backend) draw from a
-/// shared freelist instead — a short pop/push per chunk, never a lock
-/// held across the chunk body, so they still run concurrently.
+/// Threads that are *not* pool workers (the initiating thread of each
+/// call, which claims chunks alongside the workers) draw from a shared
+/// freelist instead — a short pop/push per chunk, never a lock held
+/// across the chunk body, so concurrent callers still run concurrently.
 pub struct MatvecScratchPool<S: Scalar> {
     worker: Vec<Mutex<MatvecScratch<S>>>,
     floating: Mutex<Vec<MatvecScratch<S>>>,
@@ -242,24 +242,19 @@ fn par_chunk(dim: usize) -> usize {
     chunk::par_chunk(dim)
 }
 
-/// The differential-ranking fast path is available when the sector is
-/// U(1)-only (trivial group, combinadic basis), the combinadic ranking
-/// is the one selected, and no channel carries a fermionic sign mask
-/// (the segment-encoded gather hoists one constant amplitude per
-/// channel, which a state-dependent Jordan-Wigner sign breaks) — there,
-/// a row's basis index *is* its combinadic rank and destination ranks
-/// follow from `rank_xor` deltas, skipping every lookup structure. Gated
-/// on the active [`RankingKind`] so the ablation benches still measure
-/// the generic bulk kernels under the other rankings.
+/// The differential-ranking fast path is available when the basis is a
+/// whole U(1)-only sector (trivial group, one fixed-weight species — what
+/// [`SpinBasis::combinadic_table`] reports) and no channel carries a
+/// fermionic sign mask (the segment-encoded gather hoists one constant
+/// amplitude per channel, which a state-dependent Jordan-Wigner sign
+/// breaks) — there, a row's basis index *is* its combinadic rank and
+/// destination ranks follow from `rank_xor` deltas, skipping every lookup
+/// structure.
 fn fused_u1_table<'b, S: Scalar>(
     op: &SymmetrizedOperator<S>,
     basis: &'b SpinBasis,
 ) -> Option<&'b BinomialTable> {
-    if op.has_trivial_group() && !op.has_signs() && basis.ranking() == RankingKind::Combinadic {
-        basis.combinadic_table()
-    } else {
-        None
-    }
+    basis.combinadic_table().filter(|_| op.has_trivial_group() && !op.has_signs())
 }
 
 // ---------------------------------------------------------------------------

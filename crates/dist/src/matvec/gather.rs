@@ -7,7 +7,7 @@
 //! elements that cross a boundary)` — but it earns its keep twice:
 //!
 //! * as the **baseline** the paper's buffering strategies are measured
-//!   against (`fig_dist` reports its gathered bytes per iteration);
+//!   against (it returns the bytes it gathered);
 //! * as the solve mode that exercises the **window read path** end to
 //!   end: under the multiprocess transport every remote part is pulled
 //!   through [`RmaReadWindow::get`], i.e. through the shared-memory
@@ -105,9 +105,8 @@ pub fn matvec_gather<S: Scalar>(
 }
 
 /// The gather matvec as a Krylov operator over [`DistVec`] — the adapter
-/// the chaos tests (and `fig_dist`'s baseline column) drive a full
-/// thick-restart solve through, so every iteration crosses the window
-/// read path.
+/// the chaos tests drive a full thick-restart solve through, so every
+/// iteration crosses the window read path.
 pub struct GatherOp<'a, S: Scalar> {
     cluster: &'a Cluster,
     op: &'a SymmetrizedOperator<S>,

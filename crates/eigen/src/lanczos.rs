@@ -344,9 +344,9 @@ mod tests {
 
     #[test]
     fn an_unreachable_tolerance_runs_exactly_max_iter_products() {
-        // What the fixed-iteration cells of `fig_scaling` / `fig_dist`
-        // rely on: the cap fits the budget, so the plan is one cycle of
-        // exactly `max_iter` products holding `max_iter + 1` vectors.
+        // What fixed-iteration timing runs rely on: the cap fits the
+        // budget, so the plan is one cycle of exactly `max_iter` products
+        // holding `max_iter + 1` vectors.
         let op = DenseOp::new(60, random_symmetric(60, 7));
         let res = lanczos_smallest(
             &op,

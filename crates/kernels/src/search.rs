@@ -5,21 +5,25 @@
 //! prefix-bucket index in front of it that first narrows the
 //! range by the high bits of the state — the same trick the shared-memory
 //! `lattice-symmetries` uses — which removes most of the cache misses of
-//! the first binary-search steps. `benches/ablation.rs` times it against
-//! the trie and the closed forms.
+//! the first binary-search steps. It is the only search ranking: sectors
+//! with a closed form (`crate::combinadics`) need no index, and a radix
+//! trie (Wallerberger & Held, the paper's Ref.\ 25) buys its faster lookup
+//! on the 24-site symmetrized ring (19 ns against 52) with a 3.2 MB index
+//! beside 33 KB of buckets. `benches/ablation.rs` times the buckets
+//! against the closed forms.
 //!
 //! ## Bulk ranking
 //!
 //! One ranking per matrix element makes the matvec latency-bound: every
 //! lookup is a chain of dependent loads, and the out-of-order window cannot
 //! overlap enough of them when each lookup lives inside a larger per-element
-//! loop body. [`PrefixIndex::lookup_batch`] and [`TrieIndex::lookup_batch`]
-//! therefore rank a whole *block* of states at once, keeping
-//! [`INTERLEAVE`] searches in flight simultaneously: the per-lane state is
-//! a handful of registers, and the memory system sees a window of
-//! independent loads instead of one dependent chain. Absent states are
-//! reported with the [`NOT_FOUND`] sentinel so results stay in dense `u32`
-//! arrays (no `Option` in the hot path).
+//! loop body. [`PrefixIndex::lookup_batch`] therefore ranks a whole *block*
+//! of states at once, keeping [`INTERLEAVE`] searches in flight
+//! simultaneously: the per-lane state is a handful of registers, and the
+//! memory system sees a window of independent loads instead of one
+//! dependent chain. Absent states are reported with the [`NOT_FOUND`]
+//! sentinel so results stay in dense `u32` arrays (no `Option` in the hot
+//! path).
 
 /// Sentinel written by the `lookup_batch` kernels for states that are not
 /// in the array. Never a valid rank (arrays are capped below `u32::MAX`).
@@ -176,147 +180,6 @@ impl PrefixIndex {
     }
 }
 
-/// A radix-trie ranking structure over a sorted `u64` slice — the
-/// trie-based ranking of Wallerberger & Held (the paper's Ref.\ 25).
-///
-/// States are split into fixed-width bit chunks from the most significant
-/// end; each trie level is an array of nodes with `2^chunk_bits` slots.
-/// Lookups cost exactly `n_chunks` dependent loads — no comparisons, no
-/// branches on the data — at the price of more memory than the
-/// prefix-bucket index. `benches/ablation.rs` compares all ranking
-/// structures.
-#[derive(Clone, Debug)]
-pub struct TrieIndex {
-    chunk_bits: u32,
-    n_chunks: u32,
-    n_bits: u32,
-    /// Flattened nodes; node `i` occupies `nodes[i*fanout .. (i+1)*fanout]`.
-    /// `u32::MAX` marks an absent child / absent state. Leaf slots hold
-    /// ranks.
-    nodes: Vec<u32>,
-}
-
-const ABSENT: u32 = u32::MAX;
-
-impl TrieIndex {
-    /// Builds a trie over `sorted` (ascending, duplicate-free) states of
-    /// an `n_bits`-wide space, using `chunk_bits`-wide radix levels.
-    pub fn build(sorted: &[u64], n_bits: u32, chunk_bits: u32) -> Self {
-        assert!((1..=16).contains(&chunk_bits));
-        assert!((1..=64).contains(&n_bits));
-        assert!((sorted.len() as u64) < ABSENT as u64);
-        let n_chunks = n_bits.div_ceil(chunk_bits).max(1);
-        let fanout = 1usize << chunk_bits;
-        let mut nodes = vec![ABSENT; fanout]; // root
-        for (rank, &s) in sorted.iter().enumerate() {
-            debug_assert!(n_bits == 64 || s < (1u64 << n_bits));
-            let mut node = 0usize;
-            for level in 0..n_chunks {
-                let chunk = Self::chunk_of(s, n_bits, chunk_bits, n_chunks, level);
-                let slot = node * fanout + chunk;
-                if level + 1 == n_chunks {
-                    debug_assert_eq!(nodes[slot], ABSENT, "duplicate state");
-                    nodes[slot] = rank as u32;
-                } else {
-                    if nodes[slot] == ABSENT {
-                        let new_node = nodes.len() / fanout;
-                        nodes.resize(nodes.len() + fanout, ABSENT);
-                        nodes[slot] = new_node as u32;
-                    }
-                    node = nodes[slot] as usize;
-                }
-            }
-        }
-        Self { chunk_bits, n_chunks, n_bits, nodes }
-    }
-
-    #[inline]
-    fn chunk_of(s: u64, n_bits: u32, chunk_bits: u32, n_chunks: u32, level: u32) -> usize {
-        // Chunks cover the low n_chunks*chunk_bits bits, most significant
-        // first (the top chunk may extend beyond n_bits — those bits are
-        // zero for valid states).
-        let shift = (n_chunks - 1 - level) * chunk_bits;
-        debug_assert!(shift < 64 || s >> 63 == 0);
-        let _ = n_bits;
-        ((s >> shift) & ((1u64 << chunk_bits) - 1)) as usize
-    }
-
-    /// Rank of `state`, or `None` if absent.
-    #[inline]
-    pub fn lookup(&self, state: u64) -> Option<usize> {
-        if self.n_bits < 64 && state >> self.n_bits != 0 {
-            return None;
-        }
-        let fanout = 1usize << self.chunk_bits;
-        let mut node = 0usize;
-        for level in 0..self.n_chunks {
-            let chunk =
-                Self::chunk_of(state, self.n_bits, self.chunk_bits, self.n_chunks, level);
-            let slot = self.nodes[node * fanout + chunk];
-            if slot == ABSENT {
-                return None;
-            }
-            if level + 1 == self.n_chunks {
-                return Some(slot as usize);
-            }
-            node = slot as usize;
-        }
-        unreachable!("n_chunks >= 1")
-    }
-
-    /// Ranks a whole block of `needles`, writing each rank (or
-    /// [`NOT_FOUND`]) into `out[i]`. Lanes descend the trie level by level
-    /// in lockstep: each round issues [`INTERLEAVE`] independent node
-    /// loads, hiding the dependent-load latency a one-at-a-time walk pays
-    /// in full at every level.
-    pub fn lookup_batch(&self, needles: &[u64], out: &mut Vec<u32>) {
-        const W: usize = INTERLEAVE;
-        out.clear();
-        out.resize(needles.len(), NOT_FOUND);
-        let fanout = 1usize << self.chunk_bits;
-        let mut k = 0usize;
-        while k + W <= needles.len() {
-            // ABSENT doubles as the "lane retired" marker; conveniently it
-            // equals NOT_FOUND, so a retired lane's slot value is final.
-            let mut node = [0u32; W];
-            for l in 0..W {
-                if self.n_bits < 64 && needles[k + l] >> self.n_bits != 0 {
-                    node[l] = ABSENT;
-                }
-            }
-            for level in 0..self.n_chunks {
-                let last = level + 1 == self.n_chunks;
-                for l in 0..W {
-                    if node[l] == ABSENT {
-                        continue;
-                    }
-                    let chunk = Self::chunk_of(
-                        needles[k + l],
-                        self.n_bits,
-                        self.chunk_bits,
-                        self.n_chunks,
-                        level,
-                    );
-                    let slot = self.nodes[node[l] as usize * fanout + chunk];
-                    if last {
-                        out[k + l] = slot; // rank, or ABSENT == NOT_FOUND
-                    }
-                    node[l] = slot;
-                }
-            }
-            k += W;
-        }
-        for (o, &n) in out[k..].iter_mut().zip(&needles[k..]) {
-            *o = self.lookup(n).map_or(NOT_FOUND, |i| i as u32);
-        }
-    }
-
-    /// Memory used by the trie in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.nodes.len() * std::mem::size_of::<u32>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,75 +327,6 @@ mod tests {
         // And an empty batch.
         idx.lookup_batch(&states, &[], &mut out);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn trie_lookup_batch_matches_scalar() {
-        let states = test_states();
-        let mut probes: Vec<u64> = states.iter().copied().step_by(5).collect();
-        probes.extend(0..(1u64 << 10));
-        probes.push(1 << 20);
-        probes.push(u64::MAX);
-        for chunk_bits in [2u32, 4, 8] {
-            let trie = TrieIndex::build(&states, 18, chunk_bits);
-            let mut out = Vec::new();
-            trie.lookup_batch(&probes, &mut out);
-            for (&p, &o) in probes.iter().zip(&out) {
-                let expect = trie.lookup(p).map_or(NOT_FOUND, |i| i as u32);
-                assert_eq!(o, expect, "chunk_bits={chunk_bits} probe={p:#b}");
-            }
-        }
-        // Degenerate tries still answer batches.
-        let empty: Vec<u64> = Vec::new();
-        let trie = TrieIndex::build(&empty, 10, 4);
-        let mut out = Vec::new();
-        trie.lookup_batch(&[0, 5, 9, 1, 2, 3, 4, 5, 6], &mut out);
-        assert!(out.iter().all(|&o| o == NOT_FOUND));
-    }
-
-    #[test]
-    fn trie_matches_binary_search() {
-        let states = test_states();
-        for chunk_bits in [2u32, 4, 6, 8] {
-            let trie = TrieIndex::build(&states, 18, chunk_bits);
-            for (i, &s) in states.iter().enumerate() {
-                assert_eq!(trie.lookup(s), Some(i), "chunk_bits={chunk_bits}");
-            }
-            for probe in 0..(1u64 << 12) {
-                assert_eq!(
-                    trie.lookup(probe),
-                    binary_search(&states, probe),
-                    "chunk_bits={chunk_bits} probe={probe:#b}"
-                );
-            }
-            // Out-of-space probes:
-            assert_eq!(trie.lookup(1 << 20), None);
-            assert_eq!(trie.lookup(u64::MAX), None);
-        }
-    }
-
-    #[test]
-    fn trie_edge_cases() {
-        // Single state.
-        let one = vec![42u64];
-        let t = TrieIndex::build(&one, 10, 3);
-        assert_eq!(t.lookup(42), Some(0));
-        assert_eq!(t.lookup(41), None);
-        // Empty.
-        let empty: Vec<u64> = Vec::new();
-        let t = TrieIndex::build(&empty, 10, 4);
-        assert_eq!(t.lookup(0), None);
-        // chunk_bits not dividing n_bits.
-        let states: Vec<u64> = (0..100u64)
-            .map(|i| i * 7 % 1000)
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        let t = TrieIndex::build(&states, 10, 3);
-        for (i, &s) in states.iter().enumerate() {
-            assert_eq!(t.lookup(s), Some(i));
-        }
-        assert!(t.memory_bytes() > 0);
     }
 
     #[test]

@@ -43,26 +43,9 @@ pub enum SimdLevel {
     Avx2,
 }
 
-/// Bench/test override: when set, every kernel dispatches to its scalar
-/// twin regardless of `LS_SIMD` and CPU detection. `LS_SIMD` is read
-/// once per process, so in-process A/B comparisons (the `fig_batch`
-/// SIMD-vs-scalar measurement) flip this instead.
-static FORCE_SCALAR: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Forces (or releases) scalar dispatch for the whole process — the
-/// in-process counterpart of `LS_SIMD=scalar`, used by benchmarks to
-/// measure both paths in one run. Bit-exactness makes the flip safe at
-/// any time.
-pub fn set_force_scalar(on: bool) {
-    FORCE_SCALAR.store(on, std::sync::atomic::Ordering::Relaxed);
-}
-
 /// The active dispatch level (cached; reads `LS_SIMD` once).
 pub fn level() -> SimdLevel {
     static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
-    if FORCE_SCALAR.load(std::sync::atomic::Ordering::Relaxed) {
-        return SimdLevel::Scalar;
-    }
     *LEVEL.get_or_init(|| {
         let mode = std::env::var("LS_SIMD").unwrap_or_else(|_| "auto".into());
         match mode.as_str() {

@@ -275,8 +275,7 @@ pub fn restart_count() -> u64 {
 /// How much end-to-end integrity checking the runtime performs
 /// (`LS_INTEGRITY=off|wire|full`):
 ///
-/// * **`off`** — no checksums anywhere. The baseline the bench guard
-///   measures overhead against.
+/// * **`off`** — no checksums anywhere.
 /// * **`wire`** — every data-bearing TCP frame (collective, channel,
 ///   accumulate) carries a CRC32C over its header and payload, verified
 ///   on receive.
@@ -297,25 +296,27 @@ pub enum IntegrityMode {
 }
 
 impl IntegrityMode {
-    /// Reads `LS_INTEGRITY` **fresh** (no caching): benchmark drivers
-    /// toggle it between sections to measure overhead in one process.
-    /// The multiprocess runtime caches its own copy at connect time,
-    /// because the wire format cannot change mid-job.
+    /// The process's mode: `LS_INTEGRITY`, parsed on first use. One mode
+    /// for the whole run — the wire format depends on it, and the matvec
+    /// and solver checks ask on every product.
     ///
     /// # Panics
     /// Panics on an unrecognized value — a typo must not silently
     /// disable the defense.
     pub fn from_env() -> IntegrityMode {
-        match std::env::var(ENV_INTEGRITY) {
-            Err(_) => IntegrityMode::Full,
-            Ok(v) => match v.as_str() {
-                "" | "full" => IntegrityMode::Full,
-                "wire" => IntegrityMode::Wire,
-                "off" => IntegrityMode::Off,
-                other => {
-                    panic!("{ENV_INTEGRITY}={other:?}: expected \"off\", \"wire\" or \"full\"")
-                }
-            },
+        static MODE: OnceLock<IntegrityMode> = OnceLock::new();
+        *MODE.get_or_init(|| Self::parse(std::env::var(ENV_INTEGRITY).ok().as_deref()))
+    }
+
+    /// The mode an `LS_INTEGRITY` value selects (`None`: unset).
+    fn parse(var: Option<&str>) -> IntegrityMode {
+        match var {
+            None | Some("" | "full") => IntegrityMode::Full,
+            Some("wire") => IntegrityMode::Wire,
+            Some("off") => IntegrityMode::Off,
+            Some(other) => {
+                panic!("{ENV_INTEGRITY}={other:?}: expected \"off\", \"wire\" or \"full\"")
+            }
         }
     }
 
@@ -329,15 +330,6 @@ impl IntegrityMode {
     #[inline]
     pub fn full(self) -> bool {
         self == IntegrityMode::Full
-    }
-
-    /// Stable lowercase name, as used in `LS_INTEGRITY` and bench JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            IntegrityMode::Off => "off",
-            IntegrityMode::Wire => "wire",
-            IntegrityMode::Full => "full",
-        }
     }
 }
 
@@ -2512,17 +2504,27 @@ mod tests {
 
     #[test]
     fn integrity_mode_defaults_to_full() {
+        use IntegrityMode::{Full, Off, Wire};
+        for (var, mode) in [
+            (None, Full),
+            (Some(""), Full),
+            (Some("full"), Full),
+            (Some("wire"), Wire),
+            (Some("off"), Off),
+        ] {
+            assert_eq!(IntegrityMode::parse(var), mode, "{var:?}");
+        }
         // The test environment never sets LS_INTEGRITY.
-        let mode = IntegrityMode::from_env();
-        assert_eq!(mode, IntegrityMode::Full);
-        assert!(mode.wire());
-        assert!(mode.full());
-        assert!(IntegrityMode::Wire.wire());
-        assert!(!IntegrityMode::Wire.full());
-        assert!(!IntegrityMode::Off.wire());
-        assert_eq!(IntegrityMode::Off.name(), "off");
-        assert_eq!(IntegrityMode::Wire.name(), "wire");
-        assert_eq!(IntegrityMode::Full.name(), "full");
+        assert_eq!(IntegrityMode::from_env(), Full);
+        assert!(Full.wire() && Full.full());
+        assert!(Wire.wire() && !Wire.full());
+        assert!(!Off.wire() && !Off.full());
+    }
+
+    #[test]
+    #[should_panic(expected = "LS_INTEGRITY=\"bogus\"")]
+    fn integrity_mode_rejects_a_typo() {
+        IntegrityMode::parse(Some("bogus"));
     }
 
     #[test]

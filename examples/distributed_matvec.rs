@@ -193,6 +193,16 @@ fn main() {
             t.barriers,
             t.mean_barrier_seconds() * 1e6
         );
+        // `restarts` counts supervisor relaunches before this incarnation;
+        // the other three are what this incarnation itself observed.
+        say!(
+            "recovery         : restarts={} peer_failures={} frames_corrupted={} \
+             crc_bytes_checked={}",
+            t.restarts,
+            t.peer_failures,
+            t.frames_corrupted,
+            t.crc_bytes_checked
+        );
     }
 
     // Cross-check against the shared-memory path. The reference solve is

@@ -9,11 +9,12 @@
 //! sector family the engine has a distinct path for, and agreement with
 //! the `Serial` oracle to rounding.
 
-use exact_diag::basis::{RankingKind, SectorSpec, SpinBasis, SymmetrizedOperator};
+use exact_diag::basis::{SectorSpec, SpinBasis, SymmetrizedOperator};
 use exact_diag::core::matvec::{
     apply_batched_pull_pooled, apply_pull_pooled, apply_serial_pooled, MatvecScratchPool,
 };
 use exact_diag::prelude::*;
+use ls_kernels::search::PrefixIndex;
 use proptest::prelude::*;
 
 fn random_vec(dim: usize, seed: u64) -> Vec<f64> {
@@ -27,19 +28,20 @@ fn random_vec(dim: usize, seed: u64) -> Vec<f64> {
 
 /// Engine ≡ scalar gather bit for bit, engine ≈ `Serial` to 1e-10, for
 /// `expr` compiled against `sector`'s local Hilbert space — under the
-/// sector's default ranking (`default`), and the same bits again under
-/// the search rankings.
+/// ranking the basis chose (`closed_form` says which), and every rank
+/// those products resolved is the one prefix buckets over the same list
+/// give.
 fn check_engine<S: Scalar>(
     expr: &Expr,
     sector: SectorSpec,
-    default: RankingKind,
+    closed_form: bool,
     seed: u64,
 ) -> Result<(), String> {
     let hilbert = LocalHilbert::from_encoding(sector.encoding());
     let kernel = expr.to_kernel_in(&hilbert, sector.n_sites()).unwrap();
     let op = SymmetrizedOperator::<S>::new(&kernel, &sector).unwrap();
-    let mut basis = SpinBasis::build(sector);
-    prop_assert_eq!(basis.ranking(), default);
+    let basis = SpinBasis::build(sector);
+    prop_assert_eq!(basis.ranks_in_closed_form(), closed_form);
     let dim = basis.dim();
     let x: Vec<S> = random_vec(dim, seed)
         .into_iter()
@@ -65,11 +67,13 @@ fn check_engine<S: Scalar>(
             y_serial[i]
         );
     }
-    for kind in [RankingKind::PrefixBuckets, RankingKind::Trie] {
-        basis.set_ranking(kind);
-        apply_batched_pull_pooled(&op, &basis, &x, &mut y_pull, &pool);
-        prop_assert_eq!(&y_pull, &y_engine, "engine under {:?} vs {:?}", kind, default);
-    }
+    let states = basis.states();
+    let buckets = PrefixIndex::auto(states, basis.sector().code_bits());
+    let (mut own, mut searched) = (Vec::new(), Vec::new());
+    basis.index_of_batch(states, &mut own);
+    buckets.lookup_batch(states, states, &mut searched);
+    prop_assert_eq!(&own, &(0..dim as u32).collect::<Vec<_>>());
+    prop_assert_eq!(&searched, &own, "prefix buckets vs the basis's ranking");
     Ok(())
 }
 
@@ -85,10 +89,10 @@ fn sixteen_site_products_span_many_tiles() {
         SectorSpec::new(n as u32, Some(n as u32 / 2), group).unwrap()
     };
     let full = chain(0, Some(0), Some(0));
-    check_engine::<f64>(&expr, full, RankingKind::PrefixBuckets, 0x5eed).unwrap();
+    check_engine::<f64>(&expr, full, false, 0x5eed).unwrap();
     // Complex characters, zero-norm orbits skipped.
     let k1 = chain(1, None, None);
-    check_engine::<Complex64>(&expr, k1, RankingKind::PrefixBuckets, 0x5eed).unwrap();
+    check_engine::<Complex64>(&expr, k1, false, 0x5eed).unwrap();
 }
 
 proptest! {
@@ -106,7 +110,6 @@ proptest! {
         n_choice in 0usize..3,
         seed in any::<u64>(),
     ) {
-        use RankingKind::{Combinadic, PrefixBuckets};
         let n = [8usize, 10, 12][n_choice];
         let spin_half = xxz(&chain_bonds(n), jxy, delta);
         let chain = |momentum, reflection, inversion| {
@@ -116,15 +119,15 @@ proptest! {
         // U(1)-only: combinadic ranking, the differential-ranking fused
         // path.
         let u1 = SectorSpec::with_weight(n as u32, n as u32 / 2).unwrap();
-        check_engine::<f64>(&spin_half, u1, Combinadic, seed)?;
+        check_engine::<f64>(&spin_half, u1, true, seed)?;
         // Translation (k = 0).
-        check_engine::<f64>(&spin_half, chain(0, None, None), PrefixBuckets, seed)?;
+        check_engine::<f64>(&spin_half, chain(0, None, None), false, seed)?;
         // Full chain symmetry: translation + reflection + spin flip.
-        check_engine::<f64>(&spin_half, chain(0, Some(0), Some(0)), PrefixBuckets, seed)?;
+        check_engine::<f64>(&spin_half, chain(0, Some(0), Some(0)), false, seed)?;
         // k = π (real characters, non-trivial phases).
-        check_engine::<f64>(&spin_half, chain(n as i64 / 2, None, None), PrefixBuckets, seed)?;
+        check_engine::<f64>(&spin_half, chain(n as i64 / 2, None, None), false, seed)?;
         // k = 2π/n (complex characters).
-        check_engine::<Complex64>(&spin_half, chain(1, None, None), PrefixBuckets, seed)?;
+        check_engine::<Complex64>(&spin_half, chain(1, None, None), false, seed)?;
 
         let sites = [4usize, 6, 7][n_choice];
         // Spinful fermions: closed-form ranking of the N↑ × N↓ product,
@@ -134,11 +137,11 @@ proptest! {
         let filling = sites as u32 / 2;
         for n_down in [filling, filling + 1] {
             let hubbard = SectorSpec::spinful_fermions(sites as u32, filling, n_down).unwrap();
-            check_engine::<f64>(&hubbard_ring, hubbard, Combinadic, seed)?;
+            check_engine::<f64>(&hubbard_ring, hubbard, true, seed)?;
         }
         // Spin-1 (two bits per site), total Sz = 0.
         let spin_one = SectorSpec::spin_s(sites as u32, 3, Some(sites as u32)).unwrap();
-        check_engine::<f64>(&xxz(&chain_bonds(sites), jxy, delta), spin_one, PrefixBuckets, seed)?;
+        check_engine::<f64>(&xxz(&chain_bonds(sites), jxy, delta), spin_one, false, seed)?;
     }
 
     /// Repeated applies through one `Operator` (its scratch pool warm)

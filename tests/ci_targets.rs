@@ -1,0 +1,45 @@
+//! Nobody can run `.github/workflows/ci.yml` before it is pushed, so
+//! tier-1 checks the part of it that rots silently: every cargo target
+//! the workflow names exists, and its checks are shell and cargo — an
+//! inline script in another language is a second test suite nothing here
+//! compiles or runs.
+
+use std::path::{Path, PathBuf};
+
+#[test]
+fn ci_workflow_names_targets_that_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let yml = std::fs::read_to_string(root.join(".github/workflows/ci.yml")).unwrap();
+    assert!(!yml.contains("python3"), "ci.yml runs an inline Python script");
+    assert!(!yml.contains("<<"), "ci.yml carries a heredoc");
+
+    // Workspace packages, named by each manifest's first `name = "..."`.
+    let mut packages: Vec<(String, PathBuf)> = Vec::new();
+    for dir in ["crates", "compat"] {
+        for entry in std::fs::read_dir(root.join(dir)).unwrap() {
+            let dir = entry.unwrap().path();
+            let Ok(manifest) = std::fs::read_to_string(dir.join("Cargo.toml")) else {
+                continue;
+            };
+            let name = manifest.lines().find_map(|l| l.strip_prefix("name = ")).unwrap();
+            packages.push((name.trim_matches('"').to_string(), dir));
+        }
+    }
+
+    let words: Vec<&str> = yml.split_whitespace().collect();
+    let mut checked = 0;
+    for w in words.windows(2) {
+        let exists = match w[0] {
+            "-p" => packages.iter().any(|(name, _)| name == w[1]),
+            "--bin" => packages
+                .iter()
+                .any(|(_, dir)| dir.join("src/bin").join(w[1]).with_extension("rs").is_file()),
+            "--example" => root.join("examples").join(w[1]).with_extension("rs").is_file(),
+            "--test" => root.join("tests").join(w[1]).with_extension("rs").is_file(),
+            _ => continue,
+        };
+        assert!(exists, "ci.yml names `{} {}`, which does not exist", w[0], w[1]);
+        checked += 1;
+    }
+    assert!(checked > 10, "found only {checked} targets: did ci.yml move?");
+}

@@ -151,7 +151,8 @@ fn distributed_lanczos_invariant_under_cluster_shape() {
 /// must never read a Krylov vector across locales. All communication in
 /// the solve is the producer/consumer channel traffic (one-sided *puts*
 /// and flag messages); a gather would show up as RMA *gets*. Requested
-/// Ritz vectors come back distributed, in the basis's own layout.
+/// Ritz vectors come back distributed, in the basis's own layout. The
+/// same holds for imaginary-time evolution and the spectral coefficients.
 #[test]
 fn distributed_lanczos_gathers_nothing() {
     let n = 12usize;
@@ -196,6 +197,22 @@ fn distributed_lanczos_gathers_nothing() {
         .sum::<f64>()
         .sqrt();
     assert!(residual < 1e-6, "Ritz residual {residual}");
+
+    // The distributed propagators run on the same in-place pipeline.
+    let psi = DistVec::<f64>::from_parts(
+        dist.states().lens().iter().map(|&l| vec![1.0; l]).collect(),
+    );
+    let pc = PcOptions::default();
+    cluster.reset_stats();
+    let cooled =
+        exact_diag::dist::dist_evolve_imaginary_time(&cluster, &op, &dist, &psi, 0.5, 5, pc);
+    let coeffs =
+        exact_diag::dist::dist_spectral_coefficients(&cluster, &op, &dist, &psi, 5, pc);
+    let stats = cluster.stats_total();
+    assert_eq!((stats.gets, stats.get_bytes), (0, 0), "distributed dynamics gathered");
+    assert!(stats.puts > 0);
+    assert_eq!(cooled.lens(), dist.states().lens());
+    assert_eq!(coeffs.alphas.len(), 5);
 }
 
 /// Degenerate distributed layouts: a locale owning zero basis states, a

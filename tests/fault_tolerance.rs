@@ -198,12 +198,14 @@ fn shm_base() -> PathBuf {
 }
 
 /// Launches this test binary as a supervised multiprocess job running
-/// `mp_worker_entry` in `mode`, with the given fault plan and restart
-/// budget. Returns (exit status, stdout, stderr, wall time).
+/// `mp_worker_entry` in `mode`, with the given fault plan, restart budget
+/// and in-process rollback budget (`None`: the default). Returns (exit
+/// status, stdout, stderr, wall time).
 fn launch_job(
     mode: &str,
     fault: &str,
     max_restarts: u32,
+    max_rollbacks: Option<u32>,
     ckpt: &std::path::Path,
 ) -> (std::process::ExitStatus, String, String, Duration) {
     let exe = std::env::current_exe().unwrap();
@@ -217,6 +219,7 @@ fn launch_job(
         .env("LS_MP_BACKOFF_MS", "50")
         .env("LS_FT_MODE", mode)
         .env("LS_FT_CKPT", ckpt)
+        .envs(max_rollbacks.map(|n| ("LS_MAX_ROLLBACKS", n.to_string())))
         .output()
         .expect("spawn multiprocess job");
     (
@@ -246,7 +249,8 @@ fn peer_failure_is_detected_sub_second() {
     }
     let ckpt = std::env::temp_dir().join(format!("ft-detect-{}.lsck", std::process::id()));
     // No restart budget: the job must fail fast, blaming the killed rank.
-    let (status, stdout, stderr, wall) = launch_job("spin", "kill:rank=1,barrier=5", 0, &ckpt);
+    let (status, stdout, stderr, wall) =
+        launch_job("spin", "kill:rank=1,barrier=5", 0, None, &ckpt);
     assert!(!status.success(), "job with a killed rank must fail:\n{stdout}\n{stderr}");
     assert!(
         wall < Duration::from_secs(30),
@@ -282,7 +286,7 @@ fn supervisor_recovers_faulted_solves_bit_identically() {
     let tag = std::process::id();
     let ckpt_ref = std::env::temp_dir().join(format!("ft-matrix-ref-{tag}.lsck"));
     remove_checkpoint(&ckpt_ref).unwrap();
-    let (status, stdout, stderr, _) = launch_job("solve", "", 0, &ckpt_ref);
+    let (status, stdout, stderr, _) = launch_job("solve", "", 0, None, &ckpt_ref);
     assert!(status.success(), "clean run failed:\n{stdout}\n{stderr}");
     assert!(!stderr.contains("relaunching"), "clean run must not restart:\n{stderr}");
     let reference = eigenvalue_bits(&stdout);
@@ -290,16 +294,23 @@ fn supervisor_recovers_faulted_solves_bit_identically() {
 
     // One fault per phase boundary: enumeration happens in the first few
     // barriers, the solve's matvec epochs and restart cycles later.
+    // The last row is a corruption the processes may not repair themselves
+    // (rollback budget 0, where `silent_errors_roll_back_bit_identically`
+    // has restart budget 0): the detecting rank's solve re-raises it, the
+    // process dies, and the job comes back through the supervisor like
+    // any crash.
     let cases = [
-        ("kill:rank=1,barrier=2", "enumeration"),
-        ("kill:rank=3,barrier=60", "restart cycle"),
-        ("drop-conn:rank=2,barrier=25", "matvec epoch"),
+        ("kill:rank=1,barrier=2", "enumeration", 2, None),
+        ("kill:rank=3,barrier=60", "restart cycle", 2, None),
+        ("drop-conn:rank=2,barrier=25", "matvec epoch", 2, None),
+        ("flip-bit:rank=2,frame=chan,nth=40", "corruption past rollback", 1, Some(0)),
     ];
-    for (fault, phase) in cases {
+    for (fault, phase, max_restarts, max_rollbacks) in cases {
         let ckpt = std::env::temp_dir()
             .join(format!("ft-matrix-{tag}-{}.lsck", phase.replace(' ', "-")));
         remove_checkpoint(&ckpt).unwrap();
-        let (status, stdout, stderr, _) = launch_job("solve", fault, 2, &ckpt);
+        let (status, stdout, stderr, _) =
+            launch_job("solve", fault, max_restarts, max_rollbacks, &ckpt);
         assert!(
             status.success(),
             "faulted job ({fault}, {phase}) did not recover:\n{stdout}\n{stderr}"
@@ -308,6 +319,7 @@ fn supervisor_recovers_faulted_solves_bit_identically() {
             stderr.contains("relaunching"),
             "fault {fault} ({phase}) never fired or never restarted:\n{stderr}"
         );
+        assert!(!stderr.contains("rolling back"), "{fault} ({phase}):\n{stderr}");
         assert_eq!(
             eigenvalue_bits(&stdout),
             reference,
@@ -345,7 +357,7 @@ fn silent_errors_roll_back_bit_identically() {
     for mode in ["solve", "gather-solve"] {
         let ckpt = std::env::temp_dir().join(format!("ft-silent-ref-{tag}-{mode}.lsck"));
         remove_checkpoint(&ckpt).unwrap();
-        let (status, stdout, stderr, _) = launch_job(mode, "", 0, &ckpt);
+        let (status, stdout, stderr, _) = launch_job(mode, "", 0, None, &ckpt);
         assert!(status.success(), "clean {mode} run failed:\n{stdout}\n{stderr}");
         // Integrity checking is on by default and must stay silent on a
         // clean run: zero corrupt frames, zero rollbacks.
@@ -369,7 +381,7 @@ fn silent_errors_roll_back_bit_identically() {
         // max_restarts = 0: if detection escalated to a process exit the
         // supervisor would have no budget and the job would fail — success
         // here *proves* the recovery stayed in-process.
-        let (status, stdout, stderr, _) = launch_job(mode, fault, 0, &ckpt);
+        let (status, stdout, stderr, _) = launch_job(mode, fault, 0, None, &ckpt);
         assert!(
             status.success(),
             "{what} ({fault}, {mode}) did not recover in-process:\n{stdout}\n{stderr}"

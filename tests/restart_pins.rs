@@ -19,7 +19,6 @@
 //! them untouched — any change means a restarted solve took a different
 //! trajectory.
 
-use exact_diag::basis::RankingKind;
 use exact_diag::dist::eigensolve::{dist_thick_restart_lanczos, DistRestartOptions};
 use exact_diag::dist::{enumerate_dist, PcOptions};
 use exact_diag::eigen::{thick_restart_lanczos, LanczosResultIn};
@@ -63,7 +62,7 @@ fn u1_ring16() -> (Expr, SectorSpec) {
 fn u1_ring_f64() {
     let (expr, sector) = u1_ring16();
     let (basis, op) = Operator::<f64>::from_expr(&expr, sector).unwrap();
-    assert_eq!(basis.ranking(), RankingKind::Combinadic);
+    assert!(basis.ranks_in_closed_form());
     assert_eq!(op.strategy(), MatvecStrategy::BatchedPull);
     let res = thick_restart_lanczos(&op, &bench_options());
     assert_pinned("u1 ring", &res, 71, 26, [0xc01c91b6231cc1e6, 0xc01b7d098878d487]);
@@ -85,7 +84,7 @@ fn hubbard_ring_f64() {
     let sector = SectorSpec::spinful_fermions(8, 3, 3).unwrap();
     let (basis, op) =
         Operator::<f64>::from_expr(&hubbard_1d(8, 1.0, 4.0, true), sector).unwrap();
-    assert_eq!(basis.ranking(), RankingKind::Combinadic);
+    assert!(basis.ranks_in_closed_form());
     let res = thick_restart_lanczos(&op, &bench_options());
     assert_pinned("hubbard ring", &res, 107, 26, [0xc01ab05425bf798f, 0xc016e3bbb5c4358e]);
 }

@@ -80,6 +80,6 @@ fn combinadic_u1_eigenvalue_bit_identical() {
     let expr = heisenberg(&chain_bonds(n), 1.0);
     let sector = SectorSpec::with_weight(n as u32, 10).unwrap();
     let (basis, op) = exact_diag::core::Operator::<f64>::from_expr(&expr, sector).unwrap();
-    assert_eq!(basis.ranking(), exact_diag::basis::RankingKind::Combinadic);
+    assert!(basis.ranks_in_closed_form());
     assert_ground_state_pinned(&op, 0xc021cf0bc0518645, 0xc021cf0bc0518648);
 }
