@@ -11,7 +11,7 @@ use ls_basis::enumerate::{filter_range, split_ranges};
 use ls_basis::SectorSpec;
 use ls_kernels::search::PrefixIndex;
 use ls_kernels::{locale_idx_of, Scalar};
-use ls_runtime::{Cluster, DistVec, RmaWriteWindow};
+use ls_runtime::{collective, Cluster, DistVec, RmaWriteWindow};
 
 /// Cold tail of [`DistSpinBasis::index_on_present`]: formats through the
 /// shared [`ls_basis::MissingState`] diagnostic (decoded per-site
@@ -206,40 +206,28 @@ pub fn enumerate_dist(
         mine
     });
 
-    // Under the multiprocess transport `cluster.run` returns only this
-    // rank's results, so exchange the per-chunk per-destination counts
-    // first; in process every locale's buckets are already at hand.
-    let mp = ls_runtime::transport::active();
-    let chunk_counts: Vec<Vec<Vec<usize>>> = match mp {
-        Some(mp) => {
-            let mut wire = Vec::new();
-            for (chunk_states, _) in &filtered[0] {
-                for dest in chunk_states {
-                    wire.extend_from_slice(&(dest.len() as u64).to_le_bytes());
-                }
-            }
-            mp.allgather(&wire)
-                .into_iter()
-                .map(|bytes| {
-                    bytes
-                        .chunks_exact(8 * locales)
-                        .map(|chunk| {
-                            chunk
-                                .chunks_exact(8)
-                                .map(|n| u64::from_le_bytes(n.try_into().unwrap()) as usize)
-                                .collect()
-                        })
+    // `cluster.run` returned the buckets of the locales this process
+    // hosts, in their order; the offsets need every locale's per-chunk
+    // per-destination counts, so exchange those.
+    let hosted = collective::hosted(locales);
+    let wires = filtered.iter().map(|chunks| {
+        let counts = chunks.iter().flat_map(|(states, _)| states.iter().map(Vec::len));
+        counts.flat_map(|n| (n as u64).to_le_bytes()).collect()
+    });
+    let chunk_counts: Vec<Vec<Vec<usize>>> = collective::allgather(wires.collect())
+        .into_iter()
+        .map(|bytes| {
+            bytes
+                .chunks_exact(8 * locales)
+                .map(|chunk| {
+                    chunk
+                        .chunks_exact(8)
+                        .map(|n| u64::from_le_bytes(n.try_into().unwrap()) as usize)
                         .collect()
                 })
                 .collect()
-        }
-        None => filtered
-            .iter()
-            .map(|chunks| {
-                chunks.iter().map(|(s, _)| s.iter().map(Vec::len).collect()).collect()
-            })
-            .collect(),
-    };
+        })
+        .collect();
 
     // Destination offsets via the ordered-placement rule (see `layout`):
     // walking chunks in global (range) order keeps every locale's
@@ -263,7 +251,7 @@ pub fn enumerate_dist(
         let win_orbits = RmaWriteWindow::new(&mut orbit_sizes);
         cluster.run(|ctx| {
             let me = ctx.locale();
-            let mine = if mp.is_some() { &filtered[0] } else { &filtered[me] };
+            let mine = &filtered[me - hosted.start];
             for (local_c, (chunk_states, chunk_orbits)) in mine.iter().enumerate() {
                 for dest in 0..locales {
                     let off = offset_of(me, local_c)[dest];

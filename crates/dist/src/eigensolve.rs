@@ -7,11 +7,11 @@
 //! [`ls_eigen::lanczos_smallest_in`] and
 //! [`ls_eigen::thick_restart_lanczos_in`], which differ only in how they
 //! plan its cycles — runs on the locale parts: Krylov vectors are allocated once per solve in
-//! the hashed distribution and never gathered, reorthogonalization runs
-//! on the per-part fused BLAS-1 kernels (locale-ordered reductions — the
-//! `allreduce` of a real cluster), and `α_j` falls out of the product
-//! via the engine's fused [`PcEngine::apply_dot`]. Only matrix elements
-//! ever cross locale boundaries — the paper's central claim. (Earlier
+//! the hashed distribution and never gathered, and reorthogonalization
+//! and `α_j = ⟨v_j, H v_j⟩` run on the per-part fused BLAS-1 kernels
+//! (locale-ordered reductions — the `allreduce` of a real cluster). Only
+//! matrix elements ever cross locale boundaries — the paper's central
+//! claim. (Earlier
 //! revisions gathered every Krylov vector into one node-local buffer and
 //! re-scattered it around each product, capping the solver at
 //! single-node memory and adding O(dim) copies per iteration.)
@@ -27,11 +27,11 @@ use crate::matvec::pc::PcEngine;
 use crate::matvec::PcOptions;
 use ls_basis::SymmetrizedOperator;
 use ls_eigen::{
-    lanczos_smallest_in, thick_restart_lanczos_in, KrylovOp, LanczosOptions, LanczosResultIn,
-    RestartOptions,
+    lanczos_smallest_in, thick_restart_lanczos_in, KrylovOp, KrylovVec, LanczosOptions,
+    LanczosResultIn, RestartOptions,
 };
 use ls_kernels::Scalar;
-use ls_runtime::{transport, Cluster, DistVec};
+use ls_runtime::{collective, Cluster, DistVec};
 use std::sync::RwLock;
 
 /// Options for [`dist_lanczos_smallest`].
@@ -100,11 +100,6 @@ impl<'a, S: Scalar> DistOp<'a, S> {
     pub fn basis(&self) -> &DistSpinBasis {
         self.basis
     }
-
-    /// The engine for direct use (read access; applies go through this).
-    fn engine(&self) -> std::sync::RwLockReadGuard<'_, PcEngine<S>> {
-        self.engine.read().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl<S: Scalar> KrylovOp<DistVec<S>> for DistOp<'_, S> {
@@ -119,14 +114,25 @@ impl<S: Scalar> KrylovOp<DistVec<S>> for DistOp<'_, S> {
     }
 
     fn apply(&self, x: &DistVec<S>, y: &mut DistVec<S>) {
-        self.engine().apply(self.cluster, self.op, self.basis, x, y);
+        let engine = self.engine.read().unwrap_or_else(|e| e.into_inner());
+        engine.apply(self.cluster, self.op, self.basis, x, y);
     }
 
-    /// Fused matvec+dot: the per-locale dot partial is taken by each
-    /// locale's last pipeline task while its freshly accumulated part is
-    /// still cache-hot (see [`PcEngine::apply_dot`]).
+    /// The trait's default — the product, then the locale-ordered
+    /// [`KrylovVec::dot`] — with the `LS_FAULT` `nan` probe in between:
+    /// one tick per call, and when it fires this rank's share of
+    /// `⟨x, y⟩` is poisoned through `y`, after the product's checksum
+    /// verification and before the reduction. Every rank then reads the
+    /// same NaN `α`, fails the same health check and rolls back in
+    /// lockstep.
     fn apply_dot(&self, x: &DistVec<S>, y: &mut DistVec<S>) -> S {
-        self.engine().apply_dot(self.cluster, self.op, self.basis, x, y)
+        self.apply(x, y);
+        if collective::nan_fault_fires() {
+            for l in collective::hosted(y.n_locales()) {
+                y.part_mut(l).fill(S::from_re(f64::NAN));
+            }
+        }
+        x.dot(y)
     }
 
     fn is_hermitian(&self) -> bool {
@@ -144,9 +150,7 @@ impl<S: Scalar> KrylovOp<DistVec<S>> for DistOp<'_, S> {
     /// already re-armed, but a rebuild is cheap and unconditional paths
     /// are easier to trust).
     fn recover(&self) {
-        if let Some(mp) = transport::active() {
-            mp.recover_from_corruption();
-        }
+        collective::recover();
         let mut engine = self.engine.write().unwrap_or_else(|e| e.into_inner());
         *engine = PcEngine::new(self.cluster.n_locales(), self.pc);
     }
@@ -193,7 +197,6 @@ mod tests {
     use super::*;
     use crate::basis::enumerate_dist;
     use ls_basis::SectorSpec;
-    use ls_eigen::KrylovVec;
     use ls_expr::builders::heisenberg;
     use ls_runtime::ClusterSpec;
     use ls_symmetry::lattice::{chain_bonds, chain_group};
@@ -216,40 +219,5 @@ mod tests {
         // Known E0 of the 12-site Heisenberg ring (fully symmetric sector).
         assert!((energies[0] + 5.387_390_917_445).abs() < 1e-6, "E0 = {}", energies[0]);
         assert!((energies[0] - energies[1]).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fused_apply_dot_matches_apply_then_dot() {
-        let n = 10usize;
-        let kernel = heisenberg(&chain_bonds(n), 1.0).to_kernel(n as u32).unwrap();
-        let group = chain_group(n, 0, Some(0), Some(0)).unwrap();
-        let sector = SectorSpec::new(n as u32, Some(5), group).unwrap();
-        let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
-        let cluster = Cluster::new(ClusterSpec::new(3, 2));
-        let basis = enumerate_dist(&cluster, &sector, 2);
-        let dist_op = DistOp::new(&cluster, &op, &basis, PcOptions::default());
-        let x = DistVec::from_parts(
-            basis
-                .states()
-                .parts()
-                .iter()
-                .map(|p| p.iter().map(|&s| ((s as f64) * 0.23).sin()).collect())
-                .collect(),
-        );
-        let mut y_fused = dist_op.new_vec();
-        let d_fused = dist_op.apply_dot(&x, &mut y_fused);
-        // The fused value is bit-identical to the separate locale-ordered
-        // dot over the *same* output (two separate products may differ in
-        // the last ulp: the pipeline accumulates in arrival order, like
-        // the paper's remote atomics).
-        assert_eq!(d_fused.to_bits(), x.dot(&y_fused).to_bits());
-        let mut y_plain = dist_op.new_vec();
-        dist_op.apply(&x, &mut y_plain);
-        for l in 0..3 {
-            for (a, b) in y_fused.part(l).iter().zip(y_plain.part(l)) {
-                assert!((a - b).abs() < 1e-12);
-            }
-        }
-        assert!((d_fused - x.dot(&y_plain)).abs() < 1e-10);
     }
 }

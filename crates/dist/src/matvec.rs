@@ -33,7 +33,7 @@ use crate::basis::DistSpinBasis;
 use ls_basis::SymmetrizedOperator;
 use ls_kernels::search::NOT_FOUND;
 use ls_kernels::Scalar;
-use ls_runtime::{transport, AtomicAccumWindow, Cluster, DistVec, TransportError};
+use ls_runtime::{collective, AtomicAccumWindow, Cluster, DistVec};
 use std::sync::Mutex;
 
 pub use gather::{matvec_gather, GatherOp};
@@ -108,52 +108,28 @@ impl AbftTally {
     /// Compares every destination's realized part sum against the
     /// tallied contribution sums once the product is complete.
     ///
-    /// Under the multiprocess transport this is a collective: one
-    /// allreduce carries each rank's partial tallies plus its own
-    /// realized part sum, after which **every rank evaluates every
-    /// locale's checksum over identical reduced lanes** — so on a
-    /// violation all ranks reach [`MpRuntime::report_abft_violation`] at
-    /// the same program point and unwind in lockstep (no rank is left
-    /// blocking in a collective against peers that already bailed).
-    ///
-    /// [`MpRuntime::report_abft_violation`]:
-    /// ls_runtime::transport::MpRuntime::report_abft_violation
+    /// A collective: one allreduce carries the tallies this process's
+    /// producers kept plus the realized sums of the parts it hosts,
+    /// after which **every process evaluates every locale's checksum
+    /// over identical reduced lanes** — so on a violation all of them
+    /// reach [`collective::raise_corruption`] at the same program point
+    /// and unwind in lockstep (no rank is left blocking in a collective
+    /// against peers that already bailed).
     pub(crate) fn verify<S: Scalar>(&self, y: &DistVec<S>) {
         let sums = self.sums.lock().unwrap();
-        let n = sums.len();
-        if let Some(mp) = transport::active() {
-            // Five lanes per destination: the tallied [Σre, Σim, mass]
-            // plus the realized part sum (contributed only by the
-            // destination's owner; other ranks' lanes stay zero).
-            let mut lanes = vec![0.0f64; n * 5];
-            for (l, t) in sums.iter().enumerate() {
-                lanes[l * 5..l * 5 + 3].copy_from_slice(t);
-            }
-            let me = mp.rank();
-            let [yre, yim] = part_sum(y.part(me));
-            lanes[me * 5 + 3] = yre;
-            lanes[me * 5 + 4] = yim;
-            let total = mp.allreduce_lanes(&lanes);
-            for (l, t) in total.chunks_exact(5).enumerate() {
-                if let Some(detail) = checksum_mismatch(t[0], t[1], t[2], t[3], t[4]) {
-                    mp.report_abft_violation(l, &detail);
-                }
-            }
-        } else {
-            for (l, t) in sums.iter().enumerate() {
-                let [yre, yim] = part_sum(y.part(l));
-                if let Some(detail) = checksum_mismatch(t[0], t[1], t[2], yre, yim) {
-                    // Same unwind channel as transport corruption: the
-                    // rollback driver treats both identically.
-                    eprintln!(
-                        "ls-dist: integrity: abft checksum failed for locale {l} ({detail})"
-                    );
-                    std::panic::panic_any(TransportError::Corruption {
-                        peer: l,
-                        frame: "abft".into(),
-                        kind: detail,
-                    });
-                }
+        // Five lanes per destination: the tallied [Σre, Σim, mass] plus
+        // the realized part sum (contributed by whoever hosts the
+        // destination; everyone else's lanes stay zero).
+        let mut lanes = vec![0.0f64; sums.len() * 5];
+        for (l, t) in sums.iter().enumerate() {
+            lanes[l * 5..l * 5 + 3].copy_from_slice(t);
+        }
+        for l in collective::hosted(sums.len()) {
+            lanes[l * 5 + 3..l * 5 + 5].copy_from_slice(&part_sum(y.part(l)));
+        }
+        for (l, t) in collective::allreduce(lanes).chunks_exact(5).enumerate() {
+            if let Some(detail) = checksum_mismatch(t[0], t[1], t[2], t[3], t[4]) {
+                collective::raise_corruption(l, "abft", &detail);
             }
         }
     }

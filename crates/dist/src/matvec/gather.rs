@@ -30,7 +30,7 @@ use crate::matvec::validate_shapes;
 use ls_basis::SymmetrizedOperator;
 use ls_eigen::KrylovOp;
 use ls_kernels::Scalar;
-use ls_runtime::{transport, Cluster, DistVec, RmaReadWindow};
+use ls_runtime::{collective, Cluster, DistVec, RmaReadWindow};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// `y = H x` by full replication: each locale gathers every part of `x`
@@ -158,9 +158,7 @@ impl<S: Scalar> KrylovOp<DistVec<S>> for GatherOp<'_, S> {
     /// purely the transport's: drain the poisoned epoch and re-enter a
     /// clean one before the solver replays from its checkpoint.
     fn recover(&self) {
-        if let Some(mp) = transport::active() {
-            mp.recover_from_corruption();
-        }
+        collective::recover();
     }
 }
 

@@ -12,7 +12,12 @@
 //! happens owner-side, where the sorted state list lives) and accumulate
 //! atomically into `y`. Row generation, transfer and accumulation
 //! therefore overlap — the defining contrast with the bulk-synchronous
-//! baseline in `ls-baseline`.
+//! baseline in `ls-baseline`. There is one drain loop;
+//! [`PcOptions::deterministic`] only decides whether a received batch is
+//! accumulated on arrival or in a fixed order after the drain. The
+//! engine computes the product and nothing else: a Lanczos step's `α_j`
+//! is the locale-ordered [`ls_eigen::KrylovVec::dot`] over the finished
+//! parts (0.3 % of a product).
 //!
 //! Channel hand-off follows the paper's flag protocol: each side spins
 //! only on its own flag (with backoff), and flips the peer's flag with a
@@ -31,7 +36,7 @@ use ls_basis::{OffDiagBlock, SymmetrizedOperator};
 use ls_kernels::search::NOT_FOUND;
 use ls_kernels::Scalar;
 use ls_runtime::transport::{self, PairChannel};
-use ls_runtime::{AtomicAccumWindow, Cluster, DistVec, LocaleCtx};
+use ls_runtime::{collective, AtomicAccumWindow, Cluster, DistVec, LocaleCtx};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Rows a producer generates per batch before routing the emissions:
@@ -51,14 +56,16 @@ pub struct PcOptions {
     /// Capacity of each staging buffer, in `(state, coefficient)` pairs.
     pub capacity: usize,
     /// Deterministic accumulation order: forces one producer and one
-    /// consumer per locale, and the consumer *stashes* received batches
-    /// (communication still overlaps generation) and applies them only
-    /// after the locale's producer finished — local contributions in row
-    /// order first, then each source locale's batches in source order.
-    /// The result is bit-identical across runs **and across transport
-    /// backends** (the racing-CAS default is deterministic only to
-    /// rounding). Costs the stash memory (all remote contributions of a
-    /// product buffered at once) and the overlap of accumulation.
+    /// consumer per locale, and the consumer's drain loop leaves received
+    /// batches *stashed* (communication still overlaps generation),
+    /// applying them only after the locale's producer finished — local
+    /// contributions in row order first, then each source locale's
+    /// batches in source order. The result is bit-identical across runs
+    /// **and across transport backends** (the racing-CAS default is
+    /// deterministic only to rounding). Costs the stash memory (all
+    /// remote contributions of a product buffered at once — 15.6 MB per
+    /// product on the benchmark's 20-site sector, which is why it is not
+    /// the default) and the overlap of accumulation.
     pub deterministic: bool,
 }
 
@@ -100,12 +107,6 @@ impl<S: Scalar> PcEngine<S> {
         Self { n_locales, opts, channels, in_use: AtomicBool::new(false) }
     }
 
-    /// The effective options (deterministic mode pins producers and
-    /// consumers to 1).
-    pub fn options(&self) -> PcOptions {
-        self.opts
-    }
-
     #[inline]
     fn channel(&self, src: usize, dest: usize) -> &PairChannel<(u64, S)> {
         &self.channels[src * self.n_locales + dest]
@@ -128,75 +129,6 @@ impl<S: Scalar> PcEngine<S> {
         basis: &DistSpinBasis,
         x: &DistVec<S>,
         y: &mut DistVec<S>,
-    ) {
-        self.apply_inner(cluster, op, basis, x, y, None);
-    }
-
-    /// One distributed product `y = H x` fused with the inner product
-    /// `⟨x, y⟩` — the matvec+dot epilogue of a distributed Lanczos
-    /// iteration (`α_j = ⟨v_j, H v_j⟩` falls out of the product).
-    ///
-    /// The fusion is locale-local: every contribution to locale `l`'s
-    /// part of `y` is accumulated by locale `l`'s own tasks (owner-side
-    /// ranking), so the moment a locale's last task finishes, its part is
-    /// final — that task computes the locale's dot partial right there,
-    /// while the freshly written part is still cache-resident, before
-    /// crossing the cluster barrier. The per-locale partials (each a
-    /// deterministic [`ls_eigen::op::par_dot`]) are then combined in
-    /// locale order, making the value bit-identical to `apply` followed
-    /// by [`ls_eigen::KrylovVec::dot`] at any thread count.
-    pub fn apply_dot(
-        &self,
-        cluster: &Cluster,
-        op: &SymmetrizedOperator<S>,
-        basis: &DistSpinBasis,
-        x: &DistVec<S>,
-        y: &mut DistVec<S>,
-    ) -> S {
-        let mut partials = vec![S::ZERO; self.n_locales];
-        self.apply_inner(cluster, op, basis, x, y, Some(&mut partials));
-        if let Some(mp) = transport::active() {
-            // Deterministic fault injection (`LS_FAULT=nan:...`): every
-            // rank advances its matvec-epoch clock here, and the
-            // configured rank replaces its local dot partial with NaN
-            // *before* the reduction — silent arithmetic corruption that
-            // the rank-ordered allreduce then propagates to every rank
-            // identically, so the health monitor trips (and rolls back)
-            // in lockstep.
-            if mp.nan_fault_fires() {
-                partials[mp.rank()] = S::from_re(f64::NAN);
-            }
-            // A real allreduce: each rank contributes its own slot (the
-            // others are zero); lane-wise rank-ordered sums reproduce the
-            // per-locale partials on every rank bit-identically.
-            let mut lanes = Vec::with_capacity(self.n_locales * S::N_REALS);
-            for p in &partials {
-                lanes.extend_from_slice(&p.to_reals()[..S::N_REALS]);
-            }
-            let summed = mp.allreduce_lanes(&lanes);
-            for (p, c) in partials.iter_mut().zip(summed.chunks_exact(S::N_REALS)) {
-                let mut r = [0.0f64; 2];
-                r[..S::N_REALS].copy_from_slice(c);
-                *p = S::from_reals(r);
-            }
-        }
-        // The locale-ordered sum of the partials (exactly `KrylovVec::dot`'s
-        // combination order, identical on both backends).
-        let mut acc = S::ZERO;
-        for p in partials {
-            acc += p;
-        }
-        acc
-    }
-
-    fn apply_inner(
-        &self,
-        cluster: &Cluster,
-        op: &SymmetrizedOperator<S>,
-        basis: &DistSpinBasis,
-        x: &DistVec<S>,
-        y: &mut DistVec<S>,
-        dot_partials: Option<&mut Vec<S>>,
     ) {
         assert_eq!(
             cluster.n_locales(),
@@ -222,16 +154,12 @@ impl<S: Scalar> PcEngine<S> {
             .full()
             .then(|| AbftTally::new(self.n_locales));
         let win = AtomicAccumWindow::new(y);
-        // Race-free indexed stores of the per-locale dot partials (each
-        // slot written by exactly one locale's last task).
-        let dot_lanes = dot_partials.map(|p| ls_eigen::op::atomic_lanes(p));
         let producers = self.opts.producers;
         let consumers = self.opts.consumers;
         // Per-locale countdowns: the last producer to finish closes the
         // locale's outgoing channels (releasing all remote consumers),
-        // and the locale's last task of any kind computes the fused dot
-        // partial (if requested) and crosses the cluster barrier on its
-        // behalf — the moral equivalent of the old
+        // and the locale's last task of any kind crosses the cluster
+        // barrier on its behalf — the moral equivalent of the old
         // scope-join-then-barrier, without spawning a single thread (all
         // tasks run on the cluster's persistent team).
         let live_producers: Vec<AtomicUsize> =
@@ -247,25 +175,10 @@ impl<S: Scalar> PcEngine<S> {
                         self.channel(me, dest).close();
                     }
                 }
-            } else if self.opts.deterministic {
-                self.consume_deterministic(ctx, basis, &win, &live_producers[me]);
             } else {
-                self.consume(ctx, basis, &win);
+                self.consume(ctx, basis, &win, &live_producers[me]);
             }
             if live_tasks[me].fetch_sub(1, Ordering::AcqRel) == 1 {
-                if let Some(lanes) = dot_lanes {
-                    // All writes into this locale's part of `y` come from
-                    // this locale's own tasks (producers' local fast path
-                    // and diagonal, consumers' owner-side accumulation),
-                    // and this is the locale's last task — the part is
-                    // final and cache-hot.
-                    // SAFETY: the AcqRel countdown above synchronizes
-                    // with every sibling task's writes; no further
-                    // accumulation into part `me` can occur.
-                    let y_local = unsafe { win.part_slice(me) };
-                    let partial = ls_eigen::op::par_dot(x.part(me), y_local);
-                    ls_eigen::op::store_partial(lanes, me, partial);
-                }
                 ctx.barrier_wait();
             }
         });
@@ -276,13 +189,9 @@ impl<S: Scalar> PcEngine<S> {
         // state: re-arming would trip the reset invariants with a plain
         // (unrecoverable) panic, and the ABFT sums are garbage anyway.
         // Surface the corruption for rollback instead — recovery
-        // rebuilds the engine wholesale, fresh grid included.
-        if let Some(mp) = transport::active() {
-            if mp.is_poisoned() {
-                self.in_use.store(false, Ordering::Release);
-                mp.raise_if_poisoned();
-            }
-        }
+        // rebuilds the engine wholesale, fresh grid included (so this
+        // one may stay marked in use).
+        collective::raise_if_poisoned();
         // Re-arm the channels for the next product (buffer reuse) and
         // release the engine *before* the checksum verification: if it
         // unwinds, the engine is already back in a reusable state for
@@ -300,7 +209,7 @@ impl<S: Scalar> PcEngine<S> {
     /// local basis part in blocks through the batch kernels
     /// ([`SymmetrizedOperator::apply_off_diag_block`]), staging off-locale
     /// contributions per destination and bulk-ranking the local ones.
-    #[allow(clippy::too_many_arguments)] // internal worker of apply_inner
+    #[allow(clippy::too_many_arguments)] // internal worker of apply
     fn produce(
         &self,
         ctx: &LocaleCtx<'_>,
@@ -394,17 +303,26 @@ impl<S: Scalar> PcEngine<S> {
         pairs.clear();
     }
 
-    /// Consumer task: drains all channels addressed to this locale,
-    /// ranking and accumulating received pairs into the local part of `y`.
+    /// Consumer task: drains every channel addressed to this locale,
+    /// ranking and accumulating the received batches into the local part
+    /// of `y` — as they arrive, or, under [`PcOptions::deterministic`],
+    /// draining just as eagerly (producers never stall on flow control)
+    /// but leaving every batch *stashed* in its source's buffer until this
+    /// locale's producer finished its row-ordered local adds, then source
+    /// by source in locale order, FIFO within each source. Batch
+    /// boundaries and contents are identical on every backend (single
+    /// producer, fixed capacity), so that accumulation order is too.
     fn consume(
         &self,
         ctx: &LocaleCtx<'_>,
         basis: &DistSpinBasis,
         win: &AtomicAccumWindow<'_, S>,
+        live_local_producers: &AtomicUsize,
     ) {
         let me = ctx.locale();
         let n = self.n_locales;
-        let mut buf: Vec<(u64, S)> = Vec::with_capacity(self.opts.capacity);
+        let stash = self.opts.deterministic;
+        let mut received: Vec<Vec<(u64, S)>> = (0..n).map(|_| Vec::new()).collect();
         let mut needles: Vec<u64> = Vec::with_capacity(self.opts.capacity);
         let mut idx: Vec<u32> = Vec::with_capacity(self.opts.capacity);
         let mut done = vec![false; n];
@@ -417,19 +335,24 @@ impl<S: Scalar> PcEngine<S> {
                     continue;
                 }
                 let ch = self.channel(src, me);
-                buf.clear();
-                if ch.try_recv(ctx.stats(), src != me, &mut buf) {
-                    accumulate_batch(basis, win, me, &buf, &mut needles, &mut idx);
-                    progress = true;
-                } else if ch.drained_after_failed_recv(ctx.stats(), &mut buf) {
+                let buf = &mut received[src];
+                let held = buf.len();
+                if !ch.try_recv(ctx.stats(), src != me, buf)
+                    && ch.drained_after_failed_recv(ctx.stats(), buf)
+                {
                     *src_done = true;
                     n_done += 1;
                     progress = true;
-                } else if !buf.is_empty() {
-                    // The drain check raced with a final publish and took
-                    // the data itself.
-                    accumulate_batch(basis, win, me, &buf, &mut needles, &mut idx);
+                }
+                // A batch arrived — through `try_recv`, or through a drain
+                // check that raced with a final publish and took the data
+                // itself (the next round then observes the close).
+                if buf.len() > held {
                     progress = true;
+                    if !stash {
+                        accumulate_batch(basis, win, me, buf, &mut needles, &mut idx);
+                        buf.clear();
+                    }
                 }
             }
             if progress {
@@ -449,7 +372,8 @@ impl<S: Scalar> PcEngine<S> {
                     // supervisor relaunches), while a *poisoned* epoch —
                     // frame CRC, segment checksum or ABFT — unwinds as a
                     // catchable `TransportError::Corruption` so the
-                    // solver rolls the product back. Integrity outranks
+                    // solver rolls the product back (a stash dies with
+                    // the unwind, as it should). Integrity outranks
                     // liveness in the check, so a peer that detects
                     // corruption and unwinds (going quiet mid-product)
                     // is attributed as corruption, not as a crash.
@@ -458,62 +382,8 @@ impl<S: Scalar> PcEngine<S> {
                 }
             }
         }
-    }
-
-    /// The deterministic consumer: drains eagerly (so producers never
-    /// stall on flow control and communication still overlaps row
-    /// generation) but *stashes* everything, applying the accumulation
-    /// only once the ordering is fixed — after this locale's producer
-    /// finished its row-ordered local adds — and then source by source in
-    /// locale order, FIFO within each source. Batch boundaries and
-    /// contents are identical on every backend (single producer, fixed
-    /// capacity), so the global accumulation order is too: the output is
-    /// bit-identical across runs and transports.
-    fn consume_deterministic(
-        &self,
-        ctx: &LocaleCtx<'_>,
-        basis: &DistSpinBasis,
-        win: &AtomicAccumWindow<'_, S>,
-        live_local_producers: &AtomicUsize,
-    ) {
-        let me = ctx.locale();
-        let n = self.n_locales;
-        let mut stash: Vec<Vec<(u64, S)>> = (0..n).map(|_| Vec::new()).collect();
-        let mut done = vec![false; n];
-        let mut n_done = 0usize;
-        let mut idle_spins = 0u32;
-        while n_done < n {
-            let mut progress = false;
-            for (src, src_done) in done.iter_mut().enumerate() {
-                if *src_done {
-                    continue;
-                }
-                let ch = self.channel(src, me);
-                if ch.try_recv(ctx.stats(), src != me, &mut stash[src]) {
-                    progress = true;
-                } else if ch.drained_after_failed_recv(ctx.stats(), &mut stash[src]) {
-                    // (A racing final publish lands in the stash and the
-                    // next round observes the close.)
-                    *src_done = true;
-                    n_done += 1;
-                    progress = true;
-                }
-            }
-            if progress {
-                idle_spins = 0;
-            } else {
-                idle_spins = idle_spins.saturating_add(1);
-                if idle_spins < 8 {
-                    std::hint::spin_loop();
-                } else {
-                    // Same attribution split as `consume`: dead peer →
-                    // fail-stop `PeerFailed`; poisoned epoch → catchable
-                    // `Corruption` (the stash dies with the unwind, which
-                    // is correct — rollback discards the whole product).
-                    transport::poll_failure();
-                    std::thread::yield_now();
-                }
-            }
+        if !stash {
+            return;
         }
         // All sources closed and drained; wait out the local producer's
         // row-ordered adds, then apply the stashes in source order.
@@ -528,12 +398,8 @@ impl<S: Scalar> PcEngine<S> {
             }
             backoff.snooze();
         }
-        let mut needles: Vec<u64> = Vec::new();
-        let mut idx: Vec<u32> = Vec::new();
-        for batch in &stash {
-            if !batch.is_empty() {
-                accumulate_batch(basis, win, me, batch, &mut needles, &mut idx);
-            }
+        for batch in received.iter().filter(|b| !b.is_empty()) {
+            accumulate_batch(basis, win, me, batch, &mut needles, &mut idx);
         }
     }
 }

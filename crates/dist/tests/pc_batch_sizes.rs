@@ -2,7 +2,8 @@
 //! shared-memory serial reference for extreme staging-buffer capacities —
 //! a 1-pair capacity degenerates to the naive formulation's granularity,
 //! 4096 exceeds the whole off-diagonal volume so everything ships in the
-//! final drain.
+//! final drain — in arrival order and in the deterministic (stashing)
+//! order, which must also repeat bit for bit.
 
 use ls_basis::{SectorSpec, SpinBasis, SymmetrizedOperator};
 use ls_dist::matvec::{matvec_pc, PcOptions};
@@ -54,24 +55,37 @@ fn pc_pipeline_across_batch_capacities() {
             let cluster = Cluster::new(ClusterSpec::new(locales, cores));
             let dist = enumerate_dist(&cluster, &sector, 2);
             let xd = scatter(&basis, &dist, &x);
+            // The deterministic order forces one producer and one consumer,
+            // whatever is asked for.
+            let tasks: [(usize, usize, bool); 3] = [(1, 1, false), (2, 2, false), (1, 1, true)];
             for capacity in [1usize, 7, 4096] {
-                for (producers, consumers) in [(1usize, 1usize), (2, 2)] {
+                for (producers, consumers, deterministic) in tasks {
+                    let opts = PcOptions { producers, consumers, capacity, deterministic };
                     let mut yd = DistVec::<f64>::zeros(&dist.states().lens());
-                    matvec_pc(
-                        &cluster,
-                        &op,
-                        &dist,
-                        &xd,
-                        &mut yd,
-                        PcOptions { producers, consumers, capacity, ..PcOptions::default() },
-                    );
+                    matvec_pc(&cluster, &op, &dist, &xd, &mut yd, opts);
                     for l in 0..locales {
                         for (i, &s) in dist.states().part(l).iter().enumerate() {
                             let expect = y_ref[basis.index_of(s).unwrap()];
                             assert!(
                                 (yd.part(l)[i] - expect).abs() < 1e-11,
                                 "n={n} locales={locales} capacity={capacity} p={producers} \
-                                 c={consumers} state={s:#b}"
+                                 c={consumers} det={deterministic} state={s:#b}"
+                            );
+                        }
+                    }
+                    if deterministic {
+                        // Stashed batches are applied in an order that does
+                        // not depend on timing: a second product has the
+                        // same bits, part by part.
+                        let mut again = DistVec::<f64>::zeros(&dist.states().lens());
+                        matvec_pc(&cluster, &op, &dist, &xd, &mut again, opts);
+                        for l in 0..locales {
+                            let bits =
+                                |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                            assert_eq!(
+                                bits(again.part(l)),
+                                bits(yd.part(l)),
+                                "n={n} locales={locales} capacity={capacity} part {l}"
                             );
                         }
                     }

@@ -518,7 +518,9 @@ pub(crate) fn run_plan<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
                         matches!(e, ls_runtime::TransportError::Corruption { .. })
                     });
                 if !recoverable || rollbacks >= max_rollbacks {
-                    std::panic::resume_unwind(payload);
+                    // Re-raised; a multiprocess rank giving up on
+                    // corruption ends the job with the typed exit code.
+                    ls_runtime::collective::give_up(payload);
                 }
                 rollbacks += 1;
                 eprintln!(

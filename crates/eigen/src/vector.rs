@@ -45,33 +45,12 @@
 use crate::op::{self, LinearOp};
 use bytes::{Buf, BufMut};
 use ls_kernels::{Lane, Scalar};
-use ls_runtime::transport::{self, MpRuntime};
-use ls_runtime::DistVec;
+use ls_runtime::{collective, DistVec};
 use std::borrow::Borrow;
-
-/// Rank-ordered sum of per-rank scalar partials (multiprocess). Lane-wise
-/// addition in rank order is bit-identical to the in-process backend's
-/// `acc += partial` over parts in locale order.
-fn allreduce_scalars<S: Scalar>(mp: &MpRuntime, partials: &[S]) -> Vec<S> {
-    let mut lanes = Vec::with_capacity(partials.len() * S::N_REALS);
-    for p in partials {
-        lanes.extend_from_slice(&p.to_reals()[..S::N_REALS]);
-    }
-    let summed = mp.allreduce_lanes(&lanes);
-    summed
-        .chunks_exact(S::N_REALS)
-        .map(|c| {
-            let mut r = [0.0f64; 2];
-            r[..S::N_REALS].copy_from_slice(c);
-            S::from_reals(r)
-        })
-        .collect()
-}
 
 /// Appends `x` as `S::N_REALS` little-endian real lanes of `width` bytes
 /// each (8: exact f64; 4: f32, exact when `x` was widened from f32
-/// storage) — the element encoding of checkpoints and of the
-/// multiprocess allgather.
+/// storage) — the element encoding of checkpoints.
 pub(crate) fn put_scalar<S: Scalar>(buf: &mut Vec<u8>, x: S, width: u32) {
     for &lane in &x.to_reals()[..S::N_REALS] {
         if width == 4 {
@@ -242,14 +221,14 @@ impl<L: Lane> KrylovVec for Vec<L> {
     }
 }
 
-/// The one place a distributed primitive decides which parts this
-/// process computes: `kernel(w, l)` runs the shared-memory kernel on part
-/// `l` and returns its `m` scalar partials (`m = 0` for a pure update).
-/// In process, every part runs in locale order and the partials add up
-/// in that order. Under the multiprocess transport only this rank's
-/// (authoritative) part runs and the partials go through the
-/// rank-ordered allreduce — bit-identical to the in-process sum; an
-/// update issues no collective.
+/// The one shape of a distributed primitive: `kernel(w, l)` runs the
+/// shared-memory kernel on part `l` and returns its `m` scalar partials
+/// (`m = 0` for a pure update). The parts this process hosts — all of
+/// them in process, the one authoritative part under the multiprocess
+/// transport — run in locale order, their partials add up in that
+/// order, and [`collective::allreduce`] combines the processes' sums in
+/// rank order: the same `0 + p₀ + p₁ + …` on both backends. An update
+/// issues no collective.
 ///
 /// Every vector in `others` must have `w`'s layout. That is asserted
 /// here, in every build profile: zipping parts of different lengths
@@ -267,17 +246,13 @@ fn per_part<'a, L: Lane, A: Scalar, W: Borrow<DistVec<L>>>(
             "distributed BLAS-1 on mismatched layouts"
         );
     }
-    if let Some(mp) = transport::active() {
-        let partials = kernel(&mut w, mp.rank());
-        return if m == 0 { partials } else { allreduce_scalars(mp, &partials) };
-    }
     let mut out = vec![A::ZERO; m];
-    for l in 0..w.borrow().n_locales() {
+    for l in collective::hosted(w.borrow().n_locales()) {
         for (acc, partial) in out.iter_mut().zip(kernel(&mut w, l)) {
             *acc += partial;
         }
     }
-    out
+    collective::allreduce(out)
 }
 
 /// Part `l` of every vector in `vs`.
@@ -289,9 +264,9 @@ fn parts_of<L>(vs: &[DistVec<L>], l: usize) -> Vec<&[L]> {
 /// kernel applied per locale part (`per_part`). No part ever leaves
 /// its locale. Under the multiprocess transport the replica's remote
 /// parts are left untouched by the update primitives; only
-/// [`KrylovVec::visit`] re-assembles the global vector (allgather in
-/// rank order, elements at the stored width), which is what
-/// checkpointing consumes.
+/// [`KrylovVec::visit`] re-assembles the global vector
+/// ([`collective::for_each_global`]), which is what checkpointing
+/// consumes.
 impl<L: Lane> KrylovVec for DistVec<L> {
     type Scalar = L::Acc;
 
@@ -307,25 +282,9 @@ impl<L: Lane> KrylovVec for DistVec<L> {
     }
 
     fn visit(&self, f: &mut dyn FnMut(L::Acc)) {
-        if let Some(mp) = transport::active() {
-            // Allgather this rank's authoritative part and emit all parts
-            // in rank (= global) order: every rank streams the identical
-            // canonical vector, so checkpoints written from it agree.
-            let own = self.part(mp.rank());
-            let elem_bytes = L::Acc::N_REALS * L::WIDTH as usize;
-            let mut payload = Vec::with_capacity(own.len() * elem_bytes);
-            for x in own {
-                put_scalar(&mut payload, x.widen(), L::WIDTH);
-            }
-            for contribution in mp.allgather(&payload) {
-                let mut r: &[u8] = &contribution;
-                while r.remaining() > 0 {
-                    f(get_scalar(&mut r, L::WIDTH));
-                }
-            }
-            return;
-        }
-        self.for_each(|&x| f(x.widen()));
+        // Every rank streams the identical canonical vector, so
+        // checkpoints written from it agree.
+        collective::for_each_global(self, |x| f(x.widen()));
     }
 
     fn fill_with(&mut self, f: &mut dyn FnMut(usize) -> L::Acc) {
@@ -407,10 +366,11 @@ pub trait KrylovOp<V: KrylovVec> {
     /// Computes `y = A x` in place on `y`'s storage.
     fn apply(&self, x: &V, y: &mut V);
 
-    /// Computes `y = A x` and returns `⟨x, y⟩` — the fused matvec+dot
-    /// epilogue of a Lanczos iteration. Implementations override it when
-    /// they can accumulate the inner product while the freshly written
-    /// output is still cache-resident.
+    /// Computes `y = A x` and returns `⟨x, y⟩` — the matvec+dot of a
+    /// Lanczos iteration. Implementations override it when they can
+    /// accumulate the inner product while the freshly written output is
+    /// still cache-resident (the shared-memory engine; distributed, the
+    /// dot is 0.3 % of a product and this default stands).
     fn apply_dot(&self, x: &V, y: &mut V) -> V::Scalar {
         self.apply(x, y);
         x.dot(y)

@@ -120,21 +120,6 @@ impl<'a, S: Scalar> AtomicAccumWindow<'a, S> {
         }
     }
 
-    /// Views one locale's whole part as plain scalars — the epilogue hook
-    /// for fused reductions over freshly accumulated output (e.g. the
-    /// producer/consumer engine's matvec+dot computes its per-locale dot
-    /// partial through this while the part is still cache-hot).
-    ///
-    /// # Safety
-    /// Callers must guarantee that no `fetch_add` on this part can run
-    /// concurrently with (or after) this call's reads — in practice: all
-    /// tasks accumulating into `locale` have finished, e.g. its local
-    /// countdown reached zero or a barrier was crossed.
-    pub unsafe fn part_slice(&self, locale: usize) -> &[S] {
-        let (base, len) = self.parts[locale];
-        std::slice::from_raw_parts(base as *const S, len)
-    }
-
     /// Atomic read of one element (diagnostics / tests). Multiprocess:
     /// only this rank's part is authoritative — a remote `locale` reads
     /// the stale local replica.

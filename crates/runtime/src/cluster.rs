@@ -35,13 +35,14 @@ use std::sync::{Condvar, Mutex};
 pub struct ClusterSpec {
     /// Number of locales (compute nodes).
     pub locales: usize,
-    /// Worker tasks per locale used by task-parallel algorithms (the
-    /// paper's nodes have 128 cores; simulations use small values).
+    /// Cores per node of the machine being described (the paper's nodes
+    /// have 128), for reports. It sizes nothing: the task width of a
+    /// product is `PcOptions::{producers, consumers}`.
     pub cores_per_locale: usize,
 }
 
 impl ClusterSpec {
-    /// A machine of `locales` nodes with `cores_per_locale` task slots each.
+    /// A machine of `locales` nodes with `cores_per_locale` cores each.
     pub fn new(locales: usize, cores_per_locale: usize) -> Self {
         assert!(locales >= 1 && cores_per_locale >= 1);
         Self { locales, cores_per_locale }
@@ -178,8 +179,7 @@ impl Cluster {
         LocaleCtx {
             locale,
             n_locales: self.spec.locales,
-            cores: self.spec.cores_per_locale,
-            stats: &self.stats,
+            stats: &self.stats[locale],
             barrier: &self.barrier,
         }
     }
@@ -193,10 +193,10 @@ impl Cluster {
     ///
     /// Multiprocess: executes `f` once, for this process's rank, and
     /// returns a **single-element** vector — other locales' results live
-    /// in other processes. Callers needing all locales' results must
-    /// exchange them explicitly (e.g. [`MpRuntime::allgather`]).
-    ///
-    /// [`MpRuntime::allgather`]: crate::transport::MpRuntime::allgather
+    /// in other processes. On either backend that is one result per
+    /// locale of [`crate::collective::hosted`]; callers needing all
+    /// locales' results exchange them explicitly
+    /// ([`crate::collective::allgather`]).
     pub fn run<R, F>(&self, f: F) -> Vec<R>
     where
         R: Send,
@@ -378,8 +378,7 @@ fn team_worker(team: std::sync::Arc<Team>, index: usize) {
 pub struct LocaleCtx<'a> {
     locale: usize,
     n_locales: usize,
-    cores: usize,
-    stats: &'a [CommStats],
+    stats: &'a CommStats,
     barrier: &'a SenseBarrier,
 }
 
@@ -396,29 +395,10 @@ impl<'a> LocaleCtx<'a> {
         self.n_locales
     }
 
-    /// Task-parallel width within this locale.
-    #[inline]
-    pub fn cores(&self) -> usize {
-        self.cores
-    }
-
     /// This locale's statistics.
     #[inline]
     pub fn stats(&self) -> &'a CommStats {
-        &self.stats[self.locale]
-    }
-
-    /// All locales' statistics (used by windows that attribute the cost to
-    /// the initiating locale).
-    #[inline]
-    pub fn all_stats(&self) -> &'a [CommStats] {
         self.stats
-    }
-
-    /// The in-process cluster barrier (records one crossing per locale).
-    /// Prefer [`LocaleCtx::barrier_wait`], which is transport-aware.
-    pub fn barrier(&self) -> &'a SenseBarrier {
-        self.barrier
     }
 
     /// Waits until every locale reaches the barrier, then returns — on
@@ -456,7 +436,6 @@ mod tests {
         let cluster = Cluster::new(ClusterSpec::new(4, 2));
         let ids = cluster.run(|ctx| {
             assert_eq!(ctx.n_locales(), 4);
-            assert_eq!(ctx.cores(), 2);
             ctx.locale()
         });
         assert_eq!(ids, vec![0, 1, 2, 3]);

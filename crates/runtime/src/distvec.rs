@@ -69,20 +69,6 @@ impl<T> DistVec<T> {
         }
         out
     }
-
-    /// Visits every element in ascending global order (parts in locale
-    /// order, elements in part order) — the serialization hook: a
-    /// distributed vector streamed through this is element-for-element
-    /// the canonical dense vector, independent of the locale count.
-    /// (Deserialization goes the other way through the owner's mutable
-    /// parts, e.g. `ls_eigen::KrylovVec::fill_with`.)
-    pub fn for_each(&self, mut f: impl FnMut(&T)) {
-        for p in &self.parts {
-            for x in p {
-                f(x);
-            }
-        }
-    }
 }
 
 impl<T: Clone + Default> DistVec<T> {

@@ -20,9 +20,9 @@
 //!          | "corrupt-window" ":" keys — flip one byte's low bit in a
 //!                                        shared-memory segment after it is
 //!                                        written (silent memory corruption)
-//!          | "nan"            ":" keys — poison the rank's local dot partial
-//!                                        with NaN in one matvec epoch (silent
-//!                                        arithmetic corruption)
+//!          | "nan"            ":" keys — NaN the rank's share of one product
+//!                                        before the dot that follows it
+//!                                        (silent arithmetic corruption)
 //! keys     = key "=" value ("," key "=" value)*
 //!            rank=R                  (required: which rank misbehaves)
 //!            barrier=N               (kill/drop-conn: fire entering the
@@ -42,8 +42,8 @@
 //!                                     land inside the solve; default 1)
 //!            offset=B                (corrupt-window: byte offset within
 //!                                     the written range; default 0)
-//!            cycle=K                 (nan: fire in the K-th fused
-//!                                     matvec+dot epoch; default 1)
+//!            cycle=K                 (nan: fire in the K-th matvec+dot
+//!                                     epoch; default 1)
 //!            attempt=A               (fire only in supervisor incarnation
 //!                                     A; default 0, i.e. the first launch
 //!                                     — restarted incarnations run clean
@@ -90,11 +90,11 @@ pub enum FaultKind {
     /// after this rank writes it, bypassing the CRC sidecar — readers
     /// verifying the part must catch the mismatch.
     CorruptWindow,
-    /// Replace this rank's local dot partial with NaN in the `cycle`-th
-    /// fused matvec+dot epoch. The NaN propagates through the rank-ordered
-    /// reduction to every rank identically, so the solver's health monitor
-    /// fails the same cycle everywhere — no distributed coordination
-    /// needed to recover.
+    /// Poison this rank's share of `⟨x, y⟩` with NaN in the `cycle`-th
+    /// matvec+dot epoch (its part of `y`, between product and dot). The
+    /// NaN propagates through the rank-ordered reduction to every rank
+    /// identically, so the solver's health monitor fails the same cycle
+    /// everywhere — no distributed coordination needed to recover.
     Nan,
 }
 
@@ -164,7 +164,7 @@ pub struct FaultAction {
     /// Byte offset within the written range a corrupt-window action
     /// flips (clamped to the range).
     pub offset: u64,
-    /// Which fused matvec+dot epoch a nan action poisons (1-based).
+    /// Which matvec+dot epoch a nan action poisons (1-based).
     pub cycle: u64,
     /// Supervisor incarnation in which the action is armed.
     pub attempt: u64,

@@ -36,7 +36,10 @@
 //! for puts/gets, TCP frames for accumulates/channels/barriers — with the
 //! same visibility and determinism contract (see [`transport`] and
 //! `docs/ARCHITECTURE.md`). Programs opt in by calling
-//! [`transport::launch_if_requested`] first thing in `main`.
+//! [`transport::launch_if_requested`] first thing in `main`. Algorithms
+//! never ask which backend is active: what differs above the one-sided
+//! primitives (which locales this process computes, how partial sums are
+//! combined, how corruption is raised) sits behind [`collective`].
 //!
 //! ## Failure model
 //!
@@ -61,6 +64,7 @@
 pub mod accum;
 pub mod barrier;
 pub mod cluster;
+pub mod collective;
 pub mod crc32c;
 pub mod distvec;
 pub mod fault;

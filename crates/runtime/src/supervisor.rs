@@ -34,8 +34,9 @@
 
 use crate::fault::FaultPlan;
 use crate::transport::{
-    ENV_BACKOFF_MS, ENV_JOB, ENV_LOCALES, ENV_MAX_RESTARTS, ENV_RANK, ENV_RESTART_COUNT,
-    ENV_WATCHDOG, EXIT_CORRUPTION, EXIT_FAILOVER, EXIT_ORPHANED, EXIT_PROTOCOL,
+    env_count, locales_from_env, ENV_BACKOFF_MS, ENV_HEARTBEAT_MS, ENV_JOB, ENV_LOCALES,
+    ENV_MAX_RESTARTS, ENV_RANK, ENV_RESTART_COUNT, ENV_SILENCE_SECS, ENV_TIMEOUT, ENV_WATCHDOG,
+    EXIT_CORRUPTION, EXIT_FAILOVER, EXIT_ORPHANED, EXIT_PROTOCOL,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -175,25 +176,32 @@ impl Round {
     }
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+/// A launch-time configuration error: named on stderr, exit 2, nothing
+/// spawned.
+fn reject(msg: &str) -> ! {
+    eprintln!("ls-mp: supervisor: {msg}");
+    std::process::exit(2);
 }
 
 /// The supervisor entry point: runs rounds until one exits cleanly or
 /// the retry budget is spent, then exits with the verdict. Never
 /// returns.
 pub(crate) fn run_supervisor() -> ! {
-    // Validate the fault plan before spawning anything: a chaos-test
-    // typo fails at launch with the offending clause named, instead of
-    // panicking inside every worker's transport connect.
+    // Validate the fault plan and every numeric knob before spawning
+    // anything: a typo fails at launch with the offending clause or
+    // variable named, instead of inside every worker's transport connect
+    // (or, worse, by silently running the default).
     if let Err(e) = FaultPlan::try_from_env() {
-        eprintln!("ls-mp: supervisor: {e}");
-        std::process::exit(2);
+        reject(&e.to_string());
     }
-    let n: usize = env_u64(ENV_LOCALES, 2) as usize;
-    assert!(n >= 1, "{ENV_LOCALES} must be >= 1");
-    let max_restarts = env_u64(ENV_MAX_RESTARTS, 2);
-    let backoff_base = Duration::from_millis(env_u64(ENV_BACKOFF_MS, 250));
+    let knob = |name, default| env_count(name, Some(default)).unwrap_or_else(|e| reject(&e));
+    let n = locales_from_env(2).unwrap_or_else(|e| reject(&e));
+    let max_restarts = knob(ENV_MAX_RESTARTS, 2);
+    let backoff_base = Duration::from_millis(knob(ENV_BACKOFF_MS, 250));
+    // The workers' own knobs (read in their transport connect).
+    for name in [ENV_TIMEOUT, ENV_HEARTBEAT_MS, ENV_SILENCE_SECS, ENV_RESTART_COUNT] {
+        knob(name, 0);
+    }
     let exe = std::env::current_exe().expect("current_exe for the multiprocess supervisor");
     let args: Vec<String> = std::env::args().skip(1).collect();
     let base = if cfg!(unix) && std::path::Path::new("/dev/shm").is_dir() {

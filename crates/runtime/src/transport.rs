@@ -98,9 +98,9 @@ pub const ENV_RESTART_COUNT: &str = "LS_MP_RESTART_COUNT";
 pub const ENV_INTEGRITY: &str = "LS_INTEGRITY";
 
 const RENDEZVOUS_TIMEOUT: Duration = Duration::from_secs(60);
-const DEFAULT_COLLECTIVE_TIMEOUT: Duration = Duration::from_secs(180);
-const DEFAULT_HEARTBEAT: Duration = Duration::from_millis(500);
-const DEFAULT_SILENCE: Duration = Duration::from_secs(30);
+const DEFAULT_COLLECTIVE_TIMEOUT_SECS: u64 = 180;
+const DEFAULT_HEARTBEAT_MS: u64 = 500;
+const DEFAULT_SILENCE_SECS: u64 = 30;
 
 /// Exit code of a worker whose launcher died (watchdog).
 pub(crate) const EXIT_ORPHANED: i32 = 124;
@@ -267,9 +267,36 @@ impl std::error::Error for TransportError {}
 /// in benchmark output.
 pub fn restart_count() -> u64 {
     static COUNT: OnceLock<u64> = OnceLock::new();
-    *COUNT.get_or_init(|| {
-        std::env::var(ENV_RESTART_COUNT).ok().and_then(|v| v.parse().ok()).unwrap_or(0)
-    })
+    *COUNT.get_or_init(|| env_count(ENV_RESTART_COUNT, Some(0)).unwrap_or_else(|e| fatal(&e)))
+}
+
+/// The value a numeric `LS_*` variable selects (`var` is `None` when it
+/// is unset). Unset or empty keeps `default` — `None` there means the
+/// variable is required. Anything that is not a non-negative integer is
+/// an error naming the variable: a typo (`LS_LOCALES=four`) must not
+/// silently run the default.
+fn parse_count(name: &str, var: Option<&str>, default: Option<u64>) -> Result<u64, String> {
+    match var.map(str::trim) {
+        None | Some("") => default.ok_or_else(|| format!("{name} is not set")),
+        Some(v) => v.parse().map_err(|_| format!("{name}={v:?}: not a non-negative integer")),
+    }
+}
+
+/// [`parse_count`] of the process environment.
+pub(crate) fn env_count(name: &str, default: Option<u64>) -> Result<u64, String> {
+    match std::env::var(name) {
+        Err(std::env::VarError::NotUnicode(_)) => Err(format!("{name}: not valid unicode")),
+        var => parse_count(name, var.ok().as_deref(), default),
+    }
+}
+
+/// `LS_LOCALES` as a job or cluster size: at least one, `default` when
+/// unset.
+pub(crate) fn locales_from_env(default: usize) -> Result<usize, String> {
+    match env_count(ENV_LOCALES, Some(default as u64))? {
+        0 => Err(format!("{ENV_LOCALES} must be at least 1")),
+        n => Ok(n as usize),
+    }
 }
 
 /// How much end-to-end integrity checking the runtime performs
@@ -698,7 +725,7 @@ pub struct MpRuntime {
     /// Recovery epoch, carried in the top bits of collective sequence
     /// numbers so post-rollback ranks can discard poisoned-epoch frames.
     coll_epoch: AtomicU64,
-    /// 1-based count of fused matvec epochs — the `nan` fault-trigger
+    /// 1-based count of matvec+dot epochs — the `nan` fault-trigger
     /// clock. Monotonic across rollbacks, so a consumed injection never
     /// re-fires against the replayed epoch.
     matvec_ordinal: AtomicU64,
@@ -730,32 +757,19 @@ impl MpRuntime {
         if !cfg!(unix) {
             fatal("the multiprocess backend requires a unix platform");
         }
-        let rank: usize = std::env::var(ENV_RANK)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| fatal(&format!("{ENV_RANK} missing or unparsable")));
-        let n: usize = std::env::var(ENV_LOCALES)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| fatal(&format!("{ENV_LOCALES} missing or unparsable")));
+        // The supervisor validated these before spawning; a worker started
+        // by hand with a typo dies here, naming the variable.
+        let knob = |name, default| env_count(name, default).unwrap_or_else(|e| fatal(&e));
+        let rank = knob(ENV_RANK, None) as usize;
+        let n = knob(ENV_LOCALES, None) as usize;
         let job_dir = PathBuf::from(
             std::env::var_os(ENV_JOB).unwrap_or_else(|| fatal(&format!("{ENV_JOB} missing"))),
         );
-        let timeout = std::env::var(ENV_TIMEOUT)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .map(Duration::from_secs)
-            .unwrap_or(DEFAULT_COLLECTIVE_TIMEOUT);
-        let hb_interval = std::env::var(ENV_HEARTBEAT_MS)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .map(Duration::from_millis)
-            .unwrap_or(DEFAULT_HEARTBEAT);
-        let silence = std::env::var(ENV_SILENCE_SECS)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .map(Duration::from_secs)
-            .unwrap_or(DEFAULT_SILENCE);
+        let timeout =
+            Duration::from_secs(knob(ENV_TIMEOUT, Some(DEFAULT_COLLECTIVE_TIMEOUT_SECS)));
+        let hb_interval =
+            Duration::from_millis(knob(ENV_HEARTBEAT_MS, Some(DEFAULT_HEARTBEAT_MS)));
+        let silence = Duration::from_secs(knob(ENV_SILENCE_SECS, Some(DEFAULT_SILENCE_SECS)));
         let faults = FaultPlan::from_env();
         let attempt = restart_count();
 
@@ -1052,7 +1066,7 @@ impl MpRuntime {
 
     /// True while a detected corruption awaits rollback ([`Self::
     /// recover_from_corruption`] clears it).
-    pub fn is_poisoned(&self) -> bool {
+    pub(crate) fn is_poisoned(&self) -> bool {
         self.poisoned.load(Ordering::SeqCst)
     }
 
@@ -1063,22 +1077,19 @@ impl MpRuntime {
     /// poison the inconsistency is a symptom of the corruption unwind,
     /// and turning it into a plain panic would make a recoverable error
     /// fatal.
-    pub fn raise_if_poisoned(&self) {
+    pub(crate) fn raise_if_poisoned(&self) {
         if self.is_poisoned() {
             std::panic::panic_any(self.corruption_error());
         }
     }
 
-    /// Entry point for algorithm-based fault tolerance above the
-    /// transport: a checksum-vector invariant over the distributed
-    /// matvec failed for `locale`'s partial sums. Funnels into the same
-    /// detect → poison → unwind pipeline as a frame CRC mismatch, so
-    /// the solver's rollback path handles both identically. Unlike wire
-    /// corruption this is detected *collectively* (every rank evaluates
-    /// the same allreduced checksums), so every rank calls it at the
-    /// same program point and unwinds in lockstep.
-    pub fn report_abft_violation(&self, locale: usize, detail: &str) -> ! {
-        self.report_corruption(locale, "abft", detail);
+    /// [`Self::report_corruption`], then unwinds with the attributed
+    /// error: the detect → poison → unwind pipeline for a check that
+    /// fails on the calling thread (a segment CRC, or — through
+    /// [`crate::collective::raise_corruption`] — a check above the
+    /// transport).
+    pub(crate) fn raise_corruption(&self, peer: usize, frame: &str, kind: &str) -> ! {
+        self.report_corruption(peer, frame, kind);
         std::panic::panic_any(self.corruption_error())
     }
 
@@ -1142,7 +1153,7 @@ impl MpRuntime {
     /// of burning its collective timeout), print the attributed
     /// diagnostic, and exit with the failure's code. Remote-origin
     /// aborts are not re-fanned.
-    fn abort_job(&self, err: TransportError) -> ! {
+    pub(crate) fn abort_job(&self, err: TransportError) -> ! {
         if !self.aborting.swap(true, Ordering::SeqCst)
             && !matches!(err, TransportError::Aborted { .. })
         {
@@ -1564,7 +1575,7 @@ impl MpRuntime {
     /// Fallible allgather: every rank contributes `payload`, every rank
     /// receives all contributions indexed by rank. The fundamental
     /// collective — barriers and reductions are built on it.
-    pub fn try_allgather(&self, payload: &[u8]) -> Result<Vec<Vec<u8>>, TransportError> {
+    fn try_allgather(&self, payload: &[u8]) -> Result<Vec<Vec<u8>>, TransportError> {
         // The guard both allocates the sequence number and serializes
         // collectives within the process.
         let mut seq_guard = self.coll_seq.lock().unwrap();
@@ -1592,49 +1603,43 @@ impl MpRuntime {
         Ok(out)
     }
 
-    /// Infallible allgather: aborts the whole job on failure —
+    /// [`Self::try_allgather`] that aborts the whole job on failure —
     /// except recoverable corruption, which unwinds as a catchable
     /// panic carrying the [`TransportError::Corruption`].
-    pub fn allgather(&self, payload: &[u8]) -> Vec<Vec<u8>> {
+    pub(crate) fn allgather(&self, payload: &[u8]) -> Vec<Vec<u8>> {
         self.try_allgather(payload).unwrap_or_else(|e| self.bail(e))
     }
 
-    /// Fallible barrier: an empty allgather. Per-peer FIFO makes it a
-    /// flush: every accumulate/channel/credit frame a peer sent before
-    /// entering the barrier has been applied here once its barrier frame
-    /// is popped. Also the fault-injection trigger point: `LS_FAULT`
-    /// kill/drop-conn actions fire on entry, keyed by the 1-based count
-    /// of barriers this process has entered.
-    pub fn try_barrier(&self) -> Result<(), TransportError> {
+    /// Barrier: an empty allgather — a failure aborts the whole job,
+    /// except recoverable corruption, which unwinds as a catchable panic
+    /// carrying the [`TransportError::Corruption`]. Per-peer FIFO makes it
+    /// a flush: every accumulate/channel/credit frame a peer sent before
+    /// entering has been applied here once its barrier frame is popped.
+    /// Also the fault-injection trigger point: `LS_FAULT` kill/drop-conn
+    /// actions fire on entry, keyed by the 1-based count of barriers this
+    /// process has entered.
+    pub fn barrier(&self) {
         self.fault_barrier_hook();
         let t0 = Instant::now();
-        self.try_allgather(&[])?;
+        self.allgather(&[]);
         self.stats.add(&self.stats.barriers, 1);
         self.stats.add(&self.stats.barrier_nanos, t0.elapsed().as_nanos() as u64);
-        Ok(())
     }
 
-    /// Infallible barrier: aborts the whole job on failure (corruption
-    /// unwinds as a catchable panic instead, like [`Self::allgather`]).
-    pub fn barrier(&self) {
-        self.try_barrier().unwrap_or_else(|e| self.bail(e));
-    }
-
-    /// Fallible lane-wise allreduce of `f64` partials: gathers every
-    /// rank's lanes and sums them **in rank order**, which is
-    /// bit-identical to the in-process backend's locale-ordered
-    /// combination.
-    pub fn try_allreduce_lanes(&self, lanes: &[f64]) -> Result<Vec<f64>, TransportError> {
+    /// Lane-wise allreduce of `f64` partials: gathers every rank's lanes
+    /// and sums them **in rank order**, which is bit-identical to the
+    /// in-process backend's locale-ordered combination. Fails like
+    /// [`Self::allgather`].
+    pub(crate) fn allreduce_lanes(&self, lanes: &[f64]) -> Vec<f64> {
         let mut payload = Vec::with_capacity(lanes.len() * 8);
         for &v in lanes {
             payload.put_f64_le(v);
         }
-        let all = self.try_allgather(&payload)?;
         let mut out = vec![0.0f64; lanes.len()];
-        for contribution in &all {
+        for contribution in &self.allgather(&payload) {
             let mut r: &[u8] = contribution;
             if r.remaining() != lanes.len() * 8 {
-                return Err(TransportError::Protocol {
+                self.abort_job(TransportError::Protocol {
                     detail: "allreduce lane-count mismatch across ranks".into(),
                 });
             }
@@ -1642,14 +1647,7 @@ impl MpRuntime {
                 *slot += r.get_f64_le();
             }
         }
-        Ok(out)
-    }
-
-    /// Infallible lane-wise allreduce: aborts the whole job on failure
-    /// (corruption unwinds as a catchable panic, like
-    /// [`Self::allgather`]).
-    pub fn allreduce_lanes(&self, lanes: &[f64]) -> Vec<f64> {
-        self.try_allreduce_lanes(lanes).unwrap_or_else(|e| self.bail(e))
+        out
     }
 
     /// Collective recovery from a poisoned epoch: every surviving rank
@@ -1675,7 +1673,7 @@ impl MpRuntime {
     ///
     /// No-op when the epoch is not poisoned, so callers may invoke it
     /// unconditionally before a retry.
-    pub fn recover_from_corruption(&self) {
+    pub(crate) fn recover_from_corruption(&self) {
         if !self.poisoned.load(Ordering::SeqCst) {
             return;
         }
@@ -1711,15 +1709,12 @@ impl MpRuntime {
         );
     }
 
-    /// Advances the fused-matvec epoch clock and reports whether an
-    /// `LS_FAULT` `nan` action fires for this rank at this epoch. The
-    /// product engine calls it once per distributed matvec and, on
-    /// `true`, replaces its local dot partial with NaN — silent
-    /// arithmetic corruption that the rank-ordered reduction then
-    /// propagates to every rank identically. The ordinal is monotonic
+    /// Advances the matvec+dot epoch clock and reports whether an
+    /// `LS_FAULT` `nan` action fires for this rank at this epoch (see
+    /// [`crate::collective::nan_fault_fires`]). The ordinal is monotonic
     /// across rollbacks, so a consumed injection never re-fires against
     /// the replayed epoch.
-    pub fn nan_fault_fires(&self) -> bool {
+    pub(crate) fn nan_fault_fires(&self) -> bool {
         let ordinal = self.matvec_ordinal.fetch_add(1, Ordering::Relaxed) + 1;
         if self.faults.is_empty_for(self.rank, self.attempt) {
             return false;
@@ -1915,9 +1910,7 @@ impl Segment {
     /// gone (peers unwound and dropped the epoch), so surface the
     /// corruption for rollback instead of a fail-stop protocol abort.
     fn fail(&self, detail: String) -> ! {
-        if self.mp.is_poisoned() {
-            std::panic::panic_any(self.mp.corruption_error());
-        }
+        self.mp.raise_if_poisoned();
         self.mp.abort_job(TransportError::Protocol { detail })
     }
 
@@ -2000,8 +1993,7 @@ impl Segment {
         }
         self.mp.stats.add(&self.mp.stats.crc_bytes_checked, checked);
         if bad {
-            self.mp.report_corruption(locale, "window", "segment CRC mismatch");
-            std::panic::panic_any(self.mp.corruption_error());
+            self.mp.raise_corruption(locale, "window", "segment CRC mismatch");
         }
     }
 
@@ -2525,6 +2517,22 @@ mod tests {
     #[should_panic(expected = "LS_INTEGRITY=\"bogus\"")]
     fn integrity_mode_rejects_a_typo() {
         IntegrityMode::parse(Some("bogus"));
+    }
+
+    #[test]
+    fn numeric_knobs_keep_the_default_when_unset_and_reject_a_typo() {
+        assert_eq!(parse_count(ENV_LOCALES, None, Some(2)), Ok(2));
+        assert_eq!(parse_count(ENV_LOCALES, Some(""), Some(2)), Ok(2));
+        assert_eq!(parse_count(ENV_LOCALES, Some("4"), Some(2)), Ok(4));
+        assert_eq!(parse_count(ENV_LOCALES, Some(" 12 "), Some(2)), Ok(12));
+        assert_eq!(parse_count(ENV_BACKOFF_MS, Some("0"), Some(250)), Ok(0));
+        for bad in ["four", "-3", "3m", "1.5"] {
+            let err = parse_count(ENV_LOCALES, Some(bad), Some(2)).unwrap_err();
+            assert!(err.contains(ENV_LOCALES) && err.contains(bad), "{err}");
+        }
+        // A required variable (a worker's rank) has no default to keep.
+        assert!(parse_count(ENV_RANK, None, None).unwrap_err().contains(ENV_RANK));
+        assert_eq!(parse_count(ENV_RANK, Some("3"), None), Ok(3));
     }
 
     #[test]

@@ -48,9 +48,7 @@ fn main() {
     let mp = transport::active();
     // LS_LOCALES also sizes the in-process cluster, so the two backends
     // can be compared on the same shape (reduction order follows it).
-    let locales = mp.map(|m| m.n_locales()).unwrap_or_else(|| {
-        std::env::var(transport::ENV_LOCALES).ok().and_then(|v| v.parse().ok()).unwrap_or(4)
-    });
+    let locales = exact_diag::runtime::collective::locales_from_env(4);
     let cores = 2usize;
 
     say!(

@@ -102,9 +102,7 @@ fn main() {
     transport::launch_if_requested();
 
     let mp = transport::active();
-    let locales = mp.map(|m| m.n_locales()).unwrap_or_else(|| {
-        std::env::var(transport::ENV_LOCALES).ok().and_then(|v| v.parse().ok()).unwrap_or(2)
-    });
+    let locales = exact_diag::runtime::collective::locales_from_env(2);
     say!(
         "== {} cluster: {locales} locales x 2 cores (backend: {}) ==",
         if mp.is_some() { "multiprocess" } else { "simulated" },

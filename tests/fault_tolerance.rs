@@ -15,7 +15,7 @@
 //!   **bit-identically** to an uninterrupted run, for kills at
 //!   enumeration, mid-solve and mid-restart-cycle boundaries,
 //! * *silent* errors — a flipped wire bit, a corrupted shared-memory
-//!   window, a NaN'd dot partial — are detected by the integrity layer
+//!   window, a NaN'd share of a dot product — are detected by the integrity layer
 //!   and recovered **in-process** (checkpoint rollback, no supervisor
 //!   relaunch), again bit-identically, and
 //! * a SIGKILLed job (supervisor included) leaves no rendezvous or
@@ -296,9 +296,9 @@ fn supervisor_recovers_faulted_solves_bit_identically() {
     // barriers, the solve's matvec epochs and restart cycles later.
     // The last row is a corruption the processes may not repair themselves
     // (rollback budget 0, where `silent_errors_roll_back_bit_identically`
-    // has restart budget 0): the detecting rank's solve re-raises it, the
-    // process dies, and the job comes back through the supervisor like
-    // any crash.
+    // has restart budget 0): every rank's solve gives up on it, the job
+    // aborts with the typed exit code, and it comes back through the
+    // supervisor like any crash.
     let cases = [
         ("kill:rank=1,barrier=2", "enumeration", 2, None),
         ("kill:rank=3,barrier=60", "restart cycle", 2, None),
@@ -320,6 +320,12 @@ fn supervisor_recovers_faulted_solves_bit_identically() {
             "fault {fault} ({phase}) never fired or never restarted:\n{stderr}"
         );
         assert!(!stderr.contains("rolling back"), "{fault} ({phase}):\n{stderr}");
+        if max_rollbacks == Some(0) {
+            assert!(
+                stderr.contains("detected unrecovered data corruption (exit 115)"),
+                "{fault} ({phase}) did not leave as a typed corruption exit:\n{stderr}"
+            );
+        }
         assert_eq!(
             eigenvalue_bits(&stdout),
             reference,
@@ -329,7 +335,7 @@ fn supervisor_recovers_faulted_solves_bit_identically() {
     }
 }
 
-/// Silent-error acceptance: a wire bit-flip, a NaN'd dot partial and a
+/// Silent-error acceptance: a wire bit-flip, a NaN'd share of `⟨x, y⟩` and a
 /// corrupted shared-memory window must each be *detected* by the
 /// integrity layer and recovered **in-process** — checkpoint rollback
 /// inside the surviving processes, with a zero supervisor restart
@@ -344,9 +350,9 @@ fn supervisor_recovers_faulted_solves_bit_identically() {
 ///   so `nth=60` lands on a window published *by a gather product*
 ///   mid-solve (`gather-solve` mode — the pc engine never opens
 ///   windows).
-/// * `nan` counts fused matvec+dot epochs; ordinal 12 lands past the
-///   first restart boundary, so recovery replays from a checkpoint
-///   rather than from scratch.
+/// * `nan` counts the solver's matvec+dot steps (`DistOp::apply_dot`
+///   calls); ordinal 12 lands past the first restart boundary, so
+///   recovery replays from a checkpoint rather than from scratch.
 #[test]
 fn silent_errors_roll_back_bit_identically() {
     if !e2e_enabled() {
