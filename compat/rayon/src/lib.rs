@@ -2,7 +2,12 @@
 //! work-stealing thread pool**.
 //!
 //! The build environment has no access to crates.io, so this workspace
-//! vendors the *subset* of rayon's API it actually uses. Earlier versions
+//! vendors the *subset* of rayon's API it actually uses —
+//! `Range<usize>::into_par_iter().for_each`,
+//! `Vec::into_par_iter().map(..).collect()`,
+//! `par_chunks_mut(..).enumerate().for_each`, [`current_num_threads`] —
+//! and nothing else: a combinator without a caller is deleted, not kept
+//! for completeness. Earlier versions
 //! spawned fresh `std::thread::scope` threads on every parallel call and
 //! split the work into static chunks; a Lanczos run therefore paid
 //! thread-spawn latency hundreds of times per solve, and symmetry-skewed
@@ -14,9 +19,11 @@
 //!   parallel call spawns `current_num_threads() - 1` background workers;
 //!   between jobs they sleep on a condvar (no spinning, no respawning).
 //! * **`LS_NUM_THREADS`.** The worker count honours the `LS_NUM_THREADS`
-//!   environment variable (parsed once, cached), falling back to
-//!   [`std::thread::available_parallelism`]. [`current_num_threads`] is a
-//!   cached read — it no longer re-queries the OS per call.
+//!   environment variable (parsed once, cached; a value that is not a
+//!   positive integer is rejected, not ignored), falling back to
+//!   [`std::thread::available_parallelism`] when it is unset.
+//!   [`current_num_threads`] is a cached read — it no longer re-queries
+//!   the OS per call.
 //! * **Dynamic chunk claiming.** A parallel call over-partitions its work
 //!   into chunks and publishes one job with an atomic cursor; the calling
 //!   thread and every worker repeatedly `fetch_add` the cursor to claim
@@ -46,24 +53,34 @@ use std::sync::{Condvar, Mutex, OnceLock};
 // Thread-count configuration
 // ---------------------------------------------------------------------------
 
-/// Parses an `LS_NUM_THREADS`-style override: `Some(n > 0)` wins, anything
-/// unset/unparsable/zero falls back to `fallback`. Factored out (and
-/// public) so the override logic is unit-testable without mutating the
-/// process environment.
-pub fn threads_from_env(var: Option<&str>, fallback: usize) -> usize {
-    match var.and_then(|v| v.trim().parse::<usize>().ok()) {
-        Some(n) if n > 0 => n,
-        _ => fallback.max(1),
+/// The pool width an `LS_NUM_THREADS` value selects (`None`: unset).
+/// Unset or empty keeps `fallback` (at least one thread); anything that
+/// is not a positive integer is an error naming the variable and the
+/// value — a typo (`LS_NUM_THREADS=four`) or a zero must not silently run
+/// on every core. Public, and separate from the environment read, so the
+/// rule is unit-testable without mutating the process environment.
+pub fn threads_from_env(var: Option<&str>, fallback: usize) -> Result<usize, String> {
+    match var.map(str::trim) {
+        None | Some("") => Ok(fallback.max(1)),
+        Some(v) => match v.parse::<usize>() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err(format!("LS_NUM_THREADS={v:?}: not a positive integer")),
+        },
     }
 }
 
 /// The configured pool width: `LS_NUM_THREADS` if set, else the machine's
 /// available parallelism. Computed once and cached.
+///
+/// # Panics
+/// Panics on an `LS_NUM_THREADS` that [`threads_from_env`] rejects.
 fn configured_threads() -> usize {
     static CONFIGURED: OnceLock<usize> = OnceLock::new();
     *CONFIGURED.get_or_init(|| {
         let fallback = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        threads_from_env(std::env::var("LS_NUM_THREADS").ok().as_deref(), fallback)
+        // Lossy: a value that is not unicode fails the parse, by name.
+        let var = std::env::var_os("LS_NUM_THREADS").map(|v| v.to_string_lossy().into_owned());
+        threads_from_env(var.as_deref(), fallback).unwrap_or_else(|e| panic!("{e}"))
     })
 }
 
@@ -333,105 +350,31 @@ fn run_chunked<F: Fn(usize) + Sync>(n_chunks: usize, run_chunk: F) {
     }
 }
 
-/// Number of chunks a parallel call over-partitions into: a few chunks
-/// per potential worker so dynamic claiming can balance skew, bounded by
-/// `min_len` so tiny chunks never dominate.
-fn chunk_count(total: usize, min_len: usize) -> usize {
-    if total == 0 {
-        return 0;
-    }
-    let min_len = min_len.max(1);
-    let by_min = total.div_ceil(min_len);
-    by_min.min(current_num_threads() * 4).max(1)
+/// Items per chunk of a parallel call over `total` items: it
+/// over-partitions into a few chunks per potential worker, so dynamic
+/// claiming can balance skew. At least one, also for no items.
+fn chunk_len(total: usize) -> usize {
+    total.div_ceil(current_num_threads() * 4).max(1)
 }
 
 // ---------------------------------------------------------------------------
 // Parallel iterator over owned items
 // ---------------------------------------------------------------------------
 
-/// An indexed parallel iterator over a `Vec`'s items. The backing storage
-/// is the `Vec` itself — execution claims index ranges from the cursor
-/// and moves items out in place (no per-chunk re-collection).
+/// An indexed parallel iterator over a `Vec`'s items.
 pub struct ParIter<T> {
     items: Vec<T>,
-    min_len: usize,
-}
-
-/// Runs `f` on every item of `items` (moved out), chunk-claimed. Output
-/// writes (if any) go through `f`; item order within a chunk is
-/// ascending, chunk-to-thread assignment is dynamic.
-fn drive_items<T: Send, F: Fn(usize, T) + Sync>(items: Vec<T>, min_len: usize, f: F) {
-    let n = items.len();
-    let n_chunks = chunk_count(n, min_len);
-    let chunk = n.div_ceil(n_chunks.max(1)).max(1);
-    // Move semantics under parallel claiming: the Vec's buffer becomes a
-    // slab of slots that each chunk reads out exactly once.
-    let mut items = std::mem::ManuallyDrop::new(items);
-    let base = SyncMutPtr(items.as_mut_ptr());
-    run_chunked(n_chunks, |ci| {
-        let lo = ci * chunk;
-        let hi = ((ci + 1) * chunk).min(n);
-        for i in lo..hi {
-            // SAFETY: each index is claimed by exactly one chunk and read
-            // exactly once; the buffer outlives the call. On panic the
-            // unread tail leaks (safe), mirroring rayon's abort policy.
-            f(i, unsafe { std::ptr::read(base.ptr().add(i)) });
-        }
-    });
-    // SAFETY: every element was moved out above; only the allocation
-    // remains to free.
-    unsafe { items.set_len(0) };
-    let _ = std::mem::ManuallyDrop::into_inner(items);
 }
 
 impl<T: Send> ParIter<T> {
-    /// Lower bound on the number of items processed per chunk claim.
-    pub fn with_min_len(mut self, min_len: usize) -> Self {
-        self.min_len = min_len;
-        self
-    }
-
-    pub fn enumerate(self) -> ParEnumerate<T> {
-        ParEnumerate { inner: self }
-    }
-
     pub fn map<R: Send, F: Fn(T) -> R + Sync>(self, f: F) -> ParMap<T, F> {
-        ParMap { items: self.items, min_len: self.min_len, f }
-    }
-
-    pub fn for_each<F: Fn(T) + Sync>(self, f: F) {
-        drive_items(self.items, self.min_len, |_i, t| f(t));
-    }
-
-    pub fn collect<C: FromIterator<T>>(self) -> C {
-        self.items.into_iter().collect()
+        ParMap { items: self.items, f }
     }
 }
 
-/// The result of [`ParIter::enumerate`].
-pub struct ParEnumerate<T> {
-    inner: ParIter<T>,
-}
-
-impl<T: Send> ParEnumerate<T> {
-    pub fn with_min_len(mut self, min_len: usize) -> Self {
-        self.inner.min_len = min_len;
-        self
-    }
-
-    pub fn for_each<F: Fn((usize, T)) + Sync>(self, f: F) {
-        drive_items(self.inner.items, self.inner.min_len, |i, t| f((i, t)));
-    }
-
-    pub fn collect<C: FromIterator<(usize, T)>>(self) -> C {
-        self.inner.items.into_iter().enumerate().collect()
-    }
-}
-
-/// The result of [`ParIter::map`]; executes on `collect`/`for_each`.
+/// The result of [`ParIter::map`]; executes on `collect`.
 pub struct ParMap<T, F> {
     items: Vec<T>,
-    min_len: usize,
     f: F,
 }
 
@@ -441,38 +384,30 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    pub fn with_min_len(mut self, min_len: usize) -> Self {
-        self.min_len = min_len;
-        self
-    }
-
+    /// Maps every item on the pool and collects the results in item
+    /// order. One slot per item holds the item, then its result; a chunk
+    /// takes the one out and puts the other in. Each index belongs to
+    /// exactly one chunk, so the slot locks are never contended — they
+    /// are there so that the compiler can see it (the callers map a few
+    /// dozen coarse work items, not elements).
     pub fn collect<C: FromIterator<R>>(self) -> C {
-        let n = self.items.len();
-        let mut out: Vec<std::mem::MaybeUninit<R>> = Vec::with_capacity(n);
-        // SAFETY: the closure below initializes every slot exactly once
-        // (slot i from item i), so the later `set_len(n)` is sound.
-        #[allow(clippy::uninit_vec)]
-        unsafe {
-            out.set_len(n)
-        };
-        let slots = SyncMutPtr(out.as_mut_ptr());
         let f = &self.f;
-        drive_items(self.items, self.min_len, |i, t| {
-            // SAFETY: slot i is written exactly once, by the chunk that
-            // claimed index i. On panic, already-written slots leak.
-            unsafe { (*slots.ptr().add(i)).write(f(t)) };
+        let slots: Vec<Mutex<(Option<T>, Option<R>)>> =
+            self.items.into_iter().map(|item| Mutex::new((Some(item), None))).collect();
+        let n = slots.len();
+        let chunk = chunk_len(n);
+        run_chunked(n.div_ceil(chunk), |ci| {
+            for slot in &slots[ci * chunk..((ci + 1) * chunk).min(n)] {
+                // `f` runs outside the lock: a panic in it poisons nothing.
+                let item = slot.lock().unwrap().0.take().expect("an item is claimed once");
+                let result = f(item);
+                slot.lock().unwrap().1 = Some(result);
+            }
         });
-        // SAFETY: all n slots initialized above.
-        let out = unsafe {
-            let mut out = std::mem::ManuallyDrop::new(out);
-            Vec::from_raw_parts(out.as_mut_ptr() as *mut R, n, out.capacity())
-        };
-        out.into_iter().collect()
-    }
-
-    pub fn for_each<G: Fn(R) + Sync>(self, g: G) {
-        let f = &self.f;
-        drive_items(self.items, self.min_len, |_i, t| g(f(t)));
+        slots
+            .into_iter()
+            .map(|slot| slot.into_inner().unwrap().1.expect("every chunk ran"))
+            .collect()
     }
 }
 
@@ -487,133 +422,40 @@ impl<T: Send> IntoParallelIterator for Vec<T> {
     type Item = T;
     type Iter = ParIter<T>;
     fn into_par_iter(self) -> ParIter<T> {
-        ParIter { items: self, min_len: 1 }
+        ParIter { items: self }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Parallel iterator over numeric ranges
+// Parallel iterator over index ranges
 // ---------------------------------------------------------------------------
 
-/// Index types usable in [`ParRange`].
-pub trait RangeItem: Copy + Send + Sync {
-    fn offset(self, n: usize) -> Self;
-    fn distance(lo: Self, hi: Self) -> usize;
-}
-
-impl RangeItem for usize {
-    fn offset(self, n: usize) -> Self {
-        self + n
-    }
-    fn distance(lo: Self, hi: Self) -> usize {
-        hi.saturating_sub(lo)
-    }
-}
-
-impl RangeItem for u64 {
-    fn offset(self, n: usize) -> Self {
-        self + n as u64
-    }
-    fn distance(lo: Self, hi: Self) -> usize {
-        hi.saturating_sub(lo) as usize
-    }
-}
-
-/// A parallel iterator over a numeric range: the range stays arithmetic
+/// A parallel iterator over an index range: the range stays arithmetic
 /// (no materialized index vector) — each cursor claim is converted to a
-/// sub-range on the fly, keeping hot loops like the matvec's
-/// `(0..dim).into_par_iter()` allocation-free.
-pub struct ParRange<T> {
-    lo: T,
-    hi: T,
-    min_len: usize,
+/// sub-range on the fly, keeping hot loops like the BLAS-1 kernels'
+/// `(0..n_blocks).into_par_iter()` allocation-free.
+pub struct ParRange {
+    range: Range<usize>,
 }
 
-impl<T: RangeItem> ParRange<T> {
-    pub fn with_min_len(mut self, min_len: usize) -> Self {
-        self.min_len = min_len;
-        self
-    }
-
-    pub fn for_each<F: Fn(T) + Sync>(self, f: F) {
-        let total = T::distance(self.lo, self.hi);
-        let n_chunks = chunk_count(total, self.min_len);
-        let chunk = total.div_ceil(n_chunks.max(1)).max(1);
-        let lo = self.lo;
-        run_chunked(n_chunks, |ci| {
-            let start = ci * chunk;
-            let end = ((ci + 1) * chunk).min(total);
-            for i in start..end {
-                f(lo.offset(i));
+impl ParRange {
+    pub fn for_each<F: Fn(usize) + Sync>(self, f: F) {
+        let Range { start, end } = self.range;
+        let total = end.saturating_sub(start);
+        let chunk = chunk_len(total);
+        run_chunked(total.div_ceil(chunk), |ci| {
+            for i in ci * chunk..((ci + 1) * chunk).min(total) {
+                f(start + i);
             }
         });
-    }
-
-    pub fn map<R: Send, F: Fn(T) -> R + Sync>(self, f: F) -> ParRangeMap<T, F> {
-        ParRangeMap { range: self, f }
-    }
-}
-
-/// The result of [`ParRange::map`]; executes on `collect`.
-pub struct ParRangeMap<T, F> {
-    range: ParRange<T>,
-    f: F,
-}
-
-impl<T, R, F> ParRangeMap<T, F>
-where
-    T: RangeItem,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    pub fn with_min_len(mut self, min_len: usize) -> Self {
-        self.range.min_len = min_len;
-        self
-    }
-
-    pub fn collect<C: FromIterator<R>>(self) -> C {
-        let total = T::distance(self.range.lo, self.range.hi);
-        let lo = self.range.lo;
-        let f = &self.f;
-        let mut out: Vec<std::mem::MaybeUninit<R>> = Vec::with_capacity(total);
-        // SAFETY: every slot i is written exactly once below.
-        #[allow(clippy::uninit_vec)]
-        unsafe {
-            out.set_len(total)
-        };
-        let slots = SyncMutPtr(out.as_mut_ptr());
-        let n_chunks = chunk_count(total, self.range.min_len);
-        let chunk = total.div_ceil(n_chunks.max(1)).max(1);
-        run_chunked(n_chunks, |ci| {
-            let start = ci * chunk;
-            let end = ((ci + 1) * chunk).min(total);
-            for i in start..end {
-                // SAFETY: slot i belongs to exactly one chunk.
-                unsafe { (*slots.ptr().add(i)).write(f(lo.offset(i))) };
-            }
-        });
-        // SAFETY: all slots initialized.
-        let out = unsafe {
-            let mut out = std::mem::ManuallyDrop::new(out);
-            Vec::from_raw_parts(out.as_mut_ptr() as *mut R, total, out.capacity())
-        };
-        out.into_iter().collect()
     }
 }
 
 impl IntoParallelIterator for Range<usize> {
     type Item = usize;
-    type Iter = ParRange<usize>;
-    fn into_par_iter(self) -> ParRange<usize> {
-        ParRange { lo: self.start, hi: self.end, min_len: 1 }
-    }
-}
-
-impl IntoParallelIterator for Range<u64> {
-    type Item = u64;
-    type Iter = ParRange<u64>;
-    fn into_par_iter(self) -> ParRange<u64> {
-        ParRange { lo: self.start, hi: self.end, min_len: 1 }
+    type Iter = ParRange;
+    fn into_par_iter(self) -> ParRange {
+        ParRange { range: self }
     }
 }
 
@@ -644,27 +486,8 @@ pub struct ParChunksMut<'a, T> {
 }
 
 impl<'a, T: Send> ParChunksMut<'a, T> {
-    fn drive<F: Fn(usize, &mut [T]) + Sync>(self, f: F) {
-        let len = self.data.len();
-        let chunk_size = self.chunk_size;
-        let n_chunks = len.div_ceil(chunk_size);
-        let base = SyncMutPtr(self.data.as_mut_ptr());
-        run_chunked(n_chunks, |ci| {
-            let lo = ci * chunk_size;
-            let hi = (lo + chunk_size).min(len);
-            // SAFETY: chunks are disjoint (each claimed once) and within
-            // the slice, which outlives the call.
-            let slice = unsafe { std::slice::from_raw_parts_mut(base.ptr().add(lo), hi - lo) };
-            f(ci, slice);
-        });
-    }
-
     pub fn enumerate(self) -> ParChunksMutEnumerate<'a, T> {
         ParChunksMutEnumerate { inner: self }
-    }
-
-    pub fn for_each<F: Fn(&mut [T]) + Sync>(self, f: F) {
-        self.drive(|_ci, chunk| f(chunk));
     }
 }
 
@@ -675,7 +498,17 @@ pub struct ParChunksMutEnumerate<'a, T> {
 
 impl<T: Send> ParChunksMutEnumerate<'_, T> {
     pub fn for_each<F: Fn((usize, &mut [T])) + Sync>(self, f: F) {
-        self.inner.drive(|ci, chunk| f((ci, chunk)));
+        let ParChunksMut { data, chunk_size } = self.inner;
+        let len = data.len();
+        let base = SyncMutPtr(data.as_mut_ptr());
+        run_chunked(len.div_ceil(chunk_size), |ci| {
+            let lo = ci * chunk_size;
+            let hi = (lo + chunk_size).min(len);
+            // SAFETY: chunks are disjoint (each claimed once) and within
+            // the slice, which outlives the call.
+            let slice = unsafe { std::slice::from_raw_parts_mut(base.ptr().add(lo), hi - lo) };
+            f((ci, slice));
+        });
     }
 }
 
@@ -707,18 +540,16 @@ mod tests {
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    #[test]
-    fn map_collect_preserves_order() {
-        let out: Vec<i64> = (0..1000usize).into_par_iter().map(|i| i as i64 * 2).collect();
-        let expect: Vec<i64> = (0..1000).map(|i| i * 2).collect();
-        assert_eq!(out, expect);
+    /// `(0..n).map(f)` on the pool, through the one order-preserving
+    /// combinator the workspace calls.
+    fn par_map<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+        (0..n).collect::<Vec<usize>>().into_par_iter().map(f).collect()
     }
 
     #[test]
     fn vec_map_collect_preserves_order() {
         let items: Vec<String> = (0..257).map(|i| format!("x{i}")).collect();
-        let out: Vec<usize> =
-            items.clone().into_par_iter().map(|s| s.len()).with_min_len(3).collect();
+        let out: Vec<usize> = items.clone().into_par_iter().map(|s| s.len()).collect();
         let expect: Vec<usize> = items.iter().map(|s| s.len()).collect();
         assert_eq!(out, expect);
     }
@@ -739,7 +570,7 @@ mod tests {
     #[test]
     fn for_each_runs_everything() {
         let count = AtomicUsize::new(0);
-        (0..500usize).into_par_iter().with_min_len(7).for_each(|_| {
+        (0..500usize).into_par_iter().for_each(|_| {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 500);
@@ -752,22 +583,19 @@ mod tests {
         (0..0usize).into_par_iter().for_each(|_| {
             count.fetch_add(1, Ordering::Relaxed);
         });
-        Vec::<u32>::new().into_par_iter().for_each(|_| {
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        let empty: Vec<u64> = (0..0u64).into_par_iter().map(|i| i).collect();
+        let empty: Vec<u64> = Vec::<u64>::new().into_par_iter().map(|i| i).collect();
         assert!(empty.is_empty());
         let mut no_data: [u8; 0] = [];
-        no_data.par_chunks_mut(4).for_each(|_| {
+        no_data.par_chunks_mut(4).enumerate().for_each(|_| {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 0);
 
         // 1 item: runs exactly once, result in order.
-        let one: Vec<usize> = (7..8usize).into_par_iter().map(|i| i * 3).collect();
+        let one: Vec<usize> = vec![7usize].into_par_iter().map(|i| i * 3).collect();
         assert_eq!(one, vec![21]);
-        vec![5u8].into_par_iter().for_each(|v| {
-            count.fetch_add(v as usize, Ordering::Relaxed);
+        (5..6usize).into_par_iter().for_each(|v| {
+            count.fetch_add(v, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 5);
     }
@@ -778,55 +606,62 @@ mod tests {
         let prev = set_thread_limit(1);
         assert_eq!(current_num_threads(), 1);
         // Parallel calls still complete (inline path).
-        let out: Vec<usize> = (0..100usize).into_par_iter().map(|i| i + 1).collect();
-        assert_eq!(out[99], 100);
+        assert_eq!(par_map(100, |i| i + 1)[99], 100);
         set_thread_limit(2);
         assert!(current_num_threads() <= 2);
-        let out: Vec<usize> = (0..100usize).into_par_iter().map(|i| i + 1).collect();
-        assert_eq!(out[0], 1);
+        assert_eq!(par_map(100, |i| i + 1)[0], 1);
         set_thread_limit(prev);
     }
 
     #[test]
     fn env_override_parsing() {
-        assert_eq!(threads_from_env(Some("3"), 8), 3);
-        assert_eq!(threads_from_env(Some(" 12 "), 8), 12);
-        // Unset, unparsable, and zero all fall back.
-        assert_eq!(threads_from_env(None, 8), 8);
-        assert_eq!(threads_from_env(Some("zippy"), 8), 8);
-        assert_eq!(threads_from_env(Some("0"), 8), 8);
-        assert_eq!(threads_from_env(Some(""), 8), 8);
-        // The fallback itself is clamped to at least one thread.
-        assert_eq!(threads_from_env(None, 0), 1);
+        assert_eq!(threads_from_env(Some("3"), 8), Ok(3));
+        assert_eq!(threads_from_env(Some(" 12 "), 8), Ok(12));
+        // Unset and empty keep the default, clamped to at least one thread.
+        assert_eq!(threads_from_env(None, 8), Ok(8));
+        assert_eq!(threads_from_env(Some(""), 8), Ok(8));
+        assert_eq!(threads_from_env(None, 0), Ok(1));
+        // A typo or a zero is rejected by name; it used to run on every core.
+        for bad in ["zippy", "four", "0", "-2", "1.5"] {
+            let err = threads_from_env(Some(bad), 8).unwrap_err();
+            assert!(err.contains("LS_NUM_THREADS") && err.contains(bad), "{err}");
+        }
     }
 
     #[test]
     fn env_override_applies_in_child_process() {
         // Re-runs this very test in a child process with LS_NUM_THREADS
-        // set, where the cached value must reflect the override.
+        // set, where the cached value must reflect the override — or, for
+        // a value that is no thread count, the first read must refuse it.
         if std::env::var("LS_RAYON_ENV_CHILD").is_ok() {
             assert_eq!(current_num_threads(), 3);
             return;
         }
-        let exe = std::env::current_exe().expect("test executable path");
-        let out = std::process::Command::new(exe)
-            .args(["tests::env_override_applies_in_child_process", "--exact"])
-            .env("LS_NUM_THREADS", "3")
-            .env("LS_RAYON_ENV_CHILD", "1")
-            .output()
-            .expect("spawn child test process");
-        assert!(
-            out.status.success(),
-            "child failed:\n{}\n{}",
-            String::from_utf8_lossy(&out.stdout),
-            String::from_utf8_lossy(&out.stderr)
-        );
+        let child = |value: &str| {
+            let exe = std::env::current_exe().expect("test executable path");
+            let out = std::process::Command::new(exe)
+                .args(["tests::env_override_applies_in_child_process", "--exact"])
+                .env("LS_NUM_THREADS", value)
+                .env("LS_RAYON_ENV_CHILD", "1")
+                .output()
+                .expect("spawn child test process");
+            let text =
+                String::from_utf8_lossy(&out.stdout) + String::from_utf8_lossy(&out.stderr);
+            (out.status.success(), text.into_owned())
+        };
+        let (ok, text) = child("3");
+        assert!(ok, "child failed:\n{text}");
+        for bad in ["four", "0"] {
+            let (ok, text) = child(bad);
+            assert!(!ok, "LS_NUM_THREADS={bad} was accepted:\n{text}");
+            assert!(text.contains(&format!("LS_NUM_THREADS={bad:?}")), "{text}");
+        }
     }
 
     #[test]
     fn panic_in_chunk_propagates() {
         let result = std::panic::catch_unwind(|| {
-            (0..64usize).into_par_iter().with_min_len(1).for_each(|i| {
+            (0..64usize).into_par_iter().for_each(|i| {
                 if i == 13 {
                     panic!("boom at {i}");
                 }
@@ -834,14 +669,13 @@ mod tests {
         });
         assert!(result.is_err());
         // The pool survives a panicked job.
-        let out: Vec<usize> = (0..10usize).into_par_iter().map(|i| i).collect();
-        assert_eq!(out.len(), 10);
+        assert_eq!(par_map(10, |i| i).len(), 10);
     }
 
     #[test]
     fn nested_calls_degrade_to_inline() {
         let count = AtomicUsize::new(0);
-        (0..8usize).into_par_iter().with_min_len(1).for_each(|_| {
+        (0..8usize).into_par_iter().for_each(|_| {
             // A nested parallel call from (possibly) a worker thread.
             (0..50usize).into_par_iter().for_each(|_| {
                 count.fetch_add(1, Ordering::Relaxed);

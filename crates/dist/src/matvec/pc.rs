@@ -23,11 +23,12 @@
 //! only on its own flag (with backoff), and flips the peer's flag with a
 //! `remoteAtomicWrite`. Buffers are reused across products via
 //! [`PcEngine`] — the paper reuses its `RemoteBuffer`s across the whole
-//! Lanczos run to avoid reallocation — and the producer/consumer task set
-//! runs on the cluster's **persistent worker team**
-//! ([`Cluster::run_tasks`]): a Lanczos solve wakes parked threads once
-//! per product instead of spawning `locales × (producers + consumers)`
-//! fresh threads each iteration.
+//! Lanczos run to avoid reallocation. The producer/consumer task set is
+//! one [`Cluster::run_tasks`] call per product, the paper's `coforall`:
+//! `locales × (producers + consumers)` scoped threads that end with the
+//! product. A task that panics fails the product for all of them — every
+//! wait below polls [`LocaleCtx::poll_failure`] — and `apply` re-raises
+//! what it threw.
 
 use crate::basis::DistSpinBasis;
 use crate::matvec::{accumulate_batch, validate_shapes, AbftTally};
@@ -35,8 +36,7 @@ use crossbeam::utils::Backoff;
 use ls_basis::{OffDiagBlock, SymmetrizedOperator};
 use ls_kernels::search::NOT_FOUND;
 use ls_kernels::Scalar;
-use ls_runtime::transport::{self, PairChannel};
-use ls_runtime::{collective, AtomicAccumWindow, Cluster, DistVec, LocaleCtx};
+use ls_runtime::{collective, AtomicAccumWindow, Cluster, DistVec, LocaleCtx, PairChannel};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Rows a producer generates per batch before routing the emissions:
@@ -159,9 +159,8 @@ impl<S: Scalar> PcEngine<S> {
         // Per-locale countdowns: the last producer to finish closes the
         // locale's outgoing channels (releasing all remote consumers),
         // and the locale's last task of any kind crosses the cluster
-        // barrier on its behalf — the moral equivalent of the old
-        // scope-join-then-barrier, without spawning a single thread (all
-        // tasks run on the cluster's persistent team).
+        // barrier on its behalf: a join-then-barrier per locale without
+        // a second level of threads.
         let live_producers: Vec<AtomicUsize> =
             (0..self.n_locales).map(|_| AtomicUsize::new(producers)).collect();
         let live_tasks: Vec<AtomicUsize> =
@@ -298,7 +297,7 @@ impl<S: Scalar> PcEngine<S> {
     fn ship(&self, ctx: &LocaleCtx<'_>, dest: usize, pairs: &mut Vec<(u64, S)>) {
         let me = ctx.locale();
         let ch = self.channel(me, dest);
-        ch.claim();
+        ch.claim(ctx);
         ch.send(ctx.stats(), dest != me, pairs);
         pairs.clear();
     }
@@ -366,8 +365,11 @@ impl<S: Scalar> PcEngine<S> {
                 } else {
                     // A producer that stopped feeding us would leave
                     // this loop spinning forever, so surface the cause.
-                    // Two distinct failures hide behind the one call,
-                    // with different exits: a *dead* peer is fail-stop
+                    // Three distinct failures hide behind the one call,
+                    // with different exits: a task of this process that
+                    // *panicked* (its channels never close) takes its
+                    // siblings down with it and the product re-raises
+                    // what it threw; a *dead* peer is fail-stop
                     // (`TransportError::PeerFailed`, job aborts, the
                     // supervisor relaunches), while a *poisoned* epoch —
                     // frame CRC, segment checksum or ABFT — unwinds as a
@@ -377,7 +379,7 @@ impl<S: Scalar> PcEngine<S> {
                     // liveness in the check, so a peer that detects
                     // corruption and unwinds (going quiet mid-product)
                     // is attributed as corruption, not as a crash.
-                    transport::poll_failure();
+                    ctx.poll_failure();
                     std::thread::yield_now();
                 }
             }
@@ -390,11 +392,11 @@ impl<S: Scalar> PcEngine<S> {
         let backoff = Backoff::new();
         while live_local_producers.load(Ordering::Acquire) != 0 {
             if backoff.is_completed() {
-                // The local producer may be unwinding out of a poisoned
-                // epoch rather than still working: poll so this waiter
-                // joins the unwind instead of snoozing against a
+                // The local producer may be unwinding (a panic, a
+                // poisoned epoch) rather than still working: poll so this
+                // waiter joins the unwind instead of snoozing against a
                 // countdown that will never reach zero.
-                transport::poll_failure();
+                ctx.poll_failure();
             }
             backoff.snooze();
         }

@@ -31,6 +31,14 @@ impl SenseBarrier {
     /// Blocks until all `n` participants have called `wait`. The barrier
     /// is immediately reusable for the next phase.
     pub fn wait(&self) {
+        self.wait_polling(|| {});
+    }
+
+    /// [`Self::wait`], calling `poll` on every turn of the spin. `poll`
+    /// may unwind to abandon a phase that cannot complete (a participant
+    /// is gone); the arrival it leaves behind is cleared by
+    /// [`Self::reset`].
+    pub fn wait_polling(&self, poll: impl Fn()) {
         // The phase everyone is waiting to *enter*.
         let my_sense = !self.sense.load(Ordering::Relaxed);
         // AcqRel: makes all writes before the barrier visible to everyone
@@ -42,9 +50,17 @@ impl SenseBarrier {
         } else {
             let backoff = Backoff::new();
             while self.sense.load(Ordering::Acquire) != my_sense {
+                poll();
                 backoff.snooze();
             }
         }
+    }
+
+    /// Forgets the arrivals of an abandoned phase (see
+    /// [`Self::wait_polling`]). Only between phases: no participant may
+    /// be inside a wait.
+    pub fn reset(&self) {
+        self.count.store(0, Ordering::Relaxed);
     }
 }
 

@@ -1,16 +1,23 @@
 //! The simulated cluster: locales, SPMD execution, per-locale context.
 //!
-//! Locale tasks run on a **persistent team** of worker threads owned by
-//! the [`Cluster`]: threads are spawned lazily the first time a run needs
-//! them and parked on a condvar between runs. A Lanczos solve issues one
-//! distributed matrix-vector product per iteration — with spawn-per-call
-//! execution that used to mean `locales × (1 + producers + consumers)`
-//! `thread::spawn`s *per product*; with the team it means a wake-up.
-//! [`Cluster::run`] executes one task per locale (the paper's
-//! `coforall loc in Locales`), [`Cluster::run_tasks`] executes several
-//! concurrent tasks per locale (what the producer/consumer pipeline
-//! needs: all tasks of a run are genuinely concurrent, since producers
-//! block on channel capacity until consumers drain).
+//! A run is a plain task set, the paper's `coforall`: [`Cluster::run`]
+//! executes one task per locale (`coforall loc in Locales`),
+//! [`Cluster::run_tasks`] several concurrent tasks per locale (what the
+//! producer/consumer pipeline needs: all tasks of a run are genuinely
+//! concurrent, since producers block on channel capacity until consumers
+//! drain). Every `(locale, task)` slot gets a scoped thread that is
+//! joined before the call returns, so nothing a `Cluster` starts outlives
+//! the run that started it. The spawns cost ~0.2 ms per run
+//! (`runtime.run_dispatch_us` in the repo benchmark) where a distributed
+//! product takes tens of milliseconds; the workspace's one persistent
+//! pool is the shared-memory one in `compat/rayon`.
+//!
+//! Failure is a property of the run: the first task to panic marks the
+//! run failed and keeps its payload, every loop that waits on a sibling
+//! ([`LocaleCtx::barrier_wait`], a channel claim, the producer/consumer
+//! drains) polls [`LocaleCtx::poll_failure`] and unwinds quietly once the
+//! mark is set, and the call re-raises the first payload as thrown. A
+//! panicking task fails its run; it does not hang it.
 //!
 //! ## Multiprocess execution
 //!
@@ -27,8 +34,9 @@ use crate::barrier::SenseBarrier;
 use crate::stats::{CommStats, StatsSnapshot};
 use crate::transport;
 use std::any::Any;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Static description of the simulated machine.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -49,57 +57,21 @@ impl ClusterSpec {
     }
 }
 
-/// One published SPMD run: a type-erased `(locale, task)` closure living
-/// on the initiating caller's stack (the caller blocks until every slot
-/// has finished, which keeps the borrow alive).
-#[derive(Copy, Clone)]
-struct TeamJob {
-    data: *const (),
-    call: unsafe fn(*const (), usize, usize),
-    locales: usize,
-    tasks_per_locale: usize,
-    /// Multiprocess: every slot runs as this locale (this process's rank)
-    /// and the slot index becomes the task index.
-    fixed_locale: Option<usize>,
-}
+/// What a task unwinds with when it finds its run already failed. Raised
+/// through `resume_unwind`, so the panic hook prints nothing: the sibling
+/// that failed first said what happened, and its payload is the run's.
+struct SiblingFailed;
 
-// SAFETY: the pointee outlives the job (completion protocol) and the
-// closure behind it is `Sync`.
-unsafe impl Send for TeamJob {}
-
-struct TeamState {
-    job: Option<TeamJob>,
-    /// Bumped per run so a worker never re-runs a job it finished.
-    epoch: u64,
-    /// Slots of the current run not yet completed.
-    pending: usize,
-    /// Worker threads spawned so far.
-    spawned: usize,
-    /// First panic payload captured from any slot of the current run.
-    panic: Option<Box<dyn Any + Send>>,
-    shutdown: bool,
-}
-
-/// The persistent worker team backing a [`Cluster`].
-struct Team {
-    state: Mutex<TeamState>,
-    /// Workers park here between runs.
-    work_cv: Condvar,
-    /// The initiating caller parks here until `pending == 0`.
-    done_cv: Condvar,
-    /// Later concurrent callers park here until the job slot frees up.
-    queue_cv: Condvar,
-}
-
-/// A simulated cluster. Executes SPMD closures — one persistent worker
-/// thread per (locale, task) slot, parked between runs — and records
+/// A simulated cluster. Executes SPMD closures — one scoped thread per
+/// (locale, task) slot, joined before the run returns — and records
 /// per-locale communication statistics.
 pub struct Cluster {
     spec: ClusterSpec,
     stats: Vec<CommStats>,
     barrier: SenseBarrier,
-    team: std::sync::Arc<Team>,
-    handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// One run at a time; concurrent callers queue here. `barrier` is
+    /// sized for the locales of a single run.
+    running: Mutex<()>,
 }
 
 impl std::fmt::Debug for Cluster {
@@ -109,8 +81,8 @@ impl std::fmt::Debug for Cluster {
 }
 
 impl Cluster {
-    /// Builds a cluster for `spec`. Worker threads spawn lazily on first
-    /// use. Under the multiprocess transport the spec must agree with the
+    /// Builds a cluster for `spec`; no thread exists until a run needs
+    /// one. Under the multiprocess transport the spec must agree with the
     /// job: `spec.locales == LS_LOCALES`.
     pub fn new(spec: ClusterSpec) -> Self {
         if let Some(mp) = transport::active() {
@@ -125,20 +97,7 @@ impl Cluster {
             stats: (0..spec.locales).map(|_| CommStats::new()).collect(),
             barrier: SenseBarrier::new(spec.locales),
             spec,
-            team: std::sync::Arc::new(Team {
-                state: Mutex::new(TeamState {
-                    job: None,
-                    epoch: 0,
-                    pending: 0,
-                    spawned: 0,
-                    panic: None,
-                    shutdown: false,
-                }),
-                work_cv: Condvar::new(),
-                done_cv: Condvar::new(),
-                queue_cv: Condvar::new(),
-            }),
-            handles: Mutex::new(Vec::new()),
+            running: Mutex::new(()),
         }
     }
 
@@ -173,20 +132,8 @@ impl Cluster {
         }
     }
 
-    /// The execution context of one locale (exposed so long-lived engines
-    /// can drive per-locale work outside a [`Cluster::run`] closure).
-    fn ctx(&self, locale: usize) -> LocaleCtx<'_> {
-        LocaleCtx {
-            locale,
-            n_locales: self.spec.locales,
-            stats: &self.stats[locale],
-            barrier: &self.barrier,
-        }
-    }
-
-    /// Runs `f` once per locale (SPMD) on the persistent team — one
-    /// parked worker thread per locale, woken for the run — and returns
-    /// the per-locale results in locale order.
+    /// Runs `f` once per locale (SPMD), each on a thread of its own, and
+    /// returns the per-locale results in locale order.
     ///
     /// This is the analogue of the paper's
     /// `coforall loc in Locales do on loc { ... }`.
@@ -202,174 +149,80 @@ impl Cluster {
         R: Send,
         F: Fn(&LocaleCtx<'_>) -> R + Sync,
     {
-        if let Some(mp) = transport::active() {
-            return vec![f(&self.ctx(mp.rank()))];
-        }
-        let n = self.spec.locales;
-        let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        {
-            let slots = SlotPtr(out.as_mut_ptr());
-            self.run_impl(1, &|locale, _task| {
-                let r = f(&self.ctx(locale));
-                // SAFETY: slot `locale` is written by exactly one task,
-                // and `out` outlives the run (the caller blocks in
-                // `run_impl` until every slot completed).
-                unsafe { *slots.get().add(locale) = Some(r) };
-            });
-        }
-        out.into_iter().map(|r| r.expect("locale task completed")).collect()
+        self.run_impl(1, |ctx, _task| f(ctx))
     }
 
     /// Runs `tasks_per_locale` concurrent tasks on every locale (the
     /// paper's nested `coforall` — e.g. the producer/consumer pipeline's
     /// task set). All `locales × tasks_per_locale` tasks execute
-    /// concurrently on the persistent team; `f` receives the locale
-    /// context and the task index within the locale.
+    /// concurrently; `f` receives the locale context and the task index
+    /// within the locale.
     pub fn run_tasks<F>(&self, tasks_per_locale: usize, f: F)
     where
         F: Fn(&LocaleCtx<'_>, usize) + Sync,
     {
         assert!(tasks_per_locale >= 1, "need at least one task per locale");
-        self.run_impl(tasks_per_locale, &|locale, task| f(&self.ctx(locale), task));
+        self.run_impl(tasks_per_locale, f);
     }
 
-    /// Publishes one SPMD job to the team and blocks until every slot has
-    /// completed, growing the worker set lazily to the run's width.
-    /// Multiprocess: the team only hosts this rank's `tasks_per_locale`
-    /// tasks (every slot pinned to the rank).
-    fn run_impl(&self, tasks_per_locale: usize, f: &(dyn Fn(usize, usize) + Sync)) {
+    /// Runs one SPMD task set and returns the slots' results in slot
+    /// order: slot `index` is task `index / locales` of locale
+    /// `index % locales`. Multiprocess: this process hosts only its own
+    /// rank's `tasks_per_locale` tasks, slot `index` is task `index`.
+    /// Once every task has returned or unwound, the payload of the first
+    /// one that panicked (if any) is re-raised.
+    fn run_impl<R, F>(&self, tasks_per_locale: usize, f: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(&LocaleCtx<'_>, usize) -> R + Sync,
+    {
         let locales = self.spec.locales;
-        let fixed_locale = transport::active().map(|mp| mp.rank());
-        let slots = match fixed_locale {
-            Some(_) => tasks_per_locale,
-            None => locales * tasks_per_locale,
+        let rank = transport::active().map(|mp| mp.rank());
+        let slots = if rank.is_some() { tasks_per_locale } else { locales * tasks_per_locale };
+        let failed = AtomicBool::new(false);
+        let call = |index: usize| {
+            let (locale, task) = match rank {
+                Some(rank) => (rank, index),
+                None => (index % locales, index / locales),
+            };
+            let (stats, barrier) = (&self.stats[locale], &self.barrier);
+            f(&LocaleCtx { locale, n_locales: locales, stats, barrier, failed: &failed }, task)
         };
         if slots == 1 {
-            // Single-slot run: no concurrency needed, execute in place
-            // (panics propagate natively).
-            return f(fixed_locale.unwrap_or(0), 0);
+            // Nothing runs beside it: in place, a panic propagates natively.
+            return vec![call(0)];
         }
-        let job = TeamJob {
-            data: &f as *const &(dyn Fn(usize, usize) + Sync) as *const (),
-            call: call_team_job,
-            locales,
-            tasks_per_locale,
-            fixed_locale,
+        // The mutex guards no data, so a poisoned one is as good as new.
+        let one_run = self.running.lock().unwrap_or_else(PoisonError::into_inner);
+        let first_panic = Mutex::new(None::<Box<dyn Any + Send>>);
+        let task = |index: usize| match catch_unwind(AssertUnwindSafe(|| call(index))) {
+            Ok(result) => Some(result),
+            Err(payload) if payload.is::<SiblingFailed>() => None,
+            Err(payload) => {
+                first_panic.lock().expect("nothing panics holding it").get_or_insert(payload);
+                // Relaxed: publishes nothing, the payload is read after the join.
+                failed.store(true, Ordering::Relaxed);
+                None
+            }
         };
-        {
-            let mut st = self.team.state.lock().unwrap();
-            // Top the persistent team up to this run's width; workers are
-            // parked between runs, never torn down before Drop.
-            while st.spawned < slots {
-                let index = st.spawned;
-                let team = std::sync::Arc::clone(&self.team);
-                let handle = std::thread::Builder::new()
+        let results: Vec<Option<R>> = std::thread::scope(|scope| {
+            let spawn = |index| {
+                std::thread::Builder::new()
                     .name(format!("ls-locale-{index}"))
-                    .spawn(move || team_worker(team, index))
-                    .expect("spawn locale worker");
-                self.handles.lock().unwrap().push(handle);
-                st.spawned += 1;
-            }
-            // One run at a time per cluster; concurrent callers queue.
-            while st.job.is_some() {
-                st = self.team.queue_cv.wait(st).unwrap();
-            }
-            st.job = Some(job);
-            st.epoch = st.epoch.wrapping_add(1);
-            st.pending = slots;
-            st.panic = None;
+                    .spawn_scoped(scope, move || task(index))
+                    .expect("spawn locale task")
+            };
+            let handles: Vec<_> = (0..slots).map(spawn).collect();
+            handles.into_iter().map(|h| h.join().expect("task panics are caught")).collect()
+        });
+        if let Some(payload) = first_panic.into_inner().expect("nothing panics holding it") {
+            // Arrivals abandoned in `barrier_wait` must not reach the next run.
+            self.barrier.reset();
+            drop(one_run);
+            // As thrown: callers see the real message and can downcast.
+            resume_unwind(payload);
         }
-        self.team.work_cv.notify_all();
-        let payload = {
-            let mut st = self.team.state.lock().unwrap();
-            while st.pending != 0 {
-                st = self.team.done_cv.wait(st).unwrap();
-            }
-            st.job = None;
-            st.panic.take()
-        };
-        self.team.queue_cv.notify_one();
-        if let Some(payload) = payload {
-            // Re-raise with the original payload so callers (and
-            // #[should_panic] tests) see the real message.
-            std::panic::resume_unwind(payload);
-        }
-    }
-}
-
-impl Drop for Cluster {
-    fn drop(&mut self) {
-        {
-            let mut st = self.team.state.lock().unwrap();
-            st.shutdown = true;
-        }
-        self.team.work_cv.notify_all();
-        for handle in self.handles.lock().unwrap().drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// The monomorphization-free shim [`TeamJob::call`] points at.
-unsafe fn call_team_job(data: *const (), locale: usize, task: usize) {
-    let f = *(data as *const &(dyn Fn(usize, usize) + Sync));
-    f(locale, task)
-}
-
-/// A shareable raw slot pointer (accessor method so closures capture the
-/// `Sync` wrapper, not the bare pointer field).
-struct SlotPtr<R>(*mut Option<R>);
-unsafe impl<R: Send> Send for SlotPtr<R> {}
-unsafe impl<R: Send> Sync for SlotPtr<R> {}
-impl<R> SlotPtr<R> {
-    fn get(&self) -> *mut Option<R> {
-        self.0
-    }
-}
-
-/// The parked-worker loop: wait for a run that includes this slot,
-/// execute it, report completion, park again.
-fn team_worker(team: std::sync::Arc<Team>, index: usize) {
-    let mut last_epoch = 0u64;
-    loop {
-        let job = {
-            let mut st = team.state.lock().unwrap();
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                match st.job {
-                    Some(job) if st.epoch != last_epoch => {
-                        last_epoch = st.epoch;
-                        let width = match job.fixed_locale {
-                            Some(_) => job.tasks_per_locale,
-                            None => job.locales * job.tasks_per_locale,
-                        };
-                        break (index < width).then_some(job);
-                    }
-                    _ => st = team.work_cv.wait(st).unwrap(),
-                }
-            }
-        };
-        let Some(job) = job else { continue };
-        let (locale, task) = match job.fixed_locale {
-            Some(l) => (l, index),
-            None => (index % job.locales, index / job.locales),
-        };
-        // SAFETY: the job (and the closure it points at) outlives this
-        // call — the publisher blocks until `pending` reaches zero.
-        let result =
-            catch_unwind(AssertUnwindSafe(|| unsafe { (job.call)(job.data, locale, task) }));
-        let mut st = team.state.lock().unwrap();
-        if let Err(payload) = result {
-            if st.panic.is_none() {
-                st.panic = Some(payload);
-            }
-        }
-        st.pending -= 1;
-        if st.pending == 0 {
-            team.done_cv.notify_all();
-        }
+        results.into_iter().map(|r| r.expect("no task failed")).collect()
     }
 }
 
@@ -380,6 +233,7 @@ pub struct LocaleCtx<'a> {
     n_locales: usize,
     stats: &'a CommStats,
     barrier: &'a SenseBarrier,
+    failed: &'a AtomicBool,
 }
 
 impl<'a> LocaleCtx<'a> {
@@ -401,6 +255,20 @@ impl<'a> LocaleCtx<'a> {
         self.stats
     }
 
+    /// The poll of every loop that waits on another task's progress (a
+    /// barrier, a channel credit, a stream that has to close): what it
+    /// waits for never comes once the run has failed. A task of this
+    /// process panicked: unwinds quietly, and the run re-raises that
+    /// task's payload. Multiprocess, a peer died or the epoch is poisoned:
+    /// [`transport::poll_failure`] — so only call it strictly *between*
+    /// two barriers of a product, where no peer can have exited cleanly.
+    pub fn poll_failure(&self) {
+        if self.failed.load(Ordering::Relaxed) {
+            resume_unwind(Box::new(SiblingFailed));
+        }
+        transport::poll_failure();
+    }
+
     /// Waits until every locale reaches the barrier, then returns — on
     /// both backends. In-process this is the sense-reversing thread
     /// barrier; multiprocess it is a real cross-process collective that
@@ -408,20 +276,21 @@ impl<'a> LocaleCtx<'a> {
     /// sent before the barrier are visible at their destination once the
     /// barrier completes. At most one task per locale may wait per epoch.
     ///
-    /// Failure model (multiprocess): a peer that dies while this rank
-    /// waits is detected in milliseconds (socket EOF / missed
-    /// heartbeats), the failure is attributed to that rank, and the job
-    /// aborts with [`transport::TransportError`] semantics — an `ABORT`
-    /// frame fans out so every survivor exits promptly, and the
-    /// supervisor decides whether to relaunch from the latest
-    /// checkpoint. Barrier crossings are also the reference points for
-    /// deterministic fault injection (`LS_FAULT` counts barriers).
+    /// Failure model: in-process the wait polls [`Self::poll_failure`];
+    /// multiprocess, a peer that dies while this rank waits is detected
+    /// in milliseconds (socket EOF / missed heartbeats), the failure is
+    /// attributed to that rank, and the job aborts with
+    /// [`transport::TransportError`] semantics — an `ABORT` frame fans out
+    /// so every survivor exits promptly, and the supervisor decides
+    /// whether to relaunch from the latest checkpoint. Barrier crossings
+    /// are also the reference points for deterministic fault injection
+    /// (`LS_FAULT` counts barriers).
     pub fn barrier_wait(&self) {
         self.stats().record_barrier();
         if let Some(mp) = transport::active() {
             mp.barrier();
         } else {
-            self.barrier.wait();
+            self.barrier.wait_polling(|| self.poll_failure());
         }
     }
 }
@@ -429,7 +298,7 @@ impl<'a> LocaleCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn runs_all_locales_in_order() {
@@ -486,9 +355,9 @@ mod tests {
     }
 
     #[test]
-    fn team_is_reused_across_runs() {
-        // Many runs on one cluster: the persistent team handles changing
-        // widths (1 task, then 3, then 1) without respawning per call.
+    fn runs_of_changing_width_share_one_cluster() {
+        // Many runs on one cluster, the width changing every time (1 task
+        // per locale, then 3, then 1): each run sees exactly its own slots.
         let cluster = Cluster::new(ClusterSpec::new(2, 1));
         for round in 0..50usize {
             let ids = cluster.run(|ctx| ctx.locale() * 100 + round);
@@ -512,8 +381,8 @@ mod tests {
                 }
             });
         }));
-        assert!(result.is_err());
-        // The team keeps serving runs after a panicked one.
+        assert_eq!(result.unwrap_err().downcast_ref::<&str>(), Some(&"locale 1 exploded"));
+        // The cluster keeps serving runs after a failed one.
         let ids = cluster.run(|ctx| ctx.locale());
         assert_eq!(ids, vec![0, 1]);
     }

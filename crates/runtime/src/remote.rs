@@ -86,14 +86,6 @@ impl<T: Copy + Default> BufferChannel<T> {
             .is_ok()
     }
 
-    /// Producer: blocking claim.
-    pub fn claim(&self) {
-        let backoff = Backoff::new();
-        while !self.try_claim() {
-            backoff.snooze();
-        }
-    }
-
     /// Producer: copies `data` into the (claimed) buffer and publishes it
     /// to the consumer. `remote` says whether the consumer lives on a
     /// different locale (for statistics).
@@ -197,7 +189,9 @@ mod tests {
                         batch.push(next);
                         next += 1;
                     }
-                    chan.claim();
+                    while !chan.try_claim() {
+                        std::thread::yield_now();
+                    }
                     chan.send(&stats_p, true, &batch);
                 }
                 chan.close();
@@ -259,7 +253,7 @@ mod tests {
     fn capacity_enforced() {
         let chan = BufferChannel::<u8>::new(2);
         let stats = CommStats::new();
-        chan.claim();
+        assert!(chan.try_claim());
         chan.send(&stats, false, &[1, 2, 3]);
     }
 
@@ -275,7 +269,7 @@ mod tests {
     fn reset_with_pending_data_panics() {
         let chan = BufferChannel::<u8>::new(2);
         let stats = CommStats::new();
-        chan.claim();
+        assert!(chan.try_claim());
         chan.send(&stats, false, &[1]);
         chan.close();
         chan.reset();
@@ -286,7 +280,7 @@ mod tests {
         let chan = BufferChannel::<u8>::new(2);
         let stats = CommStats::new();
         for round in 0..3 {
-            chan.claim();
+            assert!(chan.try_claim());
             chan.send(&stats, false, &[round as u8]);
             chan.close();
             let mut out = Vec::new();

@@ -49,6 +49,7 @@
 //! * barriers order everything: an operation issued before a barrier on
 //!   one rank happens-before anything issued after that barrier anywhere.
 
+use crate::cluster::LocaleCtx;
 use crate::crc32c::{crc32c, crc32c_append};
 use crate::fault::{FaultKind, FaultPlan, FrameClass};
 use crate::remote::BufferChannel;
@@ -2243,37 +2244,30 @@ impl<T: Copy + Default> PairChannel<T> {
         out
     }
 
-    /// Producer: blocking claim of the (single) staging buffer. On the
-    /// multiprocess backend the wait aborts promptly if the consumer
-    /// rank dies (its credit would otherwise never come back and the
-    /// spin would outlast the collective timeout).
-    pub fn claim(&self) {
-        match self {
-            PairChannel::Local(ch) => ch.claim(),
-            PairChannel::Sender(s) => {
-                let backoff = Backoff::new();
-                loop {
-                    let avail = s.credits.avail.load(Ordering::Acquire);
-                    if avail > 0
-                        && s.credits
-                            .avail
-                            .compare_exchange(
-                                avail,
-                                avail - 1,
-                                Ordering::Acquire,
-                                Ordering::Relaxed,
-                            )
-                            .is_ok()
-                    {
-                        return;
-                    }
-                    if backoff.is_completed() {
-                        s.mp.check_peers_alive("consumer lost while awaiting channel credit");
-                    }
-                    backoff.snooze();
-                }
+    /// Producer: blocking claim of the (single) staging buffer. The wait
+    /// polls [`LocaleCtx::poll_failure`]: the consumer that should free
+    /// the buffer may be a task of a failed run, or (multiprocess) a dead
+    /// rank whose credit would never come back — the spin would outlast
+    /// the collective timeout.
+    pub fn claim(&self, ctx: &LocaleCtx<'_>) {
+        let backoff = Backoff::new();
+        loop {
+            let claimed = match self {
+                PairChannel::Local(ch) => ch.try_claim(),
+                PairChannel::Sender(s) => s
+                    .credits
+                    .avail
+                    .fetch_update(Ordering::Acquire, Ordering::Relaxed, |n| n.checked_sub(1))
+                    .is_ok(),
+                _ => panic!("claim on a non-producer channel endpoint"),
+            };
+            if claimed {
+                return;
             }
-            _ => panic!("claim on a non-producer channel endpoint"),
+            if backoff.is_completed() {
+                ctx.poll_failure();
+            }
+            backoff.snooze();
         }
     }
 
@@ -2411,17 +2405,45 @@ mod tests {
         let grid = PairChannel::<(u64, f64)>::grid(3, 8);
         assert_eq!(grid.len(), 9);
         let stats = CommStats::new();
-        for ch in &grid {
-            assert!(matches!(ch, PairChannel::Local(_)));
-            ch.claim();
-            ch.send(&stats, true, &[(7, 0.5)]);
-            let mut out = Vec::new();
-            assert!(ch.try_recv(&stats, true, &mut out));
-            assert_eq!(out, vec![(7, 0.5)]);
-            ch.close();
-            assert!(ch.drained_after_failed_recv(&stats, &mut out));
-            ch.reset();
-        }
+        crate::Cluster::new(crate::ClusterSpec::new(1, 1)).run(|ctx| {
+            for ch in &grid {
+                assert!(matches!(ch, PairChannel::Local(_)));
+                ch.claim(ctx);
+                ch.send(&stats, true, &[(7, 0.5)]);
+                let mut out = Vec::new();
+                assert!(ch.try_recv(&stats, true, &mut out));
+                assert_eq!(out, vec![(7, 0.5)]);
+                ch.close();
+                assert!(ch.drained_after_failed_recv(&stats, &mut out));
+                ch.reset();
+            }
+        });
+    }
+
+    #[test]
+    fn a_producer_awaiting_its_buffer_unwinds_when_the_consumer_task_panics() {
+        let grid = PairChannel::<u64>::grid(1, 4);
+        let stats = CommStats::new();
+        let full = AtomicBool::new(false);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            crate::Cluster::new(crate::ClusterSpec::new(1, 1)).run_tasks(2, |ctx, task| {
+                if task == 0 {
+                    grid[0].claim(ctx);
+                    grid[0].send(&stats, false, &[1]);
+                    full.store(true, Ordering::Release);
+                    // Nobody takes the batch: without the poll this spins
+                    // forever.
+                    grid[0].claim(ctx);
+                    unreachable!("claimed a buffer that is still full");
+                }
+                while !full.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                panic!("consumer gave up");
+            });
+        }));
+        let payload = result.unwrap_err();
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"consumer gave up"));
     }
 
     #[test]

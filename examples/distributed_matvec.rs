@@ -9,7 +9,7 @@
 //! cargo run --release --example distributed_matvec
 //! ```
 //!
-//! runs on the default in-process transport (locales are thread teams).
+//! runs on the default in-process transport (locales are threads).
 //! The identical program runs across real OS processes — shared-memory
 //! windows, TCP accumulate/collective traffic — with:
 //!

@@ -6,7 +6,7 @@
 //! (Westerhout & Chamberlain, PAW-ATM '23, arXiv:2308.16712).
 //!
 //! Re-exports the full public API; see [`ls_core`] for the main entry
-//! points and the repository `README.md` / `DESIGN.md` for the
+//! points and the repository `README.md` / `docs/ARCHITECTURE.md` for the
 //! architecture. Runnable examples live in `examples/`, the experiment
 //! harness in `crates/bench`.
 

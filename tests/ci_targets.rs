@@ -1,6 +1,7 @@
 //! Nobody can run `.github/workflows/ci.yml` before it is pushed, so
 //! tier-1 checks the part of it that rots silently: every cargo target
-//! the workflow names exists, and its checks are shell and cargo — an
+//! and every `.github/scripts/*.sh` the workflow names exists (the
+//! scripts also pass `bash -n`), and its checks are shell and cargo — an
 //! inline script in another language is a second test suite nothing here
 //! compiles or runs.
 
@@ -42,4 +43,25 @@ fn ci_workflow_names_targets_that_exist() {
         checked += 1;
     }
     assert!(checked > 10, "found only {checked} targets: did ci.yml move?");
+}
+
+#[test]
+fn ci_workflow_scripts_exist_and_parse() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let yml = std::fs::read_to_string(root.join(".github/workflows/ci.yml")).unwrap();
+    let scripts: Vec<&str> = yml
+        .split_whitespace()
+        .filter(|w| w.starts_with(".github/scripts/") && w.ends_with(".sh"))
+        .collect();
+    assert!(!scripts.is_empty(), "ci.yml names no script: did kill_and_resume.sh move?");
+    for script in scripts {
+        let path = root.join(script);
+        assert!(path.is_file(), "ci.yml names `{script}`, which does not exist");
+        let syntax = std::process::Command::new("bash").arg("-n").arg(&path).output().unwrap();
+        assert!(
+            syntax.status.success(),
+            "`bash -n {script}`: {}",
+            String::from_utf8_lossy(&syntax.stderr)
+        );
+    }
 }

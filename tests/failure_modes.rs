@@ -85,6 +85,39 @@ fn engine_cluster_mismatch_panics() {
 }
 
 #[test]
+fn a_panicking_producer_fails_the_product_instead_of_hanging_it() {
+    // The operator is bound to the plain U(1) sector and the basis
+    // enumerated for the symmetrized one, so producers generate states the
+    // basis does not hold and panic while ranking them. Their channels
+    // then never close: the consumers and the other locale used to wait on
+    // them forever. The product runs on a helper thread so that a relapse
+    // fails this test instead of hanging the suite.
+    let n = 10usize;
+    let kernel = heisenberg(&chain_bonds(n), 1.0).to_kernel(n as u32).unwrap();
+    let u1 = SectorSpec::with_weight(n as u32, 5).unwrap();
+    let op = SymmetrizedOperator::<f64>::new(&kernel, &u1).unwrap();
+    let (sector, _) = chain_op(n);
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let cluster = Cluster::new(ClusterSpec::new(2, 1));
+        let basis = enumerate_dist(&cluster, &sector, 2);
+        let lens = basis.states().lens();
+        let x = DistVec::from_parts(lens.iter().map(|&len| vec![1.0f64; len]).collect());
+        let mut y = DistVec::<f64>::zeros(&lens);
+        let product = std::panic::AssertUnwindSafe(|| {
+            matvec_pc(&cluster, &op, &basis, &x, &mut y, PcOptions::default())
+        });
+        let _ = tx.send(std::panic::catch_unwind(product));
+    });
+    let payload = rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("the product hung on its panicked producer")
+        .expect_err("a state outside the basis must fail the product");
+    let message = payload.downcast_ref::<String>().expect("the producer's own payload");
+    assert!(message.contains("is not in the basis"), "{message}");
+}
+
+#[test]
 #[should_panic(expected = "block layout mismatch")]
 fn conversion_layout_mismatch_panics() {
     let cluster = Cluster::new(ClusterSpec::new(2, 1));
