@@ -164,17 +164,23 @@ fn checksum_mismatch(sre: f64, sim: f64, mass: f64, yre: f64, yim: f64) -> Optio
     }
 }
 
-/// Ranks a shipped batch of `(state, coefficient)` pairs on behalf of
-/// `dest` with the bulk prefix-bucket kernel and accumulates it — the
-/// owner-side half of the pipeline. `needles`/`idx` are
-/// caller-owned scratch reused across batches.
+/// Caller-owned scratch of [`accumulate_batch`], reused across batches.
+#[derive(Default)]
+pub(crate) struct RankScratch {
+    needles: Vec<u64>,
+    idx: Vec<u32>,
+}
+
+/// Ranks a batch of `(state, coefficient)` pairs owned by `dest` with the
+/// bulk prefix-bucket kernel and hands every `(local index, coefficient)`
+/// to `add` in batch order — the owner-side half of the pipeline, for
+/// shipped batches and for a producer's own run alike.
 pub(crate) fn accumulate_batch<S: Scalar>(
     basis: &DistSpinBasis,
-    win: &AtomicAccumWindow<'_, S>,
     dest: usize,
     pairs: &[(u64, S)],
-    needles: &mut Vec<u64>,
-    idx: &mut Vec<u32>,
+    RankScratch { needles, idx }: &mut RankScratch,
+    add: impl Fn(usize, S),
 ) {
     needles.clear();
     needles.extend(pairs.iter().map(|&(s, _)| s));
@@ -186,7 +192,7 @@ pub(crate) fn accumulate_batch<S: Scalar>(
             // Cold: re-resolve through the panicking helper.
             basis.index_on_present(dest, rep)
         };
-        win.fetch_add(dest, i, coeff);
+        add(i, coeff);
     }
 }
 

@@ -1,71 +1,85 @@
 //! The producer/consumer matrix-vector product (paper Sec. 5.3, Fig. 5).
 //!
-//! Per locale, `producers` tasks stream over the local rows *in blocks*
+//! Per locale, `producers` roles stream over the local rows *in blocks*
 //! through the batch kernels (block row generation — the differential
-//! group walk on symmetrized sectors — and one bulk ranking per
-//! `GEN_BLOCK` rows), generating `(destination state, coefficient)`
-//! pairs that are staged per destination and shipped through
-//! fixed-capacity [`BufferChannel`](ls_runtime::remote::BufferChannel)s — one per (source, destination)
-//! pair. Concurrently, `consumers` tasks on every locale drain the
-//! channels addressed to them, rank each received batch in bulk against
-//! the *local* basis part (the interleaved prefix-bucket kernel — ranking
+//! group walk on symmetrized sectors) and route a block at a time: one
+//! pass finds the owner of every emission, one scatters the `(destination
+//! state, coefficient)` pairs into per-destination runs, the ABFT tally is
+//! summed per run, the local run is ranked and added on the spot and the
+//! others ship in capacity-sized batches through [`PairChannel`]s — one
+//! per (source, destination) pair, each a ring of two buffers, so a
+//! producer fills one batch while the previous one is being ranked.
+//! `consumers` roles drain the channels addressed to their locale, rank
+//! each batch where it lies against the *local* basis part (ranking
 //! happens owner-side, where the sorted state list lives) and accumulate
-//! atomically into `y`. Row generation, transfer and accumulation
-//! therefore overlap — the defining contrast with the bulk-synchronous
-//! baseline in `ls-baseline`. There is one drain loop;
-//! [`PcOptions::deterministic`] only decides whether a received batch is
-//! accumulated on arrival or in a fixed order after the drain. The
-//! engine computes the product and nothing else: a Lanczos step's `α_j`
-//! is the locale-ordered [`ls_eigen::KrylovVec::dot`] over the finished
-//! parts (0.3 % of a product).
+//! into `y`. Row generation, transfer and accumulation therefore overlap —
+//! the defining contrast with the bulk-synchronous baseline in
+//! `ls-baseline`. There is one drain step; [`PcOptions::deterministic`]
+//! only decides whether a received batch is accumulated on arrival or in a
+//! fixed order after the drain. The engine computes the product and
+//! nothing else: a Lanczos step's `α_j` is the locale-ordered
+//! [`ls_eigen::KrylovVec::dot`] over the finished parts.
 //!
-//! Channel hand-off follows the paper's flag protocol: each side spins
-//! only on its own flag (with backoff), and flips the peer's flag with a
-//! `remoteAtomicWrite`. Buffers are reused across products via
-//! [`PcEngine`] — the paper reuses its `RemoteBuffer`s across the whole
-//! Lanczos run to avoid reallocation. The producer/consumer task set is
-//! one [`Cluster::run_tasks`] call per product, the paper's `coforall`:
-//! `locales × (producers + consumers)` scoped threads that end with the
-//! product. A task that panics fails the product for all of them — every
-//! wait below polls [`LocaleCtx::poll_failure`] — and `apply` re-raises
-//! what it threw.
+//! **Threads.** A product is one [`Cluster::run_tasks`] call, the paper's
+//! `coforall`: `min(producers + consumers, cores_per_locale)` scoped
+//! threads per locale that end with the product, the roles dealt onto them
+//! round-robin. A thread runs its producer roles one after the other, and
+//! if it also holds a consumer role it runs the drain step after every
+//! block and wherever it would otherwise wait for a free channel buffer —
+//! it serves its own inbox first — then drains to completion. Nothing
+//! blocks: every wait is the engine's one loop (`Task::wait`: try, drain,
+//! back off), which polls [`LocaleCtx::poll_failure`], so a task that
+//! panics fails the product for all of them and `apply` re-raises what it
+//! threw. With a thread per role the schedule is the classic one (a
+//! producer thread and a consumer thread per locale); with one thread per
+//! locale that thread is the only writer of its part of `y` and
+//! accumulates with plain adds instead of CAS loops.
+//!
+//! Channel hand-off follows the paper's flag protocol ([`ls_runtime::remote`]).
+//! Buffers are reused across products via [`PcEngine`] — the paper reuses
+//! its `RemoteBuffer`s across the whole Lanczos run to avoid reallocation.
 
 use crate::basis::DistSpinBasis;
-use crate::matvec::{accumulate_batch, validate_shapes, AbftTally};
-use crossbeam::utils::Backoff;
+use crate::matvec::{accumulate_batch, validate_shapes, AbftTally, RankScratch};
 use ls_basis::{OffDiagBlock, SymmetrizedOperator};
-use ls_kernels::search::NOT_FOUND;
 use ls_kernels::Scalar;
 use ls_runtime::{collective, AtomicAccumWindow, Cluster, DistVec, LocaleCtx, PairChannel};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
-/// Rows a producer generates per batch before routing the emissions:
-/// one [`SymmetrizedOperator::apply_off_diag_block`] call (which walks the
+/// Rows a producer generates and routes at a time: one
+/// [`SymmetrizedOperator::apply_off_diag_block`] call (which walks the
 /// group once per source row, `g(α ⊕ m) = g(α) ⊕ π_g(m)`, not once per
-/// matrix element; `ls_basis::state_info_batch` is its oracle) and one
-/// bulk ranking per block.
+/// matrix element; `ls_basis::state_info_batch` is its oracle), one owner
+/// pass, one scatter and one bulk ranking of the local run per block — and
+/// the longest a thread that shares roles leaves its inbox unattended.
 const GEN_BLOCK: usize = 512;
+
+/// A memoized diagonal, keyed by operator fingerprint, part address, length.
+type DiagMemo<S> = Option<(((u64, usize), usize, usize), Arc<Vec<S>>)>;
 
 /// Tuning knobs of the producer/consumer pipeline.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct PcOptions {
-    /// Row-generating tasks per locale.
+    /// Row-generating roles per locale.
     pub producers: usize,
-    /// Draining/accumulating tasks per locale.
+    /// Draining/accumulating roles per locale. Roles are not threads: a
+    /// locale runs `min(producers + consumers, cores_per_locale)` of
+    /// those (see the module docs).
     pub consumers: usize,
-    /// Capacity of each staging buffer, in `(state, coefficient)` pairs.
+    /// Capacity of each channel buffer, in `(state, coefficient)` pairs.
     pub capacity: usize,
     /// Deterministic accumulation order: forces one producer and one
-    /// consumer per locale, and the consumer's drain loop leaves received
-    /// batches *stashed* (communication still overlaps generation),
-    /// applying them only after the locale's producer finished — local
-    /// contributions in row order first, then each source locale's
-    /// batches in source order. The result is bit-identical across runs
-    /// **and across transport backends** (the racing-CAS default is
-    /// deterministic only to rounding). Costs the stash memory (all
-    /// remote contributions of a product buffered at once — 15.6 MB per
-    /// product on the benchmark's 20-site sector, which is why it is not
-    /// the default) and the overlap of accumulation.
+    /// consumer per locale, and the drain step leaves received batches
+    /// *stashed* (communication still overlaps generation), applying them
+    /// only after the locale's producer finished — local contributions in
+    /// row order first, then each source locale's batches in source
+    /// order. The result is bit-identical across runs, **across transport
+    /// backends and across `cores_per_locale`** (the arrival-ordered
+    /// default is deterministic only to rounding). Costs the stash memory
+    /// (all remote contributions of a product buffered at once — 15.6 MB
+    /// per product on the benchmark's 20-site sector, which is why it is
+    /// not the default) and the overlap of accumulation.
     pub deterministic: bool,
 }
 
@@ -73,6 +87,22 @@ impl Default for PcOptions {
     fn default() -> Self {
         Self { producers: 1, consumers: 1, capacity: 512, deterministic: false }
     }
+}
+
+impl PcOptions {
+    /// Threads a locale of `cores` cores runs a product on: one per role
+    /// when they fit, never more than it has cores.
+    fn threads(&self, cores: usize) -> usize {
+        (self.producers + self.consumers).min(cores)
+    }
+}
+
+/// The roles of thread `thread` of a locale that runs `roles` roles on
+/// `threads` threads, dealt round-robin. Role `r` is producer `r` when
+/// `r < producers` and a consumer otherwise, so a thread meets its
+/// producer roles first.
+fn thread_roles(thread: usize, threads: usize, roles: usize) -> impl Iterator<Item = usize> {
+    (thread..roles).step_by(threads)
 }
 
 /// A reusable producer/consumer matvec engine: owns the `L × L` buffer
@@ -89,6 +119,13 @@ pub struct PcEngine<S: Scalar> {
     /// `&self` (it backs [`ls_eigen::LinearOp`]), so exclusivity is
     /// enforced at runtime instead of by the borrow checker.
     in_use: AtomicBool,
+    /// Per locale: the diagonal over its rows, memoized across products as
+    /// `ls_core`'s scratch pool does (8 B a state against 3 ms a product).
+    diag: Vec<Mutex<DiagMemo<S>>>,
+    /// Test seam: the staged value with this running index (over the runs
+    /// a producer tallies) is perturbed between tally and delivery.
+    #[cfg(test)]
+    perturb_at: Mutex<Option<usize>>,
 }
 
 impl<S: Scalar> PcEngine<S> {
@@ -103,13 +140,37 @@ impl<S: Scalar> PcEngine<S> {
             capacity: opts.capacity.max(1),
             deterministic: opts.deterministic,
         };
-        let channels = PairChannel::grid(n_locales, opts.capacity);
-        Self { n_locales, opts, channels, in_use: AtomicBool::new(false) }
+        Self {
+            n_locales,
+            opts,
+            channels: PairChannel::grid(n_locales, opts.capacity),
+            in_use: AtomicBool::new(false),
+            diag: (0..n_locales).map(|_| Mutex::new(None)).collect(),
+            #[cfg(test)]
+            perturb_at: Mutex::new(None),
+        }
     }
 
     #[inline]
     fn channel(&self, src: usize, dest: usize) -> &PairChannel<(u64, S)> {
         &self.channels[src * self.n_locales + dest]
+    }
+
+    /// The diagonal of `op` over `states`, locale `me`'s part: computed by
+    /// the first producer to ask (by [`SymmetrizedOperator::diagonal_block`],
+    /// so bit-identical to inline evaluation), then served from the memo
+    /// while operator and part stay the same.
+    fn diagonal(&self, me: usize, op: &SymmetrizedOperator<S>, states: &[u64]) -> Arc<Vec<S>> {
+        let key = (op.diag_fingerprint(), states.as_ptr() as usize, states.len());
+        let mut memo = self.diag[me].lock().expect("no producer panics holding it");
+        match &*memo {
+            Some((known, values)) if *known == key => Arc::clone(values),
+            _ => {
+                let mut values = vec![S::ZERO; states.len()];
+                op.diagonal_block(states, &mut values);
+                Arc::clone(&memo.insert((key, Arc::new(values))).1)
+            }
+        }
     }
 
     /// One distributed product `y = H x`.
@@ -155,29 +216,36 @@ impl<S: Scalar> PcEngine<S> {
             .then(|| AbftTally::new(self.n_locales));
         let win = AtomicAccumWindow::new(y);
         let producers = self.opts.producers;
-        let consumers = self.opts.consumers;
+        let roles = producers + self.opts.consumers;
+        let threads = self.opts.threads(cluster.spec().cores_per_locale);
         // Per-locale countdowns: the last producer to finish closes the
-        // locale's outgoing channels (releasing all remote consumers),
-        // and the locale's last task of any kind crosses the cluster
-        // barrier on its behalf: a join-then-barrier per locale without
-        // a second level of threads.
-        let live_producers: Vec<AtomicUsize> =
-            (0..self.n_locales).map(|_| AtomicUsize::new(producers)).collect();
-        let live_tasks: Vec<AtomicUsize> =
-            (0..self.n_locales).map(|_| AtomicUsize::new(producers + consumers)).collect();
-        cluster.run_tasks(producers + consumers, |ctx, task| {
+        // locale's outgoing channels (releasing all remote consumers), and
+        // the locale's last thread crosses the cluster barrier on its behalf:
+        // a join-then-barrier per locale without a second level of threads.
+        let countdowns = |from| (0..self.n_locales).map(|_| AtomicUsize::new(from)).collect();
+        let live_producers: Vec<AtomicUsize> = countdowns(producers);
+        let live_threads: Vec<AtomicUsize> = countdowns(threads);
+        cluster.run_tasks(threads, |ctx, thread| {
             let me = ctx.locale();
-            if task < producers {
-                self.produce(ctx, op, basis, x, &win, task, abft.as_ref());
+            let (win, abft, exclusive) = (&win, abft.as_ref(), threads == 1);
+            let task = Task { engine: self, ctx, op, basis, x, win, abft, exclusive };
+            let mut inbox = thread_roles(thread, threads, roles)
+                .any(|role| role >= producers)
+                .then(|| Inbox {
+                    stash: vec![Vec::new(); self.n_locales],
+                    open: (0..self.n_locales).collect(),
+                    ..Inbox::default()
+                });
+            for p in thread_roles(thread, threads, roles).take_while(|&role| role < producers) {
+                task.produce(p, &mut inbox);
                 if live_producers[me].fetch_sub(1, Ordering::AcqRel) == 1 {
                     for dest in 0..self.n_locales {
                         self.channel(me, dest).close();
                     }
                 }
-            } else {
-                self.consume(ctx, basis, &win, &live_producers[me]);
             }
-            if live_tasks[me].fetch_sub(1, Ordering::AcqRel) == 1 {
+            task.drain_to_completion(&mut inbox);
+            if live_threads[me].fetch_sub(1, Ordering::AcqRel) == 1 {
                 ctx.barrier_wait();
             }
         });
@@ -203,205 +271,235 @@ impl<S: Scalar> PcEngine<S> {
             abft.verify(&*y);
         }
     }
+}
 
-    /// Producer task `p`: generates the rows of a contiguous share of the
+/// What a consumer role carries from drain step to drain step.
+#[derive(Default)]
+struct Inbox<S> {
+    /// Per source: the batches held back under [`PcOptions::deterministic`].
+    stash: Vec<Vec<(u64, S)>>,
+    /// The sources that have not closed and drained yet.
+    open: Vec<usize>,
+    scratch: RankScratch,
+}
+
+/// One thread's view of the product it works on.
+struct Task<'a, S: Scalar> {
+    engine: &'a PcEngine<S>,
+    ctx: &'a LocaleCtx<'a>,
+    op: &'a SymmetrizedOperator<S>,
+    basis: &'a DistSpinBasis,
+    x: &'a DistVec<S>,
+    win: &'a AtomicAccumWindow<'a, S>,
+    abft: Option<&'a AbftTally>,
+    /// This thread is the only one of its locale, hence the only writer
+    /// of the locale's part of `y`: plain adds.
+    exclusive: bool,
+}
+
+impl<S: Scalar> Task<'_, S> {
+    /// `y.part(me)[i] += val`.
+    #[inline]
+    fn add(&self, i: usize, val: S) {
+        if self.exclusive {
+            self.win.add_exclusive(self.ctx.locale(), i, val);
+        } else {
+            self.win.fetch_add(self.ctx.locale(), i, val);
+        }
+    }
+
+    /// Ranks `pairs`, all owned by this locale, and adds them in order.
+    fn accumulate(&self, pairs: &[(u64, S)], scratch: &mut RankScratch) {
+        let add = |i, val| self.add(i, val);
+        accumulate_batch(self.basis, self.ctx.locale(), pairs, scratch, add);
+    }
+
+    /// Producer role `p`: generates the rows of a contiguous share of the
     /// local basis part in blocks through the batch kernels
-    /// ([`SymmetrizedOperator::apply_off_diag_block`]), staging off-locale
-    /// contributions per destination and bulk-ranking the local ones.
-    #[allow(clippy::too_many_arguments)] // internal worker of apply
-    fn produce(
-        &self,
-        ctx: &LocaleCtx<'_>,
-        op: &SymmetrizedOperator<S>,
-        basis: &DistSpinBasis,
-        x: &DistVec<S>,
-        win: &AtomicAccumWindow<'_, S>,
-        p: usize,
-        abft: Option<&AbftTally>,
-    ) {
-        let me = ctx.locale();
-        let states = basis.states().part(me);
-        let orbits = basis.orbit_sizes().part(me);
-        let x_local = x.part(me);
-        let producers = self.opts.producers;
+    /// ([`SymmetrizedOperator::apply_off_diag_block`]) and routes each
+    /// block: owners, scatter into per-destination runs, tally, then the
+    /// local run is ranked and added and the others are shipped. `inbox`
+    /// is served after every block and while a channel is full.
+    fn produce(&self, p: usize, inbox: &mut Option<Inbox<S>>) {
+        let me = self.ctx.locale();
+        let PcOptions { producers, capacity, .. } = self.engine.opts;
+        let states = self.basis.states().part(me);
+        let orbits = self.basis.orbit_sizes().part(me);
+        let x_local = self.x.part(me);
         let lo = p * states.len() / producers;
         let hi = (p + 1) * states.len() / producers;
 
-        let mut tally = abft.map(AbftTally::local);
-        let mut staging: Vec<Vec<(u64, S)>> =
-            (0..self.n_locales).map(|_| Vec::with_capacity(self.opts.capacity)).collect();
+        let mut tally = self.abft.map(AbftTally::local);
+        let diag = self.engine.diagonal(me, self.op, states);
         let mut gen = OffDiagBlock::new();
-        let mut diag: Vec<S> = Vec::new();
-        let mut local_reps: Vec<u64> = Vec::new();
-        let mut local_vals: Vec<S> = Vec::new();
-        let mut local_idx: Vec<u32> = Vec::new();
-        let mut b0 = lo;
-        while b0 < hi {
+        let mut owner: Vec<u32> = Vec::new();
+        // Per destination: the scatter cursor, then the end of its run.
+        let mut ends = vec![0usize; self.engine.n_locales];
+        let mut staged: Vec<(u64, S)> = Vec::new();
+        // Per destination: the tail of the last run, short of a batch.
+        let mut carry: Vec<Vec<(u64, S)>> = vec![Vec::new(); ends.len()];
+        let mut scratch = RankScratch::default();
+        for b0 in (lo..hi).step_by(GEN_BLOCK) {
             let b1 = (b0 + GEN_BLOCK).min(hi);
-            let block = &states[b0..b1];
-            diag.resize(block.len(), S::ZERO);
-            op.diagonal_block(block, &mut diag);
-            for (k, &d) in diag.iter().enumerate() {
-                if d != S::ZERO {
-                    win.fetch_add(me, b0 + k, d * x_local[b0 + k]);
-                    if let Some(t) = &mut tally {
-                        AbftTally::note(t, me, d * x_local[b0 + k]);
-                    }
+            for k in (b0..b1).filter(|&k| diag[k] != S::ZERO) {
+                self.add(k, diag[k] * x_local[k]);
+                if let Some(t) = &mut tally {
+                    AbftTally::note(t, me, diag[k] * x_local[k]);
                 }
             }
-            op.apply_off_diag_block(block, &orbits[b0..b1], &mut gen);
-            local_reps.clear();
-            local_vals.clear();
-            for t in 0..gen.len() {
-                let rep = gen.reps[t];
-                let val = gen.amps[t] * x_local[b0 + gen.src[t] as usize];
-                let dest = basis.owner(rep);
-                if let Some(tl) = &mut tally {
-                    AbftTally::note(tl, dest, val);
+            self.op.apply_off_diag_block(&states[b0..b1], &orbits[b0..b1], &mut gen);
+            ends.fill(0);
+            owner.clear();
+            owner.extend(gen.reps.iter().map(|&rep| {
+                let dest = self.basis.owner(rep);
+                ends[dest] += 1;
+                dest as u32
+            }));
+            let mut start = 0;
+            for end in &mut ends {
+                start += std::mem::replace(end, start);
+            }
+            staged.resize(gen.len(), (0, S::ZERO));
+            for (t, &dest) in owner.iter().enumerate() {
+                let at = &mut ends[dest as usize];
+                staged[*at] = (gen.reps[t], gen.amps[t] * x_local[b0 + gen.src[t] as usize]);
+                *at += 1;
+            }
+            let mut start = 0;
+            for (dest, tail) in carry.iter_mut().enumerate() {
+                let run = &mut staged[start..ends[dest]];
+                start = ends[dest];
+                if let Some(t) = &mut tally {
+                    run.iter().for_each(|&(_, val)| AbftTally::note(t, dest, val));
                 }
+                #[cfg(test)]
+                self.engine.perturb(run);
                 if dest == me {
                     // Local contributions skip the buffers entirely (the
                     // PGAS "here" fast path) but still rank in bulk.
-                    local_reps.push(rep);
-                    local_vals.push(val);
-                } else {
-                    let pairs = &mut staging[dest];
-                    pairs.push((rep, val));
-                    if pairs.len() == self.opts.capacity {
-                        self.ship(ctx, dest, pairs);
-                    }
+                    self.accumulate(run, &mut scratch);
+                    continue;
                 }
+                // Top up the carried tail first, then ship whole batches
+                // straight from the run: every batch but a product's last
+                // is full, whatever the block size.
+                let (head, rest) =
+                    run.split_at(((capacity - tail.len()) % capacity).min(run.len()));
+                tail.extend_from_slice(head);
+                if tail.len() == capacity {
+                    self.ship(dest, tail, inbox);
+                    tail.clear();
+                }
+                let mut batches = rest.chunks_exact(capacity);
+                batches.by_ref().for_each(|batch| self.ship(dest, batch, inbox));
+                tail.extend_from_slice(batches.remainder());
             }
-            basis.index_on_batch(me, &local_reps, &mut local_idx);
-            for (k, &val) in local_vals.iter().enumerate() {
-                let i = if local_idx[k] != NOT_FOUND {
-                    local_idx[k] as usize
-                } else {
-                    basis.index_on_present(me, local_reps[k])
-                };
-                win.fetch_add(me, i, val);
-            }
-            b0 = b1;
+            // Everything that arrived meanwhile: the peers' buffers come
+            // free before they next look for one.
+            while inbox.as_mut().is_some_and(|inbox| self.drain_once(inbox)) {}
         }
-        for (dest, pairs) in staging.iter_mut().enumerate() {
-            if !pairs.is_empty() {
-                self.ship(ctx, dest, pairs);
-            }
+        for (dest, tail) in carry.iter().enumerate().filter(|(_, tail)| !tail.is_empty()) {
+            self.ship(dest, tail, inbox);
         }
-        if let (Some(abft), Some(t)) = (abft, &tally) {
+        if let (Some(abft), Some(t)) = (self.abft, &tally) {
             abft.merge(t);
         }
     }
 
-    /// Claims the channel to `dest` and publishes the staged pairs.
-    fn ship(&self, ctx: &LocaleCtx<'_>, dest: usize, pairs: &mut Vec<(u64, S)>) {
-        let me = ctx.locale();
-        let ch = self.channel(me, dest);
-        ch.claim(ctx);
-        ch.send(ctx.stats(), dest != me, pairs);
-        pairs.clear();
+    /// Claims a buffer of the channel to `dest` — serving `inbox` while
+    /// the consumer there holds them all — and publishes `pairs`.
+    fn ship(&self, dest: usize, pairs: &[(u64, S)], inbox: &mut Option<Inbox<S>>) {
+        let ch = self.engine.channel(self.ctx.locale(), dest);
+        let turn = self.wait(inbox, |_| ch.try_claim());
+        ch.send(turn, self.ctx.stats(), true, pairs);
     }
 
-    /// Consumer task: drains every channel addressed to this locale,
-    /// ranking and accumulating the received batches into the local part
-    /// of `y` — as they arrive, or, under [`PcOptions::deterministic`],
-    /// draining just as eagerly (producers never stall on flow control)
-    /// but leaving every batch *stashed* in its source's buffer until this
-    /// locale's producer finished its row-ordered local adds, then source
-    /// by source in locale order, FIFO within each source. Batch
-    /// boundaries and contents are identical on every backend (single
-    /// producer, fixed capacity), so that accumulation order is too.
-    fn consume(
+    /// The engine's one wait loop: until `ready` yields, run the drain
+    /// step if this thread has an inbox, and back off when that found
+    /// nothing to do either.
+    fn wait<R>(
         &self,
-        ctx: &LocaleCtx<'_>,
-        basis: &DistSpinBasis,
-        win: &AtomicAccumWindow<'_, S>,
-        live_local_producers: &AtomicUsize,
-    ) {
-        let me = ctx.locale();
-        let n = self.n_locales;
-        let stash = self.opts.deterministic;
-        let mut received: Vec<Vec<(u64, S)>> = (0..n).map(|_| Vec::new()).collect();
-        let mut needles: Vec<u64> = Vec::with_capacity(self.opts.capacity);
-        let mut idx: Vec<u32> = Vec::with_capacity(self.opts.capacity);
-        let mut done = vec![false; n];
-        let mut n_done = 0usize;
+        inbox: &mut Option<Inbox<S>>,
+        mut ready: impl FnMut(&Option<Inbox<S>>) -> Option<R>,
+    ) -> R {
         let mut idle_spins = 0u32;
-        while n_done < n {
-            let mut progress = false;
-            for (src, src_done) in done.iter_mut().enumerate() {
-                if *src_done {
-                    continue;
-                }
-                let ch = self.channel(src, me);
-                let buf = &mut received[src];
-                let held = buf.len();
-                if !ch.try_recv(ctx.stats(), src != me, buf)
-                    && ch.drained_after_failed_recv(ctx.stats(), buf)
-                {
-                    *src_done = true;
-                    n_done += 1;
-                    progress = true;
-                }
-                // A batch arrived — through `try_recv`, or through a drain
-                // check that raced with a final publish and took the data
-                // itself (the next round then observes the close).
-                if buf.len() > held {
-                    progress = true;
-                    if !stash {
-                        accumulate_batch(basis, win, me, buf, &mut needles, &mut idx);
-                        buf.clear();
-                    }
-                }
+        loop {
+            if let Some(result) = ready(inbox) {
+                return result;
             }
-            if progress {
+            if inbox.as_mut().is_some_and(|inbox| self.drain_once(inbox)) {
                 idle_spins = 0;
+                continue;
+            }
+            // Spin briefly, then yield: oversubscribed simulated locales
+            // must let the thread run that this one waits for.
+            idle_spins = idle_spins.saturating_add(1);
+            if idle_spins < 8 {
+                std::hint::spin_loop();
             } else {
-                // Spin briefly, then yield: oversubscribed simulated
-                // locales must let producers run.
-                idle_spins = idle_spins.saturating_add(1);
-                if idle_spins < 8 {
-                    std::hint::spin_loop();
+                // A peer that stopped feeding or draining us would leave
+                // this loop spinning forever, so surface the cause.
+                // Three distinct failures hide behind the one call,
+                // with different exits: a task of this process that
+                // *panicked* (its channels never close, its buffers are
+                // never freed) takes its siblings down with it and the
+                // product re-raises what it threw; a *dead* peer is
+                // fail-stop (`TransportError::PeerFailed`, job aborts,
+                // the supervisor relaunches), while a *poisoned* epoch —
+                // frame CRC, segment checksum or ABFT — unwinds as a
+                // catchable `TransportError::Corruption` so the solver
+                // rolls the product back (a stash dies with the unwind,
+                // as it should). Integrity outranks liveness in the
+                // check, so a peer that detects corruption and unwinds
+                // (going quiet mid-product) is attributed as corruption,
+                // not as a crash.
+                self.ctx.poll_failure();
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    /// The drain step of a consumer role: one non-blocking pass over the
+    /// channels addressed to this locale, ranking and accumulating what
+    /// arrived into the local part of `y` — or, under
+    /// [`PcOptions::deterministic`], taking it just as eagerly (producers
+    /// never stall on flow control) but leaving it *stashed* per source.
+    /// Returns whether anything arrived or closed.
+    fn drain_once(&self, inbox: &mut Inbox<S>) -> bool {
+        let Inbox { stash, open, scratch } = inbox;
+        let mut progress = false;
+        open.retain(|&src| {
+            let ch = self.engine.channel(src, self.ctx.locale());
+            let (stats, remote) = (self.ctx.stats(), src != self.ctx.locale());
+            let mut take = |batch: &[(u64, S)]| {
+                progress = true;
+                if self.engine.opts.deterministic {
+                    stash[src].extend_from_slice(batch);
                 } else {
-                    // A producer that stopped feeding us would leave
-                    // this loop spinning forever, so surface the cause.
-                    // Three distinct failures hide behind the one call,
-                    // with different exits: a task of this process that
-                    // *panicked* (its channels never close) takes its
-                    // siblings down with it and the product re-raises
-                    // what it threw; a *dead* peer is fail-stop
-                    // (`TransportError::PeerFailed`, job aborts, the
-                    // supervisor relaunches), while a *poisoned* epoch —
-                    // frame CRC, segment checksum or ABFT — unwinds as a
-                    // catchable `TransportError::Corruption` so the
-                    // solver rolls the product back (a stash dies with
-                    // the unwind, as it should). Integrity outranks
-                    // liveness in the check, so a peer that detects
-                    // corruption and unwinds (going quiet mid-product)
-                    // is attributed as corruption, not as a crash.
-                    ctx.poll_failure();
-                    std::thread::yield_now();
+                    self.accumulate(batch, scratch);
                 }
-            }
-        }
-        if !stash {
-            return;
-        }
-        // All sources closed and drained; wait out the local producer's
-        // row-ordered adds, then apply the stashes in source order.
-        let backoff = Backoff::new();
-        while live_local_producers.load(Ordering::Acquire) != 0 {
-            if backoff.is_completed() {
-                // The local producer may be unwinding (a panic, a
-                // poisoned epoch) rather than still working: poll so this
-                // waiter joins the unwind instead of snoozing against a
-                // countdown that will never reach zero.
-                ctx.poll_failure();
-            }
-            backoff.snooze();
-        }
-        for batch in received.iter().filter(|b| !b.is_empty()) {
-            accumulate_batch(basis, win, me, batch, &mut needles, &mut idx);
+            };
+            // A batch arrives through `try_recv`, or through a drain check
+            // that raced with a final publish and took the data itself
+            // (the next pass then observes the close).
+            ch.try_recv(stats, remote, &mut take)
+                || !ch.drained_after_failed_recv(stats, remote, &mut take)
+        });
+        progress
+    }
+
+    /// The end of a thread's product: drains until every source closed.
+    /// Under [`PcOptions::deterministic`] the stashes are applied then —
+    /// this locale's channel to itself closed too, which its producer does
+    /// after its row-ordered local adds — source by source in locale
+    /// order, FIFO within each source. Batch boundaries and contents are
+    /// identical on every backend and schedule (single producer, fixed
+    /// capacity), so that accumulation order is too.
+    fn drain_to_completion(&self, inbox: &mut Option<Inbox<S>>) {
+        let drained = |inbox: &Inbox<S>| inbox.open.is_empty();
+        self.wait(inbox, |inbox| inbox.as_ref().is_none_or(drained).then_some(()));
+        if let Some(Inbox { stash, scratch, .. }) = inbox {
+            stash.iter().for_each(|batches| self.accumulate(batches, scratch));
         }
     }
 }
@@ -424,6 +522,22 @@ pub fn matvec_pc<S: Scalar>(
 mod tests {
     use super::*;
     use crate::basis::enumerate_dist;
+
+    impl<S: Scalar> PcEngine<S> {
+        /// The test seam of `produce`: counts the staged values a producer
+        /// tallied down to the one to alter.
+        pub(super) fn perturb(&self, run: &mut [(u64, S)]) {
+            let mut at = self.perturb_at.lock().unwrap();
+            match *at {
+                Some(i) if i < run.len() => {
+                    run[i].1 += S::from_reals([1e-3, 0.0]);
+                    *at = None;
+                }
+                Some(i) => *at = Some(i - run.len()),
+                None => {}
+            }
+        }
+    }
     use ls_basis::SectorSpec;
     use ls_expr::builders::heisenberg;
     use ls_runtime::ClusterSpec;
@@ -433,11 +547,18 @@ mod tests {
         n: usize,
         locales: usize,
     ) -> (Cluster, SymmetrizedOperator<f64>, DistSpinBasis, DistVec<f64>) {
+        setup_on(n, ClusterSpec::new(locales, 2))
+    }
+
+    fn setup_on(
+        n: usize,
+        spec: ClusterSpec,
+    ) -> (Cluster, SymmetrizedOperator<f64>, DistSpinBasis, DistVec<f64>) {
         let kernel = heisenberg(&chain_bonds(n), 1.0).to_kernel(n as u32).unwrap();
         let group = chain_group(n, 0, Some(0), Some(0)).unwrap();
         let sector = SectorSpec::new(n as u32, Some(n as u32 / 2), group).unwrap();
         let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
-        let cluster = Cluster::new(ClusterSpec::new(locales, 2));
+        let cluster = Cluster::new(spec);
         let basis = enumerate_dist(&cluster, &sector, 3);
         let x = DistVec::from_parts(
             basis
@@ -448,6 +569,68 @@ mod tests {
                 .collect(),
         );
         (cluster, op, basis, x)
+    }
+
+    #[test]
+    fn roles_are_dealt_once_each_onto_no_more_threads_than_cores() {
+        // (producers, consumers, cores): a role each, fewer cores than
+        // roles, more cores than roles, one of everything.
+        for (producers, consumers, cores) in
+            [(1, 1, 2), (1, 1, 1), (2, 2, 1), (2, 2, 3), (3, 1, 2), (1, 3, 8), (2, 2, 4)]
+        {
+            let opts = PcOptions { producers, consumers, ..PcOptions::default() };
+            let (roles, threads) = (producers + consumers, opts.threads(cores));
+            assert!(threads >= 1 && threads <= cores && threads <= roles);
+            let mut placed = vec![0; roles];
+            for thread in 0..threads {
+                let mine: Vec<usize> = thread_roles(thread, threads, roles).collect();
+                assert!(!mine.is_empty(), "thread {thread} of {threads} idles");
+                // Producer roles come first: a thread drains to completion
+                // only after its last producer finished.
+                assert!(mine.windows(2).all(|w| w[0] < w[1]));
+                mine.iter().for_each(|&role| placed[role] += 1);
+            }
+            assert_eq!(placed, vec![1; roles], "p={producers} c={consumers} cores={cores}");
+        }
+        // The benchmark's distributed workload: 2 locales × 1 core with
+        // the default options is 2 threads, not 4.
+        assert_eq!(PcOptions::default().threads(1), 1);
+        assert_eq!(PcOptions::default().threads(2), 2);
+    }
+
+    #[test]
+    fn a_value_altered_after_the_tally_fails_the_product_as_abft_corruption() {
+        // cores = 1: both roles on one thread, plain adds; cores = 2: a
+        // thread per role, atomic adds. Value 5 stays local or ships,
+        // depending on the hash — either way it never matches its tally.
+        for cores in [1usize, 2] {
+            let (cluster, op, basis, x) = setup_on(12, ClusterSpec::new(2, cores));
+            let lens = basis.states().lens();
+            let opts = PcOptions { capacity: 16, ..PcOptions::default() };
+            let engine = PcEngine::<f64>::new(2, opts);
+            *engine.perturb_at.lock().unwrap() = Some(5);
+            let mut y = DistVec::<f64>::zeros(&lens);
+            let product = std::panic::AssertUnwindSafe(|| {
+                engine.apply(&cluster, &op, &basis, &x, &mut y);
+            });
+            let payload =
+                std::panic::catch_unwind(product).expect_err("the tally must catch it");
+            match payload.downcast_ref::<ls_runtime::TransportError>() {
+                Some(ls_runtime::TransportError::Corruption { frame, .. }) => {
+                    assert_eq!(frame, "abft", "cores={cores}")
+                }
+                other => panic!("cores={cores}: unexpected payload {other:?}"),
+            }
+            // A fresh engine multiplies correctly.
+            let mut y_ref = DistVec::<f64>::zeros(&lens);
+            crate::matvec::matvec_naive(&cluster, &op, &basis, &x, &mut y_ref);
+            matvec_pc(&cluster, &op, &basis, &x, &mut y, opts);
+            for l in 0..2 {
+                for (a, b) in y.part(l).iter().zip(y_ref.part(l)) {
+                    assert!((a - b).abs() < 1e-10, "cores={cores}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! a 1-pair capacity degenerates to the naive formulation's granularity,
 //! 4096 exceeds the whole off-diagonal volume so everything ships in the
 //! final drain — in arrival order and in the deterministic (stashing)
-//! order, which must also repeat bit for bit.
+//! order, which must also repeat bit for bit, on every schedule: one
+//! thread per locale for all roles (`cores = 1`), a thread per role, and
+//! in between.
 
 use ls_basis::{SectorSpec, SpinBasis, SymmetrizedOperator};
 use ls_dist::matvec::{matvec_pc, PcOptions};
@@ -39,10 +41,10 @@ fn scatter(basis: &SpinBasis, dist: &DistSpinBasis, dense: &[f64]) -> DistVec<f6
 
 #[test]
 fn pc_pipeline_across_batch_capacities() {
-    // (sites, reflection sector, locale counts, cores per locale)
-    let cases: [(usize, Option<i64>, &[usize], usize); 2] =
-        [(12, Some(0), &[1, 3], 2), (10, None, &[4], 1)];
-    for (n, reflection, locale_counts, cores) in cases {
+    // (sites, reflection sector, locale counts)
+    let cases: [(usize, Option<i64>, &[usize]); 2] = [(12, Some(0), &[1, 3]), (10, None, &[4])];
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (n, reflection, locale_counts) in cases {
         let kernel = heisenberg(&chain_bonds(n), 1.0).to_kernel(n as u32).unwrap();
         let group = chain_group(n, 0, reflection, Some(0)).unwrap();
         let sector = SectorSpec::new(n as u32, Some(n as u32 / 2), group).unwrap();
@@ -51,7 +53,11 @@ fn pc_pipeline_across_batch_capacities() {
         let x: Vec<f64> = (0..basis.dim()).map(|i| ((i as f64) * 0.73).sin() - 0.2).collect();
         let y_ref = serial_reference(&op, &basis, &x);
 
-        for &locales in locale_counts {
+        // Capacity 1 with 2 + 2 roles on the one thread of each of 4
+        // locales is the deadlock probe: nothing there may block.
+        for (&locales, cores) in
+            locale_counts.iter().flat_map(|l| [1usize, 2, 4].map(|c| (l, c)))
+        {
             let cluster = Cluster::new(ClusterSpec::new(locales, cores));
             let dist = enumerate_dist(&cluster, &sector, 2);
             let xd = scatter(&basis, &dist, &x);
@@ -68,8 +74,8 @@ fn pc_pipeline_across_batch_capacities() {
                             let expect = y_ref[basis.index_of(s).unwrap()];
                             assert!(
                                 (yd.part(l)[i] - expect).abs() < 1e-11,
-                                "n={n} locales={locales} capacity={capacity} p={producers} \
-                                 c={consumers} det={deterministic} state={s:#b}"
+                                "n={n} locales={locales} cores={cores} capacity={capacity} \
+                                 p={producers} c={consumers} det={deterministic} state={s:#b}"
                             );
                         }
                     }
@@ -79,14 +85,17 @@ fn pc_pipeline_across_batch_capacities() {
                         // same bits, part by part.
                         let mut again = DistVec::<f64>::zeros(&dist.states().lens());
                         matvec_pc(&cluster, &op, &dist, &xd, &mut again, opts);
+                        // Nor on the schedule: the product of one thread
+                        // per locale has the same bits too.
+                        let one_core = Cluster::new(ClusterSpec::new(locales, 1));
+                        let mut shared = DistVec::<f64>::zeros(&dist.states().lens());
+                        matvec_pc(&one_core, &op, &dist, &xd, &mut shared, opts);
                         for l in 0..locales {
-                            let bits =
-                                |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                            assert_eq!(
-                                bits(again.part(l)),
-                                bits(yd.part(l)),
-                                "n={n} locales={locales} capacity={capacity} part {l}"
+                            let at = format!(
+                                "n={n} locales={locales} cores={cores} capacity={capacity} part {l}"
                             );
+                            assert_eq!(bits(again.part(l)), bits(yd.part(l)), "{at}");
+                            assert_eq!(bits(shared.part(l)), bits(yd.part(l)), "{at}");
                         }
                     }
                 }

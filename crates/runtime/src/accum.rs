@@ -4,7 +4,10 @@
 //! Scalars are viewed as their `f64` lanes and accumulated with CAS loops
 //! on `AtomicU64` bit patterns; `Relaxed` ordering suffices because
 //! accumulation is commutative and the epoch ends with a barrier that
-//! publishes everything.
+//! publishes everything. A caller that is the only writer of a part for
+//! as long as it accumulates — the producer/consumer product of a locale
+//! that runs one thread — skips the CAS through
+//! [`AtomicAccumWindow::add_exclusive`]: same lanes, same sums.
 //!
 //! The window itself performs no statistics recording: whether an
 //! accumulation is "remote" depends on the algorithm (the batched matvec
@@ -120,6 +123,29 @@ impl<'a, S: Scalar> AtomicAccumWindow<'a, S> {
         }
     }
 
+    /// `vec[locale][index] += val` for a caller that is the **only** writer
+    /// of `locale`'s part while it accumulates (one thread owns the part,
+    /// which this process hosts): the same lanes, bounds check and
+    /// arithmetic as [`Self::fetch_add`], as a relaxed load and a relaxed
+    /// store instead of a CAS loop. A concurrent writer of the same
+    /// element would not be undefined behaviour — the lanes stay atomic —
+    /// but its add could be lost.
+    #[inline]
+    pub fn add_exclusive(&self, locale: usize, index: usize, val: S) {
+        let (base, len) = self.parts[locale];
+        assert!(index < len, "accumulate out of bounds: {index} >= {len}");
+        debug_assert!(self.mp.is_none_or(|(_, me, _)| me == locale), "not this rank's part");
+        for (lane, &add) in val.to_reals().iter().enumerate().take(S::N_REALS) {
+            if add == 0.0 {
+                continue;
+            }
+            // SAFETY: index bounds checked; all epoch access is atomic.
+            let cell = unsafe { &*base.add(index * S::N_REALS + lane) };
+            let sum = f64::from_bits(cell.load(Ordering::Relaxed)) + add;
+            cell.store(sum.to_bits(), Ordering::Relaxed);
+        }
+    }
+
     /// Atomic read of one element (diagnostics / tests). Multiprocess:
     /// only this rank's part is authoritative — a remote `locale` reads
     /// the stale local replica.
@@ -202,6 +228,34 @@ mod tests {
         let z = y.part(0)[1];
         assert!(z.approx_eq(Complex64::new(75.0, -150.0), 1e-9), "{z:?}");
         assert_eq!(y.part(0)[0], Complex64::ZERO);
+    }
+
+    #[test]
+    fn exclusive_adds_have_the_bits_of_atomic_ones() {
+        let adds = [0.1, -0.0, 0.7, 1e-17, -0.3, 0.0];
+        let (mut plain, mut atomic) =
+            (DistVec::<f64>::zeros(&[2]), DistVec::<f64>::zeros(&[2]));
+        let mut z = DistVec::<Complex64>::zeros(&[1]);
+        {
+            let (p, a) =
+                (AtomicAccumWindow::new(&mut plain), AtomicAccumWindow::new(&mut atomic));
+            let zw = AtomicAccumWindow::new(&mut z);
+            for &v in &adds {
+                p.add_exclusive(0, 1, v);
+                a.fetch_add(0, 1, v);
+                zw.add_exclusive(0, 0, Complex64::new(v, -v));
+            }
+        }
+        assert_eq!(plain.part(0)[1].to_bits(), atomic.part(0)[1].to_bits());
+        assert_eq!(plain.part(0)[0].to_bits(), 0.0f64.to_bits());
+        assert_eq!(z.part(0)[0], Complex64::new(atomic.part(0)[1], -atomic.part(0)[1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn exclusive_adds_are_bounds_checked() {
+        let mut y = DistVec::<f64>::zeros(&[2]);
+        AtomicAccumWindow::new(&mut y).add_exclusive(0, 2, 1.0);
     }
 
     #[test]

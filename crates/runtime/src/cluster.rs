@@ -4,8 +4,8 @@
 //! executes one task per locale (`coforall loc in Locales`),
 //! [`Cluster::run_tasks`] several concurrent tasks per locale (what the
 //! producer/consumer pipeline needs: all tasks of a run are genuinely
-//! concurrent, since producers block on channel capacity until consumers
-//! drain). Every `(locale, task)` slot gets a scoped thread that is
+//! concurrent, since a producer makes no progress on a full channel
+//! until a consumer — on another thread or another locale — drains it). Every `(locale, task)` slot gets a scoped thread that is
 //! joined before the call returns, so nothing a `Cluster` starts outlives
 //! the run that started it. The spawns cost ~0.2 ms per run
 //! (`runtime.run_dispatch_us` in the repo benchmark) where a distributed
@@ -14,8 +14,9 @@
 //!
 //! Failure is a property of the run: the first task to panic marks the
 //! run failed and keeps its payload, every loop that waits on a sibling
-//! ([`LocaleCtx::barrier_wait`], a channel claim, the producer/consumer
-//! drains) polls [`LocaleCtx::poll_failure`] and unwinds quietly once the
+//! ([`LocaleCtx::barrier_wait`], the producer/consumer product's wait for
+//! a channel buffer or for a stream to close) polls
+//! [`LocaleCtx::poll_failure`] and unwinds quietly once the
 //! mark is set, and the call re-raises the first payload as thrown. A
 //! panicking task fails its run; it does not hang it.
 //!
@@ -44,8 +45,12 @@ pub struct ClusterSpec {
     /// Number of locales (compute nodes).
     pub locales: usize,
     /// Cores per node of the machine being described (the paper's nodes
-    /// have 128), for reports. It sizes nothing: the task width of a
-    /// product is `PcOptions::{producers, consumers}`.
+    /// have 128). It bounds the threads a locale runs at a time: the
+    /// producer/consumer product deals its `PcOptions::{producers,
+    /// consumers}` roles onto `min(producers + consumers,
+    /// cores_per_locale)` threads per locale, and with one core a locale's
+    /// only thread accumulates without atomics. [`Cluster::run_tasks`]
+    /// itself starts what it is asked for.
     pub cores_per_locale: usize,
 }
 

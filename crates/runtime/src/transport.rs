@@ -49,13 +49,11 @@
 //! * barriers order everything: an operation issued before a barrier on
 //!   one rank happens-before anything issued after that barrier anywhere.
 
-use crate::cluster::LocaleCtx;
 use crate::crc32c::{crc32c, crc32c_append};
 use crate::fault::{FaultKind, FaultPlan, FrameClass};
-use crate::remote::BufferChannel;
+use crate::remote::{BufferChannel, RING_SLOTS};
 use crate::stats::CommStats;
 use bytes::{Buf, BufMut};
-use crossbeam::utils::Backoff;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::fs::{self, File};
@@ -497,8 +495,8 @@ struct ChanInbox {
 }
 
 /// Sender-side flow control of one multiprocess channel: mirrors the
-/// single-buffer ownership of the in-process [`BufferChannel`] (one
-/// outstanding batch; a credit returns when the consumer took it).
+/// buffer ring of the in-process [`BufferChannel`] (`RING_SLOTS`
+/// outstanding batches; a credit returns when the consumer took one).
 struct ChanCredits {
     avail: AtomicUsize,
 }
@@ -1368,11 +1366,9 @@ impl MpRuntime {
 
     fn credit_cell(&self, chan: u64) -> Arc<ChanCredits> {
         Arc::clone(
-            self.credits
-                .lock()
-                .unwrap()
-                .entry(chan)
-                .or_insert_with(|| Arc::new(ChanCredits { avail: AtomicUsize::new(1) })),
+            self.credits.lock().unwrap().entry(chan).or_insert_with(|| {
+                Arc::new(ChanCredits { avail: AtomicUsize::new(RING_SLOTS) })
+            }),
         )
     }
 
@@ -2162,10 +2158,10 @@ pub(crate) fn decode_extend<T: Copy>(payload: &[u8], out: &mut Vec<T>) {
 /// Backend-agnostic (source locale → destination locale) staging channel:
 /// the transport-aware replacement for raw [`BufferChannel`] grids. The
 /// in-process variant *is* a `BufferChannel`; the multiprocess variants
-/// speak the CHAN/CLOSE/CREDIT frame protocol, with exactly the same
-/// single-outstanding-batch flow control and the same per-operation
-/// [`CommStats`] attribution, so channel statistics agree across
-/// backends.
+/// speak the CHAN/CLOSE/CREDIT frame protocol, with the same flow control
+/// (a ring of two buffers there, as many batch credits here)
+/// and the same per-operation [`CommStats`] attribution, so channel
+/// statistics agree across backends.
 pub enum PairChannel<T: Copy + Default> {
     /// Both endpoints in this process (in-process backend, or the local
     /// loopback pair of the multiprocess backend).
@@ -2244,37 +2240,29 @@ impl<T: Copy + Default> PairChannel<T> {
         out
     }
 
-    /// Producer: blocking claim of the (single) staging buffer. The wait
-    /// polls [`LocaleCtx::poll_failure`]: the consumer that should free
-    /// the buffer may be a task of a failed run, or (multiprocess) a dead
-    /// rank whose credit would never come back — the spin would outlast
-    /// the collective timeout.
-    pub fn claim(&self, ctx: &LocaleCtx<'_>) {
-        let backoff = Backoff::new();
-        loop {
-            let claimed = match self {
-                PairChannel::Local(ch) => ch.try_claim(),
-                PairChannel::Sender(s) => s
-                    .credits
-                    .avail
-                    .fetch_update(Ordering::Acquire, Ordering::Relaxed, |n| n.checked_sub(1))
-                    .is_ok(),
-                _ => panic!("claim on a non-producer channel endpoint"),
-            };
-            if claimed {
-                return;
-            }
-            if backoff.is_completed() {
-                ctx.poll_failure();
-            }
-            backoff.snooze();
+    /// Producer: tries to claim a staging buffer (multiprocess: a batch
+    /// credit) and returns the turn to pass to [`Self::send`] (which only
+    /// the in-process buffer ring gives a meaning). Never
+    /// blocks: the caller decides what to do while the consumer holds
+    /// every buffer, and must poll [`crate::LocaleCtx::poll_failure`]
+    /// while it retries — the consumer may be a task of a failed run, or
+    /// (multiprocess) a dead rank whose credit would never come back.
+    pub fn try_claim(&self) -> Option<usize> {
+        match self {
+            PairChannel::Local(ch) => ch.try_claim(),
+            PairChannel::Sender(s) => s
+                .credits
+                .avail
+                .fetch_update(Ordering::Acquire, Ordering::Relaxed, |n| n.checked_sub(1))
+                .ok(),
+            _ => panic!("claim on a non-producer channel endpoint"),
         }
     }
 
-    /// Producer: publishes a claimed batch to the consumer.
-    pub fn send(&self, stats: &CommStats, remote: bool, data: &[T]) {
+    /// Producer: publishes a batch into the buffer claimed for `turn`.
+    pub fn send(&self, turn: usize, stats: &CommStats, remote: bool, data: &[T]) {
         match self {
-            PairChannel::Local(ch) => ch.send(stats, remote, data),
+            PairChannel::Local(ch) => ch.send(turn, stats, remote, data),
             PairChannel::Sender(s) => {
                 assert!(data.len() <= s.capacity, "buffer overflow");
                 // SAFETY: channel payload types are padding-free PODs
@@ -2297,15 +2285,18 @@ impl<T: Copy + Default> PairChannel<T> {
         }
     }
 
-    /// Consumer: takes one published batch if available, appending the
-    /// elements to `out` and returning the buffer credit to the producer.
-    pub fn try_recv(&self, stats: &CommStats, remote: bool, out: &mut Vec<T>) -> bool {
+    /// Consumer: takes one published batch if available — `take` sees it
+    /// in place — and returns the buffer (credit) to the producer.
+    pub fn try_recv(&self, stats: &CommStats, remote: bool, take: impl FnOnce(&[T])) -> bool {
         match self {
-            PairChannel::Local(ch) => ch.try_recv(stats, remote, out),
+            PairChannel::Local(ch) => ch.try_recv(stats, remote, take),
             PairChannel::Receiver(r) => {
                 let payload = r.inbox.q.lock().unwrap().pop_front();
                 let Some(payload) = payload else { return false };
-                decode_extend(&payload, out);
+                // Wire payloads are unaligned: `take` sees a decoded copy.
+                let mut batch = Vec::new();
+                decode_extend(&payload, &mut batch);
+                take(&batch);
                 r.mp.send_credit(r.peer, r.id);
                 stats.record_flag_message();
                 true
@@ -2317,9 +2308,14 @@ impl<T: Copy + Default> PairChannel<T> {
     /// Consumer: true when the stream is certainly finished (closed
     /// observed, then one more failed receive). See
     /// [`BufferChannel::drained_after_failed_recv`].
-    pub fn drained_after_failed_recv(&self, stats: &CommStats, out: &mut Vec<T>) -> bool {
+    pub fn drained_after_failed_recv(
+        &self,
+        stats: &CommStats,
+        remote: bool,
+        take: impl FnOnce(&[T]),
+    ) -> bool {
         match self {
-            PairChannel::Local(ch) => ch.drained_after_failed_recv(stats, out),
+            PairChannel::Local(ch) => ch.drained_after_failed_recv(stats, remote, take),
             PairChannel::Receiver(r) => {
                 if !r.inbox.closed.load(Ordering::Acquire) {
                     // A producer that died mid-stream will never close;
@@ -2333,7 +2329,7 @@ impl<T: Copy + Default> PairChannel<T> {
                 }
                 // CLOSE travels behind every CHAN frame (per-peer FIFO),
                 // so closed + empty queue means drained for good.
-                !self.try_recv(stats, false, out)
+                !self.try_recv(stats, remote, take)
             }
             _ => panic!("drain check on a non-consumer channel endpoint"),
         }
@@ -2350,12 +2346,12 @@ impl<T: Copy + Default> PairChannel<T> {
             PairChannel::Local(ch) => ch.reset(),
             PairChannel::Sender(s) => {
                 let avail = s.credits.avail.load(Ordering::Acquire);
-                if avail != 1 {
+                if avail != RING_SLOTS {
                     // A consumer that unwound out of a poisoned epoch
                     // never returned the credit — recoverable, not a
                     // protocol bug.
                     s.mp.raise_if_poisoned();
-                    panic!("reset while the consumer still holds the batch credit ({avail})");
+                    panic!("reset while the consumer still holds a batch credit ({avail})");
                 }
             }
             PairChannel::Receiver(r) => {
@@ -2405,45 +2401,17 @@ mod tests {
         let grid = PairChannel::<(u64, f64)>::grid(3, 8);
         assert_eq!(grid.len(), 9);
         let stats = CommStats::new();
-        crate::Cluster::new(crate::ClusterSpec::new(1, 1)).run(|ctx| {
-            for ch in &grid {
-                assert!(matches!(ch, PairChannel::Local(_)));
-                ch.claim(ctx);
-                ch.send(&stats, true, &[(7, 0.5)]);
-                let mut out = Vec::new();
-                assert!(ch.try_recv(&stats, true, &mut out));
-                assert_eq!(out, vec![(7, 0.5)]);
-                ch.close();
-                assert!(ch.drained_after_failed_recv(&stats, &mut out));
-                ch.reset();
-            }
-        });
-    }
-
-    #[test]
-    fn a_producer_awaiting_its_buffer_unwinds_when_the_consumer_task_panics() {
-        let grid = PairChannel::<u64>::grid(1, 4);
-        let stats = CommStats::new();
-        let full = AtomicBool::new(false);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            crate::Cluster::new(crate::ClusterSpec::new(1, 1)).run_tasks(2, |ctx, task| {
-                if task == 0 {
-                    grid[0].claim(ctx);
-                    grid[0].send(&stats, false, &[1]);
-                    full.store(true, Ordering::Release);
-                    // Nobody takes the batch: without the poll this spins
-                    // forever.
-                    grid[0].claim(ctx);
-                    unreachable!("claimed a buffer that is still full");
-                }
-                while !full.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-                panic!("consumer gave up");
-            });
-        }));
-        let payload = result.unwrap_err();
-        assert_eq!(payload.downcast_ref::<&str>(), Some(&"consumer gave up"));
+        for ch in &grid {
+            assert!(matches!(ch, PairChannel::Local(_)));
+            let turn = ch.try_claim().expect("a fresh channel has a free buffer");
+            ch.send(turn, &stats, true, &[(7, 0.5)]);
+            assert!(ch.try_recv(&stats, true, |batch| assert_eq!(batch, [(7, 0.5)])));
+            ch.close();
+            assert!(ch.drained_after_failed_recv(&stats, true, |_| panic!("drained")));
+            ch.reset();
+        }
+        // One flag message per publish and per release, none for loopback.
+        assert_eq!(stats.snapshot().flag_messages, 2 * stats.snapshot().puts);
     }
 
     #[test]

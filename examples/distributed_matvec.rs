@@ -50,9 +50,15 @@ fn main() {
     // can be compared on the same shape (reduction order follows it).
     let locales = exact_diag::runtime::collective::locales_from_env(4);
     let cores = 2usize;
+    // A product deals its producer and consumer roles onto at most `cores`
+    // threads per locale (one role each here; with one core a locale's
+    // only thread would produce, drain its own inbox and add plainly).
+    let pc = PcOptions::default();
+    let threads = (pc.producers + pc.consumers).min(cores);
 
     say!(
-        "== {} cluster: {locales} locales x {cores} cores (backend: {}) ==",
+        "== {} cluster: {locales} locales x {cores} cores, {threads} threads per locale \
+         (backend: {}) ==",
         if mp.is_some() { "multiprocess" } else { "simulated" },
         transport::backend().name()
     );

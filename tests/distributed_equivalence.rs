@@ -559,7 +559,13 @@ fn stats_scale_with_locales() {
         let mut yd = DistVec::<f64>::zeros(&dist.states().lens());
         cluster.reset_stats();
         matvec_pc(&cluster, &op, &dist, &xd, &mut yd, PcOptions::default());
-        remote_bytes.push(cluster.stats_total().put_bytes as f64);
+        let stats = cluster.stats_total();
+        remote_bytes.push(stats.put_bytes as f64);
+        // A flag message is a `remoteAtomicWrite` between two locales: one
+        // publishes each remote batch, one hands its buffer back. Loopback
+        // channels and the depth of the buffer ring add none.
+        assert!(stats.puts > 0);
+        assert_eq!(stats.flag_messages, 2 * stats.puts, "locales={locales}");
     }
     // Expected ratio ≈ (1 - 1/4) / (1 - 1/2) = 1.5; allow slack for
     // buffer-boundary effects.

@@ -118,6 +118,63 @@ fn a_panicking_producer_fails_the_product_instead_of_hanging_it() {
 }
 
 #[test]
+fn a_panic_inside_a_drain_step_fails_the_product_instead_of_hanging_it() {
+    // The twin of the test above with the panic on the consuming side:
+    // locale 1's part lacks one state that only rows of locale 0 connect
+    // to (H is symmetric, so those are the rows the state itself emits to),
+    // which makes locale 0's producer ship a pair locale 1 cannot rank.
+    // With one core per locale that drain step runs on the thread of
+    // locale 1's producer; with two it is the consumer thread that dies
+    // while both producers wait for channel buffers nobody will free.
+    let n = 10usize;
+    let kernel = heisenberg(&chain_bonds(n), 1.0).to_kernel(n as u32).unwrap();
+    let sector = SectorSpec::with_weight(n as u32, 5).unwrap();
+    let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
+    let full = enumerate_dist(&Cluster::new(ClusterSpec::new(2, 1)), &sector, 2);
+    let mut row = Vec::new();
+    let victim = (0..full.local_dim(1))
+        .find(|&i| {
+            row.clear();
+            op.apply_off_diag(
+                full.states().part(1)[i],
+                full.orbit_sizes().part(1)[i],
+                &mut row,
+            );
+            !row.is_empty() && row.iter().all(|&(rep, _)| full.owner(rep) == 0)
+        })
+        .expect("a state of locale 1 with all its neighbours on locale 0");
+    let without = |part: &[u64]| [&part[..victim], &part[victim + 1..]].concat();
+    let states = vec![full.states().part(0).to_vec(), without(full.states().part(1))];
+    let orbits = vec![vec![1u32; states[0].len()], vec![1u32; states[1].len()]];
+    for cores in [1usize, 2] {
+        let basis = exact_diag::dist::DistSpinBasis::from_parts(
+            sector.clone(),
+            DistVec::from_parts(states.clone()),
+            DistVec::from_parts(orbits.clone()),
+        );
+        let op = op.clone();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let cluster = Cluster::new(ClusterSpec::new(2, cores));
+            let lens = basis.states().lens();
+            let x = DistVec::from_parts(lens.iter().map(|&len| vec![1.0f64; len]).collect());
+            let mut y = DistVec::<f64>::zeros(&lens);
+            let opts = PcOptions { capacity: 4, ..PcOptions::default() };
+            let product = std::panic::AssertUnwindSafe(|| {
+                matvec_pc(&cluster, &op, &basis, &x, &mut y, opts)
+            });
+            let _ = tx.send(std::panic::catch_unwind(product));
+        });
+        let payload = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("cores={cores}: the product hung on its panicked drain"))
+            .expect_err("a state outside the basis must fail the product");
+        let message = payload.downcast_ref::<String>().expect("the drain step's own payload");
+        assert!(message.contains("is not in the basis"), "cores={cores}: {message}");
+    }
+}
+
+#[test]
 #[should_panic(expected = "block layout mismatch")]
 fn conversion_layout_mismatch_panics() {
     let cluster = Cluster::new(ClusterSpec::new(2, 1));
