@@ -108,7 +108,8 @@ impl<S: Scalar> KrylovOp<DistVec<S>> for DistOp<'_, S> {
     }
 
     /// A zero vector in the basis's hashed distribution — the solvers'
-    /// workspace allocation hook (called once per solve, not per apply).
+    /// allocation hook (once per vector of a solve's first cycle, never
+    /// per product; see [`KrylovOp::new_vec`]).
     fn new_vec(&self) -> DistVec<S> {
         DistVec::zeros(&self.lens)
     }

@@ -11,8 +11,8 @@
 //! The propagators are generic over [`KrylovVec`]
 //! ([`evolve_real_time_in`] / [`evolve_imaginary_time_in`]): the Krylov
 //! factorization is the shared blocked-CGS2 pipeline of
-//! [`crate::lanczos`] (fused matvec+dot, one `multi_dot`/`multi_axpy`
-//! sweep per pass instead of a clone-and-subtract per basis vector), and
+//! [`crate::lanczos`] (fused matvec+dot, three blocked sweeps over the
+//! basis per step instead of a clone-and-subtract per basis vector), and
 //! the lift back is a single fused `multi_axpy` sweep. Distributed
 //! states evolve in place on their locale parts; the slice-based
 //! wrappers ([`evolve_real_time`] / [`evolve_imaginary_time`]) cover the

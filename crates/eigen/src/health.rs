@@ -193,9 +193,11 @@ impl HealthMonitor {
             return Ok(());
         }
         for (j, v) in basis.iter().enumerate() {
-            // One blocked sweep gives column j of the Gram matrix; by
-            // symmetry checking columns checks everything.
-            let col = V::multi_dot(basis, v);
+            // One blocked sweep gives column j of the Gram matrix down to
+            // its diagonal; the rest of the column is the conjugate of
+            // what later columns compute, so the upper triangle is
+            // everything.
+            let col = V::multi_dot(&basis[..=j], v);
             for (i, c) in col.iter().enumerate() {
                 let expect = if i == j { 1.0 } else { 0.0 };
                 let [cre, cim] = c.to_reals();
@@ -260,6 +262,17 @@ mod tests {
         let e = mon().check_basis(4, &drifted).unwrap_err();
         assert_eq!(e.check, "orthogonality");
         assert_eq!(e.cycle, 4);
+        // Each pair is visited once, from its later vector: corruption of
+        // the earlier one of a pair is caught there all the same, also
+        // when it leaves the norm alone.
+        let earlier: Vec<Vec<f64>> =
+            vec![vec![s, 0.0, s], vec![0.0, 1.0, 0.0], vec![0.0, 0.0, 1.0]];
+        let e = mon().check_basis(0, &earlier).unwrap_err();
+        assert!(e.detail.contains("<u_0, u_2>"), "{}", e.detail);
+        let later: Vec<Vec<f64>> =
+            vec![vec![1.0, 0.0, 0.0], vec![0.0, 1.0, 0.0], vec![s, 0.0, s]];
+        let e = mon().check_basis(0, &later).unwrap_err();
+        assert!(e.detail.contains("<u_0, u_2>"), "{}", e.detail);
         // NaN contamination is also drift (comparison written to fail on
         // NaN, not pass vacuously).
         let nan: Vec<Vec<f64>> = vec![vec![f64::NAN, 0.0, 0.0]];

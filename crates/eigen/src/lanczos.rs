@@ -5,13 +5,18 @@
 //! eigenvalues); since our Krylov dimensions are modest (≲ a few hundred)
 //! every new vector is reorthogonalized against all retained ones, twice
 //! ("twice is enough", Kahan–Parlett), as *blocked* classical
-//! Gram–Schmidt: `cgs2_beta` sweeps `w` once per pass to take all
-//! coefficients at a go (`multi_dot`) and once to apply them, the second
-//! update fused with the β norm ([`KrylovVec::multi_axpy_norm_sqr`]).
-//! With the fused matvec+dot ([`KrylovOp::apply_dot`]: `α_j` falls out of
-//! the product) that is one Lanczos step. On `Vec<S>` it lowers to the
-//! kernels of [`crate::op`] (bit-identical for any `LS_NUM_THREADS`); on
-//! `DistVec<S>` it runs in place on the locale parts.
+//! Gram–Schmidt in **three sweeps** over the basis: `cgs2_beta` takes the
+//! first pass's coefficients at a go ([`KrylovVec::multi_dot`]), applies
+//! them and takes the second pass's from the updated vector while each
+//! tile of it is resident ([`KrylovVec::multi_axpy_dot`]), and fuses the
+//! second update with the β norm ([`KrylovVec::multi_axpy_norm_sqr`]) —
+//! always two passes; skipping the second when the first removed little
+//! (DGKS) would change trajectories and is not done. With the fused
+//! matvec+dot ([`KrylovOp::apply_dot`]: `α_j` falls out of the product)
+//! that is one Lanczos step. On `Vec<S>` it lowers to the kernels of
+//! [`crate::op`] (bit-identical for any `LS_NUM_THREADS`); on
+//! `DistVec<S>` it runs in place on the locale parts, one `allreduce`
+//! per sweep.
 //!
 //! The eigen-recurrence built from that step exists once, in
 //! [`crate::restart`]; [`crate::expm`] and [`crate::spectral`] use the
@@ -41,14 +46,18 @@ pub struct LanczosOptions {
     pub seed: u64,
     /// Compute Ritz vectors?
     pub want_vectors: bool,
-    /// Memory budget: the most Krylov-state vectors (basis, workspace and
-    /// Ritz-assembly scratch) the solve may hold. When
-    /// `min(max_iter, dim) + 1` vectors (`+ k` with `want_vectors`) fit,
-    /// the solve is a single cycle that keeps every Krylov vector;
-    /// otherwise its cycles are cut to the budget and joined by thick
-    /// restarts, as [`crate::restart::thick_restart_lanczos_in`] does with
+    /// Memory budget: the most Krylov-state vectors (basis and
+    /// workspace) the solve may hold. When `min(max_iter, dim) + 1`
+    /// vectors (`+ k` with `want_vectors`) fit, the solve is a single
+    /// cycle that keeps every Krylov vector; otherwise its cycles are cut
+    /// to the budget and joined by thick restarts, as
+    /// [`crate::restart::thick_restart_lanczos_in`] does with
     /// `extra = max_retained - k` — so a budget below `2k + 3` that the
-    /// iteration cap does not fit is rejected, not ignored.
+    /// iteration cap does not fit is rejected, not ignored. The plan is
+    /// still cut as if compression and Ritz-vector assembly needed
+    /// vectors of their own; both run in place now, so a solve peaks at
+    /// its chain length + 1 ([`LanczosResultIn::peak_retained`]), below
+    /// the budget.
     pub max_retained: usize,
     /// Checkpoint/restart policy. Checkpoints are written at restart
     /// boundaries, so a solve that fits its budget in a single cycle
@@ -87,8 +96,10 @@ pub struct LanczosResultIn<V> {
     /// Did all `k` pairs meet the tolerance?
     pub converged: bool,
     /// High-water mark of simultaneously held Krylov-state vectors
-    /// (basis + workspace + any compression/assembly scratch) — the
-    /// solver's memory footprint in units of one state vector.
+    /// (basis + workspace + vectors kept for reuse; compression and
+    /// Ritz-vector assembly hold none of their own) — the solver's
+    /// memory footprint in units of one state vector: the longest
+    /// cycle's chain + 1.
     pub peak_retained: usize,
     /// Rollbacks performed by the silent-error defense
     /// ([`crate::health`]): cycles that detected corruption (transport
@@ -156,25 +167,18 @@ pub fn lanczos_smallest_in<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
     run_plan(op, &ropts, chain_cap, keep)
 }
 
-/// Two blocked CGS passes orthogonalizing `w` against `basis`, the second
-/// fused with the norm of the result: returns `β = ‖(1 - P)² w‖`. The
-/// first pass subsumes the explicit three-term subtractions (`⟨v_j, w⟩`
-/// *is* α and `⟨v_{j-1}, w⟩` is β up to rounding), so projecting against
-/// the whole basis removes them along with every older component.
+/// Two blocked CGS passes orthogonalizing `w` against `basis` in three
+/// sweeps over it: the coefficients of the first pass, its update fused
+/// with the coefficients of the second, and the second update fused with
+/// the norm of the result — returns `β = ‖(1 - P)² w‖`. The first pass
+/// subsumes the explicit three-term subtractions (`⟨v_j, w⟩` *is* α and
+/// `⟨v_{j-1}, w⟩` is β up to rounding), so projecting against the whole
+/// basis removes them along with every older component.
 pub(crate) fn cgs2_beta<V: KrylovVec>(basis: &[V], w: &mut V) -> f64 {
-    let mut beta_sqr = f64::NAN;
-    for pass in 0..2 {
-        let mut coeffs = V::multi_dot(basis, w);
-        for c in &mut coeffs {
-            *c = -*c;
-        }
-        if pass == 1 {
-            beta_sqr = V::multi_axpy_norm_sqr(&coeffs, basis, w);
-        } else {
-            V::multi_axpy(&coeffs, basis, w);
-        }
-    }
-    beta_sqr.sqrt()
+    let negated = |coeffs: Vec<V::Scalar>| coeffs.into_iter().map(|c| -c).collect::<Vec<_>>();
+    let c1 = negated(V::multi_dot(basis, w));
+    let c2 = negated(V::multi_axpy_dot(&c1, basis, w));
+    V::multi_axpy_norm_sqr(&c2, basis, w).sqrt()
 }
 
 /// Builds an orthonormal Krylov basis from `v0` (consumed — it becomes

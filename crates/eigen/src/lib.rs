@@ -21,9 +21,9 @@
 //!   ([`LinearOp::apply_dot`]);
 //! * [`op`] — the BLAS-1 layer, written once over the lane: serial
 //!   helpers plus the **parallel deterministic kernels** (`par_dot`,
-//!   `par_norm_sqr`, blocked multi-vector `par_multi_dot`/`par_multi_axpy`,
-//!   fused axpy+norm) whose reductions are bit-identical at any
-//!   `LS_NUM_THREADS`;
+//!   `par_norm_sqr`, blocked multi-vector `par_multi_dot`/`par_multi_axpy`
+//!   and their fusions, in-place `par_combine_in_place`) whose
+//!   reductions are bit-identical at any `LS_NUM_THREADS`;
 //! * [`restart`] — the one Lanczos eigen-recurrence: full (blocked CGS2)
 //!   reorthogonalization and Ritz-residual convergence control, written
 //!   once against the vector abstraction on the parallel fused pipeline,

@@ -10,16 +10,19 @@
 //!   lane's loop over the whole slice, linear accumulation order, used by
 //!   the dense references and anywhere a plain loop is the right tool;
 //! * the **parallel deterministic** kernels ([`par_dot`],
-//!   [`par_norm_sqr`], [`par_axpy`], [`par_scale`], [`par_axpy_norm_sqr`]
-//!   and the blocked multi-vector [`par_multi_dot`] / [`par_multi_axpy`] /
-//!   [`par_multi_axpy_norm_sqr`]) that the Lanczos pipeline runs on. Each
-//!   is the lane's block loop handed to one of two private drivers — a
-//!   blocked reduce and a blocked update(+reduce) — which own the *fixed*
-//!   partition ([`REDUCE_BLOCK`], independent of the thread count), the
-//!   inline-or-pool decision ([`MIN_PAR_BLOCKS`]) and the fixed pairwise
-//!   tree ([`pairwise_sum`]) over the per-block partials. The result is
-//!   bit-identical for `LS_NUM_THREADS = 1, 2, …, N`, only the wall time
-//!   changes.
+//!   [`par_norm_sqr`], [`par_axpy`], [`par_scale`], [`par_axpy_norm_sqr`],
+//!   the blocked multi-vector [`par_multi_dot`] / [`par_multi_axpy`] /
+//!   [`par_multi_axpy_dot`] / [`par_multi_axpy_norm_sqr`] and the
+//!   in-place [`par_combine_in_place`]) that the Lanczos pipeline runs
+//!   on. Each is the lane's block loop handed to **one** private driver,
+//!   which owns the *fixed* partition ([`REDUCE_BLOCK`], independent of
+//!   the thread count), the inline-or-pool decision ([`MIN_PAR_BLOCKS`])
+//!   and the fixed pairwise tree ([`pairwise_sum`]) over the per-block
+//!   partials; a block may update one vector, many, or none, and take
+//!   any number of sums on the way. The result is bit-identical for
+//!   `LS_NUM_THREADS = 1, 2, …, N`, only the wall time changes. Inside a
+//!   block the multi-vector loops run in tiles, several vectors per pass
+//!   ([`ls_kernels::lane`]) — at memory bandwidth, on the same bits.
 
 use ls_kernels::{Lane, Scalar};
 use rayon::prelude::*;
@@ -198,59 +201,55 @@ pub fn store_partial<S: Scalar>(lanes: &[AtomicU64], slot: usize, value: S) {
     }
 }
 
-/// The blocked *reduce* driver: `m` sums over the index range `0..n`,
-/// sweeping it once. `block(lo, hi, sink)` computes every sum restricted
-/// to one [`REDUCE_BLOCK`] block and hands them to `sink(b, partial)`;
-/// the driver owns the partition, the inline/pool decision and the
-/// per-sum [`pairwise_sum`] tree over the block partials.
-fn blocked_reduce<A: Scalar>(
-    n: usize,
-    m: usize,
-    block: impl Fn(usize, usize, &mut dyn FnMut(usize, A)) + Sync,
-) -> Vec<A> {
-    if m == 0 {
-        return Vec::new();
+/// Hands out `w` one block at a time, front to back — the `take` of
+/// [`blocked`] for a kernel that updates `w`.
+fn blocks_of<'a, L>(w: &'a mut [L]) -> impl FnMut(usize) -> &'a mut [L] {
+    let mut rest = w;
+    move |len| {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        head
     }
-    let n_blocks = n.div_ceil(REDUCE_BLOCK).max(1);
-    let bounds = |k: usize| (k * REDUCE_BLOCK, ((k + 1) * REDUCE_BLOCK).min(n));
-    // partials[b * n_blocks + k] = sum `b` restricted to block `k`.
-    let mut partials = vec![A::ZERO; m * n_blocks];
-    if n_blocks < MIN_PAR_BLOCKS {
-        for k in 0..n_blocks {
-            let (lo, hi) = bounds(k);
-            block(lo, hi, &mut |b, p| partials[b * n_blocks + k] = p);
-        }
-    } else {
-        let lanes = atomic_lanes(&mut partials);
-        (0..n_blocks).into_par_iter().for_each(|k| {
-            let (lo, hi) = bounds(k);
-            block(lo, hi, &mut |b, p| store_partial(lanes, b * n_blocks + k, p));
-        });
-    }
-    partials.chunks_exact(n_blocks).map(pairwise_sum).collect()
 }
 
-/// The blocked *update(+reduce)* driver: `block(base, wb)` updates one
-/// [`REDUCE_BLOCK`] block of `w` in place (`base` is its offset) and
-/// returns that block's contribution to a real sum — `0.0` from the
-/// kernels that only update. Same partition, inline/pool decision and
-/// [`pairwise_sum`] tree as [`blocked_reduce`].
-fn blocked_update<L: Lane>(w: &mut [L], block: impl Fn(usize, &mut [L]) -> f64 + Sync) -> f64 {
-    let n = w.len();
+/// The blocked driver every pooled kernel runs on: one sweep over the
+/// index range `0..n`, cut into [`REDUCE_BLOCK`] blocks, that may update
+/// vectors in place and takes `m` sums on the way. `take(len)` is called
+/// once per block, in ascending order, for whatever the kernel writes in
+/// that block (`()` for a pure reduction, the block of `w` from
+/// [`blocks_of`] for an update); `block(lo, hi, target, partials)` then
+/// computes the block — inline, or on the pool from [`MIN_PAR_BLOCKS`]
+/// blocks on, where each block's target and partial slots travel to it
+/// by value — and leaves every sum restricted to `lo..hi` in `partials`.
+/// The driver owns the partition, the inline-or-pool decision and the
+/// per-sum [`pairwise_sum`] tree over the block partials.
+fn blocked<T: Send, A: Scalar>(
+    n: usize,
+    m: usize,
+    mut take: impl FnMut(usize) -> T,
+    block: impl Fn(usize, usize, T, &mut [A]) + Sync,
+) -> Vec<A> {
     let n_blocks = n.div_ceil(REDUCE_BLOCK).max(1);
-    let mut partials = vec![0.0f64; n_blocks];
-    if n_blocks < MIN_PAR_BLOCKS {
-        for (k, p) in partials.iter_mut().enumerate() {
-            let lo = k * REDUCE_BLOCK;
-            *p = block(lo, &mut w[lo..(lo + REDUCE_BLOCK).min(n)]);
+    // partials[k * m + b] = sum `b` restricted to block `k`.
+    let mut partials = vec![A::ZERO; n_blocks * m];
+    {
+        let mut slots = blocks_of(&mut partials);
+        let jobs: Vec<_> = (0..n_blocks)
+            .map(|k| {
+                let (lo, hi) = (k * REDUCE_BLOCK, ((k + 1) * REDUCE_BLOCK).min(n));
+                (lo, hi, take(hi - lo), slots(m))
+            })
+            .collect();
+        let run =
+            |(lo, hi, target, out): (usize, usize, T, &mut [A])| block(lo, hi, target, out);
+        if n_blocks < MIN_PAR_BLOCKS {
+            jobs.into_iter().for_each(run);
+        } else {
+            jobs.into_par_iter().map(run).collect::<()>();
         }
-    } else {
-        let lanes = atomic_lanes(&mut partials);
-        w.par_chunks_mut(REDUCE_BLOCK).enumerate().for_each(|(k, wb)| {
-            store_partial(lanes, k, block(k * REDUCE_BLOCK, wb));
-        });
     }
-    pairwise_sum(&partials)
+    let column = |b: usize| partials.iter().skip(b).step_by(m).copied().collect::<Vec<A>>();
+    (0..m).map(|b| pairwise_sum(&column(b))).collect()
 }
 
 /// Parallel Hermitian inner product, bit-deterministic across thread
@@ -258,12 +257,12 @@ fn blocked_update<L: Lane>(w: &mut [L], block: impl Fn(usize, &mut [L]) -> f64 +
 /// combined with [`pairwise_sum`].
 pub fn par_dot<L: Lane>(a: &[L], b: &[L]) -> L::Acc {
     assert_eq!(a.len(), b.len(), "dot of vectors of different lengths");
-    blocked_reduce(a.len(), 1, |lo, hi, sink| sink(0, L::dot(&a[lo..hi], &b[lo..hi])))[0]
+    blocked(a.len(), 1, |_| (), |lo, hi, (), out| out[0] = L::dot(&a[lo..hi], &b[lo..hi]))[0]
 }
 
 /// Parallel squared 2-norm, bit-deterministic across thread counts.
 pub fn par_norm_sqr<L: Lane>(a: &[L]) -> f64 {
-    blocked_reduce(a.len(), 1, |lo, hi, sink| sink(0, L::norm_sqr(&a[lo..hi])))[0]
+    blocked(a.len(), 1, |_| (), |lo, hi, (), out| out[0] = L::norm_sqr(&a[lo..hi]))[0]
 }
 
 /// Parallel 2-norm (deterministic, see [`par_norm_sqr`]).
@@ -274,18 +273,12 @@ pub fn par_norm<L: Lane>(a: &[L]) -> f64 {
 /// Parallel `y += alpha * x`. Element-wise, so trivially deterministic.
 pub fn par_axpy<L: Lane>(alpha: L::Acc, x: &[L], y: &mut [L]) {
     assert_eq!(x.len(), y.len(), "axpy of vectors of different lengths");
-    blocked_update(y, |base, yb| {
-        L::axpy(alpha, &x[base..base + yb.len()], yb);
-        0.0
-    });
+    blocked::<_, f64>(y.len(), 0, blocks_of(y), |lo, hi, yb, _| L::axpy(alpha, &x[lo..hi], yb));
 }
 
 /// Parallel `x *= alpha` (real scale).
 pub fn par_scale<L: Lane>(x: &mut [L], alpha: f64) {
-    blocked_update(x, |_, xb| {
-        L::scale(xb, alpha);
-        0.0
-    });
+    blocked::<_, f64>(x.len(), 0, blocks_of(x), |_, _, xb, _| L::scale(xb, alpha));
 }
 
 /// Fused `y += alpha * x; return ‖y‖²` in one parallel sweep — the
@@ -295,34 +288,32 @@ pub fn par_scale<L: Lane>(x: &mut [L], alpha: f64) {
 /// followed by [`par_norm_sqr`], at any thread count.
 pub fn par_axpy_norm_sqr<L: Lane>(alpha: L::Acc, x: &[L], y: &mut [L]) -> f64 {
     assert_eq!(x.len(), y.len(), "axpy of vectors of different lengths");
-    blocked_update(y, |base, yb| L::axpy_norm_sqr(alpha, &x[base..base + yb.len()], yb))
+    blocked(y.len(), 1, blocks_of(y), |lo, hi, yb, out| {
+        out[0] = L::axpy_norm_sqr(alpha, &x[lo..hi], yb);
+    })[0]
 }
 
 /// Blocked multi-vector inner products: `out[b] = ⟨vs[b], w⟩` for every
 /// basis vector at once, sweeping `w` (and each `vs[b]`) exactly once.
 /// This is the coefficient half of blocked (CGS2) reorthogonalization —
 /// with `m` basis vectors the one-vector-at-a-time loop reads `w` `m`
-/// times per pass; this kernel reads it once, with the current `w` block
-/// cache-hot across all `m` dot products. Deterministic: per-vector
-/// partials over the fixed [`REDUCE_BLOCK`] partition, combined with
-/// [`pairwise_sum`].
+/// times per pass; this kernel reads it once, with the current `w` tile
+/// cache-hot across all `m` dot products ([`Lane::multi_dot`]).
+/// Deterministic: per-vector partials over the fixed [`REDUCE_BLOCK`]
+/// partition, combined with [`pairwise_sum`] — `out[b]` is
+/// [`par_dot`]`(vs[b], w)` to the bit.
 pub fn par_multi_dot<L: Lane, V: AsRef<[L]> + Sync>(vs: &[V], w: &[L]) -> Vec<L::Acc> {
-    blocked_reduce(w.len(), vs.len(), |lo, hi, sink| {
-        for (b, v) in vs.iter().enumerate() {
-            sink(b, L::dot(&v.as_ref()[lo..hi], &w[lo..hi]));
-        }
-    })
+    blocked(w.len(), vs.len(), |_| (), |lo, hi, (), out| L::multi_dot(vs, lo, &w[lo..hi], out))
 }
 
 /// Blocked multi-vector update: `w += Σ_b coeffs[b] · vs[b]`, sweeping
-/// `w` exactly once (the update half of blocked reorthogonalization and
-/// of Ritz-vector assembly). Per element the additions run in ascending
-/// `b` order — independent of how chunks are claimed, so deterministic.
+/// `w` exactly once (the update half of blocked reorthogonalization).
+/// Per element the additions run in ascending `b` order — independent of
+/// how chunks are claimed, so deterministic.
 pub fn par_multi_axpy<L: Lane, V: AsRef<[L]> + Sync>(coeffs: &[L::Acc], vs: &[V], w: &mut [L]) {
     assert_eq!(coeffs.len(), vs.len(), "one coefficient per vector");
-    blocked_update(w, |base, wb| {
-        L::multi_axpy(coeffs, vs, base, wb);
-        0.0
+    blocked::<_, f64>(w.len(), 0, blocks_of(w), |lo, _, wb, _| {
+        L::multi_axpy(coeffs, vs, lo, wb)
     });
 }
 
@@ -335,10 +326,59 @@ pub fn par_multi_axpy_norm_sqr<L: Lane, V: AsRef<[L]> + Sync>(
     w: &mut [L],
 ) -> f64 {
     assert_eq!(coeffs.len(), vs.len(), "one coefficient per vector");
-    blocked_update(w, |base, wb| {
-        L::multi_axpy(coeffs, vs, base, wb);
-        L::norm_sqr(wb)
+    blocked(w.len(), 1, blocks_of(w), |lo, _, wb, out| {
+        L::multi_axpy(coeffs, vs, lo, wb);
+        out[0] = L::norm_sqr(wb);
+    })[0]
+}
+
+/// [`par_multi_axpy`] fused with the [`par_multi_dot`] of the result
+/// against the same vectors — the first CGS pass's update and the second
+/// pass's coefficients in one sweep over the basis
+/// ([`Lane::multi_axpy_dot`]). Bit-identical to the two calls in turn.
+pub fn par_multi_axpy_dot<L: Lane, V: AsRef<[L]> + Sync>(
+    coeffs: &[L::Acc],
+    vs: &[V],
+    w: &mut [L],
+) -> Vec<L::Acc> {
+    assert_eq!(coeffs.len(), vs.len(), "one coefficient per vector");
+    blocked(w.len(), vs.len(), blocks_of(w), |lo, _, wb, out| {
+        L::multi_axpy_dot(coeffs, vs, lo, wb, out);
     })
+}
+
+/// Elements per tile of [`par_combine_in_place`]: the tiles of every
+/// input vector and of every output row stay in L2 together.
+const COMBINE_TILE: usize = 512;
+
+/// Overwrites `vs[r]` with `Σ_j rows[r][j] · vs[j]` for every
+/// `r < rows.len()` in one sweep — thick-restart compression and Ritz
+/// vector assembly without a second set of vectors. Tile by tile, every
+/// row is formed from the input tiles into scratch before the first
+/// output tile is written. Per element that is [`par_multi_axpy`] into a
+/// zero vector (`0 + rows[r][0]·vs[0] + rows[r][1]·vs[1] + …`, so a
+/// `-0.0` product lands as `+0.0`), to the bit. `vs[rows.len()..]` keep
+/// their content.
+pub fn par_combine_in_place<L: Lane>(rows: &[Vec<L::Acc>], vs: Vec<&mut [L]>) {
+    assert!(rows.len() <= vs.len(), "more combinations than vectors");
+    assert!(rows.iter().all(|row| row.len() == vs.len()), "one coefficient per vector");
+    let n = vs.first().map_or(0, |v| v.len());
+    assert!(vs.iter().all(|v| v.len() == n), "combination of vectors of different lengths");
+    let mut takes: Vec<_> = vs.into_iter().map(blocks_of).collect();
+    let take = |len: usize| takes.iter_mut().map(|t| t(len)).collect::<Vec<&mut [L]>>();
+    blocked::<_, f64>(n, 0, take, |lo, hi, mut blk: Vec<&mut [L]>, _| {
+        let mut scratch = vec![L::default(); rows.len() * COMBINE_TILE];
+        for t in (0..hi - lo).step_by(COMBINE_TILE) {
+            let len = COMBINE_TILE.min(hi - lo - t);
+            for (row, s) in rows.iter().zip(scratch.chunks_mut(COMBINE_TILE)) {
+                s[..len].fill(L::default());
+                L::multi_axpy(row, &blk, t, &mut s[..len]);
+            }
+            for (v, s) in blk.iter_mut().zip(scratch.chunks(COMBINE_TILE)) {
+                v[t..t + len].copy_from_slice(&s[..len]);
+            }
+        }
+    });
 }
 
 #[cfg(test)]

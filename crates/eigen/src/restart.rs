@@ -30,10 +30,22 @@
 //! logic decides (breakdown count above `k`, or a forced restart).
 //!
 //! Each step is the blocked-CGS2 pipeline of [`crate::lanczos`] (fused
-//! [`KrylovOp::apply_dot`], `multi_dot`/`multi_axpy` sweeps, fused
-//! update+norm) against [`KrylovVec`]/[`KrylovOp`] — one implementation
-//! serves `Vec<S>` and the locale-partitioned `DistVec<S>`, and a
-//! distributed solve stays distributed.
+//! [`KrylovOp::apply_dot`], then three sweeps over the basis) against
+//! [`KrylovVec`]/[`KrylovOp`] — one implementation serves `Vec<S>` and
+//! the locale-partitioned `DistVec<S>`, and a distributed solve stays
+//! distributed.
+//!
+//! The vectors stay where they are. A step *moves* its normalized output
+//! into the basis and takes any other vector as the next output buffer
+//! (a product overwrites its output in full); a restart compresses the
+//! cycle basis **in place** ([`KrylovVec::combine_in_place`]: the `keep`
+//! Ritz vectors are written over the first `keep` basis vectors in one
+//! sweep) and puts the vectors it no longer needs on a spare list the
+//! next cycle's chain grows out of; Ritz-vector assembly at the end is
+//! the same call on the then-dead basis. So a solve allocates its
+//! vectors during the first cycle, never holds more than the chain + 1
+//! of them, and allocates none afterwards
+//! (`tests/no_alloc_after_first_cycle.rs`).
 //!
 //! Long cluster runs get **checkpoint/restart**
 //! ([`CheckpointPolicy`]): at restart boundaries the compressed state
@@ -102,9 +114,11 @@ pub struct RestartOptions {
     /// Number of wanted (smallest) eigenpairs.
     pub k: usize,
     /// Memory headroom beyond `k`: the solve holds at most `k + extra`
-    /// Krylov-state vectors at any instant (locked Ritz vectors, chain,
-    /// workspace and compression scratch). Must be ≥ `k + 3` so a
-    /// restart cycle can make progress.
+    /// Krylov-state vectors at any instant (locked Ritz vectors, chain
+    /// and workspace). Must be ≥ `k + 3` so a restart cycle can make
+    /// progress. The plan still sets `keep` vectors of it aside for a
+    /// compression that now runs in place, so the solve peaks at
+    /// `k + extra - keep` ([`LanczosResultIn::peak_retained`]).
     pub extra: usize,
     /// Cap on completed restart cycles, **cumulative across resumes**
     /// (the counter is stored in the checkpoint): a resumed solve
@@ -144,10 +158,13 @@ impl Default for RestartOptions {
 }
 
 /// Splits the total vector budget `b = k + extra` into the locked count
-/// per restart (`keep`) and the cycle expansion cap (`m`). Compression
-/// transiently holds `m` old + `keep` new + 1 residual vectors, all of
-/// which must fit in `b`: `m = b - keep - 1`. Panics if `b < 2k + 3`: no
-/// restart cycle could make progress.
+/// per restart (`keep`) and the cycle expansion cap (`m`):
+/// `m = b - keep - 1`, sized for a compression that held `m` old +
+/// `keep` new + 1 residual vectors at once. Compression is in place now
+/// and the solve peaks at `m + 1`; handing the `keep` vectors this
+/// leaves unused to the chain (`m = b - 1`) changes every restarted
+/// trajectory, so it is a change of its own (ROADMAP item 2). Panics if
+/// `b < 2k + 3`: no restart cycle could make progress.
 pub(crate) fn split_budget(k: usize, b: usize) -> (usize, usize) {
     assert!(
         b >= 2 * k + 3,
@@ -212,21 +229,16 @@ fn ritz_residuals(cvals: &[f64], yvecs: &[Vec<f64>], beta: f64, tol: f64) -> (Ve
     (resid, ok)
 }
 
-/// The Ritz vectors `Σ_j y_i[j]·basis[j]` of a cycle for the pairs
-/// `yvecs`, as the combination comes out (compression locks them
-/// unnormalized).
-fn ritz_vectors<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
-    op: &Op,
-    basis: &[V],
-    yvecs: &[Vec<f64>],
-) -> Vec<V> {
-    let assemble = |yv: &Vec<f64>| {
-        let mut x = op.new_vec();
-        let coeffs: Vec<V::Scalar> = yv.iter().map(|&t| V::Scalar::from_re(t)).collect();
-        V::multi_axpy(&coeffs, basis, &mut x);
-        x
-    };
-    yvecs.iter().map(assemble).collect()
+/// Compresses a cycle basis onto the pairs `yvecs`, in place:
+/// `basis[i]` becomes the Ritz vector `Σ_j yvecs[i][j]·basis[j]` as the
+/// combination comes out (compression locks them unnormalized), `basis`
+/// shrinks to those, and the vectors it no longer needs come back — their
+/// content is dead, their storage is not.
+fn compress<V: KrylovVec>(basis: &mut Vec<V>, yvecs: &[Vec<f64>]) -> Vec<V> {
+    let row = |yv: &Vec<f64>| yv.iter().map(|&t| V::Scalar::from_re(t)).collect();
+    let rows: Vec<Vec<V::Scalar>> = yvecs.iter().map(row).collect();
+    V::combine_in_place(&rows, basis);
+    basis.split_off(yvecs.len())
 }
 
 /// The state of a solve that has done nothing yet: no locked pairs, the
@@ -338,6 +350,11 @@ pub(crate) fn run_plan<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
     };
     let mut offdiag: Vec<f64> = Vec::new();
     let mut w = op.new_vec();
+    // Vectors a compression left over. Every use overwrites one in full,
+    // so nothing of a cycle (or of a state a rollback replaced) survives
+    // in them; from the second cycle on the chain grows out of this list
+    // and the solve allocates no vector.
+    let mut spare: Vec<V> = Vec::new();
     let mut matvecs = 0usize;
     let mut peak = st.basis.len() + 1; // basis + workspace w
     let mut converged = false;
@@ -389,7 +406,7 @@ pub(crate) fn run_plan<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
                     // next block explores an unexplored subspace.
                     st.breakdowns += 1;
                     unbroken = false;
-                    let mut fresh = op.new_vec();
+                    let mut fresh = spare.pop().unwrap_or_else(|| op.new_vec());
                     draw_random(&mut fresh, opts.seed, &mut st.draws);
                     let before = fresh.norm();
                     let nf = cgs2_beta(&st.basis, &mut fresh);
@@ -413,7 +430,7 @@ pub(crate) fn run_plan<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
                         // unresolved. Force a restart with `fresh` as the
                         // next chain seed (β = 0: decoupled from the locked
                         // set, exactly a random-restart block).
-                        w = fresh;
+                        spare.push(std::mem::replace(&mut w, fresh));
                         forced_restart = true;
                         break;
                     }
@@ -435,12 +452,16 @@ pub(crate) fn run_plan<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
                     break; // w is now the normalized residual v_res
                 }
                 offdiag.push(beta);
-                st.basis.push(w.clone());
+                // The chain grows by moving `w` into it. The next product
+                // overwrites whatever its output holds (`KrylovOp::apply`),
+                // so any vector will do as the next `w`.
+                let next = spare.pop().unwrap_or_else(|| op.new_vec());
+                st.basis.push(std::mem::replace(&mut w, next));
             }
 
             // ---- cycle end: projected solve + convergence test -------------
             let mcur = st.basis.len();
-            peak = peak.max(mcur + 1);
+            peak = peak.max(mcur + spare.len() + 1);
             assert!(mcur >= k, "Krylov space collapsed below k = {k} (dim {n})");
             let (cvals, yvecs) = solved.unwrap_or_else(|| projected_eigh(&st, &offdiag));
             monitor.check_ritz(st.restarts, &cvals).unwrap_or_else(|e| raise(e));
@@ -454,17 +475,17 @@ pub(crate) fn run_plan<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
                     // Converged (β_last ≈ 0 without a forced restart means
                     // the reachable space is exhausted — the projected
                     // problem is then exact), or the plan's only cycle is
-                    // over. Assemble Ritz vectors from the full cycle basis.
+                    // over. Assemble Ritz vectors from the full cycle basis,
+                    // over it: nothing reads the basis after this.
                     converged = ok;
                     last_cycle = Some((cvals[..k].to_vec(), resid));
                     if opts.want_vectors {
-                        let mut out = ritz_vectors(op, &st.basis, &yvecs[..k]);
-                        for x in &mut out {
+                        drop(compress(&mut st.basis, &yvecs[..k]));
+                        for x in &mut st.basis {
                             let nx = x.norm();
                             x.scale(1.0 / nx);
                         }
-                        peak = peak.max(mcur + 1 + k);
-                        eigenvectors = Some(out);
+                        eigenvectors = Some(std::mem::take(&mut st.basis));
                     }
                     return true;
                 }
@@ -472,10 +493,9 @@ pub(crate) fn run_plan<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
 
             // ---- thick restart: compress to the best keep Ritz pairs -------
             let keep = keep_max.min(mcur - 2).max(k);
-            let new_basis = ritz_vectors(op, &st.basis, &yvecs[..keep]);
-            peak = peak.max(mcur + keep + 1);
-            st.basis = new_basis; // old cycle basis freed here, before w is replaced
-            st.basis.push(std::mem::replace(&mut w, op.new_vec())); // residual seeds the next chain
+            spare.extend(compress(&mut st.basis, &yvecs[..keep]));
+            let next = spare.pop().expect("a compression frees at least two vectors");
+            st.basis.push(std::mem::replace(&mut w, next)); // residual seeds the next chain
             st.retained = keep;
             st.border = (0..keep).map(|i| beta_last * yvecs[i][mcur - 1]).collect();
             st.diag = cvals[..keep].to_vec();
@@ -543,7 +563,6 @@ pub(crate) fn run_plan<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
                     .and_then(|cp| checkpointed_state(op, cp, opts).ok())
                     .unwrap_or_else(|| fresh_state(op, opts));
                 offdiag.clear();
-                w = op.new_vec();
             }
         }
     }
@@ -553,8 +572,8 @@ pub(crate) fn run_plan<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
         // holds the current best Ritz vectors — return them (best
         // effort, aligned with the reported eigenvalue estimates) so
         // `want_vectors` is honored on every exit path that has them.
-        eigenvectors = Some(st.basis[..k].to_vec());
-        peak = peak.max(st.basis.len() + 1 + k);
+        st.basis.truncate(k);
+        eigenvectors = Some(std::mem::take(&mut st.basis));
     }
 
     // Out of cycles, so at a boundary: the locked arrowhead (θ_i, |s_i|) is

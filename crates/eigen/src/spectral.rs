@@ -12,8 +12,8 @@
 //! matrix-vector product everything else uses.
 //!
 //! The coefficient run is the shared blocked-CGS2 Krylov factorization
-//! of [`crate::lanczos`] (fused matvec+dot, one `multi_dot`/`multi_axpy`
-//! sweep per pass — no per-iteration clones), generic over
+//! of [`crate::lanczos`] (fused matvec+dot, three blocked sweeps over
+//! the basis per step — no clone-and-subtract per basis vector), generic over
 //! [`KrylovVec`]: a distributed seed state produces its coefficients
 //! entirely in place on the locale parts
 //! ([`spectral_coefficients_in`]); the coefficients themselves are a few

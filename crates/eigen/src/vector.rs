@@ -74,9 +74,10 @@ pub(crate) fn get_scalar<S: Scalar>(r: &mut &[u8], width: u32) -> S {
 /// plus an element-order fill hook.
 ///
 /// The multi-vector operations (`multi_dot`, `multi_axpy`,
-/// `multi_axpy_norm_sqr`) are the blocked-CGS2 workhorses — they sweep
-/// the target vector once for the whole basis instead of once per basis
-/// vector, and the solvers' performance rests on them.
+/// `multi_axpy_dot`, `multi_axpy_norm_sqr`) are the blocked-CGS2
+/// workhorses — they sweep the target vector once for the whole basis
+/// instead of once per basis vector, and the solvers' performance rests
+/// on them; `combine_in_place` is the compression of a thick restart.
 pub trait KrylovVec: Clone {
     /// The type the solver computes in: coefficients, inner products and
     /// the values [`KrylovVec::visit`] / [`KrylovVec::fill_with`]
@@ -150,6 +151,17 @@ pub trait KrylovVec: Clone {
 
     /// [`Self::multi_axpy`] fused with `‖w‖²` of the result.
     fn multi_axpy_norm_sqr(coeffs: &[Self::Scalar], vs: &[Self], w: &mut Self) -> f64;
+
+    /// [`Self::multi_axpy`] fused with the [`Self::multi_dot`] of the
+    /// result against the same `vs` — one sweep over the basis where the
+    /// two calls make two, bit-identical to them.
+    fn multi_axpy_dot(coeffs: &[Self::Scalar], vs: &[Self], w: &mut Self) -> Vec<Self::Scalar>;
+
+    /// Overwrites `vs[r]` with `Σ_j rows[r][j] · vs[j]` for every
+    /// `r < rows.len()`, in one sweep and without a second set of
+    /// vectors; per element it is [`Self::multi_axpy`] of row `r` into a
+    /// zero vector, to the bit. `vs[rows.len()..]` keep their content.
+    fn combine_in_place(rows: &[Vec<Self::Scalar>], vs: &mut [Self]);
 }
 
 /// Checkpoint storage kind of a vector stored in lanes of `L`: the
@@ -218,6 +230,14 @@ impl<L: Lane> KrylovVec for Vec<L> {
 
     fn multi_axpy_norm_sqr(coeffs: &[L::Acc], vs: &[Self], w: &mut Self) -> f64 {
         op::par_multi_axpy_norm_sqr(coeffs, vs, w)
+    }
+
+    fn multi_axpy_dot(coeffs: &[L::Acc], vs: &[Self], w: &mut Self) -> Vec<L::Acc> {
+        op::par_multi_axpy_dot(coeffs, vs, w)
+    }
+
+    fn combine_in_place(rows: &[Vec<L::Acc>], vs: &mut [Self]) {
+        op::par_combine_in_place(rows, vs.iter_mut().map(Vec::as_mut_slice).collect());
     }
 }
 
@@ -344,6 +364,27 @@ impl<L: Lane> KrylovVec for DistVec<L> {
             vec![op::par_multi_axpy_norm_sqr(coeffs, &parts_of(vs, l), w.part_mut(l))]
         })[0]
     }
+
+    fn multi_axpy_dot(coeffs: &[L::Acc], vs: &[Self], w: &mut Self) -> Vec<L::Acc> {
+        per_part(w, vs, vs.len(), |w, l| {
+            op::par_multi_axpy_dot(coeffs, &parts_of(vs, l), w.part_mut(l))
+        })
+    }
+
+    /// Part by part on the parts this process hosts; an update, so no
+    /// collective (`per_part` has one target vector, this has many).
+    fn combine_in_place(rows: &[Vec<L::Acc>], vs: &mut [Self]) {
+        let Some(first) = vs.first() else { return };
+        let lens = first.lens();
+        assert!(
+            vs.iter().all(|v| v.lens() == lens),
+            "distributed BLAS-1 on mismatched layouts"
+        );
+        for l in collective::hosted(lens.len()) {
+            let parts = vs.iter_mut().map(|v| v.part_mut(l).as_mut_slice()).collect();
+            op::par_combine_in_place(rows, parts);
+        }
+    }
 }
 
 /// A linear operator over an abstract Krylov vector type.
@@ -358,12 +399,21 @@ pub trait KrylovOp<V: KrylovVec> {
     /// Dimension of the (square) operator — `V::len` of its vectors.
     fn dim(&self) -> usize;
 
-    /// Allocates a zero vector in this operator's layout (the solvers'
-    /// workspace hook: one call per solver invocation, never per
-    /// iteration).
+    /// Allocates a zero vector in this operator's layout — the solvers'
+    /// only source of vectors. The eigen-recurrence
+    /// ([`crate::restart`]) calls it once per vector of its first cycle
+    /// (start vector, workspace, one per chain step) and then no more:
+    /// later cycles, compression and Ritz-vector assembly run on the
+    /// vectors the first cycle allocated (a breakdown re-seed or a
+    /// rollback may take a few more). The plain factorization behind the
+    /// propagators and the spectral continued fraction calls it once and
+    /// grows its chain by cloning that workspace.
     fn new_vec(&self) -> V;
 
-    /// Computes `y = A x` in place on `y`'s storage.
+    /// Computes `y = A x` in place on `y`'s storage. `y` arrives with
+    /// arbitrary content — the recurrence hands in whatever vector its
+    /// last compression left over, never a fresh zero vector — and must
+    /// be overwritten in full (`tests/apply_contract.rs`).
     fn apply(&self, x: &V, y: &mut V);
 
     /// Computes `y = A x` and returns `⟨x, y⟩` — the matvec+dot of a

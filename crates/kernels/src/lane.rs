@@ -13,6 +13,17 @@
 //! * `f32` accumulates in `f64` through the [`crate::simd`] f32 kernels
 //!   (widen both operands, fixed 4-lane reduction shape shared by the
 //!   scalar and AVX2 paths) and narrows once per stored element.
+//!
+//! The multi-vector loops ([`Lane::multi_dot`], [`Lane::multi_axpy`],
+//! [`Lane::multi_axpy_dot`]) are what a Krylov step spends its time in,
+//! so the full-width lanes run them at memory bandwidth: the block is
+//! walked in L1-sized tiles, inner products are taken eight, four or one
+//! basis vector at a time — one accumulator per vector, carried across
+//! the tiles, so every sum still adds its terms in ascending element
+//! order and only the *chains* are independent — and updates apply four
+//! or one vector per pass over the tile, in ascending vector order per
+//! element. Grouping moves no floating-point operation: the results are
+//! those of one [`Lane::dot`] / [`Lane::axpy`] per vector, bit for bit.
 
 use crate::complexnum::Scalar;
 use crate::simd;
@@ -58,6 +69,101 @@ pub trait Lane: Copy + Send + Sync + Default + 'static {
         base: usize,
         w: &mut [Self],
     );
+
+    /// `out[b] = Σ_i conj(vs[b][base + i]) · w[i]`: one [`Lane::dot`]
+    /// against the block `w` per vector, every sum in ascending `i`.
+    fn multi_dot<V: AsRef<[Self]>>(vs: &[V], base: usize, w: &[Self], out: &mut [Self::Acc]) {
+        for (o, v) in out.iter_mut().zip(vs) {
+            *o = Self::dot(&v.as_ref()[base..base + w.len()], w);
+        }
+    }
+
+    /// [`Lane::multi_axpy`] followed by [`Lane::multi_dot`] of the
+    /// updated block — one CGS pass applied and the next one's
+    /// coefficients taken while the block is resident.
+    fn multi_axpy_dot<V: AsRef<[Self]>>(
+        coeffs: &[Self::Acc],
+        vs: &[V],
+        base: usize,
+        w: &mut [Self],
+        out: &mut [Self::Acc],
+    ) {
+        Self::multi_axpy(coeffs, vs, base, w);
+        Self::multi_dot(vs, base, w, out);
+    }
+}
+
+/// Elements per tile of the full-width multi-vector loops: the `w` tile
+/// (8 or 16 KB) stays in L1 while the basis tiles stream past it.
+const TILE: usize = 1024;
+
+/// `out[g] += Σ_i conj(vs[g][lo + i]) · w[i]` for `G` vectors at once:
+/// `G` independent accumulation chains, each in ascending `i`.
+#[inline]
+fn dot_group<S: Scalar, V: AsRef<[S]>, const G: usize>(
+    vs: &[V],
+    lo: usize,
+    w: &[S],
+    out: &mut [S],
+) {
+    let v: [&[S]; G] = std::array::from_fn(|g| &vs[g].as_ref()[lo..lo + w.len()]);
+    let mut acc: [S; G] = std::array::from_fn(|g| out[g]);
+    for (i, wi) in w.iter().enumerate() {
+        for g in 0..G {
+            acc[g] += v[g][i].conj() * *wi;
+        }
+    }
+    out.copy_from_slice(&acc);
+}
+
+/// [`dot_group`] over every vector of `vs`, eight, four and one at a time.
+#[inline]
+fn dot_tile<S: Scalar, V: AsRef<[S]>>(vs: &[V], lo: usize, w: &[S], out: &mut [S]) {
+    let mut b = 0;
+    while vs.len() - b >= 8 {
+        dot_group::<S, V, 8>(&vs[b..b + 8], lo, w, &mut out[b..b + 8]);
+        b += 8;
+    }
+    if vs.len() - b >= 4 {
+        dot_group::<S, V, 4>(&vs[b..b + 4], lo, w, &mut out[b..b + 4]);
+        b += 4;
+    }
+    for b in b..vs.len() {
+        dot_group::<S, V, 1>(&vs[b..=b], lo, w, &mut out[b..=b]);
+    }
+}
+
+/// `w[i] += coeffs[0] · vs[0][lo + i] + …` for `G` vectors in one pass
+/// over `w`, the additions in ascending `g` per element.
+#[inline]
+fn axpy_group<S: Scalar, V: AsRef<[S]>, const G: usize>(
+    coeffs: &[S],
+    vs: &[V],
+    lo: usize,
+    w: &mut [S],
+) {
+    let v: [&[S]; G] = std::array::from_fn(|g| &vs[g].as_ref()[lo..lo + w.len()]);
+    let c: [S; G] = std::array::from_fn(|g| coeffs[g]);
+    for (i, wi) in w.iter_mut().enumerate() {
+        let mut x = *wi;
+        for g in 0..G {
+            x += c[g] * v[g][i];
+        }
+        *wi = x;
+    }
+}
+
+/// [`axpy_group`] over every vector of `vs`, four and one at a time.
+#[inline]
+fn axpy_tile<S: Scalar, V: AsRef<[S]>>(coeffs: &[S], vs: &[V], lo: usize, w: &mut [S]) {
+    let mut b = 0;
+    while vs.len() - b >= 4 {
+        axpy_group::<S, V, 4>(&coeffs[b..b + 4], &vs[b..b + 4], lo, w);
+        b += 4;
+    }
+    for b in b..vs.len() {
+        axpy_group::<S, V, 1>(&coeffs[b..=b], &vs[b..=b], lo, w);
+    }
 }
 
 impl<S: Scalar> Lane for S {
@@ -105,8 +211,31 @@ impl<S: Scalar> Lane for S {
 
     #[inline]
     fn multi_axpy<V: AsRef<[S]>>(coeffs: &[S], vs: &[V], base: usize, w: &mut [S]) {
-        for (c, v) in coeffs.iter().zip(vs) {
-            Self::axpy(*c, &v.as_ref()[base..base + w.len()], w);
+        for (t, wt) in w.chunks_mut(TILE).enumerate() {
+            axpy_tile(coeffs, vs, base + t * TILE, wt);
+        }
+    }
+
+    #[inline]
+    fn multi_dot<V: AsRef<[S]>>(vs: &[V], base: usize, w: &[S], out: &mut [S]) {
+        out.fill(S::ZERO);
+        for (t, wt) in w.chunks(TILE).enumerate() {
+            dot_tile(vs, base + t * TILE, wt, out);
+        }
+    }
+
+    #[inline]
+    fn multi_axpy_dot<V: AsRef<[S]>>(
+        coeffs: &[S],
+        vs: &[V],
+        base: usize,
+        w: &mut [S],
+        out: &mut [S],
+    ) {
+        out.fill(S::ZERO);
+        for (t, wt) in w.chunks_mut(TILE).enumerate() {
+            axpy_tile(coeffs, vs, base + t * TILE, wt);
+            dot_tile(vs, base + t * TILE, wt, out);
         }
     }
 }
@@ -177,6 +306,46 @@ mod tests {
         // ⟨i, i⟩ = conj(i)·i = 1: the left side is conjugated.
         let z = [Complex64::new(0.0, 1.0)];
         assert!(<Complex64 as Lane>::dot(&z, &z).approx_eq(Complex64::ONE, 1e-15));
+    }
+
+    /// The tiled multi-vector loops on one block against one
+    /// `dot` / `axpy` per vector, for every group remainder and on both
+    /// sides of a tile boundary.
+    fn tiled_is_per_vector<S: Scalar>(value: impl Fn(usize) -> S) {
+        for n in [0, 1, TILE - 1, TILE, 2 * TILE + 3] {
+            for m in [0usize, 1, 3, 4, 5, 8, 9, 17] {
+                let base = 5;
+                let vs: Vec<Vec<S>> = (0..m)
+                    .map(|b| (0..base + n).map(|i| value(31 * b + i)).collect())
+                    .collect();
+                let coeffs: Vec<S> = (0..m).map(|b| value(1000 + b)).collect();
+                let w: Vec<S> = (0..n).map(|i| value(7 * i + 3)).collect();
+
+                let mut dots = vec![S::ONE; m];
+                S::multi_dot(&vs, base, &w, &mut dots);
+                let mut updated = w.clone();
+                S::multi_axpy(&coeffs, &vs, base, &mut updated);
+                let mut expect = w.clone();
+                for b in 0..m {
+                    assert!(dots[b] == S::dot(&vs[b][base..], &w), "dot {b} of {m}, n = {n}");
+                    S::axpy(coeffs[b], &vs[b][base..], &mut expect);
+                }
+                assert!(updated == expect, "axpy of {m}, n = {n}");
+
+                let mut fused = w.clone();
+                let mut fused_dots = vec![S::ONE; m];
+                S::multi_axpy_dot(&coeffs, &vs, base, &mut fused, &mut fused_dots);
+                S::multi_dot(&vs, base, &updated, &mut dots);
+                assert!(fused == updated && fused_dots == dots, "fused, {m} vectors, n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn tiled_multi_vector_loops_keep_the_per_vector_bits() {
+        let real = |i: usize| ((i * 2654435761) % 1009) as f64 / 1009.0 - 0.5;
+        tiled_is_per_vector(real);
+        tiled_is_per_vector(|i| Complex64::new(real(i), real(i + 500)));
     }
 
     #[test]

@@ -1,15 +1,19 @@
-//! Bit pins of the eight pooled BLAS-1 primitives behind [`KrylovVec`]
-//! (`dot`, `norm_sqr`, `axpy`, `scale`, `axpy_norm_sqr`, `multi_dot`,
-//! `multi_axpy`, `multi_axpy_norm_sqr`) for every storage the solvers
-//! run on: `f64`, `Complex64` and f32-storage dense vectors, plus
-//! `DistVec<f64>` on a 4-part split with an empty part.
+//! Bit pins of the pooled BLAS-1 primitives behind [`KrylovVec`] for
+//! every storage the solvers run on: `f64`, `Complex64` and f32-storage
+//! dense vectors, plus `DistVec<f64>` on a 4-part split with an empty
+//! part. [`PINS`] covers the eight original primitives (`dot`,
+//! `norm_sqr`, `axpy`, `scale`, `axpy_norm_sqr`, `multi_dot`,
+//! `multi_axpy`, `multi_axpy_norm_sqr`), [`FUSED_PINS`] the two added
+//! with the three-sweep Lanczos step (`multi_axpy_dot`,
+//! `combine_in_place`).
 //!
 //! The lengths straddle every dispatch boundary of the kernels (empty,
 //! one element, exactly one [`REDUCE_BLOCK`], one block + 1, a few blocks
 //! computed inline, and enough blocks to go through the pool), and each
-//! digest must come out the same at pool widths 1 and 2. The constants
-//! were captured before the kernels were made generic over the stored
-//! element type; a refactor of that layer must leave them untouched —
+//! digest must come out the same at pool widths 1 and 2. The [`PINS`]
+//! constants were captured before the kernels were made generic over the
+//! stored element type, the [`FUSED_PINS`] ones when those primitives
+//! were introduced; a refactor of that layer must leave both untouched —
 //! any change means a floating-point operation moved.
 //!
 //! Everything lives in one `#[test]`: `rayon::set_thread_limit` is
@@ -103,6 +107,32 @@ fn digest_primitives<V: KrylovVec>(zero: &V) -> u64 {
     d.0
 }
 
+/// `multi_axpy_dot` and `combine_in_place` on vectors shaped like
+/// `zero`: the returned coefficients, the updated vector and every
+/// vector of the compressed set, kept ones included.
+fn digest_fused_primitives<V: KrylovVec>(zero: &V) -> u64 {
+    let y = filled(zero, 2);
+    let mut vs: Vec<V> = (3..8).map(|seed| filled(zero, seed)).collect();
+    let coeffs: Vec<V::Scalar> =
+        (0..vs.len()).map(|b| scalar(unit(9, b, 0), unit(9, b, 1))).collect();
+    let mut d = Digest::new();
+
+    let mut w = y.clone();
+    for c in V::multi_axpy_dot(&coeffs, &vs, &mut w) {
+        d.scalar(c);
+    }
+    d.vector(&w);
+
+    let rows: Vec<Vec<V::Scalar>> = (10..12)
+        .map(|seed| (0..vs.len()).map(|j| scalar(unit(seed, j, 0), unit(seed, j, 1))).collect())
+        .collect();
+    V::combine_in_place(&rows, &mut vs);
+    for v in &vs {
+        d.vector(v);
+    }
+    d.0
+}
+
 fn lengths() -> [usize; 6] {
     [
         0,
@@ -138,27 +168,66 @@ const PINS: &[(&str, usize, u64)] = &[
     ("dist-f64", 0, 0xa9e72a665e3e0bcd),
 ];
 
-fn all_digests() -> Vec<(&'static str, usize, u64)> {
+/// [`digest_fused_primitives`] on the storages and lengths of [`PINS`].
+const FUSED_PINS: &[(&str, usize, u64)] = &[
+    ("f64", 0, 0x40d69e0cf0f65c45),
+    ("c64", 0, 0xf14b84b8290b8965),
+    ("f32", 0, 0x40d69e0cf0f65c45),
+    ("f64", 1, 0xa9feb462575afac7),
+    ("c64", 1, 0xa306442add0531a2),
+    ("f32", 1, 0xf0a23fdad4f6c938),
+    ("f64", 2, 0x4f3bf328d274bcd4),
+    ("c64", 2, 0x47bc053a712d2e34),
+    ("f32", 2, 0xfb5d644e941d8907),
+    ("f64", 3, 0x2aae129e78a95581),
+    ("c64", 3, 0x326eda3e4f532ada),
+    ("f32", 3, 0xa9cdb3717fb5e2d7),
+    ("f64", 4, 0x4b2508a7b84a5e68),
+    ("c64", 4, 0x3eb93d705a5ab70a),
+    ("f32", 4, 0x40c4fa75f835840c),
+    ("f64", 5, 0x16d889011a08e217),
+    ("c64", 5, 0xb465ff3618fd2acf),
+    ("f32", 5, 0xe1ea59eeb8c55a09),
+    ("dist-f64", 0, 0xc6e66c75ff751335),
+];
+
+/// One digest per storage and length: the eight original primitives,
+/// or the two fused ones.
+fn all_digests(fused: bool) -> Vec<(&'static str, usize, u64)> {
+    fn digest<V: KrylovVec>(fused: bool, zero: &V) -> u64 {
+        if fused {
+            digest_fused_primitives(zero)
+        } else {
+            digest_primitives(zero)
+        }
+    }
     let mut out = Vec::new();
     for (li, &n) in lengths().iter().enumerate() {
-        out.push(("f64", li, digest_primitives(&vec![0.0f64; n])));
-        out.push(("c64", li, digest_primitives(&vec![Complex64::ZERO; n])));
-        out.push(("f32", li, digest_primitives(&vec![0.0f32; n])));
+        out.push(("f64", li, digest(fused, &vec![0.0f64; n])));
+        out.push(("c64", li, digest(fused, &vec![Complex64::ZERO; n])));
+        out.push(("f32", li, digest(fused, &vec![0.0f32; n])));
     }
     // One part below a block, one empty, one on the pool path, one short.
     let lens = [REDUCE_BLOCK + 1, 0, MIN_PAR_BLOCKS * REDUCE_BLOCK + 17, 500];
-    out.push(("dist-f64", 0, digest_primitives(&DistVec::<f64>::zeros(&lens))));
+    out.push(("dist-f64", 0, digest(fused, &DistVec::<f64>::zeros(&lens))));
     out
 }
 
 #[test]
 fn blas1_primitives_keep_their_bits() {
     for threads in [1usize, 2] {
-        let prev = rayon::set_thread_limit(threads);
-        let got = all_digests();
-        rayon::set_thread_limit(prev);
-        let table: String =
-            got.iter().map(|(s, li, d)| format!("    ({s:?}, {li}, {d:#018x}),\n")).collect();
-        assert!(got == PINS, "at {threads} thread(s) the digests are:\n{table}");
+        for (fused, pins) in [(false, PINS), (true, FUSED_PINS)] {
+            let prev = rayon::set_thread_limit(threads);
+            let got = all_digests(fused);
+            rayon::set_thread_limit(prev);
+            let table: String = got
+                .iter()
+                .map(|(s, li, d)| format!("    ({s:?}, {li}, {d:#018x}),\n"))
+                .collect();
+            assert!(
+                got == pins,
+                "at {threads} thread(s) the digests (fused: {fused}) are:\n{table}"
+            );
+        }
     }
 }

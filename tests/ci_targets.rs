@@ -14,17 +14,21 @@ fn ci_workflow_names_targets_that_exist() {
     assert!(!yml.contains("python3"), "ci.yml runs an inline Python script");
     assert!(!yml.contains("<<"), "ci.yml carries a heredoc");
 
-    // Workspace packages, named by each manifest's first `name = "..."`.
-    let mut packages: Vec<(String, PathBuf)> = Vec::new();
+    // Workspace packages — the root package and the members — named by
+    // each manifest's first `name = "..."`.
+    let mut dirs = vec![root.to_path_buf()];
     for dir in ["crates", "compat"] {
-        for entry in std::fs::read_dir(root.join(dir)).unwrap() {
-            let dir = entry.unwrap().path();
-            let Ok(manifest) = std::fs::read_to_string(dir.join("Cargo.toml")) else {
-                continue;
-            };
-            let name = manifest.lines().find_map(|l| l.strip_prefix("name = ")).unwrap();
-            packages.push((name.trim_matches('"').to_string(), dir));
-        }
+        dirs.extend(
+            std::fs::read_dir(root.join(dir)).unwrap().map(|entry| entry.unwrap().path()),
+        );
+    }
+    let mut packages: Vec<(String, PathBuf)> = Vec::new();
+    for dir in dirs {
+        let Ok(manifest) = std::fs::read_to_string(dir.join("Cargo.toml")) else {
+            continue;
+        };
+        let name = manifest.lines().find_map(|l| l.strip_prefix("name = ")).unwrap();
+        packages.push((name.trim_matches('"').to_string(), dir));
     }
 
     let words: Vec<&str> = yml.split_whitespace().collect();
@@ -36,7 +40,9 @@ fn ci_workflow_names_targets_that_exist() {
                 .iter()
                 .any(|(_, dir)| dir.join("src/bin").join(w[1]).with_extension("rs").is_file()),
             "--example" => root.join("examples").join(w[1]).with_extension("rs").is_file(),
-            "--test" => root.join("tests").join(w[1]).with_extension("rs").is_file(),
+            "--test" => packages
+                .iter()
+                .any(|(_, dir)| dir.join("tests").join(w[1]).with_extension("rs").is_file()),
             _ => continue,
         };
         assert!(exists, "ci.yml names `{} {}`, which does not exist", w[0], w[1]);

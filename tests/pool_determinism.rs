@@ -10,7 +10,7 @@
 //! * every Lanczos reduction (`par_dot`, `par_norm_sqr`, the fused
 //!   matvec+dot and axpy+norm epilogues) uses per-block partials over a
 //!   thread-independent partition combined in a fixed pairwise tree;
-//! * thick-restart compression is `multi_axpy` over those same kernels,
+//! * thick-restart compression is `combine_in_place` on that same driver,
 //!   and checkpoints store exact `f64` bits — so interrupting, reloading
 //!   and resuming replays the identical arithmetic.
 //!
