@@ -2,7 +2,6 @@
 
 use crate::enumerate;
 use crate::sector::SectorSpec;
-use ls_kernels::bits::low_mask;
 use ls_kernels::combinadics::{BinomialTable, LinTables};
 use ls_kernels::search::{PrefixIndex, NOT_FOUND};
 use ls_kernels::SiteEncoding;
@@ -90,15 +89,11 @@ impl SpinBasis {
         // full product of the sector's fixed-weight species: on a subset
         // (a loaded or filtered list) a member's position is no longer
         // its combinadic rank.
-        let species: Vec<(u64, u32)> = match (sector.charges(), sector.hamming_weight()) {
-            ([], Some(w)) => vec![(low_mask(sector.n_sites()), w)],
-            (charges, _) => charges.iter().map(|c| (c.mask, c.weight)).collect(),
-        };
         let binom = (sector.group().order() == 1
             && sector.encoding().bits() == 1
             && sector.dimension() == states.len() as u64)
             .then(BinomialTable::new);
-        let lin = binom.as_ref().and_then(|b| LinTables::new(b, sector.n_sites(), &species));
+        let lin = binom.as_ref().and_then(|b| sector.lin_tables(b));
         let combinadic =
             binom.filter(|_| sector.charges().is_empty() && sector.hamming_weight().is_some());
         let prefix = (lin.is_none() && combinadic.is_none())
@@ -222,6 +217,7 @@ impl SpinBasis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ls_kernels::bits::low_mask;
     use ls_symmetry::lattice;
 
     fn chain_basis(n: usize) -> SpinBasis {

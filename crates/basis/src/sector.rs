@@ -1,6 +1,7 @@
 //! Symmetry sector specification.
 
-use ls_kernels::combinadics::BinomialTable;
+use ls_kernels::bits::low_mask;
+use ls_kernels::combinadics::{BinomialTable, LinTables};
 use ls_kernels::SiteEncoding;
 use ls_symmetry::SymmetryGroup;
 
@@ -257,6 +258,22 @@ impl SectorSpec {
     /// Can amplitudes be real? (All characters ±1.)
     pub fn is_real(&self) -> bool {
         self.group.is_real()
+    }
+
+    /// Lin tables that rank the sector's *whole* member list in closed
+    /// form, where it has one: every state its own orbit (trivial group),
+    /// one-bit codes, and the members the product of one or two contiguous
+    /// fixed-weight species (a U(1) spin sector, spinful fermions). The
+    /// one rule [`crate::SpinBasis`] and the distributed basis both rank by.
+    pub fn lin_tables(&self, binom: &BinomialTable) -> Option<LinTables> {
+        if self.group.order() != 1 || self.encoding.bits() != 1 {
+            return None;
+        }
+        let species: Vec<(u64, u32)> = match (&self.charges[..], self.hamming_weight) {
+            ([], Some(w)) => vec![(low_mask(self.n_sites), w)],
+            (charges, _) => charges.iter().map(|c| (c.mask, c.weight)).collect(),
+        };
+        LinTables::new(binom, self.n_sites, &species)
     }
 
     /// Exact sector dimension without enumeration: Burnside counting for

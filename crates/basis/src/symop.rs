@@ -367,13 +367,22 @@ impl<S: Scalar> SymmetrizedOperator<S> {
                 }
             }
         } else {
-            // Sign-free hot loop, untouched.
+            // Sign-free hot loop. Which channels fire on a row is data (one
+            // in four on a spin ring, in no pattern), so they are collected
+            // into a mask without a branch each and emitted from its set
+            // bits: the same emissions in the same (row, channel) order.
             for (k, &alpha) in states.iter().enumerate() {
-                for ch in &self.channels {
-                    if alpha & ch.sites == ch.in_pat {
+                for group in self.channels.chunks(64) {
+                    let mut fires = 0u64;
+                    for (c, ch) in group.iter().enumerate() {
+                        fires |= ((alpha & ch.sites == ch.in_pat) as u64) << c;
+                    }
+                    while fires != 0 {
+                        let ch = &group[fires.trailing_zeros() as usize];
                         out.src.push(k as u32);
                         out.reps.push(alpha ^ ch.flip);
                         out.amps.push(ch.coeff);
+                        fires &= fires - 1;
                     }
                 }
             }

@@ -1,6 +1,6 @@
 //! Ablation benchmarks: each group times one design choice of the
 //! library against the alternative it replaced (ranking structures, the
-//! scalar gather, comparison-sort partitioning, conditional diagonal
+//! owner-side ranking of a distributed part, the scalar gather, comparison-sort partitioning, conditional diagonal
 //! channels, per-pair staging).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -41,6 +41,55 @@ fn bench_ranking(c: &mut Criterion) {
             out.iter().map(|&i| i as usize).sum::<usize>()
         })
     });
+    g.finish();
+}
+
+/// Owner-side ranking of the producer/consumer product: one part of the
+/// 20-site half-filling sector on 2 locales ranks every matrix element it
+/// receives in a product, in arrival order — by Lin rank → select (what
+/// `DistSpinBasis` picks there) against prefix buckets over the same part,
+/// both batched. The names carry the lookup count: ns per lookup is the
+/// reported time over it.
+fn bench_dist_part_rank(c: &mut Criterion) {
+    use ls_basis::{OffDiagBlock, SymmetrizedOperator};
+    use ls_kernels::search::NOT_FOUND;
+    use ls_runtime::{Cluster, ClusterSpec};
+
+    let mut g = c.benchmark_group("dist_part_rank");
+    g.sample_size(15);
+    let n = 20u32;
+    let sector = SectorSpec::with_weight(n, n / 2).unwrap();
+    let kernel =
+        ls_expr::builders::heisenberg(&ls_symmetry::lattice::chain_bonds(n as usize), 1.0)
+            .to_kernel(n)
+            .unwrap();
+    let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
+    let basis = ls_dist::enumerate_dist(&Cluster::new(ClusterSpec::new(2, 1)), &sector, 4);
+    assert!(basis.ranks_in_closed_form());
+    // Locale 0's own run first, then what locale 1 ships to it.
+    let (mut gen, mut probes) = (OffDiagBlock::new(), Vec::new());
+    for l in 0..2 {
+        let (states, orbits) = (basis.states().part(l), basis.orbit_sizes().part(l));
+        for (rows, orbits) in states.chunks(512).zip(orbits.chunks(512)) {
+            op.apply_off_diag_block(rows, orbits, &mut gen);
+            probes.extend(gen.reps.iter().filter(|&&rep| basis.owner(rep) == 0));
+        }
+    }
+    let part = basis.states().part(0);
+    let prefix = PrefixIndex::auto(part, n);
+    let mut out = Vec::new();
+    let mut bench = |name: &str, rank: &dyn Fn(&[u64], &mut Vec<u32>)| {
+        g.bench_function(format!("{name}_batch/{}_lookups", probes.len()), |b| {
+            b.iter(|| {
+                probes.chunks(512).for_each(|batch| {
+                    rank(black_box(batch), &mut out);
+                    assert!(!out.contains(&NOT_FOUND));
+                })
+            })
+        });
+    };
+    bench("select", &|batch, out| basis.index_on_batch(0, batch, out));
+    bench("buckets", &|batch, out| prefix.lookup_batch(part, batch, out));
     g.finish();
 }
 
@@ -185,6 +234,7 @@ fn bench_batched_rows(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_ranking,
+    bench_dist_part_rank,
     bench_matvec_strategies,
     bench_partition,
     bench_diagonal,

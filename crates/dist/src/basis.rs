@@ -5,11 +5,22 @@
 //! filtered chunk by destination locale (the hash distribution of
 //! Sec. 5.1) and ships the pieces with one-sided puts into precomputed
 //! disjoint offsets. Concatenating contributions in chunk order keeps each
-//! locale's state list sorted, so local ranking is a prefix-bucket search.
+//! locale's state list sorted.
+//!
+//! **Ranking.** A part is a hashed subset of the sector, so a member's
+//! position is not its sector rank — but where the sector ranks in closed
+//! form ([`SectorSpec::lin_tables`], the rule `ls_basis::SpinBasis` ranks
+//! by) it is *select(part, rank)*: per 64 sector ranks a part keeps a
+//! membership word and the count of its members below, 12 B per 64 states
+//! of the **whole** sector (35 KB a part at 20 sites, cache-resident,
+//! where a bucket search takes two dependent misses). A part that table
+//! would outweigh (`12·⌈dimension/64⌉ > 8·len`, beyond ≈ 42 locales) ranks
+//! like every symmetrized or multi-bit sector: by prefix-bucket search.
 
 use ls_basis::enumerate::{filter_range, split_ranges};
 use ls_basis::SectorSpec;
-use ls_kernels::search::PrefixIndex;
+use ls_kernels::combinadics::{BinomialTable, LinTables};
+use ls_kernels::search::{PrefixIndex, NOT_FOUND};
 use ls_kernels::{locale_idx_of, Scalar};
 use ls_runtime::{collective, Cluster, DistVec, RmaWriteWindow};
 
@@ -25,6 +36,23 @@ fn missing_state(locale: usize, rep: u64, sector: &SectorSpec) -> ! {
     );
 }
 
+/// How one part ranks its states (see the module docs).
+#[derive(Clone, Debug)]
+enum PartIndex {
+    /// `[membership lo, membership hi, members below]` per 64 sector ranks.
+    Select(Vec<[u32; 3]>),
+    Search(PrefixIndex),
+}
+
+/// Position in the part `table` describes of the state with sector rank
+/// `rank`; `None` where its membership bit is clear.
+#[inline]
+fn select(table: &[[u32; 3]], rank: u64) -> Option<u32> {
+    let &[lo, hi, below] = table.get((rank >> 6) as usize)?;
+    let (word, bit) = (lo as u64 | (hi as u64) << 32, 1u64 << (rank & 63));
+    (word & bit != 0).then(|| below + (word & (bit - 1)).count_ones())
+}
+
 /// A symmetry-sector basis in the hashed distribution: locale `l` holds
 /// the sorted list of representatives `s` with `locale_idx_of(s) == l`,
 /// together with their orbit sizes and a local ranking index.
@@ -33,30 +61,55 @@ pub struct DistSpinBasis {
     sector: SectorSpec,
     states: DistVec<u64>,
     orbit_sizes: DistVec<u32>,
-    index: Vec<PrefixIndex>,
+    /// The sector's closed-form ranking, which the select tables index.
+    lin: Option<LinTables>,
+    index: Vec<PartIndex>,
     dim: u64,
 }
 
 impl DistSpinBasis {
     /// Assembles a distributed basis from already-distributed parts. Each
-    /// part must be sorted ascending and placed on its hash-owner locale.
+    /// part must be placed on its hash-owner locale; a part that is not
+    /// strictly ascending, or holds a state its closed-form sector has
+    /// not, panics with the locale and the states.
     pub fn from_parts(
         sector: SectorSpec,
         states: DistVec<u64>,
         orbit_sizes: DistVec<u32>,
     ) -> Self {
         assert_eq!(states.n_locales(), orbit_sizes.n_locales());
-        let code_bits = sector.code_bits();
+        let lin = sector.lin_tables(&BinomialTable::new());
+        // One select slot per 64 states of the whole sector.
+        let slots = lin.as_ref().map_or(0, |_| sector.dimension().div_ceil(64));
         let mut dim = 0u64;
         let mut index = Vec::with_capacity(states.n_locales());
         for l in 0..states.n_locales() {
             let part = states.part(l);
             assert_eq!(part.len(), orbit_sizes.part(l).len());
-            debug_assert!(part.windows(2).all(|w| w[0] < w[1]), "locale {l} not sorted");
+            if let Some(w) = part.windows(2).find(|w| w[0] >= w[1]) {
+                panic!("locale {l}: part not strictly ascending at {:#x}, {:#x}", w[0], w[1]);
+            }
             dim += part.len() as u64;
-            index.push(PrefixIndex::auto(part, code_bits));
+            index.push(match &lin {
+                Some(lin) if 12 * slots <= 8 * part.len() as u64 => {
+                    let mut table = vec![[0u32; 3]; slots as usize];
+                    for &s in part {
+                        let Some(r) = lin.rank(s) else {
+                            panic!("locale {l}: state {s:#x} is not in the sector");
+                        };
+                        table[(r >> 6) as usize][(r >> 5 & 1) as usize] |= 1 << (r & 31);
+                    }
+                    let mut below = 0;
+                    for slot in &mut table {
+                        slot[2] = below;
+                        below += slot[0].count_ones() + slot[1].count_ones();
+                    }
+                    PartIndex::Select(table)
+                }
+                _ => PartIndex::Search(PrefixIndex::auto(part, sector.code_bits())),
+            });
         }
-        Self { sector, states, orbit_sizes, index, dim }
+        Self { sector, states, orbit_sizes, lin, index, dim }
     }
 
     pub fn sector(&self) -> &SectorSpec {
@@ -93,11 +146,22 @@ impl DistSpinBasis {
         locale_idx_of(state, self.n_locales())
     }
 
+    /// Whether every part ranks by closed form and select (no search
+    /// index exists) rather than by prefix-bucket search.
+    pub fn ranks_in_closed_form(&self) -> bool {
+        self.index.iter().all(|index| matches!(index, PartIndex::Select(_)))
+    }
+
     /// Local rank of `rep` on `locale` — the distributed `stateToIndex`.
     /// `None` when the state is not part of the basis.
     #[inline]
     pub fn index_on(&self, locale: usize, rep: u64) -> Option<usize> {
-        self.index[locale].lookup(self.states.part(locale), rep)
+        match &self.index[locale] {
+            PartIndex::Select(table) => {
+                select(table, self.lin.as_ref()?.rank(rep)?).map(|i| i as usize)
+            }
+            PartIndex::Search(prefix) => prefix.lookup(self.states.part(locale), rep),
+        }
     }
 
     /// Hot-loop variant of [`Self::index_on`] for states guaranteed to be
@@ -112,13 +176,22 @@ impl DistSpinBasis {
     }
 
     /// Bulk `stateToIndex` on `locale`: ranks a whole batch of received
-    /// states through the interleaved prefix-bucket kernel, writing
-    /// `u32` ranks (or [`ls_kernels::search::NOT_FOUND`]) into `out`.
-    /// This is how the owner side of the batched/producer-consumer
+    /// states — closed form and select per element, or the interleaved
+    /// prefix-bucket kernel — writing `u32` ranks (or [`NOT_FOUND`]) into
+    /// `out`. This is how the owner side of the batched/producer-consumer
     /// matvec formulations ranks incoming off-diagonal batches.
     #[inline]
     pub fn index_on_batch(&self, locale: usize, reps: &[u64], out: &mut Vec<u32>) {
-        self.index[locale].lookup_batch(self.states.part(locale), reps, out);
+        match &self.index[locale] {
+            PartIndex::Select(table) => {
+                let rank = |&rep: &u64| select(table, self.lin.as_ref()?.rank(rep)?);
+                out.clear();
+                out.extend(reps.iter().map(|rep| rank(rep).unwrap_or(NOT_FOUND)));
+            }
+            PartIndex::Search(prefix) => {
+                prefix.lookup_batch(self.states.part(locale), reps, out)
+            }
+        }
     }
 
     /// Load-balance summary of the hashed distribution:
@@ -131,11 +204,17 @@ impl DistSpinBasis {
         (min, max, mean)
     }
 
-    /// Memory estimate in bytes (states + orbit sizes + ranking indices).
+    /// Memory estimate in bytes: states, orbit sizes, the one ranking
+    /// structure each part holds and the Lin tables the select tables share.
     pub fn memory_bytes(&self) -> usize {
+        let index = self.index.iter().map(|index| match index {
+            PartIndex::Select(table) => std::mem::size_of_val(&table[..]),
+            PartIndex::Search(prefix) => prefix.memory_bytes(),
+        });
         self.states.total_len() * 8
             + self.orbit_sizes.total_len() * 4
-            + self.index.iter().map(|i| i.memory_bytes()).sum::<usize>()
+            + index.sum::<usize>()
+            + self.lin.as_ref().map_or(0, LinTables::memory_bytes)
     }
 
     /// Gathers a distributed vector into canonical (globally sorted state)
@@ -334,5 +413,119 @@ mod tests {
         let (min, max, mean) = dist.balance();
         assert!(min <= mean.ceil() as usize && mean.floor() as usize <= max);
         assert!(dist.memory_bytes() > 0);
+    }
+
+    /// Every part's own ranking, scalar and batched, against
+    /// `binary_search` in the part and against prefix buckets built here
+    /// over the same list — on a select part, "closed form ≡ search".
+    fn check_ranking(basis: &DistSpinBasis, probes: &[u64]) {
+        let (mut own, mut searched) = (Vec::new(), Vec::new());
+        for l in 0..basis.n_locales() {
+            let part = basis.states().part(l);
+            let prefix = PrefixIndex::auto(part, basis.sector().code_bits());
+            basis.index_on_batch(l, probes, &mut own);
+            prefix.lookup_batch(part, probes, &mut searched);
+            assert_eq!(own, searched, "locale {l}");
+            for (&p, &i) in probes.iter().zip(&own) {
+                let expect = part.binary_search(&p).ok();
+                assert_eq!(basis.index_on(l, p), expect, "locale {l} probe {p:#b}");
+                assert_eq!(
+                    i,
+                    expect.map_or(NOT_FOUND, |i| i as u32),
+                    "locale {l} probe {p:#b}"
+                );
+                // A member ranks on its owner and nowhere else.
+                assert!(expect.is_none() || basis.owner(p) == l, "locale {l} probe {p:#b}");
+            }
+        }
+    }
+
+    #[test]
+    fn closed_form_ranking_equals_search_on_every_part() {
+        let u1 = |n, w| SectorSpec::with_weight(n, w).unwrap();
+        let hubbard = SectorSpec::spinful_fermions(5, 2, 3).unwrap();
+        let spin1 = SectorSpec::spin_s(5, 3, Some(5)).unwrap();
+        let sectors = [
+            (u1(12, 6), true),
+            (u1(13, 6), true),
+            (hubbard, true),
+            (sector(12), false),
+            (spin1, false),
+        ];
+        for (sector, closed_form) in sectors {
+            let bits = sector.code_bits();
+            for locales in [1usize, 2, 3, 5] {
+                let cluster = Cluster::new(ClusterSpec::new(locales, 1));
+                let basis = enumerate_dist(&cluster, &sector, 2);
+                assert_eq!(basis.dim(), sector.dimension());
+                assert_eq!(
+                    basis.ranks_in_closed_form(),
+                    closed_form,
+                    "{bits} bits / {locales}"
+                );
+                // Every member of every part (found on its owner only),
+                // then words of the wrong weight, with a bit at or above
+                // `n_sites`, and all ones.
+                let mut probes: Vec<u64> = basis.states().parts().concat();
+                let member = probes[probes.len() / 2];
+                probes.extend(0..512u64);
+                probes.extend([member | 1 << bits, member ^ 1 << bits ^ 1, 1 << 63 | member]);
+                probes.extend([(1 << bits) - 1, 0, u64::MAX]);
+                check_ranking(&basis, &probes);
+            }
+        }
+    }
+
+    #[test]
+    fn a_part_its_select_table_would_outweigh_ranks_by_search() {
+        // 924 states are 15 select slots, 180 B: more than a part of five
+        // states weighs, less than the rest does. The select is exact on
+        // any ascending list of members, so neither part needs to be a
+        // hash bucket, and a state the list lacks is `None`, not a panic.
+        let sector = SectorSpec::with_weight(12, 6).unwrap();
+        let all = ls_basis::SpinBasis::build(sector.clone()).states().to_vec();
+        let parts = vec![all[..5].to_vec(), all[6..].to_vec()];
+        let orbits = DistVec::from_parts(parts.iter().map(|p| vec![1u32; p.len()]).collect());
+        let basis = DistSpinBasis::from_parts(sector, DistVec::from_parts(parts), orbits);
+        assert!(matches!(basis.index[0], PartIndex::Search(_)));
+        assert!(matches!(basis.index[1], PartIndex::Select(_)));
+        assert!(!basis.ranks_in_closed_form());
+        for (i, &s) in all.iter().enumerate() {
+            assert_eq!(basis.index_on(0, s), (i < 5).then_some(i));
+            assert_eq!(basis.index_on(1, s), (i > 5).then(|| i - 6));
+        }
+        // 923 states and orbit sizes, 3 bucket starts, 15 slots, the
+        // 2 × 64-entry Lin tables of a 12-bit species.
+        assert_eq!(basis.memory_bytes(), 923 * 12 + 3 * 4 + 15 * 12 + 128 * 8);
+    }
+
+    #[test]
+    fn memory_bytes_counts_the_one_structure_a_part_holds() {
+        // Closed form: per part 15 select slots, and the Lin tables once.
+        let cluster = Cluster::new(ClusterSpec::new(2, 1));
+        let u1 = enumerate_dist(&cluster, &SectorSpec::with_weight(12, 6).unwrap(), 2);
+        assert!(u1.ranks_in_closed_form());
+        assert_eq!(u1.memory_bytes(), 924 * 12 + 2 * 15 * 12 + 128 * 8);
+        // Search: 2 518 states over two parts, 513 bucket starts each.
+        let ring = enumerate_dist(&cluster, &sector(20), 2);
+        assert_eq!(ring.dim(), 2_518);
+        assert_eq!(ring.memory_bytes(), 2_518 * 12 + 2 * 513 * 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "locale 1: part not strictly ascending at 0x35, 0x33")]
+    fn from_parts_rejects_an_unsorted_part() {
+        // In release builds too: either ranking would be silently wrong.
+        let states = DistVec::from_parts(vec![vec![0b001111], vec![0b110101, 0b110011]]);
+        let orbits = DistVec::from_parts(vec![vec![1u32], vec![1, 1]]);
+        DistSpinBasis::from_parts(sector(6), states, orbits);
+    }
+
+    #[test]
+    #[should_panic(expected = "locale 0: state 0x7 is not in the sector")]
+    fn from_parts_rejects_a_state_outside_its_closed_form_sector() {
+        let sector = SectorSpec::with_weight(6, 2).unwrap();
+        let states = DistVec::from_parts(vec![vec![0b000011, 0b000111, 0b001001]]);
+        DistSpinBasis::from_parts(sector, states, DistVec::from_parts(vec![vec![1u32; 3]]));
     }
 }

@@ -3,22 +3,24 @@
 //! Per locale, `producers` roles stream over the local rows *in blocks*
 //! through the batch kernels (block row generation — the differential
 //! group walk on symmetrized sectors) and route a block at a time: one
-//! pass finds the owner of every emission, one scatters the `(destination
-//! state, coefficient)` pairs into per-destination runs, the ABFT tally is
-//! summed per run, the local run is ranked and added on the spot and the
-//! others ship in capacity-sized batches through [`PairChannel`]s — one
-//! per (source, destination) pair, each a ring of two buffers, so a
-//! producer fills one batch while the previous one is being ranked.
-//! `consumers` roles drain the channels addressed to their locale, rank
-//! each batch where it lies against the *local* basis part (ranking
-//! happens owner-side, where the sorted state list lives) and accumulate
-//! into `y`. Row generation, transfer and accumulation therefore overlap —
-//! the defining contrast with the bulk-synchronous baseline in
-//! `ls-baseline`. There is one drain step; [`PcOptions::deterministic`]
-//! only decides whether a received batch is accumulated on arrival or in a
-//! fixed order after the drain. The engine computes the product and
-//! nothing else: a Lanczos step's `α_j` is the locale-ordered
-//! [`ls_eigen::KrylovVec::dot`] over the finished parts.
+//! pass finds the owner of every emission (`hash mod locales`, a mask for a
+//! power-of-two count) and stages its `(destination state, coefficient)`
+//! pair into the owner's run, the ABFT tally is summed per run, the local
+//! run is ranked and added on the spot and the others ship in
+//! capacity-sized batches through [`PairChannel`]s — one per (source,
+//! destination) pair, each a ring of two buffers, so a producer fills one
+//! batch while the previous one is being ranked. `consumers` roles drain
+//! the channels addressed to their locale, rank each batch where it lies
+//! against the *local* basis part (ranking happens owner-side, where the
+//! part's index lives: Lin rank → select on a product sector, prefix
+//! buckets elsewhere — see `crate::basis`) and accumulate into `y`. Row
+//! generation, transfer and accumulation therefore overlap — the defining
+//! contrast with the bulk-synchronous baseline in `ls-baseline`. There is
+//! one drain step; [`PcOptions::deterministic`] only decides whether a
+//! received batch is accumulated on arrival or in a fixed order after the
+//! drain. The engine computes the product and nothing else: a Lanczos
+//! step's `α_j` is the locale-ordered [`ls_eigen::KrylovVec::dot`] over
+//! the finished parts.
 //!
 //! **Threads.** A product is one [`Cluster::run_tasks`] call, the paper's
 //! `coforall`: `min(producers + consumers, cores_per_locale)` scoped
@@ -50,9 +52,9 @@ use std::sync::{Arc, Mutex};
 /// Rows a producer generates and routes at a time: one
 /// [`SymmetrizedOperator::apply_off_diag_block`] call (which walks the
 /// group once per source row, `g(α ⊕ m) = g(α) ⊕ π_g(m)`, not once per
-/// matrix element; `ls_basis::state_info_batch` is its oracle), one owner
-/// pass, one scatter and one bulk ranking of the local run per block — and
-/// the longest a thread that shares roles leaves its inbox unattended.
+/// matrix element; `ls_basis::state_info_batch` is its oracle), one
+/// owner-and-stage pass and one bulk ranking of the local run per block —
+/// and the longest a thread that shares roles leaves its inbox unattended.
 const GEN_BLOCK: usize = 512;
 
 /// A memoized diagonal, keyed by operator fingerprint, part address, length.
@@ -317,7 +319,7 @@ impl<S: Scalar> Task<'_, S> {
     /// Producer role `p`: generates the rows of a contiguous share of the
     /// local basis part in blocks through the batch kernels
     /// ([`SymmetrizedOperator::apply_off_diag_block`]) and routes each
-    /// block: owners, scatter into per-destination runs, tally, then the
+    /// block: every emission staged into its owner's run, tally, then the
     /// local run is ranked and added and the others are shipped. `inbox`
     /// is served after every block and while a channel is full.
     fn produce(&self, p: usize, inbox: &mut Option<Inbox<S>>) {
@@ -332,12 +334,11 @@ impl<S: Scalar> Task<'_, S> {
         let mut tally = self.abft.map(AbftTally::local);
         let diag = self.engine.diagonal(me, self.op, states);
         let mut gen = OffDiagBlock::new();
-        let mut owner: Vec<u32> = Vec::new();
-        // Per destination: the scatter cursor, then the end of its run.
-        let mut ends = vec![0usize; self.engine.n_locales];
-        let mut staged: Vec<(u64, S)> = Vec::new();
-        // Per destination: the tail of the last run, short of a batch.
-        let mut carry: Vec<Vec<(u64, S)>> = vec![Vec::new(); ends.len()];
+        // Per destination: the `(state, amp · x[source])` pairs staged and not
+        // yet shipped — the tail of earlier blocks, short of a batch, then
+        // this block's run — and where that run starts.
+        let mut runs: Vec<Vec<(u64, S)>> = vec![Vec::new(); self.engine.n_locales];
+        let mut fresh = vec![0usize; runs.len()];
         let mut scratch = RankScratch::default();
         for b0 in (lo..hi).step_by(GEN_BLOCK) {
             let b1 = (b0 + GEN_BLOCK).min(hi);
@@ -348,57 +349,34 @@ impl<S: Scalar> Task<'_, S> {
                 }
             }
             self.op.apply_off_diag_block(&states[b0..b1], &orbits[b0..b1], &mut gen);
-            ends.fill(0);
-            owner.clear();
-            owner.extend(gen.reps.iter().map(|&rep| {
-                let dest = self.basis.owner(rep);
-                ends[dest] += 1;
-                dest as u32
-            }));
-            let mut start = 0;
-            for end in &mut ends {
-                start += std::mem::replace(end, start);
+            fresh.iter_mut().zip(&runs).for_each(|(at, run)| *at = run.len());
+            for ((&rep, &amp), &src) in gen.reps.iter().zip(&gen.amps).zip(&gen.src) {
+                runs[self.basis.owner(rep)].push((rep, amp * x_local[b0 + src as usize]));
             }
-            staged.resize(gen.len(), (0, S::ZERO));
-            for (t, &dest) in owner.iter().enumerate() {
-                let at = &mut ends[dest as usize];
-                staged[*at] = (gen.reps[t], gen.amps[t] * x_local[b0 + gen.src[t] as usize]);
-                *at += 1;
-            }
-            let mut start = 0;
-            for (dest, tail) in carry.iter_mut().enumerate() {
-                let run = &mut staged[start..ends[dest]];
-                start = ends[dest];
+            for (dest, (run, &at)) in runs.iter_mut().zip(&fresh).enumerate() {
                 if let Some(t) = &mut tally {
-                    run.iter().for_each(|&(_, val)| AbftTally::note(t, dest, val));
+                    run[at..].iter().for_each(|&(_, val)| AbftTally::note(t, dest, val));
                 }
                 #[cfg(test)]
-                self.engine.perturb(run);
+                self.engine.perturb(&mut run[at..]);
                 if dest == me {
                     // Local contributions skip the buffers entirely (the
                     // PGAS "here" fast path) but still rank in bulk.
                     self.accumulate(run, &mut scratch);
+                    run.clear();
                     continue;
                 }
-                // Top up the carried tail first, then ship whole batches
-                // straight from the run: every batch but a product's last
-                // is full, whatever the block size.
-                let (head, rest) =
-                    run.split_at(((capacity - tail.len()) % capacity).min(run.len()));
-                tail.extend_from_slice(head);
-                if tail.len() == capacity {
-                    self.ship(dest, tail, inbox);
-                    tail.clear();
-                }
-                let mut batches = rest.chunks_exact(capacity);
-                batches.by_ref().for_each(|batch| self.ship(dest, batch, inbox));
-                tail.extend_from_slice(batches.remainder());
+                // Whole batches ship straight from the run: every batch but
+                // a product's last is full, whatever the block size.
+                let full = run.len() / capacity * capacity;
+                run[..full].chunks_exact(capacity).for_each(|b| self.ship(dest, b, inbox));
+                run.drain(..full);
             }
             // Everything that arrived meanwhile: the peers' buffers come
             // free before they next look for one.
             while inbox.as_mut().is_some_and(|inbox| self.drain_once(inbox)) {}
         }
-        for (dest, tail) in carry.iter().enumerate().filter(|(_, tail)| !tail.is_empty()) {
+        for (dest, tail) in runs.iter().enumerate().filter(|(_, tail)| !tail.is_empty()) {
             self.ship(dest, tail, inbox);
         }
         if let (Some(abft), Some(t)) = (self.abft, &tally) {

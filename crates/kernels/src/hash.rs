@@ -14,11 +14,14 @@ pub fn hash64_01(mut x: u64) -> u64 {
 }
 
 /// The paper's `localeIdxOf`: which locale owns basis state `state` in a
-/// cluster of `num_locales` locales.
+/// cluster of `num_locales` locales, `hash64_01(state) mod num_locales`.
+/// A power-of-two count takes the remainder with a mask — the same
+/// mapping without a 64-bit division per routed matrix element.
 #[inline]
 pub fn locale_idx_of(state: u64, num_locales: usize) -> usize {
     debug_assert!(num_locales > 0);
-    (hash64_01(state) % num_locales as u64) as usize
+    let (hash, n) = (hash64_01(state), num_locales as u64);
+    (if n.is_power_of_two() { hash & (n - 1) } else { hash % n }) as usize
 }
 
 #[cfg(test)]
@@ -64,6 +67,24 @@ mod tests {
         for &c in &counts {
             let rel = (c as f64 - expect).abs() / expect;
             assert!(rel < 0.05, "imbalance {rel} too large: {counts:?}");
+        }
+    }
+
+    #[test]
+    fn power_of_two_mask_is_the_remainder() {
+        // Every distributed pin rests on this mapping: the mask must deal
+        // exactly the parts `%` deals, on mixed words and on the
+        // fixed-weight words a basis holds.
+        let mixed = (0..4096u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let states: Vec<u64> = mixed.chain(crate::bits::FixedWeightRange::all(14, 7)).collect();
+        for n in 1..=64usize {
+            for &s in &states {
+                assert_eq!(
+                    locale_idx_of(s, n) as u64,
+                    hash64_01(s) % n as u64,
+                    "n={n} s={s:#x}"
+                );
+            }
         }
     }
 

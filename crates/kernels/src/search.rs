@@ -6,11 +6,14 @@
 //! range by the high bits of the state — the same trick the shared-memory
 //! `lattice-symmetries` uses — which removes most of the cache misses of
 //! the first binary-search steps. It is the only search ranking: sectors
-//! with a closed form (`crate::combinadics`) need no index, and a radix
+//! with a closed form (`crate::combinadics`) need no index — shared-memory
+//! bases rank by it outright, a part of a distributed basis selects its
+//! position from that rank (`ls-dist`'s `basis` module) and keeps buckets
+//! only where the sector has no closed form — and a radix
 //! trie (Wallerberger & Held, the paper's Ref.\ 25) buys its faster lookup
 //! on the 24-site symmetrized ring (19 ns against 52) with a 3.2 MB index
 //! beside 33 KB of buckets. `benches/ablation.rs` times the buckets
-//! against the closed forms.
+//! against the closed forms, and against the select on a distributed part.
 //!
 //! ## Bulk ranking
 //!
