@@ -218,12 +218,7 @@ fn bench_batched_rows(c: &mut Criterion) {
                     &s.basis,
                     &s.x,
                     &mut y,
-                    ls_dist::PcOptions {
-                        producers: 1,
-                        consumers: 1,
-                        capacity: batch,
-                        ..Default::default()
-                    },
+                    ls_dist::PcOptions { capacity: batch, ..Default::default() },
                 )
             })
         });

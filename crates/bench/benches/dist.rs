@@ -56,12 +56,7 @@ fn bench_matvec_variants(c: &mut Criterion) {
                 &s.basis,
                 &s.x,
                 &mut y,
-                PcOptions {
-                    producers: 1,
-                    consumers: 1,
-                    capacity: 1024,
-                    ..PcOptions::default()
-                },
+                PcOptions { capacity: 1024, ..PcOptions::default() },
             )
         })
     });

@@ -119,12 +119,7 @@ fn main() {
                 &s.basis,
                 &s.x,
                 &mut y,
-                PcOptions {
-                    producers: 1,
-                    consumers: 1,
-                    capacity: 1024,
-                    ..PcOptions::default()
-                },
+                PcOptions { capacity: 1024, ..PcOptions::default() },
             );
         });
         s.cluster.reset_stats();
@@ -134,7 +129,7 @@ fn main() {
             &s.basis,
             &s.x,
             &mut y,
-            PcOptions { producers: 1, consumers: 1, capacity: 1024, ..PcOptions::default() },
+            PcOptions { capacity: 1024, ..PcOptions::default() },
         );
         let stats = s.cluster.stats_total();
         rows.push(vec![

@@ -68,12 +68,7 @@ fn main() {
                 &s.basis,
                 &s.x,
                 &mut y_pc,
-                PcOptions {
-                    producers: 1,
-                    consumers: 1,
-                    capacity: 1024,
-                    ..PcOptions::default()
-                },
+                PcOptions { capacity: 1024, ..PcOptions::default() },
             );
         });
 
@@ -101,7 +96,7 @@ fn main() {
             &s.basis,
             &s.x,
             &mut y_pc,
-            PcOptions { producers: 1, consumers: 1, capacity: 1024, ..PcOptions::default() },
+            PcOptions { capacity: 1024, ..PcOptions::default() },
         );
         let barriers_pc = s.cluster.stats_total().barriers;
         let peak: usize =

@@ -1,15 +1,15 @@
 //! The producer/consumer matrix-vector product (paper Sec. 5.3, Fig. 5).
 //!
-//! Per locale, `producers` roles stream over the local rows *in blocks*
-//! through the batch kernels (block row generation — the differential
-//! group walk on symmetrized sectors) and route a block at a time: one
-//! pass finds the owner of every emission (`hash mod locales`, a mask for a
-//! power-of-two count) and stages its `(destination state, coefficient)`
-//! pair into the owner's run, the ABFT tally is summed per run, the local
-//! run is ranked and added on the spot and the others ship in
-//! capacity-sized batches through [`PairChannel`]s — one per (source,
+//! Per locale, every thread streams over its share of the local rows *in
+//! blocks* through the batch kernels (block row generation — the
+//! differential group walk on symmetrized sectors) and routes a block at a
+//! time. One pass finds the owner of every emission (`hash mod locales`,
+//! a mask for a power-of-two count) and stages its `(destination state,
+//! coefficient)` pair into the owner's run, the ABFT tally is summed per
+//! run, the local run is ranked and added on the spot and the others ship
+//! in capacity-sized batches through [`PairChannel`]s — one per (source,
 //! destination) pair, each a ring of two buffers, so a producer fills one
-//! batch while the previous one is being ranked. `consumers` roles drain
+//! batch while the previous one is being ranked. The same threads drain
 //! the channels addressed to their locale, rank each batch where it lies
 //! against the *local* basis part (ranking happens owner-side, where the
 //! part's index lives: Lin rank → select on a product sector, prefix
@@ -18,24 +18,27 @@
 //! contrast with the bulk-synchronous baseline in `ls-baseline`. There is
 //! one drain step; [`PcOptions::deterministic`] only decides whether a
 //! received batch is accumulated on arrival or in a fixed order after the
-//! drain. The engine computes the product and nothing else: a Lanczos
-//! step's `α_j` is the locale-ordered [`ls_eigen::KrylovVec::dot`] over
-//! the finished parts.
+//! drain (on one thread a locale, or the order would not be fixed). The
+//! engine computes the product and nothing else: a Lanczos step's `α_j`
+//! is the locale-ordered [`ls_eigen::KrylovVec::dot`] over the finished
+//! parts.
 //!
 //! **Threads.** A product is one [`Cluster::run_tasks`] call, the paper's
-//! `coforall`: `min(producers + consumers, cores_per_locale)` scoped
-//! threads per locale that end with the product, the roles dealt onto them
-//! round-robin. A thread runs its producer roles one after the other, and
-//! if it also holds a consumer role it runs the drain step after every
-//! block and wherever it would otherwise wait for a free channel buffer —
-//! it serves its own inbox first — then drains to completion. Nothing
-//! blocks: every wait is the engine's one loop (`Task::wait`: try, drain,
-//! back off), which polls [`LocaleCtx::poll_failure`], so a task that
-//! panics fails the product for all of them and `apply` re-raises what it
-//! threw. With a thread per role the schedule is the classic one (a
-//! producer thread and a consumer thread per locale); with one thread per
-//! locale that thread is the only writer of its part of `y` and
-//! accumulates with plain adds instead of CAS loops.
+//! `coforall`: `cores_per_locale` scoped threads per locale (one under
+//! [`PcOptions::deterministic`]) that end with the product, all alike —
+//! the paper splits a node's cores into producer and consumer tasks, and
+//! its Sec. 6.3 prices the cores that split leaves waiting. Thread `t` of
+//! `T` produces rows `[t·n/T, (t+1)·n/T)` of the locale's `n` and runs the
+//! drain step on the locale's inbox after every block and wherever it
+//! would otherwise wait for a free channel buffer — it serves its own
+//! inbox first — then drains to completion. The last thread of a locale to
+//! finish producing closes its outgoing channels, the last to finish
+//! draining crosses the barrier. Nothing blocks: every wait is the
+//! engine's one loop (`Task::wait`: try, drain, back off), which polls
+//! [`LocaleCtx::poll_failure`], so a task that panics fails the product
+//! for all of them and `apply` re-raises what it threw. A locale's only
+//! thread is the only writer of its part of `y` and accumulates with plain
+//! adds; several accumulate with CAS loops.
 //!
 //! Channel hand-off follows the paper's flag protocol ([`ls_runtime::remote`]).
 //! Buffers are reused across products via [`PcEngine`] — the paper reuses
@@ -49,12 +52,12 @@ use ls_runtime::{collective, AtomicAccumWindow, Cluster, DistVec, LocaleCtx, Pai
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Rows a producer generates and routes at a time: one
+/// Rows a thread generates and routes at a time: one
 /// [`SymmetrizedOperator::apply_off_diag_block`] call (which walks the
 /// group once per source row, `g(α ⊕ m) = g(α) ⊕ π_g(m)`, not once per
 /// matrix element; `ls_basis::state_info_batch` is its oracle), one
 /// owner-and-stage pass and one bulk ranking of the local run per block —
-/// and the longest a thread that shares roles leaves its inbox unattended.
+/// and the longest a thread leaves its inbox unattended.
 const GEN_BLOCK: usize = 512;
 
 /// A memoized diagonal, keyed by operator fingerprint, part address, length.
@@ -63,48 +66,26 @@ type DiagMemo<S> = Option<(((u64, usize), usize, usize), Arc<Vec<S>>)>;
 /// Tuning knobs of the producer/consumer pipeline.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct PcOptions {
-    /// Row-generating roles per locale.
-    pub producers: usize,
-    /// Draining/accumulating roles per locale. Roles are not threads: a
-    /// locale runs `min(producers + consumers, cores_per_locale)` of
-    /// those (see the module docs).
-    pub consumers: usize,
     /// Capacity of each channel buffer, in `(state, coefficient)` pairs.
     pub capacity: usize,
-    /// Deterministic accumulation order: forces one producer and one
-    /// consumer per locale, and the drain step leaves received batches
-    /// *stashed* (communication still overlaps generation), applying them
-    /// only after the locale's producer finished — local contributions in
-    /// row order first, then each source locale's batches in source
-    /// order. The result is bit-identical across runs, **across transport
-    /// backends and across `cores_per_locale`** (the arrival-ordered
-    /// default is deterministic only to rounding). Costs the stash memory
-    /// (all remote contributions of a product buffered at once — 15.6 MB
-    /// per product on the benchmark's 20-site sector, which is why it is
-    /// not the default) and the overlap of accumulation.
+    /// Deterministic accumulation order: a locale runs one thread, and the
+    /// drain step leaves received batches *stashed* (communication still
+    /// overlaps generation), applying them only after the locale's rows
+    /// are produced — local contributions in row order first, then each
+    /// source locale's batches in source order. The result is
+    /// bit-identical across runs, **across transport backends and across
+    /// `cores_per_locale`** (the arrival-ordered default is deterministic
+    /// only to rounding). Costs the stash memory (all remote contributions
+    /// of a product buffered at once — 15.6 MB per product on the
+    /// benchmark's 20-site sector, which is why it is not the default),
+    /// the overlap of accumulation and every core of a locale but one.
     pub deterministic: bool,
 }
 
 impl Default for PcOptions {
     fn default() -> Self {
-        Self { producers: 1, consumers: 1, capacity: 512, deterministic: false }
+        Self { capacity: 512, deterministic: false }
     }
-}
-
-impl PcOptions {
-    /// Threads a locale of `cores` cores runs a product on: one per role
-    /// when they fit, never more than it has cores.
-    fn threads(&self, cores: usize) -> usize {
-        (self.producers + self.consumers).min(cores)
-    }
-}
-
-/// The roles of thread `thread` of a locale that runs `roles` roles on
-/// `threads` threads, dealt round-robin. Role `r` is producer `r` when
-/// `r < producers` and a consumer otherwise, so a thread meets its
-/// producer roles first.
-fn thread_roles(thread: usize, threads: usize, roles: usize) -> impl Iterator<Item = usize> {
-    (thread..roles).step_by(threads)
 }
 
 /// A reusable producer/consumer matvec engine: owns the `L × L` buffer
@@ -136,12 +117,7 @@ impl<S: Scalar> PcEngine<S> {
     /// the same program order.
     pub fn new(n_locales: usize, opts: PcOptions) -> Self {
         assert!(n_locales >= 1, "need at least one locale");
-        let opts = PcOptions {
-            producers: if opts.deterministic { 1 } else { opts.producers.max(1) },
-            consumers: if opts.deterministic { 1 } else { opts.consumers.max(1) },
-            capacity: opts.capacity.max(1),
-            deterministic: opts.deterministic,
-        };
+        let opts = PcOptions { capacity: opts.capacity.max(1), ..opts };
         Self {
             n_locales,
             opts,
@@ -159,7 +135,7 @@ impl<S: Scalar> PcEngine<S> {
     }
 
     /// The diagonal of `op` over `states`, locale `me`'s part: computed by
-    /// the first producer to ask (by [`SymmetrizedOperator::diagonal_block`],
+    /// the first thread to ask (by [`SymmetrizedOperator::diagonal_block`],
     /// so bit-identical to inline evaluation), then served from the memo
     /// while operator and part stay the same.
     fn diagonal(&self, me: usize, op: &SymmetrizedOperator<S>, states: &[u64]) -> Arc<Vec<S>> {
@@ -217,37 +193,32 @@ impl<S: Scalar> PcEngine<S> {
             .full()
             .then(|| AbftTally::new(self.n_locales));
         let win = AtomicAccumWindow::new(y);
-        let producers = self.opts.producers;
-        let roles = producers + self.opts.consumers;
-        let threads = self.opts.threads(cluster.spec().cores_per_locale);
-        // Per-locale countdowns: the last producer to finish closes the
-        // locale's outgoing channels (releasing all remote consumers), and
-        // the locale's last thread crosses the cluster barrier on its behalf:
-        // a join-then-barrier per locale without a second level of threads.
-        let countdowns = |from| (0..self.n_locales).map(|_| AtomicUsize::new(from)).collect();
-        let live_producers: Vec<AtomicUsize> = countdowns(producers);
-        let live_threads: Vec<AtomicUsize> = countdowns(threads);
+        let threads = if self.opts.deterministic { 1 } else { cluster.spec().cores_per_locale };
+        // Per-locale countdowns: the last thread to finish producing closes
+        // the locale's outgoing channels (releasing every drain that waits
+        // on them), and the last to finish draining crosses the cluster
+        // barrier on the locale's behalf: a join-then-barrier per locale
+        // without a second level of threads.
+        let countdowns = || (0..self.n_locales).map(|_| AtomicUsize::new(threads)).collect();
+        let still_producing: Vec<AtomicUsize> = countdowns();
+        let still_draining: Vec<AtomicUsize> = countdowns();
         cluster.run_tasks(threads, |ctx, thread| {
             let me = ctx.locale();
-            let (win, abft, exclusive) = (&win, abft.as_ref(), threads == 1);
-            let task = Task { engine: self, ctx, op, basis, x, win, abft, exclusive };
-            let mut inbox = thread_roles(thread, threads, roles)
-                .any(|role| role >= producers)
-                .then(|| Inbox {
-                    stash: vec![Vec::new(); self.n_locales],
-                    open: (0..self.n_locales).collect(),
-                    ..Inbox::default()
-                });
-            for p in thread_roles(thread, threads, roles).take_while(|&role| role < producers) {
-                task.produce(p, &mut inbox);
-                if live_producers[me].fetch_sub(1, Ordering::AcqRel) == 1 {
-                    for dest in 0..self.n_locales {
-                        self.channel(me, dest).close();
-                    }
+            let (win, abft) = (&win, abft.as_ref());
+            let task = Task { engine: self, ctx, op, basis, x, win, abft, thread, threads };
+            let mut inbox = Inbox {
+                stash: vec![Vec::new(); self.n_locales],
+                open: (0..self.n_locales).collect(),
+                scratch: RankScratch::default(),
+            };
+            task.produce(&mut inbox);
+            if still_producing[me].fetch_sub(1, Ordering::AcqRel) == 1 {
+                for dest in 0..self.n_locales {
+                    self.channel(me, dest).close();
                 }
             }
             task.drain_to_completion(&mut inbox);
-            if live_threads[me].fetch_sub(1, Ordering::AcqRel) == 1 {
+            if still_draining[me].fetch_sub(1, Ordering::AcqRel) == 1 {
                 ctx.barrier_wait();
             }
         });
@@ -275,8 +246,7 @@ impl<S: Scalar> PcEngine<S> {
     }
 }
 
-/// What a consumer role carries from drain step to drain step.
-#[derive(Default)]
+/// What a thread carries from drain step to drain step.
 struct Inbox<S> {
     /// Per source: the batches held back under [`PcOptions::deterministic`].
     stash: Vec<Vec<(u64, S)>>,
@@ -294,16 +264,17 @@ struct Task<'a, S: Scalar> {
     x: &'a DistVec<S>,
     win: &'a AtomicAccumWindow<'a, S>,
     abft: Option<&'a AbftTally>,
-    /// This thread is the only one of its locale, hence the only writer
-    /// of the locale's part of `y`: plain adds.
-    exclusive: bool,
+    /// This thread's index among the `threads` of its locale.
+    thread: usize,
+    threads: usize,
 }
 
 impl<S: Scalar> Task<'_, S> {
     /// `y.part(me)[i] += val`.
     #[inline]
     fn add(&self, i: usize, val: S) {
-        if self.exclusive {
+        // A locale's only thread is the only writer of its part of `y`.
+        if self.threads == 1 {
             self.win.add_exclusive(self.ctx.locale(), i, val);
         } else {
             self.win.fetch_add(self.ctx.locale(), i, val);
@@ -316,20 +287,20 @@ impl<S: Scalar> Task<'_, S> {
         accumulate_batch(self.basis, self.ctx.locale(), pairs, scratch, add);
     }
 
-    /// Producer role `p`: generates the rows of a contiguous share of the
-    /// local basis part in blocks through the batch kernels
+    /// Generates the rows of this thread's contiguous share of the local
+    /// basis part in blocks through the batch kernels
     /// ([`SymmetrizedOperator::apply_off_diag_block`]) and routes each
     /// block: every emission staged into its owner's run, tally, then the
     /// local run is ranked and added and the others are shipped. `inbox`
     /// is served after every block and while a channel is full.
-    fn produce(&self, p: usize, inbox: &mut Option<Inbox<S>>) {
+    fn produce(&self, inbox: &mut Inbox<S>) {
         let me = self.ctx.locale();
-        let PcOptions { producers, capacity, .. } = self.engine.opts;
+        let capacity = self.engine.opts.capacity;
         let states = self.basis.states().part(me);
         let orbits = self.basis.orbit_sizes().part(me);
         let x_local = self.x.part(me);
-        let lo = p * states.len() / producers;
-        let hi = (p + 1) * states.len() / producers;
+        let lo = self.thread * states.len() / self.threads;
+        let hi = (self.thread + 1) * states.len() / self.threads;
 
         let mut tally = self.abft.map(AbftTally::local);
         let diag = self.engine.diagonal(me, self.op, states);
@@ -374,7 +345,7 @@ impl<S: Scalar> Task<'_, S> {
             }
             // Everything that arrived meanwhile: the peers' buffers come
             // free before they next look for one.
-            while inbox.as_mut().is_some_and(|inbox| self.drain_once(inbox)) {}
+            while self.drain_once(inbox) {}
         }
         for (dest, tail) in runs.iter().enumerate().filter(|(_, tail)| !tail.is_empty()) {
             self.ship(dest, tail, inbox);
@@ -385,27 +356,26 @@ impl<S: Scalar> Task<'_, S> {
     }
 
     /// Claims a buffer of the channel to `dest` — serving `inbox` while
-    /// the consumer there holds them all — and publishes `pairs`.
-    fn ship(&self, dest: usize, pairs: &[(u64, S)], inbox: &mut Option<Inbox<S>>) {
+    /// the locale there holds them all — and publishes `pairs`.
+    fn ship(&self, dest: usize, pairs: &[(u64, S)], inbox: &mut Inbox<S>) {
         let ch = self.engine.channel(self.ctx.locale(), dest);
         let turn = self.wait(inbox, |_| ch.try_claim());
         ch.send(turn, self.ctx.stats(), true, pairs);
     }
 
     /// The engine's one wait loop: until `ready` yields, run the drain
-    /// step if this thread has an inbox, and back off when that found
-    /// nothing to do either.
+    /// step, and back off when that found nothing to do either.
     fn wait<R>(
         &self,
-        inbox: &mut Option<Inbox<S>>,
-        mut ready: impl FnMut(&Option<Inbox<S>>) -> Option<R>,
+        inbox: &mut Inbox<S>,
+        mut ready: impl FnMut(&Inbox<S>) -> Option<R>,
     ) -> R {
         let mut idle_spins = 0u32;
         loop {
             if let Some(result) = ready(inbox) {
                 return result;
             }
-            if inbox.as_mut().is_some_and(|inbox| self.drain_once(inbox)) {
+            if self.drain_once(inbox) {
                 idle_spins = 0;
                 continue;
             }
@@ -437,9 +407,9 @@ impl<S: Scalar> Task<'_, S> {
         }
     }
 
-    /// The drain step of a consumer role: one non-blocking pass over the
-    /// channels addressed to this locale, ranking and accumulating what
-    /// arrived into the local part of `y` — or, under
+    /// The drain step: one non-blocking pass over the channels addressed
+    /// to this locale, ranking and accumulating what arrived into the
+    /// local part of `y` — or, under
     /// [`PcOptions::deterministic`], taking it just as eagerly (producers
     /// never stall on flow control) but leaving it *stashed* per source.
     /// Returns whether anything arrived or closed.
@@ -468,17 +438,15 @@ impl<S: Scalar> Task<'_, S> {
 
     /// The end of a thread's product: drains until every source closed.
     /// Under [`PcOptions::deterministic`] the stashes are applied then —
-    /// this locale's channel to itself closed too, which its producer does
-    /// after its row-ordered local adds — source by source in locale
-    /// order, FIFO within each source. Batch boundaries and contents are
-    /// identical on every backend and schedule (single producer, fixed
-    /// capacity), so that accumulation order is too.
-    fn drain_to_completion(&self, inbox: &mut Option<Inbox<S>>) {
-        let drained = |inbox: &Inbox<S>| inbox.open.is_empty();
-        self.wait(inbox, |inbox| inbox.as_ref().is_none_or(drained).then_some(()));
-        if let Some(Inbox { stash, scratch, .. }) = inbox {
-            stash.iter().for_each(|batches| self.accumulate(batches, scratch));
-        }
+    /// this locale's channel to itself closed too, which happens after
+    /// its row-ordered local adds — source by source in locale order, FIFO
+    /// within each source. Batch boundaries and contents are identical on
+    /// every backend and core count (one thread a locale, fixed capacity),
+    /// so that accumulation order is too.
+    fn drain_to_completion(&self, inbox: &mut Inbox<S>) {
+        self.wait(inbox, |inbox| inbox.open.is_empty().then_some(()));
+        let Inbox { stash, scratch, .. } = inbox;
+        stash.iter().for_each(|batches| self.accumulate(batches, scratch));
     }
 }
 
@@ -550,37 +518,10 @@ mod tests {
     }
 
     #[test]
-    fn roles_are_dealt_once_each_onto_no_more_threads_than_cores() {
-        // (producers, consumers, cores): a role each, fewer cores than
-        // roles, more cores than roles, one of everything.
-        for (producers, consumers, cores) in
-            [(1, 1, 2), (1, 1, 1), (2, 2, 1), (2, 2, 3), (3, 1, 2), (1, 3, 8), (2, 2, 4)]
-        {
-            let opts = PcOptions { producers, consumers, ..PcOptions::default() };
-            let (roles, threads) = (producers + consumers, opts.threads(cores));
-            assert!(threads >= 1 && threads <= cores && threads <= roles);
-            let mut placed = vec![0; roles];
-            for thread in 0..threads {
-                let mine: Vec<usize> = thread_roles(thread, threads, roles).collect();
-                assert!(!mine.is_empty(), "thread {thread} of {threads} idles");
-                // Producer roles come first: a thread drains to completion
-                // only after its last producer finished.
-                assert!(mine.windows(2).all(|w| w[0] < w[1]));
-                mine.iter().for_each(|&role| placed[role] += 1);
-            }
-            assert_eq!(placed, vec![1; roles], "p={producers} c={consumers} cores={cores}");
-        }
-        // The benchmark's distributed workload: 2 locales × 1 core with
-        // the default options is 2 threads, not 4.
-        assert_eq!(PcOptions::default().threads(1), 1);
-        assert_eq!(PcOptions::default().threads(2), 2);
-    }
-
-    #[test]
     fn a_value_altered_after_the_tally_fails_the_product_as_abft_corruption() {
-        // cores = 1: both roles on one thread, plain adds; cores = 2: a
-        // thread per role, atomic adds. Value 5 stays local or ships,
-        // depending on the hash — either way it never matches its tally.
+        // cores = 1: plain adds; cores = 2: two threads a locale, atomic
+        // adds. Value 5 stays local or ships, depending on the hash —
+        // either way it never matches its tally.
         for cores in [1usize, 2] {
             let (cluster, op, basis, x) = setup_on(12, ClusterSpec::new(2, cores));
             let lens = basis.states().lens();
@@ -615,10 +556,8 @@ mod tests {
     fn engine_reuse_is_deterministic() {
         let (cluster, op, basis, x) = setup(12, 3);
         let lens = basis.states().lens();
-        let engine = PcEngine::<f64>::new(
-            3,
-            PcOptions { producers: 2, consumers: 2, capacity: 16, ..PcOptions::default() },
-        );
+        let engine =
+            PcEngine::<f64>::new(3, PcOptions { capacity: 16, ..PcOptions::default() });
         let mut y1 = DistVec::<f64>::zeros(&lens);
         engine.apply(&cluster, &op, &basis, &x, &mut y1);
         let mut y2 = DistVec::<f64>::zeros(&lens);
@@ -649,7 +588,7 @@ mod tests {
             &basis,
             &x,
             &mut y_pc,
-            PcOptions { producers: 3, consumers: 2, capacity: 1, ..PcOptions::default() },
+            PcOptions { capacity: 1, ..PcOptions::default() },
         );
         let mut y_ref = DistVec::<f64>::zeros(&lens);
         crate::matvec::matvec_naive(&cluster, &op, &basis, &x, &mut y_ref);

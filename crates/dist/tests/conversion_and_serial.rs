@@ -101,7 +101,7 @@ fn single_locale_pc_equals_serial_baseline() {
         &dist,
         &xd,
         &mut y_pc,
-        PcOptions { producers: 2, consumers: 1, capacity: 32, ..PcOptions::default() },
+        PcOptions { capacity: 32, ..PcOptions::default() },
     );
     let mut y_base = DistVec::<f64>::zeros(&dist.states().lens());
     ls_baseline::matvec_alltoall(&cluster, &op, &dist, &xd, &mut y_base);

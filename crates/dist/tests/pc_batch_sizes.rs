@@ -3,12 +3,11 @@
 //! a 1-pair capacity degenerates to the naive formulation's granularity,
 //! 4096 exceeds the whole off-diagonal volume so everything ships in the
 //! final drain — in arrival order and in the deterministic (stashing)
-//! order, which must also repeat bit for bit, on every schedule: one
-//! thread per locale for all roles (`cores = 1`), a thread per role, and
-//! in between.
+//! order, which must also repeat bit for bit, on 1, 2 and 4 threads per
+//! locale — and on more threads than a locale has rows.
 
 use ls_basis::{SectorSpec, SpinBasis, SymmetrizedOperator};
-use ls_dist::matvec::{matvec_pc, PcOptions};
+use ls_dist::matvec::{matvec_naive, matvec_pc, PcOptions};
 use ls_dist::{enumerate_dist, DistSpinBasis};
 use ls_expr::builders::heisenberg;
 use ls_runtime::{Cluster, ClusterSpec, DistVec};
@@ -53,20 +52,17 @@ fn pc_pipeline_across_batch_capacities() {
         let x: Vec<f64> = (0..basis.dim()).map(|i| ((i as f64) * 0.73).sin() - 0.2).collect();
         let y_ref = serial_reference(&op, &basis, &x);
 
-        // Capacity 1 with 2 + 2 roles on the one thread of each of 4
-        // locales is the deadlock probe: nothing there may block.
+        // Capacity 1 on the one thread of each of 4 locales is the deadlock
+        // probe: nothing there may block.
         for (&locales, cores) in
             locale_counts.iter().flat_map(|l| [1usize, 2, 4].map(|c| (l, c)))
         {
             let cluster = Cluster::new(ClusterSpec::new(locales, cores));
             let dist = enumerate_dist(&cluster, &sector, 2);
             let xd = scatter(&basis, &dist, &x);
-            // The deterministic order forces one producer and one consumer,
-            // whatever is asked for.
-            let tasks: [(usize, usize, bool); 3] = [(1, 1, false), (2, 2, false), (1, 1, true)];
             for capacity in [1usize, 7, 4096] {
-                for (producers, consumers, deterministic) in tasks {
-                    let opts = PcOptions { producers, consumers, capacity, deterministic };
+                for deterministic in [false, true] {
+                    let opts = PcOptions { capacity, deterministic };
                     let mut yd = DistVec::<f64>::zeros(&dist.states().lens());
                     matvec_pc(&cluster, &op, &dist, &xd, &mut yd, opts);
                     for l in 0..locales {
@@ -75,7 +71,7 @@ fn pc_pipeline_across_batch_capacities() {
                             assert!(
                                 (yd.part(l)[i] - expect).abs() < 1e-11,
                                 "n={n} locales={locales} cores={cores} capacity={capacity} \
-                                 p={producers} c={consumers} det={deterministic} state={s:#b}"
+                                 det={deterministic} state={s:#b}"
                             );
                         }
                     }
@@ -85,8 +81,8 @@ fn pc_pipeline_across_batch_capacities() {
                         // same bits, part by part.
                         let mut again = DistVec::<f64>::zeros(&dist.states().lens());
                         matvec_pc(&cluster, &op, &dist, &xd, &mut again, opts);
-                        // Nor on the schedule: the product of one thread
-                        // per locale has the same bits too.
+                        // Nor on the core count: the product of a one-core
+                        // locale has the same bits too.
                         let one_core = Cluster::new(ClusterSpec::new(locales, 1));
                         let mut shared = DistVec::<f64>::zeros(&dist.states().lens());
                         matvec_pc(&one_core, &op, &dist, &xd, &mut shared, opts);
@@ -102,4 +98,54 @@ fn pc_pipeline_across_batch_capacities() {
             }
         }
     }
+}
+
+/// The arrival-ordered product on `spec` against `matvec_naive`, to 1e-11;
+/// returns the part lengths it ran on.
+fn matches_naive(n: usize, spec: ClusterSpec) -> Vec<usize> {
+    let kernel = heisenberg(&chain_bonds(n), 1.0).to_kernel(n as u32).unwrap();
+    let group = chain_group(n, 0, Some(0), Some(0)).unwrap();
+    let sector = SectorSpec::new(n as u32, Some(n as u32 / 2), group).unwrap();
+    let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
+    let cluster = Cluster::new(spec);
+    let dist = enumerate_dist(&cluster, &sector, 2);
+    let lens = dist.states().lens();
+    let parts = dist.states().parts().iter();
+    let x = DistVec::from_parts(
+        parts.map(|p| p.iter().map(|&s| ((s as f64) * 0.37).cos()).collect()).collect(),
+    );
+    let mut y_ref = DistVec::<f64>::zeros(&lens);
+    matvec_naive(&cluster, &op, &dist, &x, &mut y_ref);
+    for capacity in [1usize, 512] {
+        let mut y = DistVec::<f64>::zeros(&lens);
+        matvec_pc(
+            &cluster,
+            &op,
+            &dist,
+            &x,
+            &mut y,
+            PcOptions { capacity, ..PcOptions::default() },
+        );
+        for l in 0..lens.len() {
+            for (a, b) in y.part(l).iter().zip(y_ref.part(l)) {
+                assert!((a - b).abs() < 1e-11, "n={n} {spec:?} capacity={capacity} part {l}");
+            }
+        }
+    }
+    lens
+}
+
+#[test]
+fn every_thread_of_one_locale_produces_and_drains() {
+    // 1 locale × 3 cores: nothing ever ships, three threads share the rows
+    // and the adds into the one part.
+    matches_naive(12, ClusterSpec::new(1, 3));
+}
+
+#[test]
+fn a_part_shorter_than_its_thread_count() {
+    // Thread `t` of 3 takes rows `[t·n/3, (t+1)·n/3)`: with n = 0 or 1 some
+    // threads produce nothing and still drain, close and cross the barrier.
+    let lens = matches_naive(6, ClusterSpec::new(4, 3));
+    assert!(lens.contains(&0) && lens.contains(&1), "the case went away: {lens:?}");
 }

@@ -45,13 +45,8 @@ pub const DEFAULT_MAX_ROLLBACKS: usize = 3;
 /// Panics on an unparsable value — a typo'd budget silently defaulting
 /// would change recovery behaviour without warning.
 pub fn max_rollbacks_from_env() -> usize {
-    match std::env::var(ENV_MAX_ROLLBACKS) {
-        Ok(v) => v
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| panic!("{ENV_MAX_ROLLBACKS}={v:?} is not a count")),
-        Err(_) => DEFAULT_MAX_ROLLBACKS,
-    }
+    ls_runtime::env_count(ENV_MAX_ROLLBACKS, Some(DEFAULT_MAX_ROLLBACKS as u64))
+        .unwrap_or_else(|e| panic!("{e}")) as usize
 }
 
 /// A violated Lanczos invariant: the typed payload the health monitor

@@ -45,12 +45,10 @@ pub struct ClusterSpec {
     /// Number of locales (compute nodes).
     pub locales: usize,
     /// Cores per node of the machine being described (the paper's nodes
-    /// have 128). It bounds the threads a locale runs at a time: the
-    /// producer/consumer product deals its `PcOptions::{producers,
-    /// consumers}` roles onto `min(producers + consumers,
-    /// cores_per_locale)` threads per locale, and with one core a locale's
-    /// only thread accumulates without atomics. [`Cluster::run_tasks`]
-    /// itself starts what it is asked for.
+    /// have 128). It is the number of threads a locale runs a
+    /// producer/consumer product on, and with one core a locale's only
+    /// thread accumulates without atomics. [`Cluster::run_tasks`] itself
+    /// starts what it is asked for.
     pub cores_per_locale: usize,
 }
 

@@ -83,7 +83,7 @@ pub use fault::{FaultAction, FaultKind, FaultPlan, FaultPlanError, FrameClass};
 pub use stats::CommStats;
 pub use supervisor::{classify_exit, FailureClass};
 pub use transport::{
-    Backend, IntegrityMode, MpRuntime, PairChannel, TransportError, TransportSnapshot,
-    TransportStats,
+    env_count, Backend, IntegrityMode, MpRuntime, PairChannel, TransportError,
+    TransportSnapshot, TransportStats,
 };
 pub use window::{RmaReadWindow, RmaWriteWindow};

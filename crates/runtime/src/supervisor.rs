@@ -34,9 +34,9 @@
 
 use crate::fault::FaultPlan;
 use crate::transport::{
-    env_count, locales_from_env, ENV_BACKOFF_MS, ENV_HEARTBEAT_MS, ENV_JOB, ENV_LOCALES,
-    ENV_MAX_RESTARTS, ENV_RANK, ENV_RESTART_COUNT, ENV_SILENCE_SECS, ENV_TIMEOUT, ENV_WATCHDOG,
-    EXIT_CORRUPTION, EXIT_FAILOVER, EXIT_ORPHANED, EXIT_PROTOCOL,
+    env_count, locales_from_env, IntegrityMode, ENV_BACKOFF_MS, ENV_HEARTBEAT_MS, ENV_JOB,
+    ENV_LOCALES, ENV_MAX_RESTARTS, ENV_RANK, ENV_RESTART_COUNT, ENV_SILENCE_SECS, ENV_TIMEOUT,
+    ENV_WATCHDOG, EXIT_CORRUPTION, EXIT_FAILOVER, EXIT_ORPHANED, EXIT_PROTOCOL,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -178,7 +178,7 @@ impl Round {
 
 /// A launch-time configuration error: named on stderr, exit 2, nothing
 /// spawned.
-fn reject(msg: &str) -> ! {
+pub(crate) fn reject(msg: &str) -> ! {
     eprintln!("ls-mp: supervisor: {msg}");
     std::process::exit(2);
 }
@@ -187,12 +187,15 @@ fn reject(msg: &str) -> ! {
 /// the retry budget is spent, then exits with the verdict. Never
 /// returns.
 pub(crate) fn run_supervisor() -> ! {
-    // Validate the fault plan and every numeric knob before spawning
-    // anything: a typo fails at launch with the offending clause or
-    // variable named, instead of inside every worker's transport connect
-    // (or, worse, by silently running the default).
+    // Validate the fault plan and every knob before spawning anything: a
+    // typo fails at launch with the offending clause or variable named,
+    // instead of inside every worker's transport connect (or, worse, by
+    // silently running the default).
     if let Err(e) = FaultPlan::try_from_env() {
         reject(&e.to_string());
+    }
+    if let Err(e) = IntegrityMode::try_from_env() {
+        reject(&e);
     }
     let knob = |name, default| env_count(name, Some(default)).unwrap_or_else(|e| reject(&e));
     let n = locales_from_env(2).unwrap_or_else(|e| reject(&e));

@@ -281,12 +281,54 @@ fn parse_count(name: &str, var: Option<&str>, default: Option<u64>) -> Result<u6
     }
 }
 
-/// [`parse_count`] of the process environment.
-pub(crate) fn env_count(name: &str, default: Option<u64>) -> Result<u64, String> {
+/// The value a keyword-valued `LS_*` variable selects among `choices`,
+/// [`parse_count`]'s twin: unset or empty keeps `default`, anything else
+/// that is not one of the keywords is an error naming the variable
+/// (`LS_INTEGRITY=ful` must not silently run without the defense, nor
+/// `LS_TRANSPORT=multiproces` on simulated locales).
+fn parse_choice<T: Copy>(
+    name: &str,
+    var: Option<&str>,
+    choices: &[(&str, T)],
+    default: T,
+) -> Result<T, String> {
+    match var {
+        None | Some("") => Ok(default),
+        Some(v) => {
+            choices.iter().find(|(word, _)| *word == v).map(|&(_, t)| t).ok_or_else(|| {
+                let words: Vec<String> =
+                    choices.iter().map(|(word, _)| format!("{word:?}")).collect();
+                format!("{name}={v:?}: expected one of {}", words.join(", "))
+            })
+        }
+    }
+}
+
+/// The process environment's `name` (`None`: unset).
+fn env_text(name: &str) -> Result<Option<String>, String> {
     match std::env::var(name) {
         Err(std::env::VarError::NotUnicode(_)) => Err(format!("{name}: not valid unicode")),
-        var => parse_count(name, var.ok().as_deref(), default),
+        var => Ok(var.ok()),
     }
+}
+
+/// The value the numeric variable `name` selects in the process
+/// environment: `default` when it is unset or empty (`None` there means
+/// the variable is required), and an error naming the variable for
+/// anything that is not a non-negative integer.
+pub fn env_count(name: &str, default: Option<u64>) -> Result<u64, String> {
+    parse_count(name, env_text(name)?.as_deref(), default)
+}
+
+/// [`parse_choice`] of the process environment.
+fn env_choice<T: Copy>(name: &str, choices: &[(&str, T)], default: T) -> Result<T, String> {
+    parse_choice(name, env_text(name)?.as_deref(), choices, default)
+}
+
+/// A variable read at first use, with no launcher in front to `reject`
+/// it: refuses a bad value by name.
+fn or_refuse<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// `LS_LOCALES` as a job or cluster size: at least one, `default` when
@@ -331,19 +373,18 @@ impl IntegrityMode {
     /// disable the defense.
     pub fn from_env() -> IntegrityMode {
         static MODE: OnceLock<IntegrityMode> = OnceLock::new();
-        *MODE.get_or_init(|| Self::parse(std::env::var(ENV_INTEGRITY).ok().as_deref()))
+        *MODE.get_or_init(|| or_refuse(Self::try_from_env()))
     }
 
-    /// The mode an `LS_INTEGRITY` value selects (`None`: unset).
-    fn parse(var: Option<&str>) -> IntegrityMode {
-        match var {
-            None | Some("" | "full") => IntegrityMode::Full,
-            Some("wire") => IntegrityMode::Wire,
-            Some("off") => IntegrityMode::Off,
-            Some(other) => {
-                panic!("{ENV_INTEGRITY}={other:?}: expected \"off\", \"wire\" or \"full\"")
-            }
-        }
+    const CHOICES: [(&'static str, IntegrityMode); 3] = [
+        ("off", IntegrityMode::Off),
+        ("wire", IntegrityMode::Wire),
+        ("full", IntegrityMode::Full),
+    ];
+
+    /// `LS_INTEGRITY` as the supervisor checks it before it spawns anything.
+    pub(crate) fn try_from_env() -> Result<IntegrityMode, String> {
+        env_choice(ENV_INTEGRITY, &Self::CHOICES, IntegrityMode::Full)
     }
 
     /// True when wire frames carry CRCs (`wire` or `full`).
@@ -385,16 +426,12 @@ impl Backend {
 /// Panics on an unrecognized value — a typo must not silently fall back
 /// to simulated numbers.
 pub fn requested_backend() -> Backend {
-    match std::env::var(ENV_TRANSPORT) {
-        Err(_) => Backend::InProcess,
-        Ok(v) => match v.as_str() {
-            "" | "inprocess" => Backend::InProcess,
-            "multiprocess" => Backend::MultiProcess,
-            other => {
-                panic!("{ENV_TRANSPORT}={other:?}: expected \"inprocess\" or \"multiprocess\"")
-            }
-        },
-    }
+    or_refuse(try_requested_backend())
+}
+
+fn try_requested_backend() -> Result<Backend, String> {
+    let choices = [Backend::InProcess, Backend::MultiProcess].map(|b| (b.name(), b));
+    env_choice(ENV_TRANSPORT, &choices, Backend::InProcess)
 }
 
 /// The backend this process is actually running on: `MultiProcess` only
@@ -437,6 +474,8 @@ pub fn active() -> Option<&'static MpRuntime> {
 /// that supports `LS_TRANSPORT=multiprocess`.
 ///
 /// * In-process backend requested: returns immediately (no-op).
+/// * `LS_TRANSPORT` names neither backend: exits 2 naming the variable,
+///   like every knob the supervisor refuses before it spawns anything.
 /// * Worker process (spawned by the supervisor): connects the mesh and
 ///   returns — the program then runs SPMD.
 /// * Supervisor (multiprocess requested, not yet a worker): spawns
@@ -446,7 +485,8 @@ pub fn active() -> Option<&'static MpRuntime> {
 ///   program saves them), and **exits** — it never returns. See
 ///   [`crate::supervisor`].
 pub fn launch_if_requested() {
-    if requested_backend() != Backend::MultiProcess {
+    let requested = try_requested_backend().unwrap_or_else(|e| crate::supervisor::reject(&e));
+    if requested != Backend::MultiProcess {
         return;
     }
     if std::env::var_os(ENV_RANK).is_some() {
@@ -694,6 +734,9 @@ pub struct MpRuntime {
     health: Vec<PeerHealth>,
     /// Set once the local abort path is underway (dedupes fan-out).
     aborting: AtomicBool,
+    /// Held, and never released, by the thread that prints the process's
+    /// last line and exits (see `exit_with`).
+    exit_door: Mutex<()>,
     /// Monotonic time base for the health clocks.
     epoch: Instant,
     /// Heartbeat send interval (zero disables).
@@ -864,6 +907,7 @@ impl MpRuntime {
                 })
                 .collect(),
             aborting: AtomicBool::new(false),
+            exit_door: Mutex::new(()),
             epoch: Instant::now(),
             hb_interval,
             silence,
@@ -1173,8 +1217,21 @@ impl MpRuntime {
                 }
             }
         }
-        eprintln!("ls-mp[rank {}]: abort: {err} (exit {})", self.rank, err.exit_code());
-        std::process::exit(err.exit_code());
+        self.exit_with(&err.to_string(), err.exit_code())
+    }
+
+    /// The process's way out of a lost job: one thread prints one
+    /// diagnostic and exits. A detecting thread and the receiver of a
+    /// peer's `ABORT` can arrive together; the second waits at the door
+    /// for the first's exit instead of cutting its line off, and the line
+    /// is one write, so the ranks' lines do not interleave on the stderr
+    /// they share (both used to cost `tests/fault_tolerance.rs` its
+    /// `detected in …` report about one run in ten).
+    fn exit_with(&self, diagnostic: &str, code: i32) -> ! {
+        let _door = self.exit_door.lock();
+        let line = format!("ls-mp[rank {}]: abort: {diagnostic} (exit {code})\n", self.rank);
+        let _ = std::io::stderr().write_all(line.as_bytes());
+        std::process::exit(code);
     }
 
     /// Reads frames off one peer's stream in order and dispatches them.
@@ -1308,14 +1365,11 @@ impl MpRuntime {
                     // Exit right here: the job is already lost, and the
                     // sooner every rank is gone the sooner the supervisor
                     // can relaunch from the last checkpoint.
-                    if !self.aborting.swap(true, Ordering::SeqCst) {
-                        eprintln!(
-                            "ls-mp[rank {}]: abort: aborted by rank {origin} \
-                             (peer exit {code}): {reason} (exit {EXIT_FAILOVER})",
-                            self.rank
-                        );
-                    }
-                    std::process::exit(EXIT_FAILOVER);
+                    self.aborting.store(true, Ordering::SeqCst);
+                    self.exit_with(
+                        &format!("aborted by rank {origin} (peer exit {code}): {reason}"),
+                        EXIT_FAILOVER,
+                    );
                 }
                 TAG_PING => 1,
                 TAG_POISON => {
@@ -2494,7 +2548,8 @@ mod tests {
             (Some("wire"), Wire),
             (Some("off"), Off),
         ] {
-            assert_eq!(IntegrityMode::parse(var), mode, "{var:?}");
+            let parsed = parse_choice(ENV_INTEGRITY, var, &IntegrityMode::CHOICES, Full);
+            assert_eq!(parsed, Ok(mode), "{var:?}");
         }
         // The test environment never sets LS_INTEGRITY.
         assert_eq!(IntegrityMode::from_env(), Full);
@@ -2506,7 +2561,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "LS_INTEGRITY=\"bogus\"")]
     fn integrity_mode_rejects_a_typo() {
-        IntegrityMode::parse(Some("bogus"));
+        let full = IntegrityMode::Full;
+        or_refuse(parse_choice(ENV_INTEGRITY, Some("bogus"), &IntegrityMode::CHOICES, full));
+    }
+
+    #[test]
+    fn keyword_knobs_name_the_variable_and_the_choices() {
+        let full = IntegrityMode::Full;
+        for bad in ["ful", "Full", " full", "on"] {
+            let err = parse_choice(ENV_INTEGRITY, Some(bad), &IntegrityMode::CHOICES, full);
+            let err = err.unwrap_err();
+            assert!(err.contains(ENV_INTEGRITY) && err.contains(bad), "{err}");
+            assert!(err.contains("\"off\", \"wire\", \"full\""), "{err}");
+        }
     }
 
     #[test]

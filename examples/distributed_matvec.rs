@@ -50,14 +50,12 @@ fn main() {
     // can be compared on the same shape (reduction order follows it).
     let locales = exact_diag::runtime::collective::locales_from_env(4);
     let cores = 2usize;
-    // A product deals its producer and consumer roles onto at most `cores`
-    // threads per locale (one role each here; with one core a locale's
-    // only thread would produce, drain its own inbox and add plainly).
-    let pc = PcOptions::default();
-    let threads = (pc.producers + pc.consumers).min(cores);
+    // A product runs `cores` threads per locale, all alike: each produces
+    // a share of the locale's rows and drains its inbox (the deterministic
+    // solve below runs one, which adds plainly).
 
     say!(
-        "== {} cluster: {locales} locales x {cores} cores, {threads} threads per locale \
+        "== {} cluster: {locales} locales x {cores} cores, {cores} threads per locale \
          (backend: {}) ==",
         if mp.is_some() { "multiprocess" } else { "simulated" },
         transport::backend().name()
@@ -106,7 +104,7 @@ fn main() {
         &basis,
         &x,
         &mut y,
-        PcOptions { producers: 1, consumers: 1, capacity: 512, ..PcOptions::default() },
+        PcOptions { capacity: 512, ..PcOptions::default() },
     );
     let dt = t.elapsed().as_secs_f64();
     let stats = cluster.stats_total();
@@ -130,7 +128,7 @@ fn main() {
         &basis,
         1,
         &DistLanczosOptions {
-            pc: PcOptions { capacity: 512, deterministic: true, ..PcOptions::default() },
+            pc: PcOptions { deterministic: true, ..PcOptions::default() },
             ..Default::default()
         },
     );

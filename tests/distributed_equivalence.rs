@@ -81,7 +81,7 @@ fn every_matvec_agrees_with_serial_reference() {
             &dist,
             &xd,
             &mut yd,
-            PcOptions { producers: 2, consumers: 2, capacity: 64, ..PcOptions::default() },
+            PcOptions { capacity: 64, ..PcOptions::default() },
         );
         check(&yd, "producer-consumer");
 
@@ -246,7 +246,7 @@ fn degenerate_layouts_enumerate_multiply_and_solve() {
             &dist,
             &xd,
             &mut yd,
-            PcOptions { producers: 2, consumers: 1, capacity: 8, ..PcOptions::default() },
+            PcOptions { capacity: 8, ..PcOptions::default() },
         );
         for l in 0..locales {
             for (i, &s) in dist.states().part(l).iter().enumerate() {

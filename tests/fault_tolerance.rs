@@ -257,16 +257,15 @@ fn peer_failure_is_detected_sub_second() {
         "detection took {wall:?} — the old path burned the full collective timeout"
     );
     // A survivor attributes the failure and reports its detection latency.
+    // Every survivor prints one line, its own diagnosis or the one a peer
+    // relayed: the first whole latency (`0.012s`) counts.
     let detection: f64 = stderr
         .lines()
-        .find_map(|l| l.split_once("detected in ").map(|(_, rest)| rest))
-        .unwrap_or_else(|| panic!("no detection report in stderr:\n{stderr}"))
-        .split_whitespace()
-        .next()
-        .unwrap()
-        .trim_end_matches('s')
-        .parse()
-        .expect("parse detection latency");
+        .find_map(|l| {
+            let (_, rest) = l.split_once("detected in ")?;
+            rest.split_whitespace().next()?.strip_suffix('s')?.parse().ok()
+        })
+        .unwrap_or_else(|| panic!("no whole detection report in stderr:\n{stderr}"));
     assert!(detection < 1.0, "detection latency {detection}s is not sub-second");
     assert!(
         stderr.contains("supervisor: worker 1 crashed"),

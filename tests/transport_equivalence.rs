@@ -2,7 +2,10 @@
 //! deterministic producer/consumer matvec, in-place Lanczos,
 //! checkpointed thick-restart with resume — produces **bit-identical**
 //! eigenvalues on the in-process backend and on the real multi-process
-//! backend, at the same locale count.
+//! backend, at the same locale count. The arrival-ordered product on two
+//! threads per locale — two threads claiming credits on one sender and
+//! popping one receiver — agrees across backends to rounding, with equal
+//! put counts.
 //!
 //! The in-process half (plus determinism and statistics invariants) runs
 //! hermetically in every `cargo test`. The multi-process half needs to
@@ -19,7 +22,7 @@ use exact_diag::dist::eigensolve::{
 use exact_diag::dist::matvec::PcOptions;
 use exact_diag::dist::{enumerate_dist, matvec_pc};
 use exact_diag::prelude::*;
-use exact_diag::runtime::transport;
+use exact_diag::runtime::{collective, transport};
 use exact_diag::runtime::{Cluster, ClusterSpec, DistVec};
 use std::path::PathBuf;
 
@@ -122,9 +125,37 @@ fn run_pipeline() -> (u64, Vec<u64>) {
     (res.eigenvalues[0].to_bits(), resumed_bits)
 }
 
+/// One arrival-ordered product (default options) on 2 cores per locale,
+/// over a U(1)-only sector large enough that every channel hands over
+/// tens of batches: `y` in global order, then the job's `puts` and
+/// `put_bytes`.
+fn arrival_ordered_product() -> (Vec<f64>, Vec<f64>) {
+    const SITES: usize = 16;
+    let locales = collective::locales_from_env(LOCALES);
+    let cluster = Cluster::new(ClusterSpec::new(locales, 2));
+    let kernel = heisenberg(&chain_bonds(SITES), 1.0).to_kernel(SITES as u32).unwrap();
+    let group = exact_diag::symmetry::SymmetryGroup::trivial(SITES);
+    let sector = SectorSpec::new(SITES as u32, Some(SITES as u32 / 2), group).unwrap();
+    let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
+    let basis = enumerate_dist(&cluster, &sector, 3);
+    let parts = basis.states().parts().iter();
+    let x = DistVec::<f64>::from_parts(
+        parts.map(|p| p.iter().map(|&s| ((s as f64) * 0.37).sin()).collect()).collect(),
+    );
+    let mut y = DistVec::<f64>::zeros(&basis.states().lens());
+    cluster.reset_stats();
+    matvec_pc(&cluster, &op, &basis, &x, &mut y, PcOptions::default());
+    let stats = cluster.stats_total();
+    let mut dense = Vec::new();
+    collective::for_each_global(&y, |v| dense.push(v));
+    (dense, collective::allreduce(vec![stats.puts as f64, stats.put_bytes as f64]))
+}
+
 #[test]
 fn transport_equivalence() {
     let (lanczos_bits, restart_bits) = run_pipeline();
+    let (product, puts) = arrival_ordered_product();
+    assert!(puts[0] >= 40.0, "every channel must hand over many batches: {puts:?}");
 
     if std::env::var("LS_MP_E2E").as_deref() != Ok("1") {
         eprintln!("LS_MP_E2E not set: skipping the multi-process half");
@@ -163,6 +194,13 @@ fn transport_equivalence() {
     };
     assert_eq!(field("MP_LANCZOS"), vec![lanczos_bits], "Lanczos E0 differs across backends");
     assert_eq!(field("MP_RESTART"), restart_bits, "restart eigenvalues differ across backends");
+    let floats = |marker| field(marker).into_iter().map(f64::from_bits).collect::<Vec<_>>();
+    let mp_product = floats("MP_PRODUCT");
+    assert_eq!(mp_product.len(), product.len());
+    for (i, (a, b)) in mp_product.iter().zip(&product).enumerate() {
+        assert!((a - b).abs() < 1e-10, "two-thread product differs at {i}: {a} vs {b}");
+    }
+    assert_eq!(floats("MP_PUTS"), puts, "puts / put_bytes differ across backends");
 }
 
 /// Not a test on its own: the SPMD body `transport_equivalence` re-runs
@@ -176,12 +214,18 @@ fn mp_worker_entry() {
         panic!("mp_worker_entry must be run with LS_TRANSPORT=multiprocess");
     };
     let (lanczos_bits, restart_bits) = run_pipeline();
+    let (product, puts) = arrival_ordered_product();
     if mp.rank() == 0 {
-        println!("MP_LANCZOS {lanczos_bits:016x}");
-        print!("MP_RESTART");
-        for b in restart_bits {
-            print!(" {b:016x}");
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let fields = [
+            ("MP_LANCZOS", vec![lanczos_bits]),
+            ("MP_RESTART", restart_bits),
+            ("MP_PRODUCT", bits(&product)),
+            ("MP_PUTS", bits(&puts)),
+        ];
+        for (marker, words) in fields {
+            let words: String = words.iter().map(|w| format!(" {w:016x}")).collect();
+            println!("{marker}{words}");
         }
-        println!();
     }
 }
