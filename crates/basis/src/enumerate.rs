@@ -11,7 +11,7 @@
 
 use crate::rep::is_representative;
 use crate::sector::{ChargeMask, SectorSpec};
-use ls_kernels::bits::FixedWeightRange;
+use ls_kernels::bits::{field_sum, FixedWeightRange};
 use ls_kernels::CodedRange;
 use rayon::prelude::*;
 
@@ -33,22 +33,15 @@ pub fn filter_range(sector: &SectorSpec, lo: u64, hi: u64) -> Chunk {
     let hi = hi.min(space_end);
     if sector.encoding().bits() > 1 {
         let enc = sector.encoding();
-        // Dense multi-bit codes (power-of-two local dimension): the
-        // odometer has nothing to skip, so a straight scan wins — and
-        // with a U(1) constraint the SIMD field-sum filter processes
-        // four words per round. (`hi == u64::MAX` is the unbounded
-        // sentinel of a 64-bit code space; the filter treats `hi` as
-        // exclusive, so that case stays on the odometer.)
-        if enc.dense() && enc.bits() <= 2 && hi != u64::MAX {
+        // Dense multi-bit codes (spin-3/2, `local_dim = 4`): the odometer
+        // has nothing to skip, so a straight scan wins. (`hi == u64::MAX`
+        // is the unbounded sentinel of a 64-bit code space; the scan
+        // treats `hi` as exclusive, so that case stays on the odometer.)
+        if enc.dense() && hi != u64::MAX {
             match sector.hamming_weight() {
-                Some(sum) => ls_kernels::simd::filter_field_sum(
-                    lo,
-                    hi,
-                    enc.bits(),
-                    n,
-                    sum,
-                    &mut out.states,
-                ),
+                Some(sum) => {
+                    out.states.extend((lo..hi).filter(|&s| field_sum(s, enc.bits(), n) == sum))
+                }
                 None => out.states.extend(lo..hi),
             }
             out.orbit_sizes.resize(out.states.len(), 1);
@@ -80,19 +73,11 @@ pub fn filter_range(sector: &SectorSpec, lo: u64, hi: u64) -> Chunk {
             }
         }
         None => {
-            if charges.is_empty() {
-                for s in lo..hi {
-                    push_if_rep(group, trivial, s, &mut out);
-                }
-            } else {
-                // Charge-sector scan (spinful fermions / Hubbard): the
-                // SIMD filter tests four words per round against every
-                // per-channel popcount constraint.
-                let masks: Vec<(u64, u32)> =
-                    charges.iter().map(|c| (c.mask, c.weight)).collect();
-                let mut cand = Vec::new();
-                ls_kernels::simd::filter_charge_masks(lo, hi, &masks, &mut cand);
-                for s in cand {
+            // Every charge constructor fixes the total weight too, so the
+            // charges are empty here today; the test keeps a sector that
+            // sets charges without a weight correct.
+            for s in lo..hi {
+                if satisfies_charges(charges, s) {
                     push_if_rep(group, trivial, s, &mut out);
                 }
             }
@@ -246,6 +231,28 @@ mod tests {
         for chunks in [1usize, 2, 7, 100] {
             let par = enumerate_par(&sector, chunks);
             assert_eq!(par.states, chunk.states, "chunks={chunks}");
+        }
+    }
+
+    #[test]
+    fn spin_three_halves_enumeration() {
+        // 6 spin-3/2 sites: dense 2-bit codes over a 12-bit space, the
+        // straight-scan arm. Chunk counts 3, 7 and 64 cut the space at
+        // bounds that are not multiples of 4.
+        for w in [Some(0), Some(1), Some(5), Some(9), Some(17), Some(18), None] {
+            let sector = SectorSpec::spin_s(6, 4, w).unwrap();
+            let expect: Vec<u64> = (0..1u64 << 12)
+                .filter(|&s| w.is_none_or(|w| field_sum(s, 2, 6) == w))
+                .collect();
+            let chunk = enumerate(&sector);
+            assert_eq!(chunk.states, expect, "w = {w:?}");
+            assert_eq!(chunk.states.len() as u64, sector.dimension(), "w = {w:?}");
+            assert!(chunk.orbit_sizes.iter().all(|&o| o == 1));
+            for chunks in [1usize, 3, 7, 64] {
+                let par = enumerate_par(&sector, chunks);
+                assert_eq!(par.states, expect, "w = {w:?}, chunks = {chunks}");
+                assert_eq!(par.orbit_sizes.len(), expect.len());
+            }
         }
     }
 

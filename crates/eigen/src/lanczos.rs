@@ -211,7 +211,9 @@ pub(crate) fn krylov_factorization<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
         }
         betas.push(beta);
         w.scale(1.0 / beta);
-        basis.push(w.clone());
+        // `apply_dot` overwrites all of `w` (`tests/apply_contract.rs`),
+        // so a fresh vector serves as the next workspace.
+        basis.push(std::mem::replace(&mut w, op.new_vec()));
     }
     (basis, alphas, betas)
 }

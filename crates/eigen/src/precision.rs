@@ -11,7 +11,7 @@
 //! reduction accumulates f64 partials over the same fixed
 //! [`op::REDUCE_BLOCK`] partition and [`op::pairwise_sum`] tree, and only
 //! the final store narrows. Results are therefore bit-identical across
-//! thread counts and `LS_SIMD` levels, exactly like f64 storage — the
+//! thread counts and machines, exactly like f64 storage — the
 //! *mode* changes results (f32 rounding on store), never the machine
 //! shape. Checkpoints of such a solve carry 4-byte lanes (storage kinds
 //! 3 and 4), and a distributed vector's allgather frames are 4 bytes per

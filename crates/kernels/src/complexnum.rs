@@ -200,7 +200,8 @@ pub trait Scalar:
 
     /// Reinterprets the slice as `&[f64]` when `Self` *is* `f64` —
     /// a safe specialization hook that lets generic kernels hand the
-    /// real-scalar case to SIMD paths. Returns `None` otherwise.
+    /// real-scalar case to the SIMD gather ([`crate::simd`]). Returns
+    /// `None` otherwise.
     fn as_f64_slice(xs: &[Self]) -> Option<&[f64]> {
         let _ = xs;
         None

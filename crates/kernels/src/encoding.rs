@@ -145,8 +145,8 @@ impl SiteEncoding {
     }
 
     /// Every `bits`-wide field pattern is a valid code (power-of-two
-    /// local dimension): the raw word range needs no skipping, so dense
-    /// scans (e.g. the SIMD field-sum filter) beat the odometer.
+    /// local dimension): the raw word range needs no skipping, so a dense
+    /// scan (basis enumeration's field-sum filter) beats the odometer.
     #[inline]
     pub fn dense(self) -> bool {
         self.local_dim as u32 == 1 << self.bits

@@ -10,9 +10,8 @@
 //!
 //! * every [`Scalar`] (`f64`, [`crate::Complex64`]) is its own
 //!   accumulator: plain linear loops, one rounding per operation;
-//! * `f32` accumulates in `f64` through the [`crate::simd`] f32 kernels
-//!   (widen both operands, fixed 4-lane reduction shape shared by the
-//!   scalar and AVX2 paths) and narrows once per stored element.
+//! * `f32` accumulates in `f64` (widen both operands, fixed 4-lane
+//!   reduction shape) and narrows once per stored element.
 //!
 //! The multi-vector loops ([`Lane::multi_dot`], [`Lane::multi_axpy`],
 //! [`Lane::multi_axpy_dot`]) are what a Krylov step spends its time in,
@@ -26,7 +25,6 @@
 //! those of one [`Lane::dot`] / [`Lane::axpy`] per vector, bit for bit.
 
 use crate::complexnum::Scalar;
-use crate::simd;
 
 /// A stored vector element and the BLAS-1 loops over one block of them.
 pub trait Lane: Copy + Send + Sync + Default + 'static {
@@ -255,24 +253,63 @@ impl Lane for f32 {
         x as f32
     }
 
+    /// Both operands widened, summed in four interleaved f64 accumulators
+    /// over the 4-aligned prefix (lane `l` takes elements `4k + l`), the
+    /// remainder into lanes `0..len % 4`, finished as
+    /// `(acc0 + acc1) + (acc2 + acc3)`. The shape is part of the result:
+    /// `tests/blas1_pins.rs` pins its bits.
     fn dot(a: &[f32], b: &[f32]) -> f64 {
-        simd::dot_f32(a, b)
+        assert_eq!(a.len(), b.len());
+        let mut acc = [0.0f64; 4];
+        let n4 = a.len() & !3;
+        for k in (0..n4).step_by(4) {
+            for l in 0..4 {
+                acc[l] += a[k + l] as f64 * b[k + l] as f64;
+            }
+        }
+        for i in n4..a.len() {
+            acc[i - n4] += a[i] as f64 * b[i] as f64;
+        }
+        (acc[0] + acc[1]) + (acc[2] + acc[3])
     }
 
     fn norm_sqr(a: &[f32]) -> f64 {
-        simd::norm_sqr_f32(a)
+        Self::dot(a, a)
     }
 
+    /// `y[i] = f32(f64(y[i]) + alpha · f64(x[i]))`: one rounding on store.
     fn axpy(alpha: f64, x: &[f32], y: &mut [f32]) {
-        simd::axpy_f32(alpha, x, y);
+        assert_eq!(x.len(), y.len());
+        for (yi, &xi) in y.iter_mut().zip(x) {
+            *yi = (*yi as f64 + alpha * xi as f64) as f32;
+        }
     }
 
     fn scale(x: &mut [f32], alpha: f64) {
-        simd::scale_f32(x, alpha);
+        for xi in x.iter_mut() {
+            *xi = (*xi as f64 * alpha) as f32;
+        }
     }
 
+    /// The norm of the *stored* (narrowed) result, in the [`Lane::dot`]
+    /// shape: what a subsequent [`Lane::norm_sqr`] of `y` returns.
     fn axpy_norm_sqr(alpha: f64, x: &[f32], y: &mut [f32]) -> f64 {
-        simd::axpy_norm_sqr_f32(alpha, x, y)
+        assert_eq!(x.len(), y.len());
+        let mut acc = [0.0f64; 4];
+        let n4 = y.len() & !3;
+        for k in (0..n4).step_by(4) {
+            for l in 0..4 {
+                let v = (y[k + l] as f64 + alpha * x[k + l] as f64) as f32;
+                y[k + l] = v;
+                acc[l] += v as f64 * v as f64;
+            }
+        }
+        for i in n4..y.len() {
+            let v = (y[i] as f64 + alpha * x[i] as f64) as f32;
+            y[i] = v;
+            acc[i - n4] += v as f64 * v as f64;
+        }
+        (acc[0] + acc[1]) + (acc[2] + acc[3])
     }
 
     /// The sum runs in f64 and narrows once per element — one rounding,
@@ -346,6 +383,29 @@ mod tests {
         let real = |i: usize| ((i * 2654435761) % 1009) as f64 / 1009.0 - 0.5;
         tiled_is_per_vector(real);
         tiled_is_per_vector(|i| Complex64::new(real(i), real(i + 500)));
+    }
+
+    #[test]
+    fn f32_lane_keeps_its_reduction_shape_and_fused_norm() {
+        let value = |i: usize| ((crate::hash64_01(i as u64) >> 40) as f32 - 8.0e6) * 1.0e-7;
+        for n in (0..=9).chain([1021]) {
+            let a: Vec<f32> = (0..n).map(value).collect();
+            let b: Vec<f32> = (0..n).map(|i| value(i + 5000)).collect();
+            // Element i feeds accumulator i % 4, in ascending i.
+            let mut lanes = [0.0f64; 4];
+            for (i, (&x, &y)) in a.iter().zip(&b).enumerate() {
+                lanes[i % 4] += x as f64 * y as f64;
+            }
+            let shape = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+            assert_eq!(<f32 as Lane>::dot(&a, &b).to_bits(), shape.to_bits(), "n = {n}");
+
+            let mut fused = b.clone();
+            let norm = <f32 as Lane>::axpy_norm_sqr(-1.13, &a, &mut fused);
+            let mut plain = b.clone();
+            <f32 as Lane>::axpy(-1.13, &a, &mut plain);
+            assert_eq!(fused, plain, "n = {n}");
+            assert_eq!(norm.to_bits(), <f32 as Lane>::norm_sqr(&fused).to_bits(), "n = {n}");
+        }
     }
 
     #[test]

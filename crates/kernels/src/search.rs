@@ -24,9 +24,10 @@
 //! of states at once, keeping [`INTERLEAVE`] searches in flight
 //! simultaneously: the per-lane state is a handful of registers, and the
 //! memory system sees a window of independent loads instead of one
-//! dependent chain. Absent states are reported with the [`NOT_FOUND`]
-//! sentinel so results stay in dense `u32` arrays (no `Option` in the hot
-//! path).
+//! dependent chain. The lockstep loop is plain Rust: an AVX2 version with
+//! gathered probes ranked `sym_chain24` slower, not faster (ROADMAP item
+//! 9). Absent states are reported with the [`NOT_FOUND`] sentinel so
+//! results stay in dense `u32` arrays (no `Option` in the hot path).
 
 /// Sentinel written by the `lookup_batch` kernels for states that are not
 /// in the array. Never a valid rank (arrays are capped below `u32::MAX`).
@@ -133,18 +134,6 @@ impl PrefixIndex {
                     hi[l] = self.starts[b + 1] as usize;
                 }
                 // else: lo == hi == 0 — the lane is born finished.
-            }
-            // AVX2 path: two 4-lane gather searches in lockstep, same
-            // bisection as the scalar loop below, bit-identical ranks.
-            if crate::simd::prefix_search_block(
-                sorted,
-                &needles[k..],
-                &mut lo,
-                &mut hi,
-                &mut out[k..],
-            ) {
-                k += W;
-                continue;
             }
             // Lockstep binary search: every live lane issues one probe per
             // round, so up to W independent loads are in flight.

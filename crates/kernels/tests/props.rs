@@ -160,97 +160,14 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// SIMD kernels vs their scalar twins: every dispatched kernel in
-// `ls_kernels::simd` must be *bit-exact* against the scalar reference on
-// random masks, encodings and batch lengths (including remainder lanes).
-// On machines without AVX2 the dispatched path *is* the scalar twin and
-// the assertions are trivially true — the CI x86-64 runners exercise the
-// vector paths.
+// The one SIMD kernel vs its scalar twin: `ls_kernels::simd`'s AVX2 path
+// must be *bit-exact* against the scalar reference on random emissions and
+// segment lengths (including remainder lanes). On machines without AVX2
+// the dispatched path *is* the scalar twin and the assertions are
+// trivially true — the CI x86-64 runners exercise the vector path.
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn simd_charge_filter_matches_scalar(
-        lo in any::<u64>(),
-        span in 0u64..4096,
-        charge_seeds in proptest::collection::vec(any::<u64>(), 0..3),
-    ) {
-        // Mask from the low bits, weight from the top 7 (0..=64).
-        let charges: Vec<(u64, u32)> = charge_seeds
-            .iter()
-            .map(|&s| (s, (s >> 57) as u32 % 65))
-            .collect();
-        let hi = lo.saturating_add(span);
-        let mut fast = Vec::new();
-        let mut slow = Vec::new();
-        simd::filter_charge_masks(lo, hi, &charges, &mut fast);
-        simd::filter_charge_masks_scalar(lo, hi, &charges, &mut slow);
-        prop_assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn simd_field_sum_filter_matches_scalar(
-        lo in any::<u64>(),
-        span in 0u64..4096,
-        width in 1u32..=2,
-        n_fields in 1u32..=32,
-        sum in 0u32..=96,
-    ) {
-        prop_assume!(width * n_fields <= 64);
-        let hi = lo.saturating_add(span);
-        let mut fast = Vec::new();
-        let mut slow = Vec::new();
-        simd::filter_field_sum(lo, hi, width, n_fields, sum, &mut fast);
-        simd::filter_field_sum_scalar(lo, hi, width, n_fields, sum, &mut slow);
-        prop_assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn simd_extract_field_matches_scalar(
-        words in proptest::collection::vec(any::<u64>(), 0..600),
-        shift in 0u32..=63,
-        width_seed in 1u32..=64,
-    ) {
-        let width = width_seed.min(64 - shift);
-        let mut fast = Vec::new();
-        let mut slow = Vec::new();
-        simd::extract_field_batch(&words, shift, width, &mut fast);
-        simd::extract_field_batch_scalar(&words, shift, width, &mut slow);
-        prop_assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn simd_prefix_search_block_ranks_bit_identically(
-        mut states in proptest::collection::vec(any::<u64>(), 8..500),
-        needles_seed in proptest::collection::vec(any::<u64>(), 8),
-    ) {
-        states.sort_unstable();
-        states.dedup();
-        // Mix of members (even seeds index into `states`) and arbitrary
-        // probes (odd seeds used raw).
-        let needles: Vec<u64> = needles_seed
-            .iter()
-            .map(|&raw| {
-                if raw % 2 == 0 { states[(raw as usize / 2) % states.len()] } else { raw }
-            })
-            .collect();
-        let needles: [u64; 8] = needles.try_into().unwrap();
-        let mut lo = [0usize; 8];
-        let mut hi = [states.len(); 8];
-        const SENTINEL: u32 = 0xdead_beef;
-        let mut out = [SENTINEL; 8];
-        if simd::prefix_search_block(&states, &needles, &mut lo, &mut hi, &mut out) {
-            // Found lanes carry the unique rank; absent lanes are left
-            // untouched — exactly what the scalar lockstep loop does.
-            for (l, &n) in needles.iter().enumerate() {
-                match states.binary_search(&n) {
-                    Ok(rank) => prop_assert_eq!(out[l], rank as u32, "lane {}", l),
-                    Err(_) => prop_assert_eq!(out[l], SENTINEL, "lane {}", l),
-                }
-            }
-        }
-    }
 
     #[test]
     fn simd_accumulate_segment_matches_scalar(
@@ -273,41 +190,5 @@ proptest! {
         for (i, (f, s)) in fast.iter().zip(&slow).enumerate() {
             prop_assert_eq!(f.to_bits(), s.to_bits(), "y[{}]", i);
         }
-    }
-
-    #[test]
-    fn simd_f32_blas_matches_scalar_bitwise(
-        xs_seed in proptest::collection::vec(any::<i32>(), 0..600),
-        alpha_seed in any::<i32>(),
-    ) {
-        let alpha = alpha_seed as f64 * 2.0 / i32::MAX as f64;
-        let xs: Vec<f32> = xs_seed.iter().map(|&v| v as f32 / i32::MAX as f32).collect();
-        let ys: Vec<f32> = xs.iter().map(|&v| 0.5 - v * 0.25).collect();
-        prop_assert_eq!(
-            simd::dot_f32(&xs, &ys).to_bits(),
-            simd::dot_f32_scalar(&xs, &ys).to_bits()
-        );
-        prop_assert_eq!(
-            simd::norm_sqr_f32(&xs).to_bits(),
-            simd::dot_f32_scalar(&xs, &xs).to_bits()
-        );
-        let mut ya = ys.clone();
-        let mut yb = ys.clone();
-        simd::axpy_f32(alpha, &xs, &mut ya);
-        simd::axpy_f32_scalar(alpha, &xs, &mut yb);
-        prop_assert_eq!(&ya, &yb);
-        let mut fa = ys.clone();
-        let mut fb = ys.clone();
-        let na = simd::axpy_norm_sqr_f32(alpha, &xs, &mut fa);
-        let nb = simd::axpy_norm_sqr_f32_scalar(alpha, &xs, &mut fb);
-        prop_assert_eq!(na.to_bits(), nb.to_bits());
-        prop_assert_eq!(&fa, &fb);
-        // The fused update equals the unfused one elementwise.
-        prop_assert_eq!(&fa, &ya);
-        let mut sa = ys.clone();
-        let mut sb = ys;
-        simd::scale_f32(&mut sa, alpha);
-        simd::scale_f32_scalar(&mut sb, alpha);
-        prop_assert_eq!(sa, sb);
     }
 }
