@@ -2,7 +2,7 @@
 
 use crate::enumerate;
 use crate::sector::SectorSpec;
-use ls_kernels::combinadics::{BinomialTable, LinTables};
+use ls_kernels::combinadics::{BinomialTable, LinTables, RankLayout};
 use ls_kernels::search::{PrefixIndex, NOT_FOUND};
 use ls_kernels::SiteEncoding;
 
@@ -60,10 +60,14 @@ pub struct SpinBasis {
     orbit_sizes: Vec<u32>,
     /// The search ranking; built exactly where no closed form exists.
     prefix: Option<PrefixIndex>,
-    /// Single-species sectors only: the table of the fused differential
-    /// matvec, and the ranking of a species too wide for `lin`.
-    combinadic: Option<BinomialTable>,
+    /// Every closed-form sector: the lowest species' table in the fused
+    /// differential matvec, and the ranking of a species too wide for
+    /// `lin`.
+    binom: Option<BinomialTable>,
     lin: Option<LinTables>,
+    /// Two-species closed forms: the upper species' bits, and `binom`
+    /// scaled by its stride for the fused matvec's rank deltas.
+    upper: Option<(u64, BinomialTable)>,
 }
 
 impl SpinBasis {
@@ -94,11 +98,15 @@ impl SpinBasis {
             && sector.dimension() == states.len() as u64)
             .then(BinomialTable::new);
         let lin = binom.as_ref().and_then(|b| sector.lin_tables(b));
-        let combinadic =
-            binom.filter(|_| sector.charges().is_empty() && sector.hamming_weight().is_some());
-        let prefix = (lin.is_none() && combinadic.is_none())
-            .then(|| PrefixIndex::auto(&states, sector.code_bits()));
-        Self { sector, states, orbit_sizes, prefix, combinadic, lin }
+        // One species too wide for the Lin tables keeps the combinadic sum.
+        let single = sector.charges().is_empty() && sector.hamming_weight().is_some();
+        let binom = binom.filter(|_| lin.is_some() || single);
+        let upper = binom.as_ref().and_then(|b| {
+            let (mask, stride) = lin.as_ref()?.species().nth(1)?;
+            Some((mask, b.scaled(stride)))
+        });
+        let prefix = binom.is_none().then(|| PrefixIndex::auto(&states, sector.code_bits()));
+        Self { sector, states, orbit_sizes, prefix, binom, lin, upper }
     }
 
     pub fn sector(&self) -> &SectorSpec {
@@ -143,7 +151,7 @@ impl SpinBasis {
                 // One species wider than the Lin tables reach. Its rank is
                 // only meaningful for the right weight, and a bit above
                 // `n_sites` ranks past the end.
-                let t = self.combinadic.as_ref().expect("closed-form sector");
+                let t = self.binom.as_ref().expect("closed-form sector");
                 let rank = t.rank(rep);
                 if Some(rep.count_ones()) != self.sector.hamming_weight()
                     || rank >= self.states.len() as u64
@@ -197,20 +205,35 @@ impl SpinBasis {
     /// The combinadic ranking table, present exactly when the basis is a
     /// whole U(1)-only sector (trivial group, one fixed-weight species,
     /// every member listed) — there a state's index *is* its combinadic
-    /// rank, the precondition of the sign-free differential-ranking fast
-    /// path in the batched matvec. `None` on multi-species sectors and on
-    /// partial state lists.
+    /// rank. `None` on multi-species sectors and on partial state lists;
+    /// [`Self::rank_layout`] is what the fused matvec reads, on one
+    /// species or two.
     pub fn combinadic_table(&self) -> Option<&BinomialTable> {
-        self.combinadic.as_ref()
+        self.binom.as_ref().filter(|_| self.sector.charges().is_empty())
+    }
+
+    /// The species layout of a closed-form basis, `None` where it ranks by
+    /// search: a state's index *is* the product of its species'
+    /// combinadic ranks, so the destination rank of a weight-preserving
+    /// flip is the source's plus per-species deltas read from stride-scaled
+    /// tables — the precondition of the fused differential-ranking matvec.
+    pub fn rank_layout(&self) -> Option<RankLayout<'_>> {
+        let binom = self.binom.as_ref()?;
+        Some(match &self.upper {
+            None => RankLayout::single(binom),
+            Some((mask, scaled)) => RankLayout::pair(binom, *mask, scaled),
+        })
     }
 
     /// Memory estimate in bytes (states + orbit sizes + the ranking
-    /// structure).
+    /// structure, including every table the fused matvec reads).
     pub fn memory_bytes(&self) -> usize {
         self.states.len() * 8
             + self.orbit_sizes.len() * 4
             + self.prefix.as_ref().map_or(0, PrefixIndex::memory_bytes)
+            + self.binom.as_ref().map_or(0, BinomialTable::memory_bytes)
             + self.lin.as_ref().map_or(0, LinTables::memory_bytes)
+            + self.upper.as_ref().map_or(0, |(_, t)| t.memory_bytes())
     }
 }
 
@@ -284,7 +307,8 @@ mod tests {
         let sector = SectorSpec::with_weight(4, 2).unwrap();
         let basis = SpinBasis::from_parts(sector, vec![0b0011, 0b0110], vec![1, 1]);
         assert!(!basis.ranks_in_closed_form());
-        assert!(basis.combinadic_table().is_none(), "gateway of the fused matvec");
+        assert!(basis.combinadic_table().is_none());
+        assert!(basis.rank_layout().is_none(), "gateway of the fused matvec");
         assert_eq!(basis.index_of(0b0011), Some(0));
         assert_eq!(basis.index_of(0b0110), Some(1));
         assert_eq!(basis.index_of(0b0101), None, "in the sector, not in the list");
@@ -293,6 +317,7 @@ mod tests {
         let hubbard = SectorSpec::spinful_fermions(2, 1, 1).unwrap();
         let basis = SpinBasis::from_parts(hubbard, vec![0b0110, 0b1010], vec![1, 1]);
         assert!(!basis.ranks_in_closed_form());
+        assert!(basis.rank_layout().is_none());
         check_ranking(&basis, &(0..16).collect::<Vec<u64>>());
     }
 
@@ -360,8 +385,11 @@ mod tests {
         let basis = SpinBasis::build(SectorSpec::spinful_fermions(4, 2, 2).unwrap());
         assert_eq!(basis.dim() as u64, basis.sector().dimension());
         assert!(basis.ranks_in_closed_form());
-        // Jordan-Wigner sector: no table for the sign-free fused matvec.
+        // Two species: no single combinadic table, a two-species layout.
         assert!(basis.combinadic_table().is_none());
+        let layout = basis.rank_layout().unwrap();
+        let masks: Vec<u64> = layout.species().iter().map(|s| s.mask).collect();
+        assert_eq!(masks, [0x0f, 0xf0]);
         for (i, &s) in basis.states().iter().enumerate() {
             assert_eq!(basis.index_of(s), Some(i));
             assert_eq!(basis.index_of_present(s), i);
@@ -372,12 +400,22 @@ mod tests {
 
     #[test]
     fn memory_bytes_counts_the_one_ranking_structure() {
-        // A closed-form sector holds its tables and no search index.
+        // A closed-form sector holds its tables and no search index: the
+        // Lin tables, the binomial table and, on two species, its copy
+        // scaled by the upper species' stride.
+        let binom = BinomialTable::new().memory_bytes();
+        assert_eq!(binom, 65 * 65 * 8);
         let hubbard = SpinBasis::build(SectorSpec::spinful_fermions(4, 2, 2).unwrap());
         assert!(hubbard.prefix.is_none());
-        let tables = hubbard.lin.as_ref().unwrap().memory_bytes();
-        assert_eq!(hubbard.memory_bytes(), hubbard.dim() * 12 + tables);
-        assert!(tables < 1024);
+        let lin = hubbard.lin.as_ref().unwrap().memory_bytes();
+        assert!(lin < 1024);
+        assert_eq!(hubbard.memory_bytes(), hubbard.dim() * 12 + lin + 2 * binom);
+        let u1 = SpinBasis::build(SectorSpec::with_weight(12, 6).unwrap());
+        let lin = u1.lin.as_ref().unwrap().memory_bytes();
+        assert_eq!(u1.memory_bytes(), u1.dim() * 12 + lin + binom);
+        // A species too wide for Lin tables: the binomial table alone.
+        let wide = SpinBasis::build(SectorSpec::with_weight(40, 1).unwrap());
+        assert_eq!(wide.memory_bytes(), 40 * 12 + binom);
         // A search sector: 28 968 states and orbit sizes + 8 193 bucket
         // starts on the 24-site fully symmetrized ring.
         let ring = chain_basis(24);

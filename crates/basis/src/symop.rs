@@ -27,7 +27,7 @@
 use crate::rep::{state_info, GroupWalk};
 use crate::sector::{BasisError, SectorSpec};
 use ls_expr::OperatorKernel;
-use ls_kernels::combinadics::BinomialTable;
+use ls_kernels::combinadics::{BinomialTable, RankLayout, SpeciesRank};
 use ls_kernels::{Complex64, Scalar};
 use ls_symmetry::SymmetryGroup;
 
@@ -214,13 +214,6 @@ impl<S: Scalar> SymmetrizedOperator<S> {
 
     pub fn is_hermitian(&self) -> bool {
         self.hermitian
-    }
-
-    /// Does any channel carry a fermionic Jordan-Wigner sign mask? When
-    /// true the segment-encoded constant-coefficient fast paths (which
-    /// assume one amplitude per channel) are unavailable.
-    pub fn has_signs(&self) -> bool {
-        self.has_signs
     }
 
     /// Upper bound on off-diagonal entries per row.
@@ -418,28 +411,9 @@ impl<S: Scalar> SymmetrizedOperator<S> {
         }
     }
 
-    /// The U(1) fused fast path: generation *and ranking* of a block in
-    /// one channel-outer pass. Valid only for a trivial group over the
-    /// full fixed-weight basis (the combinadic-ranking precondition):
-    /// there the basis index of a state *is* its combinadic rank, the rank
-    /// of the block's `k`-th row is simply `first_rank + k`, and each
-    /// destination rank follows by [`BinomialTable::rank_xor`] — O(flipped
-    /// span) instead of O(weight) per matrix element, with no lookup
-    /// structure touched at all. Destination ranks are always valid.
-    ///
-    /// For each channel, firing rows are first collected with a
-    /// *branchless* compaction sweep (the data-dependent fire/no-fire
-    /// branch of the row-outer loops mispredicts constantly; a
-    /// conditional-increment store does not), then ranked differentially.
-    /// Output is segment-encoded: `emit` packs each emission as
-    /// `(source position << 32) | destination rank` grouped by channel,
-    /// and `segs` holds one `(coefficient, end offset)` pair per channel —
-    /// the amplitude of a U(1) channel is a constant, so storing it per
-    /// segment instead of per emission halves the emission traffic.
-    ///
-    /// Emission order is (channel, state); each output element still
-    /// receives its contributions in ascending channel order — exactly the
-    /// scalar pull accumulation order, so gather results stay bit-exact.
+    /// [`Self::apply_off_diag_block_ranked_channels`] on a U(1) sector:
+    /// one species filling the word, ranked by `table`, and sign-free
+    /// channels.
     pub fn apply_off_diag_block_u1_ranked_channels(
         &self,
         states: &[u64],
@@ -449,24 +423,79 @@ impl<S: Scalar> SymmetrizedOperator<S> {
         emit: &mut Vec<u64>,
         segs: &mut Vec<(S, u32)>,
     ) {
-        // Hard checks (two flag tests per block): past them a symmetrized
-        // or Jordan-Wigner operator would get plausible wrong ranks.
-        assert!(self.trivial_group, "fused ranking requires the trivial group");
         assert!(!self.has_signs, "fused ranking requires sign-free channels");
+        let layout = RankLayout::single(table);
+        self.apply_off_diag_block_ranked_channels(
+            states,
+            first_rank,
+            layout.species(),
+            fired,
+            emit,
+            segs,
+        );
+    }
+
+    /// The fused fast path of closed-form sectors: generation *and
+    /// ranking* of a block in one channel-outer pass. Valid only for a
+    /// trivial group over a basis that is the whole product of the
+    /// fixed-weight `species` ([`crate::SpinBasis::rank_layout`]): there
+    /// the basis index of a state *is* its product rank, the rank of the
+    /// block's `k`-th row is simply `first_rank + k`, and each destination
+    /// rank is the source's plus, per species the flip touches, a
+    /// [`BinomialTable::rank_xor`] delta read from the species'
+    /// stride-scaled table — O(flipped span) instead of O(weight) per
+    /// matrix element, with no lookup structure touched at all.
+    /// Destination ranks are always valid.
+    ///
+    /// For each channel, firing rows are first collected with a
+    /// *branchless* compaction sweep (the data-dependent fire/no-fire
+    /// branch of the row-outer loops mispredicts constantly; a
+    /// conditional-increment store does not), then ranked differentially.
+    /// Output is segment-encoded: `emit` packs each emission as
+    /// `(source position << 32) | destination rank` grouped by channel,
+    /// and `segs` holds `(coefficient, end offset)` pairs — the amplitude
+    /// of a channel is its coefficient up to the Jordan-Wigner sign, so a
+    /// sign-free channel emits one segment and a signed one two: its rows
+    /// of even string parity with `coeff`, then its odd rows with
+    /// `−coeff` (negation is exact, so the amplitudes are
+    /// [`Self::apply_off_diag`]'s bits). Storing amplitudes per segment
+    /// instead of per emission halves the emission traffic.
+    ///
+    /// Emission order is (channel, parity, state); a row fires a channel
+    /// at most once, so each output element still receives its
+    /// contributions in ascending channel order — exactly the scalar pull
+    /// accumulation order, so gather results stay bit-exact.
+    pub fn apply_off_diag_block_ranked_channels(
+        &self,
+        states: &[u64],
+        first_rank: u64,
+        species: &[SpeciesRank<'_>],
+        fired: &mut Vec<u32>,
+        emit: &mut Vec<u64>,
+        segs: &mut Vec<(S, u32)>,
+    ) {
+        // Hard check (one flag test per block): past it a symmetrized
+        // operator would get plausible wrong ranks.
+        assert!(self.trivial_group, "fused ranking requires the trivial group");
         emit.clear();
         segs.clear();
-        fired.clear();
-        fired.resize(states.len(), 0);
+        let n = states.len();
+        // Even-parity rows in the first half, odd ones in the second;
+        // every slot read is written first.
+        if fired.len() < 2 * n {
+            fired.resize(2 * n, 0);
+        }
+        let (even, odd) = fired.split_at_mut(n);
         let mut c = 0usize;
         while c < self.channels.len() {
             let ch = &self.channels[c];
             // Exchange-pair merge: the kernel's channel list is sorted by
-            // (sites, in_pat), so the S⁺S⁻ / S⁻S⁺ halves of a bond are
-            // consecutive; with equal coefficients they share one
-            // "exactly one of the two sites is up" sweep (a row fires at
-            // most one of the two, so per-row emission order is
-            // unchanged). This halves the dominant cost — the per-channel
-            // block sweep.
+            // (sites, in_pat), so the S⁺S⁻ / S⁻S⁺ halves of a bond (the
+            // c†c / c c† halves of a hop) are consecutive; with equal
+            // coefficients and string masks they share one "exactly one of
+            // the two sites is set" sweep (a row fires at most one of the
+            // two, so per-row emission order is unchanged). This halves
+            // the dominant cost — the per-channel block sweep.
             let paired = c + 1 < self.channels.len() && {
                 let ch2 = &self.channels[c + 1];
                 ch.sites.count_ones() == 2
@@ -475,43 +504,24 @@ impl<S: Scalar> SymmetrizedOperator<S> {
                     && ch2.flip == ch.sites
                     && ch.in_pat ^ ch2.in_pat == ch.sites
                     && ch.coeff == ch2.coeff
+                    && ch.sign == ch2.sign
             };
-            let sites = ch.sites;
-            let in_pat = ch.in_pat;
-            // Branchless compaction: every row writes its index, only
-            // firing rows advance the cursor.
-            let mut w = 0usize;
-            if paired {
-                for (k, &alpha) in states.iter().enumerate() {
-                    fired[w] = k as u32;
+            let (sites, in_pat) = (ch.sites, ch.in_pat);
+            let (n_even, n_odd) = if paired {
+                compact_firing_rows(states, ch.sign, even, odd, |alpha| {
                     let t = alpha & sites;
-                    w += (t != 0 && t != sites) as usize;
-                }
+                    t != 0 && t != sites
+                })
             } else {
-                for (k, &alpha) in states.iter().enumerate() {
-                    fired[w] = k as u32;
-                    w += (alpha & sites == in_pat) as usize;
-                }
-            }
-            // Channel constants of the differential rank, hoisted.
-            let lo = ch.flip.trailing_zeros();
-            let below = !(u64::MAX << lo);
-            if ch.flip >> lo == 0b11 {
-                // Adjacent transposition (every nearest-neighbour term):
-                // the rank delta is two table loads.
-                for &k in &fired[..w] {
-                    let alpha = states[k as usize];
-                    let dest = table.rank_xor_adjacent(alpha, lo, below, first_rank + k as u64);
-                    emit.push((k as u64) << 32 | dest);
-                }
-            } else {
-                for &k in &fired[..w] {
-                    let alpha = states[k as usize];
-                    let dest = table.rank_xor(alpha, ch.flip, first_rank + k as u64);
-                    emit.push((k as u64) << 32 | dest);
-                }
-            }
+                compact_firing_rows(states, ch.sign, even, odd, |alpha| alpha & sites == in_pat)
+            };
+            let rank = ChannelRank::new(ch.flip, species);
+            rank.emit(states, first_rank, &even[..n_even], emit);
             segs.push((ch.coeff, emit.len() as u32));
+            if ch.sign != 0 {
+                rank.emit(states, first_rank, &odd[..n_odd], emit);
+                segs.push((-ch.coeff, emit.len() as u32));
+            }
             c += if paired { 2 } else { 1 };
         }
     }
@@ -538,6 +548,99 @@ impl<S: Scalar> SymmetrizedOperator<S> {
             }
         }
         h
+    }
+}
+
+/// Branchless compaction of the rows of `states` that fire a channel:
+/// every row writes its index, only firing rows advance a cursor. A
+/// channel with a string mask `sign` splits its rows by parity into
+/// `even` and `odd`; a sign-free one fills `even` alone, at the cost it
+/// had before signs were fused. Returns the two list lengths.
+#[inline(always)]
+fn compact_firing_rows(
+    states: &[u64],
+    sign: u64,
+    even: &mut [u32],
+    odd: &mut [u32],
+    fires: impl Fn(u64) -> bool,
+) -> (usize, usize) {
+    let (mut n_even, mut n_odd) = (0usize, 0usize);
+    if sign == 0 {
+        for (k, &alpha) in states.iter().enumerate() {
+            even[n_even] = k as u32;
+            n_even += fires(alpha) as usize;
+        }
+    } else {
+        for (k, &alpha) in states.iter().enumerate() {
+            let fire = fires(alpha) as usize;
+            let parity = ((alpha & sign).count_ones() & 1) as usize;
+            even[n_even] = k as u32;
+            odd[n_odd] = k as u32;
+            n_even += fire & (parity ^ 1);
+            n_odd += fire & parity;
+        }
+    }
+    (n_even, n_odd)
+}
+
+/// One channel's differential-rank constants, hoisted out of its
+/// emission loop.
+enum ChannelRank<'a> {
+    /// An adjacent pair inside one species (every nearest-neighbour
+    /// term): the rank delta is two table loads, on the whole word.
+    Adjacent { lo: u32, lo_local: u32, below: u64, table: &'a BinomialTable },
+    /// Any other flip: for each species it touches, `(mask, shift, the
+    /// flip's part, table)`, and the delta over the part's span on the
+    /// species' own word. A flip that moves particles of both species
+    /// sums both deltas.
+    Span { parts: [(u64, u32, u64, &'a BinomialTable); 2], n_parts: usize },
+}
+
+impl<'a> ChannelRank<'a> {
+    fn new(flip: u64, species: &[SpeciesRank<'a>]) -> Self {
+        let lo = flip.trailing_zeros();
+        let home = species
+            .iter()
+            .find(|s| s.mask >> lo & 1 == 1)
+            .expect("the species tile every bit an operator flips");
+        if flip >> lo == 0b11 && flip & !home.mask == 0 {
+            let lo_local = lo - home.mask.trailing_zeros();
+            let below = !(u64::MAX << lo) & home.mask;
+            return Self::Adjacent { lo, lo_local, below, table: home.table };
+        }
+        let mut parts = [(0, 0, 0, home.table); 2];
+        let mut n_parts = 0;
+        for s in species.iter().filter(|s| flip & s.mask != 0) {
+            let shift = s.mask.trailing_zeros();
+            parts[n_parts] = (s.mask, shift, (flip & s.mask) >> shift, s.table);
+            n_parts += 1;
+        }
+        Self::Span { parts, n_parts }
+    }
+
+    /// Packs `(row << 32) | destination rank` for each firing row.
+    #[inline]
+    fn emit(&self, states: &[u64], first_rank: u64, rows: &[u32], emit: &mut Vec<u64>) {
+        match *self {
+            Self::Adjacent { lo, lo_local, below, table } => {
+                for &k in rows {
+                    let alpha = states[k as usize];
+                    let rank = first_rank + k as u64;
+                    let dest = table.rank_xor_adjacent(alpha, lo, lo_local, below, rank);
+                    emit.push((k as u64) << 32 | dest);
+                }
+            }
+            Self::Span { parts, n_parts } => {
+                for &k in rows {
+                    let alpha = states[k as usize];
+                    let mut dest = first_rank + k as u64;
+                    for &(mask, shift, flip, table) in &parts[..n_parts] {
+                        dest = table.rank_xor((alpha & mask) >> shift, flip, dest);
+                    }
+                    emit.push((k as u64) << 32 | dest);
+                }
+            }
+        }
     }
 }
 
@@ -827,6 +930,115 @@ mod tests {
         fused_block(&op, SpinBasis::build(sector).states());
     }
 
+    /// The fused pass against generation + ranking, at block lengths on
+    /// both sides of a channel's compaction: per row, the same
+    /// `(destination rank, amplitude)` list in the same channel order.
+    fn check_fused_matches_ranked_generation<S: Scalar>(
+        op: &SymmetrizedOperator<S>,
+        basis: &SpinBasis,
+    ) {
+        let layout = basis.rank_layout().expect("closed-form basis");
+        let (mut fired, mut emit, mut segs) = (Vec::new(), Vec::new(), Vec::new());
+        let mut block = OffDiagBlock::new();
+        for bs in [1, 7, 64, basis.dim()] {
+            let chunks = basis.states().chunks(bs).zip(basis.orbit_sizes().chunks(bs));
+            for (b, (states, orbits)) in chunks.enumerate() {
+                let first = (b * bs) as u64;
+                op.apply_off_diag_block_ranked_channels(
+                    states,
+                    first,
+                    layout.species(),
+                    &mut fired,
+                    &mut emit,
+                    &mut segs,
+                );
+                let mut fused = vec![Vec::new(); states.len()];
+                let mut t0 = 0;
+                for &(coeff, t1) in &segs {
+                    for &e in &emit[t0..t1 as usize] {
+                        fused[(e >> 32) as usize].push((e as u32 as usize, coeff));
+                    }
+                    t0 = t1 as usize;
+                }
+                op.apply_off_diag_block(states, orbits, &mut block);
+                let mut generated = vec![Vec::new(); states.len()];
+                for t in 0..block.len() {
+                    let rank = basis.index_of(block.reps[t]).unwrap();
+                    generated[block.src[t] as usize].push((rank, block.amps[t]));
+                }
+                assert_eq!(fused, generated, "block length {bs}, block {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_ranking_matches_generation_on_every_closed_form() {
+        let fermion = ls_expr::LocalHilbert::fermion();
+        // One species: nearest- and next-nearest-neighbour exchange (the
+        // adjacent and the spanning rank), through the U(1) wrapper too.
+        let n = 12usize;
+        let j1j2 = heisenberg(&lattice::triangular_ladder_bonds(n), 1.0);
+        let sector = SectorSpec::with_weight(n as u32, 5).unwrap();
+        let basis = SpinBasis::build(sector.clone());
+        let op = SymmetrizedOperator::<f64>::new(&j1j2.to_kernel(n as u32).unwrap(), &sector)
+            .unwrap();
+        check_fused_matches_ranked_generation(&op, &basis);
+        let (mut fired, mut emit, mut segs) = (Vec::new(), Vec::new(), Vec::new());
+        let table = basis.combinadic_table().unwrap();
+        op.apply_off_diag_block_u1_ranked_channels(
+            basis.states(),
+            0,
+            table,
+            &mut fired,
+            &mut emit,
+            &mut segs,
+        );
+        let mut generic = (Vec::new(), Vec::new(), Vec::new());
+        let layout = basis.rank_layout().unwrap();
+        op.apply_off_diag_block_ranked_channels(
+            basis.states(),
+            0,
+            layout.species(),
+            &mut generic.0,
+            &mut generic.1,
+            &mut generic.2,
+        );
+        assert_eq!((emit, segs), (generic.1, generic.2));
+        // Spinless fermions on a ring: one species, a Jordan-Wigner string
+        // on the closure bond.
+        let ring = ls_expr::Expr::Sum(
+            (0..8u16).map(|i| ls_expr::fermion_hop(i, (i + 1) % 8, 0.9)).collect(),
+        );
+        let kernel = ring.to_kernel_in(&fermion, 8).unwrap();
+        assert!(kernel.has_signs());
+        let sector = SectorSpec::with_encoding(8, fermion.encoding(), Some(3)).unwrap();
+        let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
+        check_fused_matches_ranked_generation(&op, &SpinBasis::build(sector));
+        // Two species, real and complex amplitudes.
+        let kernel = ls_expr::hubbard_1d(6, 1.0, 4.0, true).to_kernel_in(&fermion, 12).unwrap();
+        let sector = SectorSpec::spinful_fermions(6, 3, 2).unwrap();
+        let basis = SpinBasis::build(sector.clone());
+        let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
+        check_fused_matches_ranked_generation(&op, &basis);
+        let op = SymmetrizedOperator::<Complex64>::new(&kernel, &sector).unwrap();
+        check_fused_matches_ranked_generation(&op, &basis);
+    }
+
+    #[test]
+    fn exchange_pairs_merge_only_with_equal_string_masks() {
+        // The two halves of the closure hop of a spinless 6-ring, one
+        // given a different string mask: the rows firing the second half
+        // must take its parity, not the first half's.
+        let fermion = ls_expr::LocalHilbert::fermion();
+        let hop = ls_expr::fermion_hop(0, 5, 1.0).to_kernel_in(&fermion, 6).unwrap();
+        let sector = SectorSpec::with_encoding(6, fermion.encoding(), Some(3)).unwrap();
+        let mut op = SymmetrizedOperator::<f64>::new(&hop, &sector).unwrap();
+        assert_eq!(op.channels.len(), 2);
+        assert_eq!(op.channels[0].sign, op.channels[1].sign);
+        op.channels[1].sign = 0b0_0110;
+        check_fused_matches_ranked_generation(&op, &SpinBasis::build(sector));
+    }
+
     fn fused_block(op: &SymmetrizedOperator<f64>, states: &[u64]) {
         let (mut fired, mut emit, mut segs) = (Vec::new(), Vec::new(), Vec::new());
         op.apply_off_diag_block_u1_ranked_channels(
@@ -877,7 +1089,7 @@ mod tests {
         let basis = SpinBasis::build(sector.clone());
         assert_eq!(basis.dim() as u64, sector.dimension());
         let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
-        assert!(op.has_signs());
+        assert!(op.has_signs);
         assert!(op.is_hermitian());
         let dense = op.to_dense(&basis);
         let expect = kernel.to_dense_states(basis.states());
@@ -907,7 +1119,7 @@ mod tests {
         assert_eq!(basis.dim() as u64, sector.dimension());
         let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
         assert!(op.n_diag_patterns() > 0);
-        assert!(!op.has_signs());
+        assert!(!op.has_signs);
         let dense = op.to_dense(&basis);
         let expect = kernel.to_dense_states(basis.states());
         for i in 0..basis.dim() {

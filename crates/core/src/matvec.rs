@@ -11,6 +11,13 @@
 //!   `ls_basis::state_info_batch` is its oracle), ranking through the
 //!   interleaved [`SpinBasis::index_of_batch`] kernels, and the gathered
 //!   reads of `x` are software-prefetched from the ranked index block.
+//!   On sectors that rank in closed form (U(1) spin-1/2, spinful and
+//!   spinless fermions) generation and ranking are one channel-outer
+//!   pass instead,
+//!   [`SymmetrizedOperator::apply_off_diag_block_ranked_channels`]: a
+//!   destination rank is the source's plus per-species deltas, and the
+//!   gather reads one amplitude per channel segment (two for a
+//!   Jordan-Wigner channel, `±coeff`).
 //!   Row generation yields the column `H[·, β]`; gathering reads it as
 //!   the row `H[β, ·]` by conjugation, so it needs a Hermitian operator.
 //! * **serial** — single-threaded scalar scatter: the reference every
@@ -42,7 +49,7 @@
 use ls_basis::{missing_state, OffDiagBlock, SpinBasis, SymmetrizedOperator};
 use ls_eigen::op::pairwise_sum;
 use ls_kernels::chunk;
-use ls_kernels::combinadics::BinomialTable;
+use ls_kernels::combinadics::RankLayout;
 use ls_kernels::search::NOT_FOUND;
 use ls_kernels::Scalar;
 use rayon::prelude::*;
@@ -100,9 +107,9 @@ pub struct MatvecScratch<S: Scalar> {
     gen: OffDiagBlock<S>,
     /// Bulk-ranking output aligned with `gen`.
     idx: Vec<u32>,
-    /// Branchless-compaction scratch of the fused U(1) pull generation.
+    /// Branchless-compaction scratch of the fused pull generation.
     fired: Vec<u32>,
-    /// Per-channel `(coefficient, end offset)` segments of the fused pull.
+    /// `(coefficient, end offset)` segments of the fused pull.
     segs: Vec<(S, u32)>,
 }
 
@@ -242,19 +249,20 @@ fn par_chunk(dim: usize) -> usize {
     chunk::par_chunk(dim)
 }
 
-/// The differential-ranking fast path is available when the basis is a
-/// whole U(1)-only sector (trivial group, one fixed-weight species — what
-/// [`SpinBasis::combinadic_table`] reports) and no channel carries a
-/// fermionic sign mask (the segment-encoded gather hoists one constant
-/// amplitude per channel, which a state-dependent Jordan-Wigner sign
-/// breaks) — there, a row's basis index *is* its combinadic rank and
-/// destination ranks follow from `rank_xor` deltas, skipping every lookup
-/// structure.
-fn fused_u1_table<'b, S: Scalar>(
+/// The differential-ranking fast path is available when the basis ranks
+/// in closed form (trivial group, the whole product of one or two
+/// fixed-weight species — what [`SpinBasis::rank_layout`] reports) and
+/// the operator's group is trivial: there a row's basis index *is* its
+/// product rank and destination ranks follow from per-species `rank_xor`
+/// deltas, skipping every lookup structure. Every channel qualifies: a
+/// flip inside one species reads one delta, a flip across both sums two,
+/// and a Jordan-Wigner sign splits the channel's rows into a `+coeff` and
+/// a `−coeff` segment.
+fn fused_layout<'b, S: Scalar>(
     op: &SymmetrizedOperator<S>,
     basis: &'b SpinBasis,
-) -> Option<&'b BinomialTable> {
-    basis.combinadic_table().filter(|_| op.has_trivial_group() && !op.has_signs())
+) -> Option<RankLayout<'b>> {
+    basis.rank_layout().filter(|_| op.has_trivial_group())
 }
 
 // ---------------------------------------------------------------------------
@@ -415,7 +423,7 @@ fn batched_pull_sweep<S: Scalar>(
     let chunk = par_chunk(dim);
     let states_all = basis.states();
     let orbits_all = basis.orbit_sizes();
-    let fused = fused_u1_table(op, basis);
+    let fused = fused_layout(op, basis);
     let diag_all = pool.cached_diagonal(op, basis);
     // Race-free indexed stores of the partials: each chunk writes only
     // its own slot (same layout trick as the scatter accumulation).
@@ -437,14 +445,14 @@ fn batched_pull_sweep<S: Scalar>(
                 *out = diag_all[j] * x[j];
             }
             match fused {
-                Some(table) => {
+                Some(layout) => {
                     // Fused channel-outer generation + differential
                     // ranking; the gather can trust every destination
-                    // rank and hoists each channel's constant amplitude.
-                    op.apply_off_diag_block_u1_ranked_channels(
+                    // rank and hoists each segment's constant amplitude.
+                    op.apply_off_diag_block_ranked_channels(
                         states,
                         (base + b0) as u64,
-                        table,
+                        layout.species(),
                         &mut sc.fired,
                         &mut sc.gen.reps,
                         &mut sc.segs,

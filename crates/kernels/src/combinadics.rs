@@ -115,16 +115,40 @@ impl BinomialTable {
     /// delta collapses to two table loads — the inner-loop rank of every
     /// nearest-neighbour hopping/exchange term.
     ///
-    /// `below_mask` must be `!(u64::MAX << lo)` (hoisted by the caller,
-    /// which knows it per channel).
+    /// `s` is the whole word and the pair may sit in any species of a
+    /// product: `lo_local` is `lo` less the species' lowest bit, and
+    /// `below_mask` the species' bits below `lo` (`!(u64::MAX << lo)` for
+    /// a species at bit 0). Both are hoisted by the caller, which knows
+    /// them per channel; on a [`Self::scaled`] table the delta comes out
+    /// scaled by the species' stride.
     #[inline]
-    pub fn rank_xor_adjacent(&self, s: u64, lo: u32, below_mask: u64, rank_s: u64) -> u64 {
+    pub fn rank_xor_adjacent(
+        &self,
+        s: u64,
+        lo: u32,
+        lo_local: u32,
+        below_mask: u64,
+        rank_s: u64,
+    ) -> u64 {
         debug_assert!((s >> lo) & 0b11 == 0b01 || (s >> lo) & 0b11 == 0b10);
         let first = (s & below_mask).count_ones() + 1;
         let lower_set = ((s >> lo) & 1) as u32;
-        let sub = self.choose_raw(lo + 1 - lower_set, first);
-        let add = self.choose_raw(lo + lower_set, first);
+        let sub = self.choose_raw(lo_local + 1 - lower_set, first);
+        let add = self.choose_raw(lo_local + lower_set, first);
         rank_s + add - sub
+    }
+
+    /// The table with every entry multiplied by `stride` (saturating,
+    /// like the table itself): the one a species ranks with when the
+    /// species below it span `stride` configurations, so that its rank
+    /// and rank deltas read directly as those of the product.
+    pub fn scaled(&self, stride: u64) -> Self {
+        Self { table: self.table.iter().map(|&c| c.saturating_mul(stride)).collect() }
+    }
+
+    /// Memory used by the table in bytes.
+    pub fn memory_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.table[..])
     }
 
     /// Inverse of [`Self::rank`]: the weight-`w` value with the given rank.
@@ -152,6 +176,48 @@ impl BinomialTable {
 impl Default for BinomialTable {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// One fixed-weight species of a closed-form product ranking, as the
+/// fused differential matvec reads it: where its bits sit in the word,
+/// and its binomial table scaled by its stride, so a rank delta read from
+/// the table is already the product's.
+#[derive(Clone, Copy, Debug)]
+pub struct SpeciesRank<'a> {
+    /// The species' bits, in place (contiguous).
+    pub mask: u64,
+    /// `stride · C(n, k)`, `stride` being the product of the dimensions
+    /// of the species below this one.
+    pub table: &'a BinomialTable,
+}
+
+/// The species of a closed-form product ranking, lowest bits first: one
+/// (a U(1) sector) or two (spinful fermions), held inline like
+/// [`LinTables`]' own.
+#[derive(Clone, Copy, Debug)]
+pub struct RankLayout<'a> {
+    species: [SpeciesRank<'a>; 2],
+    n_species: usize,
+}
+
+impl<'a> RankLayout<'a> {
+    /// One species filling the word, ranked by the combinadic sum.
+    pub fn single(table: &'a BinomialTable) -> Self {
+        let species = SpeciesRank { mask: u64::MAX, table };
+        Self { species: [species; 2], n_species: 1 }
+    }
+
+    /// Two species: `lower` holds the bits below `upper_mask`, and
+    /// `upper` is the binomial table scaled by the lower species'
+    /// dimension.
+    pub fn pair(lower: &'a BinomialTable, upper_mask: u64, upper: &'a BinomialTable) -> Self {
+        let lower = SpeciesRank { mask: low_mask(upper_mask.trailing_zeros()), table: lower };
+        Self { species: [lower, SpeciesRank { mask: upper_mask, table: upper }], n_species: 2 }
+    }
+
+    pub fn species(&self) -> &[SpeciesRank<'a>] {
+        &self.species[..self.n_species]
     }
 }
 
@@ -263,6 +329,12 @@ impl LinTables {
         member.then_some(rank)
     }
 
+    /// Per species, lowest bits first: its bits in place and its stride
+    /// in the mixed-radix rank.
+    pub fn species(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.species[..self.n_species].iter().map(|s| (s.mask << s.shift, s.stride))
+    }
+
     /// Memory used by the tables in bytes.
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of_val(&self.table[..])
@@ -341,12 +413,49 @@ mod tests {
                 let f = 0b11u64 << lo;
                 let below = !(u64::MAX << lo);
                 assert_eq!(
-                    t.rank_xor_adjacent(s, lo, below, rank_s),
+                    t.rank_xor_adjacent(s, lo, lo, below, rank_s),
                     t.rank_xor(s, f, rank_s),
                     "s={s:#b} lo={lo}"
                 );
             }
         }
+    }
+
+    #[test]
+    fn scaled_tables_rank_the_upper_species_of_a_product() {
+        // Two species of 5 and 6 bits: an adjacent or spanning flip in the
+        // upper one, ranked on the whole word against its scaled table,
+        // lands on the Lin rank of the flipped word.
+        let t = BinomialTable::new();
+        let (lower, upper) = ((low_mask(5), 2u32), (low_mask(6) << 5, 3u32));
+        let lin = LinTables::new(&t, 11, &[lower, upper]).unwrap();
+        let strides: Vec<u64> = lin.species().map(|(_, stride)| stride).collect();
+        assert_eq!(strides, [1, 10]);
+        let scaled = t.scaled(10);
+        assert_eq!(scaled.memory_bytes(), t.memory_bytes());
+        let layout = RankLayout::pair(&t, upper.0, &scaled);
+        assert_eq!(layout.species()[0].mask, low_mask(5));
+        let words = (0..1u64 << 11).filter(|&w| lin.rank(w).is_some());
+        let mut checked = 0;
+        for s in words {
+            let rank_s = lin.rank(s).unwrap();
+            for lo in 5..10u32 {
+                let f = 0b11u64 << lo;
+                if (s >> lo) & 0b11 == 0b01 || (s >> lo) & 0b11 == 0b10 {
+                    let below = !(u64::MAX << lo) & upper.0;
+                    let dest = scaled.rank_xor_adjacent(s, lo, lo - 5, below, rank_s);
+                    assert_eq!(Some(dest), lin.rank(s ^ f), "s={s:#b} lo={lo}");
+                    checked += 1;
+                }
+            }
+            // The species' closure bond, on the species' own word.
+            let f = 1u64 << 5 | 1 << 10;
+            if (s & f).count_ones() == 1 {
+                let dest = scaled.rank_xor(s >> 5, f >> 5, rank_s);
+                assert_eq!(Some(dest), lin.rank(s ^ f), "s={s:#b}");
+            }
+        }
+        assert!(checked > 0);
     }
 
     #[test]

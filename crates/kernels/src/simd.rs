@@ -2,7 +2,8 @@
 //!
 //! The paper's throughput claim is that the batched matvec engine is
 //! bandwidth-bound; what scalar code leaves on the table there is latency
-//! in the gather-heavy amplitude accumulation of the fused U(1) product.
+//! in the gather-heavy amplitude accumulation of the fused closed-form
+//! product.
 //! [`accumulate_segment_f64`] gets an AVX2 path for it, selected once per
 //! process by CPU feature detection ([`level`]). It is the only kernel
 //! whose vector path a benchmark workload pays for (`u1_chain22`); the

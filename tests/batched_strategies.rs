@@ -11,10 +11,13 @@
 
 use exact_diag::basis::{SectorSpec, SpinBasis, SymmetrizedOperator};
 use exact_diag::core::matvec::{
-    apply_batched_pull_pooled, apply_pull_pooled, apply_serial_pooled, MatvecScratchPool,
+    apply_batched_pull_dot_pooled, apply_batched_pull_pooled, apply_pull_pooled,
+    apply_serial_pooled, MatvecScratchPool,
 };
+use exact_diag::expr::ast::{annihilate, create, number};
 use exact_diag::prelude::*;
 use ls_kernels::search::PrefixIndex;
+use ls_kernels::SiteEncoding;
 use proptest::prelude::*;
 
 fn random_vec(dim: usize, seed: u64) -> Vec<f64> {
@@ -26,11 +29,12 @@ fn random_vec(dim: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
-/// Engine ≡ scalar gather bit for bit, engine ≈ `Serial` to 1e-10, for
-/// `expr` compiled against `sector`'s local Hilbert space — under the
-/// ranking the basis chose (`closed_form` says which), and every rank
-/// those products resolved is the one prefix buckets over the same list
-/// give.
+/// Engine ≡ scalar gather bit for bit (with and without the fused
+/// matvec+dot epilogue), engine ≈ `Serial` to 1e-10, for `expr` compiled
+/// against `sector`'s local Hilbert space — under the ranking the basis
+/// chose (`closed_form` says which, and with it whether the engine takes
+/// the fused generate-and-rank pass), and every rank those products
+/// resolved is the one prefix buckets over the same list give.
 fn check_engine<S: Scalar>(
     expr: &Expr,
     sector: SectorSpec,
@@ -42,6 +46,7 @@ fn check_engine<S: Scalar>(
     let op = SymmetrizedOperator::<S>::new(&kernel, &sector).unwrap();
     let basis = SpinBasis::build(sector);
     prop_assert_eq!(basis.ranks_in_closed_form(), closed_form);
+    prop_assert_eq!(basis.rank_layout().is_some(), closed_form);
     let dim = basis.dim();
     let x: Vec<S> = random_vec(dim, seed)
         .into_iter()
@@ -67,6 +72,12 @@ fn check_engine<S: Scalar>(
             y_serial[i]
         );
     }
+    let mut y_dot = vec![S::ZERO; dim];
+    let dot = apply_batched_pull_dot_pooled(&op, &basis, &x, &mut y_dot, &pool);
+    prop_assert_eq!(&y_dot, &y_engine, "the dot epilogue moved the product");
+    let expect: S = x.iter().zip(&y_engine).map(|(&a, &b)| a.conj() * b).sum();
+    let scale = expect.abs_sqr().sqrt().max(1.0);
+    prop_assert!(dot.approx_eq(expect, 1e-12 * scale), "dot {:?} vs {:?}", dot, expect);
     let states = basis.states();
     let buckets = PrefixIndex::auto(states, basis.sector().code_bits());
     let (mut own, mut searched) = (Vec::new(), Vec::new());
@@ -93,6 +104,73 @@ fn sixteen_site_products_span_many_tiles() {
     // Complex characters, zero-norm orbits skipped.
     let k1 = chain(1, None, None);
     check_engine::<Complex64>(&expr, k1, false, 0x5eed).unwrap();
+}
+
+/// Spinful fermions at the edges of the product layout: many blocks and
+/// chunks, unbalanced and single-configuration species, `sites·bits ==
+/// 64`, open and periodic chains, real and complex amplitudes.
+#[test]
+fn fused_pass_spans_the_product_layout() {
+    let ring = |n: u32| hubbard_1d(n as usize, 1.0, 4.0, true);
+    // C(10, 5)² = 63 504 rows: dozens of blocks, several chunks.
+    let big = SectorSpec::spinful_fermions(10, 5, 5).unwrap();
+    check_engine::<f64>(&ring(10), big, true, 0xf00d).unwrap();
+    for (n, up, down) in [(7, 0, 3), (5, 5, 2), (32, 1, 1)] {
+        let sector = SectorSpec::spinful_fermions(n, up, down).unwrap();
+        check_engine::<f64>(&ring(n), sector, true, u64::from(n)).unwrap();
+    }
+    for periodic in [false, true] {
+        let chain = hubbard_1d(7, 0.8, 2.5, periodic);
+        let sector = SectorSpec::spinful_fermions(7, 4, 2).unwrap();
+        check_engine::<f64>(&chain, sector.clone(), true, 11).unwrap();
+        check_engine::<Complex64>(&chain, sector, true, 12).unwrap();
+    }
+}
+
+/// Spinless fermions on a ring: one species whose closure bond carries a
+/// Jordan-Wigner string.
+#[test]
+fn fused_pass_signs_a_spinless_fermion_ring() {
+    let n = 12u16;
+    let ring = Expr::Sum(
+        (0..n)
+            .flat_map(|i| {
+                let j = (i + 1) % n;
+                [fermion_hop(i, j, 1.0), Expr::scalar(1.5) * number(i) * number(j)]
+            })
+            .collect(),
+    );
+    let sector = SectorSpec::with_encoding(n as u32, SiteEncoding::fermion(), Some(5)).unwrap();
+    check_engine::<f64>(&ring, sector.clone(), true, 21).unwrap();
+    check_engine::<Complex64>(&ring, sector, true, 22).unwrap();
+}
+
+/// `c†_{i↑} c_{i↓} c†_{j↓} c_{j↑} + h.c.` conserves both species' counts
+/// but flips bits of both: its destination rank sums two species' deltas.
+#[test]
+fn fused_pass_sums_a_flip_across_species() {
+    let n = 6u16;
+    let spin_flip = |i: u16, j: u16| {
+        let (iu, id, ju, jd) = (i, n + i, j, n + j);
+        Expr::scalar(0.7)
+            * (create(iu) * annihilate(id) * create(jd) * annihilate(ju)
+                + create(ju) * annihilate(jd) * create(id) * annihilate(iu))
+    };
+    let mut terms = vec![hubbard_1d(n as usize, 1.0, 4.0, true)];
+    terms.extend((0..n).map(|i| spin_flip(i, (i + 1) % n)));
+    terms.push(spin_flip(0, 3));
+    let expr = Expr::Sum(terms);
+    let fermion = LocalHilbert::fermion();
+    let kernel = expr.to_kernel_in(&fermion, 2 * n as u32).unwrap();
+    let up = (1u64 << n) - 1;
+    let crosses = |c: &&exact_diag::expr::Channel| {
+        let f = c.flip_mask();
+        f & up != 0 && f & !up != 0
+    };
+    assert!(kernel.channels().iter().filter(crosses).any(|c| c.sign != 0));
+    let sector = SectorSpec::spinful_fermions(n as u32, 3, 3).unwrap();
+    check_engine::<f64>(&expr, sector.clone(), true, 31).unwrap();
+    check_engine::<Complex64>(&expr, sector, true, 32).unwrap();
 }
 
 proptest! {
@@ -131,7 +209,7 @@ proptest! {
 
         let sites = [4usize, 6, 7][n_choice];
         // Spinful fermions: closed-form ranking of the N↑ × N↓ product,
-        // but Jordan-Wigner signs keep the sector off the fused path.
+        // the fused pass with Jordan-Wigner signs as ± segments.
         // Balanced and unbalanced filling.
         let hubbard_ring = hubbard_1d(sites, jxy, 2.0 * delta, true);
         let filling = sites as u32 / 2;

@@ -8,7 +8,8 @@
 //!   generation),
 //! * `Complex64` on a 14-site momentum sector with complex characters,
 //! * `f64` on an 8-site Hubbard ring with 3 up + 3 down fermions
-//!   (Jordan-Wigner signs, prefix-bucket ranking),
+//!   (Jordan-Wigner signs, closed-form ranking of the N↑ × N↓ product,
+//!   fused generation),
 //! * `DistVec<f64>` on the U(1) ring hashed over 2 in-process locales
 //!   with the deterministic producer/consumer pipeline.
 //!
