@@ -13,7 +13,7 @@
 //! * [`matvec_naive`] — the oracle: every off-locale contribution is one
 //!   remote atomic update. Maximal communication granularity; the baseline
 //!   the paper's buffering improves on and the reference the `ls-dist` and
-//!   `ls-baseline` tests compare against.
+//!   `ls-baseline` tests compare against. In process only.
 //!
 //! Plus one pull-style baseline, [`matvec_gather`] (see [`gather`]):
 //! every locale replicates `x` through one-sided window reads and fills
@@ -232,6 +232,10 @@ pub(crate) fn validate_shapes<S: Scalar>(
 
 /// `y = H x` with one remote atomic accumulation per off-locale matrix
 /// element.
+///
+/// In process only: remote accumulation does not cross processes, so
+/// under `LS_TRANSPORT=multiprocess` the first add into a part another
+/// rank hosts panics, naming the locale and the transport.
 pub fn matvec_naive<S: Scalar>(
     cluster: &Cluster,
     op: &SymmetrizedOperator<S>,

@@ -33,7 +33,9 @@
 //! would otherwise wait for a free channel buffer — it serves its own
 //! inbox first — then drains to completion. The last thread of a locale to
 //! finish producing closes its outgoing channels, the last to finish
-//! draining crosses the barrier. Nothing blocks: every wait is the
+//! draining crosses the barrier. Multiprocess, a product crosses one more
+//! after re-arming its channels, so the next product's batches find every
+//! receiver reset: two barriers a product. Nothing blocks: every wait is the
 //! engine's one loop (`Task::wait`: try, drain, back off), which polls
 //! [`LocaleCtx::poll_failure`], so a task that panics fails the product
 //! for all of them and `apply` re-raises what it threw. A locale's only
@@ -224,8 +226,7 @@ impl<S: Scalar> PcEngine<S> {
         });
         drop(win);
         // A corruption detected during this product (poison may land at
-        // any point — the window drop above already skipped its flush
-        // barrier) leaves the channel grid in an arbitrary mid-product
+        // any point) leaves the channel grid in an arbitrary mid-product
         // state: re-arming would trip the reset invariants with a plain
         // (unrecoverable) panic, and the ABFT sums are garbage anyway.
         // Surface the corruption for rollback instead — recovery
@@ -239,6 +240,12 @@ impl<S: Scalar> PcEngine<S> {
         for ch in &self.channels {
             ch.reset();
         }
+        // No rank starts its next product before every rank has re-armed:
+        // a batch or a close arriving ahead of the reset would fail it
+        // ("reset with unconsumed data") or be cleared by it, leaving the
+        // drain to wait forever. In process the run's join already
+        // ordered that, and the barrier is a no-op.
+        collective::barrier();
         self.in_use.store(false, Ordering::Release);
         if let Some(abft) = &abft {
             abft.verify(&*y);

@@ -1,13 +1,15 @@
 //! Atomic accumulation windows: the `y[i] += coeff` of the paper's
-//! matrix-vector product, executable concurrently from any locale.
+//! matrix-vector product, executable concurrently from every locale this
+//! process hosts.
 //!
 //! Scalars are viewed as their `f64` lanes and accumulated with CAS loops
 //! on `AtomicU64` bit patterns; `Relaxed` ordering suffices because
-//! accumulation is commutative and the epoch ends with a barrier that
-//! publishes everything. A caller that is the only writer of a part for
-//! as long as it accumulates — the producer/consumer product of a locale
-//! that runs one thread — skips the CAS through
-//! [`AtomicAccumWindow::add_exclusive`]: same lanes, same sums.
+//! accumulation is commutative and the run that accumulates ends by
+//! joining its threads, which publishes everything. A caller that is the
+//! only writer of a part for as long as it accumulates — the
+//! producer/consumer product of a locale that runs one thread — skips the
+//! CAS through [`AtomicAccumWindow::add_exclusive`]: same lanes, same
+//! sums.
 //!
 //! The window itself performs no statistics recording: whether an
 //! accumulation is "remote" depends on the algorithm (the batched matvec
@@ -15,45 +17,41 @@
 //! the destination, while the naive matvec really does remote updates), so
 //! attribution is the caller's job via [`crate::stats::CommStats`].
 //!
-//! ## Multiprocess epochs
+//! ## Multiprocess
 //!
-//! Under the multiprocess transport an accumulation window is collective:
-//! `new` registers this rank's part as an accumulate target and barriers
-//! (no remote add can arrive before its target exists), remote
-//! `fetch_add`s travel as transport frames applied atomically by the
-//! owner, and drop barriers before deregistering — the barrier doubles as
-//! the flush, so after the epoch the owner's part holds every
-//! contribution. Remote parts of the local replica are **not** updated
-//! ([`AtomicAccumWindow::load`] of a remote locale reads stale data).
-//! A peer failing while accumulate frames are in flight surfaces at the
-//! next collective (or immediately, via socket EOF on the frame
-//! stream) as an attributed abort — see [`crate::transport`]'s failure
-//! model. Outbound accumulate frames are eligible targets for `LS_FAULT`
-//! `delay:` injection (frame class `accum`).
+//! Remote accumulation is in-process only. Under the multiprocess
+//! transport a window covers the part this rank hosts; every other part
+//! gets length 0, so an add to it fails the bounds check that every add
+//! makes anyway, with a message naming the locale and the transport —
+//! never silently landing in a stale replica. Opening and dropping a
+//! window is no collective on either backend: what a distributed product
+//! sends to another rank travels as a [`crate::PairChannel`] batch, and
+//! the owner ranks and adds it here.
 
 use crate::distvec::DistVec;
-use crate::transport::{self, MpRuntime};
+use crate::transport;
 use ls_kernels::Scalar;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A window over a distributed vector of scalars allowing concurrent
-/// `fetch_add` from any locale.
+/// `fetch_add` from any locale this process hosts.
 pub struct AtomicAccumWindow<'a, S: Scalar> {
     /// Per locale: pointer to the first `AtomicU64` lane and the number of
-    /// *scalar* elements.
+    /// *scalar* elements (0 for a part another process hosts).
     parts: Vec<(*const AtomicU64, usize)>,
-    /// Multiprocess: the runtime, this rank, and the registered window id.
-    mp: Option<(&'static MpRuntime, usize, u64)>,
     _marker: PhantomData<&'a mut [S]>,
 }
 
+// SAFETY: `parts` points into the parts of a `DistVec` the window borrows
+// mutably for `'a`, so they outlive it and nothing else touches them; every
+// access through the window is to `AtomicU64` lanes.
 unsafe impl<'a, S: Scalar> Send for AtomicAccumWindow<'a, S> {}
 unsafe impl<'a, S: Scalar> Sync for AtomicAccumWindow<'a, S> {}
 
 impl<'a, S: Scalar> AtomicAccumWindow<'a, S> {
-    /// Opens an accumulation epoch on `vec`. Multiprocess: collective
-    /// (registers this rank's part and barriers).
+    /// Opens an accumulation epoch on `vec`. Multiprocess: over this
+    /// rank's part only (see the module docs); not a collective.
     pub fn new(vec: &'a mut DistVec<S>) -> Self {
         // Layout guarantee: f64 and Complex64 are repr(C) aggregates of
         // f64 lanes, and AtomicU64 has the same size/alignment as f64.
@@ -61,24 +59,21 @@ impl<'a, S: Scalar> AtomicAccumWindow<'a, S> {
             assert!(std::mem::align_of::<S>() >= std::mem::align_of::<u64>());
         };
         assert_eq!(std::mem::size_of::<S>(), 8 * S::N_REALS);
-        let parts: Vec<(*const AtomicU64, usize)> = vec
+        let rank = transport::active().map(|mp| mp.rank());
+        let parts = vec
             .parts_mut()
             .iter_mut()
-            .map(|p| (p.as_mut_ptr() as *const AtomicU64, p.len()))
+            .enumerate()
+            .map(|(l, p)| {
+                let len = if rank.is_none_or(|r| r == l) { p.len() } else { 0 };
+                (p.as_mut_ptr() as *const AtomicU64, len)
+            })
             .collect();
-        let mp = transport::active().map(|mp| {
-            let me = mp.rank();
-            let (base, len) = parts[me];
-            // SAFETY: the borrow of `vec` keeps the part alive for the
-            // window lifetime; drop deregisters before releasing it.
-            let id = unsafe { mp.register_accum(base, len, S::N_REALS) };
-            mp.barrier();
-            (mp, me, id)
-        });
-        Self { parts, mp, _marker: PhantomData }
+        Self { parts, _marker: PhantomData }
     }
 
-    /// Element count of `locale`'s part.
+    /// Element count of `locale`'s part (0 for a part another process
+    /// hosts).
     pub fn len(&self, locale: usize) -> usize {
         self.parts[locale].1
     }
@@ -88,29 +83,26 @@ impl<'a, S: Scalar> AtomicAccumWindow<'a, S> {
         self.len(locale) == 0
     }
 
+    /// The `f64` lanes of `vec[locale][index]`, bounds-checked.
+    #[inline]
+    fn cells(&self, locale: usize, index: usize) -> &[AtomicU64] {
+        let (base, len) = self.parts[locale];
+        if index >= len {
+            out_of_bounds(locale, index, len);
+        }
+        // SAFETY: in bounds of the part the window borrows, and every
+        // access through the window is atomic.
+        unsafe { std::slice::from_raw_parts(base.add(index * S::N_REALS), S::N_REALS) }
+    }
+
     /// Atomically `vec[locale][index] += val`. Safe to call concurrently
-    /// from any number of threads. Multiprocess: a remote `locale` ships
-    /// one transport frame; the add is visible to the owner no later than
-    /// the next barrier.
+    /// from any number of threads of this process.
     #[inline]
     pub fn fetch_add(&self, locale: usize, index: usize, val: S) {
-        let (base, len) = self.parts[locale];
-        assert!(index < len, "accumulate out of bounds: {index} >= {len}");
-        let lanes = val.to_reals();
-        if let Some((mp, me, id)) = self.mp {
-            if locale != me {
-                if lanes.iter().take(S::N_REALS).any(|&v| v != 0.0) {
-                    mp.send_acc(locale, id, index, &lanes[..S::N_REALS]);
-                }
-                return;
-            }
-        }
-        for (lane, &add) in lanes.iter().enumerate().take(S::N_REALS) {
+        for (cell, &add) in self.cells(locale, index).iter().zip(&val.to_reals()) {
             if add == 0.0 {
                 continue;
             }
-            // SAFETY: index bounds checked; all epoch access is atomic.
-            let cell = unsafe { &*base.add(index * S::N_REALS + lane) };
             let mut cur = cell.load(Ordering::Relaxed);
             loop {
                 let new = (f64::from_bits(cur) + add).to_bits();
@@ -124,64 +116,48 @@ impl<'a, S: Scalar> AtomicAccumWindow<'a, S> {
     }
 
     /// `vec[locale][index] += val` for a caller that is the **only** writer
-    /// of `locale`'s part while it accumulates (one thread owns the part,
-    /// which this process hosts): the same lanes, bounds check and
-    /// arithmetic as [`Self::fetch_add`], as a relaxed load and a relaxed
-    /// store instead of a CAS loop. A concurrent writer of the same
-    /// element would not be undefined behaviour — the lanes stay atomic —
-    /// but its add could be lost.
+    /// of `locale`'s part while it accumulates (one thread owns the part):
+    /// the same lanes, bounds check and arithmetic as [`Self::fetch_add`],
+    /// as a relaxed load and a relaxed store instead of a CAS loop. A
+    /// concurrent writer of the same element would not be undefined
+    /// behaviour — the lanes stay atomic — but its add could be lost.
     #[inline]
     pub fn add_exclusive(&self, locale: usize, index: usize, val: S) {
-        let (base, len) = self.parts[locale];
-        assert!(index < len, "accumulate out of bounds: {index} >= {len}");
-        debug_assert!(self.mp.is_none_or(|(_, me, _)| me == locale), "not this rank's part");
-        for (lane, &add) in val.to_reals().iter().enumerate().take(S::N_REALS) {
+        for (cell, &add) in self.cells(locale, index).iter().zip(&val.to_reals()) {
             if add == 0.0 {
                 continue;
             }
-            // SAFETY: index bounds checked; all epoch access is atomic.
-            let cell = unsafe { &*base.add(index * S::N_REALS + lane) };
             let sum = f64::from_bits(cell.load(Ordering::Relaxed)) + add;
             cell.store(sum.to_bits(), Ordering::Relaxed);
         }
     }
 
-    /// Atomic read of one element (diagnostics / tests). Multiprocess:
-    /// only this rank's part is authoritative — a remote `locale` reads
-    /// the stale local replica.
+    /// Atomic read of one element (diagnostics / tests).
     pub fn load(&self, locale: usize, index: usize) -> S {
-        let (base, len) = self.parts[locale];
-        assert!(index < len);
         let mut lanes = [0.0f64; 2];
-        for (lane, slot) in lanes.iter_mut().enumerate().take(S::N_REALS) {
-            let cell = unsafe { &*base.add(index * S::N_REALS + lane) };
+        for (slot, cell) in lanes.iter_mut().zip(self.cells(locale, index)) {
             *slot = f64::from_bits(cell.load(Ordering::Relaxed));
         }
         S::from_reals(lanes)
     }
 }
 
-impl<'a, S: Scalar> Drop for AtomicAccumWindow<'a, S> {
-    fn drop(&mut self) {
-        if let Some((mp, _, id)) = self.mp {
-            // Unwinding out of a poisoned epoch: the flush barrier would
-            // allocate the next collective sequence number against peers
-            // that unwound at different points — a guaranteed desync
-            // abort that would mask the recoverable corruption. Skip the
-            // barrier but still deregister: stale in-flight accumulates
-            // targeting a dropped id are discarded while the epoch is
-            // poisoned/recovering, never applied through a dangling
-            // pointer.
-            if mp.is_poisoned() || std::thread::panicking() {
-                mp.deregister_accum(id);
-                return;
-            }
-            // The barrier flushes every in-flight remote add (per-peer
-            // FIFO: accumulate frames travel ahead of the barrier's
-            // collective frame), so deregistering afterwards is safe.
-            mp.barrier();
-            mp.deregister_accum(id);
-        }
+/// The bounds check's panic, out of the hot path. Under the multiprocess
+/// transport a part another rank hosts has length 0 here, so this is also
+/// where an add across processes is refused.
+#[cold]
+#[inline(never)]
+fn out_of_bounds(locale: usize, index: usize, len: usize) -> ! {
+    match transport::active() {
+        Some(mp) if mp.rank() != locale => panic!(
+            "accumulate out of bounds: locale {locale}'s part lives in another process \
+             (rank {} of the multiprocess transport); remote accumulation is in-process only",
+            mp.rank()
+        ),
+        _ => panic!(
+            "accumulate out of bounds: {index} >= {len} on locale {locale} ({} transport)",
+            transport::backend().name()
+        ),
     }
 }
 
@@ -252,7 +228,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of bounds")]
+    #[should_panic(expected = "out of bounds: 2 >= 2 on locale 0 (inprocess transport)")]
     fn exclusive_adds_are_bounds_checked() {
         let mut y = DistVec::<f64>::zeros(&[2]);
         AtomicAccumWindow::new(&mut y).add_exclusive(0, 2, 1.0);

@@ -275,9 +275,10 @@ impl<'a> LocaleCtx<'a> {
     /// Waits until every locale reaches the barrier, then returns — on
     /// both backends. In-process this is the sense-reversing thread
     /// barrier; multiprocess it is a real cross-process collective that
-    /// also **flushes**: accumulates and channel messages this locale
-    /// sent before the barrier are visible at their destination once the
-    /// barrier completes. At most one task per locale may wait per epoch.
+    /// also **flushes**: the channel batches, closes and credits this
+    /// locale sent before the barrier have been applied at their
+    /// destination once the barrier completes. At most one task per locale
+    /// may wait per epoch.
     ///
     /// Failure model: in-process the wait polls [`Self::poll_failure`];
     /// multiprocess, a peer that dies while this rank waits is detected

@@ -69,6 +69,16 @@ pub fn allgather(payloads: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
     }
 }
 
+/// Waits until every process of the job arrives. A no-op in process,
+/// where the join that ends a [`crate::Cluster`] run already orders its
+/// locales; multiprocess it is the transport's barrier (and, like every
+/// barrier there, an `LS_FAULT` trigger point).
+pub fn barrier() {
+    if let Some(mp) = transport::active() {
+        mp.barrier();
+    }
+}
+
 /// Visits every element of `v` in ascending global order (parts in
 /// locale order, elements in part order) — the serialization hook: what
 /// streams through it is the canonical dense vector, on every rank.
@@ -159,6 +169,7 @@ mod tests {
     fn every_locale_is_hosted_in_process() {
         assert_eq!(hosted(4), 0..4);
         assert_eq!(locales_from_env(3), 3);
+        barrier(); // nothing to wait for
     }
 
     #[test]

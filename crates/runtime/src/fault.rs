@@ -27,7 +27,7 @@
 //!            rank=R                  (required: which rank misbehaves)
 //!            barrier=N               (kill/drop-conn: fire entering the
 //!                                     N-th barrier of the run; default 1)
-//!            frame=coll|chan|close|credit|accum|any
+//!            frame=coll|chan|close|credit|any
 //!                                    (delay/flip-bit: which frames;
 //!                                     default any)
 //!            ms=M                    (delay: sleep per frame; default 100)
@@ -50,8 +50,8 @@
 //!                                     so recovery converges)
 //! ```
 //!
-//! Examples: `kill:rank=2,barrier=7`, `delay:rank=1,frame=accum,ms=500`,
-//! `flip-bit:rank=2,frame=accum,nth=40`, `corrupt-window:rank=1,offset=8`,
+//! Examples: `kill:rank=2,barrier=7`, `delay:rank=1,frame=chan,ms=500`,
+//! `flip-bit:rank=2,frame=chan,nth=40`, `corrupt-window:rank=1,offset=8`,
 //! `nan:rank=0,cycle=3`, or several at once separated by `;`.
 //!
 //! The three corruption kinds are *silent*: they damage data without
@@ -122,8 +122,6 @@ pub enum FrameClass {
     Close,
     /// Channel credit returns.
     Credit,
-    /// Remote accumulate frames.
-    Accum,
     /// Every frame.
     Any,
 }
@@ -136,7 +134,6 @@ impl FrameClass {
             FrameClass::Chan => "chan",
             FrameClass::Close => "close",
             FrameClass::Credit => "credit",
-            FrameClass::Accum => "accum",
             FrameClass::Any => "any",
         }
     }
@@ -263,12 +260,10 @@ impl FaultPlan {
                             "chan" => FrameClass::Chan,
                             "close" => FrameClass::Close,
                             "credit" => FrameClass::Credit,
-                            "acc" | "accum" => FrameClass::Accum,
                             "any" => FrameClass::Any,
                             other => {
                                 return Err(FaultPlanError(format!(
-                                    "frame={other:?}: want coll, chan, close, credit, \
-                                     accum or any"
+                                    "frame={other:?}: want coll, chan, close, credit or any"
                                 )))
                             }
                         }
@@ -421,7 +416,7 @@ mod tests {
     #[test]
     fn parses_the_issue_examples() {
         let plan = FaultPlan::parse(
-            "kill:rank=2,barrier=7; delay:rank=1,frame=accum,ms=500; drop-conn:rank=3",
+            "kill:rank=2,barrier=7; delay:rank=1,frame=chan,ms=500; drop-conn:rank=3",
         )
         .unwrap();
         assert_eq!(plan.actions.len(), 3);
@@ -441,7 +436,7 @@ mod tests {
             }
         );
         assert_eq!(plan.actions[1].kind, FaultKind::Delay);
-        assert_eq!(plan.actions[1].frame, FrameClass::Accum);
+        assert_eq!(plan.actions[1].frame, FrameClass::Chan);
         assert_eq!(plan.actions[1].ms, 500);
         assert_eq!(plan.actions[2].kind, FaultKind::DropConn);
         assert_eq!(plan.actions[2].barrier, 1, "barrier defaults to the first");
@@ -508,19 +503,22 @@ mod tests {
         assert!(text.contains("explode"), "{text}");
         let err = FaultPlan::parse("delay:rank=1,frame=warp").unwrap_err();
         assert!(err.to_string().contains("warp"), "{err}");
+        // No frame carries remote accumulates: a plan cannot delay one.
+        let err = FaultPlan::parse("delay:rank=1,frame=accum,ms=5").unwrap_err();
+        assert!(err.to_string().contains("want coll, chan, close, credit or any"), "{err}");
     }
 
     #[test]
     fn parses_the_corruption_kinds() {
         let plan = FaultPlan::parse(
-            "flip-bit:rank=2,frame=accum,nth=40; corrupt-window:rank=1,offset=8,count=2; \
+            "flip-bit:rank=2,frame=chan,nth=40; corrupt-window:rank=1,offset=8,count=2; \
              nan:rank=0,cycle=3",
         )
         .unwrap();
         assert_eq!(plan.actions.len(), 3);
         assert_eq!(plan.actions[0].kind, FaultKind::FlipBit);
         assert_eq!(plan.actions[0].nth, 40);
-        assert_eq!(plan.actions[0].frame, FrameClass::Accum);
+        assert_eq!(plan.actions[0].frame, FrameClass::Chan);
         assert_eq!(plan.actions[1].kind, FaultKind::CorruptWindow);
         assert_eq!(plan.actions[1].offset, 8);
         assert_eq!(plan.actions[1].count, 2);
@@ -532,11 +530,11 @@ mod tests {
 
         // The corruption kinds never fire at barriers and never delay.
         assert_eq!(plan.at_barrier(2, 0, 1).count(), 0);
-        assert_eq!(plan.delays_for(2, 0, FrameClass::Accum).count(), 0);
+        assert_eq!(plan.delays_for(2, 0, FrameClass::Chan).count(), 0);
         // But each has its own trigger query, rank- and attempt-gated.
-        assert_eq!(plan.flips_for(2, 0, FrameClass::Accum).count(), 1);
+        assert_eq!(plan.flips_for(2, 0, FrameClass::Chan).count(), 1);
         assert_eq!(plan.flips_for(2, 0, FrameClass::Coll).count(), 0);
-        assert_eq!(plan.flips_for(2, 1, FrameClass::Accum).count(), 0);
+        assert_eq!(plan.flips_for(2, 1, FrameClass::Chan).count(), 0);
         assert_eq!(plan.window_corruptions_for(1, 0).count(), 1);
         assert_eq!(plan.window_corruptions_for(0, 0).count(), 0);
         assert_eq!(plan.nans_at(0, 0, 3).count(), 1);

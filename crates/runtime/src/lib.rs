@@ -10,8 +10,9 @@
 //! disjoint memory regions ([`DistVec`]); communication happens only
 //! through explicit one-sided operations — [`window::RmaWriteWindow::put`],
 //! [`window::RmaReadWindow::get`], [`accum::AtomicAccumWindow`] for remote
-//! atomic accumulation, and [`remote::remote_atomic_store`] for the paper's
-//! `remoteAtomicWrite` flag protocol. Synchronization (sense-reversing
+//! atomic accumulation (in process only), and
+//! [`remote::remote_atomic_store`] for the paper's `remoteAtomicWrite`
+//! flag protocol. Synchronization (sense-reversing
 //! barriers, spin-with-backoff flag waits) is executed with real atomics,
 //! so the producer/consumer protocol of Sec. 5.3 is genuinely exercised,
 //! including its memory-ordering obligations.
@@ -33,8 +34,8 @@
 //! Since the [`transport`] module landed, "simulated wire" describes only
 //! the *default* backend. `LS_TRANSPORT=multiprocess` runs the identical
 //! one-sided API across real OS processes — shared-memory segment files
-//! for puts/gets, TCP frames for accumulates/channels/barriers — with the
-//! same visibility and determinism contract (see [`transport`] and
+//! for puts/gets, TCP frames for channels/barriers — with the same
+//! visibility and determinism contract (see [`transport`] and
 //! `docs/ARCHITECTURE.md`). Programs opt in by calling
 //! [`transport::launch_if_requested`] first thing in `main`. Algorithms
 //! never ask which backend is active: what differs above the one-sided

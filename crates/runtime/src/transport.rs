@@ -1,9 +1,12 @@
 //! Pluggable PGAS transport: the layer that decides what "remote" means.
 //!
 //! Every one-sided primitive of this crate ([`crate::window`],
-//! [`crate::accum`], [`crate::cluster::LocaleCtx::barrier_wait`], the
-//! producer/consumer [`PairChannel`]) runs over one of two backends,
-//! selected by the `LS_TRANSPORT` environment variable:
+//! [`crate::cluster::LocaleCtx::barrier_wait`], the producer/consumer
+//! [`PairChannel`]) runs over one of two backends, selected by the
+//! `LS_TRANSPORT` environment variable. Remote accumulation
+//! ([`crate::accum`]) is in-process only: a multiprocess rank adds into
+//! the part it hosts, and everything bound for another rank ships as a
+//! channel batch.
 //!
 //! * **`inprocess`** (default) — the historical backend: locales are
 //!   threads of one process and every transfer is a memcpy. Hermetic,
@@ -12,8 +15,8 @@
 //!   ([`launch_if_requested`]) re-executes the current binary once per
 //!   locale; workers rendezvous through a job directory, exchange window
 //!   puts/gets through shared-memory segment files (`/dev/shm`), and run
-//!   accumulate/channel/barrier traffic over a full mesh of TCP sockets
-//!   with frames serialized through the `bytes` shim.
+//!   channel/barrier traffic over a full mesh of TCP sockets with frames
+//!   serialized through the `bytes` shim.
 //!
 //! # Execution model (multiprocess)
 //!
@@ -42,9 +45,6 @@
 //!
 //! * puts/gets are only ordered by barriers — a get may not observe a
 //!   concurrent epoch's put until a barrier separates them;
-//! * remote accumulates become visible to the owner no later than the
-//!   next barrier (TCP frames are FIFO per peer, and the barrier's
-//!   collective frame travels behind every earlier accumulate);
 //! * channel sends arrive in order per (source, destination) pair;
 //! * barriers order everything: an operation issued before a barrier on
 //!   one rank happens-before anything issued after that barrier anywhere.
@@ -119,7 +119,6 @@ const TAG_COLL: u8 = 1;
 const TAG_CHAN: u8 = 2;
 const TAG_CLOSE: u8 = 3;
 const TAG_CREDIT: u8 = 4;
-const TAG_ACC: u8 = 5;
 /// Job-abort fan-out: origin rank, exit code, reason. A rank that
 /// detects an unrecoverable failure sends this to every live peer so the
 /// whole job exits promptly instead of burning the collective timeout.
@@ -191,8 +190,8 @@ pub enum TransportError {
         /// The originating failure, as text.
         reason: String,
     },
-    /// A protocol invariant broke (unknown frame tag, unregistered
-    /// accumulate window, segment IO failure, ...).
+    /// A protocol invariant broke (unknown frame tag, segment IO failure,
+    /// ...).
     Protocol {
         /// What broke.
         detail: String,
@@ -207,8 +206,8 @@ pub enum TransportError {
         /// segment part's owner, or the locale whose partial broke the
         /// checksum invariant).
         peer: usize,
-        /// What carried the corruption (`"coll"`, `"chan"`, `"accum"`,
-        /// `"window"`, `"abft"`).
+        /// What carried the corruption (`"coll"`, `"chan"`, `"window"`,
+        /// `"abft"`).
         frame: String,
         /// Which check failed (CRC mismatch, checksum-vector drift...).
         kind: String,
@@ -344,9 +343,8 @@ pub(crate) fn locales_from_env(default: usize) -> Result<usize, String> {
 /// (`LS_INTEGRITY=off|wire|full`):
 ///
 /// * **`off`** — no checksums anywhere.
-/// * **`wire`** — every data-bearing TCP frame (collective, channel,
-///   accumulate) carries a CRC32C over its header and payload, verified
-///   on receive.
+/// * **`wire`** — every data-bearing TCP frame (collective, channel)
+///   carries a CRC32C over its header and payload, verified on receive.
 /// * **`full`** (default) — `wire`, plus CRC32C sidecars over
 ///   shared-memory segment parts verified on first remote read, plus the
 ///   matvec checksum-vector invariant in `ls-dist`.
@@ -541,17 +539,6 @@ struct ChanCredits {
     avail: AtomicUsize,
 }
 
-/// Owner-side target of a registered accumulation window.
-#[derive(Copy, Clone)]
-struct AccTarget {
-    /// Base address of the owner part's first `AtomicU64` lane.
-    base: usize,
-    /// Scalar element count of the owner part.
-    len: usize,
-    /// `f64` lanes per scalar element.
-    lanes: usize,
-}
-
 /// Wire-level statistics of the multiprocess backend: real bytes moved,
 /// not simulated counts. [`CommStats`] keeps recording the *logical*
 /// one-sided operations on both backends; these counters exist only when
@@ -708,9 +695,8 @@ struct PeerHealth {
 }
 
 /// The per-worker multiprocess runtime: rank identity, the TCP mesh, the
-/// shared-memory job directory, and the registries behind channels and
-/// accumulation windows. One per process, `'static`, created lazily by
-/// [`active`].
+/// shared-memory job directory, and the registries behind channels. One
+/// per process, `'static`, created lazily by [`active`].
 pub struct MpRuntime {
     rank: usize,
     n: usize,
@@ -724,10 +710,8 @@ pub struct MpRuntime {
     coll_in: Vec<CollQueue>,
     chans: Mutex<HashMap<u64, Arc<ChanInbox>>>,
     credits: Mutex<HashMap<u64, Arc<ChanCredits>>>,
-    accums: Mutex<HashMap<u64, AccTarget>>,
     next_chan: AtomicU64,
     next_seg: AtomicU64,
-    next_win: AtomicU64,
     stats: TransportStats,
     timeout: Duration,
     /// Per-peer liveness (self index unused).
@@ -893,10 +877,8 @@ impl MpRuntime {
                 .collect(),
             chans: Mutex::new(HashMap::new()),
             credits: Mutex::new(HashMap::new()),
-            accums: Mutex::new(HashMap::new()),
             next_chan: AtomicU64::new(0),
             next_seg: AtomicU64::new(0),
-            next_win: AtomicU64::new(0),
             stats: TransportStats::default(),
             timeout,
             health: (0..n)
@@ -1317,35 +1299,6 @@ impl MpRuntime {
                     self.credit_cell(chan).avail.fetch_add(1, Ordering::Release);
                     9
                 }
-                TAG_ACC => {
-                    let mut head = [0u8; 20];
-                    if stream.read_exact(&mut head).is_err() {
-                        self.note_peer_lost(peer);
-                        return;
-                    }
-                    let mut r: &[u8] = &head;
-                    let win = r.get_u64_le();
-                    let index = r.get_u64_le() as usize;
-                    let lanes = r.get_u32_le() as usize;
-                    let mut payload = vec![0u8; lanes * 8];
-                    if stream.read_exact(&mut payload).is_err() {
-                        self.note_peer_lost(peer);
-                        return;
-                    }
-                    match self.verify_rx(&mut stream, peer, &head, &payload, "accum") {
-                        None => return,
-                        Some(false) => {}
-                        Some(true) => {
-                            let mut r: &[u8] = &payload;
-                            let mut vals = [0.0f64; 2];
-                            for v in vals.iter_mut().take(lanes.min(2)) {
-                                *v = r.get_f64_le();
-                            }
-                            self.apply_acc(win, index, &vals[..lanes.min(2)]);
-                        }
-                    }
-                    21 + lanes * 8 + self.crc_len()
-                }
                 TAG_ABORT => {
                     let mut head = [0u8; 12];
                     if stream.read_exact(&mut head).is_err() {
@@ -1427,13 +1380,25 @@ impl MpRuntime {
     }
 
     /// Executes the delay actions armed for frames of `class` (no-op
-    /// without a matching `LS_FAULT` plan).
+    /// without a matching `LS_FAULT` plan). Each action announces itself
+    /// the first time it fires.
     fn fault_delay_hook(&self, class: FrameClass) {
         if self.faults.is_empty_for(self.rank, self.attempt) {
             return;
         }
         for (idx, action) in self.faults.delays_for(self.rank, self.attempt, class) {
-            if self.fault_spent[idx].fetch_add(1, Ordering::Relaxed) < action.count {
+            let spent = self.fault_spent[idx].fetch_add(1, Ordering::Relaxed);
+            if spent == 0 && action.count > 0 {
+                eprintln!(
+                    "ls-mp[rank {}]: fault injection: delay {} ms before each of the next {} \
+                     {} frames",
+                    self.rank,
+                    action.ms,
+                    action.count,
+                    action.frame.name()
+                );
+            }
+            if spent < action.count {
                 std::thread::sleep(action.delay());
             }
         }
@@ -1664,7 +1629,7 @@ impl MpRuntime {
     /// Barrier: an empty allgather — a failure aborts the whole job,
     /// except recoverable corruption, which unwinds as a catchable panic
     /// carrying the [`TransportError::Corruption`]. Per-peer FIFO makes it
-    /// a flush: every accumulate/channel/credit frame a peer sent before
+    /// a flush: every channel/close/credit frame a peer sent before
     /// entering has been applied here once its barrier frame is popped.
     /// Also the fault-injection trigger point: `LS_FAULT` kill/drop-conn
     /// actions fire on entry, keyed by the 1-based count of barriers this
@@ -1714,7 +1679,7 @@ impl MpRuntime {
     ///    stale channel/credit state is complete;
     /// 3. drop all channel inboxes and credits (the poisoned product's
     ///    ranks unwound mid-stream and will rebuild their grids);
-    /// 4. allgather the channel/segment/window id counters and take the
+    /// 4. allgather the channel and segment id counters and take the
     ///    job-wide maximum — ranks unwound at different points, so the
     ///    per-process counters diverged. No peer can send a new-id
     ///    frame before its own allgather completes, which needs our
@@ -1734,21 +1699,18 @@ impl MpRuntime {
         self.barrier();
         self.chans.lock().unwrap().clear();
         self.credits.lock().unwrap().clear();
-        let mut payload = Vec::with_capacity(24);
+        let mut payload = Vec::with_capacity(16);
         payload.put_u64_le(self.next_chan.load(Ordering::SeqCst));
         payload.put_u64_le(self.next_seg.load(Ordering::SeqCst));
-        payload.put_u64_le(self.next_win.load(Ordering::SeqCst));
         let all = self.allgather(&payload);
-        let (mut chan, mut seg, mut win) = (0u64, 0u64, 0u64);
+        let (mut chan, mut seg) = (0u64, 0u64);
         for contribution in &all {
             let mut r: &[u8] = contribution;
             chan = chan.max(r.get_u64_le());
             seg = seg.max(r.get_u64_le());
-            win = win.max(r.get_u64_le());
         }
         self.next_chan.store(chan, Ordering::SeqCst);
         self.next_seg.store(seg, Ordering::SeqCst);
-        self.next_win.store(win, Ordering::SeqCst);
         *self.poison.lock().unwrap() = None;
         self.poison_fanned.store(false, Ordering::SeqCst);
         self.poisoned.store(false, Ordering::SeqCst);
@@ -1781,89 +1743,6 @@ impl MpRuntime {
             }
         }
         fires
-    }
-
-    // ---- accumulation windows -------------------------------------------
-
-    /// Registers the owner-side target of a new accumulation window and
-    /// returns its id. SPMD-collective: every rank must call it in the
-    /// same program order (ids are derived from a per-process counter).
-    /// Callers must barrier after registration and before any remote
-    /// accumulate can target the window (see [`crate::accum`]).
-    ///
-    /// # Safety
-    /// `base` must point at `len * lanes` `AtomicU64` cells that stay
-    /// valid until [`Self::deregister_accum`].
-    pub unsafe fn register_accum(
-        &self,
-        base: *const AtomicU64,
-        len: usize,
-        lanes: usize,
-    ) -> u64 {
-        let id = self.next_win.fetch_add(1, Ordering::Relaxed);
-        self.accums.lock().unwrap().insert(id, AccTarget { base: base as usize, len, lanes });
-        id
-    }
-
-    /// Drops a window registration. Callers must barrier first so no
-    /// in-flight accumulate can still target the window.
-    pub fn deregister_accum(&self, id: u64) {
-        self.accums.lock().unwrap().remove(&id);
-    }
-
-    /// Ships one remote accumulate (`y[dest][index] += value`, given as
-    /// its `f64` lanes) to the owner, which applies it atomically.
-    pub fn send_acc(&self, dest: usize, win: u64, index: usize, lanes: &[f64]) {
-        let mut frame = Vec::with_capacity(25 + lanes.len() * 8);
-        frame.put_u8(TAG_ACC);
-        frame.put_u64_le(win);
-        frame.put_u64_le(index as u64);
-        frame.put_u32_le(lanes.len() as u32);
-        for &v in lanes {
-            frame.put_f64_le(v);
-        }
-        self.seal_frame(&mut frame, 21, FrameClass::Accum);
-        self.send_frame(dest, &frame, FrameClass::Accum);
-    }
-
-    fn apply_acc(&self, win: u64, index: usize, lanes: &[f64]) {
-        let target = match self.accums.lock().unwrap().get(&win) {
-            Some(&t) => t,
-            None if self.poisoned.load(Ordering::SeqCst)
-                || self.recovering.load(Ordering::SeqCst) =>
-            {
-                // A stale accumulate racing a window the unwinding
-                // solver already dropped: safe to discard — rollback
-                // throws the whole poisoned epoch away.
-                return;
-            }
-            None => self.abort_job(TransportError::Protocol {
-                detail: format!("accumulate into unregistered window {win}"),
-            }),
-        };
-        if index >= target.len || lanes.len() > target.lanes {
-            self.abort_job(TransportError::Protocol {
-                detail: format!("accumulate out of bounds: {index} >= {}", target.len),
-            });
-        }
-        let base = target.base as *const AtomicU64;
-        for (lane, &add) in lanes.iter().enumerate() {
-            if add == 0.0 {
-                continue;
-            }
-            // SAFETY: the registration contract keeps the cells alive and
-            // in bounds; all access during the epoch is atomic.
-            let cell = unsafe { &*base.add(index * target.lanes + lane) };
-            let mut cur = cell.load(Ordering::Relaxed);
-            loop {
-                let new = (f64::from_bits(cur) + add).to_bits();
-                match cell.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed)
-                {
-                    Ok(_) => break,
-                    Err(actual) => cur = actual,
-                }
-            }
-        }
     }
 
     // ---- shared-memory segments -----------------------------------------
@@ -2529,12 +2408,12 @@ mod tests {
 
         let corrupt = TransportError::Corruption {
             peer: 1,
-            frame: "accum".into(),
+            frame: "chan".into(),
             kind: "frame CRC mismatch".into(),
         };
         assert_eq!(corrupt.exit_code(), EXIT_CORRUPTION);
         let text = corrupt.to_string();
-        assert!(text.contains("corrupt accum from rank 1"), "{text}");
+        assert!(text.contains("corrupt chan from rank 1"), "{text}");
         assert!(text.contains("frame CRC mismatch"), "{text}");
     }
 

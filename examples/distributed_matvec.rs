@@ -11,7 +11,7 @@
 //!
 //! runs on the default in-process transport (locales are threads).
 //! The identical program runs across real OS processes — shared-memory
-//! windows, TCP accumulate/collective traffic — with:
+//! windows, TCP channel/collective traffic — with:
 //!
 //! ```sh
 //! LS_TRANSPORT=multiprocess LS_LOCALES=4 \

@@ -38,14 +38,14 @@ use std::time::{Duration, Instant};
 #[test]
 fn fault_plans_parse_and_trigger_deterministically() {
     let plan = FaultPlan::parse(
-        "kill:rank=2,barrier=7; delay:rank=1,frame=accum,ms=500; drop-conn:rank=3,barrier=2",
+        "kill:rank=2,barrier=7; delay:rank=1,frame=chan,ms=500; drop-conn:rank=3,barrier=2",
     )
     .unwrap();
     assert_eq!(plan.actions.len(), 3);
     assert_eq!(plan.actions[0].kind, FaultKind::Kill);
     assert_eq!(plan.at_barrier(2, 0, 7).count(), 1);
     assert_eq!(plan.at_barrier(2, 1, 7).count(), 0, "restarted incarnations run clean");
-    assert_eq!(plan.delays_for(1, 0, FrameClass::Accum).count(), 1);
+    assert_eq!(plan.delays_for(1, 0, FrameClass::Chan).count(), 1);
     assert_eq!(plan.delays_for(1, 0, FrameClass::Coll).count(), 0);
     assert!(plan.is_empty_for(0, 0));
     assert!(FaultPlan::parse("kill:rank=1,barrier=0").is_err(), "ordinals are 1-based");
@@ -291,17 +291,21 @@ fn supervisor_recovers_faulted_solves_bit_identically() {
     let reference = eigenvalue_bits(&stdout);
     remove_checkpoint(&ckpt_ref).unwrap();
 
-    // One fault per phase boundary: enumeration happens in the first few
-    // barriers, the solve's matvec epochs and restart cycles later.
-    // The last row is a corruption the processes may not repair themselves
+    // One fault per phase boundary. At 4 ranks enumeration crosses
+    // barriers 1–8, then every product 2 (its drain, then the re-arm of
+    // its channels): product p crosses 7 + 2p and 8 + 2p. The first cycle
+    // runs 6 products and checkpoints, every later cycle 3. So barrier 2
+    // is inside enumeration, 19 is product 6's drain (cycle 1, before any
+    // checkpoint) and 43 product 18's (cycle 5: the relaunch resumes from
+    // cycle 4's checkpoint). The last row is a corruption the processes may not repair themselves
     // (rollback budget 0, where `silent_errors_roll_back_bit_identically`
     // has restart budget 0): every rank's solve gives up on it, the job
     // aborts with the typed exit code, and it comes back through the
     // supervisor like any crash.
     let cases = [
         ("kill:rank=1,barrier=2", "enumeration", 2, None),
-        ("kill:rank=3,barrier=60", "restart cycle", 2, None),
-        ("drop-conn:rank=2,barrier=25", "matvec epoch", 2, None),
+        ("kill:rank=3,barrier=43", "restart cycle", 2, None),
+        ("drop-conn:rank=2,barrier=19", "matvec epoch", 2, None),
         ("flip-bit:rank=2,frame=chan,nth=40", "corruption past rollback", 1, Some(0)),
     ];
     for (fault, phase, max_restarts, max_rollbacks) in cases {

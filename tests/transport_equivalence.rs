@@ -5,7 +5,9 @@
 //! backend, at the same locale count. The arrival-ordered product on two
 //! threads per locale — two threads claiming credits on one sender and
 //! popping one receiver — agrees across backends to rounding, with equal
-//! put counts.
+//! put counts. And a hundred products back to back on one engine, with
+//! no collective between them, agree bit for bit and cross exactly two
+//! barriers each.
 //!
 //! The in-process half (plus determinism and statistics invariants) runs
 //! hermetically in every `cargo test`. The multi-process half needs to
@@ -19,40 +21,45 @@ use exact_diag::basis::{SectorSpec, SymmetrizedOperator};
 use exact_diag::dist::eigensolve::{
     dist_lanczos_smallest, dist_thick_restart_lanczos, DistLanczosOptions, DistRestartOptions,
 };
+use exact_diag::dist::matvec::pc::PcEngine;
 use exact_diag::dist::matvec::PcOptions;
-use exact_diag::dist::{enumerate_dist, matvec_pc};
+use exact_diag::dist::{enumerate_dist, matvec_pc, DistSpinBasis};
 use exact_diag::prelude::*;
 use exact_diag::runtime::{collective, transport};
-use exact_diag::runtime::{Cluster, ClusterSpec, DistVec};
+use exact_diag::runtime::{AtomicAccumWindow, Cluster, ClusterSpec, DistVec};
 use std::path::PathBuf;
 
 const SITES: usize = 14;
 const LOCALES: usize = 2;
+/// Products the back-to-back row makes on one engine.
+const BACK_TO_BACK: usize = 100;
 
-/// The full SPMD pipeline under test. Runs on whichever transport is
-/// active; returns `(lanczos_e0_bits, restart_eigenvalue_bits)`.
-fn run_pipeline() -> (u64, Vec<u64>) {
-    let mp = transport::active();
-    let locales = mp.map(|m| m.n_locales()).unwrap_or(LOCALES);
-    let cluster = Cluster::new(ClusterSpec::new(locales, 1));
-
+/// The symmetrized `SITES`-site Heisenberg ring on one core a locale,
+/// distributed, with a deterministic start vector.
+fn chain() -> (Cluster, SymmetrizedOperator<f64>, DistSpinBasis, DistVec<f64>) {
+    let cluster = Cluster::new(ClusterSpec::new(collective::locales_from_env(LOCALES), 1));
     let kernel = heisenberg(&chain_bonds(SITES), 1.0).to_kernel(SITES as u32).unwrap();
     let group = chain_group(SITES, 0, Some(0), Some(0)).unwrap();
     let sector = SectorSpec::new(SITES as u32, Some(SITES as u32 / 2), group).unwrap();
     let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
     let basis = enumerate_dist(&cluster, &sector, 3);
+    let parts = basis.states().parts().iter();
+    let x = DistVec::<f64>::from_parts(
+        parts.map(|p| p.iter().map(|&s| ((s as f64) * 0.37).sin()).collect()).collect(),
+    );
+    (cluster, op, basis, x)
+}
+
+/// The full SPMD pipeline under test. Runs on whichever transport is
+/// active; returns `(lanczos_e0_bits, restart_eigenvalue_bits)`.
+fn run_pipeline() -> (u64, Vec<u64>) {
+    let mp = transport::active();
+    let (cluster, op, basis, x) = chain();
+    let locales = cluster.n_locales();
     let pc = PcOptions { deterministic: true, ..PcOptions::default() };
 
     // Determinism invariant: two deterministic products are bit-equal on
     // this rank's part (the only authoritative one under multiprocess).
-    let x = DistVec::<f64>::from_parts(
-        basis
-            .states()
-            .parts()
-            .iter()
-            .map(|p| p.iter().map(|&s| ((s as f64) * 0.37).sin()).collect())
-            .collect(),
-    );
     let me = mp.map(|m| m.rank()).unwrap_or(0);
     let mut y1 = DistVec::<f64>::zeros(&basis.states().lens());
     let mut y2 = DistVec::<f64>::zeros(&basis.states().lens());
@@ -151,47 +158,97 @@ fn arrival_ordered_product() -> (Vec<f64>, Vec<f64>) {
     (dense, collective::allreduce(vec![stats.puts as f64, stats.put_bytes as f64]))
 }
 
-#[test]
-fn transport_equivalence() {
-    let (lanczos_bits, restart_bits) = run_pipeline();
-    let (product, puts) = arrival_ordered_product();
-    assert!(puts[0] >= 40.0, "every channel must hand over many batches: {puts:?}");
-
-    if std::env::var("LS_MP_E2E").as_deref() != Ok("1") {
-        eprintln!("LS_MP_E2E not set: skipping the multi-process half");
-        return;
+/// `BACK_TO_BACK` deterministic products on one engine, each fed the last
+/// one's result scaled by 1/8 (exactly), with no collective between them:
+/// `y` in global order after the last, and the barriers the transport
+/// crossed meanwhile (none in process).
+fn back_to_back_products() -> (Vec<f64>, u64) {
+    let (cluster, op, basis, mut x) = chain();
+    let opts = PcOptions { capacity: 16, deterministic: true };
+    let engine = PcEngine::<f64>::new(cluster.n_locales(), opts);
+    let mut y = DistVec::<f64>::zeros(&basis.states().lens());
+    let barriers = || transport::active().map_or(0, |mp| mp.stats().snapshot().barriers);
+    let before = barriers();
+    for _ in 0..BACK_TO_BACK {
+        engine.apply(&cluster, &op, &basis, &x, &mut y);
+        for (xp, yp) in x.parts_mut().iter_mut().zip(y.parts()) {
+            xp.iter_mut().zip(yp).for_each(|(xi, &yi)| *xi = yi * 0.125);
+        }
     }
+    let crossed = barriers() - before;
+    let mut dense = Vec::new();
+    collective::for_each_global(&y, |v| dense.push(v));
+    (dense, crossed)
+}
 
-    // Re-execute this test binary as a multiprocess job running
-    // `mp_worker_entry`; its rank 0 prints the digests we compare.
-    let exe = std::env::current_exe().unwrap();
-    let ckpt =
-        std::env::temp_dir().join(format!("transport-eq-mp-{}.lsck", std::process::id()));
-    let out = std::process::Command::new(&exe)
-        .args(["mp_worker_entry", "--exact", "--ignored", "--nocapture"])
+fn e2e_enabled() -> bool {
+    if std::env::var("LS_MP_E2E").as_deref() == Ok("1") {
+        return true;
+    }
+    eprintln!("LS_MP_E2E not set: skipping the multi-process half");
+    false
+}
+
+/// Re-executes this test binary as a `LOCALES`-rank multiprocess job
+/// running the ignored test `entry` with `envs` set, and returns the
+/// job's stdout (rank 0 prints the digests).
+fn run_job(entry: &str, envs: &[(&str, &std::ffi::OsStr)]) -> String {
+    let out = std::process::Command::new(std::env::current_exe().unwrap())
+        .args([entry, "--exact", "--ignored", "--nocapture"])
         .env("LS_TRANSPORT", "multiprocess")
         .env("LS_LOCALES", LOCALES.to_string())
-        .env("LS_MP_E2E_CKPT", &ckpt)
+        .envs(envs.iter().copied())
         .output()
         .expect("spawn multiprocess job");
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     assert!(
         out.status.success(),
         "multiprocess job failed ({}):\n{stdout}\n{}",
         out.status,
         String::from_utf8_lossy(&out.stderr)
     );
-    // The libtest harness may print `test ... ` on the same line before
-    // the worker's output, so match the marker anywhere in the line.
-    let field = |marker: &str| -> Vec<u64> {
-        stdout
-            .lines()
-            .find_map(|l| l.split_once(marker).map(|(_, rest)| rest))
-            .unwrap_or_else(|| panic!("no {marker} line in:\n{stdout}"))
-            .split_whitespace()
-            .map(|t| u64::from_str_radix(t, 16).unwrap())
-            .collect()
-    };
+    stdout
+}
+
+/// The hex words printed after `marker` by [`print_fields`]. The libtest
+/// harness may print `test ... ` on the same line before the worker's
+/// output, so the marker may stand anywhere in the line.
+fn field(stdout: &str, marker: &str) -> Vec<u64> {
+    stdout
+        .lines()
+        .find_map(|l| l.split_once(marker).map(|(_, rest)| rest))
+        .unwrap_or_else(|| panic!("no {marker} line in:\n{stdout}"))
+        .split_whitespace()
+        .map(|t| u64::from_str_radix(t, 16).unwrap())
+        .collect()
+}
+
+/// Prints each marker and its words in hex, one line each, on rank 0.
+fn print_fields(fields: &[(&str, Vec<u64>)]) {
+    if transport::is_primary() {
+        for (marker, words) in fields {
+            let words: String = words.iter().map(|w| format!(" {w:016x}")).collect();
+            println!("{marker}{words}");
+        }
+    }
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn transport_equivalence() {
+    let (lanczos_bits, restart_bits) = run_pipeline();
+    let (product, puts) = arrival_ordered_product();
+    assert!(puts[0] >= 40.0, "every channel must hand over many batches: {puts:?}");
+    if !e2e_enabled() {
+        return;
+    }
+    let ckpt =
+        std::env::temp_dir().join(format!("transport-eq-mp-{}.lsck", std::process::id()));
+    let stdout = run_job("mp_worker_entry", &[("LS_MP_E2E_CKPT", ckpt.as_os_str())]);
+    let field = |marker| field(&stdout, marker);
     assert_eq!(field("MP_LANCZOS"), vec![lanczos_bits], "Lanczos E0 differs across backends");
     assert_eq!(field("MP_RESTART"), restart_bits, "restart eigenvalues differ across backends");
     let floats = |marker| field(marker).into_iter().map(f64::from_bits).collect::<Vec<_>>();
@@ -203,6 +260,22 @@ fn transport_equivalence() {
     assert_eq!(floats("MP_PUTS"), puts, "puts / put_bytes differ across backends");
 }
 
+/// Products back to back, with integrity off so that no ABFT allreduce
+/// stands between them: only the engine's own re-arm barrier keeps a fast
+/// rank's next batches from reaching a receiver that has not been reset.
+#[test]
+fn back_to_back_products_cross_two_barriers_each() {
+    let (product, crossed) = back_to_back_products();
+    assert_eq!(crossed, 0, "in process the transport crosses no barrier");
+    if !e2e_enabled() {
+        return;
+    }
+    let stdout = run_job("mp_back_to_back_entry", &[("LS_INTEGRITY", "off".as_ref())]);
+    let crossed = field(&stdout, "MP_BARRIERS");
+    assert_eq!(crossed, vec![2 * BACK_TO_BACK as u64], "two barriers a multiprocess product");
+    assert_eq!(field(&stdout, "MP_PRODUCT"), bits(&product), "products differ across backends");
+}
+
 /// Not a test on its own: the SPMD body `transport_equivalence` re-runs
 /// across real processes. `#[ignore]` keeps it out of normal runs; the
 /// driver invokes it by name with `--ignored`.
@@ -210,22 +283,38 @@ fn transport_equivalence() {
 #[ignore]
 fn mp_worker_entry() {
     transport::launch_if_requested();
-    let Some(mp) = transport::active() else {
-        panic!("mp_worker_entry must be run with LS_TRANSPORT=multiprocess");
-    };
+    assert!(
+        transport::active().is_some(),
+        "run mp_worker_entry with LS_TRANSPORT=multiprocess"
+    );
     let (lanczos_bits, restart_bits) = run_pipeline();
     let (product, puts) = arrival_ordered_product();
-    if mp.rank() == 0 {
-        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let fields = [
-            ("MP_LANCZOS", vec![lanczos_bits]),
-            ("MP_RESTART", restart_bits),
-            ("MP_PRODUCT", bits(&product)),
-            ("MP_PUTS", bits(&puts)),
-        ];
-        for (marker, words) in fields {
-            let words: String = words.iter().map(|w| format!(" {w:016x}")).collect();
-            println!("{marker}{words}");
-        }
-    }
+    print_fields(&[
+        ("MP_LANCZOS", vec![lanczos_bits]),
+        ("MP_RESTART", restart_bits),
+        ("MP_PRODUCT", bits(&product)),
+        ("MP_PUTS", bits(&puts)),
+    ]);
+}
+
+/// Not a test on its own: the SPMD body of
+/// `back_to_back_products_cross_two_barriers_each`, run like
+/// [`mp_worker_entry`].
+#[test]
+#[ignore]
+fn mp_back_to_back_entry() {
+    transport::launch_if_requested();
+    let Some(mp) = transport::active() else {
+        panic!("mp_back_to_back_entry must be run with LS_TRANSPORT=multiprocess");
+    };
+    let (product, crossed) = back_to_back_products();
+    // Remote accumulation stays in process: an add into the part the
+    // other rank hosts is refused by name, never made into a stale replica.
+    let other = 1 - mp.rank();
+    let mut y = DistVec::<f64>::zeros(&[1; LOCALES]);
+    let win = AtomicAccumWindow::new(&mut y);
+    let refused = std::panic::catch_unwind(|| win.fetch_add(other, 0, 1.0)).unwrap_err();
+    let message = refused.downcast_ref::<String>().expect("a formatted panic");
+    assert!(message.contains(&format!("locale {other}'s part lives in another process")));
+    print_fields(&[("MP_BARRIERS", vec![crossed]), ("MP_PRODUCT", bits(&product))]);
 }
