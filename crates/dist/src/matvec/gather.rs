@@ -9,10 +9,10 @@
 //! * as the **baseline** the paper's buffering strategies are measured
 //!   against (it returns the bytes it gathered);
 //! * as the solve mode that exercises the **window read path** end to
-//!   end: under the multiprocess transport every remote part is pulled
-//!   through [`RmaReadWindow::get`], i.e. through the shared-memory
-//!   segments whose reads are checksummed under `LS_INTEGRITY`. A
-//!   `corrupt-window` fault therefore fires *organically* mid-solve —
+//!   end: under the multiprocess transport every product opens a
+//!   [`RmaReadWindow`], whose parts arrive in one collective exchange —
+//!   CRC-sealed frames under `LS_INTEGRITY`. A `flip-bit` fault on
+//!   collective frames therefore lands inside a product mid-solve —
 //!   detection, poison and rollback all happen inside an ordinary
 //!   Lanczos iteration, which is exactly what the chaos tests need (the
 //!   producer/consumer engine never opens a window, so this path is
@@ -58,13 +58,13 @@ pub fn matvec_gather<S: Scalar>(
     }
     let dim = *offsets.last().unwrap();
     // Opening the window is collective under the multiprocess transport
-    // (publishes this rank's part and barriers).
+    // (allgathers the parts).
     let win = RmaReadWindow::new(x);
     let results = cluster.run(|ctx| {
         let me = ctx.locale();
         // The full replica: remote parts arrive through `get`, which
-        // under the multiprocess transport reads the owners' segments —
-        // first-read checksummed when `LS_INTEGRITY` says so.
+        // under the multiprocess transport copies from the window's
+        // snapshot of the owners' parts.
         let mut xg: Vec<S> = vec![S::ZERO; dim];
         let mut gathered = 0u64;
         for (src, &len) in lens.iter().enumerate() {

@@ -91,13 +91,8 @@ pub fn for_each_global<L: Lane>(v: &DistVec<L>, mut f: impl FnMut(L)) {
     assert_eq!(std::mem::size_of::<L>(), L::WIDTH as usize * L::Acc::N_REALS);
     // SAFETY: a lane is `N_REALS` reals of `WIDTH` bytes and, by the
     // size check above, nothing else — no padding.
-    let own = unsafe { transport::slice_as_bytes(v.part(mp.rank())) };
-    let mut part: Vec<L> = Vec::new();
-    for contribution in mp.allgather(own) {
-        part.clear();
-        transport::decode_extend(&contribution, &mut part);
-        part.iter().for_each(|&x| f(x));
-    }
+    let parts = unsafe { mp.allgather_elems(v.part(mp.rank())) };
+    parts.iter().flatten().for_each(|&x| f(x));
 }
 
 /// Collective recovery from a detected corruption, called on every rank

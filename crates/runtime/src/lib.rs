@@ -33,9 +33,9 @@
 //!
 //! Since the [`transport`] module landed, "simulated wire" describes only
 //! the *default* backend. `LS_TRANSPORT=multiprocess` runs the identical
-//! one-sided API across real OS processes — shared-memory segment files
-//! for puts/gets, TCP frames for channels/barriers — with the same
-//! visibility and determinism contract (see [`transport`] and
+//! one-sided API across real OS processes — TCP frames for channels,
+//! barriers, reductions and the allgathers of window epochs — with the
+//! same visibility and determinism contract (see [`transport`] and
 //! `docs/ARCHITECTURE.md`). Programs opt in by calling
 //! [`transport::launch_if_requested`] first thing in `main`. Algorithms
 //! never ask which backend is active: what differs above the one-sided
@@ -54,8 +54,8 @@
 //! ([`fault`], `LS_FAULT`) drives the whole machinery under test.
 //!
 //! Fail-stop supervision is complemented by a *fail-silent* defense:
-//! CRC32C ([`crc32c()`]) over every wire frame and shared-memory segment
-//! (`LS_INTEGRITY`), detected corruption surfacing as a recoverable
+//! CRC32C ([`crc32c()`]) over every wire frame (`LS_INTEGRITY`), detected
+//! corruption surfacing as a recoverable
 //! [`transport::TransportError::Corruption`] that solvers catch and
 //! roll back from their newest checkpoint — see the "Silent-error
 //! defense" section of `docs/ARCHITECTURE.md`.

@@ -34,9 +34,9 @@
 
 use crate::fault::FaultPlan;
 use crate::transport::{
-    env_count, locales_from_env, IntegrityMode, ENV_BACKOFF_MS, ENV_HEARTBEAT_MS, ENV_JOB,
-    ENV_LOCALES, ENV_MAX_RESTARTS, ENV_RANK, ENV_RESTART_COUNT, ENV_SILENCE_SECS, ENV_TIMEOUT,
-    ENV_WATCHDOG, EXIT_CORRUPTION, EXIT_FAILOVER, EXIT_ORPHANED, EXIT_PROTOCOL,
+    env_count, locales_from_env, IntegrityMode, ENV_BACKOFF_MS, ENV_JOB, ENV_LOCALES,
+    ENV_MAX_RESTARTS, ENV_RANK, ENV_RESTART_COUNT, ENV_TIMEOUT, ENV_WATCHDOG, EXIT_CORRUPTION,
+    EXIT_FAILOVER, EXIT_ORPHANED, EXIT_PROTOCOL,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -202,7 +202,7 @@ pub(crate) fn run_supervisor() -> ! {
     let max_restarts = knob(ENV_MAX_RESTARTS, 2);
     let backoff_base = Duration::from_millis(knob(ENV_BACKOFF_MS, 250));
     // The workers' own knobs (read in their transport connect).
-    for name in [ENV_TIMEOUT, ENV_HEARTBEAT_MS, ENV_SILENCE_SECS, ENV_RESTART_COUNT] {
+    for name in [ENV_TIMEOUT, ENV_RESTART_COUNT] {
         knob(name, 0);
     }
     let exe = std::env::current_exe().expect("current_exe for the multiprocess supervisor");
@@ -216,7 +216,7 @@ pub(crate) fn run_supervisor() -> ! {
     let mut attempt: u64 = 0;
     loop {
         // A fresh rendezvous directory per round: a relaunch must never
-        // read stale port files or segments from the crashed round.
+        // read stale port files from the crashed round.
         let job_dir = base.join(format!("ls-mp-{}.{attempt}", std::process::id()));
         fs::create_dir_all(&job_dir).expect("create multiprocess job directory");
         let round = run_round(&exe, &args, n, &job_dir, attempt);

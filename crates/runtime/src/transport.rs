@@ -13,10 +13,10 @@
 //!   deterministic, and what `cargo test` exercises.
 //! * **`multiprocess`** — one OS process per locale. A launcher
 //!   ([`launch_if_requested`]) re-executes the current binary once per
-//!   locale; workers rendezvous through a job directory, exchange window
-//!   puts/gets through shared-memory segment files (`/dev/shm`), and run
-//!   channel/barrier traffic over a full mesh of TCP sockets with frames
-//!   serialized through the `bytes` shim.
+//!   locale; workers rendezvous through a job directory and then carry
+//!   everything — channel batches, barriers, reductions and the window
+//!   epochs built on allgathers — over one full mesh of TCP sockets, as
+//!   frames serialized through the `bytes` shim.
 //!
 //! # Execution model (multiprocess)
 //!
@@ -32,11 +32,11 @@
 //!
 //! Distributed vectors keep their full shape in every process; only rank
 //! `r`'s part is authoritative on rank `r`. One-sided epochs re-replicate
-//! where needed: an [`crate::RmaWriteWindow`] epoch ends by reading every
-//! locale's segment back, so data produced by distributed enumeration is
-//! fully replicated, while Krylov vectors are never replicated — their
-//! reductions combine per-rank partials in rank order, bit-identical to
-//! the in-process locale-ordered sum.
+//! where needed: an [`crate::RmaWriteWindow`] epoch ends by allgathering
+//! every locale's finished part, so data produced by distributed
+//! enumeration is fully replicated, while Krylov vectors are never
+//! replicated — their reductions combine per-rank partials in rank
+//! order, bit-identical to the in-process locale-ordered sum.
 //!
 //! # Visibility and ordering contract
 //!
@@ -56,7 +56,7 @@ use crate::stats::CommStats;
 use bytes::{Buf, BufMut};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::fs::{self, File};
+use std::fs;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -82,12 +82,6 @@ pub const ENV_MAX_RESTARTS: &str = "LS_MP_MAX_RESTARTS";
 /// Base supervisor backoff in milliseconds, doubled per retry
 /// (default 250).
 pub const ENV_BACKOFF_MS: &str = "LS_MP_BACKOFF_MS";
-/// Heartbeat interval in milliseconds (default 500; 0 disables).
-pub const ENV_HEARTBEAT_MS: &str = "LS_MP_HEARTBEAT_MS";
-/// Peer-silence threshold in seconds: a peer that sends nothing (not
-/// even heartbeats) for this long while we wait on it is declared failed
-/// (default 30; 0 disables).
-pub const ENV_SILENCE_SECS: &str = "LS_MP_SILENCE_SECS";
 /// Internal: which supervisor incarnation this worker belongs to (0 on
 /// the first launch). Set by the supervisor, read by fault injection and
 /// [`restart_count`].
@@ -98,8 +92,13 @@ pub const ENV_INTEGRITY: &str = "LS_INTEGRITY";
 
 const RENDEZVOUS_TIMEOUT: Duration = Duration::from_secs(60);
 const DEFAULT_COLLECTIVE_TIMEOUT_SECS: u64 = 180;
-const DEFAULT_HEARTBEAT_MS: u64 = 500;
-const DEFAULT_SILENCE_SECS: u64 = 30;
+/// Heartbeat interval: every live peer gets a `PING` this often.
+const HEARTBEAT: Duration = Duration::from_millis(500);
+/// Peer-silence threshold: a peer that sends nothing (not even
+/// heartbeats) for this long while a collective waits on it is declared
+/// failed. The mesh is same-host loopback, where 60 missed heartbeats
+/// mean a hung process, not a slow link.
+const SILENCE: Duration = Duration::from_secs(30);
 
 /// Exit code of a worker whose launcher died (watchdog).
 pub(crate) const EXIT_ORPHANED: i32 = 124;
@@ -190,24 +189,22 @@ pub enum TransportError {
         /// The originating failure, as text.
         reason: String,
     },
-    /// A protocol invariant broke (unknown frame tag, segment IO failure,
-    /// ...).
+    /// A protocol invariant broke (unknown frame tag, a payload too long
+    /// for a frame's length field, ...).
     Protocol {
         /// What broke.
         detail: String,
     },
-    /// Data corruption caught by the integrity layer: a wire frame or
-    /// shared-memory segment failed its CRC32C, or a matvec checksum
-    /// invariant broke. Unlike every other variant this one is
-    /// *recoverable*: it unwinds as a catchable panic so the solver can
-    /// roll back to its newest checkpoint instead of the job dying.
+    /// Data corruption caught by the integrity layer: a wire frame failed
+    /// its CRC32C, or a matvec checksum invariant broke. Unlike every
+    /// other variant this one is *recoverable*: it unwinds as a catchable
+    /// panic so the solver can roll back to its newest checkpoint instead
+    /// of the job dying.
     Corruption {
-        /// The rank whose data was corrupt (the frame's sender, the
-        /// segment part's owner, or the locale whose partial broke the
-        /// checksum invariant).
+        /// The rank whose data was corrupt (the frame's sender, or the
+        /// locale whose partial broke the checksum invariant).
         peer: usize,
-        /// What carried the corruption (`"coll"`, `"chan"`, `"window"`,
-        /// `"abft"`).
+        /// What carried the corruption (`"coll"`, `"chan"`, `"abft"`).
         frame: String,
         /// Which check failed (CRC mismatch, checksum-vector drift...).
         kind: String,
@@ -345,9 +342,9 @@ pub(crate) fn locales_from_env(default: usize) -> Result<usize, String> {
 /// * **`off`** — no checksums anywhere.
 /// * **`wire`** — every data-bearing TCP frame (collective, channel)
 ///   carries a CRC32C over its header and payload, verified on receive.
-/// * **`full`** (default) — `wire`, plus CRC32C sidecars over
-///   shared-memory segment parts verified on first remote read, plus the
-///   matvec checksum-vector invariant in `ls-dist`.
+///   Window epochs travel as collective frames, so this covers them too.
+/// * **`full`** (default) — `wire`, plus the matvec checksum-vector
+///   invariant in `ls-dist`.
 ///
 /// The mode must be uniform across ranks (the supervisor exports one
 /// environment to every worker): it changes the wire format.
@@ -357,7 +354,7 @@ pub enum IntegrityMode {
     Off,
     /// Frame CRCs only.
     Wire,
-    /// Frame CRCs + segment CRCs + matvec checksum vectors.
+    /// Frame CRCs + matvec checksum vectors.
     Full,
 }
 
@@ -391,7 +388,7 @@ impl IntegrityMode {
         self != IntegrityMode::Off
     }
 
-    /// True when segment sidecars and matvec checksums are on (`full`).
+    /// True when matvec checksums are on (`full`).
     #[inline]
     pub fn full(self) -> bool {
         self == IntegrityMode::Full
@@ -553,10 +550,6 @@ pub struct TransportStats {
     pub rx_frames: AtomicU64,
     /// Bytes read from TCP peers.
     pub rx_bytes: AtomicU64,
-    /// Bytes read from other locales' shared-memory segments.
-    pub shm_read_bytes: AtomicU64,
-    /// Bytes written to shared-memory segments (own publishes + puts).
-    pub shm_write_bytes: AtomicU64,
     /// Barrier crossings.
     pub barriers: AtomicU64,
     /// Total nanoseconds spent inside barriers (latency numerator).
@@ -571,11 +564,11 @@ pub struct TransportStats {
     /// Total failure-to-detection nanoseconds (latency numerator over
     /// `peer_failures`).
     pub detection_nanos: AtomicU64,
-    /// Corrupt frames / segment parts / checksum invariants this rank
-    /// detected (each one poisons the epoch and triggers rollback).
+    /// Corrupt frames / checksum invariants this rank detected (each one
+    /// poisons the epoch and triggers rollback).
     pub frames_corrupted: AtomicU64,
     /// Bytes this rank ran through CRC32C verification (received frames
-    /// and segment parts — a measure of integrity coverage, not cost).
+    /// — a measure of integrity coverage, not cost).
     pub crc_bytes_checked: AtomicU64,
 }
 
@@ -591,8 +584,6 @@ impl TransportStats {
             tx_bytes: self.tx_bytes.load(Ordering::Relaxed),
             rx_frames: self.rx_frames.load(Ordering::Relaxed),
             rx_bytes: self.rx_bytes.load(Ordering::Relaxed),
-            shm_read_bytes: self.shm_read_bytes.load(Ordering::Relaxed),
-            shm_write_bytes: self.shm_write_bytes.load(Ordering::Relaxed),
             barriers: self.barriers.load(Ordering::Relaxed),
             barrier_nanos: self.barrier_nanos.load(Ordering::Relaxed),
             peer_failures: self.peer_failures.load(Ordering::Relaxed),
@@ -612,8 +603,6 @@ impl TransportStats {
         self.tx_bytes.store(0, Ordering::Relaxed);
         self.rx_frames.store(0, Ordering::Relaxed);
         self.rx_bytes.store(0, Ordering::Relaxed);
-        self.shm_read_bytes.store(0, Ordering::Relaxed);
-        self.shm_write_bytes.store(0, Ordering::Relaxed);
         self.barriers.store(0, Ordering::Relaxed);
         self.barrier_nanos.store(0, Ordering::Relaxed);
         self.peer_failures.store(0, Ordering::Relaxed);
@@ -636,10 +625,6 @@ pub struct TransportSnapshot {
     pub rx_frames: u64,
     /// Bytes read from TCP peers.
     pub rx_bytes: u64,
-    /// Bytes read from other locales' segments.
-    pub shm_read_bytes: u64,
-    /// Bytes written to segments.
-    pub shm_write_bytes: u64,
     /// Barrier crossings.
     pub barriers: u64,
     /// Nanoseconds spent in barriers.
@@ -695,8 +680,8 @@ struct PeerHealth {
 }
 
 /// The per-worker multiprocess runtime: rank identity, the TCP mesh, the
-/// shared-memory job directory, and the registries behind channels. One
-/// per process, `'static`, created lazily by [`active`].
+/// rendezvous job directory, and the registries behind channels. One per
+/// process, `'static`, created lazily by [`active`].
 pub struct MpRuntime {
     rank: usize,
     n: usize,
@@ -711,7 +696,6 @@ pub struct MpRuntime {
     chans: Mutex<HashMap<u64, Arc<ChanInbox>>>,
     credits: Mutex<HashMap<u64, Arc<ChanCredits>>>,
     next_chan: AtomicU64,
-    next_seg: AtomicU64,
     stats: TransportStats,
     timeout: Duration,
     /// Per-peer liveness (self index unused).
@@ -723,10 +707,6 @@ pub struct MpRuntime {
     exit_door: Mutex<()>,
     /// Monotonic time base for the health clocks.
     epoch: Instant,
-    /// Heartbeat send interval (zero disables).
-    hb_interval: Duration,
-    /// Silent-peer threshold (zero disables).
-    silence: Duration,
     /// Parsed `LS_FAULT` plan (empty when unset).
     faults: FaultPlan,
     /// Supervisor incarnation, gating which fault actions are armed.
@@ -793,9 +773,6 @@ impl MpRuntime {
         );
         let timeout =
             Duration::from_secs(knob(ENV_TIMEOUT, Some(DEFAULT_COLLECTIVE_TIMEOUT_SECS)));
-        let hb_interval =
-            Duration::from_millis(knob(ENV_HEARTBEAT_MS, Some(DEFAULT_HEARTBEAT_MS)));
-        let silence = Duration::from_secs(knob(ENV_SILENCE_SECS, Some(DEFAULT_SILENCE_SECS)));
         let faults = FaultPlan::from_env();
         let attempt = restart_count();
 
@@ -878,7 +855,6 @@ impl MpRuntime {
             chans: Mutex::new(HashMap::new()),
             credits: Mutex::new(HashMap::new()),
             next_chan: AtomicU64::new(0),
-            next_seg: AtomicU64::new(0),
             stats: TransportStats::default(),
             timeout,
             health: (0..n)
@@ -891,8 +867,6 @@ impl MpRuntime {
             aborting: AtomicBool::new(false),
             exit_door: Mutex::new(()),
             epoch: Instant::now(),
-            hb_interval,
-            silence,
             faults,
             attempt,
             barrier_ordinal: AtomicU64::new(0),
@@ -953,13 +927,13 @@ impl MpRuntime {
     /// interval. Pings advance the receivers' silent-peer clocks; a send
     /// failure doubles as failure detection between collectives.
     fn spawn_heartbeat(&'static self) {
-        if self.hb_interval.is_zero() || self.n < 2 {
+        if self.n < 2 {
             return;
         }
         std::thread::Builder::new()
             .name("ls-mp-hb".into())
             .spawn(move || loop {
-                std::thread::sleep(self.hb_interval);
+                std::thread::sleep(HEARTBEAT);
                 if self.aborting.load(Ordering::SeqCst) {
                     return;
                 }
@@ -1109,10 +1083,9 @@ impl MpRuntime {
     }
 
     /// [`Self::report_corruption`], then unwinds with the attributed
-    /// error: the detect → poison → unwind pipeline for a check that
-    /// fails on the calling thread (a segment CRC, or — through
-    /// [`crate::collective::raise_corruption`] — a check above the
-    /// transport).
+    /// error: the detect → poison → unwind pipeline for a check above the
+    /// transport that fails on the calling thread (reached through
+    /// [`crate::collective::raise_corruption`]).
     pub(crate) fn raise_corruption(&self, peer: usize, frame: &str, kind: &str) -> ! {
         self.report_corruption(peer, frame, kind);
         std::panic::panic_any(self.corruption_error())
@@ -1430,12 +1403,8 @@ impl MpRuntime {
                     }
                 }
                 // The corruption kinds fire at their own sites: flip-bit
-                // in seal_frame, corrupt-window in the segment writes,
-                // nan in the matvec epoch clock.
-                FaultKind::Delay
-                | FaultKind::FlipBit
-                | FaultKind::CorruptWindow
-                | FaultKind::Nan => {}
+                // in seal_frame, nan in the matvec epoch clock.
+                FaultKind::Delay | FaultKind::FlipBit | FaultKind::Nan => {}
             }
         }
     }
@@ -1514,11 +1483,6 @@ impl MpRuntime {
         let wait_start = Instant::now();
         let wait_start_nanos = self.now_nanos();
         let deadline = wait_start + self.timeout;
-        let silence_limit = if self.hb_interval.is_zero() || self.silence.is_zero() {
-            None
-        } else {
-            Some(self.silence.as_nanos() as u64)
-        };
         let mut q = queue.q.lock().unwrap();
         loop {
             if let Some(&(s, _)) = q.front() {
@@ -1530,6 +1494,14 @@ impl MpRuntime {
                 }
                 if s >> EPOCH_SHIFT == seq >> EPOCH_SHIFT {
                     if s != seq {
+                        // Under poison a gap is the corrupt frame the
+                        // receiver dropped: the peer's next collective
+                        // overtook it, which is no desync.
+                        if self.poisoned.load(Ordering::SeqCst)
+                            && !self.recovering.load(Ordering::SeqCst)
+                        {
+                            return Err(self.corruption_error());
+                        }
                         return Err(TransportError::Desync { peer, expected: seq, got: s });
                     }
                     return Ok(q.pop_front().unwrap().1);
@@ -1562,19 +1534,17 @@ impl MpRuntime {
                     wait_start_nanos,
                 ));
             }
-            if let Some(limit) = silence_limit {
-                let last_rx = self.health[peer].last_rx.load(Ordering::Relaxed);
-                let now = self.now_nanos();
-                // Only distrust silence we actually waited through: the
-                // clock may be stale from a long compute phase.
-                if now.saturating_sub(last_rx.max(wait_start_nanos)) > limit {
-                    self.note_peer_lost(peer);
-                    return Err(self.peer_failed(
-                        peer,
-                        "peer silent past heartbeat threshold",
-                        wait_start_nanos,
-                    ));
-                }
+            let last_rx = self.health[peer].last_rx.load(Ordering::Relaxed);
+            // Only distrust silence we actually waited through: the clock
+            // may be stale from a long compute phase.
+            let silent = self.now_nanos().saturating_sub(last_rx.max(wait_start_nanos));
+            if silent > SILENCE.as_nanos() as u64 {
+                self.note_peer_lost(peer);
+                return Err(self.peer_failed(
+                    peer,
+                    "peer silent past heartbeat threshold",
+                    wait_start_nanos,
+                ));
             }
             let now = Instant::now();
             if now >= deadline {
@@ -1592,6 +1562,7 @@ impl MpRuntime {
     /// receives all contributions indexed by rank. The fundamental
     /// collective — barriers and reductions are built on it.
     fn try_allgather(&self, payload: &[u8]) -> Result<Vec<Vec<u8>>, TransportError> {
+        let len = frame_len(payload.len())?;
         // The guard both allocates the sequence number and serializes
         // collectives within the process.
         let mut seq_guard = self.coll_seq.lock().unwrap();
@@ -1600,7 +1571,7 @@ impl MpRuntime {
         let mut frame = Vec::with_capacity(17 + payload.len());
         frame.put_u8(TAG_COLL);
         frame.put_u64_le(seq);
-        frame.put_u32_le(payload.len() as u32);
+        frame.put_u32_le(len);
         frame.put_slice(payload);
         self.seal_frame(&mut frame, 13, FrameClass::Coll);
         for peer in 0..self.n {
@@ -1624,6 +1595,23 @@ impl MpRuntime {
     /// panic carrying the [`TransportError::Corruption`].
     pub(crate) fn allgather(&self, payload: &[u8]) -> Vec<Vec<u8>> {
         self.try_allgather(payload).unwrap_or_else(|e| self.bail(e))
+    }
+
+    /// [`Self::allgather`] of one slice of elements a rank: every rank
+    /// receives every rank's `own`, decoded, in rank order. The exchange
+    /// behind the window epochs and [`crate::collective::for_each_global`].
+    ///
+    /// # Safety
+    /// `T` must be `Copy` without padding bytes (see [`slice_as_bytes`]).
+    pub(crate) unsafe fn allgather_elems<T: Copy>(&self, own: &[T]) -> Vec<Vec<T>> {
+        // The caller vouches for `T` (this function's contract).
+        let all = self.allgather(slice_as_bytes(own));
+        let decode = |bytes: Vec<u8>| {
+            let mut elems = Vec::new();
+            decode_extend(&bytes, &mut elems);
+            elems
+        };
+        all.into_iter().map(decode).collect()
     }
 
     /// Barrier: an empty allgather — a failure aborts the whole job,
@@ -1679,12 +1667,12 @@ impl MpRuntime {
     ///    stale channel/credit state is complete;
     /// 3. drop all channel inboxes and credits (the poisoned product's
     ///    ranks unwound mid-stream and will rebuild their grids);
-    /// 4. allgather the channel and segment id counters and take the
-    ///    job-wide maximum — ranks unwound at different points, so the
-    ///    per-process counters diverged. No peer can send a new-id
-    ///    frame before its own allgather completes, which needs our
-    ///    contribution, which we send *after* clearing the maps — so a
-    ///    fresh inbox can never be dropped by step 3;
+    /// 4. allgather the channel id counter and take the job-wide maximum
+    ///    — ranks unwound at different points, so the per-process
+    ///    counters diverged. No peer can send a new-id frame before its
+    ///    own allgather completes, which needs our contribution, which
+    ///    we send *after* clearing the maps — so a fresh inbox can never
+    ///    be dropped by step 3;
     /// 5. clear the poison.
     ///
     /// No-op when the epoch is not poisoned, so callers may invoke it
@@ -1699,18 +1687,9 @@ impl MpRuntime {
         self.barrier();
         self.chans.lock().unwrap().clear();
         self.credits.lock().unwrap().clear();
-        let mut payload = Vec::with_capacity(16);
-        payload.put_u64_le(self.next_chan.load(Ordering::SeqCst));
-        payload.put_u64_le(self.next_seg.load(Ordering::SeqCst));
-        let all = self.allgather(&payload);
-        let (mut chan, mut seg) = (0u64, 0u64);
-        for contribution in &all {
-            let mut r: &[u8] = contribution;
-            chan = chan.max(r.get_u64_le());
-            seg = seg.max(r.get_u64_le());
-        }
+        let all = self.allgather(&self.next_chan.load(Ordering::SeqCst).to_le_bytes());
+        let chan = all.iter().map(|c| c.as_slice().get_u64_le()).max().unwrap_or(0);
         self.next_chan.store(chan, Ordering::SeqCst);
-        self.next_seg.store(seg, Ordering::SeqCst);
         *self.poison.lock().unwrap() = None;
         self.poison_fanned.store(false, Ordering::SeqCst);
         self.poisoned.store(false, Ordering::SeqCst);
@@ -1745,24 +1724,6 @@ impl MpRuntime {
         fires
     }
 
-    // ---- shared-memory segments -----------------------------------------
-
-    /// Creates a new segment set for a distributed epoch: one file per
-    /// locale under the job directory, element size `elem` bytes, part
-    /// lengths `lens`. SPMD-collective (ids come from a counter), and the
-    /// caller must publish its own part and barrier before peers read.
-    pub fn new_segment(&'static self, elem: usize, lens: &[usize]) -> Segment {
-        let id = self.next_seg.fetch_add(1, Ordering::Relaxed);
-        Segment {
-            mp: self,
-            id,
-            elem,
-            files: (0..lens.len()).map(|_| Mutex::new(None)).collect(),
-            verified: (0..lens.len()).map(|_| AtomicBool::new(false)).collect(),
-            lens: lens.to_vec(),
-        }
-    }
-
     // ---- channels --------------------------------------------------------
 
     /// Reserves `count` consecutive channel ids. SPMD-collective: every
@@ -1772,10 +1733,11 @@ impl MpRuntime {
     }
 
     fn send_chan(&self, peer: usize, chan: u64, payload: &[u8]) {
+        let len = frame_len(payload.len()).unwrap_or_else(|e| self.bail(e));
         let mut frame = Vec::with_capacity(17 + payload.len());
         frame.put_u8(TAG_CHAN);
         frame.put_u64_le(chan);
-        frame.put_u32_le(payload.len() as u32);
+        frame.put_u32_le(len);
         frame.put_slice(payload);
         self.seal_frame(&mut frame, 13, FrameClass::Chan);
         self.send_frame(peer, &frame, FrameClass::Chan);
@@ -1801,261 +1763,13 @@ impl MpRuntime {
     }
 }
 
-// ---- shared-memory segment ----------------------------------------------
-
-/// One distributed epoch's shared-memory backing: a file per locale in
-/// the job directory (`/dev/shm` — tmpfs, so reads/writes are real
-/// same-host shared memory through the page cache). The owner publishes
-/// its part, a barrier makes it visible, peers `pread`/`pwrite` at
-/// element offsets.
-pub struct Segment {
-    mp: &'static MpRuntime,
-    id: u64,
-    elem: usize,
-    lens: Vec<usize>,
-    files: Vec<Mutex<Option<File>>>,
-    /// Per-part latch: in full-integrity mode the first `read` of each
-    /// part verifies its CRC sidecars once, then trusts the page cache.
-    verified: Vec<AtomicBool>,
-}
-
-impl Segment {
-    fn path(&self, locale: usize) -> PathBuf {
-        self.mp.job_dir.join(format!("seg-{}-{locale}", self.id))
-    }
-
-    /// Whole-part CRC sidecar, written by the part's owner at publish.
-    fn crc_path(&self, locale: usize) -> PathBuf {
-        self.mp.job_dir.join(format!("seg-{}-{locale}.crc", self.id))
-    }
-
-    /// Per-writer put-record sidecar against `locale`'s part: a flat
-    /// list of `(byte offset: u64, len: u64, crc32c: u32)` records, one
-    /// appended per [`Self::write`] by rank `writer`.
-    fn putcrc_path(&self, locale: usize, writer: usize) -> PathBuf {
-        self.mp.job_dir.join(format!("seg-{}-{locale}.putcrc-{writer}", self.id))
-    }
-
-    /// Segment IO failure router: under poison the files may already be
-    /// gone (peers unwound and dropped the epoch), so surface the
-    /// corruption for rollback instead of a fail-stop protocol abort.
-    fn fail(&self, detail: String) -> ! {
-        self.mp.raise_if_poisoned();
-        self.mp.abort_job(TransportError::Protocol { detail })
-    }
-
-    /// Executes any armed `corrupt-window` injection after this rank
-    /// wrote `locale`'s part: flips the low bit of the byte at the
-    /// action's offset (clamped to the part), bypassing the CRC
-    /// sidecars — only a reader's verification can catch it.
-    fn corrupt_window_hook(&self, locale: usize) {
-        let mp = self.mp;
-        if mp.faults.is_empty_for(mp.rank, mp.attempt) {
-            return;
-        }
-        let part_bytes = self.lens[locale] * self.elem;
-        if part_bytes == 0 {
-            return;
-        }
-        for (idx, action) in mp.faults.window_corruptions_for(mp.rank, mp.attempt) {
-            // `nth` selects where the damage starts (1-based over this
-            // rank's segment writes — enumeration epochs write windows
-            // too, so chaos plans use it to land inside the solve) and
-            // `count` how many consecutive writes get hit.
-            let n = mp.fault_spent[idx].fetch_add(1, Ordering::Relaxed) + 1;
-            if n >= action.nth && n < action.nth + action.count {
-                let at = (action.offset as usize).min(part_bytes - 1);
-                eprintln!(
-                    "ls-mp[rank {}]: fault injection: corrupt-window byte {at} of \
-                     segment {} part {locale}",
-                    mp.rank, self.id
-                );
-                self.with_file(locale, |f| {
-                    let mut b = [0u8; 1];
-                    pread(f, at as u64, &mut b)?;
-                    b[0] ^= 1;
-                    pwrite(f, at as u64, &b)
-                });
-            }
-        }
-    }
-
-    /// First-read verification of `locale`'s part against its CRC
-    /// sidecars (full-integrity mode). Put records — ranges written
-    /// one-sidedly by peers — take precedence; a part nobody put into
-    /// is checked whole against the owner's publish sidecar. A mismatch
-    /// poisons the epoch and unwinds with the attributed
-    /// [`TransportError::Corruption`].
-    fn verify_part(&self, locale: usize) {
-        let part_bytes = self.lens[locale] * self.elem;
-        if part_bytes == 0 {
-            return;
-        }
-        let mut buf = vec![0u8; part_bytes];
-        self.with_file(locale, |f| pread(f, 0, &mut buf));
-        let mut checked = 0u64;
-        let mut bad = false;
-        let mut any_put = false;
-        for writer in 0..self.lens.len() {
-            let Ok(records) = fs::read(self.putcrc_path(locale, writer)) else { continue };
-            any_put = true;
-            let mut r: &[u8] = &records;
-            while r.remaining() >= 20 {
-                let off = r.get_u64_le() as usize;
-                let len = r.get_u64_le() as usize;
-                let want = r.get_u32_le();
-                if off + len > part_bytes || crc32c(&buf[off..off + len]) != want {
-                    bad = true;
-                }
-                checked += len as u64;
-            }
-        }
-        if !any_put {
-            if let Ok(side) = fs::read(self.crc_path(locale)) {
-                if side.len() == 4 {
-                    let want = u32::from_le_bytes([side[0], side[1], side[2], side[3]]);
-                    checked += part_bytes as u64;
-                    if crc32c(&buf) != want {
-                        bad = true;
-                    }
-                }
-            }
-        }
-        self.mp.stats.add(&self.mp.stats.crc_bytes_checked, checked);
-        if bad {
-            self.mp.raise_corruption(locale, "window", "segment CRC mismatch");
-        }
-    }
-
-    /// Element count of one locale's part.
-    pub fn len(&self, locale: usize) -> usize {
-        self.lens[locale]
-    }
-
-    /// True when `locale`'s part is empty.
-    pub fn is_empty(&self, locale: usize) -> bool {
-        self.lens[locale] == 0
-    }
-
-    /// Creates this rank's file and writes `bytes` as its full content.
-    /// Must be followed by a barrier before any peer reads or writes it.
-    pub fn publish_own(&self, bytes: &[u8]) {
-        let me = self.mp.rank();
-        assert_eq!(bytes.len(), self.lens[me] * self.elem, "publish size mismatch");
-        // Read+write: the handle is cached and later serves `read` too.
-        let mut f = fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(self.path(me))
-            .unwrap_or_else(|e| {
-                self.fail(format!("create segment {}: {e}", self.path(me).display()))
-            });
-        f.write_all(bytes).unwrap_or_else(|e| self.fail(format!("publish segment: {e}")));
-        *self.files[me].lock().unwrap() = Some(f);
-        self.mp.stats.add(&self.mp.stats.shm_write_bytes, bytes.len() as u64);
-        if self.mp.integrity.full() {
-            let _ = fs::write(self.crc_path(me), crc32c(bytes).to_le_bytes());
-        }
-        self.corrupt_window_hook(me);
-    }
-
-    fn with_file<R>(&self, locale: usize, f: impl FnOnce(&File) -> std::io::Result<R>) -> R {
-        let mut guard = self.files[locale].lock().unwrap();
-        if guard.is_none() {
-            let file = fs::OpenOptions::new()
-                .read(true)
-                .write(true)
-                .open(self.path(locale))
-                .unwrap_or_else(|e| {
-                    self.fail(format!(
-                        "open segment {} (missing barrier before access?): {e}",
-                        self.path(locale).display()
-                    ))
-                });
-            *guard = Some(file);
-        }
-        f(guard.as_ref().unwrap()).unwrap_or_else(|e| self.fail(format!("segment io: {e}")))
-    }
-
-    /// Reads `dst.len()` bytes from `locale`'s part at element `offset`.
-    /// In full-integrity mode the first read of each part verifies the
-    /// whole part against its CRC sidecars before any data is returned.
-    pub fn read(&self, locale: usize, offset: usize, dst: &mut [u8]) {
-        assert!(offset * self.elem + dst.len() <= self.lens[locale] * self.elem);
-        if self.mp.integrity.full() && !self.verified[locale].swap(true, Ordering::SeqCst) {
-            self.verify_part(locale);
-        }
-        self.with_file(locale, |f| pread(f, (offset * self.elem) as u64, dst));
-        self.mp.stats.add(&self.mp.stats.shm_read_bytes, dst.len() as u64);
-    }
-
-    /// Writes `src` into `locale`'s part at element `offset`.
-    pub fn write(&self, locale: usize, offset: usize, src: &[u8]) {
-        assert!(offset * self.elem + src.len() <= self.lens[locale] * self.elem);
-        self.with_file(locale, |f| pwrite(f, (offset * self.elem) as u64, src));
-        self.mp.stats.add(&self.mp.stats.shm_write_bytes, src.len() as u64);
-        if self.mp.integrity.full() {
-            let mut record = Vec::with_capacity(20);
-            record.put_u64_le((offset * self.elem) as u64);
-            record.put_u64_le(src.len() as u64);
-            record.put_u32_le(crc32c(src));
-            let _ = fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(self.putcrc_path(locale, self.mp.rank()))
-                .and_then(|mut f| f.write_all(&record));
-        }
-        self.corrupt_window_hook(locale);
-    }
-
-    /// Collective epoch close: barriers (so every peer is done accessing
-    /// the files) and then deletes this rank's file and the sidecars it
-    /// wrote. Skipped while unwinding a poisoned epoch — a barrier here
-    /// would hang against peers that are also unwinding; recovery
-    /// resynchronizes segment ids, and the job directory is removed at
-    /// exit, so the leaked files are bounded and harmless.
-    pub fn close(&self) {
-        if self.mp.is_poisoned() || std::thread::panicking() {
-            return;
-        }
-        self.mp.barrier();
-        let me = self.mp.rank();
-        let _ = fs::remove_file(self.path(me));
-        if self.mp.integrity.full() {
-            let _ = fs::remove_file(self.crc_path(me));
-            for locale in 0..self.lens.len() {
-                let _ = fs::remove_file(self.putcrc_path(locale, me));
-            }
-        }
-    }
-}
-
-fn pread(file: &File, off: u64, dst: &mut [u8]) -> std::io::Result<()> {
-    #[cfg(unix)]
-    {
-        use std::os::unix::fs::FileExt;
-        file.read_exact_at(dst, off)
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = (file, off, dst);
-        unreachable!("multiprocess backend is unix-only")
-    }
-}
-
-fn pwrite(file: &File, off: u64, src: &[u8]) -> std::io::Result<()> {
-    #[cfg(unix)]
-    {
-        use std::os::unix::fs::FileExt;
-        file.write_all_at(src, off)
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = (file, off, src);
-        unreachable!("multiprocess backend is unix-only")
-    }
+/// The length field of a frame carrying `len` payload bytes. A frame
+/// counts its payload in a `u32`, so a longer payload is refused by size
+/// instead of sent with a length that wrapped.
+fn frame_len(len: usize) -> Result<u32, TransportError> {
+    u32::try_from(len).map_err(|_| TransportError::Protocol {
+        detail: format!("a {len}-byte payload exceeds the {}-byte frame limit", u32::MAX),
+    })
 }
 
 // ---- raw byte views ------------------------------------------------------
@@ -2355,6 +2069,17 @@ mod tests {
         let mut back: Vec<(u64, f64)> = Vec::new();
         decode_extend(&bytes, &mut back);
         assert_eq!(back, data);
+    }
+
+    #[test]
+    fn frame_lengths_refuse_what_a_u32_cannot_count() {
+        assert_eq!(frame_len(0).unwrap(), 0);
+        assert_eq!(frame_len(1).unwrap(), 1);
+        assert_eq!(frame_len(u32::MAX as usize).unwrap(), u32::MAX);
+        let too_long = u32::MAX as usize + 1;
+        let err = frame_len(too_long).unwrap_err();
+        assert_eq!(err.exit_code(), EXIT_PROTOCOL);
+        assert!(err.to_string().contains(&format!("{too_long}-byte payload")), "{err}");
     }
 
     #[test]

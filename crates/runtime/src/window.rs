@@ -17,57 +17,51 @@
 //! [`crate::remote::BufferChannel`], whose flag protocol transfers
 //! ownership back and forth instead.
 //!
+//! Window elements are padding-free PODs (`u8`/`u16`/`u32`/`u64`/`f64`/
+//! `Complex64` in this workspace): under the multiprocess transport they
+//! travel as raw bytes.
+//!
 //! ## Multiprocess epochs
 //!
 //! Under the multiprocess transport ([`crate::transport`]) a window epoch
-//! is a real collective. `new` publishes this rank's part to a
-//! shared-memory segment and barriers (so every peer's segment exists
-//! before any access); `get`/`put` on remote locales become
-//! `pread`/`pwrite` on the owner's segment; dropping the window barriers
-//! again — and a write window's drop additionally **reads every locale's
-//! segment back** into the local replica, so after the epoch the whole
-//! `DistVec` is coherent in every process (the paper's enumeration
-//! pipeline relies on this full replication). Because epochs are
-//! collective, all ranks must create and drop windows at the same program
-//! point. The write-once ledger only observes this process's puts — a
-//! cross-process overlap is caught by whichever rank issues both halves,
-//! not globally.
+//! is built from the mesh's collectives, so its data crosses the same
+//! CRC-sealed frames as every other exchange. A read window's `new`
+//! allgathers the parts and `get` copies from that snapshot. A write
+//! window's `put` writes into this rank's own part in place and keeps
+//! every put addressed to another rank; dropping the window allgathers
+//! those puts, applies the ones addressed to this rank, then allgathers
+//! the finished parts — so after the epoch the whole `DistVec` is
+//! coherent in every process, each part being its owner's content plus
+//! every put (the paper's enumeration pipeline relies on this full
+//! replication). Because epochs are collective, all ranks must create
+//! and drop windows at the same program point. The write-once ledger only
+//! observes this process's puts — a cross-process overlap is caught by
+//! whichever rank issues both halves, not globally.
 //!
-//! If a peer dies while an epoch's collective (open or close barrier) is
-//! in flight, the barrier detects it within milliseconds and the job
-//! aborts with the failure attributed to that rank — see the failure
-//! model in [`crate::transport`]. Segment I/O errors (a peer's segment
-//! vanishing mid-epoch) abort the same way rather than killing the
-//! process silently.
+//! If a peer dies while an epoch's collective is in flight, the
+//! collective detects it within milliseconds and the job aborts with the
+//! failure attributed to that rank — see the failure model in
+//! [`crate::transport`].
 
 use crate::cluster::LocaleCtx;
 use crate::distvec::DistVec;
-use crate::transport::{self, Segment};
+use crate::transport::{self, MpRuntime};
 use parking_lot::Mutex;
 use std::marker::PhantomData;
 
-/// Views one part as bytes for segment publication.
-///
-/// # Safety
-/// `T` must be a padding-free POD (the window element types of this
-/// workspace: `u32`/`u64`/`f64`/`Complex64`).
-unsafe fn part_bytes<T: Copy>(part: &[T]) -> &[u8] {
-    std::slice::from_raw_parts(part.as_ptr() as *const u8, std::mem::size_of_val(part))
-}
-
-fn new_segment_for<T: Copy>(lens: &[usize], own: &[T]) -> Option<Segment> {
-    let mp = transport::active()?;
-    let seg = mp.new_segment(std::mem::size_of::<T>(), lens);
-    // SAFETY: window element types are padding-free PODs (doc contract).
-    seg.publish_own(unsafe { part_bytes(own) });
-    mp.barrier();
-    Some(seg)
+/// Every rank's `own`, in rank order: the exchange of a multiprocess
+/// epoch.
+fn allgather<T: Copy>(mp: &MpRuntime, own: &[T]) -> Vec<Vec<T>> {
+    // SAFETY: window elements are padding-free PODs (module contract).
+    unsafe { mp.allgather_elems(own) }
 }
 
 /// Read-only window (shared borrow ⇒ no writers can exist).
 pub struct RmaReadWindow<'a, T: Copy + Sync> {
     parts: Vec<(*const T, usize)>,
-    segment: Option<Segment>,
+    /// Multiprocess: the parts allgathered at open, which `parts` points
+    /// into.
+    _snapshot: Option<Vec<Vec<T>>>,
     _marker: PhantomData<&'a [T]>,
 }
 
@@ -75,15 +69,14 @@ unsafe impl<'a, T: Copy + Sync> Send for RmaReadWindow<'a, T> {}
 unsafe impl<'a, T: Copy + Sync> Sync for RmaReadWindow<'a, T> {}
 
 impl<'a, T: Copy + Sync> RmaReadWindow<'a, T> {
-    /// Opens a read epoch on `vec`. Multiprocess: collective (publishes
-    /// this rank's part and barriers).
+    /// Opens a read epoch on `vec`. Multiprocess: collective (allgathers
+    /// the parts).
     pub fn new(vec: &'a DistVec<T>) -> Self {
-        let lens: Vec<usize> = vec.parts().iter().map(Vec::len).collect();
-        let me = transport::active().map(|mp| mp.rank()).unwrap_or(0);
-        let segment = new_segment_for(&lens, vec.part(me));
+        let snapshot = transport::active().map(|mp| allgather(mp, vec.part(mp.rank())));
+        let source = snapshot.as_deref().unwrap_or(vec.parts());
         Self {
-            parts: vec.parts().iter().map(|p| (p.as_ptr(), p.len())).collect(),
-            segment,
+            parts: source.iter().map(|p| (p.as_ptr(), p.len())).collect(),
+            _snapshot: snapshot,
             _marker: PhantomData,
         }
     }
@@ -108,24 +101,11 @@ impl<'a, T: Copy + Sync> RmaReadWindow<'a, T> {
             offset,
             offset + dst.len()
         );
-        match &self.segment {
-            Some(seg) if src_locale != ctx.locale() => {
-                // SAFETY: dst is a unique &mut of padding-free PODs.
-                let raw = unsafe {
-                    std::slice::from_raw_parts_mut(
-                        dst.as_mut_ptr() as *mut u8,
-                        std::mem::size_of_val(dst),
-                    )
-                };
-                seg.read(src_locale, offset, raw);
-            }
-            _ => {
-                // SAFETY: shared borrow of the DistVec guarantees no
-                // concurrent writers; the range is in bounds.
-                unsafe {
-                    std::ptr::copy_nonoverlapping(ptr.add(offset), dst.as_mut_ptr(), dst.len());
-                }
-            }
+        // SAFETY: shared borrow of the DistVec (or the window's own
+        // snapshot) guarantees no concurrent writers; the range is in
+        // bounds.
+        unsafe {
+            std::ptr::copy_nonoverlapping(ptr.add(offset), dst.as_mut_ptr(), dst.len());
         }
         ctx.stats().record_get(std::mem::size_of_val(dst), src_locale != ctx.locale());
     }
@@ -139,22 +119,15 @@ impl<'a, T: Copy + Sync> RmaReadWindow<'a, T> {
     }
 }
 
-impl<'a, T: Copy + Sync> Drop for RmaReadWindow<'a, T> {
-    fn drop(&mut self) {
-        // Multiprocess: collective close (peers may read our segment up
-        // to the last moment of the epoch).
-        if let Some(seg) = &self.segment {
-            seg.close();
-        }
-    }
-}
-
 /// Write window with write-once-per-epoch semantics.
 pub struct RmaWriteWindow<'a, T: Copy + Send> {
     parts: Vec<(*mut T, usize)>,
     /// Per-destination ledger of claimed `[start, end)` ranges.
     claims: Vec<Mutex<Vec<(usize, usize)>>>,
-    segment: Option<Segment>,
+    /// Multiprocess: the puts addressed to parts another process hosts,
+    /// as `[dest, offset, len]` headers and their elements, exchanged
+    /// when the epoch closes.
+    outbox: Option<Mutex<(Vec<u64>, Vec<T>)>>,
     _marker: PhantomData<&'a mut [T]>,
 }
 
@@ -162,17 +135,15 @@ unsafe impl<'a, T: Copy + Send> Send for RmaWriteWindow<'a, T> {}
 unsafe impl<'a, T: Copy + Send> Sync for RmaWriteWindow<'a, T> {}
 
 impl<'a, T: Copy + Send> RmaWriteWindow<'a, T> {
-    /// Opens a write epoch on `vec`. Multiprocess: collective (publishes
-    /// this rank's current part content and barriers, so unwritten
-    /// elements keep their values through the epoch).
+    /// Opens a write epoch on `vec`. Multiprocess: the epoch's
+    /// collectives run when it closes; unwritten elements keep their
+    /// owner's values through it.
     pub fn new(vec: &'a mut DistVec<T>) -> Self {
-        let lens: Vec<usize> = vec.parts().iter().map(Vec::len).collect();
-        let me = transport::active().map(|mp| mp.rank()).unwrap_or(0);
-        let segment = new_segment_for(&lens, vec.part(me));
         let parts: Vec<(*mut T, usize)> =
             vec.parts_mut().iter_mut().map(|p| (p.as_mut_ptr(), p.len())).collect();
         let claims = (0..parts.len()).map(|_| Mutex::new(Vec::new())).collect();
-        Self { parts, claims, segment, _marker: PhantomData }
+        let outbox = transport::active().map(|_| Mutex::new((Vec::new(), Vec::new())));
+        Self { parts, claims, outbox, _marker: PhantomData }
     }
 
     /// Element count of `locale`'s part.
@@ -210,15 +181,13 @@ impl<'a, T: Copy + Send> RmaWriteWindow<'a, T> {
             }
             ledger.push(range);
         }
-        match &self.segment {
-            Some(seg) => {
-                // Multiprocess: every put (own part included) lands in the
-                // destination's segment; drop reads the results back.
-                // SAFETY: window element types are padding-free PODs.
-                let raw = unsafe { part_bytes(src) };
-                seg.write(dest_locale, offset, raw);
+        match &self.outbox {
+            Some(outbox) if dest_locale != ctx.locale() => {
+                let mut outbox = outbox.lock();
+                outbox.0.extend([dest_locale, offset, src.len()].map(|n| n as u64));
+                outbox.1.extend_from_slice(src);
             }
-            None => {
+            _ => {
                 // SAFETY: exclusive borrow of the DistVec for the window
                 // lifetime; the ledger guarantees the range is written by
                 // this call only.
@@ -233,34 +202,39 @@ impl<'a, T: Copy + Send> RmaWriteWindow<'a, T> {
 
 impl<'a, T: Copy + Send> Drop for RmaWriteWindow<'a, T> {
     fn drop(&mut self) {
-        let Some(seg) = &self.segment else { return };
-        let mp = transport::active().expect("segment implies active transport");
-        // Unwinding out of a poisoned epoch: the close barrier would
-        // hang against peers that are unwinding too, and rollback
-        // discards the epoch's data anyway — skip read-back and close.
+        let (Some(outbox), Some(mp)) = (&self.outbox, transport::active()) else { return };
+        // Unwinding out of a poisoned epoch: the close collectives would
+        // fail against peers that are unwinding too, and rollback
+        // discards the epoch's data anyway.
         if mp.is_poisoned() || std::thread::panicking() {
             return;
         }
-        // Multiprocess epoch close: barrier (every rank's puts are in the
-        // segments), then replicate every locale's part back into local
-        // memory — the algorithms built on write epochs (distributed
-        // enumeration) expect the full vector to be readable afterwards.
-        // The read-back also runs the first-read CRC verification, so a
-        // corrupt put surfaces here, on every rank, before the data is
-        // consumed.
-        mp.barrier();
-        for (locale, &(ptr, len)) in self.parts.iter().enumerate() {
-            if len == 0 {
-                continue;
+        // SAFETY: the window holds the exclusive borrow of the DistVec
+        // these parts belong to, and no put runs once it is dropped.
+        let mut parts: Vec<&mut [T]> = self
+            .parts
+            .iter()
+            .map(|&(ptr, len)| unsafe { std::slice::from_raw_parts_mut(ptr, len) })
+            .collect();
+        let me = mp.rank();
+        let outbox = outbox.lock();
+        let (heads, elems) = (allgather(mp, &outbox.0), allgather(mp, &outbox.1));
+        for (heads, elems) in heads.iter().zip(&elems) {
+            let mut at = 0;
+            for head in heads.chunks_exact(3) {
+                let [dest, offset, len] = [head[0], head[1], head[2]].map(|n| n as usize);
+                if dest == me {
+                    parts[me][offset..offset + len].copy_from_slice(&elems[at..at + len]);
+                }
+                at += len;
             }
-            // SAFETY: exclusive borrow of the DistVec for the window
-            // lifetime; every rank performs the same read-back.
-            let raw = unsafe {
-                std::slice::from_raw_parts_mut(ptr as *mut u8, len * std::mem::size_of::<T>())
-            };
-            seg.read(locale, 0, raw);
         }
-        seg.close();
+        let finished = allgather(mp, parts[me]);
+        for (locale, part) in finished.iter().enumerate() {
+            if locale != me {
+                parts[locale].copy_from_slice(part);
+            }
+        }
     }
 }
 

@@ -10,8 +10,8 @@
 //! ```
 //!
 //! runs on the default in-process transport (locales are threads).
-//! The identical program runs across real OS processes — shared-memory
-//! windows, TCP channel/collective traffic — with:
+//! The identical program runs across real OS processes — channels,
+//! collectives and window epochs all over one TCP mesh — with:
 //!
 //! ```sh
 //! LS_TRANSPORT=multiprocess LS_LOCALES=4 \
@@ -183,13 +183,13 @@ fn main() {
     );
 
     // Wire traffic summary (multiprocess only: what actually crossed the
-    // socket / shared-memory boundary, as opposed to the modeled counts).
+    // socket boundary, as opposed to the modeled counts).
     if let Some(mp) = mp {
         let t = mp.stats().snapshot();
         say!("\n== transport wire statistics (rank 0) ==");
         say!("tcp tx           : {} frames, {} bytes", t.tx_frames, t.tx_bytes);
         say!("tcp rx           : {} frames, {} bytes", t.rx_frames, t.rx_bytes);
-        say!("shm read/write   : {} / {} bytes", t.shm_read_bytes, t.shm_write_bytes);
+        say!("wire bytes       : {}", t.tx_bytes + t.rx_bytes);
         say!(
             "barriers         : {} (mean {:.1} µs)",
             t.barriers,

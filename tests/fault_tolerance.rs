@@ -14,12 +14,13 @@
 //! * the supervisor relaunches the job and the recovered solve converges
 //!   **bit-identically** to an uninterrupted run, for kills at
 //!   enumeration, mid-solve and mid-restart-cycle boundaries,
-//! * *silent* errors — a flipped wire bit, a corrupted shared-memory
-//!   window, a NaN'd share of a dot product — are detected by the integrity layer
-//!   and recovered **in-process** (checkpoint rollback, no supervisor
-//!   relaunch), again bit-identically, and
-//! * a SIGKILLed job (supervisor included) leaves no rendezvous or
-//!   `/dev/shm` artifacts behind.
+//! * *silent* errors — a flipped bit in a channel frame, a flipped bit in
+//!   a window epoch's collective frame, a NaN'd share of a dot product —
+//!   are detected by the integrity layer and recovered **in-process**
+//!   (checkpoint rollback, no supervisor relaunch), again bit-identically,
+//!   and
+//! * a SIGKILLed job (supervisor included) leaves no rendezvous
+//!   directory behind under `/dev/shm`.
 
 use exact_diag::eigen::{
     manifest_generations, remove_checkpoint, thick_restart_lanczos, CheckpointPolicy, DenseOp,
@@ -292,11 +293,12 @@ fn supervisor_recovers_faulted_solves_bit_identically() {
     remove_checkpoint(&ckpt_ref).unwrap();
 
     // One fault per phase boundary. At 4 ranks enumeration crosses
-    // barriers 1–8, then every product 2 (its drain, then the re-arm of
-    // its channels): product p crosses 7 + 2p and 8 + 2p. The first cycle
-    // runs 6 products and checkpoints, every later cycle 3. So barrier 2
-    // is inside enumeration, 19 is product 6's drain (cycle 1, before any
-    // checkpoint) and 43 product 18's (cycle 5: the relaunch resumes from
+    // barriers 1–2 (its window epochs are allgathers, not barriers), then
+    // every product 2 (its drain, then the re-arm of its channels):
+    // product p crosses 1 + 2p and 2 + 2p. The first cycle runs 6
+    // products and checkpoints, every later cycle 3. So barrier 2 is
+    // inside enumeration, 13 is product 6's drain (cycle 1, before any
+    // checkpoint) and 37 product 18's (cycle 5: the relaunch resumes from
     // cycle 4's checkpoint). The last row is a corruption the processes may not repair themselves
     // (rollback budget 0, where `silent_errors_roll_back_bit_identically`
     // has restart budget 0): every rank's solve gives up on it, the job
@@ -304,8 +306,8 @@ fn supervisor_recovers_faulted_solves_bit_identically() {
     // supervisor like any crash.
     let cases = [
         ("kill:rank=1,barrier=2", "enumeration", 2, None),
-        ("kill:rank=3,barrier=43", "restart cycle", 2, None),
-        ("drop-conn:rank=2,barrier=19", "matvec epoch", 2, None),
+        ("kill:rank=3,barrier=37", "restart cycle", 2, None),
+        ("drop-conn:rank=2,barrier=13", "matvec epoch", 2, None),
         ("flip-bit:rank=2,frame=chan,nth=40", "corruption past rollback", 1, Some(0)),
     ];
     for (fault, phase, max_restarts, max_rollbacks) in cases {
@@ -338,20 +340,23 @@ fn supervisor_recovers_faulted_solves_bit_identically() {
     }
 }
 
-/// Silent-error acceptance: a wire bit-flip, a NaN'd share of `⟨x, y⟩` and a
-/// corrupted shared-memory window must each be *detected* by the
-/// integrity layer and recovered **in-process** — checkpoint rollback
-/// inside the surviving processes, with a zero supervisor restart
-/// budget — and still converge bit-identically to a clean run.
+/// Silent-error acceptance: a flipped bit in a channel frame, a flipped
+/// bit in a window epoch's collective frame and a NaN'd share of `⟨x, y⟩`
+/// must each be *detected* by the integrity layer and recovered
+/// **in-process** — checkpoint rollback inside the surviving processes,
+/// with a zero supervisor restart budget — and still converge
+/// bit-identically to a clean run.
 ///
 /// Fault placement is deterministic but phase-sensitive:
-/// * `flip-bit` counts sealed `chan` frames on rank 2 — only the
-///   producer/consumer engine ships those, so `nth=40` lands inside a
-///   mid-solve product (`solve` mode).
-/// * `corrupt-window` counts rank 1's segment writes. Enumeration
-///   writes its two windows first (≈26 puts/publishes at 4 locales),
-///   so `nth=60` lands on a window published *by a gather product*
-///   mid-solve (`gather-solve` mode — the pc engine never opens
+/// * `flip-bit` on `chan` counts sealed channel frames on rank 2 — only
+///   the producer/consumer engine ships those, so `nth=40` lands inside
+///   a mid-solve product (`solve` mode).
+/// * `flip-bit` on `coll` counts rank 1's payload-bearing collective
+///   frames: enumeration's count exchange, reductions, checkpoint
+///   exchanges and the read window every gather product opens. In a
+///   traced `gather-solve` run the first checkpoint follows frame 34 and
+///   frame 52 is the second product's read window after it, so the
+///   rollback replays from that checkpoint (the pc engine never opens
 ///   windows).
 /// * `nan` counts the solver's matvec+dot steps (`DistOp::apply_dot`
 ///   calls); ordinal 12 lands past the first restart boundary, so
@@ -381,7 +386,7 @@ fn silent_errors_roll_back_bit_identically() {
     let cases = [
         ("solve", "nan:rank=0,cycle=12", "NaN dot partial"),
         ("solve", "flip-bit:rank=2,frame=chan,nth=40", "wire bit-flip"),
-        ("gather-solve", "corrupt-window:rank=1,offset=16,nth=60", "window corruption"),
+        ("gather-solve", "flip-bit:rank=1,frame=coll,nth=52", "window bit-flip"),
     ];
     for (mode, fault, what) in cases {
         let ckpt = std::env::temp_dir()
@@ -414,8 +419,8 @@ fn silent_errors_roll_back_bit_identically() {
 }
 
 /// Satellite (b): SIGKILLing the whole job — supervisor included — must
-/// leave no rendezvous directories or `/dev/shm` segment files behind
-/// (the workers' stdin watchdog cleans up on supervisor death).
+/// leave no rendezvous directory behind (the workers' stdin watchdog
+/// cleans up on supervisor death).
 #[test]
 fn sigkilled_job_leaves_no_artifacts() {
     if !e2e_enabled() {
@@ -477,7 +482,7 @@ fn sigkilled_job_leaves_no_artifacts() {
 /// steady pace (fodder for kill/detection tests); `solve` runs the
 /// checkpointed distributed eigensolve through the producer/consumer
 /// engine; `gather-solve` runs the same solve through the pull-style
-/// gather product (the window read path, for `corrupt-window` faults).
+/// gather product (the window read path, for `coll` bit-flips).
 /// Both solve modes print `EIGENVALUES` and an `FT_STATS` line.
 #[test]
 #[ignore]
@@ -527,9 +532,9 @@ fn run_solve(mp: &'static transport::MpRuntime, gather: bool) {
         ..RestartOptions::new(2)
     };
     let res = if gather {
-        // The pull-style product: every iteration publishes and reads
-        // shared-memory windows, so `corrupt-window` faults fire inside
-        // the solver's rollback scope.
+        // The pull-style product: every iteration opens a read window,
+        // whose collective frames a `coll` bit-flip damages inside the
+        // solver's rollback scope.
         let gop = exact_diag::dist::matvec::GatherOp::new(&cluster, &op, &basis);
         exact_diag::eigen::thick_restart_lanczos_in(&gop, &restart)
     } else {

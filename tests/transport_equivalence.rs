@@ -5,9 +5,12 @@
 //! backend, at the same locale count. The arrival-ordered product on two
 //! threads per locale — two threads claiming credits on one sender and
 //! popping one receiver — agrees across backends to rounding, with equal
-//! put counts. And a hundred products back to back on one engine, with
-//! no collective between them, agree bit for bit and cross exactly two
-//! barriers each.
+//! put counts. A hundred products back to back on one engine, with no
+//! collective between them, agree bit for bit and cross exactly two
+//! barriers each. And on three locales the window epochs — enumeration,
+//! a block → hashed → block round trip, a read epoch over stale
+//! replicas and a write epoch that covers only part of each part — leave
+//! the same bits on every rank as in process, without a barrier.
 //!
 //! The in-process half (plus determinism and statistics invariants) runs
 //! hermetically in every `cargo test`. The multi-process half needs to
@@ -18,14 +21,17 @@
 //! then as the SPMD workers — and bit-compares the printed eigenvalues.
 
 use exact_diag::basis::{SectorSpec, SymmetrizedOperator};
+use exact_diag::dist::convert::{hashed_masks, to_block};
 use exact_diag::dist::eigensolve::{
     dist_lanczos_smallest, dist_thick_restart_lanczos, DistLanczosOptions, DistRestartOptions,
 };
 use exact_diag::dist::matvec::pc::PcEngine;
 use exact_diag::dist::matvec::PcOptions;
-use exact_diag::dist::{enumerate_dist, matvec_pc, DistSpinBasis};
+use exact_diag::dist::{
+    block_to_hashed, enumerate_dist, hashed_to_block, matvec_pc, DistSpinBasis,
+};
 use exact_diag::prelude::*;
-use exact_diag::runtime::{collective, transport};
+use exact_diag::runtime::{collective, transport, RmaReadWindow, RmaWriteWindow};
 use exact_diag::runtime::{AtomicAccumWindow, Cluster, ClusterSpec, DistVec};
 use std::path::PathBuf;
 
@@ -33,19 +39,32 @@ const SITES: usize = 14;
 const LOCALES: usize = 2;
 /// Products the back-to-back row makes on one engine.
 const BACK_TO_BACK: usize = 100;
+/// Locales of the window-epoch row: three, so that every epoch has a part
+/// that is neither the reader's nor the writer's.
+const WINDOW_LOCALES: usize = 3;
 
-/// The symmetrized `SITES`-site Heisenberg ring on one core a locale,
-/// distributed, with a deterministic start vector.
+/// The symmetrized `SITES`-site Heisenberg ring.
+fn sector() -> SectorSpec {
+    let group = chain_group(SITES, 0, Some(0), Some(0)).unwrap();
+    SectorSpec::new(SITES as u32, Some(SITES as u32 / 2), group).unwrap()
+}
+
+/// The deterministic start value of basis state `s`.
+fn start_value(s: u64) -> f64 {
+    ((s as f64) * 0.37).sin()
+}
+
+/// [`sector`]'s operator on one core a locale, distributed, with a
+/// deterministic start vector.
 fn chain() -> (Cluster, SymmetrizedOperator<f64>, DistSpinBasis, DistVec<f64>) {
     let cluster = Cluster::new(ClusterSpec::new(collective::locales_from_env(LOCALES), 1));
     let kernel = heisenberg(&chain_bonds(SITES), 1.0).to_kernel(SITES as u32).unwrap();
-    let group = chain_group(SITES, 0, Some(0), Some(0)).unwrap();
-    let sector = SectorSpec::new(SITES as u32, Some(SITES as u32 / 2), group).unwrap();
+    let sector = sector();
     let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
     let basis = enumerate_dist(&cluster, &sector, 3);
     let parts = basis.states().parts().iter();
     let x = DistVec::<f64>::from_parts(
-        parts.map(|p| p.iter().map(|&s| ((s as f64) * 0.37).sin()).collect()).collect(),
+        parts.map(|p| p.iter().copied().map(start_value).collect()).collect(),
     );
     (cluster, op, basis, x)
 }
@@ -181,6 +200,75 @@ fn back_to_back_products() -> (Vec<f64>, u64) {
     (dense, crossed)
 }
 
+/// The window epochs on `WINDOW_LOCALES` locales, each asserting on every
+/// rank what it must leave there: the digest of the enumeration and its
+/// round trip, and the barriers one read epoch and one write epoch
+/// crossed.
+fn window_epochs() -> (u64, [u64; 2]) {
+    let locales = WINDOW_LOCALES;
+    let cluster = Cluster::new(ClusterSpec::new(locales, 1));
+    let basis = enumerate_dist(&cluster, &sector(), 3);
+
+    // Block → hashed → block: the sorted states' values travel to the
+    // locales that own the states, then back.
+    let mut states = basis.states().concat();
+    states.sort_unstable();
+    let block = to_block(&states.iter().copied().map(start_value).collect::<Vec<_>>(), locales);
+    let masks = hashed_masks(&cluster, &to_block(&states, locales));
+    let hashed = block_to_hashed(&cluster, &block, &masks, 2);
+    for (part, owned) in hashed.parts().iter().zip(basis.states().parts()) {
+        let want: Vec<f64> = owned.iter().copied().map(start_value).collect();
+        assert_eq!(bits(part), bits(&want), "block_to_hashed misplaced a value");
+    }
+    let back = hashed_to_block(&cluster, &hashed, &masks, 3);
+    for (back, block) in back.parts().iter().zip(block.parts()) {
+        assert_eq!(bits(back), bits(block), "the round trip is not exact");
+    }
+    let words = basis.states().parts().iter().flatten().copied();
+    let words = words.chain(hashed.parts().iter().flat_map(|p| bits(p)));
+    let digest =
+        words.fold(0xcbf2_9ce4_8422_2325u64, |h, w| (h ^ w).wrapping_mul(0x100_0000_01b3));
+
+    // Every rank starts from its own part and stale replicas of the
+    // others: a read epoch sees the owners' values, and after a write
+    // epoch that puts one element into the next locale's part the rest
+    // of every part is still its owner's.
+    let owner = |d: usize| [0, 1, 2, 3].map(|i| (100 * d + i) as u64);
+    let hosted = collective::hosted(locales);
+    let mut v = DistVec::from_parts(
+        (0..locales)
+            .map(|d| if hosted.contains(&d) { owner(d).to_vec() } else { vec![u64::MAX; 4] })
+            .collect(),
+    );
+    let barriers = || transport::active().map_or(0, |mp| mp.stats().snapshot().barriers);
+    let before = barriers();
+    {
+        let win = RmaReadWindow::new(&v);
+        cluster.run(|ctx| {
+            for d in 0..locales {
+                let mut got = [0u64; 4];
+                win.get(ctx, d, 0, &mut got);
+                assert_eq!(got, owner(d), "a read epoch returned a stale replica");
+            }
+        });
+    }
+    let read = barriers() - before;
+    let before = barriers();
+    {
+        let win = RmaWriteWindow::new(&mut v);
+        cluster.run(|ctx| {
+            win.put(ctx, (ctx.locale() + 1) % locales, 1, &[1000 + ctx.locale() as u64])
+        });
+    }
+    let write = barriers() - before;
+    for d in 0..locales {
+        let mut want = owner(d);
+        want[1] = (1000 + (d + locales - 1) % locales) as u64;
+        assert_eq!(v.part(d), want, "part {d} after a write epoch covering one element");
+    }
+    (digest, [read, write])
+}
+
 fn e2e_enabled() -> bool {
     if std::env::var("LS_MP_E2E").as_deref() == Ok("1") {
         return true;
@@ -189,14 +277,14 @@ fn e2e_enabled() -> bool {
     false
 }
 
-/// Re-executes this test binary as a `LOCALES`-rank multiprocess job
+/// Re-executes this test binary as a `locales`-rank multiprocess job
 /// running the ignored test `entry` with `envs` set, and returns the
 /// job's stdout (rank 0 prints the digests).
-fn run_job(entry: &str, envs: &[(&str, &std::ffi::OsStr)]) -> String {
+fn run_job(entry: &str, locales: usize, envs: &[(&str, &std::ffi::OsStr)]) -> String {
     let out = std::process::Command::new(std::env::current_exe().unwrap())
         .args([entry, "--exact", "--ignored", "--nocapture"])
         .env("LS_TRANSPORT", "multiprocess")
-        .env("LS_LOCALES", LOCALES.to_string())
+        .env("LS_LOCALES", locales.to_string())
         .envs(envs.iter().copied())
         .output()
         .expect("spawn multiprocess job");
@@ -247,7 +335,7 @@ fn transport_equivalence() {
     }
     let ckpt =
         std::env::temp_dir().join(format!("transport-eq-mp-{}.lsck", std::process::id()));
-    let stdout = run_job("mp_worker_entry", &[("LS_MP_E2E_CKPT", ckpt.as_os_str())]);
+    let stdout = run_job("mp_worker_entry", LOCALES, &[("LS_MP_E2E_CKPT", ckpt.as_os_str())]);
     let field = |marker| field(&stdout, marker);
     assert_eq!(field("MP_LANCZOS"), vec![lanczos_bits], "Lanczos E0 differs across backends");
     assert_eq!(field("MP_RESTART"), restart_bits, "restart eigenvalues differ across backends");
@@ -270,10 +358,28 @@ fn back_to_back_products_cross_two_barriers_each() {
     if !e2e_enabled() {
         return;
     }
-    let stdout = run_job("mp_back_to_back_entry", &[("LS_INTEGRITY", "off".as_ref())]);
+    let stdout = run_job("mp_back_to_back_entry", LOCALES, &[("LS_INTEGRITY", "off".as_ref())]);
     let crossed = field(&stdout, "MP_BARRIERS");
     assert_eq!(crossed, vec![2 * BACK_TO_BACK as u64], "two barriers a multiprocess product");
     assert_eq!(field(&stdout, "MP_PRODUCT"), bits(&product), "products differ across backends");
+}
+
+/// Window epochs ride the collectives: the same bits on every rank as in
+/// process, and no barrier crossed by a read or a write epoch.
+#[test]
+fn window_epochs_match_in_process_without_a_barrier() {
+    let (digest, crossed) = window_epochs();
+    assert_eq!(crossed, [0, 0], "in process the transport crosses no barrier");
+    if !e2e_enabled() {
+        return;
+    }
+    let stdout = run_job("mp_window_entry", WINDOW_LOCALES, &[]);
+    assert_eq!(
+        field(&stdout, "MP_DIGEST"),
+        vec![digest],
+        "window epochs differ across backends"
+    );
+    assert_eq!(field(&stdout, "MP_BARRIERS"), vec![0, 0], "a window epoch crossed a barrier");
 }
 
 /// Not a test on its own: the SPMD body `transport_equivalence` re-runs
@@ -317,4 +423,19 @@ fn mp_back_to_back_entry() {
     let message = refused.downcast_ref::<String>().expect("a formatted panic");
     assert!(message.contains(&format!("locale {other}'s part lives in another process")));
     print_fields(&[("MP_BARRIERS", vec![crossed]), ("MP_PRODUCT", bits(&product))]);
+}
+
+/// Not a test on its own: the SPMD body of
+/// `window_epochs_match_in_process_without_a_barrier`, run like
+/// [`mp_worker_entry`] on `WINDOW_LOCALES` ranks.
+#[test]
+#[ignore]
+fn mp_window_entry() {
+    transport::launch_if_requested();
+    assert!(
+        transport::active().is_some(),
+        "run mp_window_entry with LS_TRANSPORT=multiprocess"
+    );
+    let (digest, crossed) = window_epochs();
+    print_fields(&[("MP_DIGEST", vec![digest]), ("MP_BARRIERS", crossed.to_vec())]);
 }
