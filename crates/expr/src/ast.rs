@@ -5,7 +5,6 @@
 //! They are compiled to an executable [`crate::OperatorKernel`] via
 //! [`Expr::to_kernel`].
 
-use crate::matrix2::Matrix2;
 use ls_kernels::Complex64;
 use std::ops::{Add, Mul, Neg, Sub};
 
@@ -41,23 +40,6 @@ pub enum PrimitiveKind {
 }
 
 impl PrimitiveKind {
-    /// The single-site 2×2 matrix, ignoring statistics (the Jordan-Wigner
-    /// string of `c†`/`c` is handled during normal ordering, where the
-    /// on-site parts are simply the spin ladder matrices).
-    pub fn matrix(self) -> Matrix2 {
-        match self {
-            Self::SPlus | Self::Create => Matrix2::SPLUS,
-            Self::SMinus | Self::Annihilate => Matrix2::SMINUS,
-            Self::Sz => Matrix2::SZ,
-            Self::Sx => Matrix2::SX,
-            Self::Sy => Matrix2::SY,
-            Self::SigmaX => Matrix2::SIGMA_X,
-            Self::SigmaY => Matrix2::SIGMA_Y,
-            Self::SigmaZ => Matrix2::SIGMA_Z,
-            Self::Number => Matrix2::P_UP,
-        }
-    }
-
     pub fn symbol(self) -> &'static str {
         match self {
             Self::SPlus => "S+",

@@ -123,7 +123,7 @@ mod tests {
     fn spin_half_dictionary_matches_matrix2() {
         let h = LocalHilbert::spin_half();
         let m = h.primitive_matrix(PrimitiveKind::SigmaZ).unwrap();
-        assert!(m.approx_eq(&SiteMatrix::from_matrix2(crate::Matrix2::SIGMA_Z), 1e-15));
+        assert!(m.approx_eq(&SiteMatrix::diagonal(2, &[-1.0, 1.0]), 1e-15));
         assert!(h.primitive_matrix(PrimitiveKind::Create).is_err());
         assert!(!h.is_fermionic());
     }

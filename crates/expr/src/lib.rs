@@ -29,7 +29,6 @@ pub mod ast;
 pub mod builders;
 pub mod hilbert;
 pub mod kernel;
-pub mod matrix2;
 pub mod normal;
 pub mod parse;
 pub mod sitematrix;
@@ -41,7 +40,6 @@ pub use builders::{
 };
 pub use hilbert::LocalHilbert;
 pub use kernel::{Channel, DiagPattern, OperatorKernel, ZMonomial};
-pub use matrix2::Matrix2;
 pub use normal::CompileError;
 pub use parse::{parse_expr, ParseError};
 pub use sitematrix::SiteMatrix;

@@ -1,13 +1,13 @@
 //! Complex d×d matrices (d ≤ 4): the single-site building blocks of
 //! operators on an arbitrary local Hilbert space.
 //!
-//! [`SiteMatrix`] generalizes [`crate::Matrix2`] to local dimensions 2..=4
-//! (spin-1/2 through spin-3/2, fermionic orbitals). Rows/columns are
-//! indexed by the site *code* — the packed field value of
-//! [`ls_kernels::SiteEncoding`] — so `m[a][b]` is `⟨a|M|b⟩` and code 0 is
-//! the lowest-`Sz` (or empty-orbital) state.
+//! [`SiteMatrix`] is the one single-site operator type, for local
+//! dimensions 2..=4 (spin-1/2 through spin-3/2, fermionic orbitals), and
+//! [`crate::LocalHilbert::primitive_matrix`] the one dictionary of
+//! primitives. Rows/columns are indexed by the site *code* — the packed
+//! field value of [`ls_kernels::SiteEncoding`] — so `m[a][b]` is
+//! `⟨a|M|b⟩` and code 0 is the lowest-`Sz` (or empty-orbital) state.
 
-use crate::matrix2::Matrix2;
 use ls_kernels::Complex64;
 
 /// A d×d complex matrix stored in a fixed 4×4 block, row-major:
@@ -47,16 +47,6 @@ impl SiteMatrix {
         let mut out = Self::zero(d);
         for (i, &v) in entries.iter().enumerate() {
             out.m[i][i] = Complex64::new(v, 0.0);
-        }
-        out
-    }
-
-    pub fn from_matrix2(m: Matrix2) -> Self {
-        let mut out = Self::zero(2);
-        for r in 0..2 {
-            for c in 0..2 {
-                out.m[r][c] = m.m[r][c];
-            }
         }
         out
     }
@@ -203,17 +193,25 @@ mod tests {
         a.mul(b).add(&b.mul(a).scale(-Complex64::ONE))
     }
 
+    /// A spin-1/2 matrix from literal `(re, im)` entries, `m[row][col]`.
+    fn two(m: [[(f64, f64); 2]; 2]) -> SiteMatrix {
+        let mut out = SiteMatrix::zero(2);
+        for (row, entries) in out.m.iter_mut().zip(m) {
+            for (z, (re, im)) in row.iter_mut().zip(entries) {
+                *z = Complex64::new(re, im);
+            }
+        }
+        out
+    }
+
     #[test]
     fn spin_half_matches_matrix2() {
-        assert!(
-            SiteMatrix::splus(2).approx_eq(&SiteMatrix::from_matrix2(Matrix2::SPLUS), 1e-15)
-        );
-        assert!(
-            SiteMatrix::sminus(2).approx_eq(&SiteMatrix::from_matrix2(Matrix2::SMINUS), 1e-15)
-        );
-        assert!(SiteMatrix::sz(2).approx_eq(&SiteMatrix::from_matrix2(Matrix2::SZ), 1e-15));
-        assert!(SiteMatrix::sx(2).approx_eq(&SiteMatrix::from_matrix2(Matrix2::SX), 1e-15));
-        assert!(SiteMatrix::sy(2).approx_eq(&SiteMatrix::from_matrix2(Matrix2::SY), 1e-15));
+        let (o, h) = ((0.0, 0.0), 0.5);
+        assert!(SiteMatrix::splus(2).approx_eq(&two([[o, o], [(1.0, 0.0), o]]), 1e-15));
+        assert!(SiteMatrix::sminus(2).approx_eq(&two([[o, (1.0, 0.0)], [o, o]]), 1e-15));
+        assert!(SiteMatrix::sz(2).approx_eq(&two([[(-h, 0.0), o], [o, (h, 0.0)]]), 1e-15));
+        assert!(SiteMatrix::sx(2).approx_eq(&two([[o, (h, 0.0)], [(h, 0.0), o]]), 1e-15));
+        assert!(SiteMatrix::sy(2).approx_eq(&two([[o, (0.0, h)], [(0.0, -h), o]]), 1e-15));
     }
 
     #[test]

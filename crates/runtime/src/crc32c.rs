@@ -1,7 +1,7 @@
 //! Software CRC32C (Castagnoli), slice-by-8.
 //!
 //! The end-to-end integrity layer of the transport checksums every wire
-//! frame payload (window epochs included) with CRC32C — the
+//! frame's header and payload (window epochs included) with CRC32C — the
 //! polynomial chosen by iSCSI, ext4 and Btrfs for exactly this job:
 //! detecting the single- and few-bit flips that TCP's 16-bit checksum
 //! and silent DRAM corruption let through. No hardware instruction and

@@ -26,7 +26,9 @@
 //!            barrier=N               (kill/drop-conn: fire entering the
 //!                                     N-th barrier of the run; default 1)
 //!            frame=coll|chan|close|credit|any
-//!                                    (delay/flip-bit: which frames;
+//!                                    (delay: which frames; flip-bit:
+//!                                     coll, chan or any, the classes
+//!                                     whose frames carry a payload;
 //!                                     default any)
 //!            ms=M                    (delay: sleep per frame; default 100)
 //!            count=C                 (delay: first C matching frames;
@@ -98,7 +100,7 @@ impl fmt::Display for FaultKind {
     }
 }
 
-/// Which wire frames a `delay` action applies to.
+/// Which wire frames a `delay` or `flip-bit` action applies to.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum FrameClass {
     /// Collective frames (barriers, allgathers, reductions).
@@ -260,6 +262,13 @@ impl FaultPlan {
             if cycle == 0 {
                 return Err(FaultPlanError("cycle ordinals are 1-based".into()));
             }
+            if kind == FaultKind::FlipBit
+                && matches!(frame, FrameClass::Close | FrameClass::Credit)
+            {
+                return Err(FaultPlanError(format!(
+                    "{spec:?}: flip-bit damages a payload: want frame=coll, chan or any"
+                )));
+            }
             actions.push(FaultAction {
                 kind,
                 rank,
@@ -301,8 +310,7 @@ impl FaultPlan {
         }
     }
 
-    /// True when no action is armed for `rank` in incarnation `attempt`
-    /// (the hot-path early-out: transport hooks skip all bookkeeping).
+    /// True when no action is armed for `rank` in incarnation `attempt`.
     pub fn is_empty_for(&self, rank: usize, attempt: u64) -> bool {
         !self.actions.iter().any(|a| a.rank == rank && a.attempt == attempt)
     }
@@ -476,6 +484,14 @@ mod tests {
         let text = FaultPlan::parse(&retired).unwrap_err().to_string();
         assert!(text.contains("\"corrupt-") && text.contains("-window\""), "{text}");
         assert!(text.contains("want kill, delay, drop-conn, flip-bit or nan"), "{text}");
+        // Close and credit frames carry no payload, so a flip there would
+        // never fire.
+        for class in ["close", "credit"] {
+            let err = FaultPlan::parse(&format!("flip-bit:rank=1,frame={class},nth=2"));
+            let text = err.unwrap_err().to_string();
+            assert!(text.contains(&format!("frame={class}")), "{text}");
+            assert!(text.contains("flip-bit damages a payload: want frame=coll, chan or any"));
+        }
     }
 
     #[test]

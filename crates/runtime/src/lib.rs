@@ -54,8 +54,8 @@
 //! ([`fault`], `LS_FAULT`) drives the whole machinery under test.
 //!
 //! Fail-stop supervision is complemented by a *fail-silent* defense:
-//! CRC32C ([`crc32c()`]) over every wire frame (`LS_INTEGRITY`), detected
-//! corruption surfacing as a recoverable
+//! CRC32C ([`crc32c()`]) over every wire frame's header and payload
+//! (`LS_INTEGRITY`), detected corruption surfacing as a recoverable
 //! [`transport::TransportError::Corruption`] that solvers catch and
 //! roll back from their newest checkpoint — see the "Silent-error
 //! defense" section of `docs/ARCHITECTURE.md`.
@@ -69,6 +69,7 @@ pub mod collective;
 pub mod crc32c;
 pub mod distvec;
 pub mod fault;
+pub(crate) mod frame;
 pub mod remote;
 pub mod stats;
 pub mod supervisor;

@@ -9,9 +9,10 @@
 //! mechanics — wire frames and bytes, and since the fault-tolerance
 //! work also peer failures detected, aborts fanned out, heartbeats and
 //! detection latency — live in [`crate::transport::TransportStats`].
-//! Heartbeat traffic is deliberately excluded from the wire byte
-//! counters so the two layers stay comparable across runs with and
-//! without failure detection enabled.
+//! Heartbeat traffic is deliberately excluded from the wire frame and
+//! byte counters, sent and received alike (one predicate decides for both
+//! directions), so the two layers stay comparable however long a run
+//! idles.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

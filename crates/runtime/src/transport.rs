@@ -16,7 +16,8 @@
 //!   locale; workers rendezvous through a job directory and then carry
 //!   everything — channel batches, barriers, reductions and the window
 //!   epochs built on allgathers — over one full mesh of TCP sockets, as
-//!   frames serialized through the `bytes` shim.
+//!   frames of one shape built and parsed by one codec (`frame.rs`): the
+//!   receiver reads a frame, then dispatches on its tag.
 //!
 //! # Execution model (multiprocess)
 //!
@@ -49,8 +50,11 @@
 //! * barriers order everything: an operation issued before a barrier on
 //!   one rank happens-before anything issued after that barrier anywhere.
 
-use crate::crc32c::{crc32c, crc32c_append};
 use crate::fault::{FaultKind, FaultPlan, FrameClass};
+use crate::frame::{self, Frame, ReadError};
+use crate::frame::{
+    TAG_ABORT, TAG_CHAN, TAG_CLOSE, TAG_COLL, TAG_CREDIT, TAG_PING, TAG_POISON,
+};
 use crate::remote::{BufferChannel, RING_SLOTS};
 use crate::stats::CommStats;
 use bytes::{Buf, BufMut};
@@ -111,28 +115,6 @@ pub(crate) const EXIT_FAILOVER: i32 = 114;
 /// CRC/checksum violation that escaped (or exhausted) the solver-level
 /// rollback path and unwound out of the program.
 pub(crate) const EXIT_CORRUPTION: i32 = 115;
-
-// Wire frame tags. Every frame travels on the single TCP stream between
-// an ordered pair of ranks, so per-peer FIFO is a transport guarantee.
-const TAG_COLL: u8 = 1;
-const TAG_CHAN: u8 = 2;
-const TAG_CLOSE: u8 = 3;
-const TAG_CREDIT: u8 = 4;
-/// Job-abort fan-out: origin rank, exit code, reason. A rank that
-/// detects an unrecoverable failure sends this to every live peer so the
-/// whole job exits promptly instead of burning the collective timeout.
-const TAG_ABORT: u8 = 6;
-/// Heartbeat: a single tag byte. Carries no data — its only job is to
-/// advance the receiver's last-traffic clock so silent-peer detection
-/// can distinguish "slow collective" from "hung process".
-const TAG_PING: u8 = 7;
-/// Corruption fan-out: a rank that detected a CRC/checksum violation
-/// tells every peer, so ranks that are *not* currently waiting on the
-/// detector still learn within one frame time instead of stalling into
-/// the collective timeout. Unlike `ABORT` this is recoverable: the
-/// receiver poisons its collectives (they surface
-/// [`TransportError::Corruption`]) and the solver above rolls back.
-const TAG_POISON: u8 = 8;
 
 /// Collective sequence numbers carry the recovery epoch in their top 16
 /// bits (`(epoch << EPOCH_SHIFT) | seq`): after a corruption rollback
@@ -197,14 +179,15 @@ pub enum TransportError {
     },
     /// Data corruption caught by the integrity layer: a wire frame failed
     /// its CRC32C, or a matvec checksum invariant broke. Unlike every
-    /// other variant this one is *recoverable*: it unwinds as a catchable
-    /// panic so the solver can roll back to its newest checkpoint instead
-    /// of the job dying.
+    /// other variant this one is *recoverable* (a bad frame *header*
+    /// aside, which aborts the job): it unwinds as a catchable panic so
+    /// the solver can roll back to its newest checkpoint.
     Corruption {
         /// The rank whose data was corrupt (the frame's sender, or the
         /// locale whose partial broke the checksum invariant).
         peer: usize,
-        /// What carried the corruption (`"coll"`, `"chan"`, `"abft"`).
+        /// What carried the corruption: a frame tag's name (`"coll"`,
+        /// `"chan"`, `"abort"`, `"poison"`, …), `"header"` or `"abft"`.
         frame: String,
         /// Which check failed (CRC mismatch, checksum-vector drift...).
         kind: String,
@@ -340,9 +323,9 @@ pub(crate) fn locales_from_env(default: usize) -> Result<usize, String> {
 /// (`LS_INTEGRITY=off|wire|full`):
 ///
 /// * **`off`** — no checksums anywhere.
-/// * **`wire`** — every data-bearing TCP frame (collective, channel)
-///   carries a CRC32C over its header and payload, verified on receive.
-///   Window epochs travel as collective frames, so this covers them too.
+/// * **`wire`** — every TCP frame carries a CRC32C over its header and
+///   one over its payload, verified on receive. Window epochs travel as
+///   collective frames, so this covers them too.
 /// * **`full`** (default) — `wire`, plus the matvec checksum-vector
 ///   invariant in `ls-dist`.
 ///
@@ -518,22 +501,17 @@ fn fatal(msg: &str) -> ! {
 
 /// One collective inbox per peer: frames arrive FIFO from the peer's
 /// receiver thread, the main thread pops them in sequence order.
+#[derive(Default)]
 struct CollQueue {
     q: Mutex<VecDeque<(u64, Vec<u8>)>>,
     cv: Condvar,
 }
 
 /// Receiver side of one multiprocess channel.
+#[derive(Default)]
 struct ChanInbox {
     q: Mutex<VecDeque<Vec<u8>>>,
     closed: AtomicBool,
-}
-
-/// Sender-side flow control of one multiprocess channel: mirrors the
-/// buffer ring of the in-process [`BufferChannel`] (`RING_SLOTS`
-/// outstanding batches; a credit returns when the consumer took one).
-struct ChanCredits {
-    avail: AtomicUsize,
 }
 
 /// Wire-level statistics of the multiprocess backend: real bytes moved,
@@ -542,9 +520,10 @@ struct ChanCredits {
 /// bytes genuinely cross a process boundary.
 #[derive(Debug, Default)]
 pub struct TransportStats {
-    /// Frames written to TCP peers.
+    /// Frames written to TCP peers (heartbeats excluded, as in the three
+    /// counters below).
     pub tx_frames: AtomicU64,
-    /// Bytes written to TCP peers (headers + payloads).
+    /// Bytes written to TCP peers (headers + payloads + CRCs).
     pub tx_bytes: AtomicU64,
     /// Frames read from TCP peers.
     pub rx_frames: AtomicU64,
@@ -558,8 +537,7 @@ pub struct TransportStats {
     pub peer_failures: AtomicU64,
     /// `ABORT` frames this rank fanned out to peers.
     pub aborts_sent: AtomicU64,
-    /// Heartbeat frames sent (not counted in `tx_frames`/`tx_bytes`, so
-    /// wire-traffic numbers stay comparable across heartbeat settings).
+    /// Heartbeat frames sent.
     pub heartbeats: AtomicU64,
     /// Total failure-to-detection nanoseconds (latency numerator over
     /// `peer_failures`).
@@ -567,8 +545,8 @@ pub struct TransportStats {
     /// Corrupt frames / checksum invariants this rank detected (each one
     /// poisons the epoch and triggers rollback).
     pub frames_corrupted: AtomicU64,
-    /// Bytes this rank ran through CRC32C verification (received frames
-    /// — a measure of integrity coverage, not cost).
+    /// Bytes this rank ran through CRC32C verification (received headers
+    /// and payloads — a measure of integrity coverage, not cost).
     pub crc_bytes_checked: AtomicU64,
 }
 
@@ -669,6 +647,7 @@ impl TransportSnapshot {
 
 /// Liveness bookkeeping for one mesh peer, written by receiver threads
 /// and the heartbeat sender, read by every wait loop.
+#[derive(Default)]
 struct PeerHealth {
     /// The connection died (EOF, reset, failed send).
     dead: AtomicBool,
@@ -694,7 +673,10 @@ pub struct MpRuntime {
     coll_seq: Mutex<u64>,
     coll_in: Vec<CollQueue>,
     chans: Mutex<HashMap<u64, Arc<ChanInbox>>>,
-    credits: Mutex<HashMap<u64, Arc<ChanCredits>>>,
+    /// Sender-side flow control of each channel: batch credits available,
+    /// mirroring the in-process [`BufferChannel`]'s ring of `RING_SLOTS`
+    /// (a credit returns when the consumer took a batch).
+    credits: Mutex<HashMap<u64, Arc<AtomicUsize>>>,
     next_chan: AtomicU64,
     stats: TransportStats,
     timeout: Duration,
@@ -802,9 +784,7 @@ impl MpRuntime {
                 std::thread::sleep(Duration::from_millis(2));
             };
             stream.set_nodelay(true).ok();
-            let mut hello = Vec::with_capacity(4);
-            hello.put_u32_le(rank as u32);
-            (&stream).write_all(&hello).expect("send hello");
+            (&stream).write_all(&(rank as u32).to_le_bytes()).expect("send hello");
             *slot = Some(stream);
         }
         // Accept every higher rank; the hello says which one arrived.
@@ -823,23 +803,15 @@ impl MpRuntime {
             streams[peer] = Some(stream);
         }
 
-        let mut writers = Vec::with_capacity(n);
-        let mut readers = Vec::with_capacity(n);
-        for (peer, s) in streams.into_iter().enumerate() {
-            match s {
-                Some(s) if peer != rank => {
-                    // A blocked send must not outlive the collective
-                    // timeout (backstop: a peer that stops reading but
-                    // keeps its socket open).
-                    s.set_write_timeout(Some(timeout)).ok();
-                    readers.push(Some(s.try_clone().expect("clone mesh stream")));
-                    writers.push(Some(Mutex::new(s)));
-                }
-                _ => {
-                    readers.push(None);
-                    writers.push(None);
-                }
+        let (mut writers, mut readers) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for s in streams {
+            // A blocked send must not outlive the collective timeout
+            // (backstop: a peer that stops reading but keeps its socket open).
+            if let Some(s) = &s {
+                s.set_write_timeout(Some(timeout)).ok();
             }
+            readers.push(s.as_ref().map(|s| s.try_clone().expect("clone mesh stream")));
+            writers.push(s.map(Mutex::new));
         }
         let fault_spent = (0..faults.actions.len()).map(|_| AtomicU64::new(0)).collect();
         MpRuntime {
@@ -849,21 +821,13 @@ impl MpRuntime {
             writers,
             readers: Mutex::new(readers),
             coll_seq: Mutex::new(0),
-            coll_in: (0..n)
-                .map(|_| CollQueue { q: Mutex::new(VecDeque::new()), cv: Condvar::new() })
-                .collect(),
+            coll_in: (0..n).map(|_| CollQueue::default()).collect(),
             chans: Mutex::new(HashMap::new()),
             credits: Mutex::new(HashMap::new()),
             next_chan: AtomicU64::new(0),
             stats: TransportStats::default(),
             timeout,
-            health: (0..n)
-                .map(|_| PeerHealth {
-                    dead: AtomicBool::new(false),
-                    died_at: AtomicU64::new(0),
-                    last_rx: AtomicU64::new(0),
-                })
-                .collect(),
+            health: (0..n).map(|_| PeerHealth::default()).collect(),
             aborting: AtomicBool::new(false),
             exit_door: Mutex::new(()),
             epoch: Instant::now(),
@@ -923,9 +887,9 @@ impl MpRuntime {
             .expect("spawn watchdog thread");
     }
 
-    /// Heartbeat sender: a bare `PING` tag byte to every live peer each
-    /// interval. Pings advance the receivers' silent-peer clocks; a send
-    /// failure doubles as failure detection between collectives.
+    /// Heartbeat sender: a `PING` frame to every live peer each interval.
+    /// Pings advance the receivers' silent-peer clocks; a send failure
+    /// doubles as failure detection between collectives.
     fn spawn_heartbeat(&'static self) {
         if self.n < 2 {
             return;
@@ -937,17 +901,7 @@ impl MpRuntime {
                 if self.aborting.load(Ordering::SeqCst) {
                     return;
                 }
-                for peer in 0..self.n {
-                    if peer == self.rank || self.health[peer].dead.load(Ordering::SeqCst) {
-                        continue;
-                    }
-                    let Some(writer) = self.writers[peer].as_ref() else { continue };
-                    if writer.lock().unwrap().write_all(&[TAG_PING]).is_err() {
-                        self.note_peer_lost(peer);
-                    } else {
-                        self.stats.add(&self.stats.heartbeats, 1);
-                    }
-                }
+                self.broadcast(TAG_PING, 0, &[]);
             })
             .expect("spawn heartbeat thread");
     }
@@ -955,47 +909,6 @@ impl MpRuntime {
     /// Nanoseconds since runtime start (the health clock base).
     fn now_nanos(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// Bytes the trailing frame CRC occupies on the wire (0 with
-    /// integrity off).
-    fn crc_len(&self) -> usize {
-        if self.integrity.wire() {
-            4
-        } else {
-            0
-        }
-    }
-
-    /// Receive-side integrity check: reads the trailing CRC32C and
-    /// verifies it over the frame's header + payload. Returns `None` on
-    /// a stream failure (peer marked lost), `Some(true)` for a good
-    /// frame (or integrity off), `Some(false)` for a corrupt one — the
-    /// corruption is counted, attributed and fanned out; the caller
-    /// must drop the frame instead of dispatching it.
-    fn verify_rx(
-        &self,
-        stream: &mut TcpStream,
-        peer: usize,
-        head: &[u8],
-        payload: &[u8],
-        frame: &str,
-    ) -> Option<bool> {
-        if !self.integrity.wire() {
-            return Some(true);
-        }
-        let mut want = [0u8; 4];
-        if stream.read_exact(&mut want).is_err() {
-            self.note_peer_lost(peer);
-            return None;
-        }
-        self.stats.add(&self.stats.crc_bytes_checked, (head.len() + payload.len()) as u64);
-        if crc32c_append(crc32c(head), payload) == u32::from_le_bytes(want) {
-            Some(true)
-        } else {
-            self.report_corruption(peer, frame, "frame CRC mismatch");
-            Some(false)
-        }
     }
 
     /// The local half of corruption detection: count it, record the
@@ -1014,21 +927,8 @@ impl MpRuntime {
         );
         self.set_poison(peer, frame, kind);
         if !self.poison_fanned.swap(true, Ordering::SeqCst) {
-            let mut pframe = Vec::with_capacity(15 + frame.len() + kind.len());
-            pframe.put_u8(TAG_POISON);
-            pframe.put_u64_le(self.coll_epoch.load(Ordering::SeqCst));
-            pframe.put_u32_le(peer as u32);
-            pframe.put_u8(frame.len() as u8);
-            pframe.put_u8(kind.len() as u8);
-            pframe.put_slice(frame.as_bytes());
-            pframe.put_slice(kind.as_bytes());
-            for p in 0..self.n {
-                if p == self.rank || self.health[p].dead.load(Ordering::SeqCst) {
-                    continue;
-                }
-                let Some(writer) = self.writers[p].as_ref() else { continue };
-                let _ = writer.lock().unwrap().write_all(&pframe);
-            }
+            let epoch = self.coll_epoch.load(Ordering::SeqCst);
+            self.broadcast(TAG_POISON, epoch, format!("{peer} {frame} {kind}").as_bytes());
         }
     }
 
@@ -1155,24 +1055,40 @@ impl MpRuntime {
         if !self.aborting.swap(true, Ordering::SeqCst)
             && !matches!(err, TransportError::Aborted { .. })
         {
-            let reason = err.to_string();
-            let mut frame = Vec::with_capacity(13 + reason.len());
-            frame.put_u8(TAG_ABORT);
-            frame.put_u32_le(self.rank as u32);
-            frame.put_u32_le(err.exit_code() as u32);
-            frame.put_u32_le(reason.len() as u32);
-            frame.put_slice(reason.as_bytes());
-            for peer in 0..self.n {
-                if peer == self.rank || self.health[peer].dead.load(Ordering::SeqCst) {
-                    continue;
-                }
-                let Some(writer) = self.writers[peer].as_ref() else { continue };
-                if writer.lock().unwrap().write_all(&frame).is_ok() {
-                    self.stats.add(&self.stats.aborts_sent, 1);
-                }
-            }
+            let word = ((self.rank as u64) << 32) | err.exit_code() as u32 as u64;
+            let sent = self.broadcast(TAG_ABORT, word, err.to_string().as_bytes());
+            self.stats.add(&self.stats.aborts_sent, sent as u64);
         }
         self.exit_with(&err.to_string(), err.exit_code())
+    }
+
+    /// Sends one frame to every live peer — the ping, poison and abort
+    /// fan-outs — and returns how many writes succeeded. These are no
+    /// `LS_FAULT` class's frames: no delay or flip touches them.
+    fn broadcast(&self, tag: u8, word: u64, payload: &[u8]) -> usize {
+        let Ok(bytes) = frame::encode(tag, word, payload, self.integrity.wire()) else {
+            return 0;
+        };
+        let live = |&p: &usize| p != self.rank && !self.health[p].dead.load(Ordering::SeqCst);
+        (0..self.n).filter(live).filter(|&p| self.write_frame(p, tag, &bytes).is_ok()).count()
+    }
+
+    /// Writes one encoded frame to `peer` and counts it: in the wire
+    /// statistics when [`frame::counted`], as a heartbeat otherwise. A
+    /// failed write marks the peer lost.
+    fn write_frame(&self, peer: usize, tag: u8, bytes: &[u8]) -> std::io::Result<()> {
+        let writer = self.writers[peer].as_ref().expect("frames go to peers, never to self");
+        if let Err(e) = writer.lock().unwrap().write_all(bytes) {
+            self.note_peer_lost(peer);
+            return Err(e);
+        }
+        if frame::counted(tag) {
+            self.stats.add(&self.stats.tx_frames, 1);
+            self.stats.add(&self.stats.tx_bytes, bytes.len() as u64);
+        } else {
+            self.stats.add(&self.stats.heartbeats, 1);
+        }
+        Ok(())
     }
 
     /// The process's way out of a lost job: one thread prints one
@@ -1197,168 +1113,89 @@ impl MpRuntime {
     /// wait sites: a peer that already contributed everything this rank
     /// will ever wait for is allowed to be gone.
     fn receive_loop(&'static self, peer: usize, mut stream: TcpStream) {
-        let mut tag = [0u8; 1];
+        let sealed = self.integrity.wire();
         loop {
-            if stream.read_exact(&mut tag).is_err() {
-                self.note_peer_lost(peer);
-                return;
+            let (Frame { tag, word, payload }, intact) = match frame::read(&mut stream, sealed)
+            {
+                Ok(frame) => (frame, true),
+                Err(ReadError::Payload(frame)) => (frame, false),
+                Err(ReadError::Lost) => return self.note_peer_lost(peer),
+                // `len` cannot be trusted, and with it nothing behind it on
+                // this stream: the connection cannot go on.
+                Err(ReadError::Header) => self.abort_job(TransportError::Corruption {
+                    peer,
+                    frame: "header".into(),
+                    kind: "header CRC mismatch".into(),
+                }),
+            };
+            self.health[peer].last_rx.store(self.now_nanos(), Ordering::Relaxed);
+            if frame::counted(tag) {
+                let len = payload.len();
+                self.stats.add(&self.stats.rx_frames, 1);
+                self.stats.add(&self.stats.rx_bytes, frame::wire_len(len, sealed) as u64);
+                if sealed {
+                    self.stats.add(&self.stats.crc_bytes_checked, (frame::HEAD + len) as u64);
+                }
             }
-            let frame_bytes = match tag[0] {
+            if !intact {
+                // The stream is still framed: drop the frame, poison the
+                // epoch and let the solver roll back.
+                self.report_corruption(peer, frame::name(tag), "payload CRC mismatch");
+                continue;
+            }
+            match tag {
                 TAG_COLL => {
-                    let mut head = [0u8; 12];
-                    if stream.read_exact(&mut head).is_err() {
-                        self.note_peer_lost(peer);
-                        return;
-                    }
-                    let mut r: &[u8] = &head;
-                    let seq = r.get_u64_le();
-                    let len = r.get_u32_le() as usize;
-                    let mut payload = vec![0u8; len];
-                    if stream.read_exact(&mut payload).is_err() {
-                        self.note_peer_lost(peer);
-                        return;
-                    }
-                    match self.verify_rx(&mut stream, peer, &head, &payload, "coll") {
-                        None => return,
-                        Some(false) => {}
-                        Some(true) => {
-                            let queue = &self.coll_in[peer];
-                            queue.q.lock().unwrap().push_back((seq, payload));
-                            queue.cv.notify_all();
-                        }
-                    }
-                    13 + len + self.crc_len()
+                    let queue = &self.coll_in[peer];
+                    queue.q.lock().unwrap().push_back((word, payload));
+                    queue.cv.notify_all();
                 }
-                TAG_CHAN => {
-                    let mut head = [0u8; 12];
-                    if stream.read_exact(&mut head).is_err() {
-                        self.note_peer_lost(peer);
-                        return;
-                    }
-                    let mut r: &[u8] = &head;
-                    let chan = r.get_u64_le();
-                    let len = r.get_u32_le() as usize;
-                    let mut payload = vec![0u8; len];
-                    if stream.read_exact(&mut payload).is_err() {
-                        self.note_peer_lost(peer);
-                        return;
-                    }
-                    match self.verify_rx(&mut stream, peer, &head, &payload, "chan") {
-                        None => return,
-                        Some(false) => {}
-                        Some(true) => self.inbox(chan).q.lock().unwrap().push_back(payload),
-                    }
-                    13 + len + self.crc_len()
-                }
-                TAG_CLOSE => {
-                    let mut head = [0u8; 8];
-                    if stream.read_exact(&mut head).is_err() {
-                        self.note_peer_lost(peer);
-                        return;
-                    }
-                    let mut r: &[u8] = &head;
-                    let chan = r.get_u64_le();
-                    self.inbox(chan).closed.store(true, Ordering::Release);
-                    9
-                }
+                TAG_CHAN => self.inbox(word).q.lock().unwrap().push_back(payload),
+                TAG_CLOSE => self.inbox(word).closed.store(true, Ordering::Release),
                 TAG_CREDIT => {
-                    let mut head = [0u8; 8];
-                    if stream.read_exact(&mut head).is_err() {
-                        self.note_peer_lost(peer);
-                        return;
-                    }
-                    let mut r: &[u8] = &head;
-                    let chan = r.get_u64_le();
-                    self.credit_cell(chan).avail.fetch_add(1, Ordering::Release);
-                    9
+                    self.credit_cell(word).fetch_add(1, Ordering::Release);
                 }
                 TAG_ABORT => {
-                    let mut head = [0u8; 12];
-                    if stream.read_exact(&mut head).is_err() {
-                        self.note_peer_lost(peer);
-                        return;
-                    }
-                    let mut r: &[u8] = &head;
-                    let origin = r.get_u32_le() as usize;
-                    let code = r.get_u32_le() as i32;
-                    let len = r.get_u32_le() as usize;
-                    let mut reason = vec![0u8; len];
-                    if stream.read_exact(&mut reason).is_err() {
-                        self.note_peer_lost(peer);
-                        return;
-                    }
-                    let reason = String::from_utf8_lossy(&reason).into_owned();
                     // Exit right here: the job is already lost, and the
                     // sooner every rank is gone the sooner the supervisor
                     // can relaunch from the last checkpoint.
                     self.aborting.store(true, Ordering::SeqCst);
+                    let (origin, code) = (word >> 32, word as u32 as i32);
+                    let reason = String::from_utf8_lossy(&payload);
                     self.exit_with(
                         &format!("aborted by rank {origin} (peer exit {code}): {reason}"),
                         EXIT_FAILOVER,
                     );
                 }
-                TAG_PING => 1,
-                TAG_POISON => {
-                    let mut head = [0u8; 14];
-                    if stream.read_exact(&mut head).is_err() {
-                        self.note_peer_lost(peer);
-                        return;
-                    }
-                    let mut r: &[u8] = &head;
-                    let epoch = r.get_u64_le();
-                    let culprit = r.get_u32_le() as usize;
-                    let flen = r.get_u8() as usize;
-                    let klen = r.get_u8() as usize;
-                    let mut text = vec![0u8; flen + klen];
-                    if stream.read_exact(&mut text).is_err() {
-                        self.note_peer_lost(peer);
-                        return;
-                    }
-                    // A poison stamped with an older epoch belongs to a
-                    // corruption this rank already rolled back past.
-                    if epoch >= self.coll_epoch.load(Ordering::SeqCst) {
-                        let frame = String::from_utf8_lossy(&text[..flen]).into_owned();
-                        let kind = String::from_utf8_lossy(&text[flen..]).into_owned();
-                        self.set_poison(culprit, &frame, &kind);
-                    }
-                    15 + flen + klen
+                TAG_POISON if word >= self.coll_epoch.load(Ordering::SeqCst) => {
+                    let text = String::from_utf8_lossy(&payload);
+                    let mut parts = text.splitn(3, ' ');
+                    let culprit = parts.next().and_then(|c| c.parse().ok()).unwrap_or(peer);
+                    let what = parts.next().unwrap_or("unknown");
+                    self.set_poison(culprit, what, parts.next().unwrap_or_default());
                 }
-                other => {
-                    self.abort_job(TransportError::Protocol {
-                        detail: format!("unknown frame tag {other} from rank {peer}"),
-                    });
-                }
-            };
-            self.health[peer].last_rx.store(self.now_nanos(), Ordering::Relaxed);
-            self.stats.add(&self.stats.rx_frames, 1);
-            self.stats.add(&self.stats.rx_bytes, frame_bytes as u64);
+                // A poison stamped with an older epoch belongs to a
+                // corruption this rank already rolled back past.
+                TAG_PING | TAG_POISON => {}
+                other => self.abort_job(TransportError::Protocol {
+                    detail: format!("unknown frame tag {other} from rank {peer}"),
+                }),
+            }
         }
     }
 
     fn inbox(&self, chan: u64) -> Arc<ChanInbox> {
-        Arc::clone(self.chans.lock().unwrap().entry(chan).or_insert_with(|| {
-            Arc::new(ChanInbox {
-                q: Mutex::new(VecDeque::new()),
-                closed: AtomicBool::new(false),
-            })
-        }))
+        Arc::clone(self.chans.lock().unwrap().entry(chan).or_default())
     }
 
-    fn credit_cell(&self, chan: u64) -> Arc<ChanCredits> {
-        Arc::clone(
-            self.credits.lock().unwrap().entry(chan).or_insert_with(|| {
-                Arc::new(ChanCredits { avail: AtomicUsize::new(RING_SLOTS) })
-            }),
-        )
+    fn credit_cell(&self, chan: u64) -> Arc<AtomicUsize> {
+        let full = || Arc::new(AtomicUsize::new(RING_SLOTS));
+        Arc::clone(self.credits.lock().unwrap().entry(chan).or_insert_with(full))
     }
 
     /// Executes the delay actions armed for frames of `class` (no-op
     /// without a matching `LS_FAULT` plan). Each action announces itself
     /// the first time it fires.
     fn fault_delay_hook(&self, class: FrameClass) {
-        if self.faults.is_empty_for(self.rank, self.attempt) {
-            return;
-        }
         for (idx, action) in self.faults.delays_for(self.rank, self.attempt, class) {
             let spent = self.fault_spent[idx].fetch_add(1, Ordering::Relaxed);
             if spent == 0 && action.count > 0 {
@@ -1381,9 +1218,6 @@ impl MpRuntime {
     /// drop-conn action armed for this entry.
     fn fault_barrier_hook(&self) {
         let ordinal = self.barrier_ordinal.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.faults.is_empty_for(self.rank, self.attempt) {
-            return;
-        }
         for action in self.faults.at_barrier(self.rank, self.attempt, ordinal) {
             match action.kind {
                 FaultKind::Kill => {
@@ -1403,24 +1237,26 @@ impl MpRuntime {
                     }
                 }
                 // The corruption kinds fire at their own sites: flip-bit
-                // in seal_frame, nan in the matvec epoch clock.
+                // in seal, nan in the matvec epoch clock.
                 FaultKind::Delay | FaultKind::FlipBit | FaultKind::Nan => {}
             }
         }
     }
 
-    /// Seals an outgoing data frame: appends the CRC32C of everything
-    /// after the tag byte (when wire integrity is on) and executes any
-    /// armed `flip-bit` injection. The flip happens *after* the
-    /// checksum is computed and flips a payload bit — corrupting the
-    /// data the way a failing NIC or DMA engine would, so only the
-    /// receiver's verification can catch it. Injections count (and
-    /// fire on) the `nth` *payload-bearing* frame of their class; with
-    /// `LS_INTEGRITY=off` no checksum travels and the flip goes
-    /// undetected, which is exactly what the knob trades away.
-    fn seal_frame(&self, frame: &mut Vec<u8>, payload_start: usize, class: FrameClass) {
-        let crc = if self.integrity.wire() { Some(crc32c(&frame[1..])) } else { None };
-        if frame.len() > payload_start && !self.faults.is_empty_for(self.rank, self.attempt) {
+    /// Encodes a channel or collective frame and executes any armed
+    /// `flip-bit` injection on the bytes [`frame::encode`] returned. The
+    /// flip lands *after* the payload CRC is sealed and flips the first
+    /// payload byte — corrupting the data the way a failing NIC or DMA
+    /// engine would, so only the receiver's verification can catch it.
+    /// Injections count (and fire on) the `nth` *payload-bearing* frame
+    /// of their class; with `LS_INTEGRITY=off` no checksum travels and
+    /// the flip goes undetected, which is exactly what the knob trades
+    /// away.
+    fn seal(&self, tag: u8, word: u64, payload: &[u8]) -> Result<Vec<u8>, TransportError> {
+        let sealed = self.integrity.wire();
+        let mut bytes = frame::encode(tag, word, payload, sealed)?;
+        if !payload.is_empty() {
+            let class = frame::class(tag);
             for (idx, action) in self.faults.flips_for(self.rank, self.attempt, class) {
                 if self.fault_spent[idx].fetch_add(1, Ordering::Relaxed) + 1 == action.nth {
                     eprintln!(
@@ -1429,42 +1265,28 @@ impl MpRuntime {
                         class.name(),
                         action.nth
                     );
-                    frame[payload_start] ^= 1;
+                    bytes[frame::header_len(sealed)] ^= 1;
                 }
             }
         }
-        if let Some(crc) = crc {
-            frame.put_u32_le(crc);
-        }
+        Ok(bytes)
     }
 
     /// Fallible frame send: a failed write marks the peer dead and
     /// returns the attributed failure instead of killing the process.
-    fn try_send_frame(
-        &self,
-        peer: usize,
-        frame: &[u8],
-        class: FrameClass,
-    ) -> Result<(), TransportError> {
-        self.fault_delay_hook(class);
-        let Some(writer) = self.writers[peer].as_ref() else {
-            return Err(TransportError::Protocol {
-                detail: format!("send to self or unconnected rank {peer}"),
-            });
-        };
+    fn try_send_frame(&self, peer: usize, tag: u8, bytes: &[u8]) -> Result<(), TransportError> {
+        self.fault_delay_hook(frame::class(tag));
         let sent_at = self.now_nanos();
-        let result = writer.lock().unwrap().write_all(frame);
-        if let Err(e) = result {
-            self.note_peer_lost(peer);
-            return Err(self.peer_failed(peer, &format!("send failed: {e}"), sent_at));
-        }
-        self.stats.add(&self.stats.tx_frames, 1);
-        self.stats.add(&self.stats.tx_bytes, frame.len() as u64);
-        Ok(())
+        self.write_frame(peer, tag, bytes)
+            .map_err(|e| self.peer_failed(peer, &format!("send failed: {e}"), sent_at))
     }
 
-    fn send_frame(&self, peer: usize, frame: &[u8], class: FrameClass) {
-        self.try_send_frame(peer, frame, class).unwrap_or_else(|e| self.bail(e));
+    /// Sends one channel frame (`CHAN`, `CLOSE` or `CREDIT`) to `peer`,
+    /// failing like [`Self::allgather`].
+    fn send(&self, peer: usize, tag: u8, chan: u64, payload: &[u8]) {
+        let sent =
+            self.seal(tag, chan, payload).and_then(|b| self.try_send_frame(peer, tag, &b));
+        sent.unwrap_or_else(|e| self.bail(e));
     }
 
     /// Pops the collective payload with sequence `seq` from `peer`. The
@@ -1562,21 +1384,15 @@ impl MpRuntime {
     /// receives all contributions indexed by rank. The fundamental
     /// collective — barriers and reductions are built on it.
     fn try_allgather(&self, payload: &[u8]) -> Result<Vec<Vec<u8>>, TransportError> {
-        let len = frame_len(payload.len())?;
         // The guard both allocates the sequence number and serializes
         // collectives within the process.
         let mut seq_guard = self.coll_seq.lock().unwrap();
         let seq = (self.coll_epoch.load(Ordering::SeqCst) << EPOCH_SHIFT) | *seq_guard;
+        let bytes = self.seal(TAG_COLL, seq, payload)?;
         *seq_guard += 1;
-        let mut frame = Vec::with_capacity(17 + payload.len());
-        frame.put_u8(TAG_COLL);
-        frame.put_u64_le(seq);
-        frame.put_u32_le(len);
-        frame.put_slice(payload);
-        self.seal_frame(&mut frame, 13, FrameClass::Coll);
         for peer in 0..self.n {
             if peer != self.rank {
-                self.try_send_frame(peer, &frame, FrameClass::Coll)?;
+                self.try_send_frame(peer, TAG_COLL, &bytes)?;
             }
         }
         let mut out: Vec<Vec<u8>> = (0..self.n).map(|_| Vec::new()).collect();
@@ -1708,9 +1524,6 @@ impl MpRuntime {
     /// the replayed epoch.
     pub(crate) fn nan_fault_fires(&self) -> bool {
         let ordinal = self.matvec_ordinal.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.faults.is_empty_for(self.rank, self.attempt) {
-            return false;
-        }
         let mut fires = false;
         for (idx, action) in self.faults.nans_at(self.rank, self.attempt, ordinal) {
             if self.fault_spent[idx].fetch_add(1, Ordering::Relaxed) < action.count {
@@ -1732,44 +1545,10 @@ impl MpRuntime {
         self.next_chan.fetch_add(count as u64, Ordering::Relaxed)
     }
 
-    fn send_chan(&self, peer: usize, chan: u64, payload: &[u8]) {
-        let len = frame_len(payload.len()).unwrap_or_else(|e| self.bail(e));
-        let mut frame = Vec::with_capacity(17 + payload.len());
-        frame.put_u8(TAG_CHAN);
-        frame.put_u64_le(chan);
-        frame.put_u32_le(len);
-        frame.put_slice(payload);
-        self.seal_frame(&mut frame, 13, FrameClass::Chan);
-        self.send_frame(peer, &frame, FrameClass::Chan);
-    }
-
-    fn send_close(&self, peer: usize, chan: u64) {
-        let mut frame = Vec::with_capacity(9);
-        frame.put_u8(TAG_CLOSE);
-        frame.put_u64_le(chan);
-        self.send_frame(peer, &frame, FrameClass::Close);
-    }
-
-    fn send_credit(&self, peer: usize, chan: u64) {
-        let mut frame = Vec::with_capacity(9);
-        frame.put_u8(TAG_CREDIT);
-        frame.put_u64_le(chan);
-        self.send_frame(peer, &frame, FrameClass::Credit);
-    }
-
     fn drop_chan(&self, chan: u64) {
         self.chans.lock().unwrap().remove(&chan);
         self.credits.lock().unwrap().remove(&chan);
     }
-}
-
-/// The length field of a frame carrying `len` payload bytes. A frame
-/// counts its payload in a `u32`, so a longer payload is refused by size
-/// instead of sent with a length that wrapped.
-fn frame_len(len: usize) -> Result<u32, TransportError> {
-    u32::try_from(len).map_err(|_| TransportError::Protocol {
-        detail: format!("a {len}-byte payload exceeds the {}-byte frame limit", u32::MAX),
-    })
 }
 
 // ---- raw byte views ------------------------------------------------------
@@ -1827,7 +1606,7 @@ pub struct MpSender<T: Copy> {
     peer: usize,
     id: u64,
     capacity: usize,
-    credits: Arc<ChanCredits>,
+    credits: Arc<AtomicUsize>,
     _marker: std::marker::PhantomData<fn(T)>,
 }
 
@@ -1899,7 +1678,6 @@ impl<T: Copy + Default> PairChannel<T> {
             PairChannel::Local(ch) => ch.try_claim(),
             PairChannel::Sender(s) => s
                 .credits
-                .avail
                 .fetch_update(Ordering::Acquire, Ordering::Relaxed, |n| n.checked_sub(1))
                 .ok(),
             _ => panic!("claim on a non-producer channel endpoint"),
@@ -1915,7 +1693,7 @@ impl<T: Copy + Default> PairChannel<T> {
                 // SAFETY: channel payload types are padding-free PODs
                 // (see slice_as_bytes).
                 let payload = unsafe { slice_as_bytes(data) };
-                s.mp.send_chan(s.peer, s.id, payload);
+                s.mp.send(s.peer, TAG_CHAN, s.id, payload);
                 stats.record_put(payload.len(), true);
                 stats.record_flag_message();
             }
@@ -1927,7 +1705,7 @@ impl<T: Copy + Default> PairChannel<T> {
     pub fn close(&self) {
         match self {
             PairChannel::Local(ch) => ch.close(),
-            PairChannel::Sender(s) => s.mp.send_close(s.peer, s.id),
+            PairChannel::Sender(s) => s.mp.send(s.peer, TAG_CLOSE, s.id, &[]),
             _ => panic!("close on a non-producer channel endpoint"),
         }
     }
@@ -1944,7 +1722,7 @@ impl<T: Copy + Default> PairChannel<T> {
                 let mut batch = Vec::new();
                 decode_extend(&payload, &mut batch);
                 take(&batch);
-                r.mp.send_credit(r.peer, r.id);
+                r.mp.send(r.peer, TAG_CREDIT, r.id, &[]);
                 stats.record_flag_message();
                 true
             }
@@ -1992,7 +1770,7 @@ impl<T: Copy + Default> PairChannel<T> {
         match self {
             PairChannel::Local(ch) => ch.reset(),
             PairChannel::Sender(s) => {
-                let avail = s.credits.avail.load(Ordering::Acquire);
+                let avail = s.credits.load(Ordering::Acquire);
                 if avail != RING_SLOTS {
                     // A consumer that unwound out of a poisoned epoch
                     // never returned the credit — recoverable, not a
@@ -2069,17 +1847,6 @@ mod tests {
         let mut back: Vec<(u64, f64)> = Vec::new();
         decode_extend(&bytes, &mut back);
         assert_eq!(back, data);
-    }
-
-    #[test]
-    fn frame_lengths_refuse_what_a_u32_cannot_count() {
-        assert_eq!(frame_len(0).unwrap(), 0);
-        assert_eq!(frame_len(1).unwrap(), 1);
-        assert_eq!(frame_len(u32::MAX as usize).unwrap(), u32::MAX);
-        let too_long = u32::MAX as usize + 1;
-        let err = frame_len(too_long).unwrap_err();
-        assert_eq!(err.exit_code(), EXIT_PROTOCOL);
-        assert!(err.to_string().contains(&format!("{too_long}-byte payload")), "{err}");
     }
 
     #[test]

@@ -1,0 +1,119 @@
+//! Architecture rules of the tree, checked by reading its source: what the
+//! design promises in `docs/ARCHITECTURE.md` that the compiler cannot
+//! enforce. Each test names the lines that break its rule. Doc comments
+//! count. A pattern that would match this file is spelled in pieces.
+
+use std::path::{Path, PathBuf};
+
+/// Every file under the repository directories `dirs`, recursively.
+fn files(dirs: &[&str]) -> Vec<PathBuf> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut todo: Vec<PathBuf> = dirs.iter().map(|d| root.join(d)).collect();
+    let mut out = Vec::new();
+    while let Some(path) = todo.pop() {
+        if path.is_dir() {
+            todo.extend(std::fs::read_dir(&path).unwrap().map(|e| e.unwrap().path()));
+        } else {
+            out.push(path);
+        }
+    }
+    out
+}
+
+/// `path:line: text` of every line under `dirs` that contains one of
+/// `needles` (files that are not UTF-8 text are skipped).
+fn hits(dirs: &[&str], needles: &[&str]) -> Vec<String> {
+    let mut out = Vec::new();
+    for path in files(dirs) {
+        let Ok(text) = std::fs::read_to_string(&path) else { continue };
+        for (i, line) in text.lines().enumerate() {
+            if needles.iter().any(|n| line.contains(n)) {
+                out.push(format!("{}:{}: {}", path.display(), i + 1, line.trim()));
+            }
+        }
+    }
+    out
+}
+
+fn assert_none(dirs: &[&str], needles: &[&str]) {
+    let found = hits(dirs, needles);
+    assert!(found.is_empty(), "{needles:?} found:\n{}", found.join("\n"));
+}
+
+/// The backend decision lives in `ls_runtime::collective`: the
+/// distributed algorithms never ask which transport is underneath.
+#[test]
+fn the_algorithms_do_not_know_which_transport_is_underneath() {
+    assert_none(
+        &["crates/dist/src", "crates/eigen/src", "crates/core/src"],
+        &["transport::", "MpRuntime"],
+    );
+}
+
+/// One scoped task set per run; the hand-written worker team it replaced
+/// carried seven such sites.
+#[test]
+fn the_cluster_executor_stays_safe_code() {
+    assert_none(&["crates/runtime/src/cluster.rs"], &["unsafe"]);
+}
+
+/// Plain adds where one thread owns a part go through
+/// `AtomicAccumWindow::add_exclusive`, not through a raw pointer here.
+#[test]
+fn the_distributed_algorithms_stay_safe_code() {
+    assert_none(&["crates/dist/src"], &["unsafe"]);
+}
+
+/// A thread that finds a channel full serves its own inbox (`PcEngine`'s
+/// wait loop); a claim that blocks inside the channel would starve it.
+#[test]
+fn no_blocking_channel_claim() {
+    assert_none(&["crates/runtime/src/transport.rs"], &["fn claim"]);
+}
+
+/// A restart compresses in place (`KrylovVec::combine_in_place`) and a
+/// step — of the eigensolver and of the propagators' Krylov factorization
+/// — moves its output into the basis: a second assembly helper or a clone
+/// of the workspace would bring back the allocations
+/// `tests/no_alloc_after_first_cycle.rs` counts, or a full-vector copy per
+/// step.
+#[test]
+fn one_compression_path_and_no_per_step_copy() {
+    assert_none(&["crates/eigen/src/restart.rs"], &["fn ritz_vectors", "w.clone()"]);
+    assert_none(&["crates/eigen/src/lanczos.rs"], &["w.clone()"]);
+}
+
+/// `accumulate_segment_f64` is the one kernel whose AVX2 path a benchmark
+/// workload (`u1_chain22`) pays for; the others went with the knob that
+/// selected them. A new explicit path brings its measurement.
+#[test]
+fn simd_lives_only_where_a_workload_pays() {
+    let paths = hits(&["crates", "compat", "src"], &["#[target_feature"]);
+    assert_eq!(paths.len(), 1, "{}", paths.join("\n"));
+    let knob = ["LS_", "SIMD"].concat();
+    assert_none(&["crates", "compat", "src", "tests", "examples"], &[&knob]);
+}
+
+/// Window epochs ride the TCP mesh's collectives; the shared-memory
+/// segment files, their positioned reads and writes and the fault kind
+/// that damaged them are gone. The rendezvous directory stays under
+/// `/dev/shm`, so the chaos smoke job still checks that no `ls-mp-*`
+/// directory outlives a job.
+#[test]
+fn one_wire_under_multiprocess() {
+    assert_none(&["crates/runtime/src"], &["read_exact_at", "write_all_at", "FileExt"]);
+    let retired = ["corrupt", "window"].join("-");
+    assert_none(&["crates", "tests", "examples", ".github"], &[&retired]);
+}
+
+/// Every mesh frame has one shape: `frame.rs` owns the tags, its `encode`
+/// builds every frame and its `read` parses every one. A hand-built frame
+/// or a second tag table would bring back a header layout of its own.
+#[test]
+fn one_frame_codec() {
+    assert_none(&["crates/runtime/src"], &[&["put_u8(", "TAG_"].concat()]);
+    let tags = hits(&["crates/runtime/src"], &[&["const ", "TAG_"].concat()]);
+    let stray: Vec<&String> = tags.iter().filter(|h| !h.contains("frame.rs:")).collect();
+    assert!(stray.is_empty(), "a frame tag outside frame.rs:\n{stray:?}");
+    assert_eq!(tags.len(), 7, "{}", tags.join("\n"));
+}
