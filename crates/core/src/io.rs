@@ -7,265 +7,36 @@
 //! order, which yields a canonical on-disk representation independent of
 //! the locale count.
 //!
-//! Format (little-endian): magic `LSRS`, version u32, payload-specific
-//! header, raw data.
+//! Every file is one sealed record of `ls_eigen::record`, the codec whose
+//! public items this module re-exports: vectors and bases (magic `LSRS`,
+//! [`save_vector`] / [`save_basis`]), checkpoints (magic `LSCK`) and
+//! rotation manifests (magic `LSMF`). Writes are atomic, both the header
+//! and the payload carry a CRC32C, and loads stream. The `LSRS` loads
+//! return `io::Result`: a missing file stays `NotFound`, and anything else
+//! is `InvalidData` around the typed [`FileError`].
 //!
-//! Every load path validates magic, version, kind and declared lengths
-//! with length-checked reads — truncated or corrupted files come back as
-//! typed [`LoadError`]s (wrapped in `io::Error` with
-//! `ErrorKind::InvalidData`), never as panics.
-//!
-//! Thick-restart Lanczos checkpoints (magic `LSCK`, checksummed,
-//! bit-identical resume) live in `ls-eigen` and are re-exported here:
-//! [`save_checkpoint`] / [`load_checkpoint`] handle both `Vec<S>` and
-//! hashed `DistVec<S>` storage. Rotated keep-last-K checkpoints (magic
-//! `LSMF` manifest plus `.g<N>` generation files) use
+//! Thick-restart Lanczos checkpoints (bit-identical resume) handle both
+//! `Vec<S>` and hashed `DistVec<S>` storage through [`save_checkpoint`] /
+//! [`load_checkpoint`]. Rotated keep-last-K checkpoints (an `LSMF`
+//! manifest plus `.g<N>` generation files) use
 //! [`save_checkpoint_rotated`] / [`load_latest_checkpoint`]; the latter
 //! also reads plain single-file checkpoints, so callers can migrate by
 //! switching the load path alone.
 
-use bytes::{Buf, BufMut};
 use ls_dist::DistSpinBasis;
 use ls_kernels::Scalar;
 use ls_runtime::{Cluster, DistVec};
-use std::fmt;
-use std::fs;
 use std::io;
 use std::path::Path;
 
 pub use ls_eigen::checkpoint::{
     generation_path, load_checkpoint, load_latest_checkpoint, manifest_generations,
-    remove_checkpoint, save_checkpoint, save_checkpoint_ref, save_checkpoint_rotated,
-    CheckpointError, CheckpointState, CheckpointStateRef,
+    remove_checkpoint, save_checkpoint, save_checkpoint_rotated, CheckpointState,
+};
+pub use ls_eigen::record::{
+    load_basis, load_vector, save_basis, save_vector, FileError, LoadedBasis,
 };
 pub use ls_eigen::restart::CheckpointPolicy;
-
-const MAGIC: &[u8; 4] = b"LSRS";
-const VERSION: u32 = 1;
-const KIND_VECTOR: u32 = 1;
-const KIND_BASIS: u32 = 2;
-
-/// Typed failure modes of the `LSRS` load paths. Converted into
-/// `io::Error` (`ErrorKind::InvalidData`) at the public boundary so
-/// existing callers keep their `io::Result` signatures; match on the
-/// message or downcast for programmatic handling.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LoadError {
-    /// Shorter than the fixed header.
-    TooShort,
-    BadMagic([u8; 4]),
-    UnsupportedVersion(u32),
-    WrongKind {
-        found: u32,
-        expected: u32,
-    },
-    /// The payload ends before its declared contents.
-    Truncated {
-        needed: usize,
-        available: usize,
-    },
-    ScalarWidthMismatch {
-        found: u32,
-        expected: u32,
-    },
-}
-
-impl fmt::Display for LoadError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::TooShort => write!(f, "file too short for header"),
-            Self::BadMagic(m) => write!(f, "bad magic {m:?}"),
-            Self::UnsupportedVersion(v) => write!(f, "unsupported version {v}"),
-            Self::WrongKind { found, expected } => {
-                write!(f, "wrong payload kind {found} (expected {expected})")
-            }
-            Self::Truncated { needed, available } => {
-                write!(f, "truncated payload: needs {needed} more bytes, has {available}")
-            }
-            Self::ScalarWidthMismatch { found, expected } => {
-                write!(f, "scalar width mismatch: file {found}, requested {expected}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for LoadError {}
-
-impl From<LoadError> for io::Error {
-    fn from(e: LoadError) -> Self {
-        io::Error::new(io::ErrorKind::InvalidData, e)
-    }
-}
-
-/// Length-checked reads over the raw bytes: malformed input surfaces as
-/// [`LoadError`], never as an out-of-bounds panic. (A sibling cursor
-/// with checkpoint-specific errors lives in `ls_eigen::checkpoint`; the
-/// duplication is deliberate — sharing it would couple the `LSRS` file
-/// errors to the checkpoint format's.)
-struct Reader<'a> {
-    buf: &'a [u8],
-}
-
-impl Reader<'_> {
-    fn need(&self, n: usize) -> Result<(), LoadError> {
-        if self.buf.remaining() < n {
-            Err(LoadError::Truncated { needed: n, available: self.buf.remaining() })
-        } else {
-            Ok(())
-        }
-    }
-
-    fn u32(&mut self) -> Result<u32, LoadError> {
-        self.need(4)?;
-        Ok(self.buf.get_u32_le())
-    }
-
-    fn u64(&mut self) -> Result<u64, LoadError> {
-        self.need(8)?;
-        Ok(self.buf.get_u64_le())
-    }
-
-    fn i64(&mut self) -> Result<i64, LoadError> {
-        self.need(8)?;
-        Ok(self.buf.get_i64_le())
-    }
-
-    fn f64(&mut self) -> Result<f64, LoadError> {
-        self.need(8)?;
-        Ok(self.buf.get_f64_le())
-    }
-
-    fn header(&mut self, expected_kind: u32) -> Result<(), LoadError> {
-        if self.buf.remaining() < 12 {
-            return Err(LoadError::TooShort);
-        }
-        let mut magic = [0u8; 4];
-        self.buf.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
-            return Err(LoadError::BadMagic(magic));
-        }
-        let version = self.u32()?;
-        if version != VERSION {
-            return Err(LoadError::UnsupportedVersion(version));
-        }
-        let kind = self.u32()?;
-        if kind != expected_kind {
-            return Err(LoadError::WrongKind { found: kind, expected: expected_kind });
-        }
-        Ok(())
-    }
-}
-
-/// Saves a plain (shared-memory) vector.
-pub fn save_vector<S: Scalar>(path: &Path, data: &[S]) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(24 + data.len() * 8 * S::N_REALS);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u32_le(KIND_VECTOR);
-    buf.put_u32_le(S::N_REALS as u32);
-    buf.put_u64_le(data.len() as u64);
-    for v in data {
-        let reals = v.to_reals();
-        for lane in reals.iter().take(S::N_REALS) {
-            buf.put_f64_le(*lane);
-        }
-    }
-    fs::write(path, buf)
-}
-
-/// Loads a vector saved by [`save_vector`].
-pub fn load_vector<S: Scalar>(path: &Path) -> io::Result<Vec<S>> {
-    let raw = fs::read(path)?;
-    Ok(parse_vector(&raw)?)
-}
-
-fn parse_vector<S: Scalar>(raw: &[u8]) -> Result<Vec<S>, LoadError> {
-    let mut r = Reader { buf: raw };
-    r.header(KIND_VECTOR)?;
-    let lanes = r.u32()? as usize;
-    if lanes != S::N_REALS {
-        return Err(LoadError::ScalarWidthMismatch {
-            found: lanes as u32,
-            expected: S::N_REALS as u32,
-        });
-    }
-    let len = r.u64()? as usize;
-    let bytes = len
-        .checked_mul(8 * lanes)
-        .ok_or(LoadError::Truncated { needed: usize::MAX, available: r.buf.remaining() })?;
-    r.need(bytes)?;
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        let mut reals = [0.0f64; 2];
-        for lane in reals.iter_mut().take(lanes) {
-            *lane = r.f64()?;
-        }
-        out.push(S::from_reals(reals));
-    }
-    Ok(out)
-}
-
-/// Saves a basis (states + orbit sizes + sector metadata).
-pub fn save_basis(
-    path: &Path,
-    n_sites: u32,
-    hamming_weight: Option<u32>,
-    states: &[u64],
-    orbit_sizes: &[u32],
-) -> io::Result<()> {
-    assert_eq!(states.len(), orbit_sizes.len());
-    let mut buf = Vec::with_capacity(32 + states.len() * 12);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u32_le(KIND_BASIS);
-    buf.put_u32_le(n_sites);
-    buf.put_i64_le(hamming_weight.map(|w| w as i64).unwrap_or(-1));
-    buf.put_u64_le(states.len() as u64);
-    for &s in states {
-        buf.put_u64_le(s);
-    }
-    for &o in orbit_sizes {
-        buf.put_u32_le(o);
-    }
-    fs::write(path, buf)
-}
-
-/// A basis loaded from disk.
-#[derive(Clone, Debug, PartialEq)]
-pub struct LoadedBasis {
-    pub n_sites: u32,
-    pub hamming_weight: Option<u32>,
-    pub states: Vec<u64>,
-    pub orbit_sizes: Vec<u32>,
-}
-
-/// Loads a basis saved by [`save_basis`].
-pub fn load_basis(path: &Path) -> io::Result<LoadedBasis> {
-    let raw = fs::read(path)?;
-    Ok(parse_basis(&raw)?)
-}
-
-fn parse_basis(raw: &[u8]) -> Result<LoadedBasis, LoadError> {
-    let mut r = Reader { buf: raw };
-    r.header(KIND_BASIS)?;
-    let n_sites = r.u32()?;
-    let w = r.i64()?;
-    let hamming_weight = if w < 0 { None } else { Some(w as u32) };
-    let len = r.u64()? as usize;
-    let bytes = len
-        .checked_mul(12)
-        .ok_or(LoadError::Truncated { needed: usize::MAX, available: r.buf.remaining() })?;
-    r.need(bytes)?;
-    let mut states = Vec::with_capacity(len);
-    for _ in 0..len {
-        states.push(r.u64()?);
-    }
-    let mut orbit_sizes = Vec::with_capacity(len);
-    for _ in 0..len {
-        orbit_sizes.push(r.u32()?);
-    }
-    Ok(LoadedBasis { n_sites, hamming_weight, states, orbit_sizes })
-}
 
 /// Converts a hashed-distributed vector to the block distribution (the
 /// paper's Fig. 3 algorithm) and writes it as one canonical file.
@@ -286,33 +57,11 @@ pub fn hashed_vector_to_block<S: Scalar>(
     basis: &DistSpinBasis,
     hashed: &DistVec<S>,
 ) -> Vec<S> {
-    // Build the block-distributed list of states in global order, and the
-    // masks that say which locale holds each.
-    let all_states: Vec<u64> = {
-        // Per-locale lists are sorted; a k-way merge gives global order.
-        let mut cursors: Vec<usize> = vec![0; basis.n_locales()];
-        let mut out = Vec::with_capacity(basis.dim() as usize);
-        loop {
-            let mut best: Option<(u64, usize)> = None;
-            for l in 0..basis.n_locales() {
-                let part = basis.states().part(l);
-                if cursors[l] < part.len() {
-                    let s = part[cursors[l]];
-                    if best.map(|(b, _)| s < b).unwrap_or(true) {
-                        best = Some((s, l));
-                    }
-                }
-            }
-            match best {
-                Some((s, l)) => {
-                    cursors[l] += 1;
-                    out.push(s);
-                }
-                None => break,
-            }
-        }
-        out
-    };
+    // The states in global order (each lives on exactly one locale, so the
+    // parts' union, sorted) and the masks that say which locale holds each.
+    let mut all_states: Vec<u64> =
+        (0..basis.n_locales()).flat_map(|l| basis.states().part(l).iter().copied()).collect();
+    all_states.sort_unstable();
     let masks: Vec<u16> = all_states.iter().map(|&s| basis.owner(s) as u16).collect();
     let masks_block = ls_dist::convert::to_block(&masks, cluster.n_locales());
     let block = ls_dist::hashed_to_block(cluster, hashed, &masks_block, 4);
@@ -323,11 +72,20 @@ pub fn hashed_vector_to_block<S: Scalar>(
 mod tests {
     use super::*;
     use ls_kernels::Complex64;
+    use std::fs;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!("ls_core_io_{}_{name}", std::process::id()));
         p
+    }
+
+    /// The typed error inside a failed load.
+    fn typed(err: io::Error) -> FileError {
+        match err.get_ref().is_some_and(|e| e.is::<FileError>()) {
+            true => *err.into_inner().unwrap().downcast().unwrap(),
+            false => FileError::Io(err),
+        }
     }
 
     #[test]
@@ -355,7 +113,10 @@ mod tests {
     fn scalar_width_mismatch_rejected() {
         let path = tmp("vec_width");
         save_vector::<f64>(&path, &[1.0, 2.0]).unwrap();
-        assert!(load_vector::<Complex64>(&path).is_err());
+        assert!(matches!(
+            typed(load_vector::<Complex64>(&path).unwrap_err()),
+            FileError::ScalarWidthMismatch { found: 1, expected: 2 }
+        ));
         fs::remove_file(&path).ok();
     }
 
@@ -370,6 +131,8 @@ mod tests {
         assert_eq!(back.hamming_weight, Some(2));
         assert_eq!(back.states, states);
         assert_eq!(back.orbit_sizes, orbits);
+        save_basis(&path, 4, None, &states, &orbits).unwrap();
+        assert_eq!(load_basis(&path).unwrap().hamming_weight, None);
         fs::remove_file(&path).ok();
     }
 
@@ -388,22 +151,26 @@ mod tests {
         // panicked in the unchecked reads. Every prefix must now come
         // back as a typed error.
         let path = tmp("trunc_every");
+        let cut_path = tmp("trunc_every_cut");
         let data: Vec<f64> = (0..16).map(|i| i as f64 * 0.25).collect();
         save_vector(&path, &data).unwrap();
         let good = fs::read(&path).unwrap();
         for cut in 0..good.len() {
-            std::panic::catch_unwind(|| parse_vector::<f64>(&good[..cut]))
-                .expect("parse must not panic")
+            fs::write(&cut_path, &good[..cut]).unwrap();
+            std::panic::catch_unwind(|| load_vector::<f64>(&cut_path))
+                .expect("load must not panic")
                 .expect_err("truncated file must be rejected");
         }
         save_basis(&path, 4, None, &[1, 2], &[1, 1]).unwrap();
         let good = fs::read(&path).unwrap();
         for cut in 0..good.len() {
-            std::panic::catch_unwind(|| parse_basis(&good[..cut]))
-                .expect("parse must not panic")
+            fs::write(&cut_path, &good[..cut]).unwrap();
+            std::panic::catch_unwind(|| load_basis(&cut_path))
+                .expect("load must not panic")
                 .expect_err("truncated file must be rejected");
         }
         fs::remove_file(&path).ok();
+        fs::remove_file(&cut_path).ok();
     }
 
     #[test]
@@ -411,17 +178,21 @@ mod tests {
         let path = tmp("typed");
         save_basis(&path, 4, Some(2), &[0b0011], &[4]).unwrap();
         // A basis payload loaded as a vector is WrongKind.
-        let raw = fs::read(&path).unwrap();
-        assert_eq!(
-            parse_vector::<f64>(&raw).unwrap_err(),
-            LoadError::WrongKind { found: KIND_BASIS, expected: KIND_VECTOR }
-        );
-        assert_eq!(parse_vector::<f64>(b"LS").unwrap_err(), LoadError::TooShort);
-        assert_eq!(
-            parse_vector::<f64>(&[0u8; 64]).unwrap_err(),
-            LoadError::BadMagic([0, 0, 0, 0])
-        );
-        // The io::Error wrapper preserves the typed error for downcasting.
+        assert!(matches!(
+            typed(load_vector::<f64>(&path).unwrap_err()),
+            FileError::WrongKind { found: 2, expected: 1 }
+        ));
+        fs::write(&path, b"LS").unwrap();
+        assert!(matches!(
+            typed(load_vector::<f64>(&path).unwrap_err()),
+            FileError::Truncated { needed: 24, available: 2 }
+        ));
+        fs::write(&path, [0u8; 64]).unwrap();
+        assert!(matches!(
+            typed(load_vector::<f64>(&path).unwrap_err()),
+            FileError::BadMagic([0, 0, 0, 0])
+        ));
+        // A missing file stays an I/O error of its own kind.
         let err =
             load_basis(&std::path::PathBuf::from(&path).with_extension("missing")).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::NotFound);
@@ -431,7 +202,7 @@ mod tests {
         fs::write(&path, &bytes).unwrap();
         let err = load_vector::<f64>(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.get_ref().unwrap().is::<LoadError>());
+        assert!(err.get_ref().unwrap().is::<FileError>());
         fs::remove_file(&path).ok();
     }
 }

@@ -5,19 +5,19 @@
 //! boundary — the retained Ritz basis plus the chain seed, the projected
 //! coefficients (`θ`, border `s`), the restart counter and the RNG draw
 //! counter — which is everything needed to resume a killed solve
-//! **bit-identically**: vectors are stored as exact `f64` lanes in
-//! canonical global element order, so the resumed in-memory state equals
-//! the uninterrupted one to the last bit.
+//! **bit-identically**: vectors are stored as exact lanes in canonical
+//! global element order, so the resumed in-memory state equals the
+//! uninterrupted one to the last bit.
 //!
-//! Format (little-endian), magic `LSCK`, version 2:
+//! A checkpoint is one sealed [`crate::record`] of magic `LSCK`, version
+//! 3, whose payload is (little-endian)
 //!
 //! ```text
-//! magic[4] version:u32 kind:u32 lanes:u32 width:u32
-//! k:u64 budget:u64 restarts:u64 draws:u64 breakdowns:u64 retained:u64 nvecs:u64
+//! kind:u32 lanes:u32 width:u32
+//! k:u64 budget:u64 restarts:u64 draws:u64 breakdowns:u64 retained:u64
 //! nparts:u64 part_len:u64 × nparts
 //! diag:f64 × retained  border:f64 × retained
-//! vector data: nvecs × Σpart_len × lanes × width bytes  (global element order)
-//! checksum:u64 (FNV-1a over every preceding byte)
+//! (retained + 1) vectors × Σpart_len elements × lanes × width bytes  (global element order)
 //! ```
 //!
 //! `kind` is [`KrylovVec::STORAGE_KIND`] (dense = 1, distributed = 2,
@@ -26,27 +26,24 @@
 //! mismatch — resuming on a different locale partition would change
 //! reduction order and break bit-identity. `width` is
 //! [`KrylovVec::SCALAR_WIDTH`] — bytes per stored lane (8, or 4 for the
-//! f32 storages of the mixed-precision mode); version-1 files have no
-//! width field and are read as width 8. A precision-mismatched resume is
-//! allowed only in the exact widening direction (f32 file into the
-//! matching f64 storage — lossless, though such a resume follows the
+//! f32 storages of the mixed-precision mode). A precision-mismatched
+//! resume is allowed only in the exact widening direction (f32 file into
+//! the matching f64 storage — lossless, though such a resume follows the
 //! f64 trajectory from the widened state rather than replaying the f32
 //! one bit-identically); the narrowing direction would silently truncate
-//! lanes and is rejected with
-//! [`CheckpointError::PrecisionMismatch`].
-//! Writes go to `<path>.tmp` first and are renamed into place, so a kill
-//! mid-write never corrupts the previous checkpoint.
+//! lanes and is rejected with [`FileError::PrecisionMismatch`].
+//! The record codec writes atomically and streams both ways, so neither a
+//! save nor a load holds a second copy of the vectors.
 
-use crate::vector::{get_scalar, put_scalar, KrylovOp, KrylovVec};
-use bytes::{Buf, BufMut};
+use crate::record::{self, FileError, Reader};
+use crate::vector::{KrylovOp, KrylovVec};
 use ls_kernels::Scalar;
-use std::fmt;
 use std::fs;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"LSCK";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 /// Solver state at a restart boundary (see [`crate::restart`] for the
 /// invariants: `basis` holds `retained` locked Ritz vectors followed by
@@ -75,312 +72,101 @@ pub struct CheckpointState<V> {
     pub basis: Vec<V>,
 }
 
-/// Typed failure modes of [`load_checkpoint`]. Corrupted or mismatched
-/// files are reported, never panicked on.
-#[derive(Debug)]
-pub enum CheckpointError {
-    Io(io::Error),
-    /// Shorter than the fixed header + checksum.
-    TooShort,
-    BadMagic([u8; 4]),
-    UnsupportedVersion(u32),
-    /// The file was written for a different vector storage (e.g. a dense
-    /// checkpoint loaded into a distributed solve).
-    WrongStorageKind {
-        found: u32,
-        expected: u32,
-    },
-    ScalarWidthMismatch {
-        found: u32,
-        expected: u32,
-    },
-    /// The file's storage width (bytes per lane) disagrees with the
-    /// active precision mode in the lossy direction: an f64 checkpoint
-    /// cannot resume an f32-storage solve (lanes would be truncated).
-    /// The widening direction (f32 file, f64 solve) loads fine.
-    PrecisionMismatch {
-        found: u32,
-        expected: u32,
-    },
-    /// Part lengths in the file differ from the operator's layout.
-    LayoutMismatch {
-        found: Vec<usize>,
-        expected: Vec<usize>,
-    },
-    /// The payload ends before its declared contents.
-    Truncated {
-        needed: usize,
-        available: usize,
-    },
-    BadChecksum {
-        stored: u64,
-        computed: u64,
-    },
-    /// Internally inconsistent header fields.
-    Malformed(String),
-}
-
-impl fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Io(e) => write!(f, "checkpoint I/O error: {e}"),
-            Self::TooShort => write!(f, "checkpoint file too short for header"),
-            Self::BadMagic(m) => write!(f, "bad checkpoint magic {m:?}"),
-            Self::UnsupportedVersion(v) => write!(f, "unsupported checkpoint version {v}"),
-            Self::WrongStorageKind { found, expected } => write!(
-                f,
-                "checkpoint written for storage kind {found}, loading as kind {expected}"
-            ),
-            Self::ScalarWidthMismatch { found, expected } => write!(
-                f,
-                "checkpoint scalar has {found} lanes, requested scalar has {expected}"
-            ),
-            Self::PrecisionMismatch { found, expected } => write!(
-                f,
-                "checkpoint stores {found}-byte lanes but the solve stores {expected}-byte \
-                 lanes: resuming would truncate precision (widen by resuming in f64, or \
-                 delete the checkpoint to restart)"
-            ),
-            Self::LayoutMismatch { found, expected } => write!(
-                f,
-                "checkpoint layout {found:?} does not match solver layout {expected:?}"
-            ),
-            Self::Truncated { needed, available } => {
-                write!(f, "checkpoint truncated: needs {needed} more bytes, has {available}")
-            }
-            Self::BadChecksum { stored, computed } => write!(
-                f,
-                "checkpoint checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-            ),
-            Self::Malformed(msg) => write!(f, "malformed checkpoint: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {}
-
-impl From<io::Error> for CheckpointError {
-    fn from(e: io::Error) -> Self {
-        Self::Io(e)
-    }
-}
-
-/// FNV-1a (64-bit), the checksum all checkpoints carry. Not
-/// cryptographic — it catches truncation, bit rot and partial writes.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Borrowed view of the solver state for [`save_checkpoint_ref`]: the
-/// solver checkpoints every cycle, and cloning `retained + 1` full
-/// vectors per write would double the transient footprint the
-/// `k + extra` budget promises to bound.
-#[derive(Clone, Copy, Debug)]
-pub struct CheckpointStateRef<'a, V> {
-    pub k: usize,
-    pub budget: usize,
-    pub restarts: usize,
-    pub draws: u64,
-    pub breakdowns: u64,
-    pub retained: usize,
-    pub diag: &'a [f64],
-    pub border: &'a [f64],
-    pub basis: &'a [V],
-}
-
-/// Serializes a checkpoint and writes it atomically (`<path>.tmp` then
-/// rename), so an interrupted write never destroys the previous one.
+/// Writes a checkpoint atomically, so an interrupted write never destroys
+/// the previous one.
 pub fn save_checkpoint<V: KrylovVec>(
     path: &Path,
     state: &CheckpointState<V>,
 ) -> io::Result<()> {
-    save_checkpoint_ref(path, &state.borrowed())
-}
-
-impl<V> CheckpointState<V> {
-    /// The borrowed view the write paths take.
-    pub(crate) fn borrowed(&self) -> CheckpointStateRef<'_, V> {
-        CheckpointStateRef {
-            k: self.k,
-            budget: self.budget,
-            restarts: self.restarts,
-            draws: self.draws,
-            breakdowns: self.breakdowns,
-            retained: self.retained,
-            diag: &self.diag,
-            border: &self.border,
-            basis: &self.basis,
-        }
-    }
-}
-
-/// Serializes a checkpoint into its on-disk byte image (header, state,
-/// trailing checksum) — shared by the plain and rotated write paths.
-fn encode_checkpoint<V: KrylovVec>(state: &CheckpointStateRef<'_, V>) -> Vec<u8> {
     assert_eq!(state.diag.len(), state.retained, "diag length != retained count");
     assert_eq!(state.border.len(), state.retained, "border length != retained count");
     assert_eq!(state.basis.len(), state.retained + 1, "basis must hold retained + 1 vectors");
     let layout = state.basis[0].layout();
     let dim: usize = layout.iter().sum();
     let lanes = V::Scalar::N_REALS;
-    let width = V::SCALAR_WIDTH as usize;
-
-    let mut buf = Vec::with_capacity(
-        4 + 4 * 4
-            + 8 * 8
-            + layout.len() * 8
-            + 2 * state.retained * 8
-            + state.basis.len() * dim * lanes * width
-            + 8,
-    );
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u32_le(V::STORAGE_KIND);
-    buf.put_u32_le(lanes as u32);
-    buf.put_u32_le(V::SCALAR_WIDTH);
-    buf.put_u64_le(state.k as u64);
-    buf.put_u64_le(state.budget as u64);
-    buf.put_u64_le(state.restarts as u64);
-    buf.put_u64_le(state.draws);
-    buf.put_u64_le(state.breakdowns);
-    buf.put_u64_le(state.retained as u64);
-    buf.put_u64_le(state.basis.len() as u64);
-    buf.put_u64_le(layout.len() as u64);
-    for &l in &layout {
-        buf.put_u64_le(l as u64);
-    }
-    for &d in state.diag {
-        buf.put_f64_le(d);
-    }
-    for &s in state.border {
-        buf.put_f64_le(s);
-    }
-    for v in state.basis {
-        debug_assert_eq!(v.layout(), layout, "checkpointed vectors must share one layout");
-        // f32 storage: `visit` yields the widened value, so narrowing
-        // back is exact and round-trips bitwise.
-        v.visit(&mut |x| put_scalar(&mut buf, x, V::SCALAR_WIDTH));
-    }
-    let checksum = fnv1a64(&buf);
-    buf.put_u64_le(checksum);
-    buf
-}
-
-/// Atomic byte write: process-unique temp name, then rename. Under the
-/// multiprocess transport every rank writes the (identical,
-/// deterministic) bytes, and distinct temp files keep the concurrent
-/// write+rename pairs from clobbering each other mid-write — each rename
-/// atomically installs a complete file.
-fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    fs::write(&tmp, bytes)?;
-    fs::rename(&tmp, path)
-}
-
-/// [`save_checkpoint`] over borrowed state — the solver's write path.
-pub fn save_checkpoint_ref<V: KrylovVec>(
-    path: &Path,
-    state: &CheckpointStateRef<'_, V>,
-) -> io::Result<()> {
-    write_atomic(path, &encode_checkpoint(state))
+    let width = V::SCALAR_WIDTH;
+    let (k, budget, restarts, retained) =
+        (state.k as u64, state.budget as u64, state.restarts as u64, state.retained as u64);
+    let mut counts = vec![k, budget, restarts, state.draws, state.breakdowns, retained];
+    counts.push(layout.len() as u64);
+    counts.extend(layout.iter().map(|&l| l as u64));
+    let vectors = state.basis.len() * dim * lanes * width as usize;
+    let len = 3 * 4 + 8 * counts.len() + 16 * state.retained + vectors;
+    record::write(path, MAGIC, VERSION, len as u64, |w| {
+        w.put_u32(V::STORAGE_KIND);
+        w.put_u32(lanes as u32);
+        w.put_u32(width);
+        counts.iter().for_each(|&n| w.put_u64(n));
+        for &x in state.diag.iter().chain(&state.border) {
+            w.put_f64(x);
+        }
+        for v in &state.basis {
+            debug_assert_eq!(v.layout(), layout, "checkpointed vectors must share one layout");
+            // f32 storage: `visit` yields the widened value, so narrowing
+            // back is exact and round-trips bitwise.
+            v.visit(&mut |x| w.put_scalar(x, width));
+        }
+    })
 }
 
 // ---- keep-last-K rotation ------------------------------------------------
 //
 // With `keep > 1` the checkpoint path holds a tiny *manifest* (magic
-// `LSMF`) instead of the state itself; the state lives in sibling
-// generation files `<filename>.g<restarts>`. Ordering makes the scheme
-// crash-consistent: a generation file is fully written (atomically)
-// *before* the manifest that mentions it, so the manifest never points at
-// bytes that do not exist, and a crash between the two writes merely
-// leaves an extra generation on disk. Because resumes are bit-identical
-// from any cycle, falling back to an older valid generation (after
-// corruption of the newest) changes nothing about the final eigenvalues.
+// `LSMF`, version 2, payload `count:u64 generation:u64 × count`) instead
+// of the state itself; the state lives in sibling generation files
+// `<filename>.g<restarts>`. Ordering makes the scheme crash-consistent: a
+// generation file is fully written (atomically) *before* the manifest
+// that mentions it, so the manifest never points at bytes that do not
+// exist, and a crash between the two writes merely leaves an extra
+// generation on disk. Because resumes are bit-identical from any cycle,
+// falling back to an older valid generation (after corruption of the
+// newest) changes nothing about the final eigenvalues.
 
 const MANIFEST_MAGIC: &[u8; 4] = b"LSMF";
-const MANIFEST_VERSION: u32 = 1;
+const MANIFEST_VERSION: u32 = 2;
 
 /// The sibling file holding generation `gen` of the rotated checkpoint
 /// at `path`.
-pub fn generation_path(path: &Path, gen: u64) -> std::path::PathBuf {
+pub fn generation_path(path: &Path, gen: u64) -> PathBuf {
     let name = path.file_name().map(|n| n.to_string_lossy()).unwrap_or_default();
     path.with_file_name(format!("{name}.g{gen}"))
 }
 
-fn encode_manifest(keep: usize, gens: &[u64]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(16 + gens.len() * 8 + 8);
-    buf.put_slice(MANIFEST_MAGIC);
-    buf.put_u32_le(MANIFEST_VERSION);
-    buf.put_u32_le(keep as u32);
-    buf.put_u32_le(gens.len() as u32);
-    for &g in gens {
-        buf.put_u64_le(g);
-    }
-    let checksum = fnv1a64(&buf);
-    buf.put_u64_le(checksum);
-    buf
-}
-
-fn parse_manifest(raw: &[u8]) -> Result<Vec<u64>, CheckpointError> {
-    if raw.len() < 16 + 8 {
-        return Err(CheckpointError::TooShort);
-    }
-    let (payload, stored_tail) = raw.split_at(raw.len() - 8);
-    let stored = u64::from_le_bytes(stored_tail.try_into().unwrap());
-    let computed = fnv1a64(payload);
-    if stored != computed {
-        return Err(CheckpointError::BadChecksum { stored, computed });
-    }
-    let mut r = Reader { buf: payload };
-    let mut magic = [0u8; 4];
-    r.need(4)?;
-    r.buf.copy_to_slice(&mut magic);
-    if &magic != MANIFEST_MAGIC {
-        return Err(CheckpointError::BadMagic(magic));
-    }
-    let version = r.u32()?;
-    if version != MANIFEST_VERSION {
-        return Err(CheckpointError::UnsupportedVersion(version));
-    }
-    let _keep = r.u32()?;
-    let count = r.u32()? as usize;
-    r.need(count.checked_mul(8).ok_or(CheckpointError::TooShort)?)?;
-    let mut gens = Vec::with_capacity(count);
-    for _ in 0..count {
-        gens.push(r.u64()?);
-    }
-    Ok(gens)
-}
-
 /// The generations a rotated checkpoint at `path` currently advertises,
-/// oldest first. Errors mirror [`load_checkpoint`]'s typed failures; a
-/// plain (non-rotated) checkpoint reports [`CheckpointError::BadMagic`].
-pub fn manifest_generations(path: &Path) -> Result<Vec<u64>, CheckpointError> {
-    parse_manifest(&fs::read(path)?)
+/// oldest first. A plain (non-rotated) checkpoint reports
+/// [`FileError::BadMagic`].
+pub fn manifest_generations(path: &Path) -> Result<Vec<u64>, FileError> {
+    record::read(path, MANIFEST_MAGIC, MANIFEST_VERSION, |r| {
+        let count = r.get_u64();
+        r.need(count, 8)?;
+        Ok((0..count as usize).map(|_| r.get_u64()).collect())
+    })
+}
+
+/// Every file beside `path` named `<file name>.<suffix>`, with its suffix.
+fn siblings(path: &Path) -> Vec<(PathBuf, String)> {
+    let Some(name) = path.file_name() else { return Vec::new() };
+    let prefix = format!("{}.", name.to_string_lossy());
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    let Ok(entries) = fs::read_dir(dir) else { return Vec::new() };
+    entries
+        .flatten()
+        .filter_map(|e| {
+            let suffix = e.file_name().to_string_lossy().strip_prefix(&prefix)?.to_owned();
+            Some((e.path(), suffix))
+        })
+        .collect()
+}
+
+/// The generation a sibling suffix `g<N>` names.
+fn generation(suffix: &str) -> Option<u64> {
+    suffix.strip_prefix('g')?.parse().ok()
 }
 
 /// Every `<filename>.g<N>` sibling actually on disk, newest first — the
 /// recovery path when the manifest itself is torn or missing.
 fn scan_generations(path: &Path) -> Vec<u64> {
-    let name = match path.file_name() {
-        Some(n) => format!("{}.g", n.to_string_lossy()),
-        None => return Vec::new(),
-    };
-    let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
-    let mut gens: Vec<u64> = match fs::read_dir(dir) {
-        Ok(entries) => entries
-            .flatten()
-            .filter_map(|e| {
-                e.file_name().to_string_lossy().strip_prefix(&name).and_then(|s| s.parse().ok())
-            })
-            .collect(),
-        Err(_) => Vec::new(),
-    };
+    let mut gens: Vec<u64> = siblings(path).iter().filter_map(|(_, s)| generation(s)).collect();
     gens.sort_unstable_by(|a, b| b.cmp(a));
     gens.dedup();
     gens
@@ -390,34 +176,29 @@ fn scan_generations(path: &Path) -> Vec<u64> {
 /// the state to its generation file, then atomically updates the
 /// manifest at `path`, then prunes generations that fell out of the
 /// window (best-effort). `keep == 1` still goes through the manifest so
-/// a job's rotation mode is consistent; use [`save_checkpoint_ref`] for
-/// the plain single-file format.
+/// a job's rotation mode is consistent; use [`save_checkpoint`] for the
+/// plain single-file format.
 pub fn save_checkpoint_rotated<V: KrylovVec>(
     path: &Path,
-    state: &CheckpointStateRef<'_, V>,
+    state: &CheckpointState<V>,
     keep: usize,
 ) -> io::Result<()> {
-    let keep = keep.max(1);
     let gen = state.restarts as u64;
-    write_atomic(&generation_path(path, gen), &encode_checkpoint(state))?;
+    save_checkpoint(&generation_path(path, gen), state)?;
 
     // Merge with whatever the manifest (or, failing that, the directory)
     // already knows, keep the newest `keep`.
-    let mut gens = match fs::read(path) {
-        Ok(raw) => parse_manifest(&raw).unwrap_or_else(|_| {
-            let mut g = scan_generations(path);
-            g.reverse();
-            g
-        }),
-        Err(_) => Vec::new(),
-    };
+    let mut gens = manifest_generations(path).unwrap_or_else(|_| scan_generations(path));
     if !gens.contains(&gen) {
         gens.push(gen);
     }
     gens.sort_unstable();
-    let cut = gens.len().saturating_sub(keep);
-    let pruned: Vec<u64> = gens.drain(..cut).collect();
-    write_atomic(path, &encode_manifest(keep, &gens))?;
+    let pruned: Vec<u64> = gens.drain(..gens.len().saturating_sub(keep.max(1))).collect();
+    let len = 8 * (gens.len() as u64 + 1);
+    record::write(path, MANIFEST_MAGIC, MANIFEST_VERSION, len, |w| {
+        w.put_u64(gens.len() as u64);
+        gens.iter().for_each(|&g| w.put_u64(g));
+    })?;
     for old in pruned {
         let _ = fs::remove_file(generation_path(path, old));
     }
@@ -438,32 +219,18 @@ pub fn save_checkpoint_rotated<V: KrylovVec>(
 pub fn load_latest_checkpoint<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
     path: &Path,
     op: &Op,
-) -> Result<CheckpointState<V>, CheckpointError> {
-    let raw = fs::read(path)?;
-    if !raw.starts_with(MANIFEST_MAGIC) {
-        return load_checkpoint(path, op);
-    }
-    let mut gens = match parse_manifest(&raw) {
-        Ok(mut gens) => {
-            gens.sort_unstable_by(|a, b| b.cmp(a));
-            gens
-        }
+) -> Result<CheckpointState<V>, FileError> {
+    let mut gens = match manifest_generations(path) {
+        Ok(gens) => gens,
+        Err(FileError::BadMagic(_) | FileError::Io(_)) => return load_checkpoint(path, op),
         Err(_) => Vec::new(),
     };
     // Union with the directory: a crash after writing a generation but
     // before the manifest leaves a newer-than-advertised file that is
     // perfectly valid to resume from; a torn manifest leaves only files.
-    for g in scan_generations(path) {
-        if !gens.contains(&g) {
-            gens.push(g);
-        }
-    }
+    gens.extend(scan_generations(path));
     gens.sort_unstable_by(|a, b| b.cmp(a));
-    if gens.is_empty() {
-        return Err(CheckpointError::Malformed(
-            "rotated checkpoint manifest with no generations on disk".into(),
-        ));
-    }
+    gens.dedup();
     let mut last_err = None;
     for gen in gens {
         match load_checkpoint(&generation_path(path, gen), op) {
@@ -471,14 +238,20 @@ pub fn load_latest_checkpoint<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
             Err(e) => last_err = Some(e),
         }
     }
-    Err(last_err.unwrap())
+    Err(last_err.unwrap_or_else(|| {
+        FileError::Malformed("rotated checkpoint manifest with no generations on disk".into())
+    }))
 }
 
-/// Removes a checkpoint and, if rotated, all of its generation files —
-/// the `--fresh` path of restartable programs.
+/// Removes a checkpoint with all of its generation files and the temp
+/// files a killed write left behind — the `--fresh` path of restartable
+/// programs.
 pub fn remove_checkpoint(path: &Path) -> io::Result<()> {
-    for gen in scan_generations(path) {
-        let _ = fs::remove_file(generation_path(path, gen));
+    for (file, suffix) in siblings(path) {
+        let written = suffix.split_once(".tmp.").map_or(suffix.as_str(), |(s, _)| s);
+        if suffix.starts_with("tmp.") || generation(written).is_some() {
+            let _ = fs::remove_file(file);
+        }
     }
     match fs::remove_file(path) {
         Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
@@ -486,35 +259,21 @@ pub fn remove_checkpoint(path: &Path) -> io::Result<()> {
     }
 }
 
-/// A cursor over the raw bytes with length-checked reads: every parse
-/// failure is a typed [`CheckpointError`], never a panic.
-struct Reader<'a> {
-    buf: &'a [u8],
-}
-
-impl Reader<'_> {
-    fn need(&self, n: usize) -> Result<(), CheckpointError> {
-        if self.buf.remaining() < n {
-            Err(CheckpointError::Truncated { needed: n, available: self.buf.remaining() })
-        } else {
-            Ok(())
-        }
+/// Refuses a checkpoint of storage `kind` and lane `width` that `V`
+/// cannot take: equal (kind, width) loads directly, and an f32 file may
+/// be *widened* into the matching f64 storage (kind 3 into 1, 4 into 2);
+/// the narrowing direction is a typed error, never a silent truncation.
+fn check_storage<V: KrylovVec>(kind: u32, width: u32) -> Result<(), FileError> {
+    let (expected, ours) = (V::STORAGE_KIND, V::SCALAR_WIDTH);
+    let narrowing = width == 8 && ours == 4 && kind.wrapping_add(2) == expected;
+    if narrowing || (kind == expected && width != ours) {
+        return Err(FileError::PrecisionMismatch { found: width, expected: ours });
     }
-
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        self.need(4)?;
-        Ok(self.buf.get_u32_le())
+    let widening = width == 4 && ours == 8 && kind == expected.wrapping_add(2);
+    if kind != expected && !widening {
+        return Err(FileError::WrongKind { found: kind, expected });
     }
-
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        self.need(8)?;
-        Ok(self.buf.get_u64_le())
-    }
-
-    fn f64(&mut self) -> Result<f64, CheckpointError> {
-        self.need(8)?;
-        Ok(self.buf.get_f64_le())
-    }
+    Ok(())
 }
 
 /// Loads and validates a checkpoint, rebuilding the basis vectors in the
@@ -526,127 +285,51 @@ impl Reader<'_> {
 pub fn load_checkpoint<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
     path: &Path,
     op: &Op,
-) -> Result<CheckpointState<V>, CheckpointError> {
-    let raw = fs::read(path)?;
-    if raw.len() < 4 + 3 * 4 + 8 * 8 + 8 {
-        return Err(CheckpointError::TooShort);
-    }
-    let (payload, stored_tail) = raw.split_at(raw.len() - 8);
-    let stored = u64::from_le_bytes(stored_tail.try_into().unwrap());
-    let computed = fnv1a64(payload);
-    if stored != computed {
-        return Err(CheckpointError::BadChecksum { stored, computed });
-    }
+) -> Result<CheckpointState<V>, FileError> {
+    record::read(path, MAGIC, VERSION, |r| read_state(r, op))
+}
 
-    let mut r = Reader { buf: payload };
-    let mut magic = [0u8; 4];
-    r.need(4)?;
-    r.buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(CheckpointError::BadMagic(magic));
-    }
-    let version = r.u32()?;
-    if version == 0 || version > VERSION {
-        return Err(CheckpointError::UnsupportedVersion(version));
-    }
-    let kind = r.u32()?;
-    let lanes = r.u32()? as usize;
-    // Version-1 files predate the width field: always 8-byte lanes.
-    let width = if version == 1 { 8 } else { r.u32()? };
-    // Precision routing: equal (kind, width) loads directly; an f32 file
-    // may be *widened* into the matching f64 storage (lossless); the
-    // narrowing direction is a typed error, never a silent truncation.
-    let exact = kind == V::STORAGE_KIND && width == V::SCALAR_WIDTH;
-    let widening = width == 4
-        && V::SCALAR_WIDTH == 8
-        && ((kind == 3 && V::STORAGE_KIND == 1) || (kind == 4 && V::STORAGE_KIND == 2));
-    if !(exact || widening) {
-        let narrowing = width == 8
-            && V::SCALAR_WIDTH == 4
-            && ((kind == 1 && V::STORAGE_KIND == 3) || (kind == 2 && V::STORAGE_KIND == 4));
-        if narrowing || (kind == V::STORAGE_KIND && width != V::SCALAR_WIDTH) {
-            return Err(CheckpointError::PrecisionMismatch {
-                found: width,
-                expected: V::SCALAR_WIDTH,
-            });
-        }
-        return Err(CheckpointError::WrongStorageKind {
-            found: kind,
-            expected: V::STORAGE_KIND,
-        });
-    }
-    if lanes != V::Scalar::N_REALS {
-        return Err(CheckpointError::ScalarWidthMismatch {
-            found: lanes as u32,
+fn read_state<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
+    r: &mut Reader,
+    op: &Op,
+) -> Result<CheckpointState<V>, FileError> {
+    let (kind, lanes, width) = (r.get_u32(), r.get_u32(), r.get_u32());
+    check_storage::<V>(kind, width)?;
+    if lanes as usize != V::Scalar::N_REALS {
+        return Err(FileError::ScalarWidthMismatch {
+            found: lanes,
             expected: V::Scalar::N_REALS as u32,
         });
     }
-    let k = r.u64()? as usize;
-    let budget = r.u64()? as usize;
-    let restarts = r.u64()? as usize;
-    let draws = r.u64()?;
-    let breakdowns = r.u64()?;
-    let retained = r.u64()? as usize;
-    let nvecs = r.u64()? as usize;
-    if nvecs != retained + 1 {
-        return Err(CheckpointError::Malformed(format!(
-            "{nvecs} vectors for {retained} retained pairs (want retained + 1)"
-        )));
-    }
+    let [k, budget, restarts] = [(); 3].map(|_| r.get_u64() as usize);
+    let (draws, breakdowns, retained) = (r.get_u64(), r.get_u64(), r.get_u64() as usize);
     if retained > budget || k > budget {
-        return Err(CheckpointError::Malformed(format!(
+        return Err(FileError::Malformed(format!(
             "retained {retained} / k {k} exceed budget {budget}"
         )));
     }
-    let nparts = r.u64()? as usize;
-    // Bound before allocating: each part length is 8 bytes.
-    r.need(nparts.checked_mul(8).ok_or(CheckpointError::TooShort)?)?;
-    let mut layout = Vec::with_capacity(nparts);
-    for _ in 0..nparts {
-        layout.push(r.u64()? as usize);
+    let nparts = r.get_u64();
+    r.need(nparts, 8)?;
+    let layout: Vec<usize> = (0..nparts).map(|_| r.get_u64() as usize).collect();
+    // The operator's layout comes with the first vector: a load allocates
+    // the vectors it returns and no other of their size.
+    let first = op.new_vec();
+    let expected = first.layout();
+    if layout != expected {
+        return Err(FileError::LayoutMismatch { found: layout, expected });
     }
-    let expected_layout = op.new_vec().layout();
-    if layout != expected_layout {
-        return Err(CheckpointError::LayoutMismatch {
-            found: layout,
-            expected: expected_layout,
-        });
-    }
+    r.need(retained as u64, 16)?;
+    let diag: Vec<f64> = (0..retained).map(|_| r.get_f64()).collect();
+    let border: Vec<f64> = (0..retained).map(|_| r.get_f64()).collect();
     let dim: usize = layout.iter().sum();
-    if dim != op.dim() {
-        return Err(CheckpointError::Malformed(format!(
-            "checkpoint dimension {dim} != operator dimension {}",
-            op.dim()
-        )));
-    }
-
-    // Bound before allocating: `retained` is file-controlled, and a
-    // checksum-valid but malformed file must come back as a typed error,
-    // never as a capacity panic (diag + border are 16 bytes per entry).
-    r.need(retained.checked_mul(16).ok_or(CheckpointError::TooShort)?)?;
-    let mut diag = Vec::with_capacity(retained);
-    for _ in 0..retained {
-        diag.push(r.f64()?);
-    }
-    let mut border = Vec::with_capacity(retained);
-    for _ in 0..retained {
-        border.push(r.f64()?);
-    }
-
-    let vec_bytes = dim
-        .checked_mul(lanes)
-        .and_then(|x| x.checked_mul(width as usize))
-        .ok_or(CheckpointError::TooShort)?;
-    let total = vec_bytes.checked_mul(nvecs).ok_or(CheckpointError::TooShort)?;
-    r.need(total)?;
-    let mut basis = Vec::with_capacity(nvecs);
-    for _ in 0..nvecs {
-        let mut v = op.new_vec();
+    r.need(retained as u64 + 1, (dim * lanes as usize * width as usize) as u64)?;
+    let mut basis = vec![first];
+    basis.extend((0..retained).map(|_| op.new_vec()));
+    for v in &mut basis {
         // f32 lanes widen exactly (also the widening resume).
-        v.fill_with(&mut |_i| get_scalar(&mut r.buf, width));
-        basis.push(v);
+        v.fill_with(&mut |_| r.get_scalar(width));
+        r.check()?;
     }
-
     Ok(CheckpointState {
         k,
         budget,
@@ -666,7 +349,7 @@ mod tests {
     use crate::op::DenseOp;
     use ls_runtime::DistVec;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
+    fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!("ls_eigen_ckpt_{}_{name}.lsck", std::process::id()));
         p
@@ -728,8 +411,8 @@ mod tests {
         // A distributed operator with the same total dimension.
         let op = DistZero(vec![8, 8]);
         match load_checkpoint::<DistVec<f64>, _>(&path, &op) {
-            Err(CheckpointError::WrongStorageKind { found: 1, expected: 2 }) => {}
-            other => panic!("expected WrongStorageKind, got {other:?}"),
+            Err(FileError::WrongKind { found: 1, expected: 2 }) => {}
+            other => panic!("expected WrongKind, got {other:?}"),
         }
         std::fs::remove_file(&path).ok();
     }
@@ -798,7 +481,7 @@ mod tests {
         let dense = DenseOp::new(dim, vec![0.0; dim * dim]);
         let op32 = MixedOp::new(&dense);
         match load_checkpoint::<Vec<f32>, _>(&path, &op32) {
-            Err(CheckpointError::PrecisionMismatch { found: 8, expected: 4 }) => {}
+            Err(FileError::PrecisionMismatch { found: 8, expected: 4 }) => {}
             other => panic!("expected PrecisionMismatch, got {other:?}"),
         }
         std::fs::remove_file(&path).ok();
@@ -814,8 +497,8 @@ mod tests {
         let st = restore(&DistVec::<f32>::zeros(&lens), sample_state(dim));
         save_checkpoint(&path, &st).unwrap();
         let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(bytes[8..12], 4u32.to_le_bytes(), "storage kind");
-        assert_eq!(bytes[16..20], 4u32.to_le_bytes(), "lane width");
+        assert_eq!(bytes[20..24], 4u32.to_le_bytes(), "storage kind");
+        assert_eq!(bytes[28..32], 4u32.to_le_bytes(), "lane width");
 
         // Same storage: bit-exact. Widening into the f64 distribution:
         // every element is the exact f32 value.
@@ -829,8 +512,8 @@ mod tests {
         // ... but not into dense f64 storage.
         let dense = DenseOp::new(dim, vec![0.0; dim * dim]);
         match load_checkpoint::<Vec<f64>, _>(&path, &dense) {
-            Err(CheckpointError::WrongStorageKind { found: 4, expected: 1 }) => {}
-            other => panic!("expected WrongStorageKind, got {other:?}"),
+            Err(FileError::WrongKind { found: 4, expected: 1 }) => {}
+            other => panic!("expected WrongKind, got {other:?}"),
         }
 
         // An f64 distributed file must not be truncated into f32 lanes.
@@ -838,7 +521,7 @@ mod tests {
         save_checkpoint(&path64, &restore(&DistVec::<f64>::zeros(&lens), sample_state(dim)))
             .unwrap();
         match load_checkpoint::<DistVec<f32>, _>(&path64, &op) {
-            Err(CheckpointError::PrecisionMismatch { found: 8, expected: 4 }) => {}
+            Err(FileError::PrecisionMismatch { found: 8, expected: 4 }) => {}
             other => panic!("expected PrecisionMismatch, got {other:?}"),
         }
         std::fs::remove_file(&path).ok();
@@ -846,23 +529,21 @@ mod tests {
     }
 
     #[test]
-    fn version1_files_load_as_f64() {
-        // A v1 file is a v2 file with the width field cut out and the
-        // version stamp rewritten — loaders must read it as 8-byte lanes.
-        let path = tmp("v1_compat");
-        let dim = 19;
-        let st = sample_state(dim);
-        save_checkpoint(&path, &st).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[4..8].copy_from_slice(&1u32.to_le_bytes()); // version = 1
-        bytes.drain(16..20); // remove width field
-        let body_end = bytes.len() - 8;
-        let sum = fnv1a64(&bytes[..body_end]);
-        bytes[body_end..].copy_from_slice(&sum.to_le_bytes());
+    fn pre_codec_checkpoint_is_refused_as_unsupported_version() {
+        // A version-2 file: magic, version, then the FNV-era header and
+        // body with no record length or CRCs.
+        let path = tmp("pre_codec");
+        let mut bytes = b"LSCK".to_vec();
+        for word in [2u32, 1, 1, 8] {
+            bytes.extend(word.to_le_bytes());
+        }
+        bytes.resize(400, 0x5a);
         std::fs::write(&path, &bytes).unwrap();
-        let op = DenseOp::new(dim, vec![0.0; dim * dim]);
-        let back = load_checkpoint::<Vec<f64>, _>(&path, &op).unwrap();
-        assert_eq!(back.basis, st.basis);
+        let op = DenseOp::new(4, vec![0.0; 16]);
+        match load_checkpoint::<Vec<f64>, _>(&path, &op) {
+            Err(FileError::UnsupportedVersion(2)) => {}
+            other => panic!("expected UnsupportedVersion(2), got {other:?}"),
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -878,10 +559,7 @@ mod tests {
         for cut in [0, 3, 20, good.len() / 2, good.len() - 1] {
             std::fs::write(&path, &good[..cut]).unwrap();
             let err = load_checkpoint::<Vec<f64>, _>(&path, &op).unwrap_err();
-            assert!(
-                matches!(err, CheckpointError::TooShort | CheckpointError::BadChecksum { .. }),
-                "cut {cut}: {err:?}"
-            );
+            assert!(matches!(err, FileError::Truncated { .. }), "cut {cut}: {err:?}");
         }
 
         // A flipped payload byte fails the checksum.
@@ -890,7 +568,7 @@ mod tests {
         std::fs::write(&path, &bad).unwrap();
         assert!(matches!(
             load_checkpoint::<Vec<f64>, _>(&path, &op),
-            Err(CheckpointError::BadChecksum { .. })
+            Err(FileError::PayloadCorrupt { .. })
         ));
 
         // Layout mismatch: same bytes, smaller operator.
@@ -898,28 +576,9 @@ mod tests {
         let small = DenseOp::new(dim - 1, vec![0.0; (dim - 1) * (dim - 1)]);
         assert!(matches!(
             load_checkpoint::<Vec<f64>, _>(&path, &small),
-            Err(CheckpointError::LayoutMismatch { .. })
+            Err(FileError::LayoutMismatch { .. })
         ));
         std::fs::remove_file(&path).ok();
-    }
-
-    fn save_rotated(path: &Path, st: &CheckpointState<Vec<f64>>, keep: usize) {
-        save_checkpoint_rotated(
-            path,
-            &CheckpointStateRef {
-                k: st.k,
-                budget: st.budget,
-                restarts: st.restarts,
-                draws: st.draws,
-                breakdowns: st.breakdowns,
-                retained: st.retained,
-                diag: &st.diag,
-                border: &st.border,
-                basis: &st.basis,
-            },
-            keep,
-        )
-        .unwrap();
     }
 
     #[test]
@@ -932,7 +591,7 @@ mod tests {
             let mut st = sample_state(dim);
             st.restarts = cycle;
             st.draws = cycle as u64 * 10;
-            save_rotated(&path, &st, 3);
+            save_checkpoint_rotated(&path, &st, 3).unwrap();
         }
         // Only the newest 3 generations survive, manifest agrees.
         assert_eq!(manifest_generations(&path).unwrap(), vec![3, 4, 5]);
@@ -958,7 +617,7 @@ mod tests {
         for cycle in 1..=3 {
             let mut st = sample_state(dim);
             st.restarts = cycle;
-            save_rotated(&path, &st, 3);
+            save_checkpoint_rotated(&path, &st, 3).unwrap();
         }
         // Corrupt the newest generation: the loader must fall back.
         let g3 = generation_path(&path, 3);
@@ -993,7 +652,7 @@ mod tests {
         let back = load_latest_checkpoint::<Vec<f64>, _>(&path, &op).unwrap();
         assert_eq!(back.basis, st.basis);
         // And a plain file is not a manifest.
-        assert!(matches!(manifest_generations(&path), Err(CheckpointError::BadMagic(_))));
+        assert!(matches!(manifest_generations(&path), Err(FileError::BadMagic(_))));
         remove_checkpoint(&path).unwrap();
     }
 
@@ -1006,24 +665,38 @@ mod tests {
         let op = DenseOp::new(dim, vec![0.0; dim * dim]);
         let mut st = sample_state(dim);
         st.restarts = 1;
-        save_rotated(&path, &st, 2);
+        save_checkpoint_rotated(&path, &st, 2).unwrap();
         // Simulate the torn write: generation 2 exists, manifest says [1].
         st.restarts = 2;
-        let bytes = encode_checkpoint(&CheckpointStateRef {
-            k: st.k,
-            budget: st.budget,
-            restarts: st.restarts,
-            draws: st.draws,
-            breakdowns: st.breakdowns,
-            retained: st.retained,
-            diag: &st.diag,
-            border: &st.border,
-            basis: &st.basis,
-        });
-        std::fs::write(generation_path(&path, 2), &bytes).unwrap();
+        save_checkpoint(&generation_path(&path, 2), &st).unwrap();
         assert_eq!(manifest_generations(&path).unwrap(), vec![1]);
         let state = load_latest_checkpoint::<Vec<f64>, _>(&path, &op).unwrap();
         assert_eq!(state.restarts, 2);
         remove_checkpoint(&path).unwrap();
+    }
+
+    #[test]
+    fn fresh_removes_orphaned_temp_files_and_scans_skip_them() {
+        let path = tmp("orphans");
+        remove_checkpoint(&path).unwrap();
+        let st = sample_state(8);
+        save_checkpoint_rotated(&path, &st, 2).unwrap();
+        // What a write killed before its rename leaves behind.
+        let orphan = |suffix: &str| {
+            let mut name = path.as_os_str().to_owned();
+            name.push(suffix);
+            std::fs::write(&name, b"torn").unwrap();
+            PathBuf::from(name)
+        };
+        let orphans = [orphan(".tmp.999"), orphan(".g7.tmp.999")];
+        assert_eq!(scan_generations(&path), vec![5], "a temp file is no generation");
+        // A neighbour that only shares the prefix stays.
+        let keep = orphan(".gold");
+        remove_checkpoint(&path).unwrap();
+        for gone in orphans.iter().chain([&path, &generation_path(&path, 5)]) {
+            assert!(!gone.exists(), "{} survived", gone.display());
+        }
+        assert!(keep.exists());
+        std::fs::remove_file(&keep).ok();
     }
 }

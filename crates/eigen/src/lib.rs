@@ -44,10 +44,14 @@
 //!   (`LS_PRECISION`): [`eigensolve_precision`] runs the same solver on
 //!   `Vec<f32>` through [`MixedOp`], and `mixed` adds one f64
 //!   Rayleigh–Ritz refinement ([`refine_in_f64`]);
-//! * [`checkpoint`] — the versioned, checksummed on-disk format behind
-//!   that resume contract ([`save_checkpoint`] / [`load_checkpoint`],
-//!   typed [`CheckpointError`]s for truncated, corrupt or mismatched
-//!   files);
+//! * [`checkpoint`] — the on-disk format behind that resume contract
+//!   ([`save_checkpoint`] / [`load_checkpoint`], plus keep-last-K
+//!   rotation);
+//! * [`record`] — the one codec of every file the workspace writes
+//!   (checkpoints, their manifests, saved vectors and bases): a sealed
+//!   record with a CRC32C on header and payload, streamed both ways and
+//!   written atomically, and the one typed [`FileError`] for truncated,
+//!   corrupt or mismatched files;
 //! * [`health`] — the solver layer of the silent-error defense:
 //!   [`HealthMonitor`] checks Lanczos invariants (finite coefficients,
 //!   `β ≥ 0`, retained-basis orthonormality, sane residuals) each cycle,
@@ -70,6 +74,7 @@ pub mod jacobi;
 pub mod lanczos;
 pub mod op;
 pub mod precision;
+pub mod record;
 pub mod restart;
 pub mod spectral;
 pub mod tridiag;
@@ -77,8 +82,7 @@ pub mod vector;
 
 pub use checkpoint::{
     generation_path, load_checkpoint, load_latest_checkpoint, manifest_generations,
-    remove_checkpoint, save_checkpoint, save_checkpoint_ref, save_checkpoint_rotated,
-    CheckpointError, CheckpointState, CheckpointStateRef,
+    remove_checkpoint, save_checkpoint, save_checkpoint_rotated, CheckpointState,
 };
 pub use expm::{
     evolve_imaginary_time, evolve_imaginary_time_in, evolve_real_time, evolve_real_time_in,
@@ -89,6 +93,7 @@ pub use lanczos::{
 };
 pub use op::{DenseOp, LinearOp};
 pub use precision::{eigensolve_precision, refine_in_f64, MixedOp, Precision};
+pub use record::FileError;
 pub use restart::{
     thick_restart_lanczos, thick_restart_lanczos_in, CheckpointPolicy, RestartOptions,
 };

@@ -56,7 +56,7 @@
 //! same Ritz vectors, to the last bit, at any `LS_NUM_THREADS`.
 
 use crate::checkpoint::{
-    load_latest_checkpoint, save_checkpoint_ref, save_checkpoint_rotated, CheckpointState,
+    load_latest_checkpoint, save_checkpoint, save_checkpoint_rotated, CheckpointState,
 };
 use crate::health::{max_rollbacks_from_env, raise, HealthMonitor, SolverHealthError};
 use crate::jacobi::eigh_real;
@@ -75,7 +75,7 @@ const BREAKDOWN: f64 = 1e-13;
 /// When and where to checkpoint a thick-restart solve.
 #[derive(Clone, Debug)]
 pub struct CheckpointPolicy {
-    /// Checkpoint file. Writes are atomic (`<path>.tmp` + rename); the
+    /// Checkpoint file. Writes are atomic (`<path>.tmp.<pid>` + rename); the
     /// file is overwritten as the solve progresses and left in place on
     /// completion (delete it to force a fresh start).
     pub path: PathBuf,
@@ -84,7 +84,7 @@ pub struct CheckpointPolicy {
     /// Resume from `path` when it exists (default). The checkpoint must
     /// match the solve (same `k`, budget, storage kind, scalar width and
     /// part layout) — anything else panics with the typed
-    /// [`crate::checkpoint::CheckpointError`], because a silently
+    /// [`crate::record::FileError`], because a silently
     /// mismatched resume could not be bit-identical.
     pub resume: bool,
     /// Generations to retain (default 1). With `keep == 1`, `path` holds
@@ -307,7 +307,7 @@ pub fn thick_restart_lanczos<S: Scalar, Op: LinearOp<S> + ?Sized>(
 /// # Panics
 /// Panics if `k == 0`, `k > op.dim()`, `extra < k + 3`, the operator
 /// reports itself non-Hermitian, or resuming from a corrupt/mismatched
-/// checkpoint (the typed [`crate::checkpoint::CheckpointError`] is in
+/// checkpoint (the typed [`crate::record::FileError`] is in
 /// the panic message).
 pub fn thick_restart_lanczos_in<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
     op: &Op,
@@ -511,12 +511,10 @@ pub(crate) fn run_plan<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
 
             if let Some(cp) = &opts.checkpoint {
                 if st.restarts.is_multiple_of(cp.every.max(1)) {
-                    // Borrowed state: no clone of the retained basis, so the
-                    // write stays inside the k + extra vector budget.
                     let written = if cp.keep > 1 {
-                        save_checkpoint_rotated(&cp.path, &st.borrowed(), cp.keep)
+                        save_checkpoint_rotated(&cp.path, &st, cp.keep)
                     } else {
-                        save_checkpoint_ref(&cp.path, &st.borrowed())
+                        save_checkpoint(&cp.path, &st)
                     };
                     written.unwrap_or_else(|e| {
                         panic!("failed to write checkpoint {}: {e}", cp.path.display())

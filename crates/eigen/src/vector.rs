@@ -43,32 +43,9 @@
 //! tolerance, not bitwise, exactly like a real machine.
 
 use crate::op::{self, LinearOp};
-use bytes::{Buf, BufMut};
 use ls_kernels::{Lane, Scalar};
 use ls_runtime::{collective, DistVec};
 use std::borrow::Borrow;
-
-/// Appends `x` as `S::N_REALS` little-endian real lanes of `width` bytes
-/// each (8: exact f64; 4: f32, exact when `x` was widened from f32
-/// storage) — the element encoding of checkpoints.
-pub(crate) fn put_scalar<S: Scalar>(buf: &mut Vec<u8>, x: S, width: u32) {
-    for &lane in &x.to_reals()[..S::N_REALS] {
-        if width == 4 {
-            buf.put_u32_le((lane as f32).to_bits());
-        } else {
-            buf.put_f64_le(lane);
-        }
-    }
-}
-
-/// Reads back one [`put_scalar`] element; f32 lanes widen exactly.
-pub(crate) fn get_scalar<S: Scalar>(r: &mut &[u8], width: u32) -> S {
-    let mut reals = [0.0f64; 2];
-    for lane in reals.iter_mut().take(S::N_REALS) {
-        *lane = if width == 4 { f32::from_bits(r.get_u32_le()) as f64 } else { r.get_f64_le() };
-    }
-    S::from_reals(reals)
-}
 
 /// A vector a Krylov solver can iterate on: fused, deterministic BLAS-1
 /// plus an element-order fill hook.
@@ -92,7 +69,7 @@ pub trait KrylovVec: Clone {
     const STORAGE_KIND: u32;
 
     /// Bytes per stored scalar lane ([`Lane::WIDTH`]): 8, or 4 for f32
-    /// storage. Checkpoints (format v2) record it so a resume can widen
+    /// storage. Checkpoints record it so a resume can widen
     /// an f32 checkpoint into an f64 solve explicitly — and reject the
     /// lossy direction with a typed error instead of truncating lanes.
     const SCALAR_WIDTH: u32;

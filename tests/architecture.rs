@@ -117,3 +117,36 @@ fn one_frame_codec() {
     assert!(stray.is_empty(), "a frame tag outside frame.rs:\n{stray:?}");
     assert_eq!(tags.len(), 7, "{}", tags.join("\n"));
 }
+
+/// Every file the library writes is one sealed record: `record.rs` owns
+/// the bytes on disk, and the formats it replaced (a byte-at-a-time
+/// checksum, a second error enum, a borrowed twin of the checkpoint
+/// state) stay gone. A file's non-test lines are those above its first
+/// column-0 test-module attribute.
+#[test]
+fn one_file_codec() {
+    let retired = [
+        ["fnv", "1a64"].concat(),
+        ["Load", "Error"].concat(),
+        ["CheckpointState", "Ref"].concat(),
+    ];
+    let retired: Vec<&str> = retired.iter().map(String::as_str).collect();
+    assert_none(&["crates", "tests", "examples"], &retired);
+
+    let calls =
+        [["fs::", "read("].concat(), ["fs::", "write("].concat(), ["fs::", "rename("].concat()];
+    let test_module = ["#[cfg(", "test)]"].concat();
+    let mut stray = Vec::new();
+    for path in files(&["crates/eigen/src", "crates/core/src"]) {
+        if path.ends_with("record.rs") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        for (i, line) in text.lines().take_while(|l| *l != test_module).enumerate() {
+            if calls.iter().any(|c| line.contains(c.as_str())) {
+                stray.push(format!("{}:{}: {}", path.display(), i + 1, line.trim()));
+            }
+        }
+    }
+    assert!(stray.is_empty(), "file I/O outside record.rs:\n{}", stray.join("\n"));
+}

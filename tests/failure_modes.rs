@@ -241,15 +241,22 @@ fn io_rejects_corruption() {
         let got = std::panic::catch_unwind(|| io::load_vector::<f64>(&path));
         assert!(got.expect("load must not panic").is_err(), "cut at {cut} accepted");
     }
+    // A flipped bit in a saved vector no longer loads silently.
+    let mut bad = good.clone();
+    bad[good.len() - 6] ^= 0x01;
+    std::fs::write(&path, &bad).unwrap();
+    let err = io::load_vector::<f64>(&path).unwrap_err();
+    let typed = err.get_ref().and_then(|e| e.downcast_ref::<io::FileError>());
+    assert!(matches!(typed, Some(io::FileError::PayloadCorrupt { .. })), "{err}");
     std::fs::remove_file(&path).ok();
 }
 
 /// Checkpoint load paths: truncation, checksum corruption and
 /// wrong-storage-kind files must all surface as the right typed
-/// [`CheckpointError`], across the crate boundary.
+/// [`FileError`], across the crate boundary.
 #[test]
 fn checkpoints_reject_truncation_corruption_and_wrong_storage() {
-    use exact_diag::core::io::{load_checkpoint, save_checkpoint, CheckpointError};
+    use exact_diag::core::io::{load_checkpoint, save_checkpoint, FileError};
     use exact_diag::eigen::{CheckpointState, KrylovOp};
     use exact_diag::runtime::DistVec;
 
@@ -276,20 +283,17 @@ fn checkpoints_reject_truncation_corruption_and_wrong_storage() {
     for cut in [0usize, 7, 30, good.len() / 3, good.len() - 3] {
         std::fs::write(&path, &good[..cut]).unwrap();
         let err = load_checkpoint::<Vec<f64>, _>(&path, &dense_op).unwrap_err();
-        assert!(
-            matches!(err, CheckpointError::TooShort | CheckpointError::BadChecksum { .. }),
-            "cut {cut}: {err:?}"
-        );
+        assert!(matches!(err, FileError::Truncated { .. }), "cut {cut}: {err:?}");
     }
 
     // Bit rot anywhere in the payload fails the checksum.
-    for flip in [12usize, good.len() / 2, good.len() - 9] {
+    for flip in [24usize, good.len() / 2, good.len() - 9] {
         let mut bad = good.clone();
         bad[flip] ^= 0x10;
         std::fs::write(&path, &bad).unwrap();
         assert!(matches!(
             load_checkpoint::<Vec<f64>, _>(&path, &dense_op),
-            Err(CheckpointError::BadChecksum { .. })
+            Err(FileError::PayloadCorrupt { .. })
         ));
     }
 
@@ -309,7 +313,7 @@ fn checkpoints_reject_truncation_corruption_and_wrong_storage() {
     let dist_op = DistZero(vec![40, 24]);
     assert!(matches!(
         load_checkpoint::<DistVec<f64>, _>(&path, &dist_op),
-        Err(CheckpointError::WrongStorageKind { found: 1, expected: 2 })
+        Err(FileError::WrongKind { found: 1, expected: 2 })
     ));
 
     // ... and symmetrically: a distributed checkpoint refused by a
@@ -331,7 +335,7 @@ fn checkpoints_reject_truncation_corruption_and_wrong_storage() {
     save_checkpoint(&path, &dist_state).unwrap();
     assert!(matches!(
         load_checkpoint::<Vec<f64>, _>(&path, &dense_op),
-        Err(CheckpointError::WrongStorageKind { found: 2, expected: 1 })
+        Err(FileError::WrongKind { found: 2, expected: 1 })
     ));
     // The distributed op with the *matching* layout loads it fine...
     assert!(load_checkpoint::<DistVec<f64>, _>(&path, &dist_op).is_ok());
@@ -339,7 +343,7 @@ fn checkpoints_reject_truncation_corruption_and_wrong_storage() {
     let repartitioned = DistZero(vec![32, 32]);
     assert!(matches!(
         load_checkpoint::<DistVec<f64>, _>(&path, &repartitioned),
-        Err(CheckpointError::LayoutMismatch { .. })
+        Err(FileError::LayoutMismatch { .. })
     ));
     std::fs::remove_file(&path).ok();
 }
