@@ -1,8 +1,10 @@
 //! Convenience eigensolver entry points. The first four solve under
 //! `LanczosOptions::default()` (`tol = 1e-10`, at most 128 retained
-//! vectors) and cost the products their convergence takes: a solve that
-//! converges inside its first cycle stops at that step, not at the
-//! cycle's end.
+//! vectors) and cost the products their convergence takes: every cycle
+//! is tested after each step, and stops at the step its wanted pairs
+//! pass, not at the cycle's end. The energy-only ones stop when their
+//! eigenvalues are done (the gap rule of `ls_eigen::restart`), the
+//! ones that return Ritz vectors when the vectors' residuals are.
 
 use crate::operator::Operator;
 use ls_eigen::{

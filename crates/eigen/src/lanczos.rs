@@ -39,8 +39,12 @@ pub struct LanczosOptions {
     /// Maximum Krylov dimension of a cycle, and the work bound of the
     /// solve: a restarted plan is granted ~4× as many products.
     pub max_iter: usize,
-    /// Convergence threshold on the Ritz residual estimate
-    /// `|β_m · y_m[k]|` relative to the spectral scale.
+    /// Convergence threshold, with the meaning of
+    /// [`RestartOptions::tol`]: on each wanted Ritz residual estimate
+    /// `|β_m · y_m[k]|` relative to the spectral scale when Ritz vectors
+    /// are wanted, on the eigenvalue error estimate of the wanted set
+    /// relative to `max(1, |θ|)` (the gap rule of [`crate::restart`])
+    /// when they are not.
     pub tol: f64,
     /// Seed for the random start vector (deterministic by default).
     pub seed: u64,
@@ -91,9 +95,14 @@ pub struct LanczosResultIn<V> {
     /// dimension of a single-cycle solve, the sum over cycles (including
     /// any replayed after a rollback) of a restarted one.
     pub iterations: usize,
-    /// Final residual estimates per returned eigenvalue.
+    /// Final Ritz residual estimates `|β·y_i[m-1]|` per returned
+    /// eigenvalue. A solve that wants no Ritz vectors stops on the gap
+    /// rule of [`crate::restart`], so its residuals may exceed `tol`: the
+    /// eigenvalue error is about their square over the gap.
     pub residuals: Vec<f64>,
-    /// Did all `k` pairs meet the tolerance?
+    /// Did the `k` wanted pairs meet the tolerance, by the rule
+    /// `want_vectors` selects (residual rule with vectors, gap rule
+    /// without)?
     pub converged: bool,
     /// High-water mark of simultaneously held Krylov-state vectors
     /// (basis + workspace + vectors kept for reuse; compression and

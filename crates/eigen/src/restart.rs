@@ -17,17 +17,49 @@
 //! After a restart the projected operator is **arrowhead + tridiagonal**:
 //! locked Ritz values `θ_i` on the diagonal, a border `s_i = β·y_i[m-1]`
 //! coupling each locked vector to the chain seed, then the new `α/β`
-//! chain. That shape picks the stopping rule, so no option has to: until
-//! something is locked the matrix is tridiagonal and its QL
-//! ([`crate::tridiag`]) is cheap enough to run after every step, so the
-//! cycle ends the step its Ritz residuals pass; an arrowhead needs the
-//! dense Jacobi solve ([`crate::jacobi`]), which restarted cycles run
-//! once, at the boundary where they need it anyway. A breakdown — exact
-//! (`β ≤ 1e-13`) or to tolerance (`β` so small that *every* Ritz pair
-//! passes) — also ends the per-step test: vanishing residuals on a
-//! finished block say nothing about copies of a degenerate eigenvalue in
-//! blocks not entered yet, so the chain fills to its cap and the boundary
-//! logic decides (breakdown count above `k`, or a forced restart).
+//! chain. Every cycle — first or restarted — tests its wanted pairs after
+//! every step and ends the step they pass. The test reads only the Ritz
+//! values and the last component of each projected eigenvector, so it
+//! runs on a tridiagonal form: a restarted cycle first reduces its locked
+//! arrowhead to a tridiagonal block ending on the chain seed (Householder
+//! on the `l` locked indices, once per cycle), which leaves the chain, the
+//! values and the last components as they are; then each step is one QL
+//! ([`crate::tridiag`]) accumulating a single row, `O(m²)`. The Ritz
+//! vectors are built once, where the cycle ends: by the same QL while
+//! nothing is locked, by the dense Jacobi solve ([`crate::jacobi`]) of the
+//! arrowhead thereafter.
+//!
+//! What "pass" means depends on what is wanted. Ritz vectors are as good
+//! as their residual estimates `r_j = |β·y_j[m-1]|`, so with
+//! `want_vectors` each of the `k` wanted pairs must reach `r_i ≤ tol`
+//! relative to the spectral scale (the **residual rule**). Eigenvalues
+//! alone converge twice as fast: a Ritz value with residual `r` lies
+//! within `r²/δ` of an eigenvalue, `δ` the gap to the rest of the
+//! spectrum (Kato–Temple; Parlett, *The Symmetric Eigenvalue Problem*,
+//! ch. 11). Without vectors the wanted set is bounded as one cluster —
+//! so a degenerate cluster inside it needs no detection — by the **gap
+//! rule** `‖R‖²/δ̂ ≤ tol·max(1, |θ_i|)` for every wanted `θ_i`, with
+//! `‖R‖² = Σ_{j<k} r_j²` and `δ̂ = min_{j≥k}(θ_j − r_j) − θ_{k-1}`, the
+//! distance from the cluster to the nearest unwanted Ritz value less
+//! that value's residual. `δ̂` estimates the gap and does not bound it:
+//! an eigenvalue no Ritz value has resolved yet can sit inside it. So the
+//! unwanted Ritz value that sets `δ̂` must be resolved itself, its
+//! residual no wider than `δ̂`; a wider one is an average over spectrum
+//! the chain has not explored — one step past a restart that locked no
+//! unwanted pair (`keep = k`, the tightest budgets), the only unwanted
+//! Ritz value is such an average, and a gap read from it let eigenvalue
+//! errors reach 5 × `tol`. Where `δ̂ ≤ 0` (an unwanted Ritz value may
+//! belong to the cluster), where it is not resolved, or where no
+//! unwanted Ritz value exists, the residual rule applies.
+//! `tests/restart_oracle.rs` holds the rule to `tol` against the dense
+//! spectrum.
+//!
+//! A breakdown — exact (`β ≤ 1e-13`) or to tolerance (`β` so small that
+//! *every* Ritz pair passes the residual rule) — ends the per-step test
+//! for the cycle: vanishing residuals on a finished block say nothing
+//! about copies of a degenerate eigenvalue in blocks not entered yet, so
+//! the chain fills to its cap and the boundary logic decides (breakdown
+//! count above `k`, or a forced restart).
 //!
 //! Each step is the blocked-CGS2 pipeline of [`crate::lanczos`] (fused
 //! [`KrylovOp::apply_dot`], then three sweeps over the basis) against
@@ -61,7 +93,7 @@ use crate::checkpoint::{
 use crate::health::{max_rollbacks_from_env, raise, HealthMonitor, SolverHealthError};
 use crate::jacobi::eigh_real;
 use crate::lanczos::{cgs2_beta, random_fill, LanczosResult, LanczosResultIn};
-use crate::tridiag::tridiag_eigh;
+use crate::tridiag::{tridiag_eigh, tridiag_eigh_last};
 use crate::vector::{KrylovOp, KrylovVec};
 use crate::LinearOp;
 use ls_kernels::Scalar;
@@ -125,8 +157,12 @@ pub struct RestartOptions {
     /// continues toward the same limit. Hitting it returns the current
     /// Ritz estimates with `converged = false`.
     pub max_restarts: usize,
-    /// Convergence threshold on the Ritz residual estimate
-    /// `|β·y_i[m-1]|` relative to the spectral scale.
+    /// Convergence threshold. With `want_vectors`, on each wanted pair's
+    /// Ritz residual estimate `|β·y_i[m-1]|` relative to the spectral
+    /// scale. Without, on the eigenvalue error estimate of the wanted set
+    /// (the gap rule of [`crate::restart`]), relative to
+    /// `max(1, |θ_i|)`, and on the residual estimates only where no
+    /// positive gap to the unwanted Ritz values is known.
     pub tol: f64,
     /// Seed for the start vector and breakdown re-seeds. Each draw uses
     /// a counter-derived stream, so resumed runs redraw identically.
@@ -163,8 +199,8 @@ impl Default for RestartOptions {
 /// `keep` new + 1 residual vectors at once. Compression is in place now
 /// and the solve peaks at `m + 1`; handing the `keep` vectors this
 /// leaves unused to the chain (`m = b - 1`) changes every restarted
-/// trajectory, so it is a change of its own (ROADMAP item 2). Panics if
-/// `b < 2k + 3`: no restart cycle could make progress.
+/// trajectory, so it is a change of its own. Panics if `b < 2k + 3`: no
+/// restart cycle could make progress.
 pub(crate) fn split_budget(k: usize, b: usize) -> (usize, usize) {
     assert!(
         b >= 2 * k + 3,
@@ -208,6 +244,50 @@ fn projected_dense(diag: &[f64], border: &[f64], offdiag: &[f64], l: usize) -> V
     t
 }
 
+/// The locked arrowhead of a cycle — diagonal `theta`, `border` coupling
+/// each locked vector to the chain seed — in tridiagonal form: an
+/// orthogonal similarity on the locked indices alone (Householder, from
+/// the seed's row up) leaves the seed and every chain index fixed, so the
+/// projected matrix turns tridiagonal with the same eigenvalues and the
+/// same last eigenvector components. Returns the block's diagonal and
+/// its couplings `e[i]` between `i` and `i + 1`, the last one to the seed.
+fn arrowhead_tridiagonal(theta: &[f64], border: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    let l = theta.len();
+    let n = l + 1;
+    // The seed's own diagonal, the chain's first α, is left out: the
+    // similarity never touches it.
+    let mut a = projected_dense(&[theta, &[0.0]].concat(), border, &[], l);
+    for i in (2..n).rev() {
+        // Row i, columns 0..i: reflect x = a[i][..i] onto head·e_{i-1}.
+        let x: Vec<f64> = a[i * n..i * n + i].to_vec();
+        let sigma: f64 = x[..i - 1].iter().map(|v| v * v).sum();
+        if sigma == 0.0 {
+            continue;
+        }
+        let norm = (sigma + x[i - 1] * x[i - 1]).sqrt();
+        let head = if x[i - 1] > 0.0 { -norm } else { norm };
+        let mut v = x;
+        v[i - 1] -= head;
+        let h = v.iter().map(|t| t * t).sum::<f64>() / 2.0;
+        // A ← (I − v vᵀ/h) A (I − v vᵀ/h) on the leading i × i block.
+        let p: Vec<f64> =
+            (0..i).map(|r| (0..i).map(|c| a[r * n + c] * v[c]).sum::<f64>() / h).collect();
+        let half = v.iter().zip(&p).map(|(vi, pi)| vi * pi).sum::<f64>() / (2.0 * h);
+        let q: Vec<f64> = p.iter().zip(&v).map(|(pi, vi)| pi - half * vi).collect();
+        for r in 0..i {
+            for c in 0..i {
+                a[r * n + c] -= v[r] * q[c] + q[r] * v[c];
+            }
+        }
+        for c in 0..i {
+            let x = if c == i - 1 { head } else { 0.0 };
+            a[i * n + c] = x;
+            a[c * n + i] = x;
+        }
+    }
+    ((0..l).map(|i| a[i * n + i]).collect(), (0..l).map(|i| a[(i + 1) * n + i]).collect())
+}
+
 /// Eigen-decomposition of the projected matrix: tridiagonal QL while
 /// nothing is locked, dense Jacobi on the arrowhead thereafter.
 fn projected_eigh<V>(st: &CheckpointState<V>, offdiag: &[f64]) -> (Vec<f64>, Vec<Vec<f64>>) {
@@ -219,14 +299,37 @@ fn projected_eigh<V>(st: &CheckpointState<V>, offdiag: &[f64]) -> (Vec<f64>, Vec
     }
 }
 
-/// Ritz residual estimates `|β·y_i[m-1]|` of the pairs `yvecs` of a
-/// projected solve, and whether all of them pass `tol` relative to the
-/// spectral scale.
-fn ritz_residuals(cvals: &[f64], yvecs: &[Vec<f64>], beta: f64, tol: f64) -> (Vec<f64>, bool) {
+/// Ritz residual estimates `|β·y_j[m-1]|` of every pair `yvecs` of a
+/// projected solve.
+fn ritz_residuals(yvecs: &[Vec<f64>], beta: f64) -> Vec<f64> {
+    yvecs.iter().map(|y| (beta * y[y.len() - 1]).abs()).collect()
+}
+
+/// The residual rule: every estimate in `resid` within `tol` of the
+/// spectral scale, the largest `|θ|` of the projected solve.
+fn residuals_pass(cvals: &[f64], resid: &[f64], tol: f64) -> bool {
     let scale = cvals.iter().fold(0.0f64, |acc, v| acc.max(v.abs())).max(1e-300);
-    let resid: Vec<f64> = yvecs.iter().map(|y| (beta * y[y.len() - 1]).abs()).collect();
-    let ok = resid.iter().all(|r| *r <= tol * scale);
-    (resid, ok)
+    resid.iter().all(|r| *r <= tol * scale)
+}
+
+/// Whether the `k` wanted pairs of a projected solve (ascending `cvals`,
+/// residual estimates `resid` of every pair) have converged: by the gap
+/// rule when only eigenvalues are wanted and the gap `δ̂` is positive and
+/// resolved, by the residual rule otherwise (module docs).
+fn wanted_converged(cvals: &[f64], resid: &[f64], k: usize, tol: f64, gap_rule: bool) -> bool {
+    // The unwanted Ritz value whose residual interval reaches lowest.
+    let lowest_reach =
+        |&a: &usize, &b: &usize| (cvals[a] - resid[a]).total_cmp(&(cvals[b] - resid[b]));
+    let nearest = (k..cvals.len()).min_by(lowest_reach);
+    match nearest.map(|j| (cvals[j] - resid[j] - cvals[k - 1], resid[j])) {
+        Some((gap, r)) if gap_rule && gap > 0.0 && r <= gap => {
+            let block: f64 = resid[..k].iter().map(|r| r * r).sum();
+            let least =
+                cvals[..k].iter().fold(f64::INFINITY, |acc, t| acc.min(t.abs().max(1.0)));
+            block / gap <= tol * least
+        }
+        _ => residuals_pass(cvals, &resid[..k], tol),
+    }
 }
 
 /// Compresses a cycle basis onto the pairs `yvecs`, in place:
@@ -378,11 +481,12 @@ pub(crate) fn run_plan<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
             // Set when the chain filled up via a breakdown while an unexplored
             // invariant subspace provably remains (see below).
             let mut forced_restart = false;
-            // The per-step test (module docs) runs on an unlocked chain until
-            // its first breakdown, exact or to tolerance; `solved` is the
-            // projected solve it stopped the cycle on.
-            let mut unbroken = st.retained == 0;
-            let mut solved = None;
+            // The per-step test (module docs) runs until the cycle's first
+            // breakdown, exact or to tolerance, on the tridiagonal form of
+            // the projected matrix; `stopped` is its verdict.
+            let mut unbroken = true;
+            let mut stopped = false;
+            let (arrow_d, arrow_e) = arrowhead_tridiagonal(&st.diag[..st.retained], &st.border);
             loop {
                 let j = st.basis.len() - 1;
                 debug_assert_eq!(st.diag.len(), j, "projected matrix out of step with basis");
@@ -439,15 +543,18 @@ pub(crate) fn run_plan<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
                     continue;
                 }
                 if unbroken && st.diag.len() >= k && st.basis.len() < m {
-                    let s = projected_eigh(&st, &offdiag);
+                    let d = [&arrow_d, &st.diag[st.retained..]].concat();
+                    let (vals, last) =
+                        tridiag_eigh_last(&d, &[&arrow_e, &offdiag[..]].concat());
+                    let resid: Vec<f64> = last.iter().map(|y| (beta * y).abs()).collect();
                     // Every pair passing means β itself is below tolerance: a
                     // breakdown in all but the threshold, not convergence.
-                    unbroken = !ritz_residuals(&s.0, &s.1, beta, opts.tol).1;
-                    let ok = unbroken && ritz_residuals(&s.0, &s.1[..k], beta, opts.tol).1;
-                    solved = ok.then_some(s);
+                    unbroken = !residuals_pass(&vals, &resid, opts.tol);
+                    stopped = unbroken
+                        && wanted_converged(&vals, &resid, k, opts.tol, !opts.want_vectors);
                 }
                 w.scale(1.0 / beta);
-                if solved.is_some() || st.basis.len() == m {
+                if stopped || st.basis.len() == m {
                     beta_last = beta;
                     break; // w is now the normalized residual v_res
                 }
@@ -463,9 +570,15 @@ pub(crate) fn run_plan<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
             let mcur = st.basis.len();
             peak = peak.max(mcur + spare.len() + 1);
             assert!(mcur >= k, "Krylov space collapsed below k = {k} (dim {n})");
-            let (cvals, yvecs) = solved.unwrap_or_else(|| projected_eigh(&st, &offdiag));
+            let (cvals, yvecs) = projected_eigh(&st, &offdiag);
             monitor.check_ritz(st.restarts, &cvals).unwrap_or_else(|e| raise(e));
-            let (resid, ok) = ritz_residuals(&cvals, &yvecs[..k], beta_last, opts.tol);
+            let mut resid = ritz_residuals(&yvecs, beta_last);
+            // A cycle the per-step test stopped has passed already: on a
+            // restarted cycle the Jacobi solve here agrees with its QL to
+            // rounding, and must not reopen the verdict over it.
+            let ok =
+                stopped || wanted_converged(&cvals, &resid, k, opts.tol, !opts.want_vectors);
+            resid.truncate(k);
             monitor.check_residuals(st.restarts, &resid).unwrap_or_else(|e| raise(e));
             let ok = ok && !forced_restart;
 
@@ -843,6 +956,59 @@ mod tests {
         }
         // want_vectors is honored on every exit path.
         assert_eq!(res.eigenvectors.as_ref().map(|e| e.len()), Some(4));
+    }
+
+    #[test]
+    fn arrowhead_tridiagonal_keeps_values_and_last_components() {
+        // Five locked values (two equal, one zero border) and a chain of four.
+        let theta = [-3.0, -1.5, -1.5, 0.25, 2.0];
+        let border = [0.4, -0.3, 0.2, 0.0, 0.7];
+        let diag = [&theta[..], &[0.5, -0.2, 1.1, 0.3]].concat();
+        let offdiag = [0.9, 0.6, 0.45];
+        let m = diag.len();
+        let (vals, vecs) = eigh_real(&projected_dense(&diag, &border, &offdiag, 5), m);
+        let (arrow_d, arrow_e) = arrowhead_tridiagonal(&theta, &border);
+        let d = [&arrow_d, &diag[5..]].concat();
+        let (tvals, last) = tridiag_eigh_last(&d, &[&arrow_e, &offdiag[..]].concat());
+        for i in 0..m {
+            assert!((vals[i] - tvals[i]).abs() < 1e-12, "λ{i}: {} vs {}", vals[i], tvals[i]);
+        }
+        // Last components up to sign. Of the two locked copies of -1.5
+        // one combination misses the seed, so -1.5 stays an eigenvalue,
+        // simple, with a last component of zero in both forms.
+        for i in 0..m {
+            let (a, b) = (vecs[i][m - 1].abs(), last[i].abs());
+            assert!((a - b).abs() < 1e-12, "y{i}[m-1]: {a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn gap_rule_falls_back_to_the_residual_rule_without_a_positive_gap() {
+        let tol = 1e-10;
+        // Residual estimates 1e-6 on the k = 2 wanted pairs: far above
+        // the residual rule (tol × spectral scale 3), while ‖R‖²/δ̂ =
+        // 2e-12 / 2 passes the gap rule once the gap is clear.
+        let resid = [1e-6, 1e-6, 1e-3, 1e-3];
+        let clear = [-2.0, -1.0, 1.0, 3.0];
+        assert!(wanted_converged(&clear, &resid, 2, tol, true));
+        assert!(!wanted_converged(&clear, &resid, 2, tol, false), "vectors want residuals");
+        // An unwanted Ritz value 1e-9 above θ_1 with residual 1e-3: δ̂ < 0,
+        // so the residual rule decides, and fails these estimates...
+        let straddled = [-2.0, -1.0, -1.0 + 1e-9, 3.0];
+        assert!(!wanted_converged(&straddled, &resid, 2, tol, true));
+        // ...and passes estimates below tol × 3.
+        let small = [1e-11, 1e-11, 1e-3, 1e-3];
+        assert!(wanted_converged(&straddled, &small, 2, tol, true));
+        // The unwanted value that sets δ̂ = 2.5 is 4.5 ± 3: a rough
+        // average over unexplored spectrum, not a resolved neighbour...
+        let far = [-2.0, -1.0, 4.5, 6.0];
+        assert!(!wanted_converged(&far, &[1e-6, 1e-6, 3.0, 1e-3], 2, tol, true));
+        assert!(wanted_converged(&far, &[1e-11, 1e-11, 3.0, 1e-3], 2, tol, true));
+        // ...while 4.5 ± 2 is resolved within its δ̂ = 3.5.
+        assert!(wanted_converged(&far, &[1e-6, 1e-6, 2.0, 1e-3], 2, tol, true));
+        // No unwanted Ritz value at all: the residual rule again.
+        assert!(!wanted_converged(&clear[..2], &resid[..2], 2, tol, true));
+        assert!(wanted_converged(&clear[..2], &small[..2], 2, tol, true));
     }
 
     #[test]

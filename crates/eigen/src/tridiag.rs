@@ -17,6 +17,22 @@ pub fn tridiag_eigh(
     e: &[f64],
     want_vectors: bool,
 ) -> (Vec<f64>, Option<Vec<Vec<f64>>>) {
+    let (values, vectors) = ql(d, e, if want_vectors { 0 } else { d.len() });
+    (values, want_vectors.then_some(vectors))
+}
+
+/// Eigenvalues (ascending) of the same matrix and the last component of
+/// each eigenvector — all a Lanczos residual estimate `|β·y[n-1]|` reads —
+/// in `O(n^2)`: only the last row of the rotations is accumulated. Bit
+/// for bit the values and last rows of [`tridiag_eigh`].
+pub(crate) fn tridiag_eigh_last(d: &[f64], e: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    let (values, rows) = ql(d, e, d.len().saturating_sub(1));
+    (values, rows.into_iter().map(|v| v[0]).collect())
+}
+
+/// `tql2` accumulating rows `first..n` of the eigenvector matrix. Returns
+/// the eigenvalues ascending and, for each, its components in those rows.
+fn ql(d: &[f64], e: &[f64], first: usize) -> (Vec<f64>, Vec<Vec<f64>>) {
     let n = d.len();
     assert!(n > 0, "empty matrix");
     assert_eq!(e.len(), n.saturating_sub(1));
@@ -24,16 +40,13 @@ pub fn tridiag_eigh(
     // Shifted copy of e with a trailing zero, as tql2 expects.
     let mut ee = vec![0.0f64; n];
     ee[..n - 1].copy_from_slice(e);
-    // z: identity if vectors wanted (accumulates rotations), else empty.
-    let mut z: Vec<f64> = if want_vectors {
-        let mut z = vec![0.0; n * n];
-        for i in 0..n {
-            z[i * n + i] = 1.0;
-        }
-        z
-    } else {
-        Vec::new()
-    };
+    // z: rows `first..n` of the identity (row-major, `rows × n`); the
+    // rotations accumulate into it.
+    let rows = n - first;
+    let mut z = vec![0.0; rows * n];
+    for r in 0..rows {
+        z[r * n + first + r] = 1.0;
+    }
 
     for l in 0..n {
         let mut iter = 0;
@@ -80,12 +93,10 @@ pub fn tridiag_eigh(
                 p = s * r;
                 d[i + 1] = g + p;
                 g = c * r - b;
-                if !z.is_empty() {
-                    for k in 0..n {
-                        f = z[k * n + i + 1];
-                        z[k * n + i + 1] = s * z[k * n + i] + c * f;
-                        z[k * n + i] = c * z[k * n + i] - s * f;
-                    }
+                for k in 0..rows {
+                    f = z[k * n + i + 1];
+                    z[k * n + i + 1] = s * z[k * n + i] + c * f;
+                    z[k * n + i] = c * z[k * n + i] - s * f;
                 }
             }
             if underflow {
@@ -101,12 +112,8 @@ pub fn tridiag_eigh(
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| d[a].total_cmp(&d[b]));
     let values: Vec<f64> = order.iter().map(|&i| d[i]).collect();
-    let vectors = if want_vectors {
-        Some(order.iter().map(|&col| (0..n).map(|row| z[row * n + col]).collect()).collect())
-    } else {
-        None
-    };
-    (values, vectors)
+    let vectors = order.iter().map(|&col| (0..rows).map(|row| z[row * n + col]).collect());
+    (values, vectors.collect())
 }
 
 #[cfg(test)]
@@ -196,6 +203,17 @@ mod tests {
             let e: Vec<f64> = (0..n - 1).map(|_| next()).collect();
             check_eigenpairs(&d, &e);
         }
+    }
+
+    #[test]
+    fn last_row_matches_the_full_solve_bit_for_bit() {
+        let d: Vec<f64> = (0..23).map(|i| ((i * 7) % 11) as f64 - 4.5).collect();
+        let e: Vec<f64> = (0..22).map(|i| 0.3 + ((i * 5) % 7) as f64 * 0.1).collect();
+        let (vals, vecs) = tridiag_eigh(&d, &e, true);
+        let (last_vals, last) = tridiag_eigh_last(&d, &e);
+        assert_eq!(vals, last_vals);
+        let full_last: Vec<f64> = vecs.unwrap().iter().map(|v| v[22]).collect();
+        assert_eq!(full_last, last);
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! simultaneously: the per-lane state is a handful of registers, and the
 //! memory system sees a window of independent loads instead of one
 //! dependent chain. The lockstep loop is plain Rust: an AVX2 version with
-//! gathered probes ranked `sym_chain24` slower, not faster (ROADMAP item
-//! 9). Absent states are reported with the [`NOT_FOUND`] sentinel so
+//! gathered probes ranked `sym_chain24` slower, not faster (measured in
+//! the `CHANGES.md` entry that removed it). Absent states are reported with the [`NOT_FOUND`] sentinel so
 //! results stay in dense `u32` arrays (no `Option` in the hot path).
 
 /// Sentinel written by the `lookup_batch` kernels for states that are not

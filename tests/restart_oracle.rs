@@ -8,10 +8,19 @@
 //! lie in the dense spectrum, the ground state must match exactly, and
 //! sorted Ritz values are bounded below by the sorted dense spectrum
 //! (any k true eigenvalues sorted ascending dominate the k smallest).
+//!
+//! A solve that wants no Ritz vectors stops on the gap rule of
+//! `ls_eigen::restart` (a Kato–Temple estimate of the eigenvalue error),
+//! so its oracle is the dense spectrum, value for value in order, to
+//! `tol·max(1, |λ|)`: on random sectors under the default and a tight
+//! budget, on a degenerate cluster inside the wanted set, and on a
+//! degenerate pair straddling the `k`-th eigenvalue, where the rule falls
+//! back to the residual estimates.
 
 mod common;
 
 use exact_diag::eigen::jacobi::eigh_real;
+use exact_diag::eigen::DenseOp;
 use exact_diag::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -26,6 +35,62 @@ fn dense_spectrum(op: &SymmetrizedOperator<f64>, basis: &SpinBasis) -> Vec<f64> 
     }
     let (vals, _) = eigh_real(&flat, n);
     vals
+}
+
+/// Walks the solver's ascending eigenvalues through the sorted dense
+/// spectrum in order, each within `tol·max(1, |λ|)` of its eigenvalue:
+/// no eigenvalue below the last one found may be skipped, and none found
+/// more often than its multiplicity. A copy of a degenerate eigenvalue
+/// may be missing — single-vector Krylov sees one copy per eigenspace
+/// unless rounding or a breakdown seeds another, whatever the stopping
+/// rule — so copies count as one level (equal to 1e-9).
+fn walk_spectrum(got: &[f64], dense: &[f64], tol: f64) -> Result<(), String> {
+    let mut levels: Vec<(f64, usize)> = Vec::new();
+    for &d in dense {
+        match levels.last_mut() {
+            Some((v, copies)) if (d - *v).abs() <= 1e-9 * d.abs().max(1.0) => *copies += 1,
+            _ => levels.push((d, 1)),
+        }
+    }
+    let (mut at, mut used) = (0usize, 0usize);
+    for (i, &g) in got.iter().enumerate() {
+        let nearer_next =
+            levels.get(at + 1).is_some_and(|n| (g - n.0).abs() < (g - levels[at].0).abs());
+        if used > 0 && (used == levels[at].1 || nearer_next) {
+            at += 1;
+            used = 0;
+        }
+        used += 1;
+        let d = levels[at].0;
+        if (g - d).abs() > tol * d.abs().max(1.0) {
+            return Err(format!(
+                "λ{i} = {g} is {:e} from dense level {at} = {d}",
+                (g - d).abs()
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The solver's eigenvalues agree with the sorted dense spectrum, copy for
+/// copy, to `tol·max(1, |λ|)`.
+fn assert_spectrum_to_tol(what: &str, got: &[f64], dense: &[f64], tol: f64) {
+    for (i, (g, d)) in got.iter().zip(dense).enumerate() {
+        assert!((g - d).abs() <= tol * d.abs().max(1.0), "{what}: λ{i} = {g}, dense {d}");
+    }
+}
+
+/// Diagonal operator with `count` copies of each `value`, and its sorted
+/// spectrum.
+fn degenerate_diagonal(copies: &[(f64, usize)]) -> (DenseOp<f64>, Vec<f64>) {
+    let spectrum: Vec<f64> =
+        copies.iter().flat_map(|&(v, c)| std::iter::repeat_n(v, c)).collect();
+    let n = spectrum.len();
+    let mut a = vec![0.0f64; n * n];
+    for (i, v) in spectrum.iter().enumerate() {
+        a[i * n + i] = *v;
+    }
+    (DenseOp::new(n, a), spectrum)
 }
 
 proptest! {
@@ -118,6 +183,21 @@ proptest! {
             prop_assert!(*r <= 1e-11 * scale.max(dense.last().unwrap().abs()) * 10.0,
                 "reported residual {r} above tolerance");
         }
+
+        // (e) Eigenvalues only: the gap rule. Under the default budget
+        // and under this tight one — where a restart locks no unwanted
+        // pair and the gap must be read from a resolved neighbour — every
+        // eigenvalue is its dense eigenvalue to `tol·max(1, |λ|)`, none
+        // skipped.
+        for extra in [RestartOptions::new(k).extra, opts.extra] {
+            let values = exact_diag::eigen::thick_restart_lanczos(
+                &full_op,
+                &RestartOptions { extra, want_vectors: false, ..opts.clone() },
+            );
+            prop_assert!(values.converged, "extra {extra}: residuals {:?}", values.residuals);
+            let walk = walk_spectrum(&values.eigenvalues, &dense, opts.tol);
+            prop_assert!(walk.is_ok(), "extra {extra}: {}", walk.unwrap_err());
+        }
     }
 
     /// On sectors too large for a dense oracle, thick restart still
@@ -151,6 +231,70 @@ proptest! {
             prop_assert!((a - b).abs() < 1e-7, "λ{i}: thick {a} vs full {b}");
         }
     }
+}
+
+/// Degenerate spectra, eigenvalues only: a cluster of copies inside the
+/// wanted set is bounded as a cluster against the gap to the rest, and a
+/// degenerate pair straddling the `k`-th eigenvalue (`δ̂ ≤ 0`) falls back
+/// to the residual rule. Every copy is found, to `tol·max(1, |λ|)`, on
+/// the restarted plan and on both `lanczos_smallest` plans.
+#[test]
+fn gap_rule_on_degenerate_spectra() {
+    let tol = 1e-10;
+    let cases: [(&[(f64, usize)], usize); 3] = [
+        // Four copies of -1 inside the wanted set, a gap of 3 above it.
+        (&[(-1.0, 4), (2.0, 56)], 4),
+        // k = 5 splits the 2s: one wanted, 55 unwanted.
+        (&[(-1.0, 4), (2.0, 56)], 5),
+        // k = 3 splits the pair of 0s.
+        (&[(-1.0, 2), (0.0, 2), (2.0, 56)], 3),
+    ];
+    for (copies, k) in cases {
+        let (op, spectrum) = degenerate_diagonal(copies);
+        let what = format!("{copies:?}, k = {k}");
+        let plans = [
+            exact_diag::eigen::thick_restart_lanczos(
+                &op,
+                &RestartOptions { extra: k + 4, tol, ..RestartOptions::new(k) },
+            ),
+            lanczos_smallest(&op, k, &LanczosOptions { tol, ..Default::default() }),
+            lanczos_smallest(
+                &op,
+                k,
+                &LanczosOptions { tol, max_retained: usize::MAX, ..Default::default() },
+            ),
+        ];
+        for res in plans {
+            assert!(res.converged, "{what}: residuals {:?}", res.residuals);
+            assert_spectrum_to_tol(&what, &res.eigenvalues, &spectrum, tol);
+        }
+    }
+}
+
+/// The gap rule fires: on a well-separated sector (16-site U(1) ring,
+/// restarted under the benchmark's 26-vector budget) the solve without
+/// Ritz vectors stops products before the same solve with them, on
+/// eigenvalues that agree to `tol·max(1, |λ|)`.
+#[test]
+fn gap_rule_stops_before_the_residual_rule() {
+    let n = 16usize;
+    let sector = SectorSpec::with_weight(n as u32, 8).unwrap();
+    let (op, basis) = common::heisenberg_problem(n, &sector);
+    let full_op = Operator::<f64>::from_parts(op, Arc::new(basis));
+    let opts = RestartOptions { extra: 24, ..RestartOptions::new(2) };
+    let values = exact_diag::eigen::thick_restart_lanczos(&full_op, &opts);
+    let vectors = exact_diag::eigen::thick_restart_lanczos(
+        &full_op,
+        &RestartOptions { want_vectors: true, ..opts.clone() },
+    );
+    assert!(values.converged && vectors.converged);
+    assert!(
+        values.iterations < vectors.iterations,
+        "gap rule {} products, residual rule {}",
+        values.iterations,
+        vectors.iterations
+    );
+    assert_spectrum_to_tol("16-site ring", &values.eigenvalues, &vectors.eigenvalues, opts.tol);
 }
 
 proptest! {
