@@ -7,9 +7,12 @@
 //! range, so statically pre-assigned chunks would load-imbalance), and
 //! the chunk results are concatenated in range order, which keeps the
 //! final list sorted — binary-search ranking depends on that. The result
-//! is identical for any chunk count and any thread count.
+//! is identical for any chunk count and any thread count. A symmetrized
+//! sector tests each fixed-weight candidate with the group's `RepFilter`
+//! (in `rep`), derived once per enumeration; a trivial group keeps the
+//! plain Gosper loop.
 
-use crate::rep::is_representative;
+use crate::rep::RepFilter;
 use crate::sector::{ChargeMask, SectorSpec};
 use ls_kernels::bits::{field_sum, FixedWeightRange};
 use ls_kernels::CodedRange;
@@ -24,11 +27,27 @@ pub struct Chunk {
 
 /// Filters one sub-range `[lo, hi)` of the raw iteration space.
 pub fn filter_range(sector: &SectorSpec, lo: u64, hi: u64) -> Chunk {
+    filter_range_with(sector, rep_filter(sector).as_ref(), lo, hi)
+}
+
+/// The candidate filter of `sector`'s group, derived once per
+/// enumeration. A trivial group has none: it keeps the plain loop, where
+/// every candidate is its own representative.
+fn rep_filter(sector: &SectorSpec) -> Option<RepFilter> {
+    let group = sector.group();
+    (group.order() > 1).then(|| RepFilter::new(group))
+}
+
+/// [`filter_range`] with the group's filter already derived.
+fn filter_range_with(
+    sector: &SectorSpec,
+    filter: Option<&RepFilter>,
+    lo: u64,
+    hi: u64,
+) -> Chunk {
     let n = sector.n_sites();
     let code_bits = sector.code_bits();
-    let group = sector.group();
     let mut out = Chunk::default();
-    let trivial = group.order() == 1;
     let space_end = if code_bits == 64 { u64::MAX } else { 1u64 << code_bits };
     let hi = hi.min(space_end);
     if sector.encoding().bits() > 1 {
@@ -62,12 +81,12 @@ pub fn filter_range(sector: &SectorSpec, lo: u64, hi: u64) -> Chunk {
             if charges.is_empty() {
                 // Hot spin-1/2 path, untouched.
                 for s in FixedWeightRange::new(n, w, lo, hi) {
-                    push_if_rep(group, trivial, s, &mut out);
+                    push_if_rep(filter, s, &mut out);
                 }
             } else {
                 for s in FixedWeightRange::new(n, w, lo, hi) {
                     if satisfies_charges(charges, s) {
-                        push_if_rep(group, trivial, s, &mut out);
+                        push_if_rep(filter, s, &mut out);
                     }
                 }
             }
@@ -75,10 +94,11 @@ pub fn filter_range(sector: &SectorSpec, lo: u64, hi: u64) -> Chunk {
         None => {
             // Every charge constructor fixes the total weight too, so the
             // charges are empty here today; the test keeps a sector that
-            // sets charges without a weight correct.
-            for s in lo..hi {
+            // sets charges without a weight correct. `hi == u64::MAX` is
+            // the unbounded sentinel, so it takes the all-ones word too.
+            for s in (lo..hi).chain((hi == u64::MAX).then_some(hi)) {
                 if satisfies_charges(charges, s) {
-                    push_if_rep(group, trivial, s, &mut out);
+                    push_if_rep(filter, s, &mut out);
                 }
             }
         }
@@ -92,11 +112,12 @@ fn satisfies_charges(charges: &[ChargeMask], s: u64) -> bool {
 }
 
 #[inline]
-fn push_if_rep(group: &ls_symmetry::SymmetryGroup, trivial: bool, s: u64, out: &mut Chunk) {
-    if trivial {
-        out.states.push(s);
-        out.orbit_sizes.push(1);
-    } else if let Some(orbit) = is_representative(group, s) {
+fn push_if_rep(filter: Option<&RepFilter>, s: u64, out: &mut Chunk) {
+    let orbit = match filter {
+        None => Some(1),
+        Some(filter) => filter.orbit_size(s),
+    };
+    if let Some(orbit) = orbit {
         out.states.push(s);
         out.orbit_sizes.push(orbit);
     }
@@ -132,8 +153,11 @@ pub fn enumerate(sector: &SectorSpec) -> Chunk {
 /// result is identical to [`enumerate`].
 pub fn enumerate_par(sector: &SectorSpec, chunks: usize) -> Chunk {
     let ranges = split_ranges(sector.code_bits(), chunks.max(1));
-    let parts: Vec<Chunk> =
-        ranges.into_par_iter().map(|(lo, hi)| filter_range(sector, lo, hi)).collect();
+    let filter = rep_filter(sector);
+    let parts: Vec<Chunk> = ranges
+        .into_par_iter()
+        .map(|(lo, hi)| filter_range_with(sector, filter.as_ref(), lo, hi))
+        .collect();
     let total: usize = parts.iter().map(|c| c.states.len()).sum();
     let mut out =
         Chunk { states: Vec::with_capacity(total), orbit_sizes: Vec::with_capacity(total) };
@@ -254,6 +278,45 @@ mod tests {
                 assert_eq!(par.orbit_sizes.len(), expect.len());
             }
         }
+    }
+
+    #[test]
+    fn sixty_four_sites_with_inversion_at_both_ends_of_the_word() {
+        // `sites · bits == 64`: the flip mask is `u64::MAX`, which is also
+        // the unbounded sentinel of `hi`. Windows at 0 and just below the
+        // sentinel, each against `state_info` on the same candidates.
+        let group = lattice::chain_group(64, 0, None, Some(0)).unwrap();
+        let near_top = u64::MAX - (1 << 12);
+        let weight_32_near_top = 0xffff_fffe_0000_0000;
+        let windows: [(Option<u32>, u64, u64, Vec<u64>); 4] = [
+            (None, 0, 1 << 12, (0..1 << 12).collect()),
+            (None, near_top, u64::MAX, (near_top..=u64::MAX).collect()),
+            (Some(32), 0, 1 << 33, FixedWeightRange::new(64, 32, 0, 1 << 33).collect()),
+            (
+                Some(32),
+                weight_32_near_top,
+                u64::MAX,
+                FixedWeightRange::new(64, 32, weight_32_near_top, u64::MAX).collect(),
+            ),
+        ];
+        for (weight, lo, hi, candidates) in windows {
+            let sector = SectorSpec::new(64, weight, group.clone()).unwrap();
+            let mut expect = Chunk::default();
+            for s in candidates {
+                let info = crate::rep::state_info(&group, s);
+                if info.representative == s && info.valid {
+                    expect.states.push(s);
+                    expect.orbit_sizes.push(info.orbit_size);
+                }
+            }
+            let got = filter_range(&sector, lo, hi);
+            assert_eq!(got.states, expect.states, "weight {weight:?}, [{lo:#x}, {hi:#x})");
+            assert_eq!(got.orbit_sizes, expect.orbit_sizes);
+            assert_eq!(expect.states.is_empty(), lo != 0, "weight {weight:?}, lo = {lo:#x}");
+        }
+        // The trivial group takes the all-ones word under the sentinel.
+        let top = filter_range(&SectorSpec::full(64), u64::MAX - 2, u64::MAX);
+        assert_eq!(top.states, [u64::MAX - 2, u64::MAX - 1, u64::MAX]);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! about an arbitrary bitstring `s` is collected in one `O(|G|)` pass by
 //! [`state_info`].
 
+use ls_kernels::net::{delta_swap, DELTAS, STAGES};
 use ls_kernels::Complex64;
 use ls_symmetry::SymmetryGroup;
 
@@ -181,16 +182,14 @@ impl GroupWalk {
     /// Tables for `group` and the distinct channel flip `masks`.
     pub(crate) fn new(group: &SymmetryGroup, masks: &[u64]) -> Self {
         let elements = group.elements();
-        let mut first = std::collections::HashMap::new();
         let mut network = Vec::with_capacity(elements.len());
         let mut xor = Vec::with_capacity(elements.len());
-        for (g, el) in elements.iter().enumerate() {
+        for_each_first_with_permutation(group, |g, h| {
             // `π(0) = 0`, so the image of the empty word is the flip mask.
-            let flip_mask = el.apply(0);
-            let h = *first.entry(el.permutation().as_slice()).or_insert(g);
+            let flip_mask = elements[g].apply(0);
             network.push(h as u32);
             xor.push(if h == g { flip_mask } else { flip_mask ^ elements[h].apply(0) });
-        }
+        });
         let permuted = masks
             .iter()
             .flat_map(|&m| elements.iter().map(move |el| el.apply_permutation(m)))
@@ -280,25 +279,139 @@ impl GroupWalk {
     }
 }
 
-/// Is `s` a valid representative? Returns its orbit size if so.
+/// Calls `f(g, h)` for every element `g` of `group`, with `h` the first
+/// element carrying the same site permutation (`g` itself when it is the
+/// first). Elements that differ only by the global flip share a Beneš
+/// network; [`GroupWalk`] and [`RepFilter`] both run one network per
+/// distinct `h`.
+fn for_each_first_with_permutation(group: &SymmetryGroup, mut f: impl FnMut(usize, usize)) {
+    let mut first = std::collections::HashMap::new();
+    for (g, el) in group.elements().iter().enumerate() {
+        f(g, *first.entry(el.permutation().as_slice()).or_insert(g));
+    }
+}
+
+/// The candidate filter of basis enumeration (paper Sec. 4, Fig. 4): is
+/// `s` the minimum of its orbit, with non-zero norm?
 ///
-/// `s` must be the minimum of its orbit *and* carry non-zero norm. This is
-/// the filter applied during basis enumeration (paper Sec. 5.2).
-pub fn is_representative(group: &SymmetryGroup, s: u64) -> Option<u32> {
-    let mut stab = 0u32;
-    for el in group.elements() {
-        let t = el.apply(s);
-        if t < s {
-            return None;
-        }
-        if t == s {
-            if !el.phase().is_one() {
+/// It walks the group's distinct site permutations, not its elements.
+/// Each permutation computes `p = π(s)` once, and every element carrying
+/// it tests `t = p ^ flip_mask`: `t < s` rejects, and `t == s` counts
+/// toward the stabilizer and rejects when the element's character is
+/// not 1. The elements carrying one permutation are a coset of the
+/// group's pure flips, so there is one per permutation, or two (flip
+/// partners) when the group holds the spin flip. The identity permutation
+/// comes first and runs no network, so the pure spin flip is one XOR; the
+/// other networks run only the stages inside the window that is non-zero
+/// in some network of the group (on ≤ 32 sites the two shift-32 stages
+/// are zero in all of them).
+///
+/// Whether `s` passes is a property of the whole element set, so it does
+/// not depend on the order of the walk; [`state_info`] is the oracle
+/// (`representative == s && valid`, and the same orbit size).
+#[derive(Clone, Debug)]
+pub(crate) struct RepFilter {
+    order: u32,
+    /// One per distinct site permutation, the identity first.
+    networks: Vec<Network>,
+    /// Does every permutation carry two elements, flip partners?
+    partners: bool,
+    /// Outermost stage pairs that are zero in every network.
+    window: usize,
+}
+
+/// A site permutation and the elements carrying it.
+#[derive(Clone, Debug)]
+struct Network {
+    masks: [u64; STAGES],
+    /// Flip masks: the element's, and its partner's when there is one …
+    flips: [u64; 2],
+    /// … and whether their characters are 1.
+    character_one: [bool; 2],
+}
+
+impl Network {
+    /// The stabilizer count the elements of this network add for `s`,
+    /// given `p = π(s)`, or `None` when one of them rejects `s`.
+    #[inline(always)]
+    fn test<const PARTNERS: bool>(&self, p: u64, s: u64) -> Option<u32> {
+        let mut stab = 0;
+        for k in 0..1 + PARTNERS as usize {
+            let t = p ^ self.flips[k];
+            if t < s || (t == s && !self.character_one[k]) {
                 return None;
             }
-            stab += 1;
+            stab += (t == s) as u32;
+        }
+        Some(stab)
+    }
+}
+
+impl RepFilter {
+    /// Derives the tables from the group's compiled elements.
+    pub(crate) fn new(group: &SymmetryGroup) -> Self {
+        let elements = group.elements();
+        let mut by_network = Vec::with_capacity(elements.len());
+        for_each_first_with_permutation(group, |g, h| by_network.push((h, g)));
+        // The identity permutation first; per permutation, the element
+        // without the flip first (on the identity, the identity element).
+        by_network.sort_by_key(|&(h, g)| {
+            (!elements[h].permutation().is_identity(), h, elements[g].has_flip())
+        });
+        let opens = |i: usize| i == 0 || by_network[i - 1].0 != by_network[i].0;
+        let mut networks =
+            Vec::with_capacity((0..by_network.len()).filter(|&i| opens(i)).count());
+        for (i, &(_, g)) in by_network.iter().enumerate() {
+            // `π(0) = 0`, so the image of the empty word is the flip mask.
+            let (flip, character_one) = (elements[g].apply(0), elements[g].phase().is_one());
+            if opens(i) {
+                let masks = *elements[g].network().masks();
+                networks.push(Network {
+                    masks,
+                    flips: [flip; 2],
+                    character_one: [character_one; 2],
+                });
+            } else {
+                let network: &mut Network =
+                    networks.last_mut().expect("a permutation's first element opens it");
+                (network.flips[1], network.character_one[1]) = (flip, character_one);
+            }
+        }
+        let outer_zero = networks.iter().all(|n| n.masks[0] == 0 && n.masks[STAGES - 1] == 0);
+        Self {
+            order: elements.len() as u32,
+            partners: elements.len() == 2 * networks.len(),
+            networks,
+            window: outer_zero as usize,
         }
     }
-    Some(group.order() as u32 / stab)
+
+    /// The orbit size of `s` if it is a valid representative, else `None`.
+    #[inline]
+    pub(crate) fn orbit_size(&self, s: u64) -> Option<u32> {
+        match (self.window, self.partners) {
+            (0, false) => self.walk::<0, false>(s),
+            (0, true) => self.walk::<0, true>(s),
+            (_, false) => self.walk::<1, false>(s),
+            (_, true) => self.walk::<1, true>(s),
+        }
+    }
+
+    #[inline(always)]
+    fn walk<const WINDOW: usize, const PARTNERS: bool>(&self, s: u64) -> Option<u32> {
+        let (identity, others) =
+            self.networks.split_first().expect("a group holds the identity");
+        let mut stab = identity.test::<PARTNERS>(s, s)?;
+        for network in others {
+            let stages = WINDOW..STAGES - WINDOW;
+            let p = network.masks[stages.clone()]
+                .iter()
+                .zip(&DELTAS[stages])
+                .fold(s, |p, (&mask, &shift)| delta_swap(p, mask, shift));
+            stab += network.test::<PARTNERS>(p, s)?;
+        }
+        Some(self.order / stab)
+    }
 }
 
 #[cfg(test)]
@@ -319,7 +432,7 @@ mod tests {
             assert_eq!(info.representative, s);
             assert_eq!(info.orbit_size, 1);
             assert!(info.valid);
-            assert_eq!(is_representative(&g, s), Some(1));
+            assert_eq!(RepFilter::new(&g).orbit_size(s), Some(1));
         }
     }
 
@@ -331,8 +444,9 @@ mod tests {
         assert_eq!(info.representative, 0b0001);
         assert_eq!(info.orbit_size, 4);
         assert!(info.valid);
-        assert_eq!(is_representative(&g, 0b0001), Some(4));
-        assert_eq!(is_representative(&g, 0b0010), None);
+        let filter = RepFilter::new(&g);
+        assert_eq!(filter.orbit_size(0b0001), Some(4));
+        assert_eq!(filter.orbit_size(0b0010), None);
         // 0b0101 has a 2-element orbit (stabilized by T²).
         let info = state_info(&g, 0b0101);
         assert_eq!(info.representative, 0b0101);
@@ -347,9 +461,10 @@ mod tests {
         let g = translation_group(4, 1);
         let info = state_info(&g, 0b0101);
         assert!(!info.valid);
-        assert_eq!(is_representative(&g, 0b0101), None);
+        let filter = RepFilter::new(&g);
+        assert_eq!(filter.orbit_size(0b0101), None);
         // While 0b0011 (orbit size 4) is fine in any sector.
-        assert_eq!(is_representative(&g, 0b0011), Some(4));
+        assert_eq!(filter.orbit_size(0b0011), Some(4));
     }
 
     #[test]
@@ -372,9 +487,9 @@ mod tests {
             for k in [0i64, 1, n as i64 / 2] {
                 let g = translation_group(n, k);
                 let dim = ls_symmetry::count::sector_dimension(&g, None);
-                let count = (0..(1u64 << n))
-                    .filter(|&s| is_representative(&g, s).is_some())
-                    .count() as u64;
+                let filter = RepFilter::new(&g);
+                let count =
+                    (0..(1u64 << n)).filter(|&s| filter.orbit_size(s).is_some()).count() as u64;
                 assert_eq!(count, dim, "n={n} k={k}");
             }
         }
@@ -386,9 +501,10 @@ mod tests {
             let g = lattice::chain_group(n, 0, Some(0), Some(0)).unwrap();
             let w = n as u32 / 2;
             let dim = ls_symmetry::count::sector_dimension(&g, Some(w));
+            let filter = RepFilter::new(&g);
             let count = (0..(1u64 << n))
                 .filter(|&s| s.count_ones() == w)
-                .filter(|&s| is_representative(&g, s).is_some())
+                .filter(|&s| filter.orbit_size(s).is_some())
                 .count() as u64;
             assert_eq!(count, dim, "n={n}");
         }
@@ -427,17 +543,84 @@ mod tests {
         }
     }
 
+    /// Every group the exhaustive oracle test covers on `n` sites: the
+    /// full chain group, k = n/2 with and without reflection (stabilizer
+    /// characters of −1, so zero-norm orbits), Z = −1, a translation
+    /// carrying the flip, a square lattice where `n` factors into one,
+    /// and the trivial group.
+    fn oracle_groups(n: usize) -> Vec<(String, SymmetryGroup)> {
+        let half = n as i64 / 2;
+        // Reflection commutes with the translations only at k = π.
+        let reflection = n.is_multiple_of(2).then_some(1);
+        let mut groups = vec![
+            ("chain".to_string(), lattice::chain_group(n, 0, Some(0), Some(0)).unwrap()),
+            ("k = n/2".to_string(), lattice::chain_group(n, half, reflection, None).unwrap()),
+            ("k = n/2, T only".to_string(), lattice::chain_group(n, half, None, None).unwrap()),
+            ("z = -1".to_string(), lattice::chain_group(n, 0, Some(0), Some(1)).unwrap()),
+            (
+                "T with flip".to_string(),
+                SymmetryGroup::generate(&[Generator::with_flip(
+                    lattice::chain_translation(n),
+                    1,
+                )])
+                .unwrap(),
+            ),
+            ("trivial".to_string(), SymmetryGroup::trivial(n)),
+        ];
+        if let Some(lx) =
+            [4usize, 3].into_iter().find(|&lx| n.is_multiple_of(lx) && n / lx >= 2)
+        {
+            let ly = n / lx;
+            let square = SymmetryGroup::generate(&[
+                Generator::new(lattice::square_translation_x(lx, ly), 1),
+                Generator::new(lattice::square_translation_y(lx, ly), 0),
+                Generator::spin_inversion(n, 0),
+            ])
+            .unwrap();
+            groups.push((format!("{lx} x {ly} square"), square));
+        }
+        groups
+    }
+
     #[test]
-    fn info_consistent_with_is_representative() {
-        let g = lattice::chain_group(8, 4, None, None).unwrap();
-        for s in 0..(1u64 << 8) {
-            let info = state_info(&g, s);
-            let rep_check = is_representative(&g, s);
-            if s == info.representative && info.valid {
-                assert_eq!(rep_check, Some(info.orbit_size));
-            } else {
-                assert_eq!(rep_check, None);
+    fn filter_agrees_with_state_info_on_every_state() {
+        for n in 8..=12usize {
+            for (name, g) in oracle_groups(n) {
+                let filter = RepFilter::new(&g);
+                let mut accepted = 0;
+                for s in 0..(1u64 << n) {
+                    let info = state_info(&g, s);
+                    let expect =
+                        (info.representative == s && info.valid).then_some(info.orbit_size);
+                    assert_eq!(filter.orbit_size(s), expect, "{name}, n = {n}, s = {s:#b}");
+                    accepted += expect.is_some() as u64;
+                }
+                let dim = ls_symmetry::count::sector_dimension(&g, None);
+                assert_eq!(accepted, dim, "{name}, n = {n}");
             }
         }
+    }
+
+    #[test]
+    fn flip_partners_share_a_network_and_zero_stages_are_skipped() {
+        // 24-site chain: 96 elements on 48 site permutations, the identity
+        // first, carrying the pure spin flip as its partner.
+        let g = lattice::chain_group(24, 0, Some(0), Some(0)).unwrap();
+        let filter = RepFilter::new(&g);
+        assert_eq!(filter.networks.len(), 48);
+        assert!(filter.partners);
+        assert_eq!(filter.networks[0].masks, [0; STAGES]);
+        assert_eq!(filter.networks[0].flips, [0, (1 << 24) - 1]);
+        // On ≤ 32 sites the shift-32 stages are zero in every network.
+        assert_eq!(filter.window, 1);
+        // A translation carrying the flip: one element per permutation.
+        let g =
+            SymmetryGroup::generate(&[Generator::with_flip(lattice::chain_translation(24), 0)])
+                .unwrap();
+        let filter = RepFilter::new(&g);
+        assert_eq!((filter.networks.len(), filter.partners), (24, false));
+        // 64 sites use every stage.
+        let filter = RepFilter::new(&lattice::chain_group(64, 0, None, Some(0)).unwrap());
+        assert_eq!((filter.networks.len(), filter.partners, filter.window), (64, true, 0));
     }
 }

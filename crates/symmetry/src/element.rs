@@ -46,6 +46,12 @@ impl GroupElement {
         self.net.apply(s)
     }
 
+    /// The compiled network of the permutation part, for callers that
+    /// derive their own tables from its stages.
+    pub fn network(&self) -> &BenesNetwork {
+        &self.net
+    }
+
     /// The character `χ(g)` of this element.
     #[inline]
     pub fn character(&self) -> Complex64 {

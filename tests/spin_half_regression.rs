@@ -3,7 +3,11 @@
 //! ground-state eigenvalues through the symmetric and combinadic U(1)
 //! pipelines. The constants were captured on the pre-refactor tree; any
 //! drift means the generic encoding path changed spin-1/2 arithmetic or
-//! state ordering, which the refactor promises not to do.
+//! state ordering, which the refactor promises not to do. The
+//! symmetrized enumeration pins (states and orbit sizes of three
+//! sectors) were captured before the candidate filter walked site
+//! permutations instead of group elements, and hold it to the same
+//! output.
 //!
 //! The two eigenvalue pins were re-captured twice, each time because the
 //! solver stops at another product, so the Ritz value is read off a
@@ -86,4 +90,51 @@ fn combinadic_u1_eigenvalue_bit_identical() {
     let (basis, op) = exact_diag::core::Operator::<f64>::from_expr(&expr, sector).unwrap();
     assert!(basis.ranks_in_closed_form());
     assert_ground_state_pinned(&op, 0xc021cf0bc0514be2, 0xc021cf0bc0518645);
+}
+
+/// The three symmetrized sectors the enumeration pins cover: the
+/// benchmark's 24-site ring (|G| = 96, dim 28 968), the same ring at
+/// k = 1 with translations only (complex characters, zero-norm orbits),
+/// and the 6 × 4 square lattice under Tx · Ty · Z.
+fn symmetrized_sectors() -> [(&'static str, SectorSpec); 3] {
+    use exact_diag::symmetry::lattice::{square_translation_x, square_translation_y};
+    use exact_diag::symmetry::{Generator, SymmetryGroup};
+    let square = SymmetryGroup::generate(&[
+        Generator::new(square_translation_x(6, 4), 3),
+        Generator::new(square_translation_y(6, 4), 0),
+        Generator::spin_inversion(24, 1),
+    ])
+    .unwrap();
+    [
+        (
+            "chain24",
+            SectorSpec::new(24, Some(12), chain_group(24, 0, Some(0), Some(0)).unwrap()),
+        ),
+        ("chain24_k1", SectorSpec::new(24, Some(12), chain_group(24, 1, None, None).unwrap())),
+        ("square6x4", SectorSpec::new(24, Some(12), square)),
+    ]
+    .map(|(name, sector)| (name, sector.unwrap()))
+}
+
+#[test]
+fn symmetrized_enumeration_bit_identical() {
+    // (dimension, FNV of the states, FNV of the orbit sizes), all
+    // order-sensitive, through the shared-memory build and a prime chunk
+    // count of the chunked enumeration.
+    let pins = [
+        (28_968, 0x515528f114dad95b, 0xe1713bd70b49e3e5),
+        (112_632, 0xb1022bebe887122a, 0x78974fd654a57225),
+        (56_406, 0x8d1a58c0bf645094, 0x47cf26a5f009e91d),
+    ];
+    for ((name, sector), (dim, states, orbits)) in symmetrized_sectors().into_iter().zip(pins) {
+        let chunk = exact_diag::basis::enumerate::enumerate_par(&sector, 37);
+        let basis = SpinBasis::build(sector);
+        for (how, s, o) in [
+            ("build", basis.states(), basis.orbit_sizes()),
+            ("enumerate_par", &chunk.states[..], &chunk.orbit_sizes[..]),
+        ] {
+            let (hs, ho) = (fnv1a(s.iter().copied()), fnv1a(o.iter().map(|&o| o as u64)));
+            assert_eq!((s.len(), hs, ho), (dim, states, orbits), "{name} through {how}");
+        }
+    }
 }
