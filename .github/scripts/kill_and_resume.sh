@@ -8,7 +8,7 @@
 #
 #   kill_and_resume.sh <ckpt> <args...>
 #
-# The caller supplies the environment (LS_TRANSPORT, LS_PRECISION, ...)
+# The caller supplies the environment (LS_TRANSPORT, LS_LOCALES, ...)
 # and greps the logs this leaves beside <ckpt> for anything more:
 # <ckpt>.interrupted.log, <ckpt>.resumed.log, <ckpt>.reference.log.
 set -euxo pipefail

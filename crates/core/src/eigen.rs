@@ -40,9 +40,7 @@ pub fn lowest_eigenpairs<S: Scalar>(op: &Operator<S>, k: usize) -> (Vec<f64>, Ve
 
 /// Full-control memory-bounded solve (checkpointing, custom tolerance,
 /// Ritz vectors) — the facade over
-/// [`ls_eigen::thick_restart_lanczos`] for [`Operator`]s. The
-/// reduced-precision modes of real sectors (`LS_PRECISION`) go through
-/// `ls_eigen::eigensolve_precision(op, opts, Precision::from_env())`.
+/// [`ls_eigen::thick_restart_lanczos`] for [`Operator`]s.
 pub fn eigensolve_restarted<S: Scalar>(
     op: &Operator<S>,
     opts: &RestartOptions,

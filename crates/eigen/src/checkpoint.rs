@@ -20,18 +20,13 @@
 //! (retained + 1) vectors × Σpart_len elements × lanes × width bytes  (global element order)
 //! ```
 //!
-//! `kind` is [`KrylovVec::STORAGE_KIND`] (dense = 1, distributed = 2,
-//! f32 dense = 3, f32 distributed = 4): loading a checkpoint into a
-//! different storage is a typed error, as is a layout (part-length)
-//! mismatch — resuming on a different locale partition would change
-//! reduction order and break bit-identity. `width` is
-//! [`KrylovVec::SCALAR_WIDTH`] — bytes per stored lane (8, or 4 for the
-//! f32 storages of the mixed-precision mode). A precision-mismatched
-//! resume is allowed only in the exact widening direction (f32 file into
-//! the matching f64 storage — lossless, though such a resume follows the
-//! f64 trajectory from the widened state rather than replaying the f32
-//! one bit-identically); the narrowing direction would silently truncate
-//! lanes and is rejected with [`FileError::PrecisionMismatch`].
+//! `kind` is [`KrylovVec::STORAGE_KIND`] (dense = 1, distributed = 2):
+//! loading a checkpoint into a different storage is a typed error, as is
+//! a layout (part-length) mismatch — resuming on a different locale
+//! partition would change reduction order and break bit-identity.
+//! `lanes` is reals per element (1 real, 2 complex) and `width` bytes
+//! per real lane, always 8: every lane is an exact f64, and a file that
+//! declares another width is refused as [`FileError::Malformed`].
 //! The record codec writes atomically and streams both ways, so neither a
 //! save nor a load holds a second copy of the vectors.
 
@@ -44,6 +39,8 @@ use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"LSCK";
 const VERSION: u32 = 3;
+/// Bytes per real lane of a stored element: an exact f64.
+const LANE_WIDTH: u32 = 8;
 
 /// Solver state at a restart boundary (see [`crate::restart`] for the
 /// invariants: `basis` holds `retained` locked Ritz vectors followed by
@@ -84,27 +81,24 @@ pub fn save_checkpoint<V: KrylovVec>(
     let layout = state.basis[0].layout();
     let dim: usize = layout.iter().sum();
     let lanes = V::Scalar::N_REALS;
-    let width = V::SCALAR_WIDTH;
     let (k, budget, restarts, retained) =
         (state.k as u64, state.budget as u64, state.restarts as u64, state.retained as u64);
     let mut counts = vec![k, budget, restarts, state.draws, state.breakdowns, retained];
     counts.push(layout.len() as u64);
     counts.extend(layout.iter().map(|&l| l as u64));
-    let vectors = state.basis.len() * dim * lanes * width as usize;
+    let vectors = state.basis.len() * dim * lanes * LANE_WIDTH as usize;
     let len = 3 * 4 + 8 * counts.len() + 16 * state.retained + vectors;
     record::write(path, MAGIC, VERSION, len as u64, |w| {
         w.put_u32(V::STORAGE_KIND);
         w.put_u32(lanes as u32);
-        w.put_u32(width);
+        w.put_u32(LANE_WIDTH);
         counts.iter().for_each(|&n| w.put_u64(n));
         for &x in state.diag.iter().chain(&state.border) {
             w.put_f64(x);
         }
         for v in &state.basis {
             debug_assert_eq!(v.layout(), layout, "checkpointed vectors must share one layout");
-            // f32 storage: `visit` yields the widened value, so narrowing
-            // back is exact and round-trips bitwise.
-            v.visit(&mut |x| w.put_scalar(x, width));
+            v.visit(&mut |x| w.put_scalar(x));
         }
     })
 }
@@ -259,27 +253,10 @@ pub fn remove_checkpoint(path: &Path) -> io::Result<()> {
     }
 }
 
-/// Refuses a checkpoint of storage `kind` and lane `width` that `V`
-/// cannot take: equal (kind, width) loads directly, and an f32 file may
-/// be *widened* into the matching f64 storage (kind 3 into 1, 4 into 2);
-/// the narrowing direction is a typed error, never a silent truncation.
-fn check_storage<V: KrylovVec>(kind: u32, width: u32) -> Result<(), FileError> {
-    let (expected, ours) = (V::STORAGE_KIND, V::SCALAR_WIDTH);
-    let narrowing = width == 8 && ours == 4 && kind.wrapping_add(2) == expected;
-    if narrowing || (kind == expected && width != ours) {
-        return Err(FileError::PrecisionMismatch { found: width, expected: ours });
-    }
-    let widening = width == 4 && ours == 8 && kind == expected.wrapping_add(2);
-    if kind != expected && !widening {
-        return Err(FileError::WrongKind { found: kind, expected });
-    }
-    Ok(())
-}
-
 /// Loads and validates a checkpoint, rebuilding the basis vectors in the
 /// operator's own storage (`op.new_vec()` + element-order fill). The
 /// checkpoint must match the operator: same storage kind, same scalar
-/// width, same part layout — anything else is a typed error, because a
+/// lanes, same part layout — anything else is a typed error, because a
 /// resume that silently reinterprets or repartitions the state cannot be
 /// bit-identical to the uninterrupted solve.
 pub fn load_checkpoint<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
@@ -294,7 +271,12 @@ fn read_state<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
     op: &Op,
 ) -> Result<CheckpointState<V>, FileError> {
     let (kind, lanes, width) = (r.get_u32(), r.get_u32(), r.get_u32());
-    check_storage::<V>(kind, width)?;
+    if kind != V::STORAGE_KIND {
+        return Err(FileError::WrongKind { found: kind, expected: V::STORAGE_KIND });
+    }
+    if width != LANE_WIDTH {
+        return Err(FileError::Malformed(format!("{width}-byte lanes, expected {LANE_WIDTH}")));
+    }
     if lanes as usize != V::Scalar::N_REALS {
         return Err(FileError::ScalarWidthMismatch {
             found: lanes,
@@ -322,12 +304,11 @@ fn read_state<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
     let diag: Vec<f64> = (0..retained).map(|_| r.get_f64()).collect();
     let border: Vec<f64> = (0..retained).map(|_| r.get_f64()).collect();
     let dim: usize = layout.iter().sum();
-    r.need(retained as u64 + 1, (dim * lanes as usize * width as usize) as u64)?;
+    r.need(retained as u64 + 1, (dim * lanes as usize * LANE_WIDTH as usize) as u64)?;
     let mut basis = vec![first];
     basis.extend((0..retained).map(|_| op.new_vec()));
     for v in &mut basis {
-        // f32 lanes widen exactly (also the widening resume).
-        v.fill_with(&mut |_| r.get_scalar(width));
+        v.fill_with(&mut |_| r.get_scalar());
         r.check()?;
     }
     Ok(CheckpointState {
@@ -390,17 +371,17 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// A distributed operator of the given layout, in any lane.
+    /// A distributed `f64` operator of the given layout.
     struct DistZero(Vec<usize>);
 
-    impl<L: ls_kernels::Lane> KrylovOp<DistVec<L>> for DistZero {
+    impl KrylovOp<DistVec<f64>> for DistZero {
         fn dim(&self) -> usize {
             self.0.iter().sum()
         }
-        fn new_vec(&self) -> DistVec<L> {
+        fn new_vec(&self) -> DistVec<f64> {
             DistVec::zeros(&self.0)
         }
-        fn apply(&self, _x: &DistVec<L>, _y: &mut DistVec<L>) {}
+        fn apply(&self, _x: &DistVec<f64>, _y: &mut DistVec<f64>) {}
     }
 
     #[test]
@@ -417,115 +398,55 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// [`sample_state`] re-stored in another vector type, element by
-    /// element through `fill_with` (which narrows for f32 lanes).
-    fn restore<V: KrylovVec<Scalar = f64>>(
-        zero: &V,
-        st: CheckpointState<Vec<f64>>,
-    ) -> CheckpointState<V> {
-        let basis = st
-            .basis
-            .iter()
-            .map(|dense| {
-                let mut v = zero.clone();
-                v.fill_with(&mut |i| dense[i]);
-                v
-            })
-            .collect();
-        CheckpointState {
-            k: st.k,
-            budget: st.budget,
-            restarts: st.restarts,
-            draws: st.draws,
-            breakdowns: st.breakdowns,
-            retained: st.retained,
-            diag: st.diag,
-            border: st.border,
-            basis,
-        }
-    }
-
-    fn sample_state_f32(dim: usize) -> CheckpointState<Vec<f32>> {
-        restore(&vec![0.0f32; dim], sample_state(dim))
-    }
-
+    /// Sealed records built by hand with the writer `save_checkpoint`
+    /// uses, each a well-formed payload for the lanes it declares: the
+    /// 4-byte storages of an f32 solve (kinds 3 and 4), 4-byte lanes
+    /// under kind 1, and 16-byte lanes. Every one is refused with a typed
+    /// error by the dense and the distributed loader, never loaded and
+    /// never a panic; and a saved checkpoint still declares 8-byte lanes.
     #[test]
-    fn f32_checkpoint_roundtrips_bitwise_and_widens_to_f64() {
-        use crate::precision::{widen, MixedOp};
-        let path = tmp("f32_roundtrip");
-        let dim = 61;
-        let st = sample_state_f32(dim);
-        save_checkpoint(&path, &st).unwrap();
-        let dense = DenseOp::new(dim, vec![0.0; dim * dim]);
-
-        // Same-precision resume: bit-exact.
-        let op32 = MixedOp::new(&dense);
-        let back = load_checkpoint::<Vec<f32>, _>(&path, &op32).unwrap();
-        assert_eq!(back.basis, st.basis);
-        assert_eq!(back.diag, st.diag);
-
-        // Widening resume (f32 file, f64 solve): explicit and lossless.
-        let wide = load_checkpoint::<Vec<f64>, _>(&path, &dense).unwrap();
-        for (w, n) in wide.basis.iter().zip(&st.basis) {
-            assert_eq!(w, &widen(n), "widened lanes must be the exact f32 values");
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn narrowing_resume_is_a_typed_precision_error() {
-        use crate::precision::MixedOp;
-        let path = tmp("narrowing");
-        let dim = 32;
-        save_checkpoint(&path, &sample_state(dim)).unwrap(); // f64 file
-        let dense = DenseOp::new(dim, vec![0.0; dim * dim]);
-        let op32 = MixedOp::new(&dense);
-        match load_checkpoint::<Vec<f32>, _>(&path, &op32) {
-            Err(FileError::PrecisionMismatch { found: 8, expected: 4 }) => {}
-            other => panic!("expected PrecisionMismatch, got {other:?}"),
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn distributed_f32_checkpoint_is_kind_4_and_follows_the_precision_rules() {
-        let lens = vec![11usize, 0, 23, 7];
-        let op = DistZero(lens.clone());
+    fn foreign_lane_widths_are_typed_errors() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let path = tmp("foreign_width");
+        let lens = [5usize, 3];
         let dim: usize = lens.iter().sum();
-
-        let path = tmp("dist_f32");
-        let st = restore(&DistVec::<f32>::zeros(&lens), sample_state(dim));
-        save_checkpoint(&path, &st).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(bytes[20..24], 4u32.to_le_bytes(), "storage kind");
-        assert_eq!(bytes[28..32], 4u32.to_le_bytes(), "lane width");
-
-        // Same storage: bit-exact. Widening into the f64 distribution:
-        // every element is the exact f32 value.
-        let back = load_checkpoint::<DistVec<f32>, _>(&path, &op).unwrap();
-        assert_eq!(back.basis, st.basis);
-        let wide = load_checkpoint::<DistVec<f64>, _>(&path, &op).unwrap();
-        for (w, n) in wide.basis.iter().zip(&st.basis) {
-            assert_eq!(w.lens(), lens);
-            assert_eq!(w.concat(), crate::precision::widen(&n.concat()));
-        }
-        // ... but not into dense f64 storage.
         let dense = DenseOp::new(dim, vec![0.0; dim * dim]);
-        match load_checkpoint::<Vec<f64>, _>(&path, &dense) {
-            Err(FileError::WrongKind { found: 4, expected: 1 }) => {}
-            other => panic!("expected WrongKind, got {other:?}"),
-        }
+        let dist = DistZero(lens.to_vec());
 
-        // An f64 distributed file must not be truncated into f32 lanes.
-        let path64 = tmp("dist_f64_into_f32");
-        save_checkpoint(&path64, &restore(&DistVec::<f64>::zeros(&lens), sample_state(dim)))
+        save_checkpoint(&path, &sample_state(dim)).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes[20..32], [1u32, 1, 8].map(u32::to_le_bytes).concat()[..]);
+
+        for (kind, width) in [(3u32, 4u32), (4, 4), (1, 4), (1, 16)] {
+            // k 1, budget 4, restarts 2, draws 1, no breakdowns, nothing
+            // locked: one chain seed of `dim` elements.
+            let layout: &[usize] = if kind % 2 == 0 { &lens } else { &[dim] };
+            let mut counts = vec![1, 4, 2, 1, 0, 0, layout.len() as u64];
+            counts.extend(layout.iter().map(|&l| l as u64));
+            let len = 12 + 8 * counts.len() + dim * width as usize;
+            record::write(&path, MAGIC, VERSION, len as u64, |w| {
+                [kind, 1, width].into_iter().for_each(|x| w.put_u32(x));
+                counts.iter().for_each(|&n| w.put_u64(n));
+                (0..dim * width as usize / 4).for_each(|i| w.put_u32(0x3f80_0000 + i as u32));
+            })
             .unwrap();
-        match load_checkpoint::<DistVec<f32>, _>(&path64, &op) {
-            Err(FileError::PrecisionMismatch { found: 8, expected: 4 }) => {}
-            other => panic!("expected PrecisionMismatch, got {other:?}"),
+            let what = format!("kind {kind}, {width}-byte lanes");
+            let loaded = catch_unwind(AssertUnwindSafe(|| {
+                let into_dense = load_checkpoint::<Vec<f64>, _>(&path, &dense).map(|_| ());
+                let into_dist = load_checkpoint::<DistVec<f64>, _>(&path, &dist).map(|_| ());
+                [(1, into_dense), (2, into_dist)]
+            }))
+            .unwrap_or_else(|_| panic!("{what}: the loader panicked"));
+            for (storage, got) in loaded {
+                match got {
+                    Err(FileError::WrongKind { found, expected })
+                        if (found, expected) == (kind, storage) => {}
+                    Err(FileError::Malformed(_)) if kind == storage => {}
+                    other => panic!("{what} into storage {storage}: got {other:?}"),
+                }
+            }
         }
         std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&path64).ok();
     }
 
     #[test]

@@ -10,17 +10,17 @@
 //! This crate provides:
 //! * [`vector`] — the Krylov storage abstraction: [`KrylovVec`] (fused
 //!   deterministic BLAS-1 over any vector representation, implemented
-//!   once for `Vec<L>` and once for the locale-partitioned
-//!   `ls_runtime::DistVec<L>`, `L` any stored element type —
-//!   [`ls_kernels::Lane`]: `f64`, `Complex64`, or `f32` computed on in
-//!   `f64`) and [`KrylovOp`] (the matrix-free operator over that
-//!   storage, with a blanket implementation turning every [`LinearOp`]
-//!   into a `KrylovOp<Vec<S>>`);
+//!   once for `Vec<S>` and once for the locale-partitioned
+//!   `ls_runtime::DistVec<S>`, `S` a [`ls_kernels::Scalar`]: `f64` or
+//!   `Complex64`, stored as computed in) and [`KrylovOp`] (the
+//!   matrix-free operator over that storage, with a blanket
+//!   implementation turning every [`LinearOp`] into a
+//!   `KrylovOp<Vec<S>>`);
 //! * [`LinearOp`] — the slice-based matrix-free operator interface,
 //!   including the fused matvec+dot epilogue hook
 //!   ([`LinearOp::apply_dot`]);
-//! * [`op`] — the BLAS-1 layer, written once over the lane: serial
-//!   helpers plus the **parallel deterministic kernels** (`par_dot`,
+//! * [`op`] — the BLAS-1 layer, written once over the scalar: serial
+//!   block loops plus the **parallel deterministic kernels** (`par_dot`,
 //!   `par_norm_sqr`, blocked multi-vector `par_multi_dot`/`par_multi_axpy`
 //!   and their fusions, in-place `par_combine_in_place`) whose
 //!   reductions are bit-identical at any `LS_NUM_THREADS`;
@@ -40,10 +40,6 @@
 //! * [`lanczos`] also holds the blocked-CGS2 step and the plain Krylov
 //!   factorization that [`expm`] and [`spectral`] reuse for propagators
 //!   and spectral functions;
-//! * [`precision`] — the reduced-precision modes of a real-sector solve
-//!   (`LS_PRECISION`): [`eigensolve_precision`] runs the same solver on
-//!   `Vec<f32>` through [`MixedOp`], and `mixed` adds one f64
-//!   Rayleigh–Ritz refinement ([`refine_in_f64`]);
 //! * [`checkpoint`] — the on-disk format behind that resume contract
 //!   ([`save_checkpoint`] / [`load_checkpoint`], plus keep-last-K
 //!   rotation);
@@ -73,7 +69,6 @@ pub mod health;
 pub mod jacobi;
 pub mod lanczos;
 pub mod op;
-pub mod precision;
 pub mod record;
 pub mod restart;
 pub mod spectral;
@@ -92,7 +87,6 @@ pub use lanczos::{
     lanczos_smallest, lanczos_smallest_in, LanczosOptions, LanczosResult, LanczosResultIn,
 };
 pub use op::{DenseOp, LinearOp};
-pub use precision::{eigensolve_precision, refine_in_f64, MixedOp, Precision};
 pub use record::FileError;
 pub use restart::{
     thick_restart_lanczos, thick_restart_lanczos_in, CheckpointPolicy, RestartOptions,

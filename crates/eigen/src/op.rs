@@ -1,30 +1,36 @@
 //! The matrix-free operator interface and the BLAS-1 layer of the
 //! eigensolvers.
 //!
-//! Every vector kernel here is written once, over a [`Lane`] — the
-//! stored element type plus the type its arithmetic runs in. `f64` and
-//! `Complex64` are their own accumulators; `f32` storage accumulates in
-//! `f64` and narrows once per stored element. Two tiers:
+//! Every vector kernel here is written once, over a [`Scalar`] (`f64`
+//! or `Complex64`): a Krylov vector stores what it computes in. Two
+//! tiers:
 //!
-//! * the serial helpers ([`dot`], [`norm`], [`axpy`], [`scale`]) — the
-//!   lane's loop over the whole slice, linear accumulation order, used by
-//!   the dense references and anywhere a plain loop is the right tool;
+//! * the serial block loops — [`dot`], [`norm`], [`axpy`], [`scale`] and
+//!   the private multi-vector loops beside them — linear accumulation
+//!   order over one slice, used by the parallel tier on each block, by
+//!   the dense references, and anywhere a plain loop is the right tool.
+//!   The multi-vector loops walk a block in L1-sized tiles; inner
+//!   products are taken eight, four or one basis vector at a time, one
+//!   accumulator per vector carried across the tiles (every sum still
+//!   adds its terms in ascending element order, only the *chains* are
+//!   independent), and updates apply four or one vector per pass over the
+//!   tile, in ascending vector order per element. Grouping moves no
+//!   floating-point operation: the results are those of one [`dot`] /
+//!   [`axpy`] per vector, bit for bit;
 //! * the **parallel deterministic** kernels ([`par_dot`],
 //!   [`par_norm_sqr`], [`par_axpy`], [`par_scale`], [`par_axpy_norm_sqr`],
 //!   the blocked multi-vector [`par_multi_dot`] / [`par_multi_axpy`] /
 //!   [`par_multi_axpy_dot`] / [`par_multi_axpy_norm_sqr`] and the
 //!   in-place [`par_combine_in_place`]) that the Lanczos pipeline runs
-//!   on. Each is the lane's block loop handed to **one** private driver,
-//!   which owns the *fixed* partition ([`REDUCE_BLOCK`], independent of
-//!   the thread count), the inline-or-pool decision ([`MIN_PAR_BLOCKS`])
-//!   and the fixed pairwise tree ([`pairwise_sum`]) over the per-block
+//!   on. Each is a block loop handed to **one** private driver, which
+//!   owns the *fixed* partition ([`REDUCE_BLOCK`], independent of the
+//!   thread count), the inline-or-pool decision ([`MIN_PAR_BLOCKS`]) and
+//!   the fixed pairwise tree ([`pairwise_sum`]) over the per-block
 //!   partials; a block may update one vector, many, or none, and take
 //!   any number of sums on the way. The result is bit-identical for
-//!   `LS_NUM_THREADS = 1, 2, …, N`, only the wall time changes. Inside a
-//!   block the multi-vector loops run in tiles, several vectors per pass
-//!   ([`ls_kernels::lane`]) — at memory bandwidth, on the same bits.
+//!   `LS_NUM_THREADS = 1, 2, …, N`, only the wall time changes.
 
-use ls_kernels::{Lane, Scalar};
+use ls_kernels::Scalar;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -114,33 +120,151 @@ impl<S: Scalar> LinearOp<S> for DenseOp<S> {
 
 /// Hermitian inner product `⟨a, b⟩ = Σ conj(a_i) b_i`.
 #[inline]
-pub fn dot<L: Lane>(a: &[L], b: &[L]) -> L::Acc {
+pub fn dot<S: Scalar>(a: &[S], b: &[S]) -> S {
     debug_assert_eq!(a.len(), b.len());
-    L::dot(a, b)
+    let mut acc = S::ZERO;
+    for (x, y) in a.iter().zip(b) {
+        acc += x.conj() * *y;
+    }
+    acc
 }
 
 /// Squared 2-norm (always real).
 #[inline]
-pub fn norm_sqr<L: Lane>(a: &[L]) -> f64 {
-    L::norm_sqr(a)
+pub fn norm_sqr<S: Scalar>(a: &[S]) -> f64 {
+    a.iter().map(|x| x.abs_sqr()).sum()
 }
 
 /// 2-norm.
 #[inline]
-pub fn norm<L: Lane>(a: &[L]) -> f64 {
+pub fn norm<S: Scalar>(a: &[S]) -> f64 {
     norm_sqr(a).sqrt()
 }
 
 /// `y += alpha * x`.
 #[inline]
-pub fn axpy<L: Lane>(alpha: L::Acc, x: &[L], y: &mut [L]) {
-    L::axpy(alpha, x, y);
+pub fn axpy<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) {
+    for (yi, xi) in y.iter_mut().zip(x) {
+        *yi += alpha * *xi;
+    }
 }
 
 /// `x *= alpha` (real scale).
 #[inline]
-pub fn scale<L: Lane>(x: &mut [L], alpha: f64) {
-    L::scale(x, alpha);
+pub fn scale<S: Scalar>(x: &mut [S], alpha: f64) {
+    for xi in x.iter_mut() {
+        *xi = xi.scale_re(alpha);
+    }
+}
+
+/// Elements per tile of the multi-vector loops: the `w` tile (8 or
+/// 16 KB) stays in L1 while the basis tiles stream past it.
+const TILE: usize = 1024;
+
+/// `out[g] += Σ_i conj(vs[g][lo + i]) · w[i]` for `G` vectors at once:
+/// `G` independent accumulation chains, each in ascending `i`.
+#[inline]
+fn dot_group<S: Scalar, V: AsRef<[S]>, const G: usize>(
+    vs: &[V],
+    lo: usize,
+    w: &[S],
+    out: &mut [S],
+) {
+    let v: [&[S]; G] = std::array::from_fn(|g| &vs[g].as_ref()[lo..lo + w.len()]);
+    let mut acc: [S; G] = std::array::from_fn(|g| out[g]);
+    for (i, wi) in w.iter().enumerate() {
+        for g in 0..G {
+            acc[g] += v[g][i].conj() * *wi;
+        }
+    }
+    out.copy_from_slice(&acc);
+}
+
+/// [`dot_group`] over every vector of `vs`, eight, four and one at a time.
+#[inline]
+fn dot_tile<S: Scalar, V: AsRef<[S]>>(vs: &[V], lo: usize, w: &[S], out: &mut [S]) {
+    let mut b = 0;
+    while vs.len() - b >= 8 {
+        dot_group::<S, V, 8>(&vs[b..b + 8], lo, w, &mut out[b..b + 8]);
+        b += 8;
+    }
+    if vs.len() - b >= 4 {
+        dot_group::<S, V, 4>(&vs[b..b + 4], lo, w, &mut out[b..b + 4]);
+        b += 4;
+    }
+    for b in b..vs.len() {
+        dot_group::<S, V, 1>(&vs[b..=b], lo, w, &mut out[b..=b]);
+    }
+}
+
+/// `w[i] += coeffs[0] · vs[0][lo + i] + …` for `G` vectors in one pass
+/// over `w`, the additions in ascending `g` per element.
+#[inline]
+fn axpy_group<S: Scalar, V: AsRef<[S]>, const G: usize>(
+    coeffs: &[S],
+    vs: &[V],
+    lo: usize,
+    w: &mut [S],
+) {
+    let v: [&[S]; G] = std::array::from_fn(|g| &vs[g].as_ref()[lo..lo + w.len()]);
+    let c: [S; G] = std::array::from_fn(|g| coeffs[g]);
+    for (i, wi) in w.iter_mut().enumerate() {
+        let mut x = *wi;
+        for g in 0..G {
+            x += c[g] * v[g][i];
+        }
+        *wi = x;
+    }
+}
+
+/// [`axpy_group`] over every vector of `vs`, four and one at a time.
+#[inline]
+fn axpy_tile<S: Scalar, V: AsRef<[S]>>(coeffs: &[S], vs: &[V], lo: usize, w: &mut [S]) {
+    let mut b = 0;
+    while vs.len() - b >= 4 {
+        axpy_group::<S, V, 4>(&coeffs[b..b + 4], &vs[b..b + 4], lo, w);
+        b += 4;
+    }
+    for b in b..vs.len() {
+        axpy_group::<S, V, 1>(&coeffs[b..=b], &vs[b..=b], lo, w);
+    }
+}
+
+/// `w[i] += Σ_b coeffs[b] · vs[b][base + i]` over one block `w`,
+/// additions in ascending `b` per element.
+#[inline]
+fn multi_axpy<S: Scalar, V: AsRef<[S]>>(coeffs: &[S], vs: &[V], base: usize, w: &mut [S]) {
+    for (t, wt) in w.chunks_mut(TILE).enumerate() {
+        axpy_tile(coeffs, vs, base + t * TILE, wt);
+    }
+}
+
+/// `out[b] = Σ_i conj(vs[b][base + i]) · w[i]` over one block `w`: one
+/// [`dot`] per vector, every sum in ascending `i`.
+#[inline]
+fn multi_dot<S: Scalar, V: AsRef<[S]>>(vs: &[V], base: usize, w: &[S], out: &mut [S]) {
+    out.fill(S::ZERO);
+    for (t, wt) in w.chunks(TILE).enumerate() {
+        dot_tile(vs, base + t * TILE, wt, out);
+    }
+}
+
+/// [`multi_axpy`] followed by [`multi_dot`] of the updated block — one
+/// CGS pass applied and the next one's coefficients taken tile by tile,
+/// while the tile is resident.
+#[inline]
+fn multi_axpy_dot<S: Scalar, V: AsRef<[S]>>(
+    coeffs: &[S],
+    vs: &[V],
+    base: usize,
+    w: &mut [S],
+    out: &mut [S],
+) {
+    out.fill(S::ZERO);
+    for (t, wt) in w.chunks_mut(TILE).enumerate() {
+        axpy_tile(coeffs, vs, base + t * TILE, wt);
+        dot_tile(vs, base + t * TILE, wt, out);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -203,7 +327,7 @@ pub fn store_partial<S: Scalar>(lanes: &[AtomicU64], slot: usize, value: S) {
 
 /// Hands out `w` one block at a time, front to back — the `take` of
 /// [`blocked`] for a kernel that updates `w`.
-fn blocks_of<'a, L>(w: &'a mut [L]) -> impl FnMut(usize) -> &'a mut [L] {
+fn blocks_of<'a, S>(w: &'a mut [S]) -> impl FnMut(usize) -> &'a mut [S] {
     let mut rest = w;
     move |len| {
         let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
@@ -253,32 +377,32 @@ fn blocked<T: Send, A: Scalar>(
 }
 
 /// Parallel Hermitian inner product, bit-deterministic across thread
-/// counts: per-block partials (one [`Lane::dot`] per [`REDUCE_BLOCK`])
+/// counts: per-block partials (one [`dot`] per [`REDUCE_BLOCK`])
 /// combined with [`pairwise_sum`].
-pub fn par_dot<L: Lane>(a: &[L], b: &[L]) -> L::Acc {
+pub fn par_dot<S: Scalar>(a: &[S], b: &[S]) -> S {
     assert_eq!(a.len(), b.len(), "dot of vectors of different lengths");
-    blocked(a.len(), 1, |_| (), |lo, hi, (), out| out[0] = L::dot(&a[lo..hi], &b[lo..hi]))[0]
+    blocked(a.len(), 1, |_| (), |lo, hi, (), out| out[0] = dot(&a[lo..hi], &b[lo..hi]))[0]
 }
 
 /// Parallel squared 2-norm, bit-deterministic across thread counts.
-pub fn par_norm_sqr<L: Lane>(a: &[L]) -> f64 {
-    blocked(a.len(), 1, |_| (), |lo, hi, (), out| out[0] = L::norm_sqr(&a[lo..hi]))[0]
+pub fn par_norm_sqr<S: Scalar>(a: &[S]) -> f64 {
+    blocked(a.len(), 1, |_| (), |lo, hi, (), out| out[0] = norm_sqr(&a[lo..hi]))[0]
 }
 
 /// Parallel 2-norm (deterministic, see [`par_norm_sqr`]).
-pub fn par_norm<L: Lane>(a: &[L]) -> f64 {
+pub fn par_norm<S: Scalar>(a: &[S]) -> f64 {
     par_norm_sqr(a).sqrt()
 }
 
 /// Parallel `y += alpha * x`. Element-wise, so trivially deterministic.
-pub fn par_axpy<L: Lane>(alpha: L::Acc, x: &[L], y: &mut [L]) {
+pub fn par_axpy<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) {
     assert_eq!(x.len(), y.len(), "axpy of vectors of different lengths");
-    blocked::<_, f64>(y.len(), 0, blocks_of(y), |lo, hi, yb, _| L::axpy(alpha, &x[lo..hi], yb));
+    blocked::<_, f64>(y.len(), 0, blocks_of(y), |lo, hi, yb, _| axpy(alpha, &x[lo..hi], yb));
 }
 
 /// Parallel `x *= alpha` (real scale).
-pub fn par_scale<L: Lane>(x: &mut [L], alpha: f64) {
-    blocked::<_, f64>(x.len(), 0, blocks_of(x), |_, _, xb, _| L::scale(xb, alpha));
+pub fn par_scale<S: Scalar>(x: &mut [S], alpha: f64) {
+    blocked::<_, f64>(x.len(), 0, blocks_of(x), |_, _, xb, _| scale(xb, alpha));
 }
 
 /// Fused `y += alpha * x; return ‖y‖²` in one parallel sweep — the
@@ -286,10 +410,11 @@ pub fn par_scale<L: Lane>(x: &mut [L], alpha: f64) {
 /// reorthogonalization update and the β that follows it), saving one full
 /// read pass over the Krylov vector. Bit-identical to [`par_axpy`]
 /// followed by [`par_norm_sqr`], at any thread count.
-pub fn par_axpy_norm_sqr<L: Lane>(alpha: L::Acc, x: &[L], y: &mut [L]) -> f64 {
+pub fn par_axpy_norm_sqr<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) -> f64 {
     assert_eq!(x.len(), y.len(), "axpy of vectors of different lengths");
     blocked(y.len(), 1, blocks_of(y), |lo, hi, yb, out| {
-        out[0] = L::axpy_norm_sqr(alpha, &x[lo..hi], yb);
+        axpy(alpha, &x[lo..hi], yb);
+        out[0] = norm_sqr(yb);
     })[0]
 }
 
@@ -298,52 +423,50 @@ pub fn par_axpy_norm_sqr<L: Lane>(alpha: L::Acc, x: &[L], y: &mut [L]) -> f64 {
 /// This is the coefficient half of blocked (CGS2) reorthogonalization —
 /// with `m` basis vectors the one-vector-at-a-time loop reads `w` `m`
 /// times per pass; this kernel reads it once, with the current `w` tile
-/// cache-hot across all `m` dot products ([`Lane::multi_dot`]).
+/// cache-hot across all `m` dot products (the tiled `multi_dot` block loop).
 /// Deterministic: per-vector partials over the fixed [`REDUCE_BLOCK`]
 /// partition, combined with [`pairwise_sum`] — `out[b]` is
 /// [`par_dot`]`(vs[b], w)` to the bit.
-pub fn par_multi_dot<L: Lane, V: AsRef<[L]> + Sync>(vs: &[V], w: &[L]) -> Vec<L::Acc> {
-    blocked(w.len(), vs.len(), |_| (), |lo, hi, (), out| L::multi_dot(vs, lo, &w[lo..hi], out))
+pub fn par_multi_dot<S: Scalar, V: AsRef<[S]> + Sync>(vs: &[V], w: &[S]) -> Vec<S> {
+    blocked(w.len(), vs.len(), |_| (), |lo, hi, (), out| multi_dot(vs, lo, &w[lo..hi], out))
 }
 
 /// Blocked multi-vector update: `w += Σ_b coeffs[b] · vs[b]`, sweeping
 /// `w` exactly once (the update half of blocked reorthogonalization).
 /// Per element the additions run in ascending `b` order — independent of
 /// how chunks are claimed, so deterministic.
-pub fn par_multi_axpy<L: Lane, V: AsRef<[L]> + Sync>(coeffs: &[L::Acc], vs: &[V], w: &mut [L]) {
+pub fn par_multi_axpy<S: Scalar, V: AsRef<[S]> + Sync>(coeffs: &[S], vs: &[V], w: &mut [S]) {
     assert_eq!(coeffs.len(), vs.len(), "one coefficient per vector");
-    blocked::<_, f64>(w.len(), 0, blocks_of(w), |lo, _, wb, _| {
-        L::multi_axpy(coeffs, vs, lo, wb)
-    });
+    blocked::<_, f64>(w.len(), 0, blocks_of(w), |lo, _, wb, _| multi_axpy(coeffs, vs, lo, wb));
 }
 
 /// [`par_multi_axpy`] fused with `‖w‖²` of the result — the final
 /// reorthogonalization pass and the β norm in one sweep over `w`.
 /// Bit-identical to [`par_multi_axpy`] followed by [`par_norm_sqr`].
-pub fn par_multi_axpy_norm_sqr<L: Lane, V: AsRef<[L]> + Sync>(
-    coeffs: &[L::Acc],
+pub fn par_multi_axpy_norm_sqr<S: Scalar, V: AsRef<[S]> + Sync>(
+    coeffs: &[S],
     vs: &[V],
-    w: &mut [L],
+    w: &mut [S],
 ) -> f64 {
     assert_eq!(coeffs.len(), vs.len(), "one coefficient per vector");
     blocked(w.len(), 1, blocks_of(w), |lo, _, wb, out| {
-        L::multi_axpy(coeffs, vs, lo, wb);
-        out[0] = L::norm_sqr(wb);
+        multi_axpy(coeffs, vs, lo, wb);
+        out[0] = norm_sqr(wb);
     })[0]
 }
 
 /// [`par_multi_axpy`] fused with the [`par_multi_dot`] of the result
 /// against the same vectors — the first CGS pass's update and the second
 /// pass's coefficients in one sweep over the basis
-/// ([`Lane::multi_axpy_dot`]). Bit-identical to the two calls in turn.
-pub fn par_multi_axpy_dot<L: Lane, V: AsRef<[L]> + Sync>(
-    coeffs: &[L::Acc],
+/// (`multi_axpy_dot`). Bit-identical to the two calls in turn.
+pub fn par_multi_axpy_dot<S: Scalar, V: AsRef<[S]> + Sync>(
+    coeffs: &[S],
     vs: &[V],
-    w: &mut [L],
-) -> Vec<L::Acc> {
+    w: &mut [S],
+) -> Vec<S> {
     assert_eq!(coeffs.len(), vs.len(), "one coefficient per vector");
     blocked(w.len(), vs.len(), blocks_of(w), |lo, _, wb, out| {
-        L::multi_axpy_dot(coeffs, vs, lo, wb, out);
+        multi_axpy_dot(coeffs, vs, lo, wb, out);
     })
 }
 
@@ -359,20 +482,20 @@ const COMBINE_TILE: usize = 512;
 /// zero vector (`0 + rows[r][0]·vs[0] + rows[r][1]·vs[1] + …`, so a
 /// `-0.0` product lands as `+0.0`), to the bit. `vs[rows.len()..]` keep
 /// their content.
-pub fn par_combine_in_place<L: Lane>(rows: &[Vec<L::Acc>], vs: Vec<&mut [L]>) {
+pub fn par_combine_in_place<S: Scalar>(rows: &[Vec<S>], vs: Vec<&mut [S]>) {
     assert!(rows.len() <= vs.len(), "more combinations than vectors");
     assert!(rows.iter().all(|row| row.len() == vs.len()), "one coefficient per vector");
     let n = vs.first().map_or(0, |v| v.len());
     assert!(vs.iter().all(|v| v.len() == n), "combination of vectors of different lengths");
     let mut takes: Vec<_> = vs.into_iter().map(blocks_of).collect();
-    let take = |len: usize| takes.iter_mut().map(|t| t(len)).collect::<Vec<&mut [L]>>();
-    blocked::<_, f64>(n, 0, take, |lo, hi, mut blk: Vec<&mut [L]>, _| {
-        let mut scratch = vec![L::default(); rows.len() * COMBINE_TILE];
+    let take = |len: usize| takes.iter_mut().map(|t| t(len)).collect::<Vec<&mut [S]>>();
+    blocked::<_, f64>(n, 0, take, |lo, hi, mut blk: Vec<&mut [S]>, _| {
+        let mut scratch = vec![S::ZERO; rows.len() * COMBINE_TILE];
         for t in (0..hi - lo).step_by(COMBINE_TILE) {
             let len = COMBINE_TILE.min(hi - lo - t);
             for (row, s) in rows.iter().zip(scratch.chunks_mut(COMBINE_TILE)) {
-                s[..len].fill(L::default());
-                L::multi_axpy(row, &blk, t, &mut s[..len]);
+                s[..len].fill(S::ZERO);
+                multi_axpy(row, &blk, t, &mut s[..len]);
             }
             for (v, s) in blk.iter_mut().zip(scratch.chunks(COMBINE_TILE)) {
                 v[t..t + len].copy_from_slice(&s[..len]);
@@ -413,6 +536,61 @@ mod tests {
         let b = vec![Complex64::new(0.0, 1.0)];
         // ⟨i, i⟩ = conj(i)·i = 1.
         assert!(dot(&a, &b).approx_eq(Complex64::ONE, 1e-15));
+    }
+
+    #[test]
+    fn full_width_lanes_are_their_own_accumulator() {
+        let a = [1.0, -2.0, 2.0];
+        assert_eq!(dot(&a, &a), 9.0);
+        assert_eq!(norm_sqr(&a), 9.0);
+        let mut y = [0.0, 1.0, 0.0];
+        assert_eq!(par_axpy_norm_sqr(2.0, &a, &mut y), 29.0);
+        assert_eq!(y, [2.0, -3.0, 4.0]);
+        scale(&mut y, 0.5);
+        assert_eq!(y, [1.0, -1.5, 2.0]);
+        // ⟨i, i⟩ = conj(i)·i = 1: the left side is conjugated.
+        let z = [Complex64::new(0.0, 1.0)];
+        assert!(dot(&z, &z).approx_eq(Complex64::ONE, 1e-15));
+    }
+
+    /// The tiled multi-vector loops on one block against one
+    /// `dot` / `axpy` per vector, for every group remainder and on both
+    /// sides of a tile boundary.
+    fn tiled_is_per_vector<S: Scalar>(value: impl Fn(usize) -> S) {
+        for n in [0, 1, TILE - 1, TILE, 2 * TILE + 3] {
+            for m in [0usize, 1, 3, 4, 5, 8, 9, 17] {
+                let base = 5;
+                let vs: Vec<Vec<S>> = (0..m)
+                    .map(|b| (0..base + n).map(|i| value(31 * b + i)).collect())
+                    .collect();
+                let coeffs: Vec<S> = (0..m).map(|b| value(1000 + b)).collect();
+                let w: Vec<S> = (0..n).map(|i| value(7 * i + 3)).collect();
+
+                let mut dots = vec![S::ONE; m];
+                multi_dot(&vs, base, &w, &mut dots);
+                let mut updated = w.clone();
+                multi_axpy(&coeffs, &vs, base, &mut updated);
+                let mut expect = w.clone();
+                for b in 0..m {
+                    assert!(dots[b] == dot(&vs[b][base..], &w), "dot {b} of {m}, n = {n}");
+                    axpy(coeffs[b], &vs[b][base..], &mut expect);
+                }
+                assert!(updated == expect, "axpy of {m}, n = {n}");
+
+                let mut fused = w.clone();
+                let mut fused_dots = vec![S::ONE; m];
+                multi_axpy_dot(&coeffs, &vs, base, &mut fused, &mut fused_dots);
+                multi_dot(&vs, base, &updated, &mut dots);
+                assert!(fused == updated && fused_dots == dots, "fused, {m} vectors, n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn tiled_multi_vector_loops_keep_the_per_vector_bits() {
+        let real = |i: usize| ((i * 2654435761) % 1009) as f64 / 1009.0 - 0.5;
+        tiled_is_per_vector(real);
+        tiled_is_per_vector(|i| Complex64::new(real(i), real(i + 500)));
     }
 
     fn ramp(n: usize, scale: f64) -> Vec<f64> {

@@ -68,20 +68,13 @@ pub enum FileError {
     },
     /// The payload was written as another kind: an `LSRS` basis read as a
     /// vector, or a checkpoint of another vector storage (dense 1,
-    /// distributed 2, their f32 twins 3 and 4).
+    /// distributed 2).
     WrongKind {
         found: u32,
         expected: u32,
     },
     /// Real lanes per element: 1 for real, 2 for complex scalars.
     ScalarWidthMismatch {
-        found: u32,
-        expected: u32,
-    },
-    /// A checkpoint's bytes per lane would be narrowed by the solve: an
-    /// f64 checkpoint cannot resume an f32-storage solve. The widening
-    /// direction (f32 file, f64 solve) loads fine.
-    PrecisionMismatch {
         found: u32,
         expected: u32,
     },
@@ -116,12 +109,6 @@ impl fmt::Display for FileError {
             Self::ScalarWidthMismatch { found, expected } => {
                 write!(f, "{found} lanes per scalar, expected {expected}")
             }
-            Self::PrecisionMismatch { found, expected } => write!(
-                f,
-                "checkpoint stores {found}-byte lanes but the solve stores {expected}-byte \
-                 lanes: resuming would truncate precision (widen by resuming in f64, or \
-                 delete the checkpoint to restart)"
-            ),
             Self::LayoutMismatch { found, expected } => {
                 write!(f, "layout {found:?} does not match solver layout {expected:?}")
             }
@@ -227,15 +214,10 @@ impl Writer {
         self.put(&x.to_le_bytes());
     }
 
-    /// `x` as `S::N_REALS` real lanes of `width` bytes each: 8 is exact
-    /// f64, 4 is f32 (exact when `x` was widened from f32 storage).
-    pub(crate) fn put_scalar<S: Scalar>(&mut self, x: S, width: u32) {
+    /// `x` as `S::N_REALS` f64 lanes.
+    pub(crate) fn put_scalar<S: Scalar>(&mut self, x: S) {
         for &lane in &x.to_reals()[..S::N_REALS] {
-            if width == 4 {
-                self.put_u32((lane as f32).to_bits());
-            } else {
-                self.put_f64(lane);
-            }
+            self.put_f64(lane);
         }
     }
 }
@@ -392,13 +374,11 @@ impl Reader {
         f64::from_le_bytes(self.take())
     }
 
-    /// Reads back one [`Writer::put_scalar`] element; f32 lanes widen
-    /// exactly.
-    pub(crate) fn get_scalar<S: Scalar>(&mut self, width: u32) -> S {
+    /// Reads back one [`Writer::put_scalar`] element.
+    pub(crate) fn get_scalar<S: Scalar>(&mut self) -> S {
         let mut reals = [0.0f64; 2];
         for lane in reals.iter_mut().take(S::N_REALS) {
-            *lane =
-                if width == 4 { f32::from_bits(self.get_u32()) as f64 } else { self.get_f64() };
+            *lane = self.get_f64();
         }
         S::from_reals(reals)
     }
@@ -423,7 +403,7 @@ pub fn save_vector<S: Scalar>(path: &Path, data: &[S]) -> io::Result<()> {
         w.put_u32(S::N_REALS as u32);
         w.put_u64(data.len() as u64);
         for &x in data {
-            w.put_scalar(x, 8);
+            w.put_scalar(x);
         }
     })
 }
@@ -442,7 +422,7 @@ pub fn load_vector<S: Scalar>(path: &Path) -> io::Result<Vec<S>> {
         }
         let n = r.get_u64();
         r.need(n, 8 * lanes as u64)?;
-        Ok((0..n as usize).map(|_| r.get_scalar(8)).collect())
+        Ok((0..n as usize).map(|_| r.get_scalar()).collect())
     })?)
 }
 

@@ -7,10 +7,10 @@
 //! primitives — fused, deterministic, in place — so the recurrences are
 //! written once and run on any storage:
 //!
-//! * **`Vec<L>`** — shared-memory vectors on the parallel deterministic
+//! * **`Vec<S>`** — shared-memory vectors on the parallel deterministic
 //!   kernels of [`crate::op`] (per-block partials over the fixed
 //!   [`crate::op::REDUCE_BLOCK`] partition, pairwise reduction trees);
-//! * **`ls_runtime::DistVec<L>`** — locale-partitioned vectors. Each
+//! * **`ls_runtime::DistVec<S>`** — locale-partitioned vectors. Each
 //!   primitive runs the same shared-memory kernel *per part* and reduces
 //!   the per-locale partials in locale order (the `allreduce` of a real
 //!   cluster). Nothing is ever gathered: the Krylov recurrence operates
@@ -18,11 +18,8 @@
 //!   claim — Krylov state stays distributed, only matrix elements cross
 //!   locale boundaries.
 //!
-//! Both are generic over the stored element `L:` [`Lane`]: `f64` and
-//! `Complex64` store what they compute in, and `f32` stores 4-byte lanes
-//! while the solver still sees `Scalar = f64` (the reduced-precision
-//! modes of [`crate::precision`]). The checkpoint storage-kind and width
-//! tags follow from the lane.
+//! Both are generic over the element `S:` [`Scalar`] (`f64` or
+//! `Complex64`): a Krylov vector stores what it computes in.
 //!
 //! [`KrylovOp`] is the operator side: the matrix-vector product over a
 //! given vector type, plus the allocation hook the solvers use for their
@@ -30,8 +27,7 @@
 //! ([`KrylovOp::apply_dot`]). Every [`LinearOp`] automatically is a
 //! `KrylovOp<Vec<S>>`, so existing slice-based operators need no changes;
 //! the distributed backend implements `KrylovOp<DistVec<S>>` directly on
-//! the producer/consumer engine, and [`crate::precision::MixedOp`] is the
-//! `KrylovOp<Vec<f32>>` over any f64 operator.
+//! the producer/consumer engine.
 //!
 //! # Determinism
 //!
@@ -43,7 +39,7 @@
 //! tolerance, not bitwise, exactly like a real machine.
 
 use crate::op::{self, LinearOp};
-use ls_kernels::{Lane, Scalar};
+use ls_kernels::Scalar;
 use ls_runtime::{collective, DistVec};
 use std::borrow::Borrow;
 
@@ -56,23 +52,15 @@ use std::borrow::Borrow;
 /// instead of once per basis vector, and the solvers' performance rests
 /// on them; `combine_in_place` is the compression of a thick restart.
 pub trait KrylovVec: Clone {
-    /// The type the solver computes in: coefficients, inner products and
-    /// the values [`KrylovVec::visit`] / [`KrylovVec::fill_with`]
-    /// exchange. The *stored* element may be narrower (f32 storage has
-    /// `Scalar = f64`).
+    /// The element type, stored and computed in: coefficients, inner
+    /// products and the values [`KrylovVec::visit`] /
+    /// [`KrylovVec::fill_with`] exchange.
     type Scalar: Scalar;
 
     /// Storage-kind tag written into checkpoint files so a resume cannot
     /// silently reinterpret one storage's bytes as another's
-    /// (see [`crate::checkpoint`]): dense 1, distributed 2, and 3 / 4
-    /// for the same two in 4-byte lanes.
+    /// (see [`crate::checkpoint`]): dense 1, distributed 2.
     const STORAGE_KIND: u32;
-
-    /// Bytes per stored scalar lane ([`Lane::WIDTH`]): 8, or 4 for f32
-    /// storage. Checkpoints record it so a resume can widen
-    /// an f32 checkpoint into an f64 solve explicitly — and reject the
-    /// lossy direction with a typed error instead of truncating lanes.
-    const SCALAR_WIDTH: u32;
 
     /// Global number of elements (summed over parts for distributed
     /// storage).
@@ -141,43 +129,30 @@ pub trait KrylovVec: Clone {
     fn combine_in_place(rows: &[Vec<Self::Scalar>], vs: &mut [Self]);
 }
 
-/// Checkpoint storage kind of a vector stored in lanes of `L`: the
-/// 8-byte kinds are `base`, their 4-byte counterparts `base + 2`.
-const fn storage_kind<L: Lane>(base: u32) -> u32 {
-    if L::WIDTH == 4 {
-        base + 2
-    } else {
-        base
-    }
-}
+impl<S: Scalar> KrylovVec for Vec<S> {
+    type Scalar = S;
 
-impl<L: Lane> KrylovVec for Vec<L> {
-    type Scalar = L::Acc;
-
-    const STORAGE_KIND: u32 = storage_kind::<L>(1);
-    const SCALAR_WIDTH: u32 = L::WIDTH;
+    const STORAGE_KIND: u32 = 1;
 
     fn len(&self) -> usize {
-        <[L]>::len(self)
+        <[S]>::len(self)
     }
 
     fn layout(&self) -> Vec<usize> {
-        vec![<[L]>::len(self)]
+        vec![<[S]>::len(self)]
     }
 
-    fn visit(&self, f: &mut dyn FnMut(L::Acc)) {
-        for &x in self.iter() {
-            f(x.widen());
-        }
+    fn visit(&self, f: &mut dyn FnMut(S)) {
+        self.iter().for_each(|&x| f(x));
     }
 
-    fn fill_with(&mut self, f: &mut dyn FnMut(usize) -> L::Acc) {
+    fn fill_with(&mut self, f: &mut dyn FnMut(usize) -> S) {
         for (i, x) in self.iter_mut().enumerate() {
-            *x = L::narrow(f(i));
+            *x = f(i);
         }
     }
 
-    fn dot(&self, other: &Self) -> L::Acc {
+    fn dot(&self, other: &Self) -> S {
         op::par_dot(self, other)
     }
 
@@ -185,7 +160,7 @@ impl<L: Lane> KrylovVec for Vec<L> {
         op::par_norm_sqr(self)
     }
 
-    fn axpy(&mut self, alpha: L::Acc, x: &Self) {
+    fn axpy(&mut self, alpha: S, x: &Self) {
         op::par_axpy(alpha, x, self);
     }
 
@@ -193,27 +168,27 @@ impl<L: Lane> KrylovVec for Vec<L> {
         op::par_scale(self, alpha);
     }
 
-    fn axpy_norm_sqr(&mut self, alpha: L::Acc, x: &Self) -> f64 {
+    fn axpy_norm_sqr(&mut self, alpha: S, x: &Self) -> f64 {
         op::par_axpy_norm_sqr(alpha, x, self)
     }
 
-    fn multi_dot(vs: &[Self], w: &Self) -> Vec<L::Acc> {
+    fn multi_dot(vs: &[Self], w: &Self) -> Vec<S> {
         op::par_multi_dot(vs, w)
     }
 
-    fn multi_axpy(coeffs: &[L::Acc], vs: &[Self], w: &mut Self) {
+    fn multi_axpy(coeffs: &[S], vs: &[Self], w: &mut Self) {
         op::par_multi_axpy(coeffs, vs, w);
     }
 
-    fn multi_axpy_norm_sqr(coeffs: &[L::Acc], vs: &[Self], w: &mut Self) -> f64 {
+    fn multi_axpy_norm_sqr(coeffs: &[S], vs: &[Self], w: &mut Self) -> f64 {
         op::par_multi_axpy_norm_sqr(coeffs, vs, w)
     }
 
-    fn multi_axpy_dot(coeffs: &[L::Acc], vs: &[Self], w: &mut Self) -> Vec<L::Acc> {
+    fn multi_axpy_dot(coeffs: &[S], vs: &[Self], w: &mut Self) -> Vec<S> {
         op::par_multi_axpy_dot(coeffs, vs, w)
     }
 
-    fn combine_in_place(rows: &[Vec<L::Acc>], vs: &mut [Self]) {
+    fn combine_in_place(rows: &[Vec<S>], vs: &mut [Self]) {
         op::par_combine_in_place(rows, vs.iter_mut().map(Vec::as_mut_slice).collect());
     }
 }
@@ -230,9 +205,9 @@ impl<L: Lane> KrylovVec for Vec<L> {
 /// Every vector in `others` must have `w`'s layout. That is asserted
 /// here, in every build profile: zipping parts of different lengths
 /// would otherwise return a plausible number.
-fn per_part<'a, L: Lane, A: Scalar, W: Borrow<DistVec<L>>>(
+fn per_part<'a, S: Scalar, A: Scalar, W: Borrow<DistVec<S>>>(
     mut w: W,
-    others: impl IntoIterator<Item = &'a DistVec<L>>,
+    others: impl IntoIterator<Item = &'a DistVec<S>>,
     m: usize,
     mut kernel: impl FnMut(&mut W, usize) -> Vec<A>,
 ) -> Vec<A> {
@@ -253,7 +228,7 @@ fn per_part<'a, L: Lane, A: Scalar, W: Borrow<DistVec<L>>>(
 }
 
 /// Part `l` of every vector in `vs`.
-fn parts_of<L>(vs: &[DistVec<L>], l: usize) -> Vec<&[L]> {
+fn parts_of<S>(vs: &[DistVec<S>], l: usize) -> Vec<&[S]> {
     vs.iter().map(|v| v.part(l)).collect()
 }
 
@@ -264,11 +239,10 @@ fn parts_of<L>(vs: &[DistVec<L>], l: usize) -> Vec<&[L]> {
 /// [`KrylovVec::visit`] re-assembles the global vector
 /// ([`collective::for_each_global`]), which is what checkpointing
 /// consumes.
-impl<L: Lane> KrylovVec for DistVec<L> {
-    type Scalar = L::Acc;
+impl<S: Scalar> KrylovVec for DistVec<S> {
+    type Scalar = S;
 
-    const STORAGE_KIND: u32 = storage_kind::<L>(2);
-    const SCALAR_WIDTH: u32 = L::WIDTH;
+    const STORAGE_KIND: u32 = 2;
 
     fn len(&self) -> usize {
         self.total_len()
@@ -278,26 +252,26 @@ impl<L: Lane> KrylovVec for DistVec<L> {
         self.lens()
     }
 
-    fn visit(&self, f: &mut dyn FnMut(L::Acc)) {
+    fn visit(&self, f: &mut dyn FnMut(S)) {
         // Every rank streams the identical canonical vector, so
         // checkpoints written from it agree.
-        collective::for_each_global(self, |x| f(x.widen()));
+        collective::for_each_global(self, f);
     }
 
-    fn fill_with(&mut self, f: &mut dyn FnMut(usize) -> L::Acc) {
+    fn fill_with(&mut self, f: &mut dyn FnMut(usize) -> S) {
         // Multiprocess included: every rank fills the full replica — the
         // stream is deterministic, so all ranks agree and each rank's own
         // part comes out authoritative.
         let mut i = 0usize;
         for part in self.parts_mut() {
             for x in part.iter_mut() {
-                *x = L::narrow(f(i));
+                *x = f(i);
                 i += 1;
             }
         }
     }
 
-    fn dot(&self, other: &Self) -> L::Acc {
+    fn dot(&self, other: &Self) -> S {
         per_part(self, Some(other), 1, |a, l| vec![op::par_dot(a.part(l), other.part(l))])[0]
     }
 
@@ -305,7 +279,7 @@ impl<L: Lane> KrylovVec for DistVec<L> {
         per_part(self, None, 1, |a, l| vec![op::par_norm_sqr(a.part(l))])[0]
     }
 
-    fn axpy(&mut self, alpha: L::Acc, x: &Self) {
+    fn axpy(&mut self, alpha: S, x: &Self) {
         per_part(self, Some(x), 0, |y, l| -> Vec<f64> {
             op::par_axpy(alpha, x.part(l), y.part_mut(l));
             Vec::new()
@@ -319,30 +293,30 @@ impl<L: Lane> KrylovVec for DistVec<L> {
         });
     }
 
-    fn axpy_norm_sqr(&mut self, alpha: L::Acc, x: &Self) -> f64 {
+    fn axpy_norm_sqr(&mut self, alpha: S, x: &Self) -> f64 {
         per_part(self, Some(x), 1, |y, l| {
             vec![op::par_axpy_norm_sqr(alpha, x.part(l), y.part_mut(l))]
         })[0]
     }
 
-    fn multi_dot(vs: &[Self], w: &Self) -> Vec<L::Acc> {
+    fn multi_dot(vs: &[Self], w: &Self) -> Vec<S> {
         per_part(w, vs, vs.len(), |w, l| op::par_multi_dot(&parts_of(vs, l), w.part(l)))
     }
 
-    fn multi_axpy(coeffs: &[L::Acc], vs: &[Self], w: &mut Self) {
+    fn multi_axpy(coeffs: &[S], vs: &[Self], w: &mut Self) {
         per_part(w, vs, 0, |w, l| -> Vec<f64> {
             op::par_multi_axpy(coeffs, &parts_of(vs, l), w.part_mut(l));
             Vec::new()
         });
     }
 
-    fn multi_axpy_norm_sqr(coeffs: &[L::Acc], vs: &[Self], w: &mut Self) -> f64 {
+    fn multi_axpy_norm_sqr(coeffs: &[S], vs: &[Self], w: &mut Self) -> f64 {
         per_part(w, vs, 1, |w, l| {
             vec![op::par_multi_axpy_norm_sqr(coeffs, &parts_of(vs, l), w.part_mut(l))]
         })[0]
     }
 
-    fn multi_axpy_dot(coeffs: &[L::Acc], vs: &[Self], w: &mut Self) -> Vec<L::Acc> {
+    fn multi_axpy_dot(coeffs: &[S], vs: &[Self], w: &mut Self) -> Vec<S> {
         per_part(w, vs, vs.len(), |w, l| {
             op::par_multi_axpy_dot(coeffs, &parts_of(vs, l), w.part_mut(l))
         })
@@ -350,7 +324,7 @@ impl<L: Lane> KrylovVec for DistVec<L> {
 
     /// Part by part on the parts this process hosts; an update, so no
     /// collective (`per_part` has one target vector, this has many).
-    fn combine_in_place(rows: &[Vec<L::Acc>], vs: &mut [Self]) {
+    fn combine_in_place(rows: &[Vec<S>], vs: &mut [Self]) {
         let Some(first) = vs.first() else { return };
         let lens = first.lens();
         assert!(
@@ -521,96 +495,6 @@ mod tests {
         let fused = DistVec::multi_axpy_norm_sqr(&coeffs, &dvs, &mut out2);
         assert_eq!(out2.concat(), out_ref, "fused multi-axpy update");
         assert!((fused - op::norm_sqr(&out_ref)).abs() <= 1e-10 * n as f64, "fused norm");
-    }
-
-    fn ramp32(n: usize, modulus: usize, scale: f64) -> Vec<f32> {
-        (0..n).map(|i| (((i % modulus) as f64 - 44.0) * scale) as f32).collect()
-    }
-
-    #[test]
-    fn f32_vec_kernels_match_f64_to_storage_precision() {
-        let n = 3 * op::REDUCE_BLOCK + 41;
-        let xs: Vec<f64> = (0..n).map(|i| ((i % 97) as f64 - 48.0) * 1e-3).collect();
-        let ys: Vec<f64> = (0..n).map(|i| ((i % 89) as f64 - 44.0) * 2e-3).collect();
-        let fx: Vec<f32> = xs.iter().map(|&x| x as f32).collect();
-        let mut fy: Vec<f32> = ys.iter().map(|&y| y as f32).collect();
-        let tol = 1e-6 * n as f64;
-        assert!((fx.dot(&fy) - op::par_dot(&xs, &ys)).abs() <= tol);
-        assert!((fx.norm_sqr() - op::par_norm_sqr(&xs)).abs() <= tol);
-        let fused = fy.axpy_norm_sqr(0.31, &fx);
-        assert!((fused - fy.norm_sqr()).abs() <= 1e-12 * n as f64, "fused = stored norm");
-        let mut wide: Vec<f64> = fy.iter().map(|&y| y as f64).collect();
-        op::par_scale(&mut wide, 0.5);
-        fy.scale(0.5);
-        for (a, b) in fy.iter().zip(&wide) {
-            assert_eq!(*a, *b as f32, "scale narrows the f64 result");
-        }
-    }
-
-    #[test]
-    fn f32_multi_kernels_are_deterministic_and_fused() {
-        let n = 2 * op::REDUCE_BLOCK + 17;
-        let vs: Vec<Vec<f32>> = (0..4).map(|k| ramp32(n, 83 - k, 1e-3)).collect();
-        let w0 = ramp32(n, 71, 1e-3);
-        let coeffs = Vec::multi_dot(&vs, &w0);
-        let mut w1 = w0.clone();
-        Vec::multi_axpy(&coeffs, &vs, &mut w1);
-        let mut w2 = w0.clone();
-        let fused = Vec::multi_axpy_norm_sqr(&coeffs, &vs, &mut w2);
-        assert_eq!(w1, w2, "fused update matches plain update");
-        assert_eq!(fused.to_bits(), w1.norm_sqr().to_bits(), "fused norm is stored norm");
-    }
-
-    /// Every primitive once, on fixed coefficients: the returned scalars,
-    /// and every updated vector in global element order.
-    fn run_all<V: KrylovVec<Scalar = f64>>(x: &V, y: &V, vs: &[V]) -> (Vec<f64>, Vec<f64>) {
-        let coeffs: Vec<f64> = (0..vs.len()).map(|b| 0.3 - 0.2 * b as f64).collect();
-        let mut scalars = vec![x.dot(y), x.norm_sqr()];
-        let mut elems = Vec::new();
-        let mut keep = |v: &V| v.visit(&mut |e| elems.push(e));
-
-        let mut u = y.clone();
-        u.axpy(0.37, x);
-        u.scale(0.73);
-        keep(&u);
-        let mut u = y.clone();
-        scalars.push(u.axpy_norm_sqr(-0.11, x));
-        keep(&u);
-        scalars.extend(V::multi_dot(vs, y));
-        let mut w = y.clone();
-        V::multi_axpy(&coeffs, vs, &mut w);
-        keep(&w);
-        let mut w = y.clone();
-        scalars.push(V::multi_axpy_norm_sqr(&coeffs, vs, &mut w));
-        keep(&w);
-        (scalars, elems)
-    }
-
-    #[test]
-    fn dist_f32_agrees_with_dense_f32() {
-        let n = op::MIN_PAR_BLOCKS * op::REDUCE_BLOCK + 137;
-        let x = ramp32(n, 89, 1e-3);
-        let y = ramp32(n, 97, -7e-4);
-        let vs: Vec<Vec<f32>> = (0..3).map(|k| ramp32(n, 83 - k, 2e-3)).collect();
-        let dense = run_all(&x, &y, &vs);
-        let on = |lens: &[usize]| {
-            let dvs: Vec<DistVec<f32>> = vs.iter().map(|v| split(v, lens)).collect();
-            run_all(&split(&x, lens), &split(&y, lens), &dvs)
-        };
-
-        // One part: the same kernels on the same blocks, bit for bit.
-        let one = on(&[n]);
-        let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&one.0), bits(&dense.0), "one part: reductions");
-        assert_eq!(bits(&one.1), bits(&dense.1), "one part: updates");
-
-        // Four parts (one empty): the element-wise updates do not see
-        // the partition; the reductions regroup their f64 partials.
-        let four = on(&[op::REDUCE_BLOCK + 1, 0, n - op::REDUCE_BLOCK - 501, 500]);
-        assert_eq!(bits(&four.1), bits(&dense.1), "four parts: updates");
-        for (a, b) in four.0.iter().zip(&dense.0) {
-            assert!((a - b).abs() <= 1e-6 * n as f64, "four parts: {a} vs {b}");
-        }
     }
 
     #[test]

@@ -5,16 +5,14 @@
 //! floating-point operation.
 //!
 //! * `multi_dot[b]` is `dot(vs[b], w)`;
-//! * on the full-width lanes `multi_axpy` is one `axpy` per vector, in
-//!   order (f32 storage rounds once per element, not once per vector, so
-//!   there it is its own reference);
+//! * `multi_axpy` is one `axpy` per vector, in order;
 //! * `multi_axpy_dot` is `multi_axpy`, then `multi_dot`;
 //! * `combine_in_place` row `r` is `multi_axpy` of that row into a zero
 //!   vector, and the vectors beyond the rows are left alone.
 //!
-//! Lengths straddle a tile of `ls_kernels::lane` (1024 elements), a
-//! [`REDUCE_BLOCK`] and the pool threshold; vector counts cover every
-//! group remainder. One `#[test]`: `rayon::set_thread_limit` is
+//! Lengths straddle a tile of the block loops in `ls_eigen::op` (1024
+//! elements), a [`REDUCE_BLOCK`] and the pool threshold; vector counts
+//! cover every group remainder. One `#[test]`: `rayon::set_thread_limit` is
 //! process-global.
 
 use ls_eigen::op::{MIN_PAR_BLOCKS, REDUCE_BLOCK};
@@ -59,7 +57,7 @@ fn scalar_bits<S: Scalar>(xs: &[S]) -> Vec<u64> {
     xs.iter().flat_map(|x| x.to_reals()).map(f64::to_bits).collect()
 }
 
-fn check<V: KrylovVec>(zero: &V, m: usize, axpy_per_vector: bool, what: &str) {
+fn check<V: KrylovVec>(zero: &V, m: usize, what: &str) {
     let w = filled(zero, 1);
     let vs: Vec<V> = (0..m as u64).map(|b| filled(zero, 2 + b)).collect();
     let coeffs: Vec<V::Scalar> =
@@ -71,13 +69,11 @@ fn check<V: KrylovVec>(zero: &V, m: usize, axpy_per_vector: bool, what: &str) {
 
     let mut updated = w.clone();
     V::multi_axpy(&coeffs, &vs, &mut updated);
-    if axpy_per_vector {
-        let mut one_by_one = w.clone();
-        for (c, v) in coeffs.iter().zip(&vs) {
-            one_by_one.axpy(*c, v);
-        }
-        assert_eq!(bits(&updated), bits(&one_by_one), "{what}: multi_axpy");
+    let mut one_by_one = w.clone();
+    for (c, v) in coeffs.iter().zip(&vs) {
+        one_by_one.axpy(*c, v);
     }
+    assert_eq!(bits(&updated), bits(&one_by_one), "{what}: multi_axpy");
 
     let mut fused = w.clone();
     let fused_dots = V::multi_axpy_dot(&coeffs, &vs, &mut fused);
@@ -124,12 +120,11 @@ fn tiled_and_fused_kernels_are_the_old_compositions_bit_for_bit() {
             for &m in &VECTORS {
                 let what =
                     |storage: &str| format!("{storage}, n = {n}, m = {m}, {threads} thread(s)");
-                check(&vec![0.0f64; n], m, true, &what("f64"));
-                check(&vec![Complex64::ZERO; n], m, true, &what("c64"));
-                check(&vec![0.0f32; n], m, false, &what("f32"));
+                check(&vec![0.0f64; n], m, &what("f64"));
+                check(&vec![Complex64::ZERO; n], m, &what("c64"));
                 // Four parts, one empty, one holding most of the vector.
                 let lens = [n / 5, 0, n - n / 5 - n / 7, n / 7];
-                check(&DistVec::<f64>::zeros(&lens), m, true, &what("dist-f64"));
+                check(&DistVec::<f64>::zeros(&lens), m, &what("dist-f64"));
             }
         }
         rayon::set_thread_limit(prev);

@@ -7,9 +7,9 @@
 //! [`accumulate_segment_f64`] gets an AVX2 path for it, selected once per
 //! process by CPU feature detection ([`level`]). It is the only kernel
 //! whose vector path a benchmark workload pays for (`u1_chain22`); the
-//! state filters, bulk ranking and f32 BLAS-1 kernels that once had AVX2
-//! twins are plain Rust, and the `CHANGES.md` entry that removed those
-//! twins records what each measured.
+//! state filters and bulk ranking that once had AVX2 twins are plain
+//! Rust, and the `CHANGES.md` entry that removed those twins records
+//! what each measured.
 //!
 //! The AVX2 path is **bit-exact** against [`accumulate_segment_f64_scalar`]
 //! — not merely close: it vectorizes only the IEEE-exact lane multiplies

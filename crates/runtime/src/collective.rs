@@ -12,7 +12,7 @@
 
 use crate::distvec::DistVec;
 use crate::transport::{self, TransportError};
-use ls_kernels::{Lane, Scalar};
+use ls_kernels::Scalar;
 use std::any::Any;
 use std::ops::Range;
 
@@ -83,14 +83,14 @@ pub fn barrier() {
 /// locale order, elements in part order) — the serialization hook: what
 /// streams through it is the canonical dense vector, on every rank.
 /// Multiprocess, where only a vector's own part is authoritative, the
-/// parts are allgathered first, at their stored width.
-pub fn for_each_global<L: Lane>(v: &DistVec<L>, mut f: impl FnMut(L)) {
+/// parts are allgathered first, as stored.
+pub fn for_each_global<S: Scalar>(v: &DistVec<S>, mut f: impl FnMut(S)) {
     let Some(mp) = transport::active() else {
         return v.parts().iter().flatten().for_each(|&x| f(x));
     };
-    assert_eq!(std::mem::size_of::<L>(), L::WIDTH as usize * L::Acc::N_REALS);
-    // SAFETY: a lane is `N_REALS` reals of `WIDTH` bytes and, by the
-    // size check above, nothing else — no padding.
+    assert_eq!(std::mem::size_of::<S>(), 8 * S::N_REALS);
+    // SAFETY: a scalar is `N_REALS` f64 reals and, by the size check
+    // above, nothing else — no padding.
     let parts = unsafe { mp.allgather_elems(v.part(mp.rank())) };
     parts.iter().flatten().for_each(|&x| f(x));
 }
@@ -181,7 +181,7 @@ mod tests {
 
     #[test]
     fn global_order_is_parts_in_locale_order() {
-        let v = DistVec::from_parts(vec![vec![1.0f32, 2.0], vec![], vec![3.0]]);
+        let v = DistVec::from_parts(vec![vec![1.0f64, 2.0], vec![], vec![3.0]]);
         let mut seen = Vec::new();
         for_each_global(&v, |x| seen.push(x));
         assert_eq!(seen, [1.0, 2.0, 3.0]);

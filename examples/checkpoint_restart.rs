@@ -91,24 +91,15 @@ fn main() {
     let expr = heisenberg(&chain_bonds(sites), 1.0);
     let sector = SectorSpec::with_weight(sites as u32, weight).unwrap();
     let (basis, op) = Operator::<f64>::from_expr(&expr, sector).unwrap();
-    // `LS_PRECISION=f32|mixed` stores the Krylov state (and the
-    // checkpoint payload) in 4-byte lanes; the kill-and-resume contract
-    // is per precision mode.
-    let precision = exact_diag::eigen::Precision::from_env();
-    let lane = if precision == exact_diag::eigen::Precision::F64 { 8 } else { 4 };
     println!(
         "{sites}-site U(1) sector (weight {weight}): dim {}, budget {} vectors \
-         ({:.1} MiB of Krylov state, {lane}-byte lanes), tol {tol:.0e}",
+         ({:.1} MiB of Krylov state), tol {tol:.0e}",
         basis.dim(),
         k + extra,
-        ((k + extra) * basis.dim() * lane) as f64 / (1024.0 * 1024.0),
+        ((k + extra) * basis.dim() * 8) as f64 / (1024.0 * 1024.0),
     );
     if path.exists() {
         println!("resuming from checkpoint {ckpt}");
-    }
-    if precision != exact_diag::eigen::Precision::F64 {
-        run_reduced(precision, &op, k, extra, tol, &ckpt, &path, keep, verify, max_cycles);
-        return;
     }
 
     let base = RestartOptions { k, extra, tol, ..RestartOptions::new(k) };
@@ -173,109 +164,6 @@ fn main() {
         assert_eq!(
             reference.eigenvalues.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             result.eigenvalues.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "checkpointed run diverged from the uninterrupted solve"
-        );
-        println!("VERIFIED: chunked/resumed run is bit-identical to the uninterrupted solve");
-    }
-}
-
-/// The reduced-precision variant (`LS_PRECISION=f32|mixed`): the same
-/// cycle-by-cycle kill-and-resume protocol, but the Krylov state is
-/// stored in f32 (`Vec<f32>` via [`exact_diag::eigen::MixedOp`]) and
-/// checkpoints carry 4-byte lanes.
-/// Resume stays bit-identical *within the mode*; `mixed` additionally
-/// runs one f64 Rayleigh–Ritz refinement over the converged Ritz basis
-/// before reporting eigenvalues.
-#[allow(clippy::too_many_arguments)]
-fn run_reduced(
-    precision: exact_diag::eigen::Precision,
-    op: &Operator<f64>,
-    k: usize,
-    extra: usize,
-    tol: f64,
-    ckpt: &str,
-    path: &std::path::Path,
-    keep: usize,
-    verify: bool,
-    max_cycles: usize,
-) {
-    use exact_diag::eigen::{refine_in_f64, thick_restart_lanczos_in, MixedOp, Precision};
-
-    let mixed = MixedOp::new(op);
-    // The mixed mode refines over the converged Ritz basis, so the f32
-    // solve must return its vectors.
-    let base = RestartOptions {
-        k,
-        extra,
-        tol,
-        want_vectors: precision == Precision::Mixed,
-        ..RestartOptions::new(k)
-    };
-    let policy = CheckpointPolicy { keep, ..CheckpointPolicy::new(path.to_path_buf()) };
-
-    let start = if path.exists() {
-        match exact_diag::core::io::load_latest_checkpoint::<Vec<f32>, _>(path, &mixed) {
-            Ok(st) => st.restarts + 1,
-            Err(e) => panic!("cannot resume from {ckpt}: {e}"),
-        }
-    } else {
-        1
-    };
-    let mut result = None;
-    for cycle in start..=max_cycles.max(start) {
-        let res = thick_restart_lanczos_in(
-            &mixed,
-            &RestartOptions {
-                max_restarts: cycle,
-                checkpoint: Some(policy.clone()),
-                ..base.clone()
-            },
-        );
-        let lam0 = res.eigenvalues.first().copied().unwrap_or(f64::NAN);
-        let resid = res.residuals.iter().cloned().fold(0.0f64, f64::max);
-        println!(
-            "cycle {cycle:>4}: λ0 ≈ {lam0:.12}  max residual {resid:.3e}  \
-             (peak {} vectors, {} matvecs this call)",
-            res.peak_retained, res.iterations
-        );
-        let done = res.converged;
-        result = Some(res);
-        if done {
-            break;
-        }
-    }
-    let result = result.expect("max_cycles must be >= 1");
-    assert!(result.converged, "did not converge within {max_cycles} cycles");
-
-    // Refinement is deterministic over a deterministic basis, so the
-    // refined eigenvalues inherit the resume contract bit for bit.
-    let finish = |res: &exact_diag::eigen::LanczosResultIn<Vec<f32>>| -> Vec<f64> {
-        match precision {
-            Precision::Mixed => {
-                let basis = res.eigenvectors.as_ref().expect("want_vectors was set");
-                let (vals, _, _) = refine_in_f64(op, basis);
-                vals.into_iter().take(k).collect()
-            }
-            _ => res.eigenvalues.clone(),
-        }
-    };
-    let eigenvalues = finish(&result);
-
-    print!("EIGENVALUES");
-    for v in &eigenvalues {
-        print!(" {:016x}", v.to_bits());
-    }
-    println!();
-    for (i, v) in eigenvalues.iter().enumerate() {
-        println!("  λ{i} = {v:.15}");
-    }
-
-    if verify {
-        let reference = thick_restart_lanczos_in(&mixed, &base);
-        assert!(reference.converged);
-        assert_eq!(
-            finish(&reference).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            eigenvalues.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             "checkpointed run diverged from the uninterrupted solve"
         );
         println!("VERIFIED: chunked/resumed run is bit-identical to the uninterrupted solve");

@@ -11,7 +11,7 @@
 
 use exact_diag::dist::eigensolve::DistOp;
 use exact_diag::dist::{enumerate_dist, PcOptions};
-use exact_diag::eigen::{DenseOp, KrylovOp, KrylovVec, MixedOp};
+use exact_diag::eigen::{DenseOp, KrylovOp, KrylovVec};
 use exact_diag::kernels::{hash64_01, Scalar};
 use exact_diag::prelude::*;
 use exact_diag::runtime::{Cluster, ClusterSpec};
@@ -58,7 +58,6 @@ fn every_solve_path_operator_overwrites_its_output() {
     let (_, pull) = Operator::<f64>::from_expr(&expr, sector.clone()).unwrap();
     assert_eq!(pull.strategy(), MatvecStrategy::BatchedPull);
     assert_overwrites::<Vec<f64>, _>("Operator, BatchedPull", &pull);
-    assert_overwrites::<Vec<f32>, _>("MixedOp", &MixedOp::new(&pull));
     let serial = pull.with_strategy(MatvecStrategy::Serial);
     assert_overwrites::<Vec<f64>, _>("Operator, Serial", &serial);
 

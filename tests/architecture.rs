@@ -94,6 +94,18 @@ fn simd_lives_only_where_a_workload_pays() {
     assert_none(&["crates", "compat", "src", "tests", "examples"], &[&knob]);
 }
 
+/// A Krylov vector stores what it computes in (`f64` or `Complex64`):
+/// the reduced-precision mode, its knob, its operator adapter and the
+/// stored-element layer that existed for it are gone, and a second
+/// storage width would bring them back.
+#[test]
+fn krylov_vectors_store_what_they_compute_in() {
+    let retired =
+        [["LS_", "PRECISION"].concat(), ["trait ", "Lane"].concat(), ["Mixed", "Op"].concat()];
+    let retired: Vec<&str> = retired.iter().map(String::as_str).collect();
+    assert_none(&["crates", "compat", "src", "tests", "examples"], &retired);
+}
+
 /// Window epochs ride the TCP mesh's collectives; the shared-memory
 /// segment files, their positioned reads and writes and the fault kind
 /// that damaged them are gone. The rendezvous directory stays under

@@ -1,11 +1,10 @@
 //! Bit pins of the pooled BLAS-1 primitives behind [`KrylovVec`] for
-//! every storage the solvers run on: `f64`, `Complex64` and f32-storage
-//! dense vectors, plus `DistVec<f64>` on a 4-part split with an empty
-//! part. [`PINS`] covers the eight original primitives (`dot`,
-//! `norm_sqr`, `axpy`, `scale`, `axpy_norm_sqr`, `multi_dot`,
-//! `multi_axpy`, `multi_axpy_norm_sqr`), [`FUSED_PINS`] the two added
-//! with the three-sweep Lanczos step (`multi_axpy_dot`,
-//! `combine_in_place`).
+//! every storage the solvers run on: `f64` and `Complex64` dense
+//! vectors, plus `DistVec<f64>` on a 4-part split with an empty part.
+//! [`PINS`] covers the eight original primitives (`dot`, `norm_sqr`,
+//! `axpy`, `scale`, `axpy_norm_sqr`, `multi_dot`, `multi_axpy`,
+//! `multi_axpy_norm_sqr`), [`FUSED_PINS`] the two added with the
+//! three-sweep Lanczos step (`multi_axpy_dot`, `combine_in_place`).
 //!
 //! The lengths straddle every dispatch boundary of the kernels (empty,
 //! one element, exactly one [`REDUCE_BLOCK`], one block + 1, a few blocks
@@ -149,22 +148,16 @@ fn lengths() -> [usize; 6] {
 const PINS: &[(&str, usize, u64)] = &[
     ("f64", 0, 0xafb8afd4d1aea905),
     ("c64", 0, 0xd1184b5054c3f185),
-    ("f32", 0, 0x8ac123d6f7dce585),
     ("f64", 1, 0x6961dc32849c9cd0),
     ("c64", 1, 0xb87a0e93e565d164),
-    ("f32", 1, 0xe60c88c1e136e241),
     ("f64", 2, 0x0bf97bb0501a32e9),
     ("c64", 2, 0x3484cd624c7fe53b),
-    ("f32", 2, 0xcd6ddb81214a01dd),
     ("f64", 3, 0xe9ce1bd32f8126d5),
     ("c64", 3, 0xf2030bbaedca98f1),
-    ("f32", 3, 0xec13d9aa4b335056),
     ("f64", 4, 0x365d6d4127fba6d5),
     ("c64", 4, 0xf2227ab0d92db3b8),
-    ("f32", 4, 0xaed4d23ec3a29c33),
     ("f64", 5, 0x0d4c659f1e67c37a),
     ("c64", 5, 0x18c81a55e4a7e382),
-    ("f32", 5, 0x4595b4fa3f12c8b4),
     ("dist-f64", 0, 0xa9e72a665e3e0bcd),
 ];
 
@@ -172,22 +165,16 @@ const PINS: &[(&str, usize, u64)] = &[
 const FUSED_PINS: &[(&str, usize, u64)] = &[
     ("f64", 0, 0x40d69e0cf0f65c45),
     ("c64", 0, 0xf14b84b8290b8965),
-    ("f32", 0, 0x40d69e0cf0f65c45),
     ("f64", 1, 0xa9feb462575afac7),
     ("c64", 1, 0xa306442add0531a2),
-    ("f32", 1, 0xf0a23fdad4f6c938),
     ("f64", 2, 0x4f3bf328d274bcd4),
     ("c64", 2, 0x47bc053a712d2e34),
-    ("f32", 2, 0xfb5d644e941d8907),
     ("f64", 3, 0x2aae129e78a95581),
     ("c64", 3, 0x326eda3e4f532ada),
-    ("f32", 3, 0xa9cdb3717fb5e2d7),
     ("f64", 4, 0x4b2508a7b84a5e68),
     ("c64", 4, 0x3eb93d705a5ab70a),
-    ("f32", 4, 0x40c4fa75f835840c),
     ("f64", 5, 0x16d889011a08e217),
     ("c64", 5, 0xb465ff3618fd2acf),
-    ("f32", 5, 0xe1ea59eeb8c55a09),
     ("dist-f64", 0, 0xc6e66c75ff751335),
 ];
 
@@ -205,7 +192,6 @@ fn all_digests(fused: bool) -> Vec<(&'static str, usize, u64)> {
     for (li, &n) in lengths().iter().enumerate() {
         out.push(("f64", li, digest(fused, &vec![0.0f64; n])));
         out.push(("c64", li, digest(fused, &vec![Complex64::ZERO; n])));
-        out.push(("f32", li, digest(fused, &vec![0.0f32; n])));
     }
     // One part below a block, one empty, one on the pool path, one short.
     let lens = [REDUCE_BLOCK + 1, 0, MIN_PAR_BLOCKS * REDUCE_BLOCK + 17, 500];

@@ -297,61 +297,6 @@ fn gap_rule_stops_before_the_residual_rule() {
     assert_spectrum_to_tol("16-site ring", &values.eigenvalues, &vectors.eigenvalues, opts.tol);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// Mixed-precision oracle: f32 vector storage with f64 accumulation
-    /// plus one Rayleigh–Ritz refinement step must reproduce the dense
-    /// spectrum to f64-class tolerance — the same bound the pure-f64
-    /// path is held to above — while plain f32 storage without the
-    /// refinement step is only required to reach f32-class accuracy.
-    #[test]
-    fn mixed_precision_reaches_f64_tolerance_on_oracle_sectors(
-        case in any::<u64>(),
-        k_choice in 1usize..4,
-    ) {
-        let n = 10usize;
-        let sector = common::random_sector(n, case);
-        let (op, basis) = common::heisenberg_problem(n, &sector);
-        let dim = basis.dim();
-        prop_assume!(dim >= 16);
-        let dense = dense_spectrum(&op, &basis);
-        let k = k_choice.min(dim / 4).max(1);
-        let full_op = Operator::<f64>::from_parts(op, Arc::new(basis));
-        let opts = RestartOptions {
-            extra: k + 4,
-            tol: 1e-11,
-            ..RestartOptions::new(k)
-        };
-
-        let mixed = exact_diag::eigen::eigensolve_precision(
-            &full_op,
-            &opts,
-            exact_diag::eigen::Precision::Mixed,
-        );
-        prop_assert!(mixed.converged, "mixed solve did not converge: {:?}", mixed.residuals);
-        for (i, v) in mixed.eigenvalues.iter().enumerate() {
-            prop_assert!(
-                dense.iter().any(|d| (d - v).abs() < 1e-7),
-                "mixed λ{i} = {v} not in the dense spectrum"
-            );
-            prop_assert!(*v >= dense[i] - 1e-7, "mixed λ{i} = {v} below dense λ{i} = {}", dense[i]);
-        }
-        prop_assert!((mixed.eigenvalues[0] - dense[0]).abs() < 1e-7,
-            "mixed λ0 {} vs dense {}", mixed.eigenvalues[0], dense[0]);
-
-        // Raw f32 storage (no refinement) only has to land within
-        // f32-class distance of the spectrum.
-        let raw = exact_diag::eigen::eigensolve_precision(
-            &full_op,
-            &opts,
-            exact_diag::eigen::Precision::F32,
-        );
-        prop_assert!((raw.eigenvalues[0] - dense[0]).abs() < 1e-3,
-            "f32 λ0 {} vs dense {}", raw.eigenvalues[0], dense[0]);
-    }
-}
-
 /// The default 24-site-scale acceptance path, shrunk to CI size: the
 /// routed `lanczos_smallest` (default options, `max_iter` above the
 /// retained budget) must agree with explicit full-memory Lanczos on a
