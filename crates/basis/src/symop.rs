@@ -17,7 +17,9 @@
 //! The scalar [`SymmetrizedOperator::apply_off_diag`] resolves each raw
 //! state with [`state_info`] — `|G|` Benes networks per emission — and is
 //! the reference. The block form the engines run,
-//! [`SymmetrizedOperator::apply_off_diag_block`], uses that a group element
+//! [`SymmetrizedOperator::generate_off_diag_block`] (which hands each
+//! emission to a caller's sink; [`SymmetrizedOperator::apply_off_diag_block`]
+//! is the sink that fills an [`OffDiagBlock`]), uses that a group element
 //! (a bit permutation `π_g`, then an optional global flip) is affine over
 //! GF(2), `g(α ⊕ m) = g(α) ⊕ π_g(m)`: the networks run once per source
 //! *row*, and an emission's `|G|` images are one XOR each against a table
@@ -87,6 +89,48 @@ impl<S: Scalar> SymChannel<S> {
     }
 }
 
+/// Up to 64 consecutive tests of the sign-free mask loop, and how a row
+/// `α` computes its fire mask over them. A test fires when `α & sites` is
+/// one of its patterns and emits `(α ^ flip, coeff)`; consecutive channels
+/// that differ only in their input pattern — the `S⁺S⁻` / `S⁻S⁺` halves of
+/// a bond, the `c†c` / `c c†` halves of a hop — are one test with two
+/// patterns: at most one of them fires on a row, and both emit the same.
+#[derive(Clone, Debug)]
+struct FireGroup<S> {
+    /// Per test, in channel order: `(flip, coeff)`.
+    emits: Vec<(u64, S)>,
+    /// The tests of two sites `i < j` that fire when exactly one is set:
+    /// one `(d, r, l, mask)` per distinct distance `d = j − i` and shift,
+    /// whose fire bits are `((α ^ α >> d) >> r << l) & mask` — a ring's
+    /// bonds take three, not one each.
+    spans: Vec<(u32, u32, u32, u64)>,
+    /// Every other test, `(sites, a, b, bit)`: fires when `α & sites` is
+    /// `a` or `b`.
+    tests: Vec<(u64, u64, u64, u32)>,
+}
+
+impl<S: Copy> FireGroup<S> {
+    /// `tests` are `(sites, a, b, flip, coeff)`, at most 64.
+    fn new(tests: &[(u64, u64, u64, u64, S)]) -> Self {
+        let mut group = Self { emits: Vec::new(), spans: Vec::new(), tests: Vec::new() };
+        for (c, &(sites, a, b, flip, coeff)) in tests.iter().enumerate() {
+            group.emits.push((flip, coeff));
+            if sites.count_ones() == 2 && a.count_ones() == 1 && a ^ b == sites {
+                let (i, j) = (sites.trailing_zeros(), 63 - sites.leading_zeros());
+                let shift = c as i32 - i as i32;
+                let span = (j - i, (-shift).max(0) as u32, shift.max(0) as u32);
+                match group.spans.iter_mut().find(|s| (s.0, s.1, s.2) == span) {
+                    Some(s) => s.3 |= 1 << c,
+                    None => group.spans.push((span.0, span.1, span.2, 1 << c)),
+                }
+            } else {
+                group.tests.push((sites, a, b, c as u32));
+            }
+        }
+        group
+    }
+}
+
 /// An operator kernel bound to a symmetry sector, with scalar type `S`.
 #[derive(Clone, Debug)]
 pub struct SymmetrizedOperator<S: Scalar> {
@@ -96,6 +140,10 @@ pub struct SymmetrizedOperator<S: Scalar> {
     /// multi-bit encodings (empty for spin-1/2 operators).
     patterns: Vec<(S, u64, u64)>,
     channels: Vec<SymChannel<S>>,
+    /// The channels as the row-outer mask loop tests them, in channel
+    /// order (empty unless the group is trivial and no channel carries a
+    /// sign).
+    fire: Vec<FireGroup<S>>,
     /// Per channel, the index of its `flip` among the distinct flip masks
     /// `walk` was built on.
     channel_mask: Vec<u32>,
@@ -179,12 +227,32 @@ impl<S: Scalar> SymmetrizedOperator<S> {
             });
             channel_mask.push(slot as u32);
         }
+        // `(sites, a, b, flip, coeff)`: one test per channel, or per two
+        // consecutive channels that emit the same on different patterns —
+        // built only where the mask loop runs.
+        let mask_loop = !kernel.has_signs() && sector.group().order() == 1;
+        let mut tests: Vec<(u64, u64, u64, u64, S)> = Vec::new();
+        for ch in channels.iter().filter(|_| mask_loop) {
+            match tests.last_mut() {
+                Some((sites, a, b, flip, coeff))
+                    if a == b
+                        && *sites == ch.sites
+                        && *a != ch.in_pat
+                        && *flip == ch.flip
+                        && *coeff == ch.coeff =>
+                {
+                    *b = ch.in_pat
+                }
+                _ => tests.push((ch.sites, ch.in_pat, ch.in_pat, ch.flip, ch.coeff)),
+            }
+        }
         Ok(Self {
             walk: GroupWalk::new(sector.group(), &masks),
             group: sector.group().clone(),
             diag,
             patterns,
             channels,
+            fire: tests.chunks(64).map(FireGroup::new).collect(),
             channel_mask,
             hermitian: kernel.is_hermitian(1e-10),
             trivial_group: sector.group().order() == 1,
@@ -323,7 +391,31 @@ impl<S: Scalar> SymmetrizedOperator<S> {
 
     /// Batched [`Self::apply_off_diag`]: generates every off-diagonal
     /// emission for a block of representatives (`states` with orbit sizes
-    /// `orbits`) into `out`'s SoA arrays.
+    /// `orbits`) into `out`'s SoA arrays — [`Self::generate_off_diag_block`]
+    /// with a sink that pushes.
+    pub fn apply_off_diag_block(
+        &self,
+        states: &[u64],
+        orbits: &[u32],
+        out: &mut OffDiagBlock<S>,
+    ) {
+        let OffDiagBlock { src, reps, amps, images } = out;
+        src.clear();
+        reps.clear();
+        amps.clear();
+        self.generate_off_diag_block(states, orbits, images, |k, rep, amp| {
+            src.push(k as u32);
+            reps.push(rep);
+            amps.push(amp);
+        });
+    }
+
+    /// The block generator behind every engine's row generation: hands
+    /// each off-diagonal emission of a block of representatives (`states`
+    /// with orbit sizes `orbits`) to `emit` as `(row in the block,
+    /// destination representative, ⟨β̃|H|α̃⟩)`, ordered (row, channel)
+    /// exactly like repeated [`Self::apply_off_diag`] calls. `images` is
+    /// caller-owned scratch for the group walk, reused across blocks.
     ///
     /// Under a non-trivial group this is the differential walk
     /// (`g(α ⊕ m) = g(α) ⊕ π_g(m)`): rows are taken in tiles sized from
@@ -335,27 +427,24 @@ impl<S: Scalar> SymmetrizedOperator<S> {
     /// operation match the scalar path, so results are bit-identical to
     /// calling `apply_off_diag` state by state; [`state_info`] and
     /// [`crate::state_info_batch`] on the raw emissions are the oracle.
-    pub fn apply_off_diag_block(
+    #[inline]
+    pub fn generate_off_diag_block(
         &self,
         states: &[u64],
         orbits: &[u32],
-        out: &mut OffDiagBlock<S>,
+        images: &mut Vec<u64>,
+        mut emit: impl FnMut(usize, u64, S),
     ) {
         assert_eq!(states.len(), orbits.len());
-        out.src.clear();
-        out.reps.clear();
-        out.amps.clear();
         if !self.trivial_group {
-            return self.walk_off_diag_block(states, orbits, out);
+            return self.walk_off_diag_block(states, orbits, images, emit);
         }
         // Raw states are their own representatives with unit phase.
         if self.has_signs {
             for (k, &alpha) in states.iter().enumerate() {
                 for ch in &self.channels {
                     if alpha & ch.sites == ch.in_pat {
-                        out.src.push(k as u32);
-                        out.reps.push(alpha ^ ch.flip);
-                        out.amps.push(ch.signed_coeff(alpha));
+                        emit(k, alpha ^ ch.flip, ch.signed_coeff(alpha));
                     }
                 }
             }
@@ -365,16 +454,18 @@ impl<S: Scalar> SymmetrizedOperator<S> {
             // into a mask without a branch each and emitted from its set
             // bits: the same emissions in the same (row, channel) order.
             for (k, &alpha) in states.iter().enumerate() {
-                for group in self.channels.chunks(64) {
+                for group in &self.fire {
                     let mut fires = 0u64;
-                    for (c, ch) in group.iter().enumerate() {
-                        fires |= ((alpha & ch.sites == ch.in_pat) as u64) << c;
+                    for &(d, r, l, mask) in &group.spans {
+                        fires |= ((alpha ^ alpha >> d) >> r << l) & mask;
+                    }
+                    for &(sites, a, b, c) in &group.tests {
+                        let m = alpha & sites;
+                        fires |= ((m == a) as u64 | (m == b) as u64) << c;
                     }
                     while fires != 0 {
-                        let ch = &group[fires.trailing_zeros() as usize];
-                        out.src.push(k as u32);
-                        out.reps.push(alpha ^ ch.flip);
-                        out.amps.push(ch.coeff);
+                        let (flip, coeff) = group.emits[fires.trailing_zeros() as usize];
+                        emit(k, alpha ^ flip, coeff);
                         fires &= fires - 1;
                     }
                 }
@@ -382,15 +473,22 @@ impl<S: Scalar> SymmetrizedOperator<S> {
         }
     }
 
-    /// The non-trivial-group half of [`Self::apply_off_diag_block`]; the
-    /// per-emission arithmetic is [`Self::apply_off_diag`]'s, line by line.
-    fn walk_off_diag_block(&self, states: &[u64], orbits: &[u32], out: &mut OffDiagBlock<S>) {
+    /// The non-trivial-group half of [`Self::generate_off_diag_block`];
+    /// the per-emission arithmetic is [`Self::apply_off_diag`]'s, line by
+    /// line.
+    fn walk_off_diag_block(
+        &self,
+        states: &[u64],
+        orbits: &[u32],
+        images: &mut Vec<u64>,
+        mut emit: impl FnMut(usize, u64, S),
+    ) {
         let order = self.group.order();
         let tile = self.walk.tile_rows();
         for (t, tile_states) in states.chunks(tile).enumerate() {
-            self.walk.orbit_images(&self.group, tile_states, &mut out.images);
+            self.walk.orbit_images(&self.group, tile_states, images);
             for (r, (&alpha, images)) in
-                tile_states.iter().zip(out.images.chunks_exact(order)).enumerate()
+                tile_states.iter().zip(images.chunks_exact(order)).enumerate()
             {
                 let k = t * tile + r;
                 for (ch, &mask) in self.channels.iter().zip(&self.channel_mask) {
@@ -402,9 +500,11 @@ impl<S: Scalar> SymmetrizedOperator<S> {
                         let norm = (orbits[k] as f64 / info.orbit_size as f64).sqrt();
                         let phase = S::from_c64(info.phase)
                             .expect("real sector guarantees real phases");
-                        out.src.push(k as u32);
-                        out.reps.push(info.representative);
-                        out.amps.push(ch.signed_coeff(alpha) * phase.scale_re(norm));
+                        emit(
+                            k,
+                            info.representative,
+                            ch.signed_coeff(alpha) * phase.scale_re(norm),
+                        );
                     }
                 }
             }
@@ -800,6 +900,41 @@ mod tests {
         assert_eq!(square.order(), 64);
         assert!(!square.is_real());
         check_heisenberg::<Complex64>(&lattice::square_bonds(4, 4), n, Some(8), square, 3);
+    }
+
+    #[test]
+    fn mask_loop_matches_scalar_apply_on_every_test_shape() {
+        // A ring's bonds: three spans (the open bonds, the closing bond and
+        // the bond sorted after it), no compare test.
+        let ring = heisenberg(&lattice::chain_bonds(12), 1.0).to_kernel(12).unwrap();
+        let sector = SectorSpec::with_weight(12, 6).unwrap();
+        let op = SymmetrizedOperator::<f64>::new(&ring, &sector).unwrap();
+        assert_eq!((op.fire.len(), op.fire[0].spans.len()), (1, 3));
+        assert!(op.fire[0].tests.is_empty());
+        check_block_matches_scalar(&op, &SpinBasis::build(sector));
+        // Second neighbours, a square lattice, and 72 bonds: more tests
+        // than one 64-bit fire mask holds.
+        let cases = [
+            (lattice::triangular_ladder_bonds(12), 12u32, 6u32),
+            (lattice::square_bonds(4, 4), 16, 8),
+            (lattice::square_bonds(6, 6), 36, 2),
+        ];
+        for (bonds, n, weight) in cases {
+            let kernel = heisenberg(&bonds, 1.0).to_kernel(n).unwrap();
+            let sector = SectorSpec::with_weight(n, weight).unwrap();
+            let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
+            assert!(op.fire.iter().all(|group| group.tests.is_empty()), "{n} sites");
+            check_block_matches_scalar(&op, &SpinBasis::build(sector));
+        }
+        // Single-site flips with a field and Ising bonds: compare tests
+        // only, on the full space.
+        let tfim = ls_expr::builders::ising_zz(&lattice::chain_bonds(8), 1.0)
+            + ls_expr::builders::transverse_field(8, 0.7);
+        let trivial = SectorSpec::new(8, None, SymmetryGroup::trivial(8)).unwrap();
+        let op =
+            SymmetrizedOperator::<f64>::new(&tfim.to_kernel(8).unwrap(), &trivial).unwrap();
+        assert!(op.fire.iter().all(|group| group.spans.is_empty()));
+        check_block_matches_scalar(&op, &SpinBasis::build(trivial));
     }
 
     #[test]

@@ -16,6 +16,17 @@
 //! where a bucket search takes two dependent misses). A part that table
 //! would outweigh (`12·⌈dimension/64⌉ > 8·len`, beyond ≈ 42 locales) ranks
 //! like every symmetrized or multi-bit sector: by prefix-bucket search.
+//!
+//! **Who ranks where.** The producer/consumer product names a generated
+//! state on the wire by its *key* (`DistSpinBasis::key_ranks`). Where
+//! every part selects, the key is the state's sector rank, computed by the
+//! producer (Lin's tables, a few loads) while the row is in its
+//! registers, and the owner resolves it with the select alone: no state
+//! crosses, and the owner ranks nothing. Where some part searches, the key
+//! is the state and the owner ranks it against its part, as `stateToIndex`
+//! does in the paper. Either way `DistSpinBasis::resolve_batch` is the
+//! owner's only step; a key its part lacks panics with the state behind it
+//! ([`LinTables::unrank`] decodes a rank on that cold path).
 
 use ls_basis::enumerate::{filter_range, split_ranges};
 use ls_basis::SectorSpec;
@@ -24,12 +35,13 @@ use ls_kernels::search::{PrefixIndex, NOT_FOUND};
 use ls_kernels::{locale_idx_of, Scalar};
 use ls_runtime::{collective, Cluster, DistVec, RmaWriteWindow};
 
-/// Cold tail of [`DistSpinBasis::index_on_present`]: formats through the
-/// shared [`ls_basis::MissingState`] diagnostic (decoded per-site
-/// configuration under the sector's encoding), adding the locale.
+/// Cold tail of [`DistSpinBasis::index_on_present`] and of every key a
+/// product cannot resolve: formats through the shared
+/// [`ls_basis::MissingState`] diagnostic (decoded per-site configuration
+/// under the sector's encoding), adding the locale.
 #[cold]
 #[inline(never)]
-fn missing_state(locale: usize, rep: u64, sector: &SectorSpec) -> ! {
+pub(crate) fn missing_state(locale: usize, rep: u64, sector: &SectorSpec) -> ! {
     panic!(
         "locale {locale}: {}",
         ls_basis::MissingState { rep, encoding: sector.encoding(), n_sites: sector.n_sites() }
@@ -64,6 +76,8 @@ pub struct DistSpinBasis {
     /// The sector's closed-form ranking, which the select tables index.
     lin: Option<LinTables>,
     index: Vec<PartIndex>,
+    /// Every part selects: a product's keys are sector ranks.
+    rank_keys: bool,
     dim: u64,
 }
 
@@ -109,7 +123,8 @@ impl DistSpinBasis {
                 _ => PartIndex::Search(PrefixIndex::auto(part, sector.code_bits())),
             });
         }
-        Self { sector, states, orbit_sizes, lin, index, dim }
+        let rank_keys = index.iter().all(|index| matches!(index, PartIndex::Select(_)));
+        Self { sector, states, orbit_sizes, lin, index, rank_keys, dim }
     }
 
     pub fn sector(&self) -> &SectorSpec {
@@ -149,7 +164,66 @@ impl DistSpinBasis {
     /// Whether every part ranks by closed form and select (no search
     /// index exists) rather than by prefix-bucket search.
     pub fn ranks_in_closed_form(&self) -> bool {
-        self.index.iter().all(|index| matches!(index, PartIndex::Select(_)))
+        self.rank_keys
+    }
+
+    /// How a product names a generated state `s` on its way to the owner:
+    /// `Some(lin)` where every part selects — the key is `lin.rank(s)`, the
+    /// state's sector rank — and `None` where some part searches — the key
+    /// is `s` itself (see the module docs).
+    #[inline]
+    pub(crate) fn key_ranks(&self) -> Option<&LinTables> {
+        self.lin.as_ref().filter(|_| self.rank_keys)
+    }
+
+    /// The owner's only step in a product: hands `add` the position on
+    /// `locale` and the value of every keyed pair ([`Self::key_ranks`]) of
+    /// a batch the locale owns, in batch order — a select per pair where
+    /// keys are ranks, else the state's ranking: the interleaved
+    /// prefix-bucket search over the batch (`idx` is its caller-owned
+    /// scratch), or the closed form and select. A key the part lacks
+    /// panics, naming the state.
+    #[inline]
+    pub(crate) fn resolve_batch<S: Copy>(
+        &self,
+        locale: usize,
+        pairs: &[(u64, S)],
+        idx: &mut Vec<u32>,
+        mut add: impl FnMut(usize, S),
+    ) {
+        match &self.index[locale] {
+            PartIndex::Select(table) if self.rank_keys => {
+                for &(key, val) in pairs {
+                    match select(table, key) {
+                        Some(i) => add(i as usize, val),
+                        None => self.missing_key(locale, key),
+                    }
+                }
+            }
+            PartIndex::Select(_) => pairs
+                .iter()
+                .for_each(|&(rep, val)| add(self.index_on_present(locale, rep), val)),
+            PartIndex::Search(prefix) => {
+                prefix.lookup_batch_by(self.states.part(locale), pairs, |&(rep, _)| rep, idx);
+                for (&(rep, val), &i) in pairs.iter().zip(idx.iter()) {
+                    match i {
+                        NOT_FOUND => missing_state(locale, rep, &self.sector),
+                        i => add(i as usize, val),
+                    }
+                }
+            }
+        }
+    }
+
+    /// Cold tail of [`Self::resolve_batch`]: the state behind `key`.
+    #[cold]
+    #[inline(never)]
+    fn missing_key(&self, locale: usize, key: u64) -> ! {
+        let rep = match self.key_ranks() {
+            Some(lin) => lin.unrank(key).expect("a product ships only sector ranks"),
+            None => key,
+        };
+        missing_state(locale, rep, &self.sector)
     }
 
     /// Local rank of `rep` on `locale` — the distributed `stateToIndex`.
@@ -472,8 +546,79 @@ mod tests {
                 probes.extend([member | 1 << bits, member ^ 1 << bits ^ 1, 1 << 63 | member]);
                 probes.extend([(1 << bits) - 1, 0, u64::MAX]);
                 check_ranking(&basis, &probes);
+                check_keys(&basis);
             }
         }
+    }
+
+    /// Position on `locale` of the state `key` names, as
+    /// `resolve_batch` finds it; `None` when the part does not hold it.
+    fn resolve(basis: &DistSpinBasis, locale: usize, key: u64) -> Option<usize> {
+        match &basis.index[locale] {
+            PartIndex::Select(table) if basis.rank_keys => {
+                select(table, key).map(|i| i as usize)
+            }
+            _ => basis.index_on(locale, key),
+        }
+    }
+
+    /// Every member's wire key resolves to the member's `index_on`
+    /// position on its owner — scalar and in a batch — and to nothing on
+    /// any other locale.
+    fn check_keys(basis: &DistSpinBasis) {
+        let key = |s: u64| basis.key_ranks().map_or(s, |lin| lin.rank(s).unwrap());
+        let members = basis.states().parts().concat();
+        let mut idx = Vec::new();
+        for l in 0..basis.n_locales() {
+            for &s in &members {
+                let expect = (basis.owner(s) == l).then(|| basis.index_on(l, s).unwrap());
+                assert_eq!(resolve(basis, l, key(s)), expect, "locale {l} member {s:#b}");
+            }
+            let part = basis.states().part(l);
+            let pairs: Vec<(u64, usize)> =
+                part.iter().enumerate().map(|(i, &s)| (key(s), i)).collect();
+            let mut seen = Vec::new();
+            basis.resolve_batch(l, &pairs, &mut idx, |i, at| seen.push((i, at)));
+            assert!(
+                seen.iter().enumerate().all(|(k, &(i, at))| i == at && at == k),
+                "locale {l}"
+            );
+            assert_eq!(seen.len(), part.len(), "locale {l}");
+        }
+    }
+
+    #[test]
+    fn unrank_inverts_the_closed_form_on_every_member() {
+        let sectors = [
+            SectorSpec::with_weight(12, 6).unwrap(),
+            SectorSpec::spinful_fermions(5, 2, 3).unwrap(),
+        ];
+        for sector in sectors {
+            let lin = sector.lin_tables(&BinomialTable::new()).unwrap();
+            let members = ls_basis::SpinBasis::build(sector.clone()).states().to_vec();
+            for (i, &s) in members.iter().enumerate() {
+                assert_eq!(lin.rank(s), Some(i as u64), "{s:#b}");
+                assert_eq!(lin.unrank(i as u64), Some(s), "rank {i}");
+            }
+            assert_eq!(lin.unrank(members.len() as u64), None);
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "locale 1: generated state 0x000000000000000f is not in the basis"
+    )]
+    fn a_rank_key_the_part_lacks_names_its_state() {
+        // Two parts of the 6-site weight-4 sector, the second lacking 0b1111:
+        // its rank arrives, and the panic decodes it back.
+        let sector = SectorSpec::with_weight(6, 4).unwrap();
+        let all = ls_basis::SpinBasis::build(sector.clone()).states().to_vec();
+        assert_eq!(all[0], 0b1111);
+        let parts = vec![all[1..8].to_vec(), all[8..].to_vec()];
+        let orbits = DistVec::from_parts(parts.iter().map(|p| vec![1u32; p.len()]).collect());
+        let basis = DistSpinBasis::from_parts(sector, DistVec::from_parts(parts), orbits);
+        let rank = basis.key_ranks().expect("both parts select").rank(0b1111).unwrap();
+        basis.resolve_batch(1, &[(rank, 1.0f64)], &mut Vec::new(), |_, _| ());
     }
 
     #[test]

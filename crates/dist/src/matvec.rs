@@ -5,9 +5,10 @@
 //! contributions generated from its own rows):
 //!
 //! * [`matvec_pc`] — the product: the producer/consumer pipeline of
-//!   Sec. 5.3 (see [`pc`]). Producers stream `(state, coefficient)` pairs
-//!   through fixed-capacity buffer channels while consumers concurrently
-//!   rank and accumulate, overlapping generation with communication.
+//!   Sec. 5.3 (see [`pc`]). Producers stream `(key, coefficient)` pairs —
+//!   the key a sector rank where the parts select, the state elsewhere —
+//!   through fixed-capacity buffer channels while the owners concurrently
+//!   resolve and accumulate, overlapping generation with communication.
 //!   [`PcOptions::capacity`] is the batch size; batching *without* overlap
 //!   is `ls_baseline::matvec_alltoall`.
 //! * [`matvec_naive`] — the oracle: every off-locale contribution is one
@@ -31,7 +32,6 @@ pub mod pc;
 
 use crate::basis::DistSpinBasis;
 use ls_basis::SymmetrizedOperator;
-use ls_kernels::search::NOT_FOUND;
 use ls_kernels::Scalar;
 use ls_runtime::{collective, AtomicAccumWindow, Cluster, DistVec};
 use std::sync::Mutex;
@@ -55,8 +55,8 @@ const ABFT_REL_TOL: f64 = 1e-10;
 /// the sum of all contributions generated for `ℓ` — regardless of
 /// delivery path (diagonal, local fast path, staged batches) or
 /// accumulation order. Producers keep a private running
-/// `[Σ re, Σ im, Σ(|re|+|im|)]` per destination and [`merge`] once when
-/// they finish; [`verify`] then compares the realized part sums against
+/// `[Σ re, Σ im, Σ(|re|+|im|)]` per destination ([`LocalTally`]) and
+/// [`merge`] once when they finish; [`verify`] then compares the realized part sums against
 /// the tallies. A mismatch means contributions were lost, duplicated or
 /// altered *between generation and accumulation* — endpoint corruption
 /// the wire CRCs cannot see, because the bytes in flight were exactly
@@ -79,29 +79,19 @@ impl AbftTally {
 
     /// A fresh per-producer local tally (merged once at the end, so the
     /// per-contribution cost is three adds on private memory).
-    pub(crate) fn local(&self) -> Vec<[f64; 3]> {
-        vec![[0.0; 3]; self.sums.lock().unwrap().len()]
-    }
-
-    /// Notes one contribution `v` destined for locale `dest` in a
-    /// producer-local tally.
-    #[inline]
-    pub(crate) fn note<S: Scalar>(local: &mut [[f64; 3]], dest: usize, v: S) {
-        let [re, im] = v.to_reals();
-        let t = &mut local[dest];
-        t[0] += re;
-        t[1] += im;
-        // L1 mass: an upper bound on the magnitude, sqrt-free.
-        t[2] += re.abs() + im.abs();
+    pub(crate) fn local(&self) -> LocalTally {
+        LocalTally { lanes: vec![[[0.0; 3]; LANES]; self.sums.lock().unwrap().len()] }
     }
 
     /// Folds a producer-local tally into the shared per-product sums.
-    pub(crate) fn merge(&self, local: &[[f64; 3]]) {
+    pub(crate) fn merge(&self, local: &LocalTally) {
         let mut sums = self.sums.lock().unwrap();
-        for (t, l) in sums.iter_mut().zip(local) {
-            t[0] += l[0];
-            t[1] += l[1];
-            t[2] += l[2];
+        for (t, lanes) in sums.iter_mut().zip(&local.lanes) {
+            for l in lanes {
+                t[0] += l[0];
+                t[1] += l[1];
+                t[2] += l[2];
+            }
         }
     }
 
@@ -135,6 +125,36 @@ impl AbftTally {
     }
 }
 
+/// Independent partial sums a [`LocalTally`] keeps per destination.
+const LANES: usize = 4;
+
+/// A producer's private half of an [`AbftTally`]: per destination
+/// `[Σ re, Σ im, Σ(|re|+|im|)]` in [`LANES`] lanes that consecutive
+/// contributions take in turn, so that no add waits on the one before.
+/// The lanes fold at [`AbftTally::merge`].
+pub(crate) struct LocalTally {
+    lanes: Vec<[[f64; 3]; LANES]>,
+}
+
+impl LocalTally {
+    /// Notes the contributions `values`, all destined for locale `dest`.
+    #[inline]
+    pub(crate) fn note<S: Scalar>(&mut self, dest: usize, values: impl IntoIterator<Item = S>) {
+        let (mut lanes, mut values) = (self.lanes[dest], values.into_iter());
+        'values: loop {
+            for t in &mut lanes {
+                let Some(v) = values.next() else { break 'values };
+                let [re, im] = v.to_reals();
+                t[0] += re;
+                t[1] += im;
+                // L1 mass: an upper bound on the magnitude, sqrt-free.
+                t[2] += re.abs() + im.abs();
+            }
+        }
+        self.lanes[dest] = lanes;
+    }
+}
+
 /// Lane-wise sum of one part (the realized half of the ABFT invariant).
 fn part_sum<S: Scalar>(part: &[S]) -> [f64; 2] {
     let mut acc = [0.0f64; 2];
@@ -161,38 +181,6 @@ fn checksum_mismatch(sre: f64, sim: f64, mass: f64, yre: f64, yim: f64) -> Optio
             "checksum-vector mismatch: |Σ contributions − Σ y| = ({dre:.3e}, {dim:.3e}) \
              exceeds {tol:.3e}"
         ))
-    }
-}
-
-/// Caller-owned scratch of [`accumulate_batch`], reused across batches.
-#[derive(Default)]
-pub(crate) struct RankScratch {
-    needles: Vec<u64>,
-    idx: Vec<u32>,
-}
-
-/// Ranks a batch of `(state, coefficient)` pairs owned by `dest` with the
-/// bulk prefix-bucket kernel and hands every `(local index, coefficient)`
-/// to `add` in batch order — the owner-side half of the pipeline, for
-/// shipped batches and for a producer's own run alike.
-pub(crate) fn accumulate_batch<S: Scalar>(
-    basis: &DistSpinBasis,
-    dest: usize,
-    pairs: &[(u64, S)],
-    RankScratch { needles, idx }: &mut RankScratch,
-    add: impl Fn(usize, S),
-) {
-    needles.clear();
-    needles.extend(pairs.iter().map(|&(s, _)| s));
-    basis.index_on_batch(dest, needles, idx);
-    for (&(rep, coeff), &i) in pairs.iter().zip(idx.iter()) {
-        let i = if i != NOT_FOUND {
-            i as usize
-        } else {
-            // Cold: re-resolve through the panicking helper.
-            basis.index_on_present(dest, rep)
-        };
-        add(i, coeff);
     }
 }
 
@@ -313,9 +301,8 @@ mod tests {
         // Clean: tallied contributions match the realized part sums.
         let tally = AbftTally::new(2);
         let mut local = tally.local();
-        AbftTally::note(&mut local, 0, 1.5f64);
-        AbftTally::note(&mut local, 0, -0.25f64);
-        AbftTally::note(&mut local, 1, 2.0f64);
+        local.note(0, [1.5f64, -0.25]);
+        local.note(1, [2.0f64]);
         tally.merge(&local);
         let y = DistVec::from_parts(vec![vec![1.0f64, 0.25], vec![2.0]]);
         tally.verify(&y); // must not panic
@@ -334,7 +321,7 @@ mod tests {
         // A NaN contribution sum must fail, never pass vacuously.
         let nan_tally = AbftTally::new(1);
         let mut local = nan_tally.local();
-        AbftTally::note(&mut local, 0, f64::NAN);
+        local.note(0, [f64::NAN]);
         nan_tally.merge(&local);
         let y1 = DistVec::from_parts(vec![vec![0.0f64]]);
         assert!(std::panic::catch_unwind(|| nan_tally.verify(&y1)).is_err());

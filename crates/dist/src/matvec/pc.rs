@@ -1,21 +1,25 @@
 //! The producer/consumer matrix-vector product (paper Sec. 5.3, Fig. 5).
 //!
 //! Per locale, every thread streams over its share of the local rows *in
-//! blocks* through the batch kernels (block row generation — the
-//! differential group walk on symmetrized sectors) and routes a block at a
-//! time. One pass finds the owner of every emission (`hash mod locales`,
-//! a mask for a power-of-two count) and stages its `(destination state,
-//! coefficient)` pair into the owner's run, the ABFT tally is summed per
-//! run, the local run is ranked and added on the spot and the others ship
-//! in capacity-sized batches through [`PairChannel`]s — one per (source,
-//! destination) pair, each a ring of two buffers, so a producer fills one
-//! batch while the previous one is being ranked. The same threads drain
-//! the channels addressed to their locale, rank each batch where it lies
-//! against the *local* basis part (ranking happens owner-side, where the
-//! part's index lives: Lin rank → select on a product sector, prefix
-//! buckets elsewhere — see `crate::basis`) and accumulate into `y`. Row
-//! generation, transfer and accumulation therefore overlap — the defining
-//! contrast with the bulk-synchronous baseline in `ls-baseline`. There is
+//! blocks* through the block generator
+//! ([`SymmetrizedOperator::generate_off_diag_block`] — the differential
+//! group walk on symmetrized sectors) and routes every emission in the one
+//! pass that generates it: its owner (`hash mod locales`, a mask for a
+//! power-of-two count), its key, its value `amp · x[row]` and a push onto
+//! the owner's run. The key is the state's sector rank where every part
+//! selects — the producer ranks, by Lin's tables — and the state itself
+//! elsewhere (see `crate::basis`). After a block the ABFT tally notes the
+//! block's values run by run (in four independent lanes), the local run
+//! is resolved and added on the spot and the others ship in
+//! capacity-sized batches through [`PairChannel`]s — one per
+//! (source, destination) pair, each a ring of two buffers, so a producer
+//! fills one batch while the previous one is being resolved. The same
+//! threads drain the channels addressed to their locale and resolve each
+//! batch where it lies against the *local* basis part — on a product
+//! sector a select per pair and nothing else, elsewhere the prefix-bucket
+//! search — and accumulate into `y`. Row generation, transfer and
+//! accumulation therefore overlap — the defining contrast with the
+//! bulk-synchronous baseline in `ls-baseline`. There is
 //! one drain step; [`PcOptions::deterministic`] only decides whether a
 //! received batch is accumulated on arrival or in a fixed order after the
 //! drain (on one thread a locale, or the order would not be fixed). The
@@ -46,19 +50,20 @@
 //! Buffers are reused across products via [`PcEngine`] — the paper reuses
 //! its `RemoteBuffer`s across the whole Lanczos run to avoid reallocation.
 
-use crate::basis::DistSpinBasis;
-use crate::matvec::{accumulate_batch, validate_shapes, AbftTally, RankScratch};
-use ls_basis::{OffDiagBlock, SymmetrizedOperator};
-use ls_kernels::Scalar;
+use crate::basis::{missing_state, DistSpinBasis};
+use crate::matvec::{validate_shapes, AbftTally};
+use ls_basis::SymmetrizedOperator;
+use ls_kernels::{locale_idx_of, Scalar};
 use ls_runtime::{collective, AtomicAccumWindow, Cluster, DistVec, LocaleCtx, PairChannel};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Rows a thread generates and routes at a time: one
-/// [`SymmetrizedOperator::apply_off_diag_block`] call (which walks the
+/// [`SymmetrizedOperator::generate_off_diag_block`] call (which walks the
 /// group once per source row, `g(α ⊕ m) = g(α) ⊕ π_g(m)`, not once per
-/// matrix element; `ls_basis::state_info_batch` is its oracle), one
-/// owner-and-stage pass and one bulk ranking of the local run per block —
+/// matrix element; `ls_basis::state_info_batch` is its oracle) whose sink
+/// keys and stages every emission, then the tally of the block's runs, one
+/// resolve-and-add of the local run and the shipping of every full batch —
 /// and the longest a thread leaves its inbox unattended.
 const GEN_BLOCK: usize = 512;
 
@@ -68,7 +73,7 @@ type DiagMemo<S> = Option<(((u64, usize), usize, usize), Arc<Vec<S>>)>;
 /// Tuning knobs of the producer/consumer pipeline.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct PcOptions {
-    /// Capacity of each channel buffer, in `(state, coefficient)` pairs.
+    /// Capacity of each channel buffer, in `(key, coefficient)` pairs.
     pub capacity: usize,
     /// Deterministic accumulation order: a locale runs one thread, and the
     /// drain step leaves received batches *stashed* (communication still
@@ -211,7 +216,7 @@ impl<S: Scalar> PcEngine<S> {
             let mut inbox = Inbox {
                 stash: vec![Vec::new(); self.n_locales],
                 open: (0..self.n_locales).collect(),
-                scratch: RankScratch::default(),
+                idx: Vec::new(),
             };
             task.produce(&mut inbox);
             if still_producing[me].fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -259,7 +264,8 @@ struct Inbox<S> {
     stash: Vec<Vec<(u64, S)>>,
     /// The sources that have not closed and drained yet.
     open: Vec<usize>,
-    scratch: RankScratch,
+    /// Scratch of [`DistSpinBasis::resolve_batch`].
+    idx: Vec<u32>,
 }
 
 /// One thread's view of the product it works on.
@@ -288,21 +294,32 @@ impl<S: Scalar> Task<'_, S> {
         }
     }
 
-    /// Ranks `pairs`, all owned by this locale, and adds them in order.
-    fn accumulate(&self, pairs: &[(u64, S)], scratch: &mut RankScratch) {
-        let add = |i, val| self.add(i, val);
-        accumulate_batch(self.basis, self.ctx.locale(), pairs, scratch, add);
+    /// Resolves the keys of `pairs`, all owned by this locale, and adds
+    /// the values in order.
+    fn accumulate(&self, pairs: &[(u64, S)], idx: &mut Vec<u32>) {
+        self.basis.resolve_batch(self.ctx.locale(), pairs, idx, |i, val| self.add(i, val));
     }
 
     /// Generates the rows of this thread's contiguous share of the local
-    /// basis part in blocks through the batch kernels
-    /// ([`SymmetrizedOperator::apply_off_diag_block`]) and routes each
-    /// block: every emission staged into its owner's run, tally, then the
-    /// local run is ranked and added and the others are shipped. `inbox`
-    /// is served after every block and while a channel is full.
+    /// basis part in blocks and routes every emission as it is generated,
+    /// keyed the way the basis says ([`DistSpinBasis::key_ranks`]).
     fn produce(&self, inbox: &mut Inbox<S>) {
+        match self.basis.key_ranks() {
+            Some(lin) => self.produce_keyed(inbox, |rep| lin.rank(rep)),
+            None => self.produce_keyed(inbox, Some),
+        }
+    }
+
+    /// [`Self::produce`] with the key of a generated state (`None`: not in
+    /// the sector). Per block: the diagonal is added, then the generator's
+    /// sink routes each emission in place — owner, key, `amp · x[row]`,
+    /// push onto the owner's run — after which every run's fresh values
+    /// are tallied, the local run is resolved and added and the others ship
+    /// their full batches. `inbox` is served after every block and while a
+    /// channel is full.
+    fn produce_keyed(&self, inbox: &mut Inbox<S>, key: impl Fn(u64) -> Option<u64>) {
         let me = self.ctx.locale();
-        let capacity = self.engine.opts.capacity;
+        let (capacity, locales) = (self.engine.opts.capacity, self.engine.n_locales);
         let states = self.basis.states().part(me);
         let orbits = self.basis.orbit_sizes().part(me);
         let x_local = self.x.part(me);
@@ -311,36 +328,40 @@ impl<S: Scalar> Task<'_, S> {
 
         let mut tally = self.abft.map(AbftTally::local);
         let diag = self.engine.diagonal(me, self.op, states);
-        let mut gen = OffDiagBlock::new();
-        // Per destination: the `(state, amp · x[source])` pairs staged and not
+        let mut images = Vec::new();
+        // Per destination: the `(key, amp · x[source])` pairs staged and not
         // yet shipped — the tail of earlier blocks, short of a batch, then
         // this block's run — and where that run starts.
-        let mut runs: Vec<Vec<(u64, S)>> = vec![Vec::new(); self.engine.n_locales];
-        let mut fresh = vec![0usize; runs.len()];
-        let mut scratch = RankScratch::default();
+        let mut runs: Vec<Vec<(u64, S)>> = vec![Vec::new(); locales];
+        let mut fresh = vec![0usize; locales];
+        let mut idx = Vec::new();
         for b0 in (lo..hi).step_by(GEN_BLOCK) {
             let b1 = (b0 + GEN_BLOCK).min(hi);
             for k in (b0..b1).filter(|&k| diag[k] != S::ZERO) {
                 self.add(k, diag[k] * x_local[k]);
-                if let Some(t) = &mut tally {
-                    AbftTally::note(t, me, diag[k] * x_local[k]);
-                }
             }
-            self.op.apply_off_diag_block(&states[b0..b1], &orbits[b0..b1], &mut gen);
+            if let Some(t) = &mut tally {
+                t.note(me, (b0..b1).map(|k| diag[k] * x_local[k]));
+            }
             fresh.iter_mut().zip(&runs).for_each(|(at, run)| *at = run.len());
-            for ((&rep, &amp), &src) in gen.reps.iter().zip(&gen.amps).zip(&gen.src) {
-                runs[self.basis.owner(rep)].push((rep, amp * x_local[b0 + src as usize]));
-            }
+            let (rows, row_orbits) = (&states[b0..b1], &orbits[b0..b1]);
+            self.op.generate_off_diag_block(rows, row_orbits, &mut images, |k, rep, amp| {
+                let dest = locale_idx_of(rep, locales);
+                let Some(key) = key(rep) else {
+                    missing_state(me, rep, self.basis.sector());
+                };
+                runs[dest].push((key, amp * x_local[b0 + k]));
+            });
             for (dest, (run, &at)) in runs.iter_mut().zip(&fresh).enumerate() {
                 if let Some(t) = &mut tally {
-                    run[at..].iter().for_each(|&(_, val)| AbftTally::note(t, dest, val));
+                    t.note(dest, run[at..].iter().map(|&(_, val)| val));
                 }
                 #[cfg(test)]
                 self.engine.perturb(&mut run[at..]);
                 if dest == me {
                     // Local contributions skip the buffers entirely (the
-                    // PGAS "here" fast path) but still rank in bulk.
-                    self.accumulate(run, &mut scratch);
+                    // PGAS "here" fast path) but resolve like a batch.
+                    self.accumulate(run, &mut idx);
                     run.clear();
                     continue;
                 }
@@ -415,13 +436,13 @@ impl<S: Scalar> Task<'_, S> {
     }
 
     /// The drain step: one non-blocking pass over the channels addressed
-    /// to this locale, ranking and accumulating what arrived into the
+    /// to this locale, resolving and accumulating what arrived into the
     /// local part of `y` — or, under
     /// [`PcOptions::deterministic`], taking it just as eagerly (producers
     /// never stall on flow control) but leaving it *stashed* per source.
     /// Returns whether anything arrived or closed.
     fn drain_once(&self, inbox: &mut Inbox<S>) -> bool {
-        let Inbox { stash, open, scratch } = inbox;
+        let Inbox { stash, open, idx } = inbox;
         let mut progress = false;
         open.retain(|&src| {
             let ch = self.engine.channel(src, self.ctx.locale());
@@ -431,7 +452,7 @@ impl<S: Scalar> Task<'_, S> {
                 if self.engine.opts.deterministic {
                     stash[src].extend_from_slice(batch);
                 } else {
-                    self.accumulate(batch, scratch);
+                    self.accumulate(batch, idx);
                 }
             };
             // A batch arrives through `try_recv`, or through a drain check
@@ -452,8 +473,8 @@ impl<S: Scalar> Task<'_, S> {
     /// so that accumulation order is too.
     fn drain_to_completion(&self, inbox: &mut Inbox<S>) {
         self.wait(inbox, |inbox| inbox.open.is_empty().then_some(()));
-        let Inbox { stash, scratch, .. } = inbox;
-        stash.iter().for_each(|batches| self.accumulate(batches, scratch));
+        let Inbox { stash, idx, .. } = inbox;
+        stash.iter().for_each(|batches| self.accumulate(batches, idx));
     }
 }
 

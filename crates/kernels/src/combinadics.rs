@@ -233,6 +233,7 @@ struct LinSpecies {
     hi_at: usize,
     /// Product of the dimensions of the species below this one.
     stride: u64,
+    weight: u32,
 }
 
 /// Closed-form ranking of a Cartesian product of fixed-weight species by
@@ -304,6 +305,7 @@ impl LinTables {
                 lo_at,
                 hi_at,
                 stride,
+                weight,
             };
             stride *= binom.choose(width, weight);
             shift += width;
@@ -327,6 +329,24 @@ impl LinTables {
             rank += (lo as u32 as u64 + hi as u32 as u64) * s.stride;
         }
         member.then_some(rank)
+    }
+
+    /// Inverse of [`Self::rank`]: the member with product rank `rank`, or
+    /// `None` past the last one. For cold paths (a diagnostic that names
+    /// the state behind a rank): it builds a binomial table per call.
+    #[cold]
+    pub fn unrank(&self, rank: u64) -> Option<u64> {
+        let binom = BinomialTable::new();
+        let (mut rest, mut state) = (rank, 0u64);
+        for s in self.species[..self.n_species].iter().rev() {
+            let (width, r) = (s.mask.count_ones(), rest / s.stride);
+            if r >= binom.choose(width, s.weight) {
+                return None;
+            }
+            rest %= s.stride;
+            state |= binom.unrank(r, width, s.weight) << s.shift;
+        }
+        Some(state)
     }
 
     /// Per species, lowest bits first: its bits in place and its stride
@@ -480,6 +500,10 @@ mod tests {
                 let expect = words.binary_search(&p).ok().map(|i| i as u64);
                 assert_eq!(lin.rank(p), expect, "{layout:?} {p:#b}");
             }
+            for (i, &w) in words.iter().enumerate() {
+                assert_eq!(lin.unrank(i as u64), Some(w), "{layout:?} rank {i}");
+            }
+            assert_eq!(lin.unrank(words.len() as u64), None, "{layout:?}");
         }
     }
 

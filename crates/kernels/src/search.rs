@@ -119,16 +119,31 @@ impl PrefixIndex {
     /// in lockstep so their array probes overlap in the memory system —
     /// the bulk `stateToIndex` of the batched matvec engine.
     pub fn lookup_batch(&self, sorted: &[u64], needles: &[u64], out: &mut Vec<u32>) {
+        self.lookup_batch_by(sorted, needles, |&n| n, out);
+    }
+
+    /// [`Self::lookup_batch`] over items the needles are read from by
+    /// `key` — the states of `(state, value)` pairs, say — without copying
+    /// them out first.
+    #[inline]
+    pub fn lookup_batch_by<T>(
+        &self,
+        sorted: &[u64],
+        items: &[T],
+        key: impl Fn(&T) -> u64,
+        out: &mut Vec<u32>,
+    ) {
         const W: usize = INTERLEAVE;
         out.clear();
-        out.resize(needles.len(), NOT_FOUND);
+        out.resize(items.len(), NOT_FOUND);
         let mut k = 0usize;
-        while k + W <= needles.len() {
-            // Per-lane search bounds from the prefix buckets.
+        while k + W <= items.len() {
+            // Per-lane needles and search bounds from the prefix buckets.
+            let needles: [u64; W] = std::array::from_fn(|l| key(&items[k + l]));
             let mut lo = [0usize; W];
             let mut hi = [0usize; W];
             for l in 0..W {
-                let b = Self::bucket(self.shift, needles[k + l]);
+                let b = Self::bucket(self.shift, needles[l]);
                 if b + 1 < self.starts.len() {
                     lo[l] = self.starts[b] as usize;
                     hi[l] = self.starts[b + 1] as usize;
@@ -143,7 +158,7 @@ impl PrefixIndex {
                     if lo[l] < hi[l] {
                         let mid = (lo[l] + hi[l]) / 2;
                         let v = sorted[mid];
-                        let n = needles[k + l];
+                        let n = needles[l];
                         if v < n {
                             lo[l] = mid + 1;
                         } else if v > n {
@@ -161,8 +176,8 @@ impl PrefixIndex {
             }
             k += W;
         }
-        for (o, &n) in out[k..].iter_mut().zip(&needles[k..]) {
-            *o = self.lookup(sorted, n).map_or(NOT_FOUND, |i| i as u32);
+        for (o, item) in out[k..].iter_mut().zip(&items[k..]) {
+            *o = self.lookup(sorted, key(item)).map_or(NOT_FOUND, |i| i as u32);
         }
     }
 

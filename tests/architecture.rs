@@ -162,3 +162,29 @@ fn one_file_codec() {
     }
     assert!(stray.is_empty(), "file I/O outside record.rs:\n{}", stray.join("\n"));
 }
+
+/// The distributed producer makes one pass per emission: the block
+/// generator's sink keys, routes and stages it, so no emission block is
+/// built in between; and an owner resolves a batch where it lies, so no
+/// copy of its states is made first.
+#[test]
+fn the_producer_routes_in_place_and_the_owner_copies_nothing() {
+    let block = [["OffDiag", "Block"].concat(), ["apply_", "off_diag_block"].concat()];
+    let block: Vec<&str> = block.iter().map(String::as_str).collect();
+    assert_none(&["crates/dist/src/matvec/pc.rs"], &block);
+    assert_none(&["crates/dist/src/matvec.rs"], &[&["need", "les"].concat()]);
+}
+
+/// Every build run from the repository targets an x86-64-v2 CPU
+/// (hardware `popcnt`, SSE4.2) and no more: wider units are detected at
+/// run time (`ls_kernels::simd::level`), so one binary serves every such
+/// host.
+#[test]
+fn the_cpu_baseline_is_x86_64_v2() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(".cargo/config.toml");
+    let config = std::fs::read_to_string(&path).expect("the workspace's cargo config");
+    let lines: Vec<&str> = config.lines().map(str::trim).collect();
+    let at = lines.iter().position(|l| *l == r#"[target.'cfg(target_arch = "x86_64")']"#);
+    let at = at.expect("an x86_64 target section");
+    assert_eq!(lines.get(at + 1), Some(&r#"rustflags = ["-C", "target-cpu=x86-64-v2"]"#));
+}
