@@ -2,7 +2,7 @@
 
 use crate::enumerate;
 use crate::sector::SectorSpec;
-use ls_kernels::combinadics::{BinomialTable, LinTables, RankLayout};
+use ls_kernels::combinadics::{BinomialTable, LinTables};
 use ls_kernels::search::{PrefixIndex, NOT_FOUND};
 use ls_kernels::SiteEncoding;
 
@@ -60,14 +60,10 @@ pub struct SpinBasis {
     orbit_sizes: Vec<u32>,
     /// The search ranking; built exactly where no closed form exists.
     prefix: Option<PrefixIndex>,
-    /// Every closed-form sector: the lowest species' table in the fused
-    /// differential matvec, and the ranking of a species too wide for
-    /// `lin`.
+    /// One-species closed forms: the ranking of a species too wide for
+    /// `lin`, and [`Self::combinadic_table`].
     binom: Option<BinomialTable>,
     lin: Option<LinTables>,
-    /// Two-species closed forms: the upper species' bits, and `binom`
-    /// scaled by its stride for the fused matvec's rank deltas.
-    upper: Option<(u64, BinomialTable)>,
 }
 
 impl SpinBasis {
@@ -100,13 +96,10 @@ impl SpinBasis {
         let lin = binom.as_ref().and_then(|b| sector.lin_tables(b));
         // One species too wide for the Lin tables keeps the combinadic sum.
         let single = sector.charges().is_empty() && sector.hamming_weight().is_some();
-        let binom = binom.filter(|_| lin.is_some() || single);
-        let upper = binom.as_ref().and_then(|b| {
-            let (mask, stride) = lin.as_ref()?.species().nth(1)?;
-            Some((mask, b.scaled(stride)))
-        });
-        let prefix = binom.is_none().then(|| PrefixIndex::auto(&states, sector.code_bits()));
-        Self { sector, states, orbit_sizes, prefix, binom, lin, upper }
+        let binom = binom.filter(|_| single);
+        let closed_form = binom.is_some() || lin.is_some();
+        let prefix = (!closed_form).then(|| PrefixIndex::auto(&states, sector.code_bits()));
+        Self { sector, states, orbit_sizes, prefix, binom, lin }
     }
 
     pub fn sector(&self) -> &SectorSpec {
@@ -165,6 +158,23 @@ impl SpinBasis {
         Some(rank)
     }
 
+    /// The rank of a known member: on a closed form, two table loads per
+    /// species of the Lin tables (or the combinadic sum of a species too
+    /// wide for them) and no membership test; the search elsewhere. A
+    /// non-member gets a wrong rank, caught in debug builds only — the
+    /// same trust as [`Self::index_of_present`]'s callers', backed by
+    /// [`crate::SymmetrizedOperator::new`] refusing an operator that
+    /// leaves the sector.
+    #[inline]
+    pub fn rank_member(&self, rep: u64) -> usize {
+        debug_assert!(self.index_of(rep).is_some(), "state {rep:#018x} missing from the basis");
+        match (&self.lin, &self.binom) {
+            (Some(lin), _) => lin.rank_member(rep) as usize,
+            (None, Some(binom)) => binom.rank(rep) as usize,
+            (None, None) => self.index_of_present(rep),
+        }
+    }
+
     /// Ranking for hot loops where the state is guaranteed to be a member
     /// of the basis (every valid representative a Hermitian,
     /// symmetry-commuting operator generates is). Skips the `Option`
@@ -205,35 +215,19 @@ impl SpinBasis {
     /// The combinadic ranking table, present exactly when the basis is a
     /// whole U(1)-only sector (trivial group, one fixed-weight species,
     /// every member listed) — there a state's index *is* its combinadic
-    /// rank. `None` on multi-species sectors and on partial state lists;
-    /// [`Self::rank_layout`] is what the fused matvec reads, on one
-    /// species or two.
+    /// rank. `None` on multi-species sectors and on partial state lists.
     pub fn combinadic_table(&self) -> Option<&BinomialTable> {
-        self.binom.as_ref().filter(|_| self.sector.charges().is_empty())
-    }
-
-    /// The species layout of a closed-form basis, `None` where it ranks by
-    /// search: a state's index *is* the product of its species'
-    /// combinadic ranks, so the destination rank of a weight-preserving
-    /// flip is the source's plus per-species deltas read from stride-scaled
-    /// tables — the precondition of the fused differential-ranking matvec.
-    pub fn rank_layout(&self) -> Option<RankLayout<'_>> {
-        let binom = self.binom.as_ref()?;
-        Some(match &self.upper {
-            None => RankLayout::single(binom),
-            Some((mask, scaled)) => RankLayout::pair(binom, *mask, scaled),
-        })
+        self.binom.as_ref()
     }
 
     /// Memory estimate in bytes (states + orbit sizes + the ranking
-    /// structure, including every table the fused matvec reads).
+    /// structure).
     pub fn memory_bytes(&self) -> usize {
         self.states.len() * 8
             + self.orbit_sizes.len() * 4
             + self.prefix.as_ref().map_or(0, PrefixIndex::memory_bytes)
             + self.binom.as_ref().map_or(0, BinomialTable::memory_bytes)
             + self.lin.as_ref().map_or(0, LinTables::memory_bytes)
-            + self.upper.as_ref().map_or(0, |(_, t)| t.memory_bytes())
     }
 }
 
@@ -267,7 +261,7 @@ mod tests {
         SpinBasis::from_parts(sector, vec![0b0011, 0b0101], vec![1]);
     }
 
-    /// The basis's own ranking, scalar and batched, against
+    /// The basis's own ranking, scalar, batched and of members, against
     /// `states.binary_search` and against prefix buckets built here over
     /// the same list — where the basis chose a closed form, that is
     /// "closed form ≡ prefix buckets".
@@ -284,6 +278,9 @@ mod tests {
             assert_eq!(prefix.lookup(states, p), expect, "probe={p:#b}");
             assert_eq!(own[k], expect.map_or(NOT_FOUND, |i| i as u32), "probe={p:#b}");
             assert_eq!(searched[k], own[k], "probe={p:#b}");
+            if let Some(i) = expect {
+                assert_eq!(basis.rank_member(p), i, "probe={p:#b}");
+            }
         }
     }
 
@@ -307,8 +304,7 @@ mod tests {
         let sector = SectorSpec::with_weight(4, 2).unwrap();
         let basis = SpinBasis::from_parts(sector, vec![0b0011, 0b0110], vec![1, 1]);
         assert!(!basis.ranks_in_closed_form());
-        assert!(basis.combinadic_table().is_none());
-        assert!(basis.rank_layout().is_none(), "gateway of the fused matvec");
+        assert!(basis.combinadic_table().is_none(), "gateway of the fused replay");
         assert_eq!(basis.index_of(0b0011), Some(0));
         assert_eq!(basis.index_of(0b0110), Some(1));
         assert_eq!(basis.index_of(0b0101), None, "in the sector, not in the list");
@@ -317,7 +313,6 @@ mod tests {
         let hubbard = SectorSpec::spinful_fermions(2, 1, 1).unwrap();
         let basis = SpinBasis::from_parts(hubbard, vec![0b0110, 0b1010], vec![1, 1]);
         assert!(!basis.ranks_in_closed_form());
-        assert!(basis.rank_layout().is_none());
         check_ranking(&basis, &(0..16).collect::<Vec<u64>>());
     }
 
@@ -385,14 +380,14 @@ mod tests {
         let basis = SpinBasis::build(SectorSpec::spinful_fermions(4, 2, 2).unwrap());
         assert_eq!(basis.dim() as u64, basis.sector().dimension());
         assert!(basis.ranks_in_closed_form());
-        // Two species: no single combinadic table, a two-species layout.
+        // Two species: no single combinadic table, Lin tables on both.
         assert!(basis.combinadic_table().is_none());
-        let layout = basis.rank_layout().unwrap();
-        let masks: Vec<u64> = layout.species().iter().map(|s| s.mask).collect();
+        let masks: Vec<u64> = basis.lin.as_ref().unwrap().species().map(|(m, _)| m).collect();
         assert_eq!(masks, [0x0f, 0xf0]);
         for (i, &s) in basis.states().iter().enumerate() {
             assert_eq!(basis.index_of(s), Some(i));
             assert_eq!(basis.index_of_present(s), i);
+            assert_eq!(basis.rank_member(s), i);
         }
         // Wrong species count is absent even though total weight matches.
         assert_eq!(basis.index_of(0b0000_1111), None);
@@ -401,15 +396,14 @@ mod tests {
     #[test]
     fn memory_bytes_counts_the_one_ranking_structure() {
         // A closed-form sector holds its tables and no search index: the
-        // Lin tables, the binomial table and, on two species, its copy
-        // scaled by the upper species' stride.
+        // Lin tables and, on one species, the binomial table.
         let binom = BinomialTable::new().memory_bytes();
         assert_eq!(binom, 65 * 65 * 8);
         let hubbard = SpinBasis::build(SectorSpec::spinful_fermions(4, 2, 2).unwrap());
         assert!(hubbard.prefix.is_none());
         let lin = hubbard.lin.as_ref().unwrap().memory_bytes();
         assert!(lin < 1024);
-        assert_eq!(hubbard.memory_bytes(), hubbard.dim() * 12 + lin + 2 * binom);
+        assert_eq!(hubbard.memory_bytes(), hubbard.dim() * 12 + lin);
         let u1 = SpinBasis::build(SectorSpec::with_weight(12, 6).unwrap());
         let lin = u1.lin.as_ref().unwrap().memory_bytes();
         assert_eq!(u1.memory_bytes(), u1.dim() * 12 + lin + binom);

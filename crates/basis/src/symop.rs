@@ -16,20 +16,28 @@
 //!
 //! The scalar [`SymmetrizedOperator::apply_off_diag`] resolves each raw
 //! state with [`state_info`] — `|G|` Benes networks per emission — and is
-//! the reference. The block form the engines run,
-//! [`SymmetrizedOperator::generate_off_diag_block`] (which hands each
-//! emission to a caller's sink; [`SymmetrizedOperator::apply_off_diag_block`]
-//! is the sink that fills an [`OffDiagBlock`]), uses that a group element
-//! (a bit permutation `π_g`, then an optional global flip) is affine over
-//! GF(2), `g(α ⊕ m) = g(α) ⊕ π_g(m)`: the networks run once per source
-//! *row*, and an emission's `|G|` images are one XOR each against a table
-//! of `|G| × distinct flip masks` words built at construction
-//! (`crate::rep::GroupWalk`).
+//! the reference. The block form both engines run,
+//! [`SymmetrizedOperator::generate_off_diag_block`], hands each emission to
+//! a caller's sink ([`SymmetrizedOperator::apply_off_diag_block`] is the
+//! sink that fills an [`OffDiagBlock`]). Under a trivial group it is one
+//! mask loop per row, Jordan-Wigner signs included, and
+//! [`SymmetrizedOperator::pull_rows`] runs the same loop with a sum in
+//! place of the sink — the shared-memory engine's closed-form row pass.
+//! Under any other group
+//! it uses that a group element (a bit permutation `π_g`, then an optional
+//! global flip) is affine over GF(2), `g(α ⊕ m) = g(α) ⊕ π_g(m)`: the
+//! networks run once per source *row*, and an emission's `|G|` images are
+//! one XOR each against a table of `|G| × distinct flip masks` words built
+//! at construction (`crate::rep::GroupWalk`).
+//!
+//! [`SymmetrizedOperator::apply_off_diag_block_u1_ranked_channels`], a
+//! channel-outer generate-and-rank pass into packed segments, is no
+//! engine's path: it is the surface the repo benchmark's replay times.
 
 use crate::rep::{state_info, GroupWalk};
 use crate::sector::{BasisError, SectorSpec};
 use ls_expr::OperatorKernel;
-use ls_kernels::combinadics::{BinomialTable, RankLayout, SpeciesRank};
+use ls_kernels::combinadics::BinomialTable;
 use ls_kernels::{Complex64, Scalar};
 use ls_symmetry::SymmetryGroup;
 
@@ -89,16 +97,20 @@ impl<S: Scalar> SymChannel<S> {
     }
 }
 
-/// Up to 64 consecutive tests of the sign-free mask loop, and how a row
-/// `α` computes its fire mask over them. A test fires when `α & sites` is
-/// one of its patterns and emits `(α ^ flip, coeff)`; consecutive channels
-/// that differ only in their input pattern — the `S⁺S⁻` / `S⁻S⁺` halves of
-/// a bond, the `c†c` / `c c†` halves of a hop — are one test with two
+/// Up to 64 consecutive tests of the trivial-group mask loop, and how a
+/// row `α` computes its fire mask over them. A test fires when `α & sites`
+/// is one of its patterns and emits `(α ^ flip, ±coeff)`, negated on odd
+/// `popcount(α & sign)`; consecutive channels that differ only in their
+/// input pattern — the `S⁺S⁻` / `S⁻S⁺` halves of a bond, the `c†c` /
+/// `c c†` halves of a hop with equal string masks — are one test with two
 /// patterns: at most one of them fires on a row, and both emit the same.
 #[derive(Clone, Debug)]
 struct FireGroup<S> {
     /// Per test, in channel order: `(flip, coeff)`.
     emits: Vec<(u64, S)>,
+    /// `(string mask, test)` of each test that carries a string; a group
+    /// without one does no parity work.
+    strings: Vec<(u64, u32)>,
     /// The tests of two sites `i < j` that fire when exactly one is set:
     /// one `(d, r, l, mask)` per distinct distance `d = j − i` and shift,
     /// whose fire bits are `((α ^ α >> d) >> r << l) & mask` — a ring's
@@ -109,12 +121,44 @@ struct FireGroup<S> {
     tests: Vec<(u64, u64, u64, u32)>,
 }
 
-impl<S: Copy> FireGroup<S> {
-    /// `tests` are `(sites, a, b, flip, coeff)`, at most 64.
-    fn new(tests: &[(u64, u64, u64, u64, S)]) -> Self {
-        let mut group = Self { emits: Vec::new(), spans: Vec::new(), tests: Vec::new() };
-        for (c, &(sites, a, b, flip, coeff)) in tests.iter().enumerate() {
+impl<S: Scalar> FireGroup<S> {
+    /// The channels as the mask loop tests them, 64 tests a group.
+    fn build(channels: &[SymChannel<S>]) -> Vec<Self> {
+        // `(sites, a, b, flip, sign, coeff)`: one test per channel, or per
+        // two consecutive channels that emit the same on different
+        // patterns.
+        let mut tests: Vec<(u64, u64, u64, u64, u64, S)> = Vec::new();
+        for ch in channels {
+            match tests.last_mut() {
+                Some((sites, a, b, flip, sign, coeff))
+                    if a == b
+                        && *sites == ch.sites
+                        && *a != ch.in_pat
+                        && *flip == ch.flip
+                        && *sign == ch.sign
+                        && *coeff == ch.coeff =>
+                {
+                    *b = ch.in_pat
+                }
+                _ => tests.push((ch.sites, ch.in_pat, ch.in_pat, ch.flip, ch.sign, ch.coeff)),
+            }
+        }
+        tests.chunks(64).map(Self::new).collect()
+    }
+
+    /// `tests` are `(sites, a, b, flip, sign, coeff)`, at most 64.
+    fn new(tests: &[(u64, u64, u64, u64, u64, S)]) -> Self {
+        let mut group = Self {
+            emits: Vec::new(),
+            strings: Vec::new(),
+            spans: Vec::new(),
+            tests: Vec::new(),
+        };
+        for (c, &(sites, a, b, flip, sign, coeff)) in tests.iter().enumerate() {
             group.emits.push((flip, coeff));
+            if sign != 0 {
+                group.strings.push((sign, c as u32));
+            }
             if sites.count_ones() == 2 && a.count_ones() == 1 && a ^ b == sites {
                 let (i, j) = (sites.trailing_zeros(), 63 - sites.leading_zeros());
                 let shift = c as i32 - i as i32;
@@ -129,6 +173,32 @@ impl<S: Copy> FireGroup<S> {
         }
         group
     }
+
+    /// The tests firing on the row `alpha`, one bit each. Which tests fire
+    /// is data (one in four on a spin ring, in no pattern), so they are
+    /// collected into a mask without a branch each.
+    #[inline(always)]
+    fn fires(&self, alpha: u64) -> u64 {
+        let mut fires = 0u64;
+        for &(d, r, l, mask) in &self.spans {
+            fires |= ((alpha ^ alpha >> d) >> r << l) & mask;
+        }
+        for &(sites, a, b, c) in &self.tests {
+            let m = alpha & sites;
+            fires |= ((m == a) as u64 | (m == b) as u64) << c;
+        }
+        fires
+    }
+
+    /// The tests whose string has odd parity on the row `alpha`.
+    #[inline(always)]
+    fn odd(&self, alpha: u64) -> u64 {
+        let mut odd = 0u64;
+        for &(sign, c) in &self.strings {
+            odd |= u64::from((alpha & sign).count_ones() & 1) << c;
+        }
+        odd
+    }
 }
 
 /// An operator kernel bound to a symmetry sector, with scalar type `S`.
@@ -141,8 +211,7 @@ pub struct SymmetrizedOperator<S: Scalar> {
     patterns: Vec<(S, u64, u64)>,
     channels: Vec<SymChannel<S>>,
     /// The channels as the row-outer mask loop tests them, in channel
-    /// order (empty unless the group is trivial and no channel carries a
-    /// sign).
+    /// order (empty unless the group is trivial).
     fire: Vec<FireGroup<S>>,
     /// Per channel, the index of its `flip` among the distinct flip masks
     /// `walk` was built on.
@@ -151,7 +220,7 @@ pub struct SymmetrizedOperator<S: Scalar> {
     hermitian: bool,
     trivial_group: bool,
     /// Any channel with a non-zero Jordan-Wigner sign mask? Gates the
-    /// sign-free hot loops.
+    /// scalar reference's sign-free loop.
     has_signs: bool,
     /// Process-unique construction id (shared by clones, which carry
     /// identical terms) — see [`Self::diag_fingerprint`].
@@ -227,35 +296,17 @@ impl<S: Scalar> SymmetrizedOperator<S> {
             });
             channel_mask.push(slot as u32);
         }
-        // `(sites, a, b, flip, coeff)`: one test per channel, or per two
-        // consecutive channels that emit the same on different patterns —
-        // built only where the mask loop runs.
-        let mask_loop = !kernel.has_signs() && sector.group().order() == 1;
-        let mut tests: Vec<(u64, u64, u64, u64, S)> = Vec::new();
-        for ch in channels.iter().filter(|_| mask_loop) {
-            match tests.last_mut() {
-                Some((sites, a, b, flip, coeff))
-                    if a == b
-                        && *sites == ch.sites
-                        && *a != ch.in_pat
-                        && *flip == ch.flip
-                        && *coeff == ch.coeff =>
-                {
-                    *b = ch.in_pat
-                }
-                _ => tests.push((ch.sites, ch.in_pat, ch.in_pat, ch.flip, ch.coeff)),
-            }
-        }
+        let trivial_group = sector.group().order() == 1;
         Ok(Self {
             walk: GroupWalk::new(sector.group(), &masks),
             group: sector.group().clone(),
             diag,
             patterns,
+            fire: if trivial_group { FireGroup::build(&channels) } else { Vec::new() },
             channels,
-            fire: tests.chunks(64).map(FireGroup::new).collect(),
             channel_mask,
             hermitian: kernel.is_hermitian(1e-10),
-            trivial_group: sector.group().order() == 1,
+            trivial_group,
             has_signs: kernel.has_signs(),
             id: NEXT_OPERATOR_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         })
@@ -265,8 +316,8 @@ impl<S: Scalar> SymmetrizedOperator<S> {
         &self.group
     }
 
-    /// Is the bound group trivial (U(1)-only sector)? Gates the
-    /// differential-ranking fast path of the batched matvec.
+    /// Is the bound group trivial (U(1)-only sector)? Gates the closed-form
+    /// row pass of the batched matvec.
     pub fn has_trivial_group(&self) -> bool {
         self.trivial_group
     }
@@ -417,7 +468,11 @@ impl<S: Scalar> SymmetrizedOperator<S> {
     /// exactly like repeated [`Self::apply_off_diag`] calls. `images` is
     /// caller-owned scratch for the group walk, reused across blocks.
     ///
-    /// Under a non-trivial group this is the differential walk
+    /// Under the trivial group this is the mask loop ([`FireGroup`]): per
+    /// row, the fire bits of up to 64 channels at a time, then one
+    /// emission per set bit, its coefficient negated on an odd
+    /// Jordan-Wigner string. Under a non-trivial group it is the
+    /// differential walk
     /// (`g(α ⊕ m) = g(α) ⊕ π_g(m)`): rows are taken in tiles sized from
     /// `|G|`; per tile, one group-element-outer pass writes every row's
     /// `|G|` orbit images (one Benes network per distinct site permutation
@@ -439,37 +494,57 @@ impl<S: Scalar> SymmetrizedOperator<S> {
         if !self.trivial_group {
             return self.walk_off_diag_block(states, orbits, images, emit);
         }
-        // Raw states are their own representatives with unit phase.
-        if self.has_signs {
-            for (k, &alpha) in states.iter().enumerate() {
-                for ch in &self.channels {
-                    if alpha & ch.sites == ch.in_pat {
-                        emit(k, alpha ^ ch.flip, ch.signed_coeff(alpha));
-                    }
-                }
-            }
-        } else {
-            // Sign-free hot loop. Which channels fire on a row is data (one
-            // in four on a spin ring, in no pattern), so they are collected
-            // into a mask without a branch each and emitted from its set
-            // bits: the same emissions in the same (row, channel) order.
-            for (k, &alpha) in states.iter().enumerate() {
-                for group in &self.fire {
-                    let mut fires = 0u64;
-                    for &(d, r, l, mask) in &group.spans {
-                        fires |= ((alpha ^ alpha >> d) >> r << l) & mask;
-                    }
-                    for &(sites, a, b, c) in &group.tests {
-                        let m = alpha & sites;
-                        fires |= ((m == a) as u64 | (m == b) as u64) << c;
-                    }
+        // Raw states are their own representatives with unit phase: the
+        // same emissions in the same (row, channel) order, with the same
+        // amplitudes. A sign-free group does no parity work.
+        for (k, &alpha) in states.iter().enumerate() {
+            for group in &self.fire {
+                let mut fires = group.fires(alpha);
+                if group.strings.is_empty() {
                     while fires != 0 {
                         let (flip, coeff) = group.emits[fires.trailing_zeros() as usize];
                         emit(k, alpha ^ flip, coeff);
                         fires &= fires - 1;
                     }
+                    continue;
+                }
+                let odd = group.odd(alpha);
+                while fires != 0 {
+                    let c = fires.trailing_zeros();
+                    let (flip, coeff) = group.emits[c as usize];
+                    emit(k, alpha ^ flip, if odd >> c & 1 == 1 { -coeff } else { coeff });
+                    fires &= fires - 1;
                 }
             }
+        }
+    }
+
+    /// The shared-memory engine's row pass on a closed-form sector: for
+    /// each row `α` of `states`, `y[k] += conj(amp)·x[rank(α ⊕ flip)]` over
+    /// the emissions [`Self::generate_off_diag_block`] makes of it, in the
+    /// same order, with the row's sum in a register and stored once. `y`
+    /// comes seeded (`diag·x`); `rank` maps a member of the basis to its
+    /// index. Trivial group only.
+    ///
+    /// A loop of its own, not a sink of the generator: the generator keeps
+    /// a sign-free loop for sign-free groups (one more test per emission
+    /// costs the distributed producer ~5 %), and a row pass that inlines
+    /// both of its loops per row runs ~20 % slower than this single one.
+    pub fn pull_rows(&self, states: &[u64], x: &[S], rank: impl Fn(u64) -> usize, y: &mut [S]) {
+        assert!(self.trivial_group, "the row pass requires the trivial group");
+        for (&alpha, out) in states.iter().zip(y) {
+            let mut acc = *out;
+            for group in &self.fire {
+                let (mut fires, odd) = (group.fires(alpha), group.odd(alpha));
+                while fires != 0 {
+                    let c = fires.trailing_zeros();
+                    let (flip, coeff) = group.emits[c as usize];
+                    let amp = if odd >> c & 1 == 1 { -coeff } else { coeff };
+                    acc += amp.conj() * x[rank(alpha ^ flip)];
+                    fires &= fires - 1;
+                }
+            }
+            *out = acc;
         }
     }
 
@@ -511,9 +586,24 @@ impl<S: Scalar> SymmetrizedOperator<S> {
         }
     }
 
-    /// [`Self::apply_off_diag_block_ranked_channels`] on a U(1) sector:
-    /// one species filling the word, ranked by `table`, and sign-free
-    /// channels.
+    /// Channel-outer generation *and ranking* of a block of a U(1) sector
+    /// (trivial group, one species filling the word, ranked by `table`,
+    /// sign-free channels) into packed segments. No engine runs it — the
+    /// shared-memory engine sums a closed-form row where
+    /// [`Self::generate_off_diag_block`] generates it — but the repo
+    /// benchmark's replay times it against the row pass it replaced.
+    ///
+    /// The basis index of a state is its combinadic rank, so the block's
+    /// `k`-th row has rank `first_rank + k`, and each destination rank is
+    /// the source's plus a [`BinomialTable::rank_xor`] delta over the
+    /// flipped span. For each channel, firing rows are first collected
+    /// with a branchless compaction sweep into `fired`, then ranked.
+    /// `emit` packs each emission as `(source position << 32) |
+    /// destination rank`, grouped by channel, and `segs` holds one
+    /// `(coefficient, end offset)` pair per channel segment. Emission
+    /// order is (channel, state); a row fires a channel at most once, so
+    /// each row still receives its contributions in ascending channel
+    /// order.
     pub fn apply_off_diag_block_u1_ranked_channels(
         &self,
         states: &[u64],
@@ -523,79 +613,23 @@ impl<S: Scalar> SymmetrizedOperator<S> {
         emit: &mut Vec<u64>,
         segs: &mut Vec<(S, u32)>,
     ) {
-        assert!(!self.has_signs, "fused ranking requires sign-free channels");
-        let layout = RankLayout::single(table);
-        self.apply_off_diag_block_ranked_channels(
-            states,
-            first_rank,
-            layout.species(),
-            fired,
-            emit,
-            segs,
-        );
-    }
-
-    /// The fused fast path of closed-form sectors: generation *and
-    /// ranking* of a block in one channel-outer pass. Valid only for a
-    /// trivial group over a basis that is the whole product of the
-    /// fixed-weight `species` ([`crate::SpinBasis::rank_layout`]): there
-    /// the basis index of a state *is* its product rank, the rank of the
-    /// block's `k`-th row is simply `first_rank + k`, and each destination
-    /// rank is the source's plus, per species the flip touches, a
-    /// [`BinomialTable::rank_xor`] delta read from the species'
-    /// stride-scaled table — O(flipped span) instead of O(weight) per
-    /// matrix element, with no lookup structure touched at all.
-    /// Destination ranks are always valid.
-    ///
-    /// For each channel, firing rows are first collected with a
-    /// *branchless* compaction sweep (the data-dependent fire/no-fire
-    /// branch of the row-outer loops mispredicts constantly; a
-    /// conditional-increment store does not), then ranked differentially.
-    /// Output is segment-encoded: `emit` packs each emission as
-    /// `(source position << 32) | destination rank` grouped by channel,
-    /// and `segs` holds `(coefficient, end offset)` pairs — the amplitude
-    /// of a channel is its coefficient up to the Jordan-Wigner sign, so a
-    /// sign-free channel emits one segment and a signed one two: its rows
-    /// of even string parity with `coeff`, then its odd rows with
-    /// `−coeff` (negation is exact, so the amplitudes are
-    /// [`Self::apply_off_diag`]'s bits). Storing amplitudes per segment
-    /// instead of per emission halves the emission traffic.
-    ///
-    /// Emission order is (channel, parity, state); a row fires a channel
-    /// at most once, so each output element still receives its
-    /// contributions in ascending channel order — exactly the scalar pull
-    /// accumulation order, so gather results stay bit-exact.
-    pub fn apply_off_diag_block_ranked_channels(
-        &self,
-        states: &[u64],
-        first_rank: u64,
-        species: &[SpeciesRank<'_>],
-        fired: &mut Vec<u32>,
-        emit: &mut Vec<u64>,
-        segs: &mut Vec<(S, u32)>,
-    ) {
-        // Hard check (one flag test per block): past it a symmetrized
-        // operator would get plausible wrong ranks.
+        // Hard checks (one flag test per block): past them a symmetrized
+        // or signed operator would get plausible wrong ranks.
         assert!(self.trivial_group, "fused ranking requires the trivial group");
+        assert!(!self.has_signs, "fused ranking requires sign-free channels");
         emit.clear();
         segs.clear();
-        let n = states.len();
-        // Even-parity rows in the first half, odd ones in the second;
-        // every slot read is written first.
-        if fired.len() < 2 * n {
-            fired.resize(2 * n, 0);
+        if fired.len() < states.len() {
+            fired.resize(states.len(), 0);
         }
-        let (even, odd) = fired.split_at_mut(n);
         let mut c = 0usize;
         while c < self.channels.len() {
             let ch = &self.channels[c];
             // Exchange-pair merge: the kernel's channel list is sorted by
-            // (sites, in_pat), so the S⁺S⁻ / S⁻S⁺ halves of a bond (the
-            // c†c / c c† halves of a hop) are consecutive; with equal
-            // coefficients and string masks they share one "exactly one of
-            // the two sites is set" sweep (a row fires at most one of the
-            // two, so per-row emission order is unchanged). This halves
-            // the dominant cost — the per-channel block sweep.
+            // (sites, in_pat), so the S⁺S⁻ / S⁻S⁺ halves of a bond are
+            // consecutive; with equal coefficients they share one "exactly
+            // one of the two sites is set" sweep (a row fires at most one
+            // of the two, so per-row emission order is unchanged).
             let paired = c + 1 < self.channels.len() && {
                 let ch2 = &self.channels[c + 1];
                 ch.sites.count_ones() == 2
@@ -604,24 +638,33 @@ impl<S: Scalar> SymmetrizedOperator<S> {
                     && ch2.flip == ch.sites
                     && ch.in_pat ^ ch2.in_pat == ch.sites
                     && ch.coeff == ch2.coeff
-                    && ch.sign == ch2.sign
             };
             let (sites, in_pat) = (ch.sites, ch.in_pat);
-            let (n_even, n_odd) = if paired {
-                compact_firing_rows(states, ch.sign, even, odd, |alpha| {
+            let n = if paired {
+                compact_firing_rows(states, fired, |alpha| {
                     let t = alpha & sites;
                     t != 0 && t != sites
                 })
             } else {
-                compact_firing_rows(states, ch.sign, even, odd, |alpha| alpha & sites == in_pat)
+                compact_firing_rows(states, fired, |alpha| alpha & sites == in_pat)
             };
-            let rank = ChannelRank::new(ch.flip, species);
-            rank.emit(states, first_rank, &even[..n_even], emit);
-            segs.push((ch.coeff, emit.len() as u32));
-            if ch.sign != 0 {
-                rank.emit(states, first_rank, &odd[..n_odd], emit);
-                segs.push((-ch.coeff, emit.len() as u32));
+            let lo = ch.flip.trailing_zeros();
+            if ch.flip >> lo == 0b11 {
+                // An adjacent pair (every nearest-neighbour term): two
+                // table loads.
+                for &k in &fired[..n] {
+                    let dest =
+                        table.rank_xor_adjacent(states[k as usize], lo, first_rank + k as u64);
+                    emit.push((k as u64) << 32 | dest);
+                }
+            } else {
+                for &k in &fired[..n] {
+                    let dest =
+                        table.rank_xor(states[k as usize], ch.flip, first_rank + k as u64);
+                    emit.push((k as u64) << 32 | dest);
+                }
             }
+            segs.push((ch.coeff, emit.len() as u32));
             c += if paired { 2 } else { 1 };
         }
     }
@@ -652,96 +695,16 @@ impl<S: Scalar> SymmetrizedOperator<S> {
 }
 
 /// Branchless compaction of the rows of `states` that fire a channel:
-/// every row writes its index, only firing rows advance a cursor. A
-/// channel with a string mask `sign` splits its rows by parity into
-/// `even` and `odd`; a sign-free one fills `even` alone, at the cost it
-/// had before signs were fused. Returns the two list lengths.
+/// every row writes its index, only firing rows advance the cursor.
+/// Returns how many fired.
 #[inline(always)]
-fn compact_firing_rows(
-    states: &[u64],
-    sign: u64,
-    even: &mut [u32],
-    odd: &mut [u32],
-    fires: impl Fn(u64) -> bool,
-) -> (usize, usize) {
-    let (mut n_even, mut n_odd) = (0usize, 0usize);
-    if sign == 0 {
-        for (k, &alpha) in states.iter().enumerate() {
-            even[n_even] = k as u32;
-            n_even += fires(alpha) as usize;
-        }
-    } else {
-        for (k, &alpha) in states.iter().enumerate() {
-            let fire = fires(alpha) as usize;
-            let parity = ((alpha & sign).count_ones() & 1) as usize;
-            even[n_even] = k as u32;
-            odd[n_odd] = k as u32;
-            n_even += fire & (parity ^ 1);
-            n_odd += fire & parity;
-        }
+fn compact_firing_rows(states: &[u64], rows: &mut [u32], fires: impl Fn(u64) -> bool) -> usize {
+    let mut n = 0usize;
+    for (k, &alpha) in states.iter().enumerate() {
+        rows[n] = k as u32;
+        n += fires(alpha) as usize;
     }
-    (n_even, n_odd)
-}
-
-/// One channel's differential-rank constants, hoisted out of its
-/// emission loop.
-enum ChannelRank<'a> {
-    /// An adjacent pair inside one species (every nearest-neighbour
-    /// term): the rank delta is two table loads, on the whole word.
-    Adjacent { lo: u32, lo_local: u32, below: u64, table: &'a BinomialTable },
-    /// Any other flip: for each species it touches, `(mask, shift, the
-    /// flip's part, table)`, and the delta over the part's span on the
-    /// species' own word. A flip that moves particles of both species
-    /// sums both deltas.
-    Span { parts: [(u64, u32, u64, &'a BinomialTable); 2], n_parts: usize },
-}
-
-impl<'a> ChannelRank<'a> {
-    fn new(flip: u64, species: &[SpeciesRank<'a>]) -> Self {
-        let lo = flip.trailing_zeros();
-        let home = species
-            .iter()
-            .find(|s| s.mask >> lo & 1 == 1)
-            .expect("the species tile every bit an operator flips");
-        if flip >> lo == 0b11 && flip & !home.mask == 0 {
-            let lo_local = lo - home.mask.trailing_zeros();
-            let below = !(u64::MAX << lo) & home.mask;
-            return Self::Adjacent { lo, lo_local, below, table: home.table };
-        }
-        let mut parts = [(0, 0, 0, home.table); 2];
-        let mut n_parts = 0;
-        for s in species.iter().filter(|s| flip & s.mask != 0) {
-            let shift = s.mask.trailing_zeros();
-            parts[n_parts] = (s.mask, shift, (flip & s.mask) >> shift, s.table);
-            n_parts += 1;
-        }
-        Self::Span { parts, n_parts }
-    }
-
-    /// Packs `(row << 32) | destination rank` for each firing row.
-    #[inline]
-    fn emit(&self, states: &[u64], first_rank: u64, rows: &[u32], emit: &mut Vec<u64>) {
-        match *self {
-            Self::Adjacent { lo, lo_local, below, table } => {
-                for &k in rows {
-                    let alpha = states[k as usize];
-                    let rank = first_rank + k as u64;
-                    let dest = table.rank_xor_adjacent(alpha, lo, lo_local, below, rank);
-                    emit.push((k as u64) << 32 | dest);
-                }
-            }
-            Self::Span { parts, n_parts } => {
-                for &k in rows {
-                    let alpha = states[k as usize];
-                    let mut dest = first_rank + k as u64;
-                    for &(mask, shift, flip, table) in &parts[..n_parts] {
-                        dest = table.rank_xor((alpha & mask) >> shift, flip, dest);
-                    }
-                    emit.push((k as u64) << 32 | dest);
-                }
-            }
-        }
-    }
+    n
 }
 
 /// Convenience: symmetrize a Hermitian kernel with complex bookkeeping and
@@ -935,6 +898,36 @@ mod tests {
             SymmetrizedOperator::<f64>::new(&tfim.to_kernel(8).unwrap(), &trivial).unwrap();
         assert!(op.fire.iter().all(|group| group.spans.is_empty()));
         check_block_matches_scalar(&op, &SpinBasis::build(trivial));
+        // Jordan-Wigner strings. The periodic Hubbard ring's wrap hops
+        // carry a string mask; so do a spinless chain's next-nearest hops.
+        let fermion = ls_expr::LocalHilbert::fermion();
+        let hubbard =
+            ls_expr::hubbard_1d(6, 1.0, 4.0, true).to_kernel_in(&fermion, 12).unwrap();
+        let sector = SectorSpec::spinful_fermions(6, 3, 2).unwrap();
+        let op = SymmetrizedOperator::<f64>::new(&hubbard, &sector).unwrap();
+        assert!(op.fire.iter().all(|group| !group.strings.is_empty()));
+        check_block_matches_scalar(&op, &SpinBasis::build(sector));
+        let spinless = |bonds: &[(usize, usize)], n: u32, weight: u32| {
+            let hops =
+                bonds.iter().map(|&(i, j)| ls_expr::fermion_hop(i as u16, j as u16, 0.8));
+            let kernel = ls_expr::Expr::Sum(hops.collect()).to_kernel_in(&fermion, n).unwrap();
+            let sector =
+                SectorSpec::with_encoding(n, fermion.encoding(), Some(weight)).unwrap();
+            (
+                SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap(),
+                SpinBasis::build(sector),
+            )
+        };
+        let next_nearest: Vec<(usize, usize)> =
+            (0..10).flat_map(|i| [(i, i + 1), (i, i + 2)]).filter(|&(_, j)| j < 10).collect();
+        let (op, basis) = spinless(&next_nearest, 10, 4);
+        assert!(!op.fire[0].strings.is_empty() && op.fire[0].tests.is_empty());
+        check_block_matches_scalar(&op, &basis);
+        // 72 hops of a 6 × 6 square: a signed operator over two groups.
+        let (op, basis) = spinless(&lattice::square_bonds(6, 6), 36, 2);
+        assert_eq!(op.fire.len(), 2);
+        assert!(op.fire.iter().all(|group| !group.strings.is_empty()));
+        check_block_matches_scalar(&op, &basis);
     }
 
     #[test]
@@ -1068,24 +1061,16 @@ mod tests {
     /// The fused pass against generation + ranking, at block lengths on
     /// both sides of a channel's compaction: per row, the same
     /// `(destination rank, amplitude)` list in the same channel order.
-    fn check_fused_matches_ranked_generation<S: Scalar>(
-        op: &SymmetrizedOperator<S>,
-        basis: &SpinBasis,
-    ) {
-        let layout = basis.rank_layout().expect("closed-form basis");
+    fn check_fused_matches_ranked_generation(op: &SymmetrizedOperator<f64>, basis: &SpinBasis) {
+        let table = basis.combinadic_table().expect("U(1) basis");
         let (mut fired, mut emit, mut segs) = (Vec::new(), Vec::new(), Vec::new());
         let mut block = OffDiagBlock::new();
         for bs in [1, 7, 64, basis.dim()] {
             let chunks = basis.states().chunks(bs).zip(basis.orbit_sizes().chunks(bs));
             for (b, (states, orbits)) in chunks.enumerate() {
                 let first = (b * bs) as u64;
-                op.apply_off_diag_block_ranked_channels(
-                    states,
-                    first,
-                    layout.species(),
-                    &mut fired,
-                    &mut emit,
-                    &mut segs,
+                op.apply_off_diag_block_u1_ranked_channels(
+                    states, first, table, &mut fired, &mut emit, &mut segs,
                 );
                 let mut fused = vec![Vec::new(); states.len()];
                 let mut t0 = 0;
@@ -1107,71 +1092,37 @@ mod tests {
     }
 
     #[test]
-    fn fused_ranking_matches_generation_on_every_closed_form() {
-        let fermion = ls_expr::LocalHilbert::fermion();
-        // One species: nearest- and next-nearest-neighbour exchange (the
-        // adjacent and the spanning rank), through the U(1) wrapper too.
+    fn fused_ranking_matches_generation_on_u1_sectors() {
+        // Nearest-neighbour exchange on a ring (the adjacent rank and the
+        // closing bond's span) and next-nearest exchange (spans only).
         let n = 12usize;
-        let j1j2 = heisenberg(&lattice::triangular_ladder_bonds(n), 1.0);
-        let sector = SectorSpec::with_weight(n as u32, 5).unwrap();
-        let basis = SpinBasis::build(sector.clone());
-        let op = SymmetrizedOperator::<f64>::new(&j1j2.to_kernel(n as u32).unwrap(), &sector)
-            .unwrap();
-        check_fused_matches_ranked_generation(&op, &basis);
-        let (mut fired, mut emit, mut segs) = (Vec::new(), Vec::new(), Vec::new());
-        let table = basis.combinadic_table().unwrap();
-        op.apply_off_diag_block_u1_ranked_channels(
-            basis.states(),
-            0,
-            table,
-            &mut fired,
-            &mut emit,
-            &mut segs,
-        );
-        let mut generic = (Vec::new(), Vec::new(), Vec::new());
-        let layout = basis.rank_layout().unwrap();
-        op.apply_off_diag_block_ranked_channels(
-            basis.states(),
-            0,
-            layout.species(),
-            &mut generic.0,
-            &mut generic.1,
-            &mut generic.2,
-        );
-        assert_eq!((emit, segs), (generic.1, generic.2));
-        // Spinless fermions on a ring: one species, a Jordan-Wigner string
-        // on the closure bond.
-        let ring = ls_expr::Expr::Sum(
-            (0..8u16).map(|i| ls_expr::fermion_hop(i, (i + 1) % 8, 0.9)).collect(),
-        );
-        let kernel = ring.to_kernel_in(&fermion, 8).unwrap();
-        assert!(kernel.has_signs());
-        let sector = SectorSpec::with_encoding(8, fermion.encoding(), Some(3)).unwrap();
-        let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
-        check_fused_matches_ranked_generation(&op, &SpinBasis::build(sector));
-        // Two species, real and complex amplitudes.
-        let kernel = ls_expr::hubbard_1d(6, 1.0, 4.0, true).to_kernel_in(&fermion, 12).unwrap();
-        let sector = SectorSpec::spinful_fermions(6, 3, 2).unwrap();
-        let basis = SpinBasis::build(sector.clone());
-        let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
-        check_fused_matches_ranked_generation(&op, &basis);
-        let op = SymmetrizedOperator::<Complex64>::new(&kernel, &sector).unwrap();
-        check_fused_matches_ranked_generation(&op, &basis);
+        for bonds in [lattice::chain_bonds(n), lattice::triangular_ladder_bonds(n)] {
+            let kernel = heisenberg(&bonds, 1.0).to_kernel(n as u32).unwrap();
+            let sector = SectorSpec::with_weight(n as u32, 5).unwrap();
+            let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
+            check_fused_matches_ranked_generation(&op, &SpinBasis::build(sector));
+        }
     }
 
     #[test]
     fn exchange_pairs_merge_only_with_equal_string_masks() {
-        // The two halves of the closure hop of a spinless 6-ring, one
-        // given a different string mask: the rows firing the second half
-        // must take its parity, not the first half's.
+        // The two halves of the closure hop of a spinless 6-ring share a
+        // string mask and merge into one test; given different masks, they
+        // stay two, and the rows firing the second half take its parity,
+        // not the first half's.
         let fermion = ls_expr::LocalHilbert::fermion();
         let hop = ls_expr::fermion_hop(0, 5, 1.0).to_kernel_in(&fermion, 6).unwrap();
         let sector = SectorSpec::with_encoding(6, fermion.encoding(), Some(3)).unwrap();
+        let basis = SpinBasis::build(sector.clone());
         let mut op = SymmetrizedOperator::<f64>::new(&hop, &sector).unwrap();
         assert_eq!(op.channels.len(), 2);
         assert_eq!(op.channels[0].sign, op.channels[1].sign);
+        assert_eq!(op.fire[0].emits.len(), 1);
+        check_block_matches_scalar(&op, &basis);
         op.channels[1].sign = 0b0_0110;
-        check_fused_matches_ranked_generation(&op, &SpinBasis::build(sector));
+        op.fire = FireGroup::build(&op.channels);
+        assert_eq!(op.fire[0].emits.len(), 2);
+        check_block_matches_scalar(&op, &basis);
     }
 
     fn fused_block(op: &SymmetrizedOperator<f64>, states: &[u64]) {

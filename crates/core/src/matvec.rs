@@ -2,22 +2,26 @@
 //! serial oracle (see [`MatvecStrategy`]; the repo benchmark's
 //! `core.matvec_*` metrics and `benches/ablation.rs` time them).
 //!
-//! * **batched pull** (the engine, default) — gather form: rows are
-//!   processed in blocks, off-diagonal generation runs through
-//!   [`SymmetrizedOperator::apply_off_diag_block`] (on symmetrized
-//!   sectors the differential group walk, `g(α ⊕ m) = g(α) ⊕ π_g(m)`:
-//!   Benes networks once per source row, one XOR per group element per
-//!   emission against a `|G| × distinct flip masks` table;
-//!   `ls_basis::state_info_batch` is its oracle), ranking through the
-//!   interleaved [`SpinBasis::index_of_batch`] kernels, and the gathered
-//!   reads of `x` are software-prefetched from the ranked index block.
-//!   On sectors that rank in closed form (U(1) spin-1/2, spinful and
-//!   spinless fermions) generation and ranking are one channel-outer
-//!   pass instead,
-//!   [`SymmetrizedOperator::apply_off_diag_block_ranked_channels`]: a
-//!   destination rank is the source's plus per-species deltas, and the
-//!   gather reads one amplitude per channel segment (two for a
-//!   Jordan-Wigner channel, `±coeff`).
+//! * **batched pull** (the engine, default) — gather form, two passes
+//!   behind one sweep:
+//!   - *the closed-form row pass* (trivial group, a basis that ranks in
+//!     closed form: U(1) spin-1/2, spinful and spinless fermions): each
+//!     row is generated by the trivial-group mask loop
+//!     ([`SymmetrizedOperator::pull_rows`]: the emissions, order and
+//!     amplitudes of [`SymmetrizedOperator::generate_off_diag_block`]),
+//!     each emission ranked by [`SpinBasis::rank_member`] (Lin tables, two
+//!     loads per species) and summed into a register, with nothing stored
+//!     in between — the on-the-fly product of the paper;
+//!   - *the generic pass* (everywhere else): rows in blocks, generation
+//!     through [`SymmetrizedOperator::apply_off_diag_block`] (on
+//!     symmetrized sectors the differential group walk,
+//!     `g(α ⊕ m) = g(α) ⊕ π_g(m)`: Benes networks once per source row,
+//!     one XOR per group element per emission against a
+//!     `|G| × distinct flip masks` table; `ls_basis::state_info_batch` is
+//!     its oracle), ranking through the interleaved
+//!     [`SpinBasis::index_of_batch`] kernels, and the gathered reads of
+//!     `x` software-prefetched from the ranked index block.
+//!
 //!   Row generation yields the column `H[·, β]`; gathering reads it as
 //!   the row `H[β, ·]` by conjugation, so it needs a Hermitian operator.
 //! * **serial** — single-threaded scalar scatter: the reference every
@@ -49,7 +53,6 @@
 use ls_basis::{missing_state, OffDiagBlock, SpinBasis, SymmetrizedOperator};
 use ls_eigen::op::pairwise_sum;
 use ls_kernels::chunk;
-use ls_kernels::combinadics::RankLayout;
 use ls_kernels::search::NOT_FOUND;
 use ls_kernels::Scalar;
 use rayon::prelude::*;
@@ -107,10 +110,6 @@ pub struct MatvecScratch<S: Scalar> {
     gen: OffDiagBlock<S>,
     /// Bulk-ranking output aligned with `gen`.
     idx: Vec<u32>,
-    /// Branchless-compaction scratch of the fused pull generation.
-    fired: Vec<u32>,
-    /// `(coefficient, end offset)` segments of the fused pull.
-    segs: Vec<(S, u32)>,
 }
 
 /// A pool of [`MatvecScratch`] buffers shared by the
@@ -249,22 +248,6 @@ fn par_chunk(dim: usize) -> usize {
     chunk::par_chunk(dim)
 }
 
-/// The differential-ranking fast path is available when the basis ranks
-/// in closed form (trivial group, the whole product of one or two
-/// fixed-weight species — what [`SpinBasis::rank_layout`] reports) and
-/// the operator's group is trivial: there a row's basis index *is* its
-/// product rank and destination ranks follow from per-species `rank_xor`
-/// deltas, skipping every lookup structure. Every channel qualifies: a
-/// flip inside one species reads one delta, a flip across both sums two,
-/// and a Jordan-Wigner sign splits the channel's rows into a `+coeff` and
-/// a `−coeff` segment.
-fn fused_layout<'b, S: Scalar>(
-    op: &SymmetrizedOperator<S>,
-    basis: &'b SpinBasis,
-) -> Option<RankLayout<'b>> {
-    basis.rank_layout().filter(|_| op.has_trivial_group())
-}
-
 // ---------------------------------------------------------------------------
 // Scalar products
 // ---------------------------------------------------------------------------
@@ -370,8 +353,7 @@ pub fn apply_batched_pull_pooled<S: Scalar>(
     y: &mut [S],
     pool: &MatvecScratchPool<S>,
 ) {
-    // Both the bulk ranking kernels and the fused path's packed
-    // (src << 32 | dest) emissions hold ranks in 32 bits; beyond that the
+    // The bulk ranking kernels hold ranks in 32 bits; beyond that the
     // scalar gather (usize indexing) — the batched path's bit-exact twin —
     // takes over instead of losing the sector entirely.
     if basis.dim() >= u32::MAX as usize {
@@ -421,52 +403,18 @@ fn batched_pull_sweep<S: Scalar>(
     assert_eq!(x.len(), dim);
     assert_eq!(y.len(), dim);
     let chunk = par_chunk(dim);
-    let states_all = basis.states();
-    let orbits_all = basis.orbit_sizes();
-    let fused = fused_layout(op, basis);
+    let closed_form = op.has_trivial_group() && basis.ranks_in_closed_form();
     let diag_all = pool.cached_diagonal(op, basis);
     // Race-free indexed stores of the partials: each chunk writes only
     // its own slot (same layout trick as the scatter accumulation).
     let partial_lanes: Option<&[AtomicU64]> = partials.map(|p| ls_eigen::op::atomic_lanes(p));
     y.par_chunks_mut(chunk).enumerate().for_each(|(ci, yc)| {
         let base = ci * chunk;
-        let mut sc = pool.worker_scratch();
-        let sc = &mut *sc;
-        let mut b0 = 0usize;
-        while b0 < yc.len() {
-            let b1 = (b0 + BATCH_BLOCK).min(yc.len());
-            let states = &states_all[base + b0..base + b1];
-            let orbits = &orbits_all[base + b0..base + b1];
-            let yb = &mut yc[b0..b1];
-            // Seed with `diag * x[j]` — the scalar path's accumulator
-            // seed, with the diagonal drawn from the pool's memo.
-            for (k, out) in yb.iter_mut().enumerate() {
-                let j = base + b0 + k;
-                *out = diag_all[j] * x[j];
-            }
-            match fused {
-                Some(layout) => {
-                    // Fused channel-outer generation + differential
-                    // ranking; the gather can trust every destination
-                    // rank and hoists each segment's constant amplitude.
-                    op.apply_off_diag_block_ranked_channels(
-                        states,
-                        (base + b0) as u64,
-                        layout.species(),
-                        &mut sc.fired,
-                        &mut sc.gen.reps,
-                        &mut sc.segs,
-                    );
-                    accumulate_pull_segments(yb, x, &sc.gen.reps, &sc.segs);
-                }
-                None => {
-                    // Generate + bulk-rank the whole block, then gather.
-                    op.apply_off_diag_block(states, orbits, &mut sc.gen);
-                    basis.index_of_batch(&sc.gen.reps, &mut sc.idx);
-                    accumulate_pull(yb, x, &sc.gen, &sc.idx, basis);
-                }
-            }
-            b0 = b1;
+        let rows = base..base + yc.len();
+        if closed_form {
+            pull_rows(op, basis, x, &diag_all[rows], base, yc);
+        } else {
+            pull_blocks(op, basis, x, &diag_all[rows], base, yc, &mut pool.worker_scratch());
         }
         if let Some(lanes) = partial_lanes {
             // The fused epilogue: the chunk's share of ⟨x, y⟩, summed in
@@ -480,42 +428,53 @@ fn batched_pull_sweep<S: Scalar>(
     });
 }
 
-/// The fused-path gather: per channel segment the (conjugated) amplitude
-/// is a hoisted constant, destination ranks are valid by construction,
-/// and the `x` reads are prefetched from the packed
-/// `(source << 32) | destination` emission block. Per output element the
-/// adds still arrive in ascending channel order — the scalar pull order.
-#[inline]
-fn accumulate_pull_segments<S: Scalar>(yb: &mut [S], x: &[S], emit: &[u64], segs: &[(S, u32)]) {
-    // Real-scalar specialization: the f64 gather-multiply kernel
-    // vectorizes the lane products while keeping the per-element add
-    // order, so results stay bit-identical to the scalar loop below.
-    if let (Some(yb64), Some(x64)) = (S::as_f64_slice_mut(yb), S::as_f64_slice(x)) {
-        let mut t0 = 0usize;
-        for &(coeff, t1) in segs {
-            let t1 = t1 as usize;
-            ls_kernels::simd::accumulate_segment_f64(
-                yb64,
-                x64,
-                &emit[t0..t1],
-                coeff.conj().re(),
-            );
-            t0 = t1;
-        }
-        return;
+/// The closed-form row pass (trivial group, a basis that ranks in closed
+/// form): each row is generated, ranked and summed where it is made, with
+/// nothing stored in between. Per row `j`, the sum starts from
+/// `diag[j]·x[j]` and takes `conj(amp)·x[rank(α ⊕ flip)]` per emission in
+/// channel order ([`SymmetrizedOperator::pull_rows`], ranked by
+/// [`SpinBasis::rank_member`]).
+fn pull_rows<S: Scalar>(
+    op: &SymmetrizedOperator<S>,
+    basis: &SpinBasis,
+    x: &[S],
+    diag: &[S],
+    base: usize,
+    yc: &mut [S],
+) {
+    for (k, out) in yc.iter_mut().enumerate() {
+        *out = diag[k] * x[base + k];
     }
-    let mut t0 = 0usize;
-    for &(coeff, t1) in segs {
-        let a = coeff.conj();
-        let t1 = t1 as usize;
-        for t in t0..t1 {
-            if t + PREFETCH_AHEAD < emit.len() {
-                prefetch_read(x, emit[t + PREFETCH_AHEAD] as u32 as usize);
-            }
-            let e = emit[t];
-            yb[(e >> 32) as usize] += a * x[e as u32 as usize];
+    let states = &basis.states()[base..base + yc.len()];
+    op.pull_rows(states, x, |rep| basis.rank_member(rep), yc);
+}
+
+/// The generic pass: per block of rows, generate every emission (the
+/// group walk under a symmetry group), bulk-rank the block, then gather.
+fn pull_blocks<S: Scalar>(
+    op: &SymmetrizedOperator<S>,
+    basis: &SpinBasis,
+    x: &[S],
+    diag: &[S],
+    base: usize,
+    yc: &mut [S],
+    sc: &mut MatvecScratch<S>,
+) {
+    let mut b0 = 0usize;
+    while b0 < yc.len() {
+        let b1 = (b0 + BATCH_BLOCK).min(yc.len());
+        let states = &basis.states()[base + b0..base + b1];
+        let orbits = &basis.orbit_sizes()[base + b0..base + b1];
+        let yb = &mut yc[b0..b1];
+        // Seed with `diag * x[j]` — the scalar path's accumulator seed,
+        // with the diagonal drawn from the pool's memo.
+        for (k, out) in yb.iter_mut().enumerate() {
+            *out = diag[b0 + k] * x[base + b0 + k];
         }
-        t0 = t1;
+        op.apply_off_diag_block(states, orbits, &mut sc.gen);
+        basis.index_of_batch(&sc.gen.reps, &mut sc.idx);
+        accumulate_pull(yb, x, &sc.gen, &sc.idx, basis);
+        b0 = b1;
     }
 }
 

@@ -197,21 +197,6 @@ pub trait Scalar:
     fn approx_eq(self, other: Self, tol: f64) -> bool {
         (self - other).abs_sqr().sqrt() <= tol
     }
-
-    /// Reinterprets the slice as `&[f64]` when `Self` *is* `f64` —
-    /// a safe specialization hook that lets generic kernels hand the
-    /// real-scalar case to the SIMD gather ([`crate::simd`]). Returns
-    /// `None` otherwise.
-    fn as_f64_slice(xs: &[Self]) -> Option<&[f64]> {
-        let _ = xs;
-        None
-    }
-
-    /// Mutable counterpart of [`Scalar::as_f64_slice`].
-    fn as_f64_slice_mut(xs: &mut [Self]) -> Option<&mut [f64]> {
-        let _ = xs;
-        None
-    }
 }
 
 impl Scalar for f64 {
@@ -267,16 +252,6 @@ impl Scalar for f64 {
     #[inline]
     fn from_reals(r: [f64; 2]) -> Self {
         r[0]
-    }
-
-    #[inline]
-    fn as_f64_slice(xs: &[Self]) -> Option<&[f64]> {
-        Some(xs)
-    }
-
-    #[inline]
-    fn as_f64_slice_mut(xs: &mut [Self]) -> Option<&mut [f64]> {
-        Some(xs)
     }
 }
 

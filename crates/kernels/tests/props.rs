@@ -7,7 +7,6 @@ use ls_kernels::bits::{
 use ls_kernels::combinadics::BinomialTable;
 use ls_kernels::net::{apply_perm_naive, BenesNetwork};
 use ls_kernels::search::PrefixIndex;
-use ls_kernels::simd;
 use ls_kernels::sort::{apply_perm, counting_sort_perm};
 use ls_kernels::{hash64_01, locale_idx_of};
 use proptest::prelude::*;
@@ -155,40 +154,6 @@ proptest! {
         let idx = PrefixIndex::new(&states, 20, bits);
         for p in probes {
             prop_assert_eq!(idx.lookup(&states, p), states.binary_search(&p).ok());
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The one SIMD kernel vs its scalar twin: `ls_kernels::simd`'s AVX2 path
-// must be *bit-exact* against the scalar reference on random emissions and
-// segment lengths (including remainder lanes). On machines without AVX2
-// the dispatched path *is* the scalar twin and the assertions are
-// trivially true — the CI x86-64 runners exercise the vector path.
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn simd_accumulate_segment_matches_scalar(
-        n_x in 1usize..300,
-        n_y in 1usize..100,
-        emits in proptest::collection::vec(any::<u64>(), 0..400),
-        a_seed in any::<i32>(),
-    ) {
-        let a = a_seed as f64 * 2.0 / i32::MAX as f64;
-        let x: Vec<f64> = (0..n_x).map(|i| (hash64_01(i as u64 + 7) >> 11) as f64 * 1e-16 - 0.4).collect();
-        // Source index from the low half, destination from the high half.
-        let emit: Vec<u64> = emits
-            .iter()
-            .map(|&e| ((e & 0xffff_ffff) % n_x as u64) | (((e >> 32) % n_y as u64) << 32))
-            .collect();
-        let mut fast = vec![0.125f64; n_y];
-        let mut slow = fast.clone();
-        simd::accumulate_segment_f64(&mut fast, &x, &emit, a);
-        simd::accumulate_segment_f64_scalar(&mut slow, &x, &emit, a);
-        for (i, (f, s)) in fast.iter().zip(&slow).enumerate() {
-            prop_assert_eq!(f.to_bits(), s.to_bits(), "y[{}]", i);
         }
     }
 }
