@@ -57,7 +57,7 @@ pub fn matvec_alltoall<S: Scalar>(
 
     // Phase 5: rank + accumulate, purely local, no overlap with comm.
     // Ranking runs through the bulk kernel — even the bulk-synchronous
-    // baseline benefits from interleaved lookups once the data is local.
+    // baseline benefits from batched lookups once the data is local.
     let y_parts: Vec<Vec<S>> = cluster.run(|ctx| {
         let me = ctx.locale();
         let mut y_local = vec![S::ZERO; basis.local_dim(me)];

@@ -3,7 +3,7 @@
 use crate::enumerate;
 use crate::sector::SectorSpec;
 use ls_kernels::combinadics::{BinomialTable, LinTables};
-use ls_kernels::search::{PrefixIndex, NOT_FOUND};
+use ls_kernels::search::{HashIndex, NOT_FOUND};
 use ls_kernels::SiteEncoding;
 
 /// A generated state that has no rank in the basis — raised when an
@@ -51,15 +51,15 @@ pub fn missing_state(rep: u64, encoding: SiteEncoding, n_sites: u32) -> ! {
 /// with orbit sizes and a ranking structure. The basis picks the ranking
 /// itself: a closed form where the sector has one (trivial group, one-bit
 /// codes, the list the whole product of one or two fixed-weight species —
-/// a U(1) spin sector, spinful fermions), the prefix-bucket search of
-/// `lattice-symmetries` everywhere else.
+/// a U(1) spin sector, spinful fermions), a hash index over the sorted
+/// list everywhere else.
 #[derive(Clone, Debug)]
 pub struct SpinBasis {
     sector: SectorSpec,
     states: Vec<u64>,
     orbit_sizes: Vec<u32>,
     /// The search ranking; built exactly where no closed form exists.
-    prefix: Option<PrefixIndex>,
+    search: Option<HashIndex>,
     /// One-species closed forms: the ranking of a species too wide for
     /// `lin`, and [`Self::combinadic_table`].
     binom: Option<BinomialTable>,
@@ -98,8 +98,8 @@ impl SpinBasis {
         let single = sector.charges().is_empty() && sector.hamming_weight().is_some();
         let binom = binom.filter(|_| single);
         let closed_form = binom.is_some() || lin.is_some();
-        let prefix = (!closed_form).then(|| PrefixIndex::auto(&states, sector.code_bits()));
-        Self { sector, states, orbit_sizes, prefix, binom, lin }
+        let search = (!closed_form).then(|| HashIndex::new(&states, sector.code_bits()));
+        Self { sector, states, orbit_sizes, search, binom, lin }
     }
 
     pub fn sector(&self) -> &SectorSpec {
@@ -128,8 +128,8 @@ impl SpinBasis {
     /// the basis. This is the paper's `stateToIndex`.
     #[inline]
     pub fn index_of(&self, rep: u64) -> Option<usize> {
-        match &self.prefix {
-            Some(prefix) => prefix.lookup(&self.states, rep),
+        match &self.search {
+            Some(search) => search.lookup(&self.states, rep),
             None => self.closed_form_rank(rep).map(|i| i as usize),
         }
     }
@@ -171,8 +171,17 @@ impl SpinBasis {
         match (&self.lin, &self.binom) {
             (Some(lin), _) => lin.rank_member(rep) as usize,
             (None, Some(binom)) => binom.rank(rep) as usize,
-            (None, None) => self.index_of_present(rep),
+            (None, None) => self.search_member(rep),
         }
+    }
+
+    /// [`Self::rank_member`] on a searched basis, out of line: the row pass
+    /// that inlines `rank_member` into its loop runs on closed forms only,
+    /// and the probe loop inlined there costs it registers.
+    #[cold]
+    #[inline(never)]
+    fn search_member(&self, rep: u64) -> usize {
+        self.index_of_present(rep)
     }
 
     /// Ranking for hot loops where the state is guaranteed to be a member
@@ -191,11 +200,11 @@ impl SpinBasis {
 
     /// Batched ranking: resolves a whole block of representatives into
     /// `out`, one `u32` rank (or [`NOT_FOUND`]) per input — the closed form
-    /// per element, or the interleaved bulk search kernel. This is the
+    /// per element, or the hash index's batch kernel. This is the
     /// `stateToIndex` the batched matvec engine uses.
     pub fn index_of_batch(&self, reps: &[u64], out: &mut Vec<u32>) {
-        match &self.prefix {
-            Some(prefix) => prefix.lookup_batch(&self.states, reps, out),
+        match &self.search {
+            Some(search) => search.lookup_batch(&self.states, reps, out),
             None => {
                 out.clear();
                 out.extend(
@@ -207,9 +216,9 @@ impl SpinBasis {
     }
 
     /// Whether ranking is a closed form (no search index exists) rather
-    /// than the prefix-bucket search.
+    /// than the hash index.
     pub fn ranks_in_closed_form(&self) -> bool {
-        self.prefix.is_none()
+        self.search.is_none()
     }
 
     /// The combinadic ranking table, present exactly when the basis is a
@@ -225,7 +234,7 @@ impl SpinBasis {
     pub fn memory_bytes(&self) -> usize {
         self.states.len() * 8
             + self.orbit_sizes.len() * 4
-            + self.prefix.as_ref().map_or(0, PrefixIndex::memory_bytes)
+            + self.search.as_ref().map_or(0, HashIndex::memory_bytes)
             + self.binom.as_ref().map_or(0, BinomialTable::memory_bytes)
             + self.lin.as_ref().map_or(0, LinTables::memory_bytes)
     }
@@ -262,20 +271,20 @@ mod tests {
     }
 
     /// The basis's own ranking, scalar, batched and of members, against
-    /// `states.binary_search` and against prefix buckets built here over
+    /// `states.binary_search` and against a hash index built here over
     /// the same list — where the basis chose a closed form, that is
-    /// "closed form ≡ prefix buckets".
+    /// "closed form ≡ hash index".
     fn check_ranking(basis: &SpinBasis, probes: &[u64]) {
         let states = basis.states();
-        let prefix = PrefixIndex::auto(states, basis.sector().code_bits());
+        let hash = HashIndex::new(states, basis.sector().code_bits());
         let (mut own, mut searched) = (Vec::new(), Vec::new());
         basis.index_of_batch(probes, &mut own);
-        prefix.lookup_batch(states, probes, &mut searched);
+        hash.lookup_batch(states, probes, &mut searched);
         assert_eq!(own.len(), probes.len());
         for (k, &p) in probes.iter().enumerate() {
             let expect = states.binary_search(&p).ok();
             assert_eq!(basis.index_of(p), expect, "probe={p:#b}");
-            assert_eq!(prefix.lookup(states, p), expect, "probe={p:#b}");
+            assert_eq!(hash.lookup(states, p), expect, "probe={p:#b}");
             assert_eq!(own[k], expect.map_or(NOT_FOUND, |i| i as u32), "probe={p:#b}");
             assert_eq!(searched[k], own[k], "probe={p:#b}");
             if let Some(i) = expect {
@@ -357,7 +366,7 @@ mod tests {
     #[test]
     fn combinadic_falls_back_where_no_closed_form_exists() {
         // Symmetry-adapted sector: a state's position depends on which
-        // orbits survive, so the basis ranks by prefix buckets.
+        // orbits survive, so the basis ranks by its hash index.
         let basis = chain_basis(8);
         assert!(!basis.ranks_in_closed_form());
         assert!(basis.combinadic_table().is_none());
@@ -400,7 +409,7 @@ mod tests {
         let binom = BinomialTable::new().memory_bytes();
         assert_eq!(binom, 65 * 65 * 8);
         let hubbard = SpinBasis::build(SectorSpec::spinful_fermions(4, 2, 2).unwrap());
-        assert!(hubbard.prefix.is_none());
+        assert!(hubbard.search.is_none());
         let lin = hubbard.lin.as_ref().unwrap().memory_bytes();
         assert!(lin < 1024);
         assert_eq!(hubbard.memory_bytes(), hubbard.dim() * 12 + lin);
@@ -410,11 +419,11 @@ mod tests {
         // A species too wide for Lin tables: the binomial table alone.
         let wide = SpinBasis::build(SectorSpec::with_weight(40, 1).unwrap());
         assert_eq!(wide.memory_bytes(), 40 * 12 + binom);
-        // A search sector: 28 968 states and orbit sizes + 8 193 bucket
-        // starts on the 24-site fully symmetrized ring.
+        // A search sector: 28 968 states and orbit sizes + 57 936 hash
+        // slots on the 24-site fully symmetrized ring.
         let ring = chain_basis(24);
         assert_eq!(ring.dim(), 28_968);
-        assert_eq!(ring.memory_bytes(), 380_388);
+        assert_eq!(ring.memory_bytes(), 579_360);
     }
 
     #[test]

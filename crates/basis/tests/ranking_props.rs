@@ -1,10 +1,10 @@
 //! Property tests of `state -> index` ranking on the sectors that rank in
-//! closed form: the closed form, and prefix buckets built over the same
+//! closed form: the closed form, and a hash index built over the same
 //! list, both give the position in the sorted state list, for members,
 //! near-misses and arbitrary words alike.
 
 use ls_basis::{SectorSpec, SpinBasis};
-use ls_kernels::search::{PrefixIndex, NOT_FOUND};
+use ls_kernels::search::{HashIndex, NOT_FOUND};
 use proptest::prelude::*;
 
 /// Members, members with one bit flipped or one particle moved to the
@@ -28,17 +28,17 @@ fn check(sector: SectorSpec, words: &[u64]) -> Result<(), String> {
     prop_assert!(basis.ranks_in_closed_form());
     prop_assert_eq!(basis.dim() as u64, basis.sector().dimension());
     let states = basis.states();
-    let prefix = PrefixIndex::auto(states, basis.sector().code_bits());
+    let hash = HashIndex::new(states, basis.sector().code_bits());
     let probes = probes(&basis, words);
     let (mut own, mut searched) = (Vec::new(), Vec::new());
     basis.index_of_batch(&probes, &mut own);
-    prefix.lookup_batch(states, &probes, &mut searched);
+    hash.lookup_batch(states, &probes, &mut searched);
     for (k, &p) in probes.iter().enumerate() {
         let expect = states.binary_search(&p).ok();
         prop_assert_eq!(basis.index_of(p), expect, "closed form, probe {:#x}", p);
-        prop_assert_eq!(prefix.lookup(states, p), expect, "prefix buckets, probe {:#x}", p);
+        prop_assert_eq!(hash.lookup(states, p), expect, "hash index, probe {:#x}", p);
         prop_assert_eq!(own[k], expect.map_or(NOT_FOUND, |i| i as u32), "batch {:#x}", p);
-        prop_assert_eq!(searched[k], own[k], "bucket batch {:#x}", p);
+        prop_assert_eq!(searched[k], own[k], "hash batch {:#x}", p);
     }
     Ok(())
 }

@@ -7,12 +7,12 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ls_basis::{SectorSpec, SpinBasis};
 use ls_kernels::bits::{low_mask, FixedWeightRange};
 use ls_kernels::combinadics::{BinomialTable, LinTables};
-use ls_kernels::search::PrefixIndex;
+use ls_kernels::search::HashIndex;
 use ls_kernels::sort::{apply_perm, counting_sort_perm};
 
 /// Ranking: the two closed forms (Lin tables, the combinadic sum) against
-/// the prefix buckets a search sector gets, over the same U(1) state list
-/// — one lookup at a time and, for the buckets, the bulk kernel.
+/// the hash index a search sector gets, over the same U(1) state list —
+/// one lookup at a time and, for the index, the bulk kernel.
 fn bench_ranking(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_ranking");
     g.sample_size(15);
@@ -22,22 +22,22 @@ fn bench_ranking(c: &mut Criterion) {
     let probes: Vec<u64> = states.iter().copied().step_by(7).collect();
     let binom = BinomialTable::new();
     let lin = LinTables::new(&binom, n, &[(low_mask(n), w)]).unwrap();
-    let prefix = PrefixIndex::auto(states, n);
+    let hash = HashIndex::new(states, n);
     g.bench_function("lin_tables", |b| {
         b.iter(|| probes.iter().map(|&p| lin.rank(black_box(p)).unwrap()).sum::<u64>())
     });
     g.bench_function("combinadic_sum", |b| {
         b.iter(|| probes.iter().map(|&p| binom.rank(black_box(p))).sum::<u64>())
     });
-    g.bench_function("prefix_buckets", |b| {
+    g.bench_function("hash_index", |b| {
         b.iter(|| {
-            probes.iter().map(|&p| prefix.lookup(states, black_box(p)).unwrap()).sum::<usize>()
+            probes.iter().map(|&p| hash.lookup(states, black_box(p)).unwrap()).sum::<usize>()
         })
     });
     let mut out = Vec::new();
-    g.bench_function("prefix_buckets_batch", |b| {
+    g.bench_function("hash_index_batch", |b| {
         b.iter(|| {
-            prefix.lookup_batch(states, black_box(&probes), &mut out);
+            hash.lookup_batch(states, black_box(&probes), &mut out);
             out.iter().map(|&i| i as usize).sum::<usize>()
         })
     });
@@ -47,7 +47,7 @@ fn bench_ranking(c: &mut Criterion) {
 /// Owner-side ranking of the producer/consumer product: one part of the
 /// 20-site half-filling sector on 2 locales ranks every matrix element it
 /// receives in a product, in arrival order — by Lin rank → select (what
-/// `DistSpinBasis` picks there) against prefix buckets over the same part,
+/// `DistSpinBasis` picks there) against a hash index over the same part,
 /// both batched. The names carry the lookup count: ns per lookup is the
 /// reported time over it.
 fn bench_dist_part_rank(c: &mut Criterion) {
@@ -76,7 +76,7 @@ fn bench_dist_part_rank(c: &mut Criterion) {
         }
     }
     let part = basis.states().part(0);
-    let prefix = PrefixIndex::auto(part, n);
+    let hash = HashIndex::new(part, n);
     let mut out = Vec::new();
     let mut bench = |name: &str, rank: &dyn Fn(&[u64], &mut Vec<u32>)| {
         g.bench_function(format!("{name}_batch/{}_lookups", probes.len()), |b| {
@@ -89,7 +89,7 @@ fn bench_dist_part_rank(c: &mut Criterion) {
         });
     };
     bench("select", &|batch, out| basis.index_on_batch(0, batch, out));
-    bench("buckets", &|batch, out| prefix.lookup_batch(part, batch, out));
+    bench("hash", &|batch, out| hash.lookup_batch(part, batch, out));
     g.finish();
 }
 

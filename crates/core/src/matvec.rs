@@ -18,9 +18,9 @@
 //!     `g(α ⊕ m) = g(α) ⊕ π_g(m)`: Benes networks once per source row,
 //!     one XOR per group element per emission against a
 //!     `|G| × distinct flip masks` table; `ls_basis::state_info_batch` is
-//!     its oracle), ranking through the interleaved
-//!     [`SpinBasis::index_of_batch`] kernels, and the gathered reads of
-//!     `x` software-prefetched from the ranked index block.
+//!     its oracle), ranking through [`SpinBasis::index_of_batch`] (the
+//!     hash index's batch kernel), and the gathered reads of `x`
+//!     software-prefetched from the ranked index block.
 //!
 //!   Row generation yields the column `H[·, β]`; gathering reads it as
 //!   the row `H[β, ·]` by conjugation, so it needs a Hermitian operator.

@@ -12,10 +12,11 @@
 //! form ([`SectorSpec::lin_tables`], the rule `ls_basis::SpinBasis` ranks
 //! by) it is *select(part, rank)*: per 64 sector ranks a part keeps a
 //! membership word and the count of its members below, 12 B per 64 states
-//! of the **whole** sector (35 KB a part at 20 sites, cache-resident,
-//! where a bucket search takes two dependent misses). A part that table
-//! would outweigh (`12·⌈dimension/64⌉ > 8·len`, beyond ≈ 42 locales) ranks
-//! like every symmetrized or multi-bit sector: by prefix-bucket search.
+//! of the **whole** sector (35 KB a part at 20 sites, cache-resident).
+//! A part that table would outweigh — where `12·⌈dimension/64⌉` exceeds
+//! the `8·len` bytes of a hash index over the part, beyond ≈ 42 locales —
+//! ranks like every symmetrized or multi-bit sector: by the hash index
+//! over its sorted states (`ls_kernels::search::HashIndex`).
 //!
 //! **Who ranks where.** The producer/consumer product names a generated
 //! state on the wire by its *key* (`DistSpinBasis::key_ranks`). Where
@@ -31,7 +32,7 @@
 use ls_basis::enumerate::{filter_range, split_ranges};
 use ls_basis::SectorSpec;
 use ls_kernels::combinadics::{BinomialTable, LinTables};
-use ls_kernels::search::{PrefixIndex, NOT_FOUND};
+use ls_kernels::search::{HashIndex, NOT_FOUND};
 use ls_kernels::{locale_idx_of, Scalar};
 use ls_runtime::{collective, Cluster, DistVec, RmaWriteWindow};
 
@@ -53,7 +54,7 @@ pub(crate) fn missing_state(locale: usize, rep: u64, sector: &SectorSpec) -> ! {
 enum PartIndex {
     /// `[membership lo, membership hi, members below]` per 64 sector ranks.
     Select(Vec<[u32; 3]>),
-    Search(PrefixIndex),
+    Search(HashIndex),
 }
 
 /// Position in the part `table` describes of the state with sector rank
@@ -120,7 +121,7 @@ impl DistSpinBasis {
                     }
                     PartIndex::Select(table)
                 }
-                _ => PartIndex::Search(PrefixIndex::auto(part, sector.code_bits())),
+                _ => PartIndex::Search(HashIndex::new(part, sector.code_bits())),
             });
         }
         let rank_keys = index.iter().all(|index| matches!(index, PartIndex::Select(_)));
@@ -162,7 +163,7 @@ impl DistSpinBasis {
     }
 
     /// Whether every part ranks by closed form and select (no search
-    /// index exists) rather than by prefix-bucket search.
+    /// index exists) rather than by a hash index.
     pub fn ranks_in_closed_form(&self) -> bool {
         self.rank_keys
     }
@@ -179,10 +180,9 @@ impl DistSpinBasis {
     /// The owner's only step in a product: hands `add` the position on
     /// `locale` and the value of every keyed pair ([`Self::key_ranks`]) of
     /// a batch the locale owns, in batch order — a select per pair where
-    /// keys are ranks, else the state's ranking: the interleaved
-    /// prefix-bucket search over the batch (`idx` is its caller-owned
-    /// scratch), or the closed form and select. A key the part lacks
-    /// panics, naming the state.
+    /// keys are ranks, else the state's ranking: the hash index's batch
+    /// kernel (`idx` is its caller-owned scratch), or the closed form and
+    /// select. A key the part lacks panics, naming the state.
     #[inline]
     pub(crate) fn resolve_batch<S: Copy>(
         &self,
@@ -203,8 +203,8 @@ impl DistSpinBasis {
             PartIndex::Select(_) => pairs
                 .iter()
                 .for_each(|&(rep, val)| add(self.index_on_present(locale, rep), val)),
-            PartIndex::Search(prefix) => {
-                prefix.lookup_batch_by(self.states.part(locale), pairs, |&(rep, _)| rep, idx);
+            PartIndex::Search(hash) => {
+                hash.lookup_batch_by(self.states.part(locale), pairs, |&(rep, _)| rep, idx);
                 for (&(rep, val), &i) in pairs.iter().zip(idx.iter()) {
                     match i {
                         NOT_FOUND => missing_state(locale, rep, &self.sector),
@@ -234,7 +234,7 @@ impl DistSpinBasis {
             PartIndex::Select(table) => {
                 select(table, self.lin.as_ref()?.rank(rep)?).map(|i| i as usize)
             }
-            PartIndex::Search(prefix) => prefix.lookup(self.states.part(locale), rep),
+            PartIndex::Search(hash) => hash.lookup(self.states.part(locale), rep),
         }
     }
 
@@ -250,8 +250,8 @@ impl DistSpinBasis {
     }
 
     /// Bulk `stateToIndex` on `locale`: ranks a whole batch of received
-    /// states — closed form and select per element, or the interleaved
-    /// prefix-bucket kernel — writing `u32` ranks (or [`NOT_FOUND`]) into
+    /// states — closed form and select per element, or the hash index's
+    /// batch kernel — writing `u32` ranks (or [`NOT_FOUND`]) into
     /// `out`. This is how the owner side of the batched/producer-consumer
     /// matvec formulations ranks incoming off-diagonal batches.
     #[inline]
@@ -262,9 +262,7 @@ impl DistSpinBasis {
                 out.clear();
                 out.extend(reps.iter().map(|rep| rank(rep).unwrap_or(NOT_FOUND)));
             }
-            PartIndex::Search(prefix) => {
-                prefix.lookup_batch(self.states.part(locale), reps, out)
-            }
+            PartIndex::Search(hash) => hash.lookup_batch(self.states.part(locale), reps, out),
         }
     }
 
@@ -283,7 +281,7 @@ impl DistSpinBasis {
     pub fn memory_bytes(&self) -> usize {
         let index = self.index.iter().map(|index| match index {
             PartIndex::Select(table) => std::mem::size_of_val(&table[..]),
-            PartIndex::Search(prefix) => prefix.memory_bytes(),
+            PartIndex::Search(hash) => hash.memory_bytes(),
         });
         self.states.total_len() * 8
             + self.orbit_sizes.total_len() * 4
@@ -490,15 +488,15 @@ mod tests {
     }
 
     /// Every part's own ranking, scalar and batched, against
-    /// `binary_search` in the part and against prefix buckets built here
+    /// `binary_search` in the part and against a hash index built here
     /// over the same list — on a select part, "closed form ≡ search".
     fn check_ranking(basis: &DistSpinBasis, probes: &[u64]) {
         let (mut own, mut searched) = (Vec::new(), Vec::new());
         for l in 0..basis.n_locales() {
             let part = basis.states().part(l);
-            let prefix = PrefixIndex::auto(part, basis.sector().code_bits());
+            let hash = HashIndex::new(part, basis.sector().code_bits());
             basis.index_on_batch(l, probes, &mut own);
-            prefix.lookup_batch(part, probes, &mut searched);
+            hash.lookup_batch(part, probes, &mut searched);
             assert_eq!(own, searched, "locale {l}");
             for (&p, &i) in probes.iter().zip(&own) {
                 let expect = part.binary_search(&p).ok();
@@ -639,9 +637,9 @@ mod tests {
             assert_eq!(basis.index_on(0, s), (i < 5).then_some(i));
             assert_eq!(basis.index_on(1, s), (i > 5).then(|| i - 6));
         }
-        // 923 states and orbit sizes, 3 bucket starts, 15 slots, the
+        // 923 states and orbit sizes, 10 hash slots, 15 select slots, the
         // 2 × 64-entry Lin tables of a 12-bit species.
-        assert_eq!(basis.memory_bytes(), 923 * 12 + 3 * 4 + 15 * 12 + 128 * 8);
+        assert_eq!(basis.memory_bytes(), 923 * 12 + 10 * 4 + 15 * 12 + 128 * 8);
     }
 
     #[test]
@@ -651,10 +649,10 @@ mod tests {
         let u1 = enumerate_dist(&cluster, &SectorSpec::with_weight(12, 6).unwrap(), 2);
         assert!(u1.ranks_in_closed_form());
         assert_eq!(u1.memory_bytes(), 924 * 12 + 2 * 15 * 12 + 128 * 8);
-        // Search: 2 518 states over two parts, 513 bucket starts each.
+        // Search: 2 518 states over two parts, two hash slots a state.
         let ring = enumerate_dist(&cluster, &sector(20), 2);
         assert_eq!(ring.dim(), 2_518);
-        assert_eq!(ring.memory_bytes(), 2_518 * 12 + 2 * 513 * 4);
+        assert_eq!(ring.memory_bytes(), 2_518 * 12 + 2 * 2_518 * 4);
     }
 
     #[test]

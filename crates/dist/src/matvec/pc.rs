@@ -16,8 +16,8 @@
 //! fills one batch while the previous one is being resolved. The same
 //! threads drain the channels addressed to their locale and resolve each
 //! batch where it lies against the *local* basis part — on a product
-//! sector a select per pair and nothing else, elsewhere the prefix-bucket
-//! search — and accumulate into `y`. Row generation, transfer and
+//! sector a select per pair and nothing else, elsewhere a hash-index
+//! lookup — and accumulate into `y`. Row generation, transfer and
 //! accumulation therefore overlap — the defining contrast with the
 //! bulk-synchronous baseline in `ls-baseline`. There is
 //! one drain step; [`PcOptions::deterministic`] only decides whether a

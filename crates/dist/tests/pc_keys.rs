@@ -1,7 +1,7 @@
 //! Integration test: the producer/consumer product agrees with the naive
 //! oracle on both kinds of wire key — sector ranks, which the owner only
 //! selects (U(1) rings, spinful fermions), and states, which the owner
-//! ranks by prefix buckets (a symmetrized ring) — on every locale count,
+//! ranks by its hash index (a symmetrized ring) — on every locale count,
 //! core count and channel capacity of the grid.
 
 use ls_basis::{SectorSpec, SymmetrizedOperator};

@@ -6,7 +6,7 @@ use ls_kernels::bits::{
 };
 use ls_kernels::combinadics::BinomialTable;
 use ls_kernels::net::{apply_perm_naive, BenesNetwork};
-use ls_kernels::search::PrefixIndex;
+use ls_kernels::search::{HashIndex, NOT_FOUND};
 use ls_kernels::sort::{apply_perm, counting_sort_perm};
 use ls_kernels::{hash64_01, locale_idx_of};
 use proptest::prelude::*;
@@ -144,16 +144,38 @@ proptest! {
     }
 
     #[test]
-    fn prefix_index_agrees_with_binary_search(
-        mut states in proptest::collection::vec(0u64..(1 << 20), 1..300),
-        probes in proptest::collection::vec(0u64..(1 << 20), 50),
-        bits in 1u32..=16,
+    fn hash_index_agrees_with_binary_search(
+        mut states in proptest::collection::vec(any::<u64>(), 0..300),
+        probes in proptest::collection::vec(any::<u64>(), 50),
+        n_bits in prop_oneof![Just(64u32), 1u32..64],
     ) {
+        // Words of an `n_bits`-wide space; 64 is `sites·bits == 64`.
+        let mask = if n_bits == 64 { u64::MAX } else { (1 << n_bits) - 1 };
+        for s in &mut states {
+            *s &= mask;
+        }
         states.sort_unstable();
         states.dedup();
-        let idx = PrefixIndex::new(&states, 20, bits);
-        for p in probes {
-            prop_assert_eq!(idx.lookup(&states, p), states.binary_search(&p).ok());
+        let idx = HashIndex::new(&states, n_bits);
+        // Members, their one-bit near-misses, free words (absent unless
+        // they collide), the extremes.
+        let near = states.iter().zip(&probes).map(|(&s, &p)| s ^ 1 << (p % 64));
+        let free = probes.iter().flat_map(|&p| [p & mask, p]);
+        let all: Vec<u64> =
+            states.iter().copied().chain(near).chain(free).chain([0, u64::MAX]).collect();
+        let mut batch = Vec::new();
+        idx.lookup_batch(&states, &all, &mut batch);
+        for (&p, &b) in all.iter().zip(&batch) {
+            let expect = states.binary_search(&p).ok();
+            prop_assert_eq!(idx.lookup(&states, p), expect);
+            prop_assert_eq!(b, expect.map_or(NOT_FOUND, |i| i as u32));
+        }
+        // The empty and one-element arrays of the same space.
+        for small in [&states[..0], &states[..states.len().min(1)]] {
+            let idx = HashIndex::new(small, n_bits);
+            for &p in &all {
+                prop_assert_eq!(idx.lookup(small, p), small.binary_search(&p).ok());
+            }
         }
     }
 }

@@ -11,8 +11,9 @@ pub struct MachineModel {
     /// Effective time of one Benes-network application inside the row
     /// kernel (amortized: includes channel bookkeeping).
     pub t_benes: f64,
-    /// Time of one destination-side element: `stateToIndex` (prefix bucket
-    /// + short binary search) plus the atomic accumulate.
+    /// Time of one destination-side element: `stateToIndex` (a hash-index
+    /// probe confirmed against the sorted states) plus the atomic
+    /// accumulate.
     pub t_lookup: f64,
     /// Time to test one enumeration candidate (representative check with
     /// early exit).

@@ -1,14 +1,15 @@
-//! Software CRC32C (Castagnoli), slice-by-8.
+//! CRC32C (Castagnoli): the SSE4.2 `crc32` instruction, with a software
+//! slice-by-8 kernel as the other arm and as its test oracle.
 //!
 //! The end-to-end integrity layer of the transport checksums every wire
 //! frame's header and payload (window epochs included) with CRC32C — the
 //! polynomial chosen by iSCSI, ext4 and Btrfs for exactly this job:
 //! detecting the single- and few-bit flips that TCP's 16-bit checksum
-//! and silent DRAM corruption let through. No hardware instruction and
-//! no external crate: the eight 256-entry tables are built by a `const`
-//! evaluator at compile time, and the slice-by-8 kernel processes eight
-//! input bytes per step, which keeps the cost well under the transport's
-//! serialization overhead (see `LS_INTEGRITY` in [`crate::transport`]).
+//! and silent DRAM corruption let through. The workspace's x86-64-v2
+//! baseline includes SSE4.2, so an x86-64 build takes the instruction
+//! without a run-time check; any other target runs the slice-by-8 kernel,
+//! whose eight 256-entry tables a `const` evaluator builds at compile
+//! time. No external crate either way.
 //!
 //! Guarantees relied on by the tests and the chaos matrix: CRC32C
 //! detects **every** single-bit error and every burst error up to 32
@@ -57,7 +58,36 @@ pub fn crc32c(data: &[u8]) -> u32 {
 
 /// Continues a CRC32C over more data: `crc32c_append(crc32c(a), b)`
 /// equals `crc32c` of `a` followed by `b`.
+#[cfg(all(target_arch = "x86_64", target_feature = "sse4.2"))]
 pub fn crc32c_append(crc: u32, data: &[u8]) -> u32 {
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+    let mut chunks = data.chunks_exact(8);
+    // SAFETY: `crc32` is an SSE4.2 instruction, and this function exists
+    // only under `cfg(target_feature = "sse4.2")`.
+    unsafe {
+        let mut crc = !crc as u64;
+        for chunk in &mut chunks {
+            crc = _mm_crc32_u64(crc, u64::from_le_bytes(chunk.try_into().unwrap()));
+        }
+        let mut crc = crc as u32;
+        for &byte in chunks.remainder() {
+            crc = _mm_crc32_u8(crc, byte);
+        }
+        !crc
+    }
+}
+
+/// Continues a CRC32C over more data: `crc32c_append(crc32c(a), b)`
+/// equals `crc32c` of `a` followed by `b`.
+#[cfg(not(all(target_arch = "x86_64", target_feature = "sse4.2")))]
+pub fn crc32c_append(crc: u32, data: &[u8]) -> u32 {
+    slice_by_8(crc, data)
+}
+
+/// The software kernel: eight input bytes a step through [`TABLES`]
+/// (the hardware arm's test oracle on x86-64).
+#[cfg_attr(all(target_arch = "x86_64", target_feature = "sse4.2"), allow(dead_code))]
+fn slice_by_8(crc: u32, data: &[u8]) -> u32 {
     let mut crc = !crc;
     let mut chunks = data.chunks_exact(8);
     for chunk in &mut chunks {
@@ -110,7 +140,38 @@ mod tests {
         // Cover every (length mod 8) alignment and the chunked kernel.
         let data: Vec<u8> = (0..257u32).map(|i| (i.wrapping_mul(167) >> 3) as u8).collect();
         for len in 0..data.len() {
+            assert_eq!(slice_by_8(0, &data[..len]), crc32c_ref(&data[..len]), "len {len}");
             assert_eq!(crc32c(&data[..len]), crc32c_ref(&data[..len]), "len {len}");
+        }
+    }
+
+    #[test]
+    fn kernel_matches_slice_by_8_at_every_length_and_alignment() {
+        let data: Vec<u8> = (0..264u32).map(|i| (i.wrapping_mul(167) >> 3) as u8).collect();
+        for offset in 0..8 {
+            for len in 0..=256 {
+                let bytes = &data[offset..offset + len];
+                for seed in [0, 0x1234_5678, u32::MAX] {
+                    assert_eq!(
+                        crc32c_append(seed, bytes),
+                        slice_by_8(seed, bytes),
+                        "{offset} {len}"
+                    );
+                }
+            }
+        }
+        // Random buffers, a xorshift stream.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for len in [1000, 4096, 65_537] {
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x as u8
+                })
+                .collect();
+            assert_eq!(crc32c(&bytes), slice_by_8(0, &bytes), "len {len}");
         }
     }
 

@@ -98,6 +98,16 @@ fn simd_lives_only_where_a_workload_pays() {
     assert_none(&["crates/core/src/matvec.rs"], &replay);
 }
 
+/// One search structure: a searched sector ranks by the hash index over
+/// its sorted states, and the prefix buckets with their lockstep search
+/// are gone.
+#[test]
+fn one_search_index() {
+    let retired = [["Prefix", "Index"].concat(), ["INTER", "LEAVE"].concat()];
+    let retired: Vec<&str> = retired.iter().map(String::as_str).collect();
+    assert_none(&["crates", "compat", "src", "tests", "examples"], &retired);
+}
+
 /// A Krylov vector stores what it computes in (`f64` or `Complex64`):
 /// the reduced-precision mode, its knob, its operator adapter and the
 /// stored-element layer that existed for it are gone, and a second

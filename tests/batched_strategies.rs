@@ -16,7 +16,7 @@ use exact_diag::core::matvec::{
 };
 use exact_diag::expr::ast::{annihilate, create, number};
 use exact_diag::prelude::*;
-use ls_kernels::search::PrefixIndex;
+use ls_kernels::search::HashIndex;
 use ls_kernels::SiteEncoding;
 use proptest::prelude::*;
 
@@ -34,7 +34,7 @@ fn random_vec(dim: usize, seed: u64) -> Vec<f64> {
 /// against `sector`'s local Hilbert space — under the ranking the basis
 /// chose (`closed_form` says which, and with it whether the engine takes
 /// the closed-form row pass on a trivial group), and every rank those
-/// products resolved is the one prefix buckets over the same list give.
+/// products resolved is the one a hash index over the same list gives.
 fn check_engine<S: Scalar>(
     expr: &Expr,
     sector: SectorSpec,
@@ -78,12 +78,12 @@ fn check_engine<S: Scalar>(
     let scale = expect.abs_sqr().sqrt().max(1.0);
     prop_assert!(dot.approx_eq(expect, 1e-12 * scale), "dot {:?} vs {:?}", dot, expect);
     let states = basis.states();
-    let buckets = PrefixIndex::auto(states, basis.sector().code_bits());
+    let hash = HashIndex::new(states, basis.sector().code_bits());
     let (mut own, mut searched) = (Vec::new(), Vec::new());
     basis.index_of_batch(states, &mut own);
-    buckets.lookup_batch(states, states, &mut searched);
+    hash.lookup_batch(states, states, &mut searched);
     prop_assert_eq!(&own, &(0..dim as u32).collect::<Vec<_>>());
-    prop_assert_eq!(&searched, &own, "prefix buckets vs the basis's ranking");
+    prop_assert_eq!(&searched, &own, "hash index vs the basis's ranking");
     Ok(())
 }
 
