@@ -30,6 +30,6 @@ pub mod sector;
 pub mod symop;
 
 pub use basis::{missing_state, MissingState, SpinBasis};
-pub use rep::{state_info, state_info_batch, StateInfo, StateInfoBatch};
+pub use rep::{state_info, state_info_batch, StateInfo, StateInfoBatch, WalkScratch};
 pub use sector::{BasisError, ChargeMask, SectorSpec};
 pub use symop::{OffDiagBlock, SymmetrizedOperator};

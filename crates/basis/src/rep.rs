@@ -6,10 +6,18 @@
 //! is trivial on the stabilizer. Everything a matrix-vector product needs
 //! about an arbitrary bitstring `s` is collected in one `O(|G|)` pass by
 //! [`state_info`].
+//!
+//! The engines resolve their emissions with the *differential* group walk
+//! (`GroupWalk`): the Beneš networks run once per source row, and an
+//! emission's orbit minimum and stabilizer come out of one branch-free
+//! sweep over its `|G|` images, held in the narrowest word (`u32` or
+//! `u64`) that holds the sector's basis words. [`state_info`] and
+//! [`state_info_batch`] are its oracle, bit for bit.
 
 use ls_kernels::net::{delta_swap, DELTAS, STAGES};
 use ls_kernels::Complex64;
 use ls_symmetry::SymmetryGroup;
+use std::ops::{BitAnd, BitOr, BitXor, Shl, Shr};
 
 /// The result of resolving a raw bitstring against a symmetry group.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -136,16 +144,67 @@ pub fn state_info_batch(group: &SymmetryGroup, states: &[u64], out: &mut StateIn
     }));
 }
 
-/// Words of orbit images one tile of source rows may occupy (24 KiB): the
-/// tile and the `|G| × masks` table stay cache-resident between the pass
-/// that writes the images and the loop that reads them, and a worker's
-/// image scratch does not grow with the block length (a 1024-row block at
-/// `|G| = 96` would hold 768 KiB). Measured flat from 6 KiB to 768 KiB on
-/// the 24-site chain, so this is a bound, not a tuned value.
+/// Words of orbit images one tile of source rows may occupy (12 KiB in
+/// `u32` words, 24 KiB in `u64` ones; the network outputs the images are
+/// expanded from take at most as many again): the tile and the
+/// `|G| × masks` table stay cache-resident between the pass that writes
+/// the images and the sweeps that read them, and a worker's image scratch
+/// does not grow with the block length (a 1024-row block at `|G| = 96`
+/// would hold 384 KiB). A sweep over the 24-site chain's rows read
+/// 15.4–16.1 ms at every size from 3 KiB to 384 KiB of `u32` words, so
+/// this is a bound, not a tuned value.
 const IMAGE_TILE_WORDS: usize = 3072;
 
+/// The word a [`GroupWalk`] holds its images and permuted masks in: `u32`
+/// where every basis word of the sector fits 32 bits, `u64` otherwise
+/// ([`SectorWalk`]). A narrow word puts twice the lanes in a vector
+/// register, and x86-64-v2 has the unsigned 32-bit minimum (`pminud`)
+/// that the sweep of [`GroupWalk::resolve`] vectorizes to.
+pub(crate) trait WalkWord:
+    Copy
+    + Ord
+    + Default
+    + BitAnd<Output = Self>
+    + BitOr<Output = Self>
+    + BitXor<Output = Self>
+    + Shl<u32, Output = Self>
+    + Shr<u32, Output = Self>
+{
+    /// Stage pairs at each end of a 64-bit Benes network that are zero in
+    /// every network of a permutation this word holds: the shift-32 pair
+    /// for `u32` (the routing leaves the upper half of the word alone).
+    const OUTER_STAGES: usize;
+    /// `word`, which fits.
+    fn narrow(word: u64) -> Self;
+    fn widen(self) -> u64;
+}
+
+impl WalkWord for u32 {
+    const OUTER_STAGES: usize = 1;
+    #[inline(always)]
+    fn narrow(word: u64) -> Self {
+        word as u32
+    }
+    #[inline(always)]
+    fn widen(self) -> u64 {
+        self as u64
+    }
+}
+
+impl WalkWord for u64 {
+    const OUTER_STAGES: usize = 0;
+    #[inline(always)]
+    fn narrow(word: u64) -> Self {
+        word
+    }
+    #[inline(always)]
+    fn widen(self) -> u64 {
+        self
+    }
+}
+
 /// The tables of the *differential* group walk, the form of
-/// [`state_info`] the block `getRow` runs.
+/// [`state_info`] the block `getRow` runs, in the lane word `W`.
 ///
 /// A group element is a bit permutation plus an optional global flip, so
 /// it is affine over GF(2): `g(α ⊕ m) = g(α) ⊕ π_g(m)`. Every emission of
@@ -154,129 +213,232 @@ const IMAGE_TILE_WORDS: usize = 3072;
 /// distinct site permutation, since elements that differ by the global
 /// flip share it ([`Self::orbit_images`]) — and the `|G|` images of each
 /// emission are one XOR against the precomputed `|G| × masks` words of
-/// `π_g(m)` ([`Self::resolve`]). [`state_info`] and [`state_info_batch`]
-/// are the oracle: the element order and the update rule are theirs, so
-/// every result is equal bit for bit.
+/// `π_g(m)`, taken in one branch-free sweep ([`Self::resolve`]).
+/// [`state_info`] and [`state_info_batch`] are the oracle: every result
+/// is equal bit for bit.
 #[derive(Clone, Debug)]
-pub(crate) struct GroupWalk {
+pub(crate) struct GroupWalk<W> {
     order: usize,
-    /// Per element, the earlier element carrying the same site
-    /// permutation (its own index when it is the first: that one runs the
-    /// network) …
-    network: Vec<u32>,
-    /// … and what turns that element's image into this one's: the
-    /// element's own flip mask on a network element, the XOR of the two
-    /// flip masks on a sharing one.
-    xor: Vec<u64>,
+    /// The stage masks of each distinct site permutation's network.
+    networks: Vec<[W; STAGES]>,
+    /// Per element, where its permutation's images start in
+    /// [`WalkTile::networks`] (network index × tile rows) …
+    network_at: Vec<u32>,
+    /// … and its flip mask.
+    flip: Vec<W>,
     /// `permuted[mask · |G| + g] = π_g(mask)`.
-    permuted: Vec<u64>,
-    /// Is the element's character 1? (A stabilizing element with any
-    /// other character gives the orbit zero norm.)
-    stabilizer_ok: Vec<bool>,
+    permuted: Vec<W>,
+    /// Is every character 1? Then every orbit has non-zero norm and every
+    /// phase is 1, and [`Self::resolve`] is its sweep alone.
+    characters_one: bool,
+    /// Per element, 1 where its character is 1 and 0 elsewhere: `t = raw`
+    /// on a 0 (a stabilizing element with another character) gives the
+    /// orbit zero norm.
+    character_one: Vec<W>,
     /// `χ(g)*` per element, and in slot `|G|` the phase [`state_info`]
     /// starts from, for a state that is its own orbit minimum.
     phase_conj: Vec<Complex64>,
 }
 
-impl GroupWalk {
-    /// Tables for `group` and the distinct channel flip `masks`.
-    pub(crate) fn new(group: &SymmetryGroup, masks: &[u64]) -> Self {
+/// The per-tile scratch of one [`GroupWalk`].
+#[derive(Clone, Debug, Default)]
+pub(crate) struct WalkTile<W> {
+    /// The tile's source rows in the lane word, narrowed once so that the
+    /// networks fill whole vector registers.
+    rows: Vec<W>,
+    /// `networks[j · tile rows + row] = π_j(states[row])`, network-major.
+    networks: Vec<W>,
+    /// `images[row · |G| + g] = el_g.apply(states[row])`, row-major.
+    pub(crate) images: Vec<W>,
+}
+
+impl<W: WalkWord> GroupWalk<W> {
+    /// Tables for `group` and the distinct channel flip `masks`, whose
+    /// words must fit `W`.
+    fn new(group: &SymmetryGroup, masks: &[u64]) -> Self {
         let elements = group.elements();
-        let mut network = Vec::with_capacity(elements.len());
-        let mut xor = Vec::with_capacity(elements.len());
+        let order = elements.len();
+        let tile_rows = Self::rows_per_tile(order);
+        let mut networks = Vec::new();
+        let mut network_at: Vec<u32> = Vec::with_capacity(order);
         for_each_first_with_permutation(group, |g, h| {
-            // `π(0) = 0`, so the image of the empty word is the flip mask.
-            let flip_mask = elements[g].apply(0);
-            network.push(h as u32);
-            xor.push(if h == g { flip_mask } else { flip_mask ^ elements[h].apply(0) });
+            if h != g {
+                return network_at.push(network_at[h]);
+            }
+            let wide = elements[g].network().masks();
+            let outer = W::OUTER_STAGES;
+            let fits = wide.iter().enumerate().all(|(s, &m)| {
+                let inside = (outer..STAGES - outer).contains(&s);
+                if inside {
+                    W::narrow(m).widen() == m
+                } else {
+                    m == 0
+                }
+            });
+            assert!(fits, "a network outside the walk's word");
+            network_at.push((networks.len() * tile_rows) as u32);
+            networks.push(wide.map(W::narrow));
         });
         let permuted = masks
             .iter()
-            .flat_map(|&m| elements.iter().map(move |el| el.apply_permutation(m)))
+            .flat_map(|&m| elements.iter().map(move |el| W::narrow(el.apply_permutation(m))))
             .collect();
         let mut phase_conj: Vec<Complex64> =
             elements.iter().map(|el| el.phase().conj().to_c64()).collect();
         phase_conj.push(ls_symmetry::RationalPhase::ZERO.conj().to_c64());
+        let one = |el: &ls_symmetry::GroupElement| W::narrow(el.phase().is_one() as u64);
         Self {
-            order: elements.len(),
-            network,
-            xor,
+            order,
+            networks,
+            network_at,
+            // `π(0) = 0`, so the image of the empty word is the flip mask.
+            flip: elements.iter().map(|el| W::narrow(el.apply(0))).collect(),
             permuted,
-            stabilizer_ok: elements.iter().map(|el| el.phase().is_one()).collect(),
+            characters_one: elements.iter().all(|el| el.phase().is_one()),
+            character_one: elements.iter().map(one).collect(),
             phase_conj,
         }
+    }
+
+    fn rows_per_tile(order: usize) -> usize {
+        (IMAGE_TILE_WORDS / order).max(1)
     }
 
     /// Benes networks one source row costs: the distinct site
     /// permutations of the group.
     #[cfg(test)]
     pub(crate) fn n_networks(&self) -> usize {
-        self.network.iter().enumerate().filter(|&(g, &h)| h as usize == g).count()
+        self.networks.len()
     }
 
     /// Source rows per tile of [`Self::orbit_images`], from `|G|` alone.
     pub(crate) fn tile_rows(&self) -> usize {
-        (IMAGE_TILE_WORDS / self.order).max(1)
+        Self::rows_per_tile(self.order)
     }
 
-    /// `images[row · |G| + g] = el_g.apply(states[row])`, group-element-outer
-    /// like [`state_info_batch`]: each compiled network is loaded once
-    /// and applied to the whole tile.
-    pub(crate) fn orbit_images(
-        &self,
-        group: &SymmetryGroup,
-        states: &[u64],
-        images: &mut Vec<u64>,
-    ) {
-        let order = self.order;
-        // Every slot is overwritten below; a tile of the usual length
-        // costs no fill.
-        images.resize(states.len() * order, 0);
-        for (g, el) in group.elements().iter().enumerate() {
-            let (h, xor) = (self.network[g] as usize, self.xor[g]);
-            if h == g {
-                for (row, &alpha) in images.chunks_exact_mut(order).zip(states) {
-                    row[g] = el.apply_permutation(alpha) ^ xor;
-                }
-            } else {
-                for row in images.chunks_exact_mut(order) {
-                    row[g] = row[h] ^ xor;
-                }
+    /// Fills `tile.images` for `states`, at most [`Self::tile_rows`] of
+    /// them. Network-outer: each distinct permutation's stage masks are
+    /// loaded once and its network runs on the whole tile in the lane word,
+    /// the stages inside the word only, one row a lane; then each row's
+    /// `|G|` images are its networks' outputs XOR the elements' flips.
+    pub(crate) fn orbit_images(&self, states: &[u64], tile: &mut WalkTile<W>) {
+        let (order, rows) = (self.order, self.tile_rows());
+        debug_assert!(states.len() <= rows);
+        // Every slot read below is written first; a tile of the usual
+        // length costs no fill.
+        tile.rows.clear();
+        tile.rows.extend(states.iter().map(|&alpha| W::narrow(alpha)));
+        tile.networks.resize(self.networks.len() * rows, W::default());
+        tile.images.resize(states.len() * order, W::default());
+        for (out, masks) in tile.networks.chunks_exact_mut(rows).zip(&self.networks) {
+            for (out, &alpha) in out.iter_mut().zip(&tile.rows) {
+                let stages = W::OUTER_STAGES..STAGES - W::OUTER_STAGES;
+                *out = stages.fold(alpha, |x, s| delta_swap(x, masks[s], DELTAS[s]));
+            }
+        }
+        for (row, images) in tile.images.chunks_exact_mut(order).enumerate() {
+            for ((image, &at), &flip) in images.iter_mut().zip(&self.network_at).zip(&self.flip)
+            {
+                *image = tile.networks[at as usize + row] ^ flip;
             }
         }
     }
 
     /// [`state_info`] of the emission `raw = α ⊕ masks[mask]`, from the
     /// `|G|` orbit `images` of its source row `α`.
+    ///
+    /// One sweep over the images `t = images[g] ^ permuted[g]` takes the
+    /// minimum and counts the `t = raw` (the stabilizer), with no branch,
+    /// so it vectorizes. Only a group with a character other than 1 goes
+    /// on: a second branch-free sweep looks for a stabilizing element
+    /// whose character is not 1, and when `raw` is not its own minimum a
+    /// search finds the first `g` with `t = rep` — the element whose
+    /// character [`state_info`]'s running minimum keeps.
     #[inline]
-    pub(crate) fn resolve(&self, images: &[u64], mask: usize, raw: u64) -> StateInfo {
+    pub(crate) fn resolve(&self, images: &[W], mask: usize, raw: u64) -> StateInfo {
         let order = self.order;
         let images = &images[..order];
         let permuted = &self.permuted[mask * order..][..order];
-        let stabilizer_ok = &self.stabilizer_ok[..order];
-        let mut rep = raw;
-        let mut winner = order;
-        let mut stab = 0u32;
-        let mut valid = true;
-        for g in 0..order {
-            let t = images[g] ^ permuted[g];
-            if t < rep {
-                rep = t;
-                winner = g;
-            } else if t == raw {
-                stab += 1;
-                valid &= stabilizer_ok[g];
-            }
+        let raw_word = W::narrow(raw);
+        let (mut rep, mut stab) = (raw_word, 0u32);
+        for (&image, &p) in images.iter().zip(permuted) {
+            let t = image ^ p;
+            rep = rep.min(t);
+            stab += (t == raw_word) as u32;
         }
         // A state is always stabilized at least by the identity.
         debug_assert!(stab >= 1);
+        let (mut valid, mut winner) = (true, order);
+        if !self.characters_one {
+            let orbit = images.iter().zip(permuted).map(|(&image, &p)| image ^ p);
+            let zero_norm = orbit
+                .clone()
+                .zip(&self.character_one)
+                .fold(0u32, |n, (t, &one)| n + (((t ^ raw_word) | one) == W::default()) as u32);
+            valid = zero_norm == 0;
+            if rep < raw_word {
+                winner = orbit.take_while(|&t| t != rep).count();
+            }
+        }
         StateInfo {
-            representative: rep,
+            representative: rep.widen(),
             phase: self.phase_conj[winner],
             orbit_size: order as u32 / stab,
             valid,
         }
     }
+}
+
+/// The group walk of one operator, in the narrowest word that holds the
+/// sector's basis words, chosen once when the operator is bound.
+#[derive(Clone, Debug)]
+pub(crate) enum SectorWalk {
+    /// Basis words of at most 32 bits.
+    Narrow(GroupWalk<u32>),
+    Wide(GroupWalk<u64>),
+}
+
+impl SectorWalk {
+    /// Tables for `group`, the distinct channel flip `masks` and basis
+    /// words of `code_bits` bits.
+    pub(crate) fn new(group: &SymmetryGroup, masks: &[u64], code_bits: u32) -> Self {
+        if code_bits <= u32::BITS {
+            Self::Narrow(GroupWalk::new(group, masks))
+        } else {
+            Self::Wide(GroupWalk::new(group, masks))
+        }
+    }
+
+    #[cfg(test)]
+    pub(crate) fn is_narrow(&self) -> bool {
+        matches!(self, Self::Narrow(_))
+    }
+
+    #[cfg(test)]
+    pub(crate) fn tile_rows(&self) -> usize {
+        match self {
+            Self::Narrow(walk) => walk.tile_rows(),
+            Self::Wide(walk) => walk.tile_rows(),
+        }
+    }
+
+    #[cfg(test)]
+    pub(crate) fn n_networks(&self) -> usize {
+        match self {
+            Self::Narrow(walk) => walk.n_networks(),
+            Self::Wide(walk) => walk.n_networks(),
+        }
+    }
+}
+
+/// Caller-owned scratch of the group walk
+/// ([`crate::SymmetrizedOperator::generate_off_diag_block`]): the orbit
+/// images of the current tile of source rows, in the walk's word. Reusing
+/// one across blocks keeps the walk allocation-free.
+#[derive(Clone, Debug, Default)]
+pub struct WalkScratch {
+    pub(crate) narrow: WalkTile<u32>,
+    pub(crate) wide: WalkTile<u64>,
 }
 
 /// Calls `f(g, h)` for every element `g` of `group`, with `h` the first

@@ -28,13 +28,15 @@
 //! global flip) is affine over GF(2), `g(α ⊕ m) = g(α) ⊕ π_g(m)`: the
 //! networks run once per source *row*, and an emission's `|G|` images are
 //! one XOR each against a table of `|G| × distinct flip masks` words built
-//! at construction (`crate::rep::GroupWalk`).
+//! at construction (`crate::rep::GroupWalk`), swept once without a branch
+//! for their minimum and stabilizer — in `u32` lanes where the sector's
+//! basis words fit 32 bits, chosen when the operator is bound.
 //!
 //! [`SymmetrizedOperator::apply_off_diag_block_u1_ranked_channels`], a
 //! channel-outer generate-and-rank pass into packed segments, is no
 //! engine's path: it is the surface the repo benchmark's replay times.
 
-use crate::rep::{state_info, GroupWalk};
+use crate::rep::{state_info, GroupWalk, SectorWalk, WalkScratch, WalkTile, WalkWord};
 use crate::sector::{BasisError, SectorSpec};
 use ls_expr::OperatorKernel;
 use ls_kernels::combinadics::BinomialTable;
@@ -55,8 +57,8 @@ pub struct OffDiagBlock<S: Scalar> {
     pub reps: Vec<u64>,
     /// Matrix elements `⟨β̃|H|α̃⟩`.
     pub amps: Vec<S>,
-    /// Orbit images of the current tile of source rows (`rows × |G|`).
-    images: Vec<u64>,
+    /// Scratch of the group walk.
+    walk: WalkScratch,
 }
 
 impl<S: Scalar> OffDiagBlock<S> {
@@ -216,7 +218,7 @@ pub struct SymmetrizedOperator<S: Scalar> {
     /// Per channel, the index of its `flip` among the distinct flip masks
     /// `walk` was built on.
     channel_mask: Vec<u32>,
-    walk: GroupWalk,
+    walk: SectorWalk,
     hermitian: bool,
     trivial_group: bool,
     /// Any channel with a non-zero Jordan-Wigner sign mask? Gates the
@@ -298,7 +300,7 @@ impl<S: Scalar> SymmetrizedOperator<S> {
         }
         let trivial_group = sector.group().order() == 1;
         Ok(Self {
-            walk: GroupWalk::new(sector.group(), &masks),
+            walk: SectorWalk::new(sector.group(), &masks, sector.code_bits()),
             group: sector.group().clone(),
             diag,
             patterns,
@@ -450,11 +452,11 @@ impl<S: Scalar> SymmetrizedOperator<S> {
         orbits: &[u32],
         out: &mut OffDiagBlock<S>,
     ) {
-        let OffDiagBlock { src, reps, amps, images } = out;
+        let OffDiagBlock { src, reps, amps, walk } = out;
         src.clear();
         reps.clear();
         amps.clear();
-        self.generate_off_diag_block(states, orbits, images, |k, rep, amp| {
+        self.generate_off_diag_block(states, orbits, walk, |k, rep, amp| {
             src.push(k as u32);
             reps.push(rep);
             amps.push(amp);
@@ -465,7 +467,7 @@ impl<S: Scalar> SymmetrizedOperator<S> {
     /// each off-diagonal emission of a block of representatives (`states`
     /// with orbit sizes `orbits`) to `emit` as `(row in the block,
     /// destination representative, ⟨β̃|H|α̃⟩)`, ordered (row, channel)
-    /// exactly like repeated [`Self::apply_off_diag`] calls. `images` is
+    /// exactly like repeated [`Self::apply_off_diag`] calls. `scratch` is
     /// caller-owned scratch for the group walk, reused across blocks.
     ///
     /// Under the trivial group this is the mask loop ([`FireGroup`]): per
@@ -474,10 +476,13 @@ impl<S: Scalar> SymmetrizedOperator<S> {
     /// Jordan-Wigner string. Under a non-trivial group it is the
     /// differential walk
     /// (`g(α ⊕ m) = g(α) ⊕ π_g(m)`): rows are taken in tiles sized from
-    /// `|G|`; per tile, one group-element-outer pass writes every row's
+    /// `|G|`; per tile, one network-outer pass writes every row's
     /// `|G|` orbit images (one Benes network per distinct site permutation
-    /// per row), then each firing (row, channel) resolves its emission
-    /// with one XOR per element against the `|G| × distinct masks` table.
+    /// per row, run on the tile's rows side by side), then each firing
+    /// (row, channel) resolves its emission in one branch-free sweep of
+    /// XORs against the `|G| × distinct masks` table, taking the minimum
+    /// and counting the stabilizer; a group with a character other than 1
+    /// adds a sweep for the norm and a search for the phase.
     /// Emission order, the minimization rule and every floating-point
     /// operation match the scalar path, so results are bit-identical to
     /// calling `apply_off_diag` state by state; [`state_info`] and
@@ -487,12 +492,12 @@ impl<S: Scalar> SymmetrizedOperator<S> {
         &self,
         states: &[u64],
         orbits: &[u32],
-        images: &mut Vec<u64>,
+        scratch: &mut WalkScratch,
         mut emit: impl FnMut(usize, u64, S),
     ) {
         assert_eq!(states.len(), orbits.len());
         if !self.trivial_group {
-            return self.walk_off_diag_block(states, orbits, images, emit);
+            return self.walk_off_diag_block(states, orbits, scratch, emit);
         }
         // Raw states are their own representatives with unit phase: the
         // same emissions in the same (row, channel) order, with the same
@@ -548,27 +553,50 @@ impl<S: Scalar> SymmetrizedOperator<S> {
         }
     }
 
-    /// The non-trivial-group half of [`Self::generate_off_diag_block`];
-    /// the per-emission arithmetic is [`Self::apply_off_diag`]'s, line by
-    /// line.
+    /// The non-trivial-group half of [`Self::generate_off_diag_block`], in
+    /// the walk's word. Out of line: it runs once per block, and inlined
+    /// into an engine it would crowd the registers of the row passes
+    /// compiled next to it.
+    #[inline(never)]
     fn walk_off_diag_block(
         &self,
         states: &[u64],
         orbits: &[u32],
-        images: &mut Vec<u64>,
+        scratch: &mut WalkScratch,
+        emit: impl FnMut(usize, u64, S),
+    ) {
+        match &self.walk {
+            SectorWalk::Narrow(walk) => {
+                self.walk_tiles(walk, states, orbits, &mut scratch.narrow, emit)
+            }
+            SectorWalk::Wide(walk) => {
+                self.walk_tiles(walk, states, orbits, &mut scratch.wide, emit)
+            }
+        }
+    }
+
+    /// [`Self::walk_off_diag_block`] on the tables of `walk`; the
+    /// per-emission arithmetic is [`Self::apply_off_diag`]'s, line by line.
+    #[inline(always)]
+    fn walk_tiles<W: WalkWord>(
+        &self,
+        walk: &GroupWalk<W>,
+        states: &[u64],
+        orbits: &[u32],
+        scratch: &mut WalkTile<W>,
         mut emit: impl FnMut(usize, u64, S),
     ) {
         let order = self.group.order();
-        let tile = self.walk.tile_rows();
+        let tile = walk.tile_rows();
         for (t, tile_states) in states.chunks(tile).enumerate() {
-            self.walk.orbit_images(&self.group, tile_states, images);
+            walk.orbit_images(tile_states, scratch);
             for (r, (&alpha, images)) in
-                tile_states.iter().zip(images.chunks_exact(order)).enumerate()
+                tile_states.iter().zip(scratch.images.chunks_exact(order)).enumerate()
             {
                 let k = t * tile + r;
                 for (ch, &mask) in self.channels.iter().zip(&self.channel_mask) {
                     if alpha & ch.sites == ch.in_pat {
-                        let info = self.walk.resolve(images, mask as usize, alpha ^ ch.flip);
+                        let info = walk.resolve(images, mask as usize, alpha ^ ch.flip);
                         if !info.valid {
                             continue;
                         }
@@ -969,13 +997,76 @@ mod tests {
         assert_eq!(op.group().order(), 48);
     }
 
-    /// Block generation ≡ scalar `apply_off_diag` ≡ `state_info_batch` run
-    /// on the block's raw emissions, bit for bit, at block lengths on both
-    /// sides of the walk's tile. Returns how many zero-norm emissions one
-    /// sweep over the basis skips.
+    #[test]
+    fn block_generation_matches_scalar_apply_at_the_lane_boundary() {
+        // 32 sites walk in `u32` words, 33 and 64 in `u64` ones. The rows
+        // are few: low weights, and under the flip the weight-3 orbit
+        // minima (a sector with the flip must otherwise be half filled).
+        for (n, k1_weight, k1_tiles) in [(32usize, 4u32, 2), (33, 3, 1), (64, 2, 0)] {
+            let chain = lattice::chain_bonds(n);
+            let kernel = heisenberg(&chain, 1.0).to_kernel(n as u32).unwrap();
+            // Real characters with the flip: reflection and flip odd.
+            let group = lattice::chain_group(n, 0, Some(1), Some(1)).unwrap();
+            let sector = SectorSpec::new(n as u32, None, group.clone()).unwrap();
+            let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
+            assert_eq!(op.walk.is_narrow(), n <= 32, "{n} sites");
+            let (states, orbits) = weight_orbit_minima(&group, n as u32, 3);
+            assert!(states.len() >= 2 * op.walk.tile_rows(), "{n} sites: {}", states.len());
+            check_rows_match_scalar(&op, &states, &orbits);
+            // k = 1: complex characters, and zero-norm orbits at weights
+            // that share a factor with `n`.
+            let k1 = lattice::chain_group(n, 1, None, None).unwrap();
+            let skipped =
+                check_heisenberg::<Complex64>(&chain, n, Some(k1_weight), k1, k1_tiles);
+            assert!(skipped > 0, "{n} sites");
+        }
+        // The 64-site group of the enumeration filter's tests: every
+        // network stage in use, flip partners.
+        let n = 64usize;
+        let kernel = heisenberg(&lattice::chain_bonds(n), 1.0).to_kernel(n as u32).unwrap();
+        let group = lattice::chain_group(n, 0, None, Some(0)).unwrap();
+        let sector = SectorSpec::new(n as u32, None, group.clone()).unwrap();
+        let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
+        let (states, orbits) = weight_orbit_minima(&group, n as u32, 3);
+        assert!(states.len() >= 2 * op.walk.tile_rows(), "{}", states.len());
+        check_rows_match_scalar(&op, &states, &orbits);
+    }
+
+    /// The weight-`w` words of `n` sites that are valid orbit minima under
+    /// `group`, ascending, with their orbit sizes ([`state_info`]).
+    fn weight_orbit_minima(group: &SymmetryGroup, n: u32, w: u32) -> (Vec<u64>, Vec<u32>) {
+        fn words(n: u32, w: u32) -> Vec<u64> {
+            if w == 0 {
+                return vec![0];
+            }
+            (w - 1..n)
+                .flat_map(|top| words(top, w - 1).into_iter().map(move |r| r | 1 << top))
+                .collect()
+        }
+        words(n, w)
+            .into_iter()
+            .map(|s| (s, state_info(group, s)))
+            .filter(|(s, info)| info.representative == *s && info.valid)
+            .map(|(s, info)| (s, info.orbit_size))
+            .unzip()
+    }
+
     fn check_block_matches_scalar<S: Scalar>(
         op: &SymmetrizedOperator<S>,
         basis: &SpinBasis,
+    ) -> usize {
+        check_rows_match_scalar(op, basis.states(), basis.orbit_sizes())
+    }
+
+    /// Block generation ≡ scalar `apply_off_diag` ≡ `state_info_batch` run
+    /// on the block's raw emissions, bit for bit, on the rows `states` with
+    /// orbit sizes `orbits`, at block lengths on both sides of the walk's
+    /// tile. Returns how many zero-norm emissions one sweep over the rows
+    /// skips.
+    fn check_rows_match_scalar<S: Scalar>(
+        op: &SymmetrizedOperator<S>,
+        all_states: &[u64],
+        all_orbits: &[u32],
     ) -> usize {
         let tile = op.walk.tile_rows();
         let mut block = OffDiagBlock::new();
@@ -984,11 +1075,9 @@ mod tests {
         let mut row = Vec::new();
         let mut skipped = 0usize;
         // 13 and 77: deliberately odd, to exercise boundaries.
-        for bs in [1, (tile - 1).max(1), tile, tile + 1, 13, 77, basis.dim()] {
+        for bs in [1, (tile - 1).max(1), tile, tile + 1, 13, 77, all_states.len().max(1)] {
             skipped = 0;
-            for (states, orbits) in
-                basis.states().chunks(bs).zip(basis.orbit_sizes().chunks(bs))
-            {
+            for (states, orbits) in all_states.chunks(bs).zip(all_orbits.chunks(bs)) {
                 op.apply_off_diag_block(states, orbits, &mut block);
                 diag.resize(states.len(), S::ZERO);
                 op.diagonal_block(states, &mut diag);

@@ -16,11 +16,13 @@
 //!     through [`SymmetrizedOperator::apply_off_diag_block`] (on
 //!     symmetrized sectors the differential group walk,
 //!     `g(α ⊕ m) = g(α) ⊕ π_g(m)`: Benes networks once per source row,
-//!     one XOR per group element per emission against a
-//!     `|G| × distinct flip masks` table; `ls_basis::state_info_batch` is
-//!     its oracle), ranking through [`SpinBasis::index_of_batch`] (the
-//!     hash index's batch kernel), and the gathered reads of `x`
-//!     software-prefetched from the ranked index block.
+//!     then per emission one branch-free, vectorized sweep of XORs
+//!     against a `|G| × distinct flip masks` table for the orbit minimum
+//!     and the stabilizer, in `u32` lanes where basis words fit 32 bits;
+//!     `ls_basis::state_info_batch` is its oracle), ranking through
+//!     [`SpinBasis::index_of_batch`] (the hash index's batch kernel), and
+//!     the gathered reads of `x` software-prefetched from the ranked index
+//!     block.
 //!
 //!   Row generation yields the column `H[·, β]`; gathering reads it as
 //!   the row `H[β, ·]` by conjugation, so it needs a Hermitian operator.

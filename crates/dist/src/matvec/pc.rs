@@ -3,13 +3,15 @@
 //! Per locale, every thread streams over its share of the local rows *in
 //! blocks* through the block generator
 //! ([`SymmetrizedOperator::generate_off_diag_block`] — the differential
-//! group walk on symmetrized sectors) and routes every emission in the one
-//! pass that generates it: its owner (`hash mod locales`, a mask for a
-//! power-of-two count), its key, its value `amp · x[row]` and a push onto
-//! the owner's run. The key is the state's sector rank where every part
-//! selects — the producer ranks, by Lin's tables — and the state itself
-//! elsewhere (see `crate::basis`). After a block the ABFT tally notes the
-//! block's values run by run (in four independent lanes), the local run
+//! group walk on symmetrized sectors, one branch-free sweep over the
+//! `|G|` images per emission, its scratch a [`WalkScratch`] per thread)
+//! and routes every emission in the one pass that generates it: its owner
+//! (`hash mod locales`, a mask for a power-of-two count), its key, its
+//! value `amp · x[row]` and a push onto the owner's run. The key is the
+//! state's sector rank where every part selects — the producer ranks, by
+//! Lin's tables — and the state itself elsewhere (see `crate::basis`).
+//! After a block the ABFT tally notes the block's values run by run (in
+//! four independent lanes), the local run
 //! is resolved and added on the spot and the others ship in
 //! capacity-sized batches through [`PairChannel`]s — one per
 //! (source, destination) pair, each a ring of two buffers, so a producer
@@ -52,19 +54,20 @@
 
 use crate::basis::{missing_state, DistSpinBasis};
 use crate::matvec::{validate_shapes, AbftTally};
-use ls_basis::SymmetrizedOperator;
+use ls_basis::{SymmetrizedOperator, WalkScratch};
 use ls_kernels::{locale_idx_of, Scalar};
 use ls_runtime::{collective, AtomicAccumWindow, Cluster, DistVec, LocaleCtx, PairChannel};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Rows a thread generates and routes at a time: one
-/// [`SymmetrizedOperator::generate_off_diag_block`] call (which walks the
-/// group once per source row, `g(α ⊕ m) = g(α) ⊕ π_g(m)`, not once per
-/// matrix element; `ls_basis::state_info_batch` is its oracle) whose sink
-/// keys and stages every emission, then the tally of the block's runs, one
-/// resolve-and-add of the local run and the shipping of every full batch —
-/// and the longest a thread leaves its inbox unattended.
+/// [`SymmetrizedOperator::generate_off_diag_block`] call (which runs the
+/// group's networks once per source row, `g(α ⊕ m) = g(α) ⊕ π_g(m)`, and
+/// one sweep per matrix element; `ls_basis::state_info_batch` is its
+/// oracle) whose sink keys and stages every emission, then the tally of
+/// the block's runs, one resolve-and-add of the local run and the shipping
+/// of every full batch — and the longest a thread leaves its inbox
+/// unattended.
 const GEN_BLOCK: usize = 512;
 
 /// A memoized diagonal, keyed by operator fingerprint, part address, length.
@@ -328,7 +331,7 @@ impl<S: Scalar> Task<'_, S> {
 
         let mut tally = self.abft.map(AbftTally::local);
         let diag = self.engine.diagonal(me, self.op, states);
-        let mut images = Vec::new();
+        let mut walk = WalkScratch::default();
         // Per destination: the `(key, amp · x[source])` pairs staged and not
         // yet shipped — the tail of earlier blocks, short of a batch, then
         // this block's run — and where that run starts.
@@ -345,7 +348,7 @@ impl<S: Scalar> Task<'_, S> {
             }
             fresh.iter_mut().zip(&runs).for_each(|(at, run)| *at = run.len());
             let (rows, row_orbits) = (&states[b0..b1], &orbits[b0..b1]);
-            self.op.generate_off_diag_block(rows, row_orbits, &mut images, |k, rep, amp| {
+            self.op.generate_off_diag_block(rows, row_orbits, &mut walk, |k, rep, amp| {
                 let dest = locale_idx_of(rep, locales);
                 let Some(key) = key(rep) else {
                     missing_state(me, rep, self.basis.sector());

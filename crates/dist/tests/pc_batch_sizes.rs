@@ -7,6 +7,7 @@
 //! locale — and on more threads than a locale has rows.
 
 use ls_basis::{SectorSpec, SpinBasis, SymmetrizedOperator};
+use ls_dist::matvec::pc::PcEngine;
 use ls_dist::matvec::{matvec_naive, matvec_pc, PcOptions};
 use ls_dist::{enumerate_dist, DistSpinBasis};
 use ls_expr::builders::heisenberg;
@@ -148,4 +149,40 @@ fn a_part_shorter_than_its_thread_count() {
     // threads produce nothing and still drain, close and cross the barrier.
     let lens = matches_naive(6, ClusterSpec::new(4, 3));
     assert!(lens.contains(&0) && lens.contains(&1), "the case went away: {lens:?}");
+}
+
+#[test]
+fn an_engine_walks_several_tiles_of_a_symmetrized_part() {
+    // 18 sites under translations, reflection and the flip (|G| = 72),
+    // odd under both: characters ±1, so the walk checks stabilizers and
+    // looks up phases. The group walk resolves a tile of 3072 / |G| rows
+    // at a time; every thread of every locale runs several.
+    let n = 18usize;
+    let kernel = heisenberg(&chain_bonds(n), 1.0).to_kernel(n as u32).unwrap();
+    let group = chain_group(n, 0, Some(1), Some(1)).unwrap();
+    let tile_rows = 3072 / group.order();
+    let sector = SectorSpec::new(n as u32, Some(n as u32 / 2), group).unwrap();
+    let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
+    let (locales, cores) = (2, 2);
+    let cluster = Cluster::new(ClusterSpec::new(locales, cores));
+    let dist = enumerate_dist(&cluster, &sector, 2);
+    let lens = dist.states().lens();
+    assert!(lens.iter().all(|&len| len >= 2 * cores * tile_rows), "{lens:?}");
+    let parts = dist.states().parts().iter();
+    let x = DistVec::from_parts(
+        parts.map(|p| p.iter().map(|&s| ((s as f64) * 0.37).cos()).collect()).collect(),
+    );
+    let mut y_ref = DistVec::<f64>::zeros(&lens);
+    matvec_naive(&cluster, &op, &dist, &x, &mut y_ref);
+    // The engine's buffers are reused: the second product must agree too.
+    let engine = PcEngine::<f64>::new(locales, PcOptions::default());
+    for product in 0..2 {
+        let mut y = DistVec::<f64>::zeros(&lens);
+        engine.apply(&cluster, &op, &dist, &x, &mut y);
+        for l in 0..locales {
+            for (a, b) in y.part(l).iter().zip(y_ref.part(l)) {
+                assert!((a - b).abs() < 1e-11, "product {product}, part {l}: {a} vs {b}");
+            }
+        }
+    }
 }

@@ -10,10 +10,20 @@
 //! A permutation is represented in *destination-from-source* form:
 //! `source[i] = j` means output bit `i` takes the value of input bit `j`.
 
+use std::ops::{BitAnd, BitXor, Shl, Shr};
+
 /// Swaps the bit pairs `(i, i + delta)` of `x` for every `i` with
-/// `mask` bit `i` set. This is the classic delta-swap primitive.
+/// `mask` bit `i` set. This is the classic delta-swap primitive, on any
+/// unsigned word (a network whose masks fit a narrower word runs in it).
 #[inline]
-pub fn delta_swap(x: u64, mask: u64, delta: u32) -> u64 {
+pub fn delta_swap<W>(x: W, mask: W, delta: u32) -> W
+where
+    W: Copy
+        + BitAnd<Output = W>
+        + BitXor<Output = W>
+        + Shl<u32, Output = W>
+        + Shr<u32, Output = W>,
+{
     let t = ((x >> delta) ^ x) & mask;
     x ^ t ^ (t << delta)
 }

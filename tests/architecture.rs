@@ -98,6 +98,16 @@ fn simd_lives_only_where_a_workload_pays() {
     assert_none(&["crates/core/src/matvec.rs"], &replay);
 }
 
+/// An emission resolves in one place: the group walk's sweep, generic
+/// over its lane word, with no twin per word width and no unchecked
+/// access to make up for it.
+#[test]
+fn the_group_walk_is_one_loop() {
+    let resolves = hits(&["crates/basis/src"], &[&["fn ", "resolve"].concat()]);
+    assert_eq!(resolves.len(), 1, "{}", resolves.join("\n"));
+    assert_none(&["crates/basis/src"], &["unsafe"]);
+}
+
 /// One search structure: a searched sector ranks by the hash index over
 /// its sorted states, and the prefix buckets with their lockstep search
 /// are gone.
