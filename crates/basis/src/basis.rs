@@ -164,24 +164,15 @@ impl SpinBasis {
     /// non-member gets a wrong rank, caught in debug builds only — the
     /// same trust as [`Self::index_of_present`]'s callers', backed by
     /// [`crate::SymmetrizedOperator::new`] refusing an operator that
-    /// leaves the sector.
+    /// leaves the sector. A loop takes [`LinTables::ranker`] once instead.
     #[inline]
     pub fn rank_member(&self, rep: u64) -> usize {
         debug_assert!(self.index_of(rep).is_some(), "state {rep:#018x} missing from the basis");
         match (&self.lin, &self.binom) {
             (Some(lin), _) => lin.rank_member(rep) as usize,
             (None, Some(binom)) => binom.rank(rep) as usize,
-            (None, None) => self.search_member(rep),
+            (None, None) => self.index_of_present(rep),
         }
-    }
-
-    /// [`Self::rank_member`] on a searched basis, out of line: the row pass
-    /// that inlines `rank_member` into its loop runs on closed forms only,
-    /// and the probe loop inlined there costs it registers.
-    #[cold]
-    #[inline(never)]
-    fn search_member(&self, rep: u64) -> usize {
-        self.index_of_present(rep)
     }
 
     /// Ranking for hot loops where the state is guaranteed to be a member
@@ -227,6 +218,11 @@ impl SpinBasis {
     /// rank. `None` on multi-species sectors and on partial state lists.
     pub fn combinadic_table(&self) -> Option<&BinomialTable> {
         self.binom.as_ref()
+    }
+
+    /// The Lin tables, where the basis ranks by them.
+    pub fn lin_tables(&self) -> Option<&LinTables> {
+        self.lin.as_ref()
     }
 
     /// Memory estimate in bytes (states + orbit sizes + the ranking
@@ -391,8 +387,8 @@ mod tests {
         assert!(basis.ranks_in_closed_form());
         // Two species: no single combinadic table, Lin tables on both.
         assert!(basis.combinadic_table().is_none());
-        let masks: Vec<u64> = basis.lin.as_ref().unwrap().species().map(|(m, _)| m).collect();
-        assert_eq!(masks, [0x0f, 0xf0]);
+        let lin = basis.lin_tables().map(LinTables::ranker);
+        assert!(matches!(lin, Some(ls_kernels::combinadics::LinRanker::Two(_))));
         for (i, &s) in basis.states().iter().enumerate() {
             assert_eq!(basis.index_of(s), Some(i));
             assert_eq!(basis.index_of_present(s), i);

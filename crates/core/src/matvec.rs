@@ -9,9 +9,9 @@
 //!     row is generated by the trivial-group mask loop
 //!     ([`SymmetrizedOperator::pull_rows`]: the emissions, order and
 //!     amplitudes of [`SymmetrizedOperator::generate_off_diag_block`]),
-//!     each emission ranked by [`SpinBasis::rank_member`] (Lin tables, two
-//!     loads per species) and summed into a register, with nothing stored
-//!     in between — the on-the-fly product of the paper;
+//!     each emission ranked by a `LinView` taken once per chunk (two loads
+//!     per species from registers) and summed into a register, with nothing
+//!     stored in between — the on-the-fly product of the paper;
 //!   - *the generic pass* (everywhere else): rows in blocks, generation
 //!     through [`SymmetrizedOperator::apply_off_diag_block`] (on
 //!     symmetrized sectors the differential group walk,
@@ -55,6 +55,7 @@
 use ls_basis::{missing_state, OffDiagBlock, SpinBasis, SymmetrizedOperator};
 use ls_eigen::op::pairwise_sum;
 use ls_kernels::chunk;
+use ls_kernels::combinadics::{LinRanker, LinTables};
 use ls_kernels::search::NOT_FOUND;
 use ls_kernels::Scalar;
 use rayon::prelude::*;
@@ -434,8 +435,8 @@ fn batched_pull_sweep<S: Scalar>(
 /// form): each row is generated, ranked and summed where it is made, with
 /// nothing stored in between. Per row `j`, the sum starts from
 /// `diag[j]·x[j]` and takes `conj(amp)·x[rank(α ⊕ flip)]` per emission in
-/// channel order ([`SymmetrizedOperator::pull_rows`], ranked by
-/// [`SpinBasis::rank_member`]).
+/// channel order ([`SymmetrizedOperator::pull_rows`], ranked by the basis's
+/// Lin view, or [`SpinBasis::rank_member`] where a species is too wide).
 fn pull_rows<S: Scalar>(
     op: &SymmetrizedOperator<S>,
     basis: &SpinBasis,
@@ -448,7 +449,11 @@ fn pull_rows<S: Scalar>(
         *out = diag[k] * x[base + k];
     }
     let states = &basis.states()[base..base + yc.len()];
-    op.pull_rows(states, x, |rep| basis.rank_member(rep), yc);
+    match basis.lin_tables().map(LinTables::ranker) {
+        Some(LinRanker::One(v)) => op.pull_rows(states, x, |s| v.rank_member(s) as usize, yc),
+        Some(LinRanker::Two(v)) => op.pull_rows(states, x, |s| v.rank_member(s) as usize, yc),
+        None => op.pull_rows(states, x, |rep| basis.rank_member(rep), yc),
+    }
 }
 
 /// The generic pass: per block of rows, generate every emission (the

@@ -55,6 +55,7 @@
 use crate::basis::{missing_state, DistSpinBasis};
 use crate::matvec::{validate_shapes, AbftTally};
 use ls_basis::{SymmetrizedOperator, WalkScratch};
+use ls_kernels::combinadics::{LinRanker, LinTables};
 use ls_kernels::{locale_idx_of, Scalar};
 use ls_runtime::{collective, AtomicAccumWindow, Cluster, DistVec, LocaleCtx, PairChannel};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -305,10 +306,12 @@ impl<S: Scalar> Task<'_, S> {
 
     /// Generates the rows of this thread's contiguous share of the local
     /// basis part in blocks and routes every emission as it is generated,
-    /// keyed the way the basis says ([`DistSpinBasis::key_ranks`]).
+    /// keyed the way the basis says ([`DistSpinBasis::key_ranks`]): a
+    /// sector rank comes from the Lin view taken once, here.
     fn produce(&self, inbox: &mut Inbox<S>) {
-        match self.basis.key_ranks() {
-            Some(lin) => self.produce_keyed(inbox, |rep| lin.rank(rep)),
+        match self.basis.key_ranks().map(LinTables::ranker) {
+            Some(LinRanker::One(lin)) => self.produce_keyed(inbox, |rep| lin.rank(rep)),
+            Some(LinRanker::Two(lin)) => self.produce_keyed(inbox, |rep| lin.rank(rep)),
             None => self.produce_keyed(inbox, Some),
         }
     }
@@ -628,6 +631,25 @@ mod tests {
                 assert!((a - b).abs() < 1e-10);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "locale 0: generated state")]
+    fn a_state_outside_a_rank_keyed_sector_panics_as_missing() {
+        // A U(1) operator on the spinful-fermion basis of the same word:
+        // bond (3, 4) moves a particle between the species, so the
+        // producer's checked Lin rank meets a word with the right total
+        // and the wrong per-species counts.
+        let kernel = heisenberg(&chain_bonds(8), 1.0).to_kernel(8).unwrap();
+        let u1 = SectorSpec::with_weight(8, 4).unwrap();
+        let op = SymmetrizedOperator::<f64>::new(&kernel, &u1).unwrap();
+        let cluster = Cluster::new(ClusterSpec::new(1, 1));
+        let sector = SectorSpec::spinful_fermions(4, 2, 2).unwrap();
+        let basis = enumerate_dist(&cluster, &sector, 2);
+        assert!(basis.key_ranks().is_some(), "keys are sector ranks");
+        let x = DistVec::from_parts(vec![vec![1.0f64; basis.local_dim(0)]]);
+        let mut y = DistVec::<f64>::zeros(&basis.states().lens());
+        matvec_pc(&cluster, &op, &basis, &x, &mut y, PcOptions::default());
     }
 
     #[test]

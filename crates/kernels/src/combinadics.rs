@@ -158,15 +158,13 @@ impl Default for BinomialTable {
 }
 
 /// One fixed-weight species of a [`LinTables`] ranking: where its bits
-/// sit in the word and where its two half-tables sit in the flat table.
-#[derive(Clone, Copy, Debug, Default)]
+/// sit in the word, and its two half-tables.
+#[derive(Clone, Debug, Default)]
 struct LinSpecies {
     shift: u32,
     mask: u64, // of the species' bits once shifted down
-    lo_bits: u32,
-    lo_mask: u64,
-    lo_at: usize,
-    hi_at: usize,
+    lo: Vec<u64>,
+    hi: Vec<u64>,
     /// Product of the dimensions of the species below this one.
     stride: u64,
     weight: u32,
@@ -183,14 +181,62 @@ struct LinSpecies {
 /// one a member needs), so membership is one comparison per species.
 #[derive(Clone, Debug)]
 pub struct LinTables {
-    /// One species (a U(1) spin sector) or two (spinful fermions), held
-    /// inline: behind a `Vec` a ranking loop reloads every descriptor
-    /// after each store to its output (measured 2x per lookup).
+    /// One species (a U(1) spin sector) or two (spinful fermions).
     species: [LinSpecies; 2],
     n_species: usize,
-    table: Vec<u64>,
     /// Bits no species covers; set in no member.
     outside: u64,
+}
+
+/// [`LinTables`] by value for a loop, specialized to its `N` species: the
+/// descriptors stay in registers (through the tables, stores reload them).
+#[derive(Clone, Copy, Debug)]
+pub struct LinView<'a, const N: usize> {
+    /// Per species: its shift, its half-tables (`2^w` entries for `w` bits:
+    /// `len - 1` masks an index into range) and its stride.
+    species: [(u32, &'a [u64], &'a [u64], u64); N],
+    outside: u64,
+}
+
+/// A [`LinView`] of either species count: the dispatch a loop makes once.
+#[derive(Clone, Copy, Debug)]
+pub enum LinRanker<'a> {
+    One(LinView<'a, 1>),
+    Two(LinView<'a, 2>),
+}
+
+impl<const N: usize> LinView<'_, N> {
+    /// Lin's arithmetic, its one copy: the rank of `state`, and membership.
+    #[inline(always)]
+    fn rank_and_member(&self, state: u64) -> (u64, bool) {
+        let (mut rank, mut member) = (0u64, state & self.outside == 0);
+        for (i, &(shift, lo, hi, stride)) in self.species.iter().enumerate() {
+            // The lowest species sits at bit 0 and has stride 1.
+            let x = if i == 0 { state } else { state >> shift };
+            let lo_bits = lo.len().trailing_zeros();
+            let (lo, hi) =
+                (lo[x as usize & (lo.len() - 1)], hi[(x >> lo_bits) as usize & (hi.len() - 1)]);
+            member &= lo >> 32 == hi >> 32;
+            let r = lo as u32 as u64 + hi as u32 as u64;
+            rank += if i == 0 { r } else { r * stride };
+        }
+        (rank, member)
+    }
+
+    /// Position of `state` among the product's words in integer order; `None`
+    /// for a wrong per-species count or a bit outside every species.
+    #[inline]
+    pub fn rank(&self, state: u64) -> Option<u64> {
+        let (rank, member) = self.rank_and_member(state);
+        member.then_some(rank)
+    }
+
+    /// [`Self::rank`] of a known member: two table loads per species, no
+    /// membership test. A non-member gets a wrong rank, not an error.
+    #[inline]
+    pub fn rank_member(&self, state: u64) -> u64 {
+        self.rank_and_member(state).0
+    }
 }
 
 impl LinTables {
@@ -198,15 +244,11 @@ impl LinTables {
     /// unless the masks are contiguous, ascending, each 1 to 32 bits wide,
     /// and tile `0..n_bits` exactly.
     pub fn new(binom: &BinomialTable, n_bits: u32, species: &[(u64, u32)]) -> Option<Self> {
-        if species.len() > 2 {
+        if !(1..=2).contains(&species.len()) {
             return None;
         }
-        let mut out = Self {
-            species: Default::default(),
-            n_species: species.len(),
-            table: Vec::new(),
-            outside: 0,
-        };
+        let mut out =
+            Self { species: Default::default(), n_species: species.len(), outside: 0 };
         let (mut shift, mut stride) = (0u32, 1u64);
         for (slot, &(mask, weight)) in out.species.iter_mut().zip(species) {
             let width = mask.count_ones();
@@ -217,12 +259,9 @@ impl LinTables {
                 return None;
             }
             let lo_bits = width.div_ceil(2);
-            let lo_at = out.table.len();
-            out.table.extend(
-                (0..1u64 << lo_bits).map(|lo| (lo.count_ones() as u64) << 32 | binom.rank(lo)),
-            );
-            let hi_at = out.table.len();
-            out.table.extend((0..1u64 << (width - lo_bits)).map(|hi| {
+            let lo =
+                (0..1u64 << lo_bits).map(|lo| (lo.count_ones() as u64) << 32 | binom.rank(lo));
+            let hi = (0..1u64 << (width - lo_bits)).map(|hi| {
                 // The smallest species word with this high half keeps the
                 // rest of the weight in its lowest bits; a high half no
                 // member has asks for a weight no low half has.
@@ -232,17 +271,9 @@ impl LinTables {
                     }
                     _ => u64::MAX << 32,
                 }
-            }));
-            *slot = LinSpecies {
-                shift,
-                mask: mask >> shift,
-                lo_bits,
-                lo_mask: low_mask(lo_bits),
-                lo_at,
-                hi_at,
-                stride,
-                weight,
-            };
+            });
+            let (lo, hi) = (lo.collect(), hi.collect());
+            *slot = LinSpecies { shift, mask: mask >> shift, lo, hi, stride, weight };
             stride *= binom.choose(width, weight);
             shift += width;
         }
@@ -250,41 +281,36 @@ impl LinTables {
         (shift == n_bits).then_some(out)
     }
 
-    /// Position of `state` among the product's words in integer order;
-    /// `None` for a word with a wrong per-species count or a bit outside
-    /// every species.
+    /// The tables as a [`LinView`] of their species count.
     #[inline]
-    pub fn rank(&self, state: u64) -> Option<u64> {
-        let mut member = state & self.outside == 0;
-        let mut rank = 0u64;
-        for s in &self.species[..self.n_species] {
-            let x = (state >> s.shift) & s.mask;
-            let lo = self.table[s.lo_at + (x & s.lo_mask) as usize];
-            let hi = self.table[s.hi_at + (x >> s.lo_bits) as usize];
-            member &= lo >> 32 == hi >> 32;
-            rank += (lo as u32 as u64 + hi as u32 as u64) * s.stride;
+    pub fn ranker(&self) -> LinRanker<'_> {
+        let view = |s: usize| {
+            let s = &self.species[s];
+            (s.shift, &s.lo[..], &s.hi[..], s.stride)
+        };
+        let outside = self.outside;
+        match self.n_species {
+            1 => LinRanker::One(LinView { species: [view(0)], outside }),
+            _ => LinRanker::Two(LinView { species: [view(0), view(1)], outside }),
         }
-        member.then_some(rank)
     }
 
-    /// [`Self::rank`] of a word known to be a member: two table loads per
-    /// species and no membership test. A non-member gets a wrong rank, not
-    /// an error.
+    /// [`LinView::rank`], dispatched per call.
+    #[inline]
+    pub fn rank(&self, state: u64) -> Option<u64> {
+        match self.ranker() {
+            LinRanker::One(lin) => lin.rank(state),
+            LinRanker::Two(lin) => lin.rank(state),
+        }
+    }
+
+    /// [`LinView::rank_member`], dispatched per call.
     #[inline]
     pub fn rank_member(&self, state: u64) -> u64 {
-        // The species unrolled by hand: a loop over `species[..n_species]`
-        // costs the engine's row pass ~10 % of a U(1) product.
-        let rank = |s: &LinSpecies| {
-            let x = (state >> s.shift) & s.mask;
-            let lo = self.table[s.lo_at + (x & s.lo_mask) as usize];
-            let hi = self.table[s.hi_at + (x >> s.lo_bits) as usize];
-            lo as u32 as u64 + hi as u32 as u64
-        };
-        let low = rank(&self.species[0]);
-        if self.n_species == 1 {
-            return low;
+        match self.ranker() {
+            LinRanker::One(lin) => lin.rank_member(state),
+            LinRanker::Two(lin) => lin.rank_member(state),
         }
-        low + rank(&self.species[1]) * self.species[1].stride
     }
 
     /// Inverse of [`Self::rank`]: the member with product rank `rank`, or
@@ -305,15 +331,9 @@ impl LinTables {
         Some(state)
     }
 
-    /// Per species, lowest bits first: its bits in place and its stride
-    /// in the mixed-radix rank.
-    pub fn species(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.species[..self.n_species].iter().map(|s| (s.mask << s.shift, s.stride))
-    }
-
     /// Memory used by the tables in bytes.
     pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of_val(&self.table[..])
+        self.species.iter().map(|s| 8 * (s.lo.len() + s.hi.len())).sum()
     }
 }
 
@@ -396,25 +416,43 @@ mod tests {
         }
     }
 
+    /// The `(mask, weight)` species of `layout` = `(width, weight)` pairs,
+    /// lowest bits first, their Lin tables and their product's words in
+    /// integer order.
+    fn sorted_product(layout: &[(u32, u32)]) -> (Vec<(u64, u32)>, LinTables, Vec<u64>) {
+        let mut species = Vec::new();
+        let mut words = vec![0u64];
+        let mut shift = 0;
+        for &(width, weight) in layout {
+            species.push((low_mask(width) << shift, weight));
+            words = FixedWeightRange::all(width, weight)
+                .flat_map(|x| words.iter().map(move |&w| x << shift | w))
+                .collect();
+            shift += width;
+        }
+        words.sort_unstable();
+        let lin = LinTables::new(&BinomialTable::new(), shift, &species).unwrap();
+        (species, lin, words)
+    }
+
+    /// The view's species count, and its checked and unchecked rank of `p`.
+    fn view_ranks(lin: &LinTables, p: u64) -> (usize, Option<u64>, u64) {
+        match lin.ranker() {
+            LinRanker::One(view) => (1, view.rank(p), view.rank_member(p)),
+            LinRanker::Two(view) => (2, view.rank(p), view.rank_member(p)),
+        }
+    }
+
+    /// One species (odd width, so the halves differ) and two, one of them
+    /// with a single configuration.
+    const LAYOUTS: [&[(u32, u32)]; 3] = [&[(9, 4)], &[(5, 2), (5, 3)], &[(3, 1), (4, 4)]];
+
     #[test]
     fn lin_tables_rank_the_sorted_product() {
-        let t = BinomialTable::new();
-        // One species (odd width, so the halves differ) and two, one of
-        // them with a single configuration.
-        for layout in [vec![(9u32, 4u32)], vec![(5, 2), (5, 3)], vec![(3, 1), (4, 4)]] {
-            let mut species = Vec::new();
-            let mut words = vec![0u64];
-            let mut shift = 0;
-            for &(width, weight) in &layout {
-                species.push((low_mask(width) << shift, weight));
-                words = FixedWeightRange::all(width, weight)
-                    .flat_map(|x| words.iter().map(move |&w| x << shift | w))
-                    .collect();
-                shift += width;
-            }
-            words.sort_unstable();
-            let lin = LinTables::new(&t, shift, &species).unwrap();
-            for p in (0..2u64 << shift).chain([u64::MAX]) {
+        for layout in LAYOUTS {
+            let (species, lin, words) = sorted_product(layout);
+            let n_bits = species.iter().map(|&(m, _)| m.count_ones()).sum::<u32>();
+            for p in (0..2u64 << n_bits).chain([u64::MAX]) {
                 let expect = words.binary_search(&p).ok().map(|i| i as u64);
                 assert_eq!(lin.rank(p), expect, "{layout:?} {p:#b}");
             }
@@ -424,6 +462,53 @@ mod tests {
             }
             assert_eq!(lin.unrank(words.len() as u64), None, "{layout:?}");
         }
+    }
+
+    /// Every member of every layout, a 32-bit-wide species and two of them
+    /// filling the word (`spinful_fermions(32, 1, 1)`): the view's checked
+    /// and unchecked rank are the tables' and the sorted position.
+    #[test]
+    fn the_view_ranks_every_member_at_its_sorted_position() {
+        let wide: [&[(u32, u32)]; 2] = [&[(32, 2)], &[(32, 1), (32, 1)]];
+        for layout in LAYOUTS.into_iter().chain(wide) {
+            let (_, lin, words) = sorted_product(layout);
+            for (i, &w) in words.iter().enumerate() {
+                let (n, checked, unchecked) = view_ranks(&lin, w);
+                assert_eq!(n, layout.len(), "{layout:?}");
+                assert_eq!(
+                    (checked, unchecked),
+                    (Some(i as u64), i as u64),
+                    "{layout:?} {w:#b}"
+                );
+                assert_eq!(checked, lin.rank(w), "{layout:?} {w:#b}");
+                assert_eq!(unchecked, lin.rank_member(w), "{layout:?} {w:#b}");
+            }
+        }
+    }
+
+    /// The checked view refuses a word with the right total weight in the
+    /// wrong species, and a member with a bit above every species.
+    #[test]
+    fn the_view_refuses_non_members() {
+        let (species, lin, words) = sorted_product(&[(5, 2), (5, 3)]);
+        let (low, high) = (species[0].0, species[1].0);
+        // Three in the low species, two in the high one: weight 5 either way.
+        let swapped = 0b111 | 0b11 << 5;
+        assert_eq!((swapped & low).count_ones() + (swapped & high).count_ones(), 5);
+        assert_eq!(view_ranks(&lin, swapped).1, None);
+        for &w in &words {
+            assert_eq!(view_ranks(&lin, w ^ 1).1, None, "{w:#b} one bit off");
+            assert_eq!(view_ranks(&lin, w | 1 << 10).1, None, "{w:#b} with bit 10");
+            assert_eq!(view_ranks(&lin, w | 1 << 63).1, None, "{w:#b} with bit 63");
+        }
+        let (_, one, words) = sorted_product(&[(32, 2)]);
+        for &w in &words {
+            assert_eq!(view_ranks(&one, w | 1 << 32).1, None, "{w:#b} with bit 32");
+        }
+        // A word that fills the low species but not the high one.
+        let (_, full, _) = sorted_product(&[(32, 1), (32, 1)]);
+        assert_eq!(view_ranks(&full, 0b11).1, None);
+        assert_eq!(view_ranks(&full, 1 << 32 | 1 << 33).1, None);
     }
 
     #[test]

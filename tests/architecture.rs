@@ -199,6 +199,41 @@ fn the_producer_routes_in_place_and_the_owner_copies_nothing() {
     assert_none(&["crates/dist/src/matvec.rs"], &[&["need", "les"].concat()]);
 }
 
+/// Each line of `dirs` that holds one of `needles`, as the signature line of
+/// the function around it (`path:line: fn …`).
+fn enclosing_fns(dirs: &[&str], needles: &[String]) -> Vec<String> {
+    let mut out = Vec::new();
+    for path in files(dirs) {
+        let Ok(text) = std::fs::read_to_string(&path) else { continue };
+        let mut current = String::from("outside any function");
+        for (i, line) in text.lines().enumerate() {
+            if line.trim_start().starts_with("fn ") || line.contains(" fn ") {
+                current = format!("{}:{}: {}", path.display(), i + 1, line.trim());
+            }
+            if needles.iter().any(|n| line.contains(n.as_str())) {
+                out.push(current.clone());
+            }
+        }
+    }
+    out.sort();
+    out.dedup();
+    out
+}
+
+/// Lin's table arithmetic has one body (`LinView::rank_and_member`), and
+/// one function hands it the half-tables it reads: the engine's
+/// row pass, `LinTables::rank`, the batch ranking and the distributed keys
+/// all rank through them, so a faster copy beside them cannot drift.
+#[test]
+fn lin_ranking_is_one_body() {
+    let offsets = vec![[".lo", "["].concat(), [".hi", "["].concat()];
+    let reads = vec![[".len() ", "- 1)]"].concat()];
+    for needles in [offsets, reads] {
+        let fns = enclosing_fns(&["crates/kernels/src"], &needles);
+        assert_eq!(fns.len(), 1, "{needles:?} in {} functions:\n{}", fns.len(), fns.join("\n"));
+    }
+}
+
 /// Every build run from the repository targets an x86-64-v2 CPU
 /// (hardware `popcnt`, SSE4.2) and no more: wider units are detected at
 /// run time (`ls_kernels::simd::level`), so one binary serves every such

@@ -147,6 +147,19 @@ fn fused_pass_spans_the_product_layout() {
     }
 }
 
+/// Hubbard rings whose species differ, through the closed-form row pass:
+/// an unbalanced filling, and an empty upper species (weight 0: one
+/// configuration, a rank that never moves).
+#[test]
+fn row_pass_ranks_unequal_species() {
+    for (n, up, down) in [(9, 6, 2), (8, 3, 0)] {
+        let ring = hubbard_1d(n as usize, 1.0, 4.0, true);
+        let sector = SectorSpec::spinful_fermions(n, up, down).unwrap();
+        check_engine::<f64>(&ring, sector.clone(), true, u64::from(n + up)).unwrap();
+        check_engine::<Complex64>(&ring, sector, true, u64::from(n + down)).unwrap();
+    }
+}
+
 /// Spinless fermions on a ring: one species whose closure bond carries a
 /// Jordan-Wigner string.
 #[test]
