@@ -81,16 +81,6 @@ pub fn matvec_alltoall<S: Scalar>(
     }
 }
 
-/// Peak number of buffered `(state, coefficient)` pairs per locale for a
-/// given basis — the baseline's memory overhead (reported in the
-/// experiment harness).
-pub fn peak_buffered_pairs<S: Scalar>(
-    op: &SymmetrizedOperator<S>,
-    basis: &DistSpinBasis,
-) -> Vec<usize> {
-    (0..basis.n_locales()).map(|l| basis.local_dim(l) * (op.max_row_entries() + 1)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,15 +143,5 @@ mod tests {
         // accumulate (1/locale) + allreduce-free = 4 per locale.
         assert_eq!(s.barriers, 4 * 3);
         assert!(s.puts > 0);
-    }
-
-    #[test]
-    fn memory_estimate_reported() {
-        let (_, op, basis, _) = setup(10, 2);
-        let peaks = peak_buffered_pairs(&op, &basis);
-        assert_eq!(peaks.len(), 2);
-        for (l, &p) in peaks.iter().enumerate() {
-            assert!(p >= basis.local_dim(l));
-        }
     }
 }

@@ -73,7 +73,7 @@ impl SpinBasis {
         Self::build_with_chunks(sector, chunks)
     }
 
-    /// Builds with an explicit chunk count (useful for tests and benches).
+    /// Builds with an explicit chunk count.
     pub fn build_with_chunks(sector: SectorSpec, chunks: usize) -> Self {
         let chunk = enumerate::enumerate_par(&sector, chunks);
         Self::from_parts(sector, chunk.states, chunk.orbit_sizes)

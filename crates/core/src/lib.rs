@@ -35,7 +35,6 @@
 //! | simulated PGAS runtime | `ls-runtime` |
 //! | distributed algorithms (paper §5) | `ls-dist` |
 //! | SPINPACK-style baseline | `ls-baseline` |
-//! | paper-scale performance model | `ls-perfmodel` |
 
 pub mod eigen;
 pub mod io;

@@ -1,6 +1,6 @@
 //! Shared-memory matrix-vector products: one parallel engine and one
 //! serial oracle (see [`MatvecStrategy`]; the repo benchmark's
-//! `core.matvec_*` metrics and `benches/ablation.rs` time them).
+//! `core.matvec_*` metrics time them).
 //!
 //! * **batched pull** (the engine, default) — gather form, two passes
 //!   behind one sweep:

@@ -61,7 +61,7 @@ impl<S: Scalar> Operator<S> {
     }
 
     /// Selects the product `apply` runs — the oracle hook: tests and
-    /// benches pick [`MatvecStrategy::Serial`] to get the reference.
+    /// the benchmark pick [`MatvecStrategy::Serial`] to get the reference.
     /// Nothing needs selecting to get a correct product (see
     /// [`Self::strategy`]).
     pub fn with_strategy(mut self, strategy: MatvecStrategy) -> Self {

@@ -96,7 +96,7 @@ impl BenesNetwork {
 }
 
 /// Applies a destination-from-source permutation naively, bit by bit.
-/// Used as the correctness oracle and the ablation baseline.
+/// Used as the correctness oracle.
 #[inline]
 pub fn apply_perm_naive(source: &[usize], x: u64) -> u64 {
     let mut res = 0u64;

@@ -9,9 +9,9 @@
 //! what the binary search returns. It is the only search ranking: sectors
 //! with a closed form (`crate::combinadics`) need no index — shared-memory
 //! bases rank by it outright, and a part of a distributed basis selects
-//! its position from that rank (`ls-dist`'s `basis` module) — and
-//! `benches/ablation.rs` times the index against the closed forms and
-//! against the select on a distributed part.
+//! its position from that rank (`ls-dist`'s `basis` module). The repo
+//! benchmark's `basis.rank_ns_per_lookup` times whichever ranking a
+//! workload's sector gets.
 //!
 //! The slot is picked by a Fibonacci multiply-shift, independent of the
 //! low bits of [`crate::hash64_01`] that pick a state's owner: a locale's

@@ -20,8 +20,8 @@
 //! *Simulated*: the wire. All "remote" transfers are memcpys between
 //! address ranges owned by different threads of one process. Every
 //! operation is counted in [`stats::CommStats`] (operation counts, bytes,
-//! message-size histogram), and `ls-perfmodel` converts those exact counts
-//! into projected wall-clock times for a real interconnect.
+//! message-size histogram); the repo benchmark reports those exact counts
+//! per product (its `runtime.*` metrics).
 //!
 //! The memory-safety discipline follows MPI RMA epochs: windows borrow the
 //! distributed vector (`&mut` for write windows), so Rust's borrow checker

@@ -7,8 +7,8 @@
 //!
 //! Re-exports the full public API; see [`ls_core`] for the main entry
 //! points and the repository `README.md` / `docs/ARCHITECTURE.md` for the
-//! architecture. Runnable examples live in `examples/`, the experiment
-//! harness in `crates/bench`.
+//! architecture. Runnable examples live in `examples/`; `benchmark/` times
+//! a solve end to end and layer by layer.
 
 pub use ls_baseline as baseline;
 pub use ls_basis as basis;
@@ -18,6 +18,5 @@ pub use ls_dist as dist;
 pub use ls_eigen as eigen;
 pub use ls_expr as expr;
 pub use ls_kernels as kernels;
-pub use ls_perfmodel as perfmodel;
 pub use ls_runtime as runtime;
 pub use ls_symmetry as symmetry;

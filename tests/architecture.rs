@@ -235,9 +235,9 @@ fn lin_ranking_is_one_body() {
 }
 
 /// Every build run from the repository targets an x86-64-v2 CPU
-/// (hardware `popcnt`, SSE4.2) and no more: wider units are detected at
-/// run time (`ls_kernels::simd::level`), so one binary serves every such
-/// host.
+/// (hardware `popcnt`, SSE4.2) and no more, so one binary serves every
+/// such host. No kernel dispatches on a wider unit at run time either:
+/// `ls_kernels::simd::level` is a host fingerprint only.
 #[test]
 fn the_cpu_baseline_is_x86_64_v2() {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(".cargo/config.toml");
@@ -246,4 +246,25 @@ fn the_cpu_baseline_is_x86_64_v2() {
     let at = lines.iter().position(|l| *l == r#"[target.'cfg(target_arch = "x86_64")']"#);
     let at = at.expect("an x86_64 target section");
     assert_eq!(lines.get(at + 1), Some(&r#"rustflags = ["-C", "target-cpu=x86-64-v2"]"#));
+}
+
+/// Timing lives in one place, the repo benchmark (`benchmark/`, its own
+/// workspace): no manifest of the main workspace names a bench harness or
+/// the performance-model crate, and no crate keeps a `benches/` directory.
+#[test]
+fn one_timing_system() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut manifests = vec![root.join("Cargo.toml")];
+    manifests
+        .extend(files(&["crates", "compat"]).into_iter().filter(|p| p.ends_with("Cargo.toml")));
+    for path in &manifests {
+        let text = std::fs::read_to_string(path).unwrap();
+        for needle in ["criterion", "ls-perfmodel", "[[bench]]"] {
+            assert!(!text.contains(needle), "{} names {needle}", path.display());
+        }
+    }
+    for krate in std::fs::read_dir(root.join("crates")).unwrap() {
+        let benches = krate.unwrap().path().join("benches");
+        assert!(!benches.exists(), "{} exists", benches.display());
+    }
 }
