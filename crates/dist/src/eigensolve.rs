@@ -32,7 +32,6 @@ use ls_eigen::{
 };
 use ls_kernels::Scalar;
 use ls_runtime::{collective, Cluster, DistVec};
-use std::sync::RwLock;
 
 /// Options for [`dist_lanczos_smallest`].
 #[derive(Clone, Debug, Default)]
@@ -70,13 +69,7 @@ pub struct DistOp<'a, S: Scalar> {
     cluster: &'a Cluster,
     op: &'a SymmetrizedOperator<S>,
     basis: &'a DistSpinBasis,
-    /// Behind a lock only for [`KrylovOp::recover`]: transport-level
-    /// corruption recovery drops every registered channel, so the engine
-    /// (whose channel grid is registered with the transport) must be
-    /// rebuilt through `&self`. Applies take the read lock — uncontended
-    /// in a healthy solve, since products never overlap.
-    engine: RwLock<PcEngine<S>>,
-    pc: PcOptions,
+    engine: PcEngine<S>,
     lens: Vec<usize>,
 }
 
@@ -91,8 +84,7 @@ impl<'a, S: Scalar> DistOp<'a, S> {
             cluster,
             op,
             basis,
-            engine: RwLock::new(PcEngine::new(cluster.n_locales(), pc)),
-            pc,
+            engine: PcEngine::new(cluster.n_locales(), pc),
             lens: basis.states().lens(),
         }
     }
@@ -115,17 +107,15 @@ impl<S: Scalar> KrylovOp<DistVec<S>> for DistOp<'_, S> {
     }
 
     fn apply(&self, x: &DistVec<S>, y: &mut DistVec<S>) {
-        let engine = self.engine.read().unwrap_or_else(|e| e.into_inner());
-        engine.apply(self.cluster, self.op, self.basis, x, y);
+        self.engine.apply(self.cluster, self.op, self.basis, x, y);
     }
 
     /// The trait's default — the product, then the locale-ordered
     /// [`KrylovVec::dot`] — with the `LS_FAULT` `nan` probe in between:
     /// one tick per call, and when it fires this rank's share of
-    /// `⟨x, y⟩` is poisoned through `y`, after the product's checksum
+    /// `⟨x, y⟩` is NaN'd through `y`, after the product's checksum
     /// verification and before the reduction. Every rank then reads the
-    /// same NaN `α`, fails the same health check and rolls back in
-    /// lockstep.
+    /// same NaN `α` and fails the same health check.
     fn apply_dot(&self, x: &DistVec<S>, y: &mut DistVec<S>) -> S {
         self.apply(x, y);
         if collective::nan_fault_fires() {
@@ -138,22 +128,6 @@ impl<S: Scalar> KrylovOp<DistVec<S>> for DistOp<'_, S> {
 
     fn is_hermitian(&self) -> bool {
         self.op.is_hermitian()
-    }
-
-    /// Post-corruption recovery, called by the rollback driver on every
-    /// rank before it replays from a checkpoint. Order is load-bearing:
-    /// the transport's collective recovery first (it drains the poisoned
-    /// epoch and *drops every registered channel*, including this
-    /// engine's grid), then a fresh engine — rebuilt on all ranks in
-    /// lockstep, so the new grid's channel ids agree job-wide. A no-op
-    /// apart from the rebuild when nothing is poisoned (in-process
-    /// backends reach here after an ABFT unwind: the old engine was
-    /// already re-armed, but a rebuild is cheap and unconditional paths
-    /// are easier to trust).
-    fn recover(&self) {
-        collective::recover();
-        let mut engine = self.engine.write().unwrap_or_else(|e| e.into_inner());
-        *engine = PcEngine::new(self.cluster.n_locales(), self.pc);
     }
 }
 

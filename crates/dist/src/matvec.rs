@@ -60,9 +60,9 @@ const ABFT_REL_TOL: f64 = 1e-10;
 /// the tallies. A mismatch means contributions were lost, duplicated or
 /// altered *between generation and accumulation* — endpoint corruption
 /// the wire CRCs cannot see, because the bytes in flight were exactly
-/// the (already wrong) bytes handed to the transport. Violations funnel
-/// into the same poison → unwind → rollback pipeline as a frame CRC
-/// failure.
+/// the (already wrong) bytes handed to the transport. A violation is
+/// fail-stop like a frame CRC failure
+/// ([`ls_runtime::collective::raise_corruption`]).
 ///
 /// [`merge`]: AbftTally::merge
 /// [`verify`]: AbftTally::verify

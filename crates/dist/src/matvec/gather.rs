@@ -12,11 +12,10 @@
 //!   end: under the multiprocess transport every product opens a
 //!   [`RmaReadWindow`], whose parts arrive in one collective exchange —
 //!   CRC-sealed frames under `LS_INTEGRITY`. A `flip-bit` fault on
-//!   collective frames therefore lands inside a product mid-solve —
-//!   detection, poison and rollback all happen inside an ordinary
-//!   Lanczos iteration, which is exactly what the chaos tests need (the
-//!   producer/consumer engine never opens a window, so this path is
-//!   otherwise dark in a solve).
+//!   collective frames therefore lands inside a product mid-solve, and
+//!   is detected inside an ordinary Lanczos iteration, which is exactly
+//!   what the chaos tests need (the producer/consumer engine never opens
+//!   a window, so this path is otherwise dark in a solve).
 //!
 //! The pull formulation generates matrix elements from the *row* side:
 //! for an own state `α_i`, [`SymmetrizedOperator::apply_off_diag`]
@@ -30,7 +29,7 @@ use crate::matvec::validate_shapes;
 use ls_basis::SymmetrizedOperator;
 use ls_eigen::KrylovOp;
 use ls_kernels::Scalar;
-use ls_runtime::{collective, Cluster, DistVec, RmaReadWindow};
+use ls_runtime::{Cluster, DistVec, RmaReadWindow};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// `y = H x` by full replication: each locale gathers every part of `x`
@@ -152,13 +151,6 @@ impl<S: Scalar> KrylovOp<DistVec<S>> for GatherOp<'_, S> {
 
     fn is_hermitian(&self) -> bool {
         self.op.is_hermitian()
-    }
-
-    /// The gather op holds no per-product channel state, so recovery is
-    /// purely the transport's: drain the poisoned epoch and re-enter a
-    /// clean one before the solver replays from its checkpoint.
-    fn recover(&self) {
-        collective::recover();
     }
 }
 

@@ -234,18 +234,10 @@ impl<S: Scalar> PcEngine<S> {
             }
         });
         drop(win);
-        // A corruption detected during this product (poison may land at
-        // any point) leaves the channel grid in an arbitrary mid-product
-        // state: re-arming would trip the reset invariants with a plain
-        // (unrecoverable) panic, and the ABFT sums are garbage anyway.
-        // Surface the corruption for rollback instead — recovery
-        // rebuilds the engine wholesale, fresh grid included (so this
-        // one may stay marked in use).
-        collective::raise_if_poisoned();
         // Re-arm the channels for the next product (buffer reuse) and
         // release the engine *before* the checksum verification: if it
         // unwinds, the engine is already back in a reusable state for
-        // the retry after rollback.
+        // the caller's resume.
         for ch in &self.channels {
             ch.reset();
         }
@@ -421,20 +413,13 @@ impl<S: Scalar> Task<'_, S> {
             } else {
                 // A peer that stopped feeding or draining us would leave
                 // this loop spinning forever, so surface the cause.
-                // Three distinct failures hide behind the one call,
-                // with different exits: a task of this process that
+                // Two distinct failures hide behind the one call, with
+                // different exits: a task of this process that
                 // *panicked* (its channels never close, its buffers are
                 // never freed) takes its siblings down with it and the
                 // product re-raises what it threw; a *dead* peer is
-                // fail-stop (`TransportError::PeerFailed`, job aborts,
-                // the supervisor relaunches), while a *poisoned* epoch —
-                // frame CRC, segment checksum or ABFT — unwinds as a
-                // catchable `TransportError::Corruption` so the solver
-                // rolls the product back (a stash dies with the unwind,
-                // as it should). Integrity outranks liveness in the
-                // check, so a peer that detects corruption and unwinds
-                // (going quiet mid-product) is attributed as corruption,
-                // not as a crash.
+                // fail-stop (`TransportError::PeerFailed`, exit 114, and
+                // the supervisor relaunches the job).
                 self.ctx.poll_failure();
                 std::thread::yield_now();
             }

@@ -12,13 +12,12 @@
 //! per restart cycle (plus a per-iteration finiteness check that is a
 //! handful of flops next to a matrix-vector product).
 //!
-//! A violation surfaces as a typed [`SolverHealthError`] thrown with
-//! [`std::panic::panic_any`] — the same unwind channel the multiprocess
-//! transport uses for [`ls_runtime::TransportError::Corruption`] — so the
-//! thick-restart driver ([`crate::restart`]) catches both with one
-//! `catch_unwind`, rolls the solve back to its newest valid checkpoint,
-//! and only re-raises once `LS_MAX_ROLLBACKS` is exhausted (at which
-//! point the process-level supervisor takes over).
+//! A violation is fail-stop, like every detected corruption: in process
+//! it unwinds out of the solve as a typed [`SolverHealthError`] (thrown
+//! with [`std::panic::panic_any`], as the ABFT tally throws
+//! [`ls_runtime::TransportError::Corruption`]), and the caller resumes
+//! from its checkpoint; a multiprocess job aborts with exit 115 and the
+//! supervisor relaunches it from the newest checkpoint.
 //!
 //! The orthogonality sweep is the only check that costs real work
 //! (`O(l²·dim)` on the `l ≤ k + extra` retained vectors, once per cycle,
@@ -30,28 +29,10 @@ use crate::vector::KrylovVec;
 use ls_kernels::Scalar;
 use ls_runtime::IntegrityMode;
 use std::fmt;
-
-/// Environment knob bounding how many times a solve may roll back to a
-/// checkpoint before re-raising the failure to the supervisor.
-pub const ENV_MAX_ROLLBACKS: &str = "LS_MAX_ROLLBACKS";
-
-/// Default rollback budget when [`ENV_MAX_ROLLBACKS`] is unset.
-pub const DEFAULT_MAX_ROLLBACKS: usize = 3;
-
-/// Reads the rollback budget from the environment (fresh each call, so
-/// tests and long-lived drivers can adjust it between solves).
-///
-/// # Panics
-/// Panics on an unparsable value — a typo'd budget silently defaulting
-/// would change recovery behaviour without warning.
-pub fn max_rollbacks_from_env() -> usize {
-    ls_runtime::env_count(ENV_MAX_ROLLBACKS, Some(DEFAULT_MAX_ROLLBACKS as u64))
-        .unwrap_or_else(|e| panic!("{e}")) as usize
-}
+use std::io::Write;
 
 /// A violated Lanczos invariant: the typed payload the health monitor
-/// throws (via [`std::panic::panic_any`]) and the rollback driver in
-/// [`crate::restart`] catches.
+/// throws (via [`std::panic::panic_any`]) out of the solve.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SolverHealthError {
     /// Completed restart cycles at the time of detection (0 during the
@@ -76,12 +57,15 @@ impl fmt::Display for SolverHealthError {
 
 impl std::error::Error for SolverHealthError {}
 
-/// Throws `err` down the unwind channel the rollback driver listens on.
-/// `panic_any` keeps the payload typed: `catch_unwind` downcasts it back
-/// to [`SolverHealthError`] instead of string-matching a message.
+/// Reports `err` and ends the solve on it through
+/// [`ls_runtime::collective::give_up`]: a multiprocess job aborts with
+/// exit 115, and in process `err` unwinds typed — `catch_unwind`
+/// downcasts it back to [`SolverHealthError`] instead of string-matching
+/// a message.
 pub fn raise(err: SolverHealthError) -> ! {
-    eprintln!("ls-eigen: {err}");
-    std::panic::panic_any(err)
+    // One write: every rank of a job may report the same violation.
+    let _ = std::io::stderr().write_all(format!("ls-eigen: {err}\n").as_bytes());
+    ls_runtime::collective::give_up(err)
 }
 
 /// Per-cycle invariant checks over the Lanczos recurrence.
@@ -282,15 +266,5 @@ mod tests {
         let e = SolverHealthError { cycle: 7, check: "beta", detail: "is NaN".into() };
         let s = e.to_string();
         assert!(s.contains("cycle 7") && s.contains("beta"), "{s}");
-    }
-
-    #[test]
-    fn rollback_budget_parses_and_defaults() {
-        // Serial with respect to other env tests: unique var name.
-        std::env::remove_var(ENV_MAX_ROLLBACKS);
-        assert_eq!(max_rollbacks_from_env(), DEFAULT_MAX_ROLLBACKS);
-        std::env::set_var(ENV_MAX_ROLLBACKS, "7");
-        assert_eq!(max_rollbacks_from_env(), 7);
-        std::env::remove_var(ENV_MAX_ROLLBACKS);
     }
 }

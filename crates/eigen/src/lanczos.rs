@@ -92,8 +92,8 @@ pub struct LanczosResultIn<V> {
     /// Ritz vectors (if requested), aligned with `eigenvalues`.
     pub eigenvectors: Option<Vec<V>>,
     /// Matrix-vector products performed by this call: the Krylov
-    /// dimension of a single-cycle solve, the sum over cycles (including
-    /// any replayed after a rollback) of a restarted one.
+    /// dimension of a single-cycle solve, the sum over cycles of a
+    /// restarted one.
     pub iterations: usize,
     /// Final Ritz residual estimates `|β·y_i[m-1]|` per returned
     /// eigenvalue. A solve that wants no Ritz vectors stops on the gap
@@ -110,12 +110,6 @@ pub struct LanczosResultIn<V> {
     /// memory footprint in units of one state vector: the longest
     /// cycle's chain + 1.
     pub peak_retained: usize,
-    /// Rollbacks performed by the silent-error defense
-    /// ([`crate::health`]): cycles that detected corruption (transport
-    /// CRC/ABFT or a solver health violation) and were replayed from the
-    /// newest valid checkpoint, or from the start when none exists yet —
-    /// on every plan, single-cycle ones included. 0 on a clean run.
-    pub rollbacks: u64,
 }
 
 /// Result of a shared-memory (slice-backed) Lanczos run.

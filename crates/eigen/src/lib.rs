@@ -50,12 +50,11 @@
 //!   corrupt or mismatched files;
 //! * [`health`] — the solver layer of the silent-error defense:
 //!   [`HealthMonitor`] checks Lanczos invariants (finite coefficients,
-//!   `β ≥ 0`, retained-basis orthonormality, sane residuals) each cycle,
-//!   and the recurrence catches the typed
-//!   [`SolverHealthError`] (or a transport
-//!   [`ls_runtime::TransportError::Corruption`]) and rolls back to the
-//!   newest valid checkpoint (or to its start), bounded by
-//!   `LS_MAX_ROLLBACKS`;
+//!   `β ≥ 0`, retained-basis orthonormality, sane residuals) each cycle.
+//!   A violation ends the solve, fail-stop like every detected
+//!   corruption: the typed [`SolverHealthError`] unwinds in process, a
+//!   multiprocess job exits 115, and the caller or the supervisor
+//!   resumes from the newest checkpoint;
 //! * [`tridiag::tridiag_eigh`] — implicit-shift QL for the projected
 //!   tridiagonal problem (no LAPACK available offline, so this is a
 //!   from-scratch implementation);

@@ -1,5 +1,5 @@
 //! The Lanczos eigen-recurrence — one loop, two plans — with thick
-//! restarts, checkpoint/restart and rollback.
+//! restarts and checkpoint/restart.
 //!
 //! Keeping every Krylov vector makes a long solve on a large sector
 //! memory-bound by the *solver* (`m · dim` scalars), not the matrix —
@@ -90,7 +90,7 @@
 use crate::checkpoint::{
     load_latest_checkpoint, save_checkpoint, save_checkpoint_rotated, CheckpointState,
 };
-use crate::health::{max_rollbacks_from_env, raise, HealthMonitor, SolverHealthError};
+use crate::health::{raise, HealthMonitor};
 use crate::jacobi::eigh_real;
 use crate::lanczos::{cgs2_beta, random_fill, LanczosResult, LanczosResultIn};
 use crate::tridiag::{tridiag_eigh, tridiag_eigh_last};
@@ -412,6 +412,14 @@ pub fn thick_restart_lanczos<S: Scalar, Op: LinearOp<S> + ?Sized>(
 /// reports itself non-Hermitian, or resuming from a corrupt/mismatched
 /// checkpoint (the typed [`crate::record::FileError`] is in
 /// the panic message).
+///
+/// A detected corruption ends the solve with a typed payload instead: a
+/// [`crate::SolverHealthError`] from the health checks, or a
+/// [`ls_runtime::TransportError::Corruption`] from the operator (the
+/// distributed product's checksum tally). Nothing is retried inside;
+/// call again with the same checkpoint policy to resume from the newest
+/// checkpoint, bit-identically. A multiprocess job exits 115 on either
+/// and the supervisor's relaunch does the same.
 pub fn thick_restart_lanczos_in<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
     op: &Op,
     opts: &RestartOptions,
@@ -454,9 +462,8 @@ pub(crate) fn run_plan<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
     let mut offdiag: Vec<f64> = Vec::new();
     let mut w = op.new_vec();
     // Vectors a compression left over. Every use overwrites one in full,
-    // so nothing of a cycle (or of a state a rollback replaced) survives
-    // in them; from the second cycle on the chain grows out of this list
-    // and the solve allocates no vector.
+    // so nothing of a cycle survives in them; from the second cycle on
+    // the chain grows out of this list and the solve allocates no vector.
     let mut spare: Vec<V> = Vec::new();
     let mut matvecs = 0usize;
     let mut peak = st.basis.len() + 1; // basis + workspace w
@@ -466,214 +473,166 @@ pub(crate) fn run_plan<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
     let mut eigenvectors: Option<Vec<V>> = None;
 
     // ---- silent-error defense ------------------------------------------
-    // Each cycle runs inside `catch_unwind`; a typed corruption signal
-    // (transport CRC/ABFT violation or a solver health check) rolls the
-    // solve back to its newest valid checkpoint instead of dying,
-    // bounded by LS_MAX_ROLLBACKS. Anything else re-raises untouched.
+    // A violated invariant ends the solve (`raise`): fail-stop, like every
+    // detected corruption, and resumed from the newest checkpoint by the
+    // caller or the multiprocess supervisor.
     let monitor = HealthMonitor::from_env();
-    let max_rollbacks = max_rollbacks_from_env() as u64;
-    let mut rollbacks = 0u64;
 
     while st.restarts < opts.max_restarts {
-        let cycle_done = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // ---- expansion: grow the chain to m vectors --------------------
-            let mut beta_last = 0.0f64;
-            // Set when the chain filled up via a breakdown while an unexplored
-            // invariant subspace provably remains (see below).
-            let mut forced_restart = false;
-            // The per-step test (module docs) runs until the cycle's first
-            // breakdown, exact or to tolerance, on the tridiagonal form of
-            // the projected matrix; `stopped` is its verdict.
-            let mut unbroken = true;
-            let mut stopped = false;
-            let (arrow_d, arrow_e) = arrowhead_tridiagonal(&st.diag[..st.retained], &st.border);
-            loop {
-                let j = st.basis.len() - 1;
-                debug_assert_eq!(st.diag.len(), j, "projected matrix out of step with basis");
-                // Fused matvec+dot: `w = H v_j`, `α_j = ⟨v_j, w⟩` in one pass.
-                let alpha = op.apply_dot(&st.basis[j], &mut w).re();
-                matvecs += 1;
-                st.diag.push(alpha);
-                // Full blocked-CGS2 reorthogonalization against the *whole*
-                // retained set — locked Ritz vectors (`Σ s_i u_i`) and chain.
-                let beta = cgs2_beta(&st.basis, &mut w);
-                monitor.check_step(st.restarts, alpha, beta).unwrap_or_else(|e| raise(e));
-                if st.basis.len() == n {
-                    // The basis spans the whole space, so β is rounding: the
-                    // projected problem is exact and complete (β_last = 0).
+        // ---- expansion: grow the chain to m vectors --------------------
+        let mut beta_last = 0.0f64;
+        // Set when the chain filled up via a breakdown while an unexplored
+        // invariant subspace provably remains (see below).
+        let mut forced_restart = false;
+        // The per-step test (module docs) runs until the cycle's first
+        // breakdown, exact or to tolerance, on the tridiagonal form of
+        // the projected matrix; `stopped` is its verdict.
+        let mut unbroken = true;
+        let mut stopped = false;
+        let (arrow_d, arrow_e) = arrowhead_tridiagonal(&st.diag[..st.retained], &st.border);
+        loop {
+            let j = st.basis.len() - 1;
+            debug_assert_eq!(st.diag.len(), j, "projected matrix out of step with basis");
+            // Fused matvec+dot: `w = H v_j`, `α_j = ⟨v_j, w⟩` in one pass.
+            let alpha = op.apply_dot(&st.basis[j], &mut w).re();
+            matvecs += 1;
+            st.diag.push(alpha);
+            // Full blocked-CGS2 reorthogonalization against the *whole*
+            // retained set — locked Ritz vectors (`Σ s_i u_i`) and chain.
+            let beta = cgs2_beta(&st.basis, &mut w);
+            monitor.check_step(st.restarts, alpha, beta).unwrap_or_else(|e| raise(e));
+            if st.basis.len() == n {
+                // The basis spans the whole space, so β is rounding: the
+                // projected problem is exact and complete (β_last = 0).
+                break;
+            }
+            if beta <= BREAKDOWN {
+                // Exact invariant subspace. Re-seed with a fresh random
+                // direction orthogonalized (CGS2) against every retained
+                // vector — including the locked Ritz vectors — so the
+                // next block explores an unexplored subspace.
+                st.breakdowns += 1;
+                unbroken = false;
+                let mut fresh = spare.pop().unwrap_or_else(|| op.new_vec());
+                draw_random(&mut fresh, opts.seed, &mut st.draws);
+                let before = fresh.norm();
+                let nf = cgs2_beta(&st.basis, &mut fresh);
+                if nf <= 1e-10 * before {
+                    // The basis spans the reachable space: the projected
+                    // problem is exact and complete. Finish on it.
                     break;
                 }
-                if beta <= BREAKDOWN {
-                    // Exact invariant subspace. Re-seed with a fresh random
-                    // direction orthogonalized (CGS2) against every retained
-                    // vector — including the locked Ritz vectors — so the
-                    // next block explores an unexplored subspace.
-                    st.breakdowns += 1;
-                    unbroken = false;
-                    let mut fresh = spare.pop().unwrap_or_else(|| op.new_vec());
-                    draw_random(&mut fresh, opts.seed, &mut st.draws);
-                    let before = fresh.norm();
-                    let nf = cgs2_beta(&st.basis, &mut fresh);
-                    if nf <= 1e-10 * before {
-                        // The basis spans the reachable space: the projected
-                        // problem is exact and complete. Finish on it.
+                fresh.scale(1.0 / nf);
+                if st.basis.len() == m {
+                    if st.breakdowns > k as u64 {
+                        // More than k independent invariant blocks have
+                        // been explored (cumulative across cycles):
+                        // every copy of the wanted eigenvalues is
+                        // reachable from some block, so the exact
+                        // projected values stand.
                         break;
                     }
-                    fresh.scale(1.0 / nf);
-                    if st.basis.len() == m {
-                        if st.breakdowns > k as u64 {
-                            // More than k independent invariant blocks have
-                            // been explored (cumulative across cycles):
-                            // every copy of the wanted eigenvalues is
-                            // reachable from some block, so the exact
-                            // projected values stand.
-                            break;
-                        }
-                        // The chain is full but `fresh` just proved an
-                        // unexplored subspace remains — multiplicity may be
-                        // unresolved. Force a restart with `fresh` as the
-                        // next chain seed (β = 0: decoupled from the locked
-                        // set, exactly a random-restart block).
-                        spare.push(std::mem::replace(&mut w, fresh));
-                        forced_restart = true;
-                        break;
-                    }
-                    offdiag.push(0.0);
-                    st.basis.push(fresh);
-                    continue;
+                    // The chain is full but `fresh` just proved an
+                    // unexplored subspace remains — multiplicity may be
+                    // unresolved. Force a restart with `fresh` as the
+                    // next chain seed (β = 0: decoupled from the locked
+                    // set, exactly a random-restart block).
+                    spare.push(std::mem::replace(&mut w, fresh));
+                    forced_restart = true;
+                    break;
                 }
-                if unbroken && st.diag.len() >= k && st.basis.len() < m {
-                    let d = [&arrow_d, &st.diag[st.retained..]].concat();
-                    let (vals, last) =
-                        tridiag_eigh_last(&d, &[&arrow_e, &offdiag[..]].concat());
-                    let resid: Vec<f64> = last.iter().map(|y| (beta * y).abs()).collect();
-                    // Every pair passing means β itself is below tolerance: a
-                    // breakdown in all but the threshold, not convergence.
-                    unbroken = !residuals_pass(&vals, &resid, opts.tol);
-                    stopped = unbroken
-                        && wanted_converged(&vals, &resid, k, opts.tol, !opts.want_vectors);
-                }
-                w.scale(1.0 / beta);
-                if stopped || st.basis.len() == m {
-                    beta_last = beta;
-                    break; // w is now the normalized residual v_res
-                }
-                offdiag.push(beta);
-                // The chain grows by moving `w` into it. The next product
-                // overwrites whatever its output holds (`KrylovOp::apply`),
-                // so any vector will do as the next `w`.
-                let next = spare.pop().unwrap_or_else(|| op.new_vec());
-                st.basis.push(std::mem::replace(&mut w, next));
+                offdiag.push(0.0);
+                st.basis.push(fresh);
+                continue;
             }
-
-            // ---- cycle end: projected solve + convergence test -------------
-            let mcur = st.basis.len();
-            peak = peak.max(mcur + spare.len() + 1);
-            assert!(mcur >= k, "Krylov space collapsed below k = {k} (dim {n})");
-            let (cvals, yvecs) = projected_eigh(&st, &offdiag);
-            monitor.check_ritz(st.restarts, &cvals).unwrap_or_else(|e| raise(e));
-            let mut resid = ritz_residuals(&yvecs, beta_last);
-            // A cycle the per-step test stopped has passed already: on a
-            // restarted cycle the Jacobi solve here agrees with its QL to
-            // rounding, and must not reopen the verdict over it.
-            let ok =
-                stopped || wanted_converged(&cvals, &resid, k, opts.tol, !opts.want_vectors);
-            resid.truncate(k);
-            monitor.check_residuals(st.restarts, &resid).unwrap_or_else(|e| raise(e));
-            let ok = ok && !forced_restart;
-
-            let keep_max = match keep_max {
-                Some(keep_max) if !ok => keep_max,
-                _ => {
-                    // Converged (β_last ≈ 0 without a forced restart means
-                    // the reachable space is exhausted — the projected
-                    // problem is then exact), or the plan's only cycle is
-                    // over. Assemble Ritz vectors from the full cycle basis,
-                    // over it: nothing reads the basis after this.
-                    converged = ok;
-                    last_cycle = Some((cvals[..k].to_vec(), resid));
-                    if opts.want_vectors {
-                        drop(compress(&mut st.basis, &yvecs[..k]));
-                        for x in &mut st.basis {
-                            let nx = x.norm();
-                            x.scale(1.0 / nx);
-                        }
-                        eigenvectors = Some(std::mem::take(&mut st.basis));
-                    }
-                    return true;
-                }
-            };
-
-            // ---- thick restart: compress to the best keep Ritz pairs -------
-            let keep = keep_max.min(mcur - 2).max(k);
-            spare.extend(compress(&mut st.basis, &yvecs[..keep]));
-            let next = spare.pop().expect("a compression frees at least two vectors");
-            st.basis.push(std::mem::replace(&mut w, next)); // residual seeds the next chain
-            st.retained = keep;
-            st.border = (0..keep).map(|i| beta_last * yvecs[i][mcur - 1]).collect();
-            st.diag = cvals[..keep].to_vec();
-            offdiag.clear();
-            st.restarts += 1;
-
-            // Retained-set orthonormality: the compressed basis is the state
-            // the *whole rest of the solve* builds on, so drift here (a
-            // flipped bit in a locked Ritz vector) would silently poison
-            // every later cycle. Checked at the boundary, before it is
-            // checkpointed as "good".
-            monitor.check_basis(st.restarts, &st.basis).unwrap_or_else(|e| raise(e));
-
-            if let Some(cp) = &opts.checkpoint {
-                if st.restarts.is_multiple_of(cp.every.max(1)) {
-                    let written = if cp.keep > 1 {
-                        save_checkpoint_rotated(&cp.path, &st, cp.keep)
-                    } else {
-                        save_checkpoint(&cp.path, &st)
-                    };
-                    written.unwrap_or_else(|e| {
-                        panic!("failed to write checkpoint {}: {e}", cp.path.display())
-                    });
-                }
+            if unbroken && st.diag.len() >= k && st.basis.len() < m {
+                let d = [&arrow_d, &st.diag[st.retained..]].concat();
+                let (vals, last) = tridiag_eigh_last(&d, &[&arrow_e, &offdiag[..]].concat());
+                let resid: Vec<f64> = last.iter().map(|y| (beta * y).abs()).collect();
+                // Every pair passing means β itself is below tolerance: a
+                // breakdown in all but the threshold, not convergence.
+                unbroken = !residuals_pass(&vals, &resid, opts.tol);
+                stopped = unbroken
+                    && wanted_converged(&vals, &resid, k, opts.tol, !opts.want_vectors);
             }
-            false
-        }));
+            w.scale(1.0 / beta);
+            if stopped || st.basis.len() == m {
+                beta_last = beta;
+                break; // w is now the normalized residual v_res
+            }
+            offdiag.push(beta);
+            // The chain grows by moving `w` into it. The next product
+            // overwrites whatever its output holds (`KrylovOp::apply`),
+            // so any vector will do as the next `w`.
+            let next = spare.pop().unwrap_or_else(|| op.new_vec());
+            st.basis.push(std::mem::replace(&mut w, next));
+        }
 
-        match cycle_done {
-            Ok(true) => break,
-            Ok(false) => {}
-            Err(payload) => {
-                // Only *typed corruption signals* are recoverable: a
-                // solver health violation or a transport integrity error.
-                // Plain panics (bugs, assertion failures) re-raise as-is.
-                let recoverable = payload.downcast_ref::<SolverHealthError>().is_some()
-                    || payload.downcast_ref::<ls_runtime::TransportError>().is_some_and(|e| {
-                        matches!(e, ls_runtime::TransportError::Corruption { .. })
-                    });
-                if !recoverable || rollbacks >= max_rollbacks {
-                    // Re-raised; a multiprocess rank giving up on
-                    // corruption ends the job with the typed exit code.
-                    ls_runtime::collective::give_up(payload);
+        // ---- cycle end: projected solve + convergence test -------------
+        let mcur = st.basis.len();
+        peak = peak.max(mcur + spare.len() + 1);
+        assert!(mcur >= k, "Krylov space collapsed below k = {k} (dim {n})");
+        let (cvals, yvecs) = projected_eigh(&st, &offdiag);
+        monitor.check_ritz(st.restarts, &cvals).unwrap_or_else(|e| raise(e));
+        let mut resid = ritz_residuals(&yvecs, beta_last);
+        // A cycle the per-step test stopped has passed already: on a
+        // restarted cycle the Jacobi solve here agrees with its QL to
+        // rounding, and must not reopen the verdict over it.
+        let ok = stopped || wanted_converged(&cvals, &resid, k, opts.tol, !opts.want_vectors);
+        resid.truncate(k);
+        monitor.check_residuals(st.restarts, &resid).unwrap_or_else(|e| raise(e));
+        let ok = ok && !forced_restart;
+
+        let keep_max = match keep_max {
+            Some(keep_max) if !ok => keep_max,
+            _ => {
+                // Converged (β_last ≈ 0 without a forced restart means
+                // the reachable space is exhausted — the projected
+                // problem is then exact), or the plan's only cycle is
+                // over. Assemble Ritz vectors from the full cycle basis,
+                // over it: nothing reads the basis after this.
+                converged = ok;
+                last_cycle = Some((cvals[..k].to_vec(), resid));
+                if opts.want_vectors {
+                    drop(compress(&mut st.basis, &yvecs[..k]));
+                    for x in &mut st.basis {
+                        let nx = x.norm();
+                        x.scale(1.0 / nx);
+                    }
+                    eigenvectors = Some(std::mem::take(&mut st.basis));
                 }
-                rollbacks += 1;
-                eprintln!(
-                    "ls-eigen: corruption detected in restart cycle {}; rolling back \
-                     ({rollbacks}/{max_rollbacks})",
-                    st.restarts
-                );
-                // Give the operator a chance to re-synchronize (the
-                // distributed backend drains transport poison and
-                // re-enters a clean communication epoch here) *before*
-                // the replay issues collectives.
-                op.recover();
-                // No checkpoint written yet (or none valid): roll all the
-                // way back to the start. Draws are counter-derived, so the
-                // replayed trajectory is the uninterrupted one, bit for bit.
-                st = opts
-                    .checkpoint
-                    .as_ref()
-                    .filter(|cp| cp.path.exists())
-                    .and_then(|cp| checkpointed_state(op, cp, opts).ok())
-                    .unwrap_or_else(|| fresh_state(op, opts));
-                offdiag.clear();
+                break;
+            }
+        };
+
+        // ---- thick restart: compress to the best keep Ritz pairs -------
+        let keep = keep_max.min(mcur - 2).max(k);
+        spare.extend(compress(&mut st.basis, &yvecs[..keep]));
+        let next = spare.pop().expect("a compression frees at least two vectors");
+        st.basis.push(std::mem::replace(&mut w, next)); // residual seeds the next chain
+        st.retained = keep;
+        st.border = (0..keep).map(|i| beta_last * yvecs[i][mcur - 1]).collect();
+        st.diag = cvals[..keep].to_vec();
+        offdiag.clear();
+        st.restarts += 1;
+
+        // Retained-set orthonormality: the compressed basis is the state
+        // the *whole rest of the solve* builds on, so drift here (a
+        // flipped bit in a locked Ritz vector) would silently poison
+        // every later cycle. Checked at the boundary, before it is
+        // checkpointed as "good".
+        monitor.check_basis(st.restarts, &st.basis).unwrap_or_else(|e| raise(e));
+
+        if let Some(cp) = &opts.checkpoint {
+            if st.restarts.is_multiple_of(cp.every.max(1)) {
+                let written = if cp.keep > 1 {
+                    save_checkpoint_rotated(&cp.path, &st, cp.keep)
+                } else {
+                    save_checkpoint(&cp.path, &st)
+                };
+                written.unwrap_or_else(|e| {
+                    panic!("failed to write checkpoint {}: {e}", cp.path.display())
+                });
             }
         }
     }
@@ -700,7 +659,6 @@ pub(crate) fn run_plan<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
         residuals,
         converged,
         peak_retained: peak,
-        rollbacks,
     }
 }
 
@@ -1052,36 +1010,40 @@ mod tests {
         }
     }
 
+    /// Runs `solve` to its first detected corruption, which must unwind
+    /// as the typed health error of a NaN'd `α`.
+    fn unwinds_on_alpha(solve: impl FnOnce() -> LanczosResult<f64>) {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(solve))
+            .expect_err("the corruption must end the solve");
+        let health = payload
+            .downcast_ref::<crate::health::SolverHealthError>()
+            .expect("payload must stay the typed SolverHealthError");
+        assert_eq!(health.check, "alpha");
+    }
+
     #[test]
-    fn corrupted_cycle_rolls_back_to_checkpoint_bit_identically() {
+    fn a_corrupted_cycle_unwinds_typed_and_resumes_from_its_checkpoint_bit_identically() {
         let n = 150;
         let a = random_symmetric(n, 77);
-        let clean = thick_restart_lanczos(
-            &DenseOp::new(n, a.clone()),
-            &RestartOptions { extra: 12, tol: 1e-12, ..RestartOptions::new(2) },
-        );
+        let base = RestartOptions { extra: 12, tol: 1e-12, ..RestartOptions::new(2) };
+        let clean = thick_restart_lanczos(&DenseOp::new(n, a.clone()), &base);
         assert!(clean.converged);
-        assert_eq!(clean.rollbacks, 0, "clean run must not roll back");
 
         let mut path = std::env::temp_dir();
-        path.push(format!("ls_restart_rollback_{}.lsck", std::process::id()));
+        path.push(format!("ls_restart_resume_{}.lsck", std::process::id()));
         std::fs::remove_file(&path).ok();
+        let opts =
+            RestartOptions { checkpoint: Some(CheckpointPolicy::new(path.clone())), ..base };
         // Budget 14 → chain length 8: apply #15 (0-based) lands after the
-        // second restart boundary, so a checkpoint exists to roll back to.
-        let op = NanOnceOp::new(DenseOp::new(n, a.clone()), 15);
-        let res = thick_restart_lanczos(
-            &op,
-            &RestartOptions {
-                extra: 12,
-                tol: 1e-12,
-                checkpoint: Some(CheckpointPolicy::new(path.clone())),
-                ..RestartOptions::new(2)
-            },
-        );
+        // second restart boundary, so a checkpoint exists to resume from.
+        let op = NanOnceOp::new(DenseOp::new(n, a), 15);
+        unwinds_on_alpha(|| thick_restart_lanczos(&op, &opts));
+        assert!(path.exists(), "the corruption must land after a checkpoint");
+        let res = thick_restart_lanczos(&op, &opts);
         assert!(res.converged, "residuals {:?}", res.residuals);
-        assert_eq!(res.rollbacks, 1, "the poisoned cycle must be detected exactly once");
+        assert!(res.iterations < clean.iterations, "the resume must not start over");
         for (c, r) in clean.eigenvalues.iter().zip(&res.eigenvalues) {
-            assert_eq!(c.to_bits(), r.to_bits(), "rolled-back eigenvalue diverged");
+            assert_eq!(c.to_bits(), r.to_bits(), "resumed eigenvalue diverged");
         }
         std::fs::remove_file(&path).ok();
     }
@@ -1089,47 +1051,21 @@ mod tests {
     #[test]
     fn corruption_before_first_checkpoint_replays_from_the_start() {
         // Fire during the very first cycle: no checkpoint exists yet, so
-        // the rollback resets to the initial state; counter-derived draws
-        // make the replay bit-identical to the uninterrupted run. The
-        // second case is an operator smaller than its budget (25 ≥ n + 1):
-        // the defense covers every plan, not only solves that restart.
+        // the caller's second call starts over; counter-derived draws
+        // make it bit-identical to the uninterrupted run. The second case
+        // is an operator smaller than its budget (25 ≥ n + 1): the check
+        // covers every plan, not only solves that restart.
         let tight = RestartOptions { extra: 12, tol: 1e-12, ..RestartOptions::new(2) };
         for (n, base) in [(150, tight), (20, RestartOptions::new(1))] {
             let a = random_symmetric(n, 77);
             let clean = thick_restart_lanczos(&DenseOp::new(n, a.clone()), &base);
             let op = NanOnceOp::new(DenseOp::new(n, a), 3);
+            unwinds_on_alpha(|| thick_restart_lanczos(&op, &base));
             let res = thick_restart_lanczos(&op, &base);
             assert!(res.converged);
-            assert_eq!(res.rollbacks, 1, "n = {n}");
             for (c, r) in clean.eigenvalues.iter().zip(&res.eigenvalues) {
                 assert_eq!(c.to_bits(), r.to_bits(), "n = {n}: restarted eigenvalue diverged");
             }
         }
-    }
-
-    #[test]
-    fn persistent_corruption_exhausts_the_rollback_budget_and_reraises() {
-        // An operator that *always* emits NaN: every replay fails again,
-        // so the default LS_MAX_ROLLBACKS budget runs out and the typed
-        // health error must surface to the caller (where the process
-        // supervisor takes over in a multiprocess job).
-        struct AlwaysNan(usize);
-        impl LinearOp<f64> for AlwaysNan {
-            fn dim(&self) -> usize {
-                self.0
-            }
-            fn apply(&self, _x: &[f64], y: &mut [f64]) {
-                y.fill(f64::NAN);
-            }
-        }
-        let op = AlwaysNan(120);
-        let payload = std::panic::catch_unwind(|| {
-            thick_restart_lanczos(&op, &RestartOptions { extra: 12, ..RestartOptions::new(2) })
-        })
-        .expect_err("a persistently corrupt operator must not converge");
-        let health = payload
-            .downcast_ref::<crate::health::SolverHealthError>()
-            .expect("payload must stay the typed SolverHealthError");
-        assert_eq!(health.check, "alpha");
     }
 }

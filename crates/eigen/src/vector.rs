@@ -355,8 +355,8 @@ pub trait KrylovOp<V: KrylovVec> {
     /// ([`crate::restart`]) calls it once per vector of its first cycle
     /// (start vector, workspace, one per chain step) and then no more:
     /// later cycles, compression and Ritz-vector assembly run on the
-    /// vectors the first cycle allocated (a breakdown re-seed or a
-    /// rollback may take a few more). The plain factorization behind the
+    /// vectors the first cycle allocated (a breakdown re-seed may take
+    /// a few more). The plain factorization behind the
     /// propagators and the spectral continued fraction calls it once and
     /// grows its chain by cloning that workspace.
     fn new_vec(&self) -> V;
@@ -382,12 +382,10 @@ pub trait KrylovOp<V: KrylovVec> {
         true
     }
 
-    /// Restores the operator to a usable state after detected corruption,
-    /// before the solver replays from its newest checkpoint. In-process
-    /// operators are stateless with respect to a cycle, so the default is
-    /// a no-op; distributed operators override it to re-synchronize the
-    /// transport (drain poisoned state, re-enter a clean communication
-    /// epoch) and rebuild any communication-plan caches.
+    /// A no-op the solver never calls: a detected corruption ends the
+    /// solve, and the caller (or the multiprocess supervisor) resumes
+    /// from the newest checkpoint. It stays only because
+    /// `benchmark/src/surface.rs` forwards it.
     fn recover(&self) {}
 }
 

@@ -262,7 +262,7 @@ impl<'a> LocaleCtx<'a> {
     /// barrier, a channel credit, a stream that has to close): what it
     /// waits for never comes once the run has failed. A task of this
     /// process panicked: unwinds quietly, and the run re-raises that
-    /// task's payload. Multiprocess, a peer died or the epoch is poisoned:
+    /// task's payload. Multiprocess, a peer died:
     /// [`transport::poll_failure`] — so only call it strictly *between*
     /// two barriers of a product, where no peer can have exited cleanly.
     pub fn poll_failure(&self) {

@@ -14,6 +14,7 @@ use crate::distvec::DistVec;
 use crate::transport::{self, TransportError};
 use ls_kernels::Scalar;
 use std::any::Any;
+use std::fmt;
 use std::ops::Range;
 
 /// The locales whose share of an SPMD step this process computes: all
@@ -95,30 +96,13 @@ pub fn for_each_global<S: Scalar>(v: &DistVec<S>, mut f: impl FnMut(S)) {
     parts.iter().flatten().for_each(|&x| f(x));
 }
 
-/// Collective recovery from a detected corruption, called on every rank
-/// before a solver replays from its checkpoint: drains the poisoned
-/// epoch and drops every registered channel. Nothing to drain in process.
-pub fn recover() {
-    if let Some(mp) = transport::active() {
-        mp.recover_from_corruption();
-    }
-}
-
-/// Unwinds with the pending [`TransportError::Corruption`] while one
-/// awaits rollback; cleanup paths call it before asserting on state the
-/// corruption unwind may have left inconsistent. In process none is ever
-/// pending: corruption is raised where it is found.
-pub fn raise_if_poisoned() {
-    if let Some(mp) = transport::active() {
-        mp.raise_if_poisoned();
-    }
-}
-
 /// Raises corruption found by a check *above* the transport (the matvec
-/// checksum vector) down the typed unwind channel of a frame CRC
-/// mismatch, so the rollback driver treats both alike. Multiprocess it
-/// also poisons the epoch and tells the peers; such a check runs on
-/// identical reduced data, so every rank unwinds from the same point.
+/// checksum vector), fail-stop like a frame CRC mismatch. Multiprocess
+/// the job aborts with exit 115 and the supervisor relaunches it from
+/// the newest checkpoint; such a check runs on identical reduced data,
+/// so every rank stops at the same point. In process the typed
+/// [`TransportError::Corruption`] unwinds to the caller, which resumes
+/// from its checkpoint.
 pub fn raise_corruption(peer: usize, frame: &str, kind: &str) -> ! {
     if let Some(mp) = transport::active() {
         mp.raise_corruption(peer, frame, kind);
@@ -128,25 +112,31 @@ pub fn raise_corruption(peer: usize, frame: &str, kind: &str) -> ! {
     std::panic::panic_any(TransportError::Corruption { peer, frame, kind })
 }
 
-/// The end of the rollback path: a solver hands back a caught `payload`
-/// it may not (or no longer) recover from. Re-raised as it is — except
-/// that a multiprocess rank giving up on corruption aborts the job
-/// (`ABORT` fan-out, exit 115), so the supervisor reports
-/// [`crate::FailureClass::Corruption`] and not an anonymous panic.
-pub fn give_up(payload: Box<dyn Any + Send>) -> ! {
-    if let (Some(mp), Some(err @ TransportError::Corruption { .. })) =
-        (transport::active(), payload.downcast_ref::<TransportError>())
-    {
-        mp.abort_job(err.clone());
+/// Where a solver's own health check leaves the job: `err`, which the
+/// check has already reported, unwinds as the typed payload in process.
+/// A multiprocess rank aborts the job instead (`ABORT` fan-out, exit
+/// 115, as `corrupt health from rank r`: the check runs on reduced
+/// scalars and cannot tell whose data went bad), so the supervisor
+/// reports [`crate::FailureClass::Corruption`] and relaunches from the
+/// newest checkpoint.
+pub fn give_up<E: Any + Send + fmt::Display>(err: E) -> ! {
+    if let Some(mp) = transport::active() {
+        let kind = err.to_string();
+        mp.abort_job(TransportError::Corruption {
+            peer: mp.rank(),
+            frame: "health".into(),
+            kind,
+        });
     }
-    std::panic::resume_unwind(payload)
+    std::panic::panic_any(err)
 }
 
 /// The `LS_FAULT` `nan` probe: ticks this rank's matvec+dot clock and
-/// says whether an armed `nan` action fires now. The caller then poisons
+/// says whether an armed `nan` action fires now. The caller then NaNs
 /// its share of the product *before* the inner product, so the reduction
-/// hands every rank the same NaN and they roll back in lockstep. Never
-/// fires in process (fault plans belong to the multiprocess transport).
+/// hands every rank the same NaN and each fails the same health check.
+/// Never fires in process (fault plans belong to the multiprocess
+/// transport).
 pub fn nan_fault_fires() -> bool {
     transport::active().is_some_and(|mp| mp.nan_fault_fires())
 }
@@ -155,7 +145,7 @@ pub fn nan_fault_fires() -> bool {
 mod tests {
     use super::*;
     use ls_kernels::Complex64;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::panic::catch_unwind;
 
     // The test environment never sets LS_TRANSPORT / LS_LOCALES: these
     // pin the in-process arms.
@@ -189,8 +179,6 @@ mod tests {
 
     #[test]
     fn corruption_is_raised_typed_and_handed_back_untouched() {
-        recover();
-        raise_if_poisoned();
         assert!(!nan_fault_fires());
         let payload = catch_unwind(|| raise_corruption(2, "abft", "drift")).unwrap_err();
         match payload.downcast_ref::<TransportError>() {
@@ -199,10 +187,8 @@ mod tests {
             }
             other => panic!("unexpected payload {other:?}"),
         }
-        // Giving up in process re-raises the very same payload.
-        let again = catch_unwind(AssertUnwindSafe(|| give_up(payload))).unwrap_err();
-        assert!(again.downcast_ref::<TransportError>().is_some());
-        let plain = catch_unwind(|| give_up(Box::new("a bug"))).unwrap_err();
-        assert_eq!(plain.downcast_ref::<&str>(), Some(&"a bug"));
+        // Giving up in process unwinds with the very same error.
+        let again = catch_unwind(|| give_up(String::from("drift"))).unwrap_err();
+        assert_eq!(again.downcast_ref::<String>().map(String::as_str), Some("drift"));
     }
 }

@@ -20,7 +20,9 @@
 //!                                        `coll` frames)
 //!          | "nan"            ":" keys — NaN the rank's share of one product
 //!                                        before the dot that follows it
-//!                                        (silent arithmetic corruption)
+//!                                        (silent arithmetic corruption,
+//!                                        caught by the solver's health
+//!                                        check on every rank: exit 115)
 //! keys     = key "=" value ("," key "=" value)*
 //!            rank=R                  (required: which rank misbehaves)
 //!            barrier=N               (kill/drop-conn: fire entering the
@@ -51,7 +53,9 @@
 //! The two corruption kinds are *silent*: they damage data without
 //! crashing anything, which is exactly what the integrity layer
 //! (`LS_INTEGRITY`, the matvec checksum tally, the Krylov health
-//! monitors) must detect and recover from. A malformed plan is a typed
+//! monitors) must detect. Detection is fail-stop (exit 115), and the
+//! supervisor's relaunch from a checkpoint recovers, with the action
+//! disarmed by its `attempt`. A malformed plan is a typed
 //! [`FaultPlanError`] naming the offending clause; the supervisor
 //! validates the plan before spawning any worker, so a chaos-test typo
 //! fails at launch instead of deep inside the transport.
@@ -80,11 +84,12 @@ pub enum FaultKind {
     /// (or, with `LS_INTEGRITY=off`, the corruption sails through, which
     /// is the documented cost of turning integrity off).
     FlipBit,
-    /// Poison this rank's share of `⟨x, y⟩` with NaN in the `cycle`-th
+    /// Overwrite this rank's share of `⟨x, y⟩` with NaN in the `cycle`-th
     /// matvec+dot epoch (its part of `y`, between product and dot). The
     /// NaN propagates through the rank-ordered reduction to every rank
-    /// identically, so the solver's health monitor fails the same cycle
-    /// everywhere — no distributed coordination needed to recover.
+    /// identically, so the solver's health monitor fails the same step
+    /// everywhere and every rank stops with exit 115 — no distributed
+    /// coordination needed to detect it.
     Nan,
 }
 
@@ -145,7 +150,7 @@ pub struct FaultAction {
     pub count: u64,
     /// Which matching frame a flip-bit action damages (1-based).
     pub nth: u64,
-    /// Which matvec+dot epoch a nan action poisons (1-based).
+    /// Which matvec+dot epoch a nan action NaNs (1-based).
     pub cycle: u64,
     /// Supervisor incarnation in which the action is armed.
     pub attempt: u64,
@@ -365,7 +370,7 @@ impl FaultPlan {
         })
     }
 
-    /// The nan actions armed for `rank` in `attempt` that poison matvec
+    /// The nan actions armed for `rank` in `attempt` that NaN matvec
     /// epoch ordinal `cycle` (1-based).
     pub fn nans_at(
         &self,

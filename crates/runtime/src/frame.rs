@@ -14,14 +14,12 @@
 //! | `CHAN` | channel id | batch |
 //! | `CLOSE`, `CREDIT` | channel id | none |
 //! | `ABORT` | `origin << 32` or'd with the exit code | reason |
-//! | `POISON` | recovery epoch | culprit, frame, kind |
 //! | `PING` | 0 | none |
 //!
-//! The header is sealed apart from the payload so that the two failures
-//! part ways. A bad payload leaves the stream framed: the receiver drops
-//! the frame and takes the recoverable corruption path. A bad header means
-//! nothing behind it on the stream can be trusted, so [`read`] refuses it
-//! before `len` sizes any allocation.
+//! The header is sealed apart from the payload so that [`read`] refuses a
+//! bad header before `len` sizes any allocation: nothing behind it on the
+//! stream can be trusted. A bad payload or a bad header alike aborts the
+//! job with exit 115 (the receiver names the frame's tag, or `header`).
 
 use crate::crc32c::crc32c;
 use crate::fault::FrameClass;
@@ -37,7 +35,6 @@ pub(crate) const TAG_CLOSE: u8 = 3; // a channel's end of stream for this produc
 pub(crate) const TAG_CREDIT: u8 = 4; // a channel batch credit back to the producer
 pub(crate) const TAG_ABORT: u8 = 6; // job-abort fan-out
 pub(crate) const TAG_PING: u8 = 7; // heartbeat
-pub(crate) const TAG_POISON: u8 = 8; // corruption fan-out
 
 /// Bytes of `tag | word | len`.
 pub(crate) const HEAD: usize = 13;
@@ -152,7 +149,6 @@ pub(crate) fn name(tag: u8) -> &'static str {
     match tag {
         TAG_ABORT => "abort",
         TAG_PING => "ping",
-        TAG_POISON => "poison",
         _ => class(tag).name(),
     }
 }
@@ -161,16 +157,14 @@ pub(crate) fn name(tag: u8) -> &'static str {
 mod tests {
     use super::*;
 
-    const TAGS: [u8; 7] =
-        [TAG_COLL, TAG_CHAN, TAG_CLOSE, TAG_CREDIT, TAG_ABORT, TAG_PING, TAG_POISON];
+    const TAGS: [u8; 6] = [TAG_COLL, TAG_CHAN, TAG_CLOSE, TAG_CREDIT, TAG_ABORT, TAG_PING];
 
     /// A frame of `tag` shaped like the mesh sends it.
     fn sample(tag: u8) -> Frame {
         let (word, payload): (u64, Vec<u8>) = match tag {
-            TAG_COLL => ((3 << 48) | 41, (1..10).collect()),
+            TAG_COLL => (41, (1..10).collect()),
             TAG_CHAN => (17, vec![0xAB; 24]),
             TAG_ABORT => ((2 << 32) | 114, b"peer rank 1 failed".to_vec()),
-            TAG_POISON => (3, b"2 chan payload CRC mismatch".to_vec()),
             TAG_PING => (0, Vec::new()),
             _ => (17, Vec::new()),
         };
@@ -203,7 +197,7 @@ mod tests {
 
     #[test]
     fn every_single_bit_flip_of_a_sealed_frame_is_caught() {
-        for tag in [TAG_CLOSE, TAG_CREDIT, TAG_PING, TAG_ABORT, TAG_POISON, TAG_COLL] {
+        for tag in [TAG_CLOSE, TAG_CREDIT, TAG_PING, TAG_ABORT, TAG_COLL] {
             let clean = bytes_of(&sample(tag), true);
             for bit in 0..clean.len() * 8 {
                 let mut bytes = clean.clone();

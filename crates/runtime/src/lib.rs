@@ -53,12 +53,13 @@
 //! frame so every rank exits promptly. Deterministic fault injection
 //! ([`fault`], `LS_FAULT`) drives the whole machinery under test.
 //!
-//! Fail-stop supervision is complemented by a *fail-silent* defense:
-//! CRC32C ([`crc32c()`]) over every wire frame's header and payload
-//! (`LS_INTEGRITY`), detected corruption surfacing as a recoverable
-//! [`transport::TransportError::Corruption`] that solvers catch and
-//! roll back from their newest checkpoint — see the "Silent-error
-//! defense" section of `docs/ARCHITECTURE.md`.
+//! Silent errors are detected and then handled the same way: CRC32C
+//! ([`crc32c()`]) over every wire frame's header and payload
+//! (`LS_INTEGRITY`), the matvec checksum tally and the solver's health
+//! checks each turn a corruption into a typed
+//! [`transport::TransportError::Corruption`] abort (exit 115), and the
+//! supervisor's relaunch from the newest checkpoint is the recovery —
+//! see the "Silent-error defense" section of `docs/ARCHITECTURE.md`.
 
 #![warn(missing_docs)]
 

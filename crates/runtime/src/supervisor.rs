@@ -70,8 +70,8 @@ pub enum FailureClass {
     /// Exit 113: transport protocol failure (desync, timeout) detected
     /// by this worker.
     Desync,
-    /// Exit 115: this worker detected data corruption (CRC/checksum
-    /// violation) that escaped or exhausted the solver's rollback path.
+    /// Exit 115: this worker detected data corruption (a frame CRC, the
+    /// matvec checksum tally or a solver health check).
     /// More causal than a desync — the corruption is the root event —
     /// but a signal crash still outranks it.
     Corruption,

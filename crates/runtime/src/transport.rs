@@ -52,9 +52,7 @@
 
 use crate::fault::{FaultKind, FaultPlan, FrameClass};
 use crate::frame::{self, Frame, ReadError};
-use crate::frame::{
-    TAG_ABORT, TAG_CHAN, TAG_CLOSE, TAG_COLL, TAG_CREDIT, TAG_PING, TAG_POISON,
-};
+use crate::frame::{TAG_ABORT, TAG_CHAN, TAG_CLOSE, TAG_COLL, TAG_CREDIT, TAG_PING};
 use crate::remote::{BufferChannel, RING_SLOTS};
 use crate::stats::CommStats;
 use bytes::{Buf, BufMut};
@@ -111,17 +109,10 @@ pub(crate) const EXIT_PROTOCOL: i32 = 113;
 /// Exit code of a rank that aborted because a *peer* failed (either it
 /// detected the failure itself or an `ABORT` frame told it to die).
 pub(crate) const EXIT_FAILOVER: i32 = 114;
-/// Exit code of a rank that died on *unrecovered* data corruption: a
-/// CRC/checksum violation that escaped (or exhausted) the solver-level
-/// rollback path and unwound out of the program.
+/// Exit code of a rank that detected data corruption: a frame CRC, the
+/// matvec checksum tally or a solver health check. Always fail-stop;
+/// the supervisor's relaunch from a checkpoint is the recovery.
 pub(crate) const EXIT_CORRUPTION: i32 = 115;
-
-/// Collective sequence numbers carry the recovery epoch in their top 16
-/// bits (`(epoch << EPOCH_SHIFT) | seq`): after a corruption rollback
-/// every rank bumps its epoch, resets `seq`, and silently discards
-/// queued frames from the poisoned epoch — the one desync that is
-/// expected and benign.
-const EPOCH_SHIFT: u32 = 48;
 
 /// A typed, attributed transport failure. This is what replaced the
 /// pile of anonymous `fatal()` exits: every failure names the peer (or
@@ -178,16 +169,15 @@ pub enum TransportError {
         detail: String,
     },
     /// Data corruption caught by the integrity layer: a wire frame failed
-    /// its CRC32C, or a matvec checksum invariant broke. Unlike every
-    /// other variant this one is *recoverable* (a bad frame *header*
-    /// aside, which aborts the job): it unwinds as a catchable panic so
-    /// the solver can roll back to its newest checkpoint.
+    /// its CRC32C, a matvec checksum invariant broke, or a solver health
+    /// check failed. Multiprocess the detecting rank aborts the job with
+    /// exit 115; in process the error unwinds as a typed panic payload.
     Corruption {
         /// The rank whose data was corrupt (the frame's sender, or the
         /// locale whose partial broke the checksum invariant).
         peer: usize,
         /// What carried the corruption: a frame tag's name (`"coll"`,
-        /// `"chan"`, `"abort"`, `"poison"`, …), `"header"` or `"abft"`.
+        /// `"chan"`, `"abort"`, …), `"header"`, `"abft"` or `"health"`.
         frame: String,
         /// Which check failed (CRC mismatch, checksum-vector drift...).
         kind: String,
@@ -543,7 +533,7 @@ pub struct TransportStats {
     /// `peer_failures`).
     pub detection_nanos: AtomicU64,
     /// Corrupt frames / checksum invariants this rank detected (each one
-    /// poisons the epoch and triggers rollback).
+    /// aborts the job with exit 115).
     pub frames_corrupted: AtomicU64,
     /// Bytes this rank ran through CRC32C verification (received headers
     /// and payloads — a measure of integrity coverage, not cost).
@@ -682,11 +672,9 @@ pub struct MpRuntime {
     timeout: Duration,
     /// Per-peer liveness (self index unused).
     health: Vec<PeerHealth>,
-    /// Set once the local abort path is underway (dedupes fan-out).
+    /// Set by the first abort of this process, whose thread alone prints
+    /// the last line and exits (see [`Self::abort_job`]).
     aborting: AtomicBool,
-    /// Held, and never released, by the thread that prints the process's
-    /// last line and exits (see `exit_with`).
-    exit_door: Mutex<()>,
     /// Monotonic time base for the health clocks.
     epoch: Instant,
     /// Parsed `LS_FAULT` plan (empty when unset).
@@ -700,22 +688,8 @@ pub struct MpRuntime {
     /// Integrity level, cached at connect (the wire format cannot
     /// change mid-job).
     integrity: IntegrityMode,
-    /// Set while a detected corruption awaits solver-level rollback;
-    /// every collective wait surfaces `Corruption` instead of blocking.
-    poisoned: AtomicBool,
-    /// Set for the duration of [`Self::recover_from_corruption`], whose
-    /// own collectives must run despite the poison flag.
-    recovering: AtomicBool,
-    /// First corruption's attribution: (culprit rank, frame, kind).
-    poison: Mutex<Option<(usize, String, String)>>,
-    /// Dedupes the POISON fan-out (re-armed by recovery).
-    poison_fanned: AtomicBool,
-    /// Recovery epoch, carried in the top bits of collective sequence
-    /// numbers so post-rollback ranks can discard poisoned-epoch frames.
-    coll_epoch: AtomicU64,
     /// 1-based count of matvec+dot epochs — the `nan` fault-trigger
-    /// clock. Monotonic across rollbacks, so a consumed injection never
-    /// re-fires against the replayed epoch.
+    /// clock.
     matvec_ordinal: AtomicU64,
 }
 
@@ -829,18 +803,12 @@ impl MpRuntime {
             timeout,
             health: (0..n).map(|_| PeerHealth::default()).collect(),
             aborting: AtomicBool::new(false),
-            exit_door: Mutex::new(()),
             epoch: Instant::now(),
             faults,
             attempt,
             barrier_ordinal: AtomicU64::new(0),
             fault_spent,
             integrity: IntegrityMode::from_env(),
-            poisoned: AtomicBool::new(false),
-            recovering: AtomicBool::new(false),
-            poison: Mutex::new(None),
-            poison_fanned: AtomicBool::new(false),
-            coll_epoch: AtomicU64::new(0),
             matvec_ordinal: AtomicU64::new(0),
         }
     }
@@ -911,94 +879,21 @@ impl MpRuntime {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// The local half of corruption detection: count it, record the
-    /// attribution, poison every collective wait (they surface
-    /// [`TransportError::Corruption`] instead of blocking), and fan a
-    /// `POISON` frame so peers not currently waiting on this rank learn
-    /// within one frame time. Unlike [`Self::abort_job`] this does
-    /// **not** exit: the solver above catches the error, rolls back to
-    /// its newest checkpoint and calls
-    /// [`Self::recover_from_corruption`].
-    fn report_corruption(&self, peer: usize, frame: &str, kind: &str) {
+    /// Corruption this rank detected: a frame that failed its CRC, or a
+    /// check above the transport ([`crate::collective::raise_corruption`]).
+    /// Counted, named in one write (a collective frame reaches every
+    /// peer, so several ranks may report it at once), and fail-stop: the
+    /// job aborts with exit 115 and the supervisor's relaunch from the
+    /// newest checkpoint is the recovery.
+    pub(crate) fn raise_corruption(&self, peer: usize, frame: &str, kind: &str) -> ! {
         self.stats.add(&self.stats.frames_corrupted, 1);
-        eprintln!(
-            "ls-mp[rank {}]: integrity: corrupt {frame} from rank {peer} ({kind})",
+        let line = format!(
+            "ls-mp[rank {}]: integrity: corrupt {frame} from rank {peer} ({kind})\n",
             self.rank
         );
-        self.set_poison(peer, frame, kind);
-        if !self.poison_fanned.swap(true, Ordering::SeqCst) {
-            let epoch = self.coll_epoch.load(Ordering::SeqCst);
-            self.broadcast(TAG_POISON, epoch, format!("{peer} {frame} {kind}").as_bytes());
-        }
-    }
-
-    /// Records the poison state (first attribution wins) and wakes every
-    /// collective waiter so detection is prompt.
-    fn set_poison(&self, peer: usize, frame: &str, kind: &str) {
-        {
-            let mut slot = self.poison.lock().unwrap();
-            if slot.is_none() {
-                *slot = Some((peer, frame.to_string(), kind.to_string()));
-            }
-        }
-        self.poisoned.store(true, Ordering::SeqCst);
-        for queue in &self.coll_in {
-            queue.cv.notify_all();
-        }
-    }
-
-    /// The attributed error for the current poison state.
-    fn corruption_error(&self) -> TransportError {
-        match &*self.poison.lock().unwrap() {
-            Some((peer, frame, kind)) => TransportError::Corruption {
-                peer: *peer,
-                frame: frame.clone(),
-                kind: kind.clone(),
-            },
-            None => TransportError::Corruption {
-                peer: self.rank,
-                frame: "unknown".into(),
-                kind: "poisoned without attribution".into(),
-            },
-        }
-    }
-
-    /// True while a detected corruption awaits rollback ([`Self::
-    /// recover_from_corruption`] clears it).
-    pub(crate) fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::SeqCst)
-    }
-
-    /// Raises the pending corruption as a *catchable* panic when the
-    /// epoch is poisoned, and returns normally otherwise. Cleanup paths
-    /// that find collective state inconsistent mid-unwind (undrained
-    /// channels, outstanding credits) call this before asserting: under
-    /// poison the inconsistency is a symptom of the corruption unwind,
-    /// and turning it into a plain panic would make a recoverable error
-    /// fatal.
-    pub(crate) fn raise_if_poisoned(&self) {
-        if self.is_poisoned() {
-            std::panic::panic_any(self.corruption_error());
-        }
-    }
-
-    /// [`Self::report_corruption`], then unwinds with the attributed
-    /// error: the detect → poison → unwind pipeline for a check above the
-    /// transport that fails on the calling thread (reached through
-    /// [`crate::collective::raise_corruption`]).
-    pub(crate) fn raise_corruption(&self, peer: usize, frame: &str, kind: &str) -> ! {
-        self.report_corruption(peer, frame, kind);
-        std::panic::panic_any(self.corruption_error())
-    }
-
-    /// Routes a failure: *recoverable* corruption unwinds as a catchable
-    /// panic (the solver rolls back), everything else takes the
-    /// fail-stop abort path.
-    fn bail(&self, err: TransportError) -> ! {
-        if matches!(err, TransportError::Corruption { .. }) {
-            std::panic::panic_any(err);
-        }
-        self.abort_job(err)
+        let _ = std::io::stderr().write_all(line.as_bytes());
+        let (frame, kind) = (frame.into(), kind.into());
+        self.abort_job(TransportError::Corruption { peer, frame, kind })
     }
 
     /// Marks a peer's connection dead and wakes every collective waiter
@@ -1033,11 +928,6 @@ impl MpRuntime {
             std::thread::sleep(Duration::from_millis(50));
             return;
         }
-        // Integrity outranks liveness: a poisoned epoch surfaces as
-        // recoverable corruption, never misattributed as a peer crash.
-        if self.poisoned.load(Ordering::SeqCst) && !self.recovering.load(Ordering::SeqCst) {
-            std::panic::panic_any(self.corruption_error());
-        }
         let now = self.now_nanos();
         for peer in 0..self.n {
             if peer != self.rank && self.health[peer].dead.load(Ordering::SeqCst) {
@@ -1046,25 +936,35 @@ impl MpRuntime {
         }
     }
 
-    /// The one-way door of every unrecoverable failure: fan an `ABORT`
-    /// frame to every live peer (so the whole job dies promptly instead
-    /// of burning its collective timeout), print the attributed
-    /// diagnostic, and exit with the failure's code. Remote-origin
-    /// aborts are not re-fanned.
+    /// The one-way door of every failure. The first abort of the process
+    /// decides its exit: it fans an `ABORT` frame to every live peer (so
+    /// the whole job dies promptly instead of burning its collective
+    /// timeout; remote-origin aborts are not re-fanned), prints the
+    /// attributed diagnostic as one write, so the ranks' lines do not
+    /// interleave on the stderr they share, and exits with the failure's
+    /// code. Every later abort parks until the process is gone — a peer's
+    /// `ABORT` that arrives while this rank fans out its own must not
+    /// turn the detecting rank's 115 into a collateral 114.
     pub(crate) fn abort_job(&self, err: TransportError) -> ! {
-        if !self.aborting.swap(true, Ordering::SeqCst)
-            && !matches!(err, TransportError::Aborted { .. })
-        {
-            let word = ((self.rank as u64) << 32) | err.exit_code() as u32 as u64;
+        if self.aborting.swap(true, Ordering::SeqCst) {
+            loop {
+                std::thread::park();
+            }
+        }
+        let code = err.exit_code();
+        if !matches!(err, TransportError::Aborted { .. }) {
+            let word = ((self.rank as u64) << 32) | code as u32 as u64;
             let sent = self.broadcast(TAG_ABORT, word, err.to_string().as_bytes());
             self.stats.add(&self.stats.aborts_sent, sent as u64);
         }
-        self.exit_with(&err.to_string(), err.exit_code())
+        let line = format!("ls-mp[rank {}]: abort: {err} (exit {code})\n", self.rank);
+        let _ = std::io::stderr().write_all(line.as_bytes());
+        std::process::exit(code);
     }
 
-    /// Sends one frame to every live peer — the ping, poison and abort
-    /// fan-outs — and returns how many writes succeeded. These are no
-    /// `LS_FAULT` class's frames: no delay or flip touches them.
+    /// Sends one frame to every live peer — the ping and abort fan-outs —
+    /// and returns how many writes succeeded. These are no `LS_FAULT`
+    /// class's frames: no delay or flip touches them.
     fn broadcast(&self, tag: u8, word: u64, payload: &[u8]) -> usize {
         let Ok(bytes) = frame::encode(tag, word, payload, self.integrity.wire()) else {
             return 0;
@@ -1091,20 +991,6 @@ impl MpRuntime {
         Ok(())
     }
 
-    /// The process's way out of a lost job: one thread prints one
-    /// diagnostic and exits. A detecting thread and the receiver of a
-    /// peer's `ABORT` can arrive together; the second waits at the door
-    /// for the first's exit instead of cutting its line off, and the line
-    /// is one write, so the ranks' lines do not interleave on the stderr
-    /// they share (both used to cost `tests/fault_tolerance.rs` its
-    /// `detected in …` report about one run in ten).
-    fn exit_with(&self, diagnostic: &str, code: i32) -> ! {
-        let _door = self.exit_door.lock();
-        let line = format!("ls-mp[rank {}]: abort: {diagnostic} (exit {code})\n", self.rank);
-        let _ = std::io::stderr().write_all(line.as_bytes());
-        std::process::exit(code);
-    }
-
     /// Reads frames off one peer's stream in order and dispatches them.
     /// Any read failure — EOF on a cleanly-exited peer, ECONNRESET on a
     /// crashed one — marks the peer dead *immediately* and wakes every
@@ -1120,13 +1006,9 @@ impl MpRuntime {
                 Ok(frame) => (frame, true),
                 Err(ReadError::Payload(frame)) => (frame, false),
                 Err(ReadError::Lost) => return self.note_peer_lost(peer),
-                // `len` cannot be trusted, and with it nothing behind it on
-                // this stream: the connection cannot go on.
-                Err(ReadError::Header) => self.abort_job(TransportError::Corruption {
-                    peer,
-                    frame: "header".into(),
-                    kind: "header CRC mismatch".into(),
-                }),
+                Err(ReadError::Header) => {
+                    self.raise_corruption(peer, "header", "header CRC mismatch")
+                }
             };
             self.health[peer].last_rx.store(self.now_nanos(), Ordering::Relaxed);
             if frame::counted(tag) {
@@ -1138,10 +1020,7 @@ impl MpRuntime {
                 }
             }
             if !intact {
-                // The stream is still framed: drop the frame, poison the
-                // epoch and let the solver roll back.
-                self.report_corruption(peer, frame::name(tag), "payload CRC mismatch");
-                continue;
+                self.raise_corruption(peer, frame::name(tag), "payload CRC mismatch");
             }
             match tag {
                 TAG_COLL => {
@@ -1157,25 +1036,14 @@ impl MpRuntime {
                 TAG_ABORT => {
                     // Exit right here: the job is already lost, and the
                     // sooner every rank is gone the sooner the supervisor
-                    // can relaunch from the last checkpoint.
-                    self.aborting.store(true, Ordering::SeqCst);
-                    let (origin, code) = (word >> 32, word as u32 as i32);
+                    // can relaunch from the last checkpoint. A rank
+                    // already aborting on its own keeps its own code.
+                    let (origin, code) = ((word >> 32) as usize, word as u32 as i32);
                     let reason = String::from_utf8_lossy(&payload);
-                    self.exit_with(
-                        &format!("aborted by rank {origin} (peer exit {code}): {reason}"),
-                        EXIT_FAILOVER,
-                    );
+                    let reason = format!("{reason} (peer exit {code})");
+                    self.abort_job(TransportError::Aborted { origin, reason })
                 }
-                TAG_POISON if word >= self.coll_epoch.load(Ordering::SeqCst) => {
-                    let text = String::from_utf8_lossy(&payload);
-                    let mut parts = text.splitn(3, ' ');
-                    let culprit = parts.next().and_then(|c| c.parse().ok()).unwrap_or(peer);
-                    let what = parts.next().unwrap_or("unknown");
-                    self.set_poison(culprit, what, parts.next().unwrap_or_default());
-                }
-                // A poison stamped with an older epoch belongs to a
-                // corruption this rank already rolled back past.
-                TAG_PING | TAG_POISON => {}
+                TAG_PING => {}
                 other => self.abort_job(TransportError::Protocol {
                     detail: format!("unknown frame tag {other} from rank {peer}"),
                 }),
@@ -1286,7 +1154,7 @@ impl MpRuntime {
     fn send(&self, peer: usize, tag: u8, chan: u64, payload: &[u8]) {
         let sent =
             self.seal(tag, chan, payload).and_then(|b| self.try_send_frame(peer, tag, &b));
-        sent.unwrap_or_else(|e| self.bail(e));
+        sent.unwrap_or_else(|e| self.abort_job(e));
     }
 
     /// Pops the collective payload with sequence `seq` from `peer`. The
@@ -1308,46 +1176,16 @@ impl MpRuntime {
         let mut q = queue.q.lock().unwrap();
         loop {
             if let Some(&(s, _)) = q.front() {
-                if s >> EPOCH_SHIFT < seq >> EPOCH_SHIFT {
-                    // Leftover frame of a rolled-back epoch: the peer
-                    // sent it before recovery. Benign — discard.
-                    q.pop_front();
-                    continue;
+                if s != seq {
+                    return Err(TransportError::Desync { peer, expected: seq, got: s });
                 }
-                if s >> EPOCH_SHIFT == seq >> EPOCH_SHIFT {
-                    if s != seq {
-                        // Under poison a gap is the corrupt frame the
-                        // receiver dropped: the peer's next collective
-                        // overtook it, which is no desync.
-                        if self.poisoned.load(Ordering::SeqCst)
-                            && !self.recovering.load(Ordering::SeqCst)
-                        {
-                            return Err(self.corruption_error());
-                        }
-                        return Err(TransportError::Desync { peer, expected: seq, got: s });
-                    }
-                    return Ok(q.pop_front().unwrap().1);
-                }
-                // The peer already recovered into a *newer* epoch: a
-                // corruption was detected somewhere and this rank's
-                // poison notification is still in flight. Leave the
-                // frame queued (it belongs to the post-recovery epoch)
-                // and fall through to the poison check / wait below —
-                // this is the corruption unwind racing the fan-out,
-                // never a desync.
+                return Ok(q.pop_front().unwrap().1);
             }
             if self.aborting.load(Ordering::SeqCst) {
                 return Err(TransportError::Aborted {
                     origin: self.rank,
                     reason: "local abort already in progress".into(),
                 });
-            }
-            // A poisoned epoch fails the wait with the attributed
-            // corruption — the frame this rank is waiting for may have
-            // been the corrupt one that was dropped. Recovery's own
-            // collectives run with `recovering` set.
-            if self.poisoned.load(Ordering::SeqCst) && !self.recovering.load(Ordering::SeqCst) {
-                return Err(self.corruption_error());
             }
             if self.health[peer].dead.load(Ordering::SeqCst) {
                 return Err(self.peer_failed(
@@ -1387,7 +1225,7 @@ impl MpRuntime {
         // The guard both allocates the sequence number and serializes
         // collectives within the process.
         let mut seq_guard = self.coll_seq.lock().unwrap();
-        let seq = (self.coll_epoch.load(Ordering::SeqCst) << EPOCH_SHIFT) | *seq_guard;
+        let seq = *seq_guard;
         let bytes = self.seal(TAG_COLL, seq, payload)?;
         *seq_guard += 1;
         for peer in 0..self.n {
@@ -1406,11 +1244,9 @@ impl MpRuntime {
         Ok(out)
     }
 
-    /// [`Self::try_allgather`] that aborts the whole job on failure —
-    /// except recoverable corruption, which unwinds as a catchable
-    /// panic carrying the [`TransportError::Corruption`].
+    /// [`Self::try_allgather`] that aborts the whole job on failure.
     pub(crate) fn allgather(&self, payload: &[u8]) -> Vec<Vec<u8>> {
-        self.try_allgather(payload).unwrap_or_else(|e| self.bail(e))
+        self.try_allgather(payload).unwrap_or_else(|e| self.abort_job(e))
     }
 
     /// [`Self::allgather`] of one slice of elements a rank: every rank
@@ -1430,10 +1266,8 @@ impl MpRuntime {
         all.into_iter().map(decode).collect()
     }
 
-    /// Barrier: an empty allgather — a failure aborts the whole job,
-    /// except recoverable corruption, which unwinds as a catchable panic
-    /// carrying the [`TransportError::Corruption`]. Per-peer FIFO makes it
-    /// a flush: every channel/close/credit frame a peer sent before
+    /// Barrier: an empty allgather — a failure aborts the whole job.
+    /// Per-peer FIFO makes it a flush: every channel/close/credit frame a peer sent before
     /// entering has been applied here once its barrier frame is popped.
     /// Also the fault-injection trigger point: `LS_FAULT` kill/drop-conn
     /// actions fire on entry, keyed by the 1-based count of barriers this
@@ -1470,58 +1304,9 @@ impl MpRuntime {
         out
     }
 
-    /// Collective recovery from a poisoned epoch: every surviving rank
-    /// calls this (the solver's rollback path does) after unwinding out
-    /// of the corrupt product. Steps, whose order is load-bearing:
-    ///
-    /// 1. bump the recovery epoch and reset the collective sequence —
-    ///    stale frames of the poisoned epoch now carry visibly-old
-    ///    epoch bits and are silently discarded at the pop;
-    /// 2. barrier in the new epoch — per-peer FIFO means that once a
-    ///    peer's new-epoch barrier frame has arrived, *everything* it
-    ///    sent before recovery has been received and dispatched, so the
-    ///    stale channel/credit state is complete;
-    /// 3. drop all channel inboxes and credits (the poisoned product's
-    ///    ranks unwound mid-stream and will rebuild their grids);
-    /// 4. allgather the channel id counter and take the job-wide maximum
-    ///    — ranks unwound at different points, so the per-process
-    ///    counters diverged. No peer can send a new-id frame before its
-    ///    own allgather completes, which needs our contribution, which
-    ///    we send *after* clearing the maps — so a fresh inbox can never
-    ///    be dropped by step 3;
-    /// 5. clear the poison.
-    ///
-    /// No-op when the epoch is not poisoned, so callers may invoke it
-    /// unconditionally before a retry.
-    pub(crate) fn recover_from_corruption(&self) {
-        if !self.poisoned.load(Ordering::SeqCst) {
-            return;
-        }
-        self.recovering.store(true, Ordering::SeqCst);
-        self.coll_epoch.fetch_add(1, Ordering::SeqCst);
-        *self.coll_seq.lock().unwrap() = 0;
-        self.barrier();
-        self.chans.lock().unwrap().clear();
-        self.credits.lock().unwrap().clear();
-        let all = self.allgather(&self.next_chan.load(Ordering::SeqCst).to_le_bytes());
-        let chan = all.iter().map(|c| c.as_slice().get_u64_le()).max().unwrap_or(0);
-        self.next_chan.store(chan, Ordering::SeqCst);
-        *self.poison.lock().unwrap() = None;
-        self.poison_fanned.store(false, Ordering::SeqCst);
-        self.poisoned.store(false, Ordering::SeqCst);
-        self.recovering.store(false, Ordering::SeqCst);
-        eprintln!(
-            "ls-mp[rank {}]: integrity: recovered into epoch {}",
-            self.rank,
-            self.coll_epoch.load(Ordering::SeqCst)
-        );
-    }
-
     /// Advances the matvec+dot epoch clock and reports whether an
     /// `LS_FAULT` `nan` action fires for this rank at this epoch (see
-    /// [`crate::collective::nan_fault_fires`]). The ordinal is monotonic
-    /// across rollbacks, so a consumed injection never re-fires against
-    /// the replayed epoch.
+    /// [`crate::collective::nan_fault_fires`]).
     pub(crate) fn nan_fault_fires(&self) -> bool {
         let ordinal = self.matvec_ordinal.fetch_add(1, Ordering::Relaxed) + 1;
         let mut fires = false;
@@ -1771,23 +1556,14 @@ impl<T: Copy + Default> PairChannel<T> {
             PairChannel::Local(ch) => ch.reset(),
             PairChannel::Sender(s) => {
                 let avail = s.credits.load(Ordering::Acquire);
-                if avail != RING_SLOTS {
-                    // A consumer that unwound out of a poisoned epoch
-                    // never returned the credit — recoverable, not a
-                    // protocol bug.
-                    s.mp.raise_if_poisoned();
-                    panic!("reset while the consumer still holds a batch credit ({avail})");
-                }
+                assert_eq!(
+                    avail, RING_SLOTS,
+                    "reset while the consumer still holds a batch credit"
+                );
             }
             PairChannel::Receiver(r) => {
-                if !r.inbox.closed.load(Ordering::Acquire) {
-                    r.mp.raise_if_poisoned();
-                    panic!("reset of an open channel");
-                }
-                if !r.inbox.q.lock().unwrap().is_empty() {
-                    r.mp.raise_if_poisoned();
-                    panic!("reset with unconsumed data");
-                }
+                assert!(r.inbox.closed.load(Ordering::Acquire), "reset of an open channel");
+                assert!(r.inbox.q.lock().unwrap().is_empty(), "reset with unconsumed data");
                 r.inbox.closed.store(false, Ordering::Release);
             }
             PairChannel::Absent => {}

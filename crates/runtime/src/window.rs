@@ -203,10 +203,9 @@ impl<'a, T: Copy + Send> RmaWriteWindow<'a, T> {
 impl<'a, T: Copy + Send> Drop for RmaWriteWindow<'a, T> {
     fn drop(&mut self) {
         let (Some(outbox), Some(mp)) = (&self.outbox, transport::active()) else { return };
-        // Unwinding out of a poisoned epoch: the close collectives would
-        // fail against peers that are unwinding too, and rollback
-        // discards the epoch's data anyway.
-        if mp.is_poisoned() || std::thread::panicking() {
+        // Unwinding: the close collectives would run against peers that
+        // never reach them, and a panic during the unwind aborts.
+        if std::thread::panicking() {
             return;
         }
         // SAFETY: the window holds the exclusive borrow of the DistVec

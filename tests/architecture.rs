@@ -151,7 +151,7 @@ fn one_frame_codec() {
     let tags = hits(&["crates/runtime/src"], &[&["const ", "TAG_"].concat()]);
     let stray: Vec<&String> = tags.iter().filter(|h| !h.contains("frame.rs:")).collect();
     assert!(stray.is_empty(), "a frame tag outside frame.rs:\n{stray:?}");
-    assert_eq!(tags.len(), 7, "{}", tags.join("\n"));
+    assert_eq!(tags.len(), 6, "{}", tags.join("\n"));
 }
 
 /// Every file the library writes is one sealed record: `record.rs` owns
@@ -267,4 +267,23 @@ fn one_timing_system() {
         let benches = krate.unwrap().path().join("benches");
         assert!(!benches.exists(), "{} exists", benches.display());
     }
+}
+
+/// A detected corruption is fail-stop: exit 115 and a supervised
+/// relaunch from a checkpoint multiprocess, a typed unwind in process
+/// that the caller resumes from its checkpoint. No second, in-job
+/// recovery path: no rollback budget, no poison fan-out frame, no epoch
+/// bits in collective sequence numbers, no transport drain.
+#[test]
+fn one_recovery_path() {
+    assert_none(
+        &["crates", "compat", "src", "examples", "tests"],
+        &[
+            concat!("LS_MAX_", "ROLLBACKS"),
+            concat!("TAG_", "POISON"),
+            concat!("EPOCH_", "SHIFT"),
+            concat!("recover_from_", "corruption"),
+            concat!("raise_if_", "poisoned"),
+        ],
+    );
 }

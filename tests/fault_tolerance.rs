@@ -16,9 +16,8 @@
 //!   enumeration, mid-solve and mid-restart-cycle boundaries,
 //! * *silent* errors — a flipped bit in a channel frame, a flipped bit in
 //!   a window epoch's collective frame, a NaN'd share of a dot product —
-//!   are detected by the integrity layer and recovered **in-process**
-//!   (checkpoint rollback, no supervisor relaunch), again bit-identically,
-//!   and
+//!   are detected and attributed, end the job with exit 115, and recover
+//!   through the same supervised relaunch, again bit-identically, and
 //! * a SIGKILLed job (supervisor included) leaves no rendezvous
 //!   directory behind under `/dev/shm`.
 
@@ -199,14 +198,12 @@ fn shm_base() -> PathBuf {
 }
 
 /// Launches this test binary as a supervised multiprocess job running
-/// `mp_worker_entry` in `mode`, with the given fault plan, restart budget
-/// and in-process rollback budget (`None`: the default). Returns (exit
-/// status, stdout, stderr, wall time).
+/// `mp_worker_entry` in `mode`, with the given fault plan and restart
+/// budget. Returns (exit status, stdout, stderr, wall time).
 fn launch_job(
     mode: &str,
     fault: &str,
     max_restarts: u32,
-    max_rollbacks: Option<u32>,
     ckpt: &std::path::Path,
 ) -> (std::process::ExitStatus, String, String, Duration) {
     let exe = std::env::current_exe().unwrap();
@@ -220,7 +217,6 @@ fn launch_job(
         .env("LS_MP_BACKOFF_MS", "50")
         .env("LS_FT_MODE", mode)
         .env("LS_FT_CKPT", ckpt)
-        .envs(max_rollbacks.map(|n| ("LS_MAX_ROLLBACKS", n.to_string())))
         .output()
         .expect("spawn multiprocess job");
     (
@@ -250,8 +246,7 @@ fn peer_failure_is_detected_sub_second() {
     }
     let ckpt = std::env::temp_dir().join(format!("ft-detect-{}.lsck", std::process::id()));
     // No restart budget: the job must fail fast, blaming the killed rank.
-    let (status, stdout, stderr, wall) =
-        launch_job("spin", "kill:rank=1,barrier=5", 0, None, &ckpt);
+    let (status, stdout, stderr, wall) = launch_job("spin", "kill:rank=1,barrier=5", 0, &ckpt);
     assert!(!status.success(), "job with a killed rank must fail:\n{stdout}\n{stderr}");
     assert!(
         wall < Duration::from_secs(30),
@@ -286,7 +281,7 @@ fn supervisor_recovers_faulted_solves_bit_identically() {
     let tag = std::process::id();
     let ckpt_ref = std::env::temp_dir().join(format!("ft-matrix-ref-{tag}.lsck"));
     remove_checkpoint(&ckpt_ref).unwrap();
-    let (status, stdout, stderr, _) = launch_job("solve", "", 0, None, &ckpt_ref);
+    let (status, stdout, stderr, _) = launch_job("solve", "", 0, &ckpt_ref);
     assert!(status.success(), "clean run failed:\n{stdout}\n{stderr}");
     assert!(!stderr.contains("relaunching"), "clean run must not restart:\n{stderr}");
     let reference = eigenvalue_bits(&stdout);
@@ -299,23 +294,18 @@ fn supervisor_recovers_faulted_solves_bit_identically() {
     // products and checkpoints, every later cycle 3. So barrier 2 is
     // inside enumeration, 13 is product 6's drain (cycle 1, before any
     // checkpoint) and 37 product 18's (cycle 5: the relaunch resumes from
-    // cycle 4's checkpoint). The last row is a corruption the processes may not repair themselves
-    // (rollback budget 0, where `silent_errors_roll_back_bit_identically`
-    // has restart budget 0): every rank's solve gives up on it, the job
-    // aborts with the typed exit code, and it comes back through the
-    // supervisor like any crash.
+    // cycle 4's checkpoint). Corruption takes the same relaunch
+    // (`silent_errors_relaunch_bit_identically`).
     let cases = [
-        ("kill:rank=1,barrier=2", "enumeration", 2, None),
-        ("kill:rank=3,barrier=37", "restart cycle", 2, None),
-        ("drop-conn:rank=2,barrier=13", "matvec epoch", 2, None),
-        ("flip-bit:rank=2,frame=chan,nth=40", "corruption past rollback", 1, Some(0)),
+        ("kill:rank=1,barrier=2", "enumeration"),
+        ("kill:rank=3,barrier=37", "restart cycle"),
+        ("drop-conn:rank=2,barrier=13", "matvec epoch"),
     ];
-    for (fault, phase, max_restarts, max_rollbacks) in cases {
+    for (fault, phase) in cases {
         let ckpt = std::env::temp_dir()
             .join(format!("ft-matrix-{tag}-{}.lsck", phase.replace(' ', "-")));
         remove_checkpoint(&ckpt).unwrap();
-        let (status, stdout, stderr, _) =
-            launch_job("solve", fault, max_restarts, max_rollbacks, &ckpt);
+        let (status, stdout, stderr, _) = launch_job("solve", fault, 2, &ckpt);
         assert!(
             status.success(),
             "faulted job ({fault}, {phase}) did not recover:\n{stdout}\n{stderr}"
@@ -325,12 +315,6 @@ fn supervisor_recovers_faulted_solves_bit_identically() {
             "fault {fault} ({phase}) never fired or never restarted:\n{stderr}"
         );
         assert!(!stderr.contains("rolling back"), "{fault} ({phase}):\n{stderr}");
-        if max_rollbacks == Some(0) {
-            assert!(
-                stderr.contains("detected unrecovered data corruption (exit 115)"),
-                "{fault} ({phase}) did not leave as a typed corruption exit:\n{stderr}"
-            );
-        }
         assert_eq!(
             eigenvalue_bits(&stdout),
             reference,
@@ -341,11 +325,11 @@ fn supervisor_recovers_faulted_solves_bit_identically() {
 }
 
 /// Silent-error acceptance: a flipped bit in a channel frame, a flipped
-/// bit in a window epoch's collective frame and a NaN'd share of `⟨x, y⟩`
-/// must each be *detected* by the integrity layer and recovered
-/// **in-process** — checkpoint rollback inside the surviving processes,
-/// with a zero supervisor restart budget — and still converge
-/// bit-identically to a clean run.
+/// bit in a window epoch's collective frame and a NaN'd share of
+/// `⟨x, y⟩` must each be *detected* and attributed, end the job as a
+/// typed corruption (exit 115) — fail-stop, never repaired in place —
+/// and recover through one supervised relaunch from the newest
+/// checkpoint, bit-identically to a clean run.
 ///
 /// Fault placement is deterministic but phase-sensitive:
 /// * `flip-bit` on `chan` counts sealed channel frames on rank 2 — only
@@ -356,13 +340,13 @@ fn supervisor_recovers_faulted_solves_bit_identically() {
 ///   exchanges and the read window every gather product opens. In a
 ///   traced `gather-solve` run the first checkpoint follows frame 34 and
 ///   frame 52 is the second product's read window after it, so the
-///   rollback replays from that checkpoint (the pc engine never opens
+///   relaunch resumes from that checkpoint (the pc engine never opens
 ///   windows).
 /// * `nan` counts the solver's matvec+dot steps (`DistOp::apply_dot`
-///   calls); ordinal 12 lands past the first restart boundary, so
-///   recovery replays from a checkpoint rather than from scratch.
+///   calls); ordinal 12 lands past the first restart boundary, so the
+///   relaunch resumes from a checkpoint rather than from scratch.
 #[test]
-fn silent_errors_roll_back_bit_identically() {
+fn silent_errors_relaunch_bit_identically() {
     if !e2e_enabled() {
         return;
     }
@@ -371,12 +355,12 @@ fn silent_errors_roll_back_bit_identically() {
     for mode in ["solve", "gather-solve"] {
         let ckpt = std::env::temp_dir().join(format!("ft-silent-ref-{tag}-{mode}.lsck"));
         remove_checkpoint(&ckpt).unwrap();
-        let (status, stdout, stderr, _) = launch_job(mode, "", 0, None, &ckpt);
+        let (status, stdout, stderr, _) = launch_job(mode, "", 0, &ckpt);
         assert!(status.success(), "clean {mode} run failed:\n{stdout}\n{stderr}");
         // Integrity checking is on by default and must stay silent on a
-        // clean run: zero corrupt frames, zero rollbacks.
+        // clean run.
         assert!(
-            stdout.contains("rollbacks=0") && stdout.contains("frames_corrupted=0"),
+            stdout.contains("frames_corrupted=0"),
             "clean {mode} run reported spurious integrity events:\n{stdout}"
         );
         reference.insert(mode, eigenvalue_bits(&stdout));
@@ -384,31 +368,45 @@ fn silent_errors_roll_back_bit_identically() {
     }
 
     let cases = [
-        ("solve", "nan:rank=0,cycle=12", "NaN dot partial"),
-        ("solve", "flip-bit:rank=2,frame=chan,nth=40", "wire bit-flip"),
-        ("gather-solve", "flip-bit:rank=1,frame=coll,nth=52", "window bit-flip"),
+        (
+            "solve",
+            "nan:rank=0,cycle=12",
+            "NaN dot partial",
+            "ls-eigen: solver health violation in cycle 2: alpha check failed",
+        ),
+        (
+            "solve",
+            "flip-bit:rank=2,frame=chan,nth=40",
+            "wire bit-flip",
+            "integrity: corrupt chan from rank 2 (payload CRC mismatch)",
+        ),
+        (
+            "gather-solve",
+            "flip-bit:rank=1,frame=coll,nth=52",
+            "window bit-flip",
+            "integrity: corrupt coll from rank 1 (payload CRC mismatch)",
+        ),
     ];
-    for (mode, fault, what) in cases {
+    for (mode, fault, what, detected) in cases {
         let ckpt = std::env::temp_dir()
             .join(format!("ft-silent-{tag}-{}.lsck", what.replace(' ', "-")));
         remove_checkpoint(&ckpt).unwrap();
-        // max_restarts = 0: if detection escalated to a process exit the
-        // supervisor would have no budget and the job would fail — success
-        // here *proves* the recovery stayed in-process.
-        let (status, stdout, stderr, _) = launch_job(mode, fault, 0, None, &ckpt);
+        let (status, stdout, stderr, _) = launch_job(mode, fault, 1, &ckpt);
         assert!(
             status.success(),
-            "{what} ({fault}, {mode}) did not recover in-process:\n{stdout}\n{stderr}"
+            "{what} ({fault}, {mode}) did not recover:\n{stdout}\n{stderr}"
         );
         assert!(stderr.contains("fault injection:"), "{what} ({fault}) never fired:\n{stderr}");
+        assert!(stderr.contains(detected), "{what} ({fault}) was not attributed:\n{stderr}");
         assert!(
-            stderr.contains("rolling back"),
-            "{what} ({fault}) was not recovered by rollback:\n{stderr}"
+            stderr.contains("detected unrecovered data corruption (exit 115)"),
+            "{what} ({fault}) did not end as a typed corruption exit:\n{stderr}"
         );
         assert!(
-            !stderr.contains("relaunching"),
-            "{what} ({fault}) escalated to a supervisor relaunch:\n{stderr}"
+            stderr.contains("supervisor: relaunching"),
+            "{what} ({fault}) was not relaunched:\n{stderr}"
         );
+        assert!(!stderr.contains("rolling back"), "{what} ({fault}):\n{stderr}");
         assert_eq!(
             eigenvalue_bits(&stdout),
             reference[mode],
@@ -533,8 +531,7 @@ fn run_solve(mp: &'static transport::MpRuntime, gather: bool) {
     };
     let res = if gather {
         // The pull-style product: every iteration opens a read window,
-        // whose collective frames a `coll` bit-flip damages inside the
-        // solver's rollback scope.
+        // whose collective frames a `coll` bit-flip damages mid-solve.
         let gop = exact_diag::dist::matvec::GatherOp::new(&cluster, &op, &basis);
         exact_diag::eigen::thick_restart_lanczos_in(&gop, &restart)
     } else {
@@ -549,12 +546,11 @@ fn run_solve(mp: &'static transport::MpRuntime, gather: bool) {
         println!();
         let w = mp.stats().snapshot();
         println!(
-            "FT_STATS restarts={} peer_failures={} aborts_sent={} rollbacks={} \
-             frames_corrupted={} crc_bytes_checked={} mean_detection={:.6}",
+            "FT_STATS restarts={} peer_failures={} aborts_sent={} frames_corrupted={} \
+             crc_bytes_checked={} mean_detection={:.6}",
             w.restarts,
             w.peer_failures,
             w.aborts_sent,
-            res.rollbacks,
             w.frames_corrupted,
             w.crc_bytes_checked,
             w.mean_detection_seconds()
