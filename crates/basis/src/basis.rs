@@ -67,14 +67,9 @@ pub struct SpinBasis {
 }
 
 impl SpinBasis {
-    /// Builds the basis by parallel enumeration.
+    /// Builds the basis by parallel enumeration, eight chunks a thread.
     pub fn build(sector: SectorSpec) -> Self {
         let chunks = (rayon::current_num_threads() * 8).max(1);
-        Self::build_with_chunks(sector, chunks)
-    }
-
-    /// Builds with an explicit chunk count.
-    pub fn build_with_chunks(sector: SectorSpec, chunks: usize) -> Self {
         let chunk = enumerate::enumerate_par(&sector, chunks);
         Self::from_parts(sector, chunk.states, chunk.orbit_sizes)
     }

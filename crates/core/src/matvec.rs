@@ -436,7 +436,8 @@ fn batched_pull_sweep<S: Scalar>(
 /// nothing stored in between. Per row `j`, the sum starts from
 /// `diag[j]·x[j]` and takes `conj(amp)·x[rank(α ⊕ flip)]` per emission in
 /// channel order ([`SymmetrizedOperator::pull_rows`], ranked by the basis's
-/// Lin view, or [`SpinBasis::rank_member`] where a species is too wide).
+/// Lin view, or where a species is too wide for it by the combinadic sum of
+/// its binomial table; either taken once a chunk).
 fn pull_rows<S: Scalar>(
     op: &SymmetrizedOperator<S>,
     basis: &SpinBasis,
@@ -452,7 +453,10 @@ fn pull_rows<S: Scalar>(
     match basis.lin_tables().map(LinTables::ranker) {
         Some(LinRanker::One(v)) => op.pull_rows(states, x, |s| v.rank_member(s) as usize, yc),
         Some(LinRanker::Two(v)) => op.pull_rows(states, x, |s| v.rank_member(s) as usize, yc),
-        None => op.pull_rows(states, x, |rep| basis.rank_member(rep), yc),
+        None => {
+            let binom = basis.combinadic_table().expect("a closed form without Lin tables");
+            op.pull_rows(states, x, |s| binom.rank(s) as usize, yc)
+        }
     }
 }
 

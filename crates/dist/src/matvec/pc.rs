@@ -10,12 +10,18 @@
 //! value `amp · x[row]` and a push onto the owner's run. The key is the
 //! state's sector rank where every part selects — the producer ranks, by
 //! Lin's tables — and the state itself elsewhere (see `crate::basis`).
-//! After a block the ABFT tally notes the block's values run by run (in
-//! four independent lanes), the local run
+//! Everything the sink would otherwise recompute per emission is taken
+//! once a product and moved into it by value: the owner map (`OwnerMap`,
+//! the locale count's power-of-two test decided) and the Lin view. An
+//! emission then costs one hash, the view's table loads and one staged
+//! store. A block's diagonal goes into `y` in one window sweep before its
+//! emissions. After a block the ABFT tally notes the block's values run
+//! by run (in four independent lanes), the local run
 //! is resolved and added on the spot and the others ship in
 //! capacity-sized batches through [`PairChannel`]s — one per
 //! (source, destination) pair, each a ring of two buffers, so a producer
-//! fills one batch while the previous one is being resolved. The same
+//! fills one batch while the previous one is being resolved; at the
+//! default capacity a block's remote run fits about one batch. The same
 //! threads drain the channels addressed to their locale and resolve each
 //! batch where it lies against the *local* basis part — on a product
 //! sector a select per pair and nothing else, elsewhere a hash-index
@@ -56,20 +62,51 @@ use crate::basis::{missing_state, DistSpinBasis};
 use crate::matvec::{validate_shapes, AbftTally};
 use ls_basis::{SymmetrizedOperator, WalkScratch};
 use ls_kernels::combinadics::{LinRanker, LinTables};
-use ls_kernels::{locale_idx_of, Scalar};
+use ls_kernels::{hash64_01, Scalar};
 use ls_runtime::{collective, AtomicAccumWindow, Cluster, DistVec, LocaleCtx, PairChannel};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Rows a thread generates and routes at a time: one
-/// [`SymmetrizedOperator::generate_off_diag_block`] call (which runs the
-/// group's networks once per source row, `g(α ⊕ m) = g(α) ⊕ π_g(m)`, and
-/// one sweep per matrix element; `ls_basis::state_info_batch` is its
-/// oracle) whose sink keys and stages every emission, then the tally of
-/// the block's runs, one resolve-and-add of the local run and the shipping
-/// of every full batch — and the longest a thread leaves its inbox
-/// unattended.
+/// Rows a thread generates and routes at a time: one window sweep of
+/// their diagonal, one [`SymmetrizedOperator::generate_off_diag_block`]
+/// call (which runs the group's networks once per source row,
+/// `g(α ⊕ m) = g(α) ⊕ π_g(m)`, and one sweep per matrix element;
+/// `ls_basis::state_info_batch` is its oracle) whose sink keys and stages
+/// every emission, then the tally of the block's runs, one resolve-and-add
+/// of the local run and the shipping of every full batch — and the longest
+/// a thread leaves its inbox unattended. On the 20-site U(1) ring a block
+/// emits ≈ 5 400 pairs, ≈ 2 700 to each of 2 locales: about one batch of
+/// the default [`PcOptions::capacity`].
 const GEN_BLOCK: usize = 512;
+
+/// The owner of a state, [`ls_kernels::locale_idx_of`] (the definition,
+/// and the oracle of this map's test) with the locale count's
+/// power-of-two test taken once a product: a mask, or an exact `%`.
+#[derive(Copy, Clone, Debug)]
+enum OwnerMap {
+    Mask(u64),
+    Modulo(u64),
+}
+
+impl OwnerMap {
+    fn new(locales: usize) -> Self {
+        let n = locales as u64;
+        if n.is_power_of_two() {
+            Self::Mask(n - 1)
+        } else {
+            Self::Modulo(n)
+        }
+    }
+
+    #[inline(always)]
+    fn of(self, state: u64) -> usize {
+        let hash = hash64_01(state);
+        (match self {
+            Self::Mask(mask) => hash & mask,
+            Self::Modulo(n) => hash % n,
+        }) as usize
+    }
+}
 
 /// A memoized diagonal, keyed by operator fingerprint, part address, length.
 type DiagMemo<S> = Option<(((u64, usize), usize, usize), Arc<Vec<S>>)>;
@@ -78,6 +115,15 @@ type DiagMemo<S> = Option<(((u64, usize), usize, usize), Arc<Vec<S>>)>;
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct PcOptions {
     /// Capacity of each channel buffer, in `(key, coefficient)` pairs.
+    /// The default, 2 048 (32 KiB a buffer), holds about one block's remote
+    /// run to a destination (`GEN_BLOCK` rows), so a producer ships a
+    /// block in one batch and seldom waits for its peer to free one of the
+    /// ring's two buffers. On the 20-site U(1) ring (2 locales × 1 core,
+    /// 2 vCPUs) a locale's shipping, waits included, fell from 3.8–5.7 ms
+    /// a product at 512 (five batches a block) to 0.8–1.2 ms, and the
+    /// product to ×0.79–1.03 of its time, median ×0.92, over 4 alternating
+    /// rounds. 4 096 and 8 192 read ×0.90–0.99 of 2 048 in the same probe,
+    /// at two and four times the channel memory.
     pub capacity: usize,
     /// Deterministic accumulation order: a locale runs one thread, and the
     /// drain step leaves received batches *stashed* (communication still
@@ -95,7 +141,7 @@ pub struct PcOptions {
 
 impl Default for PcOptions {
     fn default() -> Self {
-        Self { capacity: 512, deterministic: false }
+        Self { capacity: 2048, deterministic: false }
     }
 }
 
@@ -299,25 +345,27 @@ impl<S: Scalar> Task<'_, S> {
     /// Generates the rows of this thread's contiguous share of the local
     /// basis part in blocks and routes every emission as it is generated,
     /// keyed the way the basis says ([`DistSpinBasis::key_ranks`]): a
-    /// sector rank comes from the Lin view taken once, here.
+    /// sector rank comes from the Lin view taken once, here, and moved
+    /// into the sink by value.
     fn produce(&self, inbox: &mut Inbox<S>) {
         match self.basis.key_ranks().map(LinTables::ranker) {
-            Some(LinRanker::One(lin)) => self.produce_keyed(inbox, |rep| lin.rank(rep)),
-            Some(LinRanker::Two(lin)) => self.produce_keyed(inbox, |rep| lin.rank(rep)),
+            Some(LinRanker::One(lin)) => self.produce_keyed(inbox, move |rep| lin.rank(rep)),
+            Some(LinRanker::Two(lin)) => self.produce_keyed(inbox, move |rep| lin.rank(rep)),
             None => self.produce_keyed(inbox, Some),
         }
     }
 
     /// [`Self::produce`] with the key of a generated state (`None`: not in
-    /// the sector). Per block: the diagonal is added, then the generator's
-    /// sink routes each emission in place — owner, key, `amp · x[row]`,
-    /// push onto the owner's run — after which every run's fresh values
-    /// are tallied, the local run is resolved and added and the others ship
-    /// their full batches. `inbox` is served after every block and while a
-    /// channel is full.
-    fn produce_keyed(&self, inbox: &mut Inbox<S>, key: impl Fn(u64) -> Option<u64>) {
+    /// the sector). Per block: the diagonal is added in one sweep, then the
+    /// generator's sink routes each emission in place — owner, key,
+    /// `amp · x[row]`, push onto the owner's run — after which every run's
+    /// fresh values are tallied, the local run is resolved and added and
+    /// the others ship their full batches. `inbox` is served after every
+    /// block and while a channel is full.
+    fn produce_keyed(&self, inbox: &mut Inbox<S>, key: impl Fn(u64) -> Option<u64> + Copy) {
         let me = self.ctx.locale();
         let (capacity, locales) = (self.engine.opts.capacity, self.engine.n_locales);
+        let owners = OwnerMap::new(locales);
         let states = self.basis.states().part(me);
         let orbits = self.basis.orbit_sizes().part(me);
         let x_local = self.x.part(me);
@@ -335,20 +383,24 @@ impl<S: Scalar> Task<'_, S> {
         let mut idx = Vec::new();
         for b0 in (lo..hi).step_by(GEN_BLOCK) {
             let b1 = (b0 + GEN_BLOCK).min(hi);
-            for k in (b0..b1).filter(|&k| diag[k] != S::ZERO) {
-                self.add(k, diag[k] * x_local[k]);
-            }
+            // A zero diagonal adds nothing (the window skips a zero lane),
+            // whatever `x` holds; the tally notes every product.
+            let d = |k: usize| if diag[k] != S::ZERO { diag[k] * x_local[k] } else { S::ZERO };
+            self.win.add_run(me, b0, (b0..b1).map(d), self.threads == 1);
             if let Some(t) = &mut tally {
                 t.note(me, (b0..b1).map(|k| diag[k] * x_local[k]));
             }
             fresh.iter_mut().zip(&runs).for_each(|(at, run)| *at = run.len());
-            let (rows, row_orbits) = (&states[b0..b1], &orbits[b0..b1]);
-            self.op.generate_off_diag_block(rows, row_orbits, &mut walk, |k, rep, amp| {
-                let dest = locale_idx_of(rep, locales);
+            let (rows, row_orbits, x_rows) =
+                (&states[b0..b1], &orbits[b0..b1], &x_local[b0..b1]);
+            // By value: the owner map and the key's view sit in the sink's
+            // own frame, one load from where it is called.
+            let staged = &mut runs[..];
+            self.op.generate_off_diag_block(rows, row_orbits, &mut walk, move |k, rep, amp| {
                 let Some(key) = key(rep) else {
                     missing_state(me, rep, self.basis.sector());
                 };
-                runs[dest].push((key, amp * x_local[b0 + k]));
+                staged[owners.of(rep)].push((key, amp * x_rows[k]));
             });
             for (dest, (run, &at)) in runs.iter_mut().zip(&fresh).enumerate() {
                 if let Some(t) = &mut tally {
@@ -567,6 +619,25 @@ mod tests {
                 for (a, b) in y.part(l).iter().zip(y_ref.part(l)) {
                     assert!((a - b).abs() < 1e-10, "cores={cores}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn the_owner_map_is_locale_idx_of() {
+        // Every member of the 12-site sector at half filling, and the ends
+        // of the word.
+        let states = (0..1u64 << 12).filter(|s| s.count_ones() == 6);
+        let states: Vec<u64> = states.chain([0, 1 << 63, u64::MAX]).collect();
+        assert_eq!(states.len(), 924 + 3);
+        for locales in 1..=9 {
+            let owners = OwnerMap::new(locales);
+            for &s in &states {
+                assert_eq!(
+                    owners.of(s),
+                    ls_kernels::locale_idx_of(s, locales),
+                    "{s:#x} on {locales}"
+                );
             }
         }
     }

@@ -47,7 +47,7 @@ fn pc_matches_naive_on_rank_keys_and_state_keys() {
                 let cluster = Cluster::new(ClusterSpec::new(locales, cores));
                 let mut y_ref = DistVec::<f64>::zeros(&lens);
                 matvec_naive(&cluster, &op, &basis, &x, &mut y_ref);
-                for capacity in [1usize, 16, 512] {
+                for capacity in [1usize, 16, 512, PcOptions::default().capacity] {
                     let mut y = DistVec::<f64>::zeros(&lens);
                     let opts = PcOptions { capacity, ..PcOptions::default() };
                     matvec_pc(&cluster, &op, &basis, &x, &mut y, opts);

@@ -83,35 +83,25 @@ impl<'a, S: Scalar> AtomicAccumWindow<'a, S> {
         self.len(locale) == 0
     }
 
-    /// The `f64` lanes of `vec[locale][index]`, bounds-checked.
+    /// The `f64` lanes of `vec[locale][start..start + len]`, bounds-checked
+    /// once.
     #[inline]
-    fn cells(&self, locale: usize, index: usize) -> &[AtomicU64] {
-        let (base, len) = self.parts[locale];
-        if index >= len {
-            out_of_bounds(locale, index, len);
+    fn cells(&self, locale: usize, start: usize, len: usize) -> &[AtomicU64] {
+        let (base, part_len) = self.parts[locale];
+        if start.checked_add(len).is_none_or(|end| end > part_len) {
+            out_of_bounds(locale, start.saturating_add(len.max(1) - 1), part_len);
         }
         // SAFETY: in bounds of the part the window borrows, and every
         // access through the window is atomic.
-        unsafe { std::slice::from_raw_parts(base.add(index * S::N_REALS), S::N_REALS) }
+        unsafe { std::slice::from_raw_parts(base.add(start * S::N_REALS), len * S::N_REALS) }
     }
 
     /// Atomically `vec[locale][index] += val`. Safe to call concurrently
     /// from any number of threads of this process.
     #[inline]
     pub fn fetch_add(&self, locale: usize, index: usize, val: S) {
-        for (cell, &add) in self.cells(locale, index).iter().zip(&val.to_reals()) {
-            if add == 0.0 {
-                continue;
-            }
-            let mut cur = cell.load(Ordering::Relaxed);
-            loop {
-                let new = (f64::from_bits(cur) + add).to_bits();
-                match cell.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed)
-                {
-                    Ok(_) => break,
-                    Err(actual) => cur = actual,
-                }
-            }
+        for (cell, &add) in self.cells(locale, index, 1).iter().zip(&val.to_reals()) {
+            cas_add(cell, add);
         }
     }
 
@@ -123,23 +113,71 @@ impl<'a, S: Scalar> AtomicAccumWindow<'a, S> {
     /// behaviour — the lanes stay atomic — but its add could be lost.
     #[inline]
     pub fn add_exclusive(&self, locale: usize, index: usize, val: S) {
-        for (cell, &add) in self.cells(locale, index).iter().zip(&val.to_reals()) {
-            if add == 0.0 {
-                continue;
+        for (cell, &add) in self.cells(locale, index, 1).iter().zip(&val.to_reals()) {
+            plain_add(cell, add);
+        }
+    }
+
+    /// `vec[locale][start + i] += v` for the `i`-th `v` of `vals`, in
+    /// order, behind one bounds check: [`Self::add_exclusive`] per element
+    /// when `exclusive` (the caller is the part's only writer),
+    /// [`Self::fetch_add`] otherwise. The same sums, element by element.
+    #[inline]
+    pub fn add_run(
+        &self,
+        locale: usize,
+        start: usize,
+        vals: impl ExactSizeIterator<Item = S>,
+        exclusive: bool,
+    ) {
+        let cells = self.cells(locale, start, vals.len());
+        for (cells, val) in cells.chunks_exact(S::N_REALS).zip(vals) {
+            for (cell, &add) in cells.iter().zip(&val.to_reals()) {
+                if exclusive {
+                    plain_add(cell, add);
+                } else {
+                    cas_add(cell, add);
+                }
             }
-            let sum = f64::from_bits(cell.load(Ordering::Relaxed)) + add;
-            cell.store(sum.to_bits(), Ordering::Relaxed);
         }
     }
 
     /// Atomic read of one element (diagnostics / tests).
     pub fn load(&self, locale: usize, index: usize) -> S {
         let mut lanes = [0.0f64; 2];
-        for (slot, cell) in lanes.iter_mut().zip(self.cells(locale, index)) {
+        for (slot, cell) in lanes.iter_mut().zip(self.cells(locale, index, 1)) {
             *slot = f64::from_bits(cell.load(Ordering::Relaxed));
         }
         S::from_reals(lanes)
     }
+}
+
+/// One lane of [`AtomicAccumWindow::fetch_add`]: a CAS loop, skipped for
+/// a zero lane.
+#[inline]
+fn cas_add(cell: &AtomicU64, add: f64) {
+    if add == 0.0 {
+        return;
+    }
+    let mut cur = cell.load(Ordering::Relaxed);
+    loop {
+        let new = (f64::from_bits(cur) + add).to_bits();
+        match cell.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(_) => break,
+            Err(actual) => cur = actual,
+        }
+    }
+}
+
+/// One lane of [`AtomicAccumWindow::add_exclusive`]: [`cas_add`]'s sum as
+/// a relaxed load and a relaxed store.
+#[inline]
+fn plain_add(cell: &AtomicU64, add: f64) {
+    if add == 0.0 {
+        return;
+    }
+    let sum = f64::from_bits(cell.load(Ordering::Relaxed)) + add;
+    cell.store(sum.to_bits(), Ordering::Relaxed);
 }
 
 /// The bounds check's panic, out of the hot path. Under the multiprocess
@@ -232,6 +270,42 @@ mod tests {
     fn exclusive_adds_are_bounds_checked() {
         let mut y = DistVec::<f64>::zeros(&[2]);
         AtomicAccumWindow::new(&mut y).add_exclusive(0, 2, 1.0);
+    }
+
+    #[test]
+    fn a_run_adds_the_bits_of_element_adds() {
+        let vals = [0.1, -0.0, 0.7, 1e-17, -0.3, 0.0];
+        for exclusive in [true, false] {
+            let (mut run, mut each) =
+                (DistVec::<f64>::zeros(&[8]), DistVec::<f64>::zeros(&[8]));
+            let mut z = DistVec::<Complex64>::zeros(&[8]);
+            {
+                let (r, e) =
+                    (AtomicAccumWindow::new(&mut run), AtomicAccumWindow::new(&mut each));
+                let zw = AtomicAccumWindow::new(&mut z);
+                for round in 0..2 {
+                    r.add_run(0, 1 + round, vals.iter().copied(), exclusive);
+                    for (i, &v) in vals.iter().enumerate() {
+                        e.fetch_add(0, 1 + round + i, v);
+                    }
+                    zw.add_run(0, 1, vals.iter().map(|&v| Complex64::new(v, -v)), exclusive);
+                }
+            }
+            let bits =
+                |v: &DistVec<f64>| v.part(0).iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&run), bits(&each), "exclusive={exclusive}");
+            for (i, &w) in z.part(0).iter().enumerate() {
+                let v = if (1..7).contains(&i) { 2.0 * vals[i - 1] } else { 0.0 };
+                assert_eq!(w, Complex64::new(v, -v), "exclusive={exclusive}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds: 3 >= 3 on locale 0 (inprocess transport)")]
+    fn a_run_is_bounds_checked() {
+        let mut y = DistVec::<f64>::zeros(&[3]);
+        AtomicAccumWindow::new(&mut y).add_run(0, 1, [1.0; 3].into_iter(), true);
     }
 
     #[test]

@@ -525,16 +525,11 @@ pub struct TransportStats {
     pub barrier_nanos: AtomicU64,
     /// Peer failures this rank detected (EOF, send failure, silence).
     pub peer_failures: AtomicU64,
-    /// `ABORT` frames this rank fanned out to peers.
-    pub aborts_sent: AtomicU64,
     /// Heartbeat frames sent.
     pub heartbeats: AtomicU64,
     /// Total failure-to-detection nanoseconds (latency numerator over
     /// `peer_failures`).
     pub detection_nanos: AtomicU64,
-    /// Corrupt frames / checksum invariants this rank detected (each one
-    /// aborts the job with exit 115).
-    pub frames_corrupted: AtomicU64,
     /// Bytes this rank ran through CRC32C verification (received headers
     /// and payloads — a measure of integrity coverage, not cost).
     pub crc_bytes_checked: AtomicU64,
@@ -555,10 +550,8 @@ impl TransportStats {
             barriers: self.barriers.load(Ordering::Relaxed),
             barrier_nanos: self.barrier_nanos.load(Ordering::Relaxed),
             peer_failures: self.peer_failures.load(Ordering::Relaxed),
-            aborts_sent: self.aborts_sent.load(Ordering::Relaxed),
             heartbeats: self.heartbeats.load(Ordering::Relaxed),
             detection_nanos: self.detection_nanos.load(Ordering::Relaxed),
-            frames_corrupted: self.frames_corrupted.load(Ordering::Relaxed),
             crc_bytes_checked: self.crc_bytes_checked.load(Ordering::Relaxed),
             restarts: restart_count(),
         }
@@ -574,10 +567,8 @@ impl TransportStats {
         self.barriers.store(0, Ordering::Relaxed);
         self.barrier_nanos.store(0, Ordering::Relaxed);
         self.peer_failures.store(0, Ordering::Relaxed);
-        self.aborts_sent.store(0, Ordering::Relaxed);
         self.heartbeats.store(0, Ordering::Relaxed);
         self.detection_nanos.store(0, Ordering::Relaxed);
-        self.frames_corrupted.store(0, Ordering::Relaxed);
         self.crc_bytes_checked.store(0, Ordering::Relaxed);
     }
 }
@@ -599,14 +590,10 @@ pub struct TransportSnapshot {
     pub barrier_nanos: u64,
     /// Peer failures this rank detected.
     pub peer_failures: u64,
-    /// `ABORT` frames fanned out.
-    pub aborts_sent: u64,
     /// Heartbeat frames sent.
     pub heartbeats: u64,
     /// Failure-to-detection nanoseconds (numerator over `peer_failures`).
     pub detection_nanos: u64,
-    /// Corruption events this rank detected.
-    pub frames_corrupted: u64,
     /// Bytes run through CRC32C verification.
     pub crc_bytes_checked: u64,
     /// Supervisor incarnation of this process ([`restart_count`]): how
@@ -881,12 +868,11 @@ impl MpRuntime {
 
     /// Corruption this rank detected: a frame that failed its CRC, or a
     /// check above the transport ([`crate::collective::raise_corruption`]).
-    /// Counted, named in one write (a collective frame reaches every
+    /// Named in one write (a collective frame reaches every
     /// peer, so several ranks may report it at once), and fail-stop: the
     /// job aborts with exit 115 and the supervisor's relaunch from the
     /// newest checkpoint is the recovery.
     pub(crate) fn raise_corruption(&self, peer: usize, frame: &str, kind: &str) -> ! {
-        self.stats.add(&self.stats.frames_corrupted, 1);
         let line = format!(
             "ls-mp[rank {}]: integrity: corrupt {frame} from rank {peer} ({kind})\n",
             self.rank
@@ -954,23 +940,24 @@ impl MpRuntime {
         let code = err.exit_code();
         if !matches!(err, TransportError::Aborted { .. }) {
             let word = ((self.rank as u64) << 32) | code as u32 as u64;
-            let sent = self.broadcast(TAG_ABORT, word, err.to_string().as_bytes());
-            self.stats.add(&self.stats.aborts_sent, sent as u64);
+            self.broadcast(TAG_ABORT, word, err.to_string().as_bytes());
         }
         let line = format!("ls-mp[rank {}]: abort: {err} (exit {code})\n", self.rank);
         let _ = std::io::stderr().write_all(line.as_bytes());
         std::process::exit(code);
     }
 
-    /// Sends one frame to every live peer — the ping and abort fan-outs —
-    /// and returns how many writes succeeded. These are no `LS_FAULT`
-    /// class's frames: no delay or flip touches them.
-    fn broadcast(&self, tag: u8, word: u64, payload: &[u8]) -> usize {
+    /// Sends one frame to every live peer — the ping and abort fan-outs;
+    /// a failed write marks its peer lost. These are no `LS_FAULT` class's
+    /// frames: no delay or flip touches them.
+    fn broadcast(&self, tag: u8, word: u64, payload: &[u8]) {
         let Ok(bytes) = frame::encode(tag, word, payload, self.integrity.wire()) else {
-            return 0;
+            return;
         };
         let live = |&p: &usize| p != self.rank && !self.health[p].dead.load(Ordering::SeqCst);
-        (0..self.n).filter(live).filter(|&p| self.write_frame(p, tag, &bytes).is_ok()).count()
+        for peer in (0..self.n).filter(live) {
+            let _ = self.write_frame(peer, tag, &bytes);
+        }
     }
 
     /// Writes one encoded frame to `peer` and counts it: in the wire
@@ -1633,11 +1620,9 @@ mod tests {
         stats.add(&stats.barrier_nanos, 3_000_000_000);
         stats.add(&stats.peer_failures, 2);
         stats.add(&stats.detection_nanos, 24_000_000);
-        stats.add(&stats.frames_corrupted, 1);
         stats.add(&stats.crc_bytes_checked, 4096);
         let snap = stats.snapshot();
         assert_eq!(snap.tx_bytes, 100);
-        assert_eq!(snap.frames_corrupted, 1);
         assert_eq!(snap.crc_bytes_checked, 4096);
         assert!((snap.mean_barrier_seconds() - 1.5).abs() < 1e-12);
         assert!((snap.mean_detection_seconds() - 0.012).abs() < 1e-12);

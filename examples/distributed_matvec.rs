@@ -196,13 +196,13 @@ fn main() {
             t.mean_barrier_seconds() * 1e6
         );
         // `restarts` counts supervisor relaunches before this incarnation;
-        // the other three are what this incarnation itself observed.
+        // the other two are what this incarnation itself observed. A
+        // corrupt frame shows as its rank's `integrity:` line on stderr,
+        // just before the job exits 115.
         say!(
-            "recovery         : restarts={} peer_failures={} frames_corrupted={} \
-             crc_bytes_checked={}",
+            "recovery         : restarts={} peer_failures={} crc_bytes_checked={}",
             t.restarts,
             t.peer_failures,
-            t.frames_corrupted,
             t.crc_bytes_checked
         );
     }

@@ -153,10 +153,10 @@ fn run_pipeline() -> (u64, Vec<u64>) {
 
 /// One arrival-ordered product (default options) on 2 cores per locale,
 /// over a U(1)-only sector large enough that every channel hands over
-/// tens of batches: `y` in global order, then the job's `puts` and
-/// `put_bytes`.
+/// tens of batches of the default capacity (18 sites: 116 in all):
+/// `y` in global order, then the job's `puts` and `put_bytes`.
 fn arrival_ordered_product() -> (Vec<f64>, Vec<f64>) {
-    const SITES: usize = 16;
+    const SITES: usize = 18;
     let locales = collective::locales_from_env(LOCALES);
     let cluster = Cluster::new(ClusterSpec::new(locales, 2));
     let kernel = heisenberg(&chain_bonds(SITES), 1.0).to_kernel(SITES as u32).unwrap();
