@@ -8,12 +8,20 @@
 //! [`state_info`].
 //!
 //! The engines resolve their emissions with the *differential* group walk
-//! (`GroupWalk`): the Beneš networks run once per source row, and an
-//! emission's orbit minimum and stabilizer come out of one branch-free
-//! sweep over its `|G|` images, held in the narrowest word (`u32` or
-//! `u64`) that holds the sector's basis words. [`state_info`] and
+//! (`GroupWalk`): a source row's orbit images are computed once per row,
+//! and an emission's orbit minimum and stabilizer come out of one
+//! branch-free sweep over its `|G|` images, held in the narrowest word
+//! (`u32` or `u64`) that holds the sector's basis words. [`state_info`] and
 //! [`state_info_batch`] are its oracle, bit for bit.
+//!
+//! The walk and the enumeration filter (`RepFilter`) apply a site
+//! permutation as a rotation of the word wherever it is one
+//! (`rotation_bases`): a ring's translations rotate the word, and each of
+//! its reflections is a rotation of one reflected image, so a Beneš network
+//! runs only per *base* permutation and every other image is a shift pair
+//! and a mask.
 
+use ls_kernels::bits::{low_mask, rotate_low_bits};
 use ls_kernels::net::{delta_swap, DELTAS, STAGES};
 use ls_kernels::Complex64;
 use ls_symmetry::SymmetryGroup;
@@ -145,14 +153,17 @@ pub fn state_info_batch(group: &SymmetryGroup, states: &[u64], out: &mut StateIn
 }
 
 /// Words of orbit images one tile of source rows may occupy (12 KiB in
-/// `u32` words, 24 KiB in `u64` ones; the network outputs the images are
+/// `u32` words, 24 KiB in `u64` ones; the permuted rows the images are
 /// expanded from take at most as many again): the tile and the
 /// `|G| × masks` table stay cache-resident between the pass that writes
 /// the images and the sweeps that read them, and a worker's image scratch
 /// does not grow with the block length (a 1024-row block at `|G| = 96`
-/// would hold 384 KiB). A sweep over the 24-site chain's rows read
-/// 15.4–16.1 ms at every size from 3 KiB to 384 KiB of `u32` words, so
-/// this is a bound, not a tuned value.
+/// would hold 384 KiB). It also sets the length of the uniform loops that
+/// fill a permutation's slot, a network or a rotation: 32 rows at
+/// `|G| = 96`. On 2 vCPUs a walk over the 24-site chain's 28 968 rows read
+/// 10.6–10.9 ms (the minimum of 25) at 3 072, 12 288 and 49 152 words,
+/// and 19.5 ms at 768, where a tile holds 8 rows: a floor on the loops'
+/// length, not a tuned value.
 const IMAGE_TILE_WORDS: usize = 3072;
 
 /// The word a [`GroupWalk`] holds its images and permuted masks in: `u32`
@@ -203,27 +214,95 @@ impl WalkWord for u64 {
     }
 }
 
+/// A group's distinct site permutations, each written `π = rot_t ∘ β`
+/// ([`rotation_bases`]).
+struct RotationBases {
+    /// Per element, the index of its site permutation.
+    permutation_of: Vec<usize>,
+    /// Per distinct site permutation, in the order of the first element
+    /// carrying it (the identity first): `(b, t)`, its base `bases[b]` and
+    /// its rotation `t`, which is 0 on the base itself and only there.
+    decomposed: Vec<(usize, u32)>,
+    /// Per base, the identity first: the index of its permutation and its
+    /// Beneš network's stage masks (all zero on the identity).
+    bases: Vec<(usize, [u64; STAGES])>,
+}
+
+/// Writes each distinct site permutation of `group` as `π = rot_t ∘ β`
+/// on basis words of `bits` bits. `rot_t` rotates the word by `t` bits
+/// (bit `i` to bit `(i + t) mod bits`), and `β` is a *base*: the identity,
+/// or a permutation that is no rotation of an earlier base.
+///
+/// The decomposition is found on unit vectors, `π(1 << i) ==
+/// rot_t(β(1 << i))` for every bit `i < bits`. Both sides are linear, so
+/// it holds on every word of `bits` bits, whatever the group, the site
+/// numbering or the code. A ring's translations are rotations of the
+/// identity and its reflections rotations of one reflected image; a group
+/// without the structure makes every permutation its own base. The one
+/// derivation [`GroupWalk`] and [`RepFilter`] take their networks from.
+fn rotation_bases(group: &SymmetryGroup, bits: u32) -> RotationBases {
+    let elements = group.elements();
+    assert!(elements[0].permutation().is_identity(), "a group lists the identity first");
+    debug_assert!(bits as usize >= group.n_sites() && bits <= u64::BITS);
+    let mut first = std::collections::HashMap::new();
+    let mut out = RotationBases {
+        permutation_of: Vec::with_capacity(elements.len()),
+        decomposed: Vec::new(),
+        bases: Vec::new(),
+    };
+    // Each base's images of the unit vectors.
+    let mut units: Vec<Vec<u64>> = Vec::new();
+    for el in elements {
+        let next = out.decomposed.len();
+        let j = *first.entry(el.permutation().as_slice()).or_insert(next);
+        out.permutation_of.push(j);
+        if j < next {
+            continue;
+        }
+        let image: Vec<u64> = (0..bits).map(|i| el.apply_permutation(1 << i)).collect();
+        let rotation = units.iter().enumerate().find_map(|(b, base)| {
+            let t = (image[0].trailing_zeros() + bits - base[0].trailing_zeros()) % bits;
+            let rotated =
+                image.iter().zip(base).all(|(&u, &v)| u == rotate_low_bits(v, bits, t));
+            rotated.then_some((b, t))
+        });
+        out.decomposed.push(rotation.unwrap_or_else(|| {
+            units.push(image);
+            out.bases.push((j, *el.network().masks()));
+            (out.bases.len() - 1, 0)
+        }));
+    }
+    out
+}
+
 /// The tables of the *differential* group walk, the form of
 /// [`state_info`] the block `getRow` runs, in the lane word `W`.
 ///
 /// A group element is a bit permutation plus an optional global flip, so
 /// it is affine over GF(2): `g(α ⊕ m) = g(α) ⊕ π_g(m)`. Every emission of
 /// a source row `α` is `α ⊕ m` for one of the operator's few channel flip
-/// masks `m`, so the Benes networks run once per *row* — and once per
-/// distinct site permutation, since elements that differ by the global
-/// flip share it ([`Self::orbit_images`]) — and the `|G|` images of each
-/// emission are one XOR against the precomputed `|G| × masks` words of
-/// `π_g(m)`, taken in one branch-free sweep ([`Self::resolve`]).
-/// [`state_info`] and [`state_info_batch`] are the oracle: every result
-/// is equal bit for bit.
+/// masks `m`, so the permutations run once per *row*, once per distinct
+/// site permutation (elements that differ by the global flip share it),
+/// and as a Beneš network only per base of [`rotation_bases`]: every other
+/// permutation rotates its base's image ([`Self::orbit_images`]). The
+/// `|G|` images of each emission are one XOR against the precomputed
+/// `|G| × masks` words of `π_g(m)`, taken in one branch-free sweep
+/// ([`Self::resolve`]). [`state_info`] and [`state_info_batch`] are the
+/// oracle: every result is equal bit for bit.
 #[derive(Clone, Debug)]
 pub(crate) struct GroupWalk<W> {
     order: usize,
-    /// The stage masks of each distinct site permutation's network.
-    networks: Vec<[W; STAGES]>,
+    /// How each distinct site permutation but the identity fills its slot
+    /// of [`WalkTile::slots`]: `fills[j - 1]` fills slot `j`. Slot 0 is
+    /// the identity's, the rows themselves.
+    fills: Vec<Fill<W>>,
+    /// The basis words' bits, the width of a rotation …
+    bits: u32,
+    /// … and their mask.
+    low: W,
     /// Per element, where its permutation's images start in
-    /// [`WalkTile::networks`] (network index × tile rows) …
-    network_at: Vec<u32>,
+    /// [`WalkTile::slots`] (slot × tile rows) …
+    slot_at: Vec<u32>,
     /// … and its flip mask.
     flip: Vec<W>,
     /// `permuted[mask · |G| + g] = π_g(mask)`.
@@ -240,45 +319,53 @@ pub(crate) struct GroupWalk<W> {
     phase_conj: Vec<Complex64>,
 }
 
+/// How [`GroupWalk::orbit_images`] fills one permutation's slot of a tile.
+#[derive(Clone, Debug)]
+enum Fill<W> {
+    /// A base: its Beneš network on the rows, the stages inside the word.
+    Network([W; STAGES]),
+    /// `rot_shift` of the earlier slot `base`, its base's.
+    Rotation { base: usize, shift: u32 },
+}
+
 /// The per-tile scratch of one [`GroupWalk`].
 #[derive(Clone, Debug, Default)]
 pub(crate) struct WalkTile<W> {
-    /// The tile's source rows in the lane word, narrowed once so that the
-    /// networks fill whole vector registers.
-    rows: Vec<W>,
-    /// `networks[j · tile rows + row] = π_j(states[row])`, network-major.
-    networks: Vec<W>,
+    /// `slots[j · tile rows + row] = π_j(states[row])`, permutation-major,
+    /// in the lane word; slot 0, the identity's, is the rows narrowed once.
+    slots: Vec<W>,
     /// `images[row · |G| + g] = el_g.apply(states[row])`, row-major.
     pub(crate) images: Vec<W>,
 }
 
 impl<W: WalkWord> GroupWalk<W> {
-    /// Tables for `group` and the distinct channel flip `masks`, whose
-    /// words must fit `W`.
-    fn new(group: &SymmetryGroup, masks: &[u64]) -> Self {
+    /// Tables for `group`, the distinct channel flip `masks` and basis
+    /// words of `bits` bits, all of which must fit `W`.
+    fn new(group: &SymmetryGroup, masks: &[u64], bits: u32) -> Self {
         let elements = group.elements();
         let order = elements.len();
         let tile_rows = Self::rows_per_tile(order);
-        let mut networks = Vec::new();
-        let mut network_at: Vec<u32> = Vec::with_capacity(order);
-        for_each_first_with_permutation(group, |g, h| {
-            if h != g {
-                return network_at.push(network_at[h]);
-            }
-            let wide = elements[g].network().masks();
-            let outer = W::OUTER_STAGES;
-            let fits = wide.iter().enumerate().all(|(s, &m)| {
-                let inside = (outer..STAGES - outer).contains(&s);
-                if inside {
-                    W::narrow(m).widen() == m
-                } else {
-                    m == 0
+        let rotations = rotation_bases(group, bits);
+        let fills = rotations.decomposed[1..]
+            .iter()
+            .map(|&(b, shift)| {
+                let (slot, wide) = rotations.bases[b];
+                if shift != 0 {
+                    return Fill::Rotation { base: slot, shift };
                 }
-            });
-            assert!(fits, "a network outside the walk's word");
-            network_at.push((networks.len() * tile_rows) as u32);
-            networks.push(wide.map(W::narrow));
-        });
+                let outer = W::OUTER_STAGES;
+                let fits = wide.iter().enumerate().all(|(s, &m)| {
+                    let inside = (outer..STAGES - outer).contains(&s);
+                    if inside {
+                        W::narrow(m).widen() == m
+                    } else {
+                        m == 0
+                    }
+                });
+                assert!(fits, "a network outside the walk's word");
+                Fill::Network(wide.map(W::narrow))
+            })
+            .collect();
         let permuted = masks
             .iter()
             .flat_map(|&m| elements.iter().map(move |el| W::narrow(el.apply_permutation(m))))
@@ -289,8 +376,10 @@ impl<W: WalkWord> GroupWalk<W> {
         let one = |el: &ls_symmetry::GroupElement| W::narrow(el.phase().is_one() as u64);
         Self {
             order,
-            networks,
-            network_at,
+            fills,
+            bits,
+            low: W::narrow(low_mask(bits)),
+            slot_at: rotations.permutation_of.iter().map(|&j| (j * tile_rows) as u32).collect(),
             // `π(0) = 0`, so the image of the empty word is the flip mask.
             flip: elements.iter().map(|el| W::narrow(el.apply(0))).collect(),
             permuted,
@@ -304,11 +393,11 @@ impl<W: WalkWord> GroupWalk<W> {
         (IMAGE_TILE_WORDS / order).max(1)
     }
 
-    /// Benes networks one source row costs: the distinct site
-    /// permutations of the group.
+    /// The bases of [`rotation_bases`]: the identity, which runs no
+    /// network, and one per Beneš network a tile of rows runs.
     #[cfg(test)]
-    pub(crate) fn n_networks(&self) -> usize {
-        self.networks.len()
+    pub(crate) fn n_bases(&self) -> usize {
+        1 + self.fills.iter().filter(|fill| matches!(fill, Fill::Network(_))).count()
     }
 
     /// Source rows per tile of [`Self::orbit_images`], from `|G|` alone.
@@ -317,29 +406,43 @@ impl<W: WalkWord> GroupWalk<W> {
     }
 
     /// Fills `tile.images` for `states`, at most [`Self::tile_rows`] of
-    /// them. Network-outer: each distinct permutation's stage masks are
-    /// loaded once and its network runs on the whole tile in the lane word,
-    /// the stages inside the word only, one row a lane; then each row's
-    /// `|G|` images are its networks' outputs XOR the elements' flips.
+    /// them. Permutation-outer, each slot filled on the whole tile in the
+    /// lane word, one row a lane: a base loads its stage masks once and
+    /// runs its network, the stages inside the word only; any other
+    /// permutation rotates its base's slot, one uniform shift pair and a
+    /// mask. Then each row's `|G|` images are its slots XOR the elements'
+    /// flips.
     pub(crate) fn orbit_images(&self, states: &[u64], tile: &mut WalkTile<W>) {
-        let (order, rows) = (self.order, self.tile_rows());
-        debug_assert!(states.len() <= rows);
+        let (order, rows, n) = (self.order, self.tile_rows(), states.len());
+        debug_assert!(n <= rows);
         // Every slot read below is written first; a tile of the usual
         // length costs no fill.
-        tile.rows.clear();
-        tile.rows.extend(states.iter().map(|&alpha| W::narrow(alpha)));
-        tile.networks.resize(self.networks.len() * rows, W::default());
-        tile.images.resize(states.len() * order, W::default());
-        for (out, masks) in tile.networks.chunks_exact_mut(rows).zip(&self.networks) {
-            for (out, &alpha) in out.iter_mut().zip(&tile.rows) {
-                let stages = W::OUTER_STAGES..STAGES - W::OUTER_STAGES;
-                *out = stages.fold(alpha, |x, s| delta_swap(x, masks[s], DELTAS[s]));
+        tile.slots.resize((1 + self.fills.len()) * rows, W::default());
+        tile.images.resize(n * order, W::default());
+        for (slot, &alpha) in tile.slots.iter_mut().zip(states) {
+            *slot = W::narrow(alpha);
+        }
+        for (j, fill) in self.fills.iter().enumerate() {
+            let (done, next) = tile.slots.split_at_mut((1 + j) * rows);
+            let out = &mut next[..n];
+            match *fill {
+                Fill::Network(ref masks) => {
+                    for (out, &alpha) in out.iter_mut().zip(&done[..n]) {
+                        let stages = W::OUTER_STAGES..STAGES - W::OUTER_STAGES;
+                        *out = stages.fold(alpha, |x, s| delta_swap(x, masks[s], DELTAS[s]));
+                    }
+                }
+                Fill::Rotation { base, shift } => {
+                    let (right, low) = (self.bits - shift, self.low);
+                    for (out, &x) in out.iter_mut().zip(&done[base * rows..][..n]) {
+                        *out = ((x << shift) | (x >> right)) & low;
+                    }
+                }
             }
         }
         for (row, images) in tile.images.chunks_exact_mut(order).enumerate() {
-            for ((image, &at), &flip) in images.iter_mut().zip(&self.network_at).zip(&self.flip)
-            {
-                *image = tile.networks[at as usize + row] ^ flip;
+            for ((image, &at), &flip) in images.iter_mut().zip(&self.slot_at).zip(&self.flip) {
+                *image = tile.slots[at as usize + row] ^ flip;
             }
         }
     }
@@ -403,9 +506,9 @@ impl SectorWalk {
     /// words of `code_bits` bits.
     pub(crate) fn new(group: &SymmetryGroup, masks: &[u64], code_bits: u32) -> Self {
         if code_bits <= u32::BITS {
-            Self::Narrow(GroupWalk::new(group, masks))
+            Self::Narrow(GroupWalk::new(group, masks, code_bits))
         } else {
-            Self::Wide(GroupWalk::new(group, masks))
+            Self::Wide(GroupWalk::new(group, masks, code_bits))
         }
     }
 
@@ -423,10 +526,10 @@ impl SectorWalk {
     }
 
     #[cfg(test)]
-    pub(crate) fn n_networks(&self) -> usize {
+    pub(crate) fn n_bases(&self) -> usize {
         match self {
-            Self::Narrow(walk) => walk.n_networks(),
-            Self::Wide(walk) => walk.n_networks(),
+            Self::Narrow(walk) => walk.n_bases(),
+            Self::Wide(walk) => walk.n_bases(),
         }
     }
 }
@@ -441,32 +544,22 @@ pub struct WalkScratch {
     pub(crate) wide: WalkTile<u64>,
 }
 
-/// Calls `f(g, h)` for every element `g` of `group`, with `h` the first
-/// element carrying the same site permutation (`g` itself when it is the
-/// first). Elements that differ only by the global flip share a Beneš
-/// network; [`GroupWalk`] and [`RepFilter`] both run one network per
-/// distinct `h`.
-fn for_each_first_with_permutation(group: &SymmetryGroup, mut f: impl FnMut(usize, usize)) {
-    let mut first = std::collections::HashMap::new();
-    for (g, el) in group.elements().iter().enumerate() {
-        f(g, *first.entry(el.permutation().as_slice()).or_insert(g));
-    }
-}
-
 /// The candidate filter of basis enumeration (paper Sec. 4, Fig. 4): is
 /// `s` the minimum of its orbit, with non-zero norm?
 ///
-/// It walks the group's distinct site permutations, not its elements.
-/// Each permutation computes `p = π(s)` once, and every element carrying
-/// it tests `t = p ^ flip_mask`: `t < s` rejects, and `t == s` counts
-/// toward the stabilizer and rejects when the element's character is
-/// not 1. The elements carrying one permutation are a coset of the
-/// group's pure flips, so there is one per permutation, or two (flip
-/// partners) when the group holds the spin flip. The identity permutation
-/// comes first and runs no network, so the pure spin flip is one XOR; the
-/// other networks run only the stages inside the window that is non-zero
-/// in some network of the group (on ≤ 32 sites the two shift-32 stages
-/// are zero in all of them).
+/// It walks the group's distinct site permutations, not its elements,
+/// base by base ([`rotation_bases`]). Each base computes its image
+/// `b = β(s)` once: the identity's is `s`, and any other runs its Beneš
+/// network, only the stages inside the window that is non-zero in some
+/// network of the group (on ≤ 32 sites the two shift-32 stages are zero in
+/// all of them). Each permutation of the base rotates it, `p = rot_t(b)`,
+/// and every element carrying the permutation tests `t = p ^ flip_mask`:
+/// `t < s` rejects, and `t == s` counts toward the stabilizer and rejects
+/// when the element's character is not 1. The elements carrying one
+/// permutation are a coset of the group's pure flips, so there is one per
+/// permutation, or two (flip partners) when the group holds the spin flip.
+/// The identity comes first, so a ring's translations and the pure spin
+/// flip test `s` before any network runs.
 ///
 /// Whether `s` passes is a property of the whole element set, so it does
 /// not depend on the order of the walk; [`state_info`] is the oracle
@@ -474,26 +567,40 @@ fn for_each_first_with_permutation(group: &SymmetryGroup, mut f: impl FnMut(usiz
 #[derive(Clone, Debug)]
 pub(crate) struct RepFilter {
     order: u32,
-    /// One per distinct site permutation, the identity first.
-    networks: Vec<Network>,
+    /// Per base, the identity first.
+    bases: Vec<Base>,
+    /// Per distinct site permutation, grouped by base, each base's own
+    /// permutation first.
+    permutations: Vec<Permutation>,
+    /// The group's sites, the width of a rotation …
+    bits: u32,
+    /// … and their mask.
+    low: u64,
     /// Does every permutation carry two elements, flip partners?
     partners: bool,
     /// Outermost stage pairs that are zero in every network.
     window: usize,
 }
 
-/// A site permutation and the elements carrying it.
+/// A base of [`RepFilter`]: its network and its permutations.
 #[derive(Clone, Debug)]
-struct Network {
+struct Base {
     masks: [u64; STAGES],
+    permutations: std::ops::Range<usize>,
+}
+
+/// A site permutation `rot_shift ∘ β` and the elements carrying it.
+#[derive(Clone, Debug)]
+struct Permutation {
+    shift: u32,
     /// Flip masks: the element's, and its partner's when there is one …
     flips: [u64; 2],
     /// … and whether their characters are 1.
     character_one: [bool; 2],
 }
 
-impl Network {
-    /// The stabilizer count the elements of this network add for `s`,
+impl Permutation {
+    /// The stabilizer count the elements of this permutation add for `s`,
     /// given `p = π(s)`, or `None` when one of them rejects `s`.
     #[inline(always)]
     fn test<const PARTNERS: bool>(&self, p: u64, s: u64) -> Option<u32> {
@@ -513,37 +620,54 @@ impl RepFilter {
     /// Derives the tables from the group's compiled elements.
     pub(crate) fn new(group: &SymmetryGroup) -> Self {
         let elements = group.elements();
-        let mut by_network = Vec::with_capacity(elements.len());
-        for_each_first_with_permutation(group, |g, h| by_network.push((h, g)));
-        // The identity permutation first; per permutation, the element
-        // without the flip first (on the identity, the identity element).
-        by_network.sort_by_key(|&(h, g)| {
-            (!elements[h].permutation().is_identity(), h, elements[g].has_flip())
-        });
-        let opens = |i: usize| i == 0 || by_network[i - 1].0 != by_network[i].0;
-        let mut networks =
-            Vec::with_capacity((0..by_network.len()).filter(|&i| opens(i)).count());
-        for (i, &(_, g)) in by_network.iter().enumerate() {
-            // `π(0) = 0`, so the image of the empty word is the flip mask.
-            let (flip, character_one) = (elements[g].apply(0), elements[g].phase().is_one());
-            if opens(i) {
-                let masks = *elements[g].network().masks();
-                networks.push(Network {
-                    masks,
-                    flips: [flip; 2],
-                    character_one: [character_one; 2],
-                });
-            } else {
-                let network: &mut Network =
-                    networks.last_mut().expect("a permutation's first element opens it");
-                (network.flips[1], network.character_one[1]) = (flip, character_one);
-            }
+        let bits = group.n_sites() as u32;
+        let rotations = rotation_bases(group, bits);
+        let decomposed = &rotations.decomposed;
+        // Per permutation, the elements carrying it, the one without the
+        // flip first (on the identity, the identity element).
+        let mut carriers = vec![Vec::with_capacity(2); decomposed.len()];
+        for (g, &j) in rotations.permutation_of.iter().enumerate() {
+            carriers[j].push(g);
         }
-        let outer_zero = networks.iter().all(|n| n.masks[0] == 0 && n.masks[STAGES - 1] == 0);
+        for carriers in &mut carriers {
+            carriers.sort_by_key(|&g| elements[g].has_flip());
+        }
+        // Grouped by base, the base's own permutation (shift 0) first.
+        let mut by_base: Vec<usize> = (0..decomposed.len()).collect();
+        by_base.sort_by_key(|&j| decomposed[j]);
+        let mut bases: Vec<Base> = rotations
+            .bases
+            .iter()
+            .map(|&(_, masks)| Base { masks, permutations: 0..0 })
+            .collect();
+        let permutations = by_base
+            .iter()
+            .enumerate()
+            .map(|(i, &j)| {
+                let (b, shift) = decomposed[j];
+                if shift == 0 {
+                    bases[b].permutations.start = i;
+                }
+                bases[b].permutations.end = i + 1;
+                let carriers = &carriers[j];
+                let (own, partner) =
+                    (&elements[carriers[0]], &elements[carriers[carriers.len() - 1]]);
+                // `π(0) = 0`, so the image of the empty word is the flip mask.
+                Permutation {
+                    shift,
+                    flips: [own.apply(0), partner.apply(0)],
+                    character_one: [own.phase().is_one(), partner.phase().is_one()],
+                }
+            })
+            .collect::<Vec<_>>();
+        let outer_zero = bases.iter().all(|b| b.masks[0] == 0 && b.masks[STAGES - 1] == 0);
         Self {
             order: elements.len() as u32,
-            partners: elements.len() == 2 * networks.len(),
-            networks,
+            partners: elements.len() == 2 * permutations.len(),
+            bases,
+            permutations,
+            bits,
+            low: low_mask(bits),
             window: outer_zero as usize,
         }
     }
@@ -561,19 +685,53 @@ impl RepFilter {
 
     #[inline(always)]
     fn walk<const WINDOW: usize, const PARTNERS: bool>(&self, s: u64) -> Option<u32> {
-        let (identity, others) =
-            self.networks.split_first().expect("a group holds the identity");
-        let mut stab = identity.test::<PARTNERS>(s, s)?;
-        for network in others {
+        let (identity, others) = self.bases.split_first().expect("a group holds the identity");
+        let mut stab = self.test_base::<PARTNERS>(identity, s, s)?;
+        for base in others {
             let stages = WINDOW..STAGES - WINDOW;
-            let p = network.masks[stages.clone()]
+            let b = base.masks[stages.clone()]
                 .iter()
                 .zip(&DELTAS[stages])
                 .fold(s, |p, (&mask, &shift)| delta_swap(p, mask, shift));
-            stab += network.test::<PARTNERS>(p, s)?;
+            stab += self.test_base::<PARTNERS>(base, b, s)?;
         }
         Some(self.order / stab)
     }
+
+    /// The stabilizer count the permutations of `base` add for `s`, given
+    /// its image `b = β(s)`, or `None` when one of their elements rejects
+    /// `s`.
+    #[inline(always)]
+    fn test_base<const PARTNERS: bool>(&self, base: &Base, b: u64, s: u64) -> Option<u32> {
+        let (own, rotations) = self.permutations[base.permutations.clone()]
+            .split_first()
+            .expect("a base carries its own permutation");
+        let mut stab = own.test::<PARTNERS>(b, s)?;
+        for permutation in rotations {
+            let shift = permutation.shift;
+            let p = ((b << shift) | (b >> (self.bits - shift))) & self.low;
+            stab += permutation.test::<PARTNERS>(p, s)?;
+        }
+        Some(stab)
+    }
+}
+
+/// The bonds and the translations (with the spin flip) of an `n`-site
+/// ring (even `n`) numbered in a zigzag, ring position `p` at site `p / 2`,
+/// or `n / 2 + p / 2` for odd `p`: no translation rotates the word, so
+/// every permutation is its own base of [`rotation_bases`].
+#[cfg(test)]
+pub(crate) fn zigzag_ring(n: usize) -> (Vec<(usize, usize)>, SymmetryGroup) {
+    use ls_symmetry::{lattice, Generator, SitePermutation};
+    let site = |p: usize| p / 2 + (p % 2) * (n / 2);
+    let bonds = lattice::chain_bonds(n).iter().map(|&(p, q)| (site(p), site(q))).collect();
+    let mut map = vec![0; n];
+    for p in 0..n {
+        map[site(p)] = site((p + 1) % n);
+    }
+    let translation = SitePermutation::from_usize(&map).unwrap();
+    let generators = [Generator::new(translation, 0), Generator::spin_inversion(n, 0)];
+    (bonds, SymmetryGroup::generate(&generators).unwrap())
 }
 
 #[cfg(test)]
@@ -709,7 +867,8 @@ mod tests {
     /// full chain group, k = n/2 with and without reflection (stabilizer
     /// characters of −1, so zero-norm orbits), Z = −1, a translation
     /// carrying the flip, a square lattice where `n` factors into one,
-    /// and the trivial group.
+    /// the trivial group, and on even `n` a ladder (rotations of two
+    /// bases) and the zigzag ring (every permutation a base).
     fn oracle_groups(n: usize) -> Vec<(String, SymmetryGroup)> {
         let half = n as i64 / 2;
         // Reflection commutes with the translations only at k = π.
@@ -741,6 +900,17 @@ mod tests {
             .unwrap();
             groups.push((format!("{lx} x {ly} square"), square));
         }
+        if n.is_multiple_of(2) {
+            let rungs = n / 2;
+            let ladder = SymmetryGroup::generate(&[
+                Generator::new(lattice::ladder_translation(rungs), 1),
+                Generator::new(lattice::ladder_leg_swap(rungs), 1),
+                Generator::spin_inversion(n, 0),
+            ])
+            .unwrap();
+            groups.push((format!("{rungs}-rung ladder"), ladder));
+            groups.push(("zigzag ring".to_string(), zigzag_ring(n).1));
+        }
         groups
     }
 
@@ -766,13 +936,16 @@ mod tests {
     #[test]
     fn flip_partners_share_a_network_and_zero_stages_are_skipped() {
         // 24-site chain: 96 elements on 48 site permutations, the identity
-        // first, carrying the pure spin flip as its partner.
+        // first, carrying the pure spin flip as its partner; two bases,
+        // the identity and the reflection.
         let g = lattice::chain_group(24, 0, Some(0), Some(0)).unwrap();
         let filter = RepFilter::new(&g);
-        assert_eq!(filter.networks.len(), 48);
+        assert_eq!((filter.permutations.len(), filter.bases.len()), (48, 2));
         assert!(filter.partners);
-        assert_eq!(filter.networks[0].masks, [0; STAGES]);
-        assert_eq!(filter.networks[0].flips, [0, (1 << 24) - 1]);
+        assert_eq!(filter.bases[0].masks, [0; STAGES]);
+        assert_eq!(filter.bases[0].permutations, 0..24);
+        assert_eq!(filter.permutations[0].shift, 0);
+        assert_eq!(filter.permutations[0].flips, [0, (1 << 24) - 1]);
         // On ≤ 32 sites the shift-32 stages are zero in every network.
         assert_eq!(filter.window, 1);
         // A translation carrying the flip: one element per permutation.
@@ -780,9 +953,151 @@ mod tests {
             SymmetryGroup::generate(&[Generator::with_flip(lattice::chain_translation(24), 0)])
                 .unwrap();
         let filter = RepFilter::new(&g);
-        assert_eq!((filter.networks.len(), filter.partners), (24, false));
-        // 64 sites use every stage.
-        let filter = RepFilter::new(&lattice::chain_group(64, 0, None, Some(0)).unwrap());
-        assert_eq!((filter.networks.len(), filter.partners, filter.window), (64, true, 0));
+        assert_eq!(
+            (filter.permutations.len(), filter.partners, filter.bases.len()),
+            (24, false, 1)
+        );
+        // 64 sites: the reflection's network uses every stage.
+        let filter = RepFilter::new(&lattice::chain_group(64, 0, Some(0), Some(0)).unwrap());
+        assert_eq!((filter.permutations.len(), filter.partners, filter.window), (128, true, 0));
+    }
+
+    /// Checks [`rotation_bases`] of `group` on words of `bits` bits: every
+    /// element's permutation is its base's network then its rotation, on
+    /// every unit vector and on 64 other words; each base is its own
+    /// rotation 0 and comes before its rotations. Returns the base count.
+    fn check_rotation_bases(group: &SymmetryGroup, bits: u32) -> usize {
+        let rotations = rotation_bases(group, bits);
+        assert_eq!(rotations.bases[0], (0, [0; STAGES]), "the identity is the first base");
+        for (g, el) in group.elements().iter().enumerate() {
+            let j = rotations.permutation_of[g];
+            let (b, t) = rotations.decomposed[j];
+            let (own, masks) = rotations.bases[b];
+            assert!(t < bits && own <= j, "element {g}: base {b}, rotation {t}");
+            assert_eq!(t == 0, own == j, "element {g}");
+            let network =
+                |w: u64| masks.iter().zip(&DELTAS).fold(w, |x, (&m, &d)| delta_swap(x, m, d));
+            let units = (0..bits).map(|i| 1u64 << i);
+            let words = (0..64).map(|seed| ls_kernels::hash64_01(seed) & low_mask(bits));
+            for w in units.chain(words) {
+                let expect = el.apply_permutation(w);
+                assert_eq!(rotate_low_bits(network(w), bits, t), expect, "element {g}, {w:#x}");
+            }
+        }
+        rotations.bases.len()
+    }
+
+    #[test]
+    fn rotation_bases_reproduce_every_permutation() {
+        // A ring's translations are rotations of the identity, and its
+        // reflections rotations of one reflected image. At 64 sites no
+        // rotation shifts by 64 (`t < bits` above).
+        for n in [4usize, 5, 12, 24, 31, 32, 33, 64] {
+            for reflection in [None, Some(0)] {
+                for flip in [None, Some(0)] {
+                    let g = lattice::chain_group(n, 0, reflection, flip).unwrap();
+                    let bases = check_rotation_bases(&g, n as u32);
+                    assert_eq!(bases, 1 + reflection.is_some() as usize, "{n} sites");
+                }
+            }
+        }
+        // The 4 × 4 torus: a row translation rotates the word by 4, so its
+        // translations have 4 bases, and with the C4 rotation 16.
+        let (tx, ty) =
+            (lattice::square_translation_x(4, 4), lattice::square_translation_y(4, 4));
+        let square = |with_rotation: bool| {
+            let mut generators =
+                vec![Generator::new(tx.clone(), 0), Generator::new(ty.clone(), 0)];
+            if with_rotation {
+                generators.push(Generator::new(lattice::square_rotation(4), 0));
+            }
+            SymmetryGroup::generate(&generators).unwrap()
+        };
+        assert_eq!(check_rotation_bases(&square(false), 16), 4);
+        assert_eq!(check_rotation_bases(&square(true), 16), 16);
+        // A 6-rung ladder: a rung translation rotates the word by 2, and
+        // the leg swap is the second base.
+        let ladder = SymmetryGroup::generate(&[
+            Generator::new(lattice::ladder_translation(6), 0),
+            Generator::new(lattice::ladder_leg_swap(6), 0),
+            Generator::spin_inversion(12, 0),
+        ])
+        .unwrap();
+        assert_eq!(check_rotation_bases(&ladder, 12), 2);
+        // No rotation structure: one base per permutation, as many
+        // networks as before the decomposition. The zigzag ring, and a
+        // ring whose words are wider than its sites (a two-bit code).
+        assert_eq!(check_rotation_bases(&zigzag_ring(12).1, 12), 12);
+        let chain = lattice::chain_group(12, 0, Some(0), None).unwrap();
+        assert_eq!(check_rotation_bases(&chain, 24), 24);
+    }
+
+    /// Every word of `n` bits of weight at most 2 or at least `n - 2`, 2048
+    /// hashed words, and the orbit minimum of each under `group`.
+    fn sampled_words(group: &SymmetryGroup, n: u32) -> Vec<u64> {
+        let low = low_mask(n);
+        let pairs = (0..n).flat_map(|i| (0..n).map(move |j| (1u64 << i) | (1u64 << j)));
+        let mut words: Vec<u64> =
+            [0, low].into_iter().chain(pairs.flat_map(|w| [w, !w & low])).collect();
+        words.extend((0..2048).map(|seed| ls_kernels::hash64_01(seed) & low));
+        let minima: Vec<u64> =
+            words.iter().map(|&w| state_info(group, w).representative).collect();
+        words.extend(minima);
+        words
+    }
+
+    #[test]
+    fn filter_agrees_with_state_info_on_square_and_ladder_groups() {
+        let square = |lx: usize, ly: usize, kx: i64, rotation: bool| {
+            let mut generators = vec![
+                Generator::new(lattice::square_translation_x(lx, ly), kx),
+                Generator::new(lattice::square_translation_y(lx, ly), 0),
+                Generator::spin_inversion(lx * ly, 1),
+            ];
+            if rotation {
+                generators.push(Generator::new(lattice::square_rotation(lx), 1));
+            }
+            SymmetryGroup::generate(&generators).unwrap()
+        };
+        let ladder = |l: usize, k: i64| {
+            SymmetryGroup::generate(&[
+                Generator::new(lattice::ladder_translation(l), k),
+                Generator::new(lattice::ladder_leg_swap(l), 1),
+                Generator::spin_inversion(2 * l, 0),
+            ])
+            .unwrap()
+        };
+        // 16 sites, every word: the 4 × 4 torus with the C4 rotation (±i
+        // characters), and an 8-rung ladder at momentum π.
+        for (name, g) in [("4 x 4", square(4, 4, 0, true)), ("8-rung", ladder(8, 4))] {
+            let filter = RepFilter::new(&g);
+            for s in 0..1u64 << 16 {
+                let info = state_info(&g, s);
+                let expect =
+                    (info.representative == s && info.valid).then_some(info.orbit_size);
+                assert_eq!(filter.orbit_size(s), expect, "{name}, s = {s:#b}");
+            }
+        }
+        // 32, 34, 36 and 64 sites, sampled: rotations by whole rows or
+        // rungs next to bases, inside and across the 32-bit boundary.
+        let wide = [
+            ("4 x 8", square(4, 8, 1, false), 32),
+            ("16-rung", ladder(16, 0), 32),
+            ("17-rung", ladder(17, 1), 34),
+            ("6 x 6", square(6, 6, 0, true), 36),
+            ("8 x 8", square(8, 8, 4, false), 64),
+        ];
+        for (name, g, n) in wide {
+            let filter = RepFilter::new(&g);
+            let mut accepted = 0;
+            for s in sampled_words(&g, n) {
+                let info = state_info(&g, s);
+                let expect =
+                    (info.representative == s && info.valid).then_some(info.orbit_size);
+                assert_eq!(filter.orbit_size(s), expect, "{name}, s = {s:#x}");
+                accepted += expect.is_some() as usize;
+            }
+            assert!(accepted > 100, "{name}: {accepted}");
+        }
     }
 }

@@ -987,21 +987,31 @@ mod tests {
 
     #[test]
     fn flip_partners_share_one_network() {
-        // The benchmark's 24-site group: 96 elements, 48 site permutations.
+        // The benchmark's 24-site group: 96 elements, 48 site permutations,
+        // and two bases: the identity, which runs no network, and the
+        // reflection. The other 46 permutations rotate one of them.
         let n = 24usize;
         let kernel = heisenberg(&lattice::chain_bonds(n), 1.0).to_kernel(n as u32).unwrap();
         let group = lattice::chain_group(n, 0, Some(0), Some(0)).unwrap();
         let sector = SectorSpec::new(n as u32, Some(12), group).unwrap();
         let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
         assert_eq!(op.group().order(), 96);
-        assert_eq!(op.walk.n_networks(), 48);
+        assert_eq!(op.walk.n_bases(), 2);
         assert_eq!(op.walk.tile_rows(), 32);
-        // Without the flip every element runs its own.
+        // Without the flip each permutation carries one element.
         let group = lattice::chain_group(n, 0, Some(0), None).unwrap();
         let sector = SectorSpec::new(n as u32, Some(12), group).unwrap();
         let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
-        assert_eq!(op.walk.n_networks(), 48);
+        assert_eq!(op.walk.n_bases(), 2);
         assert_eq!(op.group().order(), 48);
+        // A ring numbered in a zigzag has no rotation structure: a base
+        // per permutation, as many networks as a row ran before.
+        let (bonds, group) = crate::rep::zigzag_ring(12);
+        let kernel = heisenberg(&bonds, 1.0).to_kernel(12).unwrap();
+        let sector = SectorSpec::new(12, Some(6), group).unwrap();
+        let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
+        assert_eq!((op.group().order(), op.walk.n_bases()), (24, 12));
+        check_block_matches_scalar(&op, &SpinBasis::build(sector));
     }
 
     #[test]
@@ -1037,6 +1047,45 @@ mod tests {
         let (states, orbits) = weight_orbit_minima(&group, n as u32, 3);
         assert!(states.len() >= 2 * op.walk.tile_rows(), "{}", states.len());
         check_rows_match_scalar(&op, &states, &orbits);
+        // Square tori and ladders: rotations by whole rows or rungs next to
+        // the bases that run networks, at 32 sites in `u32` words and past
+        // them in `u64` ones.
+        use ls_symmetry::Generator;
+        let square = |lx: usize, ly: usize, ky: i64, rotation: bool| {
+            let mut generators = vec![
+                Generator::new(lattice::square_translation_x(lx, ly), 0),
+                Generator::new(lattice::square_translation_y(lx, ly), ky),
+                Generator::spin_inversion(lx * ly, 1),
+            ];
+            if rotation {
+                generators.push(Generator::new(lattice::square_rotation(lx), 0));
+            }
+            (lattice::square_bonds(lx, ly), SymmetryGroup::generate(&generators).unwrap())
+        };
+        let ladder = |l: usize| {
+            let generators = [
+                Generator::new(lattice::ladder_translation(l), 0),
+                Generator::new(lattice::ladder_leg_swap(l), 1),
+                Generator::spin_inversion(2 * l, 0),
+            ];
+            (lattice::ladder_bonds(l, true), SymmetryGroup::generate(&generators).unwrap())
+        };
+        let cases = [
+            (square(8, 4, 2, false), 8),
+            (ladder(16), 2),
+            (ladder(17), 2),
+            (square(6, 6, 0, true), 24),
+        ];
+        for ((bonds, group), bases) in cases {
+            let n = group.n_sites();
+            let kernel = heisenberg(&bonds, 1.0).to_kernel(n as u32).unwrap();
+            let sector = SectorSpec::new(n as u32, None, group.clone()).unwrap();
+            let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
+            assert_eq!((op.walk.is_narrow(), op.walk.n_bases()), (n <= 32, bases), "{n} sites");
+            let (states, orbits) = weight_orbit_minima(&group, n as u32, 3);
+            assert!(states.len() >= 2 * op.walk.tile_rows(), "{n} sites: {}", states.len());
+            check_rows_match_scalar(&op, &states, &orbits);
+        }
     }
 
     /// The weight-`w` words of `n` sites that are valid orbit minima under

@@ -98,14 +98,7 @@ fn main() {
     let mut y = DistVec::<f64>::zeros(&basis.states().lens());
     cluster.reset_stats();
     let t = std::time::Instant::now();
-    matvec_pc(
-        &cluster,
-        &op,
-        &basis,
-        &x,
-        &mut y,
-        PcOptions { capacity: 512, ..PcOptions::default() },
-    );
+    matvec_pc(&cluster, &op, &basis, &x, &mut y, PcOptions::default());
     let dt = t.elapsed().as_secs_f64();
     let stats = cluster.stats_total();
     say!("\n== one producer/consumer matvec ==");

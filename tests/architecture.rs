@@ -108,6 +108,46 @@ fn the_group_walk_is_one_loop() {
     assert_none(&["crates/basis/src"], &["unsafe"]);
 }
 
+/// A site permutation runs as a rotation of the word wherever it is one,
+/// and one function decides where: `rotation_bases` derives the bases, it
+/// alone reads a group element's Beneš network in `crates/basis/src`, and
+/// the group walk and the enumeration filter both take their tables from
+/// it.
+#[test]
+fn one_rotation_decomposition() {
+    let name = ["rotation", "_bases"].concat();
+    let def = format!("fn {name}(");
+    let defs = hits(&["crates/basis/src"], &[&def]);
+    assert_eq!(defs.len(), 1, "{}", defs.join("\n"));
+    let readers = enclosing_fns(&["crates/basis/src"], &[[".network", "()"].concat()]);
+    assert!(readers.len() == 1 && readers[0].contains(&def), "{}", readers.join("\n"));
+    let users = enclosing_impls(&["crates/basis/src"], &format!("{name}("), &def);
+    assert_eq!(users, ["impl RepFilter {", "impl<W: WalkWord> GroupWalk<W> {"]);
+    assert_none(&["crates/basis/src"], &["unsafe"]);
+}
+
+/// The top-level `impl` line around each line of `dirs` that holds
+/// `needle` but not `except`, up to each file's test module.
+fn enclosing_impls(dirs: &[&str], needle: &str, except: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    for path in files(dirs) {
+        let Ok(text) = std::fs::read_to_string(&path) else { continue };
+        let mut current = "outside any impl";
+        for line in text.lines().take_while(|line| !line.starts_with("mod tests")) {
+            if line.starts_with("impl") {
+                current = line;
+            } else if line.starts_with('}') {
+                current = "outside any impl";
+            } else if line.contains(needle) && !line.contains(except) {
+                out.push(current.to_string());
+            }
+        }
+    }
+    out.sort();
+    out.dedup();
+    out
+}
+
 /// One search structure: a searched sector ranks by the hash index over
 /// its sorted states, and the prefix buckets with their lockstep search
 /// are gone.
