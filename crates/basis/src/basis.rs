@@ -68,7 +68,10 @@ pub struct SpinBasis {
 
 impl SpinBasis {
     /// Builds the basis by parallel enumeration, eight chunks a thread.
+    /// Panics, naming the features, on a host below the build's CPU
+    /// baseline.
     pub fn build(sector: SectorSpec) -> Self {
+        ls_kernels::simd::require_baseline().unwrap_or_else(|e| panic!("{e}"));
         let chunks = (rayon::current_num_threads() * 8).max(1);
         let chunk = enumerate::enumerate_par(&sector, chunks);
         Self::from_parts(sector, chunk.states, chunk.orbit_sizes)

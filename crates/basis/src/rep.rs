@@ -9,17 +9,21 @@
 //!
 //! The engines resolve their emissions with the *differential* group walk
 //! (`GroupWalk`): a source row's orbit images are computed once per row,
-//! and an emission's orbit minimum and stabilizer come out of one
-//! branch-free sweep over its `|G|` images, held in the narrowest word
-//! (`u32` or `u64`) that holds the sector's basis words. [`state_info`] and
-//! [`state_info_batch`] are its oracle, bit for bit.
+//! written a row at a time into *lanes*, and an emission's orbit minimum
+//! and stabilizer come out of one branch-free sweep over them, held in the
+//! narrowest word (`u32` or `u64`) that holds the sector's basis words. A
+//! lane is a group element, or, where the group holds the spin flip with
+//! every character 1, a site permutation whose two elements the sweep
+//! takes at once (the *fold*). [`state_info`] and [`state_info_batch`] are
+//! its oracle, bit for bit.
 //!
 //! The walk and the enumeration filter (`RepFilter`) apply a site
 //! permutation as a rotation of the word wherever it is one
 //! (`rotation_bases`): a ring's translations rotate the word, and each of
 //! its reflections is a rotation of one reflected image, so a Beneš network
 //! runs only per *base* permutation and every other image is a shift pair
-//! and a mask.
+//! and a mask — in the walk, a shift pair of each lane's own, which the
+//! x86-64-v3 baseline's variable shifts vectorize.
 
 use ls_kernels::bits::{low_mask, rotate_low_bits};
 use ls_kernels::net::{delta_swap, DELTAS, STAGES};
@@ -152,25 +156,25 @@ pub fn state_info_batch(group: &SymmetryGroup, states: &[u64], out: &mut StateIn
     }));
 }
 
-/// Words of orbit images one tile of source rows may occupy (12 KiB in
-/// `u32` words, 24 KiB in `u64` ones; the permuted rows the images are
-/// expanded from take at most as many again): the tile and the
-/// `|G| × masks` table stay cache-resident between the pass that writes
-/// the images and the sweeps that read them, and a worker's image scratch
-/// does not grow with the block length (a 1024-row block at `|G| = 96`
-/// would hold 384 KiB). It also sets the length of the uniform loops that
-/// fill a permutation's slot, a network or a rotation: 32 rows at
-/// `|G| = 96`. On 2 vCPUs a walk over the 24-site chain's 28 968 rows read
-/// 10.6–10.9 ms (the minimum of 25) at 3 072, 12 288 and 49 152 words,
-/// and 19.5 ms at 768, where a tile holds 8 rows: a floor on the loops'
-/// length, not a tuned value.
+/// Sets a tile of source rows to `IMAGE_TILE_WORDS / |G|` rows (32 on the
+/// 24-site chain): the length of the uniform loops that run a base's
+/// Beneš network over the tile, one row a vector lane. A tile holds one
+/// image of each base per row, at most as many words as this, and the
+/// orbit images of the one row being resolved, so a worker's scratch does
+/// not grow with the block length. On 2 vCPUs, with a tile of every
+/// image, a walk over the 24-site chain's 28 968 rows read 10.6–10.9 ms
+/// (the minimum of 25) at 3 072, 12 288 and 49 152 words, and 19.5 ms at
+/// 768, where a tile held 8 rows: a floor on the loops' length, not a
+/// tuned value.
 const IMAGE_TILE_WORDS: usize = 3072;
 
 /// The word a [`GroupWalk`] holds its images and permuted masks in: `u32`
 /// where every basis word of the sector fits 32 bits, `u64` otherwise
 /// ([`SectorWalk`]). A narrow word puts twice the lanes in a vector
-/// register, and x86-64-v2 has the unsigned 32-bit minimum (`pminud`)
-/// that the sweep of [`GroupWalk::resolve`] vectorizes to.
+/// register: under the x86-64-v3 baseline, 8 in an AVX2 register, whose
+/// variable shifts (`vpsllvd` / `vpsrlvd`) rotate each lane by its own
+/// count in [`GroupWalk::orbit_images`], and whose unsigned minimum
+/// (`vpminud`) the sweep of [`GroupWalk::resolve`] vectorizes to.
 pub(crate) trait WalkWord:
     Copy
     + Ord
@@ -180,6 +184,8 @@ pub(crate) trait WalkWord:
     + BitXor<Output = Self>
     + Shl<u32, Output = Self>
     + Shr<u32, Output = Self>
+    + Shl<Self, Output = Self>
+    + Shr<Self, Output = Self>
 {
     /// Stage pairs at each end of a 64-bit Benes network that are zero in
     /// every network of a permutation this word holds: the shift-32 pair
@@ -281,36 +287,40 @@ fn rotation_bases(group: &SymmetryGroup, bits: u32) -> RotationBases {
 /// A group element is a bit permutation plus an optional global flip, so
 /// it is affine over GF(2): `g(α ⊕ m) = g(α) ⊕ π_g(m)`. Every emission of
 /// a source row `α` is `α ⊕ m` for one of the operator's few channel flip
-/// masks `m`, so the permutations run once per *row*, once per distinct
-/// site permutation (elements that differ by the global flip share it),
-/// and as a Beneš network only per base of [`rotation_bases`]: every other
-/// permutation rotates its base's image ([`Self::orbit_images`]). The
-/// `|G|` images of each emission are one XOR against the precomputed
-/// `|G| × masks` words of `π_g(m)`, taken in one branch-free sweep
-/// ([`Self::resolve`]). [`state_info`] and [`state_info_batch`] are the
-/// oracle: every result is equal bit for bit.
+/// masks `m`, so the permutations run once per *row*: a Beneš network per
+/// base of [`rotation_bases`] over a tile of rows ([`Self::base_images`]),
+/// then each row's *lanes* rotate their base's image, with per-lane shift
+/// counts and flips ([`Self::orbit_images`]). A lane is a group element,
+/// or, where the walk *folds*, a site permutation and the two elements
+/// that carry it. An emission's images are one XOR per lane against the
+/// precomputed `lanes × masks` words of `π(m)`, taken in one branch-free
+/// sweep ([`Self::resolve`]). [`state_info`] and [`state_info_batch`] are
+/// the oracle: every result is equal bit for bit.
 #[derive(Clone, Debug)]
 pub(crate) struct GroupWalk<W> {
     order: usize,
-    /// How each distinct site permutation but the identity fills its slot
-    /// of [`WalkTile::slots`]: `fills[j - 1]` fills slot `j`. Slot 0 is
-    /// the identity's, the rows themselves.
-    fills: Vec<Fill<W>>,
-    /// The basis words' bits, the width of a rotation …
-    bits: u32,
-    /// … and their mask.
+    /// Per base, the identity first: its lanes and its network's stage
+    /// masks in the word (all zero on the identity, which runs none).
+    bases: Vec<(std::ops::Range<usize>, [W; STAGES])>,
+    /// The basis words' mask.
     low: W,
-    /// Per element, where its permutation's images start in
-    /// [`WalkTile::slots`] (slot × tile rows) …
-    slot_at: Vec<u32>,
-    /// … and its flip mask.
+    /// Per lane, grouped by base: the rotation `t` as a left shift …
+    left: Vec<W>,
+    /// … and the right shift `(bits − t) % bits` …
+    right: Vec<W>,
+    /// … and the flip mask of its element.
     flip: Vec<W>,
-    /// `permuted[mask · |G| + g] = π_g(mask)`.
+    /// The global flip `f` where the walk folds (the group holds it, every
+    /// element's flip is 0 or `f`, every character is 1), else 0.
+    fold: W,
+    /// Per lane, the index of its element in the group.
+    element: Vec<u32>,
+    /// `permuted[mask · lanes + lane] = π_lane(mask)`.
     permuted: Vec<W>,
     /// Is every character 1? Then every orbit has non-zero norm and every
     /// phase is 1, and [`Self::resolve`] is its sweep alone.
     characters_one: bool,
-    /// Per element, 1 where its character is 1 and 0 elsewhere: `t = raw`
+    /// Per lane, 1 where its character is 1 and 0 elsewhere: `t = raw`
     /// on a 0 (a stabilizing element with another character) gives the
     /// orbit zero norm.
     character_one: Vec<W>,
@@ -319,23 +329,14 @@ pub(crate) struct GroupWalk<W> {
     phase_conj: Vec<Complex64>,
 }
 
-/// How [`GroupWalk::orbit_images`] fills one permutation's slot of a tile.
-#[derive(Clone, Debug)]
-enum Fill<W> {
-    /// A base: its Beneš network on the rows, the stages inside the word.
-    Network([W; STAGES]),
-    /// `rot_shift` of the earlier slot `base`, its base's.
-    Rotation { base: usize, shift: u32 },
-}
-
 /// The per-tile scratch of one [`GroupWalk`].
 #[derive(Clone, Debug, Default)]
 pub(crate) struct WalkTile<W> {
-    /// `slots[j · tile rows + row] = π_j(states[row])`, permutation-major,
-    /// in the lane word; slot 0, the identity's, is the rows narrowed once.
-    slots: Vec<W>,
-    /// `images[row · |G| + g] = el_g.apply(states[row])`, row-major.
-    pub(crate) images: Vec<W>,
+    /// `bases[b · tile rows + row] = β_b(states[row])`, base-major, in the
+    /// lane word; base 0, the identity's, is the rows narrowed once.
+    bases: Vec<W>,
+    /// The orbit images of the row being resolved, one per lane.
+    images: Vec<W>,
 }
 
 impl<W: WalkWord> GroupWalk<W> {
@@ -344,16 +345,26 @@ impl<W: WalkWord> GroupWalk<W> {
     fn new(group: &SymmetryGroup, masks: &[u64], bits: u32) -> Self {
         let elements = group.elements();
         let order = elements.len();
-        let tile_rows = Self::rows_per_tile(order);
         let rotations = rotation_bases(group, bits);
-        let fills = rotations.decomposed[1..]
+        let characters_one = elements.iter().all(|el| el.phase().is_one());
+        // `π(0) = 0`, so the image of the empty word is the flip mask.
+        let flip_of = |g: usize| elements[g].apply(0);
+        let global = (1..order).find(|&g| rotations.permutation_of[g] == 0).map(flip_of);
+        let folds = |f: u64| characters_one && (0..order).all(|g| [0, f].contains(&flip_of(g)));
+        let fold = global.filter(|&f| folds(f)).unwrap_or(0);
+        // The lanes: every element, or under the fold the one element of
+        // each permutation that does not flip; grouped by base, in element
+        // order.
+        let mut lanes: Vec<usize> =
+            (0..order).filter(|&g| fold == 0 || flip_of(g) == 0).collect();
+        let decomposed = |g: usize| rotations.decomposed[rotations.permutation_of[g]];
+        lanes.sort_by_key(|&g| decomposed(g).0);
+        let outer = W::OUTER_STAGES;
+        let bases = rotations
+            .bases
             .iter()
-            .map(|&(b, shift)| {
-                let (slot, wide) = rotations.bases[b];
-                if shift != 0 {
-                    return Fill::Rotation { base: slot, shift };
-                }
-                let outer = W::OUTER_STAGES;
+            .enumerate()
+            .map(|(b, &(_, wide))| {
                 let fits = wide.iter().enumerate().all(|(s, &m)| {
                     let inside = (outer..STAGES - outer).contains(&s);
                     if inside {
@@ -363,115 +374,123 @@ impl<W: WalkWord> GroupWalk<W> {
                     }
                 });
                 assert!(fits, "a network outside the walk's word");
-                Fill::Network(wide.map(W::narrow))
+                let first = lanes.partition_point(|&g| decomposed(g).0 < b);
+                (first..lanes.partition_point(|&g| decomposed(g).0 <= b), wide.map(W::narrow))
             })
             .collect();
+        let shift = |t: u32| W::narrow(u64::from(t % bits));
         let permuted = masks
             .iter()
-            .flat_map(|&m| elements.iter().map(move |el| W::narrow(el.apply_permutation(m))))
+            .flat_map(|&m| {
+                lanes.iter().map(move |&g| W::narrow(elements[g].apply_permutation(m)))
+            })
             .collect();
         let mut phase_conj: Vec<Complex64> =
             elements.iter().map(|el| el.phase().conj().to_c64()).collect();
         phase_conj.push(ls_symmetry::RationalPhase::ZERO.conj().to_c64());
-        let one = |el: &ls_symmetry::GroupElement| W::narrow(el.phase().is_one() as u64);
         Self {
             order,
-            fills,
-            bits,
+            bases,
             low: W::narrow(low_mask(bits)),
-            slot_at: rotations.permutation_of.iter().map(|&j| (j * tile_rows) as u32).collect(),
-            // `π(0) = 0`, so the image of the empty word is the flip mask.
-            flip: elements.iter().map(|el| W::narrow(el.apply(0))).collect(),
+            left: lanes.iter().map(|&g| shift(decomposed(g).1)).collect(),
+            right: lanes.iter().map(|&g| shift(bits - decomposed(g).1)).collect(),
+            flip: lanes.iter().map(|&g| W::narrow(flip_of(g))).collect(),
+            fold: W::narrow(fold),
+            element: lanes.iter().map(|&g| g as u32).collect(),
             permuted,
-            characters_one: elements.iter().all(|el| el.phase().is_one()),
-            character_one: elements.iter().map(one).collect(),
+            characters_one,
+            character_one: lanes
+                .iter()
+                .map(|&g| W::narrow(elements[g].phase().is_one() as u64))
+                .collect(),
             phase_conj,
         }
     }
 
-    fn rows_per_tile(order: usize) -> usize {
-        (IMAGE_TILE_WORDS / order).max(1)
-    }
-
-    /// The bases of [`rotation_bases`]: the identity, which runs no
-    /// network, and one per Beneš network a tile of rows runs.
+    /// The bases of [`rotation_bases`], the identity's included, and the
+    /// lanes of a row: `|G|`, or `|G| / 2` under the fold.
     #[cfg(test)]
-    pub(crate) fn n_bases(&self) -> usize {
-        1 + self.fills.iter().filter(|fill| matches!(fill, Fill::Network(_))).count()
+    pub(crate) fn shape(&self) -> (usize, usize) {
+        (self.bases.len(), self.flip.len())
     }
 
-    /// Source rows per tile of [`Self::orbit_images`], from `|G|` alone.
+    /// Source rows per tile of [`Self::base_images`], from `|G|` alone.
     pub(crate) fn tile_rows(&self) -> usize {
-        Self::rows_per_tile(self.order)
+        (IMAGE_TILE_WORDS / self.order).max(1)
     }
 
-    /// Fills `tile.images` for `states`, at most [`Self::tile_rows`] of
-    /// them. Permutation-outer, each slot filled on the whole tile in the
-    /// lane word, one row a lane: a base loads its stage masks once and
-    /// runs its network, the stages inside the word only; any other
-    /// permutation rotates its base's slot, one uniform shift pair and a
-    /// mask. Then each row's `|G|` images are its slots XOR the elements'
-    /// flips.
-    pub(crate) fn orbit_images(&self, states: &[u64], tile: &mut WalkTile<W>) {
-        let (order, rows, n) = (self.order, self.tile_rows(), states.len());
+    /// Fills the base images of `states`, at most [`Self::tile_rows`] of
+    /// them, base-outer: each base loads its stage masks once and runs its
+    /// network on the whole tile, one row a lane, the stages inside the
+    /// word only.
+    pub(crate) fn base_images(&self, states: &[u64], tile: &mut WalkTile<W>) {
+        let (rows, n) = (self.tile_rows(), states.len());
         debug_assert!(n <= rows);
-        // Every slot read below is written first; a tile of the usual
+        // Every image read below is written first; a tile of the usual
         // length costs no fill.
-        tile.slots.resize((1 + self.fills.len()) * rows, W::default());
-        tile.images.resize(n * order, W::default());
-        for (slot, &alpha) in tile.slots.iter_mut().zip(states) {
-            *slot = W::narrow(alpha);
+        tile.bases.resize(self.bases.len() * rows, W::default());
+        tile.images.resize(self.flip.len(), W::default());
+        let (identity, others) = tile.bases.split_at_mut(rows);
+        for (out, &alpha) in identity.iter_mut().zip(states) {
+            *out = W::narrow(alpha);
         }
-        for (j, fill) in self.fills.iter().enumerate() {
-            let (done, next) = tile.slots.split_at_mut((1 + j) * rows);
-            let out = &mut next[..n];
-            match *fill {
-                Fill::Network(ref masks) => {
-                    for (out, &alpha) in out.iter_mut().zip(&done[..n]) {
-                        let stages = W::OUTER_STAGES..STAGES - W::OUTER_STAGES;
-                        *out = stages.fold(alpha, |x, s| delta_swap(x, masks[s], DELTAS[s]));
-                    }
-                }
-                Fill::Rotation { base, shift } => {
-                    let (right, low) = (self.bits - shift, self.low);
-                    for (out, &x) in out.iter_mut().zip(&done[base * rows..][..n]) {
-                        *out = ((x << shift) | (x >> right)) & low;
-                    }
-                }
+        for ((_, masks), out) in self.bases[1..].iter().zip(others.chunks_exact_mut(rows)) {
+            for (out, &alpha) in out[..n].iter_mut().zip(&identity[..n]) {
+                let stages = W::OUTER_STAGES..STAGES - W::OUTER_STAGES;
+                *out = stages.fold(alpha, |x, s| delta_swap(x, masks[s], DELTAS[s]));
             }
         }
-        for (row, images) in tile.images.chunks_exact_mut(order).enumerate() {
-            for ((image, &at), &flip) in images.iter_mut().zip(&self.slot_at).zip(&self.flip) {
-                *image = tile.slots[at as usize + row] ^ flip;
+    }
+
+    /// The orbit images of row `row` of the tile [`Self::base_images`]
+    /// filled, one per lane: each lane rotates its base's image by its own
+    /// shift pair and applies its flip, `((x << l) | (x >> r)) & low ^
+    /// flip`, a row at a time in vector registers.
+    #[inline(always)]
+    pub(crate) fn orbit_images<'t>(&self, tile: &'t mut WalkTile<W>, row: usize) -> &'t [W] {
+        let (rows, low) = (self.tile_rows(), self.low);
+        for (b, (lanes, _)) in self.bases.iter().enumerate() {
+            let x = tile.bases[b * rows + row];
+            let shifts = self.left[lanes.clone()].iter().zip(&self.right[lanes.clone()]);
+            let images = tile.images[lanes.clone()].iter_mut().zip(&self.flip[lanes.clone()]);
+            for ((image, &flip), (&l, &r)) in images.zip(shifts) {
+                *image = (((x << l) | (x >> r)) & low) ^ flip;
             }
         }
+        &tile.images
     }
 
     /// [`state_info`] of the emission `raw = α ⊕ masks[mask]`, from the
-    /// `|G|` orbit `images` of its source row `α`.
+    /// orbit `images` of its source row `α`.
     ///
-    /// One sweep over the images `t = images[g] ^ permuted[g]` takes the
-    /// minimum and counts the `t = raw` (the stabilizer), with no branch,
-    /// so it vectorizes. Only a group with a character other than 1 goes
-    /// on: a second branch-free sweep looks for a stabilizing element
-    /// whose character is not 1, and when `raw` is not its own minimum a
-    /// search finds the first `g` with `t = rep` — the element whose
-    /// character [`state_info`]'s running minimum keeps.
-    #[inline]
+    /// One sweep over the lanes' `t = images[lane] ^ permuted[lane]` takes
+    /// the minimum of `u = min(t, t ^ fold)` and counts `u = min(raw, raw ^
+    /// fold)`, the stabilizer, with no branch, so it vectorizes. Under the
+    /// fold a lane's two elements map `raw` to `t` and `t ^ fold`, and `u`
+    /// equals that minimum only when one of them is `raw`; elsewhere `fold`
+    /// is 0 and `u = t`. Only a group with a character other than 1 goes
+    /// on (it never folds): a second branch-free sweep looks for a
+    /// stabilizing element whose character is not 1, and when `raw` is not
+    /// its own minimum a third takes the smallest element index among the
+    /// lanes with `t = rep` — the element whose character [`state_info`]'s
+    /// running minimum keeps.
+    #[inline(always)]
     pub(crate) fn resolve(&self, images: &[W], mask: usize, raw: u64) -> StateInfo {
-        let order = self.order;
-        let images = &images[..order];
-        let permuted = &self.permuted[mask * order..][..order];
-        let raw_word = W::narrow(raw);
+        let lanes = self.flip.len();
+        let images = &images[..lanes];
+        let permuted = &self.permuted[mask * lanes..][..lanes];
+        let (raw_word, fold) = (W::narrow(raw), self.fold);
+        let own = raw_word.min(raw_word ^ fold);
         let (mut rep, mut stab) = (raw_word, 0u32);
         for (&image, &p) in images.iter().zip(permuted) {
             let t = image ^ p;
-            rep = rep.min(t);
-            stab += (t == raw_word) as u32;
+            let u = t.min(t ^ fold);
+            rep = rep.min(u);
+            stab += (u == own) as u32;
         }
         // A state is always stabilized at least by the identity.
         debug_assert!(stab >= 1);
-        let (mut valid, mut winner) = (true, order);
+        let (mut valid, mut winner) = (true, self.order);
         if !self.characters_one {
             let orbit = images.iter().zip(permuted).map(|(&image, &p)| image ^ p);
             let zero_norm = orbit
@@ -480,13 +499,15 @@ impl<W: WalkWord> GroupWalk<W> {
                 .fold(0u32, |n, (t, &one)| n + (((t ^ raw_word) | one) == W::default()) as u32);
             valid = zero_norm == 0;
             if rep < raw_word {
-                winner = orbit.take_while(|&t| t != rep).count();
+                let none = self.order as u32;
+                let first = |w: u32, (t, &g): (W, &u32)| w.min(if t == rep { g } else { none });
+                winner = orbit.zip(&self.element).fold(none, first) as usize;
             }
         }
         StateInfo {
             representative: rep.widen(),
             phase: self.phase_conj[winner],
-            orbit_size: order as u32 / stab,
+            orbit_size: self.order as u32 / stab,
             valid,
         }
     }
@@ -526,18 +547,19 @@ impl SectorWalk {
     }
 
     #[cfg(test)]
-    pub(crate) fn n_bases(&self) -> usize {
+    pub(crate) fn shape(&self) -> (usize, usize) {
         match self {
-            Self::Narrow(walk) => walk.n_bases(),
-            Self::Wide(walk) => walk.n_bases(),
+            Self::Narrow(walk) => walk.shape(),
+            Self::Wide(walk) => walk.shape(),
         }
     }
 }
 
 /// Caller-owned scratch of the group walk
-/// ([`crate::SymmetrizedOperator::generate_off_diag_block`]): the orbit
-/// images of the current tile of source rows, in the walk's word. Reusing
-/// one across blocks keeps the walk allocation-free.
+/// ([`crate::SymmetrizedOperator::generate_off_diag_block`]): the base
+/// images of the current tile of source rows and the orbit images of the
+/// row being resolved, in the walk's word. Reusing one across blocks keeps
+/// the walk allocation-free.
 #[derive(Clone, Debug, Default)]
 pub struct WalkScratch {
     pub(crate) narrow: WalkTile<u32>,
@@ -864,11 +886,14 @@ mod tests {
     }
 
     /// Every group the exhaustive oracle test covers on `n` sites: the
-    /// full chain group, k = n/2 with and without reflection (stabilizer
-    /// characters of −1, so zero-norm orbits), Z = −1, a translation
-    /// carrying the flip, a square lattice where `n` factors into one,
-    /// the trivial group, and on even `n` a ladder (rotations of two
-    /// bases) and the zigzag ring (every permutation a base).
+    /// full chain group (the flip with every character 1, which the group
+    /// walk folds), k = n/2 with and without reflection (stabilizer
+    /// characters of −1, so zero-norm orbits), k = 1 (complex characters),
+    /// Z = −1, a translation carrying the flip at k = 1 and k = 0 (its
+    /// elements carry flips, and on even `n` the flip is none of them), a
+    /// square lattice where `n` factors into one, the trivial group, and on
+    /// even `n` a ladder (rotations of two bases) and the zigzag ring
+    /// (every permutation a base).
     fn oracle_groups(n: usize) -> Vec<(String, SymmetryGroup)> {
         let half = n as i64 / 2;
         // Reflection commutes with the translations only at k = π.
@@ -877,17 +902,15 @@ mod tests {
             ("chain".to_string(), lattice::chain_group(n, 0, Some(0), Some(0)).unwrap()),
             ("k = n/2".to_string(), lattice::chain_group(n, half, reflection, None).unwrap()),
             ("k = n/2, T only".to_string(), lattice::chain_group(n, half, None, None).unwrap()),
+            ("k = 1".to_string(), lattice::chain_group(n, 1, None, None).unwrap()),
             ("z = -1".to_string(), lattice::chain_group(n, 0, Some(0), Some(1)).unwrap()),
-            (
-                "T with flip".to_string(),
-                SymmetryGroup::generate(&[Generator::with_flip(
-                    lattice::chain_translation(n),
-                    1,
-                )])
-                .unwrap(),
-            ),
             ("trivial".to_string(), SymmetryGroup::trivial(n)),
         ];
+        for k in [1, 0] {
+            let generator = Generator::with_flip(lattice::chain_translation(n), k);
+            let group = SymmetryGroup::generate(&[generator]).unwrap();
+            groups.push((format!("T with flip, k = {k}"), group));
+        }
         if let Some(lx) =
             [4usize, 3].into_iter().find(|&lx| n.is_multiple_of(lx) && n / lx >= 2)
         {
@@ -929,6 +952,19 @@ mod tests {
                 }
                 let dim = ls_symmetry::count::sector_dimension(&g, None);
                 assert_eq!(accepted, dim, "{name}, n = {n}");
+            }
+        }
+        // Words of 32 and 64 bits, sampled: rotations by `t = 0` and by
+        // `bits − t` across the whole word.
+        for n in [32usize, 64] {
+            for (name, g) in oracle_groups(n) {
+                let filter = RepFilter::new(&g);
+                for s in sampled_words(&g, n as u32) {
+                    let info = state_info(&g, s);
+                    let expect =
+                        (info.representative == s && info.valid).then_some(info.orbit_size);
+                    assert_eq!(filter.orbit_size(s), expect, "{name}, n = {n}, s = {s:#x}");
+                }
             }
         }
     }

@@ -19,18 +19,20 @@
 //! the reference. The block form both engines run,
 //! [`SymmetrizedOperator::generate_off_diag_block`], hands each emission to
 //! a caller's sink ([`SymmetrizedOperator::apply_off_diag_block`] is the
-//! sink that fills an [`OffDiagBlock`]). Under a trivial group it is one
-//! mask loop per row, Jordan-Wigner signs included, and
+//! sink that fills an [`OffDiagBlock`]). Under every group it is one mask
+//! loop per row (`FireGroup`), Jordan-Wigner signs included, and
 //! [`SymmetrizedOperator::pull_rows`] runs the same loop with a sum in
 //! place of the sink — the shared-memory engine's closed-form row pass.
-//! Under any other group
-//! it uses that a group element (a bit permutation `π_g`, then an optional
-//! global flip) is affine over GF(2), `g(α ⊕ m) = g(α) ⊕ π_g(m)`: the
-//! networks run once per source *row*, and an emission's `|G|` images are
-//! one XOR each against a table of `|G| × distinct flip masks` words built
-//! at construction (`crate::rep::GroupWalk`), swept once without a branch
-//! for their minimum and stabilizer — in `u32` lanes where the sector's
-//! basis words fit 32 bits, chosen when the operator is bound.
+//! Under a trivial group each fire bit is an emission as it stands.
+//! Under any other group it is resolved by the group walk, which uses that
+//! a group element (a bit permutation `π_g`, then an optional global flip)
+//! is affine over GF(2), `g(α ⊕ m) = g(α) ⊕ π_g(m)`: the permutations run
+//! once per source *row*, into one orbit image per lane, and an emission's
+//! images are one XOR each against a table of `lanes × distinct flip masks`
+//! words built at construction (`crate::rep::GroupWalk`), swept once
+//! without a branch for their minimum and stabilizer — in `u32` lanes
+//! where the sector's basis words fit 32 bits, chosen when the operator is
+//! bound.
 //!
 //! [`SymmetrizedOperator::apply_off_diag_block_u1_ranked_channels`], a
 //! channel-outer generate-and-rank pass into packed segments, is no
@@ -99,17 +101,21 @@ impl<S: Scalar> SymChannel<S> {
     }
 }
 
-/// Up to 64 consecutive tests of the trivial-group mask loop, and how a
-/// row `α` computes its fire mask over them. A test fires when `α & sites`
-/// is one of its patterns and emits `(α ^ flip, ±coeff)`, negated on odd
-/// `popcount(α & sign)`; consecutive channels that differ only in their
-/// input pattern — the `S⁺S⁻` / `S⁻S⁺` halves of a bond, the `c†c` /
-/// `c c†` halves of a hop with equal string masks — are one test with two
-/// patterns: at most one of them fires on a row, and both emit the same.
+/// Up to 64 consecutive tests of the mask loop, and how a row `α` computes
+/// its fire mask over them. A test fires when `α & sites` is one of its
+/// patterns and emits `α ^ flip` with `±coeff`, negated on odd
+/// `popcount(α & sign)`; under a non-trivial group the group walk resolves
+/// the emission against its flip's row of the walk's mask table.
+/// Consecutive channels that differ only in their input pattern — the
+/// `S⁺S⁻` / `S⁻S⁺` halves of a bond, the `c†c` / `c c†` halves of a hop
+/// with equal string masks — are one test with two patterns: at most one
+/// of them fires on a row, and both emit the same.
 #[derive(Clone, Debug)]
 struct FireGroup<S> {
     /// Per test, in channel order: `(flip, coeff)`; 64 slots, so a read needs no bounds check.
     emits: [(u64, S); 64],
+    /// Per test, the index of its flip in the group walk's mask table.
+    masks: [u32; 64],
     /// `(string mask, test)` of each test that carries a string; a group
     /// without one does no parity work.
     strings: Vec<(u64, u32)>,
@@ -124,8 +130,10 @@ struct FireGroup<S> {
 }
 
 impl<S: Scalar> FireGroup<S> {
-    /// The channels as the mask loop tests them, 64 tests a group.
-    fn build(channels: &[SymChannel<S>]) -> Vec<Self> {
+    /// The channels as the mask loop tests them, 64 tests a group; `masks`
+    /// are the distinct flip masks, in the order the walk's table holds
+    /// them.
+    fn build(channels: &[SymChannel<S>], masks: &[u64]) -> Vec<Self> {
         // `(sites, a, b, flip, sign, coeff)`: one test per channel, or per
         // two consecutive channels that emit the same on different
         // patterns.
@@ -145,19 +153,22 @@ impl<S: Scalar> FireGroup<S> {
                 _ => tests.push((ch.sites, ch.in_pat, ch.in_pat, ch.flip, ch.sign, ch.coeff)),
             }
         }
-        tests.chunks(64).map(Self::new).collect()
+        tests.chunks(64).map(|tests| Self::new(tests, masks)).collect()
     }
 
     /// `tests` are `(sites, a, b, flip, sign, coeff)`, at most 64.
-    fn new(tests: &[(u64, u64, u64, u64, u64, S)]) -> Self {
+    fn new(tests: &[(u64, u64, u64, u64, u64, S)], masks: &[u64]) -> Self {
         let mut group = Self {
             emits: [(0, S::ZERO); 64],
+            masks: [0; 64],
             strings: Vec::new(),
             spans: Vec::new(),
             tests: Vec::new(),
         };
         for (c, &(sites, a, b, flip, sign, coeff)) in tests.iter().enumerate() {
             group.emits[c] = (flip, coeff);
+            group.masks[c] =
+                masks.iter().position(|&m| m == flip).expect("a channel's flip") as u32;
             if sign != 0 {
                 group.strings.push((sign, c as u32));
             }
@@ -213,11 +224,8 @@ pub struct SymmetrizedOperator<S: Scalar> {
     patterns: Vec<(S, u64, u64)>,
     channels: Vec<SymChannel<S>>,
     /// The channels as the row-outer mask loop tests them, in channel
-    /// order (empty unless the group is trivial).
+    /// order.
     fire: Vec<FireGroup<S>>,
-    /// Per channel, the index of its `flip` among the distinct flip masks
-    /// `walk` was built on.
-    channel_mask: Vec<u32>,
     walk: SectorWalk,
     hermitian: bool,
     trivial_group: bool,
@@ -281,7 +289,6 @@ impl<S: Scalar> SymmetrizedOperator<S> {
         }
         let mut channels = Vec::with_capacity(kernel.channels().len());
         let mut masks: Vec<u64> = Vec::new();
-        let mut channel_mask = Vec::with_capacity(kernel.channels().len());
         for ch in kernel.channels() {
             let c = S::from_c64(ch.coeff).ok_or(BasisError::ComplexOperator)?;
             let flip = ch.flip_mask();
@@ -292,11 +299,9 @@ impl<S: Scalar> SymmetrizedOperator<S> {
                 flip,
                 sign: ch.sign,
             });
-            let slot = masks.iter().position(|&m| m == flip).unwrap_or_else(|| {
+            if !masks.contains(&flip) {
                 masks.push(flip);
-                masks.len() - 1
-            });
-            channel_mask.push(slot as u32);
+            }
         }
         let trivial_group = sector.group().order() == 1;
         Ok(Self {
@@ -304,9 +309,8 @@ impl<S: Scalar> SymmetrizedOperator<S> {
             group: sector.group().clone(),
             diag,
             patterns,
-            fire: if trivial_group { FireGroup::build(&channels) } else { Vec::new() },
+            fire: FireGroup::build(&channels, &masks),
             channels,
-            channel_mask,
             hermitian: kernel.is_hermitian(1e-10),
             trivial_group,
             has_signs: kernel.has_signs(),
@@ -470,21 +474,21 @@ impl<S: Scalar> SymmetrizedOperator<S> {
     /// exactly like repeated [`Self::apply_off_diag`] calls. `scratch` is
     /// caller-owned scratch for the group walk, reused across blocks.
     ///
-    /// Under the trivial group this is the mask loop (`FireGroup`): per
-    /// row, the fire bits of up to 64 channels at a time, then one
-    /// emission per set bit, its coefficient negated on an odd
-    /// Jordan-Wigner string. Under a non-trivial group it is the
-    /// differential walk
-    /// (`g(α ⊕ m) = g(α) ⊕ π_g(m)`): rows are taken in tiles sized from
-    /// `|G|`; per tile, one network-outer pass writes every row's
-    /// `|G|` orbit images (one Benes network per distinct site permutation
-    /// per row, run on the tile's rows side by side), then each firing
-    /// (row, channel) resolves its emission in one branch-free sweep of
-    /// XORs against the `|G| × distinct masks` table, taking the minimum
+    /// Under every group this is the mask loop (`FireGroup`): per row,
+    /// the fire bits of up to 64 channels at a time, then one emission per
+    /// set bit, its coefficient negated on an odd Jordan-Wigner string.
+    /// Under a non-trivial group each fire bit is resolved by the
+    /// differential walk (`g(α ⊕ m) = g(α) ⊕ π_g(m)`): rows are taken in
+    /// tiles sized from `|G|`; per tile, one Beneš network per base
+    /// permutation runs on the tile's rows side by side; per row, each
+    /// lane rotates its base's image into one orbit image; then each
+    /// firing channel resolves its emission in one branch-free sweep of
+    /// XORs against the `lanes × distinct masks` table, taking the minimum
     /// and counting the stabilizer; a group with a character other than 1
-    /// adds a sweep for the norm and a search for the phase.
+    /// adds a sweep for the norm and one for the phase. Where the two
+    /// orbit sizes are equal the norm is 1, which `sqrt(x / x)` is.
     /// Emission order, the minimization rule and every floating-point
-    /// operation match the scalar path, so results are bit-identical to
+    /// result match the scalar path, so results are bit-identical to
     /// calling `apply_off_diag` state by state; [`state_info`] and
     /// [`crate::state_info_batch`] on the raw emissions are the oracle.
     #[inline]
@@ -501,19 +505,10 @@ impl<S: Scalar> SymmetrizedOperator<S> {
         }
         // Raw states are their own representatives with unit phase: the
         // same emissions in the same (row, channel) order, with the same
-        // amplitudes. A sign-free group does no parity work.
+        // amplitudes.
         for (k, &alpha) in states.iter().enumerate() {
             for group in &self.fire {
-                let mut fires = group.fires(alpha);
-                if group.strings.is_empty() {
-                    while fires != 0 {
-                        let (flip, coeff) = group.emits[fires.trailing_zeros() as usize % 64];
-                        emit(k, alpha ^ flip, coeff);
-                        fires &= fires - 1;
-                    }
-                    continue;
-                }
-                let odd = group.odd(alpha);
+                let (mut fires, odd) = (group.fires(alpha), group.odd(alpha));
                 while fires != 0 {
                     let c = fires.trailing_zeros();
                     let (flip, coeff) = group.emits[c as usize % 64];
@@ -536,12 +531,11 @@ impl<S: Scalar> SymmetrizedOperator<S> {
     ///
     /// A loop of its own, not a sink of the generator: a row pass that
     /// inlines both of the generator's loops per row runs ~20 % slower than
-    /// this single one. The generator's separate sign-free loop is not
-    /// measurably faster for the distributed producer: with the signed loop
-    /// alone, the 20-site ring's product (2 locales × 1 core, 2 vCPUs) read
-    /// ×0.84–1.13 of the two-loop form over 8 alternating rounds of 38
-    /// products, median ×1.00 — the host's noise, not the ~5 % once
-    /// measured.
+    /// this single one. The generator has no separate sign-free loop: it
+    /// was not measurably faster for the distributed producer, whose
+    /// 20-site ring's product (2 locales × 1 core, 2 vCPUs) read ×0.84–1.13
+    /// of the two-loop form with the signed loop alone over 8 alternating
+    /// rounds of 38 products, median ×1.00.
     pub fn pull_rows(&self, states: &[u64], x: &[S], rank: impl Fn(u64) -> usize, y: &mut [S]) {
         assert!(self.trivial_group, "the row pass requires the trivial group");
         for (&alpha, out) in states.iter().zip(y) {
@@ -583,7 +577,8 @@ impl<S: Scalar> SymmetrizedOperator<S> {
     }
 
     /// [`Self::walk_off_diag_block`] on the tables of `walk`; the
-    /// per-emission arithmetic is [`Self::apply_off_diag`]'s, line by line.
+    /// per-emission arithmetic is [`Self::apply_off_diag`]'s, but for a
+    /// norm of exactly 1 taken without the divide and the root.
     #[inline(always)]
     fn walk_tiles<W: WalkWord>(
         &self,
@@ -593,28 +588,32 @@ impl<S: Scalar> SymmetrizedOperator<S> {
         scratch: &mut WalkTile<W>,
         mut emit: impl FnMut(usize, u64, S),
     ) {
-        let order = self.group.order();
         let tile = walk.tile_rows();
         for (t, tile_states) in states.chunks(tile).enumerate() {
-            walk.orbit_images(tile_states, scratch);
-            for (r, (&alpha, images)) in
-                tile_states.iter().zip(scratch.images.chunks_exact(order)).enumerate()
-            {
-                let k = t * tile + r;
-                for (ch, &mask) in self.channels.iter().zip(&self.channel_mask) {
-                    if alpha & ch.sites == ch.in_pat {
-                        let info = walk.resolve(images, mask as usize, alpha ^ ch.flip);
+            walk.base_images(tile_states, scratch);
+            for (r, &alpha) in tile_states.iter().enumerate() {
+                let (k, images) = (t * tile + r, walk.orbit_images(scratch, r));
+                for group in &self.fire {
+                    let (mut fires, odd) = (group.fires(alpha), group.odd(alpha));
+                    while fires != 0 {
+                        let c = fires.trailing_zeros() as usize % 64;
+                        fires &= fires - 1;
+                        let (flip, coeff) = group.emits[c];
+                        let info = walk.resolve(images, group.masks[c] as usize, alpha ^ flip);
                         if !info.valid {
                             continue;
                         }
-                        let norm = (orbits[k] as f64 / info.orbit_size as f64).sqrt();
+                        // `sqrt(x / x)` is exactly 1: the same bits without
+                        // the divide and the root.
+                        let norm = if orbits[k] == info.orbit_size {
+                            1.0
+                        } else {
+                            (orbits[k] as f64 / info.orbit_size as f64).sqrt()
+                        };
                         let phase = S::from_c64(info.phase)
                             .expect("real sector guarantees real phases");
-                        emit(
-                            k,
-                            info.representative,
-                            ch.signed_coeff(alpha) * phase.scale_re(norm),
-                        );
+                        let coeff = if odd >> c & 1 == 1 { -coeff } else { coeff };
+                        emit(k, info.representative, coeff * phase.scale_re(norm));
                     }
                 }
             }
@@ -989,20 +988,22 @@ mod tests {
     fn flip_partners_share_one_network() {
         // The benchmark's 24-site group: 96 elements, 48 site permutations,
         // and two bases: the identity, which runs no network, and the
-        // reflection. The other 46 permutations rotate one of them.
+        // reflection. The other 46 permutations rotate one of them. The
+        // group holds the flip with every character 1, so the walk folds
+        // each pair of flip partners into one of 48 lanes.
         let n = 24usize;
         let kernel = heisenberg(&lattice::chain_bonds(n), 1.0).to_kernel(n as u32).unwrap();
         let group = lattice::chain_group(n, 0, Some(0), Some(0)).unwrap();
         let sector = SectorSpec::new(n as u32, Some(12), group).unwrap();
         let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
         assert_eq!(op.group().order(), 96);
-        assert_eq!(op.walk.n_bases(), 2);
+        assert_eq!(op.walk.shape(), (2, 48));
         assert_eq!(op.walk.tile_rows(), 32);
-        // Without the flip each permutation carries one element.
+        // Without the flip each permutation carries one element, a lane.
         let group = lattice::chain_group(n, 0, Some(0), None).unwrap();
         let sector = SectorSpec::new(n as u32, Some(12), group).unwrap();
         let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
-        assert_eq!(op.walk.n_bases(), 2);
+        assert_eq!(op.walk.shape(), (2, 48));
         assert_eq!(op.group().order(), 48);
         // A ring numbered in a zigzag has no rotation structure: a base
         // per permutation, as many networks as a row ran before.
@@ -1010,26 +1011,43 @@ mod tests {
         let kernel = heisenberg(&bonds, 1.0).to_kernel(12).unwrap();
         let sector = SectorSpec::new(12, Some(6), group).unwrap();
         let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
-        assert_eq!((op.group().order(), op.walk.n_bases()), (24, 12));
+        assert_eq!((op.group().order(), op.walk.shape()), (24, (12, 12)));
         check_block_matches_scalar(&op, &SpinBasis::build(sector));
     }
 
     #[test]
     fn block_generation_matches_scalar_apply_at_the_lane_boundary() {
-        // 32 sites walk in `u32` words, 33 and 64 in `u64` ones. The rows
-        // are few: low weights, and under the flip the weight-3 orbit
-        // minima (a sector with the flip must otherwise be half filled).
+        use ls_symmetry::Generator;
+        // 32 sites walk in `u32` words, 33 and 64 in `u64` ones: 32 and 64
+        // are the rotations whose right shift would be the whole word at
+        // `t = 0`. The rows are few: low weights, and under the flip the
+        // weight-3 orbit minima (a sector with the flip must otherwise be
+        // half filled).
         for (n, k1_weight, k1_tiles) in [(32usize, 4u32, 2), (33, 3, 1), (64, 2, 0)] {
             let chain = lattice::chain_bonds(n);
             let kernel = heisenberg(&chain, 1.0).to_kernel(n as u32).unwrap();
-            // Real characters with the flip: reflection and flip odd.
-            let group = lattice::chain_group(n, 0, Some(1), Some(1)).unwrap();
-            let sector = SectorSpec::new(n as u32, None, group.clone()).unwrap();
-            let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
-            assert_eq!(op.walk.is_narrow(), n <= 32, "{n} sites");
-            let (states, orbits) = weight_orbit_minima(&group, n as u32, 3);
-            assert!(states.len() >= 2 * op.walk.tile_rows(), "{n} sites: {}", states.len());
-            check_rows_match_scalar(&op, &states, &orbits);
+            let translation_with_flip = Generator::with_flip(lattice::chain_translation(n), 0);
+            // Does the walk fold the flip partners into one lane?
+            let groups = [
+                // The flip with every character 1: folded.
+                (lattice::chain_group(n, 0, Some(0), Some(0)).unwrap(), true),
+                // Reflection and flip odd: characters −1.
+                (lattice::chain_group(n, 0, Some(1), Some(1)).unwrap(), false),
+                // z = −1 alone: zero-norm orbits under the flip.
+                (lattice::chain_group(n, 0, Some(0), Some(1)).unwrap(), false),
+                // Elements carry flips; on an even ring the flip itself
+                // is no element, on an odd one it is.
+                (SymmetryGroup::generate(&[translation_with_flip]).unwrap(), n % 2 == 1),
+            ];
+            for (group, folds) in groups {
+                let sector = SectorSpec::new(n as u32, None, group.clone()).unwrap();
+                let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
+                let lanes = group.order() / (1 + folds as usize);
+                assert_eq!((op.walk.is_narrow(), op.walk.shape().1), (n <= 32, lanes), "{n}");
+                let (states, orbits) = weight_orbit_minima(&group, n as u32, 3);
+                assert!(states.len() >= 2 * op.walk.tile_rows(), "{n} sites: {}", states.len());
+                check_rows_match_scalar(&op, &states, &orbits);
+            }
             // k = 1: complex characters, and zero-norm orbits at weights
             // that share a factor with `n`.
             let k1 = lattice::chain_group(n, 1, None, None).unwrap();
@@ -1050,7 +1068,6 @@ mod tests {
         // Square tori and ladders: rotations by whole rows or rungs next to
         // the bases that run networks, at 32 sites in `u32` words and past
         // them in `u64` ones.
-        use ls_symmetry::Generator;
         let square = |lx: usize, ly: usize, ky: i64, rotation: bool| {
             let mut generators = vec![
                 Generator::new(lattice::square_translation_x(lx, ly), 0),
@@ -1081,7 +1098,7 @@ mod tests {
             let kernel = heisenberg(&bonds, 1.0).to_kernel(n as u32).unwrap();
             let sector = SectorSpec::new(n as u32, None, group.clone()).unwrap();
             let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
-            assert_eq!((op.walk.is_narrow(), op.walk.n_bases()), (n <= 32, bases), "{n} sites");
+            assert_eq!((op.walk.is_narrow(), op.walk.shape().0), (n <= 32, bases), "{n} sites");
             let (states, orbits) = weight_orbit_minima(&group, n as u32, 3);
             assert!(states.len() >= 2 * op.walk.tile_rows(), "{n} sites: {}", states.len());
             check_rows_match_scalar(&op, &states, &orbits);
@@ -1117,13 +1134,18 @@ mod tests {
     /// Block generation ≡ scalar `apply_off_diag` ≡ `state_info_batch` run
     /// on the block's raw emissions, bit for bit, on the rows `states` with
     /// orbit sizes `orbits`, at block lengths on both sides of the walk's
-    /// tile. Returns how many zero-norm emissions one sweep over the rows
-    /// skips.
+    /// tile; and the walk's resolution of every raw emission is
+    /// [`state_info`]'s, the phase of a zero-norm orbit included. Returns
+    /// how many zero-norm emissions one sweep over the rows skips.
     fn check_rows_match_scalar<S: Scalar>(
         op: &SymmetrizedOperator<S>,
         all_states: &[u64],
         all_orbits: &[u32],
     ) -> usize {
+        match &op.walk {
+            SectorWalk::Narrow(walk) => check_resolve(op, walk, all_states),
+            SectorWalk::Wide(walk) => check_resolve(op, walk, all_states),
+        }
         let tile = op.walk.tile_rows();
         let mut block = OffDiagBlock::new();
         let mut info = StateInfoBatch::new();
@@ -1183,6 +1205,33 @@ mod tests {
             }
         }
         skipped
+    }
+
+    /// [`GroupWalk::resolve`] of each emission of the rows `states` equals
+    /// [`state_info`] in every field: under a character other than 1 the
+    /// phase of a zero-norm orbit too, which no amplitude shows.
+    fn check_resolve<S: Scalar, W: WalkWord>(
+        op: &SymmetrizedOperator<S>,
+        walk: &GroupWalk<W>,
+        states: &[u64],
+    ) {
+        let mut tile = WalkTile::default();
+        for rows in states.chunks(walk.tile_rows()) {
+            walk.base_images(rows, &mut tile);
+            for (r, &alpha) in rows.iter().enumerate() {
+                let images = walk.orbit_images(&mut tile, r).to_vec();
+                for group in &op.fire {
+                    let mut fires = group.fires(alpha);
+                    while fires != 0 {
+                        let c = fires.trailing_zeros() as usize;
+                        fires &= fires - 1;
+                        let raw = alpha ^ group.emits[c].0;
+                        let info = walk.resolve(&images, group.masks[c] as usize, raw);
+                        assert_eq!(info, state_info(op.group(), raw), "{alpha:#x} → {raw:#x}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1268,7 +1317,7 @@ mod tests {
         assert_eq!(tests(&op), 1);
         check_block_matches_scalar(&op, &basis);
         op.channels[1].sign = 0b0_0110;
-        op.fire = FireGroup::build(&op.channels);
+        op.fire = FireGroup::build(&op.channels, &[op.channels[0].flip]);
         assert_eq!(tests(&op), 2);
         check_block_matches_scalar(&op, &basis);
     }

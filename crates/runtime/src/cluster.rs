@@ -86,8 +86,10 @@ impl std::fmt::Debug for Cluster {
 impl Cluster {
     /// Builds a cluster for `spec`; no thread exists until a run needs
     /// one. Under the multiprocess transport the spec must agree with the
-    /// job: `spec.locales == LS_LOCALES`.
+    /// job: `spec.locales == LS_LOCALES`. Panics, naming the features,
+    /// on a host below the build's CPU baseline.
     pub fn new(spec: ClusterSpec) -> Self {
+        ls_kernels::simd::require_baseline().unwrap_or_else(|e| panic!("{e}"));
         if let Some(mp) = transport::active() {
             assert_eq!(
                 spec.locales,

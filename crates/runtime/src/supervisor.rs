@@ -190,7 +190,11 @@ pub(crate) fn run_supervisor() -> ! {
     // Validate the fault plan and every knob before spawning anything: a
     // typo fails at launch with the offending clause or variable named,
     // instead of inside every worker's transport connect (or, worse, by
-    // silently running the default).
+    // silently running the default). A host below the build's CPU
+    // baseline is refused the same way.
+    if let Err(e) = ls_kernels::simd::require_baseline() {
+        reject(&e.to_string());
+    }
     if let Err(e) = FaultPlan::try_from_env() {
         reject(&e.to_string());
     }

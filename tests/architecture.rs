@@ -274,18 +274,35 @@ fn lin_ranking_is_one_body() {
     }
 }
 
-/// Every build run from the repository targets an x86-64-v2 CPU
-/// (hardware `popcnt`, SSE4.2) and no more, so one binary serves every
-/// such host. No kernel dispatches on a wider unit at run time either:
-/// `ls_kernels::simd::level` is a host fingerprint only.
+/// Every build run from the repository targets an x86-64-v3 CPU (AVX2,
+/// BMI1/2, FMA, LZCNT, MOVBE) and no more, so one binary serves every such
+/// host, and the library's entry points refuse any other by name
+/// (`ls_kernels::simd::require_baseline`). No kernel dispatches on a wider
+/// unit at run time either: `ls_kernels::simd::level` is a host
+/// fingerprint only.
 #[test]
-fn the_cpu_baseline_is_x86_64_v2() {
+fn the_cpu_baseline_is_x86_64_v3() {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(".cargo/config.toml");
     let config = std::fs::read_to_string(&path).expect("the workspace's cargo config");
     let lines: Vec<&str> = config.lines().map(str::trim).collect();
     let at = lines.iter().position(|l| *l == r#"[target.'cfg(target_arch = "x86_64")']"#);
     let at = at.expect("an x86_64 target section");
-    assert_eq!(lines.get(at + 1), Some(&r#"rustflags = ["-C", "target-cpu=x86-64-v2"]"#));
+    assert_eq!(lines.get(at + 1), Some(&r#"rustflags = ["-C", "target-cpu=x86-64-v3"]"#));
+}
+
+/// A row tests its channels in one place, the mask loop of `FireGroup`,
+/// under every group: the walk iterates fire bits as the trivial group's
+/// loop does. Only the scalar oracle `apply_off_diag` (and the tests that
+/// hold the loop to it) compares a channel's pattern itself.
+#[test]
+fn one_firing_loop() {
+    let test = [["& ch", ".sites"].concat(), [" == ch", ".in_pat"].concat()].concat();
+    let fns = enclosing_fns(&["crates/basis/src"], &[test]);
+    let (oracle, others): (Vec<&String>, Vec<&String>) =
+        fns.iter().partition(|f| f.contains("pub fn apply_off_diag("));
+    assert_eq!(oracle.len(), 1, "{fns:?}");
+    let tests = |f: &&String| f.contains("fn check_rows_match_scalar<");
+    assert!(others.iter().all(tests), "{others:?}");
 }
 
 /// Timing lives in one place, the repo benchmark (`benchmark/`, its own
