@@ -86,7 +86,9 @@ mod tests {
     use super::*;
     use ls_basis::SectorSpec;
     use ls_dist::enumerate_dist;
-    use ls_dist::matvec::{matvec_naive, matvec_pc, PcOptions};
+    use ls_dist::matvec::{matvec_naive, PcOptions};
+    use ls_dist::DistOp;
+    use ls_eigen::KrylovOp;
     use ls_expr::builders::heisenberg;
     use ls_runtime::ClusterSpec;
     use ls_symmetry::lattice;
@@ -120,7 +122,7 @@ mod tests {
             let mut y_naive = DistVec::<f64>::zeros(&lens);
             matvec_naive(&cluster, &op, &basis, &x, &mut y_naive);
             let mut y_pc = DistVec::<f64>::zeros(&lens);
-            matvec_pc(&cluster, &op, &basis, &x, &mut y_pc, PcOptions::default());
+            DistOp::new(&cluster, &op, &basis, PcOptions::default()).apply(&x, &mut y_pc);
             for l in 0..locales {
                 for ((base, naive), pc) in
                     y_base.part(l).iter().zip(y_naive.part(l)).zip(y_pc.part(l))

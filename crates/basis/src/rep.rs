@@ -538,7 +538,6 @@ impl SectorWalk {
         matches!(self, Self::Narrow(_))
     }
 
-    #[cfg(test)]
     pub(crate) fn tile_rows(&self) -> usize {
         match self {
             Self::Narrow(walk) => walk.tile_rows(),

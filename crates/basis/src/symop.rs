@@ -328,6 +328,13 @@ impl<S: Scalar> SymmetrizedOperator<S> {
         self.trivial_group
     }
 
+    /// Source rows the group walk resolves a tile at a time — the unit of
+    /// [`Self::generate_off_diag_block`]'s work on a symmetrized sector.
+    /// `None` under the trivial group, which generates without the walk.
+    pub fn walk_tile_rows(&self) -> Option<usize> {
+        (!self.trivial_group).then(|| self.walk.tile_rows())
+    }
+
     /// Identity of this operator's diagonal — the cache key the matvec
     /// scratch pool uses to memoize per-state diagonals across repeated
     /// products. Built on a process-unique construction id (never

@@ -255,18 +255,8 @@ fn par_chunk(dim: usize) -> usize {
 // Scalar products
 // ---------------------------------------------------------------------------
 
-/// Pull: `y[β] = diag(β)·x[β] + Σ conj(amp)·x[rank(rep)]`.
-/// Requires a Hermitian operator.
-pub fn apply_pull<S: Scalar>(
-    op: &SymmetrizedOperator<S>,
-    basis: &SpinBasis,
-    x: &[S],
-    y: &mut [S],
-) {
-    apply_pull_pooled(op, basis, x, y, &MatvecScratchPool::new());
-}
-
-/// [`apply_pull`] drawing its temporaries from `pool`.
+/// Pull: `y[β] = diag(β)·x[β] + Σ conj(amp)·x[rank(rep)]`, drawing its
+/// temporaries from `pool`. Requires a Hermitian operator.
 pub fn apply_pull_pooled<S: Scalar>(
     op: &SymmetrizedOperator<S>,
     basis: &SpinBasis,
@@ -297,18 +287,8 @@ pub fn apply_pull_pooled<S: Scalar>(
     });
 }
 
-/// Serial reference, scatter form: `y[rank(rep)] += amp·x[α]`. Runs on
-/// any operator, Hermitian or not.
-pub fn apply_serial<S: Scalar>(
-    op: &SymmetrizedOperator<S>,
-    basis: &SpinBasis,
-    x: &[S],
-    y: &mut [S],
-) {
-    apply_serial_pooled(op, basis, x, y, &MatvecScratchPool::new());
-}
-
-/// [`apply_serial`] drawing its temporaries from `pool`.
+/// Serial reference, scatter form: `y[rank(rep)] += amp·x[α]`, drawing
+/// its temporaries from `pool`. Runs on any operator, Hermitian or not.
 pub fn apply_serial_pooled<S: Scalar>(
     op: &SymmetrizedOperator<S>,
     basis: &SpinBasis,
@@ -338,17 +318,8 @@ pub fn apply_serial_pooled<S: Scalar>(
 // ---------------------------------------------------------------------------
 
 /// Batched gather: `y[β]` accumulated per block of rows through the bulk
-/// generation and ranking kernels. Bit-exact against [`apply_pull`].
-pub fn apply_batched_pull<S: Scalar>(
-    op: &SymmetrizedOperator<S>,
-    basis: &SpinBasis,
-    x: &[S],
-    y: &mut [S],
-) {
-    apply_batched_pull_pooled(op, basis, x, y, &MatvecScratchPool::new());
-}
-
-/// [`apply_batched_pull`] drawing its temporaries from `pool`.
+/// generation and ranking kernels, drawing its temporaries from `pool`.
+/// Bit-exact against [`apply_pull_pooled`].
 pub fn apply_batched_pull_pooled<S: Scalar>(
     op: &SymmetrizedOperator<S>,
     basis: &SpinBasis,
@@ -372,7 +343,7 @@ pub fn apply_batched_pull_pooled<S: Scalar>(
 /// while the freshly written outputs are still cache-hot; the partials
 /// combine in a fixed pairwise tree over the thread-count-independent
 /// chunk partition, so the value is bit-identical at any
-/// `LS_NUM_THREADS`. `y` is bit-exact against [`apply_batched_pull`].
+/// `LS_NUM_THREADS`. `y` is bit-exact against [`apply_batched_pull_pooled`].
 pub fn apply_batched_pull_dot_pooled<S: Scalar>(
     op: &SymmetrizedOperator<S>,
     basis: &SpinBasis,
@@ -547,9 +518,9 @@ mod tests {
         let mut y1 = vec![0.0; basis.dim()];
         let mut y2 = vec![0.0; basis.dim()];
         let mut y3 = vec![0.0; basis.dim()];
-        apply_pull(&op, &basis, &x, &mut y1);
-        apply_serial(&op, &basis, &x, &mut y2);
-        apply_batched_pull(&op, &basis, &x, &mut y3);
+        apply_pull_pooled(&op, &basis, &x, &mut y1, &MatvecScratchPool::new());
+        apply_serial_pooled(&op, &basis, &x, &mut y2, &MatvecScratchPool::new());
+        apply_batched_pull_pooled(&op, &basis, &x, &mut y3, &MatvecScratchPool::new());
         for i in 0..basis.dim() {
             assert!((y1[i] - y2[i]).abs() < 1e-11);
             // The engine is the bit-exact twin of the scalar gather.
@@ -573,9 +544,9 @@ mod tests {
         let mut y1 = vec![Complex64::ZERO; basis.dim()];
         let mut y2 = vec![Complex64::ZERO; basis.dim()];
         let mut y3 = vec![Complex64::ZERO; basis.dim()];
-        apply_pull(&op, &basis, &x, &mut y1);
-        apply_serial(&op, &basis, &x, &mut y2);
-        apply_batched_pull(&op, &basis, &x, &mut y3);
+        apply_pull_pooled(&op, &basis, &x, &mut y1, &MatvecScratchPool::new());
+        apply_serial_pooled(&op, &basis, &x, &mut y2, &MatvecScratchPool::new());
+        apply_batched_pull_pooled(&op, &basis, &x, &mut y3, &MatvecScratchPool::new());
         for i in 0..basis.dim() {
             assert!(y1[i].approx_eq(y2[i], 1e-11), "{:?} vs {:?}", y1[i], y2[i]);
             assert_eq!(y3[i], y1[i], "batched pull vs pull at {i}");
@@ -594,8 +565,8 @@ mod tests {
             let x = random_vec(basis.dim(), n as u64);
             let mut y_ref = vec![0.0; basis.dim()];
             let mut y_pull = vec![0.0; basis.dim()];
-            apply_serial(&op, &basis, &x, &mut y_ref);
-            apply_batched_pull(&op, &basis, &x, &mut y_pull);
+            apply_serial_pooled(&op, &basis, &x, &mut y_ref, &MatvecScratchPool::new());
+            apply_batched_pull_pooled(&op, &basis, &x, &mut y_pull, &MatvecScratchPool::new());
             for i in 0..basis.dim() {
                 assert!((y_pull[i] - y_ref[i]).abs() < 1e-12, "n={n} i={i}");
             }
@@ -637,7 +608,7 @@ mod tests {
         let mut first = vec![0.0; basis.dim()];
         apply_batched_pull_pooled(&op, &basis, &x, &mut first, &pool);
         let mut serial_fresh = vec![0.0; basis.dim()];
-        apply_serial(&op, &basis, &x, &mut serial_fresh);
+        apply_serial_pooled(&op, &basis, &x, &mut serial_fresh, &MatvecScratchPool::new());
         for _ in 0..3 {
             let mut again = vec![0.0; basis.dim()];
             apply_batched_pull_pooled(&op, &basis, &x, &mut again, &pool);

@@ -76,7 +76,8 @@ pub fn expectation<S: Scalar>(
     let symop = SymmetrizedOperator::<S>::new(&averaged, sector)?;
     // ⟨ψ| O |ψ⟩ via one application.
     let mut o_psi = vec![S::ZERO; basis.dim()];
-    crate::matvec::apply_serial(&symop, basis, psi, &mut o_psi);
+    let pool = crate::matvec::MatvecScratchPool::new();
+    crate::matvec::apply_serial_pooled(&symop, basis, psi, &mut o_psi, &pool);
     let mut acc = S::ZERO;
     for (a, b) in psi.iter().zip(&o_psi) {
         acc += a.conj() * *b;
@@ -117,7 +118,8 @@ pub fn expectation_dist<S: Scalar>(
     let averaged = sector_kernel(observable, sector)?;
     let symop = SymmetrizedOperator::<S>::new(&averaged, sector)?;
     let mut o_psi = ls_runtime::DistVec::<S>::zeros(&psi.lens());
-    ls_dist::matvec_pc(cluster, &symop, basis, psi, &mut o_psi, ls_dist::PcOptions::default());
+    let op = ls_dist::DistOp::new(cluster, &symop, basis, ls_dist::PcOptions::default());
+    ls_eigen::KrylovOp::apply(&op, psi, &mut o_psi);
     Ok(ls_eigen::KrylovVec::dot(psi, &o_psi))
 }
 

@@ -1,50 +1,40 @@
-//! Distributed Lanczos, running **in place on distributed vectors**.
+//! The distributed product as a Krylov operator: every Krylov routine
+//! runs **in place on distributed vectors**.
 //!
 //! The Krylov recurrence itself is tiny; everything expensive is the
-//! matrix-vector product. [`DistOp`] exposes the producer/consumer
-//! product as an [`ls_eigen::KrylovOp`] over [`DistVec`], so the one
-//! generic recurrence of `ls-eigen` — behind both
-//! [`ls_eigen::lanczos_smallest_in`] and
-//! [`ls_eigen::thick_restart_lanczos_in`], which differ only in how they
-//! plan its cycles — runs on the locale parts: Krylov vectors are allocated once per solve in
-//! the hashed distribution and never gathered, and reorthogonalization
-//! and `α_j = ⟨v_j, H v_j⟩` run on the per-part fused BLAS-1 kernels
-//! (locale-ordered reductions — the `allreduce` of a real cluster). Only
-//! matrix elements ever cross locale boundaries — the paper's central
-//! claim. (Earlier
-//! revisions gathered every Krylov vector into one node-local buffer and
-//! re-scattered it around each product, capping the solver at
-//! single-node memory and adding O(dim) copies per iteration.)
+//! matrix-vector product. [`DistOp`], the one handle for the distributed
+//! product, exposes the producer/consumer product as an
+//! [`ls_eigen::KrylovOp`] over [`DistVec`]. The generic routines of
+//! `ls-eigen` take it as they take a shared-memory operator — the one
+//! recurrence behind [`ls_eigen::lanczos_smallest_in`] and
+//! [`ls_eigen::thick_restart_lanczos_in`] (which differ only in how they
+//! plan its cycles), [`ls_eigen::evolve_real_time`],
+//! [`ls_eigen::evolve_imaginary_time`] and
+//! [`ls_eigen::spectral_coefficients`] — and run on the locale parts:
+//! Krylov vectors are allocated once per solve in the hashed distribution
+//! and never gathered, and reorthogonalization and `α_j = ⟨v_j, H v_j⟩`
+//! run on the per-part fused BLAS-1 kernels (locale-ordered reductions —
+//! the `allreduce` of a real cluster). Only matrix elements ever cross
+//! locale boundaries — the paper's central claim.
 //!
-//! One [`PcEngine`] is reused across all iterations, so the staging
-//! buffers are allocated exactly once per solve — the buffer-reuse
-//! discipline of the paper's Sec. 5.3. Requested Ritz vectors come back
-//! as [`DistVec`]s in the same distribution; gather one explicitly (e.g.
-//! [`DistVec::concat`]) only if a dense copy is genuinely needed.
+//! A [`DistOp`] builds one producer/consumer engine and reuses it across
+//! every product, so the staging buffers are allocated exactly once per
+//! solve — the buffer-reuse discipline of the paper's Sec. 5.3. Requested
+//! Ritz vectors come back as [`DistVec`]s in the same distribution; gather
+//! one explicitly (e.g. [`DistVec::concat`]) only if a dense copy is
+//! genuinely needed. The propagators retain their full `m`-vector Krylov
+//! basis, so pick `m` within the per-locale memory budget; a
+//! memory-bounded eigensolve is [`dist_thick_restart_lanczos`].
 
 use crate::basis::DistSpinBasis;
 use crate::matvec::pc::PcEngine;
 use crate::matvec::PcOptions;
 use ls_basis::SymmetrizedOperator;
 use ls_eigen::{
-    lanczos_smallest_in, thick_restart_lanczos_in, KrylovOp, KrylovVec, LanczosOptions,
-    LanczosResultIn, RestartOptions,
+    thick_restart_lanczos_in, KrylovOp, KrylovVec, LanczosResultIn, RestartOptions,
 };
 use ls_kernels::Scalar;
 use ls_runtime::{collective, Cluster, DistVec};
-
-/// Options for [`dist_lanczos_smallest`].
-#[derive(Clone, Debug, Default)]
-pub struct DistLanczosOptions {
-    /// The inner Krylov iteration (tolerance, max iterations, seed,
-    /// retained-basis budget, checkpoint policy, ...), planned exactly
-    /// as for a shared-memory solve: one cycle keeping every (distributed)
-    /// Krylov vector when `max_iter` fits `max_retained`, thick-restart
-    /// cycles cut to that budget when it does not.
-    pub lanczos: LanczosOptions,
-    /// Producer/consumer pipeline tuning for every matrix-vector product.
-    pub pc: PcOptions,
-}
 
 /// Options for [`dist_thick_restart_lanczos`] — direct control over the
 /// memory-bounded solver (budget split, checkpoint/restart) on a
@@ -57,14 +47,15 @@ pub struct DistRestartOptions {
     pub pc: PcOptions,
 }
 
-/// Result of a distributed Lanczos run: Ritz vectors (when requested)
-/// stay in the hashed distribution.
-pub type DistLanczosResult<S> = LanczosResultIn<DistVec<S>>;
-
 /// The distributed Hamiltonian as a Krylov operator over [`DistVec`]:
 /// products run through the reusable producer/consumer engine, directly
 /// on the parts of `x` and `y` — no scatter, no gather, no per-product
 /// allocation.
+///
+/// Build it once and hand it to any generic Krylov routine, or call
+/// [`KrylovOp::apply`] for a single product. Under the multiprocess
+/// transport `new` is SPMD-collective (it builds the channel grid): every
+/// rank constructs its operators in the same program order.
 pub struct DistOp<'a, S: Scalar> {
     cluster: &'a Cluster,
     op: &'a SymmetrizedOperator<S>,
@@ -131,23 +122,6 @@ impl<S: Scalar> KrylovOp<DistVec<S>> for DistOp<'_, S> {
     }
 }
 
-/// Computes the `k` smallest eigenpairs of `op` over the distributed
-/// basis, running every matrix-vector product through the
-/// producer/consumer pipeline on `cluster` and the whole Krylov
-/// recurrence in place on distributed vectors. No full-vector
-/// gather/scatter happens anywhere — requested eigenvectors are returned
-/// distributed.
-pub fn dist_lanczos_smallest<S: Scalar>(
-    cluster: &Cluster,
-    op: &SymmetrizedOperator<S>,
-    basis: &DistSpinBasis,
-    k: usize,
-    opts: &DistLanczosOptions,
-) -> DistLanczosResult<S> {
-    let dist_op = DistOp::new(cluster, op, basis, opts.pc);
-    lanczos_smallest_in(&dist_op, k, &opts.lanczos)
-}
-
 /// Memory-bounded distributed eigensolve: thick-restart Lanczos over the
 /// producer/consumer product, holding at most `k + extra` distributed
 /// Krylov vectors (each in the hashed distribution — per-locale memory
@@ -162,7 +136,7 @@ pub fn dist_thick_restart_lanczos<S: Scalar>(
     op: &SymmetrizedOperator<S>,
     basis: &DistSpinBasis,
     opts: &DistRestartOptions,
-) -> DistLanczosResult<S> {
+) -> LanczosResultIn<DistVec<S>> {
     let dist_op = DistOp::new(cluster, op, basis, opts.pc);
     thick_restart_lanczos_in(&dist_op, &opts.restart)
 }
@@ -187,7 +161,8 @@ mod tests {
         for locales in [1usize, 3] {
             let cluster = Cluster::new(ClusterSpec::new(locales, 1));
             let basis = enumerate_dist(&cluster, &sector, 2);
-            let res = dist_lanczos_smallest(&cluster, &op, &basis, 1, &Default::default());
+            let dist_op = DistOp::new(&cluster, &op, &basis, PcOptions::default());
+            let res = ls_eigen::lanczos_smallest_in(&dist_op, 1, &Default::default());
             assert!(res.converged);
             energies.push(res.eigenvalues[0]);
         }

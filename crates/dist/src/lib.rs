@@ -15,17 +15,19 @@
 //! * [`distribution`] — load-balance diagnostics comparing the hashed
 //!   scheme against naive contiguous range partitioning;
 //! * [`matvec`] — the distributed matrix-vector product: the
-//!   producer/consumer pipeline of Sec. 5.3 ([`matvec::matvec_pc`] /
-//!   [`matvec::pc::PcEngine`]) that overlaps row generation with
-//!   communication through reusable buffer channels, plus its oracle, one
-//!   remote atomic per matrix element ([`matvec::matvec_naive`]);
-//! * [`eigensolve`] — distributed Lanczos running **in place on
-//!   [`ls_runtime::DistVec`]** through [`ls_eigen`]'s generic Krylov
-//!   solver ([`eigensolve::DistOp`] implements `KrylovOp<DistVec>`): no
-//!   Krylov vector is ever gathered, and one producer/consumer engine's
-//!   buffers are reused across the repeated matrix-vector products;
-//! * [`dynamics`] — distributed time evolution (`exp(-itH)`, `exp(-τH)`)
-//!   and spectral-function coefficients on the same in-place pipeline.
+//!   producer/consumer pipeline of Sec. 5.3 ([`matvec::pc`]) that overlaps
+//!   row generation with communication through reusable buffer channels,
+//!   plus its oracle, one remote atomic per matrix element
+//!   ([`matvec::matvec_naive`]);
+//! * [`eigensolve`] — [`DistOp`], the one handle for the distributed
+//!   product: it owns the producer/consumer engine and implements
+//!   `KrylovOp<DistVec>`, so a single product is `KrylovOp::apply` and
+//!   every generic Krylov routine of [`ls_eigen`] (Lanczos, thick restart,
+//!   real- and imaginary-time evolution, spectral coefficients) runs **in
+//!   place on [`ls_runtime::DistVec`]**: no Krylov vector is ever
+//!   gathered, and the engine's buffers are reused across the repeated
+//!   products. [`dist_thick_restart_lanczos`] is the one distributed solve
+//!   wrapper.
 //!
 //! Level-1 operations on distributed vectors are the
 //! [`ls_eigen::KrylovVec`] methods of `DistVec` (`x.dot(&y)`,
@@ -35,18 +37,11 @@
 pub mod basis;
 pub mod convert;
 pub mod distribution;
-pub mod dynamics;
 pub mod eigensolve;
 mod layout;
 pub mod matvec;
 
 pub use basis::{enumerate_dist, DistSpinBasis};
 pub use convert::{block_to_hashed, hashed_to_block};
-pub use dynamics::{
-    dist_evolve_imaginary_time, dist_evolve_real_time, dist_spectral_coefficients,
-};
-pub use eigensolve::{
-    dist_lanczos_smallest, dist_thick_restart_lanczos, DistLanczosOptions, DistLanczosResult,
-    DistOp, DistRestartOptions,
-};
-pub use matvec::{matvec_naive, matvec_pc, PcOptions};
+pub use eigensolve::{dist_thick_restart_lanczos, DistOp, DistRestartOptions};
+pub use matvec::{matvec_naive, PcOptions};

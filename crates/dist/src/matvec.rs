@@ -4,13 +4,14 @@
 //! One product and one oracle, both push-style (each locale scatters
 //! contributions generated from its own rows):
 //!
-//! * [`matvec_pc`] — the product: the producer/consumer pipeline of
-//!   Sec. 5.3 (see [`pc`]). Producers stream `(key, coefficient)` pairs —
-//!   the key a sector rank where the parts select, the state elsewhere —
-//!   through fixed-capacity buffer channels while the owners concurrently
-//!   resolve and accumulate, overlapping generation with communication.
-//!   [`PcOptions::capacity`] is the batch size; batching *without* overlap
-//!   is `ls_baseline::matvec_alltoall`.
+//! * the product — the producer/consumer pipeline of Sec. 5.3 (see
+//!   [`pc`]), run by `KrylovOp::apply` on a [`crate::DistOp`], which owns
+//!   the engine and its channels. Producers stream `(key, coefficient)`
+//!   pairs — the key a sector rank where the parts select, the state
+//!   elsewhere — through fixed-capacity buffer channels while the owners
+//!   concurrently resolve and accumulate, overlapping generation with
+//!   communication. [`PcOptions::capacity`] is the batch size; batching
+//!   *without* overlap is `ls_baseline::matvec_alltoall`.
 //! * [`matvec_naive`] — the oracle: every off-locale contribution is one
 //!   remote atomic update. Maximal communication granularity; the baseline
 //!   the paper's buffering improves on and the reference the `ls-dist` and
@@ -19,8 +20,9 @@
 //! Plus one pull-style baseline, [`matvec_gather`] (see [`gather`]):
 //! every locale replicates `x` through one-sided window reads and fills
 //! its own rows locally — the `O(dim)`-bytes-per-product pattern the
-//! buffered formulations beat, kept both as the benchmark yardstick and
-//! as the solve mode that exercises the checksummed window read path.
+//! buffered formulations beat. It is kept as the floor the push path's
+//! local work is measured against and as the solve mode through which
+//! the chaos tests exercise the checksummed window read path.
 //!
 //! Under `LS_INTEGRITY=full` the pipeline additionally carries an
 //! ABFT checksum vector (`AbftTally`): the sum of contributions
@@ -37,7 +39,7 @@ use ls_runtime::{collective, AtomicAccumWindow, Cluster, DistVec};
 use std::sync::Mutex;
 
 pub use gather::{matvec_gather, GatherOp};
-pub use pc::{matvec_pc, PcOptions};
+pub use pc::PcOptions;
 
 /// Relative tolerance of the ABFT checksum comparison, scaled by the
 /// destination's absolute contribution mass. The realized part sum and

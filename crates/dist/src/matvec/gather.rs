@@ -2,7 +2,7 @@
 //! `x` through one-sided RMA reads, then computes its own rows locally.
 //!
 //! This is the communication pattern the push-style pipeline
-//! ([`crate::matvec::matvec_pc`]) was built to avoid — each
+//! ([`crate::matvec::pc`]) was built to avoid — each
 //! product moves `O(dim)` bytes per locale instead of `O(matrix
 //! elements that cross a boundary)` — but it earns its keep twice:
 //!
@@ -223,13 +223,8 @@ mod tests {
         // And the solver runs through it: same ground state as the
         // producer/consumer path.
         let res = ls_eigen::lanczos_smallest_in(&gop, 1, &Default::default());
-        let pc_res = crate::eigensolve::dist_lanczos_smallest(
-            &cluster,
-            &op,
-            &basis,
-            1,
-            &Default::default(),
-        );
+        let pc_op = crate::DistOp::new(&cluster, &op, &basis, Default::default());
+        let pc_res = ls_eigen::lanczos_smallest_in(&pc_op, 1, &Default::default());
         assert!(res.converged);
         assert!((res.eigenvalues[0] - pc_res.eigenvalues[0]).abs() < 1e-8);
     }

@@ -55,8 +55,9 @@
 //! adds; several accumulate with CAS loops.
 //!
 //! Channel hand-off follows the paper's flag protocol ([`ls_runtime::remote`]).
-//! Buffers are reused across products via [`PcEngine`] — the paper reuses
-//! its `RemoteBuffer`s across the whole Lanczos run to avoid reallocation.
+//! Buffers are reused across products: a [`crate::DistOp`] owns one
+//! `PcEngine` for its lifetime — the paper reuses its `RemoteBuffer`s
+//! across the whole Lanczos run to avoid reallocation.
 
 use crate::basis::{missing_state, DistSpinBasis};
 use crate::matvec::{validate_shapes, AbftTally};
@@ -147,8 +148,8 @@ impl Default for PcOptions {
 
 /// A reusable producer/consumer matvec engine: owns the `L × L` buffer
 /// channels so repeated products (e.g. every Lanczos iteration) reuse the
-/// same staging memory.
-pub struct PcEngine<S: Scalar> {
+/// same staging memory. [`crate::DistOp`] sizes one from its cluster.
+pub(crate) struct PcEngine<S: Scalar> {
     n_locales: usize,
     opts: PcOptions,
     /// Row-major `[source locale][destination locale]`, transport-aware
@@ -156,7 +157,7 @@ pub struct PcEngine<S: Scalar> {
     /// channels, selected by the active backend).
     channels: Vec<PairChannel<(u64, S)>>,
     /// Guards the channels against overlapping products: `apply` must be
-    /// `&self` (it backs [`ls_eigen::LinearOp`]), so exclusivity is
+    /// `&self` (it backs [`ls_eigen::KrylovOp`]), so exclusivity is
     /// enforced at runtime instead of by the borrow checker.
     in_use: AtomicBool,
     /// Per locale: the diagonal over its rows, memoized across products as
@@ -172,7 +173,7 @@ impl<S: Scalar> PcEngine<S> {
     /// Builds the reusable channel grid. Under the multiprocess transport
     /// this is SPMD-collective: every rank must construct its engines in
     /// the same program order.
-    pub fn new(n_locales: usize, opts: PcOptions) -> Self {
+    pub(crate) fn new(n_locales: usize, opts: PcOptions) -> Self {
         assert!(n_locales >= 1, "need at least one locale");
         let opts = PcOptions { capacity: opts.capacity.max(1), ..opts };
         Self {
@@ -215,10 +216,10 @@ impl<S: Scalar> PcEngine<S> {
     /// rejected (use one engine per concurrent product instead).
     ///
     /// # Panics
-    /// Panics when the engine was sized for a different cluster, when
-    /// `x`/`y` are not distributed like `basis`, or when another `apply`
-    /// is still running on this engine.
-    pub fn apply(
+    /// Panics when `basis`, `x` or `y` are not distributed over `cluster`
+    /// (the cluster the engine was sized for), or when another `apply` is
+    /// still running on this engine.
+    pub(crate) fn apply(
         &self,
         cluster: &Cluster,
         op: &SymmetrizedOperator<S>,
@@ -226,13 +227,6 @@ impl<S: Scalar> PcEngine<S> {
         x: &DistVec<S>,
         y: &mut DistVec<S>,
     ) {
-        assert_eq!(
-            cluster.n_locales(),
-            self.n_locales,
-            "engine built for another cluster: {} locales vs {}",
-            self.n_locales,
-            cluster.n_locales()
-        );
         validate_shapes(cluster, basis, x, y);
         assert!(
             !self.in_use.swap(true, Ordering::Acquire),
@@ -521,20 +515,6 @@ impl<S: Scalar> Task<'_, S> {
     }
 }
 
-/// One-shot producer/consumer product: builds a throwaway [`PcEngine`].
-/// Reuse an engine (or [`crate::eigensolve::dist_lanczos_smallest`], which
-/// does) when running many products.
-pub fn matvec_pc<S: Scalar>(
-    cluster: &Cluster,
-    op: &SymmetrizedOperator<S>,
-    basis: &DistSpinBasis,
-    x: &DistVec<S>,
-    y: &mut DistVec<S>,
-    opts: PcOptions,
-) {
-    PcEngine::new(cluster.n_locales(), opts).apply(cluster, op, basis, x, y);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -614,7 +594,7 @@ mod tests {
             // A fresh engine multiplies correctly.
             let mut y_ref = DistVec::<f64>::zeros(&lens);
             crate::matvec::matvec_naive(&cluster, &op, &basis, &x, &mut y_ref);
-            matvec_pc(&cluster, &op, &basis, &x, &mut y, opts);
+            PcEngine::new(2, opts).apply(&cluster, &op, &basis, &x, &mut y);
             for l in 0..2 {
                 for (a, b) in y.part(l).iter().zip(y_ref.part(l)) {
                     assert!((a - b).abs() < 1e-10, "cores={cores}");
@@ -672,14 +652,8 @@ mod tests {
         let (cluster, op, basis, x) = setup(10, 4);
         let lens = basis.states().lens();
         let mut y_pc = DistVec::<f64>::zeros(&lens);
-        matvec_pc(
-            &cluster,
-            &op,
-            &basis,
-            &x,
-            &mut y_pc,
-            PcOptions { capacity: 1, ..PcOptions::default() },
-        );
+        let engine = PcEngine::new(4, PcOptions { capacity: 1, ..PcOptions::default() });
+        engine.apply(&cluster, &op, &basis, &x, &mut y_pc);
         let mut y_ref = DistVec::<f64>::zeros(&lens);
         crate::matvec::matvec_naive(&cluster, &op, &basis, &x, &mut y_ref);
         for l in 0..4 {
@@ -705,15 +679,6 @@ mod tests {
         assert!(basis.key_ranks().is_some(), "keys are sector ranks");
         let x = DistVec::from_parts(vec![vec![1.0f64; basis.local_dim(0)]]);
         let mut y = DistVec::<f64>::zeros(&basis.states().lens());
-        matvec_pc(&cluster, &op, &basis, &x, &mut y, PcOptions::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "engine built for another cluster")]
-    fn wrong_cluster_rejected() {
-        let (cluster, op, basis, x) = setup(10, 3);
-        let engine = PcEngine::<f64>::new(2, PcOptions::default());
-        let mut y = DistVec::<f64>::zeros(&basis.states().lens());
-        engine.apply(&cluster, &op, &basis, &x, &mut y);
+        PcEngine::new(1, PcOptions::default()).apply(&cluster, &op, &basis, &x, &mut y);
     }
 }

@@ -4,8 +4,8 @@
 
 use ls_basis::{SectorSpec, SpinBasis, SymmetrizedOperator};
 use ls_dist::convert::{block_to_hashed, hashed_masks, hashed_to_block, to_block};
-use ls_dist::enumerate_dist;
-use ls_dist::matvec::{matvec_pc, PcOptions};
+use ls_dist::{enumerate_dist, DistOp, PcOptions};
+use ls_eigen::KrylovOp;
 use ls_expr::builders::xxz;
 use ls_runtime::{Cluster, ClusterSpec, DistVec};
 use ls_symmetry::lattice::{chain_bonds, chain_group};
@@ -95,14 +95,8 @@ fn single_locale_pc_equals_serial_baseline() {
     }
 
     let mut y_pc = DistVec::<f64>::zeros(&dist.states().lens());
-    matvec_pc(
-        &cluster,
-        &op,
-        &dist,
-        &xd,
-        &mut y_pc,
-        PcOptions { capacity: 32, ..PcOptions::default() },
-    );
+    DistOp::new(&cluster, &op, &dist, PcOptions { capacity: 32, ..PcOptions::default() })
+        .apply(&xd, &mut y_pc);
     let mut y_base = DistVec::<f64>::zeros(&dist.states().lens());
     ls_baseline::matvec_alltoall(&cluster, &op, &dist, &xd, &mut y_base);
 
@@ -123,6 +117,6 @@ fn single_locale_pc_equals_serial_baseline() {
     // With a single locale nothing may cross the (nonexistent) wire.
     cluster.reset_stats();
     let mut y = DistVec::<f64>::zeros(&dist.states().lens());
-    matvec_pc(&cluster, &op, &dist, &xd, &mut y, PcOptions::default());
+    DistOp::new(&cluster, &op, &dist, PcOptions::default()).apply(&xd, &mut y);
     assert_eq!(cluster.stats_total().puts, 0, "no remote puts on one locale");
 }

@@ -7,9 +7,9 @@
 //! locale — and on more threads than a locale has rows.
 
 use ls_basis::{SectorSpec, SpinBasis, SymmetrizedOperator};
-use ls_dist::matvec::pc::PcEngine;
-use ls_dist::matvec::{matvec_naive, matvec_pc, PcOptions};
-use ls_dist::{enumerate_dist, DistSpinBasis};
+use ls_dist::matvec::{matvec_naive, PcOptions};
+use ls_dist::{enumerate_dist, DistOp, DistSpinBasis};
+use ls_eigen::KrylovOp;
 use ls_expr::builders::heisenberg;
 use ls_runtime::{Cluster, ClusterSpec, DistVec};
 use ls_symmetry::lattice::{chain_bonds, chain_group};
@@ -65,7 +65,7 @@ fn pc_pipeline_across_batch_capacities() {
                 for deterministic in [false, true] {
                     let opts = PcOptions { capacity, deterministic };
                     let mut yd = DistVec::<f64>::zeros(&dist.states().lens());
-                    matvec_pc(&cluster, &op, &dist, &xd, &mut yd, opts);
+                    DistOp::new(&cluster, &op, &dist, opts).apply(&xd, &mut yd);
                     for l in 0..locales {
                         for (i, &s) in dist.states().part(l).iter().enumerate() {
                             let expect = y_ref[basis.index_of(s).unwrap()];
@@ -81,12 +81,12 @@ fn pc_pipeline_across_batch_capacities() {
                         // not depend on timing: a second product has the
                         // same bits, part by part.
                         let mut again = DistVec::<f64>::zeros(&dist.states().lens());
-                        matvec_pc(&cluster, &op, &dist, &xd, &mut again, opts);
+                        DistOp::new(&cluster, &op, &dist, opts).apply(&xd, &mut again);
                         // Nor on the core count: the product of a one-core
                         // locale has the same bits too.
                         let one_core = Cluster::new(ClusterSpec::new(locales, 1));
                         let mut shared = DistVec::<f64>::zeros(&dist.states().lens());
-                        matvec_pc(&one_core, &op, &dist, &xd, &mut shared, opts);
+                        DistOp::new(&one_core, &op, &dist, opts).apply(&xd, &mut shared);
                         for l in 0..locales {
                             let at = format!(
                                 "n={n} locales={locales} cores={cores} capacity={capacity} part {l}"
@@ -119,14 +119,8 @@ fn matches_naive(n: usize, spec: ClusterSpec) -> Vec<usize> {
     matvec_naive(&cluster, &op, &dist, &x, &mut y_ref);
     for capacity in [1usize, 512] {
         let mut y = DistVec::<f64>::zeros(&lens);
-        matvec_pc(
-            &cluster,
-            &op,
-            &dist,
-            &x,
-            &mut y,
-            PcOptions { capacity, ..PcOptions::default() },
-        );
+        DistOp::new(&cluster, &op, &dist, PcOptions { capacity, ..PcOptions::default() })
+            .apply(&x, &mut y);
         for l in 0..lens.len() {
             for (a, b) in y.part(l).iter().zip(y_ref.part(l)) {
                 assert!((a - b).abs() < 1e-11, "n={n} {spec:?} capacity={capacity} part {l}");
@@ -155,14 +149,14 @@ fn a_part_shorter_than_its_thread_count() {
 fn an_engine_walks_several_tiles_of_a_symmetrized_part() {
     // 18 sites under translations, reflection and the flip (|G| = 72),
     // odd under both: characters ±1, so the walk checks stabilizers and
-    // looks up phases. The group walk resolves a tile of 3072 / |G| rows
-    // at a time; every thread of every locale runs several.
+    // looks up phases. The group walk resolves its tile of rows at a time;
+    // every thread of every locale runs several.
     let n = 18usize;
     let kernel = heisenberg(&chain_bonds(n), 1.0).to_kernel(n as u32).unwrap();
     let group = chain_group(n, 0, Some(1), Some(1)).unwrap();
-    let tile_rows = 3072 / group.order();
     let sector = SectorSpec::new(n as u32, Some(n as u32 / 2), group).unwrap();
     let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
+    let tile_rows = op.walk_tile_rows().expect("a symmetrized sector walks");
     let (locales, cores) = (2, 2);
     let cluster = Cluster::new(ClusterSpec::new(locales, cores));
     let dist = enumerate_dist(&cluster, &sector, 2);
@@ -175,10 +169,10 @@ fn an_engine_walks_several_tiles_of_a_symmetrized_part() {
     let mut y_ref = DistVec::<f64>::zeros(&lens);
     matvec_naive(&cluster, &op, &dist, &x, &mut y_ref);
     // The engine's buffers are reused: the second product must agree too.
-    let engine = PcEngine::<f64>::new(locales, PcOptions::default());
+    let engine = DistOp::new(&cluster, &op, &dist, PcOptions::default());
     for product in 0..2 {
         let mut y = DistVec::<f64>::zeros(&lens);
-        engine.apply(&cluster, &op, &dist, &x, &mut y);
+        engine.apply(&x, &mut y);
         for l in 0..locales {
             for (a, b) in y.part(l).iter().zip(y_ref.part(l)) {
                 assert!((a - b).abs() < 1e-11, "product {product}, part {l}: {a} vs {b}");

@@ -5,8 +5,9 @@
 //! core count and channel capacity of the grid.
 
 use ls_basis::{SectorSpec, SymmetrizedOperator};
-use ls_dist::enumerate_dist;
-use ls_dist::matvec::{matvec_naive, matvec_pc, PcOptions};
+use ls_dist::matvec::{matvec_naive, PcOptions};
+use ls_dist::{enumerate_dist, DistOp};
+use ls_eigen::KrylovOp;
 use ls_expr::builders::heisenberg;
 use ls_expr::{hubbard_1d, LocalHilbert, OperatorKernel};
 use ls_runtime::{Cluster, ClusterSpec, DistVec};
@@ -50,7 +51,7 @@ fn pc_matches_naive_on_rank_keys_and_state_keys() {
                 for capacity in [1usize, 16, 512, PcOptions::default().capacity] {
                     let mut y = DistVec::<f64>::zeros(&lens);
                     let opts = PcOptions { capacity, ..PcOptions::default() };
-                    matvec_pc(&cluster, &op, &basis, &x, &mut y, opts);
+                    DistOp::new(&cluster, &op, &basis, opts).apply(&x, &mut y);
                     for l in 0..locales {
                         for (i, (a, b)) in y.part(l).iter().zip(y_ref.part(l)).enumerate() {
                             assert!(

@@ -8,49 +8,26 @@
 //! packages like QuSpin offer, built on the same matrix-vector product the
 //! paper scales up.
 //!
-//! The propagators are generic over [`KrylovVec`]
-//! ([`evolve_real_time_in`] / [`evolve_imaginary_time_in`]): the Krylov
-//! factorization is the shared blocked-CGS2 pipeline of
+//! The propagators ([`evolve_real_time`] / [`evolve_imaginary_time`]) are
+//! generic over [`KrylovVec`], the storage inferred from the state: the
+//! Krylov factorization is the shared blocked-CGS2 pipeline of
 //! [`crate::lanczos`] (fused matvec+dot, three blocked sweeps over the
 //! basis per step instead of a clone-and-subtract per basis vector), and
-//! the lift back is a single fused `multi_axpy` sweep. Distributed
-//! states evolve in place on their locale parts; the slice-based
-//! wrappers ([`evolve_real_time`] / [`evolve_imaginary_time`]) cover the
-//! shared-memory path.
+//! the lift back is a single fused `multi_axpy` sweep. A `Vec` state runs
+//! on any [`crate::LinearOp`]; a distributed state evolves in place on its
+//! locale parts.
 
 use crate::lanczos::krylov_factorization;
 use crate::tridiag::tridiag_eigh;
 use crate::vector::{KrylovOp, KrylovVec};
-use crate::LinearOp;
 use ls_kernels::{Complex64, Scalar};
 
 /// `exp(-i t H)|ψ⟩` for a Hermitian operator, via an `m`-dimensional
 /// Krylov space. Unitary up to Krylov truncation error (use `m ≈ 20–40`
-/// for moderate `t·‖H‖`). Slice-based wrapper over
-/// [`evolve_real_time_in`].
-pub fn evolve_real_time<Op: LinearOp<Complex64> + ?Sized>(
-    op: &Op,
-    psi: &[Complex64],
-    t: f64,
-    m: usize,
-) -> Vec<Complex64> {
-    evolve_real_time_owned(op, psi.to_vec(), t, m)
-}
-
-/// `exp(-i t H)|ψ⟩` in place on the operator's vector storage: the
-/// Krylov basis, the projected exponential and the lifted result all
-/// live in `V` (for a distributed state nothing is ever gathered).
-pub fn evolve_real_time_in<V, Op>(op: &Op, psi: &V, t: f64, m: usize) -> V
-where
-    V: KrylovVec<Scalar = Complex64>,
-    Op: KrylovOp<V> + ?Sized,
-{
-    evolve_real_time_owned(op, psi.clone(), t, m)
-}
-
-/// The owned core both entry points lower to: `psi` becomes the first
-/// Krylov vector, so each caller pays exactly one copy of the state.
-fn evolve_real_time_owned<V, Op>(op: &Op, psi: V, t: f64, m: usize) -> V
+/// for moderate `t·‖H‖`). The Krylov basis, the projected exponential
+/// and the lifted result all live in the state's storage `V` (for a
+/// distributed state nothing is ever gathered).
+pub fn evolve_real_time<V, Op>(op: &Op, psi: &V, t: f64, m: usize) -> V
 where
     V: KrylovVec<Scalar = Complex64>,
     Op: KrylovOp<V> + ?Sized,
@@ -58,9 +35,10 @@ where
     assert!(op.is_hermitian());
     let norm_in = psi.norm();
     if norm_in == 0.0 {
-        return psi;
+        return psi.clone();
     }
-    let (basis, alphas, betas) = krylov_factorization(op, psi, m.max(2));
+    // `psi` becomes the first Krylov vector: one copy of the state a call.
+    let (basis, alphas, betas) = krylov_factorization(op, psi.clone(), m.max(2));
     let k = alphas.len();
     let (vals, vecs) = tridiag_eigh(&alphas, &betas, true);
     let vecs = vecs.unwrap();
@@ -79,40 +57,19 @@ where
     out
 }
 
-/// `exp(-τ H)|ψ⟩` (imaginary time), normalized. Works in real arithmetic
-/// for real sectors; converges to the ground state as `τ → ∞`.
-/// Slice-based wrapper over [`evolve_imaginary_time_in`].
-pub fn evolve_imaginary_time<S: Scalar, Op: LinearOp<S> + ?Sized>(
-    op: &Op,
-    psi: &[S],
-    tau: f64,
-    m: usize,
-) -> Vec<S> {
-    evolve_imaginary_time_owned(op, psi.to_vec(), tau, m)
-}
-
-/// `exp(-τ H)|ψ⟩` (imaginary time, normalized) in place on the
-/// operator's vector storage.
-pub fn evolve_imaginary_time_in<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
+/// `exp(-τ H)|ψ⟩` (imaginary time), normalized, in the state's storage.
+/// Works in real arithmetic for real sectors; converges to the ground
+/// state as `τ → ∞`.
+pub fn evolve_imaginary_time<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
     op: &Op,
     psi: &V,
-    tau: f64,
-    m: usize,
-) -> V {
-    evolve_imaginary_time_owned(op, psi.clone(), tau, m)
-}
-
-/// The owned core both entry points lower to (one state copy per call).
-fn evolve_imaginary_time_owned<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
-    op: &Op,
-    psi: V,
     tau: f64,
     m: usize,
 ) -> V {
     assert!(op.is_hermitian());
     let norm_in = psi.norm();
     assert!(norm_in > 0.0, "zero start vector");
-    let (basis, alphas, betas) = krylov_factorization(op, psi, m.max(2));
+    let (basis, alphas, betas) = krylov_factorization(op, psi.clone(), m.max(2));
     let k = alphas.len();
     let (vals, vecs) = tridiag_eigh(&alphas, &betas, true);
     let vecs = vecs.unwrap();
@@ -139,6 +96,7 @@ mod tests {
     use super::*;
     use crate::jacobi::eigh_real;
     use crate::op::{dot, norm, DenseOp};
+    use crate::LinearOp;
 
     fn random_symmetric(n: usize, seed: u64) -> Vec<f64> {
         let mut s = seed;

@@ -78,9 +78,7 @@ pub use checkpoint::{
     generation_path, load_checkpoint, load_latest_checkpoint, manifest_generations,
     remove_checkpoint, save_checkpoint, save_checkpoint_rotated, CheckpointState,
 };
-pub use expm::{
-    evolve_imaginary_time, evolve_imaginary_time_in, evolve_real_time, evolve_real_time_in,
-};
+pub use expm::{evolve_imaginary_time, evolve_real_time};
 pub use health::{HealthMonitor, SolverHealthError};
 pub use lanczos::{
     lanczos_smallest, lanczos_smallest_in, LanczosOptions, LanczosResult, LanczosResultIn,
@@ -90,5 +88,5 @@ pub use record::FileError;
 pub use restart::{
     thick_restart_lanczos, thick_restart_lanczos_in, CheckpointPolicy, RestartOptions,
 };
-pub use spectral::{spectral_coefficients, spectral_coefficients_in, SpectralCoefficients};
+pub use spectral::{spectral_coefficients, SpectralCoefficients};
 pub use vector::{KrylovOp, KrylovVec};

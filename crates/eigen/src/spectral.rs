@@ -15,14 +15,12 @@
 //! of [`crate::lanczos`] (fused matvec+dot, three blocked sweeps over
 //! the basis per step — no clone-and-subtract per basis vector), generic over
 //! [`KrylovVec`]: a distributed seed state produces its coefficients
-//! entirely in place on the locale parts
-//! ([`spectral_coefficients_in`]); the coefficients themselves are a few
-//! scalars, so the continued-fraction evaluation is storage-agnostic.
+//! entirely in place on the locale parts; the coefficients themselves are
+//! a few scalars, so the continued-fraction evaluation is storage-agnostic.
 
 use crate::lanczos::krylov_factorization;
 use crate::vector::{KrylovOp, KrylovVec};
-use crate::LinearOp;
-use ls_kernels::{Complex64, Scalar};
+use ls_kernels::Complex64;
 
 /// The Lanczos tridiagonal coefficients of a seed state: everything needed
 /// to evaluate spectral functions at any frequency.
@@ -34,38 +32,19 @@ pub struct SpectralCoefficients {
     pub betas: Vec<f64>,
 }
 
-/// Runs `m` Lanczos steps from `seed` (full reorthogonalization) and
-/// returns the continued-fraction coefficients. Slice-based wrapper over
-/// [`spectral_coefficients_in`].
-pub fn spectral_coefficients<S: Scalar, Op: LinearOp<S> + ?Sized>(
-    op: &Op,
-    seed: &[S],
-    m: usize,
-) -> SpectralCoefficients {
-    spectral_coefficients_owned(op, seed.to_vec(), m)
-}
-
-/// Runs `m` Lanczos steps from `seed` in place on the operator's vector
-/// storage and returns the continued-fraction coefficients.
-pub fn spectral_coefficients_in<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
+/// Runs `m` Lanczos steps from `seed` (full reorthogonalization) in
+/// place on the seed's storage and returns the continued-fraction
+/// coefficients.
+pub fn spectral_coefficients<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
     op: &Op,
     seed: &V,
-    m: usize,
-) -> SpectralCoefficients {
-    spectral_coefficients_owned(op, seed.clone(), m)
-}
-
-/// The owned core both entry points lower to: `seed` becomes the first
-/// Krylov vector, so each caller pays exactly one copy of the state.
-fn spectral_coefficients_owned<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
-    op: &Op,
-    seed: V,
     m: usize,
 ) -> SpectralCoefficients {
     assert!(op.is_hermitian());
     let weight = seed.norm_sqr();
     assert!(weight > 0.0, "zero seed state has no spectrum");
-    let (_basis, alphas, betas) = krylov_factorization(op, seed, m);
+    // `seed` becomes the first Krylov vector: one copy of the state a call.
+    let (_basis, alphas, betas) = krylov_factorization(op, seed.clone(), m);
     SpectralCoefficients { weight, alphas, betas }
 }
 

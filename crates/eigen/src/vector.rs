@@ -341,7 +341,7 @@ impl<S: Scalar> KrylovVec for DistVec<S> {
 /// A linear operator over an abstract Krylov vector type.
 ///
 /// This is what the generic solvers ([`crate::restart::thick_restart_lanczos_in`],
-/// [`crate::expm::evolve_real_time_in`], ...) are written against. The
+/// [`crate::expm::evolve_real_time`], ...) are written against. The
 /// slice-based [`LinearOp`] gets a blanket implementation for
 /// `V = Vec<S>`, so every existing operator works unchanged; distributed
 /// operators implement this directly for `DistVec<S>` and run their

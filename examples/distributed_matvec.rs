@@ -24,11 +24,8 @@
 
 use exact_diag::basis::SectorSpec;
 use exact_diag::basis::SymmetrizedOperator;
-use exact_diag::dist::eigensolve::{dist_lanczos_smallest, DistLanczosOptions};
-use exact_diag::dist::matvec::PcOptions;
-use exact_diag::dist::{
-    dist_evolve_imaginary_time, dist_spectral_coefficients, enumerate_dist, matvec_pc,
-};
+use exact_diag::dist::{enumerate_dist, DistOp, PcOptions};
+use exact_diag::eigen::{lanczos_smallest_in, KrylovOp, KrylovVec};
 use exact_diag::prelude::*;
 use exact_diag::runtime::transport;
 use exact_diag::runtime::{Cluster, ClusterSpec, DistVec};
@@ -98,7 +95,7 @@ fn main() {
     let mut y = DistVec::<f64>::zeros(&basis.states().lens());
     cluster.reset_stats();
     let t = std::time::Instant::now();
-    matvec_pc(&cluster, &op, &basis, &x, &mut y, PcOptions::default());
+    DistOp::new(&cluster, &op, &basis, PcOptions::default()).apply(&x, &mut y);
     let dt = t.elapsed().as_secs_f64();
     let stats = cluster.stats_total();
     say!("\n== one producer/consumer matvec ==");
@@ -115,16 +112,9 @@ fn main() {
     say!("\n== distributed Lanczos (in place on DistVec) ==");
     cluster.reset_stats();
     let t = std::time::Instant::now();
-    let res = dist_lanczos_smallest(
-        &cluster,
-        &op,
-        &basis,
-        1,
-        &DistLanczosOptions {
-            pc: PcOptions { deterministic: true, ..PcOptions::default() },
-            ..Default::default()
-        },
-    );
+    let pc = PcOptions { deterministic: true, ..PcOptions::default() };
+    let res =
+        lanczos_smallest_in(&DistOp::new(&cluster, &op, &basis, pc), 1, &Default::default());
     say!(
         "E0 = {:.12} ({} iterations, {:.1} ms, converged: {})",
         res.eigenvalues[0],
@@ -149,12 +139,16 @@ fn main() {
         basis.states().lens().iter().map(|&l| vec![1.0; l]).collect(),
     );
     let t = std::time::Instant::now();
-    let cooled =
-        dist_evolve_imaginary_time(&cluster, &op, &basis, &psi0, 4.0, 40, PcOptions::default());
+    let cooled = evolve_imaginary_time(
+        &DistOp::new(&cluster, &op, &basis, PcOptions::default()),
+        &psi0,
+        4.0,
+        40,
+    );
     // Rayleigh quotient of the cooled state through one more product.
     let mut h_cooled = DistVec::<f64>::zeros(&basis.states().lens());
-    matvec_pc(&cluster, &op, &basis, &cooled, &mut h_cooled, PcOptions::default());
-    let e_cooled = exact_diag::eigen::KrylovVec::dot(&cooled, &h_cooled);
+    DistOp::new(&cluster, &op, &basis, PcOptions::default()).apply(&cooled, &mut h_cooled);
+    let e_cooled = cooled.dot(&h_cooled);
     say!(
         "imaginary time τ=4.0 : ⟨H⟩ = {:.9} (E0 = {:.9}, {:.1} ms, state stayed distributed)",
         e_cooled,
@@ -163,8 +157,11 @@ fn main() {
     );
 
     let t = std::time::Instant::now();
-    let coeffs =
-        dist_spectral_coefficients(&cluster, &op, &basis, &psi0, 60, PcOptions::default());
+    let coeffs = spectral_coefficients(
+        &DistOp::new(&cluster, &op, &basis, PcOptions::default()),
+        &psi0,
+        60,
+    );
     let omegas: Vec<f64> = (0..5).map(|i| res.eigenvalues[0] + i as f64 * 2.0).collect();
     let spectrum = coeffs.spectrum(&omegas, 0.2);
     say!(

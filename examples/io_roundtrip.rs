@@ -9,8 +9,8 @@
 
 use exact_diag::basis::{SectorSpec, SymmetrizedOperator};
 use exact_diag::core::io;
-use exact_diag::dist::eigensolve::{dist_lanczos_smallest, DistLanczosOptions};
-use exact_diag::dist::enumerate_dist;
+use exact_diag::dist::{enumerate_dist, DistOp, PcOptions};
+use exact_diag::eigen::lanczos_smallest_in;
 use exact_diag::prelude::*;
 use exact_diag::runtime::{Cluster, ClusterSpec, DistVec};
 
@@ -27,7 +27,8 @@ fn main() {
     let basis = enumerate_dist(&cluster, &sector, 8);
     println!("distributed basis: dim {} over {locales} locales", basis.dim());
 
-    let res = dist_lanczos_smallest(&cluster, &op, &basis, 1, &DistLanczosOptions::default());
+    let dist_op = DistOp::new(&cluster, &op, &basis, PcOptions::default());
+    let res = lanczos_smallest_in(&dist_op, 1, &LanczosOptions::default());
     println!("E0 = {:.12}", res.eigenvalues[0]);
 
     // Make a deterministic hashed-distributed vector (e.g. |+...+>-ish).

@@ -344,3 +344,48 @@ fn one_recovery_path() {
         ],
     );
 }
+
+/// One handle for the distributed product, one callable per Krylov
+/// routine: callers build a `DistOp` once and hand it to the generic
+/// routines of `ls-eigen`, which infer the vector storage from the state.
+/// No crate defines a one-shot product, a public engine, a `_in` twin of a
+/// propagator, a pool-less twin of a shared product or a distributed
+/// wrapper that only builds a `DistOp` — except the one solve wrapper the
+/// benchmark still calls.
+#[test]
+fn one_handle_per_distributed_product() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut srcs: Vec<String> = std::fs::read_dir(root.join("crates"))
+        .unwrap()
+        .map(|k| format!("crates/{}/src", k.unwrap().file_name().to_string_lossy()))
+        .collect();
+    srcs.sort();
+    let srcs: Vec<&str> = srcs.iter().map(String::as_str).collect();
+    let fns = [
+        "matvec_pc",
+        "dist_lanczos_smallest",
+        "dist_evolve_real_time",
+        "dist_evolve_imaginary_time",
+        "dist_spectral_coefficients",
+        "evolve_real_time_in",
+        "evolve_imaginary_time_in",
+        "spectral_coefficients_in",
+        "apply_pull",
+        "apply_serial",
+        "apply_batched_pull",
+    ];
+    let mut removed: Vec<String> =
+        fns.iter().flat_map(|f| [format!("pub fn {f}<"), format!("pub fn {f}(")]).collect();
+    removed.extend(
+        ["pub struct PcEngine", "pub struct DistLanczosOptions", "pub type DistLanczosResult"]
+            .map(String::from),
+    );
+    removed.push("pub mod dynamics".into());
+    let removed: Vec<&str> = removed.iter().map(String::as_str).collect();
+    assert_none(&srcs, &removed);
+    let wrappers: Vec<String> = hits(&["crates/dist/src"], &["pub fn dist_"])
+        .into_iter()
+        .filter(|hit| !hit.contains("pub fn dist_thick_restart_lanczos<"))
+        .collect();
+    assert!(wrappers.is_empty(), "distributed wrappers:\n{}", wrappers.join("\n"));
+}

@@ -6,10 +6,11 @@ mod common;
 
 use exact_diag::baseline::{matvec_alltoall, StoredMatrix};
 use exact_diag::basis::{SectorSpec, SpinBasis, SymmetrizedOperator};
-use exact_diag::core::matvec::apply_serial;
+use exact_diag::core::matvec::{apply_serial_pooled, MatvecScratchPool};
 use exact_diag::dist::convert::{hashed_masks, to_block};
-use exact_diag::dist::matvec::{matvec_naive, matvec_pc, PcOptions};
-use exact_diag::dist::{block_to_hashed, enumerate_dist, hashed_to_block};
+use exact_diag::dist::matvec::{matvec_naive, PcOptions};
+use exact_diag::dist::{block_to_hashed, enumerate_dist, hashed_to_block, DistOp};
+use exact_diag::eigen::{lanczos_smallest_in, KrylovOp};
 use exact_diag::prelude::*;
 use exact_diag::runtime::{Cluster, ClusterSpec, DistVec};
 
@@ -27,7 +28,7 @@ fn problem(n: usize) -> (SectorSpec, SymmetrizedOperator<f64>, SpinBasis, Vec<f6
         })
         .collect();
     let mut y = vec![0.0; basis.dim()];
-    apply_serial(&op, &basis, &x, &mut y);
+    apply_serial_pooled(&op, &basis, &x, &mut y, &MatvecScratchPool::new());
     (sector, op, basis, x, y)
 }
 
@@ -75,14 +76,8 @@ fn every_matvec_agrees_with_serial_reference() {
         check(&yd, "naive");
 
         let mut yd = DistVec::<f64>::zeros(&lens);
-        matvec_pc(
-            &cluster,
-            &op,
-            &dist,
-            &xd,
-            &mut yd,
-            PcOptions { capacity: 64, ..PcOptions::default() },
-        );
+        DistOp::new(&cluster, &op, &dist, PcOptions { capacity: 64, ..PcOptions::default() })
+            .apply(&xd, &mut yd);
         check(&yd, "producer-consumer");
 
         let mut yd = DistVec::<f64>::zeros(&lens);
@@ -128,13 +123,8 @@ fn distributed_lanczos_invariant_under_cluster_shape() {
     for (locales, cores) in [(1usize, 1usize), (2, 2), (4, 1)] {
         let cluster = Cluster::new(ClusterSpec::new(locales, cores));
         let basis = enumerate_dist(&cluster, &sector, 3);
-        let res = exact_diag::dist::eigensolve::dist_lanczos_smallest(
-            &cluster,
-            &op,
-            &basis,
-            2,
-            &Default::default(),
-        );
+        let dist_op = DistOp::new(&cluster, &op, &basis, PcOptions::default());
+        let res = lanczos_smallest_in(&dist_op, 2, &Default::default());
         assert!(res.converged);
         energies.push(res.eigenvalues.clone());
     }
@@ -160,19 +150,9 @@ fn distributed_lanczos_gathers_nothing() {
     let cluster = Cluster::new(ClusterSpec::new(3, 2));
     let dist = enumerate_dist(&cluster, &sector, 3);
     cluster.reset_stats();
-    let res = exact_diag::dist::eigensolve::dist_lanczos_smallest(
-        &cluster,
-        &op,
-        &dist,
-        1,
-        &exact_diag::dist::eigensolve::DistLanczosOptions {
-            lanczos: exact_diag::eigen::LanczosOptions {
-                want_vectors: true,
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    );
+    let dist_op = DistOp::new(&cluster, &op, &dist, PcOptions::default());
+    let opts = LanczosOptions { want_vectors: true, ..Default::default() };
+    let res = lanczos_smallest_in(&dist_op, 1, &opts);
     let stats = cluster.stats_total();
     assert_eq!(stats.gets, 0, "in-place Lanczos must not issue RMA gets");
     assert_eq!(stats.get_bytes, 0, "in-place Lanczos gathered {} bytes", stats.get_bytes);
@@ -189,7 +169,7 @@ fn distributed_lanczos_gathers_nothing() {
     by_state.sort_unstable_by_key(|&(s, _)| s);
     let dense: Vec<f64> = by_state.iter().map(|&(_, v)| v).collect();
     let mut h_dense = vec![0.0; dense.len()];
-    apply_serial(&op, &basis, &dense, &mut h_dense);
+    apply_serial_pooled(&op, &basis, &dense, &mut h_dense, &MatvecScratchPool::new());
     let residual: f64 = h_dense
         .iter()
         .zip(&dense)
@@ -198,21 +178,77 @@ fn distributed_lanczos_gathers_nothing() {
         .sqrt();
     assert!(residual < 1e-6, "Ritz residual {residual}");
 
-    // The distributed propagators run on the same in-place pipeline.
+    // The propagators run on the same operator, in place.
     let psi = DistVec::<f64>::from_parts(
         dist.states().lens().iter().map(|&l| vec![1.0; l]).collect(),
     );
-    let pc = PcOptions::default();
     cluster.reset_stats();
-    let cooled =
-        exact_diag::dist::dist_evolve_imaginary_time(&cluster, &op, &dist, &psi, 0.5, 5, pc);
-    let coeffs =
-        exact_diag::dist::dist_spectral_coefficients(&cluster, &op, &dist, &psi, 5, pc);
+    let cooled = evolve_imaginary_time(&dist_op, &psi, 0.5, 5);
+    let coeffs = spectral_coefficients(&dist_op, &psi, 5);
     let stats = cluster.stats_total();
     assert_eq!((stats.gets, stats.get_bytes), (0, 0), "distributed dynamics gathered");
     assert!(stats.puts > 0);
     assert_eq!(cooled.lens(), dist.states().lens());
     assert_eq!(coeffs.alphas.len(), 5);
+}
+
+/// `ls_core`'s serial product over `basis`: the shared-memory reference
+/// the propagators on a `DistOp` are held to.
+fn serial_operator(op: &SymmetrizedOperator<f64>, basis: &SpinBasis) -> Operator<f64> {
+    let basis = std::sync::Arc::new(basis.clone());
+    Operator::from_parts(op.clone(), basis).with_strategy(MatvecStrategy::Serial)
+}
+
+#[test]
+fn imaginary_time_matches_shared_memory() {
+    let n = 10usize;
+    let (sector, op, basis, _, _) = problem(n);
+    let psi: Vec<f64> = (0..basis.dim()).map(|i| 1.0 + (i as f64 * 0.3).sin()).collect();
+    let m = 25;
+    let shared = evolve_imaginary_time(&serial_operator(&op, &basis), &psi, 3.0, m);
+    for locales in [1usize, 3] {
+        let cluster = Cluster::new(ClusterSpec::new(locales, 2));
+        let dist = enumerate_dist(&cluster, &sector, 2);
+        let dist_op = DistOp::new(&cluster, &op, &dist, PcOptions::default());
+        let out = evolve_imaginary_time(&dist_op, &scatter(&basis, &dist, &psi), 3.0, m);
+        for l in 0..locales {
+            for (i, &s) in dist.states().part(l).iter().enumerate() {
+                let expect = shared[basis.index_of(s).unwrap()];
+                assert!(
+                    (out.part(l)[i] - expect).abs() < 1e-9,
+                    "locales={locales}: {} vs {expect}",
+                    out.part(l)[i]
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn spectral_coefficients_match_shared_memory() {
+    let n = 10usize;
+    let (sector, op, basis, _, _) = problem(n);
+    let phi: Vec<f64> = (0..basis.dim()).map(|i| (0.41 * i as f64).cos()).collect();
+    let m = 20;
+    let shared = spectral_coefficients(&serial_operator(&op, &basis), &phi, m);
+    let cluster = Cluster::new(ClusterSpec::new(4, 1));
+    let dist = enumerate_dist(&cluster, &sector, 2);
+    let dist_op = DistOp::new(&cluster, &op, &dist, PcOptions::default());
+    let coeffs = spectral_coefficients(&dist_op, &scatter(&basis, &dist, &phi), m);
+    assert!((coeffs.weight - shared.weight).abs() < 1e-10);
+    assert_eq!(coeffs.alphas.len(), shared.alphas.len());
+    for (a, b) in coeffs.alphas.iter().zip(&shared.alphas) {
+        assert!((a - b).abs() < 1e-8, "{a} vs {b}");
+    }
+    for (a, b) in coeffs.betas.iter().zip(&shared.betas) {
+        assert!((a - b).abs() < 1e-8, "{a} vs {b}");
+    }
+    // And the spectra they imply agree pointwise.
+    for omega in [-3.0f64, -1.0, 0.0, 1.5] {
+        let ours = coeffs.spectral_function(omega, 0.1);
+        let expect = shared.spectral_function(omega, 0.1);
+        assert!((ours - expect).abs() < 1e-7 * (1.0 + expect.abs()));
+    }
 }
 
 /// Degenerate distributed layouts: a locale owning zero basis states, a
@@ -240,14 +276,8 @@ fn degenerate_layouts_enumerate_multiply_and_solve() {
         // Producer/consumer product across the degenerate layout.
         let xd = scatter(&basis, &dist, &x);
         let mut yd = DistVec::<f64>::zeros(&dist.states().lens());
-        matvec_pc(
-            &cluster,
-            &op,
-            &dist,
-            &xd,
-            &mut yd,
-            PcOptions { capacity: 8, ..PcOptions::default() },
-        );
+        DistOp::new(&cluster, &op, &dist, PcOptions { capacity: 8, ..PcOptions::default() })
+            .apply(&xd, &mut yd);
         for l in 0..locales {
             for (i, &s) in dist.states().part(l).iter().enumerate() {
                 let expect = y_ref[basis.index_of(s).unwrap()];
@@ -255,13 +285,8 @@ fn degenerate_layouts_enumerate_multiply_and_solve() {
             }
         }
         // In-place distributed Lanczos on the same layout.
-        let res = exact_diag::dist::eigensolve::dist_lanczos_smallest(
-            &cluster,
-            &op,
-            &dist,
-            1,
-            &Default::default(),
-        );
+        let dist_op = DistOp::new(&cluster, &op, &dist, PcOptions::default());
+        let res = lanczos_smallest_in(&dist_op, 1, &Default::default());
         assert!(res.converged, "locales={locales}");
         let e = res.eigenvalues[0];
         match reference_energy {
@@ -558,7 +583,7 @@ fn stats_scale_with_locales() {
         let xd = scatter(&basis, &dist, &x);
         let mut yd = DistVec::<f64>::zeros(&dist.states().lens());
         cluster.reset_stats();
-        matvec_pc(&cluster, &op, &dist, &xd, &mut yd, PcOptions::default());
+        DistOp::new(&cluster, &op, &dist, PcOptions::default()).apply(&xd, &mut yd);
         let stats = cluster.stats_total();
         remote_bytes.push(stats.put_bytes as f64);
         // A flag message is a `remoteAtomicWrite` between two locales: one

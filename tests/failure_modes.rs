@@ -2,8 +2,8 @@
 //! must actually be caught, across crate boundaries.
 
 use exact_diag::basis::{BasisError, SectorSpec, SymmetrizedOperator};
-use exact_diag::dist::matvec::{matvec_pc, PcOptions};
-use exact_diag::dist::{block_to_hashed, enumerate_dist};
+use exact_diag::dist::{block_to_hashed, enumerate_dist, DistOp, PcOptions};
+use exact_diag::eigen::KrylovOp;
 use exact_diag::prelude::*;
 use exact_diag::runtime::{Cluster, ClusterSpec, DistVec, RmaWriteWindow};
 
@@ -69,19 +69,20 @@ fn misaligned_distributed_vector_panics() {
     // Deliberately wrong lengths.
     let x = DistVec::<f64>::zeros(&[1, 1]);
     let mut y = DistVec::<f64>::zeros(&basis.states().lens());
-    matvec_pc(&cluster, &op, &basis, &x, &mut y, PcOptions::default());
+    DistOp::new(&cluster, &op, &basis, PcOptions::default()).apply(&x, &mut y);
 }
 
+/// A `DistOp` sizes its engine from the cluster it holds, so the one
+/// mismatch left to make is a basis enumerated on another cluster.
 #[test]
-#[should_panic(expected = "engine built for another cluster")]
-fn engine_cluster_mismatch_panics() {
+#[should_panic(expected = "basis distributed over 3 locales, cluster has 2")]
+fn basis_cluster_mismatch_panics() {
     let (sector, op) = chain_op(10);
-    let cluster = Cluster::new(ClusterSpec::new(3, 1));
-    let basis = enumerate_dist(&cluster, &sector, 2);
+    let basis = enumerate_dist(&Cluster::new(ClusterSpec::new(3, 1)), &sector, 2);
     let x = DistVec::<f64>::zeros(&basis.states().lens());
     let mut y = DistVec::<f64>::zeros(&basis.states().lens());
-    let engine = exact_diag::dist::matvec::pc::PcEngine::<f64>::new(2, PcOptions::default());
-    engine.apply(&cluster, &op, &basis, &x, &mut y);
+    let cluster = Cluster::new(ClusterSpec::new(2, 1));
+    DistOp::new(&cluster, &op, &basis, PcOptions::default()).apply(&x, &mut y);
 }
 
 #[test]
@@ -105,7 +106,7 @@ fn a_panicking_producer_fails_the_product_instead_of_hanging_it() {
         let x = DistVec::from_parts(lens.iter().map(|&len| vec![1.0f64; len]).collect());
         let mut y = DistVec::<f64>::zeros(&lens);
         let product = std::panic::AssertUnwindSafe(|| {
-            matvec_pc(&cluster, &op, &basis, &x, &mut y, PcOptions::default())
+            DistOp::new(&cluster, &op, &basis, PcOptions::default()).apply(&x, &mut y)
         });
         let _ = tx.send(std::panic::catch_unwind(product));
     });
@@ -161,7 +162,7 @@ fn a_panic_inside_a_drain_step_fails_the_product_instead_of_hanging_it() {
             let mut y = DistVec::<f64>::zeros(&lens);
             let opts = PcOptions { capacity: 4, ..PcOptions::default() };
             let product = std::panic::AssertUnwindSafe(|| {
-                matvec_pc(&cluster, &op, &basis, &x, &mut y, opts)
+                DistOp::new(&cluster, &op, &basis, opts).apply(&x, &mut y)
             });
             let _ = tx.send(std::panic::catch_unwind(product));
         });

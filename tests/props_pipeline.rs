@@ -3,7 +3,9 @@
 mod common;
 
 use exact_diag::basis::{SectorSpec, SpinBasis, SymmetrizedOperator};
-use exact_diag::core::matvec::{apply_batched_pull, apply_pull, apply_serial};
+use exact_diag::core::matvec::{
+    apply_batched_pull_pooled, apply_pull_pooled, apply_serial_pooled, MatvecScratchPool,
+};
 use exact_diag::dist::convert::{block_to_hashed, hashed_to_block, to_block};
 use exact_diag::prelude::*;
 use exact_diag::runtime::{Cluster, ClusterSpec};
@@ -33,9 +35,9 @@ proptest! {
         let mut y1 = vec![0.0; basis.dim()];
         let mut y2 = vec![0.0; basis.dim()];
         let mut y3 = vec![0.0; basis.dim()];
-        apply_serial(&op, &basis, &x, &mut y1);
-        apply_pull(&op, &basis, &x, &mut y2);
-        apply_batched_pull(&op, &basis, &x, &mut y3);
+        apply_serial_pooled(&op, &basis, &x, &mut y1, &MatvecScratchPool::new());
+        apply_pull_pooled(&op, &basis, &x, &mut y2, &MatvecScratchPool::new());
+        apply_batched_pull_pooled(&op, &basis, &x, &mut y3, &MatvecScratchPool::new());
         for i in 0..basis.dim() {
             prop_assert!((y1[i] - y2[i]).abs() < 1e-10);
             prop_assert!((y1[i] - y3[i]).abs() < 1e-10);
@@ -104,8 +106,8 @@ proptest! {
         let y = rand_c(0x5555);
         let mut hx = vec![Complex64::ZERO; dim];
         let mut hy = vec![Complex64::ZERO; dim];
-        apply_serial(&op, &basis, &x, &mut hx);
-        apply_serial(&op, &basis, &y, &mut hy);
+        apply_serial_pooled(&op, &basis, &x, &mut hx, &MatvecScratchPool::new());
+        apply_serial_pooled(&op, &basis, &y, &mut hy, &MatvecScratchPool::new());
         let lhs: Complex64 = x.iter().zip(&hy).map(|(a, b)| a.conj() * *b).sum();
         let rhs: Complex64 = hx.iter().zip(&y).map(|(a, b)| a.conj() * *b).sum();
         prop_assert!(lhs.approx_eq(rhs, 1e-9), "{lhs:?} vs {rhs:?}");
@@ -125,9 +127,9 @@ proptest! {
         let x: Vec<f64> = (0..dim).map(|i| (i as f64 * 0.7).sin()).collect();
         // (H(Hx)) via kernel vs dense H² x.
         let mut hx = vec![0.0; dim];
-        apply_serial(&op, &basis, &x, &mut hx);
+        apply_serial_pooled(&op, &basis, &x, &mut hx, &MatvecScratchPool::new());
         let mut hhx = vec![0.0; dim];
-        apply_serial(&op, &basis, &hx, &mut hhx);
+        apply_serial_pooled(&op, &basis, &hx, &mut hhx, &MatvecScratchPool::new());
         let dense = op.to_dense(&basis);
         for (row, hh) in dense.iter().zip(&hhx) {
             let mut acc = 0.0;

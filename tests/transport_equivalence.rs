@@ -22,14 +22,10 @@
 
 use exact_diag::basis::{SectorSpec, SymmetrizedOperator};
 use exact_diag::dist::convert::{hashed_masks, to_block};
-use exact_diag::dist::eigensolve::{
-    dist_lanczos_smallest, dist_thick_restart_lanczos, DistLanczosOptions, DistRestartOptions,
-};
-use exact_diag::dist::matvec::pc::PcEngine;
+use exact_diag::dist::eigensolve::{dist_thick_restart_lanczos, DistOp, DistRestartOptions};
 use exact_diag::dist::matvec::PcOptions;
-use exact_diag::dist::{
-    block_to_hashed, enumerate_dist, hashed_to_block, matvec_pc, DistSpinBasis,
-};
+use exact_diag::dist::{block_to_hashed, enumerate_dist, hashed_to_block, DistSpinBasis};
+use exact_diag::eigen::{lanczos_smallest_in, KrylovOp};
 use exact_diag::prelude::*;
 use exact_diag::runtime::{collective, transport, RmaReadWindow, RmaWriteWindow};
 use exact_diag::runtime::{AtomicAccumWindow, Cluster, ClusterSpec, DistVec};
@@ -82,8 +78,8 @@ fn run_pipeline() -> (u64, Vec<u64>) {
     let me = mp.map(|m| m.rank()).unwrap_or(0);
     let mut y1 = DistVec::<f64>::zeros(&basis.states().lens());
     let mut y2 = DistVec::<f64>::zeros(&basis.states().lens());
-    matvec_pc(&cluster, &op, &basis, &x, &mut y1, pc);
-    matvec_pc(&cluster, &op, &basis, &x, &mut y2, pc);
+    DistOp::new(&cluster, &op, &basis, pc).apply(&x, &mut y1);
+    DistOp::new(&cluster, &op, &basis, pc).apply(&x, &mut y2);
     if mp.is_some() {
         assert_eq!(y1.part(me), y2.part(me), "deterministic matvec not reproducible");
     } else {
@@ -95,13 +91,8 @@ fn run_pipeline() -> (u64, Vec<u64>) {
     // In-place Lanczos + statistics invariants: matrix elements cross
     // locale boundaries (remote puts), full vectors never do (no gets).
     cluster.reset_stats();
-    let res = dist_lanczos_smallest(
-        &cluster,
-        &op,
-        &basis,
-        1,
-        &DistLanczosOptions { pc, ..Default::default() },
-    );
+    let res =
+        lanczos_smallest_in(&DistOp::new(&cluster, &op, &basis, pc), 1, &Default::default());
     assert!(res.converged);
     let stats = cluster.stats_total();
     assert_eq!(stats.gets, 0, "in-place Lanczos must never gather");
@@ -170,7 +161,7 @@ fn arrival_ordered_product() -> (Vec<f64>, Vec<f64>) {
     );
     let mut y = DistVec::<f64>::zeros(&basis.states().lens());
     cluster.reset_stats();
-    matvec_pc(&cluster, &op, &basis, &x, &mut y, PcOptions::default());
+    DistOp::new(&cluster, &op, &basis, PcOptions::default()).apply(&x, &mut y);
     let stats = cluster.stats_total();
     let mut dense = Vec::new();
     collective::for_each_global(&y, |v| dense.push(v));
@@ -184,12 +175,12 @@ fn arrival_ordered_product() -> (Vec<f64>, Vec<f64>) {
 fn back_to_back_products() -> (Vec<f64>, u64) {
     let (cluster, op, basis, mut x) = chain();
     let opts = PcOptions { capacity: 16, deterministic: true };
-    let engine = PcEngine::<f64>::new(cluster.n_locales(), opts);
+    let engine = DistOp::new(&cluster, &op, &basis, opts);
     let mut y = DistVec::<f64>::zeros(&basis.states().lens());
     let barriers = || transport::active().map_or(0, |mp| mp.stats().snapshot().barriers);
     let before = barriers();
     for _ in 0..BACK_TO_BACK {
-        engine.apply(&cluster, &op, &basis, &x, &mut y);
+        engine.apply(&x, &mut y);
         for (xp, yp) in x.parts_mut().iter_mut().zip(y.parts()) {
             xp.iter_mut().zip(yp).for_each(|(xi, &yi)| *xi = yi * 0.125);
         }
