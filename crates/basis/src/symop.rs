@@ -1112,6 +1112,47 @@ mod tests {
         }
     }
 
+    #[test]
+    fn block_generation_matches_scalar_apply_on_padded_lanes() {
+        use ls_symmetry::Generator;
+        // `u32` lane counts that are no multiple of the sweep's iteration,
+        // padded with copies of the identity's lane: with a spare bit in
+        // the word and with 32 sites filling it, and through the zero-norm
+        // and phase sweeps where a character is not 1. The 24-site chain's
+        // 48 lanes need no pad, and `u64` lanes (64 sites) are never padded.
+        let chain = |n: usize, k: i64, reflection: Option<i64>, flip: Option<i64>| {
+            (lattice::chain_bonds(n), lattice::chain_group(n, k, reflection, flip).unwrap())
+        };
+        let square_x = |lx: usize, ly: usize, k: i64, flip: Option<i64>| {
+            let mut generators = vec![Generator::new(lattice::square_translation_x(lx, ly), k)];
+            generators.extend(flip.map(|z| Generator::spin_inversion(lx * ly, z)));
+            (lattice::square_bonds(lx, ly), SymmetryGroup::generate(&generators).unwrap())
+        };
+        // `((bonds, group), weight of the rows, lanes, lanes swept)`.
+        let cases = [
+            (crate::rep::zigzag_ring(12), 5, 12, 16),
+            (chain(12, 1, None, None), 5, 12, 16),
+            (chain(20, 0, Some(0), Some(0)), 4, 40, 48),
+            (chain(20, 10, Some(1), None), 4, 40, 48),
+            (chain(24, 0, Some(0), Some(0)), 4, 48, 48),
+            (square_x(8, 4, 0, Some(0)), 3, 8, 16),
+            (square_x(8, 4, 1, None), 3, 8, 16),
+            (square_x(8, 8, 0, Some(0)), 2, 8, 8),
+            (square_x(8, 8, 1, None), 2, 8, 8),
+        ];
+        for ((bonds, group), weight, lanes, swept) in cases {
+            let n = group.n_sites();
+            let kernel = heisenberg(&bonds, 1.0).to_kernel(n as u32).unwrap();
+            let sector = SectorSpec::new(n as u32, None, group.clone()).unwrap();
+            let op = SymmetrizedOperator::<Complex64>::new(&kernel, &sector).unwrap();
+            let shape = (op.walk.is_narrow(), op.walk.shape().1, op.walk.swept_lanes());
+            assert_eq!(shape, (n <= 32, lanes, swept), "{n} sites, {lanes} lanes");
+            let (states, orbits) = weight_orbit_minima(&group, n as u32, weight);
+            assert!(states.len() >= 20, "{n} sites: {}", states.len());
+            check_rows_match_scalar(&op, &states, &orbits);
+        }
+    }
+
     /// The weight-`w` words of `n` sites that are valid orbit minima under
     /// `group`, ascending, with their orbit sizes ([`state_info`]).
     fn weight_orbit_minima(group: &SymmetryGroup, n: u32, w: u32) -> (Vec<u64>, Vec<u32>) {

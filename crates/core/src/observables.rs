@@ -22,6 +22,7 @@
 //! This module is the "custom observables" capability the paper's Sec. 3
 //! highlights as painful to add to SPINPACK.
 
+use crate::matvec::{apply_batched_pull_dot_pooled, MatvecScratchPool};
 use crate::operator::Operator;
 use ls_basis::{BasisError, SectorSpec, SpinBasis, SymmetrizedOperator};
 use ls_expr::{Expr, LocalHilbert, OperatorKernel};
@@ -76,7 +77,7 @@ pub fn expectation<S: Scalar>(
     let symop = SymmetrizedOperator::<S>::new(&averaged, sector)?;
     // ⟨ψ| O |ψ⟩ via one application.
     let mut o_psi = vec![S::ZERO; basis.dim()];
-    let pool = crate::matvec::MatvecScratchPool::new();
+    let pool = MatvecScratchPool::new();
     crate::matvec::apply_serial_pooled(&symop, basis, psi, &mut o_psi, &pool);
     let mut acc = S::ZERO;
     for (a, b) in psi.iter().zip(&o_psi) {
@@ -89,19 +90,23 @@ pub fn expectation<S: Scalar>(
 /// (translation-averaged). Works for any spin-S sector; the on-site value
 /// `C(0) = ⟨Sz²⟩` is 1/4 for spin-1/2 and state-dependent for higher
 /// spin.
+///
+/// The correlators are Hermitian, so each is one product of the pooled
+/// parallel engine with its fused `⟨ψ, Oψ⟩` epilogue, every product
+/// drawing on one scratch pool and one output vector.
 pub fn sz_correlations<S: Scalar>(op: &Operator<S>, psi: &[S]) -> Result<Vec<f64>, BasisError> {
     let basis = op.basis();
-    let n = basis.sector().n_sites() as usize;
-    let mut out = Vec::with_capacity(n);
-    for r in 0..n {
-        let expr = if r == 0 {
-            ls_expr::ast::sz(0) * ls_expr::ast::sz(0)
-        } else {
-            ls_expr::ast::sz(0) * ls_expr::ast::sz(r as u16)
-        };
-        out.push(expectation(&expr, basis, psi)?.re());
-    }
-    Ok(out)
+    let sector = basis.sector();
+    let pool = MatvecScratchPool::new();
+    let mut o_psi = vec![S::ZERO; basis.dim()];
+    (0..sector.n_sites() as u16)
+        .map(|r| {
+            let correlator = ls_expr::ast::sz(0) * ls_expr::ast::sz(r);
+            let averaged = sector_kernel(&correlator, sector)?;
+            let symop = SymmetrizedOperator::<S>::new(&averaged, sector)?;
+            Ok(apply_batched_pull_dot_pooled(&symop, basis, psi, &mut o_psi, &pool).re())
+        })
+        .collect()
 }
 
 /// Distributed expectation value: `⟨ψ|O|ψ⟩` for a hashed-distributed
@@ -184,6 +189,32 @@ mod tests {
         // Reflection symmetry of the ring: C(r) = C(n-r).
         for r in 1..n / 2 {
             assert!((c[r] - c[n - r]).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn sz_correlations_match_the_serial_oracle() {
+        // Each correlator through `expectation`'s scatter oracle, on the
+        // 16-site ring's ground state under the full group (the walk) and
+        // on a hashed vector of its U(1) sector (the closed-form row pass).
+        let n = 16usize;
+        let (basis, op, psi, _) = ground(n);
+        let sector = SectorSpec::with_weight(n as u32, n as u32 / 2).unwrap();
+        let (u1_basis, u1_op) =
+            Operator::<f64>::from_expr(&heisenberg(&chain_bonds(n), 1.0), sector).unwrap();
+        let hashed: Vec<f64> = (0..u1_basis.dim() as u64)
+            .map(|i| ls_kernels::hash64_01(i) as f64 / 2f64.powi(64) - 0.5)
+            .collect();
+        let norm = hashed.iter().map(|v| v * v).sum::<f64>().sqrt();
+        let u1_psi: Vec<f64> = hashed.iter().map(|v| v / norm).collect();
+        for (basis, op, psi) in [(&basis, &op, &psi), (&u1_basis, &u1_op, &u1_psi)] {
+            let c = sz_correlations(op, psi).unwrap();
+            assert_eq!(c.len(), n);
+            for (r, &cr) in c.iter().enumerate() {
+                let correlator = ls_expr::ast::sz(0) * ls_expr::ast::sz(r as u16);
+                let oracle = expectation(&correlator, basis, psi).unwrap();
+                assert!((cr - oracle).abs() < 1e-12, "C({r}) = {cr} vs {oracle}");
+            }
         }
     }
 

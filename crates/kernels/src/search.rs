@@ -5,7 +5,10 @@
 //! hash index over the same sorted slice answers in one or two probes:
 //! open addressing with linear probing, two `u32` slots per state, each
 //! occupied slot holding a rank, a hit confirmed by `sorted[rank] ==
-//! needle`. A rank is the state's position in the sorted array, exactly
+//! needle`. States are placed Robin Hood style: one that probes past a
+//! state nearer its own home takes that slot, and the other moves on. The
+//! mean probe length is that of plain insertion; the longest runs are
+//! shorter. A rank is the state's position in the sorted array, exactly
 //! what the binary search returns. It is the only search ranking: sectors
 //! with a closed form (`crate::combinadics`) need no index — shared-memory
 //! bases rank by it outright, and a part of a distributed basis selects
@@ -16,18 +19,26 @@
 //! The slot is picked by a Fibonacci multiply-shift, independent of the
 //! low bits of [`crate::hash64_01`] that pick a state's owner: a locale's
 //! part, all of one residue of that hash, spreads over its whole table.
-//! [`HashIndex::lookup_batch`] ranks a block of states in two sweeps: it
-//! loads every state's first slot, then confirms each, so the memory
-//! system sees a window of independent loads instead of one dependent
-//! chain per state, and only a state whose first slot holds another
-//! walks its probe sequence. Absent states are reported with the
+//! [`HashIndex::lookup_batch`] ranks a block of states in branch-free
+//! sweeps. The first loads every state's home slot and confirms it in the
+//! same pass, so the memory system sees a window of independent loads
+//! instead of one dependent chain per state. A state whose home slot
+//! holds another joins a pending list, and each later sweep probes the
+//! next slot of the pending states only, until the list is empty: no
+//! state's outcome is a branch. Absent states are reported with the
 //! [`NOT_FOUND`] sentinel so results stay in dense `u32` arrays (no
 //! `Option` in the hot path).
+
+use std::hint::select_unpredictable;
 
 /// Sentinel written by the `lookup_batch` kernels for states that are not
 /// in the array, and the mark of an empty slot. Never a valid rank
 /// (arrays are capped below `u32::MAX`).
 pub const NOT_FOUND: u32 = u32::MAX;
+
+/// Needles [`HashIndex::lookup_batch_by`] ranks per chunk, the length of
+/// its pending list.
+const PENDING: usize = 256;
 
 /// The multiplier of the Fibonacci hash: 2⁶⁴ over the golden ratio.
 const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -47,13 +58,22 @@ impl HashIndex {
     pub fn new(sorted: &[u64], n_bits: u32) -> Self {
         assert!(sorted.len() < u32::MAX as usize);
         let mut index = Self { slots: vec![NOT_FOUND; (2 * sorted.len()).max(1)] };
+        let len = index.slots.len();
         for (rank, &s) in sorted.iter().enumerate() {
             debug_assert!(n_bits >= 64 || s >> n_bits == 0, "state exceeds n_bits");
-            let mut h = index.home(s);
+            // `(rank, h, dist)`: the state being placed, the slot it probes
+            // and how far that slot is past its home.
+            let (mut rank, mut h, mut dist) = (rank as u32, index.home(s), 0);
             while index.slots[h] != NOT_FOUND {
-                h = index.next(h);
+                let resident = index.slots[h];
+                let theirs = (h + len - index.home(sorted[resident as usize])) % len;
+                if theirs < dist {
+                    index.slots[h] = rank;
+                    (rank, dist) = (resident, theirs);
+                }
+                (h, dist) = (index.next(h), dist + 1);
             }
-            index.slots[h] = rank as u32;
+            index.slots[h] = rank;
         }
         index
     }
@@ -107,6 +127,16 @@ impl HashIndex {
     /// [`Self::lookup_batch`] over items the needles are read from by
     /// `key` — the states of `(state, value)` pairs, say — without copying
     /// them out first.
+    ///
+    /// The first sweep loads each needle's home slot and confirms it in the
+    /// same pass, `sorted[rank.min(last)] == needle` (an empty slot's
+    /// [`NOT_FOUND`] clamps to a state that is not the needle, which is
+    /// absent). A needle whose slot holds another state goes on a pending
+    /// list of `(position, slot)`: an unconditional store and a count
+    /// that grows by whether it stays. Each later sweep probes the next
+    /// slot of the pending needles only, until the list is empty, so no
+    /// needle's outcome is a branch that can mispredict. The ranks are
+    /// [`Self::lookup`]'s.
     #[inline]
     pub fn lookup_batch_by<T>(
         &self,
@@ -115,14 +145,40 @@ impl HashIndex {
         key: impl Fn(&T) -> u64,
         out: &mut Vec<u32>,
     ) {
-        // First probes only: independent loads the memory system overlaps.
         out.clear();
-        out.extend(items.iter().map(|item| self.slots[self.home(key(item))]));
-        // Confirm each hit; a collision walks the probe sequence instead.
-        for (rank, item) in out.iter_mut().zip(items) {
-            let needle = key(item);
-            if *rank != NOT_FOUND && sorted[*rank as usize] != needle {
-                *rank = self.lookup(sorted, needle).map_or(NOT_FOUND, |i| i as u32);
+        out.resize(items.len(), NOT_FOUND);
+        let Some(last) = sorted.len().checked_sub(1) else { return };
+        // Probes `slot` for `needle`: its rank or `NOT_FOUND`, and whether
+        // the needle's probe sequence goes on. The select is marked
+        // unpredictable, or the compiler would make it a branch.
+        let probe = |slot: usize, needle: u64| {
+            let rank = self.slots[slot];
+            let hit = sorted[(rank as usize).min(last)] == needle;
+            (select_unpredictable(hit, rank, NOT_FOUND), !hit & (rank != NOT_FOUND))
+        };
+        // The pending list of one chunk: `(position, slot)`.
+        let mut pending = [(0usize, 0usize); PENDING];
+        for (items, ranks) in items.chunks(PENDING).zip(out.chunks_mut(PENDING)) {
+            let mut len = 0;
+            for (i, (item, rank)) in items.iter().zip(ranks.iter_mut()).enumerate() {
+                let needle = key(item);
+                let home = self.home(needle);
+                let stays;
+                (*rank, stays) = probe(home, needle);
+                pending[len] = (i, home);
+                len += stays as usize;
+            }
+            while len > 0 {
+                let mut kept = 0;
+                for k in 0..len {
+                    let (i, slot) = pending[k];
+                    let slot = self.next(slot);
+                    let stays;
+                    (ranks[i], stays) = probe(slot, key(&items[i]));
+                    pending[kept] = (i, slot);
+                    kept += stays as usize;
+                }
+                len = kept;
             }
         }
     }
@@ -253,6 +309,86 @@ mod tests {
                 let expect = binary_search(&states, p).map_or(NOT_FOUND, |i| i as u32);
                 assert_eq!(o, expect, "probe={p:#b}");
             }
+        }
+    }
+
+    /// `lookup_batch_by` ≡ scalar `lookup` ≡ binary search on `needles`,
+    /// as `(needle, position)` pairs read by their first field, in one
+    /// batch and in batches that end on each side of a pending chunk.
+    fn check_batch(states: &[u64], needles: &[u64]) {
+        let idx = HashIndex::new(states, 64);
+        let pairs: Vec<(u64, usize)> = needles.iter().copied().zip(0..).collect();
+        let mut out = Vec::new();
+        for len in [pairs.len(), PENDING - 1, PENDING, PENDING + 1] {
+            let pairs = &pairs[..len.min(pairs.len())];
+            idx.lookup_batch_by(states, pairs, |&(n, _)| n, &mut out);
+            assert_eq!(out.len(), pairs.len());
+            for (&(p, _), &o) in pairs.iter().zip(&out) {
+                let expect = binary_search(states, p);
+                assert_eq!(idx.lookup(states, p), expect, "p={p:#x}");
+                assert_eq!(o, expect.map_or(NOT_FOUND, |i| i as u32), "p={p:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn lookup_batch_walks_long_probe_runs() {
+        // A stride the Fibonacci hash clusters: 5.15 probes a hit.
+        let strided: Vec<u64> = (0..30_000).map(|i| i << 5).collect();
+        let idx = HashIndex::new(&strided, 64);
+        let probes: Vec<usize> = idx.probe_lengths(&strided).collect();
+        let mean = probes.iter().sum::<usize>() as f64 / probes.len() as f64;
+        assert!(mean > 4.0, "mean {mean}");
+        // Members, absent words between and beyond them (each walks its
+        // run to an empty slot), and one member repeated across chunks.
+        let mut needles: Vec<u64> = strided.iter().flat_map(|&s| [s, s + 1, s + 31]).collect();
+        needles.extend([strided[7]; 2 * PENDING + 3]);
+        needles.extend([30_000 << 5, u64::MAX]);
+        check_batch(&strided, &needles);
+    }
+
+    #[test]
+    fn lookup_batch_follows_a_run_past_the_last_slot() {
+        // Eight states whose home is the table's last slot, among 64: their
+        // run wraps to slot 0. Absent words with the same home walk it
+        // past the wrap to an empty slot.
+        let table = HashIndex { slots: vec![NOT_FOUND; 128] };
+        let last = |w: &u64| table.home(*w) == 127;
+        let mut states: Vec<u64> = (0..).filter(last).take(12).collect();
+        let absent = states.split_off(8);
+        states.extend((0..).filter(|w| !last(w)).take(56));
+        states.sort_unstable();
+        let idx = HashIndex::new(&states, 64);
+        assert_eq!(idx.slots.len(), 128);
+        let wrapped = idx.slots[..4].iter().filter(|&&r| last(&states[r as usize])).count();
+        assert!(wrapped > 0, "the run stops at the last slot");
+        let needles: Vec<u64> = states.iter().chain(&absent).chain(&absent).copied().collect();
+        check_batch(&states, &needles);
+    }
+
+    #[test]
+    fn lookup_batch_on_empty_and_one_element_indexes() {
+        let needles = [0, 1, 5, 6, 5, u64::MAX, 5];
+        check_batch(&[], &needles);
+        check_batch(&[5], &needles);
+        check_batch(&[u64::MAX], &needles);
+    }
+
+    #[test]
+    fn robin_hood_placement_orders_each_run_by_distance() {
+        // Along a run each state sits at most one slot further from its
+        // home than the one before it (a run starts with a state at home):
+        // none probed past a state nearer its own home.
+        let strided: Vec<u64> = (0..30_000).map(|i| i << 5).collect();
+        let idx = HashIndex::new(&strided, 64);
+        let len = idx.slots.len();
+        let dist = |h: usize| match idx.slots[h] {
+            NOT_FOUND => -1,
+            rank => ((h + len - idx.home(strided[rank as usize])) % len) as i64,
+        };
+        for h in 0..len {
+            let next = idx.next(h);
+            assert!(dist(next) <= dist(h) + 1, "slots {h} and {next}");
         }
     }
 

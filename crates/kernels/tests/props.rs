@@ -173,9 +173,44 @@ proptest! {
         // The empty and one-element arrays of the same space.
         for small in [&states[..0], &states[..states.len().min(1)]] {
             let idx = HashIndex::new(small, n_bits);
-            for &p in &all {
-                prop_assert_eq!(idx.lookup(small, p), small.binary_search(&p).ok());
+            idx.lookup_batch(small, &all, &mut batch);
+            for (&p, &b) in all.iter().zip(&batch) {
+                let expect = small.binary_search(&p).ok();
+                prop_assert_eq!(idx.lookup(small, p), expect);
+                prop_assert_eq!(b, expect.map_or(NOT_FOUND, |i| i as u32));
             }
+        }
+    }
+
+    #[test]
+    fn hash_index_batch_walks_long_probe_runs(
+        len in 1usize..3000,
+        shift in 0u32..8,
+        offset in any::<u64>(),
+        picks in proptest::collection::vec(any::<u64>(), 300),
+    ) {
+        // Arithmetic progressions, which the Fibonacci hash clusters into
+        // long runs (`i << 5`: 5.15 probes a hit).
+        let mut states: Vec<u64> =
+            (0..len as u64).map(|i| (i << shift).wrapping_add(offset)).collect();
+        states.sort_unstable();
+        let idx = HashIndex::new(&states, 64);
+        // Members, the absent words next to them (each walks its run to
+        // an empty slot) and repeated needles, as `(needle, tag)` items
+        // read through `lookup_batch_by`'s key.
+        let member = |p: u64| states[(p % len as u64) as usize];
+        let items: Vec<(u64, u64)> = picks
+            .iter()
+            .flat_map(|&p| [member(p), member(p).wrapping_add(1), member(p) ^ p >> 60, member(0)])
+            .zip(0..)
+            .collect();
+        let mut batch = Vec::new();
+        idx.lookup_batch_by(&states, &items, |&(needle, _)| needle, &mut batch);
+        prop_assert_eq!(batch.len(), items.len());
+        for (&(p, _), &b) in items.iter().zip(&batch) {
+            let expect = states.binary_search(&p).ok();
+            prop_assert_eq!(idx.lookup(&states, p), expect);
+            prop_assert_eq!(b, expect.map_or(NOT_FOUND, |i| i as u32));
         }
     }
 }

@@ -64,6 +64,14 @@ fn the_distributed_algorithms_stay_safe_code() {
     assert_none(&["crates/dist/src"], &["unsafe"]);
 }
 
+/// The bit kernels are safe code: the hash index's batch lookup probes
+/// branch-free through bounds-checked slices, and vector width comes from
+/// the x86-64-v3 baseline the compiler targets, not from intrinsics.
+#[test]
+fn the_bit_kernels_stay_safe_code() {
+    assert_none(&["crates/kernels/src"], &["unsafe"]);
+}
+
 /// A thread that finds a channel full serves its own inbox (`PcEngine`'s
 /// wait loop); a claim that blocks inside the channel would starve it.
 #[test]
