@@ -320,6 +320,32 @@ mod tests {
     }
 
     #[test]
+    fn the_hash_index_of_sym_chain24_keeps_its_slots() {
+        // A state sits `probes − 1` slots past its home, so its probe
+        // lengths fix the slot array. The pins are those of the Robin Hood
+        // construction that rehashed every resident it passed: the
+        // distance kept in build scratch places every state where that one
+        // did, on the sector and on its two hashed parts.
+        let basis = chain_basis(24);
+        let digest = |states: &[u64]| {
+            let index = HashIndex::new(states, basis.sector().code_bits());
+            let lengths = index.probe_lengths(states);
+            lengths.fold(0xcbf2_9ce4_8422_2325u64, |h, p| {
+                (h ^ p as u64).wrapping_mul(0x100_0000_01b3)
+            })
+        };
+        let part = |l: usize| -> Vec<u64> {
+            let states = basis.states().iter().copied();
+            states.filter(|&s| ls_kernels::locale_idx_of(s, 2) == l).collect()
+        };
+        let (whole, part0, part1) = (basis.states(), part(0), part(1));
+        assert_eq!(whole.len(), 28_968);
+        assert_eq!(digest(whole), 0x6a4a_c018_585c_1900);
+        assert_eq!(digest(&part0), 0x2e6b_3451_fcd5_1404);
+        assert_eq!(digest(&part1), 0x784b_b787_c837_1beb);
+    }
+
+    #[test]
     fn index_of_present_agrees() {
         let basis = chain_basis(10);
         for (i, &s) in basis.states().iter().enumerate() {

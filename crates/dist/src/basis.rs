@@ -182,7 +182,9 @@ impl DistSpinBasis {
     /// a batch the locale owns, in batch order — a select per pair where
     /// keys are ranks, else the state's ranking: the hash index's batch
     /// kernel (`idx` is its caller-owned scratch), or the closed form and
-    /// select. A key the part lacks panics, naming the state.
+    /// select. One loop a batch, `add` inlined into it: the product passes
+    /// a plain or a CAS add into the part's lanes, chosen once. A key the
+    /// part lacks panics, naming the state.
     #[inline]
     pub(crate) fn resolve_batch<S: Copy>(
         &self,
@@ -193,6 +195,9 @@ impl DistSpinBasis {
     ) {
         match &self.index[locale] {
             PartIndex::Select(table) if self.rank_keys => {
+                // The table's address and length in registers: `add`'s
+                // stores could otherwise be its `Vec`'s, reloaded per pair.
+                let table = table.as_slice();
                 for &(key, val) in pairs {
                     match select(table, key) {
                         Some(i) => add(i as usize, val),

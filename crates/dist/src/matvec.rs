@@ -139,33 +139,69 @@ pub(crate) struct LocalTally {
 }
 
 impl LocalTally {
-    /// Notes the contributions `values`, all destined for locale `dest`.
-    #[inline]
-    pub(crate) fn note<S: Scalar>(&mut self, dest: usize, values: impl IntoIterator<Item = S>) {
-        let (mut lanes, mut values) = (self.lanes[dest], values.into_iter());
-        'values: loop {
-            for t in &mut lanes {
-                let Some(v) = values.next() else { break 'values };
-                let [re, im] = v.to_reals();
-                t[0] += re;
+    /// Notes the contributions `value(k)` for `k` in `0..len`, all
+    /// destined for locale `dest` and asked for in that order: four a
+    /// step, the `k`-th in lane `k % LANES`, in one loop the caller can
+    /// fuse its own work into (the value closure may add it, too).
+    #[inline(always)]
+    pub(crate) fn note<S: Scalar>(
+        &mut self,
+        dest: usize,
+        len: usize,
+        mut value: impl FnMut(usize) -> S,
+    ) {
+        let mut lanes = self.lanes[dest];
+        let note = |t: &mut [f64; 3], v: S| {
+            let [re, im] = v.to_reals();
+            t[0] += re;
+            if S::N_REALS == 1 {
+                // A real scalar's imaginary lane is +0.0, and adding it
+                // changes neither sum: both stay bit for bit what they are.
+                t[2] += re.abs();
+            } else {
                 t[1] += im;
                 // L1 mass: an upper bound on the magnitude, sqrt-free.
                 t[2] += re.abs() + im.abs();
+            }
+        };
+        let steps = len / LANES;
+        for step in 0..steps {
+            for (j, t) in lanes.iter_mut().enumerate() {
+                note(t, value(step * LANES + j));
+            }
+        }
+        // A loop of LANES steps, not of the remainder's, so that every
+        // lane is a fixed place and the lanes stay in registers.
+        let done = steps * LANES;
+        for (j, t) in lanes.iter_mut().enumerate() {
+            if done + j < len {
+                note(t, value(done + j));
             }
         }
         self.lanes[dest] = lanes;
     }
 }
 
-/// Lane-wise sum of one part (the realized half of the ABFT invariant).
+/// Lane-wise sum of one part (the realized half of the ABFT invariant),
+/// in [`LANES`] partial sums that consecutive elements take in turn, as a
+/// [`LocalTally`] keeps its own: one chain of dependent adds through the
+/// part would be the longest serial step of a product's check.
 fn part_sum<S: Scalar>(part: &[S]) -> [f64; 2] {
-    let mut acc = [0.0f64; 2];
-    for v in part {
+    let mut lanes = [[0.0f64; 2]; LANES];
+    let (steps, rest) = part.as_chunks::<LANES>();
+    for step in steps {
+        for (acc, v) in lanes.iter_mut().zip(step) {
+            let [re, im] = v.to_reals();
+            acc[0] += re;
+            acc[1] += im;
+        }
+    }
+    for (acc, v) in lanes.iter_mut().zip(rest) {
         let [re, im] = v.to_reals();
         acc[0] += re;
         acc[1] += im;
     }
-    acc
+    lanes.iter().fold([0.0; 2], |sum, acc| [sum[0] + acc[0], sum[1] + acc[1]])
 }
 
 /// The checksum comparison itself: `None` when the realized sum matches
@@ -271,6 +307,7 @@ mod tests {
     use crate::basis::enumerate_dist;
     use ls_basis::{SectorSpec, SpinBasis};
     use ls_expr::builders::heisenberg;
+    use ls_kernels::Complex64;
     use ls_runtime::ClusterSpec;
     use ls_symmetry::lattice::{chain_bonds, chain_group};
 
@@ -298,13 +335,53 @@ mod tests {
         (sector, op, basis, x, y)
     }
 
+    /// [`LocalTally::note`] against the three sums of every value, the
+    /// `k`-th of a call in lane `k % 4`, bit for bit: 0 to 11 values a call
+    /// (two whole steps and every remainder), two calls a destination,
+    /// each starting again at lane 0.
+    fn check_tally_lanes<S: Scalar>(values: &[S]) {
+        for len in 0..=values.len() {
+            let mut local = AbftTally::new(2).local();
+            let mut expect = [[[0.0f64; 3]; LANES]; 2];
+            for dest in [1, 1, 0] {
+                local.note(dest, len, |k| values[k]);
+                for (k, v) in values[..len].iter().enumerate() {
+                    let ([re, im], t) = (v.to_reals(), &mut expect[dest][k % LANES]);
+                    t[0] += re;
+                    t[1] += im;
+                    t[2] += re.abs() + im.abs();
+                }
+            }
+            let bits = |lanes: &[[[f64; 3]; LANES]]| {
+                lanes.iter().flatten().flatten().map(|x| x.to_bits()).collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&local.lanes), bits(&expect), "len={len}");
+        }
+    }
+
+    #[test]
+    fn a_tally_notes_the_k_th_value_in_lane_k_mod_4() {
+        let reals: Vec<f64> = (0..11).map(|k| (k as f64 * 0.37).sin()).collect();
+        let mut with_zeros = reals.clone();
+        with_zeros[3] = -0.0;
+        with_zeros[6] = 0.0;
+        check_tally_lanes(&reals);
+        check_tally_lanes(&with_zeros);
+        let complex: Vec<Complex64> = reals
+            .iter()
+            .enumerate()
+            .map(|(k, &re)| Complex64::new(re, -0.1 * k as f64))
+            .collect();
+        check_tally_lanes(&complex);
+    }
+
     #[test]
     fn abft_tally_accepts_clean_sums_and_flags_corruption() {
         // Clean: tallied contributions match the realized part sums.
         let tally = AbftTally::new(2);
         let mut local = tally.local();
-        local.note(0, [1.5f64, -0.25]);
-        local.note(1, [2.0f64]);
+        local.note(0, 2, |k| [1.5f64, -0.25][k]);
+        local.note(1, 1, |_| 2.0f64);
         tally.merge(&local);
         let y = DistVec::from_parts(vec![vec![1.0f64, 0.25], vec![2.0]]);
         tally.verify(&y); // must not panic
@@ -323,7 +400,7 @@ mod tests {
         // A NaN contribution sum must fail, never pass vacuously.
         let nan_tally = AbftTally::new(1);
         let mut local = nan_tally.local();
-        local.note(0, [f64::NAN]);
+        local.note(0, 1, |_| f64::NAN);
         nan_tally.merge(&local);
         let y1 = DistVec::from_parts(vec![vec![0.0f64]]);
         assert!(std::panic::catch_unwind(|| nan_tally.verify(&y1)).is_err());

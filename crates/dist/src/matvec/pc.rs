@@ -14,9 +14,8 @@
 //! once a product and moved into it by value: the owner map (`OwnerMap`,
 //! the locale count's power-of-two test decided) and the Lin view. An
 //! emission then costs one hash, the view's table loads and one staged
-//! store. A block's diagonal goes into `y` in one window sweep before its
-//! emissions. After a block the ABFT tally notes the block's values run
-//! by run (in four independent lanes), the local run
+//! store. A block's diagonal goes into `y` before its emissions. After a
+//! block the ABFT tally notes the block's values run by run, the local run
 //! is resolved and added on the spot and the others ship in
 //! capacity-sized batches through [`PairChannel`]s — one per
 //! (source, destination) pair, each a ring of two buffers, so a producer
@@ -54,22 +53,40 @@
 //! thread is the only writer of its part of `y` and accumulates with plain
 //! adds; several accumulate with CAS loops.
 //!
+//! **Three tight loops.** Around the generator a thread's per-element work
+//! is three loops, each of which picks plain or CAS adds once, not per
+//! element, and writes through the part's lanes
+//! ([`ls_runtime::PartLanes`], taken once a product from the window; each
+//! add is its bounds check and its lanes' arithmetic):
+//! - *Resolve.* [`DistSpinBasis::resolve_batch`] hands each pair of the
+//!   local run or of a drained batch, in batch order, straight to the add.
+//! - *Diagonal.* One loop over a block's `diag`, `x` and lanes adds
+//!   `diag[k] · x[k]` (zero where the diagonal is, whatever `x` holds) and,
+//!   under ABFT, notes the product in the tally in the same pass.
+//! - *Tally.* [`crate::matvec::LocalTally::note`] sums a run four values a
+//!   step, the `k`-th in lane `k % 4`, so its checksums keep their bits.
+//!
+//! Every add into `y` keeps its order, so the product keeps its bits.
+//!
 //! Channel hand-off follows the paper's flag protocol ([`ls_runtime::remote`]).
 //! Buffers are reused across products: a [`crate::DistOp`] owns one
 //! `PcEngine` for its lifetime — the paper reuses its `RemoteBuffer`s
 //! across the whole Lanczos run to avoid reallocation.
 
 use crate::basis::{missing_state, DistSpinBasis};
-use crate::matvec::{validate_shapes, AbftTally};
+use crate::matvec::{validate_shapes, AbftTally, LocalTally};
 use ls_basis::{SymmetrizedOperator, WalkScratch};
 use ls_kernels::combinadics::{LinRanker, LinTables};
 use ls_kernels::{hash64_01, Scalar};
-use ls_runtime::{collective, AtomicAccumWindow, Cluster, DistVec, LocaleCtx, PairChannel};
+use ls_runtime::{
+    collective, AtomicAccumWindow, Cluster, DistVec, LocaleCtx, PairChannel, PartLanes,
+};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Rows a thread generates and routes at a time: one window sweep of
-/// their diagonal, one [`SymmetrizedOperator::generate_off_diag_block`]
+/// Rows a thread generates and routes at a time: one loop over their
+/// diagonal, one [`SymmetrizedOperator::generate_off_diag_block`]
 /// call (which runs the group's networks once per source row,
 /// `g(α ⊕ m) = g(α) ⊕ π_g(m)`, and one sweep per matrix element;
 /// `ls_basis::state_info_batch` is its oracle) whose sink keys and stages
@@ -255,8 +272,8 @@ impl<S: Scalar> PcEngine<S> {
         let still_draining: Vec<AtomicUsize> = countdowns();
         cluster.run_tasks(threads, |ctx, thread| {
             let me = ctx.locale();
-            let (win, abft) = (&win, abft.as_ref());
-            let task = Task { engine: self, ctx, op, basis, x, win, abft, thread, threads };
+            let (y, abft) = (win.lanes(me), abft.as_ref());
+            let task = Task { engine: self, ctx, op, basis, x, y, abft, thread, threads };
             let mut inbox = Inbox {
                 stash: vec![Vec::new(); self.n_locales],
                 open: (0..self.n_locales).collect(),
@@ -311,7 +328,8 @@ struct Task<'a, S: Scalar> {
     op: &'a SymmetrizedOperator<S>,
     basis: &'a DistSpinBasis,
     x: &'a DistVec<S>,
-    win: &'a AtomicAccumWindow<'a, S>,
+    /// This locale's part of `y`.
+    y: PartLanes<'a, S>,
     abft: Option<&'a AbftTally>,
     /// This thread's index among the `threads` of its locale.
     thread: usize,
@@ -319,21 +337,36 @@ struct Task<'a, S: Scalar> {
 }
 
 impl<S: Scalar> Task<'_, S> {
-    /// `y.part(me)[i] += val`.
-    #[inline]
-    fn add(&self, i: usize, val: S) {
-        // A locale's only thread is the only writer of its part of `y`.
+    /// Resolves the keys of `pairs`, all owned by this locale, and adds
+    /// the values in order: one loop, with plain adds where the locale's
+    /// only thread is the only writer of its part of `y` and CAS adds
+    /// otherwise.
+    fn accumulate(&self, pairs: &[(u64, S)], idx: &mut Vec<u32>) {
+        let (me, y) = (self.ctx.locale(), self.y);
         if self.threads == 1 {
-            self.win.add_exclusive(self.ctx.locale(), i, val);
+            self.basis.resolve_batch(me, pairs, idx, move |i, val| y.add_exclusive(i, val));
         } else {
-            self.win.fetch_add(self.ctx.locale(), i, val);
+            self.basis.resolve_batch(me, pairs, idx, move |i, val| y.fetch_add(i, val));
         }
     }
 
-    /// Resolves the keys of `pairs`, all owned by this locale, and adds
-    /// the values in order.
-    fn accumulate(&self, pairs: &[(u64, S)], idx: &mut Vec<u32>) {
-        self.basis.resolve_batch(self.ctx.locale(), pairs, idx, |i, val| self.add(i, val));
+    /// `y[rows.start + k] += diag[k] · x[k]` over a block's `rows`, and
+    /// every product noted in `tally`: one loop, its adds chosen as in
+    /// [`Self::accumulate`].
+    fn add_diagonal(
+        &self,
+        rows: Range<usize>,
+        diag: &[S],
+        x: &[S],
+        tally: Option<&mut LocalTally>,
+    ) {
+        let (me, y, at) = (self.ctx.locale(), self.y, rows.start);
+        let (diag, x) = (&diag[rows.clone()], &x[rows]);
+        if self.threads == 1 {
+            diagonal_sweep(me, diag, x, tally, move |k, val| y.add_exclusive(at + k, val));
+        } else {
+            diagonal_sweep(me, diag, x, tally, move |k, val| y.fetch_add(at + k, val));
+        }
     }
 
     /// Generates the rows of this thread's contiguous share of the local
@@ -350,7 +383,7 @@ impl<S: Scalar> Task<'_, S> {
     }
 
     /// [`Self::produce`] with the key of a generated state (`None`: not in
-    /// the sector). Per block: the diagonal is added in one sweep, then the
+    /// the sector). Per block: the diagonal is added in one loop, then the
     /// generator's sink routes each emission in place — owner, key,
     /// `amp · x[row]`, push onto the owner's run — after which every run's
     /// fresh values are tallied, the local run is resolved and added and
@@ -377,13 +410,7 @@ impl<S: Scalar> Task<'_, S> {
         let mut idx = Vec::new();
         for b0 in (lo..hi).step_by(GEN_BLOCK) {
             let b1 = (b0 + GEN_BLOCK).min(hi);
-            // A zero diagonal adds nothing (the window skips a zero lane),
-            // whatever `x` holds; the tally notes every product.
-            let d = |k: usize| if diag[k] != S::ZERO { diag[k] * x_local[k] } else { S::ZERO };
-            self.win.add_run(me, b0, (b0..b1).map(d), self.threads == 1);
-            if let Some(t) = &mut tally {
-                t.note(me, (b0..b1).map(|k| diag[k] * x_local[k]));
-            }
+            self.add_diagonal(b0..b1, &diag, x_local, tally.as_mut());
             fresh.iter_mut().zip(&runs).for_each(|(at, run)| *at = run.len());
             let (rows, row_orbits, x_rows) =
                 (&states[b0..b1], &orbits[b0..b1], &x_local[b0..b1]);
@@ -398,7 +425,8 @@ impl<S: Scalar> Task<'_, S> {
             });
             for (dest, (run, &at)) in runs.iter_mut().zip(&fresh).enumerate() {
                 if let Some(t) = &mut tally {
-                    t.note(dest, run[at..].iter().map(|&(_, val)| val));
+                    let fresh = &run[at..];
+                    t.note(dest, fresh.len(), |k| fresh[k].1);
                 }
                 #[cfg(test)]
                 self.engine.perturb(&mut run[at..]);
@@ -515,6 +543,32 @@ impl<S: Scalar> Task<'_, S> {
     }
 }
 
+/// The loop of [`Task::add_diagonal`]: `add(k, diag[k] · x[k])` for
+/// every row `k` of a block — a zero diagonal adds zero, whatever `x`
+/// holds — and, under ABFT, the product noted for locale `me`, in the
+/// same pass.
+#[inline(always)]
+fn diagonal_sweep<S: Scalar>(
+    me: usize,
+    diag: &[S],
+    x: &[S],
+    tally: Option<&mut LocalTally>,
+    add: impl Fn(usize, S),
+) {
+    let x = &x[..diag.len()];
+    let term = move |k: usize| {
+        let product = diag[k] * x[k];
+        add(k, if diag[k] != S::ZERO { product } else { S::ZERO });
+        product
+    };
+    match tally {
+        Some(t) => t.note(me, diag.len(), term),
+        None => (0..diag.len()).for_each(|k| {
+            term(k);
+        }),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,16 +598,21 @@ mod tests {
         n: usize,
         locales: usize,
     ) -> (Cluster, SymmetrizedOperator<f64>, DistSpinBasis, DistVec<f64>) {
-        setup_on(n, ClusterSpec::new(locales, 2))
+        setup_on(symmetrized_ring(n), ClusterSpec::new(locales, 2))
+    }
+
+    /// The fully symmetrized ring of `n` sites at half filling.
+    fn symmetrized_ring(n: usize) -> SectorSpec {
+        let group = chain_group(n, 0, Some(0), Some(0)).unwrap();
+        SectorSpec::new(n as u32, Some(n as u32 / 2), group).unwrap()
     }
 
     fn setup_on(
-        n: usize,
+        sector: SectorSpec,
         spec: ClusterSpec,
     ) -> (Cluster, SymmetrizedOperator<f64>, DistSpinBasis, DistVec<f64>) {
+        let n = sector.n_sites() as usize;
         let kernel = heisenberg(&chain_bonds(n), 1.0).to_kernel(n as u32).unwrap();
-        let group = chain_group(n, 0, Some(0), Some(0)).unwrap();
-        let sector = SectorSpec::new(n as u32, Some(n as u32 / 2), group).unwrap();
         let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
         let cluster = Cluster::new(spec);
         let basis = enumerate_dist(&cluster, &sector, 3);
@@ -572,9 +631,14 @@ mod tests {
     fn a_value_altered_after_the_tally_fails_the_product_as_abft_corruption() {
         // cores = 1: plain adds; cores = 2: two threads a locale, atomic
         // adds. Value 5 stays local or ships, depending on the hash —
-        // either way it never matches its tally.
-        for cores in [1usize, 2] {
-            let (cluster, op, basis, x) = setup_on(12, ClusterSpec::new(2, cores));
+        // either way it never matches its tally. The symmetrized ring
+        // ships states its owner searches; the U(1) ring ships sector
+        // ranks its owner selects.
+        let u1 = SectorSpec::with_weight(12, 6).unwrap();
+        for (sector, cores) in [symmetrized_ring(12), u1].iter().flat_map(|s| [(s, 1), (s, 2)])
+        {
+            let (cluster, op, basis, x) = setup_on(sector.clone(), ClusterSpec::new(2, cores));
+            assert_eq!(basis.key_ranks().is_some(), sector.group().order() == 1);
             let lens = basis.states().lens();
             let opts = PcOptions { capacity: 16, ..PcOptions::default() };
             let engine = PcEngine::<f64>::new(2, opts);

@@ -4,7 +4,9 @@
 //! 4096 exceeds the whole off-diagonal volume so everything ships in the
 //! final drain — in arrival order and in the deterministic (stashing)
 //! order, which must also repeat bit for bit, on 1, 2 and 4 threads per
-//! locale — and on more threads than a locale has rows.
+//! locale, on symmetrized sectors (keyed by state, ranked by search) and
+//! on a U(1) sector (keyed by sector rank, resolved by select) — and on
+//! more threads than a locale has rows.
 
 use ls_basis::{SectorSpec, SpinBasis, SymmetrizedOperator};
 use ls_dist::matvec::{matvec_naive, PcOptions};
@@ -39,15 +41,27 @@ fn scatter(basis: &SpinBasis, dist: &DistSpinBasis, dense: &[f64]) -> DistVec<f6
     out
 }
 
+/// The `n`-site ring at half filling under translations, the flip and
+/// `reflection`: a searched sector.
+fn symmetrized_ring(n: u32, reflection: Option<i64>) -> SectorSpec {
+    let group = chain_group(n as usize, 0, reflection, Some(0)).unwrap();
+    SectorSpec::new(n, Some(n / 2), group).unwrap()
+}
+
 #[test]
 fn pc_pipeline_across_batch_capacities() {
-    // (sites, reflection sector, locale counts)
-    let cases: [(usize, Option<i64>, &[usize]); 2] = [(12, Some(0), &[1, 3]), (10, None, &[4])];
+    // (sector, locale counts). The U(1) ring is a closed form: its
+    // emissions are keyed by sector rank and resolved by select; the
+    // symmetrized rings ship states and search.
+    let cases = [
+        (symmetrized_ring(12, Some(0)), &[1, 3][..]),
+        (symmetrized_ring(10, None), &[4]),
+        (SectorSpec::with_weight(12, 6).unwrap(), &[1, 2, 3]),
+    ];
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    for (n, reflection, locale_counts) in cases {
+    for (sector, locale_counts) in cases {
+        let (n, closed_form) = (sector.n_sites() as usize, sector.group().order() == 1);
         let kernel = heisenberg(&chain_bonds(n), 1.0).to_kernel(n as u32).unwrap();
-        let group = chain_group(n, 0, reflection, Some(0)).unwrap();
-        let sector = SectorSpec::new(n as u32, Some(n as u32 / 2), group).unwrap();
         let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
         let basis = SpinBasis::build(sector.clone());
         let x: Vec<f64> = (0..basis.dim()).map(|i| ((i as f64) * 0.73).sin() - 0.2).collect();
@@ -60,6 +74,7 @@ fn pc_pipeline_across_batch_capacities() {
         {
             let cluster = Cluster::new(ClusterSpec::new(locales, cores));
             let dist = enumerate_dist(&cluster, &sector, 2);
+            assert_eq!(dist.ranks_in_closed_form(), closed_form, "n={n}");
             let xd = scatter(&basis, &dist, &x);
             for capacity in [1usize, 7, 4096] {
                 for deterministic in [false, true] {

@@ -6,7 +6,8 @@
 //! open addressing with linear probing, two `u32` slots per state, each
 //! occupied slot holding a rank, a hit confirmed by `sorted[rank] ==
 //! needle`. States are placed Robin Hood style: one that probes past a
-//! state nearer its own home takes that slot, and the other moves on. The
+//! state nearer its own home takes that slot, and the other moves on
+//! (build scratch keeps every placed state's distance from its home). The
 //! mean probe length is that of plain insertion; the longest runs are
 //! shorter. A rank is the state's position in the sorted array, exactly
 //! what the binary search returns. It is the only search ranking: sectors
@@ -43,6 +44,13 @@ const PENDING: usize = 256;
 /// The multiplier of the Fibonacci hash: 2⁶⁴ over the golden ratio.
 const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// [`HashIndex::home`] in a table of `len` slots.
+#[inline]
+fn home_in(s: u64, len: usize) -> usize {
+    let hash = (s ^ s >> 28).wrapping_mul(FIBONACCI);
+    ((hash as u128 * len as u128) >> 64) as usize
+}
+
 /// A hash index over a sorted, duplicate-free `u64` slice: maps a state
 /// to its position in the slice.
 #[derive(Clone, Debug)]
@@ -54,28 +62,35 @@ pub struct HashIndex {
 
 impl HashIndex {
     /// Builds the index over `sorted` (ascending, duplicate-free) for
-    /// states drawn from an `n_bits`-wide space.
+    /// states drawn from an `n_bits`-wide space. Build scratch keeps each
+    /// placed state's distance from its home in a byte, so a state probing
+    /// past a resident compares distances without rehashing the resident;
+    /// only a resident 255 or more slots from home is rehashed.
     pub fn new(sorted: &[u64], n_bits: u32) -> Self {
         assert!(sorted.len() < u32::MAX as usize);
-        let mut index = Self { slots: vec![NOT_FOUND; (2 * sorted.len()).max(1)] };
-        let len = index.slots.len();
+        let mut slots = vec![NOT_FOUND; (2 * sorted.len()).max(1)];
+        let len = slots.len();
+        // Per slot: its resident's distance from home, saturated.
+        let mut dists = vec![0u8; len];
         for (rank, &s) in sorted.iter().enumerate() {
             debug_assert!(n_bits >= 64 || s >> n_bits == 0, "state exceeds n_bits");
             // `(rank, h, dist)`: the state being placed, the slot it probes
             // and how far that slot is past its home.
-            let (mut rank, mut h, mut dist) = (rank as u32, index.home(s), 0);
-            while index.slots[h] != NOT_FOUND {
-                let resident = index.slots[h];
-                let theirs = (h + len - index.home(sorted[resident as usize])) % len;
+            let (mut rank, mut h, mut dist) = (rank as u32, home_in(s, len), 0);
+            while slots[h] != NOT_FOUND {
+                let theirs = match dists[h] {
+                    u8::MAX => (h + len - home_in(sorted[slots[h] as usize], len)) % len,
+                    d => d as usize,
+                };
                 if theirs < dist {
-                    index.slots[h] = rank;
-                    (rank, dist) = (resident, theirs);
+                    std::mem::swap(&mut slots[h], &mut rank);
+                    (dists[h], dist) = (dist.min(255) as u8, theirs);
                 }
-                (h, dist) = (index.next(h), dist + 1);
+                (h, dist) = (if h + 1 == len { 0 } else { h + 1 }, dist + 1);
             }
-            index.slots[h] = rank;
+            (slots[h], dists[h]) = (rank, dist.min(255) as u8);
         }
-        index
+        Self { slots }
     }
 
     /// The first slot probed for `s`: the top bits of the Fibonacci hash,
@@ -86,8 +101,7 @@ impl HashIndex {
     /// changes nothing.
     #[inline]
     fn home(&self, s: u64) -> usize {
-        let hash = (s ^ s >> 28).wrapping_mul(FIBONACCI);
-        ((hash as u128 * self.slots.len() as u128) >> 64) as usize
+        home_in(s, self.slots.len())
     }
 
     /// The slot after `h`, wrapping at the end of the table.
@@ -390,6 +404,32 @@ mod tests {
             let next = idx.next(h);
             assert!(dist(next) <= dist(h) + 1, "slots {h} and {next}");
         }
+    }
+
+    #[test]
+    fn robin_hood_placement_past_a_saturated_distance() {
+        // 400 of 1 000 states home on slot 1000 and 300 on slot 1050: one
+        // run reaches past 600 slots, so states of both homes meet there
+        // more than 255 slots from home, where the build scratch must
+        // rehash the resident to compare, and the run still orders by
+        // distance.
+        let table = HashIndex { slots: vec![NOT_FOUND; 2000] };
+        let home = |w: &u64| table.home(*w);
+        let mut states: Vec<u64> = (0..).filter(|w| home(w) == 1000).take(400).collect();
+        states.extend((0..).filter(|w| home(w) == 1050).take(300));
+        states.extend((0..).filter(|w| ![1000, 1050].contains(&home(w))).take(300));
+        states.sort_unstable();
+        let idx = HashIndex::new(&states, 64);
+        assert_eq!(idx.slots.len(), 2000);
+        let dist = |h: usize| match idx.slots[h] {
+            NOT_FOUND => -1,
+            rank => ((h + 2000 - idx.home(states[rank as usize])) % 2000) as i64,
+        };
+        assert!((0..2000).map(dist).max() > Some(600), "the run is too short");
+        for h in 0..2000 {
+            assert!(dist(idx.next(h)) <= dist(h) + 1, "slots {h} and {}", idx.next(h));
+        }
+        check_batch(&states, &states);
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub mod supervisor;
 pub mod transport;
 pub mod window;
 
-pub use accum::AtomicAccumWindow;
+pub use accum::{AtomicAccumWindow, PartLanes};
 pub use barrier::SenseBarrier;
 pub use cluster::{Cluster, ClusterSpec, LocaleCtx};
 pub use crc32c::{crc32c, crc32c_append};

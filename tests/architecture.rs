@@ -57,8 +57,8 @@ fn the_cluster_executor_stays_safe_code() {
     assert_none(&["crates/runtime/src/cluster.rs"], &["unsafe"]);
 }
 
-/// Plain adds where one thread owns a part go through
-/// `AtomicAccumWindow::add_exclusive`, not through a raw pointer here.
+/// Plain adds where one thread owns a part go through the window's lane
+/// view (`PartLanes::add_exclusive`), not through a raw pointer here.
 #[test]
 fn the_distributed_algorithms_stay_safe_code() {
     assert_none(&["crates/dist/src"], &["unsafe"]);
